@@ -17,11 +17,9 @@
 //! [`ClientError::Protocol`] — the client never hangs past its deadlines
 //! and never panics on hostile peers.
 
-use secyan_core::secure_yannakakis;
-use secyan_core::{run_offline, run_online, run_online_pooled, PreprocPool, Session, ShapeKey};
-use secyan_crypto::TweakHasher;
-use secyan_server::{RunMode, SessionRequest};
-use secyan_testkit::{canonical_result, session_seeds, Rows};
+use secyan_core::{PreprocPool, ShapeKey};
+use secyan_server::{run_party, SessionRequest};
+use secyan_testkit::{canonical_result, Rows};
 use secyan_transport::handshake::{
     read_server_hello, write_client_hello, ClientHello, HandshakeError, PROTOCOL_VERSION,
 };
@@ -118,70 +116,8 @@ pub fn run_session(cfg: &ClientConfig, req: &SessionRequest) -> Result<RunOutcom
     read_server_hello(&mut stream).map_err(ClientError::Handshake)?;
     let mut ch =
         tcp_endpoint(Role::Alice, stream, Some(cfg.io_timeout)).map_err(ClientError::Io)?;
-    let (sa, _sb) = session_seeds(&inst);
-    let rels = inst.party_relations(Role::Alice);
-    let hasher = TweakHasher::default();
     let mut pool = PreprocPool::new();
-    let ran = catch_protocol(|| {
-        let mut last = None;
-        match req.mode {
-            RunMode::Single => {
-                for i in 0..u64::from(req.runs) {
-                    let mut sess = Session::new(&mut ch, ring, hasher, sa.wrapping_add(i));
-                    last = Some(secure_yannakakis(&mut sess, &query, &rels, Role::Alice));
-                }
-            }
-            RunMode::PhaseSplit => {
-                for i in 0..u64::from(req.runs) {
-                    let m = run_offline(
-                        &mut ch,
-                        &query,
-                        &sizes,
-                        Role::Alice,
-                        ring,
-                        hasher,
-                        sa.wrapping_add(i),
-                    );
-                    last = Some(run_online(
-                        &mut ch,
-                        &query,
-                        &rels,
-                        Role::Alice,
-                        ring,
-                        hasher,
-                        m,
-                    ));
-                }
-            }
-            RunMode::Pooled => {
-                for i in 0..u64::from(req.runs) {
-                    pool.provision(
-                        &mut ch,
-                        &query,
-                        &sizes,
-                        Role::Alice,
-                        ring,
-                        hasher,
-                        sa.wrapping_add(i),
-                    );
-                }
-                for i in 0..u64::from(req.runs) {
-                    last = Some(run_online_pooled(
-                        &mut pool,
-                        &mut ch,
-                        &query,
-                        &sizes,
-                        &rels,
-                        Role::Alice,
-                        ring,
-                        hasher,
-                        sa.wrapping_add(i),
-                    ));
-                }
-            }
-        }
-        last.expect("runs >= 1 is enforced by SessionRequest::decode")
-    });
+    let ran = catch_protocol(|| run_party(&mut ch, &mut pool, &inst, req));
     let res = ran.map_err(ClientError::Protocol)?;
     let _ = ch.try_flush();
     Ok(RunOutcome {

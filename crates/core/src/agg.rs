@@ -12,10 +12,11 @@
 //! operator collapses to local computation plus dummy padding.
 
 use crate::session::Session;
+use crate::shape::{Draws, RelHeader};
 use crate::srel::SecureRelation;
 use secyan_circuit::{u64_to_bits, BitRef, Builder, Circuit, Word};
 use secyan_gc::{with_shared_outputs, SharedOutputSpec};
-use secyan_oep::{shared_oep_other, shared_oep_perm_holder};
+use secyan_oep::{oep_ot_count, shared_oep_other, shared_oep_perm_holder};
 
 /// Which projection-aggregation to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +32,7 @@ pub enum AggKind {
 /// Inputs (after the shared-output masks): garbler's N−1 equality bits and
 /// N share words, then the evaluator's N share words. Outputs: N shared
 /// words in sorted order, nonzero only at group ends.
-pub(crate) fn merge_circuit(n: usize, ell: usize, kind: AggKind) -> (Circuit, SharedOutputSpec) {
+fn merge_circuit(n: usize, ell: usize, kind: AggKind) -> (Circuit, SharedOutputSpec) {
     let spec = SharedOutputSpec::uniform(n, ell);
     let circuit = with_shared_outputs(&spec, |b| {
         let eq_bits: Vec<BitRef> = (0..n.saturating_sub(1)).map(|_| b.alice_input()).collect();
@@ -81,6 +82,72 @@ fn bit_to_word(b: &mut Builder, bit: BitRef, ell: usize) -> Word {
     Word(bits)
 }
 
+/// How one projection-aggregation runs. A function of the input's public
+/// header, the target attributes and the aggregate alone, so both parties
+/// — and the offline planner — always pick the same path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AggPath {
+    /// §6.5: annotations still owner-known → purely local computation.
+    Local,
+    /// No rows: nothing to do.
+    Empty,
+    /// A grand total (empty grouping) under SUM is linear in the
+    /// annotations, so each party folds its own shares locally — zero
+    /// communication, zero rounds.
+    LinearTotal,
+    /// The general case: shared OEP into sorted order, then the
+    /// merge-gate chain garbled by the owner.
+    Merge,
+}
+
+/// The public step [`oblivious_project_agg`] is about to run.
+pub(crate) struct AggStep {
+    /// Header of the output: same owner and public size as the input.
+    pub out: RelHeader,
+    pub path: AggPath,
+    kind: AggKind,
+    ell: usize,
+}
+
+pub(crate) fn agg_step(rel: &RelHeader, attrs: &[String], kind: AggKind, ell: usize) -> AggStep {
+    let path = if rel.is_plain {
+        AggPath::Local
+    } else if rel.size == 0 {
+        AggPath::Empty
+    } else if attrs.is_empty() && kind == AggKind::Sum {
+        AggPath::LinearTotal
+    } else {
+        AggPath::Merge
+    };
+    let out = RelHeader {
+        schema: attrs.to_vec(),
+        ..rel.clone()
+    };
+    AggStep {
+        out,
+        path,
+        kind,
+        ell,
+    }
+}
+
+impl AggStep {
+    fn circuit(&self) -> (Circuit, SharedOutputSpec) {
+        merge_circuit(self.out.size, self.ell, self.kind)
+    }
+
+    pub(crate) fn draws(&self) -> Draws {
+        let mut d = Draws::default();
+        if self.path == AggPath::Merge {
+            let (n, owner) = (self.out.size, self.out.owner);
+            // The sort-order OEP: the owner routes, the peer holds values.
+            d.ot.add(owner.peer(), oep_ot_count(n, n));
+            d.garble(self.circuit().0, owner);
+        }
+        d
+    }
+}
+
 /// Oblivious π⊕_attrs(R) / π¹_attrs(R). Both parties call this with the
 /// same public arguments; the output relation keeps the owner and the
 /// public size N of the input.
@@ -90,53 +157,46 @@ pub fn oblivious_project_agg(
     attrs: &[String],
     kind: AggKind,
 ) -> SecureRelation {
-    // §6.5 fast path: owner-known annotations → purely local computation.
-    if rel.is_plain {
-        return local_project_agg(sess, rel, attrs, kind);
-    }
-    let n = rel.size;
     let ell = sess.ring.bits() as usize;
-    if n == 0 {
-        return SecureRelation {
-            schema: attrs.to_vec(),
-            owner: rel.owner,
-            tuples: rel.is_mine(sess).then(Vec::new),
-            dummy: rel.is_mine(sess).then(Vec::new),
-            size: 0,
-            annot_shares: Vec::new(),
-            is_plain: false,
-            plain_annots: None,
-        };
+    let step = agg_step(&rel.header(), attrs, kind, ell);
+    let mine = rel.is_mine(sess);
+    let n = rel.size;
+    match step.path {
+        AggPath::Local => local_project_agg(sess, rel, step.out, kind),
+        AggPath::Empty => SecureRelation::shared(step.out, mine.then(Vec::new), Vec::new()),
+        AggPath::LinearTotal => {
+            // Dummy annotations are shares of 0, so folding them in is
+            // harmless. The single real output row sits at the public last
+            // position; every other row is a dummy whose shares reconstruct
+            // to 0, matching the merge-chain output contract.
+            let total = rel
+                .annot_shares
+                .iter()
+                .fold(0u64, |acc, &v| sess.ring.add(acc, v));
+            let mut shares = vec![0u64; n];
+            shares[n - 1] = total;
+            let rows = mine.then(|| {
+                let mut rows = vec![(Vec::new(), true); n];
+                rows[n - 1].1 = false;
+                rows
+            });
+            SecureRelation::shared(step.out, rows, shares)
+        }
+        AggPath::Merge => merge_project_agg(sess, rel, attrs, step),
     }
-    // Linear fast path: a grand total (empty grouping) under SUM is linear
-    // in the annotations, so each party folds its own shares locally —
-    // zero communication, zero rounds. Dummy annotations are shares of 0,
-    // so folding them in is harmless. The single real output row sits at
-    // the public last position; every other row is a dummy whose shares
-    // reconstruct to 0, matching the merge-chain output contract.
-    if attrs.is_empty() && kind == AggKind::Sum {
-        let total = rel
-            .annot_shares
-            .iter()
-            .fold(0u64, |acc, &v| sess.ring.add(acc, v));
-        let mut shares = vec![0u64; n];
-        shares[n - 1] = total;
-        return SecureRelation {
-            schema: Vec::new(),
-            owner: rel.owner,
-            tuples: rel.is_mine(sess).then(|| vec![Vec::new(); n]),
-            dummy: rel.is_mine(sess).then(|| {
-                let mut d = vec![true; n];
-                d[n - 1] = false;
-                d
-            }),
-            size: n,
-            annot_shares: shares,
-            is_plain: false,
-            plain_annots: None,
-        };
-    }
-    let (circuit, spec) = merge_circuit(n, ell, kind);
+}
+
+/// The general path: a shared OEP re-aligns the annotation shares with
+/// the owner's sorted order, then the merge-gate chain sweeps each group's
+/// aggregate into its last row.
+fn merge_project_agg(
+    sess: &mut Session,
+    rel: &SecureRelation,
+    attrs: &[String],
+    step: AggStep,
+) -> SecureRelation {
+    let (n, ell) = (rel.size, step.ell);
+    let (circuit, spec) = step.circuit();
     if rel.is_mine(sess) {
         let pos = rel.positions(attrs);
         let tuples = rel.tuples.as_ref().expect("owner side");
@@ -166,25 +226,14 @@ pub fn oblivious_project_agg(
             my_bits.extend(u64_to_bits(s, ell));
         }
         let out_shares = sess.garble_shared(&circuit, &spec, &my_bits);
-        // Build the output relation: group-end rows are real, others dummy.
-        let mut out_tuples = Vec::with_capacity(n);
-        let mut out_dummy = Vec::with_capacity(n);
-        for i in 0..n {
-            let src = order[i];
-            out_tuples.push(proj(src));
-            let is_end = i == n - 1 || !eq[i];
-            out_dummy.push(dummies[src] || !is_end);
-        }
-        SecureRelation {
-            schema: attrs.to_vec(),
-            owner: rel.owner,
-            tuples: Some(out_tuples),
-            dummy: Some(out_dummy),
-            size: n,
-            annot_shares: out_shares,
-            is_plain: false,
-            plain_annots: None,
-        }
+        // Group-end rows are real, all others dummy.
+        let rows = (0..n)
+            .map(|i| {
+                let is_end = i == n - 1 || !eq[i];
+                (proj(order[i]), dummies[order[i]] || !is_end)
+            })
+            .collect();
+        SecureRelation::shared(step.out, Some(rows), out_shares)
     } else {
         let my_sorted = shared_oep_other(
             sess.ch,
@@ -199,16 +248,7 @@ pub fn oblivious_project_agg(
             my_bits.extend(u64_to_bits(s, ell));
         }
         let out_shares = sess.evaluate_shared(&circuit, &spec, &my_bits);
-        SecureRelation {
-            schema: attrs.to_vec(),
-            owner: rel.owner,
-            tuples: None,
-            dummy: None,
-            size: n,
-            annot_shares: out_shares,
-            is_plain: false,
-            plain_annots: None,
-        }
+        SecureRelation::shared(step.out, None, out_shares)
     }
 }
 
@@ -217,23 +257,14 @@ pub fn oblivious_project_agg(
 fn local_project_agg(
     sess: &mut Session,
     rel: &SecureRelation,
-    attrs: &[String],
+    out: RelHeader,
     kind: AggKind,
 ) -> SecureRelation {
     let n = rel.size;
     if !rel.is_mine(sess) {
-        return SecureRelation {
-            schema: attrs.to_vec(),
-            owner: rel.owner,
-            tuples: None,
-            dummy: None,
-            size: n,
-            annot_shares: vec![0; n],
-            is_plain: true,
-            plain_annots: None,
-        };
+        return SecureRelation::plain(out, None);
     }
-    let pos = rel.positions(attrs);
+    let pos = rel.positions(&out.schema);
     let tuples = rel.tuples.as_ref().expect("owner side");
     let dummies = rel.dummy.as_ref().expect("owner side");
     let plain = rel.plain_annots.as_ref().expect("plain annots");
@@ -268,29 +299,15 @@ fn local_project_agg(
             }
         }
     }
-    let mut out_tuples = Vec::with_capacity(n);
-    let mut out_dummy = Vec::with_capacity(n);
-    let mut out_annots = Vec::with_capacity(n);
-    for key in &order {
-        out_tuples.push(key.clone());
-        out_dummy.push(false);
-        out_annots.push(groups[key]);
-    }
-    while out_tuples.len() < n {
-        out_tuples.push(vec![0; attrs.len()]);
-        out_dummy.push(true);
-        out_annots.push(0);
-    }
-    SecureRelation {
-        schema: attrs.to_vec(),
-        owner: rel.owner,
-        tuples: Some(out_tuples),
-        dummy: Some(out_dummy),
-        size: n,
-        annot_shares: vec![0; n],
-        is_plain: true,
-        plain_annots: Some(out_annots),
-    }
+    let mut rows: Vec<(Vec<u64>, bool, u64)> = order
+        .into_iter()
+        .map(|key| {
+            let v = groups[&key];
+            (key, false, v)
+        })
+        .collect();
+    rows.resize(n, (vec![0; out.schema.len()], true, 0));
+    SecureRelation::plain(out, Some(rows))
 }
 
 #[cfg(test)]

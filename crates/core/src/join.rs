@@ -9,10 +9,11 @@
 //! composition (§7), or revealed when it *is* the final answer.
 
 use crate::session::Session;
+use crate::shape::{Draws, RelHeader};
 use crate::srel::SecureRelation;
 use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit, Word};
 use secyan_gc::{with_shared_outputs, OutputMode, SharedOutputSpec};
-use secyan_oep::{shared_oep_other, shared_oep_perm_holder};
+use secyan_oep::{oep_ot_count, shared_oep_other, shared_oep_perm_holder};
 use secyan_transport::{Role, WriteExt};
 use std::collections::HashMap;
 
@@ -31,105 +32,154 @@ pub struct JoinOutput {
     pub out_size: usize,
 }
 
-/// The reveal circuit for one relation: per row, `ind = (v ≠ 0)` plus the
-/// tuple words gated by `ind` (only when the receiver does not own the
-/// tuples). Garbler = relation owner when it is not the receiver,
-/// otherwise the other party; outputs reveal to the receiver-evaluator.
-pub(crate) fn reveal_circuit(
+/// The public step of revealing a relation's rows to the receiver: per
+/// row the nonzero indicator of its annotation (`values = false`, the
+/// join's support reveal) or the annotation itself (`values = true`, the
+/// driver's final reveal when one relation survives), plus — when the
+/// receiver does not own the tuples — the tuple words gated by that
+/// indicator. The non-receiver garbles; outputs reveal to the
+/// receiver-evaluator. Zero-valued rows are indistinguishable from
+/// dummies, exactly as the paper notes (a zero aggregate contributes
+/// nothing to the result).
+pub(crate) struct RevealStep {
     n: usize,
     ell: usize,
     attrs: usize,
+    values: bool,
+    /// The garbler (the non-receiver) owns the tuples and feeds them in.
     owner_is_garbler: bool,
-) -> Circuit {
-    let mut b = Builder::new();
-    // Garbler inputs: v-shares, plus tuple words when the garbler owns them.
-    let va: Vec<Word> = (0..n).map(|_| b.alice_word(ell)).collect();
-    let ta: Vec<Vec<Word>> = (0..n)
-        .map(|_| {
-            if owner_is_garbler {
-                (0..attrs).map(|_| b.alice_word(64)).collect()
-            } else {
-                Vec::new()
+    garbler: Role,
+}
+
+pub(crate) fn reveal_step(rel: &RelHeader, receiver: Role, ell: usize, values: bool) -> RevealStep {
+    RevealStep {
+        n: rel.size,
+        ell,
+        attrs: rel.schema.len(),
+        values,
+        owner_is_garbler: rel.owner != receiver,
+        garbler: receiver.peer(),
+    }
+}
+
+impl RevealStep {
+    /// Garbler inputs: all v-shares, then all tuple words (when it owns
+    /// them). Evaluator inputs: its v-shares.
+    fn circuit(&self) -> Circuit {
+        let (n, ell) = (self.n, self.ell);
+        let mut b = Builder::new();
+        let va: Vec<Word> = (0..n).map(|_| b.alice_word(ell)).collect();
+        let ta: Vec<Vec<Word>> = (0..n)
+            .map(|_| {
+                if self.owner_is_garbler {
+                    (0..self.attrs).map(|_| b.alice_word(64)).collect()
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        let vb: Vec<Word> = (0..n).map(|_| b.bob_word(ell)).collect();
+        for i in 0..n {
+            let v = b.add_words(&va[i], &vb[i]);
+            if self.values {
+                b.output_word(&v);
+                if !self.owner_is_garbler {
+                    continue;
+                }
             }
-        })
-        .collect();
-    let vb: Vec<Word> = (0..n).map(|_| b.bob_word(ell)).collect();
-    for i in 0..n {
-        let v = b.add_words(&va[i], &vb[i]);
-        let ind = b.is_nonzero_word(&v);
-        b.output(ind);
-        if owner_is_garbler {
+            let ind = b.is_nonzero_word(&v);
+            if !self.values {
+                b.output(ind);
+            }
             for w in &ta[i] {
                 let gated = b.and_word_bit(w, ind);
                 b.output_word(&gated);
             }
         }
+        b.finish()
     }
-    b.finish()
+
+    pub(crate) fn draws(&self) -> Draws {
+        let mut d = Draws::default();
+        d.garble(self.circuit(), self.garbler);
+        d
+    }
 }
 
-/// Reveal the nonzero support of `rel` to the receiver. Returns, on the
-/// receiver side, `Some(rows)` where `rows[i] = Some(tuple)` for real
-/// non-dangling rows (indexed by the owner's storage order).
-fn reveal_support(
+/// The receiver's view of a revealed relation, indexed by the owner's
+/// storage order: `Some((tuple, v))` for every row whose annotation is
+/// nonzero, where `v` is the revealed annotation in `values` mode and 1
+/// otherwise.
+pub(crate) type RevealedRows = Vec<Option<(Vec<u64>, u64)>>;
+
+/// Run a [`RevealStep`] on `rel`. `Some` on the receiver side only.
+pub(crate) fn reveal_rows(
     sess: &mut Session,
     rel: &mut SecureRelation,
     receiver: Role,
-) -> Option<Vec<Option<Vec<u64>>>> {
+    values: bool,
+) -> Option<RevealedRows> {
     rel.ensure_shared(sess);
-    let n = rel.size;
     let ell = sess.ring.bits() as usize;
-    let attrs = rel.schema.len();
-    let i_am_receiver = sess.role() == receiver;
-    let owner_is_garbler = rel.owner != receiver;
-    let circuit = reveal_circuit(n, ell, attrs, owner_is_garbler);
-    if i_am_receiver {
-        // Receiver evaluates.
-        let mut bits = Vec::new();
-        for &s in &rel.annot_shares {
-            bits.extend(u64_to_bits(s, ell));
-        }
-        let out = sess
-            .evaluate(&circuit, &bits, OutputMode::RevealToEvaluator)
-            .expect("reveals to evaluator");
-        let stride = 1 + if owner_is_garbler { attrs * 64 } else { 0 };
-        let mut rows = Vec::with_capacity(n);
-        let my_tuples = rel.tuples.clone();
-        for i in 0..n {
-            let base = i * stride;
-            if !out[base] {
-                rows.push(None);
-                continue;
-            }
-            let tuple = if owner_is_garbler {
-                (0..attrs)
-                    .map(|a| bits_to_u64(&out[base + 1 + a * 64..base + 1 + (a + 1) * 64]))
-                    .collect()
-            } else {
-                my_tuples.as_ref().expect("receiver owns the tuples")[i].clone()
-            };
-            rows.push(Some(tuple));
-        }
-        Some(rows)
-    } else {
-        // Non-receiver garbles; contributes tuples when it owns them.
-        // Packing matches the circuit's declaration order: all v-shares
-        // first, then all tuple words.
-        let mut bits = Vec::new();
-        for &s in &rel.annot_shares {
-            bits.extend(u64_to_bits(s, ell));
-        }
-        if owner_is_garbler {
-            let tuples = rel.tuples.as_ref().expect("owner side");
-            for t in tuples {
+    let step = reveal_step(&rel.header(), receiver, ell, values);
+    let circuit = step.circuit();
+    let mut bits = Vec::new();
+    for &s in &rel.annot_shares {
+        bits.extend(u64_to_bits(s, ell));
+    }
+    if sess.role() != receiver {
+        if step.owner_is_garbler {
+            for t in rel.tuples.as_ref().expect("owner side") {
                 for &v in t {
                     bits.extend(u64_to_bits(v, 64));
                 }
             }
         }
         sess.garble(&circuit, &bits, OutputMode::RevealToEvaluator);
-        None
+        return None;
     }
+    let out = sess
+        .evaluate(&circuit, &bits, OutputMode::RevealToEvaluator)
+        .expect("reveals to evaluator");
+    let head = if values { ell } else { 1 };
+    let tuple_bits = if step.owner_is_garbler {
+        step.attrs * 64
+    } else {
+        0
+    };
+    let stride = head + tuple_bits;
+    let rows = (0..step.n)
+        .map(|i| {
+            let base = i * stride;
+            let v = bits_to_u64(&out[base..base + head]);
+            (v != 0).then(|| {
+                let tuple = if step.owner_is_garbler {
+                    out[base + head..base + stride]
+                        .chunks(64)
+                        .map(bits_to_u64)
+                        .collect()
+                } else {
+                    rel.tuples.as_ref().expect("receiver owns the tuples")[i].clone()
+                };
+                (tuple, v)
+            })
+        })
+        .collect();
+    Some(rows)
+}
+
+/// OTs the data-dependent tail of the join draws once OUT is announced,
+/// all with the non-receiver sending: one OEP per relation (of public size
+/// `sizes[i]`) aligning its shares with J*'s rows, then the product
+/// tree's evaluator labels. OUT is data, so no offline phase can bank
+/// these and they always extend inline; exported so an audit can tell the
+/// tail from a planned draw that fell back.
+pub fn join_tail_ot_count(sizes: &[usize], out_size: usize, ell: usize) -> usize {
+    if out_size == 0 {
+        return 0;
+    }
+    let oeps: usize = sizes.iter().map(|&n| oep_ot_count(n, out_size)).sum();
+    oeps + sizes.len() * out_size * ell
 }
 
 /// The k-way annotation product circuit over `out_size` rows. Garbler =
@@ -189,9 +239,9 @@ pub fn oblivious_join(
     let ell = sess.ring.bits() as usize;
     let i_am_receiver = sess.role() == receiver;
     // Step 1: reveal every relation's nonzero support to the receiver.
-    let revealed: Vec<Option<Vec<Option<Vec<u64>>>>> = rels
+    let revealed: Vec<Option<RevealedRows>> = rels
         .iter_mut()
-        .map(|r| reveal_support(sess, r, receiver))
+        .map(|r| reveal_rows(sess, r, receiver, false))
         .collect();
     // Step 2: the receiver joins locally, tracking per-relation provenance.
     let mut schema: Vec<String> = Vec::new();
@@ -209,7 +259,7 @@ pub fn oblivious_join(
             let rel_schema = &rels[ri].schema;
             if ri == 0 {
                 for (idx, row) in rows.iter().enumerate() {
-                    if let Some(t) = row {
+                    if let Some((t, _)) = row {
                         let vals: HashMap<String, u64> =
                             rel_schema.iter().cloned().zip(t.iter().copied()).collect();
                         acc.push((vals, vec![idx]));
@@ -225,7 +275,7 @@ pub fn oblivious_join(
                 .collect();
             let mut index: HashMap<Vec<u64>, Vec<usize>> = HashMap::new();
             for (idx, row) in rows.iter().enumerate() {
-                if let Some(t) = row {
+                if let Some((t, _)) = row {
                     let key: Vec<u64> = common
                         .iter()
                         .map(|a| {
@@ -241,7 +291,7 @@ pub fn oblivious_join(
                 let key: Vec<u64> = common.iter().map(|a| vals[a]).collect();
                 if let Some(matches) = index.get(&key) {
                     for &idx in matches {
-                        let t = rows[idx].as_ref().expect("indexed row is real");
+                        let (t, _) = rows[idx].as_ref().expect("indexed row is real");
                         let mut vals2 = vals.clone();
                         for (a, &v) in rel_schema.iter().zip(t.iter()) {
                             vals2.insert(a.clone(), v);

@@ -36,7 +36,9 @@ pub mod session;
 pub mod shape;
 pub mod srel;
 
-pub use preproc::{run_offline, run_online, run_online_pooled, PreprocPool, QueryMaterial};
+pub use preproc::{
+    run_offline, run_online, run_online_leftover, run_online_pooled, PreprocPool, QueryMaterial,
+};
 pub use protocol::{secure_yannakakis, QueryResult};
 pub use query::SecureQuery;
 /// Intra-party data parallelism (deterministic worker pool); see the

@@ -6,11 +6,12 @@
 //! arrives. This module packages the offline product per query shape:
 //!
 //! * [`run_offline`] bootstraps a full [`Session`] (base OTs, OT
-//!   extension, KKRT OPRF), banks shape-budgeted random OTs for Beaver
-//!   derandomization ([`secyan_ot::OtSendBank`]/[`OtRecvBank`]), and
-//!   pre-garbles every circuit the [`QueryShape`] planner can foresee,
-//!   shipping the garbled tables ahead of time. The suspended session
-//!   state *is* the offline material: a [`QueryMaterial`].
+//!   extension, KKRT OPRF), banks exactly the random OTs and KKRT
+//!   instances the [`QueryShape`] walk recorded for each direction
+//!   (Beaver-derandomized online, [`secyan_ot::OtSendBank`]/[`OtRecvBank`]),
+//!   and pre-garbles every circuit of that walk, shipping the garbled
+//!   tables ahead of time. The suspended session state *is* the offline
+//!   material: a [`QueryMaterial`].
 //! * [`run_online`] resumes a session from banked material and runs the
 //!   standard driver; every operator transparently consumes banked OTs
 //!   and pre-garbled circuits through [`Session`]'s digest-checked
@@ -83,6 +84,13 @@ impl QueryMaterial {
     /// Pre-garbled circuits held (as garbler, as evaluator).
     pub fn circuits_banked(&self) -> (usize, usize) {
         (self.gc_garble.len(), self.gc_eval.len())
+    }
+
+    /// Random OTs this party's extensions have produced so far (as sender,
+    /// as receiver), banked and inline alike — so the growth across an
+    /// online run is what that run could not take from its banks.
+    pub fn ot_extended(&self) -> (u64, u64) {
+        (self.ot_send.extended(), self.ot_recv.extended())
     }
 
     /// Fault-injection hook (used by the differential harness): discard
@@ -163,12 +171,11 @@ impl QueryMaterial {
 /// [`Phase::Offline`].
 ///
 /// The returned material covers: session bootstrap (base OTs, KKRT OPRF
-/// seeds — the per-session fixed cost), `shape.ot_budget` random OTs per
-/// direction (derandomized online via Beaver-style corrections),
-/// `shape.kkrt_budget` KKRT OPRF instances per direction (extended against
+/// seeds — the per-session fixed cost), exactly `shape.exact.ot` random
+/// OTs and `shape.exact.kkrt` KKRT OPRF instances in each direction (OTs
+/// derandomized online via Beaver-style corrections; KKRT extended against
 /// random codes offline, code-corrected online with one 64-byte word per
-/// instance), and the pre-garbled tables of every planner-foreseen
-/// circuit.
+/// instance), and the pre-garbled tables of every circuit of the walk.
 pub fn run_offline(
     ch: &mut Channel,
     query: &SecureQuery,
@@ -181,36 +188,38 @@ pub fn run_offline(
     let shape = QueryShape::derive(query, sizes, receiver, ring.bits() as usize);
     ch.set_phase(Phase::Offline);
     let mut sess = Session::new(ch, ring, hasher, rng_seed);
-    // Bank random OTs, both directions, in the same role-fixed interleave
-    // as the session bootstrap so the two sides pair up.
-    let budget = shape.ot_budget;
-    let kkrt_budget = shape.kkrt_budget;
-    match sess.role() {
+    // Bank each direction's draws, in the same role-fixed interleave as
+    // the session bootstrap so the two sides pair up.
+    let me = sess.role();
+    let (ot, kkrt) = (shape.exact.ot, shape.exact.kkrt);
+    let (ot_out, ot_in) = (ot.of(me), ot.of(me.peer()));
+    let (kkrt_out, kkrt_in) = (kkrt.of(me), kkrt.of(me.peer()));
+    match me {
         Role::Alice => {
-            let sb = sess.ot_send.offline(sess.ch, budget);
+            let sb = sess.ot_send.offline(sess.ch, ot_out);
             sess.ot_send.attach_bank(sb);
-            let rb = sess.ot_recv.offline(sess.ch, budget, &mut sess.rng);
+            let rb = sess.ot_recv.offline(sess.ch, ot_in, &mut sess.rng);
             sess.ot_recv.attach_bank(rb);
-            let ksb = sess.kkrt_send.offline(sess.ch, kkrt_budget);
+            let ksb = sess.kkrt_send.offline(sess.ch, kkrt_out);
             sess.kkrt_send.attach_bank(ksb);
-            let krb = sess.kkrt_recv.offline(sess.ch, kkrt_budget, &mut sess.rng);
+            let krb = sess.kkrt_recv.offline(sess.ch, kkrt_in, &mut sess.rng);
             sess.kkrt_recv.attach_bank(krb);
         }
         Role::Bob => {
-            let rb = sess.ot_recv.offline(sess.ch, budget, &mut sess.rng);
+            let rb = sess.ot_recv.offline(sess.ch, ot_in, &mut sess.rng);
             sess.ot_recv.attach_bank(rb);
-            let sb = sess.ot_send.offline(sess.ch, budget);
+            let sb = sess.ot_send.offline(sess.ch, ot_out);
             sess.ot_send.attach_bank(sb);
-            let krb = sess.kkrt_recv.offline(sess.ch, kkrt_budget, &mut sess.rng);
+            let krb = sess.kkrt_recv.offline(sess.ch, kkrt_in, &mut sess.rng);
             sess.kkrt_recv.attach_bank(krb);
-            let ksb = sess.kkrt_send.offline(sess.ch, kkrt_budget);
+            let ksb = sess.kkrt_send.offline(sess.ch, kkrt_out);
             sess.kkrt_send.attach_bank(ksb);
         }
     }
     // Pre-garble the planned circuit schedule; tables cross the wire now
     // so the online phase only moves input-dependent messages.
     for pc in &shape.planned {
-        if sess.role() == pc.garbler {
+        if me == pc.garbler {
             let m = garble_offline(sess.ch, &pc.circuit, hasher, &mut sess.rng);
             sess.gc_garble.push_back(m);
         } else {
@@ -236,13 +245,29 @@ pub fn run_online(
     hasher: TweakHasher,
     material: QueryMaterial,
 ) -> QueryResult {
+    run_online_leftover(ch, query, my_relations, receiver, ring, hasher, material).0
+}
+
+/// [`run_online`], handing back what the run left of its material instead
+/// of dropping it — for auditing a plan against its execution (an exact
+/// plan leaves no circuits and empty banks). The leftover is spent
+/// material: consumed entries are gone and it pairs with nothing.
+pub fn run_online_leftover(
+    ch: &mut Channel,
+    query: &SecureQuery,
+    my_relations: &[Option<Relation<NaturalRing>>],
+    receiver: Role,
+    ring: RingCtx,
+    hasher: TweakHasher,
+    material: QueryMaterial,
+) -> (QueryResult, QueryMaterial) {
     ch.set_phase(Phase::Online);
-    let out = {
-        let mut sess = material.resume(ch, ring, hasher);
-        secure_yannakakis(&mut sess, query, my_relations, receiver)
-    };
+    let key = material.key;
+    let mut sess = material.resume(ch, ring, hasher);
+    let out = secure_yannakakis(&mut sess, query, my_relations, receiver);
+    let left = QueryMaterial::suspend(key, sess);
     ch.set_phase(Phase::Single);
-    out
+    (out, left)
 }
 
 /// A shape-keyed pool of offline material. Entries are strictly
@@ -308,11 +333,17 @@ impl PreprocPool {
     }
 }
 
-/// Run a query online against the pool. Both parties exchange a one-word
-/// availability handshake (under the online phase tag) and use pooled
-/// material only when *both* hold some for this shape; otherwise the run
-/// falls back to a fresh inline session — correct, just without the
-/// offline speedup — and the miss is counted.
+/// Run a query online against the pool, using pooled material only when
+/// *both* parties hold some for this shape; otherwise the run falls back
+/// to a fresh inline session — correct, just without the offline speedup
+/// — and the miss is counted.
+///
+/// The agreement costs exactly one super-round on top of [`run_online`]:
+/// the owner of the plan-first relation opens the driver (its sizes are
+/// the first driver frame), so its *peer* announces availability and the
+/// opener answers with the joint verdict staged ahead of that frame. Were
+/// both to announce at once, the round count would depend on whose frame
+/// won the race.
 #[allow(clippy::too_many_arguments)]
 pub fn run_online_pooled(
     pool: &mut PreprocPool,
@@ -327,9 +358,16 @@ pub fn run_online_pooled(
 ) -> QueryResult {
     let key = ShapeKey::of(query, sizes, receiver, ring.bits() as usize);
     ch.set_phase(Phase::Online);
-    ch.send_u64(u64::from(pool.available(key) > 0));
-    let peer_has = ch.recv_u64() != 0;
-    let out = if peer_has && pool.available(key) > 0 {
+    let have = pool.available(key) > 0;
+    let hit = if query.owners[0] == ch.role() {
+        let hit = ch.recv_u64() != 0 && have;
+        ch.send_u64(u64::from(hit));
+        hit
+    } else {
+        ch.send_u64(u64::from(have));
+        ch.recv_u64() != 0
+    };
+    let out = if hit {
         let material = pool.take(key).expect("availability just checked");
         let mut sess = material.resume(ch, ring, hasher);
         secure_yannakakis(&mut sess, query, my_relations, receiver)

@@ -17,13 +17,11 @@
 //!    the driver skips phases 2–3 and reveals that node directly.
 
 use crate::agg::{oblivious_project_agg, AggKind};
-use crate::join::oblivious_join;
+use crate::join::{oblivious_join, reveal_rows, JoinOutput};
 use crate::query::SecureQuery;
-use crate::semijoin::{oblivious_reduce_join, oblivious_semijoin};
+use crate::semijoin::oblivious_reduce_join;
 use crate::session::Session;
 use crate::srel::SecureRelation;
-use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit};
-use secyan_gc::OutputMode;
 use secyan_relation::{NaturalRing, Relation};
 use secyan_transport::Role;
 
@@ -47,6 +45,68 @@ pub struct SharedQueryResult {
     pub out_size: usize,
 }
 
+/// Whoever answers the driver's operator calls. A [`Session`] executes
+/// them on [`SecureRelation`]s; `shape.rs`'s recorder answers with the
+/// headers of the steps the same operators would run. The walk below is
+/// written against this seam once, so the schedule a shape is planned
+/// from *is* the schedule that executes.
+pub(crate) trait Operators {
+    type Rel: Clone;
+    type Output;
+    fn schema(rel: &Self::Rel) -> &[String];
+    /// π⊕ / π¹ of `rel` onto `attrs` (§6.1).
+    fn project_agg(&mut self, rel: &Self::Rel, attrs: &[String], kind: AggKind) -> Self::Rel;
+    /// `rf ⋈⊗ rg` keeping `rf`'s tuples (§6.2).
+    fn reduce_join(&mut self, rf: &Self::Rel, rg: Self::Rel) -> Self::Rel;
+    /// Reveal the single surviving relation's rows and aggregates.
+    fn reveal(&mut self, rel: &mut Self::Rel, receiver: Role) -> Self::Output;
+    /// The full join of several survivors (§6.3), aggregates revealed.
+    fn join(&mut self, rels: &mut [Self::Rel], receiver: Role) -> Self::Output;
+}
+
+impl Operators for Session<'_> {
+    type Rel = SecureRelation;
+    type Output = QueryResult;
+
+    fn schema(rel: &SecureRelation) -> &[String] {
+        &rel.schema
+    }
+
+    fn project_agg(
+        &mut self,
+        rel: &SecureRelation,
+        attrs: &[String],
+        kind: AggKind,
+    ) -> SecureRelation {
+        oblivious_project_agg(self, rel, attrs, kind)
+    }
+
+    fn reduce_join(&mut self, rf: &SecureRelation, rg: SecureRelation) -> SecureRelation {
+        oblivious_reduce_join(self, rf, rg)
+    }
+
+    fn reveal(&mut self, rel: &mut SecureRelation, receiver: Role) -> QueryResult {
+        let rows = reveal_rows(self, rel, receiver, true).unwrap_or_default();
+        let (tuples, values): (Vec<_>, Vec<_>) = rows.into_iter().flatten().unzip();
+        QueryResult {
+            schema: rel.schema.clone(),
+            out_size: tuples.len(),
+            tuples,
+            values,
+        }
+    }
+
+    fn join(&mut self, rels: &mut [SecureRelation], receiver: Role) -> QueryResult {
+        let out = oblivious_join(self, rels, receiver, true);
+        QueryResult {
+            schema: out.schema,
+            tuples: out.tuples,
+            values: out.values,
+            out_size: out.out_size,
+        }
+    }
+}
+
 /// Run the secure Yannakakis protocol, revealing the results to
 /// `receiver`. `my_relations[i]` is `Some` iff this party owns relation i.
 pub fn secure_yannakakis(
@@ -55,23 +115,8 @@ pub fn secure_yannakakis(
     my_relations: &[Option<Relation<NaturalRing>>],
     receiver: Role,
 ) -> QueryResult {
-    let (mut rels, survivors) = reduce_and_semijoin(sess, query, my_relations);
-    if survivors.len() == 1 {
-        // Reduce collapsed everything (e.g. Q3): reveal the root directly.
-        let root = survivors[0];
-        return reveal_result(sess, &mut rels[root], receiver);
-    }
-    let mut folded: Vec<SecureRelation> = fold_order(query, &survivors)
-        .into_iter()
-        .map(|i| rels[i].clone())
-        .collect();
-    let out = oblivious_join(sess, &mut folded, receiver, true);
-    QueryResult {
-        schema: out.schema,
-        tuples: out.tuples,
-        values: out.values,
-        out_size: out.out_size,
-    }
+    let rels = load(sess, query, my_relations);
+    walk(sess, query, rels, receiver)
 }
 
 /// Like [`secure_yannakakis`] but leaving the aggregates in shared form
@@ -82,49 +127,44 @@ pub fn secure_yannakakis_shared(
     my_relations: &[Option<Relation<NaturalRing>>],
     receiver: Role,
 ) -> SharedQueryResult {
-    let (mut rels, survivors) = reduce_and_semijoin(sess, query, my_relations);
-    if survivors.len() == 1 {
-        let root = survivors[0];
-        let rel = &mut rels[root];
+    let rels = load(sess, query, my_relations);
+    let (mut rels, survivors) = reduce_and_semijoin(sess, query, rels);
+    let out = if survivors.len() == 1 {
+        let rel = &mut rels[survivors[0]];
         rel.ensure_shared(sess);
         // Reveal only the tuples' support — here the tuples themselves are
         // part of the output, but the aggregates stay shared. We reveal
         // all rows (dummies included) and keep the shares aligned; the
         // caller's composition circuit treats zero-reconstructing rows as
         // padding, exactly like the §7 avg example.
-        let out = oblivious_join(sess, std::slice::from_mut(rel), receiver, false);
-        return SharedQueryResult {
-            schema: out.schema,
-            tuples: out.tuples,
-            annot_shares: out.annot_shares,
-            out_size: out.out_size,
-        };
-    }
-    let mut folded: Vec<SecureRelation> = fold_order(query, &survivors)
-        .into_iter()
-        .map(|i| rels[i].clone())
-        .collect();
-    let out = oblivious_join(sess, &mut folded, receiver, false);
+        oblivious_join(sess, std::slice::from_mut(rel), receiver, false)
+    } else {
+        let mut folded = fold(query, &rels, &survivors);
+        oblivious_join(sess, &mut folded, receiver, false)
+    };
+    let JoinOutput {
+        schema,
+        tuples,
+        annot_shares,
+        out_size,
+        ..
+    } = out;
     SharedQueryResult {
-        schema: out.schema,
-        tuples: out.tuples,
-        annot_shares: out.annot_shares,
-        out_size: out.out_size,
+        schema,
+        tuples,
+        annot_shares,
+        out_size,
     }
 }
 
-/// Phases 1 and 2. Returns the per-node relations (folded nodes left in
-/// place but dead) and the surviving node indices.
-fn reduce_and_semijoin(
+/// Load: one batched declaration round for every relation in the plan.
+fn load(
     sess: &mut Session,
     query: &SecureQuery,
     my_relations: &[Option<Relation<NaturalRing>>],
-) -> (Vec<SecureRelation>, Vec<usize>) {
+) -> Vec<SecureRelation> {
     assert_eq!(my_relations.len(), query.len());
-    let tree = &query.tree;
-    let root = tree.root();
-    // Load: one batched declaration round for every relation in the plan.
-    let specs: Vec<_> = (0..query.len())
+    let specs = (0..query.len())
         .map(|i| {
             (
                 query.owners[i],
@@ -133,43 +173,69 @@ fn reduce_and_semijoin(
             )
         })
         .collect();
-    let mut rels: Vec<SecureRelation> = SecureRelation::load_all(sess, specs);
+    SecureRelation::load_all(sess, specs)
+}
+
+/// The whole driver over loaded relations: phases 1–2, then the reveal
+/// (one survivor, e.g. Q3) or the full join (several).
+pub(crate) fn walk<O: Operators>(
+    ops: &mut O,
+    query: &SecureQuery,
+    rels: Vec<O::Rel>,
+    receiver: Role,
+) -> O::Output {
+    let (mut rels, survivors) = reduce_and_semijoin(ops, query, rels);
+    if survivors.len() == 1 {
+        return ops.reveal(&mut rels[survivors[0]], receiver);
+    }
+    ops.join(&mut fold(query, &rels, &survivors), receiver)
+}
+
+/// The attributes of `schema` that `keep` keeps, in schema order.
+fn filter_attrs(schema: &[String], keep: impl Fn(&String) -> bool) -> Vec<String> {
+    schema.iter().filter(|a| keep(a)).cloned().collect()
+}
+
+/// `rf ⋉⊗ rg` (§6.2): the support projection of `rg` on the shared
+/// attributes, then a reduce-join.
+pub(crate) fn semijoin<O: Operators>(ops: &mut O, rf: &O::Rel, rg: &O::Rel) -> O::Rel {
+    let join_attrs = filter_attrs(O::schema(rf), |a| O::schema(rg).contains(a));
+    let support = ops.project_agg(rg, &join_attrs, AggKind::Support);
+    ops.reduce_join(rf, support)
+}
+
+/// Phases 1 and 2 (public control flow — schemas only). Returns the
+/// per-node relations (folded nodes left in place but dead) and the
+/// surviving node indices.
+fn reduce_and_semijoin<O: Operators>(
+    ops: &mut O,
+    query: &SecureQuery,
+    mut rels: Vec<O::Rel>,
+) -> (Vec<O::Rel>, Vec<usize>) {
+    let tree = &query.tree;
+    let root = tree.root();
     let mut removed = vec![false; query.len()];
     let mut kept_below = vec![false; query.len()];
 
-    // Phase 1: reduce (public control flow — schemas only).
+    // Phase 1: reduce.
     for i in tree.bottom_up() {
-        if i == root {
-            let f_prime: Vec<String> = rels[i]
-                .schema
-                .iter()
-                .filter(|a| query.output.contains(a))
-                .cloned()
-                .collect();
-            if f_prime.len() != rels[i].schema.len() {
-                rels[i] = oblivious_project_agg(sess, &rels[i], &f_prime, AggKind::Sum);
-            }
-            continue;
-        }
-        let p = tree.parent(i).expect("non-root");
-        let parent_schema = rels[p].schema.clone();
-        let f_prime: Vec<String> = rels[i]
-            .schema
-            .iter()
-            .filter(|a| query.output.contains(a) || parent_schema.contains(a))
-            .cloned()
-            .collect();
-        let mergeable = !kept_below[i] && f_prime.iter().all(|a| parent_schema.contains(a));
-        if mergeable {
-            let mut folded = oblivious_project_agg(sess, &rels[i], &f_prime, AggKind::Sum);
-            let mut parent = rels[p].clone();
-            rels[p] = oblivious_reduce_join(sess, &mut parent, &mut folded);
+        let parent = tree.parent(i);
+        let f_prime = filter_attrs(O::schema(&rels[i]), |a| {
+            query.output.contains(a) || parent.is_some_and(|p| O::schema(&rels[p]).contains(a))
+        });
+        let mergeable = parent
+            .filter(|&p| !kept_below[i] && f_prime.iter().all(|a| O::schema(&rels[p]).contains(a)));
+        if let Some(p) = mergeable {
+            let folded = ops.project_agg(&rels[i], &f_prime, AggKind::Sum);
+            rels[p] = ops.reduce_join(&rels[p], folded);
             removed[i] = true;
         } else {
-            if f_prime.len() != rels[i].schema.len() {
-                rels[i] = oblivious_project_agg(sess, &rels[i], &f_prime, AggKind::Sum);
+            if f_prime.len() != O::schema(&rels[i]).len() {
+                rels[i] = ops.project_agg(&rels[i], &f_prime, AggKind::Sum);
             }
-            kept_below[p] = true;
+            if let Some(p) = parent {
+                kept_below[p] = true;
+            }
         }
     }
     let survivors: Vec<usize> = (0..query.len()).filter(|&i| !removed[i]).collect();
@@ -177,147 +243,30 @@ fn reduce_and_semijoin(
     // Phase 2: semijoins over survivors (skipped when only the root is
     // left).
     if survivors.len() > 1 {
-        for i in tree.bottom_up() {
-            if removed[i] || i == root {
-                continue;
-            }
+        let non_root = |order: Vec<usize>| order.into_iter().filter(|&i| !removed[i] && i != root);
+        for i in non_root(tree.bottom_up()) {
             let p = tree.parent(i).expect("non-root");
-            let mut parent = rels[p].clone();
-            let mut child = rels[i].clone();
-            rels[p] = oblivious_semijoin(sess, &mut parent, &mut child);
-            rels[i] = child;
+            rels[p] = semijoin(ops, &rels[p], &rels[i]);
         }
-        for i in tree.top_down() {
-            if removed[i] || i == root {
-                continue;
-            }
+        for i in non_root(tree.top_down()) {
             let p = tree.parent(i).expect("non-root");
-            let mut parent = rels[p].clone();
-            let mut child = rels[i].clone();
-            rels[i] = oblivious_semijoin(sess, &mut child, &mut parent);
-            rels[p] = parent;
+            rels[i] = semijoin(ops, &rels[i], &rels[p]);
         }
     }
     (rels, survivors)
 }
 
-/// Bottom-up fold order over the surviving nodes, starting from the
-/// deepest leaf so every prefix of the fold is connected in the tree.
-pub(crate) fn fold_order(query: &SecureQuery, survivors: &[usize]) -> Vec<usize> {
-    let mut order: Vec<usize> = query
+/// The survivors in fold order: top-down from the root, so every prefix of
+/// the fold is connected in the tree (the join is commutative, so this is
+/// as good as bottom-up and simpler to compute).
+fn fold<R: Clone>(query: &SecureQuery, rels: &[R], survivors: &[usize]) -> Vec<R> {
+    query
         .tree
         .top_down()
         .into_iter()
         .filter(|i| survivors.contains(i))
-        .collect();
-    // Top-down from the root keeps every prefix connected; the join is
-    // commutative so this is as good as bottom-up and simpler to compute.
-    order.dedup();
-    order
-}
-
-/// Reveal a single relation's real rows (tuples + aggregate values) to the
-/// receiver — the fast path when the reduce phase ends with one node.
-fn reveal_result(sess: &mut Session, rel: &mut SecureRelation, receiver: Role) -> QueryResult {
-    rel.ensure_shared(sess);
-    let n = rel.size;
-    let ell = sess.ring.bits() as usize;
-    let attrs = rel.schema.len();
-    let i_am_receiver = sess.role() == receiver;
-    let owner_is_garbler = rel.owner != receiver;
-    let circuit = reveal_values_circuit(n, ell, attrs, owner_is_garbler);
-    if i_am_receiver {
-        let mut bits = Vec::new();
-        for &s in &rel.annot_shares {
-            bits.extend(u64_to_bits(s, ell));
-        }
-        let out = sess
-            .evaluate(&circuit, &bits, OutputMode::RevealToEvaluator)
-            .expect("reveals to evaluator");
-        let stride = ell + if owner_is_garbler { attrs * 64 } else { 0 };
-        let mut tuples = Vec::new();
-        let mut values = Vec::new();
-        for i in 0..n {
-            let base = i * stride;
-            let v = bits_to_u64(&out[base..base + ell]);
-            if v == 0 {
-                continue; // dummy or dangling
-            }
-            let tuple = if owner_is_garbler {
-                (0..attrs)
-                    .map(|a| bits_to_u64(&out[base + ell + a * 64..base + ell + (a + 1) * 64]))
-                    .collect()
-            } else {
-                rel.tuples.as_ref().expect("receiver owns tuples")[i].clone()
-            };
-            tuples.push(tuple);
-            values.push(v);
-        }
-        let out_size = tuples.len();
-        QueryResult {
-            schema: rel.schema.clone(),
-            tuples,
-            values,
-            out_size,
-        }
-    } else {
-        // Packing matches the circuit declaration: all v-shares first,
-        // then all tuple words.
-        let mut bits = Vec::new();
-        for &s in &rel.annot_shares {
-            bits.extend(u64_to_bits(s, ell));
-        }
-        if owner_is_garbler {
-            for t in rel.tuples.as_ref().expect("owner side") {
-                for &v in t {
-                    bits.extend(u64_to_bits(v, 64));
-                }
-            }
-        }
-        sess.garble(&circuit, &bits, OutputMode::RevealToEvaluator);
-        QueryResult {
-            schema: rel.schema.clone(),
-            tuples: Vec::new(),
-            values: Vec::new(),
-            out_size: 0,
-        }
-    }
-}
-
-/// Per row: the reconstructed aggregate v, and the tuple gated by
-/// `v ≠ 0` when the garbler owns the tuples. Zero-valued rows are
-/// indistinguishable from dummies, exactly as the paper notes (a zero
-/// aggregate contributes nothing to the result).
-pub(crate) fn reveal_values_circuit(
-    n: usize,
-    ell: usize,
-    attrs: usize,
-    owner_is_garbler: bool,
-) -> Circuit {
-    let mut b = Builder::new();
-    let va: Vec<_> = (0..n).map(|_| b.alice_word(ell)).collect();
-    let ta: Vec<Vec<_>> = (0..n)
-        .map(|_| {
-            if owner_is_garbler {
-                (0..attrs).map(|_| b.alice_word(64)).collect()
-            } else {
-                Vec::new()
-            }
-        })
-        .collect();
-    let vb: Vec<_> = (0..n).map(|_| b.bob_word(ell)).collect();
-    for i in 0..n {
-        let v = b.add_words(&va[i], &vb[i]);
-        b.output_word(&v);
-        if owner_is_garbler {
-            let ind = b.is_nonzero_word(&v);
-            for w in &ta[i] {
-                let gated = b.and_word_bit(w, ind);
-                b.output_word(&gated);
-            }
-        }
-    }
-    b.finish()
+        .map(|i| rels[i].clone())
+        .collect()
 }
 
 #[cfg(test)]

@@ -16,26 +16,28 @@
 //! * **same-party** — no PSI needed: the owner matches tuples locally and
 //!   a single OEP + product circuit does the rest.
 
-use crate::agg::{oblivious_project_agg, AggKind};
 use crate::session::Session;
+use crate::shape::{Draws, PlannedCircuit, RelHeader};
 use crate::srel::{dummy_key, SecureRelation};
 use secyan_circuit::{u64_to_bits, Circuit, Word};
 use secyan_gc::{with_shared_outputs, SharedOutputSpec};
 use secyan_oep::{
-    shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
+    oep_ot_count, shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
     shared_oep_perm_holder_finish,
 };
 use secyan_psi::{
-    psi_receiver_begin, psi_receiver_finish, psi_sender, shared_payload_psi_receiver_begin,
-    shared_payload_psi_receiver_finish, shared_payload_psi_sender, CuckooTable,
+    psi_cost, psi_receiver_begin, psi_receiver_finish, psi_sender,
+    shared_payload_psi_receiver_begin, shared_payload_psi_receiver_finish,
+    shared_payload_psi_sender, CuckooTable,
 };
+use secyan_transport::Role;
 use std::collections::HashMap;
 
 /// The product circuit: out_i = v_i ⊗ z_i as fresh shares. When
 /// `v_plain`, the garbler (the `R_F` owner) feeds v_i in the clear (§6.5);
 /// otherwise v_i enters as shares from both parties. z_i always enters as
 /// shares.
-pub(crate) fn product_circuit(n: usize, ell: usize, v_plain: bool) -> (Circuit, SharedOutputSpec) {
+fn product_circuit(n: usize, ell: usize, v_plain: bool) -> (Circuit, SharedOutputSpec) {
     let spec = SharedOutputSpec::uniform(n, ell);
     let circuit = with_shared_outputs(&spec, |b| {
         let va: Vec<Word> = (0..n).map(|_| b.alice_word(ell)).collect();
@@ -86,15 +88,14 @@ fn route_rows(cuckoo: &CuckooTable, key_of_row: &[Option<u64>]) -> Vec<usize> {
 /// `v_plain`). `my_z`: my z-shares. The `R_F` owner garbles.
 fn run_product(
     sess: &mut Session,
+    step: &ReduceJoinStep,
     i_am_garbler: bool,
-    n: usize,
-    v_plain: bool,
     my_v: &[u64],
     my_z: &[u64],
 ) -> Vec<u64> {
-    let ell = sess.ring.bits() as usize;
-    let (circuit, spec) = product_circuit(n, ell, v_plain);
-    let mut bits = Vec::with_capacity(n * 2 * ell);
+    let (ell, v_plain) = (step.ell, step.v_plain);
+    let (circuit, spec) = step.product();
+    let mut bits = Vec::with_capacity(step.out.size * 2 * ell);
     if i_am_garbler {
         for &v in my_v {
             bits.extend(u64_to_bits(v, ell));
@@ -116,15 +117,97 @@ fn run_product(
     }
 }
 
+/// How a reduce-join aligns `R_G`'s annotations with `R_F`'s rows — a
+/// function of the two public headers alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JoinPath {
+    /// Same owner: it matches tuples locally; one OEP does the rest.
+    SameOwner,
+    /// Cross-party while `R_G`'s annotations are still owner-known: a
+    /// circuit PSI with plain payloads (§6.5), then the ξ-OEP from cuckoo
+    /// bins to rows.
+    PlainPsi,
+    /// Cross-party with `R_G`'s annotations already shared: the PSI with
+    /// secret-shared payloads (§5.5), then the same ξ-OEP.
+    SharedPsi,
+}
+
+/// The public step [`oblivious_reduce_join`] is about to run.
+pub(crate) struct ReduceJoinStep {
+    /// Header of the output: `R_F`'s, with the annotations now shared.
+    pub out: RelHeader,
+    pub path: JoinPath,
+    /// `R_F`'s annotations are still owner-known, so its owner — the
+    /// product circuit's garbler — feeds them in the clear (§6.5).
+    pub v_plain: bool,
+    g_owner: Role,
+    g_size: usize,
+    ell: usize,
+}
+
+pub(crate) fn reduce_join_step(rf: &RelHeader, rg: &RelHeader, ell: usize) -> ReduceJoinStep {
+    let path = if rf.owner == rg.owner {
+        JoinPath::SameOwner
+    } else if rg.is_plain {
+        JoinPath::PlainPsi
+    } else {
+        JoinPath::SharedPsi
+    };
+    let out = RelHeader {
+        is_plain: false,
+        ..rf.clone()
+    };
+    ReduceJoinStep {
+        out,
+        path,
+        v_plain: rf.is_plain,
+        g_owner: rg.owner,
+        g_size: rg.size,
+        ell,
+    }
+}
+
+impl ReduceJoinStep {
+    fn product(&self) -> (Circuit, SharedOutputSpec) {
+        product_circuit(self.out.size, self.ell, self.v_plain)
+    }
+
+    pub(crate) fn draws(&self) -> Draws {
+        let mut d = Draws::default();
+        let (f, g, n) = (self.out.owner, self.g_owner, self.out.size);
+        match self.path {
+            // One extra slot catches non-matches; `f` routes, its peer
+            // holds the values.
+            JoinPath::SameOwner => d.ot.add(f.peer(), oep_ot_count(self.g_size + 1, n)),
+            // `f` is the PSI receiver (and routes the ξ-OEP), `g` the
+            // sender, garbler and KKRT key holder.
+            path => {
+                let psi = psi_cost(n, self.g_size, self.ell, path == JoinPath::SharedPsi);
+                d.kkrt.add(g, psi.kkrt);
+                d.ot.add(g, psi.ot_from_sender + oep_ot_count(psi.bins, n));
+                d.ot.add(f, psi.ot_from_receiver);
+                d.circuits.push(PlannedCircuit {
+                    circuit: psi.circuit,
+                    garbler: g,
+                });
+            }
+        }
+        d.garble(self.product().0, f);
+        d
+    }
+}
+
 /// Oblivious reduce-join `R_F ⋈⊗ R_G` (see module docs). The real tuples
 /// of `R_G` must be distinct on the shared attributes — guaranteed when
 /// `R_G` is a projection-aggregation output, which is the only way the
 /// Yannakakis driver calls this.
 pub fn oblivious_reduce_join(
     sess: &mut Session,
-    rf: &mut SecureRelation,
-    rg: &mut SecureRelation,
+    rf: &SecureRelation,
+    mut rg: SecureRelation,
 ) -> SecureRelation {
+    let ell = sess.ring.bits() as usize;
+    let step = reduce_join_step(&rf.header(), &rg.header(), ell);
     let join_attrs: Vec<String> = rf
         .schema
         .iter()
@@ -133,14 +216,10 @@ pub fn oblivious_reduce_join(
         .collect();
     let n = rf.size;
     let i_own_f = rf.is_mine(sess);
-    let same_owner = rf.owner == rg.owner;
-    // The product needs R_F's annotations; keep them plain only when the
-    // owner garbles with cleartext v (always possible — the garbler is the
-    // R_F owner).
-    let v_plain = rf.is_plain;
+    let v_plain = step.v_plain;
 
     // Obtain my z-shares aligned with R_F's rows.
-    let my_z: Vec<u64> = if same_owner {
+    let my_z: Vec<u64> = if step.path == JoinPath::SameOwner {
         rg.ensure_shared(sess);
         // Owner matches locally; one extra dummy slot catches non-matches.
         let mut g_shares = rg.annot_shares.clone();
@@ -184,6 +263,7 @@ pub fn oblivious_reduce_join(
         }
     } else {
         // Cross-party: PSI aligns R_G's annotations to R_F's cuckoo bins.
+        let plain_payloads = step.path == JoinPath::PlainPsi;
         let nonce = sess.random_u64();
         if i_own_f {
             // Build X: distinct join keys of real R_F rows, padded to n.
@@ -212,7 +292,7 @@ pub fn oblivious_reduce_join(
             // corrections ride the same outbound super-frame as the PSI's.
             // The sender consumes them in this order: PSI first, outer
             // OEP last — matching the staging order here.
-            if rg.is_plain {
+            if plain_payloads {
                 let psi = psi_receiver_begin(
                     sess.ch,
                     &x,
@@ -273,7 +353,7 @@ pub fn oblivious_reduce_join(
                     }
                 })
                 .collect();
-            let psi = if rg.is_plain {
+            let psi = if plain_payloads {
                 let plain = rg.plain_annots.as_ref().expect("plain annots");
                 let items: Vec<(u64, u64)> =
                     keys.iter().copied().zip(plain.iter().copied()).collect();
@@ -326,16 +406,11 @@ pub fn oblivious_reduce_join(
     } else {
         rf.annot_shares.clone()
     };
-    let out_shares = run_product(sess, i_own_f, n, v_plain, &my_v, &my_z);
+    let out_shares = run_product(sess, &step, i_own_f, &my_v, &my_z);
     SecureRelation {
-        schema: rf.schema.clone(),
-        owner: rf.owner,
         tuples: rf.tuples.clone(),
         dummy: rf.dummy.clone(),
-        size: n,
-        annot_shares: out_shares,
-        is_plain: false,
-        plain_annots: None,
+        ..SecureRelation::shared(step.out, None, out_shares)
     }
 }
 
@@ -343,17 +418,10 @@ pub fn oblivious_reduce_join(
 /// projection of `R_G` on the shared attributes, then a reduce-join.
 pub fn oblivious_semijoin(
     sess: &mut Session,
-    rf: &mut SecureRelation,
-    rg: &mut SecureRelation,
+    rf: &SecureRelation,
+    rg: &SecureRelation,
 ) -> SecureRelation {
-    let join_attrs: Vec<String> = rf
-        .schema
-        .iter()
-        .filter(|a| rg.schema.contains(a))
-        .cloned()
-        .collect();
-    let mut support = oblivious_project_agg(sess, rg, &join_attrs, AggKind::Support);
-    oblivious_reduce_join(sess, rf, &mut support)
+    crate::protocol::semijoin(sess, rf, rg)
 }
 
 #[cfg(test)]
@@ -398,7 +466,7 @@ mod tests {
                     rf.ensure_shared(&mut sess);
                     rg.ensure_shared(&mut sess);
                 }
-                let out = oblivious_reduce_join(&mut sess, &mut rf, &mut rg);
+                let out = oblivious_reduce_join(&mut sess, &rf, rg);
                 out.annot_shares
             },
             move |ch| {
@@ -415,7 +483,7 @@ mod tests {
                     rf.ensure_shared(&mut sess);
                     rg.ensure_shared(&mut sess);
                 }
-                let out = oblivious_reduce_join(&mut sess, &mut rf, &mut rg);
+                let out = oblivious_reduce_join(&mut sess, &rf, rg);
                 out.annot_shares
             },
         );
@@ -484,7 +552,7 @@ mod tests {
                 let mut rg = SecureRelation::load(&mut sess, Role::Bob, strings(&["k", "y"]), None);
                 rf.ensure_shared(&mut sess);
                 rg.ensure_shared(&mut sess);
-                oblivious_semijoin(&mut sess, &mut rf, &mut rg).annot_shares
+                oblivious_semijoin(&mut sess, &rf, &rg).annot_shares
             },
             move |ch| {
                 let mut sess =
@@ -494,7 +562,7 @@ mod tests {
                     SecureRelation::load(&mut sess, Role::Bob, strings(&["k", "y"]), Some(&g_rel));
                 rf.ensure_shared(&mut sess);
                 rg.ensure_shared(&mut sess);
-                oblivious_semijoin(&mut sess, &mut rf, &mut rg).annot_shares
+                oblivious_semijoin(&mut sess, &rf, &rg).annot_shares
             },
         );
         let ring = RingCtx::new(32);

@@ -5,8 +5,7 @@ use rand::{Rng, SeedableRng};
 use secyan_circuit::Circuit;
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_gc::{
-    evaluate_circuit, evaluate_online, evaluate_shared, evaluate_shared_online, garble_circuit,
-    garble_online, garble_shared, garble_shared_online, take_eval, take_garble, EvalMaterial,
+    evaluate_banked, evaluate_shared_banked, garble_banked, garble_shared_banked, EvalMaterial,
     GarbleMaterial, OutputMode, SharedOutputSpec,
 };
 use secyan_ot::{KkrtReceiver, KkrtSender, OtReceiver, OtSender};
@@ -118,7 +117,7 @@ impl<'a> Session<'a> {
     /// The pooled-vs-inline decision is symmetric across the two parties:
     /// both plan the same public circuit sequence offline, so their deque
     /// fronts carry the same digest and both fall back together when the
-    /// online driver runs a circuit the planner did not foresee (e.g. the
+    /// online driver runs a circuit the plan did not foresee (e.g. the
     /// data-dependent full-join product tree).
     pub fn garble(
         &mut self,
@@ -126,25 +125,16 @@ impl<'a> Session<'a> {
         my_inputs: &[bool],
         mode: OutputMode,
     ) -> Option<Vec<bool>> {
-        match take_garble(&mut self.gc_garble, circuit) {
-            Some(material) => garble_online(
-                self.ch,
-                circuit,
-                material,
-                my_inputs,
-                &mut self.ot_send,
-                mode,
-            ),
-            None => garble_circuit(
-                self.ch,
-                circuit,
-                my_inputs,
-                &mut self.ot_send,
-                self.hasher,
-                &mut self.rng,
-                mode,
-            ),
-        }
+        garble_banked(
+            self.ch,
+            &mut self.gc_garble,
+            circuit,
+            my_inputs,
+            &mut self.ot_send,
+            self.hasher,
+            &mut self.rng,
+            mode,
+        )
     }
 
     /// Evaluate `circuit`, consuming pre-received tables when the front of
@@ -156,25 +146,15 @@ impl<'a> Session<'a> {
         my_inputs: &[bool],
         mode: OutputMode,
     ) -> Option<Vec<bool>> {
-        match take_eval(&mut self.gc_eval, circuit) {
-            Some(material) => evaluate_online(
-                self.ch,
-                circuit,
-                material,
-                my_inputs,
-                &mut self.ot_recv,
-                self.hasher,
-                mode,
-            ),
-            None => evaluate_circuit(
-                self.ch,
-                circuit,
-                my_inputs,
-                &mut self.ot_recv,
-                self.hasher,
-                mode,
-            ),
-        }
+        evaluate_banked(
+            self.ch,
+            &mut self.gc_eval,
+            circuit,
+            my_inputs,
+            &mut self.ot_recv,
+            self.hasher,
+            mode,
+        )
     }
 
     /// Shared-output garbling through the offline plan (see
@@ -185,26 +165,16 @@ impl<'a> Session<'a> {
         spec: &SharedOutputSpec,
         my_inputs: &[bool],
     ) -> Vec<u64> {
-        match take_garble(&mut self.gc_garble, circuit) {
-            Some(material) => garble_shared_online(
-                self.ch,
-                circuit,
-                material,
-                spec,
-                my_inputs,
-                &mut self.ot_send,
-                &mut self.rng,
-            ),
-            None => garble_shared(
-                self.ch,
-                circuit,
-                spec,
-                my_inputs,
-                &mut self.ot_send,
-                self.hasher,
-                &mut self.rng,
-            ),
-        }
+        garble_shared_banked(
+            self.ch,
+            &mut self.gc_garble,
+            circuit,
+            spec,
+            my_inputs,
+            &mut self.ot_send,
+            self.hasher,
+            &mut self.rng,
+        )
     }
 
     /// Shared-output evaluation through the offline plan (see
@@ -215,25 +185,15 @@ impl<'a> Session<'a> {
         spec: &SharedOutputSpec,
         my_inputs: &[bool],
     ) -> Vec<u64> {
-        match take_eval(&mut self.gc_eval, circuit) {
-            Some(material) => evaluate_shared_online(
-                self.ch,
-                circuit,
-                material,
-                spec,
-                my_inputs,
-                &mut self.ot_recv,
-                self.hasher,
-            ),
-            None => evaluate_shared(
-                self.ch,
-                circuit,
-                spec,
-                my_inputs,
-                &mut self.ot_recv,
-                self.hasher,
-            ),
-        }
+        evaluate_shared_banked(
+            self.ch,
+            &mut self.gc_eval,
+            circuit,
+            spec,
+            my_inputs,
+            &mut self.ot_recv,
+            self.hasher,
+        )
     }
 }
 

@@ -9,26 +9,28 @@
 //! the same *shape* consume interchangeable precomputed material, no
 //! matter how their private tuples differ.
 //!
-//! [`QueryShape::derive`] canonicalizes a plan into a [`ShapeKey`] (the
-//! pool index) and replays the driver's control flow over size-only
-//! stand-ins to produce the ordered list of garbled circuits the online
-//! run will execute ([`QueryShape::planned`]) plus a deterministic OT
-//! budget. The replay covers the reduce and semijoin phases and the
-//! reveal step — everything whose circuit dimensions are fixed by the
-//! shape. The full-join product tree is *excluded* deliberately: its row
-//! count is the data-dependent join output size, which is only announced
-//! online. Unplanned circuits are harmless — consumption is digest-checked
-//! ([`secyan_gc::circuit_digest`]) and falls back to inline garbling
-//! symmetrically on both parties.
+//! The schedule exists once. Every operator derives the public *step* it
+//! is about to run from relation headers (`RelHeader`) and dispatches on
+//! it; the driver's reduce/semijoin/reveal walk (`protocol::walk`) is
+//! generic over who answers its operator calls. A
+//! [`crate::session::Session`] executes them. [`QueryShape::derive`]
+//! answers them with the same steps' headers and adds up what each step
+//! draws: the pre-garblable circuits in execution order and the exact OT
+//! and KKRT counts per direction. What
+//! the walk cannot foresee is the tail of the full join — its row count is
+//! the data-dependent join output size, announced online — and a rejected
+//! cuckoo seed's extra KKRT batches; both run inline. Consumption stays
+//! digest-checked ([`secyan_gc::circuit_digest`]) as the fault detector: a
+//! bank that does not match falls back inline on both parties at once.
 
-use crate::agg::{merge_circuit, AggKind};
-use crate::join::reveal_circuit;
-use crate::protocol::{fold_order, reveal_values_circuit};
+use crate::agg::{agg_step, AggKind};
+use crate::join::reveal_step;
+use crate::protocol::{walk, Operators};
 use crate::query::SecureQuery;
-use crate::semijoin::product_circuit;
+use crate::semijoin::reduce_join_step;
 use secyan_circuit::Circuit;
 use secyan_crypto::sha256::{digest_to_u64, Sha256};
-use secyan_psi::{k_circuit, matching_circuit, psi_params};
+use secyan_gc::evaluator_ot_count;
 use secyan_transport::Role;
 
 /// Canonical 64-bit fingerprint of a query shape: join-tree topology,
@@ -47,52 +49,187 @@ impl ShapeKey {
     }
 }
 
+/// The public header of a relation mid-protocol: exactly the fields the
+/// driver's control flow and every operator's step read. A
+/// [`crate::srel::SecureRelation`] carries one alongside its private data.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RelHeader {
+    pub schema: Vec<String>,
+    pub owner: Role,
+    pub size: usize,
+    /// True while the annotations are still owner-known (§6.5).
+    pub is_plain: bool,
+}
+
+/// One count per direction, indexed by the *sending* role: the OT sender
+/// of an IKNP batch, the OPRF key holder of a KKRT batch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PerDirection {
+    pub from_alice: usize,
+    pub from_bob: usize,
+}
+
+impl PerDirection {
+    /// The count for batches `sender` sends.
+    pub fn of(&self, sender: Role) -> usize {
+        match sender {
+            Role::Alice => self.from_alice,
+            Role::Bob => self.from_bob,
+        }
+    }
+
+    pub(crate) fn add(&mut self, sender: Role, n: usize) {
+        match sender {
+            Role::Alice => self.from_alice += n,
+            Role::Bob => self.from_bob += n,
+        }
+    }
+
+    /// The larger direction.
+    pub fn max(&self) -> usize {
+        self.from_alice.max(self.from_bob)
+    }
+}
+
 /// One garbled circuit the online driver will run, in execution order.
 #[derive(Debug, Clone)]
 pub struct PlannedCircuit {
-    /// The exact circuit (the planner calls the same builders as the
-    /// online operators, so the digests match).
+    /// The exact circuit the operator's step builds online, so the
+    /// digests match.
     pub circuit: Circuit,
     /// Which party garbles it; the other evaluates.
     pub garbler: Role,
 }
 
-/// A derived query shape: the pool key, the plannable circuit schedule,
-/// and the OT bank budget.
+/// What an operator step (or a whole walk of them) draws from material an
+/// offline phase can prepare: the circuits it garbles, in execution
+/// order, and its exact OT and KKRT instance counts per direction.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Draws {
+    pub circuits: Vec<PlannedCircuit>,
+    pub ot: PerDirection,
+    pub kkrt: PerDirection,
+}
+
+impl Draws {
+    /// Run `circuit` with `garbler` garbling: the circuit itself plus the
+    /// OTs carrying the evaluator's input labels.
+    pub(crate) fn garble(&mut self, circuit: Circuit, garbler: Role) {
+        self.ot.add(garbler, evaluator_ot_count(&circuit));
+        self.circuits.push(PlannedCircuit { circuit, garbler });
+    }
+
+    fn absorb(&mut self, step: Draws) {
+        self.circuits.extend(step.circuits);
+        for sender in [Role::Alice, Role::Bob] {
+            self.ot.add(sender, step.ot.of(sender));
+            self.kkrt.add(sender, step.kkrt.of(sender));
+        }
+    }
+}
+
+/// A derived query shape: the pool key and everything the driver's walk
+/// draws that can be prepared before the data arrives.
 #[derive(Debug, Clone)]
 pub struct QueryShape {
     pub key: ShapeKey,
     /// Garbled circuits of the reduce/semijoin/reveal steps, in the order
     /// the online driver executes them.
     pub planned: Vec<PlannedCircuit>,
-    /// Number of offline random OTs to bank per direction. A deterministic
-    /// (deliberately generous) function of the shape, so both parties
-    /// always build equal-sized banks and their pooled-vs-inline decisions
-    /// stay mirrored.
+    /// Random OTs the larger direction draws (see `exact` for each).
     pub ot_budget: usize,
-    /// Number of KKRT OPRF instances to bank per direction (sender and
-    /// receiver extensions both sized to this). Exact for the planned
-    /// cross-party joins: two OPPRFs of `bins` instances each per join.
-    /// Like the OT budget, it is a function of public sizes only, so both
-    /// parties' banked-vs-inline decisions stay mirrored.
+    /// KKRT OPRF instances the larger direction draws.
     pub kkrt_budget: usize,
+    /// The walk's OT and KKRT draws per direction — what
+    /// [`crate::preproc::run_offline`] banks, instance for instance.
+    pub exact: Budgets,
+    /// Public sizes of the relations entering the full join, in fold
+    /// order; empty when the reduce phase leaves a single survivor. The
+    /// join's tail runs at the data-dependent output size and is the one
+    /// part of the schedule no shape can plan
+    /// ([`crate::join::join_tail_ot_count`] prices it once OUT is known).
+    pub join_inputs: Vec<usize>,
+}
+
+/// Exact per-direction bank sizes of a [`QueryShape`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Budgets {
+    pub ot: PerDirection,
+    pub kkrt: PerDirection,
 }
 
 impl QueryShape {
     /// Derive the shape of running `query` with the given public
     /// per-relation sizes, revealing to `receiver`, over an `ell`-bit
-    /// annotation ring. Both parties must call this with identical
-    /// arguments (all public), and the result is deterministic.
+    /// annotation ring: the driver's own walk, with every operator call
+    /// answered by the step it would run. Both parties must call this with
+    /// identical arguments (all public), and the result is deterministic.
     pub fn derive(query: &SecureQuery, sizes: &[usize], receiver: Role, ell: usize) -> QueryShape {
         assert_eq!(sizes.len(), query.len(), "one size per relation");
-        let key = shape_key(query, sizes, receiver, ell);
-        let (planned, kkrt_budget) = plan_circuits(query, sizes, receiver, ell);
-        let ot_budget = ot_budget(sizes, &planned);
+        let loaded = (0..query.len())
+            .map(|i| RelHeader {
+                schema: query.schemas[i].clone(),
+                owner: query.owners[i],
+                size: sizes[i],
+                is_plain: true,
+            })
+            .collect();
+        let mut rec = Recorder {
+            ell,
+            draws: Draws::default(),
+            join_inputs: Vec::new(),
+        };
+        walk(&mut rec, query, loaded, receiver);
+        let Draws { circuits, ot, kkrt } = rec.draws;
         QueryShape {
-            key,
-            planned,
-            ot_budget,
-            kkrt_budget,
+            key: shape_key(query, sizes, receiver, ell),
+            planned: circuits,
+            ot_budget: ot.max(),
+            kkrt_budget: kkrt.max(),
+            exact: Budgets { ot, kkrt },
+            join_inputs: rec.join_inputs,
+        }
+    }
+}
+
+/// Answers the walk's operator calls with headers only, adding up what
+/// the published steps draw.
+struct Recorder {
+    ell: usize,
+    draws: Draws,
+    join_inputs: Vec<usize>,
+}
+
+impl Operators for Recorder {
+    type Rel = RelHeader;
+    type Output = ();
+
+    fn schema(rel: &RelHeader) -> &[String] {
+        &rel.schema
+    }
+
+    fn project_agg(&mut self, rel: &RelHeader, attrs: &[String], kind: AggKind) -> RelHeader {
+        let step = agg_step(rel, attrs, kind, self.ell);
+        self.draws.absorb(step.draws());
+        step.out
+    }
+
+    fn reduce_join(&mut self, rf: &RelHeader, rg: RelHeader) -> RelHeader {
+        let step = reduce_join_step(rf, &rg, self.ell);
+        self.draws.absorb(step.draws());
+        step.out
+    }
+
+    fn reveal(&mut self, rel: &mut RelHeader, receiver: Role) {
+        let step = reveal_step(rel, receiver, self.ell, true);
+        self.draws.absorb(step.draws());
+    }
+
+    fn join(&mut self, rels: &mut [RelHeader], receiver: Role) {
+        for rel in rels.iter() {
+            let step = reveal_step(rel, receiver, self.ell, false);
+            self.draws.absorb(step.draws());
+            self.join_inputs.push(rel.size);
         }
     }
 }
@@ -124,227 +261,6 @@ fn shape_key(query: &SecureQuery, sizes: &[usize], receiver: Role, ell: usize) -
         h.update(a.as_bytes());
     }
     ShapeKey(digest_to_u64(&h.finalize()))
-}
-
-/// Size-only stand-in for a [`crate::srel::SecureRelation`]: exactly the
-/// fields the driver's control flow reads.
-#[derive(Clone)]
-struct ShapeRel {
-    schema: Vec<String>,
-    owner: Role,
-    size: usize,
-    is_plain: bool,
-}
-
-/// Replays the operator plumbing of the online operators, recording every
-/// circuit they will build. Each method must mirror its operator's
-/// control flow *exactly* — same builders, same parameters, same
-/// `is_plain` transitions — or the digests diverge (safe, but wasteful).
-struct Planner {
-    ell: usize,
-    planned: Vec<PlannedCircuit>,
-    /// KKRT OPRF instances the planned PSIs will consume (per direction).
-    kkrt_instances: usize,
-}
-
-impl Planner {
-    /// Mirror of [`crate::agg::oblivious_project_agg`].
-    fn project_agg(&mut self, rel: &ShapeRel, attrs: &[String], kind: AggKind) -> ShapeRel {
-        if rel.is_plain {
-            // §6.5 local path: no communication, stays plain.
-            return ShapeRel {
-                schema: attrs.to_vec(),
-                owner: rel.owner,
-                size: rel.size,
-                is_plain: true,
-            };
-        }
-        if rel.size > 0 {
-            let (circuit, _) = merge_circuit(rel.size, self.ell, kind);
-            self.planned.push(PlannedCircuit {
-                circuit,
-                garbler: rel.owner,
-            });
-        }
-        ShapeRel {
-            schema: attrs.to_vec(),
-            owner: rel.owner,
-            size: rel.size,
-            is_plain: false,
-        }
-    }
-
-    /// Mirror of [`crate::semijoin::oblivious_reduce_join`]. Cross-party
-    /// joins run a circuit PSI first: the matching circuit (plain `R_G`
-    /// payloads, §6.5) or the k-index circuit (shared payloads, §5.5),
-    /// garbled by the `R_G` owner, fed by two OPPRFs of `bins` KKRT
-    /// instances each. Then the product circuit over `rf`'s rows, garbled
-    /// by the `R_F` owner. The OEPs inside draw from the OT banks, not the
-    /// circuit schedule.
-    fn reduce_join(&mut self, rf: &ShapeRel, rg: &ShapeRel) -> ShapeRel {
-        if rf.owner != rg.owner {
-            let params = psi_params(rf.size, rg.size);
-            let circuit = if rg.is_plain {
-                matching_circuit(params.bins, self.ell).0
-            } else {
-                k_circuit(params.bins, self.ell)
-            };
-            self.planned.push(PlannedCircuit {
-                circuit,
-                garbler: rg.owner,
-            });
-            self.kkrt_instances += 2 * params.bins;
-        }
-        let (circuit, _) = product_circuit(rf.size, self.ell, rf.is_plain);
-        self.planned.push(PlannedCircuit {
-            circuit,
-            garbler: rf.owner,
-        });
-        ShapeRel {
-            schema: rf.schema.clone(),
-            owner: rf.owner,
-            size: rf.size,
-            is_plain: false,
-        }
-    }
-
-    /// Mirror of [`crate::semijoin::oblivious_semijoin`].
-    fn semijoin(&mut self, rf: &ShapeRel, rg: &ShapeRel) -> ShapeRel {
-        let join_attrs: Vec<String> = rf
-            .schema
-            .iter()
-            .filter(|a| rg.schema.contains(a))
-            .cloned()
-            .collect();
-        let support = self.project_agg(rg, &join_attrs, AggKind::Support);
-        self.reduce_join(rf, &support)
-    }
-}
-
-/// Replay [`crate::protocol::secure_yannakakis`]'s public control flow
-/// over size-only relations, collecting the circuit schedule.
-fn plan_circuits(
-    query: &SecureQuery,
-    sizes: &[usize],
-    receiver: Role,
-    ell: usize,
-) -> (Vec<PlannedCircuit>, usize) {
-    let tree = &query.tree;
-    let root = tree.root();
-    let mut p = Planner {
-        ell,
-        planned: Vec::new(),
-        kkrt_instances: 0,
-    };
-    let mut rels: Vec<ShapeRel> = (0..query.len())
-        .map(|i| ShapeRel {
-            schema: query.schemas[i].clone(),
-            owner: query.owners[i],
-            size: sizes[i],
-            is_plain: true,
-        })
-        .collect();
-    let mut removed = vec![false; query.len()];
-    let mut kept_below = vec![false; query.len()];
-
-    // Phase 1: reduce — mirrors `reduce_and_semijoin` line for line.
-    for i in tree.bottom_up() {
-        if i == root {
-            let f_prime: Vec<String> = rels[i]
-                .schema
-                .iter()
-                .filter(|a| query.output.contains(a))
-                .cloned()
-                .collect();
-            if f_prime.len() != rels[i].schema.len() {
-                rels[i] = p.project_agg(&rels[i], &f_prime, AggKind::Sum);
-            }
-            continue;
-        }
-        let parent = tree.parent(i).expect("non-root");
-        let parent_schema = rels[parent].schema.clone();
-        let f_prime: Vec<String> = rels[i]
-            .schema
-            .iter()
-            .filter(|a| query.output.contains(a) || parent_schema.contains(a))
-            .cloned()
-            .collect();
-        let mergeable = !kept_below[i] && f_prime.iter().all(|a| parent_schema.contains(a));
-        if mergeable {
-            let folded = p.project_agg(&rels[i], &f_prime, AggKind::Sum);
-            rels[parent] = p.reduce_join(&rels[parent].clone(), &folded);
-            removed[i] = true;
-        } else {
-            if f_prime.len() != rels[i].schema.len() {
-                rels[i] = p.project_agg(&rels[i], &f_prime, AggKind::Sum);
-            }
-            kept_below[parent] = true;
-        }
-    }
-    let survivors: Vec<usize> = (0..query.len()).filter(|&i| !removed[i]).collect();
-
-    // Phase 2: semijoin sweeps.
-    if survivors.len() > 1 {
-        for i in tree.bottom_up() {
-            if removed[i] || i == root {
-                continue;
-            }
-            let parent = tree.parent(i).expect("non-root");
-            rels[parent] = p.semijoin(&rels[parent].clone(), &rels[i].clone());
-        }
-        for i in tree.top_down() {
-            if removed[i] || i == root {
-                continue;
-            }
-            let parent = tree.parent(i).expect("non-root");
-            rels[i] = p.semijoin(&rels[i].clone(), &rels[parent].clone());
-        }
-    }
-
-    // Phase 3. Single survivor: the direct reveal circuit. Multiple
-    // survivors: one support-reveal circuit per folded relation; the
-    // product tree that follows runs at the data-dependent join output
-    // size and cannot be planned (online falls back inline).
-    if survivors.len() == 1 {
-        let r = &rels[survivors[0]];
-        let owner_is_garbler = r.owner != receiver;
-        p.planned.push(PlannedCircuit {
-            circuit: reveal_values_circuit(r.size, ell, r.schema.len(), owner_is_garbler),
-            garbler: receiver.peer(),
-        });
-    } else {
-        for i in fold_order(query, &survivors) {
-            let r = &rels[i];
-            let owner_is_garbler = r.owner != receiver;
-            p.planned.push(PlannedCircuit {
-                circuit: reveal_circuit(r.size, ell, r.schema.len(), owner_is_garbler),
-                garbler: receiver.peer(),
-            });
-        }
-    }
-    (p.planned, p.kkrt_instances)
-}
-
-/// The per-direction OT bank budget: evaluator input labels for every
-/// planned circuit, plus a generous allowance for the OEP switching
-/// networks and PSI machinery (≈ 2·w·⌈log₂ w⌉ + w OTs per oblivious
-/// switching network of width w, several networks per relation per
-/// phase). Over-provisioning only costs offline time; under-provisioning
-/// degrades to inline OT extension, symmetrically on both sides.
-fn ot_budget(sizes: &[usize], planned: &[PlannedCircuit]) -> usize {
-    let labels: usize = planned.iter().map(|pc| pc.circuit.bob_inputs).sum();
-    let switches: usize = sizes
-        .iter()
-        .map(|&n| {
-            // OEP widths in the driver top out around 2n + 2 (cuckoo bins
-            // and the reduce-join dummy slot); 8 networks per relation
-            // covers every aggregation/semijoin sweep that can touch it.
-            let w = 2 * n + 2;
-            let lg = usize::BITS as usize - w.leading_zeros() as usize;
-            8 * (2 * w * lg + w)
-        })
-        .sum();
-    labels + switches + 1024
 }
 
 #[cfg(test)]
@@ -382,6 +298,30 @@ mod tests {
         assert_ne!(a.key, d.key, "receiver must be part of the key");
         let e = QueryShape::derive(&q, &[3, 4, 3], Role::Alice, 16);
         assert_ne!(a.key, e.key, "ring width must be part of the key");
+    }
+
+    #[test]
+    fn scalar_root_plans_no_merge_circuit() {
+        // R1(a) ⋈ R2(a,b), O = ∅: R1 folds into the root, leaving R2
+        // secret-shared with (a, b) still to aggregate away. π⊕_∅ is linear
+        // — each party sums its own shares — so the plan is the fold's
+        // matching PSI and product, then the reveal, and nothing in
+        // between.
+        let q = SecureQuery::new(
+            vec![strings(&["a"]), strings(&["a", "b"])],
+            vec![Role::Alice, Role::Bob],
+            JoinTree::new(vec![Some(1), None]),
+            Vec::new(),
+        );
+        let shape = QueryShape::derive(&q, &[3, 4], Role::Alice, 32);
+        let garblers: Vec<Role> = shape.planned.iter().map(|pc| pc.garbler).collect();
+        assert_eq!(garblers, [Role::Alice, Role::Bob, Role::Bob]);
+        assert!(shape.join_inputs.is_empty());
+        // The reveal opens one 32-bit total per public row and no tuple
+        // words (the output schema is empty).
+        let reveal = &shape.planned[2].circuit;
+        assert_eq!(reveal.outputs.len(), 4 * 32);
+        assert_eq!(shape.ot_budget, shape.exact.ot.max());
     }
 
     #[test]

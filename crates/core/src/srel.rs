@@ -9,6 +9,7 @@
 //! only; the other party cannot tell them apart from real rows.
 
 use crate::session::Session;
+use crate::shape::RelHeader;
 use secyan_crypto::sha256::{digest_to_u64, Sha256};
 use secyan_relation::{NaturalRing, Relation};
 use secyan_transport::{ReadExt, Role, WriteExt};
@@ -61,7 +62,7 @@ impl SecureRelation {
             Self::from_owned(sess, owner, schema, rel)
         } else {
             let size = crate::session::recv_declared_size(sess.ch, "relation");
-            Self::from_declared(owner, schema, size)
+            Self::from_declared(owner, schema, size, None)
         }
     }
 
@@ -105,7 +106,7 @@ impl SecureRelation {
                     Self::from_owned(sess, owner, schema, rel)
                 } else {
                     let size = crate::session::recv_declared_size(sess.ch, "relation");
-                    Self::from_declared(owner, schema, size)
+                    Self::from_declared(owner, schema, size, None)
                 }
             })
             .collect()
@@ -119,30 +120,77 @@ impl SecureRelation {
         rel: &Relation<NaturalRing>,
     ) -> SecureRelation {
         assert_eq!(rel.schema, schema);
-        let size = rel.len();
-        let plain: Vec<u64> = rel.annots.iter().map(|&v| sess.ring.reduce(v)).collect();
-        SecureRelation {
+        let rows = rel
+            .tuples
+            .iter()
+            .zip(&rel.annots)
+            .map(|(t, &v)| (t.clone(), false, sess.ring.reduce(v)))
+            .collect();
+        Self::from_declared(owner, schema, rel.len(), Some(rows))
+    }
+
+    /// A freshly loaded relation of the declared public size.
+    fn from_declared(
+        owner: Role,
+        schema: Vec<String>,
+        size: usize,
+        rows: Option<Vec<(Vec<u64>, bool, u64)>>,
+    ) -> SecureRelation {
+        let header = RelHeader {
             schema,
             owner,
-            tuples: Some(rel.tuples.clone()),
-            dummy: Some(vec![false; size]),
             size,
-            annot_shares: vec![0; size],
             is_plain: true,
-            plain_annots: Some(plain),
+        };
+        Self::plain(header, rows)
+    }
+
+    /// The public part: what the driver's control flow and every
+    /// operator's step read.
+    pub(crate) fn header(&self) -> RelHeader {
+        RelHeader {
+            schema: self.schema.clone(),
+            owner: self.owner,
+            size: self.size,
+            is_plain: self.is_plain,
         }
     }
 
-    /// Non-owner-side constructor from the declared public size.
-    fn from_declared(owner: Role, schema: Vec<String>, size: usize) -> SecureRelation {
+    /// A relation with owner-known annotations (`header.is_plain`), built
+    /// from its public header plus, on the owner side, one
+    /// `(tuple, dummy, annotation)` row per public position.
+    pub(crate) fn plain(
+        header: RelHeader,
+        rows: Option<Vec<(Vec<u64>, bool, u64)>>,
+    ) -> SecureRelation {
+        debug_assert!(header.is_plain);
+        let n = header.size;
+        let (rows, plain_annots): (Option<Vec<_>>, Option<Vec<_>>) = rows
+            .map(|r| r.into_iter().map(|(t, d, v)| ((t, d), v)).unzip())
+            .unzip();
         SecureRelation {
-            schema,
-            owner,
-            tuples: None,
-            dummy: None,
-            size,
-            annot_shares: vec![0; size],
-            is_plain: true,
+            plain_annots,
+            ..Self::shared(header, rows, vec![0; n])
+        }
+    }
+
+    /// A relation built from its public header, this party's annotation
+    /// shares and, on the owner side, one `(tuple, dummy)` row per public
+    /// position.
+    pub(crate) fn shared(
+        header: RelHeader,
+        rows: Option<Vec<(Vec<u64>, bool)>>,
+        annot_shares: Vec<u64>,
+    ) -> SecureRelation {
+        let (tuples, dummy) = rows.map(|r| r.into_iter().unzip()).unzip();
+        SecureRelation {
+            schema: header.schema,
+            owner: header.owner,
+            tuples,
+            dummy,
+            size: header.size,
+            annot_shares,
+            is_plain: header.is_plain,
             plain_annots: None,
         }
     }

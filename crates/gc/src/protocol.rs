@@ -120,6 +120,13 @@ pub fn take_eval(queue: &mut VecDeque<EvalMaterial>, circuit: &Circuit) -> Optio
     }
 }
 
+/// OTs one run of `circuit` draws, garbler sending: one per evaluator
+/// input wire (the online half's label transfer), whether the tables
+/// were banked or travel inline.
+pub fn evaluator_ot_count(circuit: &Circuit) -> usize {
+    circuit.bob_inputs
+}
+
 /// Offline half of [`garble_circuit`]: garble and ship the tables — the
 /// only message of the protocol that is independent of both parties'
 /// private inputs.
@@ -141,10 +148,10 @@ pub fn garble_offline<R: Rng + ?Sized>(
     }
 }
 
-/// Online half of [`garble_circuit`]: input labels, decode bits, OT and
+/// Online half of [`garble_banked`]: input labels, decode bits, OT and
 /// garbler-side decoding, against material produced by
 /// [`garble_offline`] for the same circuit.
-pub fn garble_online(
+fn garble_online(
     ch: &mut Channel,
     circuit: &Circuit,
     material: GarbleMaterial,
@@ -271,32 +278,51 @@ pub fn evaluate_finish(
     decode.map(|d| colors.iter().zip(&d).map(|(&c, &dd)| c ^ dd).collect())
 }
 
-/// Online half of [`evaluate_circuit`], against material produced by
-/// [`evaluate_offline`] for the same circuit. Implemented as
-/// [`evaluate_begin`] + [`evaluate_finish`]: the OT correction bits are
-/// staged *before* blocking on the garbler's labels, so one GC evaluation
-/// costs a single ping-pong on the wire instead of three direction
-/// switches.
-pub fn evaluate_online(
+/// Garbler side through a bank of pre-garbled material in plan order:
+/// when the front of `bank` was garbled for exactly `circuit` its tables
+/// already crossed the wire and only the online half runs; anything else
+/// (empty bank, unforeseen circuit) garbles and ships inline first. Both
+/// parties derive the digest from the same public circuit, so the
+/// banked-vs-inline decision mirrors on the evaluator's side.
+#[allow(clippy::too_many_arguments)]
+pub fn garble_banked<R: Rng + ?Sized>(
     ch: &mut Channel,
+    bank: &mut VecDeque<GarbleMaterial>,
     circuit: &Circuit,
-    material: EvalMaterial,
+    my_inputs: &[bool],
+    ot: &mut OtSender,
+    hasher: TweakHasher,
+    rng: &mut R,
+    mode: OutputMode,
+) -> Option<Vec<bool>> {
+    assert_eq!(my_inputs.len(), circuit.alice_inputs, "garbler input arity");
+    let material = match take_garble(bank, circuit) {
+        Some(m) => m,
+        None => garble_offline(ch, circuit, hasher, rng),
+    };
+    garble_online(ch, circuit, material, my_inputs, ot, mode)
+}
+
+/// Evaluator-side counterpart of [`garble_banked`]. Either way the OT
+/// correction bits are staged *before* blocking on the garbler
+/// ([`evaluate_begin`] + [`evaluate_finish`]), so one GC evaluation costs
+/// a single ping-pong on the wire.
+pub fn evaluate_banked(
+    ch: &mut Channel,
+    bank: &mut VecDeque<EvalMaterial>,
+    circuit: &Circuit,
     my_inputs: &[bool],
     ot: &mut OtReceiver,
     hasher: TweakHasher,
     mode: OutputMode,
 ) -> Option<Vec<bool>> {
-    let pending = evaluate_begin(ch, circuit, Some(material), my_inputs, ot);
+    let pending = evaluate_begin(ch, circuit, take_eval(bank, circuit), my_inputs, ot);
     evaluate_finish(ch, circuit, pending, my_inputs, ot, hasher, mode)
 }
 
 /// Garbler side. `my_inputs` are the cleartext values of the circuit's
 /// Alice (garbler) input wires. Returns the outputs if `mode` reveals them
-/// to the garbler, else `None`.
-///
-/// Implemented as [`garble_offline`] immediately followed by
-/// [`garble_online`]; the wire format is identical to the historical
-/// single-phase protocol, so transcripts and tests are unchanged.
+/// to the garbler, else `None`. [`garble_banked`] with nothing banked.
 pub fn garble_circuit<R: Rng + ?Sized>(
     ch: &mut Channel,
     circuit: &Circuit,
@@ -306,21 +332,13 @@ pub fn garble_circuit<R: Rng + ?Sized>(
     rng: &mut R,
     mode: OutputMode,
 ) -> Option<Vec<bool>> {
-    assert_eq!(my_inputs.len(), circuit.alice_inputs, "garbler input arity");
-    let material = garble_offline(ch, circuit, hasher, rng);
-    garble_online(ch, circuit, material, my_inputs, ot, mode)
+    let bank = &mut VecDeque::new();
+    garble_banked(ch, bank, circuit, my_inputs, ot, hasher, rng, mode)
 }
 
 /// Evaluator side. `my_inputs` are the cleartext values of the circuit's
 /// Bob (evaluator) input wires. Returns the outputs if `mode` reveals them
-/// to the evaluator, else `None`.
-///
-/// Implemented as [`evaluate_begin`] + [`evaluate_finish`] with inline
-/// tables: the OT corrections are staged before the tables are received,
-/// matching the banked path's round structure. Per-direction message
-/// order (and hence the transcript content) is unchanged from the
-/// historical single-phase protocol; only the direction interleaving
-/// tightens.
+/// to the evaluator, else `None`. [`evaluate_banked`] with nothing banked.
 pub fn evaluate_circuit(
     ch: &mut Channel,
     circuit: &Circuit,
@@ -329,8 +347,8 @@ pub fn evaluate_circuit(
     hasher: TweakHasher,
     mode: OutputMode,
 ) -> Option<Vec<bool>> {
-    let pending = evaluate_begin(ch, circuit, None, my_inputs, ot);
-    evaluate_finish(ch, circuit, pending, my_inputs, ot, hasher, mode)
+    let bank = &mut VecDeque::new();
+    evaluate_banked(ch, bank, circuit, my_inputs, ot, hasher, mode)
 }
 
 #[cfg(test)]

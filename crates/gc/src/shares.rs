@@ -23,9 +23,10 @@ use secyan_ot::{OtReceiver, OtSender};
 use secyan_transport::Channel;
 
 use crate::protocol::{
-    evaluate_begin, evaluate_finish, garble_circuit, garble_online, EvalMaterial, EvalPending,
+    evaluate_begin, evaluate_finish, garble_banked, take_eval, EvalMaterial, EvalPending,
     GarbleMaterial, OutputMode,
 };
+use std::collections::VecDeque;
 
 /// A secret-shared ℓ-bit input: one word from each party.
 pub struct SharedInput {
@@ -101,10 +102,30 @@ pub fn with_shared_outputs(
     b.finish()
 }
 
-/// Garbler side of a shared-output circuit. `my_inputs` are the bits of the
+/// Garbler side of a shared-output circuit through a bank of pre-garbled
+/// material (see [`garble_banked`]). `my_inputs` are the bits of the
 /// circuit's own garbler inputs (excluding masks, which this function draws
-/// from `rng`). Returns the garbler's arithmetic shares, one per output
-/// word.
+/// from `rng` — they are garbler inputs, so banking them was never
+/// needed). Returns the garbler's arithmetic shares, one per output word.
+#[allow(clippy::too_many_arguments)]
+pub fn garble_shared_banked<R: Rng + ?Sized>(
+    ch: &mut Channel,
+    bank: &mut VecDeque<GarbleMaterial>,
+    circuit: &Circuit,
+    spec: &SharedOutputSpec,
+    my_inputs: &[bool],
+    ot: &mut OtSender,
+    hasher: TweakHasher,
+    rng: &mut R,
+) -> Vec<u64> {
+    let (mask_bits, shares) = draw_masks(spec, my_inputs, rng);
+    let mode = OutputMode::RevealToEvaluator;
+    let out = garble_banked(ch, bank, circuit, &mask_bits, ot, hasher, rng, mode);
+    debug_assert!(out.is_none());
+    shares
+}
+
+/// [`garble_shared_banked`] with nothing banked.
 pub fn garble_shared<R: Rng + ?Sized>(
     ch: &mut Channel,
     circuit: &Circuit,
@@ -114,45 +135,8 @@ pub fn garble_shared<R: Rng + ?Sized>(
     hasher: TweakHasher,
     rng: &mut R,
 ) -> Vec<u64> {
-    let (mask_bits, shares) = draw_masks(spec, my_inputs, rng);
-    let out = garble_circuit(
-        ch,
-        circuit,
-        &mask_bits,
-        ot,
-        hasher,
-        rng,
-        OutputMode::RevealToEvaluator,
-    );
-    debug_assert!(out.is_none());
-    shares
-}
-
-/// Online-phase variant of [`garble_shared`]: the circuit was pre-garbled
-/// offline ([`crate::protocol::garble_offline`]) and its tables already
-/// shipped; only input labels, decode bits, and OT remain. The output
-/// masks are drawn fresh here — they are garbler inputs, so banking them
-/// was never needed.
-pub fn garble_shared_online<R: Rng + ?Sized>(
-    ch: &mut Channel,
-    circuit: &Circuit,
-    material: GarbleMaterial,
-    spec: &SharedOutputSpec,
-    my_inputs: &[bool],
-    ot: &mut OtSender,
-    rng: &mut R,
-) -> Vec<u64> {
-    let (mask_bits, shares) = draw_masks(spec, my_inputs, rng);
-    let out = garble_online(
-        ch,
-        circuit,
-        material,
-        &mask_bits,
-        ot,
-        OutputMode::RevealToEvaluator,
-    );
-    debug_assert!(out.is_none());
-    shares
+    let bank = &mut VecDeque::new();
+    garble_shared_banked(ch, bank, circuit, spec, my_inputs, ot, hasher, rng)
 }
 
 /// Prepend the fresh random mask words to the garbler's own inputs; the
@@ -213,8 +197,24 @@ pub fn evaluate_shared_finish(
     unpack_shares(spec, &bits)
 }
 
-/// Evaluator side of a shared-output circuit. Returns the evaluator's
-/// arithmetic shares, one per output word.
+/// Evaluator side of a shared-output circuit through a bank of
+/// pre-received tables (see [`crate::protocol::evaluate_banked`]). Returns
+/// the evaluator's arithmetic shares, one per output word.
+pub fn evaluate_shared_banked(
+    ch: &mut Channel,
+    bank: &mut VecDeque<EvalMaterial>,
+    circuit: &Circuit,
+    spec: &SharedOutputSpec,
+    my_inputs: &[bool],
+    ot: &mut OtReceiver,
+    hasher: TweakHasher,
+) -> Vec<u64> {
+    let material = take_eval(bank, circuit);
+    let pending = evaluate_shared_begin(ch, circuit, material, my_inputs, ot);
+    evaluate_shared_finish(ch, circuit, pending, spec, my_inputs, ot, hasher)
+}
+
+/// [`evaluate_shared_banked`] with nothing banked.
 pub fn evaluate_shared(
     ch: &mut Channel,
     circuit: &Circuit,
@@ -223,23 +223,8 @@ pub fn evaluate_shared(
     ot: &mut OtReceiver,
     hasher: TweakHasher,
 ) -> Vec<u64> {
-    let pending = evaluate_shared_begin(ch, circuit, None, my_inputs, ot);
-    evaluate_shared_finish(ch, circuit, pending, spec, my_inputs, ot, hasher)
-}
-
-/// Online-phase variant of [`evaluate_shared`]: the tables were received
-/// offline ([`crate::protocol::evaluate_offline`]).
-pub fn evaluate_shared_online(
-    ch: &mut Channel,
-    circuit: &Circuit,
-    material: EvalMaterial,
-    spec: &SharedOutputSpec,
-    my_inputs: &[bool],
-    ot: &mut OtReceiver,
-    hasher: TweakHasher,
-) -> Vec<u64> {
-    let pending = evaluate_shared_begin(ch, circuit, Some(material), my_inputs, ot);
-    evaluate_shared_finish(ch, circuit, pending, spec, my_inputs, ot, hasher)
+    let bank = &mut VecDeque::new();
+    evaluate_shared_banked(ch, bank, circuit, spec, my_inputs, ot, hasher)
 }
 
 /// Split the revealed masked-output bits back into per-word shares.

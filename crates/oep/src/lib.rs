@@ -25,7 +25,7 @@ pub mod protocol;
 pub use network::{EpNetwork, PermNetwork};
 pub use osn::{osn_perm_holder, osn_perm_holder_begin, osn_perm_holder_finish, OsnPending};
 pub use protocol::{
-    oep_perm_holder, oep_perm_holder_begin, oep_perm_holder_finish, oep_value_holder,
+    oep_ot_count, oep_perm_holder, oep_perm_holder_begin, oep_perm_holder_finish, oep_value_holder,
     shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
     shared_oep_perm_holder_finish, OepPending,
 };

@@ -243,6 +243,14 @@ impl EpNetwork {
         self.p1.size()
     }
 
+    /// Binary switches across all three stages: one OT each in the
+    /// oblivious evaluation ([`crate::osn`]), with the value holder as OT
+    /// sender. A function of the public sizes only — this is the exact
+    /// per-OEP figure offline planners bank.
+    pub fn switch_count(&self) -> usize {
+        self.p1.switches().len() + (self.width() - 1) + self.p2.switches().len()
+    }
+
     /// Compute the routing for a concrete map `xi` (`xi[o] < n_in`).
     pub fn route(&self, xi: &[usize]) -> EpRouting {
         assert_eq!(xi.len(), self.n_out);

@@ -89,8 +89,7 @@ pub fn osn_value_holder<R: Rng + ?Sized>(
     // layout matches the serial evaluation order exactly.
     let n_p1 = net.p1.switches().len();
     let n_dup = width - 1;
-    let n_total = n_p1 + n_dup + net.p2.switches().len();
-    let mut ot_msgs: Vec<(Vec<u8>, Vec<u8>)> = vec![(Vec::new(), Vec::new()); n_total];
+    let mut ot_msgs: Vec<(Vec<u8>, Vec<u8>)> = vec![(Vec::new(), Vec::new()); net.switch_count()];
     par::with_pool_if(par::threads() > 1 && width >= OSN_PAR_MIN_WIDTH, |pool| {
         // Stage 1: permutation switches, layer-parallel.
         holder_stage(pool, &net.p1, &r1, ring, &mut masks, &mut ot_msgs[..n_p1]);

@@ -19,6 +19,12 @@ use secyan_transport::Channel;
 use crate::network::{EpNetwork, EpRouting};
 use crate::osn::{osn_perm_holder_begin, osn_perm_holder_finish, osn_value_holder, OsnPending};
 
+/// OTs one OEP over maps [n_out] → [n_in] draws, value holder sending:
+/// the switch count of the network both sides derive from those sizes.
+pub fn oep_ot_count(n_in: usize, n_out: usize) -> usize {
+    EpNetwork::new(n_in, n_out).switch_count()
+}
+
 /// Plain OEP, value-holder side (Bob). Returns Bob's output shares.
 pub fn oep_value_holder<R: Rng + ?Sized>(
     ch: &mut Channel,

@@ -201,6 +201,11 @@ impl OtSender {
         self.bank.as_ref().map_or(0, |b| b.remaining())
     }
 
+    /// Random OTs extended since setup, banked or consumed inline.
+    pub fn extended(&self) -> u64 {
+        self.ctr
+    }
+
     /// Random pads for `m` chosen-message OTs: derandomize banked
     /// instances when the bank covers the batch, otherwise run a fresh
     /// extension. Both parties see the same public batch sizes and bank
@@ -372,6 +377,11 @@ impl OtReceiver {
     /// Instances still available in the attached bank (0 when none).
     pub fn bank_remaining(&self) -> usize {
         self.bank.as_ref().map_or(0, |b| b.remaining())
+    }
+
+    /// Random OTs extended since setup, banked or consumed inline.
+    pub fn extended(&self) -> u64 {
+        self.ctr
     }
 
     /// Pads selected by `choices`: derandomize banked instances when the
@@ -616,8 +626,10 @@ mod tests {
     fn empty_batch_is_communication_free() {
         // A zero-message batch (e.g. an OSN over a width-1 network has no
         // switches) must put nothing on the wire in either direction: an
-        // orphan frame here desynchronizes every later message. The marker
-        // exchange after the empty batches proves the streams still align.
+        // orphan frame here desynchronizes every later message. The same
+        // goes for a zero-sized bank (a shape whose walk draws nothing in
+        // one direction). The marker exchange after the empty batches
+        // proves the streams still align.
         let (a, b, stats) = run_protocol(
             |ch| {
                 let mut s =
@@ -625,15 +637,21 @@ mod tests {
                 let before = ch.stats().total_bytes();
                 s.send_bytes(ch, &[]);
                 s.send_blocks(ch, &[]);
+                let bank = s.offline(ch, 0);
+                assert_eq!(bank.remaining(), 0);
+                s.attach_bank(bank);
                 assert_eq!(ch.stats().total_bytes(), before, "empty batch sent bytes");
                 ch.send_u64(0xA11C);
                 ch.recv_u64()
             },
             |ch| {
-                let mut r =
-                    OtReceiver::setup(ch, &mut StdRng::seed_from_u64(41), TweakHasher::Sha256);
+                let mut rng = StdRng::seed_from_u64(41);
+                let mut r = OtReceiver::setup(ch, &mut rng, TweakHasher::Sha256);
                 assert!(r.recv_bytes(ch, &[], 16).is_empty());
                 assert!(r.recv_blocks(ch, &[]).is_empty());
+                let bank = r.offline(ch, 0, &mut rng);
+                assert_eq!(bank.remaining(), 0);
+                r.attach_bank(bank);
                 ch.send_u64(0xB0B);
                 ch.recv_u64()
             },

@@ -18,9 +18,10 @@ use rand::Rng;
 use secyan_circuit::{u64_to_bits, Circuit};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_gc::{
-    evaluate_shared_begin, evaluate_shared_finish, garble_shared, garble_shared_online, take_eval,
-    take_garble, with_shared_outputs, EvalMaterial, EvalPending, GarbleMaterial, SharedOutputSpec,
+    evaluate_shared_begin, evaluate_shared_finish, evaluator_ot_count, garble_shared_banked,
+    take_eval, with_shared_outputs, EvalMaterial, EvalPending, GarbleMaterial, SharedOutputSpec,
 };
+use secyan_oep::oep_ot_count;
 use secyan_ot::{KkrtReceiver, KkrtSender, KkrtSenderKey, OtReceiver, OtSender};
 use secyan_transport::{Channel, ReadExt, WriteExt};
 use std::collections::{HashMap, VecDeque};
@@ -59,9 +60,53 @@ pub fn psi_params(receiver_size: usize, sender_size: usize) -> PsiParams {
     }
 }
 
-/// The per-bin matching circuit: shares of indicator and payload. Public
-/// so the offline planner can pre-garble it — its dimensions depend only
-/// on the public bin count and ring width.
+/// Everything one PSI draws that an offline phase can prepare, as a
+/// function of the two public set sizes, the ring width and the flavour —
+/// the layer's own account of its protocol, so a planner never re-derives
+/// it: the circuit the sender garbles, the KKRT instances (PSI sender =
+/// KKRT sender; a rejected cuckoo seed burns more, but that is
+/// data-dependent and left to the inline fallback), and the OTs drawn in
+/// each direction (GC evaluator labels plus, for shared payloads, the
+/// three OEPs).
+pub struct PsiCost {
+    pub bins: usize,
+    pub circuit: Circuit,
+    pub kkrt: usize,
+    /// OTs in which the PSI sender is the OT sender.
+    pub ot_from_sender: usize,
+    /// OTs in which the PSI receiver is the OT sender.
+    pub ot_from_receiver: usize,
+}
+
+/// [`PsiCost`] of [`psi_sender`]/[`psi_receiver`] (plain payloads, §5.3)
+/// when `shared_payloads` is false, of the
+/// [`crate::shared_payload`] protocol (§5.5) when true.
+pub fn psi_cost(
+    receiver_size: usize,
+    sender_size: usize,
+    ell: usize,
+    shared_payloads: bool,
+) -> PsiCost {
+    let bins = psi_params(receiver_size, sender_size).bins;
+    let ext = sender_size + bins;
+    let (circuit, oep_from_sender, oep_from_receiver) = if shared_payloads {
+        // ξ₁ (sender routes, receiver sends), then ξ₂ (receiver routes).
+        let circuit = crate::shared_payload::k_circuit(bins, ell);
+        (circuit, oep_ot_count(ext, bins), oep_ot_count(ext, ext))
+    } else {
+        (matching_circuit(bins, ell).0, 0, 0)
+    };
+    PsiCost {
+        bins,
+        kkrt: 2 * bins,
+        ot_from_sender: evaluator_ot_count(&circuit) + oep_from_sender,
+        ot_from_receiver: oep_from_receiver,
+        circuit,
+    }
+}
+
+/// The per-bin matching circuit: shares of indicator and payload. Its
+/// dimensions depend only on the public bin count and ring width.
 pub fn matching_circuit(bins: usize, ell: usize) -> (Circuit, SharedOutputSpec) {
     let spec = SharedOutputSpec::uniform(2 * bins, ell);
     let circuit = with_shared_outputs(&spec, |b| {
@@ -323,10 +368,7 @@ pub fn psi_sender<R: Rng + ?Sized>(
         my_bits.extend(u64_to_bits(s[b], 64));
         my_bits.extend(u64_to_bits(w[b], 64));
     }
-    let shares = match take_garble(gc_bank, &circuit) {
-        Some(m) => garble_shared_online(ch, &circuit, m, &spec, &my_bits, ot, rng),
-        None => garble_shared(ch, &circuit, &spec, &my_bits, ot, hasher, rng),
-    };
+    let shares = garble_shared_banked(ch, gc_bank, &circuit, &spec, &my_bits, ot, hasher, rng);
     let (ind_shares, payload_shares) = split_shares(shares);
     PsiOutput {
         cuckoo: None,

@@ -27,8 +27,8 @@ pub mod opprf;
 pub mod shared_payload;
 
 pub use circuit_psi::{
-    matching_circuit, psi_params, psi_receiver, psi_receiver_begin, psi_receiver_finish,
-    psi_sender, PsiOutput, PsiParams, PsiReceiverPending,
+    matching_circuit, psi_cost, psi_params, psi_receiver, psi_receiver_begin, psi_receiver_finish,
+    psi_sender, PsiCost, PsiOutput, PsiParams, PsiReceiverPending,
 };
 pub use hashing::{bin_count, max_bin_size, CuckooTable, SimpleTable};
 pub use opprf::{

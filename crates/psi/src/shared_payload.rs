@@ -21,10 +21,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit, Word};
 use secyan_crypto::{RingCtx, TweakHasher};
-use secyan_gc::{
-    evaluate_circuit, evaluate_online, garble_circuit, garble_online, take_eval, take_garble,
-    EvalMaterial, GarbleMaterial, OutputMode,
-};
+use secyan_gc::{evaluate_banked, garble_banked, EvalMaterial, GarbleMaterial, OutputMode};
 use secyan_oep::{
     shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
     shared_oep_perm_holder_finish, OepPending,
@@ -38,8 +35,7 @@ use crate::hashing::CuckooTable;
 use crate::opprf::{opprf_evaluate_finish, opprf_program_with_key};
 
 /// The k-index circuit: per bin, shares of the indicator plus the routing
-/// index k_b in the clear (toward the evaluator = PSI receiver). Public so
-/// the offline planner can pre-garble it from the public bin count.
+/// index k_b in the clear (toward the evaluator = PSI receiver).
 pub fn k_circuit(bins: usize, ell: usize) -> Circuit {
     let mut b = Builder::new();
     // Garbler (= PSI sender): per-bin indicator masks, then s, w, d.
@@ -127,26 +123,9 @@ pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
         my_bits.extend(u64_to_bits(o[b], 64));
         my_bits.extend(u64_to_bits(p[b], 64));
     }
-    let out_bits = match take_eval(gc_bank, &circuit) {
-        Some(m) => evaluate_online(
-            ch,
-            &circuit,
-            m,
-            &my_bits,
-            ot_recv,
-            hasher,
-            OutputMode::RevealToEvaluator,
-        ),
-        None => evaluate_circuit(
-            ch,
-            &circuit,
-            &my_bits,
-            ot_recv,
-            hasher,
-            OutputMode::RevealToEvaluator,
-        ),
-    }
-    .expect("k circuit reveals to evaluator");
+    let mode = OutputMode::RevealToEvaluator;
+    let out_bits = evaluate_banked(ch, gc_bank, &circuit, &my_bits, ot_recv, hasher, mode)
+        .expect("k circuit reveals to evaluator");
     let ell = ring.bits() as usize;
     let ind_shares: Vec<u64> = (0..bins)
         .map(|b| bits_to_u64(&out_bits[b * ell..(b + 1) * ell]))
@@ -293,25 +272,8 @@ pub fn shared_payload_psi_sender<R: Rng + ?Sized>(
         swd_bits.extend(u64_to_bits(xi1_inv[n + b] as u64, 64));
     }
     my_bits.extend(swd_bits);
-    let out = match take_garble(gc_bank, &circuit) {
-        Some(m) => garble_online(
-            ch,
-            &circuit,
-            m,
-            &my_bits,
-            ot_send,
-            OutputMode::RevealToEvaluator,
-        ),
-        None => garble_circuit(
-            ch,
-            &circuit,
-            &my_bits,
-            ot_send,
-            hasher,
-            rng,
-            OutputMode::RevealToEvaluator,
-        ),
-    };
+    let mode = OutputMode::RevealToEvaluator;
+    let out = garble_banked(ch, gc_bank, &circuit, &my_bits, ot_send, hasher, rng, mode);
     debug_assert!(out.is_none());
     // Step 5: second shared OEP (receiver holds ξ₂).
     let payload_shares = shared_oep_other(ch, &zprime_shares, bins, ring, ot_send, rng);

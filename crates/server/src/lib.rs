@@ -27,13 +27,9 @@
 
 pub mod spec;
 
-pub use spec::{QuerySpec, RunMode, SessionRequest};
+pub use spec::{run_party, QuerySpec, RunMode, SessionRequest};
 
-use secyan_core::{
-    run_offline, run_online, run_online_pooled, secure_yannakakis, PreprocPool, Session, ShapeKey,
-};
-use secyan_crypto::TweakHasher;
-use secyan_testkit::session_seeds;
+use secyan_core::{PreprocPool, ShapeKey};
 use secyan_transport::handshake::{
     read_client_hello, write_server_hello, HandshakeError, CODE_ACCEPT, CODE_REJECT_MALFORMED,
     CODE_REJECT_SHAPE, CODE_REJECT_VERSION,
@@ -276,71 +272,8 @@ fn run_session(
             return report;
         }
     };
-    // Bob's session seed mirrors the client's derivation from the
-    // instance seed; per-run offsets keep repeated runs distinct while
-    // staying reproducible.
-    let (_sa, sb) = session_seeds(&inst);
-    let query = inst.query();
-    let sizes = inst.sizes();
-    let rels = inst.party_relations(Role::Bob);
-    let ring = inst.ring_ctx();
-    let hasher = TweakHasher::default();
     let mut pool = PreprocPool::new();
-    let ran = catch_protocol(|| {
-        let mut out_size = 0;
-        match req.mode {
-            RunMode::Single => {
-                for i in 0..u64::from(req.runs) {
-                    let mut sess = Session::new(&mut ch, ring, hasher, sb.wrapping_add(i));
-                    let res = secure_yannakakis(&mut sess, &query, &rels, Role::Alice);
-                    out_size = res.out_size;
-                }
-            }
-            RunMode::PhaseSplit => {
-                for i in 0..u64::from(req.runs) {
-                    let m = run_offline(
-                        &mut ch,
-                        &query,
-                        &sizes,
-                        Role::Alice,
-                        ring,
-                        hasher,
-                        sb.wrapping_add(i),
-                    );
-                    let res = run_online(&mut ch, &query, &rels, Role::Alice, ring, hasher, m);
-                    out_size = res.out_size;
-                }
-            }
-            RunMode::Pooled => {
-                for i in 0..u64::from(req.runs) {
-                    pool.provision(
-                        &mut ch,
-                        &query,
-                        &sizes,
-                        Role::Alice,
-                        ring,
-                        hasher,
-                        sb.wrapping_add(i),
-                    );
-                }
-                for i in 0..u64::from(req.runs) {
-                    let res = run_online_pooled(
-                        &mut pool,
-                        &mut ch,
-                        &query,
-                        &sizes,
-                        &rels,
-                        Role::Alice,
-                        ring,
-                        hasher,
-                        sb.wrapping_add(i),
-                    );
-                    out_size = res.out_size;
-                }
-            }
-        }
-        out_size
-    });
+    let ran = catch_protocol(|| run_party(&mut ch, &mut pool, &inst, &req).out_size);
     let _ = ch.try_flush();
     report.stats = Some(ch.stats());
     report.pool_hits = pool.hits();

@@ -8,7 +8,13 @@
 //! malformed payload surfaces as a typed handshake rejection, never as a
 //! misparsed session.
 
-use secyan_testkit::Instance;
+use secyan_core::{
+    run_offline, run_online, run_online_pooled, secure_yannakakis, PreprocPool, QueryResult,
+    Session,
+};
+use secyan_crypto::TweakHasher;
+use secyan_testkit::{session_seeds, Instance};
+use secyan_transport::{Channel, Role};
 
 /// Which seeded instance family the session evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +68,61 @@ impl RunMode {
             RunMode::Pooled => 2,
         }
     }
+}
+
+/// One party's side of an accepted session: `req.runs` executions of
+/// `inst`'s query in `req.mode`, revealing to Alice (the client). Both
+/// `secyan-server` (Bob) and `secyan-client` (Alice) run exactly this, so
+/// the two processes cannot drift apart in what a mode means. Session
+/// seeds derive from the instance seed the way the in-process harness
+/// derives them, offset per run so repeated runs stay distinct yet
+/// reproducible. `pool` backs `Pooled` mode and is left to the caller to
+/// report on. Returns the last run's result; raises typed protocol
+/// unwinds like every driver call (wrap in `catch_protocol`).
+pub fn run_party(
+    ch: &mut Channel,
+    pool: &mut PreprocPool,
+    inst: &Instance,
+    req: &SessionRequest,
+) -> QueryResult {
+    let me = ch.role();
+    let (sa, sb) = session_seeds(inst);
+    let base = if me.is_alice() { sa } else { sb };
+    let seed = |i: u32| base.wrapping_add(u64::from(i));
+    let (query, sizes, ring) = (inst.query(), inst.sizes(), inst.ring_ctx());
+    let rels = inst.party_relations(me);
+    let hasher = TweakHasher::default();
+    let receiver = Role::Alice;
+    if req.mode == RunMode::Pooled {
+        for i in 0..req.runs {
+            pool.provision(ch, &query, &sizes, receiver, ring, hasher, seed(i));
+        }
+    }
+    let mut last = None;
+    for i in 0..req.runs {
+        last = Some(match req.mode {
+            RunMode::Single => {
+                let mut sess = Session::new(ch, ring, hasher, seed(i));
+                secure_yannakakis(&mut sess, &query, &rels, receiver)
+            }
+            RunMode::PhaseSplit => {
+                let m = run_offline(ch, &query, &sizes, receiver, ring, hasher, seed(i));
+                run_online(ch, &query, &rels, receiver, ring, hasher, m)
+            }
+            RunMode::Pooled => run_online_pooled(
+                pool,
+                ch,
+                &query,
+                &sizes,
+                &rels,
+                receiver,
+                ring,
+                hasher,
+                seed(i),
+            ),
+        });
+    }
+    last.expect("runs >= 1 is enforced by SessionRequest::decode")
 }
 
 /// A full session request: what to run, how, and how many times.

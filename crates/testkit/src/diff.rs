@@ -25,10 +25,9 @@ use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_ot::{OtReceiver, OtSender};
 use secyan_relation::{naive::naive_join_aggregate, yannakakis, CountSemiring, Relation};
 use secyan_transport::{
-    run_protocol, run_protocol_captured, run_protocol_captured_on,
-    tcp_channel_pair_with_transcript, tcp_pair_from_streams, try_run_protocol_on,
-    try_run_protocol_with_faults, CommStats, FaultPlan, ProtocolError, Role, TcpFault,
-    TcpFaultProxy,
+    channel_pair_with_transcript, fault_channel_pair, run_protocol,
+    tcp_channel_pair_with_transcript, tcp_pair_from_streams, try_run_protocol_on, Channel,
+    CommStats, FaultPlan, ProtocolError, Role, TcpFault, TcpFaultProxy,
 };
 
 use std::net::{TcpListener, TcpStream};
@@ -151,64 +150,104 @@ impl SecureRun {
     }
 }
 
-/// Engine 4: the full secure two-party protocol, on a recording channel.
-/// Alice is the receiver; session RNG seeds derive from the instance seed.
-pub fn run_secure(inst: &Instance) -> SecureRun {
-    let query = inst.query();
-    let (qa, qb) = (query.clone(), query);
-    let ra = inst.party_relations(Role::Alice);
-    let rb = inst.party_relations(Role::Bob);
-    let ring = inst.ring_ctx();
+/// How a secure run splits into phases: one shot, or the offline phase
+/// (shape-keyed precomputation) then the online phase against the banked
+/// material. `shed` optionally exhausts the material in between:
+/// `(circuits, ot_cap)` discards that many pre-garbled entries and caps
+/// the OT banks, forcing per-step inline fallback mid-online (applied
+/// symmetrically, as a real exhausted pool would be).
+#[derive(Clone, Copy)]
+enum Phases {
+    Single,
+    Split { shed: Option<(usize, usize)> },
+}
+
+/// What every `run_secure*` runner below is: both parties of `inst` over
+/// `pair`, Alice the receiver, session RNG seeds from [`session_seeds`].
+/// The runners differ only in the pair they bring (in-process, fault
+/// relay, TCP, proxied TCP), whether messages coalesce (`eager` ships
+/// every staged message as its own wire frame — the pre-super-round
+/// behavior) and the phase split. `Err` is a typed failure — never a hang
+/// or an untyped panic, on either endpoint.
+fn run_on(
+    inst: &Instance,
+    pair: (Channel, Channel),
+    eager: bool,
+    phases: Phases,
+) -> Result<(QueryResult, CommStats), ProtocolError> {
+    let (query, sizes, ring) = (inst.query(), inst.sizes(), inst.ring_ctx());
+    let hasher = TweakHasher::default();
+    let receiver = Role::Alice;
+    let party = |seed: u64| {
+        let (query, sizes) = (&query, &sizes);
+        move |ch: &mut Channel| {
+            ch.set_eager(eager);
+            let rels = inst.party_relations(ch.role());
+            match phases {
+                Phases::Single => {
+                    let mut sess = Session::new(ch, ring, hasher, seed);
+                    secure_yannakakis(&mut sess, query, &rels, receiver)
+                }
+                Phases::Split { shed } => {
+                    let mut m = run_offline(ch, query, sizes, receiver, ring, hasher, seed);
+                    if let Some((circuits, ot_cap)) = shed {
+                        m.shed(circuits, ot_cap);
+                    }
+                    run_online(ch, query, &rels, receiver, ring, hasher, m)
+                }
+            }
+        }
+    };
     let (sa, sb) = session_seeds(inst);
-    let (res, (), stats, handle) = run_protocol_captured(
-        move |ch| {
-            let mut sess = Session::new(ch, ring, TweakHasher::default(), sa);
-            secure_yannakakis(&mut sess, &qa, &ra, Role::Alice)
-        },
-        move |ch| {
-            let mut sess = Session::new(ch, ring, TweakHasher::default(), sb);
-            secure_yannakakis(&mut sess, &qb, &rb, Role::Alice);
-        },
-    );
+    try_run_protocol_on(pair, party(sa), party(sb)).map(|(res, _, stats)| (res, stats))
+}
+
+/// [`run_on`] over a transcript-recording pair, for runs that must
+/// succeed: the result canonicalized, the stats, the captured transcript.
+fn run_captured(
+    inst: &Instance,
+    pair: (Channel, Channel),
+    eager: bool,
+    phases: Phases,
+) -> SecureRun {
+    let handle = pair.0.transcript_handle();
+    let (res, stats) = run_on(inst, pair, eager, phases)
+        .unwrap_or_else(|e| panic!("secure run of {} failed: {e}", inst.describe()));
     SecureRun {
-        result: canonical_result(ring, &res),
+        result: canonical_result(inst.ring_ctx(), &res),
         out_size: res.out_size,
         stats,
         transcript: handle.messages(),
     }
 }
 
-/// [`run_secure`] with message coalescing disabled: every staged message
-/// ships as its own wire frame (the pre-super-round behavior). Same
-/// session seeds as [`run_secure`], so the result, the logical transcript,
-/// and every stage-time counter must be byte-identical; only the
-/// frame/super-round counters may differ. Round-regression tests run both
-/// and diff them.
+/// [`run_on`] for runs that may fail: `Ok` carries the receiver's
+/// canonical result (a fault plan may land beyond the run's message
+/// horizon), `Err` the typed failure.
+fn run_fallible(
+    inst: &Instance,
+    pair: (Channel, Channel),
+    phases: Phases,
+) -> Result<(Rows, CommStats), ProtocolError> {
+    run_on(inst, pair, false, phases)
+        .map(|(res, stats)| (canonical_result(inst.ring_ctx(), &res), stats))
+}
+
+fn tcp_pair() -> (Channel, Channel) {
+    tcp_channel_pair_with_transcript().expect("loopback TCP pair")
+}
+
+/// Engine 4: the full secure two-party protocol, on a recording channel.
+pub fn run_secure(inst: &Instance) -> SecureRun {
+    run_captured(inst, channel_pair_with_transcript(), false, Phases::Single)
+}
+
+/// [`run_secure`] with message coalescing disabled. Same session seeds, so
+/// the result, the logical transcript, and every stage-time counter must
+/// be byte-identical; only the frame/super-round counters may differ.
+/// Round-regression tests run both and diff them.
 pub fn run_secure_uncoalesced(inst: &Instance) -> SecureRun {
-    let query = inst.query();
-    let (qa, qb) = (query.clone(), query);
-    let ra = inst.party_relations(Role::Alice);
-    let rb = inst.party_relations(Role::Bob);
-    let ring = inst.ring_ctx();
-    let (sa, sb) = session_seeds(inst);
-    let (res, (), stats, handle) = run_protocol_captured(
-        move |ch| {
-            ch.set_eager(true);
-            let mut sess = Session::new(ch, ring, TweakHasher::default(), sa);
-            secure_yannakakis(&mut sess, &qa, &ra, Role::Alice)
-        },
-        move |ch| {
-            ch.set_eager(true);
-            let mut sess = Session::new(ch, ring, TweakHasher::default(), sb);
-            secure_yannakakis(&mut sess, &qb, &rb, Role::Alice);
-        },
-    );
-    SecureRun {
-        result: canonical_result(ring, &res),
-        out_size: res.out_size,
-        stats,
-        transcript: handle.messages(),
-    }
+    run_captured(inst, channel_pair_with_transcript(), true, Phases::Single)
 }
 
 /// Engine 3: the naive garbled-circuit baseline, on instances matching its
@@ -319,120 +358,30 @@ pub fn check_instance(inst: &Instance) -> Differential {
     }
 }
 
-/// Engine 4 in phase-split mode: run the offline phase (shape-keyed
-/// precomputation), then the online phase against the banked material.
-/// Must produce results identical to [`run_secure`]; the recorded stats
-/// additionally carry the offline/online byte and round split.
-///
-/// `shed` optionally exhausts the material before the online run:
-/// `(circuits, ot_cap)` discards that many pre-garbled entries and caps
-/// the OT banks, forcing per-step inline fallback mid-online (applied
-/// symmetrically, as a real exhausted pool would be).
+/// Engine 4 in phase-split mode (optionally shedding material before the
+/// online run). Must produce results identical to [`run_secure`]; the
+/// recorded stats additionally carry the offline/online byte and round
+/// split.
 pub fn run_secure_phase_split(inst: &Instance, shed: Option<(usize, usize)>) -> SecureRun {
-    let query = inst.query();
-    let (qa, qb) = (query.clone(), query);
-    let ra = inst.party_relations(Role::Alice);
-    let rb = inst.party_relations(Role::Bob);
-    let sizes = inst.sizes();
-    let (s2, sizes) = (sizes.clone(), sizes);
-    let ring = inst.ring_ctx();
-    let (sa, sb) = session_seeds(inst);
-    let (res, (), stats, handle) = run_protocol_captured(
-        move |ch| {
-            let mut m = run_offline(
-                ch,
-                &qa,
-                &sizes,
-                Role::Alice,
-                ring,
-                TweakHasher::default(),
-                sa,
-            );
-            if let Some((c, cap)) = shed {
-                m.shed(c, cap);
-            }
-            run_online(ch, &qa, &ra, Role::Alice, ring, TweakHasher::default(), m)
-        },
-        move |ch| {
-            let mut m = run_offline(ch, &qb, &s2, Role::Alice, ring, TweakHasher::default(), sb);
-            if let Some((c, cap)) = shed {
-                m.shed(c, cap);
-            }
-            run_online(ch, &qb, &rb, Role::Alice, ring, TweakHasher::default(), m);
-        },
-    );
-    SecureRun {
-        result: canonical_result(ring, &res),
-        out_size: res.out_size,
-        stats,
-        transcript: handle.messages(),
-    }
+    let pair = channel_pair_with_transcript();
+    run_captured(inst, pair, false, Phases::Split { shed })
 }
 
 /// [`run_secure_phase_split`] under a transport fault plan: the fault may
-/// land in either phase, and in both cases the run must end in a typed
-/// error or a correct result — never a hang or an untyped panic.
+/// land in either phase.
 pub fn run_secure_phase_split_with_faults(
     inst: &Instance,
     plan: &FaultPlan,
 ) -> Result<(Rows, CommStats), ProtocolError> {
-    let query = inst.query();
-    let (qa, qb) = (query.clone(), query);
-    let ra = inst.party_relations(Role::Alice);
-    let rb = inst.party_relations(Role::Bob);
-    let sizes = inst.sizes();
-    let (s2, sizes) = (sizes.clone(), sizes);
-    let ring = inst.ring_ctx();
-    let (sa, sb) = session_seeds(inst);
-    try_run_protocol_with_faults(
-        plan,
-        move |ch| {
-            let m = run_offline(
-                ch,
-                &qa,
-                &sizes,
-                Role::Alice,
-                ring,
-                TweakHasher::default(),
-                sa,
-            );
-            run_online(ch, &qa, &ra, Role::Alice, ring, TweakHasher::default(), m)
-        },
-        move |ch| {
-            let m = run_offline(ch, &qb, &s2, Role::Alice, ring, TweakHasher::default(), sb);
-            run_online(ch, &qb, &rb, Role::Alice, ring, TweakHasher::default(), m);
-        },
-    )
-    .map(|(res, (), stats)| (canonical_result(ring, &res), stats))
+    run_fallible(inst, fault_channel_pair(plan), Phases::Split { shed: None })
 }
 
-/// Run the secure protocol under a transport fault plan. `Ok` carries the
-/// receiver's canonical result (the plan's fault may land beyond the run's
-/// message horizon); `Err` is the typed failure both the harness and the
-/// fault tests care about: it must be an error, never a hang or an
-/// untyped panic.
+/// [`run_secure`] through the deterministic fault-injecting relay.
 pub fn run_secure_with_faults(
     inst: &Instance,
     plan: &FaultPlan,
 ) -> Result<(Rows, CommStats), ProtocolError> {
-    let query = inst.query();
-    let (qa, qb) = (query.clone(), query);
-    let ra = inst.party_relations(Role::Alice);
-    let rb = inst.party_relations(Role::Bob);
-    let ring = inst.ring_ctx();
-    let (sa, sb) = session_seeds(inst);
-    try_run_protocol_with_faults(
-        plan,
-        move |ch| {
-            let mut sess = Session::new(ch, ring, TweakHasher::default(), sa);
-            secure_yannakakis(&mut sess, &qa, &ra, Role::Alice)
-        },
-        move |ch| {
-            let mut sess = Session::new(ch, ring, TweakHasher::default(), sb);
-            secure_yannakakis(&mut sess, &qb, &rb, Role::Alice);
-        },
-    )
-    .map(|(res, (), stats)| (canonical_result(ring, &res), stats))
+    run_fallible(inst, fault_channel_pair(plan), Phases::Single)
 }
 
 /// Derive the two parties' `(alice, bob)` session RNG seeds from the
@@ -446,51 +395,19 @@ pub fn session_seeds(inst: &Instance) -> (u64, u64) {
     (base ^ 0xA11C_E000, base ^ 0xB0B0_0000)
 }
 
-/// [`run_secure`] over a real localhost TCP socket: same protocol
-/// closures, same session seeds, but both endpoints' frames traverse the
-/// kernel's TCP stack. The pair shares one meter and transcript exactly
-/// like the in-process run, so the differential TCP sweep can assert the
-/// result, transcript, and every stage-time counter are byte-identical to
-/// [`run_secure`] on the same instance.
+/// [`run_secure`] over a real localhost TCP socket: both endpoints' frames
+/// traverse the kernel's TCP stack. The pair shares one meter and
+/// transcript exactly like the in-process run, so the differential TCP
+/// sweep can assert the result, transcript, and every stage-time counter
+/// are byte-identical to [`run_secure`] on the same instance.
 pub fn run_secure_tcp(inst: &Instance) -> SecureRun {
-    run_secure_tcp_inner(inst, false)
+    run_captured(inst, tcp_pair(), false, Phases::Single)
 }
 
-/// [`run_secure_tcp`] with coalescing disabled (see
-/// [`run_secure_uncoalesced`]): every staged message ships as its own TCP
-/// frame. The coalesced-vs-eager differential must hold over the socket
-/// exactly as it does in process.
+/// [`run_secure_uncoalesced`] over TCP: the coalesced-vs-eager
+/// differential must hold over the socket exactly as it does in process.
 pub fn run_secure_tcp_eager(inst: &Instance) -> SecureRun {
-    run_secure_tcp_inner(inst, true)
-}
-
-fn run_secure_tcp_inner(inst: &Instance, eager: bool) -> SecureRun {
-    let query = inst.query();
-    let (qa, qb) = (query.clone(), query);
-    let ra = inst.party_relations(Role::Alice);
-    let rb = inst.party_relations(Role::Bob);
-    let ring = inst.ring_ctx();
-    let (sa, sb) = session_seeds(inst);
-    let pair = tcp_channel_pair_with_transcript().expect("loopback TCP pair");
-    let (res, (), stats, handle) = run_protocol_captured_on(
-        pair,
-        move |ch| {
-            ch.set_eager(eager);
-            let mut sess = Session::new(ch, ring, TweakHasher::default(), sa);
-            secure_yannakakis(&mut sess, &qa, &ra, Role::Alice)
-        },
-        move |ch| {
-            ch.set_eager(eager);
-            let mut sess = Session::new(ch, ring, TweakHasher::default(), sb);
-            secure_yannakakis(&mut sess, &qb, &rb, Role::Alice);
-        },
-    );
-    SecureRun {
-        result: canonical_result(ring, &res),
-        out_size: res.out_size,
-        stats,
-        transcript: handle.messages(),
-    }
+    run_captured(inst, tcp_pair(), true, Phases::Single)
 }
 
 /// [`run_secure_phase_split`] over localhost TCP (no shedding): the
@@ -498,59 +415,18 @@ fn run_secure_tcp_inner(inst: &Instance, eager: bool) -> SecureRun {
 /// the golden-round tests assert by diffing this run's phase-split meters
 /// against the in-process ones.
 pub fn run_secure_phase_split_tcp(inst: &Instance) -> SecureRun {
-    let query = inst.query();
-    let (qa, qb) = (query.clone(), query);
-    let ra = inst.party_relations(Role::Alice);
-    let rb = inst.party_relations(Role::Bob);
-    let sizes = inst.sizes();
-    let (s2, sizes) = (sizes.clone(), sizes);
-    let ring = inst.ring_ctx();
-    let (sa, sb) = session_seeds(inst);
-    let pair = tcp_channel_pair_with_transcript().expect("loopback TCP pair");
-    let (res, (), stats, handle) = run_protocol_captured_on(
-        pair,
-        move |ch| {
-            let m = run_offline(
-                ch,
-                &qa,
-                &sizes,
-                Role::Alice,
-                ring,
-                TweakHasher::default(),
-                sa,
-            );
-            run_online(ch, &qa, &ra, Role::Alice, ring, TweakHasher::default(), m)
-        },
-        move |ch| {
-            let m = run_offline(ch, &qb, &s2, Role::Alice, ring, TweakHasher::default(), sb);
-            run_online(ch, &qb, &rb, Role::Alice, ring, TweakHasher::default(), m);
-        },
-    );
-    SecureRun {
-        result: canonical_result(ring, &res),
-        out_size: res.out_size,
-        stats,
-        transcript: handle.messages(),
-    }
+    run_captured(inst, tcp_pair(), false, Phases::Split { shed: None })
 }
 
-/// Run the secure protocol over TCP with Alice's traffic routed through a
+/// [`run_secure`] over TCP with Alice's traffic routed through a
 /// [`TcpFaultProxy`] injecting `fault` (or a transparent proxy when
 /// `None`). Both endpoints carry `io_timeout` so a stalled wire surfaces
-/// as a typed `Timeout` instead of blocking the test. `Ok` carries the
-/// receiver's canonical result; `Err` the typed failure — never a hang or
-/// an untyped panic, on either endpoint.
+/// as a typed `Timeout` instead of blocking the test.
 pub fn run_secure_tcp_proxied(
     inst: &Instance,
     fault: Option<TcpFault>,
     io_timeout: Duration,
 ) -> Result<(Rows, CommStats), ProtocolError> {
-    let query = inst.query();
-    let (qa, qb) = (query.clone(), query);
-    let ra = inst.party_relations(Role::Alice);
-    let rb = inst.party_relations(Role::Bob);
-    let ring = inst.ring_ctx();
-    let (sa, sb) = session_seeds(inst);
     // Bob listens; Alice connects through the byte-level proxy, matching
     // the proxy's direction convention (connecting side = Alice).
     let listener = TcpListener::bind(("127.0.0.1", 0)).expect("loopback listener");
@@ -561,18 +437,7 @@ pub fn run_secure_tcp_proxied(
     let (mut ca, mut cb) = tcp_pair_from_streams(alice_stream, bob_stream).expect("TCP pair");
     ca.set_io_timeout(Some(io_timeout));
     cb.set_io_timeout(Some(io_timeout));
-    let out = try_run_protocol_on(
-        (ca, cb),
-        move |ch| {
-            let mut sess = Session::new(ch, ring, TweakHasher::default(), sa);
-            secure_yannakakis(&mut sess, &qa, &ra, Role::Alice)
-        },
-        move |ch| {
-            let mut sess = Session::new(ch, ring, TweakHasher::default(), sb);
-            secure_yannakakis(&mut sess, &qb, &rb, Role::Alice);
-        },
-    )
-    .map(|(res, (), stats)| (canonical_result(ring, &res), stats));
+    let out = run_fallible(inst, (ca, cb), Phases::Single);
     drop(proxy);
     out
 }

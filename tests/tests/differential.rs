@@ -11,13 +11,18 @@
 //! (or `generate_chain(seed)`) reproduces the exact instance locally. See
 //! README's "Running the fuzzer" and DESIGN.md §10.
 
-use secyan_crypto::RingCtx;
+mod common;
+
+use secyan_core::join::join_tail_ot_count;
+use secyan_core::{run_offline, run_online_leftover, QueryShape};
+use secyan_crypto::sha256::Sha256;
+use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_relation::{JoinTree, NaturalRing, Relation};
 use secyan_testkit::{
     check_instance, oracle, run_secure, run_secure_phase_split, run_secure_phase_split_with_faults,
-    run_secure_tcp, scalar_of, AggKind, Instance, SecureRun,
+    run_secure_tcp, scalar_of, session_seeds, AggKind, Instance, SecureRun,
 };
-use secyan_transport::{FaultKind, FaultPlan, Role};
+use secyan_transport::{run_protocol, FaultKind, FaultPlan, Role};
 
 /// One direction's wire stream: the sender's messages in program order.
 /// The *global* interleaving of the two directions is scheduler timing,
@@ -105,9 +110,118 @@ fn differential_sweep_tcp() {
     }
 }
 
+/// SHA-256 over one direction's messages, each prefixed with its length.
+fn direction_digest(run: &SecureRun, dir: Role) -> String {
+    let mut h = Sha256::new();
+    for m in direction_stream(run, dir) {
+        h.update(&(m.len() as u64).to_le_bytes());
+        h.update(m);
+    }
+    h.finalize().iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Single-phase wire behaviour is pinned byte for byte: these digests of
+/// `run_secure`'s per-direction transcripts were recorded at the commit
+/// before the driver's schedule was unified with the planner's, so they
+/// only move when what a bank-less run puts on the wire moves.
+#[test]
+fn single_phase_transcript_goldens() {
+    let goldens = [
+        (
+            Instance::generate(3),
+            "c62fc1fafe5fbd8ccf1200575b870d3455379574023797007d0c4c2d7757beea",
+            "e337020397056995131cae4cb6a2e15f919b7f4e075d459788d449f92decd30b",
+        ),
+        (
+            Instance::generate(7),
+            "d7da15450b3a945685b7d680fab833e0109a1fcb7f51ddcda99e31164f0177e4",
+            "76471250cda4c99b02e06317efb24410d7de0922ae48c475f276be0c7f3d893a",
+        ),
+        (
+            Instance::generate(18),
+            "3e83c0dd2ad06fb62cc9827bbef6cadb7883edddb817636f8d48d078a89ce2d6",
+            "08623225dc0b4fdb717bfd4c3cd8da8a5d330678f12b7e19664c6f6cf675e550",
+        ),
+        (
+            Instance::generate_chain(1),
+            "4d93434c213b444c7df24b8d430dee6745c540321166c21ff9787faf8b749098",
+            "14273c55d20cc74ce4cae84468a9e3017bcb87fdd2ecdd3ce085ce202e1d1685",
+        ),
+    ];
+    for (inst, alice, bob) in goldens {
+        let run = run_secure(&inst);
+        for (dir, want) in [(Role::Alice, alice), (Role::Bob, bob)] {
+            assert_eq!(
+                direction_digest(&run, dir),
+                want,
+                "{dir:?}-side single-phase transcript of {} changed",
+                inst.describe()
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Offline/online phase split (DESIGN.md §11).
 // ---------------------------------------------------------------------------
+
+/// What one party's material looked like after offline → online: the
+/// circuits, KKRT instances and OTs still banked (as sender/garbler, as
+/// receiver/evaluator), and the OTs the online run had to extend inline.
+#[derive(Debug, PartialEq, Eq)]
+struct Leftover {
+    circuits: (usize, usize),
+    kkrt: (usize, usize),
+    ot: (usize, usize),
+    ot_inline: (u64, u64),
+}
+
+/// The plan is the schedule: after offline → online both parties hold
+/// zero pre-garbled circuits and empty KKRT and OT banks in either
+/// direction, and the only OTs extended inline are the data-dependent
+/// tail of the full join (none at all when the reduce phase leaves one
+/// survivor) — no draw the shape could foresee fell back.
+#[test]
+fn phase_split_consumes_exactly_what_it_banks() {
+    let instances = (0..64)
+        .map(Instance::generate)
+        .chain((0..16).map(Instance::generate_chain))
+        .chain([common::chain3_bench_instance()]);
+    for inst in instances {
+        let (ring, ell) = (inst.ring_ctx(), inst.ell as usize);
+        let (sa, sb) = session_seeds(&inst);
+        let party = |seed: u64| {
+            let (inst, hasher) = (&inst, TweakHasher::default());
+            move |ch: &mut secyan_transport::Channel| {
+                let (query, rels) = (inst.query(), inst.party_relations(ch.role()));
+                let m = run_offline(ch, &query, &inst.sizes(), Role::Alice, ring, hasher, seed);
+                let banked = m.ot_extended();
+                let (res, left) =
+                    run_online_leftover(ch, &query, &rels, Role::Alice, ring, hasher, m);
+                let extended = left.ot_extended();
+                let leftover = Leftover {
+                    circuits: left.circuits_banked(),
+                    kkrt: left.kkrt_banked(),
+                    ot: left.ot_banked(),
+                    ot_inline: (extended.0 - banked.0, extended.1 - banked.1),
+                };
+                (res.out_size, leftover)
+            }
+        };
+        let ((out_size, alice), (_, bob), _) = run_protocol(party(sa), party(sb));
+        // The tail's OTs all flow from the non-receiver (Bob) to Alice.
+        let shape = QueryShape::derive(&inst.query(), &inst.sizes(), Role::Alice, ell);
+        let tail = join_tail_ot_count(&shape.join_inputs, out_size, ell) as u64;
+        let spent = |ot_inline| Leftover {
+            circuits: (0, 0),
+            kkrt: (0, 0),
+            ot: (0, 0),
+            ot_inline,
+        };
+        assert_eq!(alice, spent((0, tail)), "Alice on {}", inst.describe());
+        assert_eq!(bob, spent((tail, 0)), "Bob on {}", inst.describe());
+    }
+}
 
 /// Every generated instance, run as offline-then-online, must produce a
 /// result identical to the single-phase run, with the traffic split

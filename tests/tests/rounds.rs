@@ -14,12 +14,17 @@
 //!   only*: results, logical transcripts, and every stage-time meter are
 //!   byte-identical; only the frame counters shrink.
 
-use secyan_relation::{JoinTree, NaturalRing, Relation};
+mod common;
+
+use common::chain3_bench_instance;
+use secyan_core::{run_online_pooled, PreprocPool};
+use secyan_crypto::TweakHasher;
 use secyan_testkit::{
-    run_secure, run_secure_phase_split, run_secure_phase_split_tcp, run_secure_tcp,
-    run_secure_tcp_eager, run_secure_uncoalesced, AggKind, Instance, SecureRun,
+    canonical_result, oracle, run_secure, run_secure_phase_split, run_secure_phase_split_tcp,
+    run_secure_tcp, run_secure_tcp_eager, run_secure_uncoalesced, session_seeds, Instance,
+    SecureRun,
 };
-use secyan_transport::Role;
+use secyan_transport::{channel_pair, run_protocol_on, tcp_channel_pair, Channel, Role};
 
 /// The ISSUE's acceptance bound for the benchmark chain3 online phase
 /// (3x down from the 48-round pre-coalescing baseline).
@@ -33,42 +38,6 @@ const CHAIN3_ONLINE_SUPER_ROUND_BOUND: u64 = 16;
 /// batching — so the golden pins the floor exactly.
 const CHAIN3_ONLINE_SUPER_ROUNDS: u64 = 16;
 const CHAIN3_OFFLINE_SUPER_ROUNDS: u64 = 11;
-
-/// The benchmark chain3 instance (mirrors `secyan-bench`'s shape: three
-/// relations of 24/48/24 rows, alternating ownership, scalar SUM).
-fn chain3_bench_instance() -> Instance {
-    let ring = secyan_crypto::RingCtx::new(64);
-    let nat = NaturalRing(ring);
-    let strings = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-    let (n1, n2, n3) = (24u64, 48u64, 24u64);
-    let relations = vec![
-        Relation::from_rows(
-            nat,
-            strings(&["a"]),
-            (0..n1).map(|i| (vec![i], i % 7 + 1)).collect(),
-        ),
-        Relation::from_rows(
-            nat,
-            strings(&["a", "b"]),
-            (0..n2).map(|i| (vec![i % n1, i % 31], i % 5 + 1)).collect(),
-        ),
-        Relation::from_rows(
-            nat,
-            strings(&["b"]),
-            (0..n3).map(|i| (vec![i % 31], i % 3 + 1)).collect(),
-        ),
-    ];
-    Instance {
-        seed: 42,
-        ell: 64,
-        agg: AggKind::Sum,
-        schemas: vec![strings(&["a"]), strings(&["a", "b"]), strings(&["b"])],
-        owners: vec![Role::Alice, Role::Bob, Role::Alice],
-        tree: JoinTree::chain(3),
-        output: Vec::new(),
-        relations,
-    }
-}
 
 #[test]
 fn chain3_online_super_rounds_golden() {
@@ -88,6 +57,55 @@ fn chain3_online_super_rounds_golden() {
         run.stats.offline_super_rounds, CHAIN3_OFFLINE_SUPER_ROUNDS,
         "chain3 offline super-round count drifted",
     );
+}
+
+/// A pooled hit is `run_online` plus the one availability exchange, whose
+/// direction order is fixed by role — never two switches because both
+/// parties spoke at once.
+const CHAIN3_POOLED_ONLINE_SUPER_ROUNDS: u64 = CHAIN3_ONLINE_SUPER_ROUNDS + 1;
+
+/// Provision one material per party, then one pooled online run of chain3
+/// over `pair`; returns the online super-round count.
+fn chain3_pooled_online_super_rounds(pair: (Channel, Channel)) -> u64 {
+    let inst = chain3_bench_instance();
+    let (query, sizes, ring) = (inst.query(), inst.sizes(), inst.ring_ctx());
+    let hasher = TweakHasher::default();
+    let party = |seed: u64| {
+        let (inst, query, sizes) = (&inst, &query, &sizes);
+        move |ch: &mut Channel| {
+            let rels = inst.party_relations(ch.role());
+            let mut pool = PreprocPool::new();
+            pool.provision(ch, query, sizes, Role::Alice, ring, hasher, seed);
+            let res = run_online_pooled(
+                &mut pool,
+                ch,
+                query,
+                sizes,
+                &rels,
+                Role::Alice,
+                ring,
+                hasher,
+                seed ^ 1,
+            );
+            assert_eq!((pool.hits(), pool.misses()), (1, 0));
+            res
+        }
+    };
+    let (sa, sb) = session_seeds(&inst);
+    let (res, _, stats) = run_protocol_on(pair, party(sa), party(sb));
+    assert_eq!(canonical_result(ring, &res), oracle(&inst));
+    stats.online_super_rounds
+}
+
+#[test]
+fn chain3_pooled_super_rounds_are_pinned_and_repeat() {
+    for run in 0..20 {
+        assert_eq!(
+            chain3_pooled_online_super_rounds(channel_pair()),
+            CHAIN3_POOLED_ONLINE_SUPER_ROUNDS,
+            "pooled chain3 online super-rounds drifted on run {run}",
+        );
+    }
 }
 
 /// Golden total super-round counts per generator family. Round structure
@@ -236,6 +254,18 @@ fn chain3_super_round_pins_hold_over_tcp() {
         tcp.stats, mem.stats,
         "phase-split meters diverged between TCP and in-process transports",
     );
+}
+
+#[test]
+fn chain3_pooled_super_rounds_are_pinned_and_repeat_over_tcp() {
+    for run in 0..20 {
+        let pair = tcp_channel_pair().expect("loopback TCP pair");
+        assert_eq!(
+            chain3_pooled_online_super_rounds(pair),
+            CHAIN3_POOLED_ONLINE_SUPER_ROUNDS,
+            "pooled chain3 online super-rounds drifted over TCP on run {run}",
+        );
+    }
 }
 
 /// The per-family super-round goldens, re-measured over TCP.
