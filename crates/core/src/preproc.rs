@@ -8,7 +8,8 @@
 //! * [`run_offline`] bootstraps a full [`Session`] (base OTs, OT
 //!   extension, KKRT OPRF), banks exactly the random OTs and KKRT
 //!   instances the [`QueryShape`] walk recorded for each direction
-//!   (Beaver-derandomized online, [`secyan_ot::OtSendBank`]/[`OtRecvBank`]),
+//!   (Beaver-derandomized online; see [`secyan_ot::OtSender::bank`] and
+//!   [`secyan_ot::KkrtSender::bank`]),
 //!   and pre-garbles every circuit of that walk, shipping the garbled
 //!   tables ahead of time. The suspended session state *is* the offline
 //!   material: a [`QueryMaterial`].
@@ -30,13 +31,12 @@
 //! silent misuse, and [`CommStats`] reports the two phases' bytes/rounds
 //! separately.
 //!
-//! [`OtRecvBank`]: secyan_ot::OtRecvBank
 //! [`PhaseMismatch`]: secyan_transport::TransportError::PhaseMismatch
 //! [`CommStats`]: secyan_transport::CommStats
 
 use crate::protocol::{secure_yannakakis, QueryResult};
 use crate::query::SecureQuery;
-use crate::session::Session;
+use crate::session::{in_role_order, Session};
 use crate::shape::{QueryShape, ShapeKey};
 use rand::rngs::StdRng;
 use secyan_crypto::{RingCtx, TweakHasher};
@@ -106,22 +106,10 @@ impl QueryMaterial {
             self.gc_garble.pop_front();
             self.gc_eval.pop_front();
         }
-        if let Some(mut b) = self.ot_send.detach_bank() {
-            b.shed_to(ot_cap);
-            self.ot_send.attach_bank(b);
-        }
-        if let Some(mut b) = self.ot_recv.detach_bank() {
-            b.shed_to(ot_cap);
-            self.ot_recv.attach_bank(b);
-        }
-        if let Some(mut b) = self.kkrt_send.detach_bank() {
-            b.shed_to(ot_cap);
-            self.kkrt_send.attach_bank(b);
-        }
-        if let Some(mut b) = self.kkrt_recv.detach_bank() {
-            b.shed_to(ot_cap);
-            self.kkrt_recv.attach_bank(b);
-        }
+        self.ot_send.shed_bank_to(ot_cap);
+        self.ot_recv.shed_bank_to(ot_cap);
+        self.kkrt_send.shed_bank_to(ot_cap);
+        self.kkrt_recv.shed_bank_to(ot_cap);
     }
 
     /// Capture a session's protocol state, releasing its channel borrow.
@@ -194,28 +182,18 @@ pub fn run_offline(
     let (ot, kkrt) = (shape.exact.ot, shape.exact.kkrt);
     let (ot_out, ot_in) = (ot.of(me), ot.of(me.peer()));
     let (kkrt_out, kkrt_in) = (kkrt.of(me), kkrt.of(me.peer()));
-    match me {
-        Role::Alice => {
-            let sb = sess.ot_send.offline(sess.ch, ot_out);
-            sess.ot_send.attach_bank(sb);
-            let rb = sess.ot_recv.offline(sess.ch, ot_in, &mut sess.rng);
-            sess.ot_recv.attach_bank(rb);
-            let ksb = sess.kkrt_send.offline(sess.ch, kkrt_out);
-            sess.kkrt_send.attach_bank(ksb);
-            let krb = sess.kkrt_recv.offline(sess.ch, kkrt_in, &mut sess.rng);
-            sess.kkrt_recv.attach_bank(krb);
-        }
-        Role::Bob => {
-            let rb = sess.ot_recv.offline(sess.ch, ot_in, &mut sess.rng);
-            sess.ot_recv.attach_bank(rb);
-            let sb = sess.ot_send.offline(sess.ch, ot_out);
-            sess.ot_send.attach_bank(sb);
-            let krb = sess.kkrt_recv.offline(sess.ch, kkrt_in, &mut sess.rng);
-            sess.kkrt_recv.attach_bank(krb);
-            let ksb = sess.kkrt_send.offline(sess.ch, kkrt_out);
-            sess.kkrt_send.attach_bank(ksb);
-        }
-    }
+    in_role_order(
+        me,
+        &mut sess,
+        |s| s.ot_send.bank(s.ch, ot_out),
+        |s| s.ot_recv.bank(s.ch, ot_in, &mut s.rng),
+    );
+    in_role_order(
+        me,
+        &mut sess,
+        |s| s.kkrt_send.bank(s.ch, kkrt_out),
+        |s| s.kkrt_recv.bank(s.ch, kkrt_in, &mut s.rng),
+    );
     // Pre-garble the planned circuit schedule; tables cross the wire now
     // so the online phase only moves input-dependent messages.
     for pc in &shape.planned {

@@ -34,6 +34,29 @@ pub fn recv_declared_size(ch: &mut Channel, what: &str) -> usize {
     size as usize
 }
 
+/// The one place the Alice/Bob interleave over an extension endpoint pair is
+/// spelled: every two-sided step on the OT or KKRT pair (bootstrap, banking)
+/// runs this party's sender half against the peer's receiver half and vice
+/// versa, so Alice goes sender-first and Bob receiver-first. `ctx` is
+/// whatever both halves need mutably.
+pub(crate) fn in_role_order<C, S, R>(
+    role: Role,
+    ctx: &mut C,
+    send: impl FnOnce(&mut C) -> S,
+    recv: impl FnOnce(&mut C) -> R,
+) -> (S, R) {
+    match role {
+        Role::Alice => {
+            let s = send(ctx);
+            (s, recv(ctx))
+        }
+        Role::Bob => {
+            let r = recv(ctx);
+            (send(ctx), r)
+        }
+    }
+}
+
 /// Everything one party carries through a secure query evaluation: the
 /// channel, the annotation ring, the garbling hash, a CSPRNG, and both
 /// directions of OT extension and KKRT OPRF (bootstrapped once here, then
@@ -66,22 +89,20 @@ impl<'a> Session<'a> {
         rng_seed: u64,
     ) -> Session<'a> {
         let mut rng = StdRng::seed_from_u64(rng_seed);
-        let (ot_send, ot_recv, kkrt_send, kkrt_recv) = match ch.role() {
-            Role::Alice => {
-                let s = OtSender::setup(ch, &mut rng, hasher);
-                let r = OtReceiver::setup(ch, &mut rng, hasher);
-                let ks = KkrtSender::setup(ch, &mut rng, hasher);
-                let kr = KkrtReceiver::setup(ch, &mut rng, hasher);
-                (s, r, ks, kr)
-            }
-            Role::Bob => {
-                let r = OtReceiver::setup(ch, &mut rng, hasher);
-                let s = OtSender::setup(ch, &mut rng, hasher);
-                let kr = KkrtReceiver::setup(ch, &mut rng, hasher);
-                let ks = KkrtSender::setup(ch, &mut rng, hasher);
-                (s, r, ks, kr)
-            }
-        };
+        let role = ch.role();
+        let mut ctx = (&mut *ch, &mut rng);
+        let (ot_send, ot_recv) = in_role_order(
+            role,
+            &mut ctx,
+            |(ch, rng)| OtSender::setup(ch, rng, hasher),
+            |(ch, rng)| OtReceiver::setup(ch, rng, hasher),
+        );
+        let (kkrt_send, kkrt_recv) = in_role_order(
+            role,
+            &mut ctx,
+            |(ch, rng)| KkrtSender::setup(ch, rng, hasher),
+            |(ch, rng)| KkrtReceiver::setup(ch, rng, hasher),
+        );
         Session {
             ch,
             ring,

@@ -60,30 +60,12 @@ impl TweakHasher {
     #[inline]
     pub fn hash(self, b: Block, tweak: u64) -> Block {
         match self {
-            TweakHasher::Sha256 => sha_hash(&[b], tweak),
+            TweakHasher::Sha256 => sha_hash(b, tweak),
             TweakHasher::Aes => {
                 let s = sigma(b.0);
                 Block(fixed_key().encrypt_u128(s ^ tweak as u128) ^ s)
             }
             TweakHasher::Fast => Block(fast_mix(b.0, tweak)),
-        }
-    }
-
-    /// Hash two blocks under a tweak (a double-width compression; argument
-    /// order matters).
-    #[inline]
-    pub fn hash2(self, a: Block, b: Block, tweak: u64) -> Block {
-        match self {
-            TweakHasher::Sha256 => sha_hash(&[a, b], tweak),
-            TweakHasher::Aes => {
-                // σ²(a) ⊕ σ(b) keeps the two arguments in distinct linear
-                // positions, so swapping them changes the input to π.
-                let s = sigma(sigma(a.0)) ^ sigma(b.0);
-                Block(fixed_key().encrypt_u128(s ^ tweak as u128) ^ s)
-            }
-            TweakHasher::Fast => {
-                Block(fast_mix(a.0, tweak) ^ fast_mix(b.0.rotate_left(64), !tweak))
-            }
         }
     }
 
@@ -176,58 +158,6 @@ impl TweakHasher {
             _ => {
                 for (j, (o, &x)) in out.iter_mut().zip(xs).enumerate() {
                     *o = self.hash(x, tweak_base.wrapping_add(j as u64));
-                }
-            }
-        }
-    }
-
-    /// Batched [`TweakHasher::hash2`]: element `j` hashes
-    /// `(a[j], b[j])` under tweak `tweak_base + j`. Parallel for large
-    /// batches, same chunk-invariance argument as [`TweakHasher::hash_batch`].
-    pub fn hash2_batch(self, a: &[Block], b: &[Block], tweak_base: u64) -> Vec<Block> {
-        assert_eq!(a.len(), b.len(), "hash2_batch wants aligned slices");
-        let mut out = vec![Block(0); a.len()];
-        par::with_pool_if(
-            par::threads() > 1 && a.len() >= 2 * PAR_MIN_BLOCKS,
-            |pool| {
-                pool.chunks_mut(&mut out, 1, PAR_MIN_BLOCKS, |off, chunk| {
-                    let end = off + chunk.len();
-                    self.hash2_batch_into(
-                        &a[off..end],
-                        &b[off..end],
-                        tweak_base.wrapping_add(off as u64),
-                        chunk,
-                    );
-                });
-            },
-        );
-        out
-    }
-
-    /// Serial kernel behind [`TweakHasher::hash2_batch`].
-    fn hash2_batch_into(self, a: &[Block], b: &[Block], tweak_base: u64, out: &mut [Block]) {
-        match self {
-            TweakHasher::Aes => {
-                let mut sig: Vec<u128> = a
-                    .iter()
-                    .zip(b)
-                    .map(|(&x, &y)| sigma(sigma(x.0)) ^ sigma(y.0))
-                    .collect();
-                let mut buf: Vec<u128> = sig
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &s)| s ^ tweak_base.wrapping_add(j as u64) as u128)
-                    .collect();
-                fixed_key().encrypt_blocks(&mut buf);
-                for (o, (&c, &s)) in out.iter_mut().zip(buf.iter().zip(&sig)) {
-                    *o = Block(c ^ s);
-                }
-                sig.zeroize();
-                buf.zeroize();
-            }
-            _ => {
-                for (j, (o, (&x, &y))) in out.iter_mut().zip(a.iter().zip(b)).enumerate() {
-                    *o = self.hash2(x, y, tweak_base.wrapping_add(j as u64));
                 }
             }
         }
@@ -368,12 +298,10 @@ impl TweakHasher {
     }
 }
 
-/// SHA-256 of blocks ‖ tweak, truncated to 128 bits.
-fn sha_hash(blocks: &[Block], tweak: u64) -> Block {
+/// SHA-256 of block ‖ tweak, truncated to 128 bits.
+fn sha_hash(b: Block, tweak: u64) -> Block {
     let mut h = Sha256::new();
-    for b in blocks {
-        h.update(&b.to_bytes());
-    }
+    h.update(&b.to_bytes());
     h.update(&tweak.to_le_bytes());
     let d = h.finalize();
     Block(u128::from_le_bytes(d[..16].try_into().expect("16 bytes")))
@@ -430,16 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn hash2_argument_order_matters() {
-        for h in ALL {
-            let (a, b) = (Block(1), Block(2));
-            assert_ne!(h.hash2(a, b, 0), h.hash2(b, a, 0));
-            assert_eq!(h.hash2(a, b, 7), h.hash2(a, b, 7));
-            assert_ne!(h.hash2(a, b, 7), h.hash2(a, b, 8));
-        }
-    }
-
-    #[test]
     fn aes_hash_differs_from_input_and_spreads() {
         // H(x, t) must not leak σ(x) or x trivially.
         let b = Block(0xdead_beef);
@@ -469,18 +387,6 @@ mod tests {
             assert_eq!(batch.len(), xs.len());
             for (j, &x) in xs.iter().enumerate() {
                 assert_eq!(batch[j], h.hash(x, 1000 + j as u64), "{h:?} element {j}");
-            }
-        }
-    }
-
-    #[test]
-    fn hash2_batch_equals_per_element_hash2() {
-        for h in ALL {
-            let a: Vec<Block> = (0..19u128).map(|i| Block(i + 1)).collect();
-            let b: Vec<Block> = (0..19u128).map(|i| Block(i * 77 + 5)).collect();
-            let batch = h.hash2_batch(&a, &b, 50);
-            for j in 0..a.len() {
-                assert_eq!(batch[j], h.hash2(a[j], b[j], 50 + j as u64), "{h:?} {j}");
             }
         }
     }
@@ -540,12 +446,10 @@ mod tests {
         for h in ALL {
             secyan_par::set_threads(1);
             let want_b = h.hash_batch(&xs, 9);
-            let want_2 = h.hash2_batch(&xs, &xs, 9);
             let want_r = h.hash_row_batch(9, &rows);
             for n in [2, 4] {
                 secyan_par::set_threads(n);
                 assert_eq!(h.hash_batch(&xs, 9), want_b, "{h:?} threads={n}");
-                assert_eq!(h.hash2_batch(&xs, &xs, 9), want_2, "{h:?} threads={n}");
                 assert_eq!(h.hash_row_batch(9, &rows), want_r, "{h:?} threads={n}");
             }
             secyan_par::set_threads(0);

@@ -1,7 +1,7 @@
 //! Oblivious Extended Permutation (paper §5.4, Mohassel–Sadeghian).
 //!
 //! The "glue" of the secure Yannakakis protocol: Alice holds an extended
-//! permutation ξ : [N] → [M] (a map from output positions to input
+//! permutation ξ : \[N\] → \[M\] (a map from output positions to input
 //! positions, duplicates and drops allowed); Bob holds a value vector
 //! x₁..x_M. OEP delivers fresh additive shares of y_i = x_{ξ(i)} without
 //! revealing ξ to Bob or x to Alice.

@@ -198,7 +198,7 @@ fn route_benes(perm: &[usize], bits: &mut Vec<bool>) {
 }
 
 /// The permute–duplicate–permute decomposition of an extended permutation
-/// ξ : [n_out] → [n_in].
+/// ξ : \[n_out\] → \[n_in\].
 ///
 /// All three stages operate on `k = max(n_in, n_out)` logical wires:
 /// 1. `p1` routes the first occurrence of every needed input to the start
@@ -225,7 +225,7 @@ pub struct EpRouting {
 }
 
 impl EpNetwork {
-    /// Topology for maps [n_out] → [n_in]; depends only on the public
+    /// Topology for maps \[n_out\] → \[n_in\]; depends only on the public
     /// sizes.
     pub fn new(n_in: usize, n_out: usize) -> EpNetwork {
         let k = n_in.max(n_out).max(1);

@@ -3,7 +3,7 @@
 //! Two flavours:
 //!
 //! * **Plain OEP** — Bob knows the values x₁..x_M in the clear, Alice holds
-//!   ξ : [N] → [M]; they end with fresh shares of x_{ξ(i)}. Direct wrapper
+//!   ξ : \[N\] → \[M\]; they end with fresh shares of x_{ξ(i)}. Direct wrapper
 //!   over the oblivious switching network.
 //! * **Shared OEP** — the values are themselves secret-shared (the usual
 //!   situation for intermediate annotations). Following the paper: run
@@ -19,7 +19,7 @@ use secyan_transport::Channel;
 use crate::network::{EpNetwork, EpRouting};
 use crate::osn::{osn_perm_holder_begin, osn_perm_holder_finish, osn_value_holder, OsnPending};
 
-/// OTs one OEP over maps [n_out] → [n_in] draws, value holder sending:
+/// OTs one OEP over maps \[n_out\] → \[n_in\] draws, value holder sending:
 /// the switch count of the network both sides derive from those sizes.
 pub fn oep_ot_count(n_in: usize, n_out: usize) -> usize {
     EpNetwork::new(n_in, n_out).switch_count()

@@ -9,196 +9,79 @@
 //!
 //! Semi-honest IKNP as in the original paper: the receiver's choice bits
 //! are an input (chosen-choice, random-message OT); chosen messages are
-//! layered on by one-time-pad masking.
+//! layered on by one-time-pad masking. The matrix work is the shared
+//! engine (`ext.rs`) at 16-byte rows under the repetition code
+//! (every column of the code matrix is the packed choice vector); this
+//! module adds what is IKNP's own: hashing the rows into pads, masking
+//! chosen messages, and the one-bit derandomisation of banked instances.
+//!
+//! # Banks
+//!
+//! [`OtSender::bank`] / [`OtReceiver::bank`] run the extension offline
+//! against random choice bits `c'` and keep the pads. Online, the receiver
+//! sends correction bits `d = c ⊕ c'` (packed, m/8 bytes) and the sender's
+//! effective pair becomes `(x_d, x_{1⊕d})`, replacing the 16m-byte column
+//! bundle on the online critical path. Banked material is single-use:
+//! entries are zeroized as they are taken, and the rest on drop.
 
+use crate::ext::{Bank, ExtReceiver, ExtSender};
 use rand::Rng;
-use secyan_crypto::transpose::BitMatrix;
-use secyan_crypto::{
-    ct_select_bytes, Block, CtChoice, CtSelect, Prg, Secret, TweakHasher, Zeroize,
-};
-use secyan_par as par;
+use secyan_crypto::{ct_select_bytes, Block, CtChoice, CtSelect, Prg, TweakHasher, Zeroize};
 use secyan_transport::{Channel, ReadExt, WriteExt};
 
 /// Security parameter κ: number of base OTs / width of the extension
 /// matrix.
 pub const KAPPA: usize = 128;
 
-/// Minimum OT batch size (in instances) before the column expansion uses
-/// the worker pool; below this the per-column PRG work is too small to
-/// amortize a dispatch.
-pub(crate) const OT_PAR_MIN: usize = 4096;
-
-/// Minimum columns per worker when the expansion does parallelize.
-pub(crate) const COLS_PER_PART: usize = 16;
-
-/// Minimum extracted blocks per worker for the post-transpose row gather.
-pub(crate) const BLOCKS_PER_PART: usize = 4096;
+/// Domain label of the column PRGs.
+const COL_LABEL: &[u8] = b"iknp-col";
 
 /// Extension sender: after setup, produces message pairs.
 pub struct OtSender {
-    /// The κ secret choice bits used in the reversed base OTs. Secret-typed:
-    /// leaking s breaks every OT derived from this setup.
-    s: Secret<u128>,
-    /// One PRG per column, seeded with the base-OT key `k_{s_i}`.
-    prgs: Vec<Prg>,
+    ext: ExtSender<Block>,
     hasher: TweakHasher,
     ctr: u64,
-    /// Precomputed random-OT material consumed by the online phase.
-    bank: Option<OtSendBank>,
+    /// Precomputed random pad pairs `(x0, x1)` consumed by the online phase.
+    bank: Bank<(Block, Block)>,
 }
 
 /// Extension receiver: after setup, obtains one message per choice bit.
 pub struct OtReceiver {
-    /// PRG pairs per column, seeded with both base-OT keys.
-    prgs: Vec<(Prg, Prg)>,
+    ext: ExtReceiver<Block>,
     hasher: TweakHasher,
     ctr: u64,
-    /// Precomputed random-OT material consumed by the online phase.
-    bank: Option<OtRecvBank>,
-}
-
-/// Sender-side bank of precomputed random OTs, produced offline by
-/// [`OtSender::offline`] and consumed online via Beaver-style
-/// derandomization: the receiver sends correction bits `d = c ⊕ c'`
-/// (packed, m/8 bytes) and the sender's effective pair becomes
-/// `(x_d, x_{1⊕d})`, replacing the 16m-byte IKNP column bundle on the
-/// online critical path.
-///
-/// Material is strictly single-use: consumed entries are zeroized at take
-/// time, and anything left over is zeroized on drop (the pads are
-/// `Secret`-wrapped).
-pub struct OtSendBank {
-    /// Interleaved pads: `[x0_0, x1_0, x0_1, x1_1, ...]`.
-    pairs: Secret<Vec<Block>>,
-    cursor: usize,
-}
-
-impl OtSendBank {
-    /// Unconsumed instances left in the bank.
-    pub fn remaining(&self) -> usize {
-        self.pairs.expose().len() / 2 - self.cursor
-    }
-
-    /// Take `m` pad pairs, zeroizing them inside the bank as they leave.
-    fn take(&mut self, m: usize) -> Vec<(Block, Block)> {
-        let start = self.cursor;
-        self.cursor += m;
-        let pairs = self.pairs.expose_mut();
-        let out = pairs[2 * start..2 * self.cursor]
-            .chunks_exact(2)
-            .map(|c| (c[0], c[1]))
-            .collect();
-        for p in pairs[2 * start..2 * self.cursor].iter_mut() {
-            p.zeroize();
-        }
-        out
-    }
-
-    /// Discard (zeroize) entries until at most `cap` remain. Used by
-    /// exhaustion tests to model a bank drained mid-run; discarded pads
-    /// are scrubbed exactly like consumed ones.
-    pub fn shed_to(&mut self, cap: usize) {
-        let excess = self.remaining().saturating_sub(cap);
-        drop(self.take(excess));
-    }
-}
-
-/// Receiver-side bank of precomputed random OTs: the random choice bits
-/// `c'` drawn offline together with the pads they selected. See
-/// [`OtSendBank`] for the derandomization and single-use story.
-pub struct OtRecvBank {
-    /// The offline random choice bits `c'`.
-    choices: Secret<Vec<bool>>,
-    /// The pad selected by each `c'_i`.
-    blocks: Secret<Vec<Block>>,
-    cursor: usize,
-}
-
-impl OtRecvBank {
-    /// Unconsumed instances left in the bank.
-    pub fn remaining(&self) -> usize {
-        self.blocks.expose().len() - self.cursor
-    }
-
-    /// Take `m` (choice, pad) entries, zeroizing them inside the bank.
-    fn take(&mut self, m: usize) -> (Vec<bool>, Vec<Block>) {
-        let start = self.cursor;
-        self.cursor += m;
-        let choices = self.choices.expose_mut();
-        let blocks = self.blocks.expose_mut();
-        let c = choices[start..self.cursor].to_vec();
-        let b = blocks[start..self.cursor].to_vec();
-        for x in choices[start..self.cursor].iter_mut() {
-            x.zeroize();
-        }
-        for x in blocks[start..self.cursor].iter_mut() {
-            x.zeroize();
-        }
-        (c, b)
-    }
-
-    /// Discard (zeroize) entries until at most `cap` remain; see
-    /// [`OtSendBank::shed_to`].
-    pub fn shed_to(&mut self, cap: usize) {
-        let excess = self.remaining().saturating_sub(cap);
-        let _ = self.take(excess);
-    }
+    /// Precomputed random choice bits `c'` with the pad each selected.
+    bank: Bank<(bool, Block)>,
 }
 
 impl OtSender {
     /// Bootstrap via base OTs (this side plays base-OT *receiver*).
     pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R, hasher: TweakHasher) -> OtSender {
-        let s: u128 = rng.gen();
-        // ct-ok: branchless bit extraction — `& 1 == 1` compiles to a mask
-        // test, and the resulting bools feed the branchless base-OT receive.
-        let choices: Vec<bool> = (0..KAPPA).map(|i| s >> i & 1 == 1).collect();
-        // The base-OT seeds are zeroized as each PRG consumes its seed.
-        let seeds = crate::base::receive(ch, &choices, rng);
-        let prgs = seeds
-            .iter()
-            .map(|k| Prg::from_secret(b"iknp-col", k))
-            .collect();
+        let s = Block(rng.gen());
         OtSender {
-            s: Secret::new(s),
-            prgs,
+            ext: ExtSender::setup(ch, rng, COL_LABEL, s),
             hasher,
             ctr: 0,
-            bank: None,
+            bank: Bank::new(Vec::new()),
         }
     }
 
-    /// Offline phase: bank `m` random OT instances for later derandomized
-    /// consumption. The peer must run the matching [`OtReceiver::offline`]
-    /// with the same `m`.
-    pub fn offline(&mut self, ch: &mut Channel, m: usize) -> OtSendBank {
-        let mut pairs = self.random(ch, m);
-        let mut flat = Vec::with_capacity(2 * m);
-        for &(x0, x1) in &pairs {
-            flat.push(x0);
-            flat.push(x1);
-        }
-        pairs.zeroize();
-        OtSendBank {
-            pairs: Secret::new(flat),
-            cursor: 0,
-        }
+    /// Offline phase: bank `m` random OT instances, replacing any earlier
+    /// bank; chosen-message calls consume them while enough remain. The
+    /// peer must run the matching [`OtReceiver::bank`] with the same `m`.
+    pub fn bank(&mut self, ch: &mut Channel, m: usize) {
+        self.bank = Bank::new(self.random(ch, m));
     }
 
-    /// Attach a bank produced by [`OtSender::offline`]; subsequent
-    /// chosen-message calls consume it while enough instances remain.
-    pub fn attach_bank(&mut self, bank: OtSendBank) {
-        self.bank = Some(bank);
-    }
-
-    /// Detach the current bank, if any (remaining material zeroizes when
-    /// the returned bank drops).
-    pub fn detach_bank(&mut self) -> Option<OtSendBank> {
-        self.bank.take()
-    }
-
-    /// Instances still available in the attached bank (0 when none).
+    /// Instances still available in the bank.
     pub fn bank_remaining(&self) -> usize {
-        self.bank.as_ref().map_or(0, |b| b.remaining())
+        self.bank.remaining()
+    }
+
+    /// Discard banked instances until at most `cap` remain (the exhaustion
+    /// fault hook).
+    pub fn shed_bank_to(&mut self, cap: usize) {
+        self.bank.shed_to(cap);
     }
 
     /// Random OTs extended since setup, banked or consumed inline.
@@ -211,82 +94,35 @@ impl OtSender {
     /// extension. Both parties see the same public batch sizes and bank
     /// budgets, so the pooled-vs-inline decision is always mirrored.
     fn draw_pads(&mut self, ch: &mut Channel, m: usize) -> Vec<(Block, Block)> {
-        if self.bank.as_ref().is_some_and(|b| b.remaining() >= m) {
-            if m == 0 {
-                return Vec::new();
-            }
-            // Beaver-style correction: receiver sends d = c ⊕ c'; the
-            // effective pair is (x_d, x_{1⊕d}), so position c selects
-            // x_{c'} — exactly the pad the receiver banked.
-            let d = ch.recv_bool_vec(m);
-            let taken = self.bank.as_mut().expect("bank checked above").take(m);
-            return taken
-                .iter()
-                .zip(&d)
-                .map(|(&(x0, x1), &di)| {
-                    let swap = CtChoice::from_bool(di);
-                    (
-                        Block::ct_select(swap, x1, x0),
-                        Block::ct_select(swap, x0, x1),
-                    )
-                })
-                .collect();
+        if !self.bank.covers(m) {
+            return self.random(ch, m);
         }
-        self.random(ch, m)
+        // Beaver-style correction: receiver sends d = c ⊕ c'; the
+        // effective pair is (x_d, x_{1⊕d}), so position c selects
+        // x_{c'} — exactly the pad the receiver banked.
+        let d = ch.recv_bool_vec(m);
+        self.bank
+            .take(m)
+            .iter()
+            .zip(&d)
+            .map(|(&(x0, x1), &di)| {
+                let swap = CtChoice::from_bool(di);
+                (
+                    Block::ct_select(swap, x1, x0),
+                    Block::ct_select(swap, x0, x1),
+                )
+            })
+            .collect()
     }
 
     /// Produce `m` random-message OT instances. The receiver (running
     /// [`OtReceiver::random`] with its choice bits) learns exactly one
     /// message of each returned pair.
     pub fn random(&mut self, ch: &mut Channel, m: usize) -> Vec<(Block, Block)> {
-        if m == 0 {
-            return Vec::new();
-        }
-        let row_bytes = m.div_ceil(8);
-        // The receiver ships all κ masked columns as ONE message (see
-        // `OtReceiver::random`); pull the whole bundle at once.
-        let mut u_all = vec![0u8; KAPPA * row_bytes];
-        ch.recv_into(&mut u_all);
-        // Column i of Q: G(k_{s_i}) ⊕ s_i · u_i. The s_i correlation is
-        // applied branchlessly: every column does the same XOR loop against
-        // u masked by an all-ones/all-zeros byte derived from s_i. Columns
-        // are independent given the received bundle, so large batches
-        // expand across the worker pool (partitioned by column index —
-        // public — with each worker owning its columns' rows of Q).
-        let mut q = BitMatrix::zero(KAPPA, m);
-        let mut s_bits = *self.s.expose();
-        par::with_pool_if(par::threads() > 1 && m >= OT_PAR_MIN, |pool| {
-            let s_ref = &s_bits;
-            pool.zip_chunks_mut(
-                &mut self.prgs,
-                q.as_bytes_mut(),
-                row_bytes,
-                COLS_PER_PART,
-                |i, prg, row| {
-                    prg.fill(row);
-                    let s_i = CtChoice::from_lsb((*s_ref >> i) as u8).mask_u8();
-                    for (c, &ub) in row.iter_mut().zip(&u_all[i * row_bytes..]) {
-                        *c ^= ub & s_i;
-                    }
-                },
-            );
-        });
-        let rows = q.transpose(); // m rows of κ bits
-        let mut qjs = vec![Block(0); m];
-        let mut qjs_s = vec![Block(0); m];
-        par::with_pool_if(par::threads() > 1 && m >= 2 * BLOCKS_PER_PART, |pool| {
-            pool.chunks_mut(&mut qjs, 1, BLOCKS_PER_PART, |off, chunk| {
-                for (k, b) in chunk.iter_mut().enumerate() {
-                    *b = Block(u128::from_le_bytes(
-                        rows.row(off + k).try_into().expect("κ/8 = 16 bytes"),
-                    ));
-                }
-            });
-        });
-        for (d, &qj) in qjs_s.iter_mut().zip(&qjs) {
-            *d = qj ^ Block(s_bits);
-        }
-        s_bits.zeroize();
+        // Rows q_j = t_j ⊕ c_j·s: the receiver's t_j is q_j or q_j ⊕ s.
+        let mut qjs = self.ext.extend(ch, m);
+        let s = self.ext.s().expose();
+        let mut qjs_s: Vec<Block> = qjs.iter().map(|&qj| qj ^ *s).collect();
         // Both correlated branches hashed in batched kernel dispatches
         // (internally parallel for large m).
         let h0 = self.hasher.hash_batch(&qjs, self.ctr);
@@ -332,51 +168,33 @@ impl OtSender {
 impl OtReceiver {
     /// Bootstrap via base OTs (this side plays base-OT *sender*).
     pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R, hasher: TweakHasher) -> OtReceiver {
-        // Seed pairs are zeroized on drop as each PRG consumes its seed.
-        let pairs = crate::base::send(ch, KAPPA, rng);
-        let prgs = pairs
-            .iter()
-            .map(|(k0, k1)| {
-                (
-                    Prg::from_secret(b"iknp-col", k0),
-                    Prg::from_secret(b"iknp-col", k1),
-                )
-            })
-            .collect();
         OtReceiver {
-            prgs,
+            ext: ExtReceiver::setup(ch, rng, COL_LABEL),
             hasher,
             ctr: 0,
-            bank: None,
+            bank: Bank::new(Vec::new()),
         }
     }
 
     /// Offline phase: bank `m` random OT instances with random choice bits
-    /// `c'`, to be derandomized online against the real choices. The peer
-    /// must run the matching [`OtSender::offline`] with the same `m`.
-    pub fn offline<R: Rng>(&mut self, ch: &mut Channel, m: usize, rng: &mut R) -> OtRecvBank {
+    /// `c'`, replacing any earlier bank, to be derandomized online against
+    /// the real choices. The peer must run the matching [`OtSender::bank`]
+    /// with the same `m`.
+    pub fn bank<R: Rng>(&mut self, ch: &mut Channel, m: usize, rng: &mut R) {
         let choices: Vec<bool> = (0..m).map(|_| rng.gen()).collect();
         let blocks = self.random(ch, &choices);
-        OtRecvBank {
-            choices: Secret::new(choices),
-            blocks: Secret::new(blocks),
-            cursor: 0,
-        }
+        self.bank = Bank::new(choices.into_iter().zip(blocks).collect());
     }
 
-    /// Attach a bank produced by [`OtReceiver::offline`].
-    pub fn attach_bank(&mut self, bank: OtRecvBank) {
-        self.bank = Some(bank);
-    }
-
-    /// Detach the current bank, if any.
-    pub fn detach_bank(&mut self) -> Option<OtRecvBank> {
-        self.bank.take()
-    }
-
-    /// Instances still available in the attached bank (0 when none).
+    /// Instances still available in the bank.
     pub fn bank_remaining(&self) -> usize {
-        self.bank.as_ref().map_or(0, |b| b.remaining())
+        self.bank.remaining()
+    }
+
+    /// Discard banked instances until at most `cap` remain (the exhaustion
+    /// fault hook).
+    pub fn shed_bank_to(&mut self, cap: usize) {
+        self.bank.shed_to(cap);
     }
 
     /// Random OTs extended since setup, banked or consumed inline.
@@ -389,80 +207,32 @@ impl OtReceiver {
     /// which are uniform and independent of c), else a fresh extension.
     fn draw_pads(&mut self, ch: &mut Channel, choices: &[bool]) -> Vec<Block> {
         let m = choices.len();
-        if self.bank.as_ref().is_some_and(|b| b.remaining() >= m) {
-            if m == 0 {
-                return Vec::new();
-            }
-            let (cprime, blocks) = self.bank.as_mut().expect("bank checked above").take(m);
-            // ct-ok: XOR of two bools is branchless; d is sent on the wire
-            // and is uniform because c' is.
-            let d: Vec<bool> = choices
-                .iter()
-                .zip(&cprime)
-                .map(|(&c, &cp)| c ^ cp)
-                .collect();
-            ch.send_bool_slice(&d);
-            return blocks;
+        if !self.bank.covers(m) {
+            return self.random(ch, choices);
         }
-        self.random(ch, choices)
+        // ct-ok: XOR of two bools is branchless; d is sent on the wire
+        // and is uniform because c' is.
+        let (d, blocks): (Vec<bool>, Vec<Block>) = self
+            .bank
+            .take(m)
+            .iter()
+            .zip(choices)
+            .map(|(&(cp, x), &c)| (c ^ cp, x))
+            .unzip();
+        ch.send_bool_slice(&d);
+        blocks
     }
 
     /// Obtain the message selected by each choice bit (random-message OT).
     pub fn random(&mut self, ch: &mut Channel, choices: &[bool]) -> Vec<Block> {
         let m = choices.len();
-        if m == 0 {
-            return Vec::new();
-        }
-        let row_bytes = m.div_ceil(8);
-        // Pack the choice bits without branching on them.
-        let mut r_packed = vec![0u8; row_bytes];
+        // Pack the choice bits without branching on them. Under the
+        // repetition code every column of the code matrix is this vector.
+        let mut r_packed = vec![0u8; m.div_ceil(8)];
         for (j, &c) in choices.iter().enumerate() {
             r_packed[j / 8] |= (c as u8) << (j % 8);
         }
-        // Per column: t0 = G(k0), u = G(k1) ⊕ t0 ⊕ r. Both streams for all
-        // κ columns land in one interleaved scratch (t0 then u per column)
-        // so the expansion can split across the worker pool by column
-        // index; the masked columns then go out as ONE message, which
-        // `OtSender::random` reads with a single `recv_into`.
-        let mut cols = vec![0u8; KAPPA * 2 * row_bytes];
-        par::with_pool_if(par::threads() > 1 && m >= OT_PAR_MIN, |pool| {
-            let r_ref = &r_packed;
-            pool.zip_chunks_mut(
-                &mut self.prgs,
-                &mut cols,
-                2 * row_bytes,
-                COLS_PER_PART,
-                |_, (prg0, prg1), chunk| {
-                    let (t0, u) = chunk.split_at_mut(row_bytes);
-                    prg0.fill(t0);
-                    prg1.fill(u);
-                    for k in 0..row_bytes {
-                        u[k] ^= t0[k] ^ r_ref[k];
-                    }
-                },
-            );
-        });
-        let mut t = BitMatrix::zero(KAPPA, m);
-        let mut u_all = vec![0u8; KAPPA * row_bytes];
-        for i in 0..KAPPA {
-            let chunk = &cols[i * 2 * row_bytes..(i + 1) * 2 * row_bytes];
-            t.row_mut(i).copy_from_slice(&chunk[..row_bytes]);
-            u_all[i * row_bytes..(i + 1) * row_bytes].copy_from_slice(&chunk[row_bytes..]);
-        }
-        // The t0 streams are OT-pad preimages; scrub the scratch.
-        cols.zeroize();
-        ch.send_bytes(&u_all);
-        let rows = t.transpose();
-        let mut tjs = vec![Block(0); m];
-        par::with_pool_if(par::threads() > 1 && m >= 2 * BLOCKS_PER_PART, |pool| {
-            pool.chunks_mut(&mut tjs, 1, BLOCKS_PER_PART, |off, chunk| {
-                for (k, b) in chunk.iter_mut().enumerate() {
-                    *b = Block(u128::from_le_bytes(
-                        rows.row(off + k).try_into().expect("16 bytes"),
-                    ));
-                }
-            });
-        });
+        let mut tjs = self.ext.extend(ch, m, |_| r_packed.as_slice());
         let out = self.hasher.hash_batch(&tjs, self.ctr);
         self.ctr += m as u64;
         tjs.zeroize();
@@ -637,9 +407,8 @@ mod tests {
                 let before = ch.stats().total_bytes();
                 s.send_bytes(ch, &[]);
                 s.send_blocks(ch, &[]);
-                let bank = s.offline(ch, 0);
-                assert_eq!(bank.remaining(), 0);
-                s.attach_bank(bank);
+                s.bank(ch, 0);
+                assert_eq!(s.bank_remaining(), 0);
                 assert_eq!(ch.stats().total_bytes(), before, "empty batch sent bytes");
                 ch.send_u64(0xA11C);
                 ch.recv_u64()
@@ -649,9 +418,8 @@ mod tests {
                 let mut r = OtReceiver::setup(ch, &mut rng, TweakHasher::Sha256);
                 assert!(r.recv_bytes(ch, &[], 16).is_empty());
                 assert!(r.recv_blocks(ch, &[]).is_empty());
-                let bank = r.offline(ch, 0, &mut rng);
-                assert_eq!(bank.remaining(), 0);
-                r.attach_bank(bank);
+                r.bank(ch, 0, &mut rng);
+                assert_eq!(r.bank_remaining(), 0);
                 ch.send_u64(0xB0B);
                 ch.recv_u64()
             },
@@ -715,7 +483,7 @@ mod tests {
     fn extension_is_thread_count_invariant() {
         // Same seeds, sizes crossing every parallel threshold: outputs must
         // be bit-identical at 1 and 4 threads.
-        let m = 2 * OT_PAR_MIN;
+        let m = 2 * crate::ext::OT_PAR_MIN;
         let run_at = |threads: usize| {
             secyan_par::set_threads(threads);
             let out = run_random(m, 70);
@@ -743,8 +511,7 @@ mod tests {
                 ch.set_phase(Phase::Offline);
                 let mut s =
                     OtSender::setup(ch, &mut StdRng::seed_from_u64(80), TweakHasher::Sha256);
-                let bank = s.offline(ch, 64);
-                s.attach_bank(bank);
+                s.bank(ch, 64);
                 ch.set_phase(Phase::Online);
                 s.send_blocks(ch, &p2);
                 assert_eq!(s.bank_remaining(), 0);
@@ -753,8 +520,7 @@ mod tests {
                 ch.set_phase(Phase::Offline);
                 let mut r =
                     OtReceiver::setup(ch, &mut StdRng::seed_from_u64(81), TweakHasher::Sha256);
-                let bank = r.offline(ch, 64, &mut StdRng::seed_from_u64(82));
-                r.attach_bank(bank);
+                r.bank(ch, 64, &mut StdRng::seed_from_u64(82));
                 ch.set_phase(Phase::Online);
                 r.recv_blocks(ch, &c2)
             },
@@ -782,15 +548,13 @@ mod tests {
             move |ch| {
                 let mut s =
                     OtSender::setup(ch, &mut StdRng::seed_from_u64(83), TweakHasher::Sha256);
-                let bank = s.offline(ch, 10);
-                s.attach_bank(bank);
+                s.bank(ch, 10);
                 s.send_bytes(ch, &p2);
             },
             move |ch| {
                 let mut r =
                     OtReceiver::setup(ch, &mut StdRng::seed_from_u64(84), TweakHasher::Sha256);
-                let bank = r.offline(ch, 10, &mut StdRng::seed_from_u64(85));
-                r.attach_bank(bank);
+                r.bank(ch, 10, &mut StdRng::seed_from_u64(85));
                 r.recv_bytes(ch, &c2, 16)
             },
         );
@@ -809,8 +573,7 @@ mod tests {
             move |ch| {
                 let mut s =
                     OtSender::setup(ch, &mut StdRng::seed_from_u64(86), TweakHasher::Sha256);
-                let bank = s.offline(ch, 4);
-                s.attach_bank(bank);
+                s.bank(ch, 4);
                 s.send_blocks(ch, &[mk(0), mk(1), mk(2), mk(3)]);
                 assert_eq!(s.bank_remaining(), 0);
                 s.send_blocks(ch, &[mk(10), mk(11)]);
@@ -818,8 +581,7 @@ mod tests {
             move |ch| {
                 let mut r =
                     OtReceiver::setup(ch, &mut StdRng::seed_from_u64(87), TweakHasher::Sha256);
-                let bank = r.offline(ch, 4, &mut StdRng::seed_from_u64(88));
-                r.attach_bank(bank);
+                r.bank(ch, 4, &mut StdRng::seed_from_u64(88));
                 let a = r.recv_blocks(ch, &[true, false, true, false]);
                 let b = r.recv_blocks(ch, &[false, true]);
                 (a, b)
@@ -827,35 +589,6 @@ mod tests {
         );
         assert_eq!(got1, vec![Block(77), Block(1), Block(79), Block(3)]);
         assert_eq!(got2, vec![Block(10), Block(88)]);
-    }
-
-    #[test]
-    fn bank_take_zeroizes_consumed_entries() {
-        let (_, _, _) = run_protocol(
-            |ch| {
-                let mut s =
-                    OtSender::setup(ch, &mut StdRng::seed_from_u64(89), TweakHasher::Sha256);
-                let mut bank = s.offline(ch, 8);
-                // Random pads are nonzero with overwhelming probability.
-                assert!(bank.pairs.expose().iter().any(|b| *b != Block::ZERO));
-                let taken = bank.take(8);
-                assert!(taken
-                    .iter()
-                    .any(|&(a, b)| a != Block::ZERO || b != Block::ZERO));
-                // Consumed-on-take: the bank's copies are gone.
-                assert!(bank.pairs.expose().iter().all(|b| *b == Block::ZERO));
-                assert_eq!(bank.remaining(), 0);
-            },
-            |ch| {
-                let mut r =
-                    OtReceiver::setup(ch, &mut StdRng::seed_from_u64(90), TweakHasher::Sha256);
-                let mut bank = r.offline(ch, 8, &mut StdRng::seed_from_u64(91));
-                assert!(bank.blocks.expose().iter().any(|b| *b != Block::ZERO));
-                let _ = bank.take(8);
-                assert!(bank.blocks.expose().iter().all(|b| *b == Block::ZERO));
-                assert!(bank.choices.expose().iter().all(|&c| !c));
-            },
-        );
     }
 
     #[test]

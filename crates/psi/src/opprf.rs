@@ -82,7 +82,7 @@ pub fn opprf_program<R: Rng + ?Sized>(
     opprf_program_with_key(ch, key, programs, degree, rng);
 }
 
-/// Like [`opprf_program`], but against a [`KkrtSenderKey`] the caller
+/// Like [`opprf_program`], but against a [`secyan_ot::KkrtSenderKey`] the caller
 /// already obtained via [`KkrtSender::key_batch`]. This lets protocol
 /// layers pull *all* their KKRT correction reads forward (the receiver
 /// stages every batch's corrections in one super-frame) and program the
@@ -238,7 +238,7 @@ pub fn opprf_evaluate_finish(ch: &mut Channel, pending: OpprfEval) -> Vec<u64> {
     out
 }
 
-/// Receiver side: evaluate F(b, queries[b]) for every bin.
+/// Receiver side: evaluate `F(b, queries[b])` for every bin.
 pub fn opprf_evaluate(
     ch: &mut Channel,
     kkrt: &mut KkrtReceiver,

@@ -24,10 +24,12 @@
 //! declarations, garbage bytes and protocol faults all surface as typed
 //! errors recorded in the session's [`SessionReport`], never as a panic
 //! or a hung thread.
+//!
+//! [`Channel`]: secyan_transport::Channel
 
 pub mod spec;
 
-pub use spec::{run_party, QuerySpec, RunMode, SessionRequest};
+pub use spec::{run_party, QuerySpec, RunMode, SessionRequest, MAX_RUNS};
 
 use secyan_core::{PreprocPool, ShapeKey};
 use secyan_transport::handshake::{
@@ -35,12 +37,12 @@ use secyan_transport::handshake::{
     CODE_REJECT_SHAPE, CODE_REJECT_VERSION,
 };
 use secyan_transport::{catch_protocol, tcp_endpoint, CommStats, Role, DEFAULT_IO_TIMEOUT};
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Server tuning knobs. `Default` binds an ephemeral loopback port with
 /// the transport's default I/O deadline and a short hello deadline.
@@ -185,12 +187,37 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     })
 }
 
-/// Validate the hello against the regenerated instance and answer the
-/// verdict. `Ok` carries the decoded request and its instance.
+/// The session socket under one absolute read deadline: the socket timeout
+/// is re-armed with the time remaining before every read, so a peer that
+/// dribbles bytes just inside a per-read timeout still runs out of time.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Read the hello — all of it within `hello_timeout` of this call — validate
+/// it against the regenerated instance and answer the verdict. `Ok` carries
+/// the decoded request and its instance.
 fn negotiate(
     stream: &mut TcpStream,
+    hello_timeout: Duration,
 ) -> Result<(SessionRequest, secyan_testkit::Instance, ShapeKey), String> {
-    let hello = match read_client_hello(stream) {
+    let mut reader = DeadlineReader {
+        stream,
+        deadline: Instant::now() + hello_timeout,
+    };
+    let hello = match read_client_hello(&mut reader) {
         Ok(h) => h,
         Err(e) => {
             // Answer typed rejections where the peer can still parse one;
@@ -248,16 +275,14 @@ fn run_session(
         pool_left: 0,
         stats: None,
     };
-    // The whole hello must land within the hello deadline.
-    if stream.set_read_timeout(Some(config.hello_timeout)).is_err()
-        || stream
-            .set_write_timeout(Some(config.hello_timeout))
-            .is_err()
+    if stream
+        .set_write_timeout(Some(config.hello_timeout))
+        .is_err()
     {
         report.outcome = SessionOutcome::HandshakeFailed("socket configuration failed".into());
         return report;
     }
-    let (req, inst, key) = match negotiate(&mut stream) {
+    let (req, inst, key) = match negotiate(&mut stream, config.hello_timeout) {
         Ok(x) => x,
         Err(detail) => {
             report.outcome = SessionOutcome::HandshakeFailed(detail);

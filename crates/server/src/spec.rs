@@ -130,9 +130,14 @@ pub fn run_party(
 pub struct SessionRequest {
     pub spec: QuerySpec,
     pub mode: RunMode,
-    /// Number of query executions in this session (≥ 1).
+    /// Number of query executions in this session (1 ..= [`MAX_RUNS`]).
     pub runs: u32,
 }
+
+/// Most executions one session may ask for. `Pooled` mode banks all `runs`
+/// materials before the first online run, so an unbounded count would let a
+/// client make the server hold arbitrarily much offline material.
+pub const MAX_RUNS: u32 = 64;
 
 /// Encoded size of a [`SessionRequest`]: family u8 | seed u64 LE |
 /// mode u8 | runs u32 LE.
@@ -150,7 +155,8 @@ impl SessionRequest {
     }
 
     /// Parse a hello payload. `None` on any deviation from the fixed
-    /// layout: wrong length, unknown family or mode tag, zero runs.
+    /// layout: wrong length, unknown family or mode tag, a run count
+    /// outside `1..=MAX_RUNS`.
     pub fn decode(payload: &[u8]) -> Option<SessionRequest> {
         if payload.len() != REQUEST_LEN {
             return None;
@@ -168,7 +174,7 @@ impl SessionRequest {
             _ => return None,
         };
         let runs = u32::from_le_bytes(payload[10..14].try_into().ok()?);
-        if runs == 0 {
+        if !(1..=MAX_RUNS).contains(&runs) {
             return None;
         }
         Some(SessionRequest { spec, mode, runs })
@@ -225,5 +231,10 @@ mod tests {
         let mut zero_runs = good.clone();
         zero_runs[10..14].copy_from_slice(&0u32.to_le_bytes());
         assert!(SessionRequest::decode(&zero_runs).is_none());
+        let mut runs = good.clone();
+        runs[10..14].copy_from_slice(&MAX_RUNS.to_le_bytes());
+        assert!(SessionRequest::decode(&runs).is_some(), "MAX_RUNS itself");
+        runs[10..14].copy_from_slice(&(MAX_RUNS + 1).to_le_bytes());
+        assert!(SessionRequest::decode(&runs).is_none(), "over MAX_RUNS");
     }
 }

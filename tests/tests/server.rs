@@ -13,7 +13,7 @@ use secyan_server::{serve, QuerySpec, RunMode, ServerConfig, SessionOutcome, Ses
 use secyan_testkit::oracle;
 use secyan_transport::handshake::{
     read_server_hello, write_client_hello, ClientHello, HandshakeError, CODE_REJECT_MALFORMED,
-    CODE_REJECT_SHAPE, CODE_REJECT_VERSION, PROTOCOL_VERSION,
+    CODE_REJECT_SHAPE, CODE_REJECT_VERSION, MAX_HELLO_PAYLOAD, PROTOCOL_VERSION,
 };
 use secyan_transport::Role;
 use std::collections::BTreeSet;
@@ -34,6 +34,18 @@ fn client_config(addr: SocketAddr) -> ClientConfig {
 fn expected_shape_key(spec: &QuerySpec) -> u64 {
     let inst = spec.instance();
     ShapeKey::of(&inst.query(), &inst.sizes(), Role::Alice, inst.ell as usize).0
+}
+
+/// A hand-rolled hello header — magic | version | ell | shape_key |
+/// declared payload length — with no payload behind it.
+fn hello_header(payload_len: u32) -> Vec<u8> {
+    let mut hello = Vec::new();
+    hello.extend_from_slice(b"SYH1");
+    hello.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+    hello.extend_from_slice(&64u32.to_le_bytes());
+    hello.extend_from_slice(&0u64.to_le_bytes());
+    hello.extend_from_slice(&payload_len.to_le_bytes());
+    hello
 }
 
 /// Run one well-formed session against `addr` and assert the revealed
@@ -184,14 +196,8 @@ fn oversized_hello_declaration_is_rejected_promptly() {
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("read timeout");
-    // Hand-rolled hello header: magic | version | ell | shape_key, then a
-    // hostile declared payload length with no body behind it.
-    let mut hello = Vec::new();
-    hello.extend_from_slice(b"SYH1");
-    hello.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    hello.extend_from_slice(&64u32.to_le_bytes());
-    hello.extend_from_slice(&0u64.to_le_bytes());
-    hello.extend_from_slice(&u32::MAX.to_le_bytes());
+    // A hostile declared payload length with no body behind it.
+    let hello = hello_header(u32::MAX);
     let started = Instant::now();
     stream.write_all(&hello).expect("write hostile hello");
     match read_server_hello(&mut stream) {
@@ -216,9 +222,10 @@ fn oversized_hello_declaration_is_rejected_promptly() {
     );
 }
 
-/// A well-formed hello whose payload is not a session request, and one
-/// whose declared shape key disagrees with its own request, each get
-/// their dedicated typed verdicts.
+/// A well-formed hello whose payload is not a session request, one whose
+/// declared shape key disagrees with its own request, and one asking for
+/// more runs than a session may bank, each get their dedicated typed
+/// verdicts.
 #[test]
 fn bad_payload_and_shape_mismatch_are_rejected_typed() {
     let handle = serve(ServerConfig::default()).expect("server binds");
@@ -247,6 +254,22 @@ fn bad_payload_and_shape_mismatch_are_rejected_typed() {
                 payload: req.encode(),
             },
             CODE_REJECT_SHAPE,
+        ),
+        (
+            // Valid shape, but a run count that would have the server bank
+            // four billion materials before the first online run.
+            ClientHello {
+                version: PROTOCOL_VERSION,
+                ell: req.spec.instance().ell,
+                shape_key: expected_shape_key(&req.spec),
+                payload: SessionRequest {
+                    mode: RunMode::Pooled,
+                    runs: u32::MAX,
+                    ..req
+                }
+                .encode(),
+            },
+            CODE_REJECT_MALFORMED,
         ),
     ] {
         let mut stream = TcpStream::connect(handle.addr()).expect("connect");
@@ -296,6 +319,54 @@ fn half_open_connect_times_out_typed() {
         &SessionRequest {
             spec: QuerySpec::Chain { seed: 0 },
             mode: RunMode::PhaseSplit,
+            runs: 1,
+        },
+    );
+}
+
+/// A peer that declares the largest payload a hello may carry and then
+/// dribbles it one byte per half deadline stays inside every per-read
+/// timeout; the hello deadline is absolute, so the session is still cut —
+/// a typed handshake failure within twice the deadline — and the server
+/// keeps serving.
+#[test]
+fn slow_hello_is_cut_at_the_deadline() {
+    let hello_timeout = Duration::from_secs(1);
+    let config = ServerConfig {
+        hello_timeout,
+        ..ServerConfig::default()
+    };
+    let handle = serve(config).expect("server binds");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    let hello = hello_header(MAX_HELLO_PAYLOAD as u32);
+    let started = Instant::now();
+    stream.write_all(&hello).expect("write hello header");
+    let mut last_byte = started;
+    loop {
+        if let Some(r) = handle.reports().first() {
+            assert!(
+                matches!(r.outcome, SessionOutcome::HandshakeFailed(_)),
+                "slow hello produced {:?}, not a handshake failure",
+                r.outcome
+            );
+            break;
+        }
+        assert!(
+            started.elapsed() < 2 * hello_timeout,
+            "a dribbled hello still holds its session thread after twice the hello deadline"
+        );
+        if last_byte.elapsed() >= hello_timeout / 2 {
+            // The server may already have hung up; that is the point.
+            let _ = stream.write_all(&[0]);
+            last_byte = Instant::now();
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    run_good_session(
+        handle.addr(),
+        &SessionRequest {
+            spec: QuerySpec::Chain { seed: 0 },
+            mode: RunMode::Single,
             runs: 1,
         },
     );
