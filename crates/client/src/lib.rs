@@ -21,11 +21,12 @@ use secyan_core::{PreprocPool, ShapeKey};
 use secyan_server::{run_party, SessionRequest};
 use secyan_testkit::{canonical_result, Rows};
 use secyan_transport::handshake::{
-    read_server_hello, write_client_hello, ClientHello, HandshakeError, PROTOCOL_VERSION,
+    read_server_hello, write_client_hello, ClientHello, DeadlineReader, HandshakeError,
+    PROTOCOL_VERSION,
 };
 use secyan_transport::{catch_protocol, tcp_endpoint, CommStats, ProtocolError, Role};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Client tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -97,11 +98,11 @@ pub fn run_session(cfg: &ClientConfig, req: &SessionRequest) -> Result<RunOutcom
     let sizes = inst.sizes();
     let ring = inst.ring_ctx();
     let key = ShapeKey::of(&query, &sizes, Role::Alice, inst.ell as usize);
+    let hello_deadline = Instant::now() + cfg.hello_timeout;
     let mut stream =
         TcpStream::connect_timeout(&cfg.addr, cfg.hello_timeout).map_err(ClientError::Io)?;
     stream
-        .set_read_timeout(Some(cfg.hello_timeout))
-        .and_then(|()| stream.set_write_timeout(Some(cfg.hello_timeout)))
+        .set_write_timeout(Some(cfg.hello_timeout))
         .map_err(ClientError::Io)?;
     write_client_hello(
         &mut stream,
@@ -113,7 +114,8 @@ pub fn run_session(cfg: &ClientConfig, req: &SessionRequest) -> Result<RunOutcom
         },
     )
     .map_err(ClientError::Handshake)?;
-    read_server_hello(&mut stream).map_err(ClientError::Handshake)?;
+    read_server_hello(&mut DeadlineReader::new(&stream, hello_deadline))
+        .map_err(ClientError::Handshake)?;
     let mut ch =
         tcp_endpoint(Role::Alice, stream, Some(cfg.io_timeout)).map_err(ClientError::Io)?;
     let mut pool = PreprocPool::new();

@@ -28,6 +28,6 @@ pub use protocol::{
 };
 pub use scheme::{EvalTables, Garbling};
 pub use shares::{
-    evaluate_shared, evaluate_shared_banked, evaluate_shared_begin, evaluate_shared_finish,
-    garble_shared, garble_shared_banked, with_shared_outputs, SharedInput, SharedOutputSpec,
+    evaluate_shared, evaluate_shared_banked, evaluate_shared_finish, garble_shared,
+    garble_shared_banked, with_shared_outputs, SharedInput, SharedOutputSpec,
 };

@@ -158,22 +158,8 @@ fn draw_masks<R: Rng + ?Sized>(
     (mask_bits, shares)
 }
 
-/// First half of the shared-output evaluator: stage the OT corrections
-/// for `my_inputs` (send-only — see [`evaluate_begin`]) so further
-/// dependency-free messages can share the outbound super-frame before
-/// [`evaluate_shared_finish`] blocks on the garbler. Pass the pre-received
-/// tables when the circuit was planned offline, `None` for inline tables.
-pub fn evaluate_shared_begin(
-    ch: &mut Channel,
-    circuit: &Circuit,
-    material: Option<EvalMaterial>,
-    my_inputs: &[bool],
-    ot: &mut OtReceiver,
-) -> EvalPending {
-    evaluate_begin(ch, circuit, material, my_inputs, ot)
-}
-
-/// Second half of the shared-output evaluator: receive and evaluate,
+/// Second half of the shared-output evaluator, after [`evaluate_begin`]
+/// staged the OT corrections for `my_inputs`: receive and evaluate,
 /// returning the evaluator's arithmetic shares, one per output word.
 pub fn evaluate_shared_finish(
     ch: &mut Channel,
@@ -210,7 +196,7 @@ pub fn evaluate_shared_banked(
     hasher: TweakHasher,
 ) -> Vec<u64> {
     let material = take_eval(bank, circuit);
-    let pending = evaluate_shared_begin(ch, circuit, material, my_inputs, ot);
+    let pending = evaluate_begin(ch, circuit, material, my_inputs, ot);
     evaluate_shared_finish(ch, circuit, pending, spec, my_inputs, ot, hasher)
 }
 

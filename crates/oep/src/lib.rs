@@ -14,18 +14,16 @@
 //! * [`osn`] — the oblivious switching network: one 1-out-of-2 OT per
 //!   switch translates Bob's additively masked values through the network
 //!   while only Alice knows the switch settings. Õ(M + N) total cost.
-//! * [`protocol`] — the user-facing OEP: plain (Bob knows x) and shared
-//!   (x itself is secret-shared, the case the paper needs for intermediate
-//!   annotations).
+//! * [`protocol`] — the user-facing OEP over a secret-shared x (the case
+//!   the paper needs for intermediate annotations); plain OEP, where Bob
+//!   knows x, is the same call with all-zero shares on Alice's side.
 
 pub mod network;
 pub mod osn;
 pub mod protocol;
 
 pub use network::{EpNetwork, PermNetwork};
-pub use osn::{osn_perm_holder, osn_perm_holder_begin, osn_perm_holder_finish, OsnPending};
 pub use protocol::{
-    oep_ot_count, oep_perm_holder, oep_perm_holder_begin, oep_perm_holder_finish, oep_value_holder,
-    shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
+    oep_ot_count, shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
     shared_oep_perm_holder_finish, OepPending,
 };

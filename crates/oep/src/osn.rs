@@ -44,7 +44,7 @@ fn dec_pair(raw: &[u8]) -> (u64, u64) {
 
 /// Bob's side: push `values` (padded internally) through the extended
 /// permutation network. Returns Bob's output shares (one per output).
-pub fn osn_value_holder<R: Rng + ?Sized>(
+pub(crate) fn osn_value_holder<R: Rng + ?Sized>(
     ch: &mut Channel,
     net: &EpNetwork,
     values: &[u64],
@@ -163,7 +163,7 @@ fn holder_stage(
 /// Routing-holder state between [`osn_perm_holder_begin`] and
 /// [`osn_perm_holder_finish`]: the OT choice bits (switch controls) and
 /// their staged pads.
-pub struct OsnPending {
+pub(crate) struct OsnPending {
     choices: Vec<bool>,
     pads: Vec<Block>,
 }
@@ -175,7 +175,7 @@ pub struct OsnPending {
 /// [`osn_perm_holder_finish`] blocks on the masked values. The value
 /// holder reads the corrections inside `ot.send_bytes` only after staging
 /// init + pairs, so per-direction FIFO order is unchanged.
-pub fn osn_perm_holder_begin(
+pub(crate) fn osn_perm_holder_begin(
     ch: &mut Channel,
     routing: &EpRouting,
     ot: &mut OtReceiver,
@@ -190,7 +190,7 @@ pub fn osn_perm_holder_begin(
 
 /// Second half of the routing-holder side: receive the masked values and
 /// correction messages, then walk the network. Receive-only.
-pub fn osn_perm_holder_finish(
+pub(crate) fn osn_perm_holder_finish(
     ch: &mut Channel,
     net: &EpNetwork,
     routing: &EpRouting,
@@ -237,20 +237,6 @@ pub fn osn_perm_holder_finish(
     vals
 }
 
-/// Alice's side: walk the masked values through the network using her
-/// routing. Returns Alice's output shares. Implemented as
-/// [`osn_perm_holder_begin`] + [`osn_perm_holder_finish`].
-pub fn osn_perm_holder(
-    ch: &mut Channel,
-    net: &EpNetwork,
-    routing: &EpRouting,
-    ring: RingCtx,
-    ot: &mut OtReceiver,
-) -> Vec<u64> {
-    let pending = osn_perm_holder_begin(ch, routing, ot);
-    osn_perm_holder_finish(ch, net, routing, pending, ring, ot)
-}
-
 /// One permutation stage on the routing holder's side, mirroring
 /// [`holder_stage`]: within a layer every switch reads the pre-layer
 /// values of its two (disjoint) positions, so the corrected values are
@@ -295,6 +281,18 @@ mod tests {
 
     /// The one hasher choice shared by every OT setup in these tests.
     const HASHER: TweakHasher = TweakHasher::Aes;
+
+    /// The routing holder's two halves back to back.
+    fn osn_perm_holder(
+        ch: &mut Channel,
+        net: &EpNetwork,
+        routing: &EpRouting,
+        ring: RingCtx,
+        ot: &mut OtReceiver,
+    ) -> Vec<u64> {
+        let pending = osn_perm_holder_begin(ch, routing, ot);
+        osn_perm_holder_finish(ch, net, routing, pending, ring, ot)
+    }
 
     fn run_osn(values: Vec<u64>, xi: Vec<usize>, ell: u32) -> Vec<u64> {
         let ring = RingCtx::new(ell);

@@ -1,15 +1,14 @@
-//! The user-facing OEP protocols (paper §5.4).
+//! The user-facing OEP protocol (paper §5.4).
 //!
-//! Two flavours:
+//! **Shared OEP** — the values are themselves secret-shared (the usual
+//! situation for intermediate annotations), Alice additionally holds
+//! ξ : \[N\] → \[M\]; they end with fresh shares of x_{ξ(i)}. Following the
+//! paper: push Bob's shares through the oblivious switching network, then
+//! Alice locally adds her own permuted shares; the OSN's fresh masks
+//! re-randomize everything, so neither party links old and new shares.
 //!
-//! * **Plain OEP** — Bob knows the values x₁..x_M in the clear, Alice holds
-//!   ξ : \[N\] → \[M\]; they end with fresh shares of x_{ξ(i)}. Direct wrapper
-//!   over the oblivious switching network.
-//! * **Shared OEP** — the values are themselves secret-shared (the usual
-//!   situation for intermediate annotations). Following the paper: run
-//!   plain OEP on Bob's shares, then Alice locally adds her own permuted
-//!   shares; the OSN's fresh masks re-randomize everything, so neither
-//!   party links old and new shares.
+//! **Plain OEP** — Bob knows x₁..x_M in the clear — is the special case
+//! where Alice's shares are all zero.
 
 use rand::Rng;
 use secyan_crypto::RingCtx;
@@ -25,22 +24,9 @@ pub fn oep_ot_count(n_in: usize, n_out: usize) -> usize {
     EpNetwork::new(n_in, n_out).switch_count()
 }
 
-/// Plain OEP, value-holder side (Bob). Returns Bob's output shares.
-pub fn oep_value_holder<R: Rng + ?Sized>(
-    ch: &mut Channel,
-    values: &[u64],
-    n_out: usize,
-    ring: RingCtx,
-    ot: &mut OtSender,
-    rng: &mut R,
-) -> Vec<u64> {
-    let net = EpNetwork::new(values.len(), n_out);
-    osn_value_holder(ch, &net, values, ring, ot, rng)
-}
-
-/// Permutation-holder state between [`oep_perm_holder_begin`] and
-/// [`oep_perm_holder_finish`]: the derived network, routing, ξ, and the
-/// staged OSN corrections.
+/// Permutation-holder state between [`shared_oep_perm_holder_begin`] and
+/// [`shared_oep_perm_holder_finish`]: the derived network, routing, ξ, and
+/// the staged OSN corrections.
 pub struct OepPending {
     net: EpNetwork,
     routing: EpRouting,
@@ -49,12 +35,13 @@ pub struct OepPending {
 }
 
 /// First half of the permutation-holder side: derive the network from the
-/// public dimensions, route ξ through it, and stage the OT correction
-/// bits. Send-only — the caller can stage further dependency-free
-/// messages (e.g. a later operator's corrections) into the same outbound
-/// super-frame before [`oep_perm_holder_finish`] blocks on the value
-/// holder's masked values.
-pub fn oep_perm_holder_begin(
+/// public dimensions (`xi[o]` is the input index feeding output `o`;
+/// `n_in` is the public input length), route ξ through it, and stage the
+/// OT correction bits. Send-only — the caller can stage further
+/// dependency-free messages (e.g. a later operator's corrections) into
+/// the same outbound super-frame before [`shared_oep_perm_holder_finish`]
+/// blocks on the other side's masked values.
+pub fn shared_oep_perm_holder_begin(
     ch: &mut Channel,
     xi: &[usize],
     n_in: usize,
@@ -72,44 +59,8 @@ pub fn oep_perm_holder_begin(
 }
 
 /// Second half of the permutation-holder side: receive and walk the
-/// network. Receive-only.
-pub fn oep_perm_holder_finish(
-    ch: &mut Channel,
-    pending: OepPending,
-    ring: RingCtx,
-    ot: &mut OtReceiver,
-) -> Vec<u64> {
-    osn_perm_holder_finish(ch, &pending.net, &pending.routing, pending.osn, ring, ot)
-}
-
-/// Plain OEP, permutation-holder side (Alice). `xi[o]` is the input index
-/// feeding output `o`; `n_in` is Bob's (public) vector length. Returns
-/// Alice's output shares.
-pub fn oep_perm_holder(
-    ch: &mut Channel,
-    xi: &[usize],
-    n_in: usize,
-    ring: RingCtx,
-    ot: &mut OtReceiver,
-) -> Vec<u64> {
-    let pending = oep_perm_holder_begin(ch, xi, n_in, ot);
-    oep_perm_holder_finish(ch, pending, ring, ot)
-}
-
-/// First half of the shared-OEP permutation-holder side: identical wire
-/// behavior to [`oep_perm_holder_begin`]; the share addition happens at
-/// finish time.
-pub fn shared_oep_perm_holder_begin(
-    ch: &mut Channel,
-    xi: &[usize],
-    n_in: usize,
-    ot: &mut OtReceiver,
-) -> OepPending {
-    oep_perm_holder_begin(ch, xi, n_in, ot)
-}
-
-/// Second half of the shared-OEP permutation-holder side: finish the OSN
-/// walk and locally add the ξ-permutation of `my_shares`.
+/// network (receive-only), then locally add the ξ-permutation of
+/// `my_shares`.
 pub fn shared_oep_perm_holder_finish(
     ch: &mut Channel,
     pending: OepPending,
@@ -118,8 +69,13 @@ pub fn shared_oep_perm_holder_finish(
     ot: &mut OtReceiver,
 ) -> Vec<u64> {
     assert_eq!(my_shares.len(), pending.net.n_in, "share vector arity");
-    let xi = pending.xi.clone();
-    let fresh = oep_perm_holder_finish(ch, pending, ring, ot);
+    let OepPending {
+        net,
+        routing,
+        xi,
+        osn,
+    } = pending;
+    let fresh = osn_perm_holder_finish(ch, &net, &routing, osn, ring, ot);
     // Locally add the permutation of her own shares (she knows ξ).
     fresh
         .iter()
@@ -141,8 +97,9 @@ pub fn shared_oep_perm_holder(
     shared_oep_perm_holder_finish(ch, pending, my_shares, ring, ot)
 }
 
-/// Shared OEP, other side: Bob holds only his shares of the input vector.
-/// Returns Bob's shares of the permuted vector.
+/// Shared OEP, other side: Bob holds only his shares of the input vector
+/// (or, for plain OEP, the values themselves). Returns Bob's shares of the
+/// permuted vector.
 pub fn shared_oep_other<R: Rng + ?Sized>(
     ch: &mut Channel,
     my_shares: &[u64],
@@ -151,7 +108,8 @@ pub fn shared_oep_other<R: Rng + ?Sized>(
     ot: &mut OtSender,
     rng: &mut R,
 ) -> Vec<u64> {
-    oep_value_holder(ch, my_shares, n_out, ring, ot, rng)
+    let net = EpNetwork::new(my_shares.len(), n_out);
+    osn_value_holder(ch, &net, my_shares, ring, ot, rng)
 }
 
 #[cfg(test)]
@@ -228,12 +186,13 @@ mod tests {
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(7);
                 let mut ot = OtReceiver::setup(ch, &mut rng, HASHER);
-                oep_perm_holder(ch, &xi, 3, ring, &mut ot)
+                // Plain OEP: Bob knows the values, Alice's shares are zero.
+                shared_oep_perm_holder(ch, &xi, &[0; 3], ring, &mut ot)
             },
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(8);
                 let mut ot = OtSender::setup(ch, &mut rng, HASHER);
-                oep_value_holder(ch, &v2, 5, ring, &mut ot, &mut rng)
+                shared_oep_other(ch, &v2, 5, ring, &mut ot, &mut rng)
             },
         );
         let got = ring.reconstruct_vec(&a_out, &b_out);

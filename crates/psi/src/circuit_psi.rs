@@ -18,8 +18,8 @@ use rand::Rng;
 use secyan_circuit::{u64_to_bits, Circuit};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_gc::{
-    evaluate_shared_begin, evaluate_shared_finish, evaluator_ot_count, garble_shared_banked,
-    take_eval, with_shared_outputs, EvalMaterial, EvalPending, GarbleMaterial, SharedOutputSpec,
+    evaluate_begin, evaluate_shared_finish, evaluator_ot_count, garble_shared_banked, take_eval,
+    with_shared_outputs, EvalMaterial, EvalPending, GarbleMaterial, SharedOutputSpec,
 };
 use secyan_oep::oep_ot_count;
 use secyan_ot::{KkrtReceiver, KkrtSender, KkrtSenderKey, OtReceiver, OtSender};
@@ -263,7 +263,7 @@ pub fn psi_receiver_begin(
         my_bits.extend(u64_to_bits(p[b], 64));
     }
     let material = take_eval(gc_bank, &circuit);
-    let gc = evaluate_shared_begin(ch, &circuit, material, &my_bits, ot);
+    let gc = evaluate_begin(ch, &circuit, material, &my_bits, ot);
     PsiReceiverPending {
         cuckoo,
         circuit,

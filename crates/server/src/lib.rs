@@ -33,11 +33,12 @@ pub use spec::{run_party, QuerySpec, RunMode, SessionRequest, MAX_RUNS};
 
 use secyan_core::{PreprocPool, ShapeKey};
 use secyan_transport::handshake::{
-    read_client_hello, write_server_hello, HandshakeError, CODE_ACCEPT, CODE_REJECT_MALFORMED,
-    CODE_REJECT_SHAPE, CODE_REJECT_VERSION,
+    read_client_hello, write_server_hello, DeadlineReader, HandshakeError, CODE_ACCEPT,
+    CODE_REJECT_MALFORMED, CODE_REJECT_SHAPE, CODE_REJECT_VERSION,
 };
 use secyan_transport::{catch_protocol, tcp_endpoint, CommStats, Role, DEFAULT_IO_TIMEOUT};
-use std::io::{self, Read};
+use std::collections::VecDeque;
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -106,12 +107,44 @@ pub struct SessionReport {
     pub stats: Option<CommStats>,
 }
 
+/// How many session reports a server retains. Every accepted connection
+/// produces one — a peer that only opens and drops sockets included — so
+/// an unbounded list would grow for as long as the server lives.
+pub const MAX_REPORTS: usize = 1 << 16;
+
+/// The most recent `cap` reports, oldest first.
+struct ReportRing {
+    cap: usize,
+    reports: VecDeque<SessionReport>,
+}
+
+impl ReportRing {
+    fn new(cap: usize) -> ReportRing {
+        ReportRing {
+            cap,
+            reports: VecDeque::new(),
+        }
+    }
+
+    /// Append `report`, evicting the oldest one once `cap` are held.
+    fn push(&mut self, report: SessionReport) {
+        if self.reports.len() == self.cap {
+            self.reports.pop_front();
+        }
+        self.reports.push_back(report);
+    }
+
+    fn snapshot(&self) -> Vec<SessionReport> {
+        self.reports.iter().cloned().collect()
+    }
+}
+
 /// A running server. Dropping the handle stops it.
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    reports: Arc<Mutex<Vec<SessionReport>>>,
+    reports: Arc<Mutex<ReportRing>>,
 }
 
 impl ServerHandle {
@@ -120,9 +153,14 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Snapshot of every session report so far, in completion order.
+    /// Snapshot of the session reports so far, in completion order. Only
+    /// the most recent [`MAX_REPORTS`] are retained; older ones are
+    /// evicted oldest first.
     pub fn reports(&self) -> Vec<SessionReport> {
-        self.reports.lock().expect("reports lock poisoned").clone()
+        self.reports
+            .lock()
+            .expect("reports lock poisoned")
+            .snapshot()
     }
 
     /// Stop accepting and wait for in-flight sessions to finish.
@@ -149,7 +187,7 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(config.addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let reports = Arc::new(Mutex::new(Vec::new()));
+    let reports = Arc::new(Mutex::new(ReportRing::new(MAX_REPORTS)));
     let (stop2, reports2) = (Arc::clone(&stop), Arc::clone(&reports));
     let accept_thread = std::thread::spawn(move || {
         let mut sessions: Vec<JoinHandle<()>> = Vec::new();
@@ -187,25 +225,6 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     })
 }
 
-/// The session socket under one absolute read deadline: the socket timeout
-/// is re-armed with the time remaining before every read, so a peer that
-/// dribbles bytes just inside a per-read timeout still runs out of time.
-struct DeadlineReader<'a> {
-    stream: &'a TcpStream,
-    deadline: Instant,
-}
-
-impl Read for DeadlineReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let left = self.deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(io::ErrorKind::TimedOut.into());
-        }
-        self.stream.set_read_timeout(Some(left))?;
-        self.stream.read(buf)
-    }
-}
-
 /// Read the hello — all of it within `hello_timeout` of this call — validate
 /// it against the regenerated instance and answer the verdict. `Ok` carries
 /// the decoded request and its instance.
@@ -213,10 +232,7 @@ fn negotiate(
     stream: &mut TcpStream,
     hello_timeout: Duration,
 ) -> Result<(SessionRequest, secyan_testkit::Instance, ShapeKey), String> {
-    let mut reader = DeadlineReader {
-        stream,
-        deadline: Instant::now() + hello_timeout,
-    };
+    let mut reader = DeadlineReader::new(stream, Instant::now() + hello_timeout);
     let hello = match read_client_hello(&mut reader) {
         Ok(h) => h,
         Err(e) => {
@@ -312,4 +328,37 @@ fn run_session(
         Err(e) => SessionOutcome::ProtocolFailed(e.to_string()),
     };
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(id: u64) -> SessionReport {
+        SessionReport {
+            id,
+            peer: None,
+            outcome: SessionOutcome::HandshakeFailed(format!("session {id}")),
+            shape_key: None,
+            pool_hits: 0,
+            pool_misses: 0,
+            pool_left: 0,
+            stats: None,
+        }
+    }
+
+    #[test]
+    fn report_ring_evicts_oldest_first() {
+        let mut ring = ReportRing::new(4);
+        let ids = |ring: &ReportRing| ring.snapshot().iter().map(|r| r.id).collect::<Vec<_>>();
+        for id in 0..3 {
+            ring.push(report(id));
+        }
+        assert_eq!(ids(&ring), [0, 1, 2], "below capacity nothing is evicted");
+        for id in 3..7 {
+            ring.push(report(id));
+        }
+        // The four most recent, still in completion order, ids monotonic.
+        assert_eq!(ids(&ring), [3, 4, 5, 6]);
+    }
 }

@@ -119,17 +119,6 @@ pub struct NetModel {
     pub one_way_latency_us: u64,
 }
 
-impl NetModel {
-    /// A conventional WAN point: `mbit_per_sec` Mbit/s symmetric with 1 ms
-    /// one-way latency. MPC evaluations commonly report 10–100 Mbit/s.
-    pub fn wan(mbit_per_sec: u64) -> NetModel {
-        NetModel {
-            bandwidth_bits_per_sec: mbit_per_sec * 1_000_000,
-            one_way_latency_us: 1_000,
-        }
-    }
-}
-
 /// Which of the two parties an endpoint belongs to.
 ///
 /// Following the paper's convention, *Alice* is the designated receiver of
@@ -152,6 +141,11 @@ impl Role {
     /// True for [`Role::Alice`].
     pub fn is_alice(self) -> bool {
         matches!(self, Role::Alice)
+    }
+
+    /// Cell of this party's outgoing direction in per-direction counters.
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -219,45 +213,110 @@ impl Pipe {
     }
 }
 
-/// Shared counters observed by both endpoints and the harness.
+/// One scope's counters: logical messages at stage time, wire frames at
+/// flush time, each with its own direction-switch detector. Per-direction
+/// cells are indexed by [`Role::index`] of the sender.
+#[derive(Debug, Default)]
+struct Counters {
+    bytes: [AtomicU64; 2],
+    messages: [AtomicU64; 2],
+    /// Direction switches in staged message order.
+    rounds: AtomicU64,
+    /// Sender of the previous message: 0 = none yet, else `index + 1`.
+    last_message: AtomicU64,
+    frames: [AtomicU64; 2],
+    /// Direction switches among flushed frames.
+    super_rounds: AtomicU64,
+    /// Sender of the previous frame, encoded like `last_message`.
+    last_frame: AtomicU64,
+}
+
+impl Counters {
+    /// Count one logical message of `len` payload bytes from `sender`.
+    fn message(&self, sender: Role, len: usize) {
+        self.bytes[sender.index()].fetch_add(len as u64, Ordering::Relaxed);
+        self.messages[sender.index()].fetch_add(1, Ordering::Relaxed);
+        let dir = sender.index() as u64 + 1;
+        if self.last_message.swap(dir, Ordering::Relaxed) != dir {
+            self.rounds.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Count one wire frame from `sender`; true if it switched the wire
+    /// direction within this scope (a super-round boundary).
+    fn frame(&self, sender: Role) -> bool {
+        self.frames[sender.index()].fetch_add(1, Ordering::Relaxed);
+        let dir = sender.index() as u64 + 1;
+        let switched = self.last_frame.swap(dir, Ordering::Relaxed) != dir;
+        if switched {
+            self.super_rounds.fetch_add(1, Ordering::Relaxed);
+        }
+        switched
+    }
+}
+
+/// Shared counters observed by both endpoints and the harness: one
+/// [`Counters`] over all traffic and one per split phase. An event is
+/// counted in `total` and in the scope of the phase the counting endpoint
+/// is in ([`Phase::Single`] traffic has no scope of its own), so each
+/// phase's rounds are direction switches among that phase's traffic only.
 #[derive(Debug, Default)]
 struct Meter {
-    bytes_alice_to_bob: AtomicU64,
-    bytes_bob_to_alice: AtomicU64,
-    messages_alice_to_bob: AtomicU64,
-    messages_bob_to_alice: AtomicU64,
-    rounds: AtomicU64,
-    /// Encodes the direction of the previous message so a direction switch
-    /// can be detected: 0 = none yet, 1 = Alice→Bob, 2 = Bob→Alice.
-    last_dir: AtomicU64,
-    /// Payload bytes sent while an endpoint was in [`Phase::Offline`].
-    offline_bytes: AtomicU64,
-    /// Payload bytes sent while an endpoint was in [`Phase::Online`].
-    online_bytes: AtomicU64,
-    /// Direction switches among offline-phase messages.
-    offline_rounds: AtomicU64,
-    /// Direction switches among online-phase messages.
-    online_rounds: AtomicU64,
-    /// `last_dir`, restricted to offline-phase traffic.
-    last_dir_offline: AtomicU64,
-    /// `last_dir`, restricted to online-phase traffic.
-    last_dir_online: AtomicU64,
-    /// Wire frames shipped by Alice (fault plans index these).
-    frames_alice_to_bob: AtomicU64,
-    /// Wire frames shipped by Bob.
-    frames_bob_to_alice: AtomicU64,
-    /// Wire-level direction switches (counted at flush time, per frame).
-    super_rounds: AtomicU64,
-    /// `last_dir` for wire frames.
-    last_dir_wire: AtomicU64,
-    /// Wire-level direction switches among offline-phase frames.
-    offline_super_rounds: AtomicU64,
-    /// Wire-level direction switches among online-phase frames.
-    online_super_rounds: AtomicU64,
-    /// `last_dir_wire`, restricted to offline-phase frames.
-    last_dir_wire_offline: AtomicU64,
-    /// `last_dir_wire`, restricted to online-phase frames.
-    last_dir_wire_online: AtomicU64,
+    total: Counters,
+    offline: Counters,
+    online: Counters,
+}
+
+impl Meter {
+    fn phase_scope(&self, phase: Phase) -> Option<&Counters> {
+        match phase {
+            Phase::Single => None,
+            Phase::Offline => Some(&self.offline),
+            Phase::Online => Some(&self.online),
+        }
+    }
+
+    /// Logical per-message accounting for one message sent by `sender`
+    /// while the counting endpoint is in `phase`.
+    fn message(&self, phase: Phase, sender: Role, len: usize) {
+        self.total.message(sender, len);
+        if let Some(scope) = self.phase_scope(phase) {
+            scope.message(sender, len);
+        }
+    }
+
+    /// Wire-level per-frame accounting for one frame sent by `sender`.
+    /// Returns whether the frame switched the wire direction (a
+    /// super-round boundary — the latency payment under [`NetModel`]).
+    fn frame(&self, phase: Phase, sender: Role) -> bool {
+        if let Some(scope) = self.phase_scope(phase) {
+            scope.frame(sender);
+        }
+        self.total.frame(sender)
+    }
+
+    fn stats(&self) -> CommStats {
+        let get = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        let (a, b) = (Role::Alice.index(), Role::Bob.index());
+        let (total, offline, online) = (&self.total, &self.offline, &self.online);
+        CommStats {
+            bytes_alice_to_bob: get(&total.bytes[a]),
+            bytes_bob_to_alice: get(&total.bytes[b]),
+            messages_alice_to_bob: get(&total.messages[a]),
+            messages_bob_to_alice: get(&total.messages[b]),
+            messages: get(&total.messages[a]) + get(&total.messages[b]),
+            rounds: get(&total.rounds),
+            offline_bytes: get(&offline.bytes[a]) + get(&offline.bytes[b]),
+            online_bytes: get(&online.bytes[a]) + get(&online.bytes[b]),
+            offline_rounds: get(&offline.rounds),
+            online_rounds: get(&online.rounds),
+            frames_alice_to_bob: get(&total.frames[a]),
+            frames_bob_to_alice: get(&total.frames[b]),
+            super_rounds: get(&total.super_rounds),
+            offline_super_rounds: get(&offline.super_rounds),
+            online_super_rounds: get(&online.super_rounds),
+        }
+    }
 }
 
 /// A snapshot of the communication counters after (or during) a protocol run.
@@ -481,7 +540,7 @@ impl std::fmt::Debug for Channel {
 /// Create a connected pair of endpoints: `(alice, bob)`. No transcript is
 /// recorded — the hot path takes no lock per message.
 pub fn channel_pair() -> (Channel, Channel) {
-    make_pair(None)
+    mpsc_pair(None)
 }
 
 /// Create a connected pair that records the transcript of `(sender, length)`
@@ -489,55 +548,45 @@ pub fn channel_pair() -> (Channel, Channel) {
 /// [`channel_pair`] everywhere else. Payload bytes are additionally captured
 /// once a [`TranscriptHandle`] is attached.
 pub fn channel_pair_with_transcript() -> (Channel, Channel) {
-    make_pair(Some(new_transcript()))
+    mpsc_pair(Some(new_transcript()))
 }
 
-fn make_pair(transcript: Option<Transcript>) -> (Channel, Channel) {
+fn mpsc_pair(transcript: Option<Transcript>) -> (Channel, Channel) {
     let (a2b_tx, a2b_rx) = mpsc::channel();
     let (b2a_tx, b2a_rx) = mpsc::channel();
+    let alice = Pipe::Mpsc {
+        tx: a2b_tx,
+        rx: b2a_rx,
+    };
+    let bob = Pipe::Mpsc {
+        tx: b2a_tx,
+        rx: a2b_rx,
+    };
+    pair_over(alice, bob, transcript)
+}
+
+/// The one place a pair is assembled: Alice's and Bob's endpoints over
+/// their pipes, sharing one meter and (optionally) one transcript. Sharing
+/// is what makes every counter of a socket-backed pair byte-for-byte
+/// comparable with the in-process pair: each message is metered once, by
+/// its sender at stage time, whatever carries the frames.
+fn pair_over(alice: Pipe, bob: Pipe, transcript: Option<Transcript>) -> (Channel, Channel) {
     let meter = Arc::new(Meter::default());
-    let alice = Channel::from_parts(
-        Role::Alice,
-        Pipe::Mpsc {
-            tx: a2b_tx,
-            rx: b2a_rx,
-        },
-        Arc::clone(&meter),
-        transcript.clone(),
-    );
-    let bob = Channel::from_parts(
-        Role::Bob,
-        Pipe::Mpsc {
-            tx: b2a_tx,
-            rx: a2b_rx,
-        },
-        meter,
-        transcript,
-    );
-    (alice, bob)
+    let a = Channel::from_parts(Role::Alice, alice, Arc::clone(&meter), transcript.clone());
+    let b = Channel::from_parts(Role::Bob, bob, meter, transcript);
+    (a, b)
 }
 
 /// Build a connected pair of endpoints over two already-connected TCP
-/// streams (`alice`'s socket and `bob`'s socket), sharing one meter and
-/// transcript exactly like [`channel_pair`] — the drop-in socket-backed
-/// pair the TCP differential and fault tests run the full battery on.
-/// Incoming traffic is not re-metered (`meter_rx` stays off): the shared
-/// meter already sees every message at stage time, so all counters are
-/// byte-for-byte comparable with the in-process pair.
+/// streams (`alice`'s socket and `bob`'s socket) — the drop-in
+/// socket-backed pair the TCP differential and fault tests run the full
+/// battery on. Incoming traffic is not re-metered (`meter_rx` stays off).
 pub(crate) fn tcp_pair_from_pipes(
     alice: TcpPipe,
     bob: TcpPipe,
     transcript: Option<Transcript>,
 ) -> (Channel, Channel) {
-    let meter = Arc::new(Meter::default());
-    let a = Channel::from_parts(
-        Role::Alice,
-        Pipe::Tcp(alice),
-        Arc::clone(&meter),
-        transcript.clone(),
-    );
-    let b = Channel::from_parts(Role::Bob, Pipe::Tcp(bob), meter, transcript);
-    (a, b)
+    pair_over(Pipe::Tcp(alice), Pipe::Tcp(bob), transcript)
 }
 
 /// Build a standalone endpoint over a TCP stream for the party-per-process
@@ -578,23 +627,15 @@ pub(crate) struct RelayWires {
 
 /// Create a pair whose two directions pass through external relay wires
 /// instead of being directly connected.
-pub(crate) fn relayed_pair(transcript: Option<Transcript>) -> (Channel, Channel, RelayWires) {
+pub(crate) fn relayed_pair() -> (Channel, Channel, RelayWires) {
     let (a_tx, a2b_in) = mpsc::channel();
     let (a2b_out, b_rx) = mpsc::channel();
     let (b_tx, b2a_in) = mpsc::channel();
     let (b2a_out, a_rx) = mpsc::channel();
-    let meter = Arc::new(Meter::default());
-    let alice = Channel::from_parts(
-        Role::Alice,
+    let (alice, bob) = pair_over(
         Pipe::Mpsc { tx: a_tx, rx: a_rx },
-        Arc::clone(&meter),
-        transcript.clone(),
-    );
-    let bob = Channel::from_parts(
-        Role::Bob,
         Pipe::Mpsc { tx: b_tx, rx: b_rx },
-        meter,
-        transcript,
+        None,
     );
     let wires = RelayWires {
         a2b_in,
@@ -653,8 +694,7 @@ impl Channel {
     }
 
     /// Install (or clear) a simulated network on this endpoint. Both
-    /// endpoints of a pair should carry the same model; see
-    /// [`crate::run_protocol_with_net`].
+    /// endpoints of a pair should carry the same model.
     pub fn set_net_model(&mut self, net: Option<NetModel>) {
         self.net = net;
     }
@@ -728,7 +768,7 @@ impl Channel {
         // Logical meters and transcript are per-message and stage-time:
         // coalescing must not change any reported byte count or the
         // obliviousness view.
-        self.meter_message(self.role, len);
+        self.meter.message(self.phase, self.role, len);
         if let Some(transcript) = &self.transcript {
             let payload = transcript
                 .capture_payloads
@@ -750,97 +790,6 @@ impl Channel {
         }
     }
 
-    /// Logical per-message accounting for one message sent by `sender`.
-    /// Called at stage time for this endpoint's own messages; a standalone
-    /// remote endpoint (`meter_rx`) additionally calls it at consume time
-    /// for the peer's messages, which is the only point a single process
-    /// observes them.
-    fn meter_message(&self, sender: Role, len: usize) {
-        let blen = len as u64;
-        match sender {
-            Role::Alice => {
-                self.meter
-                    .bytes_alice_to_bob
-                    .fetch_add(blen, Ordering::Relaxed);
-                self.meter
-                    .messages_alice_to_bob
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Role::Bob => {
-                self.meter
-                    .bytes_bob_to_alice
-                    .fetch_add(blen, Ordering::Relaxed);
-                self.meter
-                    .messages_bob_to_alice
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let dir = match sender {
-            Role::Alice => 1,
-            Role::Bob => 2,
-        };
-        if self.meter.last_dir.swap(dir, Ordering::Relaxed) != dir {
-            self.meter.rounds.fetch_add(1, Ordering::Relaxed);
-        }
-        match self.phase {
-            Phase::Single => {}
-            Phase::Offline => {
-                self.meter.offline_bytes.fetch_add(blen, Ordering::Relaxed);
-                if self.meter.last_dir_offline.swap(dir, Ordering::Relaxed) != dir {
-                    self.meter.offline_rounds.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Phase::Online => {
-                self.meter.online_bytes.fetch_add(blen, Ordering::Relaxed);
-                if self.meter.last_dir_online.swap(dir, Ordering::Relaxed) != dir {
-                    self.meter.online_rounds.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    /// Wire-level per-frame accounting for one frame sent by `sender`.
-    /// Returns whether the frame switched the wire direction (a
-    /// super-round boundary — the latency payment under [`NetModel`]).
-    fn meter_frame(&self, sender: Role) -> bool {
-        let dir = match sender {
-            Role::Alice => 1,
-            Role::Bob => 2,
-        };
-        match sender {
-            Role::Alice => &self.meter.frames_alice_to_bob,
-            Role::Bob => &self.meter.frames_bob_to_alice,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        let switched = self.meter.last_dir_wire.swap(dir, Ordering::Relaxed) != dir;
-        if switched {
-            self.meter.super_rounds.fetch_add(1, Ordering::Relaxed);
-        }
-        match self.phase {
-            Phase::Single => {}
-            Phase::Offline => {
-                if self
-                    .meter
-                    .last_dir_wire_offline
-                    .swap(dir, Ordering::Relaxed)
-                    != dir
-                {
-                    self.meter
-                        .offline_super_rounds
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Phase::Online => {
-                if self.meter.last_dir_wire_online.swap(dir, Ordering::Relaxed) != dir {
-                    self.meter
-                        .online_super_rounds
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        switched
-    }
-
     /// Ship the staged super-frame, if any. One wire frame per call; a
     /// no-op when nothing is staged. Called automatically whenever this
     /// endpoint is about to block on the wire (so a blocked party has, by
@@ -856,7 +805,7 @@ impl Channel {
             return Ok(());
         }
         // Wire-level (super-round) accounting happens per frame.
-        let switched = self.meter_frame(self.role);
+        let switched = self.meter.frame(self.phase, self.role);
         let payload_len = self.out_buf.len() - HEADER;
         // Simulated network: block the sending thread for the modeled
         // serialization delay, plus propagation on a direction switch,
@@ -955,7 +904,7 @@ impl Channel {
             });
         }
         if self.meter_rx {
-            self.meter_frame(self.role.peer());
+            self.meter.frame(self.phase, self.role.peer());
         }
         self.in_buf = frame;
         self.in_pos = HEADER;
@@ -990,7 +939,7 @@ impl Channel {
         }
         self.msg_left = len;
         if self.meter_rx {
-            self.meter_message(self.role.peer(), len);
+            self.meter.message(self.phase, self.role.peer(), len);
         }
         Ok(())
     }
@@ -1049,31 +998,7 @@ impl Channel {
     /// Snapshot of the shared communication counters. Flush first if the
     /// super-round meters must include messages staged by this endpoint.
     pub fn stats(&self) -> CommStats {
-        let m_a2b = self.meter.messages_alice_to_bob.load(Ordering::Relaxed);
-        let m_b2a = self.meter.messages_bob_to_alice.load(Ordering::Relaxed);
-        CommStats {
-            bytes_alice_to_bob: self.meter.bytes_alice_to_bob.load(Ordering::Relaxed),
-            bytes_bob_to_alice: self.meter.bytes_bob_to_alice.load(Ordering::Relaxed),
-            messages_alice_to_bob: m_a2b,
-            messages_bob_to_alice: m_b2a,
-            messages: m_a2b + m_b2a,
-            rounds: self.meter.rounds.load(Ordering::Relaxed),
-            offline_bytes: self.meter.offline_bytes.load(Ordering::Relaxed),
-            online_bytes: self.meter.online_bytes.load(Ordering::Relaxed),
-            offline_rounds: self.meter.offline_rounds.load(Ordering::Relaxed),
-            online_rounds: self.meter.online_rounds.load(Ordering::Relaxed),
-            frames_alice_to_bob: self.meter.frames_alice_to_bob.load(Ordering::Relaxed),
-            frames_bob_to_alice: self.meter.frames_bob_to_alice.load(Ordering::Relaxed),
-            super_rounds: self.meter.super_rounds.load(Ordering::Relaxed),
-            offline_super_rounds: self.meter.offline_super_rounds.load(Ordering::Relaxed),
-            online_super_rounds: self.meter.online_super_rounds.load(Ordering::Relaxed),
-        }
-    }
-
-    /// True if this endpoint records a transcript (built by
-    /// [`channel_pair_with_transcript`]).
-    pub fn records_transcript(&self) -> bool {
-        self.transcript.is_some()
+        self.meter.stats()
     }
 
     /// The transcript of `(sender, message length)` pairs so far, in wire
@@ -1176,7 +1101,7 @@ mod tests {
 
     #[test]
     fn staged_messages_coalesce_into_one_frame() {
-        let (mut a, mut b, wires) = relayed_pair(None);
+        let (mut a, mut b, wires) = relayed_pair();
         a.send(vec![1, 2]);
         a.send(vec![3]);
         a.send(vec![4, 5, 6]);
@@ -1205,7 +1130,7 @@ mod tests {
 
     #[test]
     fn frame_cap_splits_super_frames() {
-        let (mut a, mut b, wires) = relayed_pair(None);
+        let (mut a, mut b, wires) = relayed_pair();
         a.set_frame_cap(64);
         for i in 0..10u8 {
             a.send(vec![i; 16]);
@@ -1299,7 +1224,7 @@ mod tests {
         a.send(vec![1; 4]);
         a.flush();
         h.join().unwrap();
-        assert!(!a.records_transcript());
+        assert!(a.transcript.is_none());
     }
 
     #[test]
@@ -1315,7 +1240,7 @@ mod tests {
     fn tampered_recv(
         tamper: impl FnOnce(Vec<u8>, &Sender<Vec<u8>>),
     ) -> Result<Vec<u8>, TransportError> {
-        let (mut a, mut b, wires) = relayed_pair(None);
+        let (mut a, mut b, wires) = relayed_pair();
         a.send(vec![1, 2, 3, 4]);
         a.flush();
         let frame = wires.a2b_in.recv().unwrap();
@@ -1533,6 +1458,134 @@ mod tests {
         a.flush();
         assert!(t.elapsed() < std::time::Duration::from_millis(50));
         h.join().unwrap();
+    }
+
+    /// The fixed conversation behind `comm_stats_by_phase_golden`: strict
+    /// ping-pong (so stage order is deterministic on a shared meter), both
+    /// directions, several messages per direction switch, `Single` →
+    /// `Offline` → `Online` → `Single`, one explicit flush that splits a
+    /// same-direction run into two frames, and one eager stretch. Returns
+    /// Alice's two mid-run snapshots and each side's final stats.
+    fn golden_script(mut a: Channel, mut b: Channel) -> [CommStats; 4] {
+        let recv_n = |ch: &mut Channel, lens: &[usize]| {
+            for &len in lens {
+                assert_eq!(ch.recv().len(), len);
+            }
+        };
+        let bob = thread::spawn(move || {
+            recv_n(&mut b, &[5, 7]);
+            b.send(vec![1; 3]);
+            b.send_with(4, |buf| buf.fill(2));
+            b.stage(&[3]);
+            b.set_phase(Phase::Offline);
+            recv_n(&mut b, &[100, 20, 8]);
+            b.send(vec![4; 9]);
+            b.send(vec![5; 9]);
+            recv_n(&mut b, &[11]);
+            b.set_phase(Phase::Online);
+            recv_n(&mut b, &[16, 16, 2]);
+            b.set_eager(true);
+            b.send(vec![6; 6]);
+            b.send(vec![7; 6]);
+            b.send(vec![8; 30]);
+            b.set_eager(false);
+            b.send(vec![9]);
+            recv_n(&mut b, &[12]);
+            b.set_phase(Phase::Single);
+            recv_n(&mut b, &[40]);
+            b.send(vec![10; 2]);
+            b.send(vec![11; 2]);
+            b.flush();
+            b.stats()
+        });
+        a.send(vec![1; 5]);
+        a.send(vec![2; 7]);
+        recv_n(&mut a, &[3, 4, 1]);
+        a.set_phase(Phase::Offline);
+        a.send(vec![3; 100]);
+        a.send(vec![4; 20]);
+        a.flush();
+        a.send(vec![5; 8]);
+        recv_n(&mut a, &[9, 9]);
+        let s1 = a.stats();
+        a.send(vec![6; 11]);
+        a.set_phase(Phase::Online);
+        a.send(vec![7; 16]);
+        a.send(vec![8; 16]);
+        a.send(vec![9; 2]);
+        recv_n(&mut a, &[6, 6, 30, 1]);
+        let s2 = a.stats();
+        a.send(vec![10; 12]);
+        a.set_phase(Phase::Single);
+        a.send(vec![11; 40]);
+        recv_n(&mut a, &[2, 2]);
+        [s1, s2, a.stats(), bob.join().unwrap()]
+    }
+
+    #[test]
+    fn comm_stats_by_phase_golden() {
+        let (sa, sb) = {
+            let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            let sa = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            (sa, listener.accept().unwrap().0)
+        };
+        let timeout = Some(crate::DEFAULT_IO_TIMEOUT);
+        let pairs = [
+            ("mpsc", channel_pair()),
+            ("tcp pair", crate::tcp_channel_pair().unwrap()),
+            (
+                // Standalone endpoints: each side's *local* meter (own sends
+                // at stage time, the peer's at consume time) must read the
+                // same as the shared one.
+                "tcp endpoints",
+                (
+                    crate::tcp_endpoint(Role::Alice, sa, timeout).unwrap(),
+                    crate::tcp_endpoint(Role::Bob, sb, timeout).unwrap(),
+                ),
+            ),
+        ];
+        // Recorded on the hand-written 20-atomic meter these counters
+        // replaced: a mismatch means a meter value changed meaning.
+        let golden_final = CommStats {
+            bytes_alice_to_bob: 237,
+            bytes_bob_to_alice: 73,
+            messages_alice_to_bob: 11,
+            messages_bob_to_alice: 11,
+            messages: 22,
+            rounds: 8,
+            offline_bytes: 157,
+            online_bytes: 89,
+            offline_rounds: 3,
+            online_rounds: 3,
+            frames_alice_to_bob: 7,
+            frames_bob_to_alice: 7,
+            super_rounds: 8,
+            offline_super_rounds: 3,
+            online_super_rounds: 3,
+        };
+        let golden_since = CommStats {
+            bytes_alice_to_bob: 45,
+            bytes_bob_to_alice: 43,
+            messages_alice_to_bob: 4,
+            messages_bob_to_alice: 4,
+            messages: 8,
+            rounds: 2,
+            offline_bytes: 11,
+            online_bytes: 77,
+            offline_rounds: 1,
+            online_rounds: 2,
+            frames_alice_to_bob: 2,
+            frames_bob_to_alice: 4,
+            super_rounds: 2,
+            offline_super_rounds: 1,
+            online_super_rounds: 2,
+        };
+        for (kind, (a, b)) in pairs {
+            let [s1, s2, alice, bob] = golden_script(a, b);
+            assert_eq!(alice, golden_final, "{kind}: Alice's final stats");
+            assert_eq!(bob, golden_final, "{kind}: Bob's final stats");
+            assert_eq!(s2.since(&s1), golden_since, "{kind}: since()");
+        }
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! — so every injected fault is exactly reproducible.
 //!
 //! The contract under test: every injected fault must surface as a typed
-//! [`crate::ProtocolError`] from [`crate::try_run_protocol_with_faults`] —
-//! no panic escaping the runner, no deadlock, and drop-time zeroization of
-//! secret material still performed on the unwind path.
+//! [`crate::ProtocolError`] from [`crate::try_run_protocol_on`] over the
+//! faulty pair — no panic escaping the runner, no deadlock, and drop-time
+//! zeroization of secret material still performed on the unwind path.
 
 use crate::channel::{relayed_pair, Channel, RelayWires, Role, HEADER};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -141,7 +141,7 @@ impl FaultPlan {
 /// verbatim). The relay threads exit on their own once either endpoint
 /// drops, so the pair needs no explicit teardown.
 pub fn fault_channel_pair(plan: &FaultPlan) -> (Channel, Channel) {
-    let (alice, bob, wires) = relayed_pair(None);
+    let (alice, bob, wires) = relayed_pair();
     let RelayWires {
         a2b_in,
         a2b_out,

@@ -20,13 +20,16 @@
 //! Hardening mirrors the channel layer: every variable-length field's
 //! declared size is bounded *before* allocation
 //! ([`MAX_HELLO_PAYLOAD`] / [`MAX_DETAIL_LEN`]), a garbage magic aborts
-//! without reading further, and all reads inherit the socket's deadline —
-//! so a half-open connect or a stalled hello surfaces as a typed error
-//! within the timeout, never a hung accept thread.
+//! without reading further, and both sides read through a
+//! [`DeadlineReader`] — so a half-open connect, a stalled hello or a peer
+//! dribbling one byte at a time surfaces as a typed error by one absolute
+//! deadline, never a hung accept thread or a client held for hours.
 
 use crate::error::TransportError;
 use crate::tcp::map_io;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::time::Instant;
 
 /// Wire version of the hello + channel framing this build speaks. Bump on
 /// any incompatible change to either.
@@ -113,6 +116,34 @@ impl std::error::Error for HandshakeError {}
 impl From<TransportError> for HandshakeError {
     fn from(e: TransportError) -> HandshakeError {
         HandshakeError::Transport(e)
+    }
+}
+
+/// A socket under one absolute read deadline: the socket timeout is
+/// re-armed with the time remaining before every read, so a peer that
+/// dribbles bytes just inside a per-read timeout still runs out of time.
+/// Server and client read each other's hello through one of these; the
+/// session channel built afterwards sets its own per-operation timeout.
+pub struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl<'a> DeadlineReader<'a> {
+    /// Reads on `stream` fail with `TimedOut` from `deadline` on.
+    pub fn new(stream: &'a TcpStream, deadline: Instant) -> DeadlineReader<'a> {
+        DeadlineReader { stream, deadline }
+    }
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
     }
 }
 

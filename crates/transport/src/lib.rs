@@ -16,7 +16,6 @@
 //! only if its transcript (here: the sequence of message lengths in each
 //! direction) is a function of the public parameters alone. See
 //! [`Channel::transcript_lengths`].
-
 //!
 //! Round compression: sends are *staged* and coalesced — every run of
 //! same-direction messages between genuine ping-pong dependencies travels
@@ -31,8 +30,8 @@
 //! so truncation, split writes, reordering and peer disconnects surface as
 //! typed [`TransportError`]s instead of hangs or garbage reads. The
 //! [`fault`] module injects exactly those faults deterministically, and
-//! [`try_run_protocol`] / [`try_run_protocol_with_faults`] catch the typed
-//! unwinds at the session boundary.
+//! [`try_run_protocol`] / [`try_run_protocol_on`] catch the typed unwinds
+//! at the session boundary.
 
 mod channel;
 mod error;
@@ -50,9 +49,8 @@ pub use error::{ProtocolError, TransportError};
 pub use fault::{fault_channel_pair, FaultKind, FaultPlan, FaultSpec};
 pub use handshake::{ClientHello, HandshakeError, PROTOCOL_VERSION};
 pub use runner::{
-    catch_protocol, run_protocol, run_protocol_captured, run_protocol_captured_on, run_protocol_on,
-    run_protocol_recorded, run_protocol_with_net, try_run_protocol, try_run_protocol_on,
-    try_run_protocol_with_faults,
+    catch_protocol, run_protocol, run_protocol_captured, run_protocol_on, try_run_protocol,
+    try_run_protocol_on,
 };
 pub use tcp::{
     tcp_channel_pair, tcp_channel_pair_with_transcript, tcp_endpoint, tcp_pair_from_streams,

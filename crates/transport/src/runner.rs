@@ -1,24 +1,28 @@
 //! Run a two-party protocol: both parties as real threads.
 //!
-//! Two families of entry points:
+//! One body ([`try_run_protocol_on`]) runs every pair: each party's closure
+//! on its own thread, typed [`ProtocolError`] unwinds raised by the channel
+//! layer (or by protocol validation via [`ProtocolError::malformed`]) caught
+//! and returned as `Err`, any other panic — a genuine bug — re-raised. When
+//! one party fails, its channel endpoint is dropped, which unblocks the
+//! peer with a typed [`TransportError::PeerClosed`] — so a single fault
+//! terminates both parties without deadlock, and the error reported is the
+//! root cause, not that cascade.
 //!
-//! * [`run_protocol`] / [`run_protocol_recorded`] — the happy path. Any
-//!   panic in either party (including a typed transport unwind) propagates
-//!   to the caller.
-//! * [`try_run_protocol`] / [`try_run_protocol_with_faults`] — the
-//!   fault-tolerant boundary. Typed [`ProtocolError`] unwinds raised by the
-//!   channel layer (or by protocol validation via
-//!   [`ProtocolError::malformed`]) are caught and returned as `Err`; any
-//!   other panic is a genuine bug and is re-raised. When one party fails,
-//!   its channel endpoint is dropped, which unblocks the peer with a typed
-//!   [`crate::TransportError::PeerClosed`] — so a single fault terminates
-//!   both parties without deadlock.
+//! * `try_run_protocol*` return that `Result` — the fault-tolerant session
+//!   boundary.
+//! * `run_protocol*` are the same call for callers that expect success: a
+//!   typed failure is re-raised as the root cause's unwind.
+//! * The `*_on` forms take the channel pair from the caller (a socket pair
+//!   from [`crate::tcp_channel_pair`], a recording pair from
+//!   [`channel_pair_with_transcript`], a faulty one from
+//!   [`crate::fault_channel_pair`]); the others run on a fresh
+//!   [`channel_pair`].
 
 use crate::channel::{
-    channel_pair, channel_pair_with_transcript, Channel, CommStats, NetModel, TranscriptHandle,
+    channel_pair, channel_pair_with_transcript, Channel, CommStats, TranscriptHandle,
 };
 use crate::error::{try_downcast_panic, ProtocolError, TransportError};
-use crate::fault::{fault_channel_pair, FaultPlan};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread;
 
@@ -27,7 +31,8 @@ use std::thread;
 /// Each closure receives its endpoint of a fresh metered channel. Both run
 /// concurrently on their own OS threads, exactly like the two machines in
 /// the paper's experiments (minus the network latency). A panic in either
-/// party propagates to the caller.
+/// party propagates to the caller; a typed failure propagates as the
+/// unwind of its root cause (see [`try_run_protocol`]).
 pub fn run_protocol<FA, FB, RA, RB>(alice: FA, bob: FB) -> (RA, RB, CommStats)
 where
     FA: FnOnce(&mut Channel) -> RA + Send,
@@ -35,16 +40,16 @@ where
     RA: Send,
     RB: Send,
 {
-    run_on(channel_pair(), alice, bob)
+    run_protocol_on(channel_pair(), alice, bob)
 }
 
-/// Like [`run_protocol`], but both endpoints carry the given simulated
-/// network (see [`NetModel`]): every send pays the modeled serialization
-/// and per-round propagation delay as a real sleep, so wall-clock timings
-/// taken inside the party closures reflect the declared WAN instead of
-/// loopback.
-pub fn run_protocol_with_net<FA, FB, RA, RB>(
-    net: NetModel,
+/// Like [`run_protocol`], but over a caller-supplied channel pair — e.g. a
+/// socket-backed loopback pair from [`crate::tcp_channel_pair`], or a
+/// [`channel_pair_with_transcript`] whose `ch.transcript_lengths()` the
+/// party closures read. The TCP test battery uses this to run the exact
+/// protocol closures the in-process runners take, over a real wire.
+pub fn run_protocol_on<FA, FB, RA, RB>(
+    pair: (Channel, Channel),
     alice: FA,
     bob: FB,
 ) -> (RA, RB, CommStats)
@@ -54,31 +59,14 @@ where
     RA: Send,
     RB: Send,
 {
-    let (mut ca, mut cb) = channel_pair();
-    ca.set_net_model(Some(net));
-    cb.set_net_model(Some(net));
-    run_on((ca, cb), alice, bob)
+    try_run_protocol_on(pair, alice, bob).unwrap_or_else(|e| e.raise())
 }
 
-/// Like [`run_protocol`], but on a transcript-recording channel pair
-/// (see [`channel_pair_with_transcript`]) so obliviousness tests can read
-/// `ch.transcript_lengths()` inside the party closures. Only message
-/// *lengths* are recorded; use [`run_protocol_captured`] when the test
-/// needs payload bytes.
-pub fn run_protocol_recorded<FA, FB, RA, RB>(alice: FA, bob: FB) -> (RA, RB, CommStats)
-where
-    FA: FnOnce(&mut Channel) -> RA + Send,
-    FB: FnOnce(&mut Channel) -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    run_on(channel_pair_with_transcript(), alice, bob)
-}
-
-/// Like [`run_protocol_recorded`], but payload capture is enabled *before*
-/// either party starts and the attached [`TranscriptHandle`] is returned
-/// alongside the outputs — so `handle.messages()` sees every byte with no
-/// startup race. Determinism tests compare these transcripts across runs.
+/// Like [`run_protocol`], but on a transcript-recording pair with payload
+/// capture enabled *before* either party starts; the attached
+/// [`TranscriptHandle`] is returned alongside the outputs — so
+/// `handle.messages()` sees every byte with no startup race. Determinism
+/// tests compare these transcripts across runs.
 pub fn run_protocol_captured<FA, FB, RA, RB>(
     alice: FA,
     bob: FB,
@@ -91,20 +79,12 @@ where
 {
     let pair = channel_pair_with_transcript();
     let handle = pair.0.transcript_handle();
-    let (ra, rb, stats) = run_on(pair, alice, bob);
+    let (ra, rb, stats) = run_protocol_on(pair, alice, bob);
     (ra, rb, stats, handle)
 }
 
-/// Execute a two-party protocol, catching typed failures.
-///
-/// Returns `Err` with a typed [`ProtocolError`] when either party fails;
-/// secrets held by the failing party are dropped (and zeroized) during
-/// its unwind. When both parties fail, the root cause is preferred: a
-/// [`TransportError::PeerClosed`] is usually the *cascade* of the peer's
-/// own unwind (dropping its endpoint closes the wires), so a
-/// non-`PeerClosed` error from either side wins over a `PeerClosed` from
-/// the other; ties keep Alice's error. Non-typed panics are genuine bugs
-/// and propagate.
+/// Execute a two-party protocol on a fresh [`channel_pair`], catching
+/// typed failures (see [`try_run_protocol_on`]).
 pub fn try_run_protocol<FA, FB, RA, RB>(
     alice: FA,
     bob: FB,
@@ -115,92 +95,22 @@ where
     RA: Send,
     RB: Send,
 {
-    try_run_on(channel_pair(), alice, bob)
+    try_run_protocol_on(channel_pair(), alice, bob)
 }
 
-/// Like [`try_run_protocol`], but the channel pair routes through a
-/// fault-injecting relay executing `plan` (see [`crate::fault`]).
-pub fn try_run_protocol_with_faults<FA, FB, RA, RB>(
-    plan: &FaultPlan,
-    alice: FA,
-    bob: FB,
-) -> Result<(RA, RB, CommStats), ProtocolError>
-where
-    FA: FnOnce(&mut Channel) -> RA + Send,
-    FB: FnOnce(&mut Channel) -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    try_run_on(fault_channel_pair(plan), alice, bob)
-}
-
-/// Like [`run_protocol`], but over a caller-supplied channel pair — e.g. a
-/// socket-backed loopback pair from [`crate::tcp_channel_pair`]. The TCP
-/// test battery uses this to run the exact protocol closures the
-/// in-process runners take, over a real wire.
-pub fn run_protocol_on<FA, FB, RA, RB>(
-    pair: (Channel, Channel),
-    alice: FA,
-    bob: FB,
-) -> (RA, RB, CommStats)
-where
-    FA: FnOnce(&mut Channel) -> RA + Send,
-    FB: FnOnce(&mut Channel) -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    run_on(pair, alice, bob)
-}
-
-/// Like [`run_protocol_captured`], but over a caller-supplied channel pair
-/// built with a transcript (e.g. [`crate::tcp_channel_pair_with_transcript`]).
-/// Panics if the pair records no transcript.
-pub fn run_protocol_captured_on<FA, FB, RA, RB>(
-    pair: (Channel, Channel),
-    alice: FA,
-    bob: FB,
-) -> (RA, RB, CommStats, TranscriptHandle)
-where
-    FA: FnOnce(&mut Channel) -> RA + Send,
-    FB: FnOnce(&mut Channel) -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let handle = pair.0.transcript_handle();
-    let (ra, rb, stats) = run_on(pair, alice, bob);
-    (ra, rb, stats, handle)
-}
-
-/// Like [`try_run_protocol`], but over a caller-supplied channel pair —
-/// the entry point the TCP fault tests use to drive a session through a
-/// fault-injecting proxy and still get typed, hang-free failure reporting
-/// with the same root-cause selection as the in-process runner.
+/// Execute a two-party protocol over `pair`, catching typed failures.
+///
+/// Returns `Err` with a typed [`ProtocolError`] when either party fails;
+/// secrets held by the failing party are dropped (and zeroized) during
+/// its unwind. When both parties fail, the root cause is preferred: a
+/// [`TransportError::PeerClosed`] is usually the *cascade* of the peer's
+/// own unwind (dropping its endpoint closes the wires), so a
+/// non-`PeerClosed` error from either side wins over a `PeerClosed` from
+/// the other; ties keep Alice's error. Non-typed panics are genuine bugs
+/// and propagate. The fault tests drive sessions through
+/// [`crate::fault_channel_pair`] and [`crate::TcpFaultProxy`] pairs here
+/// and get the same typed, hang-free reporting on every transport.
 pub fn try_run_protocol_on<FA, FB, RA, RB>(
-    pair: (Channel, Channel),
-    alice: FA,
-    bob: FB,
-) -> Result<(RA, RB, CommStats), ProtocolError>
-where
-    FA: FnOnce(&mut Channel) -> RA + Send,
-    FB: FnOnce(&mut Channel) -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    try_run_on(pair, alice, bob)
-}
-
-/// Run one party's protocol body, converting typed [`ProtocolError`]
-/// unwinds into `Err` while re-raising anything else. This is the
-/// single-endpoint analogue of [`try_run_protocol`] for party-per-process
-/// deployments (`secyan-server` session threads, `secyan-client`): each
-/// process holds only its own [`Channel`], so the session boundary lives
-/// here instead of around a thread pair.
-pub fn catch_protocol<R>(body: impl FnOnce() -> R) -> Result<R, ProtocolError> {
-    catch_unwind(AssertUnwindSafe(body))
-        .map_err(|p| try_downcast_panic(p).unwrap_or_else(|bug| std::panic::resume_unwind(bug)))
-}
-
-fn try_run_on<FA, FB, RA, RB>(
     pair: (Channel, Channel),
     alice: FA,
     bob: FB,
@@ -233,18 +143,28 @@ where
         let (rb, stats) = hb.join().expect("bob runner thread itself panicked");
         // Re-raise any non-typed panic first: a real bug must not be masked
         // by the peer's typed cascade error.
-        let ra = ra.map_err(|p| {
-            try_downcast_panic(p).unwrap_or_else(|bug| std::panic::resume_unwind(bug))
-        });
-        let rb = rb.map_err(|p| {
-            try_downcast_panic(p).unwrap_or_else(|bug| std::panic::resume_unwind(bug))
-        });
-        match (ra, rb) {
+        match (ra.map_err(typed_or_resume), rb.map_err(typed_or_resume)) {
             (Ok(ra), Ok(rb)) => Ok((ra, rb, stats)),
             (Err(ea), Err(eb)) => Err(root_cause(ea, eb)),
             (Err(e), Ok(_)) | (Ok(_), Err(e)) => Err(e),
         }
     })
+}
+
+/// Run one party's protocol body, converting typed [`ProtocolError`]
+/// unwinds into `Err` while re-raising anything else. This is the
+/// single-endpoint analogue of [`try_run_protocol`] for party-per-process
+/// deployments (`secyan-server` session threads, `secyan-client`): each
+/// process holds only its own [`Channel`], so the session boundary lives
+/// here instead of around a thread pair.
+pub fn catch_protocol<R>(body: impl FnOnce() -> R) -> Result<R, ProtocolError> {
+    catch_unwind(AssertUnwindSafe(body)).map_err(typed_or_resume)
+}
+
+/// The typed error a caught unwind carried; any other payload is a genuine
+/// bug and resumes unwinding.
+fn typed_or_resume(payload: Box<dyn std::any::Any + Send>) -> ProtocolError {
+    try_downcast_panic(payload).unwrap_or_else(|bug| std::panic::resume_unwind(bug))
 }
 
 /// Pick the diagnostic root cause when both parties fail: the party that
@@ -264,33 +184,6 @@ fn root_cause(alice: ProtocolError, bob: ProtocolError) -> ProtocolError {
     } else {
         alice
     }
-}
-
-fn run_on<FA, FB, RA, RB>(pair: (Channel, Channel), alice: FA, bob: FB) -> (RA, RB, CommStats)
-where
-    FA: FnOnce(&mut Channel) -> RA + Send,
-    FB: FnOnce(&mut Channel) -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let (mut ca, mut cb) = pair;
-    let (ra, rb, stats) = thread::scope(|s| {
-        let hb = s.spawn(move || {
-            let out = bob(&mut cb);
-            // Flush before the snapshot so trailing staged messages are
-            // metered as wire frames (ignore a peer that already left).
-            let _ = cb.try_flush();
-            (out, cb.stats())
-        });
-        let ra = alice(&mut ca);
-        let _ = ca.try_flush();
-        let (rb, stats) = match hb.join() {
-            Ok(x) => x,
-            Err(e) => std::panic::resume_unwind(e),
-        };
-        (ra, rb, stats)
-    });
-    (ra, rb, stats)
 }
 
 #[cfg(test)]
@@ -376,6 +269,28 @@ mod tests {
                 assert!(context.contains("bob rejected"));
             }
             other => panic!("cascade masked the root cause: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn plain_runner_raises_the_root_cause() {
+        // Same fault through the plain runner: the unwind that reaches the
+        // caller must carry Bob's Malformed, not Alice's cascade PeerClosed.
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            run_protocol(
+                |ch: &mut Channel| ch.recv_u64(),
+                |_ch: &mut Channel| -> u64 {
+                    ProtocolError::malformed("bob rejected declared size");
+                },
+            )
+        }))
+        .expect_err("the run must unwind");
+        match payload.downcast::<ProtocolError>() {
+            Ok(e) => assert!(
+                matches!(*e, ProtocolError::Malformed { .. }),
+                "cascade masked the root cause: {e:?}"
+            ),
+            Err(_) => panic!("payload is not a ProtocolError"),
         }
     }
 

@@ -32,7 +32,7 @@
 //! `FrameTooLarge` in the same validation order as the mpsc transport.
 
 use crate::channel::{
-    new_transcript, tcp_endpoint_from_pipe, tcp_pair_from_pipes, Channel, Role, HEADER,
+    new_transcript, tcp_endpoint_from_pipe, tcp_pair_from_pipes, Channel, Role, Transcript, HEADER,
     MAX_FRAME_SIZE,
 };
 use crate::error::TransportError;
@@ -177,18 +177,24 @@ pub fn tcp_channel_pair() -> io::Result<(Channel, Channel)> {
 /// [`crate::channel_pair_with_transcript`]).
 pub fn tcp_channel_pair_with_transcript() -> io::Result<(Channel, Channel)> {
     let (a, b) = loopback_stream_pair()?;
-    let alice = TcpPipe::new(a, Some(DEFAULT_IO_TIMEOUT))?;
-    let bob = TcpPipe::new(b, Some(DEFAULT_IO_TIMEOUT))?;
-    Ok(tcp_pair_from_pipes(alice, bob, Some(new_transcript())))
+    pair_over_streams(a, b, Some(new_transcript()))
 }
 
 /// Build a shared-meter channel pair over two already-connected streams —
 /// e.g. the two ends of a route through a [`TcpFaultProxy`]. `alice` is
 /// Alice's socket, `bob` Bob's.
 pub fn tcp_pair_from_streams(alice: TcpStream, bob: TcpStream) -> io::Result<(Channel, Channel)> {
+    pair_over_streams(alice, bob, None)
+}
+
+fn pair_over_streams(
+    alice: TcpStream,
+    bob: TcpStream,
+    transcript: Option<Transcript>,
+) -> io::Result<(Channel, Channel)> {
     let alice = TcpPipe::new(alice, Some(DEFAULT_IO_TIMEOUT))?;
     let bob = TcpPipe::new(bob, Some(DEFAULT_IO_TIMEOUT))?;
-    Ok(tcp_pair_from_pipes(alice, bob, None))
+    Ok(tcp_pair_from_pipes(alice, bob, transcript))
 }
 
 /// Build one standalone endpoint over a connected stream — the real

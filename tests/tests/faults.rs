@@ -16,7 +16,7 @@ use secyan_testkit::{
     oracle, run_secure, run_secure_tcp_proxied, run_secure_with_faults, Instance,
 };
 use secyan_transport::{
-    tcp_pair_from_streams, try_run_protocol_on, try_run_protocol_with_faults, FaultKind, FaultPlan,
+    fault_channel_pair, tcp_pair_from_streams, try_run_protocol_on, FaultKind, FaultPlan,
     ProtocolError, Role, TcpFault, TcpFaultKind, TcpFaultProxy,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -136,8 +136,8 @@ fn reordered_frames_never_corrupt_or_hang() {
 fn reordered_burst_yields_typed_error() {
     use secyan_transport::{Channel, ReadExt, WriteExt};
     let plan = FaultPlan::single(Role::Alice, 0, FaultKind::Reorder);
-    let outcome = try_run_protocol_with_faults(
-        &plan,
+    let outcome = try_run_protocol_on(
+        fault_channel_pair(&plan),
         |ch: &mut Channel| {
             ch.send_u64(1);
             ch.flush();
@@ -230,8 +230,8 @@ fn secrets_are_dropped_on_the_error_path() {
     let bob_dropped = Arc::new(AtomicBool::new(false));
     let (ac, bc) = (alice_dropped.clone(), bob_dropped.clone());
     let plan = FaultPlan::single(Role::Alice, 4, FaultKind::Disconnect);
-    let outcome = try_run_protocol_with_faults(
-        &plan,
+    let outcome = try_run_protocol_on(
+        fault_channel_pair(&plan),
         move |ch| {
             let canary = ZeroizeCanary(ac);
             let mut sess = Session::new(ch, ring, TweakHasher::default(), 11);

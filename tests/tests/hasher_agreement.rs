@@ -11,7 +11,7 @@ use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit};
 use secyan_crypto::TweakHasher;
 use secyan_gc::{evaluate_circuit, garble_circuit, OutputMode};
 use secyan_ot::{OtReceiver, OtSender};
-use secyan_transport::{run_protocol_recorded, Role};
+use secyan_transport::{channel_pair_with_transcript, run_protocol_on, Role};
 
 /// A circuit exercising every gate kind: sum, product, equality, less-than.
 fn mixed_circuit(bits: usize) -> Circuit {
@@ -41,7 +41,8 @@ fn run_gc(
     let circ2 = circ.clone();
     let xb = u64_to_bits(x, bits);
     let yb = u64_to_bits(y, bits);
-    let (a_out, b_out, _) = run_protocol_recorded(
+    let (a_out, b_out, _) = run_protocol_on(
+        channel_pair_with_transcript(),
         move |ch| {
             let mut rng = StdRng::seed_from_u64(7001);
             let mut ot = OtSender::setup(ch, &mut rng, hasher);

@@ -8,7 +8,9 @@
 use secyan_core::{run_offline, run_online};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_relation::{JoinTree, NaturalRing, Relation};
-use secyan_transport::{run_protocol, run_protocol_recorded, CommStats, Phase, Role};
+use secyan_transport::{
+    channel_pair_with_transcript, run_protocol, run_protocol_on, CommStats, Phase, Role,
+};
 
 fn strings(v: &[&str]) -> Vec<String> {
     v.iter().map(|s| s.to_string()).collect()
@@ -37,7 +39,8 @@ fn transcript_of(
     );
     let q2 = query.clone();
     // Transcript recording is opt-in; the default channel doesn't have it.
-    let (transcript, _, _) = run_protocol_recorded(
+    let (transcript, _, _) = run_protocol_on(
+        channel_pair_with_transcript(),
         move |ch| {
             let mut sess =
                 secyan_core::Session::new(ch, RingCtx::new(32), TweakHasher::default(), 1);
@@ -147,7 +150,8 @@ fn phased_transcript_of(
     );
     let q2 = query.clone();
     let s2 = sizes.clone();
-    let (handle, (), stats) = run_protocol_recorded(
+    let (handle, (), stats) = run_protocol_on(
+        channel_pair_with_transcript(),
         move |ch| {
             let handle = ch.transcript_handle();
             let m = run_offline(

@@ -51,7 +51,7 @@ fn chain3_online_super_rounds_golden() {
     assert_eq!(
         run.stats.online_super_rounds, CHAIN3_ONLINE_SUPER_ROUNDS,
         "chain3 online super-round count drifted — re-derive the frame \
-         dependency chain in DESIGN.md §14 and re-record BENCH_online.json",
+         dependency chain in DESIGN.md §14 and re-record the sybench baseline",
     );
     assert_eq!(
         run.stats.offline_super_rounds, CHAIN3_OFFLINE_SUPER_ROUNDS,

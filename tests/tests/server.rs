@@ -13,12 +13,12 @@ use secyan_server::{serve, QuerySpec, RunMode, ServerConfig, SessionOutcome, Ses
 use secyan_testkit::oracle;
 use secyan_transport::handshake::{
     read_server_hello, write_client_hello, ClientHello, HandshakeError, CODE_REJECT_MALFORMED,
-    CODE_REJECT_SHAPE, CODE_REJECT_VERSION, MAX_HELLO_PAYLOAD, PROTOCOL_VERSION,
+    CODE_REJECT_SHAPE, CODE_REJECT_VERSION, MAX_DETAIL_LEN, MAX_HELLO_PAYLOAD, PROTOCOL_VERSION,
 };
 use secyan_transport::Role;
 use std::collections::BTreeSet;
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 /// A client config with deadlines short enough that a misbehaving server
@@ -370,4 +370,51 @@ fn slow_hello_is_cut_at_the_deadline() {
             runs: 1,
         },
     );
+}
+
+/// The mirror image on the client: a hostile server answers with a valid
+/// verdict header declaring the largest rejection detail it may, then
+/// dribbles the detail one byte per half deadline. `ClientConfig::hello_timeout`
+/// covers the whole hello exchange, so the client gives up — a typed
+/// handshake failure within twice the deadline — instead of reading on for
+/// the half hour the detail would take.
+#[test]
+fn slow_server_hello_is_cut_at_the_deadline() {
+    let hello_timeout = Duration::from_secs(1);
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = listener.local_addr().expect("listener addr");
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut answer = Vec::new();
+        answer.extend_from_slice(b"SYA1");
+        answer.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+        answer.push(CODE_REJECT_MALFORMED);
+        answer.extend_from_slice(&(MAX_DETAIL_LEN as u32).to_le_bytes());
+        stream.write_all(&answer).expect("write verdict header");
+        // Dribble until the client hangs up; hang up ourselves after four
+        // deadlines so a client that never cuts still ends the test.
+        let started = Instant::now();
+        while started.elapsed() < 4 * hello_timeout && stream.write_all(b"x").is_ok() {
+            std::thread::sleep(hello_timeout / 2);
+        }
+    });
+    let mut cfg = ClientConfig::new(addr);
+    cfg.hello_timeout = hello_timeout;
+    let req = SessionRequest {
+        spec: QuerySpec::Chain { seed: 0 },
+        mode: RunMode::Single,
+        runs: 1,
+    };
+    let started = Instant::now();
+    let err = run_session(&cfg, &req).expect_err("a dribbled verdict is not a session");
+    let held = started.elapsed();
+    assert!(
+        matches!(err, ClientError::Handshake(_)),
+        "slow verdict produced {err:?}, not a handshake failure"
+    );
+    assert!(
+        held < 2 * hello_timeout,
+        "a dribbled verdict held the client for {held:?}, past twice the hello deadline"
+    );
+    server.join().expect("dribbling server thread");
 }
