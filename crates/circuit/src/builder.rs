@@ -1,6 +1,6 @@
 //! Circuit builder with symbolic constant/inversion folding.
 
-use crate::ir::{Circuit, Gate};
+use crate::ir::{Circuit, Col, Gate, Port};
 
 /// A symbolic bit: either a known constant or a wire with an optional
 /// pending inversion. Inversions are folded into consuming XORs for free
@@ -14,16 +14,6 @@ pub enum BitRef {
     Wire { id: usize, inv: bool },
 }
 
-impl BitRef {
-    /// True if this is a known constant.
-    pub fn as_const(self) -> Option<bool> {
-        match self {
-            BitRef::Const(b) => Some(b),
-            BitRef::Wire { .. } => None,
-        }
-    }
-}
-
 /// A little-endian word of symbolic bits (bit 0 = least significant).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Word(pub Vec<BitRef>);
@@ -35,7 +25,9 @@ impl Word {
     }
 }
 
-/// Incremental circuit builder.
+/// Incremental builder of one gate template: a whole flat circuit
+/// ([`Builder::new`] … [`Builder::finish`]), or the row of a repeated
+/// segment ([`crate::Rows::segment`], whose inputs are [`Builder::read`]).
 ///
 /// Inputs must all be declared before any gates are added (the garbling
 /// protocol assigns input labels positionally); the builder enforces this.
@@ -43,9 +35,11 @@ impl Word {
 pub struct Builder {
     alice_inputs: usize,
     bob_inputs: usize,
-    next_wire: usize,
-    gates: Vec<Gate>,
-    outputs: Vec<usize>,
+    /// One per input wire: wires `0..ports.len()` are the inputs.
+    pub(crate) ports: Vec<Port>,
+    pub(crate) next_wire: usize,
+    pub(crate) gates: Vec<Gate>,
+    pub(crate) outputs: Vec<usize>,
     inputs_frozen: bool,
 }
 
@@ -55,42 +49,65 @@ impl Builder {
         Builder::default()
     }
 
-    /// Declare one input bit for Alice (the garbler side).
-    pub fn alice_input(&mut self) -> BitRef {
+    /// Bind a column as template inputs, one wire per bit: row r of the
+    /// segment reads row r of `col`. (A flat circuit's inputs are the
+    /// one-row columns at their own wire index.)
+    pub fn read(&mut self, col: Col) -> Word {
         assert!(
             !self.inputs_frozen,
             "all inputs must be declared before the first gate"
         );
-        assert_eq!(
-            self.bob_inputs, 0,
-            "declare all Alice inputs before Bob inputs"
-        );
-        let id = self.next_wire;
-        self.next_wire += 1;
-        self.alice_inputs += 1;
-        BitRef::Wire { id, inv: false }
+        let bit = |j| {
+            let first = col.first + j;
+            self.ports.push(Port {
+                first,
+                next: first + col.stride,
+                stride: col.stride,
+            });
+            self.next_wire += 1;
+            BitRef::Wire {
+                id: self.next_wire - 1,
+                inv: false,
+            }
+        };
+        Word((0..col.width).map(bit).collect())
+    }
+
+    /// Declare one input bit for Alice (the garbler side).
+    pub fn alice_input(&mut self) -> BitRef {
+        self.alice_word(1).0[0]
     }
 
     /// Declare one input bit for Bob (the evaluator side).
     pub fn bob_input(&mut self) -> BitRef {
-        assert!(
-            !self.inputs_frozen,
-            "all inputs must be declared before the first gate"
-        );
-        let id = self.next_wire;
-        self.next_wire += 1;
-        self.bob_inputs += 1;
-        BitRef::Wire { id, inv: false }
+        self.bob_word(1).0[0]
+    }
+
+    /// The next `bits` wires as inputs of a flat circuit.
+    fn flat_word(&mut self, bits: usize) -> Word {
+        self.read(Col {
+            first: self.next_wire,
+            stride: 0,
+            width: bits,
+            rows: 1,
+        })
     }
 
     /// Declare an ℓ-bit Alice input word.
     pub fn alice_word(&mut self, bits: usize) -> Word {
-        Word((0..bits).map(|_| self.alice_input()).collect())
+        let word = self.flat_word(bits);
+        assert_eq!(
+            self.bob_inputs, 0,
+            "declare all Alice inputs before Bob inputs"
+        );
+        self.alice_inputs += bits;
+        word
     }
 
     /// Declare an ℓ-bit Bob input word.
     pub fn bob_word(&mut self, bits: usize) -> Word {
-        Word((0..bits).map(|_| self.bob_input()).collect())
+        self.bob_inputs += bits;
+        self.flat_word(bits)
     }
 
     /// A constant bit (no wire is created).
@@ -228,17 +245,20 @@ impl Builder {
         }
     }
 
-    /// Finalize into an immutable [`Circuit`].
+    /// Finalize into an immutable flat [`Circuit`]: one segment, one row,
+    /// every output a circuit output.
     pub fn finish(self) -> Circuit {
-        let c = Circuit {
-            num_wires: self.next_wire,
-            alice_inputs: self.alice_inputs,
-            bob_inputs: self.bob_inputs,
-            gates: self.gates,
-            outputs: self.outputs,
-        };
-        debug_assert_eq!(c.validate(), Ok(()));
-        c
+        let mut c = Circuit::default();
+        (c.alice_inputs, c.bob_inputs) = (self.alice_inputs, self.bob_inputs);
+        let width = self.outputs.len();
+        c.outputs.push(Col {
+            first: c.num_slots(),
+            stride: width,
+            width,
+            rows: 1,
+        });
+        c.push(1, self);
+        c.seal()
     }
 }
 
@@ -310,7 +330,7 @@ mod tests {
         let z = bld.xor(x, y); // a
         bld.output(z);
         let c = bld.finish();
-        assert_eq!(c.gates.len(), 0);
+        assert_eq!(c.segments()[0].gates.len(), 0);
         assert!(eval1(&c, &[true], &[]));
         assert!(!eval1(&c, &[false], &[]));
     }

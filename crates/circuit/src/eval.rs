@@ -7,17 +7,29 @@ use crate::ir::{Circuit, Gate};
 pub fn evaluate(circuit: &Circuit, alice: &[bool], bob: &[bool]) -> Vec<bool> {
     assert_eq!(alice.len(), circuit.alice_inputs, "alice input arity");
     assert_eq!(bob.len(), circuit.bob_inputs, "bob input arity");
-    let mut wires = vec![false; circuit.num_wires];
-    wires[..alice.len()].copy_from_slice(alice);
-    wires[alice.len()..alice.len() + bob.len()].copy_from_slice(bob);
-    for g in &circuit.gates {
-        match *g {
-            Gate::Xor { a, b, out } => wires[out] = wires[a] ^ wires[b],
-            Gate::And { a, b, out } => wires[out] = wires[a] & wires[b],
-            Gate::Inv { a, out } => wires[out] = !wires[a],
+    let mut slots = vec![false; circuit.num_slots()];
+    slots[..alice.len()].copy_from_slice(alice);
+    slots[alice.len()..alice.len() + bob.len()].copy_from_slice(bob);
+    for seg in circuit.segments() {
+        let mut wires = vec![false; seg.num_wires];
+        for row in 0..seg.count {
+            for (w, port) in seg.ports.iter().enumerate() {
+                wires[w] = slots[port.slot(row)];
+            }
+            for g in &seg.gates {
+                match *g {
+                    Gate::Xor { a, b, out } => wires[out] = wires[a] ^ wires[b],
+                    Gate::And { a, b, out } => wires[out] = wires[a] & wires[b],
+                    Gate::Inv { a, out } => wires[out] = !wires[a],
+                }
+            }
+            let out = seg.export_base + row * seg.exports.len();
+            for (k, &w) in seg.exports.iter().enumerate() {
+                slots[out + k] = wires[w];
+            }
         }
     }
-    circuit.outputs.iter().map(|&o| wires[o]).collect()
+    circuit.output_slots().map(|s| slots[s]).collect()
 }
 
 /// Convert a u64 to `bits` little-endian booleans.

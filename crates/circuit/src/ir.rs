@@ -1,8 +1,14 @@
-//! Circuit intermediate representation.
+//! Circuit intermediate representation: segments of (template × count).
 
-/// A gate over wire indices. Gates appear in topological order: a gate's
-/// inputs are either circuit inputs or outputs of earlier gates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+use crate::builder::Builder;
+use crate::levels::{levelize, Level};
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::ops::Range;
+
+/// A gate over a template's local wire indices. Gates appear in
+/// topological order: a gate's inputs are either template inputs or
+/// outputs of earlier gates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gate {
     /// `out = a ^ b` — free under free-XOR garbling.
     Xor { a: usize, b: usize, out: usize },
@@ -12,35 +18,105 @@ pub enum Gate {
     Inv { a: usize, out: usize },
 }
 
-impl Gate {
-    /// The output wire index.
-    pub fn out(&self) -> usize {
-        match *self {
-            Gate::Xor { out, .. } | Gate::And { out, .. } | Gate::Inv { out, .. } => out,
+/// A word that exists once per row, in the circuit's *slot space*: circuit
+/// inputs occupy slots `0..alice + bob` (Alice's first), each segment's
+/// per-row outputs a block after them. Bit j of row r is slot
+/// `first + r·stride + j`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Col {
+    pub first: usize,
+    pub stride: usize,
+    pub width: usize,
+    pub rows: usize,
+}
+
+impl Col {
+    /// The same words over a sub-range of the rows.
+    pub fn slice_rows(self, rows: Range<usize>) -> Col {
+        assert!(rows.start <= rows.end && rows.end <= self.rows);
+        Col {
+            first: self.first + rows.start * self.stride,
+            rows: rows.len(),
+            ..self
+        }
+    }
+
+    /// Bits `bits` of every row's word.
+    pub fn slice_bits(self, bits: Range<usize>) -> Col {
+        assert!(bits.start <= bits.end && bits.end <= self.width);
+        Col {
+            first: self.first + bits.start,
+            width: bits.len(),
+            ..self
         }
     }
 }
 
-/// A boolean circuit with two-party inputs.
-///
-/// Wire indices `0..alice_inputs + bob_inputs` are the input wires (Alice's
-/// first); gates extend the wire space. The circuit is public to both
-/// parties — only the input *values* are private.
-#[derive(Debug, Clone, Default)]
-pub struct Circuit {
-    /// Number of wires including inputs and every gate output.
-    pub num_wires: usize,
-    /// Number of Alice (garbler-side) input wires; they are wires `0..n_a`.
-    pub alice_inputs: usize,
-    /// Number of Bob (evaluator-side) input wires; wires `n_a..n_a + n_b`.
-    pub bob_inputs: usize,
-    /// Gates in topological order.
-    pub gates: Vec<Gate>,
-    /// Output wires, in the order the protocol will decode them.
-    pub outputs: Vec<usize>,
+/// Where a template input wire's value lives, row by row: row 0 reads slot
+/// `first`, row r ≥ 1 reads `next + (r − 1)·stride` — affine for inputs and
+/// earlier segments' rows, and a scan's carry when `next` is the segment's
+/// own previous-row export.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Port {
+    pub first: usize,
+    pub next: usize,
+    pub stride: usize,
 }
 
-/// Gate-count summary; the benchmark extrapolation model consumes this.
+impl Port {
+    /// The slot row `row` reads.
+    pub fn slot(&self, row: usize) -> usize {
+        match row {
+            0 => self.first,
+            r => self.next + (r - 1) * self.stride,
+        }
+    }
+}
+
+/// One gate template — local wires `0..num_wires`, inputs first, level
+/// schedule computed once — repeated `count` times. Row r binds template
+/// input i to slot `ports[i].slot(r)` and copies local wire `exports[k]`
+/// to slot `export_base + r·exports.len() + k`; its ANDs take the global
+/// indices `and_base + r·ands ..`, row-major — the hash tweak, and so the
+/// compatibility contract with the flat unrolling.
+#[derive(Debug, Clone)]
+pub struct Segment {
+    pub num_wires: usize,
+    /// Gates in topological order — the order that numbers the ANDs.
+    pub gates: Vec<Gate>,
+    /// The same gates partitioned for batched garbling.
+    pub levels: Vec<Level>,
+    /// AND gates per row.
+    pub ands: usize,
+    pub count: usize,
+    pub ports: Vec<Port>,
+    pub exports: Vec<usize>,
+    pub export_base: usize,
+    pub and_base: u64,
+    /// Some port reads this segment's own previous row: rows must run in
+    /// order, one at a time.
+    pub carry: bool,
+}
+
+/// A boolean circuit with two-party inputs, as an ordered list of
+/// [`Segment`]s. A [`Builder`]-made flat circuit is the one-segment,
+/// count-1 case of the same type. The circuit is public to both parties —
+/// only the input *values* are private.
+#[derive(Debug, Clone, Default)]
+pub struct Circuit {
+    /// Number of Alice (garbler-side) input wires; they are slots `0..n_a`.
+    pub alice_inputs: usize,
+    /// Number of Bob (evaluator-side) input wires; slots `n_a..n_a + n_b`.
+    pub bob_inputs: usize,
+    pub(crate) segments: Vec<Segment>,
+    /// Output words, in the order the protocol will decode them: each
+    /// column row by row.
+    pub(crate) outputs: Vec<Col>,
+    ands: u64,
+    digest: u64,
+}
+
+/// Gate-count summary of the unrolled circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CircuitStats {
     pub and_gates: u64,
@@ -51,62 +127,130 @@ pub struct CircuitStats {
 }
 
 impl Circuit {
-    /// Number of AND gates — the communication/computation cost driver.
-    pub fn and_count(&self) -> u64 {
-        self.gates
-            .iter()
-            .filter(|g| matches!(g, Gate::And { .. }))
-            .count() as u64
+    /// Size of the slot space: inputs plus every segment's exports. Also
+    /// where the next segment's exports start while the circuit is built.
+    pub fn num_slots(&self) -> usize {
+        let inputs = self.alice_inputs + self.bob_inputs;
+        let exports = |s: &Segment| s.export_base + s.count * s.exports.len();
+        self.segments.last().map_or(inputs, exports)
     }
 
-    /// Full gate-count statistics.
+    /// Append `count` rows of the template `b` built; its outputs are the
+    /// rows' exports.
+    pub(crate) fn push(&mut self, count: usize, b: Builder) {
+        let export_base = self.num_slots();
+        let ands = b.gates.iter().filter(|g| matches!(g, Gate::And { .. }));
+        let ands = ands.count();
+        self.segments.push(Segment {
+            levels: levelize(b.next_wire, &b.gates),
+            carry: b.ports.iter().any(|p| count > 1 && p.next >= export_base),
+            num_wires: b.next_wire,
+            gates: b.gates,
+            ands,
+            count,
+            ports: b.ports,
+            exports: b.outputs,
+            export_base,
+            and_base: self.ands,
+        });
+        self.ands += (count * ands) as u64;
+    }
+
+    /// Fix the fingerprint once the last segment is in.
+    pub(crate) fn seal(mut self) -> Circuit {
+        let mut h = DefaultHasher::new();
+        (self.alice_inputs, self.bob_inputs, &self.outputs).hash(&mut h);
+        for s in &self.segments {
+            (s.count, s.num_wires, &s.ports, &s.gates, &s.exports).hash(&mut h);
+        }
+        self.digest = h.finish();
+        debug_assert_eq!(self.validate(), Ok(()));
+        self
+    }
+
+    /// The segments, in execution (and AND-index) order.
+    pub fn segments(&self) -> &[Segment] {
+        &self.segments
+    }
+
+    /// Number of AND gates of the unrolled circuit — the
+    /// communication/computation cost driver.
+    pub fn and_count(&self) -> u64 {
+        self.ands
+    }
+
+    /// Output slots, in the order the protocol will decode them.
+    pub fn output_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        let row = |c: &Col, r: usize| c.first + r * c.stride..c.first + r * c.stride + c.width;
+        (self.outputs.iter()).flat_map(move |c| (0..c.rows).flat_map(move |r| row(c, r)))
+    }
+
+    /// Number of output wires.
+    pub fn output_count(&self) -> usize {
+        self.outputs.iter().map(|c| c.rows * c.width).sum()
+    }
+
+    /// A structural fingerprint fixed at construction, used to pair
+    /// pre-garbled material with the circuit an online call presents. Each
+    /// party derives it locally from the same public circuit, so it is a
+    /// bookkeeping key, not a security boundary.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// Full gate-count statistics of the unrolled circuit.
     pub fn stats(&self) -> CircuitStats {
         let mut s = CircuitStats {
-            wires: self.num_wires as u64,
-            outputs: self.outputs.len() as u64,
+            wires: (self.alice_inputs + self.bob_inputs) as u64,
+            outputs: self.output_count() as u64,
             ..Default::default()
         };
-        for g in &self.gates {
-            match g {
-                Gate::Xor { .. } => s.xor_gates += 1,
-                Gate::And { .. } => s.and_gates += 1,
-                Gate::Inv { .. } => s.inv_gates += 1,
-            }
+        for seg in &self.segments {
+            let invs = seg.gates.iter().filter(|g| matches!(g, Gate::Inv { .. }));
+            let (n, invs) = (seg.count as u64, invs.count());
+            s.wires += n * (seg.num_wires - seg.ports.len()) as u64;
+            s.and_gates += n * seg.ands as u64;
+            s.inv_gates += n * invs as u64;
+            s.xor_gates += n * (seg.gates.len() - seg.ands - invs) as u64;
         }
         s
     }
 
-    /// Check structural sanity: topological order, in-range indices.
-    /// Used by tests; builder-produced circuits always pass.
+    /// Check structural sanity: topological order within each template,
+    /// every port reading a slot settled before its row runs, in-range
+    /// exports and outputs. Builder-produced circuits always pass.
     pub fn validate(&self) -> Result<(), String> {
-        let n_in = self.alice_inputs + self.bob_inputs;
-        let mut defined = vec![false; self.num_wires];
-        for w in defined.iter_mut().take(n_in) {
-            *w = true;
-        }
-        for (i, g) in self.gates.iter().enumerate() {
-            let (ins, out): (Vec<usize>, usize) = match *g {
-                Gate::Xor { a, b, out } | Gate::And { a, b, out } => (vec![a, b], out),
-                Gate::Inv { a, out } => (vec![a], out),
-            };
-            for a in ins {
-                if a >= self.num_wires || !defined[a] {
-                    return Err(format!("gate {i} reads undefined wire {a}"));
+        let mut settled = self.alice_inputs + self.bob_inputs;
+        for (i, s) in self.segments.iter().enumerate() {
+            let bad = |what: &str| Err(format!("segment {i}: {what}"));
+            // Ports are affine past row 0: rows 0, 1 and the last bound them.
+            for r in [0, 1, s.count - 1] {
+                let limit = settled + r * s.exports.len();
+                if r < s.count && s.ports.iter().any(|p| p.slot(r) >= limit) {
+                    return bad("a port reads an unsettled slot");
                 }
             }
-            if out >= self.num_wires {
-                return Err(format!("gate {i} writes out-of-range wire {out}"));
+            let mut defined = vec![false; s.num_wires];
+            defined[..s.ports.len()].fill(true);
+            for g in &s.gates {
+                let (a, b, out) = match *g {
+                    Gate::Xor { a, b, out } | Gate::And { a, b, out } => (a, b, out),
+                    Gate::Inv { a, out } => (a, a, out),
+                };
+                let in_range = a.max(b).max(out) < s.num_wires;
+                if !in_range || !defined[a] || !defined[b] || defined[out] {
+                    return bad("a gate is out of topological order");
+                }
+                defined[out] = true;
             }
-            if defined[out] {
-                return Err(format!("gate {i} redefines wire {out}"));
+            if s.exports.iter().any(|&w| w >= s.num_wires || !defined[w]) {
+                return bad("an undefined wire is exported");
             }
-            defined[out] = true;
+            settled += s.count * s.exports.len();
         }
-        for &o in &self.outputs {
-            if o >= self.num_wires || !defined[o] {
-                return Err(format!("output reads undefined wire {o}"));
-            }
+        match self.output_slots().find(|&slot| slot >= settled) {
+            Some(slot) => Err(format!("output reads out-of-range slot {slot}")),
+            None => Ok(()),
         }
-        Ok(())
     }
 }

@@ -1,23 +1,23 @@
-//! Topological levelization of a circuit for data-parallel garbling.
+//! Topological levelization of a gate template for batched garbling.
 //!
 //! Half-gates garbling is sequential only through wire dependencies: an
 //! AND gate's table depends on nothing but its two input labels and its
-//! own (position-derived) tweak. Partitioning the gate list into
+//! own (position-derived) tweak. Partitioning a template's gate list into
 //! *levels* — where every gate in level k reads only wires settled in
-//! levels < k — lets all AND gates of a level garble/evaluate in
-//! parallel while the canonical gate order (and thus the garbled tables'
-//! wire layout) stays fixed.
+//! levels < k — lets all AND gates of a level, across every row of a tile,
+//! hash in one batch while the canonical gate order (and thus the AND
+//! index, the hash tweak) stays fixed.
 //!
-//! Free gates (XOR/INV) cost no cryptography, so the schedule keeps them
-//! serial: each [`Level`] carries the free gates that become ready with
-//! it (run in original gate order) followed by the level's AND gates
-//! (run in parallel, results written back in gate order). Splitting this
-//! way keeps the parallel closure free of cross-gate writes.
+//! Free gates (XOR/INV) cost no cryptography: each [`Level`] carries the
+//! free gates that become ready with it (run in template order) followed
+//! by the level's AND gates (mutually independent). The schedule is a
+//! function of the template alone and is computed once, when the template
+//! is built.
 
-use crate::ir::{Circuit, Gate};
+use crate::ir::Gate;
 
-/// One AND gate scheduled in a level: wire indices plus its position in
-/// the circuit's AND-gate sequence (the table/tweak index).
+/// One AND gate scheduled in a level: local wire indices plus its position
+/// in the template's AND-gate sequence (the per-row table/tweak offset).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AndRef {
     /// Left input wire.
@@ -26,108 +26,78 @@ pub struct AndRef {
     pub b: usize,
     /// Output wire.
     pub out: usize,
-    /// Index in the circuit's AND-gate order (garbled-table slot).
-    pub and_idx: usize,
+    /// Index in the template's AND-gate order.
+    pub idx: usize,
 }
 
-/// One parallel step of the schedule.
-#[derive(Debug, Clone, Default)]
+/// One batched step of the schedule.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Level {
-    /// Free gates (XOR/INV) that settle in this level, in circuit order.
-    /// Indices refer to `Circuit::gates`.
-    pub free: Vec<usize>,
+    /// Free gates (XOR/INV) that settle in this level, in template order.
+    pub free: Vec<Gate>,
     /// AND gates whose inputs settle strictly before this level's ANDs
     /// run; mutually independent, safe to process in any order.
     pub ands: Vec<AndRef>,
 }
 
-/// A level-partitioned view of a circuit. Construction is pure and
-/// public-data only (the circuit topology), so both parties derive the
-/// identical schedule.
-#[derive(Debug, Clone, Default)]
-pub struct LevelSchedule {
-    /// Levels in execution order.
-    pub levels: Vec<Level>,
-}
-
-impl LevelSchedule {
-    /// Partition `c.gates` into levels.
-    ///
-    /// Wire w settles at depth d(w): inputs at 0; a free gate settles at
-    /// its input depth (XOR at the max of its two); an AND gate at
-    /// input depth + 1 (it must wait for a parallel step). Level k then
-    /// holds the free gates with depth k and the AND gates with depth
-    /// k + 1, which by construction read only wires of depth ≤ k.
-    pub fn build(c: &Circuit) -> LevelSchedule {
-        let mut depth = vec![0usize; c.num_wires];
-        let mut levels: Vec<Level> = Vec::new();
-        let ensure = |levels: &mut Vec<Level>, k: usize| {
-            if levels.len() <= k {
-                levels.resize_with(k + 1, Level::default);
+/// Partition `gates` (over `num_wires` local wires) into levels.
+///
+/// Wire w settles at depth d(w): inputs at 0; a free gate settles at its
+/// input depth (XOR at the max of its two); an AND gate at input depth + 1
+/// (it must wait for a batched step). Level k then holds the free gates
+/// with depth k and the AND gates with depth k + 1, which by construction
+/// read only wires of depth ≤ k.
+pub(crate) fn levelize(num_wires: usize, gates: &[Gate]) -> Vec<Level> {
+    let mut depth = vec![0usize; num_wires];
+    let mut levels: Vec<Level> = Vec::new();
+    let mut idx = 0usize;
+    for &g in gates {
+        let (k, and) = match g {
+            Gate::Xor { a, b, out } => {
+                depth[out] = depth[a].max(depth[b]);
+                (depth[out], None)
+            }
+            Gate::Inv { a, out } => {
+                depth[out] = depth[a];
+                (depth[out], None)
+            }
+            Gate::And { a, b, out } => {
+                let k = depth[a].max(depth[b]);
+                depth[out] = k + 1;
+                let and = AndRef { a, b, out, idx };
+                idx += 1;
+                (k, Some(and))
             }
         };
-        let mut and_idx = 0usize;
-        for (gi, g) in c.gates.iter().enumerate() {
-            match *g {
-                Gate::Xor { a, b, out } => {
-                    let d = depth[a].max(depth[b]);
-                    depth[out] = d;
-                    ensure(&mut levels, d);
-                    levels[d].free.push(gi);
-                }
-                Gate::Inv { a, out } => {
-                    let d = depth[a];
-                    depth[out] = d;
-                    ensure(&mut levels, d);
-                    levels[d].free.push(gi);
-                }
-                Gate::And { a, b, out } => {
-                    let d = depth[a].max(depth[b]);
-                    depth[out] = d + 1;
-                    ensure(&mut levels, d);
-                    levels[d].ands.push(AndRef { a, b, out, and_idx });
-                    and_idx += 1;
-                }
-            }
+        if levels.len() <= k {
+            levels.resize_with(k + 1, Level::default);
         }
-        LevelSchedule { levels }
+        match and {
+            Some(and) => levels[k].ands.push(and),
+            None => levels[k].free.push(g),
+        }
     }
-
-    /// Total AND gates across all levels.
-    pub fn and_count(&self) -> usize {
-        self.levels.iter().map(|l| l.ands.len()).sum()
-    }
-
-    /// The widest level's AND count — the available parallelism.
-    pub fn max_width(&self) -> usize {
-        self.levels.iter().map(|l| l.ands.len()).max().unwrap_or(0)
-    }
+    levels
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn chain_circuit() -> Circuit {
-        // in0 & in1 -> w2; w2 & in1 -> w3; w3 ^ in0 -> w4
-        Circuit {
-            num_wires: 5,
-            alice_inputs: 1,
-            bob_inputs: 1,
-            gates: vec![
-                Gate::And { a: 0, b: 1, out: 2 },
-                Gate::And { a: 2, b: 1, out: 3 },
-                Gate::Xor { a: 3, b: 0, out: 4 },
-            ],
-            outputs: vec![4],
-        }
+    /// in0 & in1 -> w2; w2 & in1 -> w3; w3 ^ in0 -> w4
+    fn chain() -> (usize, Vec<Gate>) {
+        let gates = vec![
+            Gate::And { a: 0, b: 1, out: 2 },
+            Gate::And { a: 2, b: 1, out: 3 },
+            Gate::Xor { a: 3, b: 0, out: 4 },
+        ];
+        (5, gates)
     }
 
-    fn wide_circuit(n: usize) -> Circuit {
-        // n independent ANDs over the same two inputs' copies, then a
-        // XOR-reduce chain.
+    /// n independent ANDs over 2n inputs, then a XOR-reduce chain.
+    fn wide(n: usize) -> (usize, Vec<Gate>) {
         let mut gates = Vec::new();
-        let mut w = 2 * n;
+        let w = 2 * n;
         for i in 0..n {
             gates.push(Gate::And {
                 a: 2 * i,
@@ -144,32 +114,24 @@ mod tests {
             });
             acc = w + n + i - 1;
         }
-        w += 2 * n - 1;
-        Circuit {
-            num_wires: w + 1,
-            alice_inputs: n,
-            bob_inputs: n,
-            gates,
-            outputs: vec![acc],
-        }
+        (w + 2 * n, gates)
     }
 
     /// The schedule must be a permutation of the gates where every gate's
     /// inputs settle before it runs: free gates of level k may read same-
     /// level free outputs listed earlier plus level <k AND outputs; AND
     /// gates of level k read only wires settled by end of level k's frees.
-    fn assert_valid_schedule(c: &Circuit) {
-        let sched = LevelSchedule::build(c);
-        let n_in = c.alice_inputs + c.bob_inputs;
-        let mut settled = vec![false; c.num_wires];
+    fn assert_valid_schedule(n_in: usize, num_wires: usize, gates: &[Gate]) {
+        let levels = levelize(num_wires, gates);
+        let mut settled = vec![false; num_wires];
         for s in settled.iter_mut().take(n_in) {
             *s = true;
         }
         let mut seen_gates = 0usize;
         let mut seen_ands = std::collections::HashSet::new();
-        for level in &sched.levels {
-            for &gi in &level.free {
-                match c.gates[gi] {
+        for level in &levels {
+            for g in &level.free {
+                match *g {
                     Gate::Xor { a, b, out } => {
                         assert!(settled[a] && settled[b], "xor inputs unsettled");
                         settled[out] = true;
@@ -185,45 +147,38 @@ mod tests {
             // ANDs read only wires settled before any same-level AND writes.
             for and in &level.ands {
                 assert!(settled[and.a] && settled[and.b], "and inputs unsettled");
-                assert!(seen_ands.insert(and.and_idx), "duplicate and_idx");
+                assert!(seen_ands.insert(and.idx), "duplicate AND index");
             }
             for and in &level.ands {
                 settled[and.out] = true;
                 seen_gates += 1;
             }
         }
-        assert_eq!(seen_gates, c.gates.len(), "schedule drops gates");
-        assert_eq!(sched.and_count() as u64, c.and_count());
+        assert_eq!(seen_gates, gates.len(), "schedule drops gates");
     }
 
     #[test]
     fn chain_levels_are_sequential() {
-        let c = chain_circuit();
-        c.validate().expect("valid circuit");
-        let sched = LevelSchedule::build(&c);
-        assert_eq!(sched.max_width(), 1);
-        assert!(sched.levels.len() >= 2);
-        assert_valid_schedule(&c);
+        let (w, gates) = chain();
+        let levels = levelize(w, &gates);
+        assert!(levels.iter().all(|l| l.ands.len() <= 1));
+        assert!(levels.len() >= 2);
+        assert_valid_schedule(2, w, &gates);
     }
 
     #[test]
-    fn wide_circuit_is_one_parallel_level() {
-        let c = wide_circuit(64);
-        c.validate().expect("valid circuit");
-        let sched = LevelSchedule::build(&c);
-        assert_eq!(sched.levels[0].ands.len(), 64);
-        assert_eq!(sched.max_width(), 64);
-        assert_valid_schedule(&c);
+    fn wide_circuit_is_one_batched_level() {
+        let (w, gates) = wide(64);
+        assert_eq!(levelize(w, &gates)[0].ands.len(), 64);
+        assert_valid_schedule(128, w, &gates);
     }
 
     #[test]
-    fn and_indices_follow_circuit_order() {
-        let c = chain_circuit();
-        let sched = LevelSchedule::build(&c);
-        let idxs: Vec<usize> = sched
-            .levels
+    fn and_indices_follow_template_order() {
+        let (w, gates) = chain();
+        let idxs: Vec<usize> = levelize(w, &gates)
             .iter()
-            .flat_map(|l| l.ands.iter().map(|a| a.and_idx))
+            .flat_map(|l| l.ands.iter().map(|a| a.idx))
             .collect();
         assert_eq!(idxs, vec![0, 1]);
     }

@@ -26,8 +26,10 @@ mod eval;
 mod gadgets;
 mod ir;
 pub mod levels;
+mod rows;
 
 pub use builder::{BitRef, Builder, Word};
 pub use eval::{bits_to_u64, evaluate, u64_to_bits};
-pub use ir::{Circuit, CircuitStats, Gate};
-pub use levels::{AndRef, Level, LevelSchedule};
+pub use ir::{Circuit, CircuitStats, Col, Gate, Port, Segment};
+pub use levels::{AndRef, Level};
+pub use rows::Rows;

@@ -14,8 +14,8 @@
 use crate::session::Session;
 use crate::shape::{Draws, RelHeader};
 use crate::srel::SecureRelation;
-use secyan_circuit::{u64_to_bits, BitRef, Builder, Circuit, Word};
-use secyan_gc::{with_shared_outputs, SharedOutputSpec};
+use secyan_circuit::{u64_to_bits, Circuit, Word};
+use secyan_gc::{with_shared_rows, SharedOutputSpec};
 use secyan_oep::{oep_ot_count, shared_oep_other, shared_oep_perm_holder};
 
 /// Which projection-aggregation to compute.
@@ -32,54 +32,41 @@ pub enum AggKind {
 /// Inputs (after the shared-output masks): garbler's N−1 equality bits and
 /// N share words, then the evaluator's N share words. Outputs: N shared
 /// words in sorted order, nonzero only at group ends.
-fn merge_circuit(n: usize, ell: usize, kind: AggKind) -> (Circuit, SharedOutputSpec) {
-    let spec = SharedOutputSpec::uniform(n, ell);
-    let circuit = with_shared_outputs(&spec, |b| {
-        let eq_bits: Vec<BitRef> = (0..n.saturating_sub(1)).map(|_| b.alice_input()).collect();
-        let a_shares: Vec<Word> = (0..n).map(|_| b.alice_word(ell)).collect();
-        let b_shares: Vec<Word> = (0..n).map(|_| b.bob_word(ell)).collect();
-        let vs: Vec<Word> = a_shares
-            .iter()
-            .zip(&b_shares)
-            .map(|(x, y)| b.add_words(x, y))
-            .collect();
-        let mut outs: Vec<Word> = Vec::with_capacity(n);
-        match kind {
-            AggKind::Sum => {
-                let mut z = vs[0].clone();
-                for i in 0..n.saturating_sub(1) {
-                    let eq = eq_bits[i];
-                    let neq = b.not(eq);
-                    outs.push(b.and_word_bit(&z, neq));
-                    let keep = b.and_word_bit(&z, eq);
-                    z = b.add_words(&keep, &vs[i + 1]);
-                }
-                outs.push(z);
-            }
-            AggKind::Support => {
-                let inds: Vec<BitRef> = vs.iter().map(|v| b.is_nonzero_word(v)).collect();
-                let mut acc = inds[0];
-                for i in 0..n.saturating_sub(1) {
-                    let eq = eq_bits[i];
-                    let neq = b.not(eq);
-                    let emitted = b.and(acc, neq);
-                    outs.push(bit_to_word(b, emitted, ell));
-                    let kept = b.and(acc, eq);
-                    acc = b.or(kept, inds[i + 1]);
-                }
-                outs.push(bit_to_word(b, acc, ell));
-            }
+pub(crate) fn merge_circuit(n: usize, ell: usize, kind: AggKind) -> (Circuit, SharedOutputSpec) {
+    with_shared_rows(n, &[ell], |c| {
+        let eq = c.alice(n - 1, 1);
+        let (a, bs) = (c.alice(n, ell), c.bob(n, ell));
+        let mut xs = c.segment(n, |b| {
+            let (x, y) = (b.read(a), b.read(bs));
+            let v = b.add_words(&x, &y);
+            b.output_word(&v);
+        });
+        // π¹ sweeps the values' nonzero indicators along instead.
+        if kind == AggKind::Support {
+            xs = c.segment(n, |b| {
+                let v = b.read(xs);
+                let ind = b.is_nonzero_word(&v);
+                b.output(ind);
+            });
         }
-        outs
-    });
-    (circuit, spec)
-}
-
-/// Embed a single bit as an ℓ-bit ring element (0 or 1).
-fn bit_to_word(b: &mut Builder, bit: BitRef, ell: usize) -> Word {
-    let mut bits = vec![b.constant(false); ell];
-    bits[0] = bit;
-    Word(bits)
+        // One merge gate per adjacent pair, carrying the running group
+        // aggregate: a row emits it when its group ends there (else 0) and
+        // hands on the next group's start or the extended aggregate. A
+        // support bit leaves as the ring element 0 or 1.
+        let (outs, last) = c.scan(n - 1, xs.slice_rows(0..1), |b, z| {
+            let eq = b.read(eq).0[0];
+            let next = b.read(xs.slice_rows(1..n));
+            let neq = b.not(eq);
+            let out = b.and_word_bit(z, neq);
+            b.output_word(&out);
+            let keep = b.and_word_bit(z, eq);
+            match kind {
+                AggKind::Sum => b.add_words(&keep, &next),
+                AggKind::Support => Word(vec![b.or(keep.0[0], next.0[0])]),
+            }
+        });
+        vec![vec![outs], vec![last]]
+    })
 }
 
 /// How one projection-aggregation runs. A function of the input's public

@@ -13,7 +13,7 @@
 
 use crate::session::Session;
 use rand::Rng;
-use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit};
+use secyan_circuit::{bits_to_u64, u64_to_bits, Circuit, Rows};
 use secyan_gc::OutputMode;
 use secyan_relation::{NaturalRing, Relation, Semiring};
 use secyan_transport::Role;
@@ -77,21 +77,21 @@ pub fn apply_selection(
 
 /// Division circuit for composition: per row, reconstruct numerator and
 /// denominator shares, divide, reveal `scale·num/den` to the evaluator.
-fn ratio_circuit(n: usize, ell: usize, scale: u64) -> Circuit {
-    let mut b = Builder::new();
-    let na: Vec<_> = (0..n).map(|_| b.alice_word(ell)).collect();
-    let da: Vec<_> = (0..n).map(|_| b.alice_word(ell)).collect();
-    let nb: Vec<_> = (0..n).map(|_| b.bob_word(ell)).collect();
-    let db: Vec<_> = (0..n).map(|_| b.bob_word(ell)).collect();
-    let scale_w = b.const_word(scale, ell);
-    for i in 0..n {
-        let num = b.add_words(&na[i], &nb[i]);
-        let den = b.add_words(&da[i], &db[i]);
+pub(crate) fn ratio_circuit(n: usize, ell: usize, scale: u64) -> Circuit {
+    let mut c = Rows::new();
+    let (na, da) = (c.alice(n, ell), c.alice(n, ell));
+    let (nb, db) = (c.bob(n, ell), c.bob(n, ell));
+    let quotients = c.segment(n, |b| {
+        let [na, da, nb, db] = [na, da, nb, db].map(|col| b.read(col));
+        let scale_w = b.const_word(scale, ell);
+        let num = b.add_words(&na, &nb);
+        let den = b.add_words(&da, &db);
         let scaled = b.mul_words(&num, &scale_w);
         let q = b.div_words(&scaled, &den);
         b.output_word(&q);
-    }
-    b.finish()
+    });
+    c.output(quotients);
+    c.finish()
 }
 
 /// Query composition (§7): given aligned shares of numerators and

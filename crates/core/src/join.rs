@@ -11,8 +11,8 @@
 use crate::session::Session;
 use crate::shape::{Draws, RelHeader};
 use crate::srel::SecureRelation;
-use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit, Word};
-use secyan_gc::{with_shared_outputs, OutputMode, SharedOutputSpec};
+use secyan_circuit::{bits_to_u64, u64_to_bits, Circuit, Rows, Word};
+use secyan_gc::{with_shared_rows, OutputMode, SharedOutputSpec};
 use secyan_oep::{oep_ot_count, shared_oep_other, shared_oep_perm_holder};
 use secyan_transport::{Role, WriteExt};
 use std::collections::HashMap;
@@ -65,38 +65,32 @@ pub(crate) fn reveal_step(rel: &RelHeader, receiver: Role, ell: usize, values: b
 impl RevealStep {
     /// Garbler inputs: all v-shares, then all tuple words (when it owns
     /// them). Evaluator inputs: its v-shares.
-    fn circuit(&self) -> Circuit {
+    pub(crate) fn circuit(&self) -> Circuit {
         let (n, ell) = (self.n, self.ell);
-        let mut b = Builder::new();
-        let va: Vec<Word> = (0..n).map(|_| b.alice_word(ell)).collect();
-        let ta: Vec<Vec<Word>> = (0..n)
-            .map(|_| {
-                if self.owner_is_garbler {
-                    (0..self.attrs).map(|_| b.alice_word(64)).collect()
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        let vb: Vec<Word> = (0..n).map(|_| b.bob_word(ell)).collect();
-        for i in 0..n {
-            let v = b.add_words(&va[i], &vb[i]);
+        let tuple_bits = usize::from(self.owner_is_garbler) * self.attrs * 64;
+        let mut c = Rows::new();
+        let (va, ta) = (c.alice(n, ell), c.alice(n, tuple_bits));
+        let vb = c.bob(n, ell);
+        let revealed = c.segment(n, |b| {
+            let (va, ta, vb) = (b.read(va), b.read(ta), b.read(vb));
+            let v = b.add_words(&va, &vb);
             if self.values {
                 b.output_word(&v);
                 if !self.owner_is_garbler {
-                    continue;
+                    return;
                 }
             }
             let ind = b.is_nonzero_word(&v);
             if !self.values {
                 b.output(ind);
             }
-            for w in &ta[i] {
-                let gated = b.and_word_bit(w, ind);
+            for w in ta.0.chunks(64) {
+                let gated = b.and_word_bit(&Word(w.to_vec()), ind);
                 b.output_word(&gated);
             }
-        }
-        b.finish()
+        });
+        c.output(revealed);
+        c.finish()
     }
 
     pub(crate) fn draws(&self) -> Draws {
@@ -185,43 +179,35 @@ pub fn join_tail_ot_count(sizes: &[usize], out_size: usize, ell: usize) -> usize
 /// The k-way annotation product circuit over `out_size` rows. Garbler =
 /// non-receiver. When `reveal`, outputs go to the receiver in the clear;
 /// otherwise they leave as fresh shares.
-fn product_tree_circuit(
+pub(crate) fn product_tree_circuit(
     n: usize,
     k: usize,
     ell: usize,
     reveal: bool,
 ) -> (Circuit, Option<SharedOutputSpec>) {
-    let build = |b: &mut Builder| -> Vec<Word> {
-        let ga: Vec<Vec<Word>> = (0..n)
-            .map(|_| (0..k).map(|_| b.alice_word(ell)).collect())
-            .collect();
-        let gb: Vec<Vec<Word>> = (0..n)
-            .map(|_| (0..k).map(|_| b.bob_word(ell)).collect())
-            .collect();
-        (0..n)
-            .map(|i| {
-                let mut acc: Option<Word> = None;
-                for j in 0..k {
-                    let v = b.add_words(&ga[i][j], &gb[i][j]);
-                    acc = Some(match acc {
-                        None => v,
-                        Some(a) => b.mul_words(&a, &v),
-                    });
-                }
-                acc.expect("k >= 1")
-            })
-            .collect()
+    let product = |c: &mut Rows| {
+        let (ga, gb) = (c.alice(n, k * ell), c.bob(n, k * ell));
+        c.segment(n, |b| {
+            let (ga, gb) = (b.read(ga), b.read(gb));
+            let mut acc: Option<Word> = None;
+            for (x, y) in ga.0.chunks(ell).zip(gb.0.chunks(ell)) {
+                let v = b.add_words(&Word(x.to_vec()), &Word(y.to_vec()));
+                acc = Some(match acc {
+                    None => v,
+                    Some(a) => b.mul_words(&a, &v),
+                });
+            }
+            b.output_word(&acc.expect("k >= 1"));
+        })
     };
     if reveal {
-        let mut b = Builder::new();
-        let words = build(&mut b);
-        for w in &words {
-            b.output_word(w);
-        }
-        (b.finish(), None)
+        let mut c = Rows::new();
+        let products = product(&mut c);
+        c.output(products);
+        (c.finish(), None)
     } else {
-        let spec = SharedOutputSpec::uniform(n, ell);
-        (with_shared_outputs(&spec, build), Some(spec))
+        let (circuit, spec) = with_shared_rows(n, &[ell], |c| vec![vec![product(c)]]);
+        (circuit, Some(spec))
     }
 }
 

@@ -19,8 +19,8 @@
 use crate::session::Session;
 use crate::shape::{Draws, PlannedCircuit, RelHeader};
 use crate::srel::{dummy_key, SecureRelation};
-use secyan_circuit::{u64_to_bits, Circuit, Word};
-use secyan_gc::{with_shared_outputs, SharedOutputSpec};
+use secyan_circuit::{u64_to_bits, Circuit};
+use secyan_gc::{with_shared_rows, SharedOutputSpec};
 use secyan_oep::{
     oep_ot_count, shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
     shared_oep_perm_holder_finish,
@@ -37,32 +37,25 @@ use std::collections::HashMap;
 /// `v_plain`, the garbler (the `R_F` owner) feeds v_i in the clear (§6.5);
 /// otherwise v_i enters as shares from both parties. z_i always enters as
 /// shares.
-fn product_circuit(n: usize, ell: usize, v_plain: bool) -> (Circuit, SharedOutputSpec) {
-    let spec = SharedOutputSpec::uniform(n, ell);
-    let circuit = with_shared_outputs(&spec, |b| {
-        let va: Vec<Word> = (0..n).map(|_| b.alice_word(ell)).collect();
-        let za: Vec<Word> = (0..n).map(|_| b.alice_word(ell)).collect();
-        let (vb, zb): (Vec<Word>, Vec<Word>) = if v_plain {
-            (Vec::new(), (0..n).map(|_| b.bob_word(ell)).collect())
-        } else {
-            (
-                (0..n).map(|_| b.bob_word(ell)).collect(),
-                (0..n).map(|_| b.bob_word(ell)).collect(),
-            )
-        };
-        (0..n)
-            .map(|i| {
-                let v = if v_plain {
-                    va[i].clone()
-                } else {
-                    b.add_words(&va[i], &vb[i])
-                };
-                let z = b.add_words(&za[i], &zb[i]);
-                b.mul_words(&v, &z)
-            })
-            .collect()
-    });
-    (circuit, spec)
+pub(crate) fn product_circuit(n: usize, ell: usize, v_plain: bool) -> (Circuit, SharedOutputSpec) {
+    with_shared_rows(n, &[ell], |c| {
+        let (va, za) = (c.alice(n, ell), c.alice(n, ell));
+        let vb = (!v_plain).then(|| c.bob(n, ell));
+        let zb = c.bob(n, ell);
+        let product = c.segment(n, |b| {
+            let (va, za) = (b.read(va), b.read(za));
+            let vb = vb.map(|vb| b.read(vb));
+            let zb = b.read(zb);
+            let v = match vb {
+                Some(vb) => b.add_words(&va, &vb),
+                None => va,
+            };
+            let z = b.add_words(&za, &zb);
+            let vz = b.mul_words(&v, &z);
+            b.output_word(&vz);
+        });
+        vec![vec![product]]
+    })
 }
 
 /// Map each R_F row to the cuckoo bin holding its join key (bin 0 for
@@ -433,6 +426,25 @@ mod tests {
 
     fn strings(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// A product circuit is its row template and a count: a million rows
+    /// store — and cost to build — what one row does.
+    #[test]
+    fn product_circuit_stores_one_row_whatever_the_count() {
+        let stored = |c: &Circuit| -> usize { c.segments().iter().map(|s| s.gates.len()).sum() };
+        let (one, _) = product_circuit(1, 32, false);
+        let (many, spec) = product_circuit(1 << 20, 32, false);
+        assert_eq!(stored(&many), stored(&one));
+        assert_eq!(one.and_count(), 1086, "multiplier, two adders, mask adder");
+        assert_eq!(many.and_count(), 1086 << 20);
+        assert_eq!(many.bob_inputs, 64 << 20);
+        assert_eq!(spec.widths.len(), 1 << 20);
+        assert_ne!(many.digest(), one.digest());
+        assert_eq!(
+            many.digest(),
+            product_circuit(1 << 20, 32, false).0.digest()
+        );
     }
 
     /// Drive a reduce-join with R_F owned by Alice and R_G owned by

@@ -20,7 +20,7 @@
 //! the walk cannot foresee is the tail of the full join — its row count is
 //! the data-dependent join output size, announced online — and a rejected
 //! cuckoo seed's extra KKRT batches; both run inline. Consumption stays
-//! digest-checked ([`secyan_gc::circuit_digest`]) as the fault detector: a
+//! digest-checked ([`secyan_circuit::Circuit::digest`]) as the fault detector: a
 //! bank that does not match falls back inline on both parties at once.
 
 use crate::agg::{agg_step, AggKind};
@@ -320,7 +320,7 @@ mod tests {
         // The reveal opens one 32-bit total per public row and no tuple
         // words (the output schema is empty).
         let reveal = &shape.planned[2].circuit;
-        assert_eq!(reveal.outputs.len(), 4 * 32);
+        assert_eq!(reveal.output_count(), 4 * 32);
         assert_eq!(shape.ot_budget, shape.exact.ot.max());
     }
 

@@ -15,8 +15,9 @@
 //! and `σ` a linear orthomorphism (here `σ(hi ‖ lo) = (hi ⊕ lo) ‖ hi`),
 //! which is circular-correlation-robust under the usual ideal-permutation
 //! analysis. The batched entry points ([`TweakHasher::hash_batch`],
-//! [`TweakHasher::hash4`], …) hoist the key schedule and dispatch out of
-//! the per-gate loop and hand the kernel 4–8 independent blocks per call.
+//! [`TweakHasher::hash_each_into`], …) hoist the key schedule and dispatch
+//! out of the per-gate loop and hand the kernel whole batches of
+//! independent blocks per call.
 
 use crate::aes::{fixed_key, PIPELINE_WIDTH};
 use crate::block::Block;
@@ -69,52 +70,6 @@ impl TweakHasher {
         }
     }
 
-    /// Hash four blocks, each under its own tweak, in one kernel dispatch.
-    /// Exactly the shape of one half-gates AND gate on the garbler side.
-    #[inline]
-    pub fn hash4(self, xs: [Block; 4], tweaks: [u64; 4]) -> [Block; 4] {
-        match self {
-            TweakHasher::Aes => {
-                let s = xs.map(|x| sigma(x.0));
-                let mut buf = [
-                    s[0] ^ tweaks[0] as u128,
-                    s[1] ^ tweaks[1] as u128,
-                    s[2] ^ tweaks[2] as u128,
-                    s[3] ^ tweaks[3] as u128,
-                ];
-                fixed_key().encrypt_blocks(&mut buf);
-                [
-                    Block(buf[0] ^ s[0]),
-                    Block(buf[1] ^ s[1]),
-                    Block(buf[2] ^ s[2]),
-                    Block(buf[3] ^ s[3]),
-                ]
-            }
-            _ => [
-                self.hash(xs[0], tweaks[0]),
-                self.hash(xs[1], tweaks[1]),
-                self.hash(xs[2], tweaks[2]),
-                self.hash(xs[3], tweaks[3]),
-            ],
-        }
-    }
-
-    /// Hash two independent (block, tweak) pairs in one dispatch — the
-    /// shape of one AND gate on the evaluator side.
-    #[inline]
-    pub fn hash_pair(self, x0: Block, t0: u64, x1: Block, t1: u64) -> (Block, Block) {
-        match self {
-            TweakHasher::Aes => {
-                let s0 = sigma(x0.0);
-                let s1 = sigma(x1.0);
-                let mut buf = [s0 ^ t0 as u128, s1 ^ t1 as u128];
-                fixed_key().encrypt_blocks(&mut buf);
-                (Block(buf[0] ^ s0), Block(buf[1] ^ s1))
-            }
-            _ => (self.hash(x0, t0), self.hash(x1, t1)),
-        }
-    }
-
     /// Hash a slice of blocks, block `j` under tweak `tweak_base + j` —
     /// the shape of post-transpose IKNP row hashing. One kernel dispatch
     /// per 8 blocks; large batches additionally split across the worker
@@ -164,29 +119,27 @@ impl TweakHasher {
     }
 
     /// Hash every block of `xs`, block `j` under its own `tweaks[j]`, into
-    /// `out`. This is the fully general batched shape: the level-parallel
-    /// garbler/evaluator use it to hand the AES kernel a whole level's
-    /// worth of gate hashes (4 per AND garbling, 2 evaluating) as one
-    /// contiguous batch instead of one 4-block dispatch per gate. Serial
-    /// by design — it is called from inside `secyan-par` workers, which
-    /// must never nest a pool.
+    /// `out`. This is the fully general batched shape: the garbler and the
+    /// evaluator use it to hand the AES kernel one level × tile of gate
+    /// hashes (4 per AND garbling, 2 evaluating) as one contiguous batch.
+    /// Serial by design — it is called from inside `secyan-par` workers,
+    /// which must never nest a pool.
     pub fn hash_each_into(self, xs: &[Block], tweaks: &[u64], out: &mut [Block]) {
         assert_eq!(xs.len(), tweaks.len(), "hash_each wants aligned slices");
         assert_eq!(xs.len(), out.len(), "hash_each wants aligned slices");
         match self {
             TweakHasher::Aes => {
-                let mut sig: Vec<u128> = xs.iter().map(|x| sigma(x.0)).collect();
-                let mut buf: Vec<u128> = sig
-                    .iter()
-                    .zip(tweaks)
-                    .map(|(&s, &t)| s ^ t as u128)
-                    .collect();
+                // `out` holds σ(x) while the permutation runs on a copy.
+                let mut buf: Vec<u128> = Vec::with_capacity(xs.len());
+                for ((o, x), &t) in out.iter_mut().zip(xs).zip(tweaks) {
+                    *o = Block(sigma(x.0));
+                    buf.push(o.0 ^ t as u128);
+                }
                 fixed_key().encrypt_blocks(&mut buf);
-                for (o, (&c, &s)) in out.iter_mut().zip(buf.iter().zip(&sig)) {
-                    *o = Block(c ^ s);
+                for (o, &c) in out.iter_mut().zip(&buf) {
+                    o.0 ^= c;
                 }
                 // The scratch holds σ(label) images — label material.
-                sig.zeroize();
                 buf.zeroize();
             }
             _ => {
@@ -195,13 +148,6 @@ impl TweakHasher {
                 }
             }
         }
-    }
-
-    /// Allocating wrapper around [`TweakHasher::hash_each_into`].
-    pub fn hash_each(self, xs: &[Block], tweaks: &[u64]) -> Vec<Block> {
-        let mut out = vec![Block(0); xs.len()];
-        self.hash_each_into(xs, tweaks, &mut out);
-        out
     }
 
     /// Hash a wide row (N bytes, N a multiple of 16) down to 64 bits under
@@ -392,26 +338,12 @@ mod tests {
     }
 
     #[test]
-    fn hash4_and_hash_pair_equal_scalar() {
-        for h in ALL {
-            let xs = [Block(1), Block(2), Block(3), Block(4)];
-            let ts = [10, 10, 11, 11];
-            let got = h.hash4(xs, ts);
-            for j in 0..4 {
-                assert_eq!(got[j], h.hash(xs[j], ts[j]), "{h:?} lane {j}");
-            }
-            let (p0, p1) = h.hash_pair(Block(9), 2, Block(8), 3);
-            assert_eq!(p0, h.hash(Block(9), 2));
-            assert_eq!(p1, h.hash(Block(8), 3));
-        }
-    }
-
-    #[test]
     fn hash_each_equals_per_element_hash() {
         for h in ALL {
             let xs: Vec<Block> = (0..23u128).map(|i| Block(i * 31 + 2)).collect();
             let tweaks: Vec<u64> = (0..23u64).map(|i| i.wrapping_mul(0x7777) ^ 5).collect();
-            let got = h.hash_each(&xs, &tweaks);
+            let mut got = vec![Block(0); xs.len()];
+            h.hash_each_into(&xs, &tweaks, &mut got);
             for j in 0..xs.len() {
                 assert_eq!(got[j], h.hash(xs[j], tweaks[j]), "{h:?} element {j}");
             }

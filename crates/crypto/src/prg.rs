@@ -53,18 +53,6 @@ impl Prg {
         self.rng.fill_bytes(buf);
     }
 
-    /// `n` pseudorandom bits (used for IKNP column expansion).
-    pub fn bits(&mut self, n: usize) -> Vec<bool> {
-        let mut bytes = vec![0u8; n.div_ceil(8)];
-        self.rng.fill_bytes(&mut bytes);
-        (0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect()
-    }
-
-    /// `n` pseudorandom u64 values.
-    pub fn u64s(&mut self, n: usize) -> Vec<u64> {
-        (0..n).map(|_| self.rng.next_u64()).collect()
-    }
-
     /// Access the underlying `Rng` for APIs that want one.
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.rng
@@ -81,7 +69,7 @@ mod tests {
         let mut a = Prg::from_seed(b"t", s);
         let mut b = Prg::from_seed(b"t", s);
         assert_eq!(a.next_block(), b.next_block());
-        assert_eq!(a.u64s(5), b.u64s(5));
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
@@ -97,12 +85,5 @@ mod tests {
         let mut a = Prg::from_seed(b"t", Block(1));
         let mut b = Prg::from_seed(b"t", Block(2));
         assert_ne!(a.next_block(), b.next_block());
-    }
-
-    #[test]
-    fn bits_have_requested_length() {
-        let mut p = Prg::from_seed(b"t", Block(7));
-        assert_eq!(p.bits(13).len(), 13);
-        assert_eq!(p.bits(0).len(), 0);
     }
 }

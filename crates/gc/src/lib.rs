@@ -22,12 +22,12 @@ pub mod scheme;
 pub mod shares;
 
 pub use protocol::{
-    circuit_digest, evaluate_banked, evaluate_begin, evaluate_circuit, evaluate_finish,
-    evaluate_offline, evaluator_ot_count, garble_banked, garble_circuit, garble_offline, take_eval,
-    take_garble, EvalMaterial, EvalPending, GarbleMaterial, OutputMode,
+    evaluate_banked, evaluate_begin, evaluate_circuit, evaluate_finish, evaluate_offline,
+    evaluator_ot_count, garble_banked, garble_circuit, garble_offline, take_eval, take_garble,
+    EvalMaterial, EvalPending, GarbleMaterial, OutputMode,
 };
 pub use scheme::{EvalTables, Garbling};
 pub use shares::{
     evaluate_shared, evaluate_shared_banked, evaluate_shared_finish, garble_shared,
-    garble_shared_banked, with_shared_outputs, SharedInput, SharedOutputSpec,
+    garble_shared_banked, with_shared_outputs, with_shared_rows, SharedOutputSpec,
 };

@@ -7,13 +7,13 @@
 //! paper requires of every building block.
 
 use rand::Rng;
-use secyan_circuit::{Circuit, Gate};
+use secyan_circuit::Circuit;
 use secyan_crypto::{Block, TweakHasher};
 use secyan_ot::{OtReceiver, OtSender};
 use secyan_transport::{Channel, ReadExt, WriteExt};
 use std::collections::VecDeque;
 
-use crate::scheme::{eval, garble, EvalTables, Garbling};
+use crate::scheme::{eval_cells, garble_into, Garbling};
 
 /// Who learns the cleartext circuit outputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,97 +27,41 @@ pub enum OutputMode {
     RevealBoth,
 }
 
-/// A cheap structural fingerprint of a public circuit, used to pair
-/// pre-garbled material with the circuit an online call presents. Both
-/// parties derive it locally from the same public circuit, so it is a
-/// bookkeeping key, not a security boundary: a mismatch merely routes the
-/// call to the inline (offline-then-online) fallback.
-pub fn circuit_digest(circuit: &Circuit) -> u64 {
-    #[inline]
-    fn mix(h: u64, v: u64) -> u64 {
-        let mut x = h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
-    let mut h = mix(0xC19C_0317_D16E_5700u64, circuit.num_wires as u64);
-    h = mix(h, circuit.alice_inputs as u64);
-    h = mix(h, circuit.bob_inputs as u64);
-    for g in &circuit.gates {
-        h = match *g {
-            Gate::Xor { a, b, out } => mix(mix(mix(mix(h, 1), a as u64), b as u64), out as u64),
-            Gate::And { a, b, out } => mix(mix(mix(mix(h, 2), a as u64), b as u64), out as u64),
-            Gate::Inv { a, out } => mix(mix(mix(h, 3), a as u64), out as u64),
-        };
-    }
-    for &o in &circuit.outputs {
-        h = mix(h, o as u64);
-    }
-    h
-}
-
-/// Garbler-side offline material: a pre-garbled circuit whose tables have
-/// already been shipped to the evaluator. The key material inside the
-/// [`Garbling`] is `Secret`-wrapped and zeroizes when the material drops,
-/// used or not.
+/// Garbler-side offline material: Δ and the input/output zero-labels of a
+/// pre-garbled circuit whose tables have already been shipped to the
+/// evaluator (they were written into the channel and are not kept). The
+/// key material inside the [`Garbling`] is `Secret`-wrapped and zeroizes
+/// when the material drops, used or not.
 pub struct GarbleMaterial {
     garbling: Garbling,
     digest: u64,
 }
 
-impl GarbleMaterial {
-    /// Fingerprint of the circuit this material was garbled for.
-    pub fn digest(&self) -> u64 {
-        self.digest
-    }
-}
-
-/// Evaluator-side offline material: the tables received during the
-/// offline phase. Tables are ciphertexts (public given the wire), but the
-/// pairing digest keeps consumption aligned with the garbler.
+/// Evaluator-side offline material: the table bytes as received during
+/// the offline phase, 32 per AND. Tables are ciphertexts (public given the
+/// wire), but the pairing digest keeps consumption aligned with the
+/// garbler.
 pub struct EvalMaterial {
-    tables: EvalTables,
+    tables: Vec<u8>,
     digest: u64,
 }
 
-impl EvalMaterial {
-    /// Fingerprint of the circuit these tables belong to.
-    pub fn digest(&self) -> u64 {
-        self.digest
-    }
-}
-
 /// Pop the front of a garbler-side material queue iff it was pre-garbled
-/// for exactly `circuit` (by digest). Anything else — empty queue, or a
-/// schedule the offline planner did not foresee — returns `None`, routing
-/// the caller to the inline fallback. Both parties derive the digest from
+/// for exactly `circuit` (by [`Circuit::digest`], fixed when the circuit
+/// was built). Anything else — empty queue, or a schedule the offline
+/// planner did not foresee — returns `None`, routing the caller to the
+/// inline fallback. Both parties derive the digest from
 /// the same public circuit, so their pop-vs-fallback decisions mirror.
 pub fn take_garble(
     queue: &mut VecDeque<GarbleMaterial>,
     circuit: &Circuit,
 ) -> Option<GarbleMaterial> {
-    if queue
-        .front()
-        .is_some_and(|m| m.digest() == circuit_digest(circuit))
-    {
-        queue.pop_front()
-    } else {
-        None
-    }
+    queue.pop_front_if(|m| m.digest == circuit.digest())
 }
 
 /// Evaluator-side counterpart of [`take_garble`].
 pub fn take_eval(queue: &mut VecDeque<EvalMaterial>, circuit: &Circuit) -> Option<EvalMaterial> {
-    if queue
-        .front()
-        .is_some_and(|m| m.digest() == circuit_digest(circuit))
-    {
-        queue.pop_front()
-    } else {
-        None
-    }
+    queue.pop_front_if(|m| m.digest == circuit.digest())
 }
 
 /// OTs one run of `circuit` draws, garbler sending: one per evaluator
@@ -136,15 +80,25 @@ pub fn garble_offline<R: Rng + ?Sized>(
     hasher: TweakHasher,
     rng: &mut R,
 ) -> GarbleMaterial {
-    let g = garble(circuit, hasher, rng);
-    let table_blocks = EvalTables {
-        tables: g.tables.clone(),
+    // Garble straight into the channel's staging buffer: the tables are
+    // one message, 32 bytes per AND in AND-index order, and exist nowhere
+    // else on this side. A circuit without ANDs sends nothing.
+    let mut garbling = None;
+    let mut fill = |buf: &mut [u8]| {
+        garbling = Some(garble_into(
+            circuit,
+            hasher,
+            rng,
+            buf.as_chunks_mut::<32>().0,
+        ));
+    };
+    match 32 * circuit.and_count() as usize {
+        0 => fill(&mut []),
+        len => ch.send_with(len, fill),
     }
-    .to_blocks();
-    ch.send_u128_slice(&table_blocks);
     GarbleMaterial {
-        garbling: g,
-        digest: circuit_digest(circuit),
+        garbling: garbling.expect("garbled above"),
+        digest: circuit.digest(),
     }
 }
 
@@ -162,7 +116,7 @@ fn garble_online(
     assert_eq!(my_inputs.len(), circuit.alice_inputs, "garbler input arity");
     assert_eq!(
         material.digest,
-        circuit_digest(circuit),
+        circuit.digest(),
         "pre-garbled material is for a different circuit"
     );
     let g = material.garbling;
@@ -187,7 +141,7 @@ fn garble_online(
     ot.send_blocks(ch, &eval_pairs);
     // Output decoding toward the garbler.
     if matches!(mode, OutputMode::RevealToGarbler | OutputMode::RevealBoth) {
-        let colors = ch.recv_bool_vec(circuit.outputs.len());
+        let colors = ch.recv_bool_vec(circuit.output_count());
         let decode = g.decode_bits();
         Some(colors.iter().zip(&decode).map(|(&c, &d)| c ^ d).collect())
     } else {
@@ -197,10 +151,11 @@ fn garble_online(
 
 /// Offline half of [`evaluate_circuit`]: receive the tables.
 pub fn evaluate_offline(ch: &mut Channel, circuit: &Circuit) -> EvalMaterial {
-    let tables = EvalTables::from_blocks(&ch.recv_u128_vec(2 * circuit.and_count() as usize));
+    let mut tables = vec![0u8; 32 * circuit.and_count() as usize];
+    ch.recv_into(&mut tables);
     EvalMaterial {
         tables,
-        digest: circuit_digest(circuit),
+        digest: circuit.digest(),
     }
 }
 
@@ -232,7 +187,7 @@ pub fn evaluate_begin(
     if let Some(m) = &material {
         assert_eq!(
             m.digest,
-            circuit_digest(circuit),
+            circuit.digest(),
             "pre-received tables are for a different circuit"
         );
     }
@@ -263,14 +218,14 @@ pub fn evaluate_finish(
         .map(Block)
         .collect();
     let decode = if matches!(mode, OutputMode::RevealToEvaluator | OutputMode::RevealBoth) {
-        Some(ch.recv_bool_vec(circuit.outputs.len()))
+        Some(ch.recv_bool_vec(circuit.output_count()))
     } else {
         None
     };
     let my_labels = ot.finish_recv_blocks(ch, &pads, my_inputs);
     let mut labels = garbler_labels;
     labels.extend(my_labels);
-    let out_labels = eval(circuit, &tables, &labels, hasher);
+    let out_labels = eval_cells(circuit, tables.as_chunks().0, &labels, hasher);
     let colors: Vec<bool> = out_labels.iter().map(|l| l.lsb()).collect();
     if matches!(mode, OutputMode::RevealToGarbler | OutputMode::RevealBoth) {
         ch.send_bool_slice(&colors);

@@ -4,34 +4,30 @@
 //! the garbler side, [`eval`] consumes tables + input labels on the
 //! evaluator side. The two-party protocol in [`crate::protocol`] moves the
 //! bytes.
+//!
+//! A circuit is a list of (template × count) segments, and both kernels
+//! walk it the same way: a *tile* of rows at a time — sized so the tile's
+//! wire labels stay in cache — gather the rows' input labels, run the
+//! template's levels over the whole tile with one batched hash per level,
+//! copy the exported labels out, scrub the scratch, next tile.
 
 use rand::Rng;
-use secyan_circuit::{Circuit, Gate, LevelSchedule};
+use secyan_circuit::{AndRef, Circuit, Gate, Segment};
 use secyan_crypto::{Block, CtChoice, CtEq, Secret, TweakHasher, Zeroize};
 use secyan_par as par;
+use std::ops::Range;
 
-/// Minimum AND-gate count before garbling/evaluation builds a level
-/// schedule. The levelized path batches every level's gate hashes into
-/// one wide AES dispatch (`TweakHasher::hash_each`), which already wins
-/// at a single thread; below this the per-gate serial loop's lack of
-/// schedule-building overhead wins.
-const GC_PAR_MIN_ANDS: usize = 512;
+/// Label scratch one tile may occupy (rows × template wires × 16 B): small
+/// enough to stay in a core's private L2 next to the tables streaming by.
+const TILE_BYTES: usize = 256 << 10;
 
-/// Minimum AND gates handed to one worker within a level. One garbled AND
-/// is ~70ns of work while a pool dispatch costs tens of microseconds in
-/// wake/park round trips, so a level must carry well over a thousand ANDs
-/// per extra worker before fan-out beats the serial loop. Levels below
-/// this threshold run inline on the calling thread (`Pool::ranges`
-/// collapses to one part), which keeps the 1-thread path from ever losing.
-const GC_ANDS_PER_PART: usize = 2048;
-
-/// Spawn pool workers only if some level is at least this wide. Spawning
-/// is the expensive part (thread create + park/wake per level): a circuit
-/// whose widest level still collapses to one part would pay it for
-/// nothing — exactly the "garbling 0.44x at 4 threads" regression the
-/// bench history recorded when the old code spawned on total AND count.
-fn schedule_worth_pool(sched: &LevelSchedule) -> bool {
-    sched.levels.iter().map(|l| l.ands.len()).max().unwrap_or(0) >= 2 * GC_ANDS_PER_PART
+/// Rows per tile of `seg`. A scan's rows each wait for the previous row's
+/// carry, so they cannot share a level step.
+fn tile_rows(seg: &Segment) -> usize {
+    match seg.carry {
+        true => 1,
+        false => (TILE_BYTES / 16 / seg.num_wires.max(1)).clamp(1, seg.count),
+    }
 }
 
 /// Garbler-side result of garbling a circuit.
@@ -48,7 +44,8 @@ pub struct Garbling {
     pub input_zero_labels: Secret<Vec<Block>>,
     /// Zero-label of every output wire, in output order.
     pub output_zero_labels: Secret<Vec<Block>>,
-    /// Two ciphertexts per AND gate, in gate order.
+    /// Two ciphertexts per AND gate, in AND-index order. Empty when the
+    /// tables were written straight into a channel's staging buffer.
     pub tables: Vec<(Block, Block)>,
 }
 
@@ -90,101 +87,284 @@ impl Garbling {
 /// Evaluator-side view of the tables (what travels over the wire).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalTables {
-    /// Two ciphertexts per AND gate, in gate order.
+    /// Two ciphertexts per AND gate, in AND-index order.
     pub tables: Vec<(Block, Block)>,
 }
 
-impl EvalTables {
-    /// Serialize for the channel: 32 bytes per AND gate.
-    pub fn to_blocks(&self) -> Vec<u128> {
-        self.tables.iter().flat_map(|&(a, b)| [a.0, b.0]).collect()
-    }
+/// Storage of one AND gate's two ciphertexts: the typed pair of
+/// [`Garbling`]/[`EvalTables`], or its 32 bytes in a channel buffer.
+pub(crate) trait Cell: Send + Sync {
+    fn put(&mut self, t_g: Block, t_e: Block);
+    fn get(&self) -> (Block, Block);
+}
 
-    /// Deserialize.
-    pub fn from_blocks(raw: &[u128]) -> EvalTables {
-        assert_eq!(raw.len() % 2, 0);
-        EvalTables {
-            tables: raw
-                .chunks_exact(2)
-                .map(|c| (Block(c[0]), Block(c[1])))
-                .collect(),
-        }
+impl Cell for (Block, Block) {
+    fn put(&mut self, t_g: Block, t_e: Block) {
+        *self = (t_g, t_e);
+    }
+    fn get(&self) -> (Block, Block) {
+        *self
     }
 }
 
-/// Garble `circuit`, drawing labels from `rng`.
-pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, hasher: TweakHasher, rng: &mut R) -> Garbling {
-    let delta = Block::random(rng).with_lsb(true);
-    let n_in = circuit.alice_inputs + circuit.bob_inputs;
-    let mut zero = vec![Block::ZERO; circuit.num_wires];
-    for z in zero.iter_mut().take(n_in) {
-        *z = Block::random(rng);
+impl Cell for [u8; 32] {
+    fn put(&mut self, t_g: Block, t_e: Block) {
+        self[..16].copy_from_slice(&t_g.to_bytes());
+        self[16..].copy_from_slice(&t_e.to_bytes());
     }
-    let n_ands = circuit.and_count() as usize;
-    let mut tables = vec![(Block::ZERO, Block::ZERO); n_ands];
-    // The levelized path pays off even at one thread (full AES batches per
-    // level); whether it also *spawns workers* is decided inside from the
-    // schedule's widest level.
-    if n_ands >= GC_PAR_MIN_ANDS {
-        garble_levels(circuit, hasher, delta, &mut zero, &mut tables);
-    } else {
-        let mut and_idx = 0u64;
-        for g in &circuit.gates {
-            match *g {
-                Gate::Xor { a, b, out } => zero[out] = zero[a] ^ zero[b],
-                Gate::Inv { a, out } => zero[out] = zero[a] ^ delta,
-                Gate::And { a, b, out } => {
-                    let (wg, we, tg, te) = garble_and(zero[a], zero[b], delta, hasher, and_idx);
-                    tables[and_idx as usize] = (tg, te);
-                    zero[out] = wg ^ we;
-                    and_idx += 1;
-                }
+    fn get(&self) -> (Block, Block) {
+        let half = |h: &[u8]| Block::from_bytes(h.try_into().expect("16 bytes"));
+        (half(&self[..16]), half(&self[16..]))
+    }
+}
+
+/// A tile mid-run, as one level's AND step sees it: `rows` rows of
+/// `stride` wire labels each, whose ANDs take the global indices
+/// `first_and + r·ands_per_row + idx`, and the level's hash inputs and
+/// outputs — one batch per level × tile.
+struct Tile<'a> {
+    wires: &'a mut [Block],
+    stride: usize,
+    rows: usize,
+    first_and: usize,
+    ands_per_row: usize,
+    xs: &'a mut Vec<Block>,
+    hs: &'a mut Vec<Block>,
+    tweaks: &'a mut Vec<u64>,
+}
+
+impl Tile<'_> {
+    /// Hash N blocks per (row, AND) of `ands` in one batch: `inputs` names
+    /// them, the first half under tweak `2·index`, the rest `2·index + 1`.
+    fn hash_level<const N: usize>(
+        &mut self,
+        ands: &[AndRef],
+        hasher: TweakHasher,
+        inputs: impl Fn(Block, Block) -> [Block; N],
+    ) {
+        self.xs.clear();
+        self.tweaks.clear();
+        for (r, row) in self.wires.chunks_exact(self.stride).enumerate() {
+            for and in ands {
+                let j = 2 * (self.first_and + r * self.ands_per_row + and.idx) as u64;
+                self.xs.extend(inputs(row[and.a], row[and.b]));
+                self.tweaks
+                    .extend((0..N).map(|i| j + u64::from(i >= N / 2)));
             }
         }
-    }
-    let input_zero_labels = Secret::new(zero[..n_in].to_vec());
-    let output_zero_labels = Secret::new(circuit.outputs.iter().map(|&o| zero[o]).collect());
-    // The full wire-label buffer holds every intermediate label — key
-    // material. Scrub it before the allocation is released.
-    zero.zeroize();
-    Garbling {
-        delta: Secret::new(delta),
-        input_zero_labels,
-        output_zero_labels,
-        tables,
+        self.hs.resize(self.xs.len(), Block::ZERO);
+        hasher.hash_each_into(self.xs, self.tweaks, self.hs);
     }
 }
 
-/// Half-gates garbling of one AND gate. Returns the two halves of the
-/// output zero-label and the two table ciphertexts.
+/// Walk `circuit` tile by tile over `slots` (its slot space: input labels
+/// filled in, exports to be computed). Per tile: gather the rows' port
+/// labels into the scratch, run the template's levels — free gates row by
+/// row (`flip` is what an INV XORs in), then `and_step` on the level's
+/// ANDs across the whole tile — copy the exports out and scrub the
+/// scratch. `cells` holds one entry per AND for the garbler to fill and is
+/// empty for the evaluator; `and_step` gets the tile's share.
+///
+/// Tiles of a segment are independent (a scan's aside), so with more than
+/// one thread they fan out across the pool in contiguous row ranges.
+/// Every label and table is a pure function of the input labels and the
+/// global AND index, so the result is the same at any thread count.
+fn for_each_tile<T: Cell>(
+    circuit: &Circuit,
+    slots: &mut [Block],
+    mut cells: &mut [T],
+    flip: Block,
+    and_step: &(impl Fn(&[AndRef], &mut Tile, &mut [T]) + Sync),
+) {
+    let wide = |s: &Segment| !s.carry && s.count >= 2 * tile_rows(s);
+    let parallel = par::threads() > 1 && circuit.segments().iter().any(wide);
+    par::with_pool_if(parallel, |pool| {
+        for seg in circuit.segments() {
+            let (settled, mut exports) = slots.split_at_mut(seg.export_base);
+            let n_cells = seg.ands.min(cells.len());
+            // Static partition by rows: at least one full tile per part.
+            let parts = match seg.carry {
+                true => 1,
+                false => pool.workers().min(seg.count / tile_rows(seg)).max(1),
+            };
+            let mut jobs = Vec::with_capacity(parts);
+            let mut row = 0;
+            for p in 0..parts {
+                let n = seg.count / parts + usize::from(p < seg.count % parts);
+                let e = exports.split_off_mut(..n * seg.exports.len());
+                let c = cells.split_off_mut(..n * n_cells);
+                jobs.push((row..row + n, e.expect("in range"), c.expect("in range")));
+                row += n;
+            }
+            let settled: &[Block] = settled;
+            pool.chunks_mut(&mut jobs, 1, 1, |_, jobs| {
+                for (rows, exports, cells) in jobs {
+                    run_rows(seg, settled, rows.clone(), exports, cells, flip, and_step);
+                }
+            });
+        }
+    });
+}
+
+/// Rows `rows` of `seg`, tile by tile (see [`for_each_tile`]). `settled`
+/// is the slot space below the segment's exports, `exports`/`cells` the
+/// rows' own share of the exports and table cells.
+fn run_rows<T: Cell>(
+    seg: &Segment,
+    settled: &[Block],
+    rows: Range<usize>,
+    exports: &mut [Block],
+    cells: &mut [T],
+    flip: Block,
+    and_step: &impl Fn(&[AndRef], &mut Tile, &mut [T]),
+) {
+    let (stride, n_exp, tile) = (seg.num_wires.max(1), seg.exports.len(), tile_rows(seg));
+    let n_cells = cells.len() / rows.len();
+    // Reused from tile to tile, sized up front so nothing reallocates with
+    // labels inside; `Secret` scrubs whatever is left on drop.
+    let widest = seg.levels.iter().map(|l| l.ands.len()).max().unwrap_or(0);
+    let mut scratch = Secret::new(vec![Block::ZERO; tile * stride]);
+    let mut xs = Secret::new(Vec::with_capacity(4 * tile * widest));
+    let mut hs = Secret::new(Vec::with_capacity(4 * tile * widest));
+    let mut tweaks = Vec::with_capacity(4 * tile * widest);
+    for t0 in rows.clone().step_by(tile) {
+        let n = tile.min(rows.end - t0);
+        let (done, todo) = exports.split_at_mut((t0 - rows.start) * n_exp);
+        let mut view = Tile {
+            wires: &mut scratch.expose_mut()[..n * stride],
+            stride,
+            rows: n,
+            first_and: seg.and_base as usize + t0 * seg.ands,
+            ands_per_row: seg.ands,
+            xs: xs.expose_mut(),
+            hs: hs.expose_mut(),
+            tweaks: &mut tweaks,
+        };
+        for (r, row) in view.wires.chunks_exact_mut(stride).enumerate() {
+            for (wire, port) in row.iter_mut().zip(&seg.ports) {
+                // A slot at or past `settled` is a scan's carry: the
+                // previous row's export.
+                let s = port.slot(t0 + r);
+                *wire = match s.checked_sub(settled.len()) {
+                    None => settled[s],
+                    Some(own) => done[own - rows.start * n_exp],
+                };
+            }
+        }
+        for level in &seg.levels {
+            for row in view.wires.chunks_exact_mut(stride) {
+                for g in &level.free {
+                    match *g {
+                        Gate::Xor { a, b, out } => row[out] = row[a] ^ row[b],
+                        Gate::Inv { a, out } => row[out] = row[a] ^ flip,
+                        Gate::And { .. } => unreachable!("AND scheduled as free gate"),
+                    }
+                }
+            }
+            if !level.ands.is_empty() {
+                let at = (t0 - rows.start) * n_cells;
+                and_step(&level.ands, &mut view, &mut cells[at..at + n * n_cells]);
+                // Labels and their hashes are key material (garbling) or
+                // wire-value-correlated (evaluating): scrub before reuse.
+                view.xs.zeroize();
+                view.hs.zeroize();
+            }
+        }
+        for (row, out) in view
+            .wires
+            .chunks_exact(stride)
+            .zip(todo.chunks_exact_mut(n_exp.max(1)))
+        {
+            for (slot, &w) in out.iter_mut().zip(&seg.exports) {
+                *slot = row[w];
+            }
+        }
+        // The next tile starts from an all-zero scratch.
+        scratch.expose_mut().zeroize();
+    }
+}
+
+/// Garble `circuit`, drawing labels from `rng`: Δ, then the input
+/// zero-labels in wire order.
+pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, hasher: TweakHasher, rng: &mut R) -> Garbling {
+    let mut tables = vec![(Block::ZERO, Block::ZERO); circuit.and_count() as usize];
+    let mut garbling = garble_into(circuit, hasher, rng, &mut tables);
+    garbling.tables = tables;
+    garbling
+}
+
+/// [`garble`] writing the table of AND `i` into `cells[i]` — a channel's
+/// staging buffer, say — and leaving [`Garbling::tables`] empty.
+pub(crate) fn garble_into<T: Cell, R: Rng + ?Sized>(
+    circuit: &Circuit,
+    hasher: TweakHasher,
+    rng: &mut R,
+    cells: &mut [T],
+) -> Garbling {
+    assert_eq!(cells.len() as u64, circuit.and_count(), "one cell per AND");
+    let delta = Block::random(rng).with_lsb(true);
+    let n_in = circuit.alice_inputs + circuit.bob_inputs;
+    // Zero-labels of the whole slot space — key material, scrubbed on drop.
+    let mut zero = Secret::new(vec![Block::ZERO; circuit.num_slots()]);
+    for z in zero.expose_mut().iter_mut().take(n_in) {
+        *z = Block::random(rng);
+    }
+    let and_step = |ands: &[AndRef], tile: &mut Tile, cells: &mut [T]| {
+        garble_level(ands, tile, cells, hasher, delta)
+    };
+    for_each_tile(circuit, zero.expose_mut(), cells, delta, &and_step);
+    let zero = zero.expose();
+    let output_zero_labels = circuit.output_slots().map(|s| zero[s]).collect();
+    Garbling {
+        delta: Secret::new(delta),
+        input_zero_labels: Secret::new(zero[..n_in].to_vec()),
+        output_zero_labels: Secret::new(output_zero_labels),
+        tables: Vec::new(),
+    }
+}
+
+/// The garbling loop: one level's AND gates across a tile. All four
+/// hashes of every gate go through the AES kernel as one batch, then the
+/// half-gates algebra fills in output zero-labels and table cells.
+fn garble_level<T: Cell>(
+    ands: &[AndRef],
+    tile: &mut Tile,
+    cells: &mut [T],
+    hasher: TweakHasher,
+    delta: Block,
+) {
+    tile.hash_level(ands, hasher, |wa0, wb0| {
+        [wa0, wa0 ^ delta, wb0, wb0 ^ delta]
+    });
+    for r in 0..tile.rows {
+        let row = &mut tile.wires[r * tile.stride..][..tile.stride];
+        // Indexed by position rather than zipped with the hashes: the gate
+        // descriptors are public topology and must not alias the secret
+        // label buffers in the dataflow (xtask taint).
+        for (i, and) in ands.iter().enumerate() {
+            let at = 4 * (r * ands.len() + i);
+            let h: [Block; 4] = tile.hs[at..at + 4].try_into().expect("4 hashes");
+            let (w, t_g, t_e) = garble_and_from_hashes(row[and.a], row[and.b], delta, h);
+            row[and.out] = w;
+            cells[r * tile.ands_per_row + and.idx].put(t_g, t_e);
+        }
+    }
+}
+
+/// The algebra of one garbled AND given its four batched hashes
+/// (`[H(wa0,j_g), H(wa1,j_g), H(wb0,j_e), H(wb1,j_e)]`): the output
+/// zero-label and the two table ciphertexts.
 ///
 /// The permute bits p_a, p_b are secret (they encode the label↔bit map), so
 /// the conditional XORs of the half-gates construction are done with
 /// [`Block::ct_masked`] rather than `if` — the gate garbles in the same
 /// instruction sequence whatever the permute bits are.
-fn garble_and(
-    wa0: Block,
-    wb0: Block,
-    delta: Block,
-    hasher: TweakHasher,
-    and_idx: u64,
-) -> (Block, Block, Block, Block) {
-    let j_g = 2 * and_idx;
-    let j_e = 2 * and_idx + 1;
-    // All four hashes of the gate in one kernel dispatch.
-    let h = hasher.hash4([wa0, wa0 ^ delta, wb0, wb0 ^ delta], [j_g, j_g, j_e, j_e]);
-    garble_and_from_hashes(wa0, wb0, delta, h)
-}
-
-/// The algebra of one garbled AND given its four precomputed hashes
-/// (`[H(wa0,j_g), H(wa1,j_g), H(wb0,j_e), H(wb1,j_e)]`). Split out so the
-/// levelized path can hash a whole level in one batch first.
 fn garble_and_from_hashes(
     wa0: Block,
     wb0: Block,
     delta: Block,
     h: [Block; 4],
-) -> (Block, Block, Block, Block) {
+) -> (Block, Block, Block) {
     let pa = CtChoice::from_bool(wa0.lsb());
     let pb = CtChoice::from_bool(wb0.lsb());
     let [h_a0, h_a1, h_b0, h_b1] = h;
@@ -194,74 +374,7 @@ fn garble_and_from_hashes(
     // Evaluator half-gate.
     let t_e = h_b0 ^ h_b1 ^ wa0;
     let w_e = h_b0 ^ (t_e ^ wa0).ct_masked(pb);
-    (w_g, w_e, t_g, t_e)
-}
-
-/// Level-parallel garbling: free gates run serially in circuit order;
-/// each level's AND gates — mutually independent by construction of the
-/// [`LevelSchedule`] — fan out across the pool. `garble_and` is a pure
-/// function of `(zero[a], zero[b], delta, and_idx)`, and every AND reads
-/// only wires settled in earlier steps, so the produced tables and wire
-/// labels are byte-identical to the serial loop at any thread count.
-fn garble_levels(
-    circuit: &Circuit,
-    hasher: TweakHasher,
-    delta: Block,
-    zero: &mut [Block],
-    tables: &mut [(Block, Block)],
-) {
-    let sched = LevelSchedule::build(circuit);
-    par::with_pool_if(par::threads() > 1 && schedule_worth_pool(&sched), |pool| {
-        for level in &sched.levels {
-            for &gi in &level.free {
-                match circuit.gates[gi] {
-                    Gate::Xor { a, b, out } => zero[out] = zero[a] ^ zero[b],
-                    Gate::Inv { a, out } => zero[out] = zero[a] ^ delta,
-                    Gate::And { .. } => unreachable!("AND scheduled as free gate"),
-                }
-            }
-            if level.ands.is_empty() {
-                continue;
-            }
-            let zero_ro: &[Block] = zero;
-            // [w_out, t_g, t_e] per AND, in level order. Each worker
-            // assembles its chunk's 4-per-gate hash inputs into one flat
-            // batch so the AES kernel sees full pipelines, then applies
-            // the half-gates algebra per gate.
-            let mut results: Vec<[Block; 3]> = vec![[Block::ZERO; 3]; level.ands.len()];
-            pool.chunks_mut(&mut results, 1, GC_ANDS_PER_PART, |off, chunk| {
-                let ands = &level.ands[off..off + chunk.len()];
-                let mut xs: Vec<Block> = Vec::with_capacity(4 * ands.len());
-                let mut tweaks: Vec<u64> = Vec::with_capacity(4 * ands.len());
-                for and in ands {
-                    let (wa0, wb0) = (zero_ro[and.a], zero_ro[and.b]);
-                    let j_g = 2 * and.and_idx as u64;
-                    xs.extend([wa0, wa0 ^ delta, wb0, wb0 ^ delta]);
-                    tweaks.extend([j_g, j_g, j_g + 1, j_g + 1]);
-                }
-                let mut hs = hasher.hash_each(&xs, &tweaks);
-                for (i, and) in ands.iter().enumerate() {
-                    let h: [Block; 4] = hs[4 * i..4 * i + 4].try_into().expect("4 hashes");
-                    let (wg, we, tg, te) =
-                        garble_and_from_hashes(zero_ro[and.a], zero_ro[and.b], delta, h);
-                    chunk[i] = [wg ^ we, tg, te];
-                }
-                // The staging buffers hold labels and their hashes — key
-                // material.
-                xs.zeroize();
-                hs.zeroize();
-            });
-            // Indexed by position rather than zipped with `results`: the
-            // gate descriptors are public topology and must not alias the
-            // secret label buffer in the dataflow (xtask taint).
-            for (i, and) in level.ands.iter().enumerate() {
-                zero[and.out] = results[i][0];
-                tables[and.and_idx] = (results[i][1], results[i][2]);
-            }
-            // The staging buffer holds output zero-labels — key material.
-            results.zeroize();
-        }
-    });
+    (w_g ^ w_e, t_g, t_e)
 }
 
 /// Evaluate garbled `circuit` given one label per input wire. Returns one
@@ -272,60 +385,57 @@ pub fn eval(
     input_labels: &[Block],
     hasher: TweakHasher,
 ) -> Vec<Block> {
+    eval_cells(circuit, &tables.tables, input_labels, hasher)
+}
+
+/// [`eval`] over any table storage — the received bytes as they are.
+pub(crate) fn eval_cells<T: Cell>(
+    circuit: &Circuit,
+    tables: &[T],
+    input_labels: &[Block],
+    hasher: TweakHasher,
+) -> Vec<Block> {
     let n_in = circuit.alice_inputs + circuit.bob_inputs;
     assert_eq!(input_labels.len(), n_in, "one label per input wire");
-    assert_eq!(tables.tables.len() as u64, circuit.and_count());
-    let mut wires = vec![Block::ZERO; circuit.num_wires];
-    wires[..n_in].copy_from_slice(input_labels);
-    // Mirrors `garble`: levelize for batching whenever the circuit is big
-    // enough; worker spawning is a separate, width-based decision inside.
-    if tables.tables.len() >= GC_PAR_MIN_ANDS {
-        eval_levels(circuit, tables, hasher, &mut wires);
-    } else {
-        let mut and_idx = 0u64;
-        for g in &circuit.gates {
-            match *g {
-                Gate::Xor { a, b, out } => wires[out] = wires[a] ^ wires[b],
-                // INV is free: the garbler flipped the semantics of the labels.
-                Gate::Inv { a, out } => wires[out] = wires[a],
-                Gate::And { a, b, out } => {
-                    wires[out] = eval_and(&wires, tables, a, b, and_idx, hasher);
-                    and_idx += 1;
-                }
-            }
+    assert_eq!(tables.len() as u64, circuit.and_count());
+    // Active labels of the whole slot space — correlated with cleartext
+    // wire values, scrubbed on drop.
+    let mut active = Secret::new(vec![Block::ZERO; circuit.num_slots()]);
+    active.expose_mut()[..n_in].copy_from_slice(input_labels);
+    let and_step =
+        |ands: &[AndRef], tile: &mut Tile, _: &mut [T]| eval_level(ands, tile, tables, hasher);
+    // INV is free: the garbler flipped the semantics of the labels.
+    for_each_tile(
+        circuit,
+        active.expose_mut(),
+        &mut [],
+        Block::ZERO,
+        &and_step,
+    );
+    let active = active.expose();
+    circuit.output_slots().map(|s| active[s]).collect()
+}
+
+/// The evaluation loop: one level's AND gates across a tile, both hashes
+/// of every gate in one batch, then the table algebra.
+fn eval_level<T: Cell>(ands: &[AndRef], tile: &mut Tile, tables: &[T], hasher: TweakHasher) {
+    tile.hash_level(ands, hasher, |wa, wb| [wa, wb]);
+    for r in 0..tile.rows {
+        let row = &mut tile.wires[r * tile.stride..][..tile.stride];
+        let first = tile.first_and + r * tile.ands_per_row;
+        for (i, and) in ands.iter().enumerate() {
+            let (t_g, t_e) = tables[first + and.idx].get();
+            let at = 2 * (r * ands.len() + i);
+            let (h_g, h_e) = (tile.hs[at], tile.hs[at + 1]);
+            row[and.out] = eval_and_from_hashes(row[and.a], row[and.b], t_g, t_e, h_g, h_e);
         }
     }
-    let outs = circuit.outputs.iter().map(|&o| wires[o]).collect();
-    // Intermediate labels are correlated with cleartext wire values; scrub
-    // the evaluation buffer before it is released.
-    wires.zeroize();
-    outs
 }
 
-/// Evaluate one AND gate's output label from the current wire state.
-///
-/// Both hashes of the gate run in one kernel dispatch. The color bits
-/// gate the table ciphertexts through `ct_masked` — the labels are
-/// correlated with the cleartext wire values, so no control flow may
+/// The algebra of one evaluated AND given its two batched hashes. The
+/// color bits gate the table ciphertexts through `ct_masked` — the labels
+/// are correlated with the cleartext wire values, so no control flow may
 /// depend on them.
-fn eval_and(
-    wires: &[Block],
-    tables: &EvalTables,
-    a: usize,
-    b: usize,
-    and_idx: u64,
-    hasher: TweakHasher,
-) -> Block {
-    let (t_g, t_e) = tables.tables[and_idx as usize];
-    let (wa, wb) = (wires[a], wires[b]);
-    let j_g = 2 * and_idx;
-    let j_e = 2 * and_idx + 1;
-    let (h_g, h_e) = hasher.hash_pair(wa, j_g, wb, j_e);
-    eval_and_from_hashes(wa, wb, t_g, t_e, h_g, h_e)
-}
-
-/// The algebra of one evaluated AND given its two precomputed hashes.
-/// Split out so the levelized path can hash a whole level in one batch.
 fn eval_and_from_hashes(
     wa: Block,
     wb: Block,
@@ -339,69 +449,12 @@ fn eval_and_from_hashes(
     w_g ^ w_e
 }
 
-/// Level-parallel evaluation, mirroring [`garble_levels`]: free gates run
-/// serially, each level's AND gates evaluate concurrently ([`eval_and`]
-/// is pure given the settled wire labels), and the output labels write
-/// back in level order. Both parties derive the same public schedule, so
-/// the wire values match the serial loop bit for bit.
-fn eval_levels(circuit: &Circuit, tables: &EvalTables, hasher: TweakHasher, wires: &mut [Block]) {
-    let sched = LevelSchedule::build(circuit);
-    par::with_pool_if(par::threads() > 1 && schedule_worth_pool(&sched), |pool| {
-        for level in &sched.levels {
-            for &gi in &level.free {
-                match circuit.gates[gi] {
-                    Gate::Xor { a, b, out } => wires[out] = wires[a] ^ wires[b],
-                    Gate::Inv { a, out } => wires[out] = wires[a],
-                    Gate::And { .. } => unreachable!("AND scheduled as free gate"),
-                }
-            }
-            if level.ands.is_empty() {
-                continue;
-            }
-            let wires_ro: &[Block] = wires;
-            // Each worker hashes its chunk's 2-per-gate inputs as one flat
-            // batch (full AES pipelines), then applies the table algebra.
-            let mut results: Vec<Block> = vec![Block::ZERO; level.ands.len()];
-            pool.chunks_mut(&mut results, 1, GC_ANDS_PER_PART, |off, chunk| {
-                let ands = &level.ands[off..off + chunk.len()];
-                let mut xs: Vec<Block> = Vec::with_capacity(2 * ands.len());
-                let mut tweaks: Vec<u64> = Vec::with_capacity(2 * ands.len());
-                for and in ands {
-                    let j_g = 2 * and.and_idx as u64;
-                    xs.extend([wires_ro[and.a], wires_ro[and.b]]);
-                    tweaks.extend([j_g, j_g + 1]);
-                }
-                let mut hs = hasher.hash_each(&xs, &tweaks);
-                for (i, and) in ands.iter().enumerate() {
-                    let (t_g, t_e) = tables.tables[and.and_idx];
-                    chunk[i] = eval_and_from_hashes(
-                        wires_ro[and.a],
-                        wires_ro[and.b],
-                        t_g,
-                        t_e,
-                        hs[2 * i],
-                        hs[2 * i + 1],
-                    );
-                }
-                // Labels and their hashes are wire-value-correlated; scrub.
-                xs.zeroize();
-                hs.zeroize();
-            });
-            for (and, &r) in level.ands.iter().zip(&results) {
-                wires[and.out] = r;
-            }
-            // Staged output labels are correlated with wire values; scrub.
-            results.zeroize();
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use secyan_circuit::{bits_to_u64, evaluate as plain_eval, u64_to_bits, Builder};
+    use secyan_circuit::{bits_to_u64, evaluate as plain_eval, u64_to_bits, Builder, Rows};
 
     /// Garble + evaluate `circuit` on cleartext inputs; compare to plaintext.
     fn check(circuit: &Circuit, alice: &[bool], bob: &[bool], hasher: TweakHasher, seed: u64) {
@@ -526,28 +579,26 @@ mod tests {
 
     #[test]
     fn garbling_is_thread_count_invariant() {
-        // Wide enough to cross GC_PAR_MIN_ANDS and take the levelized
-        // path; same RNG seed, so tables/labels must match bit for bit.
-        let mut b = Builder::new();
-        let x = b.alice_word(32);
-        let y = b.bob_word(32);
-        let p = b.mul_words(&x, &y);
-        b.output_word(&p);
-        let circ = b.finish();
+        // Rows enough for several tiles per worker; same RNG seed, so
+        // tables/labels must match bit for bit.
+        let mut rows = Rows::new();
+        let (x, y) = (rows.alice(64, 32), rows.bob(64, 32));
+        let products = rows.segment(64, |b| {
+            let (x, y) = (b.read(x), b.read(y));
+            let p = b.mul_words(&x, &y);
+            b.output_word(&p);
+        });
+        rows.output(products);
+        let circ = rows.finish();
         assert!(
-            circ.and_count() as usize >= super::GC_PAR_MIN_ANDS,
+            circ.segments()[0].count >= 8 * super::tile_rows(&circ.segments()[0]),
             "test circuit too small to exercise the parallel path"
         );
         let run_at = |t: usize| {
             par::set_threads(t);
             let mut rng = StdRng::seed_from_u64(77);
             let g = garble(&circ, TweakHasher::Fast, &mut rng);
-            let labels: Vec<Block> = u64_to_bits(0xdead_beef, 32)
-                .iter()
-                .chain(&u64_to_bits(0x1234_5678, 32))
-                .enumerate()
-                .map(|(i, &bit)| g.input_label(i, bit))
-                .collect();
+            let labels: Vec<Block> = (0..64 * 64).map(|i| g.input_label(i, i % 3 == 0)).collect();
             let outs = eval(
                 &circ,
                 &EvalTables {
@@ -567,11 +618,42 @@ mod tests {
     }
 
     #[test]
-    fn tables_serialize_roundtrip() {
-        let t = EvalTables {
-            tables: vec![(Block(1), Block(2)), (Block(3), Block(4))],
+    fn each_tile_starts_from_a_scrubbed_scratch() {
+        // One AND straight off the inputs per row, rows for three tiles.
+        let mut rows = Rows::new();
+        let n = 2 * (super::TILE_BYTES / 16 / 3) + 5;
+        let (x, y) = (rows.alice(n, 1), rows.bob(n, 1));
+        let ands = rows.segment(n, |b| {
+            let (x, y) = (b.read(x).0[0], b.read(y).0[0]);
+            let z = b.and(x, y);
+            b.output(z);
+        });
+        rows.output(ands);
+        let circ = rows.finish();
+        let tiles = std::sync::atomic::AtomicUsize::new(0);
+        // Stand in for a level's AND step: on entry everything past the
+        // two gathered input labels must still be zero; leave every wire,
+        // hash input and hash output dirty, as a real step would.
+        let and_step = |_: &[AndRef], tile: &mut Tile, _: &mut [(Block, Block)]| {
+            tiles.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            for row in tile.wires.chunks_exact(tile.stride) {
+                assert!(row[2..].iter().all(|w| *w == Block::ZERO), "dirty scratch");
+            }
+            assert!(tile
+                .xs
+                .iter()
+                .chain(tile.hs.iter())
+                .all(|b| *b == Block::ZERO));
+            tile.wires.fill(Block(u128::MAX));
+            tile.xs.resize(4 * tile.rows, Block(u128::MAX));
+            tile.hs.resize(4 * tile.rows, Block(u128::MAX));
         };
-        assert_eq!(EvalTables::from_blocks(&t.to_blocks()), t);
+        let mut slots = vec![Block(7); circ.num_slots()];
+        for_each_tile(&circ, &mut slots, &mut [], Block::ZERO, &and_step);
+        assert!(
+            tiles.into_inner() >= 3,
+            "three tiles or more, one level each"
+        );
     }
 
     proptest::proptest! {

@@ -28,8 +28,8 @@
 //! results.
 //!
 //! A pool is *scoped*: [`with_pool`] spawns workers once and the closure
-//! may dispatch many parallel sections through them (levelized garbling
-//! dispatches once per circuit level), amortizing spawn cost.
+//! may dispatch many parallel sections through them (tiled garbling
+//! dispatches once per circuit segment), amortizing spawn cost.
 
 use std::mem::MaybeUninit;
 use std::ops::Range;

@@ -19,7 +19,7 @@ use secyan_circuit::{u64_to_bits, Circuit};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_gc::{
     evaluate_begin, evaluate_shared_finish, evaluator_ot_count, garble_shared_banked, take_eval,
-    with_shared_outputs, EvalMaterial, EvalPending, GarbleMaterial, SharedOutputSpec,
+    with_shared_rows, EvalMaterial, EvalPending, GarbleMaterial, SharedOutputSpec,
 };
 use secyan_oep::oep_ot_count;
 use secyan_ot::{KkrtReceiver, KkrtSender, KkrtSenderKey, OtReceiver, OtSender};
@@ -108,29 +108,25 @@ pub fn psi_cost(
 /// The per-bin matching circuit: shares of indicator and payload. Its
 /// dimensions depend only on the public bin count and ring width.
 pub fn matching_circuit(bins: usize, ell: usize) -> (Circuit, SharedOutputSpec) {
-    let spec = SharedOutputSpec::uniform(2 * bins, ell);
-    let circuit = with_shared_outputs(&spec, |b| {
+    with_shared_rows(bins, &[ell, ell], |c| {
         // Garbler (sender): s_b then w_b per bin; evaluator: o_b then p_b.
-        let sw: Vec<_> = (0..bins)
-            .map(|_| (b.alice_word(64), b.alice_word(64)))
-            .collect();
-        let op: Vec<_> = (0..bins)
-            .map(|_| (b.bob_word(64), b.bob_word(64)))
-            .collect();
-        let mut words = Vec::with_capacity(2 * bins);
-        for ((s, w), (o, p)) in sw.iter().zip(&op) {
-            let ind = b.eq_words(o, s);
-            let z64 = b.xor_words(p, w);
+        let (sw, op) = (c.alice(bins, 128), c.bob(bins, 128));
+        let matched = c.segment(bins, |b| {
+            let [s, w] = [0, 64].map(|at| b.read(sw.slice_bits(at..at + 64)));
+            let [o, p] = [0, 64].map(|at| b.read(op.slice_bits(at..at + 64)));
+            let ind = b.eq_words(&o, &s);
+            let z64 = b.xor_words(&p, &w);
             let z = b.resize_word(&z64, ell);
             let val = b.and_word_bit(&z, ind);
-            let mut ind_bits = vec![b.constant(false); ell];
-            ind_bits[0] = ind;
-            words.push(secyan_circuit::Word(ind_bits));
-            words.push(val);
-        }
-        words
-    });
-    (circuit, spec)
+            b.output(ind);
+            b.output_word(&val);
+        });
+        // The indicator leaves as the ring element 0 or 1.
+        vec![vec![
+            matched.slice_bits(0..1),
+            matched.slice_bits(1..1 + ell),
+        ]]
+    })
 }
 
 /// Split the interleaved `[ind, val, ind, val, ...]` share list.

@@ -19,7 +19,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit, Word};
+use secyan_circuit::{bits_to_u64, u64_to_bits, Circuit, Rows, Word};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_gc::{evaluate_banked, garble_banked, EvalMaterial, GarbleMaterial, OutputMode};
 use secyan_oep::{
@@ -37,34 +37,28 @@ use crate::opprf::{opprf_evaluate_finish, opprf_program_with_key};
 /// The k-index circuit: per bin, shares of the indicator plus the routing
 /// index k_b in the clear (toward the evaluator = PSI receiver).
 pub fn k_circuit(bins: usize, ell: usize) -> Circuit {
-    let mut b = Builder::new();
+    let mut c = Rows::new();
     // Garbler (= PSI sender): per-bin indicator masks, then s, w, d.
-    let masks: Vec<Word> = (0..bins).map(|_| b.alice_word(ell)).collect();
-    let swd: Vec<(Word, Word, Word)> = (0..bins)
-        .map(|_| (b.alice_word(64), b.alice_word(64), b.alice_word(64)))
-        .collect();
+    let (masks, swd) = (c.alice(bins, ell), c.alice(bins, 192));
     // Evaluator (= PSI receiver): per-bin o, p.
-    let op: Vec<(Word, Word)> = (0..bins)
-        .map(|_| (b.bob_word(64), b.bob_word(64)))
-        .collect();
-    let mut masked_inds = Vec::with_capacity(bins);
-    let mut ks = Vec::with_capacity(bins);
-    for (((s, w, d), (o, p)), mask) in swd.iter().zip(&op).zip(&masks) {
-        let ind = b.eq_words(o, s);
+    let op = c.bob(bins, 128);
+    let out = c.segment(bins, |b| {
+        let mask = b.read(masks);
+        let [s, w, d] = [0, 64, 128].map(|at| b.read(swd.slice_bits(at..at + 64)));
+        let [o, p] = [0, 64].map(|at| b.read(op.slice_bits(at..at + 64)));
+        let ind = b.eq_words(&o, &s);
         let mut ind_bits = vec![b.constant(false); ell];
         ind_bits[0] = ind;
-        let ind_word = Word(ind_bits);
-        masked_inds.push(b.add_words(&ind_word, mask));
-        let unmasked = b.xor_words(p, w);
-        ks.push(b.mux_words(ind, &unmasked, d));
-    }
-    for m in &masked_inds {
-        b.output_word(m);
-    }
-    for k in &ks {
-        b.output_word(k);
-    }
-    b.finish()
+        let masked_ind = b.add_words(&Word(ind_bits), &mask);
+        let unmasked = b.xor_words(&p, &w);
+        let k = b.mux_words(ind, &unmasked, &d);
+        b.output_word(&masked_ind);
+        b.output_word(&k);
+    });
+    // Every bin's masked indicator first, then every bin's k.
+    c.output(out.slice_bits(0..ell));
+    c.output(out.slice_bits(ell..ell + 64));
+    c.finish()
 }
 
 /// Receiver-side in-flight state between [`shared_payload_psi_receiver_begin`]

@@ -9,6 +9,9 @@
 //! interacted with the band partitioning — the cross-arm transcript
 //! comparison here would catch it.
 
+#[path = "common/unroll.rs"]
+mod unroll;
+
 use rand::SeedableRng;
 use secyan_core::par;
 use secyan_crypto::cpu;
@@ -44,7 +47,7 @@ fn strings(v: &[&str]) -> Vec<String> {
 type Transcript = Vec<(Role, Vec<u8>)>;
 
 /// The Example-1.1-shaped chain query: circuit PSI (KKRT + OPPRF hint
-/// polynomials over GF(2^64)), GC reductions (levelized garbling over
+/// polynomials over GF(2^64)), GC reductions (tiled garbling over
 /// the AES kernels), and the OSN — every accelerated kernel sits on this
 /// path.
 fn run_query() -> (Vec<Vec<u64>>, Vec<u64>, Transcript) {
@@ -169,5 +172,28 @@ fn iknp_extension_transcript_is_dispatch_invariant() {
             reference.2, run.2,
             "transcript diverged ({arm}, {threads}t)"
         );
+    }
+}
+
+/// The tile kernels over the scalar and the SIMD AES arms, at 1 and 4
+/// threads: a segmented circuit and its flat unrolling garble to the same
+/// bytes under each configuration, and every configuration to the same
+/// bytes as the first.
+#[test]
+fn segmented_circuits_garble_like_their_unrolling_under_every_dispatch() {
+    let _guard = CONFIG_LOCK.lock().unwrap();
+    let circuits = [
+        secyan_psi::matching_circuit(120, 32).0,
+        unroll::running_sums(600),
+    ];
+    for (seed, circuit) in circuits.iter().enumerate() {
+        let runs = CONFIGS.map(|(force_scalar, threads)| {
+            with_config(force_scalar, threads, || {
+                unroll::check_against_unrolling(circuit, seed as u64)
+            })
+        });
+        for (run, config) in runs.iter().zip(CONFIGS).skip(1) {
+            assert!(*run == runs[0], "circuit {seed} diverged under {config:?}");
+        }
     }
 }

@@ -1,11 +1,14 @@
 //! Thread-count determinism: the worker pool must not change a single
 //! byte on the wire. Every parallelized hot path (IKNP extension, KKRT,
-//! OPPRF hints, levelized garbling, layered OSN) partitions work on
+//! OPPRF hints, tiled garbling, layered OSN) partitions work on
 //! public sizes and writes results into pre-allocated slots in canonical
 //! order, so the transcript of a full protocol run — and the outputs —
 //! are required to be identical at any `SECYAN_THREADS` setting. These
 //! tests run the same protocol at 1 and 4 threads over a recording
 //! channel and compare full payload bytes, not just lengths.
+
+#[path = "common/unroll.rs"]
+mod unroll;
 
 use rand::SeedableRng;
 use secyan_core::par;
@@ -223,6 +226,29 @@ fn generated_instance_is_thread_count_deterministic() {
             direction_stream(&four, dir),
             "{dir:?}-side transcript bytes of {} differ between 1 and 4 threads",
             inst.describe()
+        );
+    }
+}
+
+/// Circuits as (template × count) against their flat unrolling — same
+/// seed, byte-identical tables, zero-labels, decode bits and output labels,
+/// all decoding to the plaintext result — at 1 thread and with tiles
+/// fanned across 4: a per-bin circuit, one with two output columns, and a
+/// scan whose rows hand on a carry.
+#[test]
+fn segmented_circuits_garble_like_their_unrolling_at_any_thread_count() {
+    let _guard = THREAD_LOCK.lock().unwrap();
+    let circuits = [
+        secyan_psi::matching_circuit(120, 32).0,
+        secyan_psi::k_circuit(120, 32),
+        unroll::running_sums(600),
+    ];
+    for (seed, circuit) in circuits.iter().enumerate() {
+        let one = with_threads(1, || unroll::check_against_unrolling(circuit, seed as u64));
+        let four = with_threads(4, || unroll::check_against_unrolling(circuit, seed as u64));
+        assert!(
+            one == four,
+            "circuit {seed} garbles differently at 4 threads"
         );
     }
 }

@@ -337,3 +337,31 @@ fn tcp_coalescing_only_changes_wire_framing() {
         );
     }
 }
+
+/// Structural pin in place of a timing test: the shape of `tpch_q3_cold`
+/// (Q3 at 0.3 MB, lineitem pinned to four per order) plans the same six
+/// circuits and 1.33 M ANDs as ever, but stores their row templates — a
+/// few thousand gates — not the four million gates of their unrolling.
+#[test]
+fn q3_shape_stores_templates_not_rows() {
+    use secyan_relation::NaturalRing;
+    use secyan_tpch::{Database, PaperQuery, Scale};
+    let mut db = Database::generate(Scale::mb(0.3), 1);
+    db.lineitem.rows.truncate(4 * db.orders.len());
+    let again = db.lineitem.rows[0].clone();
+    db.lineitem.rows.resize(4 * db.orders.len(), again);
+    let spec = PaperQuery::Q3.build(&db, NaturalRing::paper_default());
+    let sq = &spec.subqueries[0];
+    let sizes: Vec<usize> = sq.relations.iter().map(|r| r.len()).collect();
+    assert_eq!(sizes, [45, 450, 1800]);
+    let shape = secyan_core::QueryShape::derive(&sq.to_secure_query(), &sizes, Role::Alice, 32);
+    let circuits = || shape.planned.iter().map(|pc| &pc.circuit);
+    let ands: Vec<u64> = circuits().map(|c| c.and_count()).collect();
+    assert_eq!(ands, [89_804, 474_750, 89_804, 488_700, 70_555, 114_300]);
+    let stored: usize = circuits()
+        .flat_map(|c| c.segments())
+        .map(|s| s.gates.len())
+        .sum();
+    assert!(stored < 50_000, "{stored} gates stored");
+    assert_eq!(shape.ot_budget, 196_605);
+}
