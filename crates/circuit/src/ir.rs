@@ -193,7 +193,9 @@ impl Circuit {
     /// A structural fingerprint fixed at construction, used to pair
     /// pre-garbled material with the circuit an online call presents. Each
     /// party derives it locally from the same public circuit, so it is a
-    /// bookkeeping key, not a security boundary.
+    /// bookkeeping key, not a security boundary — and process-local: the
+    /// hash behind it may differ between Rust releases, so it must never
+    /// be persisted or sent to the peer.
     pub fn digest(&self) -> u64 {
         self.digest
     }
@@ -224,7 +226,7 @@ impl Circuit {
         for (i, s) in self.segments.iter().enumerate() {
             let bad = |what: &str| Err(format!("segment {i}: {what}"));
             // Ports are affine past row 0: rows 0, 1 and the last bound them.
-            for r in [0, 1, s.count - 1] {
+            for r in [0, 1, s.count.saturating_sub(1)] {
                 let limit = settled + r * s.exports.len();
                 if r < s.count && s.ports.iter().any(|p| p.slot(r) >= limit) {
                     return bad("a port reads an unsettled slot");

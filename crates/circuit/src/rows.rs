@@ -64,14 +64,40 @@ impl Rows {
             body(b);
             Word(Vec::new())
         };
-        self.scan(count, Col::default(), body).0
+        self.repeat(count, Col::default(), body).0
     }
 
     /// Append a segment whose rows run in order, each handing a carry word
     /// to the next: row 0 receives `init` (a single row), row r what row
-    /// r − 1 returned from `body`. Returns the rows' outputs and the carry
-    /// leaving the last row (`init` itself when `count` is 0).
+    /// r − 1 returned from `body`. Returns a column of `count + 1` words of
+    /// the carry's width: what each row output, then the carry leaving the
+    /// last row (`init` alone when `count` is 0).
     pub fn scan(
+        &mut self,
+        count: usize,
+        init: Col,
+        body: impl FnOnce(&mut Builder, &Word) -> Word,
+    ) -> Col {
+        let (outputs, last) = self.repeat(count, init, body);
+        if count == 0 {
+            return last;
+        }
+        assert_eq!(outputs.width, last.width, "a scan emits carry-wide words");
+        // A gate-less row re-exports the final carry right behind the last
+        // row's exports, where the column's next word lives.
+        self.segment(1, |b| {
+            let carry = b.read(last);
+            b.output_word(&carry);
+        });
+        Col {
+            rows: count + 1,
+            ..outputs
+        }
+    }
+
+    /// `count` rows of the template `body` builds; returns the rows'
+    /// outputs and the carry leaving the last row.
+    fn repeat(
         &mut self,
         count: usize,
         init: Col,

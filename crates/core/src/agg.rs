@@ -51,9 +51,10 @@ pub(crate) fn merge_circuit(n: usize, ell: usize, kind: AggKind) -> (Circuit, Sh
         }
         // One merge gate per adjacent pair, carrying the running group
         // aggregate: a row emits it when its group ends there (else 0) and
-        // hands on the next group's start or the extended aggregate. A
-        // support bit leaves as the ring element 0 or 1.
-        let (outs, last) = c.scan(n - 1, xs.slice_rows(0..1), |b, z| {
+        // hands on the next group's start or the extended aggregate; the
+        // last row's word is the aggregate leaving the chain. A support
+        // bit leaves as the ring element 0 or 1.
+        let merged = c.scan(n - 1, xs.slice_rows(0..1), |b, z| {
             let eq = b.read(eq).0[0];
             let next = b.read(xs.slice_rows(1..n));
             let neq = b.not(eq);
@@ -65,7 +66,7 @@ pub(crate) fn merge_circuit(n: usize, ell: usize, kind: AggKind) -> (Circuit, Sh
                 AggKind::Support => Word(vec![b.or(keep.0[0], next.0[0])]),
             }
         });
-        vec![vec![outs], vec![last]]
+        vec![merged]
     })
 }
 

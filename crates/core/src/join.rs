@@ -206,7 +206,7 @@ pub(crate) fn product_tree_circuit(
         c.output(products);
         (c.finish(), None)
     } else {
-        let (circuit, spec) = with_shared_rows(n, &[ell], |c| vec![vec![product(c)]]);
+        let (circuit, spec) = with_shared_rows(n, &[ell], |c| vec![product(c)]);
         (circuit, Some(spec))
     }
 }

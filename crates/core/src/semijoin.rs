@@ -54,7 +54,7 @@ pub(crate) fn product_circuit(n: usize, ell: usize, v_plain: bool) -> (Circuit, 
             let vz = b.mul_words(&v, &z);
             b.output_word(&vz);
         });
-        vec![vec![product]]
+        vec![product]
     })
 }
 

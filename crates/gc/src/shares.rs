@@ -4,10 +4,10 @@
 //! garbled circuits and need the results back *as shares*, never in the
 //! clear. Two pieces make that work:
 //!
-//! * **Shared inputs**: a value v = v_A + v_B (mod 2^ℓ) enters the circuit
-//!   as one input word per party; an in-circuit adder reconstructs v. This
-//!   is exactly the paper's "(⟦v⟧₁ + ⟦v⟧₂) computed inside the circuit"
-//!   pattern (Example 5.1).
+//! * **Shared inputs** ([`SharedInput`]): a value v = v_A + v_B (mod 2^ℓ)
+//!   enters the circuit as one input word per party; an in-circuit adder
+//!   reconstructs v. This is exactly the paper's
+//!   "(⟦v⟧₁ + ⟦v⟧₂) computed inside the circuit" pattern (Example 5.1).
 //!
 //! * **Shared outputs** ([`with_shared_outputs`] + the run helpers): for
 //!   each output word W the garbler feeds a fresh random mask r as an extra
@@ -27,6 +27,37 @@ use crate::protocol::{
     GarbleMaterial, OutputMode,
 };
 use std::collections::VecDeque;
+
+/// A secret-shared ℓ-bit input: one word from each party.
+pub struct SharedInput {
+    a: Word,
+    b: Word,
+}
+
+impl SharedInput {
+    /// Declare the two halves. Must be called during the input-declaration
+    /// phase; Alice halves of all shared inputs come while Alice inputs are
+    /// still being declared.
+    pub fn declare_alice_half(builder: &mut Builder, bits: usize) -> Word {
+        builder.alice_word(bits)
+    }
+
+    /// Declare Bob's half (after all Alice inputs).
+    pub fn declare_bob_half(builder: &mut Builder, bits: usize) -> Word {
+        builder.bob_word(bits)
+    }
+
+    /// Pair two declared halves.
+    pub fn new(a: Word, b: Word) -> SharedInput {
+        assert_eq!(a.bits(), b.bits());
+        SharedInput { a, b }
+    }
+
+    /// Reconstruct the secret inside the circuit (one adder).
+    pub fn reconstruct(&self, builder: &mut Builder) -> Word {
+        builder.add_words(&self.a, &self.b)
+    }
+}
 
 /// Widths of the output words that must leave the circuit as arithmetic
 /// shares.
@@ -49,10 +80,25 @@ impl SharedOutputSpec {
     }
 }
 
+/// Add each word (zero-extended to its width) to its slice of the garbler's
+/// `mask` and output the sums: the one mask adder of both circuit forms.
+fn output_masked(b: &mut Builder, words: &[Word], mask: Word, widths: &[usize]) {
+    assert_eq!(words.len(), widths.len(), "output word count");
+    let mut mask = mask.0;
+    for (word, &w) in words.iter().zip(widths) {
+        assert!(word.bits() <= w, "output word width");
+        let rest = mask.split_off(w);
+        let word = b.resize_word(word, w);
+        let sum = b.add_words(&word, &Word(mask));
+        b.output_word(&sum);
+        mask = rest;
+    }
+}
+
 /// Build a circuit whose result words leave as arithmetic shares.
 ///
 /// `f` declares the circuit's own inputs and computes the result words
-/// (widths must match `spec`). This helper prepends one garbler mask word
+/// (no wider than `spec` says). This helper prepends one garbler mask word
 /// per output and appends the mask adders, so the *same* function produces
 /// the identical circuit on both sides.
 pub fn with_shared_outputs(
@@ -60,53 +106,33 @@ pub fn with_shared_outputs(
     f: impl FnOnce(&mut Builder) -> Vec<Word>,
 ) -> Circuit {
     let mut b = Builder::new();
-    let masks: Vec<Word> = spec.widths.iter().map(|&w| b.alice_word(w)).collect();
+    let mask = b.alice_word(spec.total_bits());
     let words = f(&mut b);
-    assert_eq!(words.len(), spec.widths.len(), "output word count");
-    for ((word, mask), &w) in words.iter().zip(&masks).zip(&spec.widths) {
-        assert_eq!(word.bits(), w, "output word width");
-        let masked = b.add_words(word, mask);
-        b.output_word(&masked);
-    }
+    output_masked(&mut b, &words, mask, &spec.widths);
     b.finish()
 }
 
 /// Row form of [`with_shared_outputs`]: `n` rows, each leaving words of
 /// `widths` as arithmetic shares. `body` declares the circuit's own input
-/// columns and segments and returns the result words, one column per width
-/// (narrower ones are zero-extended), as a list of pieces whose rows add
-/// up to `n` — one piece unless the last rows come from elsewhere, as a
-/// scan's final carry does. The mask columns come first in wire order and
-/// the mask adders are trailing segments reading the pieces: the flat
-/// form's AND order exactly.
+/// columns and segments and returns the result words as `n`-row columns,
+/// one per width. The mask column comes first in wire order and the mask
+/// adders are one trailing segment reading those columns: the flat form's
+/// AND order exactly.
 pub fn with_shared_rows(
     n: usize,
     widths: &[usize],
-    body: impl FnOnce(&mut Rows) -> Vec<Vec<Col>>,
+    body: impl FnOnce(&mut Rows) -> Vec<Col>,
 ) -> (Circuit, SharedOutputSpec) {
     let mut rows = Rows::new();
     let masks = rows.alice(n, widths.iter().sum());
-    let mut done = 0;
-    for piece in body(&mut rows) {
-        assert_eq!(piece.len(), widths.len(), "output word count");
-        let count = piece[0].rows;
-        let masks = masks.slice_rows(done..done + count);
-        done += count;
-        let masked = rows.segment(count, |b| {
-            let mut mask = b.read(masks).0;
-            let words: Vec<Word> = piece.iter().map(|&col| b.read(col)).collect();
-            for (word, &w) in words.iter().zip(widths) {
-                assert!(word.bits() <= w, "output word width");
-                let rest = mask.split_off(w);
-                let word = b.resize_word(word, w);
-                let sum = b.add_words(&word, &Word(mask));
-                b.output_word(&sum);
-                mask = rest;
-            }
-        });
-        rows.output(masked);
-    }
-    assert_eq!(done, n, "output row count");
+    let cols = body(&mut rows);
+    assert!(cols.iter().all(|col| col.rows == n), "output row count");
+    let masked = rows.segment(n, |b| {
+        let mask = b.read(masks);
+        let words: Vec<Word> = cols.iter().map(|&col| b.read(col)).collect();
+        output_masked(b, &words, mask, widths);
+    });
+    rows.output(masked);
     let widths = widths.iter().copied().cycle().take(n * widths.len());
     let spec = SharedOutputSpec {
         widths: widths.collect(),
@@ -250,8 +276,9 @@ mod tests {
         let spec = SharedOutputSpec::uniform(1, bits);
         let c = with_shared_outputs(&spec, |b| {
             let factor = b.alice_word(bits);
-            let (va, vb) = (b.alice_word(bits), b.bob_word(bits));
-            let v = b.add_words(&va, &vb);
+            let va = SharedInput::declare_alice_half(b, bits);
+            let vb = SharedInput::declare_bob_half(b, bits);
+            let v = SharedInput::new(va, vb).reconstruct(b);
             vec![b.mul_words(&v, &factor)]
         });
         (c, spec)

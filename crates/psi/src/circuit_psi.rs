@@ -122,10 +122,7 @@ pub fn matching_circuit(bins: usize, ell: usize) -> (Circuit, SharedOutputSpec) 
             b.output_word(&val);
         });
         // The indicator leaves as the ring element 0 or 1.
-        vec![vec![
-            matched.slice_bits(0..1),
-            matched.slice_bits(1..1 + ell),
-        ]]
+        vec![matched.slice_bits(0..1), matched.slice_bits(1..1 + ell)]
     })
 }
 

@@ -38,9 +38,9 @@ pub fn unrolled(circuit: &Circuit) -> Circuit {
 }
 
 /// A scan with everything the operators use: a per-row segment, a carry
-/// chain reading it one row ahead, and two output columns — running sums
-/// of `a_r + b_r` (8 bits), each emitted only where Alice's gate bit says
-/// so, then the final sum.
+/// chain reading it one row ahead, and its final carry as the last output
+/// — running sums of `a_r + b_r` (8 bits), each emitted only where Alice's
+/// gate bit says so, then the final sum.
 pub fn running_sums(n: usize) -> Circuit {
     let mut c = Rows::new();
     let (gate, a) = (c.alice(n - 1, 1), c.alice(n, 8));
@@ -50,15 +50,14 @@ pub fn running_sums(n: usize) -> Circuit {
         let v = b.add_words(&x, &y);
         b.output_word(&v);
     });
-    let (emitted, total) = c.scan(n - 1, vs.slice_rows(0..1), |b, sum| {
+    let sums = c.scan(n - 1, vs.slice_rows(0..1), |b, sum| {
         let gate = b.read(gate).0[0];
         let next = b.read(vs.slice_rows(1..n));
         let out = b.and_word_bit(sum, gate);
         b.output_word(&out);
         b.add_words(sum, &next)
     });
-    c.output(emitted);
-    c.output(total);
+    c.output(sums);
     c.finish()
 }
 
