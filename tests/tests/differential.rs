@@ -14,7 +14,7 @@
 mod common;
 
 use secyan_core::join::join_tail_ot_count;
-use secyan_core::{run_offline, run_online_leftover, QueryShape};
+use secyan_core::{run_offline, run_online, run_online_leftover, QueryShape, Session};
 use secyan_crypto::sha256::Sha256;
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_relation::{JoinTree, NaturalRing, Relation};
@@ -22,7 +22,11 @@ use secyan_testkit::{
     check_instance, oracle, run_secure, run_secure_phase_split, run_secure_phase_split_with_faults,
     run_secure_tcp, scalar_of, session_seeds, AggKind, Instance, SecureRun,
 };
-use secyan_transport::{run_protocol, FaultKind, FaultPlan, Role};
+use secyan_tpch::queries::{canonical, run_plaintext_instance, run_secure_instance, PaperQuery};
+use secyan_tpch::{Database, Scale};
+use secyan_transport::{
+    run_protocol, run_protocol_captured, Channel, FaultKind, FaultPlan, Phase, Role,
+};
 
 /// One direction's wire stream: the sender's messages in program order.
 /// The *global* interleaving of the two directions is scheduler timing,
@@ -110,54 +114,140 @@ fn differential_sweep_tcp() {
     }
 }
 
-/// SHA-256 over one direction's messages, each prefixed with its length.
-fn direction_digest(run: &SecureRun, dir: Role) -> String {
+/// SHA-256 over the messages of `transcript` that `dir` sent, each
+/// prefixed with its length.
+fn direction_digest<'a>(
+    transcript: impl Iterator<Item = &'a (Role, Vec<u8>)>,
+    dir: Role,
+) -> String {
     let mut h = Sha256::new();
-    for m in direction_stream(run, dir) {
+    for (_, m) in transcript.filter(|(r, _)| *r == dir) {
         h.update(&(m.len() as u64).to_le_bytes());
         h.update(m);
     }
     h.finalize().iter().map(|b| format!("{b:02x}")).collect()
 }
 
+/// TPC-H Q8 (two shared-result subqueries, `align_shared_groups`, the
+/// ratio reveal) at the scale `q8_secure_matches_plaintext` runs: the
+/// captured transcript of both parties.
+fn q8_transcript() -> Vec<(Role, Vec<u8>)> {
+    let db = Database::generate(Scale::mb(0.02), 14);
+    let spec = PaperQuery::Q8.build(&db, NaturalRing::paper_default());
+    let party = |seed: u64| {
+        let spec = &spec;
+        move |ch: &mut Channel| {
+            let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::default(), seed);
+            run_secure_instance(&mut sess, spec)
+        }
+    };
+    let (rows, _, _, handle) = run_protocol_captured(party(201), party(202));
+    let want = run_plaintext_instance(&spec, NaturalRing::paper_default());
+    assert_eq!(canonical(rows), canonical(want), "Q8 against its oracle");
+    handle.messages()
+}
+
 /// Single-phase wire behaviour is pinned byte for byte: these digests of
 /// `run_secure`'s per-direction transcripts were recorded at the commit
 /// before the driver's schedule was unified with the planner's, so they
-/// only move when what a bank-less run puts on the wire moves.
+/// only move when what a bank-less run puts on the wire moves. The Q8 row
+/// (query composition, §7) was recorded at the commit before operators
+/// stopped threading OT/KKRT/GC handles themselves.
 #[test]
 fn single_phase_transcript_goldens() {
+    let run = |inst: Instance| (inst.describe(), run_secure(&inst).transcript);
     let goldens = [
         (
-            Instance::generate(3),
+            run(Instance::generate(3)),
             "c62fc1fafe5fbd8ccf1200575b870d3455379574023797007d0c4c2d7757beea",
             "e337020397056995131cae4cb6a2e15f919b7f4e075d459788d449f92decd30b",
         ),
         (
-            Instance::generate(7),
+            run(Instance::generate(7)),
             "d7da15450b3a945685b7d680fab833e0109a1fcb7f51ddcda99e31164f0177e4",
             "76471250cda4c99b02e06317efb24410d7de0922ae48c475f276be0c7f3d893a",
         ),
         (
-            Instance::generate(18),
+            run(Instance::generate(18)),
             "3e83c0dd2ad06fb62cc9827bbef6cadb7883edddb817636f8d48d078a89ce2d6",
             "08623225dc0b4fdb717bfd4c3cd8da8a5d330678f12b7e19664c6f6cf675e550",
         ),
         (
-            Instance::generate_chain(1),
+            run(Instance::generate_chain(1)),
             "4d93434c213b444c7df24b8d430dee6745c540321166c21ff9787faf8b749098",
             "14273c55d20cc74ce4cae84468a9e3017bcb87fdd2ecdd3ce085ce202e1d1685",
         ),
+        (
+            ("TPC-H Q8 at 0.02 MB".to_string(), q8_transcript()),
+            "afed1b189322d5dd3aeb6fe8b294db1b578c9d5e2a848efffb6212572ecce384",
+            "34065604ab747bd858a264a38ba4dd224cc1e74079a78b5a21db0d5dae53a546",
+        ),
     ];
-    for (inst, alice, bob) in goldens {
-        let run = run_secure(&inst);
+    for ((what, transcript), alice, bob) in goldens {
         for (dir, want) in [(Role::Alice, alice), (Role::Bob, bob)] {
             assert_eq!(
-                direction_digest(&run, dir),
+                direction_digest(transcript.iter(), dir),
                 want,
-                "{dir:?}-side single-phase transcript of {} changed",
-                inst.describe()
+                "{dir:?}-side single-phase transcript of {what} changed"
             );
         }
+    }
+}
+
+/// The phase-split sibling of [`single_phase_transcript_goldens`]: per
+/// phase and direction, the digest of what `run_offline` then `run_online`
+/// put on the wire — so the order in which banked OTs, KKRT instances and
+/// pre-garbled circuits are drawn is pinned too. Recorded at the same
+/// commit as the Q8 row above.
+#[test]
+fn phase_split_transcript_goldens() {
+    let goldens = [
+        (
+            Instance::generate(7),
+            [
+                "da7c5df00a665a24945e1aba681d72616bf8719ab35347cac609fb9888a74fba",
+                "4668ac26ec3df4df29b1e167106f7755456286dfe5a886212a8782d1edecc729",
+                "e1f27bc0ed7859c01be8a756c3c26f542426b2d125b72e663a892f8055761c17",
+                "6556f3dc16263ae483fc672b51b1176bbebb954147d53f3949999bb691d81e98",
+            ],
+        ),
+        (
+            Instance::generate_chain(1),
+            [
+                "e42d78d6b008badd5250fd373dcd2280a2739f43e713f0479145fb514f26a418",
+                "b7a40324b4aa5371a829ca84119dba23af1d8e2308c1e03b576d1bb5450fe4e9",
+                "3482768bd07cd3a821ca69e3cbc128dc97d8ad0066e31134fae45d38f1d64a64",
+                "9809cf8cfce838e1a687d4cd8a3324415c31e7706987d31e8e6022be91d6d735",
+            ],
+        ),
+    ];
+    for (inst, want) in goldens {
+        let (ring, hasher) = (inst.ring_ctx(), TweakHasher::default());
+        let party = |seed: u64| {
+            let inst = &inst;
+            move |ch: &mut Channel| {
+                let (query, rels) = (inst.query(), inst.party_relations(ch.role()));
+                let m = run_offline(ch, &query, &inst.sizes(), Role::Alice, ring, hasher, seed);
+                run_online(ch, &query, &rels, Role::Alice, ring, hasher, m);
+            }
+        };
+        let (sa, sb) = session_seeds(&inst);
+        let ((), (), _, handle) = run_protocol_captured(party(sa), party(sb));
+        let phases = handle.phased_lengths();
+        let messages = handle.messages();
+        let mut got = Vec::new();
+        for phase in [Phase::Offline, Phase::Online] {
+            let of_phase = || {
+                messages
+                    .iter()
+                    .zip(&phases)
+                    .filter(move |(_, (_, p, _))| *p == phase)
+                    .map(|(m, _)| m)
+            };
+            got.push(direction_digest(of_phase(), Role::Alice));
+            got.push(direction_digest(of_phase(), Role::Bob));
+        }
+        assert_eq!(got, want, "phase-split transcript of {}", inst.describe());
     }
 }
 
