@@ -14,16 +14,6 @@ pub enum BitRef {
     Wire { id: usize, inv: bool },
 }
 
-impl BitRef {
-    /// True if this is a known constant.
-    pub fn as_const(self) -> Option<bool> {
-        match self {
-            BitRef::Const(b) => Some(b),
-            BitRef::Wire { .. } => None,
-        }
-    }
-}
-
 /// A little-endian word of symbolic bits (bit 0 = least significant).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Word(pub Vec<BitRef>);

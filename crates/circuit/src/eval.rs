@@ -45,6 +45,22 @@ pub fn bits_to_u64(bits: &[bool]) -> u64 {
         .fold(0u64, |acc, (i, &b)| acc | (b as u64) << i)
 }
 
+/// The `width` low bits of every word, little-endian, in word order: how a
+/// vector of ring elements enters a circuit's input wires.
+pub fn words_to_bits(words: &[u64], width: usize) -> Vec<bool> {
+    let mut bits = Vec::with_capacity(words.len() * width);
+    for &w in words {
+        bits.extend((0..width).map(|i| w >> i & 1 == 1));
+    }
+    bits
+}
+
+/// Inverse of [`words_to_bits`]: consecutive `width`-bit words of `bits`
+/// (a shorter tail is one last word).
+pub fn bits_to_words(bits: &[bool], width: usize) -> Vec<u64> {
+    bits.chunks(width).map(bits_to_u64).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,5 +71,10 @@ mod tests {
             assert_eq!(bits_to_u64(&u64_to_bits(v, 64)), v);
         }
         assert_eq!(bits_to_u64(&u64_to_bits(0xff, 4)), 0xf);
+        let words = [5u64, 0, 0x1ff, 77];
+        let bits = words_to_bits(&words, 8);
+        assert_eq!(bits[..8], u64_to_bits(5, 8));
+        assert_eq!(bits_to_words(&bits, 8), [5, 0, 0xff, 77]);
+        assert!(bits_to_words(&[], 8).is_empty());
     }
 }

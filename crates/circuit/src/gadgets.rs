@@ -29,12 +29,6 @@ impl Builder {
         self.add_with_carry(a, &nb, BitRef::Const(true))
     }
 
-    /// `-a` mod 2^ℓ.
-    pub fn neg_word(&mut self, a: &Word) -> Word {
-        let zero = self.const_word(0, a.bits());
-        self.sub_words(&zero, a)
-    }
-
     fn add_with_carry(&mut self, a: &Word, b: &Word, mut carry: BitRef) -> Word {
         assert_eq!(a.bits(), b.bits());
         let n = a.bits();
@@ -110,11 +104,6 @@ impl Builder {
         self.not(carry_out)
     }
 
-    /// Unsigned `a > b`.
-    pub fn gt_words(&mut self, a: &Word, b: &Word) -> BitRef {
-        self.lt_words(b, a)
-    }
-
     /// Carry out of `a + b + carry_in` (ℓ ANDs).
     fn carry_out(&mut self, a: &Word, b: &Word, mut carry: BitRef) -> BitRef {
         assert_eq!(a.bits(), b.bits());
@@ -179,20 +168,6 @@ impl Builder {
                 let l = self.and_tree(lo);
                 let r = self.and_tree(hi);
                 self.and(l, r)
-            }
-        }
-    }
-
-    /// Balanced OR-tree over bits.
-    pub fn or_tree(&mut self, bits: &[BitRef]) -> BitRef {
-        match bits.len() {
-            0 => BitRef::Const(false),
-            1 => bits[0],
-            n => {
-                let (lo, hi) = bits.split_at(n / 2);
-                let l = self.or_tree(lo);
-                let r = self.or_tree(hi);
-                self.or(l, r)
             }
         }
     }
@@ -283,19 +258,10 @@ mod tests {
     }
 
     #[test]
-    fn neg_matches() {
-        for (x, _) in CASES {
-            let got = run_binop(32, x, 0, |b, a, _| b.neg_word(a));
-            assert_eq!(got, x.wrapping_neg() & 0xffff_ffff);
-        }
-    }
-
-    #[test]
     fn comparisons_match() {
         for (x, y) in CASES {
             assert_eq!(run_pred(32, x, y, |b, a, c| b.eq_words(a, c)), x == y);
             assert_eq!(run_pred(32, x, y, |b, a, c| b.lt_words(a, c)), x < y);
-            assert_eq!(run_pred(32, x, y, |b, a, c| b.gt_words(a, c)), x > y);
         }
     }
 
@@ -354,21 +320,18 @@ mod tests {
     }
 
     #[test]
-    fn tree_helpers() {
+    fn and_tree_is_conjunction() {
         for n in 0..6 {
             let mut bld = Builder::new();
             let _pad = bld.alice_input(); // ensures const outputs materialize
             let bits: Vec<BitRef> = (0..n).map(|_| bld.bob_input()).collect();
             let all = bld.and_tree(&bits);
-            let any = bld.or_tree(&bits);
             bld.output(all);
-            bld.output(any);
             let c = bld.finish();
             for pattern in 0..1u32 << n {
                 let ins: Vec<bool> = (0..n).map(|i| pattern >> i & 1 == 1).collect();
                 let out = evaluate(&c, &[false], &ins);
                 assert_eq!(out[0], ins.iter().all(|&b| b), "and n={n} p={pattern}");
-                assert_eq!(out[1], ins.iter().any(|&b| b), "or n={n} p={pattern}");
             }
         }
     }

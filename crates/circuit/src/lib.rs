@@ -25,11 +25,9 @@ mod builder;
 mod eval;
 mod gadgets;
 mod ir;
-pub mod levels;
 mod rows;
 
 pub use builder::{BitRef, Builder, Word};
-pub use eval::{bits_to_u64, evaluate, u64_to_bits};
-pub use ir::{Circuit, CircuitStats, Col, Gate, Port, Segment};
-pub use levels::{AndRef, Level};
+pub use eval::{bits_to_u64, bits_to_words, evaluate, u64_to_bits, words_to_bits};
+pub use ir::{AndRef, Circuit, CircuitStats, Col, Gate, Level, Port, Segment};
 pub use rows::Rows;

@@ -14,9 +14,8 @@
 use crate::session::Session;
 use crate::shape::{Draws, RelHeader};
 use crate::srel::SecureRelation;
-use secyan_circuit::{u64_to_bits, Circuit, Word};
+use secyan_circuit::{words_to_bits, Circuit, Word};
 use secyan_gc::{with_shared_rows, SharedOutputSpec};
-use secyan_oep::{oep_ot_count, shared_oep_other, shared_oep_perm_holder};
 
 /// Which projection-aggregation to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,8 +127,7 @@ impl AggStep {
         let mut d = Draws::default();
         if self.path == AggPath::Merge {
             let (n, owner) = (self.out.size, self.out.owner);
-            // The sort-order OEP: the owner routes, the peer holds values.
-            d.ot.add(owner.peer(), oep_ot_count(n, n));
+            d.oep(owner, n, n);
             d.garble(self.circuit().0, owner);
         }
         d
@@ -175,69 +173,47 @@ pub fn oblivious_project_agg(
 }
 
 /// The general path: a shared OEP re-aligns the annotation shares with
-/// the owner's sorted order, then the merge-gate chain sweeps each group's
-/// aggregate into its last row.
+/// the owner's sorted order, then the merge-gate chain — garbled by the
+/// owner — sweeps each group's aggregate into its last row.
 fn merge_project_agg(
     sess: &mut Session,
     rel: &SecureRelation,
     attrs: &[String],
     step: AggStep,
 ) -> SecureRelation {
-    let (n, ell) = (rel.size, step.ell);
+    let (n, owner) = (rel.size, rel.owner);
     let (circuit, spec) = step.circuit();
-    if rel.is_mine(sess) {
+    // Owner side: real rows sorted by the projected key, dummies last and
+    // each its own singleton group; the equality chain over that order;
+    // and the output rows — group ends are real, all others dummy.
+    let mine = rel.is_mine(sess).then(|| {
         let pos = rel.positions(attrs);
         let tuples = rel.tuples.as_ref().expect("owner side");
         let dummies = rel.dummy.as_ref().expect("owner side");
-        // Sort real rows by the projected key; dummies go last, each its
-        // own singleton group.
-        let mut order: Vec<usize> = (0..n).collect();
         let proj = |i: usize| -> Vec<u64> { pos.iter().map(|&p| tuples[i][p]).collect() };
+        let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&i, &j| (dummies[i], proj(i)).cmp(&(dummies[j], proj(j))));
-        // Shared OEP: permute the annotation shares into sorted order.
-        let my_sorted = shared_oep_perm_holder(
-            sess.ch,
-            &order,
-            &rel.annot_shares,
-            sess.ring,
-            &mut sess.ot_recv,
-        );
-        // Equality chain bits over the sorted order.
         let eq: Vec<bool> = (0..n - 1)
             .map(|i| {
                 let (a, b) = (order[i], order[i + 1]);
                 !dummies[a] && !dummies[b] && proj(a) == proj(b)
             })
             .collect();
-        let mut my_bits: Vec<bool> = eq.clone();
-        for &s in &my_sorted {
-            my_bits.extend(u64_to_bits(s, ell));
-        }
-        let out_shares = sess.garble_shared(&circuit, &spec, &my_bits);
-        // Group-end rows are real, all others dummy.
         let rows = (0..n)
             .map(|i| {
                 let is_end = i == n - 1 || !eq[i];
                 (proj(order[i]), dummies[order[i]] || !is_end)
             })
             .collect();
-        SecureRelation::shared(step.out, Some(rows), out_shares)
-    } else {
-        let my_sorted = shared_oep_other(
-            sess.ch,
-            &rel.annot_shares,
-            n,
-            sess.ring,
-            &mut sess.ot_send,
-            &mut sess.rng,
-        );
-        let mut my_bits: Vec<bool> = Vec::with_capacity(n * ell);
-        for &s in &my_sorted {
-            my_bits.extend(u64_to_bits(s, ell));
-        }
-        let out_shares = sess.evaluate_shared(&circuit, &spec, &my_bits);
-        SecureRelation::shared(step.out, None, out_shares)
-    }
+        ((order, eq), rows)
+    });
+    let (keys, rows) = mine.unzip();
+    let (order, eq): (Option<Vec<usize>>, Option<Vec<bool>>) = keys.unzip();
+    let my_sorted = sess.oep(owner, order.as_deref(), n, &rel.annot_shares);
+    let mut my_bits = eq.unwrap_or_default();
+    my_bits.extend(words_to_bits(&my_sorted, step.ell));
+    let out_shares = sess.garble_shared(&circuit, &spec, owner, &my_bits);
+    SecureRelation::shared(step.out, rows, out_shares)
 }
 
 /// §6.5: the owner aggregates locally, padding the result back to the

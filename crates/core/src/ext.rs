@@ -13,8 +13,7 @@
 
 use crate::session::Session;
 use rand::Rng;
-use secyan_circuit::{bits_to_u64, u64_to_bits, Circuit, Rows};
-use secyan_gc::OutputMode;
+use secyan_circuit::{bits_to_words, words_to_bits, Circuit, Rows};
 use secyan_relation::{NaturalRing, Relation, Semiring};
 use secyan_transport::Role;
 
@@ -114,24 +113,10 @@ pub fn reveal_ratios(
     }
     let ell = sess.ring.bits() as usize;
     let circuit = ratio_circuit(n, ell, scale);
-    let mut bits = Vec::with_capacity(2 * n * ell);
-    for &s in num_shares {
-        bits.extend(u64_to_bits(s, ell));
-    }
-    for &s in den_shares {
-        bits.extend(u64_to_bits(s, ell));
-    }
-    if sess.role() == receiver {
-        let out = sess
-            .evaluate(&circuit, &bits, OutputMode::RevealToEvaluator)
-            .expect("reveals to evaluator");
-        (0..n)
-            .map(|i| bits_to_u64(&out[i * ell..(i + 1) * ell]))
-            .collect()
-    } else {
-        sess.garble(&circuit, &bits, OutputMode::RevealToEvaluator);
-        Vec::new()
-    }
+    let words = [num_shares, den_shares].concat();
+    let out = sess.garble(&circuit, receiver.peer(), &words_to_bits(&words, ell));
+    out.map(|bits| bits_to_words(&bits, ell))
+        .unwrap_or_default()
 }
 
 /// Align a shared query result onto a *public* group domain (used by the
@@ -148,28 +133,13 @@ pub fn align_shared_groups(
     // Both parties extend with one zero slot for absent groups.
     let mut shares = annot_shares.to_vec();
     shares.push(0);
-    if sess.role() == receiver {
+    let xi: Option<Vec<usize>> = (sess.role() == receiver).then(|| {
         assert_eq!(tuples.len(), annot_shares.len());
-        let xi: Vec<usize> = domain
-            .iter()
-            .map(|g| {
-                tuples
-                    .iter()
-                    .position(|t| t == g)
-                    .unwrap_or(annot_shares.len())
-            })
-            .collect();
-        secyan_oep::shared_oep_perm_holder(sess.ch, &xi, &shares, sess.ring, &mut sess.ot_recv)
-    } else {
-        secyan_oep::shared_oep_other(
-            sess.ch,
-            &shares,
-            domain.len(),
-            sess.ring,
-            &mut sess.ot_send,
-            &mut sess.rng,
-        )
-    }
+        let absent = annot_shares.len();
+        let slot = |g| tuples.iter().position(|t| t == g).unwrap_or(absent);
+        domain.iter().map(slot).collect()
+    });
+    sess.oep(receiver, xi.as_deref(), domain.len(), &shares)
 }
 
 /// Open shares toward the receiver (used for final linear post-processing

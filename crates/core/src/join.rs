@@ -11,9 +11,9 @@
 use crate::session::Session;
 use crate::shape::{Draws, RelHeader};
 use crate::srel::SecureRelation;
-use secyan_circuit::{bits_to_u64, u64_to_bits, Circuit, Rows, Word};
-use secyan_gc::{with_shared_rows, OutputMode, SharedOutputSpec};
-use secyan_oep::{oep_ot_count, shared_oep_other, shared_oep_perm_holder};
+use secyan_circuit::{bits_to_u64, bits_to_words, words_to_bits, Circuit, Rows, Word};
+use secyan_gc::{with_shared_rows, SharedOutputSpec};
+use secyan_oep::oep_ot_count;
 use secyan_transport::{Role, WriteExt};
 use std::collections::HashMap;
 
@@ -116,42 +116,25 @@ pub(crate) fn reveal_rows(
     rel.ensure_shared(sess);
     let ell = sess.ring.bits() as usize;
     let step = reveal_step(&rel.header(), receiver, ell, values);
-    let circuit = step.circuit();
-    let mut bits = Vec::new();
-    for &s in &rel.annot_shares {
-        bits.extend(u64_to_bits(s, ell));
+    let mut bits = words_to_bits(&rel.annot_shares, ell);
+    if step.owner_is_garbler && rel.is_mine(sess) {
+        let tuples = rel.tuples.as_ref().expect("owner side");
+        let flat: Vec<u64> = tuples.iter().flatten().copied().collect();
+        bits.extend(words_to_bits(&flat, 64));
     }
-    if sess.role() != receiver {
-        if step.owner_is_garbler {
-            for t in rel.tuples.as_ref().expect("owner side") {
-                for &v in t {
-                    bits.extend(u64_to_bits(v, 64));
-                }
-            }
-        }
-        sess.garble(&circuit, &bits, OutputMode::RevealToEvaluator);
-        return None;
-    }
-    let out = sess
-        .evaluate(&circuit, &bits, OutputMode::RevealToEvaluator)
-        .expect("reveals to evaluator");
+    let out = sess.garble(&step.circuit(), step.garbler, &bits)?;
+    // Per row: the value (or its 1-bit indicator), then the tuple words
+    // when they came through the circuit.
     let head = if values { ell } else { 1 };
-    let tuple_bits = if step.owner_is_garbler {
-        step.attrs * 64
-    } else {
-        0
-    };
-    let stride = head + tuple_bits;
-    let rows = (0..step.n)
-        .map(|i| {
-            let base = i * stride;
-            let v = bits_to_u64(&out[base..base + head]);
+    let stride = head + usize::from(step.owner_is_garbler) * step.attrs * 64;
+    let rows = out
+        .chunks(stride)
+        .enumerate()
+        .map(|(i, row)| {
+            let v = bits_to_u64(&row[..head]);
             (v != 0).then(|| {
                 let tuple = if step.owner_is_garbler {
-                    out[base + head..base + stride]
-                        .chunks(64)
-                        .map(bits_to_u64)
-                        .collect()
+                    bits_to_words(&row[head..], 64)
                 } else {
                     rel.tuples.as_ref().expect("receiver owns the tuples")[i].clone()
                 };
@@ -311,57 +294,34 @@ pub fn oblivious_join(
             out_size,
         };
     }
-    // Step 3: per-relation OEPs align annotation shares with J* rows.
+    // Step 3: per-relation OEPs, routed by the receiver, align annotation
+    // shares with J* rows.
     let k = rels.len();
-    let mut aligned: Vec<Vec<u64>> = Vec::with_capacity(k);
-    for (ri, rel) in rels.iter().enumerate() {
-        if i_am_receiver {
-            let xi: Vec<usize> = prov.iter().map(|p| p[ri]).collect();
-            aligned.push(shared_oep_perm_holder(
-                sess.ch,
-                &xi,
-                &rel.annot_shares,
-                sess.ring,
-                &mut sess.ot_recv,
-            ));
-        } else {
-            aligned.push(shared_oep_other(
-                sess.ch,
-                &rel.annot_shares,
-                out_size,
-                sess.ring,
-                &mut sess.ot_send,
-                &mut sess.rng,
-            ));
-        }
-    }
-    // Step 4: product circuit. Garbler = non-receiver.
+    let aligned: Vec<Vec<u64>> = rels
+        .iter()
+        .enumerate()
+        .map(|(ri, rel)| {
+            let xi: Option<Vec<usize>> =
+                i_am_receiver.then(|| prov.iter().map(|p| p[ri]).collect());
+            sess.oep(receiver, xi.as_deref(), out_size, &rel.annot_shares)
+        })
+        .collect();
+    // Step 4: product circuit, row-major inputs. Garbler = non-receiver.
     let (circuit, spec) = product_tree_circuit(out_size, k, ell, reveal);
-    let mut bits = Vec::new();
-    for i in 0..out_size {
-        for a in aligned.iter() {
-            bits.extend(u64_to_bits(a[i], ell));
+    let words: Vec<u64> = (0..out_size)
+        .flat_map(|i| aligned.iter().map(move |a| a[i]))
+        .collect();
+    let (garbler, bits) = (receiver.peer(), words_to_bits(&words, ell));
+    let (annot_shares, values) = match spec {
+        Some(spec) => (
+            sess.garble_shared(&circuit, &spec, garbler, &bits),
+            Vec::new(),
+        ),
+        None => {
+            let out = sess.garble(&circuit, garbler, &bits);
+            let values = out.map(|bits| bits_to_words(&bits, ell));
+            (Vec::new(), values.unwrap_or_default())
         }
-    }
-    let (annot_shares, values) = if i_am_receiver {
-        if reveal {
-            let out = sess
-                .evaluate(&circuit, &bits, OutputMode::RevealToEvaluator)
-                .expect("reveals to evaluator");
-            let values = (0..out_size)
-                .map(|i| bits_to_u64(&out[i * ell..(i + 1) * ell]))
-                .collect();
-            (Vec::new(), values)
-        } else {
-            let shares = sess.evaluate_shared(&circuit, &spec.expect("shared mode"), &bits);
-            (shares, Vec::new())
-        }
-    } else if reveal {
-        sess.garble(&circuit, &bits, OutputMode::RevealToEvaluator);
-        (Vec::new(), Vec::new())
-    } else {
-        let shares = sess.garble_shared(&circuit, &spec.expect("shared mode"), &bits);
-        (shares, Vec::new())
     };
     JoinOutput {
         schema,

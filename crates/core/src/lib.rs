@@ -8,7 +8,9 @@
 //!
 //! Layout (one module per §6 subsection):
 //! * [`session`] — per-party protocol state: channel, ring, hasher, and
-//!   both directions of OT/OPRF machinery, set up once and amortized.
+//!   both directions of OT/OPRF machinery, set up once and amortized —
+//!   and the three verbs (circuit, OEP, PSI) every operator below is
+//!   written in.
 //! * [`srel`] — [`srel::SecureRelation`]: tuples held by one party,
 //!   annotations additively shared, dummies tracked owner-side.
 //! * [`agg`] — oblivious projection-aggregation π⊕ and π¹ (§6.1): local

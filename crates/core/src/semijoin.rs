@@ -17,20 +17,11 @@
 //!   a single OEP + product circuit does the rest.
 
 use crate::session::Session;
-use crate::shape::{Draws, PlannedCircuit, RelHeader};
+use crate::shape::{Draws, RelHeader};
 use crate::srel::{dummy_key, SecureRelation};
-use secyan_circuit::{u64_to_bits, Circuit};
+use secyan_circuit::{words_to_bits, Circuit};
 use secyan_gc::{with_shared_rows, SharedOutputSpec};
-use secyan_oep::{
-    oep_ot_count, shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
-    shared_oep_perm_holder_finish,
-};
-use secyan_psi::{
-    psi_cost, psi_receiver_begin, psi_receiver_finish, psi_sender,
-    shared_payload_psi_receiver_begin, shared_payload_psi_receiver_finish,
-    shared_payload_psi_sender, CuckooTable,
-};
-use secyan_transport::Role;
+use secyan_psi::CuckooTable;
 use std::collections::HashMap;
 
 /// The product circuit: out_i = v_i ⊗ z_i as fresh shares. When
@@ -76,40 +67,6 @@ fn route_rows(cuckoo: &CuckooTable, key_of_row: &[Option<u64>]) -> Vec<usize> {
         .collect()
 }
 
-/// Run the product circuit. `my_v`: my v-inputs (plain values for the
-/// owner when `v_plain`, else my shares; empty on the non-owner side when
-/// `v_plain`). `my_z`: my z-shares. The `R_F` owner garbles.
-fn run_product(
-    sess: &mut Session,
-    step: &ReduceJoinStep,
-    i_am_garbler: bool,
-    my_v: &[u64],
-    my_z: &[u64],
-) -> Vec<u64> {
-    let (ell, v_plain) = (step.ell, step.v_plain);
-    let (circuit, spec) = step.product();
-    let mut bits = Vec::with_capacity(step.out.size * 2 * ell);
-    if i_am_garbler {
-        for &v in my_v {
-            bits.extend(u64_to_bits(v, ell));
-        }
-        for &z in my_z {
-            bits.extend(u64_to_bits(z, ell));
-        }
-        sess.garble_shared(&circuit, &spec, &bits)
-    } else {
-        if !v_plain {
-            for &v in my_v {
-                bits.extend(u64_to_bits(v, ell));
-            }
-        }
-        for &z in my_z {
-            bits.extend(u64_to_bits(z, ell));
-        }
-        sess.evaluate_shared(&circuit, &spec, &bits)
-    }
-}
-
 /// How a reduce-join aligns `R_G`'s annotations with `R_F`'s rows — a
 /// function of the two public headers alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +90,6 @@ pub(crate) struct ReduceJoinStep {
     /// `R_F`'s annotations are still owner-known, so its owner — the
     /// product circuit's garbler — feeds them in the clear (§6.5).
     pub v_plain: bool,
-    g_owner: Role,
     g_size: usize,
     ell: usize,
 }
@@ -154,7 +110,6 @@ pub(crate) fn reduce_join_step(rf: &RelHeader, rg: &RelHeader, ell: usize) -> Re
         out,
         path,
         v_plain: rf.is_plain,
-        g_owner: rg.owner,
         g_size: rg.size,
         ell,
     }
@@ -167,22 +122,15 @@ impl ReduceJoinStep {
 
     pub(crate) fn draws(&self) -> Draws {
         let mut d = Draws::default();
-        let (f, g, n) = (self.out.owner, self.g_owner, self.out.size);
+        let (f, n) = (self.out.owner, self.out.size);
         match self.path {
-            // One extra slot catches non-matches; `f` routes, its peer
-            // holds the values.
-            JoinPath::SameOwner => d.ot.add(f.peer(), oep_ot_count(self.g_size + 1, n)),
-            // `f` is the PSI receiver (and routes the ξ-OEP), `g` the
-            // sender, garbler and KKRT key holder.
+            // One extra slot catches non-matches.
+            JoinPath::SameOwner => d.oep(f, self.g_size + 1, n),
+            // `f` receives the PSI, then routes its bins to its rows.
             path => {
-                let psi = psi_cost(n, self.g_size, self.ell, path == JoinPath::SharedPsi);
-                d.kkrt.add(g, psi.kkrt);
-                d.ot.add(g, psi.ot_from_sender + oep_ot_count(psi.bins, n));
-                d.ot.add(f, psi.ot_from_receiver);
-                d.circuits.push(PlannedCircuit {
-                    circuit: psi.circuit,
-                    garbler: g,
-                });
+                let shared = path == JoinPath::SharedPsi;
+                let bins = d.psi(f, n, self.g_size, self.ell, shared);
+                d.oep(f, bins, n);
             }
         }
         d.garble(self.product().0, f);
@@ -208,8 +156,7 @@ pub fn oblivious_reduce_join(
         .cloned()
         .collect();
     let n = rf.size;
-    let i_own_f = rf.is_mine(sess);
-    let v_plain = step.v_plain;
+    let (f, i_own_f) = (rf.owner, rf.is_mine(sess));
 
     // Obtain my z-shares aligned with R_F's rows.
     let my_z: Vec<u64> = if step.path == JoinPath::SameOwner {
@@ -217,7 +164,7 @@ pub fn oblivious_reduce_join(
         // Owner matches locally; one extra dummy slot catches non-matches.
         let mut g_shares = rg.annot_shares.clone();
         g_shares.push(0);
-        if i_own_f {
+        let xi: Option<Vec<usize>> = i_own_f.then(|| {
             let pos_g = rg.positions(&join_attrs);
             let g_dummy = rg.dummy.as_ref().expect("owner side");
             let mut index: HashMap<u64, usize> = HashMap::new();
@@ -233,7 +180,7 @@ pub fn oblivious_reduce_join(
             }
             let pos_f = rf.positions(&join_attrs);
             let f_dummy = rf.dummy.as_ref().expect("owner side");
-            let xi: Vec<usize> = (0..n)
+            (0..n)
                 .map(|i| {
                     if f_dummy[i] {
                         rg.size // dummy slot
@@ -242,21 +189,13 @@ pub fn oblivious_reduce_join(
                         index.get(&k).copied().unwrap_or(rg.size)
                     }
                 })
-                .collect();
-            shared_oep_perm_holder(sess.ch, &xi, &g_shares, sess.ring, &mut sess.ot_recv)
-        } else {
-            shared_oep_other(
-                sess.ch,
-                &g_shares,
-                n,
-                sess.ring,
-                &mut sess.ot_send,
-                &mut sess.rng,
-            )
-        }
+                .collect()
+        });
+        sess.oep(f, xi.as_deref(), n, &g_shares)
     } else {
-        // Cross-party: PSI aligns R_G's annotations to R_F's cuckoo bins.
-        let plain_payloads = step.path == JoinPath::PlainPsi;
+        // Cross-party: PSI aligns R_G's annotations to R_F's cuckoo bins,
+        // with plain payloads while they are still owner-known (§6.5).
+        let shared = step.path == JoinPath::SharedPsi;
         let nonce = sess.random_u64();
         if i_own_f {
             // Build X: distinct join keys of real R_F rows, padded to n.
@@ -285,53 +224,11 @@ pub fn oblivious_reduce_join(
             // corrections ride the same outbound super-frame as the PSI's.
             // The sender consumes them in this order: PSI first, outer
             // OEP last — matching the staging order here.
-            if plain_payloads {
-                let psi = psi_receiver_begin(
-                    sess.ch,
-                    &x,
-                    rg.size,
-                    sess.ring,
-                    &mut sess.kkrt_recv,
-                    &mut sess.ot_recv,
-                    &mut sess.gc_eval,
-                );
-                let bins = psi.cuckoo().bins.len();
-                let xi = route_rows(psi.cuckoo(), &key_of_row);
-                let oep = shared_oep_perm_holder_begin(sess.ch, &xi, bins, &mut sess.ot_recv);
-                let psi = psi_receiver_finish(sess.ch, psi, &mut sess.ot_recv, sess.hasher);
-                shared_oep_perm_holder_finish(
-                    sess.ch,
-                    oep,
-                    &psi.payload_shares,
-                    sess.ring,
-                    &mut sess.ot_recv,
-                )
-            } else {
-                let psi = shared_payload_psi_receiver_begin(
-                    sess.ch,
-                    &x,
-                    &rg.annot_shares,
-                    sess.ring,
-                    &mut sess.kkrt_recv,
-                    &mut sess.ot_recv,
-                    &mut sess.ot_send,
-                    sess.hasher,
-                    &mut sess.rng,
-                    &mut sess.gc_eval,
-                );
-                let bins = psi.cuckoo().bins.len();
-                let xi = route_rows(psi.cuckoo(), &key_of_row);
-                let oep = shared_oep_perm_holder_begin(sess.ch, &xi, bins, &mut sess.ot_recv);
-                let psi =
-                    shared_payload_psi_receiver_finish(sess.ch, psi, sess.ring, &mut sess.ot_recv);
-                shared_oep_perm_holder_finish(
-                    sess.ch,
-                    oep,
-                    &psi.payload_shares,
-                    sess.ring,
-                    &mut sess.ot_recv,
-                )
-            }
+            let psi = sess.psi_receiver_begin(&x, rg.my_annots(), shared);
+            let xi = route_rows(psi.cuckoo(), &key_of_row);
+            let oep = sess.oep_begin(&xi, psi.cuckoo().bins.len());
+            let payload_shares = sess.psi_receiver_finish(psi);
+            sess.oep_finish(oep, &payload_shares)
         } else {
             // R_G owner: PSI sender.
             debug_assert!(rg.is_mine(sess));
@@ -346,60 +243,20 @@ pub fn oblivious_reduce_join(
                     }
                 })
                 .collect();
-            let psi = if plain_payloads {
-                let plain = rg.plain_annots.as_ref().expect("plain annots");
-                let items: Vec<(u64, u64)> =
-                    keys.iter().copied().zip(plain.iter().copied()).collect();
-                psi_sender(
-                    sess.ch,
-                    &items,
-                    n,
-                    sess.ring,
-                    &mut sess.kkrt_send,
-                    &mut sess.ot_send,
-                    sess.hasher,
-                    &mut sess.rng,
-                    &mut sess.gc_garble,
-                )
-            } else {
-                shared_payload_psi_sender(
-                    sess.ch,
-                    &keys,
-                    n,
-                    &rg.annot_shares,
-                    sess.ring,
-                    &mut sess.kkrt_send,
-                    &mut sess.ot_send,
-                    &mut sess.ot_recv,
-                    sess.hasher,
-                    &mut sess.rng,
-                    &mut sess.gc_garble,
-                )
-            };
-            shared_oep_other(
-                sess.ch,
-                &psi.payload_shares,
-                n,
-                sess.ring,
-                &mut sess.ot_send,
-                &mut sess.rng,
-            )
+            let payload_shares = sess.psi_sender(&keys, n, rg.my_annots(), shared);
+            sess.oep(f, None, n, &payload_shares)
         }
     };
 
-    // Product circuit: new annotations [v ⊗ z]. The R_F owner garbles.
-    let my_v: Vec<u64> = if i_own_f {
-        if v_plain {
-            rf.plain_annots.clone().expect("plain on owner")
-        } else {
-            rf.annot_shares.clone()
-        }
-    } else if v_plain {
-        Vec::new()
-    } else {
-        rf.annot_shares.clone()
-    };
-    let out_shares = run_product(sess, &step, i_own_f, &my_v, &my_z);
+    // Product circuit: new annotations [v ⊗ z], garbled by the R_F owner.
+    // While `v_plain` only the owner feeds v.
+    let mut words = Vec::with_capacity(2 * n);
+    if i_own_f || !step.v_plain {
+        words.extend_from_slice(rf.my_annots());
+    }
+    words.extend(my_z);
+    let (circuit, spec) = step.product();
+    let out_shares = sess.garble_shared(&circuit, &spec, f, &words_to_bits(&words, ell));
     SecureRelation {
         tuples: rf.tuples.clone(),
         dummy: rf.dummy.clone(),

@@ -1,4 +1,18 @@
-//! Per-party protocol session state.
+//! Per-party protocol session state — and the only module that knows which
+//! of its handles a building block draws from.
+//!
+//! The operators of §6 are written over three verbs, one per building
+//! block of §5, each a [`Session`] method that names the acting role and
+//! hides the dispatch on it:
+//!
+//! | verb | methods | draws |
+//! |---|---|---|
+//! | circuit (§5.2) | [`Session::garble`], [`Session::garble_shared`] | the front of the garbler's / evaluator's pre-garbled bank when it matches; one OT per evaluator input wire, garbler sending |
+//! | OEP (§5.4) | [`Session::oep`], or [`Session::oep_begin`] + [`Session::oep_finish`] on the router's side | one OT per switch, the router's peer sending |
+//! | PSI (§5.3, §5.5) | [`Session::psi_receiver_begin`] + [`Session::psi_receiver_finish`], [`Session::psi_sender`] | 2·bins KKRT instances keyed by the sender, the matching / k circuit garbled by the sender, and for shared payloads two more OEPs |
+//!
+//! `crate::shape::Draws` has the same three verbs and counts what each
+//! call here consumes; `preproc.rs` banks exactly that.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -8,7 +22,15 @@ use secyan_gc::{
     evaluate_banked, evaluate_shared_banked, garble_banked, garble_shared_banked, EvalMaterial,
     GarbleMaterial, OutputMode, SharedOutputSpec,
 };
+use secyan_oep::{
+    shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
+    shared_oep_perm_holder_finish, OepPending,
+};
 use secyan_ot::{KkrtReceiver, KkrtSender, OtReceiver, OtSender};
+use secyan_psi::{
+    psi_receiver_begin, psi_receiver_finish, psi_sender, shared_payload_psi_receiver_begin,
+    shared_payload_psi_sender, PsiReceiverPending,
+};
 use secyan_transport::{Channel, ProtocolError, ReadExt, Role};
 use std::collections::VecDeque;
 
@@ -122,99 +144,161 @@ impl<'a> Session<'a> {
         self.ch.role()
     }
 
-    /// Convenience: a fresh random ring element.
-    pub fn random_ring(&mut self) -> u64 {
-        self.ring.random(&mut self.rng)
-    }
-
-    /// Convenience: a fresh random u64 (dummy keys etc.).
+    /// A fresh random u64 (join-key nonces).
     pub fn random_u64(&mut self) -> u64 {
         self.rng.gen()
     }
 
-    /// Garble `circuit`, consuming pre-garbled offline material when the
-    /// front of the plan matches (by circuit digest), else inline.
-    ///
-    /// The pooled-vs-inline decision is symmetric across the two parties:
-    /// both plan the same public circuit sequence offline, so their deque
-    /// fronts carry the same digest and both fall back together when the
-    /// online driver runs a circuit the plan did not foresee (e.g. the
-    /// data-dependent full-join product tree).
+    /// **Circuit** (§5.2), outputs revealed to the evaluator: `garbler`
+    /// garbles, its peer evaluates and gets `Some(output bits)`.
+    /// `my_inputs` are this party's input wires. Pre-garbled material is
+    /// consumed when the front of the plan matches `circuit` by digest,
+    /// else the tables travel inline — a symmetric decision: both parties
+    /// planned the same public circuit sequence, so their fronts carry the
+    /// same digest and both fall back together on a circuit the plan did
+    /// not foresee (the data-dependent full-join product tree).
     pub fn garble(
         &mut self,
         circuit: &Circuit,
+        garbler: Role,
         my_inputs: &[bool],
-        mode: OutputMode,
     ) -> Option<Vec<bool>> {
-        garble_banked(
-            self.ch,
-            &mut self.gc_garble,
-            circuit,
-            my_inputs,
-            &mut self.ot_send,
-            self.hasher,
-            &mut self.rng,
-            mode,
-        )
+        let mode = OutputMode::RevealToEvaluator;
+        if self.role() == garbler {
+            let (bank, ot) = (&mut self.gc_garble, &mut self.ot_send);
+            let (hasher, rng) = (self.hasher, &mut self.rng);
+            garble_banked(self.ch, bank, circuit, my_inputs, ot, hasher, rng, mode)
+        } else {
+            let (bank, ot) = (&mut self.gc_eval, &mut self.ot_recv);
+            evaluate_banked(self.ch, bank, circuit, my_inputs, ot, self.hasher, mode)
+        }
     }
 
-    /// Evaluate `circuit`, consuming pre-received tables when the front of
-    /// the plan matches (see [`Session::garble`] for the symmetry
-    /// argument).
-    pub fn evaluate(
-        &mut self,
-        circuit: &Circuit,
-        my_inputs: &[bool],
-        mode: OutputMode,
-    ) -> Option<Vec<bool>> {
-        evaluate_banked(
-            self.ch,
-            &mut self.gc_eval,
-            circuit,
-            my_inputs,
-            &mut self.ot_recv,
-            self.hasher,
-            mode,
-        )
-    }
-
-    /// Shared-output garbling through the offline plan (see
-    /// [`Session::garble`]).
+    /// **Circuit**, outputs leaving as fresh additive shares (§5.2's
+    /// Yao-to-arithmetic conversion): returns this party's share of every
+    /// output word of `spec`. Banking as in [`Session::garble`].
     pub fn garble_shared(
         &mut self,
         circuit: &Circuit,
         spec: &SharedOutputSpec,
+        garbler: Role,
         my_inputs: &[bool],
     ) -> Vec<u64> {
-        garble_shared_banked(
-            self.ch,
-            &mut self.gc_garble,
-            circuit,
-            spec,
-            my_inputs,
-            &mut self.ot_send,
-            self.hasher,
-            &mut self.rng,
-        )
+        if self.role() == garbler {
+            let (bank, ot) = (&mut self.gc_garble, &mut self.ot_send);
+            let (hasher, rng) = (self.hasher, &mut self.rng);
+            garble_shared_banked(self.ch, bank, circuit, spec, my_inputs, ot, hasher, rng)
+        } else {
+            let (bank, ot) = (&mut self.gc_eval, &mut self.ot_recv);
+            evaluate_shared_banked(self.ch, bank, circuit, spec, my_inputs, ot, self.hasher)
+        }
     }
 
-    /// Shared-output evaluation through the offline plan (see
-    /// [`Session::evaluate`]).
-    pub fn evaluate_shared(
+    /// **OEP** on shared values (§5.4): `router` holds ξ — `Some` on its
+    /// side, `None` on its peer's — mapping each of the `n_out` outputs to
+    /// an index into the shared input vector; both end with fresh shares
+    /// of the routed values. The router receives the OTs.
+    pub fn oep(
         &mut self,
-        circuit: &Circuit,
-        spec: &SharedOutputSpec,
-        my_inputs: &[bool],
+        router: Role,
+        xi: Option<&[usize]>,
+        n_out: usize,
+        my_shares: &[u64],
     ) -> Vec<u64> {
-        evaluate_shared_banked(
-            self.ch,
-            &mut self.gc_eval,
-            circuit,
-            spec,
-            my_inputs,
-            &mut self.ot_recv,
-            self.hasher,
-        )
+        if self.role() == router {
+            let xi = xi.expect("the router holds ξ");
+            assert_eq!(xi.len(), n_out, "ξ maps every output");
+            shared_oep_perm_holder(self.ch, xi, my_shares, self.ring, &mut self.ot_recv)
+        } else {
+            let (ot, rng) = (&mut self.ot_send, &mut self.rng);
+            shared_oep_other(self.ch, my_shares, n_out, self.ring, ot, rng)
+        }
+    }
+
+    /// Router's first half of [`Session::oep`] over `n_in` inputs: stage
+    /// the OT corrections (send-only), so a routing known before its
+    /// values are can ride the current outbound super-frame.
+    pub fn oep_begin(&mut self, xi: &[usize], n_in: usize) -> OepPending {
+        shared_oep_perm_holder_begin(self.ch, xi, n_in, &mut self.ot_recv)
+    }
+
+    /// Router's second half: receive the masked values and finish.
+    pub fn oep_finish(&mut self, pending: OepPending, my_shares: &[u64]) -> Vec<u64> {
+        shared_oep_perm_holder_finish(self.ch, pending, my_shares, self.ring, &mut self.ot_recv)
+    }
+
+    /// **PSI** receiver, first half (§5.3 / §5.5): `elements` are cuckoo
+    /// hashed against the sender's set. `payloads` is this party's view of
+    /// the sender's payloads, one per sender element: its additive shares
+    /// when `shared`, else only their count matters (the sender still
+    /// knows them in the clear). Returns with the cuckoo table known and
+    /// everything outbound staged, so a routing derived from the table can
+    /// be staged ([`Session::oep_begin`]) before
+    /// [`Session::psi_receiver_finish`] blocks.
+    pub fn psi_receiver_begin(
+        &mut self,
+        elements: &[u64],
+        payloads: &[u64],
+        shared: bool,
+    ) -> PsiReceiverPending {
+        let (ch, ring, hasher) = (&mut *self.ch, self.ring, self.hasher);
+        let (kkrt, ot, bank) = (&mut self.kkrt_recv, &mut self.ot_recv, &mut self.gc_eval);
+        if shared {
+            let (ot_send, rng) = (&mut self.ot_send, &mut self.rng);
+            shared_payload_psi_receiver_begin(
+                ch, elements, payloads, ring, kkrt, ot, ot_send, hasher, rng, bank,
+            )
+        } else {
+            psi_receiver_begin(ch, elements, payloads.len(), ring, kkrt, ot, bank)
+        }
+    }
+
+    /// **PSI** receiver, second half (receive-only): this party's shares
+    /// of the matched payload, or of 0, per cuckoo bin.
+    pub fn psi_receiver_finish(&mut self, pending: PsiReceiverPending) -> Vec<u64> {
+        let ot = &mut self.ot_recv;
+        psi_receiver_finish(self.ch, pending, self.ring, ot, self.hasher).payload_shares
+    }
+
+    /// **PSI** sender: `elements` (distinct) with one payload each —
+    /// `payloads` holds this party's shares of them when `shared`, their
+    /// clear values otherwise — against a receiver set of public size
+    /// `receiver_size`. Returns this party's per-bin payload shares. The
+    /// sender holds the KKRT key and garbles.
+    pub fn psi_sender(
+        &mut self,
+        elements: &[u64],
+        receiver_size: usize,
+        payloads: &[u64],
+        shared: bool,
+    ) -> Vec<u64> {
+        let (ch, ring, hasher) = (&mut *self.ch, self.ring, self.hasher);
+        let (kkrt, ot, rng) = (&mut self.kkrt_send, &mut self.ot_send, &mut self.rng);
+        let bank = &mut self.gc_garble;
+        let out = if shared {
+            let ot_recv = &mut self.ot_recv;
+            shared_payload_psi_sender(
+                ch,
+                elements,
+                receiver_size,
+                payloads,
+                ring,
+                kkrt,
+                ot,
+                ot_recv,
+                hasher,
+                rng,
+                bank,
+            )
+        } else {
+            let items: Vec<(u64, u64)> = elements
+                .iter()
+                .copied()
+                .zip(payloads.iter().copied())
+                .collect();
+            psi_sender(ch, &items, receiver_size, ring, kkrt, ot, hasher, rng, bank)
+        };
+        out.payload_shares
     }
 }
 

@@ -31,6 +31,8 @@ use crate::semijoin::reduce_join_step;
 use secyan_circuit::Circuit;
 use secyan_crypto::sha256::{digest_to_u64, Sha256};
 use secyan_gc::evaluator_ot_count;
+use secyan_oep::oep_ot_count;
+use secyan_psi::psi_cost;
 use secyan_transport::Role;
 
 /// Canonical 64-bit fingerprint of a query shape: join-tree topology,
@@ -111,12 +113,46 @@ pub(crate) struct Draws {
     pub kkrt: PerDirection,
 }
 
+/// One method per [`crate::session::Session`] verb, counting what that
+/// call consumes — a step's `draws()` reads as the sequence its executor
+/// runs.
 impl Draws {
-    /// Run `circuit` with `garbler` garbling: the circuit itself plus the
-    /// OTs carrying the evaluator's input labels.
+    /// A circuit with `garbler` garbling: the circuit itself plus the OTs
+    /// carrying the evaluator's input labels, garbler sending.
     pub(crate) fn garble(&mut self, circuit: Circuit, garbler: Role) {
         self.ot.add(garbler, evaluator_ot_count(&circuit));
         self.circuits.push(PlannedCircuit { circuit, garbler });
+    }
+
+    /// A shared OEP from `n_in` inputs to `n_out` outputs with `router`
+    /// holding ξ: one OT per switch, the router's peer sending.
+    pub(crate) fn oep(&mut self, router: Role, n_in: usize, n_out: usize) {
+        self.ot.add(router.peer(), oep_ot_count(n_in, n_out));
+    }
+
+    /// A PSI with `receiver` cuckoo-hashing `receiver_size` elements
+    /// against its peer's `sender_size`, payloads `shared` or plain: the
+    /// sender keys the KKRT batches and garbles; the OTs are the circuit's
+    /// labels plus, for shared payloads, the two inner OEPs. Returns the
+    /// bin count, the length of the PSI's output.
+    pub(crate) fn psi(
+        &mut self,
+        receiver: Role,
+        receiver_size: usize,
+        sender_size: usize,
+        ell: usize,
+        shared: bool,
+    ) -> usize {
+        let sender = receiver.peer();
+        let psi = psi_cost(receiver_size, sender_size, ell, shared);
+        self.kkrt.add(sender, psi.kkrt);
+        self.ot.add(sender, psi.ot_from_sender);
+        self.ot.add(receiver, psi.ot_from_receiver);
+        self.circuits.push(PlannedCircuit {
+            circuit: psi.circuit,
+            garbler: sender,
+        });
+        psi.bins
     }
 
     fn absorb(&mut self, step: Draws) {

@@ -219,6 +219,14 @@ impl SecureRelation {
         self.is_plain = false;
     }
 
+    /// This party's view of the annotations: the clear values on the
+    /// owner's side while they are still owner-known, else my additive
+    /// shares — all zero on the other side of a plain relation, `(v, 0)`
+    /// being a sharing of `v`.
+    pub(crate) fn my_annots(&self) -> &[u64] {
+        self.plain_annots.as_deref().unwrap_or(&self.annot_shares)
+    }
+
     /// Am I the owner?
     pub fn is_mine(&self, sess: &Session) -> bool {
         sess.role() == self.owner

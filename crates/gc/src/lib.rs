@@ -29,5 +29,5 @@ pub use protocol::{
 pub use scheme::{EvalTables, Garbling};
 pub use shares::{
     evaluate_shared, evaluate_shared_banked, evaluate_shared_finish, garble_shared,
-    garble_shared_banked, with_shared_outputs, with_shared_rows, SharedInput, SharedOutputSpec,
+    garble_shared_banked, with_shared_outputs, with_shared_rows, SharedOutputSpec,
 };

@@ -1,20 +1,21 @@
-//! Yao-to-arithmetic share conversion (paper §5.2) and shared inputs.
+//! Yao-to-arithmetic share conversion (paper §5.2).
 //!
 //! The secure Yannakakis operators feed secret-shared annotations *into*
 //! garbled circuits and need the results back *as shares*, never in the
-//! clear. Two pieces make that work:
+//! clear.
 //!
-//! * **Shared inputs** ([`SharedInput`]): a value v = v_A + v_B (mod 2^ℓ)
-//!   enters the circuit as one input word per party; an in-circuit adder
-//!   reconstructs v. This is exactly the paper's
-//!   "(⟦v⟧₁ + ⟦v⟧₂) computed inside the circuit" pattern (Example 5.1).
+//! * **Shared inputs** need nothing from this module: a value
+//!   v = v_A + v_B (mod 2^ℓ) enters as one input word per party and one
+//!   `add_words` reconstructs it — the paper's "(⟦v⟧₁ + ⟦v⟧₂) computed
+//!   inside the circuit" pattern (Example 5.1).
 //!
-//! * **Shared outputs** ([`with_shared_outputs`] + the run helpers): for
-//!   each output word W the garbler feeds a fresh random mask r as an extra
-//!   input; the circuit reveals W + r (mod 2^ℓ) to the evaluator only.
-//!   The evaluator's share is W + r, the garbler's is −r: a fresh additive
-//!   sharing of W, with neither party learning W. This is the standard
-//!   Yao-share → arithmetic-share conversion the paper cites from ABY.
+//! * **Shared outputs** ([`with_shared_rows`], [`with_shared_outputs`] and
+//!   the run helpers): for each output word W the garbler feeds a fresh
+//!   random mask r as an extra input; the circuit reveals W + r (mod 2^ℓ)
+//!   to the evaluator only. The evaluator's share is W + r, the garbler's
+//!   is −r: a fresh additive sharing of W, with neither party learning W.
+//!   This is the standard Yao-share → arithmetic-share conversion the
+//!   paper cites from ABY.
 
 use rand::Rng;
 use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit, Col, Rows, Word};
@@ -27,37 +28,6 @@ use crate::protocol::{
     GarbleMaterial, OutputMode,
 };
 use std::collections::VecDeque;
-
-/// A secret-shared ℓ-bit input: one word from each party.
-pub struct SharedInput {
-    a: Word,
-    b: Word,
-}
-
-impl SharedInput {
-    /// Declare the two halves. Must be called during the input-declaration
-    /// phase; Alice halves of all shared inputs come while Alice inputs are
-    /// still being declared.
-    pub fn declare_alice_half(builder: &mut Builder, bits: usize) -> Word {
-        builder.alice_word(bits)
-    }
-
-    /// Declare Bob's half (after all Alice inputs).
-    pub fn declare_bob_half(builder: &mut Builder, bits: usize) -> Word {
-        builder.bob_word(bits)
-    }
-
-    /// Pair two declared halves.
-    pub fn new(a: Word, b: Word) -> SharedInput {
-        assert_eq!(a.bits(), b.bits());
-        SharedInput { a, b }
-    }
-
-    /// Reconstruct the secret inside the circuit (one adder).
-    pub fn reconstruct(&self, builder: &mut Builder) -> Word {
-        builder.add_words(&self.a, &self.b)
-    }
-}
 
 /// Widths of the output words that must leave the circuit as arithmetic
 /// shares.
@@ -276,9 +246,8 @@ mod tests {
         let spec = SharedOutputSpec::uniform(1, bits);
         let c = with_shared_outputs(&spec, |b| {
             let factor = b.alice_word(bits);
-            let va = SharedInput::declare_alice_half(b, bits);
-            let vb = SharedInput::declare_bob_half(b, bits);
-            let v = SharedInput::new(va, vb).reconstruct(b);
+            let (va, vb) = (b.alice_word(bits), b.bob_word(bits));
+            let v = b.add_words(&va, &vb);
             vec![b.mul_words(&v, &factor)]
         });
         (c, spec)

@@ -12,7 +12,7 @@
 //! pre-allocated output slots in canonical order. Nothing observable —
 //! protocol transcripts in particular — may depend on the thread count or
 //! on scheduling. The helpers here make that the path of least resistance:
-//! [`Pool::map`]/[`Pool::map_into`] preserve input order exactly,
+//! [`Pool::map`] preserves input order exactly,
 //! [`Pool::chunks_mut`]/[`Pool::zip_chunks_mut`] hand each worker disjoint
 //! contiguous slices of a caller-owned buffer.
 //!
@@ -310,26 +310,6 @@ impl Pool<'_> {
         }
     }
 
-    /// Parallel map into a caller-owned buffer: `out[i] = f(i, &items[i])`.
-    pub fn map_into<I: Sync, O: Send>(
-        &self,
-        items: &[I],
-        min_per_part: usize,
-        out: &mut [O],
-        f: impl Fn(usize, &I) -> O + Sync,
-    ) {
-        assert_eq!(items.len(), out.len(), "map_into wants aligned slices");
-        let dst = SharedSlice::new(out);
-        self.ranges(items.len(), min_per_part, |r| {
-            // SAFETY: `ranges` hands each part a disjoint index range, so
-            // the slices below never alias across workers.
-            let slots = unsafe { dst.slice_mut(r.clone()) };
-            for (slot, i) in slots.iter_mut().zip(r) {
-                *slot = f(i, &items[i]);
-            }
-        });
-    }
-
     /// Partition `data` (whose length must be a multiple of `granule`)
     /// into contiguous granule-aligned chunks and run
     /// `f(first_granule_index, chunk)` on each in parallel.
@@ -452,14 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn map_into_and_chunks_cover_every_slot_once() {
-        let items: Vec<usize> = (0..517).collect();
-        let mut out = vec![0usize; 517];
-        with_threads(4, || {
-            with_pool(|pool| pool.map_into(&items, 7, &mut out, |i, &x| i + x));
-        });
-        assert!(out.iter().enumerate().all(|(i, &v)| v == 2 * i));
-
+    fn chunks_cover_every_slot_once() {
         let mut data = vec![0u32; 24 * 5];
         with_threads(3, || {
             with_pool(|pool| {

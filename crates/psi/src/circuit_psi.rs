@@ -15,15 +15,15 @@
 //! this by aggregating before every semijoin.
 
 use rand::Rng;
-use secyan_circuit::{u64_to_bits, Circuit};
+use secyan_circuit::{words_to_bits, Circuit};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_gc::{
     evaluate_begin, evaluate_shared_finish, evaluator_ot_count, garble_shared_banked, take_eval,
     with_shared_rows, EvalMaterial, EvalPending, GarbleMaterial, SharedOutputSpec,
 };
-use secyan_oep::oep_ot_count;
+use secyan_oep::{oep_ot_count, shared_oep_perm_holder_finish, OepPending};
 use secyan_ot::{KkrtReceiver, KkrtSender, KkrtSenderKey, OtReceiver, OtSender};
-use secyan_transport::{Channel, ReadExt, WriteExt};
+use secyan_transport::{Channel, ProtocolError, ReadExt, WriteExt};
 use std::collections::{HashMap, VecDeque};
 
 use crate::hashing::{bin_count, max_bin_size, CuckooTable, SimpleTable};
@@ -137,6 +137,13 @@ fn split_shares(shares: Vec<u64>) -> (Vec<u64>, Vec<u64>) {
     (ind, val)
 }
 
+/// Seed attempts before the negotiation gives up. An honest run rejects a
+/// seed with probability below 2^-40 ([`max_bin_size`]), so a second
+/// attempt is already a once-in-a-lifetime event; a peer that keeps
+/// rejecting (or keeps sending seeds) is faulty or hostile, and each turn
+/// it is allowed burns 2·bins KKRT instances.
+const MAX_SEED_ATTEMPTS: usize = 4;
+
 /// Agree on a cuckoo/simple-hash seed whose bin loads respect the public
 /// bound, *optimistically* overlapping the two KKRT batches with the
 /// verdict: each attempt stages the seed **and** both OPPRF correction
@@ -146,18 +153,19 @@ fn split_shares(shares: Vec<u64>) -> (Vec<u64>, Vec<u64>) {
 /// parties burn the same 2·bins banked KKRT instances, so bank budgets
 /// stay mirrored; if the bank runs dry the batches transparently fall back
 /// to fresh (still receiver-send-only) extensions. The retry count was
-/// already public under the old send/verdict loop.
+/// already public under the old send/verdict loop; after
+/// [`MAX_SEED_ATTEMPTS`] rejections the run ends in a typed error.
 ///
-/// Receiver side; returns the table, its per-bin queries, and the two
-/// pending OPPRF evaluations (membership first, payload second).
-pub(crate) fn negotiate_cuckoo(
+/// Receiver side; returns the table and the two pending OPPRF evaluations
+/// (membership first, payload second).
+fn negotiate_cuckoo(
     ch: &mut Channel,
     elements: &[u64],
     params: &PsiParams,
     kkrt: &mut KkrtReceiver,
-) -> (CuckooTable, Vec<PsiItem>, OpprfEval, OpprfEval) {
+) -> (CuckooTable, OpprfEval, OpprfEval) {
     let mut seed = 0u64;
-    loop {
+    for _ in 0..MAX_SEED_ATTEMPTS {
         let table = CuckooTable::build(elements, params.bins, seed);
         // taint-ok: adaptive retry — each seed attempt needs the peer's
         // verdict; the fast path already stages everything before blocking.
@@ -174,10 +182,13 @@ pub(crate) fn negotiate_cuckoo(
         let e1 = opprf_evaluate_begin(ch, kkrt, &queries, params.degree);
         let e2 = opprf_evaluate_begin(ch, kkrt, &queries, params.degree);
         if ch.recv_u64() == 1 {
-            return (table, queries, e1, e2);
+            return (table, e1, e2);
         }
         seed = table.seed.wrapping_add(1);
     }
+    ProtocolError::malformed(format!(
+        "peer rejected {MAX_SEED_ATTEMPTS} cuckoo seeds in a row"
+    ))
 }
 
 /// Sender side of the optimistic negotiation; consumes the receiver's
@@ -185,13 +196,13 @@ pub(crate) fn negotiate_cuckoo(
 /// staged) whether or not the seed is accepted, keeping the KKRT streams
 /// of both parties aligned. Returns the simple-hash table and the two
 /// evaluation keys (membership first, payload second).
-pub(crate) fn negotiate_simple(
+fn negotiate_simple(
     ch: &mut Channel,
     elements: &[u64],
     params: &PsiParams,
     kkrt: &mut KkrtSender,
 ) -> (SimpleTable, KkrtSenderKey, KkrtSenderKey) {
-    loop {
+    for _ in 0..MAX_SEED_ATTEMPTS {
         let seed = ch.recv_u64();
         let table = SimpleTable::build(elements, params.bins, seed);
         let ok = table.max_load() <= params.degree;
@@ -204,19 +215,89 @@ pub(crate) fn negotiate_simple(
             return (table, k1, k2);
         }
     }
+    ProtocolError::malformed(format!(
+        "{MAX_SEED_ATTEMPTS} cuckoo seeds in a row overloaded a bin"
+    ))
 }
 
-/// Receiver-side in-flight PSI state between [`psi_receiver_begin`] and
-/// [`psi_receiver_finish`]: everything up to (and including) staging the
-/// matching circuit's OT corrections has happened; the cuckoo table is
-/// already known, so a caller can derive downstream routings from it and
-/// stage their corrections into the same outbound super-frame.
+/// `[a_0, b_0, a_1, b_1, …]`: two per-bin word vectors in the order the
+/// flavours' circuits read them.
+fn interleave(a: &[u64], b: &[u64]) -> Vec<u64> {
+    a.iter().zip(b).flat_map(|(&a, &b)| [a, b]).collect()
+}
+
+/// The receiver's front half of both PSI flavours (§5.3, and step 3 of
+/// §5.5): agree on the binning and finish the two OPPRF evaluations.
+/// Returns the cuckoo table and the evaluator's input bits of the
+/// flavour's circuit — per bin the membership word o_b, then the second
+/// OPPRF's word p_b.
+pub(crate) fn receiver_opprfs(
+    ch: &mut Channel,
+    elements: &[u64],
+    params: &PsiParams,
+    kkrt: &mut KkrtReceiver,
+) -> (CuckooTable, Vec<bool>) {
+    let (cuckoo, e1, e2) = negotiate_cuckoo(ch, elements, params, kkrt);
+    let o = opprf_evaluate_finish(ch, e1);
+    let p = opprf_evaluate_finish(ch, e2);
+    (cuckoo, words_to_bits(&interleave(&o, &p), 64))
+}
+
+/// The sender's front half of both PSI flavours: agree on the binning,
+/// then program the membership OPPRF (every element of bin b targets one
+/// random s_b) and the second OPPRF (element y targets `second(y) ⊕ w_b`
+/// for a random w_b). Returns s and w.
+pub(crate) fn sender_opprfs<R: Rng + ?Sized>(
+    ch: &mut Channel,
+    elements: &[u64],
+    params: &PsiParams,
+    kkrt: &mut KkrtSender,
+    rng: &mut R,
+    second: impl Fn(u64) -> u64,
+) -> (Vec<u64>, Vec<u64>) {
+    let (simple, k1, k2) = negotiate_simple(ch, elements, params, kkrt);
+    let mut program = |key, target: &dyn Fn(u64) -> u64| {
+        let masks: Vec<u64> = (0..params.bins).map(|_| rng.gen()).collect();
+        let programs: Vec<Vec<(u64, u64)>> = simple
+            .bins
+            .iter()
+            .zip(&masks)
+            .map(|(ys, &m)| ys.iter().map(|&y| (y, target(y) ^ m)).collect())
+            .collect();
+        opprf_program_with_key(ch, key, &programs, params.degree, rng);
+        masks
+    };
+    let s = program(k1, &|_| 0);
+    let w = program(k2, &second);
+    (s, w)
+}
+
+/// Receiver-side in-flight PSI state between a flavour's `begin` and
+/// [`psi_receiver_finish`]: everything this side must *send* has been
+/// staged and the cuckoo table is already known, so a caller can derive
+/// downstream routings from it and stage their corrections into the same
+/// outbound super-frame.
 pub struct PsiReceiverPending {
-    cuckoo: CuckooTable,
-    circuit: Circuit,
-    spec: SharedOutputSpec,
-    my_bits: Vec<bool>,
-    gc: EvalPending,
+    pub(crate) cuckoo: CuckooTable,
+    pub(crate) tail: ReceiverTail,
+}
+
+/// What a flavour's receiver still has to receive.
+pub(crate) enum ReceiverTail {
+    /// §5.3: the matching circuit, whose OT corrections are staged.
+    Matching {
+        circuit: Circuit,
+        spec: SharedOutputSpec,
+        my_bits: Vec<bool>,
+        gc: EvalPending,
+    },
+    /// §5.5: the k circuit has run; the ξ₂-OEP's corrections are staged
+    /// and its masked values outstanding.
+    Routing {
+        ind_shares: Vec<u64>,
+        zprime_shares: Vec<u64>,
+        oep: OepPending,
+    },
 }
 
 impl PsiReceiverPending {
@@ -234,7 +315,6 @@ impl PsiReceiverPending {
 /// the caller can stage further dependency-free messages (e.g. the OSN
 /// corrections of a cuckoo-derived OEP) before [`psi_receiver_finish`]
 /// blocks on the garbler's labels.
-#[allow(clippy::too_many_arguments)]
 pub fn psi_receiver_begin(
     ch: &mut Channel,
     elements: &[u64],
@@ -245,46 +325,49 @@ pub fn psi_receiver_begin(
     gc_bank: &mut VecDeque<EvalMaterial>,
 ) -> PsiReceiverPending {
     let params = psi_params(elements.len(), sender_size);
-    let (cuckoo, _queries, e1, e2) = negotiate_cuckoo(ch, elements, &params, kkrt);
-    let o = opprf_evaluate_finish(ch, e1);
-    let p = opprf_evaluate_finish(ch, e2);
+    let (cuckoo, my_bits) = receiver_opprfs(ch, elements, &params, kkrt);
     // The matching circuit: this party evaluates.
     let (circuit, spec) = matching_circuit(params.bins, ring.bits() as usize);
-    let mut my_bits = Vec::with_capacity(params.bins * 128);
-    for b in 0..params.bins {
-        my_bits.extend(u64_to_bits(o[b], 64));
-        my_bits.extend(u64_to_bits(p[b], 64));
-    }
     let material = take_eval(gc_bank, &circuit);
     let gc = evaluate_begin(ch, &circuit, material, &my_bits, ot);
-    PsiReceiverPending {
-        cuckoo,
+    let tail = ReceiverTail::Matching {
         circuit,
         spec,
         my_bits,
         gc,
-    }
+    };
+    PsiReceiverPending { cuckoo, tail }
 }
 
-/// Second half of the circuit-PSI receiver: receive and evaluate the
-/// matching circuit. Receive-only.
+/// Second half of either flavour's receiver: receive and evaluate the
+/// matching circuit (§5.3), or finish the ξ₂-OEP walk (§5.5). Receive-only.
 pub fn psi_receiver_finish(
     ch: &mut Channel,
     pending: PsiReceiverPending,
+    ring: RingCtx,
     ot: &mut OtReceiver,
     hasher: TweakHasher,
 ) -> PsiOutput {
-    let PsiReceiverPending {
-        cuckoo,
-        circuit,
-        spec,
-        my_bits,
-        gc,
-    } = pending;
-    let shares = evaluate_shared_finish(ch, &circuit, gc, &spec, &my_bits, ot, hasher);
-    let (ind_shares, payload_shares) = split_shares(shares);
+    let (ind_shares, payload_shares) = match pending.tail {
+        ReceiverTail::Matching {
+            circuit,
+            spec,
+            my_bits,
+            gc,
+        } => split_shares(evaluate_shared_finish(
+            ch, &circuit, gc, &spec, &my_bits, ot, hasher,
+        )),
+        ReceiverTail::Routing {
+            ind_shares,
+            zprime_shares,
+            oep,
+        } => {
+            let payload = shared_oep_perm_holder_finish(ch, oep, &zprime_shares, ring, ot);
+            (ind_shares, payload)
+        }
+    };
     PsiOutput {
-        cuckoo: Some(cuckoo),
+        cuckoo: Some(pending.cuckoo),
         ind_shares,
         payload_shares,
     }
@@ -308,7 +391,7 @@ pub fn psi_receiver(
     gc_bank: &mut VecDeque<EvalMaterial>,
 ) -> PsiOutput {
     let pending = psi_receiver_begin(ch, elements, sender_size, ring, kkrt, ot, gc_bank);
-    psi_receiver_finish(ch, pending, ot, hasher)
+    psi_receiver_finish(ch, pending, ring, ot, hasher)
 }
 
 /// Sender side of circuit PSI. `items` are distinct `(element, payload)`
@@ -335,32 +418,10 @@ pub fn psi_sender<R: Rng + ?Sized>(
         "sender elements must be distinct"
     );
     let elements: Vec<u64> = items.iter().map(|&(e, _)| e).collect();
-    let (simple, k1, k2) = negotiate_simple(ch, &elements, &params, kkrt);
-    // Membership OPPRF: every element of bin b targets the same random s_b.
-    let s: Vec<u64> = (0..params.bins).map(|_| rng.gen()).collect();
-    let member_prog: Vec<Vec<(u64, u64)>> = simple
-        .bins
-        .iter()
-        .enumerate()
-        .map(|(b, ys)| ys.iter().map(|&y| (y, s[b])).collect())
-        .collect();
-    opprf_program_with_key(ch, k1, &member_prog, params.degree, rng);
-    // Payload OPPRF: element y targets payload(y) ⊕ w_b.
-    let w: Vec<u64> = (0..params.bins).map(|_| rng.gen()).collect();
-    let payload_prog: Vec<Vec<(u64, u64)>> = simple
-        .bins
-        .iter()
-        .enumerate()
-        .map(|(b, ys)| ys.iter().map(|&y| (y, payload_of[&y] ^ w[b])).collect())
-        .collect();
-    opprf_program_with_key(ch, k2, &payload_prog, params.degree, rng);
+    let (s, w) = sender_opprfs(ch, &elements, &params, kkrt, rng, |y| payload_of[&y]);
     // The matching circuit: this party garbles.
     let (circuit, spec) = matching_circuit(params.bins, ring.bits() as usize);
-    let mut my_bits = Vec::with_capacity(params.bins * 128);
-    for b in 0..params.bins {
-        my_bits.extend(u64_to_bits(s[b], 64));
-        my_bits.extend(u64_to_bits(w[b], 64));
-    }
+    let my_bits = words_to_bits(&interleave(&s, &w), 64);
     let shares = garble_shared_banked(ch, gc_bank, &circuit, &spec, &my_bits, ot, hasher, rng);
     let (ind_shares, payload_shares) = split_shares(shares);
     PsiOutput {
@@ -375,7 +436,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use secyan_transport::run_protocol;
+    use secyan_transport::{catch_protocol, run_protocol};
 
     fn run_psi(x: Vec<u64>, y: Vec<(u64, u64)>) -> (PsiOutput, PsiOutput, RingCtx) {
         // One hasher choice drives OT, OPRF, and garbling on both sides.
@@ -417,6 +478,41 @@ mod tests {
             },
         );
         (r, s, ring)
+    }
+
+    /// A sender whose public load bound no seed can meet rejects every
+    /// attempt: both sides stop after the same few seeds with a typed
+    /// error — the receiver does not keep extending KKRT batches for as
+    /// long as the peer says no, nor the sender for as long as seeds come.
+    #[test]
+    fn seed_negotiation_gives_up_after_a_few_rejections() {
+        let hasher = TweakHasher::default();
+        let x: Vec<u64> = (1..=5).collect();
+        let params = |degree| PsiParams {
+            bins: bin_count(5),
+            degree,
+        };
+        let (r, s, _) = run_protocol(
+            move |ch| {
+                let mut kkrt = KkrtReceiver::setup(ch, &mut StdRng::seed_from_u64(23), hasher);
+                let honest = params(max_bin_size(3, bin_count(5)));
+                catch_protocol(|| negotiate_cuckoo(ch, &x, &honest, &mut kkrt).0.seed)
+            },
+            move |ch| {
+                let mut kkrt = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(24), hasher);
+                catch_protocol(|| {
+                    negotiate_simple(ch, &[2, 4, 6], &params(0), &mut kkrt)
+                        .0
+                        .seed
+                })
+            },
+        );
+        for (side, got) in [("receiver", r), ("sender", s)] {
+            assert!(
+                matches!(got, Err(ProtocolError::Malformed { .. })),
+                "{side} ended with {got:?}"
+            );
+        }
     }
 
     #[test]

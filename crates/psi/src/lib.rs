@@ -14,12 +14,22 @@
 //!   oblivious.
 //! * [`opprf`] — oblivious *programmable* PRF: KKRT OPRF plus per-bin
 //!   polynomial hints over GF(2^64).
-//! * [`circuit_psi`] — the §5.3 protocol: membership + payload OPPRFs and
-//!   one garbled circuit turning OPPRF outputs into shares of indicator and
+//! * [`circuit_psi`] — the front half both flavours share (seed
+//!   negotiation, capped at a few attempts, then the membership OPPRF and a
+//!   second OPPRF, written once per side) and the §5.3 protocol on top of
+//!   it: the second OPPRF carries the sender's plain payloads and one
+//!   garbled circuit turns the OPPRF outputs into shares of indicator and
 //!   payload.
 //! * [`shared_payload`] — the §5.5 protocol for payloads that are
-//!   themselves secret-shared, built from two OEPs and a k-index-revealing
+//!   themselves secret-shared: the same front half with the second OPPRF
+//!   carrying a routing index, between two OEPs and a k-index-revealing
 //!   garbled circuit, exactly as the paper constructs it.
+//!
+//! A receiver is `psi_receiver_begin` or `shared_payload_psi_receiver_begin`
+//! — both return a [`PsiReceiverPending`] with the cuckoo table already
+//! known and everything outbound staged — then the one
+//! [`psi_receiver_finish`]; a sender is `psi_sender` or
+//! `shared_payload_psi_sender`. [`psi_cost`] is what either flavour draws.
 
 pub mod circuit_psi;
 pub mod hashing;
@@ -35,7 +45,4 @@ pub use opprf::{
     opprf_evaluate, opprf_evaluate_begin, opprf_evaluate_finish, opprf_program,
     opprf_program_with_key, OpprfEval, PsiItem,
 };
-pub use shared_payload::{
-    k_circuit, shared_payload_psi_receiver, shared_payload_psi_receiver_begin,
-    shared_payload_psi_receiver_finish, shared_payload_psi_sender, SharedPayloadPending,
-};
+pub use shared_payload::{k_circuit, shared_payload_psi_receiver_begin, shared_payload_psi_sender};

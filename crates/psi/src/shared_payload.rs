@@ -19,20 +19,17 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use secyan_circuit::{bits_to_u64, u64_to_bits, Circuit, Rows, Word};
+use secyan_circuit::{bits_to_words, words_to_bits, Circuit, Rows, Word};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_gc::{evaluate_banked, garble_banked, EvalMaterial, GarbleMaterial, OutputMode};
-use secyan_oep::{
-    shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
-    shared_oep_perm_holder_finish, OepPending,
-};
+use secyan_oep::{shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin};
 use secyan_ot::{KkrtReceiver, KkrtSender, OtReceiver, OtSender};
-use secyan_transport::Channel;
+use secyan_transport::{Channel, ProtocolError};
 use std::collections::{HashMap, VecDeque};
 
-use crate::circuit_psi::{negotiate_cuckoo, negotiate_simple, psi_params, PsiOutput};
-use crate::hashing::CuckooTable;
-use crate::opprf::{opprf_evaluate_finish, opprf_program_with_key};
+use crate::circuit_psi::{
+    psi_params, receiver_opprfs, sender_opprfs, PsiOutput, PsiReceiverPending, ReceiverTail,
+};
 
 /// The k-index circuit: per bin, shares of the indicator plus the routing
 /// index k_b in the clear (toward the evaluator = PSI receiver).
@@ -61,30 +58,15 @@ pub fn k_circuit(bins: usize, ell: usize) -> Circuit {
     c.finish()
 }
 
-/// Receiver-side in-flight state between [`shared_payload_psi_receiver_begin`]
-/// and [`shared_payload_psi_receiver_finish`]: everything up to staging the
-/// ξ₂-OEP's OT corrections has happened, and the cuckoo table is known.
-pub struct SharedPayloadPending {
-    cuckoo: CuckooTable,
-    ind_shares: Vec<u64>,
-    zprime_shares: Vec<u64>,
-    oep: OepPending,
-}
-
-impl SharedPayloadPending {
-    /// The receiver's cuckoo table — available before the PSI completes,
-    /// so downstream per-bin routings can be staged early.
-    pub fn cuckoo(&self) -> &CuckooTable {
-        &self.cuckoo
-    }
-}
-
-/// First half of the shared-payload PSI receiver: steps 1–4 in full (the
-/// first shared OEP, binning, OPPRFs, the k circuit) and the send-only
-/// part of step 5 — the ξ₂-OEP's OT corrections are staged but the masked
-/// values are not yet received. The caller can stage further
+/// First half of the shared-payload PSI receiver (the cuckoo/X holder; it
+/// also holds shares of the sender's payload vector, so
+/// `my_payload_shares.len()` is the sender's public set size): steps 1–4
+/// in full (the first shared OEP, binning, OPPRFs, the k circuit) and the
+/// send-only part of step 5 — the ξ₂-OEP's OT corrections are staged but
+/// the masked values are not yet received. The caller can stage further
 /// dependency-free messages into the same outbound super-frame before
-/// [`shared_payload_psi_receiver_finish`] blocks.
+/// [`crate::psi_receiver_finish`] blocks. `gc_bank` holds pre-received
+/// tables in plan order (empty deque for single-phase runs).
 #[allow(clippy::too_many_arguments)]
 pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
     ch: &mut Channel,
@@ -97,104 +79,45 @@ pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
     hasher: TweakHasher,
     rng: &mut R,
     gc_bank: &mut VecDeque<EvalMaterial>,
-) -> SharedPayloadPending {
+) -> PsiReceiverPending {
     let n = my_payload_shares.len();
     let params = psi_params(elements.len(), n);
-    let bins = params.bins;
+    let (bins, ell) = (params.bins, ring.bits() as usize);
     // Step 1–2: extend shares with B zeros; shared OEP under the sender's ξ₁.
     let mut ext = my_payload_shares.to_vec();
     ext.resize(n + bins, 0);
     let zprime_shares = shared_oep_other(ch, &ext, n + bins, ring, ot_send, rng);
-    // Step 3: binning + OPPRFs (corrections staged with the seed, see
-    // `negotiate_cuckoo`).
-    let (cuckoo, _queries, e1, e2) = negotiate_cuckoo(ch, elements, &params, kkrt);
-    let o = opprf_evaluate_finish(ch, e1);
-    let p = opprf_evaluate_finish(ch, e2);
+    // Step 3: binning + OPPRFs (corrections staged with the seed).
+    let (cuckoo, my_bits) = receiver_opprfs(ch, elements, &params, kkrt);
     // Step 4: evaluate the k circuit.
-    let circuit = k_circuit(bins, ring.bits() as usize);
-    let mut my_bits = Vec::with_capacity(bins * 128);
-    for b in 0..bins {
-        my_bits.extend(u64_to_bits(o[b], 64));
-        my_bits.extend(u64_to_bits(p[b], 64));
-    }
+    let circuit = k_circuit(bins, ell);
     let mode = OutputMode::RevealToEvaluator;
     let out_bits = evaluate_banked(ch, gc_bank, &circuit, &my_bits, ot_recv, hasher, mode)
         .expect("k circuit reveals to evaluator");
-    let ell = ring.bits() as usize;
-    let ind_shares: Vec<u64> = (0..bins)
-        .map(|b| bits_to_u64(&out_bits[b * ell..(b + 1) * ell]))
+    let (ind_bits, k_bits) = out_bits.split_at(bins * ell);
+    let ind_shares = bits_to_words(ind_bits, ell);
+    // The garbler picks every k: an index outside ξ₁'s range is a peer
+    // breaking the protocol, not a bug on this side.
+    let ks: Vec<usize> = bits_to_words(k_bits, 64)
+        .into_iter()
+        .map(|k| {
+            if k >= (n + bins) as u64 {
+                ProtocolError::malformed(format!(
+                    "PSI routing index {k} is outside the {} extended payload slots",
+                    n + bins
+                ));
+            }
+            k as usize
+        })
         .collect();
-    let k_base = bins * ell;
-    let ks: Vec<usize> = (0..bins)
-        .map(|b| bits_to_u64(&out_bits[k_base + b * 64..k_base + (b + 1) * 64]) as usize)
-        .collect();
-    for &k in &ks {
-        assert!(k < n + bins, "k index out of range: corrupted transcript");
-    }
     // Step 5 (send half): stage the ξ₂-OEP corrections with ξ₂ = k.
     let oep = shared_oep_perm_holder_begin(ch, &ks, n + bins, ot_recv);
-    SharedPayloadPending {
-        cuckoo,
+    let tail = ReceiverTail::Routing {
         ind_shares,
         zprime_shares,
         oep,
-    }
-}
-
-/// Second half of the shared-payload PSI receiver: finish the ξ₂-OEP walk.
-/// Receive-only.
-pub fn shared_payload_psi_receiver_finish(
-    ch: &mut Channel,
-    pending: SharedPayloadPending,
-    ring: RingCtx,
-    ot_recv: &mut OtReceiver,
-) -> PsiOutput {
-    let SharedPayloadPending {
-        cuckoo,
-        ind_shares,
-        zprime_shares,
-        oep,
-    } = pending;
-    let payload_shares = shared_oep_perm_holder_finish(ch, oep, &zprime_shares, ring, ot_recv);
-    PsiOutput {
-        cuckoo: Some(cuckoo),
-        ind_shares,
-        payload_shares,
-    }
-}
-
-/// Receiver side (the cuckoo/X holder; also holds shares of the sender's
-/// payload vector). `my_payload_shares.len()` is the sender's public set
-/// size. Returns per-bin shares of indicator and payload. `gc_bank` holds
-/// pre-received tables in plan order (empty deque for single-phase runs).
-/// Implemented as [`shared_payload_psi_receiver_begin`] +
-/// [`shared_payload_psi_receiver_finish`].
-#[allow(clippy::too_many_arguments)]
-pub fn shared_payload_psi_receiver<R: Rng + ?Sized>(
-    ch: &mut Channel,
-    elements: &[u64],
-    my_payload_shares: &[u64],
-    ring: RingCtx,
-    kkrt: &mut KkrtReceiver,
-    ot_recv: &mut OtReceiver,
-    ot_send: &mut OtSender,
-    hasher: TweakHasher,
-    rng: &mut R,
-    gc_bank: &mut VecDeque<EvalMaterial>,
-) -> PsiOutput {
-    let pending = shared_payload_psi_receiver_begin(
-        ch,
-        elements,
-        my_payload_shares,
-        ring,
-        kkrt,
-        ot_recv,
-        ot_send,
-        hasher,
-        rng,
-        gc_bank,
-    );
-    shared_payload_psi_receiver_finish(ch, pending, ring, ot_recv)
+    };
+    PsiReceiverPending { cuckoo, tail }
 }
 
 /// Sender side (the Y holder; also holds shares of their own payload
@@ -219,53 +142,31 @@ pub fn shared_payload_psi_sender<R: Rng + ?Sized>(
     let index_of: HashMap<u64, usize> = elements.iter().enumerate().map(|(j, &e)| (e, j)).collect();
     assert_eq!(index_of.len(), n, "sender elements must be distinct");
     let params = psi_params(receiver_size, n);
-    let bins = params.bins;
+    let (bins, ell) = (params.bins, ring.bits() as usize);
     // Steps 1–2: ξ₁ and the first shared OEP (this side holds ξ₁).
     let mut xi1: Vec<usize> = (0..n + bins).collect();
     xi1.shuffle(rng);
-    let mut xi1_inv = vec![0usize; n + bins];
+    let mut xi1_inv = vec![0u64; n + bins];
     for (j, &v) in xi1.iter().enumerate() {
-        xi1_inv[v] = j;
+        xi1_inv[v] = j as u64;
     }
     let mut ext = my_payload_shares.to_vec();
     ext.resize(n + bins, 0);
     let zprime_shares = shared_oep_perm_holder(ch, &xi1, &ext, ring, ot_recv);
-    // Step 3: binning + OPPRFs.
-    let (simple, k1, k2) = negotiate_simple(ch, elements, &params, kkrt);
-    let s: Vec<u64> = (0..bins).map(|_| rng.gen()).collect();
-    let member_prog: Vec<Vec<(u64, u64)>> = simple
-        .bins
-        .iter()
-        .enumerate()
-        .map(|(b, ys)| ys.iter().map(|&y| (y, s[b])).collect())
+    // Step 3: binning + OPPRFs; the second one carries y_j's index ξ₁⁻¹(j).
+    let index = |y| xi1_inv[index_of[&y]];
+    let (s, w) = sender_opprfs(ch, elements, &params, kkrt, rng, index);
+    // Step 4: garble the k circuit; the indicator masks are this side's
+    // (negated) indicator shares. Inputs: every bin's mask, then per bin
+    // s, w and the no-match index d = ξ₁⁻¹(N + b).
+    let masks: Vec<u64> = (0..bins).map(|_| ring.random(rng)).collect();
+    let ind_shares = masks.iter().map(|&r| ring.neg(r)).collect();
+    let swd: Vec<u64> = (0..bins)
+        .flat_map(|b| [s[b], w[b], xi1_inv[n + b]])
         .collect();
-    opprf_program_with_key(ch, k1, &member_prog, params.degree, rng);
-    let w: Vec<u64> = (0..bins).map(|_| rng.gen()).collect();
-    let index_prog: Vec<Vec<(u64, u64)>> = simple
-        .bins
-        .iter()
-        .enumerate()
-        .map(|(b, ys)| {
-            ys.iter()
-                .map(|&y| (y, xi1_inv[index_of[&y]] as u64 ^ w[b]))
-                .collect()
-        })
-        .collect();
-    opprf_program_with_key(ch, k2, &index_prog, params.degree, rng);
-    // Step 4: garble the k circuit; collect the indicator-mask shares.
-    let circuit = k_circuit(bins, ring.bits() as usize);
-    let mut ind_shares = Vec::with_capacity(bins);
-    let mut my_bits = Vec::new();
-    let mut swd_bits = Vec::new();
-    for b in 0..bins {
-        let r = ring.random(rng);
-        ind_shares.push(ring.neg(r));
-        my_bits.extend(u64_to_bits(r, ring.bits() as usize));
-        swd_bits.extend(u64_to_bits(s[b], 64));
-        swd_bits.extend(u64_to_bits(w[b], 64));
-        swd_bits.extend(u64_to_bits(xi1_inv[n + b] as u64, 64));
-    }
-    my_bits.extend(swd_bits);
+    let mut my_bits = words_to_bits(&masks, ell);
+    my_bits.extend(words_to_bits(&swd, 64));
+    let circuit = k_circuit(bins, ell);
     let mode = OutputMode::RevealToEvaluator;
     let out = garble_banked(ch, gc_bank, &circuit, &my_bits, ot_send, hasher, rng, mode);
     debug_assert!(out.is_none());
@@ -281,43 +182,46 @@ pub fn shared_payload_psi_sender<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::psi_receiver_finish;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use secyan_transport::run_protocol;
+    use secyan_transport::{catch_protocol, run_protocol};
+
+    const HASHER: TweakHasher = TweakHasher::Aes;
+
+    /// The real receiver on a fresh set of endpoints: begin, then finish.
+    fn receive(ch: &mut Channel, x: &[u64], my_shares: &[u64], ring: RingCtx) -> PsiOutput {
+        let mut rng = StdRng::seed_from_u64(32);
+        let mut kkrt = KkrtReceiver::setup(ch, &mut rng, HASHER);
+        let mut ot_r = OtReceiver::setup(ch, &mut rng, HASHER);
+        let mut ot_s = OtSender::setup(ch, &mut rng, HASHER);
+        let bank = &mut VecDeque::new();
+        let (kkrt, ot_s, rng) = (&mut kkrt, &mut ot_s, &mut rng);
+        let pending = shared_payload_psi_receiver_begin(
+            ch, x, my_shares, ring, kkrt, &mut ot_r, ot_s, HASHER, rng, bank,
+        );
+        psi_receiver_finish(ch, pending, ring, &mut ot_r, HASHER)
+    }
+
+    /// The sender's endpoints, set up in the order complementing the
+    /// receiver's: their OtReceiver pairs with our OtSender and vice versa.
+    fn sender_setup(ch: &mut Channel) -> (StdRng, KkrtSender, OtSender, OtReceiver) {
+        let mut rng = StdRng::seed_from_u64(33);
+        let kkrt = KkrtSender::setup(ch, &mut rng, HASHER);
+        let ot_s = OtSender::setup(ch, &mut rng, HASHER);
+        let ot_r = OtReceiver::setup(ch, &mut rng, HASHER);
+        (rng, kkrt, ot_s, ot_r)
+    }
 
     fn run(x: Vec<u64>, y: Vec<u64>, payloads: Vec<u64>) -> (PsiOutput, PsiOutput, RingCtx) {
-        // One hasher choice drives OT, OPRF, and garbling on both sides.
-        let hasher = TweakHasher::default();
         let ring = RingCtx::new(32);
         let mut setup = StdRng::seed_from_u64(31);
         let (recv_sh, send_sh) = ring.share_vec(&payloads, &mut setup);
         let x_len = x.len();
         let (r, s, _) = run_protocol(
+            move |ch| receive(ch, &x, &recv_sh, ring),
             move |ch| {
-                let mut rng = StdRng::seed_from_u64(32);
-                let mut kkrt = KkrtReceiver::setup(ch, &mut rng, hasher);
-                let mut ot_r = OtReceiver::setup(ch, &mut rng, hasher);
-                let mut ot_s = OtSender::setup(ch, &mut rng, hasher);
-                shared_payload_psi_receiver(
-                    ch,
-                    &x,
-                    &recv_sh,
-                    ring,
-                    &mut kkrt,
-                    &mut ot_r,
-                    &mut ot_s,
-                    hasher,
-                    &mut rng,
-                    &mut VecDeque::new(),
-                )
-            },
-            move |ch| {
-                let mut rng = StdRng::seed_from_u64(33);
-                let mut kkrt = KkrtSender::setup(ch, &mut rng, hasher);
-                // Setup order must complement the receiver's: their
-                // OtReceiver pairs with our OtSender and vice versa.
-                let mut ot_s = OtSender::setup(ch, &mut rng, hasher);
-                let mut ot_r = OtReceiver::setup(ch, &mut rng, hasher);
+                let (mut rng, mut kkrt, mut ot_s, mut ot_r) = sender_setup(ch);
                 shared_payload_psi_sender(
                     ch,
                     &y,
@@ -327,13 +231,50 @@ mod tests {
                     &mut kkrt,
                     &mut ot_s,
                     &mut ot_r,
-                    hasher,
+                    HASHER,
                     &mut rng,
                     &mut VecDeque::new(),
                 )
             },
         );
         (r, s, ring)
+    }
+
+    /// The garbler picks the routing indices the k circuit reveals, so an
+    /// index outside ξ₁'s range is hostile input: the receiver must end in
+    /// a typed error, not in a foreign panic. The sender here follows the
+    /// protocol up to the k circuit and feeds it an out-of-range no-match
+    /// index d for every bin.
+    #[test]
+    fn out_of_range_routing_index_is_a_typed_error() {
+        let ring = RingCtx::new(32);
+        let (x, y) = (vec![1u64, 2, 3], vec![7u64, 8]);
+        let (n, x_len) = (y.len(), x.len());
+        let (got, (), _) = run_protocol(
+            move |ch| catch_protocol(|| receive(ch, &x, &[0; 2], ring)),
+            move |ch| {
+                let (mut rng, mut kkrt, mut ot_s, mut ot_r) = sender_setup(ch);
+                let params = psi_params(x_len, n);
+                let slots = n + params.bins;
+                let xi1: Vec<usize> = (0..slots).collect();
+                shared_oep_perm_holder(ch, &xi1, &vec![0; slots], ring, &mut ot_r);
+                let (s, w) = sender_opprfs(ch, &y, &params, &mut kkrt, &mut rng, |_| 0);
+                let swd: Vec<u64> = (0..params.bins)
+                    .flat_map(|b| [s[b], w[b], slots as u64])
+                    .collect();
+                let mut bits = vec![false; params.bins * 32];
+                bits.extend(words_to_bits(&swd, 64));
+                let (circuit, mode) = (k_circuit(params.bins, 32), OutputMode::RevealToEvaluator);
+                let bank = &mut VecDeque::new();
+                garble_banked(ch, bank, &circuit, &bits, &mut ot_s, HASHER, &mut rng, mode);
+            },
+        );
+        match got {
+            Err(ProtocolError::Malformed { context }) => {
+                assert!(context.contains("routing index"), "{context}")
+            }
+            other => panic!("expected a typed Malformed, got {other:?}"),
+        }
     }
 
     #[test]

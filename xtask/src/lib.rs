@@ -76,6 +76,31 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     Ok(findings)
 }
 
+/// The code-line metric ROADMAP.md sizes every PR by: the lines of `src`
+/// before its first `#[cfg(test)]` that are neither blank nor `//`
+/// comments.
+pub fn code_lines(src: &str) -> usize {
+    src.lines()
+        .take_while(|l| !l.contains("#[cfg(test)]"))
+        .map(str::trim_start)
+        .filter(|l| !l.is_empty() && !l.starts_with("//"))
+        .count()
+}
+
+/// [`code_lines`] of every `.rs` file under `crates/`, summed per crate
+/// directory.
+pub fn loc_by_crate(root: &Path) -> std::io::Result<BTreeMap<String, usize>> {
+    let mut files = Vec::new();
+    collect_rs(root, &root.join("crates"), &mut files);
+    let mut by_crate = BTreeMap::new();
+    for rel in files {
+        let krate = rel.iter().nth(1).unwrap_or_default().to_string_lossy();
+        let lines = code_lines(&fs::read_to_string(root.join(&rel))?);
+        *by_crate.entry(krate.into_owned()).or_default() += lines;
+    }
+    Ok(by_crate)
+}
+
 /// Run the taint pass (see [`taint`]) over the whole workspace tree rooted
 /// at `root`. Returns findings in path/line order.
 pub fn taint_workspace(root: &Path, cfg: &taint::TaintConfig) -> std::io::Result<Vec<Finding>> {
@@ -246,6 +271,12 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn code_lines_stop_at_the_test_module() {
+        let src = "//! doc\n\nuse a;\n  // note\nfn f() {}\n#[cfg(test)]\nmod tests {}\n";
+        assert_eq!(code_lines(src), 2);
+    }
 
     #[test]
     fn baseline_roundtrip() {

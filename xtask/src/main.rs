@@ -6,19 +6,23 @@ use std::process::ExitCode;
 use xtask::taint::TaintConfig;
 use xtask::{
     check_fixtures, check_taint_fixtures, diff_baseline, find_workspace_root, lint_workspace,
-    parse_baseline, render_baseline, sarif, taint_workspace,
+    loc_by_crate, parse_baseline, render_baseline, sarif, taint_workspace,
 };
 
 const USAGE: &str = "\
 Usage: cargo xtask <ct-lint|taint> [options]
+       cargo xtask loc [--root <dir>]
 
-Secret-hygiene static analysis over the workspace sources.
+Secret-hygiene static analysis over the workspace sources, and the
+code-line count ROADMAP.md sizes PRs by.
 
   ct-lint   token-level constant-time rules (R-EQ, R-BRANCH, R-DEBUG,
             R-INDEX, R-UNSAFE), baseline ct-lint.allow
   taint     intraprocedural secret-taint dataflow + communication-shape
             rules (T-BRANCH, T-LOOP, T-INDEX, T-COMM, D-PAR), baseline
             taint.allow
+  loc       code lines per crate under crates/ and in total: lines before
+            a file's first #[cfg(test)], non-blank, not starting with //
 
 Options:
   --update-baseline   rewrite the command's .allow file from current findings
@@ -76,7 +80,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let taint_mode = match cmd {
-        "ct-lint" => false,
+        "ct-lint" | "loc" => false,
         "taint" => true,
         other => {
             eprintln!("unknown command `{other}`\n{USAGE}");
@@ -99,6 +103,22 @@ fn main() -> ExitCode {
         eprintln!("{cmd}: could not locate the workspace root");
         return ExitCode::from(2);
     };
+
+    if cmd == "loc" {
+        return match loc_by_crate(&root) {
+            Ok(by_crate) => {
+                for (krate, lines) in &by_crate {
+                    println!("{lines:>6}  crates/{krate}");
+                }
+                println!("{:>6}  total", by_crate.values().sum::<usize>());
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("loc: {e}");
+                ExitCode::from(2)
+            }
+        };
+    }
 
     let mut cfg = TaintConfig::default();
     cfg.sources.extend(opts.extra_sources.iter().cloned());

@@ -42,8 +42,8 @@
 //!   transcript-invariance tests;
 //! - `D-PAR` — determinism of `secyan-par` dispatch closures: no RNG, no
 //!   channel I/O, no clocks, no spawns inside `pool.map`/`chunks_mut`/
-//!   `zip_chunks_mut`/`map_into`/`broadcast` closures (statically enforcing
-//!   the DESIGN.md §9 three-rule contract).
+//!   `zip_chunks_mut`/`broadcast` closures (statically enforcing the
+//!   DESIGN.md §9 three-rule contract).
 //!
 //! Suppression: `// taint-ok: <why>` on the finding line or the contiguous
 //! comment block above; bulk reviewed exceptions live in `taint.allow`.
@@ -113,13 +113,7 @@ const MUTATORS: &[&str] = &[
 
 /// Pool dispatch methods whose closures are the parallel sections bound by
 /// the determinism contract.
-const POOL_DISPATCH: &[&str] = &[
-    "map",
-    "map_into",
-    "chunks_mut",
-    "zip_chunks_mut",
-    "broadcast",
-];
+const POOL_DISPATCH: &[&str] = &["map", "chunks_mut", "zip_chunks_mut", "broadcast"];
 
 /// Identifiers forbidden inside pool dispatch closures: clocks, RNG entry
 /// points, channel I/O, and thread control are all schedule-visible.
