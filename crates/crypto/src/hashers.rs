@@ -389,6 +389,69 @@ mod tests {
     }
 
     #[test]
+    fn tweak_hash_known_answers() {
+        // Recorded at the commit before the hasher option was removed.
+        let h = TweakHasher::Aes;
+        let xs: Vec<Block> = (0..11u128)
+            .map(|i| Block(i.wrapping_mul(0x0123_4567_89ab_cdef_0011_2233_4455_6677) ^ 0xa5))
+            .collect();
+        let tweaks: Vec<u64> = (0..11u64).map(|i| i.wrapping_mul(0x7777) ^ 5).collect();
+        let rows: Vec<[u8; 64]> = (0..10u8)
+            .map(|i| std::array::from_fn(|k| i.wrapping_mul(37) ^ (k as u8).wrapping_mul(11)))
+            .collect();
+        assert_eq!(h.hash(xs[3], 9).0, 0xa379776dba36f2b697541db5bd306a26);
+
+        // 11 blocks: one full kernel batch of 8 plus a tail.
+        let batch = h.hash_batch(&xs, 1000);
+        let want_batch: [u128; 11] = [
+            0x8cef580887463436f5de0d84340f8f6c,
+            0xa644fe01b8a1399d0dbccb08b8e55ca6,
+            0xf320827fba81fbd77de24e06dd6f337d,
+            0x3a431076f533ee7e14330357c1c3839d,
+            0x13bf65a186e5253901f71eae4eba7cea,
+            0xd6583513ec8ab00d3948aa60b98822c3,
+            0xe00d55925552d8cd6107b8eee75dd4ef,
+            0xf081d9239a528961acfc11adad2f90bd,
+            0x007c70186bf088692499d28d88f2e724,
+            0x0df59fea9ad7e22011a64b04414507ab,
+            0xe54a4484b59d37e9ec7c455a25a7ac9f,
+        ];
+        assert_eq!(batch.iter().map(|b| b.0).collect::<Vec<_>>(), want_batch);
+
+        let mut each = vec![Block(0); xs.len()];
+        h.hash_each_into(&xs, &tweaks, &mut each);
+        assert_eq!(each[0].0, 0xb224efae661376189fbe7867ca6b5431);
+        assert_eq!(each[10].0, 0xde7bbd6de8acaeea472ba02c4492896d);
+        for j in 0..xs.len() {
+            assert_eq!(
+                batch[j],
+                h.hash(xs[j], 1000 + j as u64),
+                "batch element {j}"
+            );
+            assert_eq!(each[j], h.hash(xs[j], tweaks[j]), "each element {j}");
+        }
+
+        assert_eq!(h.hash_row(7, &rows[2]), 0x13e2c36222055800);
+        let row_batch = h.hash_row_batch(500, &rows);
+        let want_rows: [u64; 10] = [
+            0x5c1b74b31ebe270e,
+            0xdab0e06e0415741d,
+            0x3826ff48f412a9c0,
+            0x2d4213b30779d7dc,
+            0xed5dea7fb84bfbc6,
+            0xc7be79314cfa0f65,
+            0x8de0ca14079afeb8,
+            0xd40c9b5f0d05d402,
+            0xccae37346670a6e6,
+            0x2850fd5e466ad7cb,
+        ];
+        assert_eq!(row_batch, want_rows);
+        for (j, row) in rows.iter().enumerate() {
+            assert_eq!(row_batch[j], h.hash_row(500 + j as u64, row), "row {j}");
+        }
+    }
+
+    #[test]
     fn variants_disagree_with_each_other() {
         // Sanity: the three hashers are genuinely different functions.
         let b = Block(42);
