@@ -12,7 +12,6 @@
 
 use rand::Rng;
 use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit, Word};
-use secyan_crypto::TweakHasher;
 use secyan_gc::{evaluate_circuit, garble_circuit, OutputMode};
 use secyan_ot::{OtReceiver, OtSender};
 use secyan_transport::{Channel, Role};
@@ -123,7 +122,7 @@ fn pack_bits(
 }
 
 /// Garbler (Alice) side of the naive protocol. Returns the aggregate.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments)]
 pub fn naive_gc_garbler<R: Rng + ?Sized>(
     ch: &mut Channel,
     sizes: &[usize],
@@ -132,18 +131,16 @@ pub fn naive_gc_garbler<R: Rng + ?Sized>(
     key_bits: usize,
     ell: usize,
     ot: &mut OtSender,
-    hasher: TweakHasher,
     rng: &mut R,
 ) -> u64 {
     let circuit = build_circuit(sizes, owners, key_bits, ell);
     let bits = pack_bits(sizes, owners, Role::Alice, my_rows, key_bits, ell);
-    let out = garble_circuit(ch, &circuit, &bits, ot, hasher, rng, OutputMode::RevealBoth)
+    let out = garble_circuit(ch, &circuit, &bits, ot, rng, OutputMode::RevealBoth)
         .expect("reveal-both returns to garbler");
     bits_to_u64(&out)
 }
 
 /// Evaluator (Bob) side. Returns the aggregate.
-#[allow(clippy::too_many_arguments)]
 pub fn naive_gc_evaluator(
     ch: &mut Channel,
     sizes: &[usize],
@@ -152,11 +149,10 @@ pub fn naive_gc_evaluator(
     key_bits: usize,
     ell: usize,
     ot: &mut OtReceiver,
-    hasher: TweakHasher,
 ) -> u64 {
     let circuit = build_circuit(sizes, owners, key_bits, ell);
     let bits = pack_bits(sizes, owners, Role::Bob, my_rows, key_bits, ell);
-    let out = evaluate_circuit(ch, &circuit, &bits, ot, hasher, OutputMode::RevealBoth)
+    let out = evaluate_circuit(ch, &circuit, &bits, ot, OutputMode::RevealBoth)
         .expect("reveal-both returns to evaluator");
     bits_to_u64(&out)
 }
@@ -172,9 +168,9 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use secyan_crypto::TweakHasher;
     use secyan_transport::run_protocol;
 
-    /// The one hasher choice shared by OT setup and garbling in these tests.
     const HASHER: TweakHasher = TweakHasher::Aes;
 
     fn run_naive(
@@ -188,22 +184,12 @@ mod tests {
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(61);
                 let mut ot = OtSender::setup(ch, &mut rng, HASHER);
-                naive_gc_garbler(
-                    ch,
-                    &sizes,
-                    &owners,
-                    &alice_rows,
-                    16,
-                    16,
-                    &mut ot,
-                    HASHER,
-                    &mut rng,
-                )
+                naive_gc_garbler(ch, &sizes, &owners, &alice_rows, 16, 16, &mut ot, &mut rng)
             },
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(62);
                 let mut ot = OtReceiver::setup(ch, &mut rng, HASHER);
-                naive_gc_evaluator(ch, &s2, &o2, &bob_rows, 16, 16, &mut ot, HASHER)
+                naive_gc_evaluator(ch, &s2, &o2, &bob_rows, 16, 16, &mut ot)
             },
         );
         assert_eq!(a, b, "both parties decode the same aggregate");

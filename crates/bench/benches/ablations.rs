@@ -1,12 +1,8 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmark for the design choice DESIGN.md calls out:
 //!
 //! * the §6.5 plain-annotation fast paths (local aggregation +
 //!   plain-payload PSI) vs. forcing everything through the shared-payload
-//!   machinery;
-//! * SHA-256 vs. fast garbling hash (the substituted primitive's constant);
-//! * reduce-first vs. a naive plan that skips the reduce phase, measured
-//!   via a query whose reduce phase collapses the tree (the paper's remark
-//!   at the end of §6.4).
+//!   machinery.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -15,7 +11,6 @@ use secyan_core::agg::{oblivious_project_agg, AggKind};
 use secyan_core::{SecureRelation, Session};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_relation::{NaturalRing, Relation};
-use secyan_tpch::queries::{run_secure_instance, PaperQuery};
 use secyan_transport::{run_protocol, Role};
 
 fn test_relation(n: usize) -> Relation<NaturalRing> {
@@ -52,7 +47,7 @@ fn bench_agg_plain_vs_shared(c: &mut Criterion) {
                 let r1 = rel.clone();
                 run_protocol(
                     move |ch| {
-                        let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Fast, 11);
+                        let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 11);
                         let mut r = SecureRelation::load(
                             &mut sess,
                             Role::Alice,
@@ -65,7 +60,7 @@ fn bench_agg_plain_vs_shared(c: &mut Criterion) {
                         oblivious_project_agg(&mut sess, &r, &["g".to_string()], AggKind::Sum).size
                     },
                     move |ch| {
-                        let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Fast, 12);
+                        let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 12);
                         let mut r = SecureRelation::load(
                             &mut sess,
                             Role::Alice,
@@ -84,35 +79,9 @@ fn bench_agg_plain_vs_shared(c: &mut Criterion) {
     g.finish();
 }
 
-/// Garbling-hash ablation: the substituted SHA-256 vs. the fast mixer, on
-/// a whole query run (Q3 smoke scale).
-fn bench_hasher_ablation(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_gc_hash");
-    g.sample_size(10);
-    let spec = secyan_bench::build_spec(PaperQuery::Q3, 0.05, 42);
-    for hasher in [TweakHasher::Fast, TweakHasher::Sha256] {
-        g.bench_function(BenchmarkId::new("q3", format!("{hasher:?}")), |b| {
-            b.iter(|| {
-                let (sa, sb) = (spec.clone(), spec.clone());
-                run_protocol(
-                    move |ch| {
-                        let mut sess = Session::new(ch, RingCtx::new(32), hasher, 13);
-                        run_secure_instance(&mut sess, &sa)
-                    },
-                    move |ch| {
-                        let mut sess = Session::new(ch, RingCtx::new(32), hasher, 14);
-                        run_secure_instance(&mut sess, &sb)
-                    },
-                )
-            });
-        });
-    }
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_agg_plain_vs_shared, bench_hasher_ablation
+    targets = bench_agg_plain_vs_shared
 }
 criterion_main!(benches);

@@ -32,7 +32,7 @@ fn bench_secure_queries(c: &mut Criterion) {
                             let mut sess = secyan_core::Session::new(
                                 ch,
                                 RingCtx::new(32),
-                                TweakHasher::Fast,
+                                TweakHasher::Aes,
                                 1,
                             );
                             run_secure_instance(&mut sess, &sa)
@@ -41,7 +41,7 @@ fn bench_secure_queries(c: &mut Criterion) {
                             let mut sess = secyan_core::Session::new(
                                 ch,
                                 RingCtx::new(32),
-                                TweakHasher::Fast,
+                                TweakHasher::Aes,
                                 2,
                             );
                             run_secure_instance(&mut sess, &sb)

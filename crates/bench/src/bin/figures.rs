@@ -2,21 +2,16 @@
 //! secure Yannakakis vs. the naive garbled circuit vs. plaintext).
 //!
 //! Usage:
-//!   figures [--figure N] [--scales a,b,c] [--full] [--sha] [--fast] [--gc-anchor]
+//!   figures [--figure N] [--scales a,b,c] [--full] [--gc-anchor]
 //!
 //! * `--figure N` — only figure N (2..=6); default: all five.
 //! * `--scales` — comma-separated dataset sizes in MB (overrides the
 //!   scaled-down defaults).
 //! * `--full` — the paper's scales 1,3,10,33,100 MB.
-//! * `--sha` — use SHA-256 garbling instead of the default fixed-key
-//!   AES (cross-check configuration, ~10× slower).
-//! * `--fast` — use the non-cryptographic benchmark hash (cost-shape
-//!   runs only; insecure).
 //! * `--gc-anchor` — additionally run the §8.2 anchor experiment: measure
 //!   the runnable naive-GC instance used for calibration.
 
 use secyan_bench::{calibrate_gc_rate, default_scales, fmt_bytes, fmt_secs, measure_point};
-use secyan_crypto::TweakHasher;
 use secyan_tpch::queries::PaperQuery;
 
 fn main() {
@@ -24,7 +19,6 @@ fn main() {
     let mut figure: Option<u32> = None;
     let mut scales_override: Option<Vec<f64>> = None;
     let mut full = false;
-    let mut hasher = TweakHasher::default();
     let mut gc_anchor = false;
     let mut i = 0;
     while i < args.len() {
@@ -43,8 +37,6 @@ fn main() {
                 );
             }
             "--full" => full = true,
-            "--sha" => hasher = TweakHasher::Sha256,
-            "--fast" => hasher = TweakHasher::Fast,
             "--gc-anchor" => gc_anchor = true,
             other => {
                 eprintln!("unknown argument: {other}");
@@ -55,8 +47,8 @@ fn main() {
     }
 
     println!("Calibrating the naive-GC gate rate on a runnable instance...");
-    let gc_rate = calibrate_gc_rate(hasher);
-    println!("  measured rate: {gc_rate:.0} AND gates/s ({hasher:?} garbling)\n");
+    let gc_rate = calibrate_gc_rate();
+    println!("  measured rate: {gc_rate:.0} AND gates/s\n");
 
     if gc_anchor {
         anchor(gc_rate);
@@ -95,7 +87,7 @@ fn main() {
             "match"
         );
         for &mb in &scales {
-            let p = measure_point(q, mb, hasher, gc_rate, 42);
+            let p = measure_point(q, mb, gc_rate, 42);
             println!(
                 "{:>7.2}MB {:>7.2}MB {:>8} | {:>12} {:>12} | {:>12} {:>12} | {:>12} {:>12} | {:>6} {:>6}",
                 p.scale_mb,

@@ -43,13 +43,7 @@ pub struct FigurePoint {
 }
 
 /// Measure one (query, scale) point.
-pub fn measure_point(
-    query: PaperQuery,
-    scale_mb: f64,
-    hasher: TweakHasher,
-    gc_rate: f64,
-    seed: u64,
-) -> FigurePoint {
+pub fn measure_point(query: PaperQuery, scale_mb: f64, gc_rate: f64, seed: u64) -> FigurePoint {
     let ring = NaturalRing::paper_default();
     let db = Database::generate(Scale::mb(scale_mb), seed);
     let spec = query.build(&db, ring);
@@ -65,11 +59,13 @@ pub fn measure_point(
     let t0 = Instant::now();
     let (sy_rows, _, stats) = run_protocol(
         move |ch| {
-            let mut sess = secyan_core::Session::new(ch, RingCtx::new(32), hasher, seed ^ 0xa11ce);
+            let mut sess =
+                secyan_core::Session::new(ch, RingCtx::new(32), TweakHasher::Aes, seed ^ 0xa11ce);
             run_secure_instance(&mut sess, &spec_a)
         },
         move |ch| {
-            let mut sess = secyan_core::Session::new(ch, RingCtx::new(32), hasher, seed ^ 0xb0b);
+            let mut sess =
+                secyan_core::Session::new(ch, RingCtx::new(32), TweakHasher::Aes, seed ^ 0xb0b);
             run_secure_instance(&mut sess, &spec_b)
         },
     );
@@ -107,7 +103,7 @@ pub fn measure_point(
 /// (the paper measured its baseline on the smallest dataset and
 /// extrapolated — "very accurate, since the cost is proportional to the
 /// size of the circuit").
-pub fn calibrate_gc_rate(hasher: TweakHasher) -> f64 {
+pub fn calibrate_gc_rate() -> f64 {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let sizes = vec![4usize, 8, 8];
@@ -122,7 +118,7 @@ pub fn calibrate_gc_rate(hasher: TweakHasher) -> f64 {
     run_protocol(
         move |ch| {
             let mut rng = StdRng::seed_from_u64(77);
-            let mut ot = OtSender::setup(ch, &mut rng, hasher);
+            let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Aes);
             naive_gc_garbler(
                 ch,
                 &sizes,
@@ -131,23 +127,13 @@ pub fn calibrate_gc_rate(hasher: TweakHasher) -> f64 {
                 32,
                 32,
                 &mut ot,
-                hasher,
                 &mut rng,
             )
         },
         move |ch| {
             let mut rng = StdRng::seed_from_u64(78);
-            let mut ot = OtReceiver::setup(ch, &mut rng, hasher);
-            naive_gc_evaluator(
-                ch,
-                &s2,
-                &o2,
-                &[None, Some(r2b), None],
-                32,
-                32,
-                &mut ot,
-                hasher,
-            )
+            let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
+            naive_gc_evaluator(ch, &s2, &o2, &[None, Some(r2b), None], 32, 32, &mut ot)
         },
     );
     let secs = t0.elapsed().as_secs_f64();
@@ -216,9 +202,9 @@ mod tests {
     #[test]
     fn q3_point_matches_and_is_linear_ish() {
         let rate = 1e6; // synthetic rate; only relative GC numbers matter here
-        let p1 = measure_point(PaperQuery::Q3, 0.05, TweakHasher::Fast, rate, 1);
+        let p1 = measure_point(PaperQuery::Q3, 0.05, rate, 1);
         assert!(p1.results_match, "secure != plaintext at 0.05 MB");
-        let p2 = measure_point(PaperQuery::Q3, 0.1, TweakHasher::Fast, rate, 1);
+        let p2 = measure_point(PaperQuery::Q3, 0.1, rate, 1);
         assert!(p2.results_match);
         // Communication grows with input size.
         assert!(p2.sy_comm_bytes > p1.sy_comm_bytes);
@@ -228,7 +214,7 @@ mod tests {
 
     #[test]
     fn gc_calibration_returns_positive_rate() {
-        let rate = calibrate_gc_rate(TweakHasher::Fast);
+        let rate = calibrate_gc_rate();
         assert!(rate > 1000.0, "rate {rate}");
     }
 }

@@ -300,7 +300,7 @@ mod tests {
                 let mut sess = crate::session::Session::new(
                     ch,
                     RingCtx::new(32),
-                    secyan_crypto::TweakHasher::Sha256,
+                    secyan_crypto::TweakHasher::Aes,
                     71,
                 );
                 let mut r = SecureRelation::load(&mut sess, Role::Alice, sch_a, Some(&rel));
@@ -319,7 +319,7 @@ mod tests {
                 let mut sess = crate::session::Session::new(
                     ch,
                     RingCtx::new(32),
-                    secyan_crypto::TweakHasher::Sha256,
+                    secyan_crypto::TweakHasher::Aes,
                     72,
                 );
                 let mut r = SecureRelation::load(&mut sess, Role::Alice, sch_b, None);

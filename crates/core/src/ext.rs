@@ -237,16 +237,46 @@ mod tests {
         let (da, db) = ring.share_vec(&dens, &mut setup);
         let (got, _, _) = run_protocol(
             move |ch| {
-                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 91);
+                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 91);
                 reveal_ratios(&mut sess, &na, &da, 100, Role::Alice)
             },
             move |ch| {
-                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 92);
+                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 92);
                 reveal_ratios(&mut sess, &nb, &db, 100, Role::Alice)
             },
         );
         // 100·700/7 = 10000; 100·55/10 = 550.
         assert_eq!(got, vec![10_000, 550]);
+    }
+
+    #[test]
+    fn dp_noise_moves_only_the_peers_shares_by_the_sampled_noise() {
+        use rand::SeedableRng;
+        let ring = RingCtx::new(32);
+        let values = vec![1000u64, 0, 77, 5_000_000];
+        let (a, b) = ring.share_vec(&values, &mut rand::rngs::StdRng::seed_from_u64(7));
+        // Each side: its shares after the call and the noise its own RNG
+        // state would have produced.
+        let party = |seed: u64, mut shares: Vec<u64>| {
+            move |ch: &mut secyan_transport::Channel| {
+                let mut sess = Session::new(ch, ring, TweakHasher::Aes, seed);
+                let mut rng = sess.rng.clone();
+                add_dp_noise_to_shares(&mut sess, &mut shares, 2.0, 0.5, Role::Alice);
+                let noise: Vec<i64> = (0..shares.len())
+                    .map(|_| sample_discrete_laplace(&mut rng, 2.0, 0.5))
+                    .collect();
+                (shares, noise)
+            }
+        };
+        let ((got_a, _), (got_b, noise), _) =
+            run_protocol(party(93, a.clone()), party(94, b.clone()));
+        assert_eq!(got_a, a, "the receiver's call is a no-op");
+        assert_ne!(got_b, b, "the peer's shares move");
+        assert!(noise.iter().any(|&k| k != 0));
+        for (i, &v) in values.iter().enumerate() {
+            let noisy = ring.reconstruct(got_a[i], got_b[i]);
+            assert_eq!(ring.to_signed(ring.sub(noisy, v)), noise[i], "value {i}");
+        }
     }
 
     #[test]

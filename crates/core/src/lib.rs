@@ -7,7 +7,7 @@
 //! secret-shared annotations.
 //!
 //! Layout (one module per §6 subsection):
-//! * [`session`] — per-party protocol state: channel, ring, hasher, and
+//! * [`session`] — per-party protocol state: channel, ring, and
 //!   both directions of OT/OPRF machinery, set up once and amortized —
 //!   and the three verbs (circuit, OEP, PSI) every operator below is
 //!   written in.
@@ -100,15 +100,13 @@ mod gc_wire_goldens {
                 let mut ot = OtSender::setup(ch, &mut rng, hasher);
                 let mut bank = VecDeque::new();
                 if banked {
-                    bank.push_back(garble_offline(ch, circuit, hasher, &mut rng));
+                    bank.push_back(garble_offline(ch, circuit, &mut rng));
                 }
                 let (bank, ot, rng) = (&mut bank, &mut ot, &mut rng);
                 match spec {
-                    Some(spec) => {
-                        garble_shared_banked(ch, bank, circuit, spec, &a_bits, ot, hasher, rng)
-                    }
+                    Some(spec) => garble_shared_banked(ch, bank, circuit, spec, &a_bits, ot, rng),
                     None => {
-                        garble_banked(ch, bank, circuit, &a_bits, ot, hasher, rng, mode);
+                        garble_banked(ch, bank, circuit, &a_bits, ot, rng, mode);
                         Vec::new()
                     }
                 }
@@ -122,10 +120,8 @@ mod gc_wire_goldens {
                 }
                 let (bank, ot) = (&mut bank, &mut ot);
                 match spec {
-                    Some(spec) => {
-                        evaluate_shared_banked(ch, bank, circuit, spec, &b_bits, ot, hasher)
-                    }
-                    None => evaluate_banked(ch, bank, circuit, &b_bits, ot, hasher, mode)
+                    Some(spec) => evaluate_shared_banked(ch, bank, circuit, spec, &b_bits, ot),
+                    None => evaluate_banked(ch, bank, circuit, &b_bits, ot, mode)
                         .expect("reveals to the evaluator")
                         .iter()
                         .map(|&bit| bit as u64)

@@ -137,11 +137,10 @@ impl QueryMaterial {
     }
 
     /// Rebuild a live session around `ch`, consuming the material.
-    fn resume(self, ch: &mut Channel, ring: RingCtx, hasher: TweakHasher) -> Session<'_> {
+    fn resume(self, ch: &mut Channel, ring: RingCtx) -> Session<'_> {
         Session {
             ch,
             ring,
-            hasher,
             rng: self.rng,
             ot_send: self.ot_send,
             ot_recv: self.ot_recv,
@@ -198,7 +197,7 @@ pub fn run_offline(
     // so the online phase only moves input-dependent messages.
     for pc in &shape.planned {
         if me == pc.garbler {
-            let m = garble_offline(sess.ch, &pc.circuit, hasher, &mut sess.rng);
+            let m = garble_offline(sess.ch, &pc.circuit, &mut sess.rng);
             sess.gc_garble.push_back(m);
         } else {
             sess.gc_eval
@@ -220,10 +219,10 @@ pub fn run_online(
     my_relations: &[Option<Relation<NaturalRing>>],
     receiver: Role,
     ring: RingCtx,
-    hasher: TweakHasher,
+    _hasher: TweakHasher,
     material: QueryMaterial,
 ) -> QueryResult {
-    run_online_leftover(ch, query, my_relations, receiver, ring, hasher, material).0
+    run_online_leftover(ch, query, my_relations, receiver, ring, material).0
 }
 
 /// [`run_online`], handing back what the run left of its material instead
@@ -236,12 +235,11 @@ pub fn run_online_leftover(
     my_relations: &[Option<Relation<NaturalRing>>],
     receiver: Role,
     ring: RingCtx,
-    hasher: TweakHasher,
     material: QueryMaterial,
 ) -> (QueryResult, QueryMaterial) {
     ch.set_phase(Phase::Online);
     let key = material.key;
-    let mut sess = material.resume(ch, ring, hasher);
+    let mut sess = material.resume(ch, ring);
     let out = secure_yannakakis(&mut sess, query, my_relations, receiver);
     let left = QueryMaterial::suspend(key, sess);
     ch.set_phase(Phase::Single);
@@ -265,7 +263,7 @@ impl PreprocPool {
 
     /// Run one offline phase and bank the material under its shape key.
     /// Returns the key for later lookups.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     pub fn provision(
         &mut self,
         ch: &mut Channel,
@@ -322,7 +320,7 @@ impl PreprocPool {
 /// opener answers with the joint verdict staged ahead of that frame. Were
 /// both to announce at once, the round count would depend on whose frame
 /// won the race.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments)]
 pub fn run_online_pooled(
     pool: &mut PreprocPool,
     ch: &mut Channel,
@@ -347,7 +345,7 @@ pub fn run_online_pooled(
     };
     let out = if hit {
         let material = pool.take(key).expect("availability just checked");
-        let mut sess = material.resume(ch, ring, hasher);
+        let mut sess = material.resume(ch, ring);
         secure_yannakakis(&mut sess, query, my_relations, receiver)
     } else {
         pool.misses += 1;
@@ -431,11 +429,11 @@ mod tests {
         // Single-phase reference.
         let (want, _, _) = run_protocol(
             move |ch| {
-                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 201);
+                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 201);
                 secure_yannakakis(&mut sess, &q1, &a1, Role::Alice)
             },
             move |ch| {
-                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 202);
+                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 202);
                 secure_yannakakis(&mut sess, &q2, &b1, Role::Alice)
             },
         );
@@ -444,7 +442,7 @@ mod tests {
         let (got, _, _) = run_protocol(
             move |ch| {
                 let ring = RingCtx::new(32);
-                let m = run_offline(ch, &q1, &sizes, Role::Alice, ring, TweakHasher::Sha256, 203);
+                let m = run_offline(ch, &q1, &sizes, Role::Alice, ring, TweakHasher::Aes, 203);
                 assert!(m.ot_banked().0 > 0 && m.ot_banked().1 > 0);
                 assert!(
                     m.kkrt_banked().0 > 0 && m.kkrt_banked().1 > 0,
@@ -455,7 +453,7 @@ mod tests {
                 let stats = ch.stats();
                 assert!(stats.offline_bytes > 0, "offline traffic must be tagged");
                 assert_eq!(stats.online_bytes, 0);
-                let res = run_online(ch, &q1, &alice, Role::Alice, ring, TweakHasher::Sha256, m);
+                let res = run_online(ch, &q1, &alice, Role::Alice, ring, TweakHasher::Aes, m);
                 let stats = ch.stats();
                 assert!(stats.online_bytes > 0, "online traffic must be tagged");
                 assert!(
@@ -469,8 +467,8 @@ mod tests {
             },
             move |ch| {
                 let ring = RingCtx::new(32);
-                let m = run_offline(ch, &q2, &sizes, Role::Alice, ring, TweakHasher::Sha256, 204);
-                run_online(ch, &q2, &bob, Role::Alice, ring, TweakHasher::Sha256, m)
+                let m = run_offline(ch, &q2, &sizes, Role::Alice, ring, TweakHasher::Aes, 204);
+                run_online(ch, &q2, &bob, Role::Alice, ring, TweakHasher::Aes, m)
             },
         );
         assert_eq!(as_map(&got), as_map(&want));
@@ -489,8 +487,7 @@ mod tests {
             move |ch| {
                 let ring = RingCtx::new(32);
                 let mut pool = PreprocPool::new();
-                let key =
-                    pool.provision(ch, &q1, &sizes, Role::Alice, ring, TweakHasher::Sha256, 301);
+                let key = pool.provision(ch, &q1, &sizes, Role::Alice, ring, TweakHasher::Aes, 301);
                 assert_eq!(pool.available(key), 1);
                 // First pooled run consumes the material (single-use)…
                 let first = run_online_pooled(
@@ -501,7 +498,7 @@ mod tests {
                     &alice,
                     Role::Alice,
                     ring,
-                    TweakHasher::Sha256,
+                    TweakHasher::Aes,
                     302,
                 );
                 assert_eq!(pool.available(key), 0);
@@ -514,7 +511,7 @@ mod tests {
                     &alice,
                     Role::Alice,
                     ring,
-                    TweakHasher::Sha256,
+                    TweakHasher::Aes,
                     303,
                 );
                 (first, second, pool.hits(), pool.misses())
@@ -522,7 +519,7 @@ mod tests {
             move |ch| {
                 let ring = RingCtx::new(32);
                 let mut pool = PreprocPool::new();
-                pool.provision(ch, &q2, &sizes, Role::Alice, ring, TweakHasher::Sha256, 304);
+                pool.provision(ch, &q2, &sizes, Role::Alice, ring, TweakHasher::Aes, 304);
                 run_online_pooled(
                     &mut pool,
                     ch,
@@ -531,7 +528,7 @@ mod tests {
                     &bob,
                     Role::Alice,
                     ring,
-                    TweakHasher::Sha256,
+                    TweakHasher::Aes,
                     305,
                 );
                 run_online_pooled(
@@ -542,7 +539,7 @@ mod tests {
                     &bob,
                     Role::Alice,
                     ring,
-                    TweakHasher::Sha256,
+                    TweakHasher::Aes,
                     306,
                 );
             },
@@ -567,8 +564,7 @@ mod tests {
             move |ch| {
                 let ring = RingCtx::new(32);
                 let mut pool = PreprocPool::new();
-                let key =
-                    pool.provision(ch, &q1, &sizes, Role::Alice, ring, TweakHasher::Sha256, 311);
+                let key = pool.provision(ch, &q1, &sizes, Role::Alice, ring, TweakHasher::Aes, 311);
                 let res = run_online_pooled(
                     &mut pool,
                     ch,
@@ -577,7 +573,7 @@ mod tests {
                     &alice,
                     Role::Alice,
                     ring,
-                    TweakHasher::Sha256,
+                    TweakHasher::Aes,
                     312,
                 );
                 (res, pool.available(key))
@@ -593,7 +589,7 @@ mod tests {
                     &sizes,
                     Role::Alice,
                     ring,
-                    TweakHasher::Sha256,
+                    TweakHasher::Aes,
                     313,
                 ));
                 run_online_pooled(
@@ -604,7 +600,7 @@ mod tests {
                     &bob,
                     Role::Alice,
                     ring,
-                    TweakHasher::Sha256,
+                    TweakHasher::Aes,
                     314,
                 )
             },

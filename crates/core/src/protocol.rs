@@ -292,11 +292,11 @@ mod tests {
         let q2 = query.clone();
         let (res, _, _) = run_protocol(
             move |ch| {
-                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 101);
+                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 101);
                 secure_yannakakis(&mut sess, &query, &alice_rels, Role::Alice)
             },
             move |ch| {
-                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 102);
+                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 102);
                 secure_yannakakis(&mut sess, &q2, &bob_rels, Role::Alice)
             },
         );
@@ -509,11 +509,11 @@ mod tests {
         let q2 = query.clone();
         let (_, res, _) = run_protocol(
             move |ch| {
-                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 103);
+                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 103);
                 secure_yannakakis(&mut sess, &query, &[Some(r1.clone()), None], Role::Bob)
             },
             move |ch| {
-                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 104);
+                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 104);
                 secure_yannakakis(&mut sess, &q2, &[None, Some(r2.clone())], Role::Bob)
             },
         );

@@ -323,7 +323,7 @@ mod tests {
         let (a_sh, b_sh, _) = run_protocol(
             move |ch| {
                 let mut sess =
-                    crate::session::Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 81);
+                    crate::session::Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 81);
                 let mut rf = SecureRelation::load(&mut sess, Role::Alice, fs, Some(&f_rel));
                 let mut rg = SecureRelation::load(
                     &mut sess,
@@ -340,7 +340,7 @@ mod tests {
             },
             move |ch| {
                 let mut sess =
-                    crate::session::Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 82);
+                    crate::session::Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 82);
                 let mut rf = SecureRelation::load(&mut sess, Role::Alice, fs2, None);
                 let mut rg = SecureRelation::load(
                     &mut sess,
@@ -415,7 +415,7 @@ mod tests {
         let (a_sh, b_sh, _) = run_protocol(
             move |ch| {
                 let mut sess =
-                    crate::session::Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 83);
+                    crate::session::Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 83);
                 let mut rf =
                     SecureRelation::load(&mut sess, Role::Alice, strings(&["k"]), Some(&f_rel));
                 let mut rg = SecureRelation::load(&mut sess, Role::Bob, strings(&["k", "y"]), None);
@@ -425,7 +425,7 @@ mod tests {
             },
             move |ch| {
                 let mut sess =
-                    crate::session::Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 84);
+                    crate::session::Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 84);
                 let mut rf = SecureRelation::load(&mut sess, Role::Alice, strings(&["k"]), None);
                 let mut rg =
                     SecureRelation::load(&mut sess, Role::Bob, strings(&["k", "y"]), Some(&g_rel));

@@ -80,13 +80,12 @@ pub(crate) fn in_role_order<C, S, R>(
 }
 
 /// Everything one party carries through a secure query evaluation: the
-/// channel, the annotation ring, the garbling hash, a CSPRNG, and both
+/// channel, the annotation ring, a CSPRNG, and both
 /// directions of OT extension and KKRT OPRF (bootstrapped once here, then
 /// amortized over every operator, as the paper's cost model assumes).
 pub struct Session<'a> {
     pub ch: &'a mut Channel,
     pub ring: RingCtx,
-    pub hasher: TweakHasher,
     pub rng: StdRng,
     pub ot_send: OtSender,
     pub ot_recv: OtReceiver,
@@ -101,9 +100,9 @@ pub struct Session<'a> {
 }
 
 impl<'a> Session<'a> {
-    /// Set up a session. Both parties must call this with the same `ring`
-    /// and `hasher`; the base-OT bootstraps interleave in a fixed
-    /// role-dependent order so the two sides pair correctly.
+    /// Set up a session. Both parties must call this with the same `ring`;
+    /// the base-OT bootstraps interleave in a fixed role-dependent order so
+    /// the two sides pair correctly.
     pub fn new(
         ch: &'a mut Channel,
         ring: RingCtx,
@@ -122,13 +121,12 @@ impl<'a> Session<'a> {
         let (kkrt_send, kkrt_recv) = in_role_order(
             role,
             &mut ctx,
-            |(ch, rng)| KkrtSender::setup(ch, rng, hasher),
-            |(ch, rng)| KkrtReceiver::setup(ch, rng, hasher),
+            |(ch, rng)| KkrtSender::setup(ch, rng),
+            |(ch, rng)| KkrtReceiver::setup(ch, rng),
         );
         Session {
             ch,
             ring,
-            hasher,
             rng,
             ot_send,
             ot_recv,
@@ -166,11 +164,10 @@ impl<'a> Session<'a> {
         let mode = OutputMode::RevealToEvaluator;
         if self.role() == garbler {
             let (bank, ot) = (&mut self.gc_garble, &mut self.ot_send);
-            let (hasher, rng) = (self.hasher, &mut self.rng);
-            garble_banked(self.ch, bank, circuit, my_inputs, ot, hasher, rng, mode)
+            garble_banked(self.ch, bank, circuit, my_inputs, ot, &mut self.rng, mode)
         } else {
             let (bank, ot) = (&mut self.gc_eval, &mut self.ot_recv);
-            evaluate_banked(self.ch, bank, circuit, my_inputs, ot, self.hasher, mode)
+            evaluate_banked(self.ch, bank, circuit, my_inputs, ot, mode)
         }
     }
 
@@ -186,11 +183,11 @@ impl<'a> Session<'a> {
     ) -> Vec<u64> {
         if self.role() == garbler {
             let (bank, ot) = (&mut self.gc_garble, &mut self.ot_send);
-            let (hasher, rng) = (self.hasher, &mut self.rng);
-            garble_shared_banked(self.ch, bank, circuit, spec, my_inputs, ot, hasher, rng)
+            let rng = &mut self.rng;
+            garble_shared_banked(self.ch, bank, circuit, spec, my_inputs, ot, rng)
         } else {
             let (bank, ot) = (&mut self.gc_eval, &mut self.ot_recv);
-            evaluate_shared_banked(self.ch, bank, circuit, spec, my_inputs, ot, self.hasher)
+            evaluate_shared_banked(self.ch, bank, circuit, spec, my_inputs, ot)
         }
     }
 
@@ -241,12 +238,12 @@ impl<'a> Session<'a> {
         payloads: &[u64],
         shared: bool,
     ) -> PsiReceiverPending {
-        let (ch, ring, hasher) = (&mut *self.ch, self.ring, self.hasher);
+        let (ch, ring) = (&mut *self.ch, self.ring);
         let (kkrt, ot, bank) = (&mut self.kkrt_recv, &mut self.ot_recv, &mut self.gc_eval);
         if shared {
             let (ot_send, rng) = (&mut self.ot_send, &mut self.rng);
             shared_payload_psi_receiver_begin(
-                ch, elements, payloads, ring, kkrt, ot, ot_send, hasher, rng, bank,
+                ch, elements, payloads, ring, kkrt, ot, ot_send, rng, bank,
             )
         } else {
             psi_receiver_begin(ch, elements, payloads.len(), ring, kkrt, ot, bank)
@@ -257,7 +254,7 @@ impl<'a> Session<'a> {
     /// of the matched payload, or of 0, per cuckoo bin.
     pub fn psi_receiver_finish(&mut self, pending: PsiReceiverPending) -> Vec<u64> {
         let ot = &mut self.ot_recv;
-        psi_receiver_finish(self.ch, pending, self.ring, ot, self.hasher).payload_shares
+        psi_receiver_finish(self.ch, pending, self.ring, ot).payload_shares
     }
 
     /// **PSI** sender: `elements` (distinct) with one payload each —
@@ -272,7 +269,7 @@ impl<'a> Session<'a> {
         payloads: &[u64],
         shared: bool,
     ) -> Vec<u64> {
-        let (ch, ring, hasher) = (&mut *self.ch, self.ring, self.hasher);
+        let (ch, ring, hasher) = (&mut *self.ch, self.ring, TweakHasher::Aes);
         let (kkrt, ot, rng) = (&mut self.kkrt_send, &mut self.ot_send, &mut self.rng);
         let bank = &mut self.gc_garble;
         let out = if shared {
@@ -286,7 +283,6 @@ impl<'a> Session<'a> {
                 kkrt,
                 ot,
                 ot_recv,
-                hasher,
                 rng,
                 bank,
             )

@@ -293,14 +293,14 @@ mod tests {
         let (sa, sb) = (schema.clone(), schema.clone());
         let (a, b, _) = run_protocol(
             move |ch| {
-                let mut s = Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 1);
+                let mut s = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 1);
                 let mut r = SecureRelation::load(&mut s, Role::Alice, sa, Some(&rel));
                 let plain = r.plain_annots.clone();
                 r.ensure_shared(&mut s);
                 (r, plain)
             },
             move |ch| {
-                let mut s = Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 2);
+                let mut s = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 2);
                 let mut r = SecureRelation::load(&mut s, Role::Alice, sb, None);
                 r.ensure_shared(&mut s);
                 r
@@ -338,13 +338,13 @@ mod tests {
         let (sa, sb) = (schema.clone(), schema.clone());
         let (a, b, _) = run_protocol(
             move |ch| {
-                let mut s = Session::new(ch, RingCtx::new(8), TweakHasher::Sha256, 3);
+                let mut s = Session::new(ch, RingCtx::new(8), TweakHasher::Aes, 3);
                 let mut r = SecureRelation::load(&mut s, Role::Alice, sa, Some(&rel));
                 r.ensure_shared(&mut s);
                 r
             },
             move |ch| {
-                let mut s = Session::new(ch, RingCtx::new(8), TweakHasher::Sha256, 4);
+                let mut s = Session::new(ch, RingCtx::new(8), TweakHasher::Aes, 4);
                 let mut r = SecureRelation::load(&mut s, Role::Alice, sb, None);
                 r.ensure_shared(&mut s);
                 r

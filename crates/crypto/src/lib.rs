@@ -2,9 +2,9 @@
 //!
 //! Everything here is implemented from scratch (per the reproduction brief):
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256, the workhorse hash used for key
-//!   derivation, correlation-robust hashing in garbled circuits and OT
-//!   extension, and hashing elements into PSI bins.
+//! * [`sha256`] — FIPS 180-4 SHA-256, used for key derivation (base-OT
+//!   keys, PRG seeds), hashing elements into PSI bins and OPPRF points,
+//!   and public digests (shape keys, test transcripts).
 //! * [`prg`] — a seedable pseudorandom generator (ChaCha-based via `rand`'s
 //!   `StdRng`) used wherever a party expands a short seed into a long mask
 //!   stream (IKNP columns, switching-network wire masks, dummy annotations).
@@ -19,10 +19,9 @@
 //! * [`transpose`] — bit-matrix transposition for IKNP OT extension.
 //! * [`share`] — additive secret sharing over Z_{2^ℓ} (§5.1 of the paper).
 //! * [`aes`] — a from-scratch fixed-key AES-128 kernel (FIPS-197), the
-//!   permutation behind the default tweakable hash.
-//! * [`hashers`] — the tweakable hash used by garbling/OT: fixed-key AES
-//!   in the MMO construction by default, SHA-256 for cross-checking, and
-//!   a fast insecure variant for large-scale benchmarking.
+//!   permutation behind the tweakable hash.
+//! * [`hashers`] — the tweakable correlation-robust hash of garbling, OT
+//!   extension and the KKRT OPRF: fixed-key AES in the MMO construction.
 //! * [`secret`] — typed secrets ([`Secret`], [`SecretBlock`]) with
 //!   zeroize-on-drop and no `Debug`, plus branchless [`CtEq`]/[`CtSelect`]
 //!   primitives; enforced across the workspace by `cargo xtask ct-lint`.

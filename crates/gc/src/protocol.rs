@@ -8,7 +8,7 @@
 
 use rand::Rng;
 use secyan_circuit::Circuit;
-use secyan_crypto::{Block, TweakHasher};
+use secyan_crypto::Block;
 use secyan_ot::{OtReceiver, OtSender};
 use secyan_transport::{Channel, ReadExt, WriteExt};
 use std::collections::VecDeque;
@@ -77,7 +77,6 @@ pub fn evaluator_ot_count(circuit: &Circuit) -> usize {
 pub fn garble_offline<R: Rng + ?Sized>(
     ch: &mut Channel,
     circuit: &Circuit,
-    hasher: TweakHasher,
     rng: &mut R,
 ) -> GarbleMaterial {
     // Garble straight into the channel's staging buffer: the tables are
@@ -85,12 +84,7 @@ pub fn garble_offline<R: Rng + ?Sized>(
     // else on this side. A circuit without ANDs sends nothing.
     let mut garbling = None;
     let mut fill = |buf: &mut [u8]| {
-        garbling = Some(garble_into(
-            circuit,
-            hasher,
-            rng,
-            buf.as_chunks_mut::<32>().0,
-        ));
+        garbling = Some(garble_into(circuit, rng, buf.as_chunks_mut::<32>().0));
     };
     match 32 * circuit.and_count() as usize {
         0 => fill(&mut []),
@@ -204,7 +198,6 @@ pub fn evaluate_finish(
     pending: EvalPending,
     my_inputs: &[bool],
     ot: &mut OtReceiver,
-    hasher: TweakHasher,
     mode: OutputMode,
 ) -> Option<Vec<bool>> {
     let EvalPending { material, pads } = pending;
@@ -225,7 +218,7 @@ pub fn evaluate_finish(
     let my_labels = ot.finish_recv_blocks(ch, &pads, my_inputs);
     let mut labels = garbler_labels;
     labels.extend(my_labels);
-    let out_labels = eval_cells(circuit, tables.as_chunks().0, &labels, hasher);
+    let out_labels = eval_cells(circuit, tables.as_chunks().0, &labels);
     let colors: Vec<bool> = out_labels.iter().map(|l| l.lsb()).collect();
     if matches!(mode, OutputMode::RevealToGarbler | OutputMode::RevealBoth) {
         ch.send_bool_slice(&colors);
@@ -239,21 +232,19 @@ pub fn evaluate_finish(
 /// (empty bank, unforeseen circuit) garbles and ships inline first. Both
 /// parties derive the digest from the same public circuit, so the
 /// banked-vs-inline decision mirrors on the evaluator's side.
-#[allow(clippy::too_many_arguments)]
 pub fn garble_banked<R: Rng + ?Sized>(
     ch: &mut Channel,
     bank: &mut VecDeque<GarbleMaterial>,
     circuit: &Circuit,
     my_inputs: &[bool],
     ot: &mut OtSender,
-    hasher: TweakHasher,
     rng: &mut R,
     mode: OutputMode,
 ) -> Option<Vec<bool>> {
     assert_eq!(my_inputs.len(), circuit.alice_inputs, "garbler input arity");
     let material = match take_garble(bank, circuit) {
         Some(m) => m,
-        None => garble_offline(ch, circuit, hasher, rng),
+        None => garble_offline(ch, circuit, rng),
     };
     garble_online(ch, circuit, material, my_inputs, ot, mode)
 }
@@ -268,11 +259,10 @@ pub fn evaluate_banked(
     circuit: &Circuit,
     my_inputs: &[bool],
     ot: &mut OtReceiver,
-    hasher: TweakHasher,
     mode: OutputMode,
 ) -> Option<Vec<bool>> {
     let pending = evaluate_begin(ch, circuit, take_eval(bank, circuit), my_inputs, ot);
-    evaluate_finish(ch, circuit, pending, my_inputs, ot, hasher, mode)
+    evaluate_finish(ch, circuit, pending, my_inputs, ot, mode)
 }
 
 /// Garbler side. `my_inputs` are the cleartext values of the circuit's
@@ -283,12 +273,11 @@ pub fn garble_circuit<R: Rng + ?Sized>(
     circuit: &Circuit,
     my_inputs: &[bool],
     ot: &mut OtSender,
-    hasher: TweakHasher,
     rng: &mut R,
     mode: OutputMode,
 ) -> Option<Vec<bool>> {
     let bank = &mut VecDeque::new();
-    garble_banked(ch, bank, circuit, my_inputs, ot, hasher, rng, mode)
+    garble_banked(ch, bank, circuit, my_inputs, ot, rng, mode)
 }
 
 /// Evaluator side. `my_inputs` are the cleartext values of the circuit's
@@ -299,11 +288,10 @@ pub fn evaluate_circuit(
     circuit: &Circuit,
     my_inputs: &[bool],
     ot: &mut OtReceiver,
-    hasher: TweakHasher,
     mode: OutputMode,
 ) -> Option<Vec<bool>> {
     let bank = &mut VecDeque::new();
-    evaluate_banked(ch, bank, circuit, my_inputs, ot, hasher, mode)
+    evaluate_banked(ch, bank, circuit, my_inputs, ot, mode)
 }
 
 #[cfg(test)]
@@ -312,6 +300,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use secyan_circuit::{bits_to_u64, u64_to_bits, Builder};
+    use secyan_crypto::TweakHasher;
     use secyan_transport::run_protocol;
 
     fn adder_circuit(bits: usize) -> Circuit {
@@ -334,21 +323,13 @@ mod tests {
         let (ra, rb, _) = run_protocol(
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(100);
-                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Sha256);
-                garble_circuit(
-                    ch,
-                    &ca,
-                    &a_bits,
-                    &mut ot,
-                    TweakHasher::Sha256,
-                    &mut rng,
-                    mode,
-                )
+                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Aes);
+                garble_circuit(ch, &ca, &a_bits, &mut ot, &mut rng, mode)
             },
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(101);
-                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Sha256);
-                evaluate_circuit(ch, &cb, &b_bits, &mut ot, TweakHasher::Sha256, mode)
+                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
+                evaluate_circuit(ch, &cb, &b_bits, &mut ot, mode)
             },
         );
         (ra, rb)
@@ -404,14 +385,13 @@ mod tests {
         let (_, rb, _) = run_protocol(
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(5);
-                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Sha256);
+                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Aes);
                 for (c, x) in [(&c1a, 1u64), (&c2a, 2)] {
                     garble_circuit(
                         ch,
                         c,
                         &u64_to_bits(x, 16),
                         &mut ot,
-                        TweakHasher::Sha256,
                         &mut rng,
                         OutputMode::RevealToEvaluator,
                     );
@@ -419,7 +399,7 @@ mod tests {
             },
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(6);
-                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Sha256);
+                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
                 let mut outs = Vec::new();
                 for (c, y) in [(&c1, 10u64), (&c2, 20)] {
                     let o = evaluate_circuit(
@@ -427,7 +407,6 @@ mod tests {
                         c,
                         &u64_to_bits(y, 16),
                         &mut ot,
-                        TweakHasher::Sha256,
                         OutputMode::RevealToEvaluator,
                     );
                     outs.push(bits_to_u64(&o.unwrap()));

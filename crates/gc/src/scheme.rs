@@ -139,7 +139,6 @@ impl Tile<'_> {
     fn hash_level<const N: usize>(
         &mut self,
         ands: &[AndRef],
-        hasher: TweakHasher,
         inputs: impl Fn(Block, Block) -> [Block; N],
     ) {
         self.xs.clear();
@@ -153,7 +152,7 @@ impl Tile<'_> {
             }
         }
         self.hs.resize(self.xs.len(), Block::ZERO);
-        hasher.hash_each_into(self.xs, self.tweaks, self.hs);
+        TweakHasher::Aes.hash_each_into(self.xs, self.tweaks, self.hs);
     }
 }
 
@@ -286,9 +285,9 @@ fn run_rows<T: Cell>(
 
 /// Garble `circuit`, drawing labels from `rng`: Δ, then the input
 /// zero-labels in wire order.
-pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, hasher: TweakHasher, rng: &mut R) -> Garbling {
+pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, _hasher: TweakHasher, rng: &mut R) -> Garbling {
     let mut tables = vec![(Block::ZERO, Block::ZERO); circuit.and_count() as usize];
-    let mut garbling = garble_into(circuit, hasher, rng, &mut tables);
+    let mut garbling = garble_into(circuit, rng, &mut tables);
     garbling.tables = tables;
     garbling
 }
@@ -297,7 +296,6 @@ pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, hasher: TweakHasher, rng: &mut
 /// staging buffer, say — and leaving [`Garbling::tables`] empty.
 pub(crate) fn garble_into<T: Cell, R: Rng + ?Sized>(
     circuit: &Circuit,
-    hasher: TweakHasher,
     rng: &mut R,
     cells: &mut [T],
 ) -> Garbling {
@@ -309,9 +307,8 @@ pub(crate) fn garble_into<T: Cell, R: Rng + ?Sized>(
     for z in zero.expose_mut().iter_mut().take(n_in) {
         *z = Block::random(rng);
     }
-    let and_step = |ands: &[AndRef], tile: &mut Tile, cells: &mut [T]| {
-        garble_level(ands, tile, cells, hasher, delta)
-    };
+    let and_step =
+        |ands: &[AndRef], tile: &mut Tile, cells: &mut [T]| garble_level(ands, tile, cells, delta);
     for_each_tile(circuit, zero.expose_mut(), cells, delta, &and_step);
     let zero = zero.expose();
     let output_zero_labels = circuit.output_slots().map(|s| zero[s]).collect();
@@ -326,16 +323,8 @@ pub(crate) fn garble_into<T: Cell, R: Rng + ?Sized>(
 /// The garbling loop: one level's AND gates across a tile. All four
 /// hashes of every gate go through the AES kernel as one batch, then the
 /// half-gates algebra fills in output zero-labels and table cells.
-fn garble_level<T: Cell>(
-    ands: &[AndRef],
-    tile: &mut Tile,
-    cells: &mut [T],
-    hasher: TweakHasher,
-    delta: Block,
-) {
-    tile.hash_level(ands, hasher, |wa0, wb0| {
-        [wa0, wa0 ^ delta, wb0, wb0 ^ delta]
-    });
+fn garble_level<T: Cell>(ands: &[AndRef], tile: &mut Tile, cells: &mut [T], delta: Block) {
+    tile.hash_level(ands, |wa0, wb0| [wa0, wa0 ^ delta, wb0, wb0 ^ delta]);
     for r in 0..tile.rows {
         let row = &mut tile.wires[r * tile.stride..][..tile.stride];
         // Indexed by position rather than zipped with the hashes: the gate
@@ -383,9 +372,9 @@ pub fn eval(
     circuit: &Circuit,
     tables: &EvalTables,
     input_labels: &[Block],
-    hasher: TweakHasher,
+    _hasher: TweakHasher,
 ) -> Vec<Block> {
-    eval_cells(circuit, &tables.tables, input_labels, hasher)
+    eval_cells(circuit, &tables.tables, input_labels)
 }
 
 /// [`eval`] over any table storage — the received bytes as they are.
@@ -393,7 +382,6 @@ pub(crate) fn eval_cells<T: Cell>(
     circuit: &Circuit,
     tables: &[T],
     input_labels: &[Block],
-    hasher: TweakHasher,
 ) -> Vec<Block> {
     let n_in = circuit.alice_inputs + circuit.bob_inputs;
     assert_eq!(input_labels.len(), n_in, "one label per input wire");
@@ -402,8 +390,7 @@ pub(crate) fn eval_cells<T: Cell>(
     // wire values, scrubbed on drop.
     let mut active = Secret::new(vec![Block::ZERO; circuit.num_slots()]);
     active.expose_mut()[..n_in].copy_from_slice(input_labels);
-    let and_step =
-        |ands: &[AndRef], tile: &mut Tile, _: &mut [T]| eval_level(ands, tile, tables, hasher);
+    let and_step = |ands: &[AndRef], tile: &mut Tile, _: &mut [T]| eval_level(ands, tile, tables);
     // INV is free: the garbler flipped the semantics of the labels.
     for_each_tile(
         circuit,
@@ -418,8 +405,8 @@ pub(crate) fn eval_cells<T: Cell>(
 
 /// The evaluation loop: one level's AND gates across a tile, both hashes
 /// of every gate in one batch, then the table algebra.
-fn eval_level<T: Cell>(ands: &[AndRef], tile: &mut Tile, tables: &[T], hasher: TweakHasher) {
-    tile.hash_level(ands, hasher, |wa, wb| [wa, wb]);
+fn eval_level<T: Cell>(ands: &[AndRef], tile: &mut Tile, tables: &[T]) {
+    tile.hash_level(ands, |wa, wb| [wa, wb]);
     for r in 0..tile.rows {
         let row = &mut tile.wires[r * tile.stride..][..tile.stride];
         let first = tile.first_and + r * tile.ands_per_row;
@@ -457,9 +444,9 @@ mod tests {
     use secyan_circuit::{bits_to_u64, evaluate as plain_eval, u64_to_bits, Builder, Rows};
 
     /// Garble + evaluate `circuit` on cleartext inputs; compare to plaintext.
-    fn check(circuit: &Circuit, alice: &[bool], bob: &[bool], hasher: TweakHasher, seed: u64) {
+    fn check(circuit: &Circuit, alice: &[bool], bob: &[bool], seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = garble(circuit, hasher, &mut rng);
+        let g = garble(circuit, TweakHasher::Aes, &mut rng);
         let labels: Vec<Block> = alice
             .iter()
             .chain(bob)
@@ -469,7 +456,7 @@ mod tests {
         let tables = EvalTables {
             tables: g.tables.clone(),
         };
-        let out_labels = eval(circuit, &tables, &labels, hasher);
+        let out_labels = eval(circuit, &tables, &labels, TweakHasher::Aes);
         let expect = plain_eval(circuit, alice, bob);
         // Decode both ways: garbler-side exact check and evaluator-side
         // color-bit decode.
@@ -482,25 +469,23 @@ mod tests {
 
     #[test]
     fn single_gates_exhaustive() {
-        for hasher in [TweakHasher::Sha256, TweakHasher::Aes, TweakHasher::Fast] {
-            for (x, y) in [(false, false), (false, true), (true, false), (true, true)] {
-                for op in 0..4 {
-                    let mut b = Builder::new();
-                    let a = b.alice_input();
-                    let c = b.bob_input();
-                    let o = match op {
-                        0 => b.and(a, c),
-                        1 => b.xor(a, c),
-                        2 => b.or(a, c),
-                        _ => {
-                            let n = b.not(a);
-                            b.and(n, c)
-                        }
-                    };
-                    b.output(o);
-                    let circ = b.finish();
-                    check(&circ, &[x], &[y], hasher, 1 + op as u64);
-                }
+        for (x, y) in [(false, false), (false, true), (true, false), (true, true)] {
+            for op in 0..4 {
+                let mut b = Builder::new();
+                let a = b.alice_input();
+                let c = b.bob_input();
+                let o = match op {
+                    0 => b.and(a, c),
+                    1 => b.xor(a, c),
+                    2 => b.or(a, c),
+                    _ => {
+                        let n = b.not(a);
+                        b.and(n, c)
+                    }
+                };
+                b.output(o);
+                let circ = b.finish();
+                check(&circ, &[x], &[y], 1 + op as u64);
             }
         }
     }
@@ -514,13 +499,7 @@ mod tests {
         b.output_word(&s);
         let circ = b.finish();
         for (x, y) in [(3u64, 5u64), (0xffff_ffff, 1), (123456, 654321)] {
-            check(
-                &circ,
-                &u64_to_bits(x, 32),
-                &u64_to_bits(y, 32),
-                TweakHasher::Sha256,
-                7,
-            );
+            check(&circ, &u64_to_bits(x, 32), &u64_to_bits(y, 32), 7);
         }
     }
 
@@ -532,15 +511,7 @@ mod tests {
         let s = b.mul_words(&x, &y);
         b.output_word(&s);
         let circ = b.finish();
-        for hasher in [TweakHasher::Sha256, TweakHasher::Aes] {
-            check(
-                &circ,
-                &u64_to_bits(1234, 16),
-                &u64_to_bits(4321, 16),
-                hasher,
-                8,
-            );
-        }
+        check(&circ, &u64_to_bits(1234, 16), &u64_to_bits(4321, 16), 8);
     }
 
     #[test]
@@ -553,7 +524,7 @@ mod tests {
         b.output_word(&s);
         let circ = b.finish();
         let mut rng = StdRng::seed_from_u64(9);
-        let g = garble(&circ, TweakHasher::Sha256, &mut rng);
+        let g = garble(&circ, TweakHasher::Aes, &mut rng);
         let labels: Vec<Block> = u64_to_bits(500, 16)
             .iter()
             .chain(&u64_to_bits(123, 16))
@@ -566,7 +537,7 @@ mod tests {
                 tables: g.tables.clone(),
             },
             &labels,
-            TweakHasher::Sha256,
+            TweakHasher::Aes,
         );
         let decode = g.decode_bits();
         let bits: Vec<bool> = outs
@@ -597,7 +568,7 @@ mod tests {
         let run_at = |t: usize| {
             par::set_threads(t);
             let mut rng = StdRng::seed_from_u64(77);
-            let g = garble(&circ, TweakHasher::Fast, &mut rng);
+            let g = garble(&circ, TweakHasher::Aes, &mut rng);
             let labels: Vec<Block> = (0..64 * 64).map(|i| g.input_label(i, i % 3 == 0)).collect();
             let outs = eval(
                 &circ,
@@ -605,7 +576,7 @@ mod tests {
                     tables: g.tables.clone(),
                 },
                 &labels,
-                TweakHasher::Fast,
+                TweakHasher::Aes,
             );
             par::set_threads(0);
             let decode = g.decode_bits();
@@ -671,7 +642,7 @@ mod tests {
             b.output(eqb);
             b.output(lt);
             let circ = b.finish();
-            check(&circ, &u64_to_bits(x, 16), &u64_to_bits(y, 16), TweakHasher::Aes, seed);
+            check(&circ, &u64_to_bits(x, 16), &u64_to_bits(y, 16), seed);
         }
     }
 }

@@ -115,7 +115,6 @@ pub fn with_shared_rows(
 /// circuit's own garbler inputs (excluding masks, which this function draws
 /// from `rng` — they are garbler inputs, so banking them was never
 /// needed). Returns the garbler's arithmetic shares, one per output word.
-#[allow(clippy::too_many_arguments)]
 pub fn garble_shared_banked<R: Rng + ?Sized>(
     ch: &mut Channel,
     bank: &mut VecDeque<GarbleMaterial>,
@@ -123,12 +122,11 @@ pub fn garble_shared_banked<R: Rng + ?Sized>(
     spec: &SharedOutputSpec,
     my_inputs: &[bool],
     ot: &mut OtSender,
-    hasher: TweakHasher,
     rng: &mut R,
 ) -> Vec<u64> {
     let (mask_bits, shares) = draw_masks(spec, my_inputs, rng);
     let mode = OutputMode::RevealToEvaluator;
-    let out = garble_banked(ch, bank, circuit, &mask_bits, ot, hasher, rng, mode);
+    let out = garble_banked(ch, bank, circuit, &mask_bits, ot, rng, mode);
     debug_assert!(out.is_none());
     shares
 }
@@ -140,11 +138,11 @@ pub fn garble_shared<R: Rng + ?Sized>(
     spec: &SharedOutputSpec,
     my_inputs: &[bool],
     ot: &mut OtSender,
-    hasher: TweakHasher,
+    _hasher: TweakHasher,
     rng: &mut R,
 ) -> Vec<u64> {
     let bank = &mut VecDeque::new();
-    garble_shared_banked(ch, bank, circuit, spec, my_inputs, ot, hasher, rng)
+    garble_shared_banked(ch, bank, circuit, spec, my_inputs, ot, rng)
 }
 
 /// Prepend the fresh random mask words to the garbler's own inputs; the
@@ -176,7 +174,6 @@ pub fn evaluate_shared_finish(
     spec: &SharedOutputSpec,
     my_inputs: &[bool],
     ot: &mut OtReceiver,
-    hasher: TweakHasher,
 ) -> Vec<u64> {
     let bits = evaluate_finish(
         ch,
@@ -184,7 +181,6 @@ pub fn evaluate_shared_finish(
         pending,
         my_inputs,
         ot,
-        hasher,
         OutputMode::RevealToEvaluator,
     )
     .expect("shared-output circuits reveal to the evaluator");
@@ -201,11 +197,10 @@ pub fn evaluate_shared_banked(
     spec: &SharedOutputSpec,
     my_inputs: &[bool],
     ot: &mut OtReceiver,
-    hasher: TweakHasher,
 ) -> Vec<u64> {
     let material = take_eval(bank, circuit);
     let pending = evaluate_begin(ch, circuit, material, my_inputs, ot);
-    evaluate_shared_finish(ch, circuit, pending, spec, my_inputs, ot, hasher)
+    evaluate_shared_finish(ch, circuit, pending, spec, my_inputs, ot)
 }
 
 /// [`evaluate_shared_banked`] with nothing banked.
@@ -215,10 +210,10 @@ pub fn evaluate_shared(
     spec: &SharedOutputSpec,
     my_inputs: &[bool],
     ot: &mut OtReceiver,
-    hasher: TweakHasher,
+    _hasher: TweakHasher,
 ) -> Vec<u64> {
     let bank = &mut VecDeque::new();
-    evaluate_shared_banked(ch, bank, circuit, spec, my_inputs, ot, hasher)
+    evaluate_shared_banked(ch, bank, circuit, spec, my_inputs, ot)
 }
 
 /// Split the revealed masked-output bits back into per-word shares.
@@ -266,29 +261,21 @@ mod tests {
         let (ga, gb, _) = run_protocol(
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(1);
-                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Sha256);
+                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Aes);
                 let mut inputs = u64_to_bits(factor, bits);
                 inputs.extend(u64_to_bits(sa, bits));
-                garble_shared(
-                    ch,
-                    &c,
-                    &spec,
-                    &inputs,
-                    &mut ot,
-                    TweakHasher::Sha256,
-                    &mut rng,
-                )
+                garble_shared(ch, &c, &spec, &inputs, &mut ot, TweakHasher::Aes, &mut rng)
             },
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(2);
-                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Sha256);
+                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
                 evaluate_shared(
                     ch,
                     &c2,
                     &spec2,
                     &u64_to_bits(sb, bits),
                     &mut ot,
-                    TweakHasher::Sha256,
+                    TweakHasher::Aes,
                 )
             },
         );
@@ -316,27 +303,27 @@ mod tests {
         let (ga, gb, _) = run_protocol(
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(3);
-                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Sha256);
+                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Aes);
                 garble_shared(
                     ch,
                     &c,
                     &spec,
                     &u64_to_bits(1000, 16),
                     &mut ot,
-                    TweakHasher::Sha256,
+                    TweakHasher::Aes,
                     &mut rng,
                 )
             },
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(4);
-                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Sha256);
+                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
                 evaluate_shared(
                     ch,
                     &c2,
                     &spec2,
                     &u64_to_bits(77, 8),
                     &mut ot,
-                    TweakHasher::Sha256,
+                    TweakHasher::Aes,
                 )
             },
         );

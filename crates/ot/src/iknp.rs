@@ -39,7 +39,6 @@ const COL_LABEL: &[u8] = b"iknp-col";
 /// Extension sender: after setup, produces message pairs.
 pub struct OtSender {
     ext: ExtSender<Block>,
-    hasher: TweakHasher,
     ctr: u64,
     /// Precomputed random pad pairs `(x0, x1)` consumed by the online phase.
     bank: Bank<(Block, Block)>,
@@ -48,7 +47,6 @@ pub struct OtSender {
 /// Extension receiver: after setup, obtains one message per choice bit.
 pub struct OtReceiver {
     ext: ExtReceiver<Block>,
-    hasher: TweakHasher,
     ctr: u64,
     /// Precomputed random choice bits `c'` with the pad each selected.
     bank: Bank<(bool, Block)>,
@@ -56,11 +54,10 @@ pub struct OtReceiver {
 
 impl OtSender {
     /// Bootstrap via base OTs (this side plays base-OT *receiver*).
-    pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R, hasher: TweakHasher) -> OtSender {
+    pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R, _hasher: TweakHasher) -> OtSender {
         let s = Block(rng.gen());
         OtSender {
             ext: ExtSender::setup(ch, rng, COL_LABEL, s),
-            hasher,
             ctr: 0,
             bank: Bank::new(Vec::new()),
         }
@@ -125,8 +122,8 @@ impl OtSender {
         let mut qjs_s: Vec<Block> = qjs.iter().map(|&qj| qj ^ *s).collect();
         // Both correlated branches hashed in batched kernel dispatches
         // (internally parallel for large m).
-        let h0 = self.hasher.hash_batch(&qjs, self.ctr);
-        let h1 = self.hasher.hash_batch(&qjs_s, self.ctr);
+        let h0 = TweakHasher::Aes.hash_batch(&qjs, self.ctr);
+        let h1 = TweakHasher::Aes.hash_batch(&qjs_s, self.ctr);
         self.ctr += m as u64;
         // The q-rows are the pads' preimages; scrub the local copies.
         qjs.zeroize();
@@ -167,10 +164,9 @@ impl OtSender {
 
 impl OtReceiver {
     /// Bootstrap via base OTs (this side plays base-OT *sender*).
-    pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R, hasher: TweakHasher) -> OtReceiver {
+    pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R, _hasher: TweakHasher) -> OtReceiver {
         OtReceiver {
             ext: ExtReceiver::setup(ch, rng, COL_LABEL),
-            hasher,
             ctr: 0,
             bank: Bank::new(Vec::new()),
         }
@@ -233,7 +229,7 @@ impl OtReceiver {
             r_packed[j / 8] |= (c as u8) << (j % 8);
         }
         let mut tjs = self.ext.extend(ch, m, |_| r_packed.as_slice());
-        let out = self.hasher.hash_batch(&tjs, self.ctr);
+        let out = TweakHasher::Aes.hash_batch(&tjs, self.ctr);
         self.ctr += m as u64;
         tjs.zeroize();
         out
@@ -330,19 +326,13 @@ mod tests {
         let c2 = choices.clone();
         let (pairs, got, _) = run_protocol(
             move |ch| {
-                let mut s = OtSender::setup(
-                    ch,
-                    &mut StdRng::seed_from_u64(seed + 1),
-                    TweakHasher::Sha256,
-                );
+                let mut s =
+                    OtSender::setup(ch, &mut StdRng::seed_from_u64(seed + 1), TweakHasher::Aes);
                 s.random(ch, m)
             },
             move |ch| {
-                let mut r = OtReceiver::setup(
-                    ch,
-                    &mut StdRng::seed_from_u64(seed + 2),
-                    TweakHasher::Sha256,
-                );
+                let mut r =
+                    OtReceiver::setup(ch, &mut StdRng::seed_from_u64(seed + 2), TweakHasher::Aes);
                 r.random(ch, &c2)
             },
         );
@@ -374,13 +364,11 @@ mod tests {
     fn multiple_extensions_reuse_setup() {
         let (outs, gots, _) = run_protocol(
             |ch| {
-                let mut s =
-                    OtSender::setup(ch, &mut StdRng::seed_from_u64(30), TweakHasher::Sha256);
+                let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(30), TweakHasher::Aes);
                 (s.random(ch, 10), s.random(ch, 10))
             },
             |ch| {
-                let mut r =
-                    OtReceiver::setup(ch, &mut StdRng::seed_from_u64(31), TweakHasher::Sha256);
+                let mut r = OtReceiver::setup(ch, &mut StdRng::seed_from_u64(31), TweakHasher::Aes);
                 (r.random(ch, &[true; 10]), r.random(ch, &[false; 10]))
             },
         );
@@ -402,8 +390,7 @@ mod tests {
         // proves the streams still align.
         let (a, b, stats) = run_protocol(
             |ch| {
-                let mut s =
-                    OtSender::setup(ch, &mut StdRng::seed_from_u64(40), TweakHasher::Sha256);
+                let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(40), TweakHasher::Aes);
                 let before = ch.stats().total_bytes();
                 s.send_bytes(ch, &[]);
                 s.send_blocks(ch, &[]);
@@ -415,7 +402,7 @@ mod tests {
             },
             |ch| {
                 let mut rng = StdRng::seed_from_u64(41);
-                let mut r = OtReceiver::setup(ch, &mut rng, TweakHasher::Sha256);
+                let mut r = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
                 assert!(r.recv_bytes(ch, &[], 16).is_empty());
                 assert!(r.recv_blocks(ch, &[]).is_empty());
                 r.bank(ch, 0, &mut rng);
@@ -437,13 +424,11 @@ mod tests {
         let c2 = choices.clone();
         let (_, got, _) = run_protocol(
             move |ch| {
-                let mut s =
-                    OtSender::setup(ch, &mut StdRng::seed_from_u64(40), TweakHasher::Sha256);
+                let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(40), TweakHasher::Aes);
                 s.send_blocks(ch, &p2);
             },
             move |ch| {
-                let mut r =
-                    OtReceiver::setup(ch, &mut StdRng::seed_from_u64(41), TweakHasher::Sha256);
+                let mut r = OtReceiver::setup(ch, &mut StdRng::seed_from_u64(41), TweakHasher::Aes);
                 r.recv_blocks(ch, &c2)
             },
         );
@@ -463,13 +448,11 @@ mod tests {
         let c2 = choices.clone();
         let (_, got, _) = run_protocol(
             move |ch| {
-                let mut s =
-                    OtSender::setup(ch, &mut StdRng::seed_from_u64(50), TweakHasher::Sha256);
+                let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(50), TweakHasher::Aes);
                 s.send_bytes(ch, &p2);
             },
             move |ch| {
-                let mut r =
-                    OtReceiver::setup(ch, &mut StdRng::seed_from_u64(51), TweakHasher::Sha256);
+                let mut r = OtReceiver::setup(ch, &mut StdRng::seed_from_u64(51), TweakHasher::Aes);
                 r.recv_bytes(ch, &c2, 33)
             },
         );
@@ -509,8 +492,7 @@ mod tests {
         let ((), got, stats) = run_protocol(
             move |ch| {
                 ch.set_phase(Phase::Offline);
-                let mut s =
-                    OtSender::setup(ch, &mut StdRng::seed_from_u64(80), TweakHasher::Sha256);
+                let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(80), TweakHasher::Aes);
                 s.bank(ch, 64);
                 ch.set_phase(Phase::Online);
                 s.send_blocks(ch, &p2);
@@ -518,8 +500,7 @@ mod tests {
             },
             move |ch| {
                 ch.set_phase(Phase::Offline);
-                let mut r =
-                    OtReceiver::setup(ch, &mut StdRng::seed_from_u64(81), TweakHasher::Sha256);
+                let mut r = OtReceiver::setup(ch, &mut StdRng::seed_from_u64(81), TweakHasher::Aes);
                 r.bank(ch, 64, &mut StdRng::seed_from_u64(82));
                 ch.set_phase(Phase::Online);
                 r.recv_blocks(ch, &c2)
@@ -546,14 +527,12 @@ mod tests {
         let c2 = choices.clone();
         let (_, got, _) = run_protocol(
             move |ch| {
-                let mut s =
-                    OtSender::setup(ch, &mut StdRng::seed_from_u64(83), TweakHasher::Sha256);
+                let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(83), TweakHasher::Aes);
                 s.bank(ch, 10);
                 s.send_bytes(ch, &p2);
             },
             move |ch| {
-                let mut r =
-                    OtReceiver::setup(ch, &mut StdRng::seed_from_u64(84), TweakHasher::Sha256);
+                let mut r = OtReceiver::setup(ch, &mut StdRng::seed_from_u64(84), TweakHasher::Aes);
                 r.bank(ch, 10, &mut StdRng::seed_from_u64(85));
                 r.recv_bytes(ch, &c2, 16)
             },
@@ -571,16 +550,14 @@ mod tests {
         let mk = |i: u128| (Block(i), Block(i + 77));
         let (_, (got1, got2), _) = run_protocol(
             move |ch| {
-                let mut s =
-                    OtSender::setup(ch, &mut StdRng::seed_from_u64(86), TweakHasher::Sha256);
+                let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(86), TweakHasher::Aes);
                 s.bank(ch, 4);
                 s.send_blocks(ch, &[mk(0), mk(1), mk(2), mk(3)]);
                 assert_eq!(s.bank_remaining(), 0);
                 s.send_blocks(ch, &[mk(10), mk(11)]);
             },
             move |ch| {
-                let mut r =
-                    OtReceiver::setup(ch, &mut StdRng::seed_from_u64(87), TweakHasher::Sha256);
+                let mut r = OtReceiver::setup(ch, &mut StdRng::seed_from_u64(87), TweakHasher::Aes);
                 r.bank(ch, 4, &mut StdRng::seed_from_u64(88));
                 let a = r.recv_blocks(ch, &[true, false, true, false]);
                 let b = r.recv_blocks(ch, &[false, true]);
@@ -592,21 +569,19 @@ mod tests {
     }
 
     #[test]
-    fn other_hashers_also_work() {
-        for hasher in [TweakHasher::Aes, TweakHasher::Fast] {
-            let (pairs, got, _) = run_protocol(
-                move |ch| {
-                    let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(60), hasher);
-                    s.random(ch, 16)
-                },
-                move |ch| {
-                    let mut r = OtReceiver::setup(ch, &mut StdRng::seed_from_u64(61), hasher);
-                    r.random(ch, &[true; 16])
-                },
-            );
-            for j in 0..16 {
-                assert_eq!(got[j], pairs[j].1, "{hasher:?} instance {j}");
-            }
+    fn random_ot_with_all_ones_choices() {
+        let (pairs, got, _) = run_protocol(
+            move |ch| {
+                let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(60), TweakHasher::Aes);
+                s.random(ch, 16)
+            },
+            move |ch| {
+                let mut r = OtReceiver::setup(ch, &mut StdRng::seed_from_u64(61), TweakHasher::Aes);
+                r.random(ch, &[true; 16])
+            },
+        );
+        for j in 0..16 {
+            assert_eq!(got[j], pairs[j].1, "instance {j}");
         }
     }
 }

@@ -80,7 +80,6 @@ fn fold(row: &mut Word, word: &[u8], s: &Word) {
 /// [`KkrtSender::key_batch`] call produces a key for one batch.
 pub struct KkrtSender {
     ext: ExtSender<Word>,
-    hasher: TweakHasher,
     ctr: u64,
     /// Offline correlation rows `q'_j = t_j ⊕ (c'_j & s)`.
     bank: Bank<Word>,
@@ -89,7 +88,6 @@ pub struct KkrtSender {
 /// OPRF receiver (input holder).
 pub struct KkrtReceiver {
     ext: ExtReceiver<Word>,
-    hasher: TweakHasher,
     ctr: u64,
     /// Offline random code words `c'_j` with the row preimages `t_j` they
     /// produced (hashed only at consumption time, when the instance index
@@ -102,20 +100,16 @@ pub struct KkrtReceiver {
 pub struct KkrtSenderKey {
     q_rows: Vec<Word>,
     s: Secret<Word>,
-    hasher: TweakHasher,
     base: u64,
 }
 
 impl KkrtSender {
     /// Bootstrap: run w base OTs as base-OT receiver with secret choices s.
-    /// `hasher` is the output hash masking the OPRF rows; both parties must
-    /// pass the same choice.
-    pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R, hasher: TweakHasher) -> KkrtSender {
+    pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R) -> KkrtSender {
         let mut s = [0u8; WIDTH_BYTES];
         rng.fill(&mut s[..]);
         KkrtSender {
             ext: ExtSender::setup(ch, rng, COL_LABEL, s),
-            hasher,
             ctr: 0,
             bank: Bank::new(Vec::new()),
         }
@@ -165,7 +159,6 @@ impl KkrtSender {
         KkrtSenderKey {
             q_rows,
             s: self.ext.s().clone(),
-            hasher: self.hasher,
             base,
         }
     }
@@ -187,17 +180,15 @@ impl KkrtSenderKey {
     pub fn eval(&self, j: usize, y: &[u8]) -> u64 {
         let mut row = self.q_rows[j];
         fold(&mut row, &code(y), self.s.expose());
-        self.hasher.hash_row(self.base + j as u64, &row)
+        TweakHasher::Aes.hash_row(self.base + j as u64, &row)
     }
 }
 
 impl KkrtReceiver {
-    /// Bootstrap: run w base OTs as base-OT sender. `hasher` must match the
-    /// sender's choice.
-    pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R, hasher: TweakHasher) -> KkrtReceiver {
+    /// Bootstrap: run w base OTs as base-OT sender.
+    pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R) -> KkrtReceiver {
         KkrtReceiver {
             ext: ExtReceiver::setup(ch, rng, COL_LABEL),
-            hasher,
             ctr: 0,
             bank: Bank::new(Vec::new()),
         }
@@ -259,7 +250,7 @@ impl KkrtReceiver {
             taken.zeroize();
             t_rows
         };
-        let out = self.hasher.hash_row_batch(base, &t_rows);
+        let out = TweakHasher::Aes.hash_row_batch(base, &t_rows);
         t_rows.zeroize();
         out
     }
@@ -295,15 +286,15 @@ mod tests {
     use rand::SeedableRng;
     use secyan_transport::{run_protocol, ReadExt};
 
-    fn run_batch_with(inputs: Vec<Vec<u8>>, hasher: TweakHasher) -> (KkrtSenderKey, Vec<u64>) {
+    fn run_batch(inputs: Vec<Vec<u8>>) -> (KkrtSenderKey, Vec<u64>) {
         let (key, got, _) = run_protocol(
             move |ch| {
-                let mut s = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(1), hasher);
+                let mut s = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(1));
                 let m = { ch.recv_u64() as usize };
                 s.key_batch(ch, m)
             },
             move |ch| {
-                let mut r = KkrtReceiver::setup(ch, &mut StdRng::seed_from_u64(2), hasher);
+                let mut r = KkrtReceiver::setup(ch, &mut StdRng::seed_from_u64(2));
                 ch.send_u64(inputs.len() as u64);
                 let refs: Vec<&[u8]> = inputs.iter().map(|v| v.as_slice()).collect();
                 r.eval_batch(ch, &refs)
@@ -312,18 +303,12 @@ mod tests {
         (key, got)
     }
 
-    fn run_batch(inputs: Vec<Vec<u8>>) -> (KkrtSenderKey, Vec<u64>) {
-        run_batch_with(inputs, TweakHasher::default())
-    }
-
     #[test]
     fn receiver_output_matches_sender_eval() {
-        for hasher in [TweakHasher::Sha256, TweakHasher::Aes, TweakHasher::Fast] {
-            let inputs: Vec<Vec<u8>> = (0..40u64).map(|i| i.to_le_bytes().to_vec()).collect();
-            let (key, got) = run_batch_with(inputs.clone(), hasher);
-            for (j, x) in inputs.iter().enumerate() {
-                assert_eq!(got[j], key.eval(j, x), "{hasher:?} instance {j}");
-            }
+        let inputs: Vec<Vec<u8>> = (0..40u64).map(|i| i.to_le_bytes().to_vec()).collect();
+        let (key, got) = run_batch(inputs.clone());
+        for (j, x) in inputs.iter().enumerate() {
+            assert_eq!(got[j], key.eval(j, x), "instance {j}");
         }
     }
 
@@ -347,13 +332,11 @@ mod tests {
     fn multiple_batches_are_independent() {
         let (keys, gots, _) = run_protocol(
             |ch| {
-                let mut s =
-                    KkrtSender::setup(ch, &mut StdRng::seed_from_u64(3), TweakHasher::default());
+                let mut s = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(3));
                 (s.key_batch(ch, 5), s.key_batch(ch, 5))
             },
             |ch| {
-                let mut r =
-                    KkrtReceiver::setup(ch, &mut StdRng::seed_from_u64(4), TweakHasher::default());
+                let mut r = KkrtReceiver::setup(ch, &mut StdRng::seed_from_u64(4));
                 let ins: Vec<Vec<u8>> = (0..5u64).map(|i| i.to_le_bytes().to_vec()).collect();
                 let refs: Vec<&[u8]> = ins.iter().map(|v| v.as_slice()).collect();
                 (r.eval_batch(ch, &refs), r.eval_batch(ch, &refs))
@@ -402,8 +385,7 @@ mod tests {
         // inline extension (12 - 10 < 5), mirrored on both sides.
         let (keys, gots, _) = run_protocol(
             |ch| {
-                let mut s =
-                    KkrtSender::setup(ch, &mut StdRng::seed_from_u64(5), TweakHasher::default());
+                let mut s = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(5));
                 s.bank(ch, 12);
                 assert_eq!(s.bank_remaining(), 12);
                 let keys = (s.key_batch(ch, 5), s.key_batch(ch, 5), s.key_batch(ch, 5));
@@ -412,7 +394,7 @@ mod tests {
             },
             |ch| {
                 let mut rng = StdRng::seed_from_u64(6);
-                let mut r = KkrtReceiver::setup(ch, &mut rng, TweakHasher::default());
+                let mut r = KkrtReceiver::setup(ch, &mut rng);
                 r.bank(ch, 12, &mut rng);
                 assert_eq!(r.bank_remaining(), 12);
                 let ins: Vec<Vec<u8>> = (0..5u64).map(|i| i.to_le_bytes().to_vec()).collect();
@@ -442,8 +424,7 @@ mod tests {
     fn shed_to_caps_the_bank() {
         let (_, _, _) = run_protocol(
             |ch| {
-                let mut s =
-                    KkrtSender::setup(ch, &mut StdRng::seed_from_u64(7), TweakHasher::default());
+                let mut s = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(7));
                 s.bank(ch, 10);
                 s.shed_bank_to(3);
                 assert_eq!(s.bank_remaining(), 3);
@@ -452,7 +433,7 @@ mod tests {
             },
             |ch| {
                 let mut rng = StdRng::seed_from_u64(8);
-                let mut r = KkrtReceiver::setup(ch, &mut rng, TweakHasher::default());
+                let mut r = KkrtReceiver::setup(ch, &mut rng);
                 r.bank(ch, 10, &mut rng);
                 r.shed_bank_to(3);
                 assert_eq!(r.bank_remaining(), 3);

@@ -109,8 +109,7 @@ mod wire_goldens {
         let ins = inputs.clone();
         let (key, got, _, handle) = run_protocol_captured(
             move |ch| {
-                let mut s =
-                    KkrtSender::setup(ch, &mut StdRng::seed_from_u64(21), TweakHasher::default());
+                let mut s = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(21));
                 if banked {
                     s.bank(ch, M);
                 }
@@ -118,7 +117,7 @@ mod wire_goldens {
             },
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(22);
-                let mut r = KkrtReceiver::setup(ch, &mut rng, TweakHasher::default());
+                let mut r = KkrtReceiver::setup(ch, &mut rng);
                 if banked {
                     r.bank(ch, M, &mut rng);
                 }

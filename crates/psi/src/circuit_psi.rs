@@ -346,7 +346,6 @@ pub fn psi_receiver_finish(
     pending: PsiReceiverPending,
     ring: RingCtx,
     ot: &mut OtReceiver,
-    hasher: TweakHasher,
 ) -> PsiOutput {
     let (ind_shares, payload_shares) = match pending.tail {
         ReceiverTail::Matching {
@@ -355,7 +354,7 @@ pub fn psi_receiver_finish(
             my_bits,
             gc,
         } => split_shares(evaluate_shared_finish(
-            ch, &circuit, gc, &spec, &my_bits, ot, hasher,
+            ch, &circuit, gc, &spec, &my_bits, ot,
         )),
         ReceiverTail::Routing {
             ind_shares,
@@ -379,7 +378,7 @@ pub fn psi_receiver_finish(
 /// single-phase run): when its front matches the matching circuit the
 /// evaluation consumes it, else the tables travel inline. Implemented as
 /// [`psi_receiver_begin`] + [`psi_receiver_finish`].
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments)]
 pub fn psi_receiver(
     ch: &mut Channel,
     elements: &[u64],
@@ -387,18 +386,18 @@ pub fn psi_receiver(
     ring: RingCtx,
     kkrt: &mut KkrtReceiver,
     ot: &mut OtReceiver,
-    hasher: TweakHasher,
+    _hasher: TweakHasher,
     gc_bank: &mut VecDeque<EvalMaterial>,
 ) -> PsiOutput {
     let pending = psi_receiver_begin(ch, elements, sender_size, ring, kkrt, ot, gc_bank);
-    psi_receiver_finish(ch, pending, ring, ot, hasher)
+    psi_receiver_finish(ch, pending, ring, ot)
 }
 
 /// Sender side of circuit PSI. `items` are distinct `(element, payload)`
 /// pairs with payloads already reduced into `ring`; `receiver_size` is the
 /// public size of the receiver's set. `gc_bank` mirrors the receiver's:
 /// pre-garbled material in plan order, consumed when its front matches.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments)]
 pub fn psi_sender<R: Rng + ?Sized>(
     ch: &mut Channel,
     items: &[(u64, u64)],
@@ -406,7 +405,7 @@ pub fn psi_sender<R: Rng + ?Sized>(
     ring: RingCtx,
     kkrt: &mut KkrtSender,
     ot: &mut OtSender,
-    hasher: TweakHasher,
+    _hasher: TweakHasher,
     rng: &mut R,
     gc_bank: &mut VecDeque<GarbleMaterial>,
 ) -> PsiOutput {
@@ -422,7 +421,7 @@ pub fn psi_sender<R: Rng + ?Sized>(
     // The matching circuit: this party garbles.
     let (circuit, spec) = matching_circuit(params.bins, ring.bits() as usize);
     let my_bits = words_to_bits(&interleave(&s, &w), 64);
-    let shares = garble_shared_banked(ch, gc_bank, &circuit, &spec, &my_bits, ot, hasher, rng);
+    let shares = garble_shared_banked(ch, gc_bank, &circuit, &spec, &my_bits, ot, rng);
     let (ind_shares, payload_shares) = split_shares(shares);
     PsiOutput {
         cuckoo: None,
@@ -439,7 +438,6 @@ mod tests {
     use secyan_transport::{catch_protocol, run_protocol};
 
     fn run_psi(x: Vec<u64>, y: Vec<(u64, u64)>) -> (PsiOutput, PsiOutput, RingCtx) {
-        // One hasher choice drives OT, OPRF, and garbling on both sides.
         let hasher = TweakHasher::default();
         let ring = RingCtx::new(32);
         let x_len = x.len();
@@ -447,7 +445,7 @@ mod tests {
         let (r, s, _) = run_protocol(
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(21);
-                let mut kkrt = KkrtReceiver::setup(ch, &mut rng, hasher);
+                let mut kkrt = KkrtReceiver::setup(ch, &mut rng);
                 let mut ot = OtReceiver::setup(ch, &mut rng, hasher);
                 psi_receiver(
                     ch,
@@ -462,7 +460,7 @@ mod tests {
             },
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(22);
-                let mut kkrt = KkrtSender::setup(ch, &mut rng, hasher);
+                let mut kkrt = KkrtSender::setup(ch, &mut rng);
                 let mut ot = OtSender::setup(ch, &mut rng, hasher);
                 psi_sender(
                     ch,
@@ -486,7 +484,6 @@ mod tests {
     /// long as the peer says no, nor the sender for as long as seeds come.
     #[test]
     fn seed_negotiation_gives_up_after_a_few_rejections() {
-        let hasher = TweakHasher::default();
         let x: Vec<u64> = (1..=5).collect();
         let params = |degree| PsiParams {
             bins: bin_count(5),
@@ -494,12 +491,12 @@ mod tests {
         };
         let (r, s, _) = run_protocol(
             move |ch| {
-                let mut kkrt = KkrtReceiver::setup(ch, &mut StdRng::seed_from_u64(23), hasher);
+                let mut kkrt = KkrtReceiver::setup(ch, &mut StdRng::seed_from_u64(23));
                 let honest = params(max_bin_size(3, bin_count(5)));
                 catch_protocol(|| negotiate_cuckoo(ch, &x, &honest, &mut kkrt).0.seed)
             },
             move |ch| {
-                let mut kkrt = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(24), hasher);
+                let mut kkrt = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(24));
                 catch_protocol(|| {
                     negotiate_simple(ch, &[2, 4, 6], &params(0), &mut kkrt)
                         .0

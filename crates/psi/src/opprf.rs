@@ -254,19 +254,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use secyan_crypto::TweakHasher;
     use secyan_transport::run_protocol;
 
     fn run_opprf(programs: Vec<Vec<(u64, u64)>>, queries: Vec<PsiItem>, degree: usize) -> Vec<u64> {
         let (_, out, _) = run_protocol(
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(11);
-                let mut kkrt = KkrtSender::setup(ch, &mut rng, TweakHasher::default());
+                let mut kkrt = KkrtSender::setup(ch, &mut rng);
                 opprf_program(ch, &mut kkrt, &programs, degree, &mut rng);
             },
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(12);
-                let mut kkrt = KkrtReceiver::setup(ch, &mut rng, TweakHasher::default());
+                let mut kkrt = KkrtReceiver::setup(ch, &mut rng);
                 opprf_evaluate(ch, &mut kkrt, &queries, degree)
             },
         );

@@ -20,7 +20,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 use secyan_circuit::{bits_to_words, words_to_bits, Circuit, Rows, Word};
-use secyan_crypto::{RingCtx, TweakHasher};
+use secyan_crypto::RingCtx;
 use secyan_gc::{evaluate_banked, garble_banked, EvalMaterial, GarbleMaterial, OutputMode};
 use secyan_oep::{shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin};
 use secyan_ot::{KkrtReceiver, KkrtSender, OtReceiver, OtSender};
@@ -67,7 +67,7 @@ pub fn k_circuit(bins: usize, ell: usize) -> Circuit {
 /// dependency-free messages into the same outbound super-frame before
 /// [`crate::psi_receiver_finish`] blocks. `gc_bank` holds pre-received
 /// tables in plan order (empty deque for single-phase runs).
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments)]
 pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
     ch: &mut Channel,
     elements: &[u64],
@@ -76,7 +76,6 @@ pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
     kkrt: &mut KkrtReceiver,
     ot_recv: &mut OtReceiver,
     ot_send: &mut OtSender,
-    hasher: TweakHasher,
     rng: &mut R,
     gc_bank: &mut VecDeque<EvalMaterial>,
 ) -> PsiReceiverPending {
@@ -92,7 +91,7 @@ pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
     // Step 4: evaluate the k circuit.
     let circuit = k_circuit(bins, ell);
     let mode = OutputMode::RevealToEvaluator;
-    let out_bits = evaluate_banked(ch, gc_bank, &circuit, &my_bits, ot_recv, hasher, mode)
+    let out_bits = evaluate_banked(ch, gc_bank, &circuit, &my_bits, ot_recv, mode)
         .expect("k circuit reveals to evaluator");
     let (ind_bits, k_bits) = out_bits.split_at(bins * ell);
     let ind_shares = bits_to_words(ind_bits, ell);
@@ -123,7 +122,7 @@ pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
 /// Sender side (the Y holder; also holds shares of their own payload
 /// vector, aligned by index with `elements`). `receiver_size` is public.
 /// `gc_bank` mirrors the receiver's: pre-garbled material in plan order.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments)]
 pub fn shared_payload_psi_sender<R: Rng + ?Sized>(
     ch: &mut Channel,
     elements: &[u64],
@@ -133,7 +132,6 @@ pub fn shared_payload_psi_sender<R: Rng + ?Sized>(
     kkrt: &mut KkrtSender,
     ot_send: &mut OtSender,
     ot_recv: &mut OtReceiver,
-    hasher: TweakHasher,
     rng: &mut R,
     gc_bank: &mut VecDeque<GarbleMaterial>,
 ) -> PsiOutput {
@@ -168,7 +166,7 @@ pub fn shared_payload_psi_sender<R: Rng + ?Sized>(
     my_bits.extend(words_to_bits(&swd, 64));
     let circuit = k_circuit(bins, ell);
     let mode = OutputMode::RevealToEvaluator;
-    let out = garble_banked(ch, gc_bank, &circuit, &my_bits, ot_send, hasher, rng, mode);
+    let out = garble_banked(ch, gc_bank, &circuit, &my_bits, ot_send, rng, mode);
     debug_assert!(out.is_none());
     // Step 5: second shared OEP (receiver holds ξ₂).
     let payload_shares = shared_oep_other(ch, &zprime_shares, bins, ring, ot_send, rng);
@@ -187,27 +185,29 @@ mod tests {
     use rand::SeedableRng;
     use secyan_transport::{catch_protocol, run_protocol};
 
+    use secyan_crypto::TweakHasher;
+
     const HASHER: TweakHasher = TweakHasher::Aes;
 
     /// The real receiver on a fresh set of endpoints: begin, then finish.
     fn receive(ch: &mut Channel, x: &[u64], my_shares: &[u64], ring: RingCtx) -> PsiOutput {
         let mut rng = StdRng::seed_from_u64(32);
-        let mut kkrt = KkrtReceiver::setup(ch, &mut rng, HASHER);
+        let mut kkrt = KkrtReceiver::setup(ch, &mut rng);
         let mut ot_r = OtReceiver::setup(ch, &mut rng, HASHER);
         let mut ot_s = OtSender::setup(ch, &mut rng, HASHER);
         let bank = &mut VecDeque::new();
         let (kkrt, ot_s, rng) = (&mut kkrt, &mut ot_s, &mut rng);
         let pending = shared_payload_psi_receiver_begin(
-            ch, x, my_shares, ring, kkrt, &mut ot_r, ot_s, HASHER, rng, bank,
+            ch, x, my_shares, ring, kkrt, &mut ot_r, ot_s, rng, bank,
         );
-        psi_receiver_finish(ch, pending, ring, &mut ot_r, HASHER)
+        psi_receiver_finish(ch, pending, ring, &mut ot_r)
     }
 
     /// The sender's endpoints, set up in the order complementing the
     /// receiver's: their OtReceiver pairs with our OtSender and vice versa.
     fn sender_setup(ch: &mut Channel) -> (StdRng, KkrtSender, OtSender, OtReceiver) {
         let mut rng = StdRng::seed_from_u64(33);
-        let kkrt = KkrtSender::setup(ch, &mut rng, HASHER);
+        let kkrt = KkrtSender::setup(ch, &mut rng);
         let ot_s = OtSender::setup(ch, &mut rng, HASHER);
         let ot_r = OtReceiver::setup(ch, &mut rng, HASHER);
         (rng, kkrt, ot_s, ot_r)
@@ -231,7 +231,6 @@ mod tests {
                     &mut kkrt,
                     &mut ot_s,
                     &mut ot_r,
-                    HASHER,
                     &mut rng,
                     &mut VecDeque::new(),
                 )
@@ -266,7 +265,7 @@ mod tests {
                 bits.extend(words_to_bits(&swd, 64));
                 let (circuit, mode) = (k_circuit(params.bins, 32), OutputMode::RevealToEvaluator);
                 let bank = &mut VecDeque::new();
-                garble_banked(ch, bank, &circuit, &bits, &mut ot_s, HASHER, &mut rng, mode);
+                garble_banked(ch, bank, &circuit, &bits, &mut ot_s, &mut rng, mode);
             },
         );
         match got {

@@ -46,8 +46,8 @@ fn main() {
     let mut printed = 0;
     loop {
         std::thread::sleep(Duration::from_millis(200));
-        let reports = handle.reports();
-        for report in &reports[printed..] {
+        let (reports, pushed) = handle.reports_since(printed);
+        for report in &reports {
             let peer = report
                 .peer
                 .map_or_else(|| "?".to_string(), |p| p.to_string());
@@ -79,6 +79,6 @@ fn main() {
                 }
             }
         }
-        printed = reports.len();
+        printed = pushed;
     }
 }

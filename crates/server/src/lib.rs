@@ -112,9 +112,11 @@ pub struct SessionReport {
 /// an unbounded list would grow for as long as the server lives.
 pub const MAX_REPORTS: usize = 1 << 16;
 
-/// The most recent `cap` reports, oldest first.
+/// The most recent `cap` reports, oldest first, and how many were ever
+/// pushed — the count a reader keeps as its cursor.
 struct ReportRing {
     cap: usize,
+    pushed: u64,
     reports: VecDeque<SessionReport>,
 }
 
@@ -122,6 +124,7 @@ impl ReportRing {
     fn new(cap: usize) -> ReportRing {
         ReportRing {
             cap,
+            pushed: 0,
             reports: VecDeque::new(),
         }
     }
@@ -132,10 +135,17 @@ impl ReportRing {
             self.reports.pop_front();
         }
         self.reports.push_back(report);
+        self.pushed += 1;
     }
 
-    fn snapshot(&self) -> Vec<SessionReport> {
-        self.reports.iter().cloned().collect()
+    /// The retained reports pushed after the first `seen`, oldest first,
+    /// and the count pushed so far. Reports evicted before they were read
+    /// are skipped, not replayed.
+    fn since(&self, seen: u64) -> (Vec<SessionReport>, u64) {
+        let evicted = self.pushed - self.reports.len() as u64;
+        let skip = seen.saturating_sub(evicted) as usize;
+        let new = self.reports.iter().skip(skip).cloned().collect();
+        (new, self.pushed)
     }
 }
 
@@ -157,10 +167,17 @@ impl ServerHandle {
     /// the most recent [`MAX_REPORTS`] are retained; older ones are
     /// evicted oldest first.
     pub fn reports(&self) -> Vec<SessionReport> {
+        self.reports_since(0).0
+    }
+
+    /// The reports completed after the first `seen`, in completion order,
+    /// and the number completed so far — pass it back as `seen` to read
+    /// each report once, however many the ring has evicted since.
+    pub fn reports_since(&self, seen: u64) -> (Vec<SessionReport>, u64) {
         self.reports
             .lock()
             .expect("reports lock poisoned")
-            .snapshot()
+            .since(seen)
     }
 
     /// Stop accepting and wait for in-flight sessions to finish.
@@ -350,7 +367,7 @@ mod tests {
     #[test]
     fn report_ring_evicts_oldest_first() {
         let mut ring = ReportRing::new(4);
-        let ids = |ring: &ReportRing| ring.snapshot().iter().map(|r| r.id).collect::<Vec<_>>();
+        let ids = |ring: &ReportRing| ring.since(0).0.iter().map(|r| r.id).collect::<Vec<_>>();
         for id in 0..3 {
             ring.push(report(id));
         }
@@ -360,5 +377,23 @@ mod tests {
         }
         // The four most recent, still in completion order, ids monotonic.
         assert_eq!(ids(&ring), [3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn cursor_reads_each_report_once_across_a_wrapped_ring() {
+        let mut ring = ReportRing::new(4);
+        let ids = |new: &[SessionReport]| new.iter().map(|r| r.id).collect::<Vec<_>>();
+        (0..3).for_each(|id| ring.push(report(id)));
+        let (new, seen) = ring.since(0);
+        assert_eq!((ids(&new), seen), (vec![0, 1, 2], 3));
+        // Full and wrapped: the length stays 4 while the count moves on.
+        (3..6).for_each(|id| ring.push(report(id)));
+        let (new, seen) = ring.since(seen);
+        assert_eq!((ids(&new), seen), (vec![3, 4, 5], 6));
+        assert!(ring.since(seen).0.is_empty(), "nothing new");
+        // A reader that fell more than a ring behind gets what is left.
+        (6..12).for_each(|id| ring.push(report(id)));
+        let (new, seen) = ring.since(seen);
+        assert_eq!((ids(&new), seen), (vec![8, 9, 10, 11], 12));
     }
 }

@@ -280,23 +280,13 @@ pub fn run_baseline(inst: &Instance) -> Option<u64> {
                 BASELINE_KEY_BITS,
                 ell,
                 &mut ot,
-                HASHER,
                 &mut rng,
             )
         },
         move |ch| {
             let mut rng = StdRng::seed_from_u64(sb);
             let mut ot = OtReceiver::setup(ch, &mut rng, HASHER);
-            naive_gc_evaluator(
-                ch,
-                &s2,
-                &o2,
-                &bob_rows,
-                BASELINE_KEY_BITS,
-                ell,
-                &mut ot,
-                HASHER,
-            )
+            naive_gc_evaluator(ch, &s2, &o2, &bob_rows, BASELINE_KEY_BITS, ell, &mut ot)
         },
     );
     assert_eq!(a, b, "baseline parties decode different aggregates");

@@ -17,7 +17,6 @@ use secyan_psi::{psi_receiver, psi_sender};
 use secyan_transport::{run_protocol, ReadExt, WriteExt};
 
 fn main() {
-    // One hasher choice drives OT, OPRF, and garbling on both sides.
     let hasher = TweakHasher::default();
     let ring = RingCtx::new(32);
     // Alice's customer ids.
@@ -31,7 +30,7 @@ fn main() {
     let (alice_total, bob_view, stats) = run_protocol(
         move |ch| {
             let mut rng = StdRng::seed_from_u64(1);
-            let mut kkrt = secyan_ot::KkrtReceiver::setup(ch, &mut rng, hasher);
+            let mut kkrt = secyan_ot::KkrtReceiver::setup(ch, &mut rng);
             let mut ot = secyan_ot::OtReceiver::setup(ch, &mut rng, hasher);
             let out = psi_receiver(
                 ch,
@@ -54,7 +53,7 @@ fn main() {
         },
         move |ch| {
             let mut rng = StdRng::seed_from_u64(2);
-            let mut kkrt = secyan_ot::KkrtSender::setup(ch, &mut rng, hasher);
+            let mut kkrt = secyan_ot::KkrtSender::setup(ch, &mut rng);
             let mut ot = secyan_ot::OtSender::setup(ch, &mut rng, hasher);
             let out = psi_sender(
                 ch,

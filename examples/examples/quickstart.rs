@@ -80,11 +80,11 @@ fn main() {
     let q2 = query.clone();
     let (alice_result, _, stats) = run_protocol(
         move |ch| {
-            let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 1);
+            let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 1);
             secure_yannakakis(&mut sess, &query, &[Some(r1), None, Some(r3)], Role::Alice)
         },
         move |ch| {
-            let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Sha256, 2);
+            let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 2);
             // Bob passes only his own relation; he learns nothing but sizes.
             secure_yannakakis(&mut sess, &q2, &[None, Some(r2), None], Role::Alice)
         },

@@ -54,7 +54,7 @@ fn main() {
             let mut sess = Session::new(
                 ch,
                 RingCtx::new(32),
-                TweakHasher::Sha256,
+                TweakHasher::Aes,
                 role.is_alice() as u64,
             );
             let mut aligned = Vec::new();

@@ -48,11 +48,11 @@ fn main() {
     let t0 = Instant::now();
     let (rows, _, stats) = run_protocol(
         move |ch| {
-            let mut sess = secyan_core::Session::new(ch, RingCtx::new(32), TweakHasher::Fast, 1);
+            let mut sess = secyan_core::Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 1);
             run_secure_instance(&mut sess, &sa)
         },
         move |ch| {
-            let mut sess = secyan_core::Session::new(ch, RingCtx::new(32), TweakHasher::Fast, 2);
+            let mut sess = secyan_core::Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 2);
             run_secure_instance(&mut sess, &sb)
         },
     );

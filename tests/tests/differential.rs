@@ -286,8 +286,7 @@ fn phase_split_consumes_exactly_what_it_banks() {
                 let (query, rels) = (inst.query(), inst.party_relations(ch.role()));
                 let m = run_offline(ch, &query, &inst.sizes(), Role::Alice, ring, hasher, seed);
                 let banked = m.ot_extended();
-                let (res, left) =
-                    run_online_leftover(ch, &query, &rels, Role::Alice, ring, hasher, m);
+                let (res, left) = run_online_leftover(ch, &query, &rels, Role::Alice, ring, m);
                 let extended = left.ot_extended();
                 let leftover = Leftover {
                     circuits: left.circuits_banked(),

@@ -157,7 +157,6 @@ fn iknp_extension_transcript_is_thread_count_invariant() {
 fn run_opprf() -> (Vec<u64>, Transcript) {
     const BINS: usize = 2048;
     const DEGREE: usize = 8;
-    let hasher = TweakHasher::default();
     let programs: Vec<Vec<(u64, u64)>> = (0..BINS as u64)
         .map(|b| {
             (0..4)
@@ -171,12 +170,12 @@ fn run_opprf() -> (Vec<u64>, Transcript) {
     let ((), out, _, handle) = run_protocol_captured(
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-            let mut kkrt = secyan_ot::KkrtSender::setup(ch, &mut rng, hasher);
+            let mut kkrt = secyan_ot::KkrtSender::setup(ch, &mut rng);
             secyan_psi::opprf::opprf_program(ch, &mut kkrt, &programs, DEGREE, &mut rng);
         },
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(32);
-            let mut kkrt = secyan_ot::KkrtReceiver::setup(ch, &mut rng, hasher);
+            let mut kkrt = secyan_ot::KkrtReceiver::setup(ch, &mut rng);
             secyan_psi::opprf::opprf_evaluate(ch, &mut kkrt, &queries, DEGREE)
         },
     );

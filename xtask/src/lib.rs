@@ -103,7 +103,7 @@ pub fn loc_by_crate(root: &Path) -> std::io::Result<BTreeMap<String, usize>> {
 
 /// Run the taint pass (see [`taint`]) over the whole workspace tree rooted
 /// at `root`. Returns findings in path/line order.
-pub fn taint_workspace(root: &Path, cfg: &taint::TaintConfig) -> std::io::Result<Vec<Finding>> {
+pub fn taint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     for sub in SOURCE_ROOTS {
         collect_rs(root, &root.join(sub), &mut files);
@@ -114,7 +114,7 @@ pub fn taint_workspace(root: &Path, cfg: &taint::TaintConfig) -> std::io::Result
         let rel_str = rel
             .to_string_lossy()
             .replace(std::path::MAIN_SEPARATOR, "/");
-        findings.extend(taint::taint_source(&rel_str, &src, cfg));
+        findings.extend(taint::taint_source(&rel_str, &src));
     }
     Ok(findings)
 }
@@ -183,9 +183,9 @@ pub fn check_fixtures(dir: &Path) -> std::io::Result<Vec<String>> {
 
 /// Fixture check against the taint rules and `taint-expect:` annotations.
 /// See [`check_fixtures_with`].
-pub fn check_taint_fixtures(dir: &Path, cfg: &taint::TaintConfig) -> std::io::Result<Vec<String>> {
+pub fn check_taint_fixtures(dir: &Path) -> std::io::Result<Vec<String>> {
     check_fixtures_with(dir, "taint-expect:", &|rel, src| {
-        taint::taint_source(rel, src, cfg)
+        taint::taint_source(rel, src)
     })
 }
 

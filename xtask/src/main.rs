@@ -3,7 +3,6 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::taint::TaintConfig;
 use xtask::{
     check_fixtures, check_taint_fixtures, diff_baseline, find_workspace_root, lint_workspace,
     loc_by_crate, parse_baseline, render_baseline, sarif, taint_workspace,
@@ -29,7 +28,6 @@ Options:
   --fixtures          self-test against the command's fixture annotations
   --root <dir>        workspace root (default: auto-detected)
   --sarif <path>      also write findings as SARIF 2.1.0 (for CI upload)
-  --source <name>     (taint) add a taint-source function name; repeatable
 
 Exit codes: 0 clean, 1 findings / stale baseline / fixture mismatch,
 2 usage or IO error.";
@@ -39,16 +37,14 @@ struct Opts {
     fixtures: bool,
     root: Option<PathBuf>,
     sarif: Option<PathBuf>,
-    extra_sources: Vec<String>,
 }
 
-fn parse_opts(args: &[String], taint_mode: bool) -> Result<Opts, String> {
+fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         update: false,
         fixtures: false,
         root: None,
         sarif: None,
-        extra_sources: Vec::new(),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -62,10 +58,6 @@ fn parse_opts(args: &[String], taint_mode: bool) -> Result<Opts, String> {
             "--sarif" => match it.next() {
                 Some(p) => opts.sarif = Some(PathBuf::from(p)),
                 None => return Err("--sarif needs a path".into()),
-            },
-            "--source" if taint_mode => match it.next() {
-                Some(s) => opts.extra_sources.push(s.clone()),
-                None => return Err("--source needs a function name".into()),
             },
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -87,7 +79,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let opts = match parse_opts(&args[1..], taint_mode) {
+    let opts = match parse_opts(&args[1..]) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("{e}\n{USAGE}");
@@ -120,9 +112,6 @@ fn main() -> ExitCode {
         };
     }
 
-    let mut cfg = TaintConfig::default();
-    cfg.sources.extend(opts.extra_sources.iter().cloned());
-
     // Tool-specific wiring: fixture directory, baseline file, suppression
     // tag, and the remediation hint printed on failure.
     let (fixture_dir, baseline_file, ok_tag, hint) = if taint_mode {
@@ -149,7 +138,7 @@ fn main() -> ExitCode {
     if opts.fixtures {
         let dir = root.join(fixture_dir);
         let result = if taint_mode {
-            check_taint_fixtures(&dir, &cfg)
+            check_taint_fixtures(&dir)
         } else {
             check_fixtures(&dir)
         };
@@ -173,7 +162,7 @@ fn main() -> ExitCode {
     }
 
     let findings = if taint_mode {
-        taint_workspace(&root, &cfg)
+        taint_workspace(&root)
     } else {
         lint_workspace(&root)
     };

@@ -6,8 +6,8 @@
 //! through two `let`s into a branch condition is invisible to ct-lint and
 //! caught here.
 //!
-//! **Sources** (configurable, see [`TaintConfig`]):
-//! - results of calls on the source list — `expose` (the `Secret<T>` /
+//! **Sources**:
+//! - results of calls on the source list ([`SOURCES`]) — `expose` (the `Secret<T>` /
 //!   `SecretBlock` declassification point), `draw_pads` (IKNP pad
 //!   derivation), `derive_key` (base-OT key derivation), `input_label`
 //!   (GC label lookup);
@@ -56,27 +56,8 @@ use crate::rules::{Finding, SECRET_MARKERS, SECRET_SCOPE};
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-/// Configuration for the taint pass. `Default` gives the reviewed source
-/// list; `--source <name>` on the CLI appends to it.
-#[derive(Debug, Clone)]
-pub struct TaintConfig {
-    /// Call names whose results are secret-tainted.
-    pub sources: Vec<String>,
-    /// Treat marker-named parameters in secret-scope crates as tainted.
-    pub marker_params: bool,
-}
-
-impl Default for TaintConfig {
-    fn default() -> TaintConfig {
-        TaintConfig {
-            sources: ["expose", "draw_pads", "derive_key", "input_label"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            marker_params: true,
-        }
-    }
-}
+/// Call names whose results are secret-tainted: the reviewed source list.
+pub const SOURCES: &[&str] = &["expose", "draw_pads", "derive_key", "input_label"];
 
 /// Send-like calls whose payload shape is wire-visible.
 const SEND_SINKS: &[&str] = &["send", "send_blocks", "send_bytes"];
@@ -162,7 +143,7 @@ struct Sink {
 }
 
 /// Run the taint pass over one file's source text.
-pub fn taint_source(rel_path: &str, src: &str, cfg: &TaintConfig) -> Vec<Finding> {
+pub fn taint_source(rel_path: &str, src: &str) -> Vec<Finding> {
     if !rel_path.starts_with("crates/") {
         return Vec::new();
     }
@@ -200,7 +181,7 @@ pub fn taint_source(rel_path: &str, src: &str, cfg: &TaintConfig) -> Vec<Finding
                 }
             }
         }
-        analyze_fn(f, &toks, &fmask, cfg, in_scope, &mut keyed);
+        analyze_fn(f, &toks, &fmask, in_scope, &mut keyed);
     }
 
     let mut out = Vec::new();
@@ -272,7 +253,6 @@ fn analyze_fn(
     f: &crate::parse::FnItem,
     toks: &[Tok],
     mask: &[bool],
-    cfg: &TaintConfig,
     in_scope: bool,
     keyed: &mut BTreeSet<(usize, &'static str)>,
 ) {
@@ -281,7 +261,7 @@ fn analyze_fn(
 
     // --- Forward taint fixpoint -------------------------------------------
     let mut tainted: BTreeSet<String> = BTreeSet::new();
-    if cfg.marker_params && in_scope {
+    if in_scope {
         for p in &f.params {
             if ident_words(p)
                 .iter()
@@ -294,7 +274,7 @@ fn analyze_fn(
     loop {
         let before = tainted.len();
         for ev in &events {
-            if range_tainted(toks, mask, ev.rhs.clone(), &tainted, cfg) {
+            if range_tainted(toks, mask, ev.rhs.clone(), &tainted) {
                 for l in &ev.lhs {
                     tainted.insert(l.clone());
                 }
@@ -333,7 +313,7 @@ fn analyze_fn(
 
     // --- Control-flow sinks -----------------------------------------------
     for s in &sinks {
-        if range_tainted(toks, mask, s.cond.clone(), &tainted, cfg) {
+        if range_tainted(toks, mask, s.cond.clone(), &tainted) {
             keyed.insert((s.line, s.rule));
         }
     }
@@ -355,7 +335,7 @@ fn analyze_fn(
             continue;
         }
         let close = matching_close(toks, j);
-        if range_tainted(toks, mask, j + 1..close, &tainted, cfg) {
+        if range_tainted(toks, mask, j + 1..close, &tainted) {
             keyed.insert((toks[j].line, "T-INDEX"));
         }
     }
@@ -363,7 +343,7 @@ fn analyze_fn(
     // --- Communication-shape sinks ----------------------------------------
     for r in &send_args {
         for (lp, line) in len_positions(toks, mask, r.clone()) {
-            if range_tainted(toks, mask, lp, &tainted, cfg) {
+            if range_tainted(toks, mask, lp, &tainted) {
                 keyed.insert((line, "T-COMM"));
             }
         }
@@ -371,7 +351,7 @@ fn analyze_fn(
     for ev in &events {
         if ev.lhs.iter().any(|l| fs.contains(l)) {
             for (lp, line) in len_positions(toks, mask, ev.rhs.clone()) {
-                if range_tainted(toks, mask, lp, &tainted, cfg) {
+                if range_tainted(toks, mask, lp, &tainted) {
                     keyed.insert((line, "T-COMM"));
                 }
             }
@@ -393,7 +373,7 @@ fn analyze_fn(
         }
         let close = matching_close(toks, j + 1);
         let first_end = find_at_depth0(toks, j + 2, close, &[","]).min(close);
-        if range_tainted(toks, mask, j + 2..first_end, &tainted, cfg) {
+        if range_tainted(toks, mask, j + 2..first_end, &tainted) {
             keyed.insert((toks[j].line, "T-COMM"));
         }
     }
@@ -844,7 +824,6 @@ fn range_tainted(
     mask: &[bool],
     range: Range<usize>,
     tainted: &BTreeSet<String>,
-    cfg: &TaintConfig,
 ) -> bool {
     let end = range.end.min(toks.len());
     for j in range.start..end {
@@ -852,8 +831,7 @@ fn range_tainted(
             continue;
         }
         let t = toks[j].text.as_str();
-        let is_source_call =
-            cfg.sources.iter().any(|s| s == t) && toks.get(j + 1).is_some_and(|n| n.text == "(");
+        let is_source_call = SOURCES.contains(&t) && toks.get(j + 1).is_some_and(|n| n.text == "(");
         if is_source_call {
             let close = matching_close(toks, j + 1);
             if !len_escaped(toks, close + 1) {
@@ -883,7 +861,7 @@ mod tests {
     use super::*;
 
     fn taint(path: &str, src: &str) -> Vec<Finding> {
-        taint_source(path, src, &TaintConfig::default())
+        taint_source(path, src)
     }
 
     fn rules_of(f: &[Finding]) -> Vec<&'static str> {
@@ -1155,17 +1133,5 @@ mod tests {
             "fn f(s: Secret<u64>) { if s.expose() > 0 { g(); } }",
         );
         assert!(f.is_empty());
-    }
-
-    #[test]
-    fn source_list_configurable() {
-        let mut cfg = TaintConfig::default();
-        cfg.sources.push("my_secret_fn".into());
-        let f = taint_source(
-            "crates/relation/src/x.rs",
-            "fn f() {\n let v = my_secret_fn();\n if v > 0 { g(); }\n}",
-            &cfg,
-        );
-        assert_eq!(rules_of(&f), ["T-BRANCH"]);
     }
 }

@@ -79,8 +79,7 @@ fn workspace_lint_matches_checked_in_baseline() {
 #[test]
 fn taint_fixtures_all_caught_no_false_positives() {
     let dir = workspace_root().join("tests/taint_fixtures");
-    let cfg = xtask::taint::TaintConfig::default();
-    let problems = xtask::check_taint_fixtures(&dir, &cfg).expect("fixtures readable");
+    let problems = xtask::check_taint_fixtures(&dir).expect("fixtures readable");
     assert!(
         problems.is_empty(),
         "taint fixture mismatches:\n{}",
@@ -91,7 +90,6 @@ fn taint_fixtures_all_caught_no_false_positives() {
 #[test]
 fn taint_fixture_findings_cover_every_rule() {
     let dir = workspace_root().join("tests/taint_fixtures");
-    let cfg = xtask::taint::TaintConfig::default();
     let mut rules: Vec<&str> = Vec::new();
     let mut stack = vec![dir.clone()];
     while let Some(d) = stack.pop() {
@@ -106,7 +104,7 @@ fn taint_fixture_findings_cover_every_rule() {
                     .to_string_lossy()
                     .replace(std::path::MAIN_SEPARATOR, "/");
                 let src = std::fs::read_to_string(&p).expect("readable");
-                for f in xtask::taint::taint_source(&rel, &src, &cfg) {
+                for f in xtask::taint::taint_source(&rel, &src) {
                     rules.push(f.rule);
                 }
             }
@@ -123,8 +121,7 @@ fn taint_fixture_findings_cover_every_rule() {
 #[test]
 fn workspace_taint_matches_checked_in_baseline() {
     let root = workspace_root();
-    let cfg = xtask::taint::TaintConfig::default();
-    let findings = xtask::taint_workspace(&root, &cfg).expect("workspace readable");
+    let findings = xtask::taint_workspace(&root).expect("workspace readable");
     let baseline_text = std::fs::read_to_string(root.join("taint.allow")).unwrap_or_default();
     let baseline = xtask::parse_baseline(&baseline_text);
     let diff = xtask::diff_baseline(findings, &baseline);
