@@ -11,43 +11,19 @@
 //! * **cross-party** — `R_F` and `R_G` owned by different parties: PSI
 //!   (with plain payloads while `R_G`'s annotations are still owner-known,
 //!   §6.5; with secret-shared payloads otherwise, §5.5) aligns `R_G`'s
-//!   annotations with `R_F`'s cuckoo bins, then an OEP and a product
-//!   circuit finish the job;
+//!   annotations with `R_F`'s cuckoo bins, then an OEP and a share
+//!   multiplication finish the job;
 //! * **same-party** — no PSI needed: the owner matches tuples locally and
-//!   a single OEP + product circuit does the rest.
+//!   a single OEP + multiplication does the rest.
+//!
+//! The product `v ⊗ z` is ring arithmetic on additive shares, so it runs
+//! on the shares ([`Session::multiply`]: correlated OTs), not in a circuit.
 
 use crate::session::Session;
 use crate::shape::{Draws, RelHeader};
 use crate::srel::{dummy_key, SecureRelation};
-use secyan_circuit::{words_to_bits, Circuit};
-use secyan_gc::{with_shared_rows, SharedOutputSpec};
 use secyan_psi::CuckooTable;
 use std::collections::HashMap;
-
-/// The product circuit: out_i = v_i ⊗ z_i as fresh shares. When
-/// `v_plain`, the garbler (the `R_F` owner) feeds v_i in the clear (§6.5);
-/// otherwise v_i enters as shares from both parties. z_i always enters as
-/// shares.
-pub(crate) fn product_circuit(n: usize, ell: usize, v_plain: bool) -> (Circuit, SharedOutputSpec) {
-    with_shared_rows(n, &[ell], |c| {
-        let (va, za) = (c.alice(n, ell), c.alice(n, ell));
-        let vb = (!v_plain).then(|| c.bob(n, ell));
-        let zb = c.bob(n, ell);
-        let product = c.segment(n, |b| {
-            let (va, za) = (b.read(va), b.read(za));
-            let vb = vb.map(|vb| b.read(vb));
-            let zb = b.read(zb);
-            let v = match vb {
-                Some(vb) => b.add_words(&va, &vb),
-                None => va,
-            };
-            let z = b.add_words(&za, &zb);
-            let vz = b.mul_words(&v, &z);
-            b.output_word(&vz);
-        });
-        vec![product]
-    })
-}
 
 /// Map each R_F row to the cuckoo bin holding its join key (bin 0 for
 /// dummy rows — their annotation is 0, so the product kills the payload).
@@ -87,8 +63,8 @@ pub(crate) struct ReduceJoinStep {
     /// Header of the output: `R_F`'s, with the annotations now shared.
     pub out: RelHeader,
     pub path: JoinPath,
-    /// `R_F`'s annotations are still owner-known, so its owner — the
-    /// product circuit's garbler — feeds them in the clear (§6.5).
+    /// `R_F`'s annotations are still owner-known, so its owner multiplies
+    /// by them in the clear (§6.5).
     pub v_plain: bool,
     g_size: usize,
     ell: usize,
@@ -116,10 +92,6 @@ pub(crate) fn reduce_join_step(rf: &RelHeader, rg: &RelHeader, ell: usize) -> Re
 }
 
 impl ReduceJoinStep {
-    fn product(&self) -> (Circuit, SharedOutputSpec) {
-        product_circuit(self.out.size, self.ell, self.v_plain)
-    }
-
     pub(crate) fn draws(&self) -> Draws {
         let mut d = Draws::default();
         let (f, n) = (self.out.owner, self.out.size);
@@ -133,7 +105,7 @@ impl ReduceJoinStep {
                 d.oep(f, bins, n);
             }
         }
-        d.garble(self.product().0, f);
+        d.multiply(f, n, self.ell, self.v_plain);
         d
     }
 }
@@ -248,15 +220,8 @@ pub fn oblivious_reduce_join(
         }
     };
 
-    // Product circuit: new annotations [v ⊗ z], garbled by the R_F owner.
-    // While `v_plain` only the owner feeds v.
-    let mut words = Vec::with_capacity(2 * n);
-    if i_own_f || !step.v_plain {
-        words.extend_from_slice(rf.my_annots());
-    }
-    words.extend(my_z);
-    let (circuit, spec) = step.product();
-    let out_shares = sess.garble_shared(&circuit, &spec, f, &words_to_bits(&words, ell));
+    // New annotations [v ⊗ z], multiplied on the shares.
+    let out_shares = sess.multiply(f, rf.my_annots(), &my_z, step.v_plain);
     SecureRelation {
         tuples: rf.tuples.clone(),
         dummy: rf.dummy.clone(),
@@ -277,30 +242,271 @@ pub fn oblivious_semijoin(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::in_role_order;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use secyan_circuit::{words_to_bits, Circuit};
     use secyan_crypto::{RingCtx, TweakHasher};
+    use secyan_gc::{with_shared_rows, SharedOutputSpec};
     use secyan_relation::{NaturalRing, Relation};
-    use secyan_transport::{run_protocol, Role};
+    use secyan_transport::{run_protocol, Channel, Role};
 
     fn strings(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
     }
 
-    /// A product circuit is its row template and a count: a million rows
-    /// store — and cost to build — what one row does.
+    /// The garbled multiplier [`Session::multiply`] replaced, kept as its
+    /// reference: out_i = v_i ⊗ z_i as fresh shares, the garbler feeding
+    /// v_i in the clear when `v_plain`.
+    fn product_circuit(n: usize, ell: usize, v_plain: bool) -> (Circuit, SharedOutputSpec) {
+        with_shared_rows(n, &[ell], |c| {
+            let (va, za) = (c.alice(n, ell), c.alice(n, ell));
+            let vb = (!v_plain).then(|| c.bob(n, ell));
+            let zb = c.bob(n, ell);
+            let product = c.segment(n, |b| {
+                let (va, za) = (b.read(va), b.read(za));
+                let vb = vb.map(|vb| b.read(vb));
+                let zb = b.read(zb);
+                let v = match vb {
+                    Some(vb) => b.add_words(&va, &vb),
+                    None => va,
+                };
+                let z = b.add_words(&za, &zb);
+                let vz = b.mul_words(&v, &z);
+                b.output_word(&vz);
+            });
+            vec![product]
+        })
+    }
+
+    /// Shared inputs of one multiplication case: the values, and each
+    /// party's `(v, z)` — the owner holding `v` in the clear when `v_plain`.
+    type Shares = (Vec<u64>, Vec<u64>);
+    fn shared_inputs(
+        ring: RingCtx,
+        n: usize,
+        owner: Role,
+        v_plain: bool,
+        seed: u64,
+    ) -> (Shares, Shares, Shares) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let v: Vec<u64> = (0..n).map(|_| ring.random(&mut rng)).collect();
+        let z: Vec<u64> = (0..n).map(|_| ring.random(&mut rng)).collect();
+        let (mut v_own, mut v_peer) = ring.share_vec(&v, &mut rng);
+        if v_plain {
+            (v_own, v_peer) = (v.clone(), vec![0; n]);
+        }
+        let (z_own, z_peer) = ring.share_vec(&z, &mut rng);
+        let (own, peer) = ((v_own, z_own), (v_peer, z_peer));
+        match owner {
+            Role::Alice => ((v, z), own, peer),
+            Role::Bob => ((v, z), peer, own),
+        }
+    }
+
+    type Multiplier = fn(&mut Session, Role, &[u64], &[u64], bool) -> Vec<u64>;
+    const MULTIPLY: Multiplier = |sess, owner, v, z, v_plain| sess.multiply(owner, v, z, v_plain);
+
+    /// The reference multiplier: the product circuit through
+    /// `garble_shared`, fed v (unless it is plain and not mine) then z.
+    fn garbled_product(
+        sess: &mut Session,
+        owner: Role,
+        v: &[u64],
+        z: &[u64],
+        v_plain: bool,
+    ) -> Vec<u64> {
+        let ell = sess.ring.bits() as usize;
+        let (circuit, spec) = product_circuit(v.len(), ell, v_plain);
+        let v = if v_plain && sess.role() != owner {
+            &[]
+        } else {
+            v
+        };
+        let bits = words_to_bits(&[v, z].concat(), ell);
+        sess.garble_shared(&circuit, &spec, owner, &bits)
+    }
+
+    /// `Session::multiply` from a bank of exactly what `Draws::multiply`
+    /// books, which it must empty without extending anything.
+    fn banked_multiply(
+        sess: &mut Session,
+        owner: Role,
+        v: &[u64],
+        z: &[u64],
+        v_plain: bool,
+    ) -> Vec<u64> {
+        let me = sess.role();
+        let mut draws = Draws::default();
+        draws.multiply(owner, v.len(), sess.ring.bits() as usize, v_plain);
+        assert!(draws.circuits.is_empty() && draws.ot.of(owner.peer()) == 0);
+        let (out, inn) = (draws.ot.of(me), draws.ot.of(me.peer()));
+        in_role_order(
+            me,
+            sess,
+            |s| s.ot_send.bank(s.ch, out),
+            |s| s.ot_recv.bank(s.ch, inn, &mut s.rng),
+        );
+        let extended = |s: &Session| (s.ot_send.extended(), s.ot_recv.extended());
+        let before = extended(sess);
+        let shares = sess.multiply(owner, v, z, v_plain);
+        assert_eq!(extended(sess), before, "the bank covers the step");
+        let left = (sess.ot_send.bank_remaining(), sess.ot_recv.bank_remaining());
+        assert_eq!(left, (0, 0), "the step empties the bank");
+        shares
+    }
+
+    const CASES: [(bool, usize); 8] = [
+        (false, 0),
+        (false, 1),
+        (false, 7),
+        (false, 40),
+        (true, 0),
+        (true, 1),
+        (true, 7),
+        (true, 40),
+    ];
+
+    /// `Session::multiply` — single-shot and against a provisioned bank —
+    /// agrees with the garbled multiplier and with `RingCtx::mul` on the
+    /// same shared inputs.
     #[test]
-    fn product_circuit_stores_one_row_whatever_the_count() {
-        let stored = |c: &Circuit| -> usize { c.segments().iter().map(|s| s.gates.len()).sum() };
-        let (one, _) = product_circuit(1, 32, false);
-        let (many, spec) = product_circuit(1 << 20, 32, false);
-        assert_eq!(stored(&many), stored(&one));
-        assert_eq!(one.and_count(), 1086, "multiplier, two adders, mask adder");
-        assert_eq!(many.and_count(), 1086 << 20);
-        assert_eq!(many.bob_inputs, 64 << 20);
-        assert_eq!(spec.widths.len(), 1 << 20);
-        assert_ne!(many.digest(), one.digest());
+    fn multiply_matches_the_garbled_product_and_the_ring() {
+        let kinds: [(&str, Multiplier); 3] = [
+            ("fresh", MULTIPLY),
+            ("banked", banked_multiply),
+            ("garbled", garbled_product),
+        ];
+        for (ell, owner) in [
+            (1, Role::Alice),
+            (20, Role::Bob),
+            (32, Role::Alice),
+            (32, Role::Bob),
+            (64, Role::Alice),
+            (64, Role::Bob),
+        ] {
+            let ring = RingCtx::new(ell);
+            let party = |seed: u64| {
+                move |ch: &mut Channel| {
+                    let mut sess = Session::new(ch, ring, TweakHasher::Aes, seed);
+                    let mut outs = Vec::new();
+                    for (case, (v_plain, n)) in CASES.into_iter().enumerate() {
+                        let (_, a, b) = shared_inputs(ring, n, owner, v_plain, case as u64);
+                        let (v, z) = if sess.role() == Role::Alice { a } else { b };
+                        outs.push(kinds.map(|(_, mult)| mult(&mut sess, owner, &v, &z, v_plain)));
+                    }
+                    outs
+                }
+            };
+            let (a, b, _) = run_protocol(party(71), party(72));
+            for (case, (v_plain, n)) in CASES.into_iter().enumerate() {
+                let ((v, z), _, _) = shared_inputs(ring, n, owner, v_plain, case as u64);
+                let want: Vec<u64> = v.iter().zip(&z).map(|(&v, &z)| ring.mul(v, z)).collect();
+                for (k, (what, _)) in kinds.iter().enumerate() {
+                    let got = ring.reconstruct_vec(&a[case][k], &b[case][k]);
+                    assert_eq!(
+                        got, want,
+                        "{what}: ℓ={ell} {owner:?} v_plain={v_plain} n={n}"
+                    );
+                }
+                // Fresh shares: overwhelmingly not the product itself.
+                assert!(n < 7 || ell < 20 || a[case][0] != want);
+            }
+        }
+    }
+
+    /// What a product step no longer ships: the tables, the garbler's
+    /// labels, the decode bits, and two labels per OT where one ring
+    /// element now travels. The choice corrections are the same message.
+    #[test]
+    fn multiply_ships_one_word_per_ot_and_nothing_else() {
+        let n = 7;
+        for (ell, v_plain, ands_per_row) in [
+            (32, false, 1086),
+            (32, true, 1055),
+            (64, false, 4222),
+            (64, true, 4159),
+        ] {
+            let ring = RingCtx::new(ell as u32);
+            let bytes = |mult: Multiplier| {
+                let party = |seed: u64| {
+                    move |ch: &mut Channel| {
+                        let mut sess = Session::new(ch, ring, TweakHasher::Aes, seed);
+                        let (_, a, b) = shared_inputs(ring, n, Role::Bob, v_plain, 5);
+                        let (v, z) = if sess.role() == Role::Alice { a } else { b };
+                        mult(&mut sess, Role::Bob, &v, &z, v_plain);
+                    }
+                };
+                run_protocol(party(73), party(74)).2.total_bytes() as usize
+            };
+            let (circuit, _) = product_circuit(n, ell, v_plain);
+            assert_eq!(circuit.and_count() as usize, ands_per_row * n);
+            let ots = circuit.bob_inputs;
+            let saved = 32 * ands_per_row * n
+                + 16 * circuit.alice_inputs
+                + circuit.output_count().div_ceil(8)
+                + (32 - ell / 8) * ots;
+            assert_eq!(bytes(garbled_product) - bytes(MULTIPLY), saved);
+        }
+    }
+
+    /// A bank shed mid-query below the product step's batch: both parties
+    /// fall back to a fresh extension for it at once, and the result holds.
+    #[test]
+    fn shed_bank_multiplies_on_a_fresh_extension() {
+        use crate::preproc::{run_offline, run_online_leftover};
+        let ring = NaturalRing::paper_default();
+        let r1 = Relation::from_rows(
+            ring,
+            strings(&["a"]),
+            (0..6).map(|i| (vec![i], i + 2)).collect(),
+        );
+        let r2 = Relation::from_rows(
+            ring,
+            strings(&["a", "b"]),
+            (0..8).map(|i| (vec![i, 100 + i], 3 * i + 1)).collect(),
+        );
+        let want: u64 = (0..6).map(|i| (i + 2) * (3 * i + 1)).sum();
+        let query = crate::SecureQuery::new(
+            vec![strings(&["a"]), strings(&["a", "b"])],
+            vec![Role::Alice, Role::Bob],
+            secyan_relation::JoinTree::new(vec![Some(1), None]),
+            Vec::new(),
+        );
+        // R2 ⋈ R1 multiplies 8 rows by plain v: 256 OTs, Bob sending.
+        let step_ots = 8 * 32;
+        let party = |seed: u64, rels: [Option<Relation<NaturalRing>>; 2]| {
+            let query = &query;
+            move |ch: &mut Channel| {
+                let ring = RingCtx::new(32);
+                let mut m = run_offline(
+                    ch,
+                    query,
+                    &[6, 8],
+                    Role::Alice,
+                    ring,
+                    TweakHasher::Aes,
+                    seed,
+                );
+                m.shed(0, step_ots - 1);
+                let before = m.ot_extended();
+                let (res, left) = run_online_leftover(ch, query, &rels, Role::Alice, ring, m);
+                let after = left.ot_extended();
+                (res.values, (after.0 - before.0, after.1 - before.1))
+            }
+        };
+        let ((values, alice), (_, bob), _) =
+            run_protocol(party(75, [Some(r1), None]), party(76, [None, Some(r2)]));
+        assert_eq!(values, [want]);
+        assert!(
+            bob.0 >= step_ots as u64,
+            "Bob extended {} OTs inline",
+            bob.0
+        );
         assert_eq!(
-            many.digest(),
-            product_circuit(1 << 20, 32, false).0.digest()
+            (alice.1, alice.0),
+            bob,
+            "both sides fell back on the same batches"
         );
     }
 

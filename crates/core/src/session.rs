@@ -1,23 +1,24 @@
 //! Per-party protocol session state — and the only module that knows which
 //! of its handles a building block draws from.
 //!
-//! The operators of §6 are written over three verbs, one per building
-//! block of §5, each a [`Session`] method that names the acting role and
-//! hides the dispatch on it:
+//! The operators of §6 are written over four verbs — one per building
+//! block of §5, and the ring product of §6.2 — each a [`Session`] method
+//! that names the acting role and hides the dispatch on it:
 //!
 //! | verb | methods | draws |
 //! |---|---|---|
 //! | circuit (§5.2) | [`Session::garble`], [`Session::garble_shared`] | the front of the garbler's / evaluator's pre-garbled bank when it matches; one OT per evaluator input wire, garbler sending |
 //! | OEP (§5.4) | [`Session::oep`], or [`Session::oep_begin`] + [`Session::oep_finish`] on the router's side | one OT per switch, the router's peer sending |
 //! | PSI (§5.3, §5.5) | [`Session::psi_receiver_begin`] + [`Session::psi_receiver_finish`], [`Session::psi_sender`] | 2·bins KKRT instances keyed by the sender, the matching / k circuit garbled by the sender, and for shared payloads two more OEPs |
+//! | multiply (§6.2) | [`Session::multiply`] | ℓ correlated OTs per cross term per row, the owner sending; no circuit |
 //!
-//! `crate::shape::Draws` has the same three verbs and counts what each
+//! `crate::shape::Draws` has the same four verbs and counts what each
 //! call here consumes; `preproc.rs` banks exactly that.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secyan_circuit::Circuit;
-use secyan_crypto::{RingCtx, TweakHasher};
+use secyan_crypto::{RingCtx, Secret, TweakHasher};
 use secyan_gc::{
     evaluate_banked, evaluate_shared_banked, garble_banked, garble_shared_banked, EvalMaterial,
     GarbleMaterial, OutputMode, SharedOutputSpec,
@@ -222,6 +223,45 @@ impl<'a> Session<'a> {
     /// Router's second half: receive the masked values and finish.
     pub fn oep_finish(&mut self, pending: OepPending, my_shares: &[u64]) -> Vec<u64> {
         shared_oep_perm_holder_finish(self.ch, pending, my_shares, self.ring, &mut self.ot_recv)
+    }
+
+    /// **Multiply** (§6.2): fresh shares of `v_i · z_i` from this party's
+    /// shares of both, by OT multiplication (Gilboa) rather than a
+    /// circuit. `(v_A + v_B)(z_A + z_B)` is two local products plus the
+    /// cross terms `v_A·z_B` and `z_A·v_B`; for each, `owner` sends ℓ
+    /// correlated OTs per row — bit k of the peer's share selects
+    /// `2^k ·` the owner's — keeps `−Σ r` and the peer receives
+    /// `Σ r + cross`. When `v_plain` the owner's `v` is the clear value (its
+    /// peer's is all zero) and the `z_A·v_B` term does not exist. One
+    /// ping-pong: the peer's choice corrections, then one word per OT back.
+    pub fn multiply(&mut self, owner: Role, v: &[u64], z: &[u64], v_plain: bool) -> Vec<u64> {
+        let (ring, ell, n) = (self.ring, self.ring.bits() as usize, v.len());
+        assert_eq!(z.len(), n, "one z per v");
+        let i_own = self.role() == owner;
+        // One batch, term-major: the bits of the peer's v-shares against
+        // my z — a term that does not exist while v is plain — then those
+        // of its z-shares against my v.
+        let terms = if i_own { [z, v] } else { [v, z] };
+        let words = terms[usize::from(v_plain)..].iter().flat_map(|t| t.iter());
+        let cross = if i_own {
+            let deltas = words.flat_map(|&mine| (0..ell).map(move |k| ring.reduce(mine << k)));
+            let deltas = Secret::new(deltas.collect::<Vec<u64>>());
+            self.ot_send.send_words(self.ch, ring, deltas.expose())
+        } else {
+            // ct-ok: branchless bit extraction — `& 1 == 1` is a mask test.
+            let bits = words.flat_map(|&share| (0..ell).map(move |k| share >> k & 1 == 1));
+            let bits = Secret::new(bits.collect::<Vec<bool>>());
+            let pads = Secret::new(self.ot_recv.begin_recv(self.ch, bits.expose()));
+            self.ot_recv
+                .finish_recv_words(self.ch, ring, pads.expose(), bits.expose())
+        };
+        let per_row = |i: usize| cross.expose().chunks(ell).skip(i).step_by(n).flatten();
+        let rows = v.iter().zip(z).enumerate();
+        rows.map(|(i, (&v, &z))| {
+            let sum = per_row(i).fold(0u64, |acc, &x| acc.wrapping_add(x));
+            ring.add(ring.mul(v, z), if i_own { ring.neg(sum) } else { sum })
+        })
+        .collect()
     }
 
     /// **PSI** receiver, first half (§5.3 / §5.5): `elements` are cuckoo

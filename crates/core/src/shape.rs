@@ -155,6 +155,13 @@ impl Draws {
         psi.bins
     }
 
+    /// A share multiplication of `n` rows with `owner` sending: ℓ
+    /// correlated OTs per cross term per row — one term when `v_plain` —
+    /// and no circuit.
+    pub(crate) fn multiply(&mut self, owner: Role, n: usize, ell: usize, v_plain: bool) {
+        self.ot.add(owner, if v_plain { 1 } else { 2 } * n * ell);
+    }
+
     fn absorb(&mut self, step: Draws) {
         self.circuits.extend(step.circuits);
         for sender in [Role::Alice, Role::Bob] {
@@ -341,8 +348,8 @@ mod tests {
         // R1(a) ⋈ R2(a,b), O = ∅: R1 folds into the root, leaving R2
         // secret-shared with (a, b) still to aggregate away. π⊕_∅ is linear
         // — each party sums its own shares — so the plan is the fold's
-        // matching PSI and product, then the reveal, and nothing in
-        // between.
+        // matching PSI (its product draws OTs, not a circuit), then the
+        // reveal, and nothing in between.
         let q = SecureQuery::new(
             vec![strings(&["a"]), strings(&["a", "b"])],
             vec![Role::Alice, Role::Bob],
@@ -351,11 +358,11 @@ mod tests {
         );
         let shape = QueryShape::derive(&q, &[3, 4], Role::Alice, 32);
         let garblers: Vec<Role> = shape.planned.iter().map(|pc| pc.garbler).collect();
-        assert_eq!(garblers, [Role::Alice, Role::Bob, Role::Bob]);
+        assert_eq!(garblers, [Role::Alice, Role::Bob]);
         assert!(shape.join_inputs.is_empty());
         // The reveal opens one 32-bit total per public row and no tuple
         // words (the output schema is empty).
-        let reveal = &shape.planned[2].circuit;
+        let reveal = &shape.planned[1].circuit;
         assert_eq!(reveal.output_count(), 4 * 32);
         assert_eq!(shape.ot_budget, shape.exact.ot.max());
     }

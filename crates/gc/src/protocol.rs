@@ -8,7 +8,7 @@
 
 use rand::Rng;
 use secyan_circuit::Circuit;
-use secyan_crypto::Block;
+use secyan_crypto::{Block, Secret};
 use secyan_ot::{OtReceiver, OtSender};
 use secyan_transport::{Channel, ReadExt, WriteExt};
 use std::collections::VecDeque;
@@ -114,25 +114,21 @@ fn garble_online(
         "pre-garbled material is for a different circuit"
     );
     let g = material.garbling;
-    // Garbler input labels.
-    let my_labels: Vec<u128> = my_inputs
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| g.input_label(i, b).0)
-        .collect();
-    ch.send_u128_slice(&my_labels);
+    // Garbler input labels. Label buffers scrub themselves on every exit
+    // path: `eval_pairs` holds both labels of a wire, whose XOR is Δ.
+    let labels = my_inputs.iter().enumerate();
+    let my_labels: Secret<Vec<u128>> =
+        Secret::new(labels.map(|(i, &b)| g.input_label(i, b).0).collect());
+    ch.send_u128_slice(my_labels.expose());
     // Decode bits for the evaluator.
     if matches!(mode, OutputMode::RevealToEvaluator | OutputMode::RevealBoth) {
         ch.send_bool_slice(&g.decode_bits());
     }
     // Evaluator input labels via OT.
-    let eval_pairs: Vec<(Block, Block)> = (0..circuit.bob_inputs)
-        .map(|j| {
-            let i = circuit.alice_inputs + j;
-            (g.input_label(i, false), g.input_label(i, true))
-        })
-        .collect();
-    ot.send_blocks(ch, &eval_pairs);
+    let wires = circuit.alice_inputs..circuit.alice_inputs + circuit.bob_inputs;
+    let pair = |i| (g.input_label(i, false), g.input_label(i, true));
+    let eval_pairs: Secret<Vec<(Block, Block)>> = Secret::new(wires.map(pair).collect());
+    ot.send_blocks(ch, eval_pairs.expose());
     // Output decoding toward the garbler.
     if matches!(mode, OutputMode::RevealToGarbler | OutputMode::RevealBoth) {
         let colors = ch.recv_bool_vec(circuit.output_count());
@@ -205,21 +201,23 @@ pub fn evaluate_finish(
         Some(m) => m.tables,
         None => evaluate_offline(ch, circuit).tables,
     };
-    let garbler_labels: Vec<Block> = ch
-        .recv_u128_vec(circuit.alice_inputs)
-        .into_iter()
-        .map(Block)
-        .collect();
+    // Active labels correlate with cleartext wires: one buffer sized up
+    // front (so it never reallocates) and the evaluation's outputs, both
+    // scrubbed on every exit path.
+    let mut labels = Secret::new(Vec::with_capacity(circuit.alice_inputs + my_inputs.len()));
+    let garbler_labels = Secret::new(ch.recv_u128_vec(circuit.alice_inputs));
+    labels
+        .expose_mut()
+        .extend(garbler_labels.expose().iter().map(|&l| Block(l)));
     let decode = if matches!(mode, OutputMode::RevealToEvaluator | OutputMode::RevealBoth) {
         Some(ch.recv_bool_vec(circuit.output_count()))
     } else {
         None
     };
-    let my_labels = ot.finish_recv_blocks(ch, &pads, my_inputs);
-    let mut labels = garbler_labels;
-    labels.extend(my_labels);
-    let out_labels = eval_cells(circuit, tables.as_chunks().0, &labels);
-    let colors: Vec<bool> = out_labels.iter().map(|l| l.lsb()).collect();
+    let my_labels = Secret::new(ot.finish_recv_blocks(ch, &pads, my_inputs));
+    labels.expose_mut().extend_from_slice(my_labels.expose());
+    let out_labels = Secret::new(eval_cells(circuit, tables.as_chunks().0, labels.expose()));
+    let colors: Vec<bool> = out_labels.expose().iter().map(|l| l.lsb()).collect();
     if matches!(mode, OutputMode::RevealToGarbler | OutputMode::RevealBoth) {
         ch.send_bool_slice(&colors);
     }

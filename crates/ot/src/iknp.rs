@@ -26,7 +26,9 @@
 
 use crate::ext::{Bank, ExtReceiver, ExtSender};
 use rand::Rng;
-use secyan_crypto::{ct_select_bytes, Block, CtChoice, CtSelect, Prg, TweakHasher, Zeroize};
+use secyan_crypto::{
+    ct_select_bytes, Block, CtChoice, CtSelect, Prg, RingCtx, Secret, TweakHasher, Zeroize,
+};
 use secyan_transport::{Channel, ReadExt, WriteExt};
 
 /// Security parameter κ: number of base OTs / width of the extension
@@ -160,6 +162,40 @@ impl OtSender {
         }
         ch.send(buf);
     }
+
+    /// Correlated-word OT over Z_{2^ℓ} (Gilboa / ABY share multiplication):
+    /// returns one `r_j = x0 mod 2^ℓ` per `deltas[j]`, and the receiver's
+    /// [`OtReceiver::finish_recv_words`] ends with `r_j + c_j·Δ_j`. One
+    /// ⌈ℓ/8⌉-byte word `r + Δ − x1` per OT crosses the wire, as one message;
+    /// an empty batch is communication-free like [`OtSender::send_bytes`].
+    pub fn send_words(
+        &mut self,
+        ch: &mut Channel,
+        ring: RingCtx,
+        deltas: &[u64],
+    ) -> Secret<Vec<u64>> {
+        let mut r = Secret::new(Vec::with_capacity(deltas.len()));
+        if deltas.is_empty() {
+            return r;
+        }
+        let pads = Secret::new(self.draw_pads(ch, deltas.len()));
+        let stride = word_bytes(ring);
+        ch.send_with(stride * deltas.len(), |buf| {
+            let words = buf.chunks_exact_mut(stride);
+            for ((word, &(x0, x1)), &delta) in words.zip(pads.expose()).zip(deltas) {
+                let r_j = ring.reduce(x0.0 as u64);
+                let masked = ring.sub(ring.add(r_j, delta), x1.0 as u64);
+                word.copy_from_slice(&masked.to_le_bytes()[..stride]);
+                r.expose_mut().push(r_j);
+            }
+        });
+        r
+    }
+}
+
+/// Wire bytes of one ring element: ⌈ℓ/8⌉.
+fn word_bytes(ring: RingCtx) -> usize {
+    ring.bits().div_ceil(8) as usize
 }
 
 impl OtReceiver {
@@ -289,6 +325,30 @@ impl OtReceiver {
             .collect()
     }
 
+    /// Second half of [`OtReceiver::begin_recv`] against
+    /// [`OtSender::send_words`]: `pad_j + c_j·word_j mod 2^ℓ`, the word
+    /// masked in or out branchlessly. Reads `choices.len()` fixed-stride
+    /// words — nothing for an empty batch.
+    pub fn finish_recv_words(
+        &mut self,
+        ch: &mut Channel,
+        ring: RingCtx,
+        pads: &[Block],
+        choices: &[bool],
+    ) -> Secret<Vec<u64>> {
+        let stride = word_bytes(ring);
+        let mut raw = vec![0u8; stride * choices.len()];
+        ch.recv_into(&mut raw);
+        let words = raw.chunks_exact(stride);
+        let outs = words.zip(pads).zip(choices).map(|((word, pad), &c)| {
+            let mut le = [0u8; 8];
+            le[..stride].copy_from_slice(word);
+            let word = u64::from_le_bytes(le) & CtChoice::from_bool(c).mask_u64();
+            ring.add(pad.0 as u64, word)
+        });
+        Secret::new(outs.collect())
+    }
+
     /// Receive chosen 128-bit messages. The unchosen branch is read too and
     /// discarded via [`CtSelect`], so memory access does not index on the
     /// choice bit.
@@ -394,6 +454,7 @@ mod tests {
                 let before = ch.stats().total_bytes();
                 s.send_bytes(ch, &[]);
                 s.send_blocks(ch, &[]);
+                assert!(s.send_words(ch, RingCtx::new(32), &[]).expose().is_empty());
                 s.bank(ch, 0);
                 assert_eq!(s.bank_remaining(), 0);
                 assert_eq!(ch.stats().total_bytes(), before, "empty batch sent bytes");
@@ -405,6 +466,8 @@ mod tests {
                 let mut r = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
                 assert!(r.recv_bytes(ch, &[], 16).is_empty());
                 assert!(r.recv_blocks(ch, &[]).is_empty());
+                let words = r.finish_recv_words(ch, RingCtx::new(32), &[], &[]);
+                assert!(words.expose().is_empty());
                 r.bank(ch, 0, &mut rng);
                 assert_eq!(r.bank_remaining(), 0);
                 ch.send_u64(0xB0B);
@@ -540,6 +603,49 @@ mod tests {
         for j in 0..10 {
             let want = if choices[j] { &pairs[j].1 } else { &pairs[j].0 };
             assert_eq!(&got[j], want);
+        }
+    }
+
+    /// Correlated words: the receiver ends with `r + c·Δ mod 2^ℓ`, fresh
+    /// and banked, at widths on both sides of a byte boundary and at the
+    /// full 64 bits, where neither the mask nor `Δ = x << 63` may overflow.
+    #[test]
+    fn correlated_words_add_delta_where_chosen() {
+        for (ell, bank) in [(1, 0), (20, 40), (32, 0), (32, 40), (64, 0), (64, 40)] {
+            let ring = RingCtx::new(ell);
+            let deltas: Vec<u64> = (0..40u64)
+                .map(|j| ring.reduce(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(j + 1) << (j % 64)))
+                .collect();
+            let choices: Vec<bool> = (0..40).map(|j| j % 3 != 1).collect();
+            let (want, c2) = (deltas.clone(), choices.clone());
+            let (r, got, stats) = run_protocol(
+                move |ch| {
+                    let mut s =
+                        OtSender::setup(ch, &mut StdRng::seed_from_u64(90), TweakHasher::Aes);
+                    s.bank(ch, bank);
+                    ch.set_phase(Phase::Online);
+                    let r = s.send_words(ch, ring, &deltas);
+                    assert_eq!(s.bank_remaining(), 0);
+                    r.expose().clone()
+                },
+                move |ch| {
+                    let mut rng = StdRng::seed_from_u64(91);
+                    let mut r = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
+                    r.bank(ch, bank, &mut rng);
+                    ch.set_phase(Phase::Online);
+                    let pads = r.begin_recv(ch, &c2);
+                    r.finish_recv_words(ch, ring, &pads, &c2).expose().clone()
+                },
+            );
+            for j in 0..40 {
+                let add = if choices[j] { want[j] } else { 0 };
+                assert_eq!(got[j], ring.add(r[j], add), "ℓ = {ell}, instance {j}");
+                assert_eq!(r[j], ring.reduce(r[j]));
+            }
+            // Banked: 5 bytes of corrections, then one ⌈ℓ/8⌉-byte word per OT.
+            if bank > 0 {
+                assert_eq!(stats.online_bytes, 5 + 40 * u64::from(ell.div_ceil(8)));
+            }
         }
     }
 

@@ -11,8 +11,9 @@
 //!   single-use bank type for precomputed instances. Its pool thresholds
 //!   are the only ones in this crate's extension path.
 //! * [`iknp`] — IKNP OT extension: the engine at κ = 128 columns. This
-//!   powers garbled-circuit input transfer and the oblivious switching
-//!   network in `secyan-oep`.
+//!   powers garbled-circuit input transfer, the oblivious switching
+//!   network in `secyan-oep`, and — as correlated ℓ-bit words — the share
+//!   multiplication of `secyan-core`'s reduce-join.
 //! * [`kkrt`] — KKRT batched oblivious PRF (BaRK-OPRF): the engine at 512
 //!   columns. This powers the OPPRF inside circuit PSI (`secyan-psi`),
 //!   which in turn implements the paper's §5.3/§5.5.
@@ -41,14 +42,15 @@ pub use kkrt::{KkrtReceiver, KkrtSender, KkrtSenderKey};
 /// exchanges, inline and banked. The digests were recorded at the commit
 /// before the two extensions were folded onto one engine, so they move only
 /// when what this crate puts on the wire moves — a drift shows up here
-/// rather than three layers up in the query-level transcript goldens.
+/// rather than three layers up in the query-level transcript goldens. The
+/// correlated-word row was recorded with the kernel.
 #[cfg(test)]
 mod wire_goldens {
     use crate::{KkrtReceiver, KkrtSender, OtReceiver, OtSender};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use secyan_crypto::sha256::Sha256;
-    use secyan_crypto::TweakHasher;
+    use secyan_crypto::{RingCtx, TweakHasher};
     use secyan_transport::{run_protocol_captured, Role, TranscriptHandle};
 
     /// Digest of every message `dir` sent, length-prefixed so a moved message
@@ -103,6 +105,45 @@ mod wire_goldens {
         )
     }
 
+    /// Correlated words at ℓ = 20 (a 3-byte stride), inline then banked on
+    /// one setup: both forms in one digest pair.
+    fn word_digests() -> (String, String) {
+        const M: usize = 1000;
+        let ring = RingCtx::new(20);
+        let mut rng = StdRng::seed_from_u64(8);
+        let deltas: Vec<u64> = (0..M).map(|_| ring.random(&mut rng)).collect();
+        let choices: Vec<bool> = (0..M).map(|_| rng.gen()).collect();
+        let (want, c2) = (deltas.clone(), choices.clone());
+        let (r, got, _, handle) = run_protocol_captured(
+            move |ch| {
+                let mut s =
+                    OtSender::setup(ch, &mut StdRng::seed_from_u64(13), TweakHasher::default());
+                let mut r = s.send_words(ch, ring, &deltas).expose().clone();
+                s.bank(ch, M);
+                r.extend_from_slice(s.send_words(ch, ring, &deltas).expose());
+                r
+            },
+            move |ch| {
+                let mut rng = StdRng::seed_from_u64(14);
+                let mut r = OtReceiver::setup(ch, &mut rng, TweakHasher::default());
+                let pads = r.begin_recv(ch, &c2);
+                let mut got = r.finish_recv_words(ch, ring, &pads, &c2).expose().clone();
+                r.bank(ch, M, &mut rng);
+                let pads = r.begin_recv(ch, &c2);
+                got.extend_from_slice(r.finish_recv_words(ch, ring, &pads, &c2).expose());
+                got
+            },
+        );
+        for j in 0..2 * M {
+            let add = if choices[j % M] { want[j % M] } else { 0 };
+            assert_eq!(got[j], ring.add(r[j], add), "instance {j}");
+        }
+        (
+            direction_digest(&handle, Role::Alice),
+            direction_digest(&handle, Role::Bob),
+        )
+    }
+
     fn kkrt_digests(banked: bool) -> (String, String) {
         const M: usize = 300;
         let inputs: Vec<[u8; 8]> = (0..M as u64).map(|i| (i * 0x9E37).to_le_bytes()).collect();
@@ -148,6 +189,12 @@ mod wire_goldens {
                 iknp_digests(true),
                 "e17a11d4da4d77578f4bd4600b136cd6ef84ee106a0793dbcc2fe6da7bf543a9",
                 "14b87eb54864131e4ee39ffb1c3a343567be6ad9c024b299b4be4d328bfd1232",
+            ),
+            (
+                "iknp words inline then banked",
+                word_digests(),
+                "368d88d04bf4c2b379306b6a525f400f8ab31b61d311acf52452388a3b99c748",
+                "c0b08d3e8861804510d8ea7fbcc91cb5a705637b525cb4b0cc46f68377704458",
             ),
             (
                 "kkrt inline",

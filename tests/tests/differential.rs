@@ -148,39 +148,41 @@ fn q8_transcript() -> Vec<(Role, Vec<u8>)> {
 }
 
 /// Single-phase wire behaviour is pinned byte for byte: these digests of
-/// `run_secure`'s per-direction transcripts were recorded at the commit
-/// before the driver's schedule was unified with the planner's, so they
-/// only move when what a bank-less run puts on the wire moves. The Q8 row
-/// (query composition, §7) was recorded at the commit before operators
-/// stopped threading OT/KKRT/GC handles themselves.
+/// `run_secure`'s per-direction transcripts only move when what a
+/// bank-less run puts on the wire moves. Recorded when the reduce-join
+/// product left the circuit for `Session::multiply`: against the recording
+/// before it, every instance's byte total fell by exactly its product
+/// steps' tables, garbler labels, decode bits and the 32 − ⌈ℓ/8⌉ bytes per
+/// OT (the table is in CHANGES.md, PR 18), and no other step moved a byte
+/// (`gc_layer_wire_goldens` in `secyan-core` pins the remaining circuits).
 #[test]
 fn single_phase_transcript_goldens() {
     let run = |inst: Instance| (inst.describe(), run_secure(&inst).transcript);
     let goldens = [
         (
             run(Instance::generate(3)),
-            "c62fc1fafe5fbd8ccf1200575b870d3455379574023797007d0c4c2d7757beea",
-            "e337020397056995131cae4cb6a2e15f919b7f4e075d459788d449f92decd30b",
+            "eb19936927c0aa463fee6417192c6a1cbcca6f6cf95bb18811fb924d47c505ff",
+            "75b330cde9ae9a8ab144ffcd8c4947d03190439a3945ef9a82d3f883f72a7922",
         ),
         (
             run(Instance::generate(7)),
-            "d7da15450b3a945685b7d680fab833e0109a1fcb7f51ddcda99e31164f0177e4",
-            "76471250cda4c99b02e06317efb24410d7de0922ae48c475f276be0c7f3d893a",
+            "2bbeac6607708033d022988479c7737ea4640643d86442456134b6637222218b",
+            "96bd313d802e1fd4ae7cebfd8c13039db8b19b2b13da4c77c7748ce0b86a1ba9",
         ),
         (
             run(Instance::generate(18)),
-            "3e83c0dd2ad06fb62cc9827bbef6cadb7883edddb817636f8d48d078a89ce2d6",
-            "08623225dc0b4fdb717bfd4c3cd8da8a5d330678f12b7e19664c6f6cf675e550",
+            "32efd39809598ee91a637d0df64b59acdbadea0342ce94cfd9eaff3d54237af3",
+            "48705006237fc412a887a01b157bb03d5809982cb00b521b359a0980f2820fe2",
         ),
         (
             run(Instance::generate_chain(1)),
-            "4d93434c213b444c7df24b8d430dee6745c540321166c21ff9787faf8b749098",
-            "14273c55d20cc74ce4cae84468a9e3017bcb87fdd2ecdd3ce085ce202e1d1685",
+            "c41e1c52c62828019f46ff8adba34e107dcf20bd1ef5cede4a53a616fe708f45",
+            "34e06a4b5de30e468494cf0e2df9db7d85af2d4bb7d990647d33ecd1227bbc05",
         ),
         (
             ("TPC-H Q8 at 0.02 MB".to_string(), q8_transcript()),
-            "afed1b189322d5dd3aeb6fe8b294db1b578c9d5e2a848efffb6212572ecce384",
-            "34065604ab747bd858a264a38ba4dd224cc1e74079a78b5a21db0d5dae53a546",
+            "fff50e82dca8c963f47115c869dff604a600853d132db01eed7b749371146666",
+            "802c6d0996e88432871d37956d84875f464638949ffa2cbd3726d9b52f59339a",
         ),
     ];
     for ((what, transcript), alice, bob) in goldens {
@@ -197,27 +199,27 @@ fn single_phase_transcript_goldens() {
 /// The phase-split sibling of [`single_phase_transcript_goldens`]: per
 /// phase and direction, the digest of what `run_offline` then `run_online`
 /// put on the wire — so the order in which banked OTs, KKRT instances and
-/// pre-garbled circuits are drawn is pinned too. Recorded at the same
-/// commit as the Q8 row above.
+/// pre-garbled circuits are drawn is pinned too. Recorded with the rows
+/// above.
 #[test]
 fn phase_split_transcript_goldens() {
     let goldens = [
         (
             Instance::generate(7),
             [
-                "da7c5df00a665a24945e1aba681d72616bf8719ab35347cac609fb9888a74fba",
-                "4668ac26ec3df4df29b1e167106f7755456286dfe5a886212a8782d1edecc729",
-                "e1f27bc0ed7859c01be8a756c3c26f542426b2d125b72e663a892f8055761c17",
-                "6556f3dc16263ae483fc672b51b1176bbebb954147d53f3949999bb691d81e98",
+                "b21285c8d1e96b21ef1f1b0c685c412df74d0d6495318bd8082d0481f8aa1e6a",
+                "d5e6ef9e7d2e601e9812ab352e34543aa1be2264a8e836fabff01afb2fc4f7af",
+                "5878fa9f9704ec5a072e49d6138b3760f1839929daf0633fee162466ddc336fd",
+                "8a4a11db6ed458d9530f71e425d87f0912a2ddf0bc2a657ac69513bf9f8c990a",
             ],
         ),
         (
             Instance::generate_chain(1),
             [
-                "e42d78d6b008badd5250fd373dcd2280a2739f43e713f0479145fb514f26a418",
-                "b7a40324b4aa5371a829ca84119dba23af1d8e2308c1e03b576d1bb5450fe4e9",
-                "3482768bd07cd3a821ca69e3cbc128dc97d8ad0066e31134fae45d38f1d64a64",
-                "9809cf8cfce838e1a687d4cd8a3324415c31e7706987d31e8e6022be91d6d735",
+                "16e94dc333b510b5327b774899526d312e1295f79f895972293eda8959dbd6d9",
+                "1d1363e937e1fbcbca27af350453b0ae9c545fa3ceaf5b882af20a41069ab308",
+                "8c425e820d90bdfad1c6a1aad431e09d878e15bf995c8f856325c01dad4a6b9f",
+                "35108c7e6829f4f1eebcec25a16837839388997289ee2a5cc515ce13adf96add",
             ],
         ),
     ];

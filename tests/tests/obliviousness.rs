@@ -125,6 +125,70 @@ fn all_dummy_database_is_indistinguishable() {
     }
 }
 
+/// One direction's message lengths, in the sender's program order (how the
+/// two directions interleave while both parties stage is scheduling).
+fn lengths_from(transcript: &[(Role, usize)], dir: Role) -> Vec<usize> {
+    let sent = transcript.iter().filter(|(r, _)| *r == dir);
+    sent.map(|(_, n)| *n).collect()
+}
+
+/// The reduce-join product is OT multiplication whose choice bits are the
+/// bits of annotation shares, so annotations of no set bit and of every
+/// set bit, on otherwise identical databases, must give the same message
+/// lengths in the same directions.
+#[test]
+fn annotation_bits_do_not_shape_the_transcript() {
+    let with_annotations = |a: u64| {
+        transcript_of(
+            vec![(vec![1], a), (vec![2], a), (vec![3], a)],
+            vec![
+                (vec![1, 1], a),
+                (vec![2, 1], a),
+                (vec![3, 2], a),
+                (vec![1, 2], a),
+            ],
+            vec![(vec![1, 100], a), (vec![2, 200], a)],
+        )
+    };
+    // a = 1 keeps the revealed support of the all-ones run (whose products
+    // are ±1 mod 2^32): only the bit patterns differ.
+    let (ones, all_ones) = (with_annotations(1), with_annotations(u64::from(u32::MAX)));
+    for dir in [Role::Alice, Role::Bob] {
+        assert_eq!(lengths_from(&ones, dir), lengths_from(&all_ones, dir));
+    }
+}
+
+/// The same at the step itself, where the shares can be set outright:
+/// all-zero against all-ones shares flip every choice bit of
+/// `Session::multiply` and move nothing on the wire, and the step's one
+/// reply is ⌈ℓ/8⌉ bytes per OT — a function of the public n and ℓ alone.
+#[test]
+fn multiply_transcript_ignores_share_bits() {
+    let (n, ell) = (9usize, 20u32);
+    for v_plain in [false, true] {
+        let run = |share: u64| {
+            let party = move |seed: u64| {
+                move |ch: &mut secyan_transport::Channel| {
+                    let ring = RingCtx::new(ell);
+                    let mut sess =
+                        secyan_core::Session::new(ch, ring, TweakHasher::default(), seed);
+                    let (v, z) = (vec![ring.reduce(share); n], vec![ring.reduce(share); n]);
+                    sess.multiply(Role::Bob, &v, &z, v_plain);
+                    sess.ch.transcript_lengths()
+                }
+            };
+            run_protocol_on(channel_pair_with_transcript(), party(5), party(6)).0
+        };
+        let (zeros, ones) = (run(0), run(u64::MAX));
+        for dir in [Role::Alice, Role::Bob] {
+            let (zeros, ones) = (lengths_from(&zeros, dir), lengths_from(&ones, dir));
+            assert_eq!(zeros, ones, "{dir:?}, v_plain = {v_plain}");
+        }
+        let ots = if v_plain { 1 } else { 2 } * n * ell as usize;
+        assert_eq!(zeros.last(), Some(&(Role::Bob, 3 * ots)));
+    }
+}
+
 /// Run the Example-1.1-shaped query in explicit offline/online phase-split
 /// mode; return the per-message `(sender, phase, length)` transcript and
 /// the communication stats.
