@@ -246,9 +246,6 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    // The offline `proptest` stand-in expands property bodies to nothing,
-    // which orphans these imports; the real crate uses them.
-    #![allow(unused_imports)]
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashSet;

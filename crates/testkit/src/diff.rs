@@ -25,13 +25,9 @@ use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_ot::{OtReceiver, OtSender};
 use secyan_relation::{naive::naive_join_aggregate, yannakakis, CountSemiring, Relation};
 use secyan_transport::{
-    channel_pair_with_transcript, fault_channel_pair, run_protocol,
-    tcp_channel_pair_with_transcript, tcp_pair_from_streams, try_run_protocol_on, Channel,
-    CommStats, FaultPlan, ProtocolError, Role, TcpFault, TcpFaultProxy,
+    channel_pair, recorded, run_protocol, try_run_protocol_on, Channel, CommStats, ProtocolError,
+    Role,
 };
-
-use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -143,52 +139,60 @@ pub struct SecureRun {
 }
 
 impl SecureRun {
-    /// The transcript reduced to the obliviousness view: per-message
-    /// `(sender, length)`.
-    pub fn lengths(&self) -> Vec<(Role, usize)> {
-        self.transcript.iter().map(|(r, m)| (*r, m.len())).collect()
+    /// One direction's wire stream: `dir`'s messages in program order.
+    /// The *global* interleaving of the two directions is scheduler timing,
+    /// not protocol content (both parties may send concurrently within a
+    /// round), so cross-run comparisons are made per direction.
+    pub fn sent_by(&self, dir: Role) -> Vec<&[u8]> {
+        let sent = self.transcript.iter().filter(|(r, _)| *r == dir);
+        sent.map(|(_, m)| m.as_slice()).collect()
     }
 }
 
-/// How a secure run splits into phases: one shot, or the offline phase
-/// (shape-keyed precomputation) then the online phase against the banked
-/// material. `shed` optionally exhausts the material in between:
-/// `(circuits, ot_cap)` discards that many pre-garbled entries and caps
-/// the OT banks, forcing per-step inline fallback mid-online (applied
+/// How a secure run is driven: one shot, one shot with message coalescing
+/// off (every staged message ships as its own wire frame — the
+/// pre-super-round behavior; same session seeds, so the result, the
+/// logical transcript and every stage-time counter must match `Single`
+/// byte for byte and only the frame/super-round counters may differ), or
+/// the offline phase (shape-keyed precomputation) then the online phase
+/// against the banked material. `shed` optionally exhausts the material in
+/// between: `(circuits, ot_cap)` discards that many pre-garbled entries and
+/// caps the OT banks, forcing per-step inline fallback mid-online (applied
 /// symmetrically, as a real exhausted pool would be).
-#[derive(Clone, Copy)]
-enum Phases {
+#[derive(Debug, Clone, Copy)]
+pub enum Run {
     Single,
-    Split { shed: Option<(usize, usize)> },
+    Uncoalesced,
+    PhaseSplit { shed: Option<(usize, usize)> },
 }
 
-/// What every `run_secure*` runner below is: both parties of `inst` over
-/// `pair`, Alice the receiver, session RNG seeds from [`session_seeds`].
-/// The runners differ only in the pair they bring (in-process, fault
-/// relay, TCP, proxied TCP), whether messages coalesce (`eager` ships
-/// every staged message as its own wire frame — the pre-super-round
-/// behavior) and the phase split. `Err` is a typed failure — never a hang
-/// or an untyped panic, on either endpoint.
-fn run_on(
+/// Engine 4, the full secure two-party protocol: both parties of `inst`
+/// over `pair`, Alice the receiver, session RNG seeds from
+/// [`session_seeds`], the transcript recorded. The pair is the caller's —
+/// `channel_pair()`, `tcp_channel_pair()`, either one `faulted` — so a
+/// transport or a fault class is one more argument, not one more runner.
+/// `Err` is a typed failure — never a hang or an untyped panic, on either
+/// endpoint; `Ok` under a fault plan means the fault landed beyond the
+/// run's frame horizon or degraded harmlessly.
+pub fn try_run_secure_on(
     inst: &Instance,
     pair: (Channel, Channel),
-    eager: bool,
-    phases: Phases,
-) -> Result<(QueryResult, CommStats), ProtocolError> {
+    run: Run,
+) -> Result<SecureRun, ProtocolError> {
     let (query, sizes, ring) = (inst.query(), inst.sizes(), inst.ring_ctx());
     let hasher = TweakHasher::default();
     let receiver = Role::Alice;
     let party = |seed: u64| {
         let (query, sizes) = (&query, &sizes);
         move |ch: &mut Channel| {
-            ch.set_eager(eager);
+            ch.set_eager(matches!(run, Run::Uncoalesced));
             let rels = inst.party_relations(ch.role());
-            match phases {
-                Phases::Single => {
+            match run {
+                Run::Single | Run::Uncoalesced => {
                     let mut sess = Session::new(ch, ring, hasher, seed);
                     secure_yannakakis(&mut sess, query, &rels, receiver)
                 }
-                Phases::Split { shed } => {
+                Run::PhaseSplit { shed } => {
                     let mut m = run_offline(ch, query, sizes, receiver, ring, hasher, seed);
                     if let Some((circuits, ot_cap)) = shed {
                         m.shed(circuits, ot_cap);
@@ -199,55 +203,25 @@ fn run_on(
         }
     };
     let (sa, sb) = session_seeds(inst);
-    try_run_protocol_on(pair, party(sa), party(sb)).map(|(res, _, stats)| (res, stats))
-}
-
-/// [`run_on`] over a transcript-recording pair, for runs that must
-/// succeed: the result canonicalized, the stats, the captured transcript.
-fn run_captured(
-    inst: &Instance,
-    pair: (Channel, Channel),
-    eager: bool,
-    phases: Phases,
-) -> SecureRun {
-    let handle = pair.0.transcript_handle();
-    let (res, stats) = run_on(inst, pair, eager, phases)
-        .unwrap_or_else(|e| panic!("secure run of {} failed: {e}", inst.describe()));
-    SecureRun {
-        result: canonical_result(inst.ring_ctx(), &res),
+    let (pair, transcript) = recorded(pair);
+    let (res, _, stats) = try_run_protocol_on(pair, party(sa), party(sb))?;
+    Ok(SecureRun {
+        result: canonical_result(ring, &res),
         out_size: res.out_size,
         stats,
-        transcript: handle.messages(),
-    }
+        transcript: transcript.messages(),
+    })
 }
 
-/// [`run_on`] for runs that may fail: `Ok` carries the receiver's
-/// canonical result (a fault plan may land beyond the run's message
-/// horizon), `Err` the typed failure.
-fn run_fallible(
-    inst: &Instance,
-    pair: (Channel, Channel),
-    phases: Phases,
-) -> Result<(Rows, CommStats), ProtocolError> {
-    run_on(inst, pair, false, phases)
-        .map(|(res, stats)| (canonical_result(inst.ring_ctx(), &res), stats))
+/// [`try_run_secure_on`] for runs that must succeed.
+pub fn run_secure_on(inst: &Instance, pair: (Channel, Channel), run: Run) -> SecureRun {
+    try_run_secure_on(inst, pair, run)
+        .unwrap_or_else(|e| panic!("secure run of {} failed: {e}", inst.describe()))
 }
 
-fn tcp_pair() -> (Channel, Channel) {
-    tcp_channel_pair_with_transcript().expect("loopback TCP pair")
-}
-
-/// Engine 4: the full secure two-party protocol, on a recording channel.
+/// [`run_secure_on`] a fresh in-process pair, in one shot.
 pub fn run_secure(inst: &Instance) -> SecureRun {
-    run_captured(inst, channel_pair_with_transcript(), false, Phases::Single)
-}
-
-/// [`run_secure`] with message coalescing disabled. Same session seeds, so
-/// the result, the logical transcript, and every stage-time counter must
-/// be byte-identical; only the frame/super-round counters may differ.
-/// Round-regression tests run both and diff them.
-pub fn run_secure_uncoalesced(inst: &Instance) -> SecureRun {
-    run_captured(inst, channel_pair_with_transcript(), true, Phases::Single)
+    run_secure_on(inst, channel_pair(), Run::Single)
 }
 
 /// Engine 3: the naive garbled-circuit baseline, on instances matching its
@@ -348,32 +322,6 @@ pub fn check_instance(inst: &Instance) -> Differential {
     }
 }
 
-/// Engine 4 in phase-split mode (optionally shedding material before the
-/// online run). Must produce results identical to [`run_secure`]; the
-/// recorded stats additionally carry the offline/online byte and round
-/// split.
-pub fn run_secure_phase_split(inst: &Instance, shed: Option<(usize, usize)>) -> SecureRun {
-    let pair = channel_pair_with_transcript();
-    run_captured(inst, pair, false, Phases::Split { shed })
-}
-
-/// [`run_secure_phase_split`] under a transport fault plan: the fault may
-/// land in either phase.
-pub fn run_secure_phase_split_with_faults(
-    inst: &Instance,
-    plan: &FaultPlan,
-) -> Result<(Rows, CommStats), ProtocolError> {
-    run_fallible(inst, fault_channel_pair(plan), Phases::Split { shed: None })
-}
-
-/// [`run_secure`] through the deterministic fault-injecting relay.
-pub fn run_secure_with_faults(
-    inst: &Instance,
-    plan: &FaultPlan,
-) -> Result<(Rows, CommStats), ProtocolError> {
-    run_fallible(inst, fault_channel_pair(plan), Phases::Single)
-}
-
 /// Derive the two parties' `(alice, bob)` session RNG seeds from the
 /// instance seed — fixed so reruns of a seed are byte-identical, distinct
 /// per party. Public because the networked runtime must derive the same
@@ -383,53 +331,6 @@ pub fn run_secure_with_faults(
 pub fn session_seeds(inst: &Instance) -> (u64, u64) {
     let base = inst.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     (base ^ 0xA11C_E000, base ^ 0xB0B0_0000)
-}
-
-/// [`run_secure`] over a real localhost TCP socket: both endpoints' frames
-/// traverse the kernel's TCP stack. The pair shares one meter and
-/// transcript exactly like the in-process run, so the differential TCP
-/// sweep can assert the result, transcript, and every stage-time counter
-/// are byte-identical to [`run_secure`] on the same instance.
-pub fn run_secure_tcp(inst: &Instance) -> SecureRun {
-    run_captured(inst, tcp_pair(), false, Phases::Single)
-}
-
-/// [`run_secure_uncoalesced`] over TCP: the coalesced-vs-eager
-/// differential must hold over the socket exactly as it does in process.
-pub fn run_secure_tcp_eager(inst: &Instance) -> SecureRun {
-    run_captured(inst, tcp_pair(), true, Phases::Single)
-}
-
-/// [`run_secure_phase_split`] over localhost TCP (no shedding): the
-/// offline/online super-round pins must be transport-independent, which
-/// the golden-round tests assert by diffing this run's phase-split meters
-/// against the in-process ones.
-pub fn run_secure_phase_split_tcp(inst: &Instance) -> SecureRun {
-    run_captured(inst, tcp_pair(), false, Phases::Split { shed: None })
-}
-
-/// [`run_secure`] over TCP with Alice's traffic routed through a
-/// [`TcpFaultProxy`] injecting `fault` (or a transparent proxy when
-/// `None`). Both endpoints carry `io_timeout` so a stalled wire surfaces
-/// as a typed `Timeout` instead of blocking the test.
-pub fn run_secure_tcp_proxied(
-    inst: &Instance,
-    fault: Option<TcpFault>,
-    io_timeout: Duration,
-) -> Result<(Rows, CommStats), ProtocolError> {
-    // Bob listens; Alice connects through the byte-level proxy, matching
-    // the proxy's direction convention (connecting side = Alice).
-    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("loopback listener");
-    let upstream = listener.local_addr().expect("listener addr");
-    let proxy = TcpFaultProxy::spawn(upstream, fault).expect("fault proxy");
-    let alice_stream = TcpStream::connect(proxy.addr()).expect("connect via proxy");
-    let (bob_stream, _) = listener.accept().expect("accept");
-    let (mut ca, mut cb) = tcp_pair_from_streams(alice_stream, bob_stream).expect("TCP pair");
-    ca.set_io_timeout(Some(io_timeout));
-    cb.set_io_timeout(Some(io_timeout));
-    let out = run_fallible(inst, (ca, cb), Phases::Single);
-    drop(proxy);
-    out
 }
 
 #[cfg(test)]

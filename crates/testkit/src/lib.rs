@@ -12,9 +12,10 @@
 //!   secure protocol over one instance, with agreement asserted
 //!   ([`check_instance`]) and the secure transcript returned for
 //!   obliviousness checks.
-//! * fault harness glue — [`run_secure_with_faults`] runs the secure
-//!   protocol through `secyan-transport`'s deterministic fault-injecting
-//!   relay and returns the typed outcome.
+//! * fault harness glue — [`try_run_secure_on`] runs the secure protocol
+//!   over whatever pair the caller brings (in-process or TCP, plain or
+//!   under `secyan-transport`'s deterministic `faulted` plan) and returns
+//!   the typed outcome.
 //!
 //! See DESIGN.md §10 for the fault model and the reasoning behind the
 //! engine lineup.
@@ -24,8 +25,6 @@ pub mod gen;
 
 pub use diff::{
     canonical_result, check_instance, oracle, plaintext_yannakakis, run_baseline, run_secure,
-    run_secure_phase_split, run_secure_phase_split_tcp, run_secure_phase_split_with_faults,
-    run_secure_tcp, run_secure_tcp_eager, run_secure_tcp_proxied, run_secure_uncoalesced,
-    run_secure_with_faults, scalar_of, session_seeds, Differential, Rows, SecureRun,
+    run_secure_on, scalar_of, session_seeds, try_run_secure_on, Differential, Rows, Run, SecureRun,
 };
 pub use gen::{AggKind, Instance};

@@ -31,8 +31,9 @@
 //! parties.
 
 use crate::error::TransportError;
+use crate::fault::{FaultPlan, FaultyPipe};
 use crate::tcp::TcpPipe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -168,13 +169,25 @@ pub(crate) enum Pipe {
     },
     /// A real TCP stream carrying the same length-prefixed frames.
     Tcp(TcpPipe),
+    /// Either of the above under a fault plan (see [`crate::faulted`]):
+    /// this endpoint's outgoing frames are tampered with on their way in.
+    Faulty(Box<FaultyPipe>),
 }
 
 impl Pipe {
+    /// A pipe connected to nothing: sends and receives report
+    /// `PeerClosed`. Stands in while an endpoint's pipe is being wrapped.
+    fn dead() -> Pipe {
+        Pipe::Mpsc {
+            tx: mpsc::channel().0,
+            rx: mpsc::channel().1,
+        }
+    }
+
     /// Ship one framed buffer. Returns the buffer back for recycling when
     /// the pipe copies it onto a wire (TCP); `None` when the pipe consumes
     /// it (mpsc hands ownership to the peer).
-    fn send_frame(&mut self, frame: Vec<u8>) -> Result<Option<Vec<u8>>, TransportError> {
+    pub(crate) fn send_frame(&mut self, frame: Vec<u8>) -> Result<Option<Vec<u8>>, TransportError> {
         match self {
             Pipe::Mpsc { tx, .. } => {
                 if tx.send(frame).is_err() {
@@ -186,6 +199,7 @@ impl Pipe {
                 tcp.send_frame(&frame)?;
                 Ok(Some(frame))
             }
+            Pipe::Faulty(faulty) => faulty.send_frame(frame),
         }
     }
 
@@ -195,20 +209,46 @@ impl Pipe {
     /// short or truncated reads come back as short buffers so the
     /// channel's header checks type the fault identically on every
     /// transport.
-    fn recv_frame(&mut self, spare: &mut Vec<Vec<u8>>) -> Result<Vec<u8>, TransportError> {
+    pub(crate) fn recv_frame(
+        &mut self,
+        spare: &mut Vec<Vec<u8>>,
+    ) -> Result<Vec<u8>, TransportError> {
         match self {
             Pipe::Mpsc { rx, .. } => rx
                 .recv()
                 .map_err(|_| TransportError::PeerClosed { during: "recv" }),
             Pipe::Tcp(tcp) => tcp.recv_frame(spare),
+            Pipe::Faulty(faulty) => faulty.recv_frame(spare),
+        }
+    }
+
+    /// Close the outgoing direction: the peer reads end-of-stream after
+    /// what was already sent, and every later send is `PeerClosed`.
+    pub(crate) fn close_send(&mut self) {
+        match self {
+            Pipe::Mpsc { tx, .. } => *tx = mpsc::channel().0,
+            Pipe::Tcp(tcp) => tcp.close_send(),
+            Pipe::Faulty(faulty) => faulty.inner.close_send(),
+        }
+    }
+
+    /// The I/O deadline of the socket underneath; `None` for the
+    /// in-process pipe, which cannot time out.
+    pub(crate) fn io_timeout(&self) -> Option<Duration> {
+        match self {
+            Pipe::Mpsc { .. } => None,
+            Pipe::Tcp(tcp) => tcp.io_timeout(),
+            Pipe::Faulty(faulty) => faulty.inner.io_timeout(),
         }
     }
 
     /// Set (or clear) the I/O deadline on a socket-backed pipe. No-op for
-    /// the in-process pipe, which cannot time out.
+    /// the in-process pipe.
     fn set_io_timeout(&mut self, timeout: Option<Duration>) {
-        if let Pipe::Tcp(tcp) = self {
-            tcp.set_io_timeout(timeout);
+        match self {
+            Pipe::Mpsc { .. } => {}
+            Pipe::Tcp(tcp) => tcp.set_io_timeout(timeout),
+            Pipe::Faulty(faulty) => faulty.inner.set_io_timeout(timeout),
         }
     }
 }
@@ -390,35 +430,24 @@ impl CommStats {
     }
 }
 
-/// One recorded message: sender, sender's phase, length, and — only when
-/// payload capture was enabled before the message was staged — the bytes.
+/// One recorded message: sender, sender's phase and the payload bytes.
 struct TranscriptEntry {
     role: Role,
     phase: Phase,
-    len: usize,
-    payload: Option<Vec<u8>>,
+    payload: Vec<u8>,
 }
 
-/// Shared transcript buffer. Lengths are always recorded; payload bytes are
-/// captured only after a [`TranscriptHandle`] is attached, keeping the
-/// default recording path allocation-free per message.
-pub(crate) struct TranscriptBuf {
-    entries: Mutex<Vec<TranscriptEntry>>,
-    capture_payloads: AtomicBool,
-}
+type Transcript = Arc<Mutex<Vec<TranscriptEntry>>>;
 
-pub(crate) type Transcript = Arc<TranscriptBuf>;
-
-/// A handle onto a recording channel pair's transcript that outlives the
-/// endpoints. Obtain one with [`Channel::transcript_handle`] before moving
-/// the endpoints into party threads; read it after the protocol joins.
-/// Attaching the handle switches the transcript into payload-capture mode
-/// ([`TranscriptHandle::messages`] needs the bytes); length-only consumers
-/// ([`Channel::transcript_lengths`]) never pay for payload clones.
+/// The transcript of a [`recorded`] pair: every message either endpoint
+/// stages, in stage order, readable after the endpoints are consumed by
+/// their party threads.
 ///
-/// Determinism tests compare [`TranscriptHandle::messages`] across runs
-/// that differ only in thread count: a deterministic protocol produces
-/// byte-identical transcripts.
+/// Obliviousness tests compare [`TranscriptHandle::lengths`] across inputs
+/// of the same public size; determinism tests compare
+/// [`TranscriptHandle::messages`] across runs that differ only in thread
+/// count or transport: a deterministic protocol produces byte-identical
+/// transcripts.
 #[derive(Clone)]
 pub struct TranscriptHandle {
     inner: Transcript,
@@ -431,37 +460,20 @@ impl std::fmt::Debug for TranscriptHandle {
 }
 
 impl TranscriptHandle {
-    /// Full transcript so far: `(sender, payload)` per message, in staged
-    /// wire order.
-    ///
-    /// Panics if any message was recorded before this handle was attached
-    /// (payload capture is enabled by [`Channel::transcript_handle`], so
-    /// attach the handle before the protocol runs).
-    pub fn messages(&self) -> Vec<(Role, Vec<u8>)> {
-        self.inner
-            .entries
-            .lock()
-            .expect("transcript lock poisoned")
-            .iter()
-            .map(|e| {
-                let payload = e.payload.as_ref().expect(
-                    "payload was not captured: call transcript_handle() before the protocol runs",
-                );
-                (e.role, payload.clone())
-            })
-            .collect()
+    fn map<T>(&self, f: impl Fn(&TranscriptEntry) -> T) -> Vec<T> {
+        let entries = self.inner.lock().expect("transcript lock poisoned");
+        entries.iter().map(f).collect()
     }
 
-    /// Per-message lengths, in wire order (the obliviousness view). Served
-    /// from the recorded lengths — no payload clones.
+    /// Full transcript so far: `(sender, payload)` per message, in staged
+    /// wire order.
+    pub fn messages(&self) -> Vec<(Role, Vec<u8>)> {
+        self.map(|e| (e.role, e.payload.clone()))
+    }
+
+    /// Per-message lengths, in wire order (the obliviousness view).
     pub fn lengths(&self) -> Vec<(Role, usize)> {
-        self.inner
-            .entries
-            .lock()
-            .expect("transcript lock poisoned")
-            .iter()
-            .map(|e| (e.role, e.len))
-            .collect()
+        self.map(|e| (e.role, e.payload.len()))
     }
 
     /// Per-message lengths with the sender's phase, in wire order. Phase
@@ -469,13 +481,7 @@ impl TranscriptHandle {
     /// rejected on receive), so filtering by phase yields each phase's
     /// transcript shape — the per-phase obliviousness view.
     pub fn phased_lengths(&self) -> Vec<(Role, Phase, usize)> {
-        self.inner
-            .entries
-            .lock()
-            .expect("transcript lock poisoned")
-            .iter()
-            .map(|e| (e.role, e.phase, e.len))
-            .collect()
+        self.map(|e| (e.role, e.phase, e.payload.len()))
     }
 }
 
@@ -483,9 +489,9 @@ impl TranscriptHandle {
 ///
 /// Protocol code takes `&mut Channel` and is written from the perspective of
 /// one party; [`Channel::role`] says which. Messages are owned byte vectors.
-/// A transcript of per-direction message lengths can be recorded for
-/// obliviousness tests via [`channel_pair_with_transcript`]; the default
-/// [`channel_pair`] skips the per-message lock entirely.
+/// A pair from [`channel_pair`] or [`crate::tcp_channel_pair`] records
+/// nothing and injects nothing; [`recorded`] and [`crate::faulted`] add a
+/// transcript and a fault plan to any pair.
 pub struct Channel {
     role: Role,
     pipe: Pipe,
@@ -537,21 +543,8 @@ impl std::fmt::Debug for Channel {
     }
 }
 
-/// Create a connected pair of endpoints: `(alice, bob)`. No transcript is
-/// recorded — the hot path takes no lock per message.
+/// Create a connected in-process pair of endpoints: `(alice, bob)`.
 pub fn channel_pair() -> (Channel, Channel) {
-    mpsc_pair(None)
-}
-
-/// Create a connected pair that records the transcript of `(sender, length)`
-/// pairs, for obliviousness tests. Every send takes a shared lock; use
-/// [`channel_pair`] everywhere else. Payload bytes are additionally captured
-/// once a [`TranscriptHandle`] is attached.
-pub fn channel_pair_with_transcript() -> (Channel, Channel) {
-    mpsc_pair(Some(new_transcript()))
-}
-
-fn mpsc_pair(transcript: Option<Transcript>) -> (Channel, Channel) {
     let (a2b_tx, a2b_rx) = mpsc::channel();
     let (b2a_tx, b2a_rx) = mpsc::channel();
     let alice = Pipe::Mpsc {
@@ -562,102 +555,51 @@ fn mpsc_pair(transcript: Option<Transcript>) -> (Channel, Channel) {
         tx: b2a_tx,
         rx: a2b_rx,
     };
-    pair_over(alice, bob, transcript)
+    pair_over(alice, bob)
 }
 
 /// The one place a pair is assembled: Alice's and Bob's endpoints over
-/// their pipes, sharing one meter and (optionally) one transcript. Sharing
-/// is what makes every counter of a socket-backed pair byte-for-byte
-/// comparable with the in-process pair: each message is metered once, by
-/// its sender at stage time, whatever carries the frames.
-fn pair_over(alice: Pipe, bob: Pipe, transcript: Option<Transcript>) -> (Channel, Channel) {
+/// their pipes, sharing one meter. Sharing is what makes every counter of
+/// a socket-backed pair byte-for-byte comparable with the in-process pair:
+/// each message is metered once, by its sender at stage time, whatever
+/// carries the frames.
+pub(crate) fn pair_over(alice: Pipe, bob: Pipe) -> (Channel, Channel) {
     let meter = Arc::new(Meter::default());
-    let a = Channel::from_parts(Role::Alice, alice, Arc::clone(&meter), transcript.clone());
-    let b = Channel::from_parts(Role::Bob, bob, meter, transcript);
+    let a = Channel::from_parts(Role::Alice, alice, Arc::clone(&meter));
+    let b = Channel::from_parts(Role::Bob, bob, meter);
     (a, b)
 }
 
-/// Build a connected pair of endpoints over two already-connected TCP
-/// streams (`alice`'s socket and `bob`'s socket) — the drop-in
-/// socket-backed pair the TCP differential and fault tests run the full
-/// battery on. Incoming traffic is not re-metered (`meter_rx` stays off).
-pub(crate) fn tcp_pair_from_pipes(
-    alice: TcpPipe,
-    bob: TcpPipe,
-    transcript: Option<Transcript>,
-) -> (Channel, Channel) {
-    pair_over(Pipe::Tcp(alice), Pipe::Tcp(bob), transcript)
-}
-
-/// Build a standalone endpoint over a TCP stream for the party-per-process
-/// deployment (`secyan-server` / `secyan-client`). The endpoint carries
-/// its own meter and additionally meters *incoming* traffic at consume
-/// time, so its local [`CommStats`] cover both directions without a
-/// shared-memory peer.
-pub(crate) fn tcp_endpoint_from_pipe(role: Role, pipe: TcpPipe) -> Channel {
-    let mut ch = Channel::from_parts(role, Pipe::Tcp(pipe), Arc::new(Meter::default()), None);
+/// A standalone endpoint over `pipe` for the party-per-process deployment
+/// (`secyan-server` / `secyan-client`). The endpoint carries its own meter
+/// and additionally meters *incoming* traffic at consume time, so its
+/// local [`CommStats`] cover both directions without a shared-memory peer.
+pub(crate) fn endpoint_over(role: Role, pipe: Pipe) -> Channel {
+    let mut ch = Channel::from_parts(role, pipe, Arc::new(Meter::default()));
     ch.meter_rx = true;
     ch
 }
 
-/// Fresh transcript buffer for a recording pair (see
-/// [`channel_pair_with_transcript`]).
-pub(crate) fn new_transcript() -> Transcript {
-    Arc::new(TranscriptBuf {
-        entries: Mutex::new(Vec::new()),
-        capture_payloads: AtomicBool::new(false),
-    })
-}
-
-/// The raw wires of a relayed pair: each direction's traffic flows
-/// endpoint → relay (`*_in`) and relay → endpoint (`*_out`), so the
-/// fault-injection relay (see [`crate::fault`]) can tamper with frames in
-/// flight. Frames on these wires are complete framed messages unless a
-/// fault deliberately violates that invariant.
-pub(crate) struct RelayWires {
-    /// Frames Alice sent, awaiting relay to Bob.
-    pub(crate) a2b_in: Receiver<Vec<u8>>,
-    /// Relay's output toward Bob's receiver.
-    pub(crate) a2b_out: Sender<Vec<u8>>,
-    /// Frames Bob sent, awaiting relay to Alice.
-    pub(crate) b2a_in: Receiver<Vec<u8>>,
-    /// Relay's output toward Alice's receiver.
-    pub(crate) b2a_out: Sender<Vec<u8>>,
-}
-
-/// Create a pair whose two directions pass through external relay wires
-/// instead of being directly connected.
-pub(crate) fn relayed_pair() -> (Channel, Channel, RelayWires) {
-    let (a_tx, a2b_in) = mpsc::channel();
-    let (a2b_out, b_rx) = mpsc::channel();
-    let (b_tx, b2a_in) = mpsc::channel();
-    let (b2a_out, a_rx) = mpsc::channel();
-    let (alice, bob) = pair_over(
-        Pipe::Mpsc { tx: a_tx, rx: a_rx },
-        Pipe::Mpsc { tx: b_tx, rx: b_rx },
-        None,
-    );
-    let wires = RelayWires {
-        a2b_in,
-        a2b_out,
-        b2a_in,
-        b2a_out,
-    };
-    (alice, bob, wires)
+/// Attach a transcript to `pair`: from here on every message either
+/// endpoint stages is recorded, payload included, under one shared lock
+/// (the unrecorded hot path takes none). Works on any pair — in-process,
+/// socket-backed, [`crate::faulted`] — because recording happens at stage
+/// time, above the pipe.
+pub fn recorded(pair: (Channel, Channel)) -> ((Channel, Channel), TranscriptHandle) {
+    let (mut alice, mut bob) = pair;
+    let inner = Transcript::default();
+    alice.transcript = Some(Arc::clone(&inner));
+    bob.transcript = Some(Arc::clone(&inner));
+    ((alice, bob), TranscriptHandle { inner })
 }
 
 impl Channel {
-    fn from_parts(
-        role: Role,
-        pipe: Pipe,
-        meter: Arc<Meter>,
-        transcript: Option<Transcript>,
-    ) -> Channel {
+    fn from_parts(role: Role, pipe: Pipe, meter: Arc<Meter>) -> Channel {
         Channel {
             role,
             pipe,
             meter,
-            transcript,
+            transcript: None,
             out_buf: vec![0u8; HEADER],
             out_msgs: 0,
             in_buf: Vec::new(),
@@ -672,6 +614,20 @@ impl Channel {
             eager: false,
             meter_rx: false,
         }
+    }
+
+    /// Put this endpoint's pipe under the fault injector, which applies
+    /// the faults `plan` aims at this party's outgoing frames. A stall
+    /// swallows frames without closing anything, so only endpoints with an
+    /// I/O deadline may plan one — without it both parties wait forever.
+    pub(crate) fn inject(&mut self, plan: &FaultPlan) {
+        assert!(
+            self.pipe.io_timeout().is_some() || !plan.stalls(),
+            "a stall only surfaces through an I/O deadline: plan it on a socket pair"
+        );
+        let inner = std::mem::replace(&mut self.pipe, Pipe::dead());
+        let faulty = FaultyPipe::new(inner, plan.for_direction(self.role));
+        self.pipe = Pipe::Faulty(Box::new(faulty));
     }
 
     /// Set (or clear) the I/O deadline for socket-backed endpoints: any
@@ -770,20 +726,15 @@ impl Channel {
         // obliviousness view.
         self.meter.message(self.phase, self.role, len);
         if let Some(transcript) = &self.transcript {
-            let payload = transcript
-                .capture_payloads
-                .load(Ordering::Relaxed)
-                .then(|| self.out_buf[start..].to_vec());
+            let entry = TranscriptEntry {
+                role: self.role,
+                phase: self.phase,
+                payload: self.out_buf[start..].to_vec(),
+            };
             transcript
-                .entries
                 .lock()
                 .expect("transcript lock poisoned")
-                .push(TranscriptEntry {
-                    role: self.role,
-                    phase: self.phase,
-                    len,
-                    payload,
-                });
+                .push(entry);
         }
         if self.eager {
             self.flush();
@@ -1000,43 +951,6 @@ impl Channel {
     pub fn stats(&self) -> CommStats {
         self.meter.stats()
     }
-
-    /// The transcript of `(sender, message length)` pairs so far, in wire
-    /// order. Obliviousness tests compare this across different inputs of
-    /// the same public size: an oblivious protocol yields identical
-    /// transcripts.
-    ///
-    /// Panics unless the pair came from [`channel_pair_with_transcript`].
-    pub fn transcript_lengths(&self) -> Vec<(Role, usize)> {
-        let transcript = self
-            .transcript
-            .as_ref()
-            .expect("transcript recording is opt-in: use channel_pair_with_transcript()");
-        transcript
-            .entries
-            .lock()
-            .expect("transcript lock poisoned")
-            .iter()
-            .map(|e| (e.role, e.len))
-            .collect()
-    }
-
-    /// A clonable handle onto the shared transcript, usable after the
-    /// endpoint itself is consumed by a party thread. Attaching the handle
-    /// enables payload capture for all subsequently staged messages (so
-    /// [`TranscriptHandle::messages`] can return bytes); attach it before
-    /// the protocol runs.
-    ///
-    /// Panics unless the pair came from [`channel_pair_with_transcript`].
-    pub fn transcript_handle(&self) -> TranscriptHandle {
-        let inner = Arc::clone(
-            self.transcript
-                .as_ref()
-                .expect("transcript recording is opt-in: use channel_pair_with_transcript()"),
-        );
-        inner.capture_payloads.store(true, Ordering::Relaxed);
-        TranscriptHandle { inner }
-    }
 }
 
 impl Drop for Channel {
@@ -1054,6 +968,20 @@ impl Drop for Channel {
 mod tests {
     use super::*;
     use std::thread;
+
+    /// A pair with the Alice→Bob wire cut open: the frames Alice ships come
+    /// out of the receiver, and what the test pushes into the sender is
+    /// what Bob reads.
+    fn cut_pair() -> (Channel, Channel, Receiver<Vec<u8>>, Sender<Vec<u8>>) {
+        let (a_tx, from_alice) = mpsc::channel();
+        let (to_bob, b_rx) = mpsc::channel();
+        let (b_tx, a_rx) = mpsc::channel();
+        let (a, b) = pair_over(
+            Pipe::Mpsc { tx: a_tx, rx: a_rx },
+            Pipe::Mpsc { tx: b_tx, rx: b_rx },
+        );
+        (a, b, from_alice, to_bob)
+    }
 
     #[test]
     fn roundtrip_and_meters() {
@@ -1101,15 +1029,15 @@ mod tests {
 
     #[test]
     fn staged_messages_coalesce_into_one_frame() {
-        let (mut a, mut b, wires) = relayed_pair();
+        let (mut a, mut b, from_alice, to_bob) = cut_pair();
         a.send(vec![1, 2]);
         a.send(vec![3]);
         a.send(vec![4, 5, 6]);
         a.flush();
         // Exactly one frame on the wire...
-        let frame = wires.a2b_in.recv().unwrap();
-        assert!(wires.a2b_in.try_recv().is_err(), "expected a single frame");
-        wires.a2b_out.send(frame).unwrap();
+        let frame = from_alice.recv().unwrap();
+        assert!(from_alice.try_recv().is_err(), "expected a single frame");
+        to_bob.send(frame).unwrap();
         // ...but three logical messages with intact boundaries.
         assert_eq!(b.recv(), vec![1, 2]);
         assert_eq!(b.recv(), vec![3]);
@@ -1130,16 +1058,16 @@ mod tests {
 
     #[test]
     fn frame_cap_splits_super_frames() {
-        let (mut a, mut b, wires) = relayed_pair();
+        let (mut a, mut b, from_alice, to_bob) = cut_pair();
         a.set_frame_cap(64);
         for i in 0..10u8 {
             a.send(vec![i; 16]);
         }
         a.flush();
         let mut frames = 0;
-        while let Ok(frame) = wires.a2b_in.try_recv() {
+        while let Ok(frame) = from_alice.try_recv() {
             assert!(frame.len() - HEADER <= 64, "cap violated: {}", frame.len());
-            wires.a2b_out.send(frame).unwrap();
+            to_bob.send(frame).unwrap();
             frames += 1;
         }
         assert!(frames > 1, "cap must force splitting");
@@ -1166,26 +1094,8 @@ mod tests {
     }
 
     #[test]
-    fn transcript_records_lengths_in_order() {
-        let (mut a, mut b) = channel_pair_with_transcript();
-        let h = thread::spawn(move || {
-            b.recv();
-            b.send(vec![7; 7]);
-            b.flush();
-        });
-        a.send(vec![1; 4]);
-        a.recv();
-        h.join().unwrap();
-        assert_eq!(
-            a.transcript_lengths(),
-            vec![(Role::Alice, 4), (Role::Bob, 7)]
-        );
-    }
-
-    #[test]
-    fn transcript_handle_records_payload_bytes() {
-        let (mut a, mut b) = channel_pair_with_transcript();
-        let handle = a.transcript_handle();
+    fn recorded_pair_keeps_messages_in_stage_order() {
+        let ((mut a, mut b), handle) = recorded(channel_pair());
         let h = thread::spawn(move || {
             b.recv();
             b.send(vec![7; 3]);
@@ -1202,20 +1112,6 @@ mod tests {
     }
 
     #[test]
-    fn payloads_not_captured_without_handle() {
-        let (mut a, mut b) = channel_pair_with_transcript();
-        a.send(vec![1, 2, 3]);
-        a.flush();
-        assert_eq!(b.recv(), vec![1, 2, 3]);
-        // Lengths are recorded...
-        assert_eq!(a.transcript_lengths(), vec![(Role::Alice, 3)]);
-        // ...but the payload was never cloned; a late handle cannot see it.
-        let handle = a.transcript_handle();
-        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.messages()));
-        assert!(got.is_err(), "messages() must reject uncaptured payloads");
-    }
-
-    #[test]
     fn default_pair_skips_transcript() {
         let (mut a, mut b) = channel_pair();
         let h = thread::spawn(move || {
@@ -1227,25 +1123,18 @@ mod tests {
         assert!(a.transcript.is_none());
     }
 
-    #[test]
-    #[should_panic(expected = "opt-in")]
-    fn transcript_read_panics_when_disabled() {
-        let (a, _b) = channel_pair();
-        let _ = a.transcript_lengths();
-    }
-
-    /// Drive one direction by hand through relay wires: Alice sends and
+    /// Drive one direction by hand through the cut wire: Alice sends and
     /// flushes, the test tampers with the frame, Bob's `try_recv` reports
     /// the fault.
     fn tampered_recv(
         tamper: impl FnOnce(Vec<u8>, &Sender<Vec<u8>>),
     ) -> Result<Vec<u8>, TransportError> {
-        let (mut a, mut b, wires) = relayed_pair();
+        let (mut a, mut b, from_alice, to_bob) = cut_pair();
         a.send(vec![1, 2, 3, 4]);
         a.flush();
-        let frame = wires.a2b_in.recv().unwrap();
-        tamper(frame, &wires.a2b_out);
-        drop(wires);
+        let frame = from_alice.recv().unwrap();
+        tamper(frame, &to_bob);
+        drop(to_bob);
         drop(a);
         b.try_recv()
     }

@@ -1,39 +1,42 @@
 //! Deterministic fault injection for the two-party transport.
 //!
-//! [`fault_channel_pair`] builds a channel pair whose two directions pass
-//! through a man-in-the-middle relay thread each. The relay forwards frames
-//! verbatim except where a [`FaultPlan`] tells it to misbehave, modelling
-//! the network failures a real deployment would see: truncated writes,
-//! writes split across packets, reordering inside a round, and a peer
-//! vanishing mid-protocol. Plans are plain data — built explicitly with
-//! [`FaultPlan::single`] or derived from a seed with [`FaultPlan::from_seed`]
-//! — so every injected fault is exactly reproducible.
+//! [`faulted`] puts both endpoints of any pair — in-process or socket —
+//! under one injector: a wrapper around the endpoint's pipe that forwards
+//! its outgoing frames verbatim except where a [`FaultPlan`] tells it to
+//! misbehave, modelling the network failures a real deployment would see:
+//! truncated writes, writes split across packets, reordering inside a
+//! round, an oversized length field, a stalled wire and a peer vanishing
+//! mid-protocol. The injector runs inside the sender's own `send_frame`,
+//! so it needs no thread and no timer. Plans are plain data — built
+//! explicitly with [`FaultPlan::single`] or derived from a seed with
+//! [`FaultPlan::from_seed`] — so every injected fault is exactly
+//! reproducible.
 //!
 //! The contract under test: every injected fault must surface as a typed
 //! [`crate::ProtocolError`] from [`crate::try_run_protocol_on`] over the
 //! faulty pair — no panic escaping the runner, no deadlock, and drop-time
 //! zeroization of secret material still performed on the unwind path.
 
-use crate::channel::{relayed_pair, Channel, RelayWires, Role, HEADER};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use crate::channel::{Channel, Pipe, Role, HEADER, MAX_FRAME_SIZE, SUB_HEADER};
+use crate::error::TransportError;
 use std::time::Duration;
 
-/// How long a relay holds a reordered frame waiting for a successor before
-/// giving up and delivering it in order (prevents a held frame from
-/// deadlocking a conversation that switches direction at that point).
-const REORDER_FLUSH: Duration = Duration::from_millis(50);
-
-/// The classes of transport misbehaviour the relay can inject.
+/// The classes of transport misbehaviour the injector can apply to a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Deliver only a prefix of the frame, then close the direction — a
-    /// connection dying mid-write.
-    Truncate,
-    /// Deliver the frame as two separate writes, violating the
-    /// one-write-one-frame invariant the receiver checks.
+    /// Deliver only the first `keep` bytes of the frame (at most all but
+    /// its last), then close the direction — a connection dying mid-write.
+    /// Counting from the start of the frame, bytes 0–7 are its header,
+    /// 8–11 the first message's sub-header, the rest payload.
+    Truncate { keep: usize },
+    /// Deliver the frame as two separate writes. The in-process pipe hands
+    /// each write over as a frame, violating the one-write-one-frame
+    /// invariant the receiver checks; a socket reassembles the stream, so
+    /// there the fault is benign.
     SplitWrite,
     /// Hold the frame and deliver its successor first — reordering inside
-    /// a round.
+    /// a round. If the endpoint turns to receive (or drops) before sending
+    /// a successor, the held frame goes out in order after all.
     Reorder,
     /// Drop the frame and close the direction — the peer vanishing.
     Disconnect,
@@ -41,17 +44,11 @@ pub enum FaultKind {
     /// [`crate::MAX_FRAME_SIZE`] — an oversized (coalesced) super-frame or
     /// a tampered length field.
     Oversize,
-}
-
-impl FaultKind {
-    /// Every fault class, for exhaustive per-class tests.
-    pub const ALL: [FaultKind; 5] = [
-        FaultKind::Truncate,
-        FaultKind::SplitWrite,
-        FaultKind::Reorder,
-        FaultKind::Disconnect,
-        FaultKind::Oversize,
-    ];
+    /// Swallow this frame and every later one while keeping the connection
+    /// open: the sender never blocks, the receiver starves until its I/O
+    /// deadline fires. Only a pair with a deadline can plan it
+    /// ([`faulted`] panics otherwise).
+    Stall,
 }
 
 /// One planned fault: misbehave on the `message_index`-th frame (0-based)
@@ -73,20 +70,14 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// No faults: the relayed pair behaves exactly like [`crate::channel_pair`].
+    /// No faults: the faulted pair behaves exactly like the pair it wraps.
     pub fn none() -> FaultPlan {
         FaultPlan::default()
     }
 
     /// A single planned fault.
     pub fn single(direction: Role, message_index: u64, kind: FaultKind) -> FaultPlan {
-        FaultPlan {
-            faults: vec![FaultSpec {
-                direction,
-                message_index,
-                kind,
-            }],
-        }
+        FaultPlan::none().and(direction, message_index, kind)
     }
 
     /// Add another fault to the plan.
@@ -100,8 +91,11 @@ impl FaultPlan {
     }
 
     /// Derive a single-fault plan from a seed: direction, frame index in
-    /// `[0, horizon)` and fault class are all functions of `seed` alone
-    /// (SplitMix64), so a failing seed reproduces exactly.
+    /// `[0, horizon)`, fault class (every class but [`FaultKind::Stall`],
+    /// so the plan fits any pair) and truncation cut — a third each in the
+    /// header, the sub-header and the first payload bytes — are all
+    /// functions of `seed` alone (SplitMix64), so a failing seed
+    /// reproduces exactly.
     pub fn from_seed(seed: u64, horizon: u64) -> FaultPlan {
         let mut state = seed;
         let mut next = move || {
@@ -117,7 +111,21 @@ impl FaultPlan {
             Role::Bob
         };
         let message_index = next() % horizon.max(1);
-        let kind = FaultKind::ALL[(next() % FaultKind::ALL.len() as u64) as usize];
+        let kind = match next() % 5 {
+            0 => {
+                let at = next() as usize;
+                let keep = match at % 3 {
+                    0 => at % HEADER,
+                    1 => HEADER + at % SUB_HEADER,
+                    _ => HEADER + SUB_HEADER + at % 32,
+                };
+                FaultKind::Truncate { keep }
+            }
+            1 => FaultKind::SplitWrite,
+            2 => FaultKind::Reorder,
+            3 => FaultKind::Disconnect,
+            _ => FaultKind::Oversize,
+        };
         FaultPlan::single(direction, message_index, kind)
     }
 
@@ -126,7 +134,12 @@ impl FaultPlan {
         &self.faults
     }
 
-    fn for_direction(&self, direction: Role) -> Vec<(u64, FaultKind)> {
+    /// Whether any planned fault is a [`FaultKind::Stall`].
+    pub(crate) fn stalls(&self) -> bool {
+        self.faults.iter().any(|f| f.kind == FaultKind::Stall)
+    }
+
+    pub(crate) fn for_direction(&self, direction: Role) -> Vec<(u64, FaultKind)> {
         self.faults
             .iter()
             .filter(|f| f.direction == direction)
@@ -135,153 +148,147 @@ impl FaultPlan {
     }
 }
 
-/// Create a connected pair whose traffic passes through fault-injecting
-/// relays executing `plan`. With [`FaultPlan::none`] the pair is
-/// behaviourally identical to [`crate::channel_pair`] (frames are forwarded
-/// verbatim). The relay threads exit on their own once either endpoint
-/// drops, so the pair needs no explicit teardown.
-pub fn fault_channel_pair(plan: &FaultPlan) -> (Channel, Channel) {
-    let (alice, bob, wires) = relayed_pair();
-    let RelayWires {
-        a2b_in,
-        a2b_out,
-        b2a_in,
-        b2a_out,
-    } = wires;
-    spawn_relay(a2b_in, a2b_out, plan.for_direction(Role::Alice));
-    spawn_relay(b2a_in, b2a_out, plan.for_direction(Role::Bob));
+/// Apply `plan` to `pair`: each endpoint's outgoing frames pass through the
+/// injector executing the faults planned for its direction. With
+/// [`FaultPlan::none`] the pair behaves exactly like the pair passed in.
+/// Composes with [`crate::recorded`] in either order, and over either pipe.
+///
+/// Panics if the plan contains a [`FaultKind::Stall`] and the pair has no
+/// I/O deadline (the in-process pipe never has one).
+pub fn faulted(pair: (Channel, Channel), plan: &FaultPlan) -> (Channel, Channel) {
+    let (mut alice, mut bob) = pair;
+    alice.inject(plan);
+    bob.inject(plan);
     (alice, bob)
 }
 
-fn spawn_relay(rx: Receiver<Vec<u8>>, tx: Sender<Vec<u8>>, faults: Vec<(u64, FaultKind)>) {
-    std::thread::spawn(move || {
-        Relay {
-            rx,
-            tx,
-            faults,
-            index: 0,
-            held: None,
-        }
-        .run();
-    });
-}
+/// How long a socket split write waits between its two pieces, so the
+/// receiver's read genuinely returns short and has to resume.
+const SPLIT_PAUSE: Duration = Duration::from_micros(200);
 
-struct Relay {
-    rx: Receiver<Vec<u8>>,
-    tx: Sender<Vec<u8>>,
+/// A [`Pipe`] under a fault plan: tampers with the outgoing frames the
+/// plan names and forwards everything else, both ways, untouched.
+pub(crate) struct FaultyPipe {
+    pub(crate) inner: Pipe,
+    /// This direction's planned faults: `(frame index, kind)`.
     faults: Vec<(u64, FaultKind)>,
-    /// Index of the next frame this relay will see.
+    /// Index of the next outgoing frame.
     index: u64,
     /// Frame held back by a pending [`FaultKind::Reorder`].
     held: Option<Vec<u8>>,
+    /// A [`FaultKind::Stall`] fired: every later frame is swallowed.
+    stalled: bool,
 }
 
-impl Relay {
-    fn run(mut self) {
-        loop {
-            let frame = if self.held.is_some() {
-                // While holding a reordered frame, don't block forever: if
-                // no successor arrives (the conversation turned around),
-                // deliver the held frame in order and keep going.
-                match self.rx.recv_timeout(REORDER_FLUSH) {
-                    Ok(f) => f,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if self.flush_held().is_err() {
-                            return;
-                        }
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            } else {
-                match self.rx.recv() {
-                    Ok(f) => f,
-                    Err(_) => break,
-                }
-            };
-            let fault = self
-                .faults
-                .iter()
-                .find(|(i, _)| *i == self.index)
-                .map(|(_, k)| *k);
-            self.index += 1;
-            match fault {
-                None => {
-                    if self.tx.send(frame).is_err() {
-                        return;
-                    }
-                    // A frame held for reordering is delivered right after
-                    // the one that overtook it.
-                    if self.flush_held().is_err() {
-                        return;
-                    }
-                }
-                Some(FaultKind::Truncate) => {
-                    // Keep the header and half the payload if there is one,
-                    // otherwise cut into the header itself.
-                    let cut = if frame.len() > HEADER {
-                        HEADER + (frame.len() - HEADER) / 2
-                    } else {
-                        frame.len() / 2
-                    };
-                    let _ = self.tx.send(frame[..cut].to_vec());
-                    // Close the direction: a real connection dying mid-write
-                    // delivers nothing further.
-                    return;
-                }
-                Some(FaultKind::SplitWrite) => {
-                    let cut = (frame.len() / 2).max(1).min(frame.len() - 1);
-                    if self.tx.send(frame[..cut].to_vec()).is_err() {
-                        return;
-                    }
-                    if self.tx.send(frame[cut..].to_vec()).is_err() {
-                        return;
-                    }
-                    if self.flush_held().is_err() {
-                        return;
-                    }
-                }
-                Some(FaultKind::Reorder) => {
-                    if let Some(prev) = self.held.replace(frame) {
-                        // Two overlapping reorders: deliver the older held
-                        // frame now rather than holding two.
-                        if self.tx.send(prev).is_err() {
-                            return;
-                        }
-                    }
-                }
-                Some(FaultKind::Disconnect) => return,
-                Some(FaultKind::Oversize) => {
-                    let mut frame = frame;
-                    if frame.len() >= HEADER {
-                        let declared = (crate::channel::MAX_FRAME_SIZE as u32).wrapping_add(1);
-                        frame[0..4].copy_from_slice(&declared.to_le_bytes());
-                    }
-                    if self.tx.send(frame).is_err() {
-                        return;
-                    }
-                    if self.flush_held().is_err() {
-                        return;
-                    }
-                }
-            }
+impl FaultyPipe {
+    pub(crate) fn new(inner: Pipe, faults: Vec<(u64, FaultKind)>) -> FaultyPipe {
+        FaultyPipe {
+            inner,
+            faults,
+            index: 0,
+            held: None,
+            stalled: false,
         }
-        // Input closed; deliver anything still held, then close the output.
-        let _ = self.flush_held();
     }
 
-    fn flush_held(&mut self) -> Result<(), ()> {
-        if let Some(f) = self.held.take() {
-            self.tx.send(f).map_err(|_| ())?;
+    pub(crate) fn send_frame(
+        &mut self,
+        mut frame: Vec<u8>,
+    ) -> Result<Option<Vec<u8>>, TransportError> {
+        let fault = self.faults.iter().find(|(i, _)| *i == self.index);
+        let fault = fault.map(|&(_, kind)| kind);
+        self.index += 1;
+        if self.stalled {
+            return Ok(Some(frame));
         }
-        Ok(())
+        match fault {
+            Some(FaultKind::Reorder) => {
+                // Two overlapping reorders: deliver the older held frame
+                // now rather than holding two.
+                return match self.held.replace(frame) {
+                    Some(older) => self.inner.send_frame(older),
+                    None => Ok(None),
+                };
+            }
+            Some(FaultKind::Truncate { keep }) => {
+                frame.truncate(keep.min(frame.len() - 1));
+                let sent = self.inner.send_frame(frame);
+                self.kill();
+                return sent;
+            }
+            Some(FaultKind::Disconnect) => {
+                self.kill();
+                return Ok(None);
+            }
+            Some(FaultKind::Stall) => {
+                self.stalled = true;
+                self.held = None;
+                return Ok(Some(frame));
+            }
+            Some(FaultKind::SplitWrite) => {
+                let tail = frame.split_off(frame.len() / 2);
+                self.inner.send_frame(frame)?;
+                if matches!(self.inner, Pipe::Tcp(_)) {
+                    std::thread::sleep(SPLIT_PAUSE);
+                }
+                frame = tail;
+            }
+            Some(FaultKind::Oversize) => {
+                let declared = (MAX_FRAME_SIZE as u32).wrapping_add(1);
+                frame[0..4].copy_from_slice(&declared.to_le_bytes());
+            }
+            None => {}
+        }
+        let spare = self.inner.send_frame(frame)?;
+        // A frame held for reordering goes out right after the one that
+        // overtook it.
+        self.flush_held()?;
+        Ok(spare)
+    }
+
+    /// About to block on the peer: a held frame that no successor overtook
+    /// goes out in order first, or the peer would wait for it forever.
+    pub(crate) fn recv_frame(
+        &mut self,
+        spare: &mut Vec<Vec<u8>>,
+    ) -> Result<Vec<u8>, TransportError> {
+        self.flush_held()?;
+        self.inner.recv_frame(spare)
+    }
+
+    fn flush_held(&mut self) -> Result<(), TransportError> {
+        match self.held.take() {
+            Some(frame) => self.inner.send_frame(frame).map(|_| ()),
+            None => Ok(()),
+        }
+    }
+
+    /// Close the direction a fault killed: a real connection dying
+    /// delivers nothing further, held or new.
+    fn kill(&mut self) {
+        self.held = None;
+        self.inner.close_send();
+    }
+}
+
+impl Drop for FaultyPipe {
+    fn drop(&mut self) {
+        let _ = self.flush_held();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::TransportError;
+    use crate::{channel_pair, tcp_channel_pair};
+
+    /// Both pipes under `plan`.
+    fn both(plan: &FaultPlan) -> [(&'static str, (Channel, Channel)); 2] {
+        [
+            ("mpsc", faulted(channel_pair(), plan)),
+            ("tcp", faulted(tcp_channel_pair().unwrap(), plan)),
+        ]
+    }
 
     #[test]
     fn from_seed_is_deterministic_and_in_horizon() {
@@ -292,134 +299,196 @@ mod tests {
             assert_eq!(p1.faults().len(), 1);
             assert!(p1.faults()[0].message_index < 10);
         }
-        // All four classes and both directions appear across seeds.
+        // Every deadline-free class, every truncation region and both
+        // directions appear across seeds; a stall never does.
         let plans: Vec<FaultSpec> = (0..64)
             .map(|s| FaultPlan::from_seed(s, 10).faults()[0])
             .collect();
-        for kind in FaultKind::ALL {
-            assert!(plans.iter().any(|f| f.kind == kind), "{kind:?} missing");
-        }
+        let has = |what: &dyn Fn(FaultKind) -> bool| plans.iter().any(|f| what(f.kind));
+        assert!(has(
+            &|k| matches!(k, FaultKind::Truncate { keep } if keep < HEADER)
+        ));
+        assert!(has(&|k| matches!(k, FaultKind::Truncate { keep }
+            if (HEADER..HEADER + SUB_HEADER).contains(&keep))));
+        assert!(has(&|k| matches!(k, FaultKind::Truncate { keep }
+            if keep >= HEADER + SUB_HEADER)));
+        assert!(has(&|k| k == FaultKind::SplitWrite));
+        assert!(has(&|k| k == FaultKind::Reorder));
+        assert!(has(&|k| k == FaultKind::Disconnect));
+        assert!(has(&|k| k == FaultKind::Oversize));
+        assert!(!has(&|k| k == FaultKind::Stall));
         assert!(plans.iter().any(|f| f.direction == Role::Alice));
         assert!(plans.iter().any(|f| f.direction == Role::Bob));
     }
 
     #[test]
-    fn no_fault_relay_is_transparent() {
-        let (mut a, mut b) = fault_channel_pair(&FaultPlan::none());
-        let h = std::thread::spawn(move || {
-            let m = b.recv();
-            b.send(vec![9; 9]);
-            m
-        });
-        a.send(vec![1, 2, 3]);
-        assert_eq!(a.recv(), vec![9; 9]);
-        assert_eq!(h.join().unwrap(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn truncate_fault_yields_truncated_error() {
-        let (mut a, mut b) =
-            fault_channel_pair(&FaultPlan::single(Role::Alice, 0, FaultKind::Truncate));
-        a.send(vec![1, 2, 3, 4]);
-        drop(a); // drop flushes the staged frame
-                 // Payload on the wire = 4-byte sub-header + 4 message bytes; the
-                 // relay keeps the frame header and half of that payload.
-        assert_eq!(
-            b.try_recv().unwrap_err(),
-            TransportError::Truncated {
-                expected: 8,
-                got: 4
+    fn truncate_fault_cuts_where_planned() {
+        // The frame is 8 header + 4 sub-header + 4 message bytes.
+        for (keep, expected) in [
+            (
+                3,
+                TransportError::Corrupt {
+                    detail: "frame shorter than its 8-byte header",
+                },
+            ),
+            (
+                10,
+                TransportError::Truncated {
+                    expected: 8,
+                    got: 2,
+                },
+            ),
+            (
+                12,
+                TransportError::Truncated {
+                    expected: 8,
+                    got: 4,
+                },
+            ),
+            // Beyond the frame: all but its last byte.
+            (
+                99,
+                TransportError::Truncated {
+                    expected: 8,
+                    got: 7,
+                },
+            ),
+        ] {
+            let plan = FaultPlan::single(Role::Alice, 0, FaultKind::Truncate { keep });
+            for (pipe, (mut a, mut b)) in both(&plan) {
+                a.send(vec![1, 2, 3, 4]);
+                a.flush();
+                assert_eq!(b.try_recv().unwrap_err(), expected, "{pipe}, keep {keep}");
+                // The direction is dead for the sender too.
+                a.send(vec![5]);
+                assert_eq!(
+                    a.try_flush().unwrap_err(),
+                    TransportError::PeerClosed { during: "send" },
+                    "{pipe}"
+                );
             }
-        );
+        }
     }
 
     #[test]
-    fn split_write_fault_yields_framing_error() {
-        let (mut a, mut b) =
-            fault_channel_pair(&FaultPlan::single(Role::Alice, 0, FaultKind::SplitWrite));
-        a.send(vec![1, 2, 3, 4]);
-        drop(a);
-        // First fragment: header intact, payload short.
-        assert!(matches!(
-            b.try_recv().unwrap_err(),
-            TransportError::Truncated { .. } | TransportError::Corrupt { .. }
-        ));
+    fn split_write_is_a_framing_error_in_process_and_benign_on_a_socket() {
+        let plan = FaultPlan::single(Role::Alice, 0, FaultKind::SplitWrite);
+        for (pipe, (mut a, mut b)) in both(&plan) {
+            a.send(vec![1, 2, 3, 4]);
+            a.flush();
+            match (pipe, b.try_recv()) {
+                // First fragment: header intact, payload short.
+                ("mpsc", Err(TransportError::Truncated { .. })) => {}
+                ("tcp", Ok(m)) => assert_eq!(m, vec![1, 2, 3, 4]),
+                (_, other) => panic!("{pipe}: {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn reorder_fault_yields_out_of_order_error() {
-        let (mut a, mut b) =
-            fault_channel_pair(&FaultPlan::single(Role::Alice, 0, FaultKind::Reorder));
-        a.send(vec![1]);
-        a.flush();
-        a.send(vec![2]);
-        a.flush();
-        // Frame 1 (seq 1) overtakes frame 0 (seq 0).
-        assert_eq!(
-            b.try_recv().unwrap_err(),
-            TransportError::OutOfOrder {
-                expected: 0,
-                got: 1
-            }
-        );
+        let plan = FaultPlan::single(Role::Alice, 0, FaultKind::Reorder);
+        for (pipe, (mut a, mut b)) in both(&plan) {
+            a.send(vec![1]);
+            a.flush();
+            a.send(vec![2]);
+            a.flush();
+            // Frame 1 (seq 1) overtakes frame 0 (seq 0).
+            assert_eq!(
+                b.try_recv().unwrap_err(),
+                TransportError::OutOfOrder {
+                    expected: 0,
+                    got: 1
+                },
+                "{pipe}"
+            );
+        }
     }
 
     #[test]
-    fn reorder_flushes_in_order_when_no_successor_arrives() {
-        let (mut a, mut b) =
-            fault_channel_pair(&FaultPlan::single(Role::Alice, 0, FaultKind::Reorder));
-        a.send(vec![42]);
-        a.flush();
-        // No successor: after REORDER_FLUSH the frame arrives in order.
-        assert_eq!(b.try_recv().unwrap(), vec![42]);
+    fn reorder_delivers_in_order_when_the_sender_drops_first() {
+        let plan = FaultPlan::single(Role::Alice, 0, FaultKind::Reorder);
+        for (pipe, (mut a, mut b)) in both(&plan) {
+            a.send(vec![42]);
+            drop(a);
+            assert_eq!(b.try_recv().unwrap(), vec![42], "{pipe}");
+        }
     }
 
     #[test]
     fn disconnect_fault_yields_peer_closed() {
-        let (mut a, mut b) =
-            fault_channel_pair(&FaultPlan::single(Role::Alice, 0, FaultKind::Disconnect));
-        a.send(vec![1, 2, 3]);
-        a.flush();
-        assert_eq!(
-            b.try_recv().unwrap_err(),
-            TransportError::PeerClosed { during: "recv" }
-        );
+        let plan = FaultPlan::single(Role::Alice, 0, FaultKind::Disconnect);
+        for (pipe, (mut a, mut b)) in both(&plan) {
+            a.send(vec![1, 2, 3]);
+            a.flush();
+            assert_eq!(
+                b.try_recv().unwrap_err(),
+                TransportError::PeerClosed { during: "recv" },
+                "{pipe}"
+            );
+        }
     }
 
     #[test]
     fn oversize_fault_yields_frame_too_large() {
-        use crate::channel::MAX_FRAME_SIZE;
-        let (mut a, mut b) =
-            fault_channel_pair(&FaultPlan::single(Role::Alice, 0, FaultKind::Oversize));
-        a.send(vec![1, 2, 3]);
-        drop(a);
+        let plan = FaultPlan::single(Role::Alice, 0, FaultKind::Oversize);
+        for (pipe, (mut a, mut b)) in both(&plan) {
+            a.send(vec![1, 2, 3]);
+            a.flush();
+            assert_eq!(
+                b.try_recv().unwrap_err(),
+                TransportError::FrameTooLarge {
+                    declared: MAX_FRAME_SIZE as u64 + 1,
+                    limit: MAX_FRAME_SIZE as u64,
+                },
+                "{pipe}"
+            );
+        }
+    }
+
+    #[test]
+    fn stall_fault_starves_the_receiver_into_its_deadline() {
+        let plan = FaultPlan::single(Role::Alice, 1, FaultKind::Stall);
+        let (mut a, mut b) = faulted(tcp_channel_pair().unwrap(), &plan);
+        b.set_io_timeout(Some(Duration::from_millis(100)));
+        for m in 0..3 {
+            a.send(vec![m]);
+            a.flush(); // frames 1 and 2 are swallowed; the sender never blocks
+        }
+        assert_eq!(b.try_recv().unwrap(), vec![0]);
         assert_eq!(
             b.try_recv().unwrap_err(),
-            TransportError::FrameTooLarge {
-                declared: MAX_FRAME_SIZE as u64 + 1,
-                limit: MAX_FRAME_SIZE as u64,
-            }
+            TransportError::Timeout { during: "recv" }
         );
     }
 
     #[test]
+    #[should_panic(expected = "I/O deadline")]
+    fn stall_cannot_be_planned_without_a_deadline() {
+        let plan = FaultPlan::single(Role::Bob, 0, FaultKind::Stall);
+        let _ = faulted(channel_pair(), &plan);
+    }
+
+    #[test]
     fn fault_applies_only_to_planned_direction_and_index() {
-        let (mut a, mut b) =
-            fault_channel_pair(&FaultPlan::single(Role::Bob, 1, FaultKind::Disconnect));
-        let h = std::thread::spawn(move || {
-            let m = b.recv();
-            b.send(vec![7]); // Bob frame 0: clean
-            b.flush();
-            b.send(vec![8]); // Bob frame 1: dropped, direction closed
-            b.flush();
-            m
-        });
-        a.send(vec![1]);
-        assert_eq!(a.recv(), vec![7]);
-        assert_eq!(
-            a.try_recv().unwrap_err(),
-            TransportError::PeerClosed { during: "recv" }
-        );
-        assert_eq!(h.join().unwrap(), vec![1]);
+        let plan = FaultPlan::single(Role::Bob, 1, FaultKind::Disconnect);
+        for (pipe, (mut a, mut b)) in both(&plan) {
+            let h = std::thread::spawn(move || {
+                let m = b.recv();
+                b.send(vec![7]); // Bob frame 0: clean
+                b.flush();
+                b.send(vec![8]); // Bob frame 1: dropped, direction closed
+                b.flush();
+                m
+            });
+            a.send(vec![1]);
+            assert_eq!(a.recv(), vec![7], "{pipe}");
+            assert_eq!(
+                a.try_recv().unwrap_err(),
+                TransportError::PeerClosed { during: "recv" },
+                "{pipe}"
+            );
+            assert_eq!(h.join().unwrap(), vec![1], "{pipe}");
+        }
     }
 }

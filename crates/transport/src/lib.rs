@@ -15,7 +15,7 @@
 //! Obliviousness testing also leans on this crate: a protocol is oblivious
 //! only if its transcript (here: the sequence of message lengths in each
 //! direction) is a function of the public parameters alone. See
-//! [`Channel::transcript_lengths`].
+//! [`recorded`] and [`TranscriptHandle::lengths`].
 //!
 //! Round compression: sends are *staged* and coalesced — every run of
 //! same-direction messages between genuine ping-pong dependencies travels
@@ -29,7 +29,8 @@
 //! Fault tolerance: messages are framed and sequence-numbered on the wire,
 //! so truncation, split writes, reordering and peer disconnects surface as
 //! typed [`TransportError`]s instead of hangs or garbage reads. The
-//! [`fault`] module injects exactly those faults deterministically, and
+//! [`fault`] module injects exactly those faults deterministically into
+//! any pair ([`faulted`]), and
 //! [`try_run_protocol`] / [`try_run_protocol_on`] catch the typed unwinds
 //! at the session boundary.
 
@@ -42,18 +43,15 @@ mod tcp;
 mod wire;
 
 pub use channel::{
-    channel_pair, channel_pair_with_transcript, Channel, CommStats, NetModel, Phase, Role,
-    TranscriptHandle, MAX_FRAME_SIZE,
+    channel_pair, recorded, Channel, CommStats, NetModel, Phase, Role, TranscriptHandle,
+    MAX_FRAME_SIZE,
 };
 pub use error::{ProtocolError, TransportError};
-pub use fault::{fault_channel_pair, FaultKind, FaultPlan, FaultSpec};
+pub use fault::{faulted, FaultKind, FaultPlan, FaultSpec};
 pub use handshake::{ClientHello, HandshakeError, PROTOCOL_VERSION};
 pub use runner::{
     catch_protocol, run_protocol, run_protocol_captured, run_protocol_on, try_run_protocol,
     try_run_protocol_on,
 };
-pub use tcp::{
-    tcp_channel_pair, tcp_channel_pair_with_transcript, tcp_endpoint, tcp_pair_from_streams,
-    TcpFault, TcpFaultKind, TcpFaultProxy, DEFAULT_IO_TIMEOUT,
-};
+pub use tcp::{tcp_channel_pair, tcp_endpoint, tcp_pair_from_streams, DEFAULT_IO_TIMEOUT};
 pub use wire::{ReadExt, WriteExt};

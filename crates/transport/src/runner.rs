@@ -14,14 +14,10 @@
 //! * `run_protocol*` are the same call for callers that expect success: a
 //!   typed failure is re-raised as the root cause's unwind.
 //! * The `*_on` forms take the channel pair from the caller (a socket pair
-//!   from [`crate::tcp_channel_pair`], a recording pair from
-//!   [`channel_pair_with_transcript`], a faulty one from
-//!   [`crate::fault_channel_pair`]); the others run on a fresh
-//!   [`channel_pair`].
+//!   from [`crate::tcp_channel_pair`], either pair [`recorded`] or
+//!   [`crate::faulted`]); the others run on a fresh [`channel_pair`].
 
-use crate::channel::{
-    channel_pair, channel_pair_with_transcript, Channel, CommStats, TranscriptHandle,
-};
+use crate::channel::{channel_pair, recorded, Channel, CommStats, TranscriptHandle};
 use crate::error::{try_downcast_panic, ProtocolError, TransportError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread;
@@ -45,8 +41,7 @@ where
 
 /// Like [`run_protocol`], but over a caller-supplied channel pair — e.g. a
 /// socket-backed loopback pair from [`crate::tcp_channel_pair`], or a
-/// [`channel_pair_with_transcript`] whose `ch.transcript_lengths()` the
-/// party closures read. The TCP test battery uses this to run the exact
+/// [`recorded`] one. The TCP test battery uses this to run the exact
 /// protocol closures the in-process runners take, over a real wire.
 pub fn run_protocol_on<FA, FB, RA, RB>(
     pair: (Channel, Channel),
@@ -62,10 +57,8 @@ where
     try_run_protocol_on(pair, alice, bob).unwrap_or_else(|e| e.raise())
 }
 
-/// Like [`run_protocol`], but on a transcript-recording pair with payload
-/// capture enabled *before* either party starts; the attached
-/// [`TranscriptHandle`] is returned alongside the outputs — so
-/// `handle.messages()` sees every byte with no startup race. Determinism
+/// Like [`run_protocol`], but on a [`recorded`] pair; the
+/// [`TranscriptHandle`] is returned alongside the outputs. Determinism
 /// tests compare these transcripts across runs.
 pub fn run_protocol_captured<FA, FB, RA, RB>(
     alice: FA,
@@ -77,8 +70,7 @@ where
     RA: Send,
     RB: Send,
 {
-    let pair = channel_pair_with_transcript();
-    let handle = pair.0.transcript_handle();
+    let (pair, handle) = recorded(channel_pair());
     let (ra, rb, stats) = run_protocol_on(pair, alice, bob);
     (ra, rb, stats, handle)
 }
@@ -108,8 +100,8 @@ where
 /// non-`PeerClosed` error from either side wins over a `PeerClosed` from
 /// the other; ties keep Alice's error. Non-typed panics are genuine bugs
 /// and propagate. The fault tests drive sessions through
-/// [`crate::fault_channel_pair`] and [`crate::TcpFaultProxy`] pairs here
-/// and get the same typed, hang-free reporting on every transport.
+/// [`crate::faulted`] pairs here and get the same typed, hang-free
+/// reporting on every transport.
 pub fn try_run_protocol_on<FA, FB, RA, RB>(
     pair: (Channel, Channel),
     alice: FA,

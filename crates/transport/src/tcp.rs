@@ -16,14 +16,12 @@
 //!   `PeerClosed` for EOF/reset).
 //! * Paired constructors ([`tcp_channel_pair`], [`tcp_pair_from_streams`])
 //!   for in-process tests that want both endpoints of a loopback socket
-//!   with one shared meter/transcript — the drop-in replacement the
-//!   differential battery compares against `channel_pair`.
+//!   with one shared meter — the drop-in replacement the differential and
+//!   fault batteries run next to `channel_pair` ([`crate::recorded`] and
+//!   [`crate::faulted`] apply to it unchanged).
 //! * A standalone endpoint constructor ([`tcp_endpoint`]) for the real
 //!   party-per-process deployment (`secyan-server` / `secyan-client`),
 //!   metering both directions locally.
-//! * [`TcpFaultProxy`] — a byte-level man-in-the-middle for fault tests:
-//!   truncate, split writes, stall-past-deadline, and mid-frame
-//!   disconnect, triggered at an exact wire-byte offset.
 //!
 //! An allocation-bomb note mirroring the in-process path: the pipe reads
 //! the 8-byte header first and refuses to allocate for a payload declared
@@ -31,16 +29,10 @@
 //! the channel's sequence/phase/size checks then surface the typed
 //! `FrameTooLarge` in the same validation order as the mpsc transport.
 
-use crate::channel::{
-    new_transcript, tcp_endpoint_from_pipe, tcp_pair_from_pipes, Channel, Role, Transcript, HEADER,
-    MAX_FRAME_SIZE,
-};
+use crate::channel::{endpoint_over, pair_over, Channel, Pipe, Role, HEADER, MAX_FRAME_SIZE};
 use crate::error::TransportError;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::Duration;
 
 /// Default I/O deadline on socket-backed endpoints. Generous enough for
@@ -106,6 +98,15 @@ impl TcpPipe {
         let _ = self.stream.set_write_timeout(timeout);
     }
 
+    pub(crate) fn io_timeout(&self) -> Option<Duration> {
+        self.stream.read_timeout().ok().flatten()
+    }
+
+    /// Half-close: the peer reads EOF after what was already written.
+    pub(crate) fn close_send(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Write);
+    }
+
     /// Write one complete frame (header already stamped by the channel).
     pub(crate) fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError> {
         self.stream.write_all(frame).map_err(|e| map_io(&e, "send"))
@@ -150,7 +151,7 @@ impl Drop for TcpPipe {
     /// write-half shutdown also flushes promptly under `SO_LINGER`-less
     /// defaults.
     fn drop(&mut self) {
-        let _ = self.stream.shutdown(Shutdown::Write);
+        self.close_send();
     }
 }
 
@@ -164,37 +165,20 @@ fn loopback_stream_pair() -> io::Result<(TcpStream, TcpStream)> {
 }
 
 /// [`crate::channel_pair`] over a real loopback TCP socket: both endpoints
-/// share one meter (and optionally a transcript), so every counter and
-/// recorded message is directly comparable with an in-process run. Frames
-/// genuinely traverse the kernel's TCP stack. Endpoints start with
-/// [`DEFAULT_IO_TIMEOUT`].
+/// share one meter, so every counter is directly comparable with an
+/// in-process run. Frames genuinely traverse the kernel's TCP stack.
+/// Endpoints start with [`DEFAULT_IO_TIMEOUT`].
 pub fn tcp_channel_pair() -> io::Result<(Channel, Channel)> {
     let (a, b) = loopback_stream_pair()?;
     tcp_pair_from_streams(a, b)
 }
 
-/// [`tcp_channel_pair`] with transcript recording (the socket-backed
-/// [`crate::channel_pair_with_transcript`]).
-pub fn tcp_channel_pair_with_transcript() -> io::Result<(Channel, Channel)> {
-    let (a, b) = loopback_stream_pair()?;
-    pair_over_streams(a, b, Some(new_transcript()))
-}
-
-/// Build a shared-meter channel pair over two already-connected streams —
-/// e.g. the two ends of a route through a [`TcpFaultProxy`]. `alice` is
-/// Alice's socket, `bob` Bob's.
+/// Build a shared-meter channel pair over two already-connected streams
+/// the caller owns. `alice` is Alice's socket, `bob` Bob's.
 pub fn tcp_pair_from_streams(alice: TcpStream, bob: TcpStream) -> io::Result<(Channel, Channel)> {
-    pair_over_streams(alice, bob, None)
-}
-
-fn pair_over_streams(
-    alice: TcpStream,
-    bob: TcpStream,
-    transcript: Option<Transcript>,
-) -> io::Result<(Channel, Channel)> {
     let alice = TcpPipe::new(alice, Some(DEFAULT_IO_TIMEOUT))?;
     let bob = TcpPipe::new(bob, Some(DEFAULT_IO_TIMEOUT))?;
-    Ok(tcp_pair_from_pipes(alice, bob, transcript))
+    Ok(pair_over(Pipe::Tcp(alice), Pipe::Tcp(bob)))
 }
 
 /// Build one standalone endpoint over a connected stream — the real
@@ -207,205 +191,8 @@ pub fn tcp_endpoint(
     stream: TcpStream,
     io_timeout: Option<Duration>,
 ) -> io::Result<Channel> {
-    Ok(tcp_endpoint_from_pipe(
-        role,
-        TcpPipe::new(stream, io_timeout)?,
-    ))
-}
-
-/// Which wire fault a [`TcpFaultProxy`] injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TcpFaultKind {
-    /// Forward `after_bytes`, then half-close the faulted direction: the
-    /// receiver sees a clean EOF mid-frame (a truncated write), while the
-    /// reverse direction stays up.
-    Truncate,
-    /// From `after_bytes` on, forward the stream in tiny delayed chunks.
-    /// TCP reassembles, the pipe's exact-read loops span the splits — the
-    /// run must *succeed*; this fault proves split writes are benign on a
-    /// real socket, where the mpsc relay had to model them as errors.
-    SplitWrite,
-    /// Forward `after_bytes`, then swallow everything (reading and
-    /// discarding, so the sender never blocks): the receiver's I/O
-    /// deadline must fire as a typed `Timeout` — the fault class only a
-    /// real socket can express.
-    Stall,
-    /// Forward `after_bytes`, then tear down both directions of the
-    /// connection at once: a mid-frame connection loss.
-    Disconnect,
-}
-
-/// One injected fault: direction (the *sender* whose traffic is faulted,
-/// with the proxy's connecting side being Alice and its upstream side
-/// Bob), a trigger offset in wire bytes, and the fault kind.
-#[derive(Debug, Clone, Copy)]
-pub struct TcpFault {
-    pub dir: Role,
-    pub after_bytes: u64,
-    pub kind: TcpFaultKind,
-}
-
-/// A byte-level man-in-the-middle between two sockets. Listens on an
-/// ephemeral loopback port, forwards one accepted connection to the
-/// upstream address, and applies at most one [`TcpFault`] at an exact
-/// byte offset. By convention the party connecting *to the proxy* is
-/// Alice and the upstream listener is Bob.
-pub struct TcpFaultProxy {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl TcpFaultProxy {
-    /// Spawn the proxy. It serves exactly one connection and exits when
-    /// both directions finish (or the fault kills them).
-    pub fn spawn(upstream: SocketAddr, fault: Option<TcpFault>) -> io::Result<TcpFaultProxy> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let accept_thread = std::thread::spawn(move || {
-            let Ok((client, _)) = listener.accept() else {
-                return;
-            };
-            if stop2.load(Ordering::SeqCst) {
-                return;
-            }
-            let Ok(server) = TcpStream::connect(upstream) else {
-                let _ = client.shutdown(Shutdown::Both);
-                return;
-            };
-            let _ = client.set_nodelay(true);
-            let _ = server.set_nodelay(true);
-            let pick = move |dir: Role| fault.filter(|f| f.dir == dir);
-            let (Ok(c2), Ok(s2)) = (client.try_clone(), server.try_clone()) else {
-                return;
-            };
-            let stop_a = Arc::clone(&stop2);
-            let stop_b = Arc::clone(&stop2);
-            // Alice direction: client -> server.
-            let up = std::thread::spawn(move || {
-                pump(c2, s2, pick(Role::Alice), &stop_a);
-            });
-            // Bob direction: server -> client.
-            pump(server, client, pick(Role::Bob), &stop_b);
-            let _ = up.join();
-        });
-        Ok(TcpFaultProxy {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
-    }
-
-    /// The proxy's listening address — point Alice's connect here.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-}
-
-impl Drop for TcpFaultProxy {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake a proxy still blocked in accept(); harmless otherwise.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Forward `reader` to `writer`, applying `fault` at its byte offset.
-/// Clean exit (EOF or fault) half-closes the forwarded direction so the
-/// downstream receiver observes exactly what the fault modeled.
-fn pump(mut reader: TcpStream, mut writer: TcpStream, fault: Option<TcpFault>, stop: &AtomicBool) {
-    let mut forwarded: u64 = 0;
-    let mut splitting = false;
-    let mut buf = [0u8; 4096];
-    loop {
-        let n = match reader.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        };
-        let mut chunk = &buf[..n];
-        if let Some(f) = fault {
-            if !splitting && forwarded + n as u64 > f.after_bytes {
-                let clean = (f.after_bytes - forwarded) as usize;
-                match f.kind {
-                    TcpFaultKind::Truncate => {
-                        let _ = writer.write_all(&chunk[..clean]);
-                        let _ = writer.shutdown(Shutdown::Write);
-                        let _ = reader.shutdown(Shutdown::Read);
-                        return;
-                    }
-                    TcpFaultKind::Disconnect => {
-                        let _ = writer.write_all(&chunk[..clean]);
-                        let _ = writer.shutdown(Shutdown::Both);
-                        let _ = reader.shutdown(Shutdown::Both);
-                        return;
-                    }
-                    TcpFaultKind::Stall => {
-                        let _ = writer.write_all(&chunk[..clean]);
-                        swallow(&mut reader, stop);
-                        return;
-                    }
-                    TcpFaultKind::SplitWrite => {
-                        if writer.write_all(&chunk[..clean]).is_err() {
-                            break;
-                        }
-                        chunk = &chunk[clean..];
-                        splitting = true;
-                    }
-                }
-            }
-        }
-        forwarded += n as u64;
-        let ok = if splitting {
-            write_split(&mut writer, chunk)
-        } else {
-            writer.write_all(chunk).is_ok()
-        };
-        if !ok {
-            break;
-        }
-    }
-    let _ = writer.shutdown(Shutdown::Write);
-    let _ = reader.shutdown(Shutdown::Read);
-}
-
-/// Forward `chunk` in 3-byte writes separated by small sleeps, forcing
-/// the receiving pipe to reassemble partial reads across header and
-/// payload boundaries.
-fn write_split(writer: &mut TcpStream, chunk: &[u8]) -> bool {
-    for piece in chunk.chunks(3) {
-        if writer.write_all(piece).is_err() {
-            return false;
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    true
-}
-
-/// Read and discard the rest of the stream (so the stalled sender never
-/// blocks on backpressure — the *receiver's* deadline is what must fire),
-/// holding the connection open until the proxy is dropped or the sender
-/// goes away.
-fn swallow(reader: &mut TcpStream, stop: &AtomicBool) {
-    let _ = reader.set_read_timeout(Some(Duration::from_millis(25)));
-    let mut sink = [0u8; 4096];
-    while !stop.load(Ordering::SeqCst) {
-        match reader.read(&mut sink) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
+    let pipe = TcpPipe::new(stream, io_timeout)?;
+    Ok(endpoint_over(role, Pipe::Tcp(pipe)))
 }
 
 #[cfg(test)]
@@ -595,46 +382,5 @@ mod tests {
         });
         assert_eq!(b.recv(), vec![5, 6, 7]);
         h.join().unwrap();
-    }
-
-    #[test]
-    fn transparent_proxy_forwards_both_directions() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let upstream = listener.local_addr().unwrap();
-        let proxy = TcpFaultProxy::spawn(upstream, None).unwrap();
-        let client = TcpStream::connect(proxy.addr()).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        let (mut a, mut b) = tcp_pair_from_streams(client, server).unwrap();
-        let h = thread::spawn(move || {
-            let m = b.recv();
-            b.send(vec![2; 8]);
-            b.flush();
-            m
-        });
-        a.send(vec![1; 4]);
-        assert_eq!(a.recv(), vec![2; 8]);
-        assert_eq!(h.join().unwrap(), vec![1; 4]);
-    }
-
-    #[test]
-    fn proxy_truncate_surfaces_typed() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let upstream = listener.local_addr().unwrap();
-        let fault = TcpFault {
-            dir: Role::Alice,
-            after_bytes: 10, // inside the first frame's payload
-            kind: TcpFaultKind::Truncate,
-        };
-        let proxy = TcpFaultProxy::spawn(upstream, Some(fault)).unwrap();
-        let client = TcpStream::connect(proxy.addr()).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        let (mut a, mut b) = tcp_pair_from_streams(client, server).unwrap();
-        a.send(vec![1; 32]);
-        a.flush();
-        let got = b.try_recv().unwrap_err();
-        assert!(
-            matches!(got, TransportError::Truncated { .. }),
-            "expected a truncation, got {got:?}"
-        );
     }
 }

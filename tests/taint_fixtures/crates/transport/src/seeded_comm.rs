@@ -27,6 +27,20 @@ pub fn resize_secret(ch: &mut Channel, s: Secret<usize>) {
     ch.send(buf);
 }
 
+/// `send_with`'s first argument *is* the message length.
+pub fn send_with_secret_len(ch: &mut Channel, s: Secret<usize>) {
+    let n = s.expose();
+    // taint-expect: T-COMM
+    ch.send_with(8 * n, |buf| buf.fill(0));
+}
+
+/// Clean twin: the length is public shape, and `fill` writes into a
+/// buffer of exactly that length — what it writes may be anything.
+pub fn send_with_public_len(ch: &mut Channel, rows: usize, s: Secret<u64>) {
+    let pad = s.expose();
+    ch.send_with(8 * rows, |buf| buf[..8].copy_from_slice(&pad.to_le_bytes()));
+}
+
 /// Clean twin: buffer sized by public shape (row count from the query
 /// plan), contents freely derived from masked data. Only lengths are
 /// checked — payload bytes are protected by the masking upstream.

@@ -19,29 +19,23 @@ use secyan_crypto::sha256::Sha256;
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_relation::{JoinTree, NaturalRing, Relation};
 use secyan_testkit::{
-    check_instance, oracle, run_secure, run_secure_phase_split, run_secure_phase_split_with_faults,
-    run_secure_tcp, scalar_of, session_seeds, AggKind, Instance, SecureRun,
+    check_instance, oracle, run_secure, run_secure_on, scalar_of, session_seeds, try_run_secure_on,
+    AggKind, Instance, Run, SecureRun,
 };
 use secyan_tpch::queries::{canonical, run_plaintext_instance, run_secure_instance, PaperQuery};
 use secyan_tpch::{Database, Scale};
 use secyan_transport::{
-    run_protocol, run_protocol_captured, Channel, FaultKind, FaultPlan, Phase, Role,
+    channel_pair, faulted, run_protocol, run_protocol_captured, tcp_channel_pair, Channel,
+    FaultKind, FaultPlan, Phase, Role,
 };
 
-/// One direction's wire stream: the sender's messages in program order.
-/// The *global* interleaving of the two directions is scheduler timing,
-/// not protocol content (both parties may send concurrently within a
-/// round), so cross-run comparisons are made per direction.
-fn direction_stream(run: &SecureRun, dir: Role) -> Vec<&[u8]> {
-    run.transcript
-        .iter()
-        .filter(|(r, _)| *r == dir)
-        .map(|(_, m)| m.as_slice())
-        .collect()
+/// A phase-split run of `inst` on a fresh in-process pair.
+fn run_secure_phase_split(inst: &Instance, shed: Option<(usize, usize)>) -> SecureRun {
+    run_secure_on(inst, channel_pair(), Run::PhaseSplit { shed })
 }
 
 fn direction_lengths(run: &SecureRun, dir: Role) -> Vec<usize> {
-    direction_stream(run, dir).iter().map(|m| m.len()).collect()
+    run.sent_by(dir).iter().map(|m| m.len()).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -86,7 +80,8 @@ fn differential_sweep_tcp() {
     for inst in instances {
         let expected = oracle(&inst);
         let mem = run_secure(&inst);
-        let tcp = run_secure_tcp(&inst);
+        let pair = tcp_channel_pair().expect("loopback TCP pair");
+        let tcp = run_secure_on(&inst, pair, Run::Single);
         assert_eq!(
             tcp.result,
             expected,
@@ -97,8 +92,8 @@ fn differential_sweep_tcp() {
         assert_eq!(tcp.out_size, mem.out_size, "{}", inst.describe());
         for dir in [Role::Alice, Role::Bob] {
             assert_eq!(
-                direction_stream(&tcp, dir),
-                direction_stream(&mem, dir),
+                tcp.sent_by(dir),
+                mem.sent_by(dir),
                 "{dir:?}-side transcript over TCP is not byte-identical \
                  to the in-process channel on {}",
                 inst.describe()
@@ -407,9 +402,9 @@ fn phase_split_faults_surface_typed_errors_in_both_phases() {
             ("offline", 4),
             ("online", horizon.saturating_sub(2)),
         ] {
-            for kind in [FaultKind::Truncate, FaultKind::Disconnect] {
-                let plan = FaultPlan::single(dir, index, kind);
-                match run_secure_phase_split_with_faults(&inst, &plan) {
+            for kind in [FaultKind::Truncate { keep: 10 }, FaultKind::Disconnect] {
+                let pair = faulted(channel_pair(), &FaultPlan::single(dir, index, kind));
+                match try_run_secure_on(&inst, pair, Run::PhaseSplit { shed: None }) {
                     Err(e) => {
                         let _ = e.to_string();
                     }

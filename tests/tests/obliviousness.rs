@@ -9,20 +9,42 @@ use secyan_core::{run_offline, run_online};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_relation::{JoinTree, NaturalRing, Relation};
 use secyan_transport::{
-    channel_pair_with_transcript, run_protocol, run_protocol_on, CommStats, Phase, Role,
+    channel_pair, recorded, run_protocol, run_protocol_captured, run_protocol_on, tcp_channel_pair,
+    Channel, CommStats, Phase, Role,
 };
+
+type MakePair = fn() -> (Channel, Channel);
+
+/// Both pipes, each as a maker of fresh pairs: the transcript is recorded
+/// above the pipe, so every property below must hold on either.
+fn pipes() -> [(&'static str, MakePair); 2] {
+    [
+        ("in-process", channel_pair),
+        ("tcp", || tcp_channel_pair().expect("loopback TCP pair")),
+    ]
+}
 
 fn strings(v: &[&str]) -> Vec<String> {
     v.iter().map(|s| s.to_string()).collect()
 }
 
-/// Run Example-1.1-shaped query on given data; return the transcript
-/// length sequence.
+/// [`transcript_on`] a fresh in-process pair, lengths only.
 fn transcript_of(
     r1_rows: Vec<(Vec<u64>, u64)>,
     r2_rows: Vec<(Vec<u64>, u64)>,
     r3_rows: Vec<(Vec<u64>, u64)>,
 ) -> Vec<(Role, usize)> {
+    transcript_on(channel_pair(), r1_rows, r2_rows, r3_rows).0
+}
+
+/// Run Example-1.1-shaped query on given data over `pair`; return the
+/// transcript length sequence and the communication stats.
+fn transcript_on(
+    pair: (Channel, Channel),
+    r1_rows: Vec<(Vec<u64>, u64)>,
+    r2_rows: Vec<(Vec<u64>, u64)>,
+    r3_rows: Vec<(Vec<u64>, u64)>,
+) -> (Vec<(Role, usize)>, CommStats) {
     let ring = NaturalRing::paper_default();
     let r1 = Relation::from_rows(ring, strings(&["person"]), r1_rows);
     let r2 = Relation::from_rows(ring, strings(&["person", "disease"]), r2_rows);
@@ -38,9 +60,10 @@ fn transcript_of(
         strings(&["class"]),
     );
     let q2 = query.clone();
-    // Transcript recording is opt-in; the default channel doesn't have it.
-    let (transcript, _, _) = run_protocol_on(
-        channel_pair_with_transcript(),
+    // Transcript recording is opt-in; a plain pair doesn't have it.
+    let (pair, transcript) = recorded(pair);
+    let ((), (), stats) = run_protocol_on(
+        pair,
         move |ch| {
             let mut sess =
                 secyan_core::Session::new(ch, RingCtx::new(32), TweakHasher::default(), 1);
@@ -50,7 +73,6 @@ fn transcript_of(
                 &[Some(r1), None, Some(r3)],
                 Role::Alice,
             );
-            sess.ch.transcript_lengths()
         },
         move |ch| {
             let mut sess =
@@ -58,7 +80,17 @@ fn transcript_of(
             secyan_core::secure_yannakakis(&mut sess, &q2, &[None, Some(r2), None], Role::Alice);
         },
     );
-    transcript
+    (transcript.lengths(), stats)
+}
+
+/// The wire-level meters that must be as data-independent as the lengths:
+/// frames per direction and direction switches among them.
+fn frame_shape(stats: &CommStats) -> (u64, u64, u64) {
+    (
+        stats.frames_alice_to_bob,
+        stats.frames_bob_to_alice,
+        stats.super_rounds,
+    )
 }
 
 /// Two databases with identical public shape (relation sizes) but totally
@@ -66,42 +98,48 @@ fn transcript_of(
 /// numbers of groups, and different dangling-tuple patterns.
 #[test]
 fn transcript_depends_only_on_public_sizes() {
-    // Database A: everything joins, 2 classes.
-    let t_a = transcript_of(
-        vec![(vec![1], 10), (vec![2], 20), (vec![3], 30)],
-        vec![
-            (vec![1, 1], 5),
-            (vec![2, 1], 6),
-            (vec![3, 2], 7),
-            (vec![1, 2], 8),
-        ],
-        vec![(vec![1, 100], 1), (vec![2, 200], 1)],
-    );
-    // Database B: same sizes; nothing joins at all, different values.
-    let t_b = transcript_of(
-        vec![(vec![91], 1), (vec![92], 1), (vec![93], 1)],
-        vec![
-            (vec![77, 5], 50),
-            (vec![78, 5], 60),
-            (vec![79, 6], 70),
-            (vec![80, 6], 80),
-        ],
-        vec![(vec![40, 300], 1), (vec![41, 300], 1)],
-    );
-    assert_eq!(
-        t_a.len(),
-        t_b.len(),
-        "different number of messages: {} vs {}",
-        t_a.len(),
-        t_b.len()
-    );
-    for (i, (ma, mb)) in t_a.iter().zip(&t_b).enumerate() {
-        assert_eq!(ma.0, mb.0, "message {i} direction differs");
-        assert_eq!(
-            ma.1, mb.1,
-            "message {i} length differs ({:?} vs {:?})",
-            ma, mb
+    for (pipe, pair) in pipes() {
+        // Database A: everything joins, 2 classes.
+        let (t_a, stats_a) = transcript_on(
+            pair(),
+            vec![(vec![1], 10), (vec![2], 20), (vec![3], 30)],
+            vec![
+                (vec![1, 1], 5),
+                (vec![2, 1], 6),
+                (vec![3, 2], 7),
+                (vec![1, 2], 8),
+            ],
+            vec![(vec![1, 100], 1), (vec![2, 200], 1)],
         );
+        // Database B: same sizes; nothing joins at all, different values.
+        let (t_b, stats_b) = transcript_on(
+            pair(),
+            vec![(vec![91], 1), (vec![92], 1), (vec![93], 1)],
+            vec![
+                (vec![77, 5], 50),
+                (vec![78, 5], 60),
+                (vec![79, 6], 70),
+                (vec![80, 6], 80),
+            ],
+            vec![(vec![40, 300], 1), (vec![41, 300], 1)],
+        );
+        assert_eq!(
+            t_a.len(),
+            t_b.len(),
+            "{pipe}: different number of messages: {} vs {}",
+            t_a.len(),
+            t_b.len()
+        );
+        for (i, (ma, mb)) in t_a.iter().zip(&t_b).enumerate() {
+            assert_eq!(ma.0, mb.0, "{pipe}: message {i} direction differs");
+            assert_eq!(
+                ma.1, mb.1,
+                "{pipe}: message {i} length differs ({:?} vs {:?})",
+                ma, mb
+            );
+        }
+        // Frame boundaries are as data-independent as the messages in them.
+        assert_eq!(frame_shape(&stats_a), frame_shape(&stats_b), "{pipe}");
     }
 }
 
@@ -174,10 +212,9 @@ fn multiply_transcript_ignores_share_bits() {
                         secyan_core::Session::new(ch, ring, TweakHasher::default(), seed);
                     let (v, z) = (vec![ring.reduce(share); n], vec![ring.reduce(share); n]);
                     sess.multiply(Role::Bob, &v, &z, v_plain);
-                    sess.ch.transcript_lengths()
                 }
             };
-            run_protocol_on(channel_pair_with_transcript(), party(5), party(6)).0
+            run_protocol_captured(party(5), party(6)).3.lengths()
         };
         let (zeros, ones) = (run(0), run(u64::MAX));
         for dir in [Role::Alice, Role::Bob] {
@@ -190,9 +227,10 @@ fn multiply_transcript_ignores_share_bits() {
 }
 
 /// Run the Example-1.1-shaped query in explicit offline/online phase-split
-/// mode; return the per-message `(sender, phase, length)` transcript and
-/// the communication stats.
+/// mode over `pair`; return the per-message `(sender, phase, length)`
+/// transcript and the communication stats.
 fn phased_transcript_of(
+    pair: (Channel, Channel),
     r1_rows: Vec<(Vec<u64>, u64)>,
     r2_rows: Vec<(Vec<u64>, u64)>,
     r3_rows: Vec<(Vec<u64>, u64)>,
@@ -214,10 +252,10 @@ fn phased_transcript_of(
     );
     let q2 = query.clone();
     let s2 = sizes.clone();
-    let (handle, (), stats) = run_protocol_on(
-        channel_pair_with_transcript(),
+    let (pair, handle) = recorded(pair);
+    let ((), (), stats) = run_protocol_on(
+        pair,
         move |ch| {
-            let handle = ch.transcript_handle();
             let m = run_offline(
                 ch,
                 &query,
@@ -236,7 +274,6 @@ fn phased_transcript_of(
                 TweakHasher::default(),
                 m,
             );
-            handle
         },
         move |ch| {
             let m = run_offline(
@@ -270,52 +307,63 @@ fn phased_transcript_of(
 /// here and nowhere else.
 #[test]
 fn per_phase_transcripts_depend_only_on_public_sizes() {
-    let (t_a, stats_a) = phased_transcript_of(
-        vec![(vec![1], 10), (vec![2], 20), (vec![3], 30)],
-        vec![
-            (vec![1, 1], 5),
-            (vec![2, 1], 6),
-            (vec![3, 2], 7),
-            (vec![1, 2], 8),
-        ],
-        vec![(vec![1, 100], 1), (vec![2, 200], 1)],
-    );
-    let (t_b, stats_b) = phased_transcript_of(
-        vec![(vec![91], 1), (vec![92], 1), (vec![93], 1)],
-        vec![
-            (vec![77, 5], 50),
-            (vec![78, 5], 60),
-            (vec![79, 6], 70),
-            (vec![80, 6], 80),
-        ],
-        vec![(vec![40, 300], 1), (vec![41, 300], 1)],
-    );
-    // Phase-split runs must tag every frame offline or online.
-    assert!(
-        t_a.iter().all(|(_, p, _)| *p != Phase::Single),
-        "untagged frame in a phase-split run"
-    );
-    let shape = |t: &[(Role, Phase, usize)], p: Phase| -> Vec<(Role, usize)> {
-        t.iter()
-            .filter(|(_, q, _)| *q == p)
-            .map(|(r, _, n)| (*r, *n))
-            .collect()
-    };
-    let off_a = shape(&t_a, Phase::Offline);
-    let off_b = shape(&t_b, Phase::Offline);
-    let on_a = shape(&t_a, Phase::Online);
-    let on_b = shape(&t_b, Phase::Online);
-    assert!(
-        !off_a.is_empty() && !on_a.is_empty(),
-        "both phases must communicate ({} offline, {} online messages)",
-        off_a.len(),
-        on_a.len()
-    );
-    assert_eq!(off_a, off_b, "offline transcript shape differs");
-    assert_eq!(on_a, on_b, "online transcript shape differs");
-    // Round structure of each phase is equally data-independent.
-    assert_eq!(stats_a.offline_rounds, stats_b.offline_rounds);
-    assert_eq!(stats_a.online_rounds, stats_b.online_rounds);
+    for (pipe, pair) in pipes() {
+        let (t_a, stats_a) = phased_transcript_of(
+            pair(),
+            vec![(vec![1], 10), (vec![2], 20), (vec![3], 30)],
+            vec![
+                (vec![1, 1], 5),
+                (vec![2, 1], 6),
+                (vec![3, 2], 7),
+                (vec![1, 2], 8),
+            ],
+            vec![(vec![1, 100], 1), (vec![2, 200], 1)],
+        );
+        let (t_b, stats_b) = phased_transcript_of(
+            pair(),
+            vec![(vec![91], 1), (vec![92], 1), (vec![93], 1)],
+            vec![
+                (vec![77, 5], 50),
+                (vec![78, 5], 60),
+                (vec![79, 6], 70),
+                (vec![80, 6], 80),
+            ],
+            vec![(vec![40, 300], 1), (vec![41, 300], 1)],
+        );
+        // Phase-split runs must tag every frame offline or online.
+        assert!(
+            t_a.iter().all(|(_, p, _)| *p != Phase::Single),
+            "{pipe}: untagged frame in a phase-split run"
+        );
+        let shape = |t: &[(Role, Phase, usize)], p: Phase| -> Vec<(Role, usize)> {
+            t.iter()
+                .filter(|(_, q, _)| *q == p)
+                .map(|(r, _, n)| (*r, *n))
+                .collect()
+        };
+        let off_a = shape(&t_a, Phase::Offline);
+        let off_b = shape(&t_b, Phase::Offline);
+        let on_a = shape(&t_a, Phase::Online);
+        let on_b = shape(&t_b, Phase::Online);
+        assert!(
+            !off_a.is_empty() && !on_a.is_empty(),
+            "{pipe}: both phases must communicate ({} offline, {} online messages)",
+            off_a.len(),
+            on_a.len()
+        );
+        assert_eq!(off_a, off_b, "{pipe}: offline transcript shape differs");
+        assert_eq!(on_a, on_b, "{pipe}: online transcript shape differs");
+        // Round and frame structure of each phase is equally
+        // data-independent.
+        assert_eq!(stats_a.offline_rounds, stats_b.offline_rounds, "{pipe}");
+        assert_eq!(stats_a.online_rounds, stats_b.online_rounds, "{pipe}");
+        assert_eq!(
+            (stats_a.offline_super_rounds, stats_a.online_super_rounds),
+            (stats_b.offline_super_rounds, stats_b.online_super_rounds),
+            "{pipe}"
+        );
+        assert_eq!(frame_shape(&stats_a), frame_shape(&stats_b), "{pipe}");
+    }
 }
 
 /// Rounds must depend only on the query, not the data size — the paper's

@@ -203,15 +203,7 @@ fn opprf_transcript_is_thread_count_invariant() {
 /// protocol content.
 #[test]
 fn generated_instance_is_thread_count_deterministic() {
-    use secyan_testkit::{run_secure, Instance, SecureRun};
-
-    fn direction_stream(run: &SecureRun, dir: Role) -> Vec<&[u8]> {
-        run.transcript
-            .iter()
-            .filter(|(r, _)| *r == dir)
-            .map(|(_, m)| m.as_slice())
-            .collect()
-    }
+    use secyan_testkit::{run_secure, Instance};
 
     let _guard = THREAD_LOCK.lock().unwrap();
     let inst = Instance::generate(7);
@@ -221,8 +213,8 @@ fn generated_instance_is_thread_count_deterministic() {
     assert_eq!(one.out_size, four.out_size, "{}", inst.describe());
     for dir in [Role::Alice, Role::Bob] {
         assert_eq!(
-            direction_stream(&one, dir),
-            direction_stream(&four, dir),
+            one.sent_by(dir),
+            four.sent_by(dir),
             "{dir:?}-side transcript bytes of {} differ between 1 and 4 threads",
             inst.describe()
         );

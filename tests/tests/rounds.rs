@@ -9,7 +9,7 @@
 //!   protocol's communication structure changed and the BENCH numbers and
 //!   DESIGN.md §14 need re-recording.
 //! * **Coalescing differential** — the same instance runs with message
-//!   coalescing on (default) and off (`run_secure_uncoalesced`, one wire
+//!   coalescing on (default) and off (`Run::Uncoalesced`, one wire
 //!   frame per staged message). Coalescing must change *wire framing
 //!   only*: results, logical transcripts, and every stage-time meter are
 //!   byte-identical; only the frame counters shrink.
@@ -20,11 +20,15 @@ use common::chain3_bench_instance;
 use secyan_core::{run_online_pooled, PreprocPool};
 use secyan_crypto::TweakHasher;
 use secyan_testkit::{
-    canonical_result, oracle, run_secure, run_secure_phase_split, run_secure_phase_split_tcp,
-    run_secure_tcp, run_secure_tcp_eager, run_secure_uncoalesced, session_seeds, Instance,
-    SecureRun,
+    canonical_result, oracle, run_secure, run_secure_on, session_seeds, Instance, Run, SecureRun,
 };
 use secyan_transport::{channel_pair, run_protocol_on, tcp_channel_pair, Channel, Role};
+
+const PHASE_SPLIT: Run = Run::PhaseSplit { shed: None };
+
+fn tcp_pair() -> (Channel, Channel) {
+    tcp_channel_pair().expect("loopback TCP pair")
+}
 
 /// The ISSUE's acceptance bound for the benchmark chain3 online phase
 /// (3x down from the 48-round pre-coalescing baseline).
@@ -46,7 +50,7 @@ const CHAIN3_OFFLINE_SUPER_ROUNDS: u64 = 9;
 
 #[test]
 fn chain3_online_super_rounds_golden() {
-    let run = run_secure_phase_split(&chain3_bench_instance(), None);
+    let run = run_secure_on(&chain3_bench_instance(), channel_pair(), PHASE_SPLIT);
     assert!(
         run.stats.online_super_rounds <= CHAIN3_ONLINE_SUPER_ROUND_BOUND,
         "chain3 online phase regressed past the acceptance bound: \
@@ -166,7 +170,7 @@ fn coalescing_only_changes_wire_framing() {
     ];
     for inst in &instances {
         let c = run_secure(inst);
-        let u = run_secure_uncoalesced(inst);
+        let u = run_secure_on(inst, channel_pair(), Run::Uncoalesced);
 
         // Same answer, same public output size.
         assert_eq!(c.result, u.result, "{}", inst.describe());
@@ -243,7 +247,7 @@ fn coalescing_only_changes_wire_framing() {
 #[test]
 fn chain3_super_round_pins_hold_over_tcp() {
     let inst = chain3_bench_instance();
-    let tcp = run_secure_phase_split_tcp(&inst);
+    let tcp = run_secure_on(&inst, tcp_pair(), PHASE_SPLIT);
     assert_eq!(
         tcp.stats.online_super_rounds, CHAIN3_ONLINE_SUPER_ROUNDS,
         "chain3 online super-round count changed when the frames crossed \
@@ -253,7 +257,7 @@ fn chain3_super_round_pins_hold_over_tcp() {
         tcp.stats.offline_super_rounds, CHAIN3_OFFLINE_SUPER_ROUNDS,
         "chain3 offline super-round count changed over TCP",
     );
-    let mem = run_secure_phase_split(&inst, None);
+    let mem = run_secure_on(&inst, channel_pair(), PHASE_SPLIT);
     assert_eq!(tcp.result, mem.result);
     assert_eq!(
         tcp.stats, mem.stats,
@@ -284,7 +288,11 @@ fn family_super_round_goldens_hold_over_tcp() {
     ];
     let actual: Vec<u64> = families
         .iter()
-        .map(|(_, inst)| run_secure_tcp(inst).stats.super_rounds)
+        .map(|(_, inst)| {
+            run_secure_on(inst, tcp_pair(), Run::Single)
+                .stats
+                .super_rounds
+        })
         .collect();
     let golden: Vec<u64> = vec![9, 19, 25, 25];
     assert_eq!(
@@ -302,8 +310,8 @@ fn family_super_round_goldens_hold_over_tcp() {
 fn tcp_coalescing_only_changes_wire_framing() {
     let instances = [Instance::generate_chain(0), Instance::generate(5)];
     for inst in &instances {
-        let c = run_secure_tcp(inst);
-        let u = run_secure_tcp_eager(inst);
+        let c = run_secure_on(inst, tcp_pair(), Run::Single);
+        let u = run_secure_on(inst, tcp_pair(), Run::Uncoalesced);
 
         assert_eq!(c.result, u.result, "{}", inst.describe());
         assert_eq!(c.out_size, u.out_size, "{}", inst.describe());

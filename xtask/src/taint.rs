@@ -60,7 +60,13 @@ use std::ops::Range;
 pub const SOURCES: &[&str] = &["expose", "draw_pads", "derive_key", "input_label"];
 
 /// Send-like calls whose payload shape is wire-visible.
-const SEND_SINKS: &[&str] = &["send", "send_blocks", "send_bytes"];
+const SEND_SINKS: &[&str] = &[
+    "send",
+    "send_blocks",
+    "send_bytes",
+    "send_with",
+    "send_words",
+];
 
 /// Method names that block on (or force) a wire frame: any `recv*` fetch,
 /// plus an explicit `flush`. Inside a loop these defeat send staging.
@@ -342,6 +348,11 @@ fn analyze_fn(
 
     // --- Communication-shape sinks ----------------------------------------
     for r in &send_args {
+        // `send_with(len, ..)`: the whole argument is the message length.
+        let name = &toks[r.start - 2];
+        if name.text == "send_with" && range_tainted(toks, mask, r.clone(), &tainted) {
+            keyed.insert((name.line, "T-COMM"));
+        }
         for (lp, line) in len_positions(toks, mask, r.clone()) {
             if range_tainted(toks, mask, lp, &tainted) {
                 keyed.insert((line, "T-COMM"));
@@ -705,7 +716,9 @@ fn iter_pattern_names(pat: &[Tok], toks: &[Tok], feed: Range<usize>) -> Vec<Stri
     names
 }
 
-/// Token ranges of arguments to send-like calls in `body`.
+/// Token ranges of arguments to send-like calls in `body`. Of
+/// `send_with(len, fill)` only `len` counts: `fill` writes into a buffer of
+/// exactly that length, so nothing in it can shape the message.
 fn send_call_args(toks: &[Tok], mask: &[bool], body: Range<usize>) -> Vec<Range<usize>> {
     let mut out = Vec::new();
     for j in body {
@@ -722,7 +735,10 @@ fn send_call_args(toks: &[Tok], mask: &[bool], body: Range<usize>) -> Vec<Range<
         if toks.get(j + 1).map(|t| t.text.as_str()) != Some("(") {
             continue;
         }
-        let close = matching_close(toks, j + 1);
+        let mut close = matching_close(toks, j + 1);
+        if toks[j].text == "send_with" {
+            close = find_at_depth0(toks, j + 2, close, &[","]).min(close);
+        }
         out.push(j + 2..close);
     }
     out
