@@ -279,23 +279,24 @@ mod tests {
     use super::*;
     use secyan_crypto::RingCtx;
     use secyan_relation::{NaturalRing, Relation};
-    use secyan_transport::{run_protocol, Role};
+    use secyan_transport::{run_protocol, CommStats, Role};
     use std::collections::HashMap;
 
-    /// Run oblivious aggregation end-to-end and reconstruct (key → value).
+    /// Run oblivious aggregation end-to-end and reconstruct (key → value),
+    /// with what the whole run cost on the wire.
     fn run_agg(
         rows: Vec<(Vec<u64>, u64)>,
         schema: Vec<&str>,
         attrs: Vec<&str>,
         kind: AggKind,
         force_shared: bool,
-    ) -> HashMap<Vec<u64>, u64> {
+    ) -> (HashMap<Vec<u64>, u64>, CommStats) {
         let schema: Vec<String> = schema.into_iter().map(|s| s.to_string()).collect();
         let attrs: Vec<String> = attrs.into_iter().map(|s| s.to_string()).collect();
         let rel = Relation::from_rows(NaturalRing::paper_default(), schema.clone(), rows);
         let (sch_a, sch_b) = (schema.clone(), schema);
         let (at_a, at_b) = (attrs.clone(), attrs);
-        let ((out_a, tuples, dummy), out_b, _) = run_protocol(
+        let ((out_a, tuples, dummy), out_b, stats) = run_protocol(
             move |ch| {
                 let mut sess = crate::session::Session::new(
                     ch,
@@ -341,13 +342,17 @@ mod tests {
                 assert!(result.insert(tuples[i].clone(), v).is_none());
             }
         }
-        result
+        (result, stats)
     }
 
+    /// Also the §6.5 ablation: owner-known annotations aggregate locally
+    /// (no OEP, no merge circuit), so the plain arm costs strictly fewer
+    /// bytes and super-rounds than forcing the shared path.
     #[test]
     fn sum_groups_correctly() {
+        let mut cost = Vec::new();
         for force_shared in [false, true] {
-            let got = run_agg(
+            let (got, stats) = run_agg(
                 vec![
                     (vec![1, 10], 5),
                     (vec![2, 20], 7),
@@ -364,13 +369,19 @@ mod tests {
                 .into_iter()
                 .collect();
             assert_eq!(got, want, "force_shared={force_shared}");
+            cost.push((stats.total_bytes(), stats.super_rounds));
         }
+        let (plain, shared) = (cost[0], cost[1]);
+        assert!(
+            plain.0 < shared.0 && plain.1 < shared.1,
+            "(bytes, super-rounds) plain {plain:?} vs shared {shared:?}"
+        );
     }
 
     #[test]
     fn support_is_binary() {
         for force_shared in [false, true] {
-            let got = run_agg(
+            let (got, _) = run_agg(
                 vec![
                     (vec![1], 0),
                     (vec![1], 0),
@@ -395,7 +406,7 @@ mod tests {
 
     #[test]
     fn grand_total_empty_attrs() {
-        let got = run_agg(
+        let (got, _) = run_agg(
             vec![(vec![1], 5), (vec![2], 6), (vec![3], 7)],
             vec!["x"],
             vec![],
@@ -407,7 +418,7 @@ mod tests {
 
     #[test]
     fn single_row_relation() {
-        let got = run_agg(
+        let (got, _) = run_agg(
             vec![(vec![9], 42)],
             vec!["x"],
             vec!["x"],

@@ -248,7 +248,6 @@ impl<'a> Session<'a> {
             let deltas = Secret::new(deltas.collect::<Vec<u64>>());
             self.ot_send.send_words(self.ch, ring, deltas.expose())
         } else {
-            // ct-ok: branchless bit extraction — `& 1 == 1` is a mask test.
             let bits = words.flat_map(|&share| (0..ell).map(move |k| share >> k & 1 == 1));
             let bits = Secret::new(bits.collect::<Vec<bool>>());
             let pads = Secret::new(self.ot_recv.begin_recv(self.ch, bits.expose()));

@@ -23,7 +23,7 @@
 //!
 //! Dispatch state is *public* in the protocol's threat model: which CPU
 //! runs a party is not a secret input, so branching on [`Features`] is
-//! not a constant-time violation (and the taint linter agrees — no
+//! not a constant-time violation (and `cargo xtask ct-lint` agrees — no
 //! secret ever flows into this module).
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -329,7 +329,7 @@ fn garble_level<T: Cell>(ands: &[AndRef], tile: &mut Tile, cells: &mut [T], delt
         let row = &mut tile.wires[r * tile.stride..][..tile.stride];
         // Indexed by position rather than zipped with the hashes: the gate
         // descriptors are public topology and must not alias the secret
-        // label buffers in the dataflow (xtask taint).
+        // label buffers in the dataflow (`cargo xtask ct-lint`).
         for (i, and) in ands.iter().enumerate() {
             let at = 4 * (r * ands.len() + i);
             let h: [Block; 4] = tile.hs[at..at + 4].try_into().expect("4 hashes");

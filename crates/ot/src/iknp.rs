@@ -242,8 +242,8 @@ impl OtReceiver {
         if !self.bank.covers(m) {
             return self.random(ch, choices);
         }
-        // ct-ok: XOR of two bools is branchless; d is sent on the wire
-        // and is uniform because c' is.
+        // XOR of two bools is branchless; d is sent on the wire and is
+        // uniform because c' is.
         let (d, blocks): (Vec<bool>, Vec<Block>) = self
             .bank
             .take(m)

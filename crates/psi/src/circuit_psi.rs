@@ -167,7 +167,7 @@ fn negotiate_cuckoo(
     let mut seed = 0u64;
     for _ in 0..MAX_SEED_ATTEMPTS {
         let table = CuckooTable::build(elements, params.bins, seed);
-        // taint-ok: adaptive retry — each seed attempt needs the peer's
+        // ct-ok: adaptive retry — each seed attempt needs the peer's
         // verdict; the fast path already stages everything before blocking.
         ch.send_u64(table.seed);
         let queries: Vec<PsiItem> = table
@@ -206,7 +206,7 @@ fn negotiate_simple(
         let seed = ch.recv_u64();
         let table = SimpleTable::build(elements, params.bins, seed);
         let ok = table.max_load() <= params.degree;
-        // taint-ok: adaptive retry — the verdict answers the seed just
+        // ct-ok: adaptive retry — the verdict answers the seed just
         // received; see negotiate_cuckoo for the round accounting.
         ch.send_u64(ok as u64);
         let k1 = kkrt.key_batch(ch, params.bins);

@@ -144,18 +144,18 @@ pub fn opprf_program_with_key<R: Rng + ?Sized>(
                 .collect();
             // Pad with random points at fresh x-coordinates, drawn from
             // this bin's private stream.
-            // taint-ok: seeded from bin_rand[b], which was drawn serially
+            // ct-ok: seeded from bin_rand[b], which was drawn serially
             // before the dispatch — the stream is a pure function of the
             // bin index, deterministic at any thread count.
             let mut fill_rng = StdRng::seed_from_u64(bin_rand[b]);
             let mut used: Vec<Gf64> = coords[b].clone();
             while points.len() < degree {
-                let x = Gf64(fill_rng.gen()); // taint-ok: per-bin deterministic stream.
+                let x = Gf64(fill_rng.gen()); // ct-ok: per-bin deterministic stream.
                 if used.contains(&x) {
                     continue;
                 }
                 used.push(x);
-                points.push((x, Gf64(fill_rng.gen()))); // taint-ok: per-bin deterministic stream.
+                points.push((x, Gf64(fill_rng.gen()))); // ct-ok: per-bin deterministic stream.
             }
             let coeffs = poly_interpolate(&points);
             coeffs.iter().map(|c| c.0).collect()

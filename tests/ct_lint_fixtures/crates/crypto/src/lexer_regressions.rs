@@ -26,6 +26,6 @@ continuation";
 /// The annotated violation: if any construct above shifted the line map,
 /// this finding lands on the wrong line and the self-test fails.
 pub fn seeded(key: u64, other: u64) -> bool {
-    // ct-expect: R-EQ
+    // ct-expect: EQ
     key == other
 }

@@ -3,33 +3,33 @@
 
 const SBOX: [u8; 256] = [0; 256];
 
-/// R-INDEX (a): a const table indexed by data — the software-AES pattern.
+/// INDEX (a): a const table indexed by data — the software-AES pattern.
 pub fn table_lookup(x: u8) -> u8 {
-    // ct-expect: R-INDEX
+    // ct-expect: INDEX
     SBOX[x as usize]
 }
 
-/// R-INDEX (b): secret-marker identifier used as an index.
+/// INDEX (b): secret-marker identifier used as an index.
 pub fn secret_indexed(v: &[u8], choice_bit: usize) -> u8 {
-    // ct-expect: R-INDEX
+    // ct-expect: INDEX
     v[choice_bit]
 }
 
-/// R-EQ: variable-time comparison on key material.
+/// EQ: variable-time comparison on key material.
 pub fn key_compare(key: u128, other: u128) -> bool {
-    // ct-expect: R-EQ
+    // ct-expect: EQ
     key == other
 }
 
-/// R-EQ on a derived PartialEq over a secret-named type (and R-DEBUG for
+/// EQ on a derived PartialEq over a secret-named type (and DEBUG for
 /// the derived Debug).
-// ct-expect: R-EQ R-DEBUG
+// ct-expect: EQ DEBUG
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireLabel(pub u128);
 
-/// R-BRANCH: control flow on a secret.
+/// BRANCH: control flow on a secret.
 pub fn branch_on_choice(choice: bool, a: u128, b: u128) -> u128 {
-    // ct-expect: R-BRANCH
+    // ct-expect: BRANCH
     if choice {
         a
     } else {
@@ -37,23 +37,23 @@ pub fn branch_on_choice(choice: bool, a: u128, b: u128) -> u128 {
     }
 }
 
-/// R-BRANCH via match.
+/// BRANCH via match.
 pub fn match_on_share(share: u64) -> u64 {
-    // ct-expect: R-BRANCH
+    // ct-expect: BRANCH
     match share {
         0 => 1,
         _ => 0,
     }
 }
 
-/// R-DEBUG: format-printing a secret.
+/// DEBUG: format-printing a secret.
 pub fn debug_print(seed: u128) {
-    // ct-expect: R-DEBUG
+    // ct-expect: DEBUG
     println!("prg seed = {:?}", seed);
 }
 
-/// R-UNSAFE: an unsafe block with no justification comment.
+/// UNSAFE: an unsafe block with no justification comment.
 pub fn unsound_doc(p: *const u8) -> u8 {
-    // ct-expect: R-UNSAFE
+    // ct-expect: UNSAFE
     unsafe { *p }
 }

@@ -1,13 +1,13 @@
 //! Round-discipline fixtures: a send inside a loop that also blocks on
 //! the wire (or forces a frame) pays one round trip per iteration — the
 //! per-edge ping-pong the staged send/flush transport API exists to
-//! eliminate. Seeded T-COMM violations plus the staged clean twins.
+//! eliminate. Seeded COMM violations plus the staged clean twins.
 
 /// Per-edge ping-pong: one wire round trip per element.
 pub fn pingpong_loop(ch: &mut Channel, xs: &[u64]) -> u64 {
     let mut acc = 0;
     for x in xs {
-        // taint-expect: T-COMM
+        // ct-expect: COMM
         ch.send_u64(*x);
         acc ^= ch.recv_u64();
     }
@@ -17,7 +17,7 @@ pub fn pingpong_loop(ch: &mut Channel, xs: &[u64]) -> u64 {
 /// Forcing a frame per iteration defeats staging the same way.
 pub fn flush_per_item(ch: &mut Channel, xs: &[u64]) {
     for x in xs {
-        // taint-expect: T-COMM
+        // ct-expect: COMM
         ch.send_u64(*x);
         ch.flush();
     }

@@ -1,5 +1,5 @@
 //! Clean code in the secret scope: none of this may be flagged. Each item
-//! is the hygienic twin of a seeded violation.
+//! is the hygienic twin of a seeded violation, plus the suppression path.
 
 /// Constant-time comparison: no `==` on the secret, no branch.
 pub fn key_compare_ct(key: u128, other: u128) -> u8 {
@@ -41,6 +41,61 @@ pub fn justified(p: *const u8) -> u8 {
 pub fn strings_ok(x: u64) -> bool {
     let tag = "key label seed == delta";
     tag.len() as u64 == x
+}
+
+/// The *length* of an exposed value is public shape — branching on it is
+/// fine (`.len()` / `.is_empty()` / `.capacity()` launder size, not value).
+pub fn branch_on_public_len(s: Secret<Vec<u8>>) -> usize {
+    let n = s.expose().len();
+    if n > 0 {
+        return n;
+    }
+    0
+}
+
+/// Loop bounds from public shape metadata.
+pub fn loop_public(counts: &[usize]) -> usize {
+    let mut acc = 0;
+    for n in counts {
+        acc += n;
+    }
+    acc
+}
+
+/// Indexing with a public counter is fine, even on a table that also
+/// stores masked data.
+pub fn index_public(table: &[u8], round: usize) -> u8 {
+    table[round % table.len()]
+}
+
+/// Constant-time use of a secret: XOR-fold without branch, loop, or index.
+pub fn fold_secret(s: Secret<u64>, acc: u64) -> u64 {
+    let x = s.expose();
+    acc ^ x
+}
+
+/// A condition continued onto a second line, public on both: the twin of
+/// `seeded_violations.rs`'s `branch_continued`.
+impl Receiver {
+    pub fn branch_continued_public(&self, n: u64) -> u64 {
+        if n > 0
+            && self.rounds > 1 {
+            return 1;
+        }
+        0
+    }
+}
+
+/// Reviewed declassification: the findings are real but justified, so an
+/// inline suppression keeps them (BRANCH and EQ on one line) out of the
+/// report.
+pub fn reviewed_declass(s: Secret<u64>) -> u64 {
+    let out = s.expose();
+    // ct-ok: protocol output, declassified by design in this fixture.
+    if out == 0 {
+        return 1;
+    }
+    out
 }
 
 #[cfg(test)]

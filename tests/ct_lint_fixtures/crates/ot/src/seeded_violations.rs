@@ -1,13 +1,13 @@
-//! Seeded taint violations in the secret scope: every annotated line must
-//! be flagged by `cargo xtask taint --fixtures`, and nothing else may fire.
+//! Seeded violations in the secret scope: every annotated line must be
+//! flagged by `cargo xtask ct-lint --fixtures`, and nothing else may fire.
 //! Each item has a hygienic twin in `clean.rs`.
 
 /// Two-hop flow: the exposed value moves through two `let`s before the
-/// branch — invisible to line-local ct-lint, caught by the dataflow pass.
+/// branch — no marker name on the branch line, so only dataflow sees it.
 pub fn branch_on_secret(s: Secret<u64>) -> u64 {
     let a = s.expose();
     let b = a + 1;
-    // taint-expect: T-BRANCH
+    // ct-expect: BRANCH
     if b > 0 {
         return 1;
     }
@@ -18,7 +18,7 @@ pub fn branch_on_secret(s: Secret<u64>) -> u64 {
 pub fn loop_on_secret(s: Secret<usize>) -> usize {
     let n = s.expose();
     let mut acc = 0;
-    // taint-expect: T-LOOP
+    // ct-expect: LOOP
     for i in 0..n {
         acc += i;
     }
@@ -28,14 +28,14 @@ pub fn loop_on_secret(s: Secret<usize>) -> usize {
 /// Secret table index: the memory address leaks through the cache.
 pub fn index_on_secret(s: Secret<usize>, table: &[u8]) -> u8 {
     let i = s.expose();
-    // taint-expect: T-INDEX
+    // ct-expect: INDEX
     table[i]
 }
 
 /// Marker-named parameters taint in secret-scope crates even without an
-/// explicit source call.
+/// explicit source call; the `==` inside the condition is its own sink.
 pub fn marker_branch(delta: u128) -> u128 {
-    // taint-expect: T-BRANCH
+    // ct-expect: BRANCH EQ
     if delta & 1 == 1 {
         return 3;
     }
@@ -46,9 +46,9 @@ pub fn marker_branch(delta: u128) -> u128 {
 /// binding (the binding inherits the scrutinee's taint).
 pub fn match_on_secret(s: Secret<Option<usize>>, v: &[u8]) -> u8 {
     let o = s.expose();
-    // taint-expect: T-BRANCH
+    // ct-expect: BRANCH
     match o {
-        // taint-expect: T-INDEX
+        // ct-expect: INDEX
         Some(i) => v[i],
         None => 0,
     }
@@ -58,6 +58,19 @@ pub fn match_on_secret(s: Secret<Option<usize>>, v: &[u8]) -> u8 {
 /// closure parameter.
 pub fn closure_branch(s: Secret<Vec<u64>>) -> u64 {
     let vals = s.expose();
-    // taint-expect: T-BRANCH
+    // ct-expect: BRANCH
     vals.iter().map(|x| if *x > 0 { 1 } else { 0 }).sum()
+}
+
+/// A secret condition continued onto a second line: the whole condition
+/// up to its `{` is the sink, reported at the `if`. Twin in `clean.rs`.
+impl Receiver {
+    pub fn branch_continued(&self, n: u64) -> u64 {
+        // ct-expect: BRANCH
+        if n > 0
+            && self.choice_bit {
+            return 1;
+        }
+        0
+    }
 }

@@ -1,24 +1,24 @@
 //! Determinism fixtures for pool dispatch closures (the DESIGN.md §9
 //! three-rule contract): no RNG, no channel I/O, no clocks, no spawns
-//! inside the parallel sections. Seeded D-PAR violations plus clean twins.
+//! inside the parallel sections. Seeded PAR violations plus clean twins.
 
 /// RNG inside a dispatch closure: per-thread entropy makes the parallel
 /// schedule observable and the transcript nondeterministic.
 pub fn par_rng(pool: &Pool, xs: &[u64]) -> Vec<u64> {
-    // taint-expect: D-PAR
+    // ct-expect: PAR
     pool.map(xs, 8, |_, x| x.wrapping_add(rng.gen_range(0..2)))
 }
 
 /// Channel I/O inside a dispatch closure: message order would depend on
 /// thread interleaving.
 pub fn par_channel(pool: &Pool, ch: &mut Channel, xs: &[u64]) -> Vec<u64> {
-    // taint-expect: D-PAR
+    // ct-expect: PAR
     pool.map(xs, 8, |_, x| { ch.send(vec![*x as u8]); *x })
 }
 
 /// Clock reads inside a dispatch closure: timing-dependent results.
 pub fn par_clock(pool: &Pool, xs: &[u64]) -> Vec<u64> {
-    // taint-expect: D-PAR
+    // ct-expect: PAR
     pool.map(xs, 8, |_, x| x.wrapping_add(Instant::now().elapsed().as_nanos() as u64))
 }
 

@@ -1,12 +1,12 @@
 //! Communication-shape fixtures: message lengths must trace to public
-//! shape. Seeded T-COMM violations plus the clean public-shape twins
+//! shape. Seeded COMM violations plus the clean public-shape twins
 //! (transport is outside the marker-param secret scope, so taint here
 //! always originates from an explicit source call).
 
 /// Buffer sized from a secret, then sent: the frame length leaks it.
 pub fn send_secret_sized(ch: &mut Channel, s: Secret<usize>) {
     let n = s.expose();
-    // taint-expect: T-COMM
+    // ct-expect: COMM
     let buf = vec![0u8; n];
     ch.send(buf);
 }
@@ -14,7 +14,7 @@ pub fn send_secret_sized(ch: &mut Channel, s: Secret<usize>) {
 /// Length header encoding a secret count.
 pub fn send_secret_header(ch: &mut Channel, s: Secret<u32>) {
     let n = s.expose();
-    // taint-expect: T-COMM
+    // ct-expect: COMM
     ch.send(n.to_le_bytes().to_vec());
 }
 
@@ -22,7 +22,7 @@ pub fn send_secret_header(ch: &mut Channel, s: Secret<u32>) {
 pub fn resize_secret(ch: &mut Channel, s: Secret<usize>) {
     let n = s.expose();
     let mut buf = Vec::new();
-    // taint-expect: T-COMM
+    // ct-expect: COMM
     buf.resize(n, 0u8);
     ch.send(buf);
 }
@@ -30,7 +30,7 @@ pub fn resize_secret(ch: &mut Channel, s: Secret<usize>) {
 /// `send_with`'s first argument *is* the message length.
 pub fn send_with_secret_len(ch: &mut Channel, s: Secret<usize>) {
     let n = s.expose();
-    // taint-expect: T-COMM
+    // ct-expect: COMM
     ch.send_with(8 * n, |buf| buf.fill(0));
 }
 

@@ -1,11 +1,11 @@
 //! A minimal Rust surface scanner.
 //!
-//! ct-lint does not need a full parse — every rule it implements is a
-//! line-local pattern over *code* text, plus comment text for the SAFETY
-//! rule and string-literal text for the Debug-format rule. This module
-//! splits a source file into those three per-line channels and marks the
-//! lines that sit inside `#[cfg(test)]` / `#[test]` regions, where the
-//! secret-hygiene rules do not apply (tests may compare and print freely).
+//! Splits a source file into three per-line channels — *code* (which
+//! [`crate::parse`] tokenizes), *comment* text (for `ct-ok:` suppressions
+//! and SAFETY justifications) and *string-literal* text (for the
+//! Debug-format sink) — and marks the lines that sit inside `#[cfg(test)]`
+//! / `#[test]` regions, where the secret-value rules do not apply (tests may
+//! compare and print freely).
 //!
 //! Hand-rolled on purpose: the linter must build with zero dependencies so
 //! it runs in offline CI images that carry only the workspace itself.
@@ -269,27 +269,6 @@ fn mark_test_regions(code: &[String]) -> Vec<bool> {
     mask
 }
 
-/// Split a code line into identifier tokens.
-pub fn identifiers(code_line: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut start = 0usize;
-    for (pos, c) in code_line.char_indices() {
-        if c.is_alphanumeric() || c == '_' {
-            if cur.is_empty() {
-                start = pos;
-            }
-            cur.push(c);
-        } else if !cur.is_empty() {
-            out.push((start, std::mem::take(&mut cur)));
-        }
-    }
-    if !cur.is_empty() {
-        out.push((start, cur));
-    }
-    out
-}
-
 /// Split an identifier into lowercase words: `wire_label` → [wire, label],
 /// `KkrtSenderKey` → [kkrt, sender, key].
 pub fn ident_words(ident: &str) -> Vec<String> {
@@ -461,14 +440,5 @@ mod tests {
             ident_words("input_zero_labels"),
             ["input", "zero", "labels"]
         );
-    }
-
-    #[test]
-    fn identifier_extraction() {
-        let ids: Vec<String> = identifiers("let k0 = derive_key(i, b.pow(a));")
-            .into_iter()
-            .map(|(_, s)| s)
-            .collect();
-        assert_eq!(ids, ["let", "k0", "derive_key", "i", "b", "pow", "a"]);
     }
 }

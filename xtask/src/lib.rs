@@ -1,12 +1,13 @@
-//! ct-lint: secret-hygiene static analysis for the secyan workspace.
+//! ct-lint: the secret-hygiene static analyser for the secyan workspace.
 //!
-//! Run as `cargo xtask ct-lint`. Walks every workspace source file and
-//! reports constant-time / secret-hygiene violations (see [`rules`] for the
-//! rule catalogue). Findings are matched against the checked-in
-//! `ct-lint.allow` baseline at the repo root: baselined findings are
-//! tolerated (they are reviewed, justified exceptions — the software-AES
-//! table lookups, for instance), anything new fails the run. CI runs this
-//! as a required job, so the baseline can only shrink silently, never grow.
+//! Run as `cargo xtask ct-lint`. Walks every workspace source file through
+//! the one pass in [`taint`] (rule catalogue: [`rules::RULES`]) and matches
+//! the findings against the checked-in `ct-lint.allow` baseline at the repo
+//! root: baselined findings are tolerated (they are reviewed, justified
+//! exceptions — the software-AES table lookups, for instance), anything new
+//! fails the run, and so does a baseline entry or an inline `ct-ok:`
+//! comment that matches nothing. CI runs this as a required job, so the
+//! baseline can only shrink silently, never grow.
 //!
 //! Self-test: `cargo xtask ct-lint --fixtures` lints the seeded-violation
 //! tree in `tests/ct_lint_fixtures/` and checks every `ct-expect:`
@@ -15,21 +16,22 @@
 
 pub mod lexer;
 pub mod parse;
-pub mod rules;
 pub mod sarif;
 pub mod taint;
 
-use rules::Finding;
+use rules::{Finding, DEAD_OK};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+pub use taint::lint_source;
 
 /// Directories under the workspace root that hold lintable sources.
-const SOURCE_ROOTS: &[&str] = &["crates", "examples", "tests", "xtask"];
+/// Outside `crates/` only UNSAFE applies (see [`taint`]).
+const SOURCE_ROOTS: &[&str] = &["crates", "examples", "sybench", "tests", "xtask"];
 
 /// Path fragments that are never linted (fixtures are linted only by the
-/// dedicated fixtures mode; `target` holds build products).
-const EXCLUDED: &[&str] = &["ct_lint_fixtures", "taint_fixtures", "target"];
+/// fixtures mode; `target` holds build products).
+const EXCLUDED: &[&str] = &["ct_lint_fixtures", "target"];
 
 /// Recursively collect `.rs` files under `dir`, paths relative to `root`.
 fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
@@ -51,72 +53,56 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Lint one file's source text.
-pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    let scan = lexer::ScannedFile::scan(src);
-    let raw: Vec<&str> = src.lines().collect();
-    rules::lint_scanned(rel_path, &scan, &raw)
+/// Every `.rs` file under `root/sub` as (path relative to `root` with `/`
+/// separators, source text), in path order.
+fn read_sources(root: &Path, sub: &str) -> std::io::Result<Vec<(String, String)>> {
+    let mut files = Vec::new();
+    collect_rs(root, &root.join(sub), &mut files);
+    files
+        .into_iter()
+        .map(|rel| {
+            let src = fs::read_to_string(root.join(&rel))?;
+            Ok((
+                rel.to_string_lossy()
+                    .replace(std::path::MAIN_SEPARATOR, "/"),
+                src,
+            ))
+        })
+        .collect()
 }
 
 /// Lint the whole workspace tree rooted at `root`. Returns findings in
 /// path/line order.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut files = Vec::new();
-    for sub in SOURCE_ROOTS {
-        collect_rs(root, &root.join(sub), &mut files);
-    }
     let mut findings = Vec::new();
-    for rel in files {
-        let src = fs::read_to_string(root.join(&rel))?;
-        let rel_str = rel
-            .to_string_lossy()
-            .replace(std::path::MAIN_SEPARATOR, "/");
-        findings.extend(lint_source(&rel_str, &src));
+    for sub in SOURCE_ROOTS {
+        for (rel, src) in read_sources(root, sub)? {
+            findings.extend(lint_source(&rel, &src));
+        }
     }
     Ok(findings)
 }
 
 /// The code-line metric ROADMAP.md sizes every PR by: the lines of `src`
-/// before its first `#[cfg(test)]` that are neither blank nor `//`
-/// comments.
+/// before its first line that starts with `#[cfg(test)]` and that are
+/// neither blank nor `//` comments.
 pub fn code_lines(src: &str) -> usize {
     src.lines()
-        .take_while(|l| !l.contains("#[cfg(test)]"))
         .map(str::trim_start)
+        .take_while(|l| !l.starts_with("#[cfg(test)]"))
         .filter(|l| !l.is_empty() && !l.starts_with("//"))
         .count()
 }
 
-/// [`code_lines`] of every `.rs` file under `crates/`, summed per crate
-/// directory.
-pub fn loc_by_crate(root: &Path) -> std::io::Result<BTreeMap<String, usize>> {
-    let mut files = Vec::new();
-    collect_rs(root, &root.join("crates"), &mut files);
-    let mut by_crate = BTreeMap::new();
-    for rel in files {
-        let krate = rel.iter().nth(1).unwrap_or_default().to_string_lossy();
-        let lines = code_lines(&fs::read_to_string(root.join(&rel))?);
-        *by_crate.entry(krate.into_owned()).or_default() += lines;
+/// [`code_lines`] of every `.rs` file under `root/sub`, summed per
+/// directory one level below `sub` (per crate, for `crates`).
+pub fn loc_by_dir(root: &Path, sub: &str) -> std::io::Result<BTreeMap<String, usize>> {
+    let mut by_dir = BTreeMap::new();
+    for (rel, src) in read_sources(root, sub)? {
+        let dir = rel.split('/').nth(1).unwrap_or_default().to_string();
+        *by_dir.entry(dir).or_default() += code_lines(&src);
     }
-    Ok(by_crate)
-}
-
-/// Run the taint pass (see [`taint`]) over the whole workspace tree rooted
-/// at `root`. Returns findings in path/line order.
-pub fn taint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut files = Vec::new();
-    for sub in SOURCE_ROOTS {
-        collect_rs(root, &root.join(sub), &mut files);
-    }
-    let mut findings = Vec::new();
-    for rel in files {
-        let src = fs::read_to_string(root.join(&rel))?;
-        let rel_str = rel
-            .to_string_lossy()
-            .replace(std::path::MAIN_SEPARATOR, "/");
-        findings.extend(taint::taint_source(&rel_str, &src));
-    }
-    Ok(findings)
+    Ok(by_dir)
 }
 
 /// Parse a baseline file into key → allowed-count.
@@ -158,70 +144,47 @@ pub fn diff_baseline(findings: Vec<Finding>, baseline: &BTreeMap<String, usize>)
     BaselineDiff { new, stale }
 }
 
-/// Serialize findings as a baseline file body. `tool` names the xtask
-/// subcommand (`ct-lint` / `taint`) and `ok_tag` the inline suppression
-/// comment tag (`ct-ok:` / `taint-ok:`) quoted in the header.
-pub fn render_baseline(tool: &str, ok_tag: &str, findings: &[Finding]) -> String {
-    let mut out = format!(
-        "# {tool} baseline: reviewed, justified findings the lint tolerates.\n\
+/// Serialize findings as a baseline file body. A dead `ct-ok:` comment is
+/// never baselined: it is deleted, not tolerated.
+pub fn render_baseline(findings: &[Finding]) -> String {
+    let mut out = String::from(
+        "# ct-lint baseline: reviewed, justified findings the lint tolerates.\n\
          # One finding per line: rule<TAB>path<TAB>normalized snippet.\n\
-         # Regenerate with `cargo xtask {tool} --update-baseline`; new code\n\
-         # must come in clean (or carry an inline `// {ok_tag}` justification).\n",
+         # Regenerate with `cargo xtask ct-lint --update-baseline`; new code\n\
+         # must come in clean (or carry an inline `// ct-ok:` justification).\n",
     );
-    for f in findings {
+    for f in findings.iter().filter(|f| f.rule != DEAD_OK) {
         out.push_str(&f.key());
         out.push('\n');
     }
     out
 }
 
-/// Fixture check against the ct-lint rules and `ct-expect:` annotations.
-/// See [`check_fixtures_with`].
-pub fn check_fixtures(dir: &Path) -> std::io::Result<Vec<String>> {
-    check_fixtures_with(dir, "ct-expect:", &|rel, src| lint_source(rel, src))
-}
-
-/// Fixture check against the taint rules and `taint-expect:` annotations.
-/// See [`check_fixtures_with`].
-pub fn check_taint_fixtures(dir: &Path) -> std::io::Result<Vec<String>> {
-    check_fixtures_with(dir, "taint-expect:", &|rel, src| {
-        taint::taint_source(rel, src)
-    })
-}
-
-/// Fixture check: lint every `.rs` file under `dir` with `lint` and verify
-/// the `<expect_tag> <RULE>...` annotations. An annotation on line N
-/// expects each named rule to fire on line N+1; any finding without a
+/// Fixture check: lint every `.rs` file under `dir` and verify the
+/// `ct-expect: <RULE>...` annotations. An annotation on line N expects each
+/// named rule (or `DEAD-OK`) to fire on line N+1; any finding without a
 /// matching annotation is an error (false positive), any annotation without
 /// its finding is an error (false negative). Returns problem descriptions.
 ///
 /// Paths are taken relative to `dir`, so the fixture tree mirrors the
 /// workspace layout (`<dir>/crates/ot/src/...` lints with the scoping of
 /// `crates/ot/src/...`).
-pub fn check_fixtures_with(
-    dir: &Path,
-    expect_tag: &str,
-    lint: &dyn Fn(&str, &str) -> Vec<Finding>,
-) -> std::io::Result<Vec<String>> {
-    let mut files = Vec::new();
-    collect_rs(dir, dir, &mut files);
+pub fn check_fixtures(dir: &Path) -> std::io::Result<Vec<String>> {
+    const EXPECT_TAG: &str = "ct-expect:";
+    let sources = read_sources(dir, "")?;
     let mut problems = Vec::new();
-    let mut saw_any = false;
-    for rel in files {
-        let abs = dir.join(&rel);
-        let src = fs::read_to_string(&abs)?;
-        let rel_str = rel
-            .to_string_lossy()
-            .replace(std::path::MAIN_SEPARATOR, "/");
-        saw_any = true;
+    if sources.is_empty() {
+        problems.push(format!("no fixture files found under {}", dir.display()));
+    }
+    for (rel, src) in sources {
         let scan = lexer::ScannedFile::scan(&src);
-        let findings = lint(&rel_str, &src);
+        let findings = lint_source(&rel, &src);
         // Gather expectations: (line, rule) pairs, where line is the line
         // *after* the annotation comment.
         let mut expected: Vec<(usize, String, bool)> = Vec::new();
         for (i, comment) in scan.comments.iter().enumerate() {
-            if let Some(pos) = comment.find(expect_tag) {
-                for rule in comment[pos + expect_tag.len()..].split_whitespace() {
+            if let Some(pos) = comment.find(EXPECT_TAG) {
+                for rule in comment[pos + EXPECT_TAG.len()..].split_whitespace() {
                     expected.push((i + 2, rule.to_string(), false));
                 }
             }
@@ -241,13 +204,10 @@ pub fn check_fixtures_with(
         for (line, rule, used) in expected {
             if !used {
                 problems.push(format!(
-                    "missed expected finding (false negative): {rule} {rel_str}:{line}"
+                    "missed expected finding (false negative): {rule} {rel}:{line}"
                 ));
             }
         }
-    }
-    if !saw_any {
-        problems.push(format!("no fixture files found under {}", dir.display()));
     }
     Ok(problems)
 }
@@ -268,6 +228,269 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
+/// The rule catalogue: what a finding is, which names mark a secret and
+/// where, and the eight rule ids — one per sink of the pass in [`taint`].
+pub mod rules {
+    /// Identifier words that mark a value as secret-bearing. An identifier
+    /// matches if any of its snake/camel-case words equals a marker (so
+    /// `wire_label`, `input_zero_labels`, and `KkrtSenderKey` all match).
+    ///
+    /// Deliberately conservative: single-letter secrets (`s`, `c`) evade the
+    /// heuristic — naming secrets descriptively is part of the discipline
+    /// this lint enforces (see DESIGN.md).
+    pub const SECRET_MARKERS: &[&str] = &[
+        "label", "labels", "seed", "seeds", "delta", "pad", "pads", "share", "shares", "choice",
+        "choices", "secret", "secrets", "key", "keys",
+    ];
+
+    /// Crates where marker identifiers are secret (and marker-named
+    /// parameters seed the taint).
+    pub const SECRET_SCOPE: &[&str] = &[
+        "crates/crypto/",
+        "crates/ot/",
+        "crates/gc/",
+        "crates/psi/",
+        "crates/oep/",
+    ];
+
+    /// The rules, one per sink, with the one-line description SARIF shows.
+    pub const RULES: &[(&str, &str)] = &[
+        ("EQ", "Variable-time equality on a secret"),
+        ("BRANCH", "Control flow conditioned on a secret"),
+        ("LOOP", "Loop trip count bounded by a secret"),
+        (
+            "INDEX",
+            "Memory address from a secret or a const-table lookup",
+        ),
+        ("DEBUG", "Debug formatting of a secret"),
+        (
+            "COMM",
+            "Message length from a secret, or a round trip per loop iteration",
+        ),
+        (
+            "PAR",
+            "Nondeterministic capture in a parallel dispatch closure",
+        ),
+        ("UNSAFE", "unsafe without a SAFETY justification"),
+    ];
+
+    /// Not a rule: a `ct-ok:` comment that suppresses no finding. Reported
+    /// as a finding so a dead suppression fails the run, as a stale
+    /// baseline entry does.
+    pub const DEAD_OK: &str = "DEAD-OK";
+
+    /// One finding, keyed for baseline matching by (rule, path, snippet).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Finding {
+        /// Rule identifier from [`RULES`], or [`DEAD_OK`].
+        pub rule: &'static str,
+        /// Workspace-relative path with `/` separators.
+        pub path: String,
+        /// 1-based line number (display only; not part of the baseline key,
+        /// so unrelated edits shifting lines do not invalidate the baseline).
+        pub line: usize,
+        /// The offending source line, trimmed.
+        pub snippet: String,
+    }
+
+    impl Finding {
+        /// Baseline key: rule + path + whitespace-normalized snippet.
+        pub fn key(&self) -> String {
+            let normalized: String = self
+                .snippet
+                .split_whitespace()
+                .collect::<Vec<_>>()
+                .join(" ");
+            format!("{}\t{}\t{}", self.rule, self.path, normalized)
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::lint_source as lint;
+
+        fn rules_of(f: &[Finding]) -> Vec<&'static str> {
+            f.iter().map(|x| x.rule).collect()
+        }
+
+        #[test]
+        fn eq_on_secret_flagged() {
+            let f = lint(
+                "crates/ot/src/x.rs",
+                "fn f(a_label: u64, b: u64) -> bool { a_label == b }",
+            );
+            assert_eq!(rules_of(&f), ["EQ"]);
+        }
+
+        #[test]
+        fn eq_outside_scope_not_flagged() {
+            let f = lint(
+                "crates/relation/src/x.rs",
+                "fn f(key: u64, b: u64) -> bool { key == b }",
+            );
+            assert!(f.is_empty());
+        }
+
+        #[test]
+        fn eq_in_tests_not_flagged() {
+            let f = lint(
+                "crates/ot/src/x.rs",
+                "#[cfg(test)]\nmod tests {\n fn f(seed: u64) { assert!(seed == 3); }\n}\n",
+            );
+            assert!(f.is_empty());
+        }
+
+        #[test]
+        fn len_is_public() {
+            let f = lint(
+                "crates/ot/src/x.rs",
+                "fn f(keys: &[u8]) { assert!(keys.len() == 4); }",
+            );
+            assert!(f.is_empty());
+        }
+
+        #[test]
+        fn branch_on_secret_flagged() {
+            let f = lint(
+                "crates/gc/src/x.rs",
+                "fn f(choice: bool) { if choice { g(); } }",
+            );
+            assert_eq!(rules_of(&f), ["BRANCH"]);
+        }
+
+        #[test]
+        fn branch_on_public_not_flagged() {
+            let f = lint(
+                "crates/gc/src/x.rs",
+                "fn f(n: usize) { if n == 0 { g(); } }",
+            );
+            assert!(f.is_empty());
+        }
+
+        #[test]
+        fn derive_on_secret_type_flagged() {
+            let f = lint(
+                "crates/crypto/src/x.rs",
+                "#[derive(Debug, Clone, PartialEq)]\npub struct WireLabel(u128);\n",
+            );
+            assert_eq!(rules_of(&f), ["DEBUG", "EQ"]);
+        }
+
+        #[test]
+        fn debug_format_of_secret_flagged() {
+            let f = lint(
+                "crates/ot/src/x.rs",
+                "fn f(pad: u128) { println!(\"pad = {:?}\", pad); }",
+            );
+            assert_eq!(rules_of(&f), ["DEBUG"]);
+        }
+
+        #[test]
+        fn const_table_index_flagged_in_crypto() {
+            let f = lint(
+                "crates/crypto/src/x.rs",
+                "fn f(x: u8) -> u8 { SBOX[x as usize] }",
+            );
+            assert_eq!(rules_of(&f), ["INDEX"]);
+        }
+
+        #[test]
+        fn const_table_literal_index_ok() {
+            let f = lint("crates/crypto/src/x.rs", "fn f() -> u32 { RCON[0] }");
+            assert!(f.is_empty());
+        }
+
+        #[test]
+        fn secret_index_flagged_in_scope() {
+            let f = lint(
+                "crates/ot/src/x.rs",
+                "fn f(v: &[u8], choice: usize) -> u8 { v[choice] }",
+            );
+            assert_eq!(rules_of(&f), ["INDEX"]);
+        }
+
+        #[test]
+        fn unsafe_without_safety_flagged() {
+            let f = lint("crates/core/src/x.rs", "fn f() { unsafe { g() } }");
+            assert_eq!(rules_of(&f), ["UNSAFE"]);
+        }
+
+        #[test]
+        fn unsafe_with_safety_ok() {
+            let f = lint(
+                "crates/core/src/x.rs",
+                "// SAFETY: g has no preconditions.\nfn f() { unsafe { g() } }",
+            );
+            assert!(f.is_empty());
+        }
+
+        #[test]
+        fn unsafe_flagged_even_in_tests() {
+            let f = lint(
+                "crates/core/src/x.rs",
+                "#[cfg(test)]\nmod tests {\n fn f() { unsafe { g() } }\n}\n",
+            );
+            assert_eq!(rules_of(&f), ["UNSAFE"]);
+        }
+
+        #[test]
+        fn ct_ok_suppresses() {
+            let f = lint(
+                "crates/ot/src/x.rs",
+                "// ct-ok: public protocol seed, sent on the wire anyway.\nfn f(seed: u64) { if seed > 0 { g(); } }",
+            );
+            assert!(f.is_empty());
+        }
+
+        #[test]
+        fn dead_ct_ok_reported() {
+            let f = lint(
+                "crates/ot/src/x.rs",
+                "// ct-ok: nothing here is secret.\nfn f(n: u64) { if n > 0 { g(); } }",
+            );
+            assert_eq!(rules_of(&f), [DEAD_OK]);
+            assert_eq!(f[0].line, 1);
+        }
+
+        #[test]
+        fn multi_line_condition_is_one_branch() {
+            let f = lint(
+                "crates/ot/src/x.rs",
+                "fn f(&self, n: u64) {\n if n > 0\n && self.choice_bit {\n g();\n }\n}",
+            );
+            assert_eq!(rules_of(&f), ["BRANCH"]);
+            assert_eq!(f[0].line, 2);
+        }
+
+        #[test]
+        fn string_contents_do_not_fake_idents() {
+            let f = lint(
+                "crates/ot/src/x.rs",
+                "fn f(x: u64) { h.update(b\"key-label\"); let y = x == 3; }",
+            );
+            assert!(f.is_empty());
+        }
+
+        #[test]
+        fn finding_key_is_line_independent() {
+            let a = Finding {
+                rule: "EQ",
+                path: "p.rs".into(),
+                line: 3,
+                snippet: "a ==  b".into(),
+            };
+            let b = Finding {
+                rule: "EQ",
+                path: "p.rs".into(),
+                line: 9,
+                snippet: "a == b".into(),
+            };
+            assert_eq!(a.key(), b.key());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,17 +499,20 @@ mod tests {
     fn code_lines_stop_at_the_test_module() {
         let src = "//! doc\n\nuse a;\n  // note\nfn f() {}\n#[cfg(test)]\nmod tests {}\n";
         assert_eq!(code_lines(src), 2);
+        // Mentioning the attribute is not the attribute.
+        let src = "/// Runs before `#[cfg(test)]`.\nfn f() {}\n    #[cfg(test)]\nmod tests {}\n";
+        assert_eq!(code_lines(src), 1);
     }
 
     #[test]
     fn baseline_roundtrip() {
         let f = Finding {
-            rule: "R-EQ",
+            rule: "EQ",
             path: "crates/x/src/a.rs".into(),
             line: 10,
             snippet: "seed == other".into(),
         };
-        let body = render_baseline("ct-lint", "ct-ok:", std::slice::from_ref(&f));
+        let body = render_baseline(std::slice::from_ref(&f));
         let map = parse_baseline(&body);
         let diff = diff_baseline(vec![f], &map);
         assert!(diff.new.is_empty());
@@ -296,7 +522,7 @@ mod tests {
     #[test]
     fn unbaselined_finding_is_new() {
         let f = Finding {
-            rule: "R-EQ",
+            rule: "EQ",
             path: "a.rs".into(),
             line: 1,
             snippet: "seed == 1".into(),
@@ -307,16 +533,16 @@ mod tests {
 
     #[test]
     fn stale_entries_reported() {
-        let map = parse_baseline("R-EQ\ta.rs\tgone == 1\n");
+        let map = parse_baseline("EQ\ta.rs\tgone == 1\n");
         let diff = diff_baseline(Vec::new(), &map);
         assert_eq!(diff.stale.len(), 1);
     }
 
     #[test]
     fn duplicate_baseline_lines_budget_counts() {
-        let map = parse_baseline("R-EQ\ta.rs\tx == 1\nR-EQ\ta.rs\tx == 1\n");
+        let map = parse_baseline("EQ\ta.rs\tx == 1\nEQ\ta.rs\tx == 1\n");
         let mk = |line| Finding {
-            rule: "R-EQ",
+            rule: "EQ",
             path: "a.rs".into(),
             line,
             snippet: "x == 1".into(),

@@ -4,33 +4,34 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use xtask::{
-    check_fixtures, check_taint_fixtures, diff_baseline, find_workspace_root, lint_workspace,
-    loc_by_crate, parse_baseline, render_baseline, sarif, taint_workspace,
+    check_fixtures, diff_baseline, find_workspace_root, lint_workspace, loc_by_dir, parse_baseline,
+    render_baseline, sarif,
 };
 
 const USAGE: &str = "\
-Usage: cargo xtask <ct-lint|taint> [options]
+Usage: cargo xtask ct-lint [options]
        cargo xtask loc [--root <dir>]
 
 Secret-hygiene static analysis over the workspace sources, and the
 code-line count ROADMAP.md sizes PRs by.
 
-  ct-lint   token-level constant-time rules (R-EQ, R-BRANCH, R-DEBUG,
-            R-INDEX, R-UNSAFE), baseline ct-lint.allow
-  taint     intraprocedural secret-taint dataflow + communication-shape
-            rules (T-BRANCH, T-LOOP, T-INDEX, T-COMM, D-PAR), baseline
-            taint.allow
-  loc       code lines per crate under crates/ and in total: lines before
-            a file's first #[cfg(test)], non-blank, not starting with //
+  ct-lint   one pass: secret dataflow plus secret-marker names, one rule
+            per sink (EQ, BRANCH, LOOP, INDEX, DEBUG, COMM, PAR, UNSAFE),
+            baseline ct-lint.allow, inline suppression `// ct-ok: <why>`
+  loc       code lines per crate under crates/ and their total, then
+            xtask/: non-blank lines not starting with //, before the
+            first line of a file that starts with #[cfg(test)]
 
 Options:
-  --update-baseline   rewrite the command's .allow file from current findings
-  --fixtures          self-test against the command's fixture annotations
+  --update-baseline   rewrite ct-lint.allow from current findings
+  --fixtures          self-test against tests/ct_lint_fixtures annotations
   --root <dir>        workspace root (default: auto-detected)
   --sarif <path>      also write findings as SARIF 2.1.0 (for CI upload)
 
-Exit codes: 0 clean, 1 findings / stale baseline / fixture mismatch,
-2 usage or IO error.";
+Exit codes: 0 clean, 1 findings / stale baseline / dead ct-ok: / fixture
+mismatch, 2 usage or IO error.";
+
+const BASELINE: &str = "ct-lint.allow";
 
 struct Opts {
     update: bool,
@@ -71,14 +72,10 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let taint_mode = match cmd {
-        "ct-lint" | "loc" => false,
-        "taint" => true,
-        other => {
-            eprintln!("unknown command `{other}`\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    if cmd != "ct-lint" && cmd != "loc" {
+        eprintln!("unknown command `{cmd}`\n{USAGE}");
+        return ExitCode::from(2);
+    }
     let opts = match parse_opts(&args[1..]) {
         Ok(o) => o,
         Err(e) => {
@@ -97,12 +94,14 @@ fn main() -> ExitCode {
     };
 
     if cmd == "loc" {
-        return match loc_by_crate(&root) {
-            Ok(by_crate) => {
+        let loc = loc_by_dir(&root, "crates").and_then(|c| Ok((c, loc_by_dir(&root, "xtask")?)));
+        return match loc {
+            Ok((by_crate, xtask)) => {
                 for (krate, lines) in &by_crate {
                     println!("{lines:>6}  crates/{krate}");
                 }
                 println!("{:>6}  total", by_crate.values().sum::<usize>());
+                println!("{:>6}  xtask", xtask.values().sum::<usize>());
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -112,37 +111,8 @@ fn main() -> ExitCode {
         };
     }
 
-    // Tool-specific wiring: fixture directory, baseline file, suppression
-    // tag, and the remediation hint printed on failure.
-    let (fixture_dir, baseline_file, ok_tag, hint) = if taint_mode {
-        (
-            "tests/taint_fixtures",
-            "taint.allow",
-            "taint-ok:",
-            "Route the length through public shape metadata (QueryShape / \
-             declared sizes), pad to a public bound, or suppress a reviewed \
-             exception with an inline `// taint-ok: <reason>`.",
-        )
-    } else {
-        (
-            "tests/ct_lint_fixtures",
-            "ct-lint.allow",
-            "ct-ok:",
-            "Fix with the ct_eq/ct_select/Secret APIs in secyan-crypto::secret, \
-             suppress a reviewed exception with an inline `// ct-ok: <reason>`, \
-             or (for bulk legacy code) re-run with --update-baseline and \
-             justify the diff in review.",
-        )
-    };
-
     if opts.fixtures {
-        let dir = root.join(fixture_dir);
-        let result = if taint_mode {
-            check_taint_fixtures(&dir)
-        } else {
-            check_fixtures(&dir)
-        };
-        return match result {
+        return match check_fixtures(&root.join("tests/ct_lint_fixtures")) {
             Ok(problems) if problems.is_empty() => {
                 println!("{cmd} fixtures: all seeded violations caught, no false positives");
                 ExitCode::SUCCESS
@@ -161,12 +131,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let findings = if taint_mode {
-        taint_workspace(&root)
-    } else {
-        lint_workspace(&root)
-    };
-    let findings = match findings {
+    let findings = match lint_workspace(&root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("{cmd}: {e}");
@@ -174,9 +139,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = root.join(baseline_file);
+    let baseline_path = root.join(BASELINE);
     if opts.update {
-        let body = render_baseline(cmd, ok_tag, &findings);
+        let body = render_baseline(&findings);
         if let Err(e) = std::fs::write(&baseline_path, body) {
             eprintln!("{cmd}: writing {}: {e}", baseline_path.display());
             return ExitCode::from(2);
@@ -211,7 +176,7 @@ fn main() -> ExitCode {
     // Stale entries are a hard failure: the baseline must describe the code
     // as it is, or the diff it tolerates silently drifts.
     for k in &diff.stale {
-        eprintln!("{cmd}: stale {baseline_file} entry matches nothing (prune it): {k}");
+        eprintln!("{cmd}: stale {BASELINE} entry matches nothing (prune it): {k}");
     }
     if diff.new.is_empty() && diff.stale.is_empty() {
         println!(
@@ -224,7 +189,14 @@ fn main() -> ExitCode {
         eprintln!("{} {}:{}: {}", f.rule, f.path, f.line, f.snippet);
     }
     if !diff.new.is_empty() {
-        eprintln!("{cmd}: {} new finding(s). {hint}", diff.new.len());
+        eprintln!(
+            "{cmd}: {} new finding(s). Fix with the ct_eq/ct_select/Secret APIs in \
+             secyan-crypto::secret, route lengths through public shape metadata \
+             (QueryShape / declared sizes), delete a DEAD-OK comment, suppress a \
+             reviewed exception with an inline `// ct-ok: <reason>`, or (for bulk \
+             legacy code) re-run with --update-baseline and justify the diff in review.",
+            diff.new.len()
+        );
     }
     if !diff.stale.is_empty() {
         eprintln!(

@@ -1,9 +1,9 @@
 //! A lightweight token-level parser on top of [`crate::lexer`].
 //!
-//! The taint pass (see [`crate::taint`]) needs more structure than the
-//! line-local ct-lint rules: function boundaries, parameter lists, `let`
-//! bindings and assignments with their right-hand sides, and delimiter
-//! matching for call arguments and index expressions. This module supplies
+//! The analyser (see [`crate::taint`]) needs more structure than lines:
+//! function boundaries, parameter lists, `let` bindings and assignments
+//! with their right-hand sides, and delimiter matching for call arguments,
+//! conditions and index expressions. This module supplies
 //! exactly that — a flat token stream per file (built from the lexer's
 //! comment-stripped, string-blanked code channel, so tokens never come from
 //! literal or comment text) plus function/binding extraction.
@@ -156,8 +156,8 @@ pub struct FnItem {
     pub params: Vec<String>,
     /// Token index range of the body, *inside* the braces.
     pub body: Range<usize>,
-    /// 0-based line of the `fn` keyword.
-    pub line: usize,
+    /// Token index of the `fn` keyword.
+    pub start: usize,
 }
 
 /// Extract every `fn` item (including nested ones — callers should mask
@@ -178,7 +178,6 @@ pub fn parse_fns(toks: &[Tok]) -> Vec<FnItem> {
             continue;
         }
         let name = name_tok.text.clone();
-        let line = toks[i].line;
         // Skip generics to the parameter list.
         let mut j = i + 2;
         if toks.get(j).is_some_and(|t| t.text == "<") {
@@ -227,7 +226,7 @@ pub fn parse_fns(toks: &[Tok]) -> Vec<FnItem> {
                 name,
                 params,
                 body,
-                line,
+                start: i,
             });
             // Continue *inside* the body so nested fns are found too.
             i = next;

@@ -1,60 +1,80 @@
-//! Secret-taint dataflow analysis and communication-shape linting.
+//! The secret-hygiene analyser: one pass over one token stream, one
+//! predicate for "secret", one rule per sink.
 //!
-//! Where ct-lint's rules are line-local patterns, this pass follows values:
-//! an intraprocedural, flow-insensitive worklist propagation over the
-//! bindings of each function. A `Secret::expose()` whose result flows
-//! through two `let`s into a branch condition is invisible to ct-lint and
-//! caught here.
+//! **Secret.** A token is secret if it is a *dataflow-tainted binding* or,
+//! in the secret-scope crates ([`SECRET_SCOPE`]), a *secret-marker
+//! identifier* — any identifier with a [`SECRET_MARKERS`] word
+//! (`wire_label`, `self.choice_bit`, `KkrtSenderKey`). The marker rule
+//! applies at the sink only and is not propagated. ALL-CAPS identifiers are
+//! consts — public parameters (`KAPPA`, `ROUND_KEYS`) — and never
+//! marker-secret; `.len()`, `.is_empty()` and `.capacity()` project a
+//! secret to its *public* size (the protocol invariant: sizes are public
+//! shape), so those uses are neither secret nor propagated.
 //!
-//! **Sources**:
-//! - results of calls on the source list ([`SOURCES`]) — `expose` (the `Secret<T>` /
-//!   `SecretBlock` declassification point), `draw_pads` (IKNP pad
-//!   derivation), `derive_key` (base-OT key derivation), `input_label`
+//! **Sources** of taint, followed by an intraprocedural, flow-insensitive
+//! worklist propagation over the bindings of each function:
+//! - results of calls on the source list ([`SOURCES`]) — `expose` (the
+//!   `Secret<T>` / `SecretBlock` declassification point), `draw_pads` (IKNP
+//!   pad derivation), `derive_key` (base-OT key derivation), `input_label`
 //!   (GC label lookup);
-//! - parameters whose names carry a secret-marker word
-//!   ([`crate::rules::SECRET_MARKERS`]) in the secret-scope crates
-//!   ([`crate::rules::SECRET_SCOPE`]).
+//! - parameters whose names carry a marker word, in the secret scope.
 //!
 //! **Propagation**: `let` bindings, assignments (plain and compound),
 //! `for`/`if let`/`while let` pattern bindings, `match` arm bindings,
 //! buffer-mutation methods (`push`, `extend`, …), and closure parameters
-//! fed from a tainted prefix of the same statement. Calling `.len()`,
-//! `.is_empty()`, or `.capacity()` on a tainted value yields a *public*
-//! size (the protocol invariant: sizes are public shape), so those uses do
-//! not propagate.
+//! fed from a tainted prefix of the same statement.
 //!
-//! **Sinks** (the rules):
-//! - `T-BRANCH` — `if`/`while`/`match` condition on a tainted value
-//!   (control flow must never depend on secrets);
-//! - `T-LOOP` — a `for` whose iterable is a *range* bounded by a tainted
-//!   value (`0..n`): trip counts are timing-visible. Iterating a
-//!   collection of tainted elements is fine — that reveals only its
-//!   length, public shape by protocol invariant (and `enumerate` position
-//!   indices are likewise public);
-//! - `T-INDEX` — a tainted index or slice bound (memory addresses are
-//!   cache-timing-visible);
-//! - `T-COMM` — the communication-shape rule: a tainted value in a
+//! **Sinks** (the rules, catalogued in [`crate::rules::RULES`]):
+//! - `EQ` — `==` / `!=` with a secret in its statement, or a derived
+//!   `PartialEq` on a marker-named type: variable-time comparison. Use
+//!   `CtEq::ct_eq`;
+//! - `BRANCH` — an `if`/`while`/`match` condition (all of it, however many
+//!   lines it spans) with a secret: control flow must never depend on
+//!   secrets. Use `CtChoice` masks or `CtSelect::ct_select`;
+//! - `LOOP` — a `for` whose iterable is a *range* bounded by a secret
+//!   (`0..n`): trip counts are timing-visible. Iterating a collection of
+//!   secret elements is fine — that reveals only its length (and
+//!   `enumerate` position indices are likewise public);
+//! - `INDEX` — a secret index or slice bound, and in `crates/crypto` any
+//!   ALL-CAPS const table indexed by a non-literal (the software-AES S-box
+//!   and T-tables): memory addresses are cache-timing-visible;
+//! - `DEBUG` — a secret on a line that `{:?}`-formats or `dbg!`s, or a
+//!   derived `Debug` on a marker-named type: key material must never reach
+//!   logs;
+//! - `COMM` — the communication-shape rule: a secret in a
 //!   *length-determining position* of data that reaches `send` /
 //!   `send_blocks` / `send_bytes` (`vec![_; n]`, `with_capacity`,
 //!   `resize`, `truncate`, `take`, `set_len`, slice bounds, and
-//!   `to_le_bytes` length-header construction). Message lengths must be a
-//!   function of the public query shape only — the static mirror of the
-//!   transcript-invariance tests;
-//! - `D-PAR` — determinism of `secyan-par` dispatch closures: no RNG, no
+//!   `to_le_bytes` length-header construction) — message lengths must be a
+//!   function of the public query shape only, the static mirror of the
+//!   transcript-invariance tests — and a send in a loop that also receives
+//!   or flushes: one wire round trip per iteration;
+//! - `PAR` — determinism of `secyan-par` dispatch closures: no RNG, no
 //!   channel I/O, no clocks, no spawns inside `pool.map`/`chunks_mut`/
 //!   `zip_chunks_mut`/`broadcast` closures (statically enforcing the
-//!   DESIGN.md §9 three-rule contract).
+//!   DESIGN.md §9 three-rule contract);
+//! - `UNSAFE` — `unsafe` without `SAFETY` (or a `# Safety` doc section) in
+//!   its comment block. Lexical, and the one rule that runs on every file,
+//!   tests included.
 //!
-//! Suppression: `// taint-ok: <why>` on the finding line or the contiguous
-//! comment block above; bulk reviewed exceptions live in `taint.allow`.
-//! `#[cfg(test)]` / `#[test]` regions are skipped (tests expose and branch
-//! freely), as is everything outside `crates/`.
+//! The other seven rules run on `crates/` only, and skip `#[cfg(test)]` /
+//! `#[test]` regions (tests expose, compare and print freely).
+//!
+//! Suppression: `// ct-ok: <why>` on the finding line or the contiguous
+//! comment/attribute block above. An ok-comment that suppresses nothing is
+//! reported as [`DEAD_OK`]; bulk reviewed exceptions live in
+//! `ct-lint.allow`.
 
 use crate::lexer::{ident_words, ScannedFile};
-use crate::parse::{find_at_depth0, matching_close, parse_fns, pattern_names, tokenize, Tok};
-use crate::rules::{Finding, SECRET_MARKERS, SECRET_SCOPE};
+use crate::parse::{
+    find_at_depth0, matching_close, parse_fns, pattern_names, tokenize, FnItem, Tok,
+};
+use crate::rules::{Finding, DEAD_OK, SECRET_MARKERS, SECRET_SCOPE};
 use std::collections::BTreeSet;
 use std::ops::Range;
+
+/// The inline suppression tag.
+const OK_TAG: &str = "ct-ok:";
 
 /// Call names whose results are secret-tainted: the reviewed source list.
 pub const SOURCES: &[&str] = &["expose", "draw_pads", "derive_key", "input_label"];
@@ -67,18 +87,6 @@ const SEND_SINKS: &[&str] = &[
     "send_with",
     "send_words",
 ];
-
-/// Method names that block on (or force) a wire frame: any `recv*` fetch,
-/// plus an explicit `flush`. Inside a loop these defeat send staging.
-fn is_blocking_name(name: &str) -> bool {
-    name.starts_with("recv") || name == "flush"
-}
-
-/// Method names that stage outbound data (`send`, `send_u64`,
-/// `send_u64_slice`, `send_bits`, …).
-fn is_send_name(name: &str) -> bool {
-    name.starts_with("send")
-}
 
 /// Buffer-mutation methods: `recv.meth(args)` makes `args` flow into
 /// `recv` (forward taint) and `recv`'s wire exposure flow into `args`
@@ -148,85 +156,128 @@ struct Sink {
     line: usize,
 }
 
-/// Run the taint pass over one file's source text.
-pub fn taint_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    if !rel_path.starts_with("crates/") {
-        return Vec::new();
-    }
+/// Findings of one file keyed by (0-based line, rule): a set, so a sink
+/// seen twice on one line — by name and by dataflow, or by two index
+/// expressions — reports once.
+type Keyed = BTreeSet<(usize, &'static str)>;
+
+/// What the sinks of one file share.
+struct FileCtx<'a> {
+    toks: &'a [Tok],
+    /// Marker identifiers are secret: the file is in the secret scope.
+    markers: bool,
+    /// Const-table lookups are INDEX sinks: the file is in `crates/crypto`.
+    crypto: bool,
+    /// Lines that `{:?}`-format or `dbg!` — where a secret is a DEBUG sink.
+    debug_lines: Vec<bool>,
+}
+
+/// Lint one file's source text; `rel_path` is workspace-relative with `/`
+/// separators and decides which rules apply. Findings in line order.
+pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
     let scan = ScannedFile::scan(src);
     let toks = tokenize(&scan);
-    let raw: Vec<&str> = src.lines().collect();
-    let mask = attribute_mask(&toks);
-    let fns = parse_fns(&toks);
-    let in_scope = SECRET_SCOPE.iter().any(|p| rel_path.starts_with(p));
-
-    let mut keyed: BTreeSet<(usize, &'static str)> = BTreeSet::new();
-    for (fi, f) in fns.iter().enumerate() {
-        if scan.in_test.get(f.line).copied().unwrap_or(false) {
-            continue;
+    let mut keyed = Keyed::new();
+    for t in &toks {
+        let safety = |c: &str| c.contains("SAFETY") || c.contains("Safety");
+        if t.text == "unsafe" && covering_comment(&scan, t.line, safety).is_none() {
+            keyed.insert((t.line, "UNSAFE"));
         }
-        // Mask out nested fn bodies so each function is analyzed once.
-        let mut fmask = mask.clone();
-        for (gi, g) in fns.iter().enumerate() {
-            if gi != fi && f.body.start <= g.body.start && g.body.end <= f.body.end {
-                // Mask from the nested header's start; its `fn` token sits
-                // a few tokens before the body — walk back to it.
-                let mut h = g.body.start;
-                while h > f.body.start
-                    && toks[h - 1].text != ";"
-                    && toks[h - 1].text != "}"
-                    && toks[h - 1].text != "{"
-                {
-                    h -= 1;
-                    if toks[h].text == "fn" {
-                        break;
-                    }
-                }
-                for m in fmask.iter_mut().take(g.body.end + 1).skip(h) {
-                    *m = true;
-                }
+    }
+    if rel_path.starts_with("crates/") {
+        let markers = SECRET_SCOPE.iter().any(|p| rel_path.starts_with(p));
+        let mut debug_lines: Vec<bool> = scan
+            .strings
+            .iter()
+            .map(|s| s.contains(":?}") || s.contains(":#?}"))
+            .collect();
+        for w in toks.windows(2) {
+            if w[0].text == "dbg" && w[1].text == "!" {
+                debug_lines[w[0].line] = true;
             }
         }
-        analyze_fn(f, &toks, &fmask, in_scope, &mut keyed);
+        let file = FileCtx {
+            toks: &toks,
+            markers,
+            crypto: rel_path.starts_with("crates/crypto/"),
+            debug_lines,
+        };
+        let mask = attribute_mask(&toks);
+        let fns = parse_fns(&toks);
+        for f in &fns {
+            if scan.in_test[toks[f.start].line] {
+                continue;
+            }
+            // Mask out nested fns, header to closing brace, so each
+            // function is analyzed once.
+            let mut fmask = mask.clone();
+            for g in &fns {
+                if f.body.start < g.start && g.body.end <= f.body.end {
+                    fmask[g.start..=g.body.end.min(toks.len() - 1)].fill(true);
+                }
+            }
+            analyze_fn(f, &file, &fmask, &mut keyed);
+        }
+        if markers {
+            derive_sinks(&toks, &scan, &mut keyed);
+        }
     }
 
+    let raw: Vec<&str> = src.lines().collect();
+    let finding = |rule, line: usize| Finding {
+        rule,
+        path: rel_path.to_string(),
+        line: line + 1,
+        snippet: raw
+            .get(line)
+            .map_or(String::new(), |l| l.trim().to_string()),
+    };
+    let mut used = BTreeSet::new();
     let mut out = Vec::new();
     for (line, rule) in keyed {
-        if suppressed_by(&scan, line, "taint-ok:") {
-            continue;
+        match covering_comment(&scan, line, is_ok_comment) {
+            Some(ok) => {
+                used.insert(ok);
+            }
+            None => out.push(finding(rule, line)),
         }
-        out.push(Finding {
-            rule,
-            path: rel_path.to_string(),
-            line: line + 1,
-            snippet: raw
-                .get(line)
-                .map_or(String::new(), |l| l.trim().to_string()),
-        });
+    }
+    for (j, c) in scan.comments.iter().enumerate() {
+        if is_ok_comment(c) && !used.contains(&j) {
+            out.push(finding(DEAD_OK, j));
+        }
     }
     out.sort_by(|a, b| a.line.cmp(&b.line).then(a.rule.cmp(b.rule)));
     out
 }
 
-/// True if a `<tag> <reason>` comment covers line `i`: on the line itself
-/// or in the contiguous run of comment/attribute lines directly above.
-pub fn suppressed_by(scan: &ScannedFile, i: usize, tag: &str) -> bool {
-    let hit = |j: usize| scan.comments.get(j).is_some_and(|c| c.contains(tag));
-    if hit(i) {
-        return true;
-    }
+/// Is this comment a suppression — does its text open with [`OK_TAG`]?
+/// (Prose that merely mentions the tag is not one.)
+fn is_ok_comment(comment: &str) -> bool {
+    comment
+        .trim_start_matches(['/', '!'])
+        .trim_start()
+        .starts_with(OK_TAG)
+}
+
+/// The line whose comment satisfies `hit`, looking at line `i` itself and
+/// then up the contiguous run of comment/attribute lines directly above it
+/// — where a `ct-ok:` suppression or a SAFETY justification sits.
+fn covering_comment(scan: &ScannedFile, i: usize, hit: impl Fn(&str) -> bool) -> Option<usize> {
     let mut j = i;
-    while j > 0 {
+    loop {
+        if scan.comments.get(j).is_some_and(|c| hit(c)) {
+            return Some(j);
+        }
+        if j == 0 {
+            return None;
+        }
         j -= 1;
         let code_above = scan.code[j].trim();
         if !(code_above.is_empty() || code_above.starts_with("#[")) {
-            return false;
-        }
-        if hit(j) {
-            return true;
+            return None;
         }
     }
-    false
 }
 
 /// Mark attribute token ranges (`#[...]` / `#![...]`): their `=` and
@@ -254,42 +305,120 @@ fn attribute_mask(toks: &[Tok]) -> Vec<bool> {
     mask
 }
 
-/// Analyze one function body; findings accumulate as `(line, rule)` keys.
-fn analyze_fn(
-    f: &crate::parse::FnItem,
-    toks: &[Tok],
-    mask: &[bool],
-    in_scope: bool,
-    keyed: &mut BTreeSet<(usize, &'static str)>,
-) {
-    let body = f.body.clone();
-    let (events, sinks) = collect_events(toks, mask, body.clone());
+/// Does the identifier carry a secret-marker word? ALL-CAPS consts never
+/// do: they are compile-time public parameters.
+fn is_marker(id: &str) -> bool {
+    !is_const_name(id)
+        && ident_words(id)
+            .iter()
+            .any(|w| SECRET_MARKERS.contains(&w.as_str()))
+}
 
-    // --- Forward taint fixpoint -------------------------------------------
-    let mut tainted: BTreeSet<String> = BTreeSet::new();
-    if in_scope {
-        for p in &f.params {
-            if ident_words(p)
-                .iter()
-                .any(|w| SECRET_MARKERS.contains(&w.as_str()))
-            {
-                tainted.insert(p.clone());
-            }
+/// Is the identifier ALL-CAPS (a const or static)?
+fn is_const_name(id: &str) -> bool {
+    id.chars()
+        .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
+}
+
+/// EQ / DEBUG on a `#[derive(PartialEq)]` / `#[derive(Debug)]` of a
+/// marker-named type: the derived impls compare and print its secret
+/// fields.
+fn derive_sinks(toks: &[Tok], scan: &ScannedFile, keyed: &mut Keyed) {
+    for (k, t) in toks.iter().enumerate() {
+        if t.text != "derive"
+            || scan.in_test[t.line]
+            || toks.get(k + 1).map(|n| n.text.as_str()) != Some("(")
+        {
+            continue;
+        }
+        let close = matching_close(toks, k + 1);
+        // The derived type's name follows the next `struct`/`enum`/`union`,
+        // unless a `{` or `;` ends the search first.
+        let name = (close..toks.len())
+            .find(|&j| {
+                matches!(
+                    toks[j].text.as_str(),
+                    "struct" | "enum" | "union" | "{" | ";"
+                )
+            })
+            .filter(|&j| toks[j].is_word())
+            .and_then(|j| toks.get(j + 1));
+        if !name.is_some_and(|n| is_marker(&n.text)) {
+            continue;
+        }
+        for tr in &toks[k + 2..close] {
+            let rule = match tr.text.as_str() {
+                "PartialEq" => "EQ",
+                "Debug" => "DEBUG",
+                _ => continue,
+            };
+            keyed.insert((t.line, rule));
         }
     }
+}
+
+/// The one predicate for "secret", over one function's tokens.
+struct Secrets<'a> {
+    toks: &'a [Tok],
+    mask: &'a [bool],
+    /// Dataflow-tainted binding names.
+    tainted: BTreeSet<String>,
+    /// Do marker identifiers count (secret scope, and sinks only)?
+    markers: bool,
+}
+
+impl Secrets<'_> {
+    /// Is token `j` a secret use — a source call, a tainted binding or a
+    /// marker identifier — and not projected to its public size by a
+    /// `.len()`-style call?
+    fn at(&self, j: usize) -> bool {
+        let toks = self.toks;
+        if self.mask[j] || !toks[j].is_word() {
+            return false;
+        }
+        let t = toks[j].text.as_str();
+        if SOURCES.contains(&t) && toks.get(j + 1).is_some_and(|n| n.text == "(") {
+            return !len_escaped(toks, matching_close(toks, j + 1) + 1);
+        }
+        (self.tainted.contains(t) || self.markers && is_marker(t)) && !len_escaped(toks, j + 1)
+    }
+
+    /// Does `range` hold a secret use?
+    fn any(&self, range: Range<usize>) -> bool {
+        (range.start..range.end.min(self.toks.len())).any(|j| self.at(j))
+    }
+}
+
+/// Analyze one function body; findings accumulate as `(line, rule)` keys.
+fn analyze_fn(f: &FnItem, file: &FileCtx, mask: &[bool], keyed: &mut Keyed) {
+    let toks = file.toks;
+    let body = f.body.start..f.body.end.min(toks.len());
+    let (events, sinks) = collect_events(toks, mask, body.clone());
+
+    // --- Forward taint fixpoint (markers seed it through parameters only) -
+    let mut secret = Secrets {
+        toks,
+        mask,
+        tainted: BTreeSet::new(),
+        markers: false,
+    };
+    if file.markers {
+        secret
+            .tainted
+            .extend(f.params.iter().filter(|p| is_marker(p)).cloned());
+    }
     loop {
-        let before = tainted.len();
+        let before = secret.tainted.len();
         for ev in &events {
-            if range_tainted(toks, mask, ev.rhs.clone(), &tainted) {
-                for l in &ev.lhs {
-                    tainted.insert(l.clone());
-                }
+            if secret.any(ev.rhs.clone()) {
+                secret.tainted.extend(ev.lhs.iter().cloned());
             }
         }
-        if tainted.len() == before {
+        if secret.tainted.len() == before {
             break;
         }
     }
+    secret.markers = file.markers;
 
     // --- Backward flows-to-send fixpoint ----------------------------------
     let mut fs: BTreeSet<String> = BTreeSet::new();
@@ -319,14 +448,33 @@ fn analyze_fn(
 
     // --- Control-flow sinks -----------------------------------------------
     for s in &sinks {
-        if range_tainted(toks, mask, s.cond.clone(), &tainted) {
+        if secret.any(s.cond.clone()) {
             keyed.insert((s.line, s.rule));
+        }
+    }
+
+    // --- Equality and Debug-format sinks ----------------------------------
+    let stmt_end = |k: &usize| matches!(toks[*k].text.as_str(), ";" | "{" | "}");
+    for j in body.clone() {
+        if !mask[j] && matches!(toks[j].text.as_str(), "==" | "!=") {
+            // The operator's statement: bounded by `;` / `{` / `}`.
+            let start = (body.start..j)
+                .rev()
+                .find(stmt_end)
+                .map_or(body.start, |k| k + 1);
+            let end = (j..body.end).find(stmt_end).unwrap_or(body.end);
+            if secret.any(start..end) {
+                keyed.insert((toks[j].line, "EQ"));
+            }
+        }
+        if file.debug_lines[toks[j].line] && secret.at(j) {
+            keyed.insert((toks[j].line, "DEBUG"));
         }
     }
 
     // --- Index sinks -------------------------------------------------------
     for j in body.clone() {
-        if j >= toks.len() || mask[j] || toks[j].text != "[" || j == 0 {
+        if mask[j] || toks[j].text != "[" || j == 0 {
             continue;
         }
         let prev = &toks[j - 1];
@@ -341,8 +489,14 @@ fn analyze_fn(
             continue;
         }
         let close = matching_close(toks, j);
-        if range_tainted(toks, mask, j + 1..close, &tainted) {
-            keyed.insert((toks[j].line, "T-INDEX"));
+        let const_table = file.crypto
+            && prev.text.len() >= 2
+            && prev.text.chars().any(|c| c.is_ascii_uppercase())
+            && is_const_name(&prev.text)
+            && close > j + 1
+            && !(close == j + 2 && toks[j + 1].text.starts_with(|c: char| c.is_ascii_digit()));
+        if const_table || secret.any(j + 1..close) {
+            keyed.insert((toks[j].line, "INDEX"));
         }
     }
 
@@ -350,28 +504,28 @@ fn analyze_fn(
     for r in &send_args {
         // `send_with(len, ..)`: the whole argument is the message length.
         let name = &toks[r.start - 2];
-        if name.text == "send_with" && range_tainted(toks, mask, r.clone(), &tainted) {
-            keyed.insert((name.line, "T-COMM"));
+        if name.text == "send_with" && secret.any(r.clone()) {
+            keyed.insert((name.line, "COMM"));
         }
         for (lp, line) in len_positions(toks, mask, r.clone()) {
-            if range_tainted(toks, mask, lp, &tainted) {
-                keyed.insert((line, "T-COMM"));
+            if secret.any(lp) {
+                keyed.insert((line, "COMM"));
             }
         }
     }
     for ev in &events {
         if ev.lhs.iter().any(|l| fs.contains(l)) {
             for (lp, line) in len_positions(toks, mask, ev.rhs.clone()) {
-                if range_tainted(toks, mask, lp, &tainted) {
-                    keyed.insert((line, "T-COMM"));
+                if secret.any(lp) {
+                    keyed.insert((line, "COMM"));
                 }
             }
         }
     }
     // Direct length mutation of a wire-bound buffer: `buf.resize(n, _)`
-    // where `buf` flows to a send and `n` is tainted.
+    // where `buf` flows to a send and `n` is secret.
     for j in body.clone() {
-        if j >= toks.len() || mask[j] || j < 2 {
+        if mask[j] || j < 2 {
             continue;
         }
         if toks[j - 1].text != "."
@@ -384,8 +538,8 @@ fn analyze_fn(
         }
         let close = matching_close(toks, j + 1);
         let first_end = find_at_depth0(toks, j + 2, close, &[","]).min(close);
-        if range_tainted(toks, mask, j + 2..first_end, &tainted) {
-            keyed.insert((toks[j].line, "T-COMM"));
+        if secret.any(j + 2..first_end) {
+            keyed.insert((toks[j].line, "COMM"));
         }
     }
 
@@ -393,8 +547,8 @@ fn analyze_fn(
     loop_roundtrips(toks, mask, body.clone(), keyed);
 
     // --- Pool-closure determinism -----------------------------------------
-    for j in body.clone() {
-        if j >= toks.len() || mask[j] || j < 2 {
+    for j in body {
+        if mask[j] || j < 2 {
             continue;
         }
         if toks[j - 1].text != "." || !POOL_DISPATCH.contains(&toks[j].text.as_str()) {
@@ -403,29 +557,22 @@ fn analyze_fn(
         if !ident_words(&toks[j - 2].text).iter().any(|w| w == "pool") {
             continue;
         }
-        let Some(open) = toks.get(j + 1).filter(|t| t.text == "(") else {
+        if toks.get(j + 1).map(|t| t.text.as_str()) != Some("(") {
             continue;
-        };
-        let _ = open;
+        }
         let close = matching_close(toks, j + 1);
-        for k in j + 2..close.min(toks.len()) {
-            if mask[k] {
-                continue;
-            }
-            let t = &toks[k];
-            if !t.is_word() {
-                continue;
-            }
-            let is_forbidden = PAR_FORBIDDEN.contains(&t.text.as_str())
-                || ident_words(&t.text).iter().any(|w| w == "rng");
+        for t in &toks[j + 2..close.min(toks.len())] {
+            let is_forbidden = t.is_word()
+                && (PAR_FORBIDDEN.contains(&t.text.as_str())
+                    || ident_words(&t.text).iter().any(|w| w == "rng"));
             if is_forbidden {
-                keyed.insert((t.line, "D-PAR"));
+                keyed.insert((t.line, "PAR"));
             }
         }
     }
 }
 
-/// T-COMM round-discipline scan: a send-like method call inside a loop
+/// COMM round-discipline scan: a send-like method call inside a loop
 /// whose body also blocks on the wire (any `.recv*(..)`) or forces a frame
 /// (`.flush()`) pays one wire round trip *per iteration* — the per-edge
 /// ping-pong the staged `send`/`flush` transport API exists to eliminate,
@@ -433,12 +580,7 @@ fn analyze_fn(
 /// (stage the whole loop's worth, then receive), or split the operator
 /// into a stage-all `*_begin` / receive-only `*_finish` pair. Loops that
 /// only send are fine: staged messages coalesce into one super-frame.
-fn loop_roundtrips(
-    toks: &[Tok],
-    mask: &[bool],
-    body: Range<usize>,
-    keyed: &mut BTreeSet<(usize, &'static str)>,
-) {
+fn loop_roundtrips(toks: &[Tok], mask: &[bool], body: Range<usize>, keyed: &mut Keyed) {
     let end = body.end.min(toks.len());
     let mut i = body.start;
     while i < end {
@@ -466,15 +608,17 @@ fn loop_roundtrips(
                 continue;
             }
             let name = toks[j].text.as_str();
-            if is_send_name(name) {
+            // `send*` stages outbound data; `recv*` blocks on a frame and
+            // `flush` forces one — inside a loop these defeat staging.
+            if name.starts_with("send") {
                 send_lines.push(toks[j].line);
-            } else if is_blocking_name(name) {
+            } else if name.starts_with("recv") || name == "flush" {
                 blocks = true;
             }
         }
         if blocks {
             for l in send_lines {
-                keyed.insert((l, "T-COMM"));
+                keyed.insert((l, "COMM"));
             }
         }
         // Descend past the header so nested loops are scanned on their own.
@@ -532,7 +676,7 @@ fn collect_events(toks: &[Tok], mask: &[bool], body: Range<usize>) -> (Vec<Event
                     // public shape by protocol invariant.
                     if has_range_op(toks, iterable.clone()) {
                         sinks.push(Sink {
-                            rule: "T-LOOP",
+                            rule: "LOOP",
                             cond: iterable,
                             line: toks[i].line,
                         });
@@ -552,9 +696,11 @@ fn collect_events(toks: &[Tok], mask: &[bool], body: Range<usize>) -> (Vec<Event
                             lhs,
                             rhs: eq + 1..brace,
                         });
+                        // The pattern too: a marker name bound there is a
+                        // branch on the secret it names.
                         sinks.push(Sink {
-                            rule: "T-BRANCH",
-                            cond: eq + 1..brace,
+                            rule: "BRANCH",
+                            cond: i + 2..brace,
                             line: toks[i].line,
                         });
                         i = brace;
@@ -565,7 +711,7 @@ fn collect_events(toks: &[Tok], mask: &[bool], body: Range<usize>) -> (Vec<Event
                     let brace = find_at_depth0(toks, i + 1, end, &["{"]);
                     if brace <= end {
                         sinks.push(Sink {
-                            rule: "T-BRANCH",
+                            rule: "BRANCH",
                             cond: i + 1..brace,
                             line: toks[i].line,
                         });
@@ -580,7 +726,7 @@ fn collect_events(toks: &[Tok], mask: &[bool], body: Range<usize>) -> (Vec<Event
                 if brace <= end {
                     let scrut = i + 1..brace;
                     sinks.push(Sink {
-                        rule: "T-BRANCH",
+                        rule: "BRANCH",
                         cond: scrut.clone(),
                         line: toks[i].line,
                     });
@@ -832,36 +978,6 @@ fn len_positions(toks: &[Tok], mask: &[bool], range: Range<usize>) -> Vec<(Range
     out
 }
 
-/// Does `range` mention a tainted value? True if it contains a tainted
-/// identifier (not behind a `.len()`-style public-size escape) or a direct
-/// source call.
-fn range_tainted(
-    toks: &[Tok],
-    mask: &[bool],
-    range: Range<usize>,
-    tainted: &BTreeSet<String>,
-) -> bool {
-    let end = range.end.min(toks.len());
-    for j in range.start..end {
-        if mask[j] || !toks[j].is_word() {
-            continue;
-        }
-        let t = toks[j].text.as_str();
-        let is_source_call = SOURCES.contains(&t) && toks.get(j + 1).is_some_and(|n| n.text == "(");
-        if is_source_call {
-            let close = matching_close(toks, j + 1);
-            if !len_escaped(toks, close + 1) {
-                return true;
-            }
-            continue;
-        }
-        if tainted.contains(t) && !len_escaped(toks, j + 1) {
-            return true;
-        }
-    }
-    false
-}
-
 /// Is the token at `j` the start of a `.len()` / `.is_empty()` /
 /// `.capacity()` public-size projection?
 fn len_escaped(toks: &[Tok], j: usize) -> bool {
@@ -877,7 +993,7 @@ mod tests {
     use super::*;
 
     fn taint(path: &str, src: &str) -> Vec<Finding> {
-        taint_source(path, src)
+        lint_source(path, src)
     }
 
     fn rules_of(f: &[Finding]) -> Vec<&'static str> {
@@ -890,7 +1006,7 @@ mod tests {
             "crates/ot/src/x.rs",
             "fn f(s: Secret<u64>) { if s.expose() > 0 { g(); } }",
         );
-        assert_eq!(rules_of(&f), ["T-BRANCH"]);
+        assert_eq!(rules_of(&f), ["BRANCH"]);
     }
 
     #[test]
@@ -899,7 +1015,7 @@ mod tests {
             "crates/ot/src/x.rs",
             "fn f(s: Secret<u64>) {\n let a = s.expose();\n let b = a + 1;\n if b > 0 { g(); }\n}",
         );
-        assert_eq!(rules_of(&f), ["T-BRANCH"]);
+        assert_eq!(rules_of(&f), ["BRANCH"]);
         assert_eq!(f[0].line, 4);
     }
 
@@ -918,7 +1034,7 @@ mod tests {
             "crates/ot/src/x.rs",
             "fn f(s: Secret<usize>, v: &[u8]) {\n let i = s.expose();\n let x = v[i];\n}",
         );
-        assert_eq!(rules_of(&f), ["T-INDEX"]);
+        assert_eq!(rules_of(&f), ["INDEX"]);
     }
 
     #[test]
@@ -927,7 +1043,7 @@ mod tests {
             "crates/ot/src/x.rs",
             "fn f(s: Secret<usize>) {\n let n = s.expose();\n for _i in 0..n { g(); }\n}",
         );
-        assert_eq!(rules_of(&f), ["T-LOOP"]);
+        assert_eq!(rules_of(&f), ["LOOP"]);
     }
 
     #[test]
@@ -936,7 +1052,7 @@ mod tests {
             "crates/transport/src/x.rs",
             "fn f(ch: &mut Channel, s: Secret<usize>) {\n let n = s.expose();\n let buf = vec![0u8; n];\n ch.send(buf);\n}",
         );
-        assert_eq!(rules_of(&f), ["T-COMM"]);
+        assert_eq!(rules_of(&f), ["COMM"]);
     }
 
     #[test]
@@ -954,7 +1070,7 @@ mod tests {
             "crates/transport/src/x.rs",
             "fn f(ch: &mut Channel, s: Secret<u32>) {\n let n = s.expose();\n ch.send(n.to_le_bytes().to_vec());\n}",
         );
-        assert_eq!(rules_of(&f), ["T-COMM"]);
+        assert_eq!(rules_of(&f), ["COMM"]);
     }
 
     #[test]
@@ -963,7 +1079,7 @@ mod tests {
             "crates/gc/src/x.rs",
             "fn f(delta: u128) { if delta > 0 { g(); } }",
         );
-        assert_eq!(rules_of(&f), ["T-BRANCH"]);
+        assert_eq!(rules_of(&f), ["BRANCH"]);
     }
 
     #[test]
@@ -983,7 +1099,7 @@ mod tests {
         );
         let mut r = rules_of(&f);
         r.sort();
-        assert_eq!(r, ["T-BRANCH", "T-INDEX"]);
+        assert_eq!(r, ["BRANCH", "INDEX"]);
     }
 
     #[test]
@@ -992,14 +1108,14 @@ mod tests {
             "crates/ot/src/x.rs",
             "fn f(s: Secret<Vec<u64>>) {\n let vals = s.expose();\n let _ = vals.iter().map(|x| if *x > 0 { 1 } else { 0 }).sum::<u64>();\n}",
         );
-        assert_eq!(rules_of(&f), ["T-BRANCH"]);
+        assert_eq!(rules_of(&f), ["BRANCH"]);
     }
 
     #[test]
     fn taint_ok_suppresses() {
         let f = taint(
             "crates/ot/src/x.rs",
-            "fn f(s: Secret<u64>) {\n let a = s.expose();\n // taint-ok: declassified protocol output, public by design.\n if a > 0 { g(); }\n}",
+            "fn f(s: Secret<u64>) {\n let a = s.expose();\n // ct-ok: declassified protocol output, public by design.\n if a > 0 { g(); }\n}",
         );
         assert!(f.is_empty());
     }
@@ -1019,7 +1135,7 @@ mod tests {
             "crates/psi/src/x.rs",
             "fn f(pool: &Pool, xs: &[u8]) {\n let _ = pool.map(xs, 1, |_, x| rng.gen_range(0..2) + *x as u64);\n}",
         );
-        assert_eq!(rules_of(&f), ["D-PAR"]);
+        assert_eq!(rules_of(&f), ["PAR"]);
     }
 
     #[test]
@@ -1037,7 +1153,7 @@ mod tests {
             "crates/oep/src/x.rs",
             "fn f(pool: &Pool, ch: &mut Channel, xs: &[u8]) {\n let _ = pool.map(xs, 1, |_, x| { ch.send(vec![*x]); 0u8 });\n}",
         );
-        assert!(rules_of(&f).contains(&"D-PAR"));
+        assert!(rules_of(&f).contains(&"PAR"));
     }
 
     #[test]
@@ -1046,7 +1162,7 @@ mod tests {
             "crates/transport/src/x.rs",
             "fn f(ch: &mut Channel, s: Secret<usize>) {\n let n = s.expose();\n let mut buf = Vec::new();\n buf.resize(n, 0u8);\n ch.send(buf);\n}",
         );
-        assert_eq!(rules_of(&f), ["T-COMM"]);
+        assert_eq!(rules_of(&f), ["COMM"]);
     }
 
     #[test]
@@ -1102,7 +1218,7 @@ mod tests {
             "crates/oep/src/x.rs",
             "fn f(ch: &mut Channel, xs: &[u64]) {\n for x in xs {\n ch.send_u64(*x);\n let _ = ch.recv_u64();\n }\n}",
         );
-        assert_eq!(rules_of(&f), ["T-COMM"]);
+        assert_eq!(rules_of(&f), ["COMM"]);
         assert_eq!(f[0].line, 3);
     }
 
@@ -1112,7 +1228,7 @@ mod tests {
             "crates/oep/src/x.rs",
             "fn f(ch: &mut Channel, xs: &[u64]) {\n while xs.len() > 0 {\n ch.send_u64(1);\n ch.flush();\n }\n}",
         );
-        assert_eq!(rules_of(&f), ["T-COMM"]);
+        assert_eq!(rules_of(&f), ["COMM"]);
     }
 
     #[test]
@@ -1137,7 +1253,7 @@ mod tests {
     fn roundtrip_loop_taint_ok_suppresses() {
         let f = taint(
             "crates/oep/src/x.rs",
-            "fn f(ch: &mut Channel, xs: &[u64]) {\n for x in xs {\n // taint-ok: genuinely adaptive — each query depends on the last reply.\n ch.send_u64(*x);\n let _ = ch.recv_u64();\n }\n}",
+            "fn f(ch: &mut Channel, xs: &[u64]) {\n for x in xs {\n // ct-ok: genuinely adaptive — each query depends on the last reply.\n ch.send_u64(*x);\n let _ = ch.recv_u64();\n }\n}",
         );
         assert!(f.is_empty(), "{f:?}");
     }
