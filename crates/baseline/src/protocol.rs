@@ -152,8 +152,7 @@ pub fn naive_gc_evaluator(
 ) -> u64 {
     let circuit = build_circuit(sizes, owners, key_bits, ell);
     let bits = pack_bits(sizes, owners, Role::Bob, my_rows, key_bits, ell);
-    let out = evaluate_circuit(ch, &circuit, &bits, ot, OutputMode::RevealBoth)
-        .expect("reveal-both returns to evaluator");
+    let out = evaluate_circuit(ch, &circuit, &bits, ot, OutputMode::RevealBoth);
     bits_to_u64(&out)
 }
 

@@ -11,9 +11,7 @@ use secyan_baseline::{naive_gc_evaluator, naive_gc_garbler, CartesianCostModel};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_ot::{OtReceiver, OtSender};
 use secyan_relation::NaturalRing;
-use secyan_tpch::queries::{
-    canonical, run_plaintext_instance, run_secure_instance, PaperQuery, QuerySpec,
-};
+use secyan_tpch::queries::{canonical, run_plaintext_instance, run_secure_instance, PaperQuery};
 use secyan_tpch::{Database, Scale};
 use secyan_transport::{run_protocol, Role};
 use std::time::{Duration, Instant};
@@ -179,12 +177,6 @@ pub fn default_scales(query: PaperQuery) -> Vec<f64> {
         PaperQuery::Q8 => vec![0.05, 0.1, 0.3],
         PaperQuery::Q9 => vec![0.02, 0.05],
     }
-}
-
-/// Convenience used by benches and smoke tests.
-pub fn build_spec(query: PaperQuery, mb: f64, seed: u64) -> QuerySpec {
-    let db = Database::generate(Scale::mb(mb), seed);
-    query.build(&db, NaturalRing::paper_default())
 }
 
 #[cfg(test)]

@@ -168,7 +168,7 @@ impl<'a> Session<'a> {
             garble_banked(self.ch, bank, circuit, my_inputs, ot, &mut self.rng, mode)
         } else {
             let (bank, ot) = (&mut self.gc_eval, &mut self.ot_recv);
-            evaluate_banked(self.ch, bank, circuit, my_inputs, ot, mode)
+            Some(evaluate_banked(self.ch, bank, circuit, my_inputs, ot, mode))
         }
     }
 

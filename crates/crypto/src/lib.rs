@@ -6,8 +6,7 @@
 //!   keys, PRG seeds), hashing elements into PSI bins and OPPRF points,
 //!   and public digests (shape keys, test transcripts).
 //! * [`prg`] — a seedable pseudorandom generator (ChaCha-based via `rand`'s
-//!   `StdRng`) used wherever a party expands a short seed into a long mask
-//!   stream (IKNP columns, switching-network wire masks, dummy annotations).
+//!   `StdRng`) that expands base-OT keys into OT-extension columns.
 //! * [`block`] — 128-bit blocks, the unit of wire labels and OT messages.
 //! * [`mersenne`] — arithmetic in Z_p, p = 2^127 − 1, whose multiplicative
 //!   group hosts the Chou–Orlandi base OT. Simulation-grade (see DESIGN.md).
@@ -41,7 +40,5 @@ pub mod transpose;
 pub use block::Block;
 pub use hashers::TweakHasher;
 pub use prg::Prg;
-pub use secret::{
-    ct_select_bytes, zeroize_bytes, CtChoice, CtEq, CtSelect, Secret, SecretBlock, Zeroize,
-};
+pub use secret::{zeroize_bytes, CtChoice, CtEq, CtSelect, Secret, SecretBlock, Zeroize};
 pub use share::RingCtx;

@@ -319,17 +319,6 @@ impl Block {
     }
 }
 
-/// Branchless byte-wise selection between two equal-length byte strings.
-pub fn ct_select_bytes(choice: CtChoice, if_true: &[u8], if_false: &[u8]) -> Vec<u8> {
-    assert_eq!(if_true.len(), if_false.len(), "ct_select_bytes length");
-    let mask = choice.mask_u8();
-    if_true
-        .iter()
-        .zip(if_false)
-        .map(|(&t, &f)| f ^ (mask & (t ^ f)))
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // The Secret<T> wrapper
 // ---------------------------------------------------------------------------
@@ -488,14 +477,6 @@ mod tests {
         assert!(a.ct_eq(&b).to_bool());
         assert!(!a.ct_eq(&c).to_bool());
         assert!(!a.as_slice().ct_eq(&b[..2]).to_bool());
-    }
-
-    #[test]
-    fn ct_select_bytes_matches() {
-        let t = [0xffu8, 0x00, 0xaa];
-        let f = [0x11u8, 0x22, 0x33];
-        assert_eq!(ct_select_bytes(CtChoice::TRUE, &t, &f), t.to_vec());
-        assert_eq!(ct_select_bytes(CtChoice::FALSE, &t, &f), f.to_vec());
     }
 
     #[test]

@@ -12,7 +12,8 @@ use secyan_par as par;
 /// below it the dispatch overhead beats the win. The movemask kernels move
 /// roughly an order of magnitude more bytes per cycle than the old scalar
 /// loop did, so the break-even chunk is correspondingly larger than the
-/// pre-SIMD 4 KiB (see the threads-vs-work microbench in `crates/bench`).
+/// scalar loop's 4 KiB. `crypto.transpose_ns_per_kbit` in `sybench/`
+/// times the kernel this threshold gates.
 const PAR_MIN_OUT_BYTES: usize = 1 << 15;
 
 /// A byte-packed bit matrix with `rows` rows and `cols` columns.

@@ -15,15 +15,14 @@ use std::collections::VecDeque;
 
 use crate::scheme::{eval_cells, garble_into, Garbling};
 
-/// Who learns the cleartext circuit outputs.
+/// Who learns the cleartext circuit outputs. The evaluator always decodes
+/// them (the garbler ships the decode bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputMode {
     /// Only the evaluator decodes the outputs.
     RevealToEvaluator,
-    /// Only the garbler learns the outputs (the evaluator sends back the
-    /// color bits, which are meaningless without the permute bits).
-    RevealToGarbler,
-    /// Both parties learn the outputs.
+    /// Both parties learn the outputs: the evaluator also sends back the
+    /// color bits, which the garbler decodes with its permute bits.
     RevealBoth,
 }
 
@@ -121,16 +120,14 @@ fn garble_online(
         Secret::new(labels.map(|(i, &b)| g.input_label(i, b).0).collect());
     ch.send_u128_slice(my_labels.expose());
     // Decode bits for the evaluator.
-    if matches!(mode, OutputMode::RevealToEvaluator | OutputMode::RevealBoth) {
-        ch.send_bool_slice(&g.decode_bits());
-    }
+    ch.send_bool_slice(&g.decode_bits());
     // Evaluator input labels via OT.
     let wires = circuit.alice_inputs..circuit.alice_inputs + circuit.bob_inputs;
     let pair = |i| (g.input_label(i, false), g.input_label(i, true));
     let eval_pairs: Secret<Vec<(Block, Block)>> = Secret::new(wires.map(pair).collect());
     ot.send_blocks(ch, eval_pairs.expose());
     // Output decoding toward the garbler.
-    if matches!(mode, OutputMode::RevealToGarbler | OutputMode::RevealBoth) {
+    if mode == OutputMode::RevealBoth {
         let colors = ch.recv_bool_vec(circuit.output_count());
         let decode = g.decode_bits();
         Some(colors.iter().zip(&decode).map(|(&c, &d)| c ^ d).collect())
@@ -187,7 +184,8 @@ pub fn evaluate_begin(
 
 /// Second half of the evaluator protocol: receive tables (when they travel
 /// inline), garbler labels, decode bits and the OT correction messages,
-/// then evaluate. Receive-only until the optional color-bit reply.
+/// then evaluate and decode. Receive-only until the color-bit reply of
+/// [`OutputMode::RevealBoth`].
 pub fn evaluate_finish(
     ch: &mut Channel,
     circuit: &Circuit,
@@ -195,7 +193,7 @@ pub fn evaluate_finish(
     my_inputs: &[bool],
     ot: &mut OtReceiver,
     mode: OutputMode,
-) -> Option<Vec<bool>> {
+) -> Vec<bool> {
     let EvalPending { material, pads } = pending;
     let tables = match material {
         Some(m) => m.tables,
@@ -209,19 +207,15 @@ pub fn evaluate_finish(
     labels
         .expose_mut()
         .extend(garbler_labels.expose().iter().map(|&l| Block(l)));
-    let decode = if matches!(mode, OutputMode::RevealToEvaluator | OutputMode::RevealBoth) {
-        Some(ch.recv_bool_vec(circuit.output_count()))
-    } else {
-        None
-    };
+    let decode = ch.recv_bool_vec(circuit.output_count());
     let my_labels = Secret::new(ot.finish_recv_blocks(ch, &pads, my_inputs));
     labels.expose_mut().extend_from_slice(my_labels.expose());
     let out_labels = Secret::new(eval_cells(circuit, tables.as_chunks().0, labels.expose()));
     let colors: Vec<bool> = out_labels.expose().iter().map(|l| l.lsb()).collect();
-    if matches!(mode, OutputMode::RevealToGarbler | OutputMode::RevealBoth) {
+    if mode == OutputMode::RevealBoth {
         ch.send_bool_slice(&colors);
     }
-    decode.map(|d| colors.iter().zip(&d).map(|(&c, &dd)| c ^ dd).collect())
+    colors.iter().zip(&decode).map(|(&c, &d)| c ^ d).collect()
 }
 
 /// Garbler side through a bank of pre-garbled material in plan order:
@@ -258,7 +252,7 @@ pub fn evaluate_banked(
     my_inputs: &[bool],
     ot: &mut OtReceiver,
     mode: OutputMode,
-) -> Option<Vec<bool>> {
+) -> Vec<bool> {
     let pending = evaluate_begin(ch, circuit, take_eval(bank, circuit), my_inputs, ot);
     evaluate_finish(ch, circuit, pending, my_inputs, ot, mode)
 }
@@ -279,15 +273,15 @@ pub fn garble_circuit<R: Rng + ?Sized>(
 }
 
 /// Evaluator side. `my_inputs` are the cleartext values of the circuit's
-/// Bob (evaluator) input wires. Returns the outputs if `mode` reveals them
-/// to the evaluator, else `None`. [`evaluate_banked`] with nothing banked.
+/// Bob (evaluator) input wires. Returns the decoded outputs.
+/// [`evaluate_banked`] with nothing banked.
 pub fn evaluate_circuit(
     ch: &mut Channel,
     circuit: &Circuit,
     my_inputs: &[bool],
     ot: &mut OtReceiver,
     mode: OutputMode,
-) -> Option<Vec<bool>> {
+) -> Vec<bool> {
     let bank = &mut VecDeque::new();
     evaluate_banked(ch, bank, circuit, my_inputs, ot, mode)
 }
@@ -315,7 +309,7 @@ mod tests {
         a_bits: Vec<bool>,
         b_bits: Vec<bool>,
         mode: OutputMode,
-    ) -> (Option<Vec<bool>>, Option<Vec<bool>>) {
+    ) -> (Option<Vec<bool>>, Vec<bool>) {
         let ca = circuit.clone();
         let cb = circuit.clone();
         let (ra, rb, _) = run_protocol(
@@ -343,20 +337,7 @@ mod tests {
             OutputMode::RevealToEvaluator,
         );
         assert!(ra.is_none());
-        assert_eq!(bits_to_u64(&rb.unwrap()), 1_002_345);
-    }
-
-    #[test]
-    fn reveal_to_garbler() {
-        let c = adder_circuit(16);
-        let (ra, rb) = run_gc(
-            &c,
-            u64_to_bits(40, 16),
-            u64_to_bits(2, 16),
-            OutputMode::RevealToGarbler,
-        );
-        assert_eq!(bits_to_u64(&ra.unwrap()), 42);
-        assert!(rb.is_none());
+        assert_eq!(bits_to_u64(&rb), 1_002_345);
     }
 
     #[test]
@@ -370,7 +351,7 @@ mod tests {
         );
         // 300 mod 256 = 44.
         assert_eq!(bits_to_u64(&ra.unwrap()), 44);
-        assert_eq!(bits_to_u64(&rb.unwrap()), 44);
+        assert_eq!(bits_to_u64(&rb), 44);
     }
 
     #[test]
@@ -407,7 +388,7 @@ mod tests {
                         &mut ot,
                         OutputMode::RevealToEvaluator,
                     );
-                    outs.push(bits_to_u64(&o.unwrap()));
+                    outs.push(bits_to_u64(&o));
                 }
                 outs
             },
@@ -430,6 +411,6 @@ mod tests {
             vec![],
             OutputMode::RevealToEvaluator,
         );
-        assert_eq!(bits_to_u64(&rb.unwrap()), 42);
+        assert_eq!(bits_to_u64(&rb), 42);
     }
 }

@@ -182,8 +182,7 @@ pub fn evaluate_shared_finish(
         my_inputs,
         ot,
         OutputMode::RevealToEvaluator,
-    )
-    .expect("shared-output circuits reveal to the evaluator");
+    );
     unpack_shares(spec, &bits)
 }
 

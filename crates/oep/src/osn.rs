@@ -12,7 +12,7 @@
 //! values — constant rounds, Õ(n log n) traffic for the whole network.
 
 use rand::Rng;
-use secyan_crypto::{Block, RingCtx, Zeroize};
+use secyan_crypto::{Block, RingCtx, Secret, Zeroize};
 use secyan_ot::{OtReceiver, OtSender};
 use secyan_par as par;
 use secyan_transport::{Channel, ReadExt, WriteExt};
@@ -27,19 +27,14 @@ const OSN_PAR_MIN_WIDTH: usize = 512;
 /// Minimum switches handed to one worker within a layer.
 const SWITCHES_PER_PART: usize = 64;
 
-/// Serialize a correction pair (two ring elements) into an OT message.
-fn enc_pair(a: u64, b: u64) -> Vec<u8> {
-    let mut v = Vec::with_capacity(16);
-    v.extend_from_slice(&a.to_le_bytes());
-    v.extend_from_slice(&b.to_le_bytes());
-    v
+/// Pack a correction pair (two ring elements) into one OT message block:
+/// `a` in the low 64 bits, `b` in the high.
+fn enc_pair(a: u64, b: u64) -> Block {
+    Block(u128::from(a) | u128::from(b) << 64)
 }
 
-fn dec_pair(raw: &[u8]) -> (u64, u64) {
-    (
-        u64::from_le_bytes(raw[..8].try_into().expect("8 bytes")),
-        u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes")),
-    )
+fn dec_pair(m: Block) -> (u64, u64) {
+    (m.0 as u64, (m.0 >> 64) as u64)
 }
 
 /// Bob's side: push `values` (padded internally) through the extended
@@ -86,10 +81,12 @@ pub(crate) fn osn_value_holder<R: Rng + ?Sized>(
 
     // Build every switch's OT message pair, updating masks as we go. The
     // message vector is indexed by absolute switch position, so the wire
-    // layout matches the serial evaluation order exactly.
+    // layout matches the serial evaluation order exactly. A pair's XOR
+    // relates the masks of two positions; the buffer scrubs itself once sent.
     let n_p1 = net.p1.switches().len();
     let n_dup = width - 1;
-    let mut ot_msgs: Vec<(Vec<u8>, Vec<u8>)> = vec![(Vec::new(), Vec::new()); net.switch_count()];
+    let mut msgs = Secret::new(vec![(Block::ZERO, Block::ZERO); net.switch_count()]);
+    let ot_msgs = msgs.expose_mut();
     par::with_pool_if(par::threads() > 1 && width >= OSN_PAR_MIN_WIDTH, |pool| {
         // Stage 1: permutation switches, layer-parallel.
         holder_stage(pool, &net.p1, &r1, ring, &mut masks, &mut ot_msgs[..n_p1]);
@@ -117,7 +114,7 @@ pub(crate) fn osn_value_holder<R: Rng + ?Sized>(
     r1.zeroize();
     rdup.zeroize();
     r2.zeroize();
-    ot.send_bytes(ch, &ot_msgs);
+    ot.send_blocks(ch, msgs.expose());
     // Bob's shares: −(final mask) on the first n_out positions.
     masks[..net.n_out].iter().map(|&m| ring.neg(m)).collect()
 }
@@ -138,12 +135,12 @@ fn holder_stage(
     r: &[(u64, u64)],
     ring: RingCtx,
     masks: &mut [u64],
-    out: &mut [(Vec<u8>, Vec<u8>)],
+    out: &mut [(Block, Block)],
 ) {
     let switches = net.switches();
     for layer in net.layers() {
         let masks_ro: &[u64] = masks;
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = pool.map(&layer, SWITCHES_PER_PART, |_, &s| {
+        let pairs: Vec<(Block, Block)> = pool.map(&layer, SWITCHES_PER_PART, |_, &s| {
             let (i, j) = switches[s];
             let (u, v) = r[s];
             let straight = enc_pair(ring.sub(u, masks_ro[i]), ring.sub(v, masks_ro[j]));
@@ -173,7 +170,7 @@ pub(crate) struct OsnPending {
 /// data, so the corrections ride the current outbound super-frame, and a
 /// caller may stage further dependency-free messages before
 /// [`osn_perm_holder_finish`] blocks on the masked values. The value
-/// holder reads the corrections inside `ot.send_bytes` only after staging
+/// holder reads the corrections inside `ot.send_blocks` only after staging
 /// init + pairs, so per-direction FIFO order is unchanged.
 pub(crate) fn osn_perm_holder_begin(
     ch: &mut Channel,
@@ -201,7 +198,7 @@ pub(crate) fn osn_perm_holder_finish(
     let width = net.width();
     let OsnPending { choices, pads } = pending;
     let mut vals = ch.recv_u64_vec(width);
-    let corrections = ot.finish_recv_bytes(ch, &pads, &choices, 16);
+    let corrections = ot.finish_recv_blocks(ch, &pads, &choices);
     let n_p1 = net.p1.switches().len();
     let n_dup = width - 1;
     par::with_pool_if(par::threads() > 1 && width >= OSN_PAR_MIN_WIDTH, |pool| {
@@ -216,7 +213,7 @@ pub(crate) fn osn_perm_holder_finish(
         // Duplication chain: a serial scan (each position may read its
         // predecessor's fresh value).
         for t in 1..width {
-            let (c1, _) = dec_pair(&corrections[n_p1 + t - 1]);
+            let (c1, _) = dec_pair(corrections[n_p1 + t - 1]);
             let src = if routing.dup_bits[t] {
                 vals[t - 1]
             } else {
@@ -246,7 +243,7 @@ fn perm_stage(
     pool: &par::Pool<'_>,
     net: &crate::network::PermNetwork,
     bits: &[bool],
-    corrections: &[Vec<u8>],
+    corrections: &[Block],
     ring: RingCtx,
     vals: &mut [u64],
 ) {
@@ -255,7 +252,7 @@ fn perm_stage(
         let vals_ro: &[u64] = vals;
         let outs: Vec<(u64, u64)> = pool.map(&layer, SWITCHES_PER_PART, |_, &s| {
             let (i, j) = switches[s];
-            let (c1, c2) = dec_pair(&corrections[s]);
+            let (c1, c2) = dec_pair(corrections[s]);
             let (src1, src2) = if bits[s] {
                 (vals_ro[j], vals_ro[i])
             } else {

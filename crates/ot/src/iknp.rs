@@ -15,6 +15,13 @@
 //! module adds what is IKNP's own: hashing the rows into pads, masking
 //! chosen messages, and the one-bit derandomisation of banked instances.
 //!
+//! Every chosen message has one of two shapes, and both are masked by the
+//! pad itself — a correlation-robust hash output used once, so no message
+//! is expanded through a PRG: a 16-byte block XORed with its pad
+//! ([`OtSender::send_blocks`]; garbled-circuit input labels, switching-network
+//! corrections), or a ⌈ℓ/8⌉-byte word added to it mod 2^ℓ
+//! ([`OtSender::send_words`]; share multiplication).
+//!
 //! # Banks
 //!
 //! [`OtSender::bank`] / [`OtReceiver::bank`] run the extension offline
@@ -26,9 +33,7 @@
 
 use crate::ext::{Bank, ExtReceiver, ExtSender};
 use rand::Rng;
-use secyan_crypto::{
-    ct_select_bytes, Block, CtChoice, CtSelect, Prg, RingCtx, Secret, TweakHasher, Zeroize,
-};
+use secyan_crypto::{Block, CtChoice, CtSelect, RingCtx, Secret, TweakHasher, Zeroize};
 use secyan_transport::{Channel, ReadExt, WriteExt};
 
 /// Security parameter κ: number of base OTs / width of the extension
@@ -133,41 +138,42 @@ impl OtSender {
         h0.into_iter().zip(h1).collect()
     }
 
-    /// Chosen-message OT on 128-bit messages.
+    /// Chosen-message OT on 128-bit messages: each message XORed with its
+    /// pad, all `2m` masked blocks written into the staging buffer as one
+    /// message. An empty batch is communication-free on both sides: the
+    /// receiver consumes no frames for zero choices, so sending even an
+    /// empty frame here would desynchronize the wire.
     pub fn send_blocks(&mut self, ch: &mut Channel, pairs: &[(Block, Block)]) {
-        let pads = self.draw_pads(ch, pairs.len());
-        let mut masked = Vec::with_capacity(pairs.len() * 2);
-        for ((m0, m1), (x0, x1)) in pairs.iter().zip(&pads) {
-            masked.push((*m0 ^ *x0).0);
-            masked.push((*m1 ^ *x1).0);
-        }
-        ch.send_u128_slice(&masked);
-    }
-
-    /// Chosen-message OT on equal-length byte strings.
-    ///
-    /// An empty batch is communication-free on both sides: the receiver's
-    /// [`OtReceiver::recv_bytes`] consumes no frames for zero choices, so
-    /// sending even an empty frame here would desynchronize the wire.
-    pub fn send_bytes(&mut self, ch: &mut Channel, pairs: &[(Vec<u8>, Vec<u8>)]) {
         if pairs.is_empty() {
             return;
         }
-        let pads = self.draw_pads(ch, pairs.len());
-        let mut buf = Vec::new();
-        for ((m0, m1), &(x0, x1)) in pairs.iter().zip(&pads) {
-            assert_eq!(m0.len(), m1.len(), "OT messages must have equal length");
-            buf.extend_from_slice(&mask_bytes(m0, x0));
-            buf.extend_from_slice(&mask_bytes(m1, x1));
-        }
-        ch.send(buf);
+        let pads = Secret::new(self.draw_pads(ch, pairs.len()));
+        ch.send_with(32 * pairs.len(), |buf| {
+            let slots = buf.chunks_exact_mut(32);
+            for (slot, (&(m0, m1), &(x0, x1))) in slots.zip(pairs.iter().zip(pads.expose())) {
+                slot[..16].copy_from_slice(&(m0 ^ x0).to_bytes());
+                slot[16..].copy_from_slice(&(m1 ^ x1).to_bytes());
+            }
+        });
+    }
+
+    /// [`OtSender::send_blocks`] on 16-byte strings, each read as a
+    /// little-endian block: the same wire bytes. Kept for the benchmark's
+    /// OT probe; the protocol sends blocks.
+    pub fn send_bytes(&mut self, ch: &mut Channel, pairs: &[(Vec<u8>, Vec<u8>)]) {
+        let block = |m: &[u8]| Block::from_bytes(m.try_into().expect("16-byte OT message"));
+        let blocks: Vec<(Block, Block)> = pairs
+            .iter()
+            .map(|(m0, m1)| (block(m0), block(m1)))
+            .collect();
+        self.send_blocks(ch, &blocks);
     }
 
     /// Correlated-word OT over Z_{2^ℓ} (Gilboa / ABY share multiplication):
     /// returns one `r_j = x0 mod 2^ℓ` per `deltas[j]`, and the receiver's
     /// [`OtReceiver::finish_recv_words`] ends with `r_j + c_j·Δ_j`. One
     /// ⌈ℓ/8⌉-byte word `r + Δ − x1` per OT crosses the wire, as one message;
-    /// an empty batch is communication-free like [`OtSender::send_bytes`].
+    /// an empty batch is communication-free like [`OtSender::send_blocks`].
     pub fn send_words(
         &mut self,
         ch: &mut Channel,
@@ -277,7 +283,7 @@ impl OtReceiver {
     /// incoming traffic is read — protocol layers use this to batch all
     /// receiver-side OT corrections of a round into one super-frame before
     /// blocking on the sender's replies. Finish with
-    /// [`OtReceiver::finish_recv_blocks`] / [`OtReceiver::finish_recv_bytes`]
+    /// [`OtReceiver::finish_recv_blocks`] / [`OtReceiver::finish_recv_words`]
     /// in the same order relative to the peer's sends.
     pub fn begin_recv(&mut self, ch: &mut Channel, choices: &[bool]) -> Vec<Block> {
         self.draw_pads(ch, choices)
@@ -299,28 +305,6 @@ impl OtReceiver {
                 let picked =
                     u128::ct_select(CtChoice::from_bool(c), masked[2 * j + 1], masked[2 * j]);
                 Block(picked) ^ pads[j]
-            })
-            .collect()
-    }
-
-    /// Second half of [`OtReceiver::begin_recv`] for byte-string messages
-    /// of known length `len`.
-    pub fn finish_recv_bytes(
-        &mut self,
-        ch: &mut Channel,
-        pads: &[Block],
-        choices: &[bool],
-        len: usize,
-    ) -> Vec<Vec<u8>> {
-        let raw = ch.recv_bytes(choices.len() * 2 * len);
-        choices
-            .iter()
-            .enumerate()
-            .map(|(j, &c)| {
-                let m0 = &raw[2 * j * len..(2 * j + 1) * len];
-                let m1 = &raw[(2 * j + 1) * len..(2 * j + 2) * len];
-                let picked = ct_select_bytes(CtChoice::from_bool(c), m1, m0);
-                mask_bytes(&picked, pads[j])
             })
             .collect()
     }
@@ -357,20 +341,13 @@ impl OtReceiver {
         self.finish_recv_blocks(ch, &pads, choices)
     }
 
-    /// Receive chosen byte-string messages of known length `len`. Both
-    /// candidate strings are unmasked and the result selected bytewise, so
-    /// neither control flow nor access pattern depends on the choice bits.
+    /// [`OtReceiver::recv_blocks`] against [`OtSender::send_bytes`]: the
+    /// chosen blocks as 16-byte strings. `len` must be 16.
     pub fn recv_bytes(&mut self, ch: &mut Channel, choices: &[bool], len: usize) -> Vec<Vec<u8>> {
-        let pads = self.begin_recv(ch, choices);
-        self.finish_recv_bytes(ch, &pads, choices, len)
+        assert_eq!(len, 16, "OT messages are 16-byte blocks");
+        let blocks = self.recv_blocks(ch, choices);
+        blocks.iter().map(|b| b.to_bytes().to_vec()).collect()
     }
-}
-
-/// XOR a byte string with the PRG expansion of a pad block.
-fn mask_bytes(msg: &[u8], pad: Block) -> Vec<u8> {
-    let mut stream = vec![0u8; msg.len()];
-    Prg::from_seed(b"ot-pad", pad).fill(&mut stream);
-    msg.iter().zip(&stream).map(|(&a, &b)| a ^ b).collect()
 }
 
 #[cfg(test)]
@@ -378,7 +355,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use secyan_transport::{run_protocol, Phase};
+    use secyan_transport::{run_protocol, run_protocol_captured, Phase, Role};
 
     fn run_random(m: usize, seed: u64) -> (Vec<(Block, Block)>, Vec<Block>, Vec<bool>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -501,28 +478,77 @@ mod tests {
         }
     }
 
+    /// The byte-string calls are the block OT under another type: on the
+    /// same seeds, 16-byte strings through `send_bytes` / `recv_bytes` and
+    /// the same messages as blocks through `send_blocks` / `recv_blocks`
+    /// put byte-identical streams on the wire in both directions, inline
+    /// and banked.
     #[test]
-    fn chosen_bytes_transfer() {
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..20u8)
-            .map(|i| (vec![i; 33], vec![i + 100; 33]))
+    fn send_bytes_is_the_block_ot() {
+        let mut rng = StdRng::seed_from_u64(52);
+        let blocks: Vec<(Block, Block)> = (0..40)
+            .map(|_| (Block::random(&mut rng), Block::random(&mut rng)))
             .collect();
-        let p2 = pairs.clone();
-        let choices: Vec<bool> = (0..20).map(|i| i % 2 == 1).collect();
-        let c2 = choices.clone();
-        let (_, got, _) = run_protocol(
-            move |ch| {
-                let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(50), TweakHasher::Aes);
-                s.send_bytes(ch, &p2);
+        let choices: Vec<bool> = (0..40).map(|_| rng.gen()).collect();
+        let capture = |bank: usize, as_bytes: bool| {
+            let (pairs, c2) = (blocks.clone(), choices.clone());
+            let ((), got, _, handle) = run_protocol_captured(
+                move |ch| {
+                    let mut s =
+                        OtSender::setup(ch, &mut StdRng::seed_from_u64(53), TweakHasher::Aes);
+                    s.bank(ch, bank);
+                    if as_bytes {
+                        let bytes = |b: Block| b.to_bytes().to_vec();
+                        let pairs: Vec<_> =
+                            pairs.iter().map(|&(a, b)| (bytes(a), bytes(b))).collect();
+                        s.send_bytes(ch, &pairs);
+                    } else {
+                        s.send_blocks(ch, &pairs);
+                    }
+                },
+                move |ch| {
+                    let mut rng = StdRng::seed_from_u64(54);
+                    let mut r = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
+                    r.bank(ch, bank, &mut rng);
+                    if as_bytes {
+                        let got = r.recv_bytes(ch, &c2, 16);
+                        got.iter()
+                            .map(|m| Block::from_bytes(m[..].try_into().unwrap()))
+                            .collect()
+                    } else {
+                        r.recv_blocks(ch, &c2)
+                    }
+                },
+            );
+            for (j, &(m0, m1)) in blocks.iter().enumerate() {
+                assert_eq!(got[j], if choices[j] { m1 } else { m0 }, "instance {j}");
+            }
+            let sent_by = |dir| -> Vec<Vec<u8>> {
+                let messages = handle.messages().into_iter();
+                messages
+                    .filter(|(r, _)| *r == dir)
+                    .map(|(_, m)| m)
+                    .collect()
+            };
+            (sent_by(Role::Alice), sent_by(Role::Bob))
+        };
+        for bank in [0, 40] {
+            assert_eq!(capture(bank, true), capture(bank, false), "bank {bank}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "16-byte blocks")]
+    fn recv_bytes_rejects_other_lengths() {
+        run_protocol(
+            |ch| {
+                OtSender::setup(ch, &mut StdRng::seed_from_u64(55), TweakHasher::Aes);
             },
-            move |ch| {
-                let mut r = OtReceiver::setup(ch, &mut StdRng::seed_from_u64(51), TweakHasher::Aes);
-                r.recv_bytes(ch, &c2, 33)
+            |ch| {
+                let mut r = OtReceiver::setup(ch, &mut StdRng::seed_from_u64(56), TweakHasher::Aes);
+                r.recv_bytes(ch, &[true], 33);
             },
         );
-        for j in 0..20 {
-            let want = if choices[j] { &pairs[j].1 } else { &pairs[j].0 };
-            assert_eq!(&got[j], want);
-        }
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!   the bit-matrix transpose into per-instance rows, and the one
 //!   single-use bank type for precomputed instances. Its pool thresholds
 //!   are the only ones in this crate's extension path.
-//! * [`iknp`] — IKNP OT extension: the engine at κ = 128 columns. This
-//!   powers garbled-circuit input transfer, the oblivious switching
-//!   network in `secyan-oep`, and — as correlated ℓ-bit words — the share
-//!   multiplication of `secyan-core`'s reduce-join.
+//! * [`iknp`] — IKNP OT extension: the engine at κ = 128 columns. As
+//!   16-byte block OTs it powers garbled-circuit input transfer and every
+//!   switch of the oblivious switching network in `secyan-oep`; as
+//!   correlated ℓ-bit words, the share multiplication of `secyan-core`'s
+//!   reduce-join. Either way each message is masked by its pad.
 //! * [`kkrt`] — KKRT batched oblivious PRF (BaRK-OPRF): the engine at 512
 //!   columns. This powers the OPPRF inside circuit PSI (`secyan-psi`),
 //!   which in turn implements the paper's §5.3/§5.5.
@@ -43,7 +44,9 @@ pub use kkrt::{KkrtReceiver, KkrtSender, KkrtSenderKey};
 /// before the two extensions were folded onto one engine, so they move only
 /// when what this crate puts on the wire moves — a drift shows up here
 /// rather than three layers up in the query-level transcript goldens. The
-/// correlated-word row was recorded with the kernel.
+/// correlated-word row was recorded with the kernel; the two IKNP
+/// sender-side digests when chosen messages lost their PRG expansion (one
+/// value: inline and banked send the same pads).
 #[cfg(test)]
 mod wire_goldens {
     use crate::{KkrtReceiver, KkrtSender, OtReceiver, OtSender};
@@ -181,13 +184,13 @@ mod wire_goldens {
             (
                 "iknp inline",
                 iknp_digests(false),
-                "e17a11d4da4d77578f4bd4600b136cd6ef84ee106a0793dbcc2fe6da7bf543a9",
+                "c395c69a14e82092962633858c2b545f8f2b281851079fa260ae6c11e019b21c",
                 "a7636eb63906245aa2621c777bb76e776eac3d08b00acfac4aef772dc7c8fe39",
             ),
             (
                 "iknp banked",
                 iknp_digests(true),
-                "e17a11d4da4d77578f4bd4600b136cd6ef84ee106a0793dbcc2fe6da7bf543a9",
+                "c395c69a14e82092962633858c2b545f8f2b281851079fa260ae6c11e019b21c",
                 "14b87eb54864131e4ee39ffb1c3a343567be6ad9c024b299b4be4d328bfd1232",
             ),
             (

@@ -91,8 +91,7 @@ pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
     // Step 4: evaluate the k circuit.
     let circuit = k_circuit(bins, ell);
     let mode = OutputMode::RevealToEvaluator;
-    let out_bits = evaluate_banked(ch, gc_bank, &circuit, &my_bits, ot_recv, mode)
-        .expect("k circuit reveals to evaluator");
+    let out_bits = evaluate_banked(ch, gc_bank, &circuit, &my_bits, ot_recv, mode);
     let (ind_bits, k_bits) = out_bits.split_at(bins * ell);
     let ind_shares = bits_to_words(ind_bits, ell);
     // The garbler picks every k: an index outside ξ₁'s range is a peer

@@ -239,16 +239,6 @@ impl Database {
             partsupp,
         }
     }
-
-    /// Total tuples across the private tables.
-    pub fn total_tuples(&self) -> usize {
-        self.customer.len()
-            + self.orders.len()
-            + self.lineitem.len()
-            + self.part.len()
-            + self.supplier.len()
-            + self.partsupp.len()
-    }
 }
 
 #[cfg(test)]

@@ -144,12 +144,13 @@ fn q8_transcript() -> Vec<(Role, Vec<u8>)> {
 
 /// Single-phase wire behaviour is pinned byte for byte: these digests of
 /// `run_secure`'s per-direction transcripts only move when what a
-/// bank-less run puts on the wire moves. Recorded when the reduce-join
-/// product left the circuit for `Session::multiply`: against the recording
-/// before it, every instance's byte total fell by exactly its product
-/// steps' tables, garbler labels, decode bits and the 32 − ⌈ℓ/8⌉ bytes per
-/// OT (the table is in CHANGES.md, PR 18), and no other step moved a byte
-/// (`gc_layer_wire_goldens` in `secyan-core` pins the remaining circuits).
+/// bank-less run puts on the wire moves. Recorded when the switching
+/// network's corrections moved onto the block OT (each masked by its pad,
+/// not a PRG expansion of it): against the recording before it, every
+/// message length is unchanged, and a direction moved only where that
+/// party holds the values of at least one OEP — Alice's side of
+/// `generate(3)`, whose relations are all Bob's, did not.
+/// (`gc_layer_wire_goldens` in `secyan-core` pins the circuits.)
 #[test]
 fn single_phase_transcript_goldens() {
     let run = |inst: Instance| (inst.describe(), run_secure(&inst).transcript);
@@ -157,27 +158,27 @@ fn single_phase_transcript_goldens() {
         (
             run(Instance::generate(3)),
             "eb19936927c0aa463fee6417192c6a1cbcca6f6cf95bb18811fb924d47c505ff",
-            "75b330cde9ae9a8ab144ffcd8c4947d03190439a3945ef9a82d3f883f72a7922",
+            "8ad41b984d4f5782845b0a10c8d5482c9bf52e2583687884375132db2c311573",
         ),
         (
             run(Instance::generate(7)),
-            "2bbeac6607708033d022988479c7737ea4640643d86442456134b6637222218b",
-            "96bd313d802e1fd4ae7cebfd8c13039db8b19b2b13da4c77c7748ce0b86a1ba9",
+            "2d57141b3e889f95813b4dde3c08f96f74bcc7c1b965c16ce55f604c8a63e795",
+            "beb8063e69d97fdffaa799f7dd8d6172f7ae4b32e74c4147d2a8414a45c8604a",
         ),
         (
             run(Instance::generate(18)),
-            "32efd39809598ee91a637d0df64b59acdbadea0342ce94cfd9eaff3d54237af3",
-            "48705006237fc412a887a01b157bb03d5809982cb00b521b359a0980f2820fe2",
+            "e338fbe648fbd93151f713fb1027118ce08f77bf3929f69ab600e95fb3d124cb",
+            "1514f6ab4c3c96b9f735261845ef2df5f88944640be79e98487292c0f8aed3d3",
         ),
         (
             run(Instance::generate_chain(1)),
-            "c41e1c52c62828019f46ff8adba34e107dcf20bd1ef5cede4a53a616fe708f45",
-            "34e06a4b5de30e468494cf0e2df9db7d85af2d4bb7d990647d33ecd1227bbc05",
+            "c2777efe49e1e015e1cd25810d41d9599b25eafb017690683fbe64d19acdd586",
+            "f5d6d0ec8b5c87e2c489b96d06a2a3c8cd20702ddb711313fa0a586bd340cdad",
         ),
         (
             ("TPC-H Q8 at 0.02 MB".to_string(), q8_transcript()),
-            "fff50e82dca8c963f47115c869dff604a600853d132db01eed7b749371146666",
-            "802c6d0996e88432871d37956d84875f464638949ffa2cbd3726d9b52f59339a",
+            "accf63aae8deb57d6a640ef68762d14e0edc353895947ea3daed8e071c5ef6db",
+            "d20e22b113330716003b0aa42ebe4184d37001a56c4b5677ddaf6b490dfa795f",
         ),
     ];
     for ((what, transcript), alice, bob) in goldens {
@@ -195,7 +196,7 @@ fn single_phase_transcript_goldens() {
 /// phase and direction, the digest of what `run_offline` then `run_online`
 /// put on the wire — so the order in which banked OTs, KKRT instances and
 /// pre-garbled circuits are drawn is pinned too. Recorded with the rows
-/// above.
+/// above; the offline digests did not move with them.
 #[test]
 fn phase_split_transcript_goldens() {
     let goldens = [
@@ -204,8 +205,8 @@ fn phase_split_transcript_goldens() {
             [
                 "b21285c8d1e96b21ef1f1b0c685c412df74d0d6495318bd8082d0481f8aa1e6a",
                 "d5e6ef9e7d2e601e9812ab352e34543aa1be2264a8e836fabff01afb2fc4f7af",
-                "5878fa9f9704ec5a072e49d6138b3760f1839929daf0633fee162466ddc336fd",
-                "8a4a11db6ed458d9530f71e425d87f0912a2ddf0bc2a657ac69513bf9f8c990a",
+                "63dbf642ea3071dd40be70f5d72e124f161bebe6a88506f067ba177c12ce0ac4",
+                "a9fcb942b9846eea8defa5a52fb950d66e20f85768f21a962842c01b66516cee",
             ],
         ),
         (
@@ -213,8 +214,8 @@ fn phase_split_transcript_goldens() {
             [
                 "16e94dc333b510b5327b774899526d312e1295f79f895972293eda8959dbd6d9",
                 "1d1363e937e1fbcbca27af350453b0ae9c545fa3ceaf5b882af20a41069ab308",
-                "8c425e820d90bdfad1c6a1aad431e09d878e15bf995c8f856325c01dad4a6b9f",
-                "35108c7e6829f4f1eebcec25a16837839388997289ee2a5cc515ce13adf96add",
+                "133294d877f51d1e1d2a0edee6bc929ac6b90f1c8b57cb867774e1d7275dc1c6",
+                "f402096d7818f59c66e67abadb1dafcd4e2e880cb2b215c00944e799a1df1ec5",
             ],
         ),
     ];
