@@ -36,8 +36,6 @@ use std::sync::OnceLock;
 pub struct Features {
     /// SSE2 (128-bit integer ops; `movemask` transpose kernel).
     pub sse2: bool,
-    /// SSSE3 (byte shuffles; reserved for future kernels).
-    pub ssse3: bool,
     /// AVX2 (256-bit integer ops; wide transpose kernel).
     pub avx2: bool,
     /// Carry-less multiply (`pclmulqdq`; GF(2^64) kernels).
@@ -50,7 +48,6 @@ impl Features {
     /// No extensions: every kernel takes its portable scalar arm.
     pub const NONE: Features = Features {
         sse2: false,
-        ssse3: false,
         avx2: false,
         pclmulqdq: false,
         aes: false,
@@ -74,7 +71,6 @@ fn probe() -> Features {
     {
         Features {
             sse2: std::arch::is_x86_feature_detected!("sse2"),
-            ssse3: std::arch::is_x86_feature_detected!("ssse3"),
             avx2: std::arch::is_x86_feature_detected!("avx2"),
             pclmulqdq: std::arch::is_x86_feature_detected!("pclmulqdq")
                 && std::arch::is_x86_feature_detected!("sse2"),

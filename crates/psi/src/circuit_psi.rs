@@ -64,8 +64,7 @@ pub fn psi_params(receiver_size: usize, sender_size: usize) -> PsiParams {
 /// function of the two public set sizes, the ring width and the flavour —
 /// the layer's own account of its protocol, so a planner never re-derives
 /// it: the circuit the sender garbles, the KKRT instances (PSI sender =
-/// KKRT sender; a rejected cuckoo seed burns more, but that is
-/// data-dependent and left to the inline fallback), and the OTs drawn in
+/// KKRT sender), and the OTs drawn in
 /// each direction (GC evaluator labels plus, for shared payloads, the
 /// three OEPs).
 pub struct PsiCost {
@@ -137,87 +136,55 @@ fn split_shares(shares: Vec<u64>) -> (Vec<u64>, Vec<u64>) {
     (ind, val)
 }
 
-/// Seed attempts before the negotiation gives up. An honest run rejects a
-/// seed with probability below 2^-40 ([`max_bin_size`]), so a second
-/// attempt is already a once-in-a-lifetime event; a peer that keeps
-/// rejecting (or keeps sending seeds) is faulty or hostile, and each turn
-/// it is allowed burns 2·bins KKRT instances.
-const MAX_SEED_ATTEMPTS: usize = 4;
-
-/// Agree on a cuckoo/simple-hash seed whose bin loads respect the public
-/// bound, *optimistically* overlapping the two KKRT batches with the
-/// verdict: each attempt stages the seed **and** both OPPRF correction
-/// batches before blocking on the sender's verdict, so an accepted first
-/// attempt (the overwhelmingly common case) costs zero extra ping-pongs.
-/// A rejected attempt discards the two in-flight evaluations — both
-/// parties burn the same 2·bins banked KKRT instances, so bank budgets
-/// stay mirrored; if the bank runs dry the batches transparently fall back
-/// to fresh (still receiver-send-only) extensions. The retry count was
-/// already public under the old send/verdict loop; after
-/// [`MAX_SEED_ATTEMPTS`] rejections the run ends in a typed error.
-///
-/// Receiver side; returns the table and the two pending OPPRF evaluations
-/// (membership first, payload second).
+/// Receiver side of the binning: send the cuckoo seed, then begin both
+/// OPPRF evaluations behind it. All of it is send-only, so the binning
+/// costs no ping-pong before the hints arrive. Returns the table and the
+/// two pending evaluations (membership first, payload second).
 fn negotiate_cuckoo(
     ch: &mut Channel,
     elements: &[u64],
     params: &PsiParams,
     kkrt: &mut KkrtReceiver,
 ) -> (CuckooTable, OpprfEval, OpprfEval) {
-    let mut seed = 0u64;
-    for _ in 0..MAX_SEED_ATTEMPTS {
-        let table = CuckooTable::build(elements, params.bins, seed);
-        // ct-ok: adaptive retry — each seed attempt needs the peer's
-        // verdict; the fast path already stages everything before blocking.
-        ch.send_u64(table.seed);
-        let queries: Vec<PsiItem> = table
-            .bins
-            .iter()
-            .enumerate()
-            .map(|(b, slot)| match slot {
-                Some(e) => PsiItem::Real(*e),
-                None => PsiItem::Dummy(b as u64),
-            })
-            .collect();
-        let e1 = opprf_evaluate_begin(ch, kkrt, &queries, params.degree);
-        let e2 = opprf_evaluate_begin(ch, kkrt, &queries, params.degree);
-        if ch.recv_u64() == 1 {
-            return (table, e1, e2);
-        }
-        seed = table.seed.wrapping_add(1);
-    }
-    ProtocolError::malformed(format!(
-        "peer rejected {MAX_SEED_ATTEMPTS} cuckoo seeds in a row"
-    ))
+    let table = CuckooTable::build(elements, params.bins, 0);
+    ch.send_u64(table.seed);
+    let queries: Vec<PsiItem> = table
+        .bins
+        .iter()
+        .enumerate()
+        .map(|(b, slot)| match slot {
+            Some(e) => PsiItem::Real(*e),
+            None => PsiItem::Dummy(b as u64),
+        })
+        .collect();
+    let e1 = opprf_evaluate_begin(ch, kkrt, &queries, params.degree);
+    let e2 = opprf_evaluate_begin(ch, kkrt, &queries, params.degree);
+    (table, e1, e2)
 }
 
-/// Sender side of the optimistic negotiation; consumes the receiver's
-/// in-flight correction batches (in FIFO order, after the verdict is
-/// staged) whether or not the seed is accepted, keeping the KKRT streams
-/// of both parties aligned. Returns the simple-hash table and the two
-/// evaluation keys (membership first, payload second).
+/// Sender side of the binning: simple-hash under the receiver's seed and
+/// key both KKRT batches (membership first, payload second). A seed that
+/// loads a bin past the public bound — for an honest peer a chance below
+/// 2^-40 ([`max_bin_size`]) — ends the run in a typed error: the hints
+/// cannot hide such a bin, and asking for another seed would tell the
+/// receiver that this one failed on the sender's set.
 fn negotiate_simple(
     ch: &mut Channel,
     elements: &[u64],
     params: &PsiParams,
     kkrt: &mut KkrtSender,
 ) -> (SimpleTable, KkrtSenderKey, KkrtSenderKey) {
-    for _ in 0..MAX_SEED_ATTEMPTS {
-        let seed = ch.recv_u64();
-        let table = SimpleTable::build(elements, params.bins, seed);
-        let ok = table.max_load() <= params.degree;
-        // ct-ok: adaptive retry — the verdict answers the seed just
-        // received; see negotiate_cuckoo for the round accounting.
-        ch.send_u64(ok as u64);
-        let k1 = kkrt.key_batch(ch, params.bins);
-        let k2 = kkrt.key_batch(ch, params.bins);
-        if ok {
-            return (table, k1, k2);
-        }
+    let seed = ch.recv_u64();
+    let table = SimpleTable::build(elements, params.bins, seed);
+    if table.max_load() > params.degree {
+        ProtocolError::malformed(format!(
+            "cuckoo seed {seed} loads a bin past the public bound {}",
+            params.degree
+        ));
     }
-    ProtocolError::malformed(format!(
-        "{MAX_SEED_ATTEMPTS} cuckoo seeds in a row overloaded a bin"
-    ))
+    let k1 = kkrt.key_batch(ch, params.bins);
+    let k2 = kkrt.key_batch(ch, params.bins);
+    (table, k1, k2)
 }
 
 /// `[a_0, b_0, a_1, b_1, …]`: two per-bin word vectors in the order the
@@ -308,7 +275,7 @@ impl PsiReceiverPending {
     }
 }
 
-/// First half of the circuit-PSI receiver: negotiate the cuckoo seed,
+/// First half of the circuit-PSI receiver: send the cuckoo seed,
 /// finish the two OPPRF evaluations, and stage (send-only) the matching
 /// circuit's OT corrections. Returns with the outbound super-frame still
 /// open: everything this side must *send* for the PSI has been staged, so
@@ -435,7 +402,9 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use secyan_transport::{catch_protocol, run_protocol};
+    use secyan_transport::{
+        catch_protocol, channel_pair, recorded, run_protocol, run_protocol_on, Role,
+    };
 
     fn run_psi(x: Vec<u64>, y: Vec<(u64, u64)>) -> (PsiOutput, PsiOutput, RingCtx) {
         let hasher = TweakHasher::default();
@@ -478,38 +447,57 @@ mod tests {
         (r, s, ring)
     }
 
-    /// A sender whose public load bound no seed can meet rejects every
-    /// attempt: both sides stop after the same few seeds with a typed
-    /// error — the receiver does not keep extending KKRT batches for as
-    /// long as the peer says no, nor the sender for as long as seeds come.
+    /// A sender whose public load bound no seed can meet aborts on the
+    /// receiver's first seed, and both sides end typed. After KKRT setup
+    /// the receiver has sent one seed word and the two correction batches
+    /// staged behind it, the sender nothing: no verdict, no second seed.
     #[test]
-    fn seed_negotiation_gives_up_after_a_few_rejections() {
+    fn overloaded_bin_aborts_on_the_first_seed() {
         let x: Vec<u64> = (1..=5).collect();
         let params = |degree| PsiParams {
             bins: bin_count(5),
             degree,
         };
-        let (r, s, _) = run_protocol(
-            move |ch| {
+        let (pair, transcript) = recorded(channel_pair());
+        let sent = |role: Role| -> Vec<usize> {
+            let lengths = transcript.lengths().into_iter();
+            lengths
+                .filter(|&(r, _)| r == role)
+                .map(|(_, n)| n)
+                .collect()
+        };
+        let ((setup_r, r), (setup_s, s), _) = run_protocol_on(
+            pair,
+            |ch| {
                 let mut kkrt = KkrtReceiver::setup(ch, &mut StdRng::seed_from_u64(23));
                 let honest = params(max_bin_size(3, bin_count(5)));
-                catch_protocol(|| negotiate_cuckoo(ch, &x, &honest, &mut kkrt).0.seed)
+                let setup = sent(Role::Alice).len();
+                let got = catch_protocol(|| receiver_opprfs(ch, &x, &honest, &mut kkrt).1);
+                (setup, got)
             },
-            move |ch| {
+            |ch| {
                 let mut kkrt = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(24));
-                catch_protocol(|| {
-                    negotiate_simple(ch, &[2, 4, 6], &params(0), &mut kkrt)
+                let setup = sent(Role::Bob).len();
+                let overloaded = params(0);
+                let got = catch_protocol(|| {
+                    negotiate_simple(ch, &[2, 4, 6], &overloaded, &mut kkrt)
                         .0
                         .seed
-                })
+                });
+                (setup, got)
             },
         );
-        for (side, got) in [("receiver", r), ("sender", s)] {
-            assert!(
-                matches!(got, Err(ProtocolError::Malformed { .. })),
-                "{side} ended with {got:?}"
-            );
-        }
+        assert!(r.is_err(), "receiver ended with {r:?}");
+        assert!(
+            matches!(s, Err(ProtocolError::Malformed { .. })),
+            "sender ended with {s:?}"
+        );
+        let front = sent(Role::Alice)[setup_r..].to_vec();
+        assert_eq!(front.len(), 3, "receiver sent {front:?} after setup");
+        assert_eq!(front[0], 8, "the seed word");
+        assert_eq!(front[1], front[2], "two equal KKRT correction batches");
+        let answers = sent(Role::Bob)[setup_s..].to_vec();
+        assert!(answers.is_empty(), "the sender answered {answers:?}");
     }
 
     #[test]

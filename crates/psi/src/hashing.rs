@@ -6,10 +6,11 @@
 //! bin holding x on the receiver side contains x on the sender side —
 //! turning set intersection into B independent small-set membership tests.
 //!
-//! Bin loads on the sender side are padded to a public bound so nothing
-//! about the data leaks through hint sizes; if a load ever exceeds the
-//! bound (probability < 2^{-σ}), the parties publicly restart with fresh
-//! seeds — the standard trick, costing nothing in expectation.
+//! Every sender-side bin's hint has the size of a public load bound, so
+//! nothing about the data leaks through hint sizes; if a load ever exceeds
+//! the bound (probability < 2^{-σ}), the run ends in a typed error rather
+//! than retrying, since a fresh seed would tell the receiver that the old
+//! one overloaded the sender's set.
 
 use secyan_crypto::sha256::{digest_to_u64, Sha256};
 
@@ -27,7 +28,7 @@ pub fn bin_count(m: usize) -> usize {
 /// Mean load is μ = 3·balls/bins; a Chernoff tail at e^{-Ω(t²/μ)} makes
 /// μ + 6·√(μ·ln bins) + 24 exceed the max load except with probability far
 /// below 2^{-40} for every size this workspace touches. Verified
-/// empirically in tests; violations trigger a public rehash, not an error.
+/// empirically in tests; a violation ends the run in a typed error.
 pub fn max_bin_size(balls: usize, bins: usize) -> usize {
     if bins <= 1 {
         return balls.max(1);

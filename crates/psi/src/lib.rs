@@ -14,9 +14,9 @@
 //!   oblivious.
 //! * [`opprf`] — oblivious *programmable* PRF: KKRT OPRF plus per-bin
 //!   polynomial hints over GF(2^64).
-//! * [`circuit_psi`] — the front half both flavours share (seed
-//!   negotiation, capped at a few attempts, then the membership OPPRF and a
-//!   second OPPRF, written once per side) and the §5.3 protocol on top of
+//! * [`circuit_psi`] — the front half both flavours share (the cuckoo
+//!   seed, sent once, then the membership OPPRF and a second OPPRF,
+//!   written once per side) and the §5.3 protocol on top of
 //!   it: the second OPPRF carries the sender's plain payloads and one
 //!   garbled circuit turns the OPPRF outputs into shares of indicator and
 //!   payload.

@@ -7,23 +7,32 @@
 //! random outputs.
 //!
 //! Construction (Pinkas et al., polynomial-hint variant): run a KKRT OPRF
-//! batch keyed per bin, then the sender interpolates, per bin, the
-//! polynomial through (enc(y), t_{b,y} ⊕ OPRF(b, y)) — padded with random
-//! points to the public degree bound — and ships all hint polynomials. The
-//! receiver outputs OPRF(b, x_b) ⊕ hint_b(enc(x_b)).
+//! batch keyed per bin, then the sender ships, per bin, a hint polynomial
+//! P_b of degree < D, the public degree bound, with
+//! P_b(y) = t_{b,y} ⊕ OPRF(b, y) at each of the bin's elements. A point's
+//! x-coordinate is the element itself (a bin's elements are distinct). The
+//! receiver outputs OPRF(b, x_b) ⊕ P_b(x_b).
+//!
+//! For a bin of k ≤ D elements the sender draws the top D − k
+//! coefficients H at random, interpolates only the k points
+//! (y, t_{b,y} ⊕ OPRF(b, y) ⊕ y^k·H(y)) to a low part L of degree < k,
+//! and sends P_b = L + x^k·H. For fixed distinct points, H ↦ P_b is a
+//! bijection onto the polynomials of degree < D through them, so P_b is
+//! uniform over that space — the distribution that padding the bin with
+//! D − k random points gives. Every bin sends D words whatever its load,
+//! and costs O(k·D) field work instead of O(D²).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secyan_crypto::gf64::{poly_eval_batch, poly_interpolate, Gf64};
-use secyan_crypto::sha256::{digest_to_u64, Sha256};
 use secyan_crypto::Zeroize;
 use secyan_ot::{KkrtReceiver, KkrtSender};
 use secyan_par as par;
 use secyan_transport::{Channel, ReadExt, WriteExt};
 
 /// Minimum bins per worker for the parallel per-bin stages. A bin costs
-/// O(degree²) GF(2^64) work (interpolation) or O(degree) (evaluation),
-/// so modest batches already amortize a dispatch.
+/// O(load·degree) GF(2^64) work (hint) or O(degree) (evaluation), so
+/// modest batches already amortize a dispatch.
 const BINS_PER_PART: usize = 32;
 
 /// Encoding of a PSI element as an OPRF input. Real elements and
@@ -55,21 +64,12 @@ impl PsiItem {
     }
 }
 
-/// Map an element to its interpolation x-coordinate. A salt lets the
-/// sender re-draw on the (≈2^{-64}·pairs) chance of an in-bin collision.
-fn x_coord(salt: u64, item: PsiItem) -> Gf64 {
-    let mut h = Sha256::new();
-    h.update(b"opprf-x");
-    h.update(&salt.to_le_bytes());
-    h.update(&item.encode());
-    Gf64(digest_to_u64(&h.finalize()))
-}
-
 /// Sender side: program one target per (bin, element) pair.
 ///
-/// `programs[b]` lists `(element, target)` pairs for bin b; `degree` is the
-/// public per-bin point count (pad bound ≥ every bin's length). Sends the
-/// hints; returns nothing (the targets are the sender's own secrets).
+/// `programs[b]` lists `(element, target)` pairs for bin b, with distinct
+/// elements; `degree` is the public per-bin coefficient count, at least
+/// every bin's length. Sends the hints; returns nothing (the targets are
+/// the sender's own secrets).
 pub fn opprf_program<R: Rng + ?Sized>(
     ch: &mut Channel,
     kkrt: &mut KkrtSender,
@@ -96,72 +96,44 @@ pub fn opprf_program_with_key<R: Rng + ?Sized>(
 ) {
     let bins = programs.len();
     let go_par = par::threads() > 1 && bins >= 2 * BINS_PER_PART;
-    // Choose a salt with collision-free x-coordinates in every bin. Bins
-    // are checked independently; a salt is accepted iff every bin comes
-    // back collision-free, which is the same predicate the serial loop
-    // computes, so the chosen salt does not depend on the thread count.
-    let (salt, coords) = 'salt: {
-        let mut salt = rng.gen::<u64>();
-        loop {
-            let all: Vec<Option<Vec<Gf64>>> = par::with_pool_if(go_par, |pool| {
-                pool.map(programs, BINS_PER_PART, |_, prog| {
-                    let mut xs: Vec<Gf64> = prog
-                        .iter()
-                        .map(|&(y, _)| x_coord(salt, PsiItem::Real(y)))
-                        .collect();
-                    let before = xs.len();
-                    xs.sort_by_key(|g| g.0);
-                    xs.dedup();
-                    (xs.len() == before).then_some(xs)
-                })
-            });
-            if all.iter().all(Option::is_some) {
-                let coords = all.into_iter().map(|x| x.expect("checked")).collect();
-                break 'salt (salt, coords);
-            }
-            salt = salt.wrapping_add(1);
-        }
-    };
-    let coords: Vec<Vec<Gf64>> = coords;
-    ch.send_u64(salt);
-    // Pre-draw one pad seed per bin *serially* from the caller's RNG, so
-    // the padding points each bin generates are independent of how bins
-    // are scheduled across workers.
+    // Pre-draw one seed per bin *serially* from the caller's RNG, so the
+    // random coefficients each bin draws are independent of how bins are
+    // scheduled across workers.
     let mut bin_rand: Vec<u64> = programs.iter().map(|_| rng.gen()).collect();
     let hints: Vec<Vec<u64>> = par::with_pool_if(go_par, |pool| {
         pool.map(programs, BINS_PER_PART, |b, prog| {
+            let k = prog.len();
             assert!(
-                prog.len() <= degree,
-                "bin {b} has {} items, exceeding the public bound {degree}",
-                prog.len()
+                k <= degree,
+                "bin {b} has {k} items, exceeding the public bound {degree}"
             );
-            let mut points: Vec<(Gf64, Gf64)> = prog
-                .iter()
-                .map(|&(y, t)| {
-                    let f = key.eval(b, &PsiItem::Real(y).encode());
-                    (x_coord(salt, PsiItem::Real(y)), Gf64(t ^ f))
-                })
-                .collect();
-            // Pad with random points at fresh x-coordinates, drawn from
-            // this bin's private stream.
+            let xs: Vec<Gf64> = prog.iter().map(|&(y, _)| Gf64(y)).collect();
+            for (i, x) in xs.iter().enumerate() {
+                assert!(!xs[..i].contains(x), "bin {b} holds an element twice");
+            }
+            // The top D − k coefficients H come from this bin's private
+            // stream; the low k interpolate the targets less x^k·H.
             // ct-ok: seeded from bin_rand[b], which was drawn serially
             // before the dispatch — the stream is a pure function of the
             // bin index, deterministic at any thread count.
-            let mut fill_rng = StdRng::seed_from_u64(bin_rand[b]);
-            let mut used: Vec<Gf64> = coords[b].clone();
-            while points.len() < degree {
-                let x = Gf64(fill_rng.gen()); // ct-ok: per-bin deterministic stream.
-                if used.contains(&x) {
-                    continue;
-                }
-                used.push(x);
-                points.push((x, Gf64(fill_rng.gen()))); // ct-ok: per-bin deterministic stream.
-            }
-            let coeffs = poly_interpolate(&points);
+            let mut stream = StdRng::seed_from_u64(bin_rand[b]);
+            let mut coeffs = vec![Gf64::ZERO; degree];
+            coeffs[k..].fill_with(|| Gf64(stream.gen()));
+            let high = poly_eval_batch(&coeffs.repeat(k), degree, &xs);
+            let points: Vec<(Gf64, Gf64)> = prog
+                .iter()
+                .zip(xs.iter().zip(&high))
+                .map(|(&(y, t), (&x, &h))| {
+                    let f = key.eval(b, &PsiItem::Real(y).encode());
+                    (x, Gf64(t ^ f).add(h))
+                })
+                .collect();
+            coeffs[..k].copy_from_slice(&poly_interpolate(&points));
             coeffs.iter().map(|c| c.0).collect()
         })
     });
-    // Pad seeds derive mask material; scrub them once the hints exist.
+    // The bin seeds derive the random coefficients; scrub them once the
+    // hints exist.
     bin_rand.zeroize();
     let mut hint_words: Vec<u64> = Vec::with_capacity(bins * degree);
     for h in &hints {
@@ -171,8 +143,8 @@ pub fn opprf_program_with_key<R: Rng + ?Sized>(
 }
 
 /// In-flight receiver-side OPPRF state: the KKRT batch already ran (its
-/// corrections are staged outbound), only the sender's salt + hints are
-/// pending. Produced by [`opprf_evaluate_begin`], consumed by
+/// corrections are staged outbound), only the sender's hints are pending.
+/// Produced by [`opprf_evaluate_begin`], consumed by
 /// [`opprf_evaluate_finish`].
 pub struct OpprfEval {
     oprf_out: Vec<u64>,
@@ -200,8 +172,8 @@ pub fn opprf_evaluate_begin(
     }
 }
 
-/// Second half of [`opprf_evaluate_begin`]: receive the salt + hint
-/// polynomials and combine them with the OPRF outputs.
+/// Second half of [`opprf_evaluate_begin`]: receive the hint polynomials
+/// and combine them with the OPRF outputs.
 pub fn opprf_evaluate_finish(ch: &mut Channel, pending: OpprfEval) -> Vec<u64> {
     let OpprfEval {
         oprf_out,
@@ -209,17 +181,16 @@ pub fn opprf_evaluate_finish(ch: &mut Channel, pending: OpprfEval) -> Vec<u64> {
         degree,
     } = pending;
     let bins = queries.len();
-    let salt = ch.recv_u64();
     let hint_words = ch.recv_u64_vec(bins * degree);
     let go_par = par::threads() > 1 && bins >= 2 * BINS_PER_PART;
-    // Each bin's hint evaluates independently. The x-coordinates (SHA per
-    // bin) map across the pool, then each worker runs lockstep Horner over
-    // its contiguous slab of bins via the batched GF(2^64) kernel — the
-    // per-bin coefficient Vec and per-multiply dispatch of the old loop
-    // are gone. The wire layout is already flat `[b*degree..(b+1)*degree]`.
-    let xs: Vec<Gf64> = par::with_pool_if(go_par, |pool| {
-        pool.map(&queries, BINS_PER_PART, |_, &q| x_coord(salt, q))
-    });
+    // Each bin's hint evaluates independently, at the query itself: each
+    // worker runs lockstep Horner over its contiguous slab of bins via the
+    // batched GF(2^64) kernel. The wire layout is already flat
+    // `[b*degree..(b+1)*degree]`.
+    let xs: Vec<Gf64> = queries
+        .iter()
+        .map(|&(PsiItem::Real(v) | PsiItem::Dummy(v))| Gf64(v))
+        .collect();
     let coeffs: Vec<Gf64> = hint_words.iter().map(|&w| Gf64(w)).collect();
     let mut out = vec![0u64; bins];
     par::with_pool_if(go_par, |pool| {
@@ -254,10 +225,16 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use secyan_transport::run_protocol;
+    use secyan_transport::{run_protocol_captured, Role};
 
-    fn run_opprf(programs: Vec<Vec<(u64, u64)>>, queries: Vec<PsiItem>, degree: usize) -> Vec<u64> {
-        let (_, out, _) = run_protocol(
+    /// One OPPRF run: the receiver's outputs and the length of the
+    /// sender's last message, the hints.
+    fn run_opprf(
+        programs: Vec<Vec<(u64, u64)>>,
+        queries: Vec<PsiItem>,
+        degree: usize,
+    ) -> (Vec<u64>, usize) {
+        let ((), out, _, transcript) = run_protocol_captured(
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(11);
                 let mut kkrt = KkrtSender::setup(ch, &mut rng);
@@ -269,7 +246,9 @@ mod tests {
                 opprf_evaluate(ch, &mut kkrt, &queries, degree)
             },
         );
-        out
+        let lengths = transcript.lengths();
+        let hints = lengths.iter().rev().find(|(r, _)| *r == Role::Alice);
+        (out, hints.expect("the sender sent its hints").1)
     }
 
     #[test]
@@ -286,17 +265,67 @@ mod tests {
             PsiItem::Dummy(2),
             PsiItem::Real(50),
         ];
-        let out = run_opprf(programs, queries, 4);
+        let (out, _) = run_opprf(programs, queries, 4);
         assert_eq!(out[0], 222);
         assert_eq!(out[1], 333);
         assert_eq!(out[3], 555);
+    }
+
+    /// Every load a bin can hold, in one run: empty, one element and
+    /// exactly `degree`, with the extreme elements 0 and `u64::MAX` and a
+    /// dummy query whose point is a programmed element. Programmed points
+    /// decode to their targets, every other query misses them all, and
+    /// the hints are `bins · degree · 8` bytes whatever the loads.
+    #[test]
+    fn edge_loads_hit_targets_and_keep_the_hint_length() {
+        for degree in [1usize, 24] {
+            let d = degree as u64;
+            let full = |top: u64| (0..d).map(|i| (top - i, top ^ i)).collect::<Vec<_>>();
+            // (bin program, query, the target it must decode to, if any)
+            let cases = [
+                (Vec::new(), PsiItem::Real(0), None),
+                (vec![(0, 7)], PsiItem::Real(0), Some(7)),
+                (full(u64::MAX), PsiItem::Real(u64::MAX), Some(u64::MAX)),
+                (
+                    full(u64::MAX),
+                    PsiItem::Real(u64::MAX - d + 1),
+                    Some(u64::MAX ^ (d - 1)),
+                ),
+                (full(1 << 40), PsiItem::Real(u64::MAX), None),
+                (vec![(3, 33)], PsiItem::Dummy(3), None),
+            ];
+            let targets: Vec<u64> = cases.iter().flat_map(|c| c.0.iter().map(|p| p.1)).collect();
+            let bins = cases.len();
+            let programs = cases.iter().map(|c| c.0.clone()).collect();
+            let queries = cases.iter().map(|c| c.1).collect();
+            let (out, hint_bytes) = run_opprf(programs, queries, degree);
+            assert_eq!(hint_bytes, bins * degree * 8, "degree {degree}");
+            for (b, ((_, query, want), got)) in cases.iter().zip(out).enumerate() {
+                match want {
+                    Some(t) => assert_eq!(got, *t, "degree {degree}, bin {b}, {query:?}"),
+                    None => assert!(
+                        !targets.contains(&got),
+                        "degree {degree}, bin {b}: {query:?} hit a target"
+                    ),
+                }
+            }
+        }
+    }
+
+    /// The hint's points are the elements themselves, so a bin must not
+    /// hold one twice — a precondition, checked by name.
+    #[test]
+    #[should_panic(expected = "bin 1 holds an element twice")]
+    fn a_repeated_element_in_a_bin_panics_naming_the_bin() {
+        let programs = vec![vec![(10, 1)], vec![(20, 2), (20, 3)]];
+        run_opprf(programs, vec![PsiItem::Real(10), PsiItem::Real(20)], 2);
     }
 
     #[test]
     fn unprogrammed_points_miss() {
         let programs = vec![vec![(10, 111)], vec![(20, 222)]];
         let queries = vec![PsiItem::Real(99), PsiItem::Dummy(1)];
-        let out = run_opprf(programs, queries, 2);
+        let (out, _) = run_opprf(programs, queries, 2);
         assert_ne!(out[0], 111);
         assert_ne!(out[1], 222);
     }
@@ -305,7 +334,7 @@ mod tests {
     fn same_element_in_different_bins() {
         // The per-bin KKRT instance separates identical inputs across bins.
         let programs = vec![vec![(7, 1)], vec![(7, 2)]];
-        let out = run_opprf(programs, vec![PsiItem::Real(7), PsiItem::Real(7)], 1);
+        let (out, _) = run_opprf(programs, vec![PsiItem::Real(7), PsiItem::Real(7)], 1);
         assert_eq!(out, vec![1, 2]);
     }
 }

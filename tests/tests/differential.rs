@@ -144,12 +144,11 @@ fn q8_transcript() -> Vec<(Role, Vec<u8>)> {
 
 /// Single-phase wire behaviour is pinned byte for byte: these digests of
 /// `run_secure`'s per-direction transcripts only move when what a
-/// bank-less run puts on the wire moves. Recorded when the switching
-/// network's corrections moved onto the block OT (each masked by its pad,
-/// not a PRG expansion of it): against the recording before it, every
-/// message length is unchanged, and a direction moved only where that
-/// party holds the values of at least one OEP — Alice's side of
-/// `generate(3)`, whose relations are all Bob's, did not.
+/// bank-less run puts on the wire moves. Recorded when the PSI front half
+/// lost its salt, padding and verdict: against the recording before it,
+/// each direction's message lengths are the old ones less three 8-byte
+/// PSI-sender messages per PSI (the verdict and two salts), and
+/// `generate(3)`, which runs no PSI, did not move.
 /// (`gc_layer_wire_goldens` in `secyan-core` pins the circuits.)
 #[test]
 fn single_phase_transcript_goldens() {
@@ -162,23 +161,23 @@ fn single_phase_transcript_goldens() {
         ),
         (
             run(Instance::generate(7)),
-            "2d57141b3e889f95813b4dde3c08f96f74bcc7c1b965c16ce55f604c8a63e795",
-            "beb8063e69d97fdffaa799f7dd8d6172f7ae4b32e74c4147d2a8414a45c8604a",
+            "77a2490992c481f4333f153dcb2018f7469100d0ac3d06d92314c8913241f1fd",
+            "e31828101029e68991da12952354dec37d1730c77679482d066ea6fc98cc57a7",
         ),
         (
             run(Instance::generate(18)),
-            "e338fbe648fbd93151f713fb1027118ce08f77bf3929f69ab600e95fb3d124cb",
-            "1514f6ab4c3c96b9f735261845ef2df5f88944640be79e98487292c0f8aed3d3",
+            "cc933c0afb407f1db9870d3a3dd774d8b2c17a374ca787b7d31a3fd1be74ea63",
+            "30abd28771a72398f3ffa1f95a930b2ad25d2d161fe17a39a86128db395a02d3",
         ),
         (
             run(Instance::generate_chain(1)),
-            "c2777efe49e1e015e1cd25810d41d9599b25eafb017690683fbe64d19acdd586",
-            "f5d6d0ec8b5c87e2c489b96d06a2a3c8cd20702ddb711313fa0a586bd340cdad",
+            "2f52ad33c48c8b2372fcd1b8f06a8e42da7b606f104eae5459671a58d0d8d483",
+            "f0992c93d058ab7fe44627632ab4c5bb943318001172f6d09907983757e7fe75",
         ),
         (
             ("TPC-H Q8 at 0.02 MB".to_string(), q8_transcript()),
-            "accf63aae8deb57d6a640ef68762d14e0edc353895947ea3daed8e071c5ef6db",
-            "d20e22b113330716003b0aa42ebe4184d37001a56c4b5677ddaf6b490dfa795f",
+            "a68b858f5eecfd3ef57b93b4ecfc0824c45de60bda698e3370203d57422c92dc",
+            "2bfd2f7ac2f92ab2034f72833352dafeeb10cc4dd97da605ffcffef10c9d960c",
         ),
     ];
     for ((what, transcript), alice, bob) in goldens {
@@ -205,8 +204,8 @@ fn phase_split_transcript_goldens() {
             [
                 "b21285c8d1e96b21ef1f1b0c685c412df74d0d6495318bd8082d0481f8aa1e6a",
                 "d5e6ef9e7d2e601e9812ab352e34543aa1be2264a8e836fabff01afb2fc4f7af",
-                "63dbf642ea3071dd40be70f5d72e124f161bebe6a88506f067ba177c12ce0ac4",
-                "a9fcb942b9846eea8defa5a52fb950d66e20f85768f21a962842c01b66516cee",
+                "5be3265f525c493614be43585417b88cfdc7df6994bf81f28ef8adb0e93fad5f",
+                "d8f064c0b7c9669f0de7af4863037807c41849f06f4c3666d06190ec68fcd60a",
             ],
         ),
         (
@@ -214,8 +213,8 @@ fn phase_split_transcript_goldens() {
             [
                 "16e94dc333b510b5327b774899526d312e1295f79f895972293eda8959dbd6d9",
                 "1d1363e937e1fbcbca27af350453b0ae9c545fa3ceaf5b882af20a41069ab308",
-                "133294d877f51d1e1d2a0edee6bc929ac6b90f1c8b57cb867774e1d7275dc1c6",
-                "f402096d7818f59c66e67abadb1dafcd4e2e880cb2b215c00944e799a1df1ec5",
+                "08ab0dc845200dbd80c08f11c0138e385406257fe00f04ec3f23f896a4e1015d",
+                "296be7a9499560ff6b9151236dd59effa8ebb0fdf1420aa0fc7972b17d60f1a2",
             ],
         ),
     ];
