@@ -5,11 +5,11 @@
 //! any time — from the *online* critical path that must run once the data
 //! arrives. This module packages the offline product per query shape:
 //!
-//! * [`run_offline`] bootstraps a full [`Session`] (base OTs, OT
-//!   extension, KKRT OPRF), banks exactly the random OTs and KKRT
-//!   instances the [`QueryShape`] walk recorded for each direction
-//!   (Beaver-derandomized online; see [`secyan_ot::OtSender::bank`] and
-//!   [`secyan_ot::KkrtSender::bank`]),
+//! * [`run_offline`] bootstraps a full [`Session`] (2κ base OTs, OT
+//!   extension, the KKRT OPRF seeded from it), banks exactly the random
+//!   OTs and KKRT instances the [`QueryShape`] walk recorded for each
+//!   direction (Beaver-derandomized online; see
+//!   [`secyan_ot::OtSender::bank`] and [`secyan_ot::KkrtSender::bank`]),
 //!   and pre-garbles every circuit of that walk, shipping the garbled
 //!   tables ahead of time. The suspended session state *is* the offline
 //!   material: a [`QueryMaterial`].
@@ -157,8 +157,9 @@ impl QueryMaterial {
 /// with identical public arguments. All traffic is tagged
 /// [`Phase::Offline`].
 ///
-/// The returned material covers: session bootstrap (base OTs, KKRT OPRF
-/// seeds — the per-session fixed cost), exactly `shape.exact.ot` random
+/// The returned material covers: session bootstrap (κ base OTs per IKNP
+/// direction, and the KKRT OPRF seeds extended from them — the
+/// per-session fixed cost), exactly `shape.exact.ot` random
 /// OTs and `shape.exact.kkrt` KKRT OPRF instances in each direction (OTs
 /// derandomized online via Beaver-style corrections; KKRT extended against
 /// random codes offline, code-corrected online with one 64-byte word per
@@ -176,7 +177,7 @@ pub fn run_offline(
     ch.set_phase(Phase::Offline);
     let mut sess = Session::new(ch, ring, hasher, rng_seed);
     // Bank each direction's draws, in the same role-fixed interleave as
-    // the session bootstrap so the two sides pair up.
+    // the IKNP bootstrap so the two sides pair up.
     let me = sess.role();
     let (ot, kkrt) = (shape.exact.ot, shape.exact.kkrt);
     let (ot_out, ot_in) = (ot.of(me), ot.of(me.peer()));

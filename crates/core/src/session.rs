@@ -58,10 +58,12 @@ pub fn recv_declared_size(ch: &mut Channel, what: &str) -> usize {
 }
 
 /// The one place the Alice/Bob interleave over an extension endpoint pair is
-/// spelled: every two-sided step on the OT or KKRT pair (bootstrap, banking)
-/// runs this party's sender half against the peer's receiver half and vice
-/// versa, so Alice goes sender-first and Bob receiver-first. `ctx` is
-/// whatever both halves need mutably.
+/// spelled: a two-sided step whose halves both block on the peer (the IKNP
+/// bootstrap, banking on the OT or KKRT pair) runs this party's sender half
+/// against the peer's receiver half and vice versa, so Alice goes
+/// sender-first and Bob receiver-first. `ctx` is whatever both halves need
+/// mutably. The KKRT bootstrap needs no interleave: its sender half only
+/// sends (see [`Session::new`]).
 pub(crate) fn in_role_order<C, S, R>(
     role: Role,
     ctx: &mut C,
@@ -82,8 +84,9 @@ pub(crate) fn in_role_order<C, S, R>(
 
 /// Everything one party carries through a secure query evaluation: the
 /// channel, the annotation ring, a CSPRNG, and both
-/// directions of OT extension and KKRT OPRF (bootstrapped once here, then
-/// amortized over every operator, as the paper's cost model assumes).
+/// directions of OT extension and KKRT OPRF (bootstrapped once here from
+/// 2κ base OTs, then amortized over every operator, as the paper's cost
+/// model assumes).
 pub struct Session<'a> {
     pub ch: &'a mut Channel,
     pub ring: RingCtx,
@@ -101,9 +104,14 @@ pub struct Session<'a> {
 }
 
 impl<'a> Session<'a> {
-    /// Set up a session. Both parties must call this with the same `ring`;
-    /// the base-OT bootstraps interleave in a fixed role-dependent order so
-    /// the two sides pair correctly.
+    /// Set up a session. Both parties must call this with the same `ring`.
+    /// The two IKNP bootstraps (κ base OTs each) interleave in a fixed
+    /// role-dependent order so the two sides pair correctly. Each KKRT
+    /// bootstrap then takes its w seeds from an IKNP extension, as KKRT16
+    /// does: both parties first run the KKRT sender half, which only
+    /// sends (one column bundle through their IKNP receiver), then the
+    /// receiver half, which only receives (through their IKNP sender). Four
+    /// frames in all, two each way.
     pub fn new(
         ch: &'a mut Channel,
         ring: RingCtx,
@@ -113,18 +121,14 @@ impl<'a> Session<'a> {
         let mut rng = StdRng::seed_from_u64(rng_seed);
         let role = ch.role();
         let mut ctx = (&mut *ch, &mut rng);
-        let (ot_send, ot_recv) = in_role_order(
+        let (mut ot_send, mut ot_recv) = in_role_order(
             role,
             &mut ctx,
             |(ch, rng)| OtSender::setup(ch, rng, hasher),
             |(ch, rng)| OtReceiver::setup(ch, rng, hasher),
         );
-        let (kkrt_send, kkrt_recv) = in_role_order(
-            role,
-            &mut ctx,
-            |(ch, rng)| KkrtSender::setup(ch, rng),
-            |(ch, rng)| KkrtReceiver::setup(ch, rng),
-        );
+        let kkrt_send = KkrtSender::setup(ch, &mut ot_recv, &mut rng);
+        let kkrt_recv = KkrtReceiver::setup(ch, &mut ot_send);
         Session {
             ch,
             ring,
@@ -340,7 +344,7 @@ impl<'a> Session<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use secyan_transport::run_protocol;
+    use secyan_transport::{run_protocol, run_protocol_captured};
 
     #[test]
     fn sessions_pair_up() {
@@ -358,5 +362,43 @@ mod tests {
         );
         assert_eq!(a, Role::Alice);
         assert_eq!(b, Role::Bob);
+    }
+
+    /// `Session::new` runs two batches of κ base OTs, one per IKNP
+    /// direction, and seeds both KKRT directions from those extensions:
+    /// one 8 192-byte column bundle each way (128 IKNP columns of 512
+    /// bits), sent before either party blocks, in four frames. One KKRT
+    /// batch each way then pairs up, so the derived seeds match.
+    #[test]
+    fn session_setup_is_two_base_ot_batches() {
+        let setup = |seed: u64| {
+            move |ch: &mut Channel| {
+                Session::new(ch, RingCtx::new(32), TweakHasher::default(), seed);
+            }
+        };
+        let ((), (), stats, handle) = run_protocol_captured(setup(1), setup(2));
+        let (a, b) = (Role::Alice, Role::Bob);
+        let want = [(b, 16), (a, 2048), (a, 16), (b, 2048), (b, 8192), (a, 8192)];
+        assert_eq!(handle.lengths(), want);
+        assert_eq!(stats.bytes_alice_to_bob, 10_256);
+        assert_eq!(stats.bytes_bob_to_alice, 10_256);
+        assert_eq!(stats.super_rounds, 4);
+
+        let inputs: Vec<[u8; 8]> = (0..50u64).map(|i| (i * 0x9E37).to_le_bytes()).collect();
+        let party = |seed: u64| {
+            let inputs = &inputs;
+            move |ch: &mut Channel| {
+                let mut s = Session::new(ch, RingCtx::new(32), TweakHasher::default(), seed);
+                let refs: Vec<&[u8]> = inputs.iter().map(|x| x.as_slice()).collect();
+                // Send-only, then receive-only: no interleave needed.
+                let got = s.kkrt_recv.eval_batch(s.ch, &refs);
+                (s.kkrt_send.key_batch(s.ch, refs.len()), got)
+            }
+        };
+        let ((key_a, got_a), (key_b, got_b), _) = run_protocol(party(3), party(4));
+        for (j, x) in inputs.iter().enumerate() {
+            assert_eq!(key_a.eval(j, x), got_b[j], "Alice's key, instance {j}");
+            assert_eq!(key_b.eval(j, x), got_a[j], "Bob's key, instance {j}");
+        }
     }
 }

@@ -6,7 +6,7 @@
 //!   keys, PRG seeds), hashing elements into PSI bins and OPPRF points,
 //!   and public digests (shape keys, test transcripts).
 //! * [`prg`] — a seedable pseudorandom generator (ChaCha-based via `rand`'s
-//!   `StdRng`) that expands base-OT keys into OT-extension columns.
+//!   `StdRng`) that expands seed-OT keys into OT-extension columns.
 //! * [`block`] — 128-bit blocks, the unit of wire labels and OT messages.
 //! * [`mersenne`] — arithmetic in Z_p, p = 2^127 − 1, whose multiplicative
 //!   group hosts the Chou–Orlandi base OT. Simulation-grade (see DESIGN.md).

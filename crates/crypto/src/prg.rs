@@ -1,7 +1,8 @@
 //! Seedable pseudorandom generator.
 //!
-//! OT extension expands each base-OT key into one pseudorandom column per
-//! batch (`secyan-ot`'s extension engine); that is the only stream this
+//! OT extension expands each seed-OT key (a base-OT key for IKNP, an
+//! IKNP output for KKRT) into one pseudorandom column per batch
+//! (`secyan-ot`'s extension engine); that is the only stream this
 //! workspace derives from a seed. `Prg` wraps `rand`'s `StdRng` (a
 //! ChaCha-based CSPRNG) behind a seed-from-secret API so the call site
 //! reads like the protocol description ("expand seed k_i").
@@ -17,7 +18,7 @@ pub struct Prg {
 }
 
 impl Prg {
-    /// Derive a PRG from a secret-typed seed (a base-OT key) and a
+    /// Derive a PRG from a secret-typed seed (a seed-OT key) and a
     /// domain-separation tag, which keeps two layers that happen to share a
     /// seed from producing correlated streams. The seed stays inside its
     /// [`SecretBlock`] wrapper — this is the one declassification point

@@ -14,7 +14,6 @@
 //! [`Bank`] is the one container for precomputed instances of either
 //! protocol on either side.
 
-use rand::Rng;
 use secyan_crypto::transpose::BitMatrix;
 use secyan_crypto::{Block, CtChoice, Prg, Secret, Zeroize};
 use secyan_par as par;
@@ -73,8 +72,17 @@ impl<const N: usize> Row for [u8; N] {
     }
 }
 
-/// Sender half of the engine: base-OT *receiver* under the secret
-/// correlation bits `s`, one PRG per column seeded with `k_{s_i}`.
+/// `secret`'s bits as the choice bits of the OTs that seed an
+/// [`ExtSender`]: bit `i` picks column `i`'s seed.
+pub(crate) fn choice_bits<R: Row>(secret: &R) -> Secret<Vec<bool>> {
+    // ct-ok: branchless bit extraction — `& 1 == 1` compiles to a mask
+    // test, and the resulting bools feed a branchless OT receive.
+    Secret::new((0..8 * R::BYTES).map(|i| secret.bit(i) & 1 == 1).collect())
+}
+
+/// Sender half of the engine: the *receiving* side of the seeding OTs
+/// under the secret correlation bits `s`, one PRG per column seeded with
+/// `k_{s_i}`.
 pub(crate) struct ExtSender<R: Row> {
     /// Leaking `s` breaks every instance derived from this setup.
     s: Secret<R>,
@@ -82,15 +90,12 @@ pub(crate) struct ExtSender<R: Row> {
 }
 
 impl<R: Row> ExtSender<R> {
-    /// Bootstrap with the caller-drawn `s`; `label` domain-separates the
-    /// column PRGs.
-    pub fn setup<G: Rng>(ch: &mut Channel, rng: &mut G, label: &[u8], s: R) -> Self {
-        // ct-ok: branchless bit extraction — `& 1 == 1` compiles to a mask
-        // test, and the resulting bools feed the branchless base-OT receive.
-        let choices: Vec<bool> = (0..8 * R::BYTES).map(|i| s.bit(i) & 1 == 1).collect();
-        // The base-OT seeds are zeroized as each PRG consumes its seed.
-        let seeds = crate::base::receive(ch, &choices, rng);
-        let prgs = seeds.iter().map(|k| Prg::from_secret(label, k)).collect();
+    /// Bootstrap from `seeds`, one per column: the outputs of the OTs run
+    /// under [`choice_bits`]`(&s)`, zeroized on drop once every column PRG
+    /// is keyed. `label` domain-separates the column PRGs.
+    pub fn new(label: &[u8], s: R, seeds: Secret<Vec<Block>>) -> Self {
+        let prg = |k| Prg::from_secret(label, &Secret::new(k));
+        let prgs = seeds.expose().iter().map(|&k| prg(k)).collect();
         ExtSender {
             s: Secret::new(s),
             prgs,
@@ -139,24 +144,21 @@ impl<R: Row> ExtSender<R> {
     }
 }
 
-/// Receiver half of the engine: base-OT *sender*, a PRG pair per column
-/// seeded with both base-OT keys.
+/// Receiver half of the engine: the *sending* side of the seeding OTs, a
+/// PRG pair per column seeded with both of its keys.
 pub(crate) struct ExtReceiver<R: Row> {
     prgs: Vec<(Prg, Prg)>,
     _row: PhantomData<R>,
 }
 
 impl<R: Row> ExtReceiver<R> {
-    /// Bootstrap; `label` must match the sender's.
-    pub fn setup<G: Rng>(ch: &mut Channel, rng: &mut G, label: &[u8]) -> Self {
-        // Seed pairs are zeroized on drop as each PRG consumes its seed.
-        let pairs = crate::base::send(ch, 8 * R::BYTES, rng);
-        let prgs = pairs
-            .iter()
-            .map(|(k0, k1)| (Prg::from_secret(label, k0), Prg::from_secret(label, k1)))
-            .collect();
+    /// Bootstrap from one seed pair per column, zeroized on drop once the
+    /// PRGs are keyed; `label` must match the sender's.
+    pub fn new(label: &[u8], pairs: Secret<Vec<(Block, Block)>>) -> Self {
+        let prg = |k| Prg::from_secret(label, &Secret::new(k));
+        let prgs = pairs.expose().iter().map(|&(k0, k1)| (prg(k0), prg(k1)));
         ExtReceiver {
-            prgs,
+            prgs: prgs.collect(),
             _row: PhantomData,
         }
     }

@@ -31,7 +31,7 @@
 //! bundle on the online critical path. Banked material is single-use:
 //! entries are zeroized as they are taken, and the rest on drop.
 
-use crate::ext::{Bank, ExtReceiver, ExtSender};
+use crate::ext::{choice_bits, Bank, ExtReceiver, ExtSender};
 use rand::Rng;
 use secyan_crypto::{Block, CtChoice, CtSelect, RingCtx, Secret, TweakHasher, Zeroize};
 use secyan_transport::{Channel, ReadExt, WriteExt};
@@ -60,11 +60,12 @@ pub struct OtReceiver {
 }
 
 impl OtSender {
-    /// Bootstrap via base OTs (this side plays base-OT *receiver*).
+    /// Bootstrap via κ base OTs (this side plays base-OT *receiver*).
     pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R, _hasher: TweakHasher) -> OtSender {
         let s = Block(rng.gen());
+        let seeds = crate::base::receive(ch, choice_bits(&s).expose(), rng);
         OtSender {
-            ext: ExtSender::setup(ch, rng, COL_LABEL, s),
+            ext: ExtSender::new(COL_LABEL, s, seeds),
             ctr: 0,
             bank: Bank::new(Vec::new()),
         }
@@ -88,7 +89,8 @@ impl OtSender {
         self.bank.shed_to(cap);
     }
 
-    /// Random OTs extended since setup, banked or consumed inline.
+    /// Random OTs extended since setup, banked or consumed inline (a
+    /// KKRT bootstrap seeded from this endpoint counts its w).
     pub fn extended(&self) -> u64 {
         self.ctr
     }
@@ -205,10 +207,10 @@ fn word_bytes(ring: RingCtx) -> usize {
 }
 
 impl OtReceiver {
-    /// Bootstrap via base OTs (this side plays base-OT *sender*).
+    /// Bootstrap via κ base OTs (this side plays base-OT *sender*).
     pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R, _hasher: TweakHasher) -> OtReceiver {
         OtReceiver {
-            ext: ExtReceiver::setup(ch, rng, COL_LABEL),
+            ext: ExtReceiver::new(COL_LABEL, crate::base::send(ch, KAPPA, rng)),
             ctr: 0,
             bank: Bank::new(Vec::new()),
         }
@@ -235,7 +237,8 @@ impl OtReceiver {
         self.bank.shed_to(cap);
     }
 
-    /// Random OTs extended since setup, banked or consumed inline.
+    /// Random OTs extended since setup, banked or consumed inline (a
+    /// KKRT bootstrap seeded from this endpoint counts its w).
     pub fn extended(&self) -> u64 {
         self.ctr
     }

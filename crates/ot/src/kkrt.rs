@@ -17,6 +17,16 @@
 //! of IKNP's repetition code, the row hash keyed by the instance index,
 //! and the code-word derandomisation of banked instances.
 //!
+//! # Bootstrap
+//!
+//! The w column seeds are not base OTs. As in KKRT16, they are w random
+//! OTs extended from the session's IKNP endpoints, run the other way
+//! round: the OPRF sender is the IKNP *receiver*, choosing with its secret
+//! `s`; the OPRF receiver is the IKNP *sender*, keeping both pads of each
+//! pair. [`KkrtSender::setup`] therefore only sends (one IKNP column
+//! bundle) and [`KkrtReceiver::setup`] only receives, and the 2κ base OTs
+//! of the two IKNP bootstraps are the only public-key work of a session.
+//!
 //! # Banks
 //!
 //! The KKRT correlation is linear in the code: the extension leaves the
@@ -32,7 +42,8 @@
 //! single-use: entries are zeroized as they are taken, and the rest on
 //! drop.
 
-use crate::ext::{Bank, ExtReceiver, ExtSender};
+use crate::ext::{choice_bits, Bank, ExtReceiver, ExtSender};
+use crate::{OtReceiver, OtSender};
 use rand::Rng;
 use secyan_crypto::sha256::Sha256;
 use secyan_crypto::transpose::BitMatrix;
@@ -76,7 +87,7 @@ fn fold(row: &mut Word, word: &[u8], s: &Word) {
     }
 }
 
-/// OPRF sender (key holder). Holds the base-OT state; each
+/// OPRF sender (key holder). Holds the column PRGs; each
 /// [`KkrtSender::key_batch`] call produces a key for one batch.
 pub struct KkrtSender {
     ext: ExtSender<Word>,
@@ -104,12 +115,17 @@ pub struct KkrtSenderKey {
 }
 
 impl KkrtSender {
-    /// Bootstrap: run w base OTs as base-OT receiver with secret choices s.
-    pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R) -> KkrtSender {
+    /// Bootstrap from this party's IKNP receiver `ot`: w random OTs under
+    /// the freshly drawn secret choices `s` give one column seed each.
+    /// Send-only (one IKNP column bundle); the peer runs
+    /// [`KkrtReceiver::setup`] on the matching IKNP sender. The IKNP tweak
+    /// counter advances by w, so later pads stay fresh.
+    pub fn setup<R: Rng>(ch: &mut Channel, ot: &mut OtReceiver, rng: &mut R) -> KkrtSender {
         let mut s = [0u8; WIDTH_BYTES];
         rng.fill(&mut s[..]);
+        let seeds = Secret::new(ot.random(ch, choice_bits(&s).expose()));
         KkrtSender {
-            ext: ExtSender::setup(ch, rng, COL_LABEL, s),
+            ext: ExtSender::new(COL_LABEL, s, seeds),
             ctr: 0,
             bank: Bank::new(Vec::new()),
         }
@@ -185,10 +201,12 @@ impl KkrtSenderKey {
 }
 
 impl KkrtReceiver {
-    /// Bootstrap: run w base OTs as base-OT sender.
-    pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R) -> KkrtReceiver {
+    /// Bootstrap from this party's IKNP sender `ot`: w random OTs give one
+    /// seed pair per column. Receive-only; the peer runs
+    /// [`KkrtSender::setup`] on the matching IKNP receiver.
+    pub fn setup(ch: &mut Channel, ot: &mut OtSender) -> KkrtReceiver {
         KkrtReceiver {
-            ext: ExtReceiver::setup(ch, rng, COL_LABEL),
+            ext: ExtReceiver::new(COL_LABEL, Secret::new(ot.random(ch, WIDTH))),
             ctr: 0,
             bank: Bank::new(Vec::new()),
         }
@@ -289,12 +307,15 @@ mod tests {
     fn run_batch(inputs: Vec<Vec<u8>>) -> (KkrtSenderKey, Vec<u64>) {
         let (key, got, _) = run_protocol(
             move |ch| {
-                let mut s = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(1));
+                let mut rng = StdRng::seed_from_u64(1);
+                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
+                let mut s = KkrtSender::setup(ch, &mut ot, &mut rng);
                 let m = { ch.recv_u64() as usize };
                 s.key_batch(ch, m)
             },
             move |ch| {
-                let mut r = KkrtReceiver::setup(ch, &mut StdRng::seed_from_u64(2));
+                let mut ot = OtSender::setup(ch, &mut StdRng::seed_from_u64(2), TweakHasher::Aes);
+                let mut r = KkrtReceiver::setup(ch, &mut ot);
                 ch.send_u64(inputs.len() as u64);
                 let refs: Vec<&[u8]> = inputs.iter().map(|v| v.as_slice()).collect();
                 r.eval_batch(ch, &refs)
@@ -332,11 +353,14 @@ mod tests {
     fn multiple_batches_are_independent() {
         let (keys, gots, _) = run_protocol(
             |ch| {
-                let mut s = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(3));
+                let mut rng = StdRng::seed_from_u64(3);
+                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
+                let mut s = KkrtSender::setup(ch, &mut ot, &mut rng);
                 (s.key_batch(ch, 5), s.key_batch(ch, 5))
             },
             |ch| {
-                let mut r = KkrtReceiver::setup(ch, &mut StdRng::seed_from_u64(4));
+                let mut ot = OtSender::setup(ch, &mut StdRng::seed_from_u64(4), TweakHasher::Aes);
+                let mut r = KkrtReceiver::setup(ch, &mut ot);
                 let ins: Vec<Vec<u8>> = (0..5u64).map(|i| i.to_le_bytes().to_vec()).collect();
                 let refs: Vec<&[u8]> = ins.iter().map(|v| v.as_slice()).collect();
                 (r.eval_batch(ch, &refs), r.eval_batch(ch, &refs))
@@ -385,7 +409,9 @@ mod tests {
         // inline extension (12 - 10 < 5), mirrored on both sides.
         let (keys, gots, _) = run_protocol(
             |ch| {
-                let mut s = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(5));
+                let mut rng = StdRng::seed_from_u64(5);
+                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
+                let mut s = KkrtSender::setup(ch, &mut ot, &mut rng);
                 s.bank(ch, 12);
                 assert_eq!(s.bank_remaining(), 12);
                 let keys = (s.key_batch(ch, 5), s.key_batch(ch, 5), s.key_batch(ch, 5));
@@ -394,7 +420,8 @@ mod tests {
             },
             |ch| {
                 let mut rng = StdRng::seed_from_u64(6);
-                let mut r = KkrtReceiver::setup(ch, &mut rng);
+                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Aes);
+                let mut r = KkrtReceiver::setup(ch, &mut ot);
                 r.bank(ch, 12, &mut rng);
                 assert_eq!(r.bank_remaining(), 12);
                 let ins: Vec<Vec<u8>> = (0..5u64).map(|i| i.to_le_bytes().to_vec()).collect();
@@ -424,7 +451,9 @@ mod tests {
     fn shed_to_caps_the_bank() {
         let (_, _, _) = run_protocol(
             |ch| {
-                let mut s = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(7));
+                let mut rng = StdRng::seed_from_u64(7);
+                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
+                let mut s = KkrtSender::setup(ch, &mut ot, &mut rng);
                 s.bank(ch, 10);
                 s.shed_bank_to(3);
                 assert_eq!(s.bank_remaining(), 3);
@@ -433,7 +462,8 @@ mod tests {
             },
             |ch| {
                 let mut rng = StdRng::seed_from_u64(8);
-                let mut r = KkrtReceiver::setup(ch, &mut rng);
+                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Aes);
+                let mut r = KkrtReceiver::setup(ch, &mut ot);
                 r.bank(ch, 10, &mut rng);
                 r.shed_bank_to(3);
                 assert_eq!(r.bank_remaining(), 3);

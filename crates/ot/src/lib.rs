@@ -4,9 +4,9 @@
 //!
 //! * [`base`] — Chou–Orlandi "simplest OT": O(κ) public-key operations over
 //!   the Mersenne-prime group from `secyan-crypto::mersenne`. Run once per
-//!   session to bootstrap extension.
+//!   session and IKNP direction to bootstrap extension.
 //! * `ext` (private) — the OT-extension engine, generic over the row width:
-//!   base-OT bootstrap into per-column PRGs, column expansion and masking,
+//!   per-column PRGs keyed by seed OTs, column expansion and masking,
 //!   the bit-matrix transpose into per-instance rows, and the one
 //!   single-use bank type for precomputed instances. Its pool thresholds
 //!   are the only ones in this crate's extension path.
@@ -16,7 +16,8 @@
 //!   correlated ℓ-bit words, the share multiplication of `secyan-core`'s
 //!   reduce-join. Either way each message is masked by its pad.
 //! * [`kkrt`] — KKRT batched oblivious PRF (BaRK-OPRF): the engine at 512
-//!   columns. This powers the OPPRF inside circuit PSI (`secyan-psi`),
+//!   columns, seeded by 512 random OTs extended from IKNP rather than by
+//!   base OTs. This powers the OPPRF inside circuit PSI (`secyan-psi`),
 //!   which in turn implements the paper's §5.3/§5.5.
 //!
 //! IKNP and KKRT differ only in *code* and *hash*. Both leave the sender
@@ -25,8 +26,8 @@
 //! so `q_j ∈ {t_j, t_j ⊕ s}` and hashing both candidates gives the two OT
 //! pads; KKRT encodes an arbitrary input with a pseudorandom code `C`, so
 //! the sender can recompute the receiver's row for any candidate `y` as
-//! `q_j ⊕ (C(y) & s)` and hash that — an OPRF. Everything else (bootstrap,
-//! expansion, transpose, banking) is shared.
+//! `q_j ⊕ (C(y) & s)` and hash that — an OPRF. Everything else (seeding
+//! the column PRGs, expansion, transpose, banking) is shared.
 //!
 //! All protocols speak over `secyan_transport::Channel` and are exercised
 //! end-to-end (two real threads) by this crate's tests.
@@ -46,7 +47,9 @@ pub use kkrt::{KkrtReceiver, KkrtSender, KkrtSenderKey};
 /// rather than three layers up in the query-level transcript goldens. The
 /// correlated-word row was recorded with the kernel; the two IKNP
 /// sender-side digests when chosen messages lost their PRG expansion (one
-/// value: inline and banked send the same pads).
+/// value: inline and banked send the same pads); the two KKRT rows when
+/// the KKRT seeds came from an IKNP extension instead of 512 base OTs
+/// (each row now includes the IKNP bootstrap it runs on).
 #[cfg(test)]
 mod wire_goldens {
     use crate::{KkrtReceiver, KkrtSender, OtReceiver, OtSender};
@@ -153,7 +156,9 @@ mod wire_goldens {
         let ins = inputs.clone();
         let (key, got, _, handle) = run_protocol_captured(
             move |ch| {
-                let mut s = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(21));
+                let mut rng = StdRng::seed_from_u64(21);
+                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::default());
+                let mut s = KkrtSender::setup(ch, &mut ot, &mut rng);
                 if banked {
                     s.bank(ch, M);
                 }
@@ -161,7 +166,8 @@ mod wire_goldens {
             },
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(22);
-                let mut r = KkrtReceiver::setup(ch, &mut rng);
+                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::default());
+                let mut r = KkrtReceiver::setup(ch, &mut ot);
                 if banked {
                     r.bank(ch, M, &mut rng);
                 }
@@ -202,14 +208,14 @@ mod wire_goldens {
             (
                 "kkrt inline",
                 kkrt_digests(false),
-                "18cdb13f5666a3f42a4e2a37aa18fb9aba56abc6399f0d21340526962c1c8bfa",
-                "ade25ba8567056f68e0064a5abcb2f376ca4341dce56f81bd78985f4fc85d880",
+                "48d86b6d8790815948c98f46e0bea8de134ec098e9f74b733ce772ca16a33551",
+                "47fc24963bdc8b63392e9d71ba08e3a3723ab9528fde993a4d49c7361eb8c14c",
             ),
             (
                 "kkrt banked",
                 kkrt_digests(true),
-                "18cdb13f5666a3f42a4e2a37aa18fb9aba56abc6399f0d21340526962c1c8bfa",
-                "351de854c8f8d49e88bd0620f1ae9bd0be2216a322d6c84559851e3a3ca2b637",
+                "48d86b6d8790815948c98f46e0bea8de134ec098e9f74b733ce772ca16a33551",
+                "994d1b675186e450b1dd479515cd0b4ab90e9e27d387366fba9204cf63ea425d",
             ),
         ];
         for (what, (alice, bob), want_alice, want_bob) in runs {

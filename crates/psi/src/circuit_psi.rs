@@ -414,7 +414,8 @@ mod tests {
         let (r, s, _) = run_protocol(
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(21);
-                let mut kkrt = KkrtReceiver::setup(ch, &mut rng);
+                let mut ot_s = OtSender::setup(ch, &mut rng, hasher);
+                let mut kkrt = KkrtReceiver::setup(ch, &mut ot_s);
                 let mut ot = OtReceiver::setup(ch, &mut rng, hasher);
                 psi_receiver(
                     ch,
@@ -429,7 +430,8 @@ mod tests {
             },
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(22);
-                let mut kkrt = KkrtSender::setup(ch, &mut rng);
+                let mut ot_r = OtReceiver::setup(ch, &mut rng, hasher);
+                let mut kkrt = KkrtSender::setup(ch, &mut ot_r, &mut rng);
                 let mut ot = OtSender::setup(ch, &mut rng, hasher);
                 psi_sender(
                     ch,
@@ -469,14 +471,17 @@ mod tests {
         let ((setup_r, r), (setup_s, s), _) = run_protocol_on(
             pair,
             |ch| {
-                let mut kkrt = KkrtReceiver::setup(ch, &mut StdRng::seed_from_u64(23));
+                let mut ot = OtSender::setup(ch, &mut StdRng::seed_from_u64(23), TweakHasher::Aes);
+                let mut kkrt = KkrtReceiver::setup(ch, &mut ot);
                 let honest = params(max_bin_size(3, bin_count(5)));
                 let setup = sent(Role::Alice).len();
                 let got = catch_protocol(|| receiver_opprfs(ch, &x, &honest, &mut kkrt).1);
                 (setup, got)
             },
             |ch| {
-                let mut kkrt = KkrtSender::setup(ch, &mut StdRng::seed_from_u64(24));
+                let mut rng = StdRng::seed_from_u64(24);
+                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
+                let mut kkrt = KkrtSender::setup(ch, &mut ot, &mut rng);
                 let setup = sent(Role::Bob).len();
                 let overloaded = params(0);
                 let got = catch_protocol(|| {

@@ -225,6 +225,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use secyan_crypto::TweakHasher;
+    use secyan_ot::{OtReceiver, OtSender};
     use secyan_transport::{run_protocol_captured, Role};
 
     /// One OPPRF run: the receiver's outputs and the length of the
@@ -237,12 +239,14 @@ mod tests {
         let ((), out, _, transcript) = run_protocol_captured(
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(11);
-                let mut kkrt = KkrtSender::setup(ch, &mut rng);
+                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
+                let mut kkrt = KkrtSender::setup(ch, &mut ot, &mut rng);
                 opprf_program(ch, &mut kkrt, &programs, degree, &mut rng);
             },
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(12);
-                let mut kkrt = KkrtReceiver::setup(ch, &mut rng);
+                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Aes);
+                let mut kkrt = KkrtReceiver::setup(ch, &mut ot);
                 opprf_evaluate(ch, &mut kkrt, &queries, degree)
             },
         );

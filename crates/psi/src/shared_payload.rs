@@ -191,9 +191,9 @@ mod tests {
     /// The real receiver on a fresh set of endpoints: begin, then finish.
     fn receive(ch: &mut Channel, x: &[u64], my_shares: &[u64], ring: RingCtx) -> PsiOutput {
         let mut rng = StdRng::seed_from_u64(32);
-        let mut kkrt = KkrtReceiver::setup(ch, &mut rng);
         let mut ot_r = OtReceiver::setup(ch, &mut rng, HASHER);
         let mut ot_s = OtSender::setup(ch, &mut rng, HASHER);
+        let mut kkrt = KkrtReceiver::setup(ch, &mut ot_s);
         let bank = &mut VecDeque::new();
         let (kkrt, ot_s, rng) = (&mut kkrt, &mut ot_s, &mut rng);
         let pending = shared_payload_psi_receiver_begin(
@@ -206,9 +206,9 @@ mod tests {
     /// receiver's: their OtReceiver pairs with our OtSender and vice versa.
     fn sender_setup(ch: &mut Channel) -> (StdRng, KkrtSender, OtSender, OtReceiver) {
         let mut rng = StdRng::seed_from_u64(33);
-        let kkrt = KkrtSender::setup(ch, &mut rng);
         let ot_s = OtSender::setup(ch, &mut rng, HASHER);
-        let ot_r = OtReceiver::setup(ch, &mut rng, HASHER);
+        let mut ot_r = OtReceiver::setup(ch, &mut rng, HASHER);
+        let kkrt = KkrtSender::setup(ch, &mut ot_r, &mut rng);
         (rng, kkrt, ot_s, ot_r)
     }
 

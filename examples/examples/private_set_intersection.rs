@@ -30,7 +30,9 @@ fn main() {
     let (alice_total, bob_view, stats) = run_protocol(
         move |ch| {
             let mut rng = StdRng::seed_from_u64(1);
-            let mut kkrt = secyan_ot::KkrtReceiver::setup(ch, &mut rng);
+            // The OPRF's seeds ride an IKNP extension run the other way.
+            let mut ot_seed = secyan_ot::OtSender::setup(ch, &mut rng, hasher);
+            let mut kkrt = secyan_ot::KkrtReceiver::setup(ch, &mut ot_seed);
             let mut ot = secyan_ot::OtReceiver::setup(ch, &mut rng, hasher);
             let out = psi_receiver(
                 ch,
@@ -53,7 +55,8 @@ fn main() {
         },
         move |ch| {
             let mut rng = StdRng::seed_from_u64(2);
-            let mut kkrt = secyan_ot::KkrtSender::setup(ch, &mut rng);
+            let mut ot_seed = secyan_ot::OtReceiver::setup(ch, &mut rng, hasher);
+            let mut kkrt = secyan_ot::KkrtSender::setup(ch, &mut ot_seed, &mut rng);
             let mut ot = secyan_ot::OtSender::setup(ch, &mut rng, hasher);
             let out = psi_sender(
                 ch,

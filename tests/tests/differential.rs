@@ -144,11 +144,11 @@ fn q8_transcript() -> Vec<(Role, Vec<u8>)> {
 
 /// Single-phase wire behaviour is pinned byte for byte: these digests of
 /// `run_secure`'s per-direction transcripts only move when what a
-/// bank-less run puts on the wire moves. Recorded when the PSI front half
-/// lost its salt, padding and verdict: against the recording before it,
-/// each direction's message lengths are the old ones less three 8-byte
-/// PSI-sender messages per PSI (the verdict and two salts), and
-/// `generate(3)`, which runs no PSI, did not move.
+/// bank-less run puts on the wire moves. Recorded when the KKRT seeds came
+/// from the session's IKNP extensions: against the recording before it,
+/// each direction's message lengths are the old ones except that the KKRT
+/// base-OT pair (16 B, 8 192 B) is one 8 192-byte IKNP column bundle. The
+/// bytes after setup all moved, because every pad and OPRF output did.
 /// (`gc_layer_wire_goldens` in `secyan-core` pins the circuits.)
 #[test]
 fn single_phase_transcript_goldens() {
@@ -156,28 +156,28 @@ fn single_phase_transcript_goldens() {
     let goldens = [
         (
             run(Instance::generate(3)),
-            "eb19936927c0aa463fee6417192c6a1cbcca6f6cf95bb18811fb924d47c505ff",
-            "8ad41b984d4f5782845b0a10c8d5482c9bf52e2583687884375132db2c311573",
+            "898085d1b0d711bbf0f0ef83700a1b1c457c77a963234c279c5b3afe9d24b381",
+            "d2492177d82c8a77b5185cbad979f08a1b7ab1cbe01aca369c54fa3c4bcd4dd8",
         ),
         (
             run(Instance::generate(7)),
-            "77a2490992c481f4333f153dcb2018f7469100d0ac3d06d92314c8913241f1fd",
-            "e31828101029e68991da12952354dec37d1730c77679482d066ea6fc98cc57a7",
+            "d21d823be486d2af9f8fd818857986581b99276c9d64e296e76d5449538e2506",
+            "4ab547e2a3106a8ecede9b39ee40c005a9b4b0549a69eefbb0a2dce35c1739df",
         ),
         (
             run(Instance::generate(18)),
-            "cc933c0afb407f1db9870d3a3dd774d8b2c17a374ca787b7d31a3fd1be74ea63",
-            "30abd28771a72398f3ffa1f95a930b2ad25d2d161fe17a39a86128db395a02d3",
+            "0669bee0ab297693984ac08c82dbb8b57b4b821b75d371a553bb45081548c85a",
+            "2b846704983e9f3edd44b90a884d3b60587e0d2e10556a1e25f8bf8471aad92d",
         ),
         (
             run(Instance::generate_chain(1)),
-            "2f52ad33c48c8b2372fcd1b8f06a8e42da7b606f104eae5459671a58d0d8d483",
-            "f0992c93d058ab7fe44627632ab4c5bb943318001172f6d09907983757e7fe75",
+            "2f836220474da03cb990fdbb0f712c47a710708c509902148b5e83dc6f5b6605",
+            "5ef4e52c84b6222997256a55f3b4e1958ddc4cd029b525d3d38cf7cd85bb2456",
         ),
         (
             ("TPC-H Q8 at 0.02 MB".to_string(), q8_transcript()),
-            "a68b858f5eecfd3ef57b93b4ecfc0824c45de60bda698e3370203d57422c92dc",
-            "2bfd2f7ac2f92ab2034f72833352dafeeb10cc4dd97da605ffcffef10c9d960c",
+            "b064ee9e459b55023b91632d580712677da66f8788987272459e38f0b4656867",
+            "40d794c3ba65b47d87558f5df91a7b572762627c5357a1b1cf890e30e1f53821",
         ),
     ];
     for ((what, transcript), alice, bob) in goldens {
@@ -195,26 +195,27 @@ fn single_phase_transcript_goldens() {
 /// phase and direction, the digest of what `run_offline` then `run_online`
 /// put on the wire — so the order in which banked OTs, KKRT instances and
 /// pre-garbled circuits are drawn is pinned too. Recorded with the rows
-/// above; the offline digests did not move with them.
+/// above: the offline lengths moved as theirs did, the online lengths not
+/// at all.
 #[test]
 fn phase_split_transcript_goldens() {
     let goldens = [
         (
             Instance::generate(7),
             [
-                "b21285c8d1e96b21ef1f1b0c685c412df74d0d6495318bd8082d0481f8aa1e6a",
-                "d5e6ef9e7d2e601e9812ab352e34543aa1be2264a8e836fabff01afb2fc4f7af",
-                "5be3265f525c493614be43585417b88cfdc7df6994bf81f28ef8adb0e93fad5f",
-                "d8f064c0b7c9669f0de7af4863037807c41849f06f4c3666d06190ec68fcd60a",
+                "d7bee0dbe7a7b003a3a251d4e5f261dcbff037c405eb27bb8ac78bd7d16f946e",
+                "29ec9e2f41be0e35e2e05abf5002e854c9f9222708278ae992af58cdecba4bbe",
+                "3b3be02a409eba5598b6cf5f4729803c3c8cca361134564aa90fee2c91fb6e7c",
+                "ec0bbcf378909ef25600e18d912c9b47a4609e749ce4f3a3d5b509cdb23cb323",
             ],
         ),
         (
             Instance::generate_chain(1),
             [
-                "16e94dc333b510b5327b774899526d312e1295f79f895972293eda8959dbd6d9",
-                "1d1363e937e1fbcbca27af350453b0ae9c545fa3ceaf5b882af20a41069ab308",
-                "08ab0dc845200dbd80c08f11c0138e385406257fe00f04ec3f23f896a4e1015d",
-                "296be7a9499560ff6b9151236dd59effa8ebb0fdf1420aa0fc7972b17d60f1a2",
+                "0a26f72fa723cafd0c417e1b68da90b0b39afa9d96763b640b830fc4dcaf71d6",
+                "8e780b048c713b6bc5fa5097b4e33ef99da83e95814e2ae3c905cb169706b0ad",
+                "8f3942ce33d5772c5a8bc85d88786fd86dbdafae814bab047deac4df3693d736",
+                "d8c11773fd95ece6b119164eab0d1a5025ed3e8bd7fe19ccae3a5c0e4034a488",
             ],
         ),
     ];

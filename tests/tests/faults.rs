@@ -105,6 +105,7 @@ battery!(
     empty_fault_plan_is_transparent,
     seeded_fault_sweep_is_always_typed_or_correct,
     secrets_are_dropped_on_the_error_path,
+    session_setup_faults_are_typed_within_the_deadline,
 );
 
 /// Per-direction *wire frame* counts of a clean run, for placing faults
@@ -128,6 +129,31 @@ fn truncated_frame_yields_typed_error_at_every_phase(wire: Wire) {
         for (index, keep) in [(0, 3), (horizon / 2, 10), (horizon - 1, 40)] {
             let kind = FaultKind::Truncate { keep };
             wire.typed_failure(&inst, &FaultPlan::single(dir, index, kind));
+        }
+    }
+}
+
+/// `Session::new` is four frames, two each way: Bob's base-OT offer, then
+/// Alice's reply with her own offer, Bob's reply with his KKRT column
+/// bundle, and Alice's KKRT column bundle. A payload cut short or a
+/// disconnect at any of them ends the run typed, well inside the deadline.
+fn session_setup_faults_are_typed_within_the_deadline(wire: Wire) {
+    let inst = victim();
+    for (dir, index) in [
+        (Role::Bob, 0),
+        (Role::Alice, 0),
+        (Role::Bob, 1),
+        (Role::Alice, 1),
+    ] {
+        for kind in [FaultKind::Truncate { keep: 40 }, FaultKind::Disconnect] {
+            let plan = FaultPlan::single(dir, index, kind);
+            let started = Instant::now();
+            wire.typed_failure(&inst, &plan);
+            assert!(
+                started.elapsed() < TCP_FAULT_TIMEOUT,
+                "{plan:?} took {:?} to surface",
+                started.elapsed()
+            );
         }
     }
 }

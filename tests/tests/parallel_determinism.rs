@@ -170,12 +170,14 @@ fn run_opprf() -> (Vec<u64>, Transcript) {
     let ((), out, _, handle) = run_protocol_captured(
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-            let mut kkrt = secyan_ot::KkrtSender::setup(ch, &mut rng);
+            let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
+            let mut kkrt = secyan_ot::KkrtSender::setup(ch, &mut ot, &mut rng);
             secyan_psi::opprf::opprf_program(ch, &mut kkrt, &programs, DEGREE, &mut rng);
         },
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(32);
-            let mut kkrt = secyan_ot::KkrtReceiver::setup(ch, &mut rng);
+            let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Aes);
+            let mut kkrt = secyan_ot::KkrtReceiver::setup(ch, &mut ot);
             secyan_psi::opprf::opprf_evaluate(ch, &mut kkrt, &queries, DEGREE)
         },
     );
