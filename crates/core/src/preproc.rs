@@ -7,12 +7,13 @@
 //!
 //! * [`run_offline`] bootstraps a full [`Session`] (2κ base OTs, OT
 //!   extension, the KKRT OPRF seeded from it), banks exactly the random
-//!   OTs and KKRT instances the [`QueryShape`] walk recorded for each
-//!   direction (Beaver-derandomized online; see
-//!   [`secyan_ot::OtSender::bank`] and [`secyan_ot::KkrtSender::bank`]),
-//!   and pre-garbles every circuit of that walk, shipping the garbled
-//!   tables ahead of time. The suspended session state *is* the offline
-//!   material: a [`QueryMaterial`].
+//!   OTs the [`QueryShape`] walk recorded for each direction
+//!   (Beaver-derandomized online; see [`secyan_ot::OtSender::bank`]), and
+//!   pre-garbles every circuit of that walk, shipping the garbled tables
+//!   ahead of time. It banks only what shortens the online wire, so KKRT
+//!   batches extend inline online ([`secyan_ot::kkrt`] says why). The
+//!   suspended session state *is* the offline material: a
+//!   [`QueryMaterial`].
 //! * [`run_online`] resumes a session from banked material and runs the
 //!   standard driver; every operator transparently consumes banked OTs
 //!   and pre-garbled circuits through [`Session`]'s digest-checked
@@ -73,14 +74,6 @@ impl QueryMaterial {
         (self.ot_send.bank_remaining(), self.ot_recv.bank_remaining())
     }
 
-    /// Banked KKRT OPRF instances remaining (sender side, receiver side).
-    pub fn kkrt_banked(&self) -> (usize, usize) {
-        (
-            self.kkrt_send.bank_remaining(),
-            self.kkrt_recv.bank_remaining(),
-        )
-    }
-
     /// Pre-garbled circuits held (as garbler, as evaluator).
     pub fn circuits_banked(&self) -> (usize, usize) {
         (self.gc_garble.len(), self.gc_eval.len())
@@ -108,8 +101,6 @@ impl QueryMaterial {
         }
         self.ot_send.shed_bank_to(ot_cap);
         self.ot_recv.shed_bank_to(ot_cap);
-        self.kkrt_send.shed_bank_to(ot_cap);
-        self.kkrt_recv.shed_bank_to(ot_cap);
     }
 
     /// Capture a session's protocol state, releasing its channel borrow.
@@ -159,11 +150,10 @@ impl QueryMaterial {
 ///
 /// The returned material covers: session bootstrap (κ base OTs per IKNP
 /// direction, and the KKRT OPRF seeds extended from them — the
-/// per-session fixed cost), exactly `shape.exact.ot` random
-/// OTs and `shape.exact.kkrt` KKRT OPRF instances in each direction (OTs
-/// derandomized online via Beaver-style corrections; KKRT extended against
-/// random codes offline, code-corrected online with one 64-byte word per
-/// instance), and the pre-garbled tables of every circuit of the walk.
+/// per-session fixed cost), exactly `shape.ot` random OTs in each
+/// direction (derandomized online via Beaver-style corrections), and the
+/// pre-garbled tables of every circuit of the walk. KKRT batches are not
+/// banked; they extend inline online (see the module docs).
 pub fn run_offline(
     ch: &mut Channel,
     query: &SecureQuery,
@@ -176,23 +166,15 @@ pub fn run_offline(
     let shape = QueryShape::derive(query, sizes, receiver, ring.bits() as usize);
     ch.set_phase(Phase::Offline);
     let mut sess = Session::new(ch, ring, hasher, rng_seed);
-    // Bank each direction's draws, in the same role-fixed interleave as
-    // the IKNP bootstrap so the two sides pair up.
+    // Bank each direction's OTs, in the same role-fixed interleave as the
+    // IKNP bootstrap so the two sides pair up.
     let me = sess.role();
-    let (ot, kkrt) = (shape.exact.ot, shape.exact.kkrt);
-    let (ot_out, ot_in) = (ot.of(me), ot.of(me.peer()));
-    let (kkrt_out, kkrt_in) = (kkrt.of(me), kkrt.of(me.peer()));
+    let (ot_out, ot_in) = (shape.ot.of(me), shape.ot.of(me.peer()));
     in_role_order(
         me,
         &mut sess,
         |s| s.ot_send.bank(s.ch, ot_out),
         |s| s.ot_recv.bank(s.ch, ot_in, &mut s.rng),
-    );
-    in_role_order(
-        me,
-        &mut sess,
-        |s| s.kkrt_send.bank(s.ch, kkrt_out),
-        |s| s.kkrt_recv.bank(s.ch, kkrt_in, &mut s.rng),
     );
     // Pre-garble the planned circuit schedule; tables cross the wire now
     // so the online phase only moves input-dependent messages.
@@ -445,10 +427,6 @@ mod tests {
                 let ring = RingCtx::new(32);
                 let m = run_offline(ch, &q1, &sizes, Role::Alice, ring, TweakHasher::Aes, 203);
                 assert!(m.ot_banked().0 > 0 && m.ot_banked().1 > 0);
-                assert!(
-                    m.kkrt_banked().0 > 0 && m.kkrt_banked().1 > 0,
-                    "the chain has cross-party joins, so KKRT must be banked"
-                );
                 let (g, e) = m.circuits_banked();
                 assert!(g + e > 0, "the chain plan must pre-garble something");
                 let stats = ch.stats();

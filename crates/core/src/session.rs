@@ -59,7 +59,7 @@ pub fn recv_declared_size(ch: &mut Channel, what: &str) -> usize {
 
 /// The one place the Alice/Bob interleave over an extension endpoint pair is
 /// spelled: a two-sided step whose halves both block on the peer (the IKNP
-/// bootstrap, banking on the OT or KKRT pair) runs this party's sender half
+/// bootstrap, banking on the OT pair) runs this party's sender half
 /// against the peer's receiver half and vice versa, so Alice goes
 /// sender-first and Bob receiver-first. `ctx` is whatever both halves need
 /// mutably. The KKRT bootstrap needs no interleave: its sender half only

@@ -16,10 +16,11 @@
 //! [`crate::session::Session`] executes them. [`QueryShape::derive`]
 //! answers them with the same steps' headers and adds up what each step
 //! draws: the pre-garblable circuits in execution order and the exact OT
-//! and KKRT counts per direction. What
-//! the walk cannot foresee is the tail of the full join — its row count is
-//! the data-dependent join output size, announced online — and a rejected
-//! cuckoo seed's extra KKRT batches; both run inline. Consumption stays
+//! and KKRT counts per direction. The OT counts are what an offline phase
+//! banks; KKRT always extends inline ([`secyan_ot::kkrt`] says why), so
+//! its count is a budget only. What the walk cannot foresee is the tail of
+//! the full join — its row count is the data-dependent join output size,
+//! announced online — and it runs inline. Consumption stays
 //! digest-checked ([`secyan_circuit::Circuit::digest`]) as the fault detector: a
 //! bank that does not match falls back inline on both parties at once.
 
@@ -181,24 +182,18 @@ pub struct QueryShape {
     pub planned: Vec<PlannedCircuit>,
     /// Random OTs the larger direction draws (see `exact` for each).
     pub ot_budget: usize,
-    /// KKRT OPRF instances the larger direction draws.
+    /// KKRT OPRF instances the larger direction draws (all extended
+    /// inline).
     pub kkrt_budget: usize,
-    /// The walk's OT and KKRT draws per direction — what
+    /// The walk's OT draws per direction — what
     /// [`crate::preproc::run_offline`] banks, instance for instance.
-    pub exact: Budgets,
+    pub ot: PerDirection,
     /// Public sizes of the relations entering the full join, in fold
     /// order; empty when the reduce phase leaves a single survivor. The
     /// join's tail runs at the data-dependent output size and is the one
     /// part of the schedule no shape can plan
     /// ([`crate::join::join_tail_ot_count`] prices it once OUT is known).
     pub join_inputs: Vec<usize>,
-}
-
-/// Exact per-direction bank sizes of a [`QueryShape`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Budgets {
-    pub ot: PerDirection,
-    pub kkrt: PerDirection,
 }
 
 impl QueryShape {
@@ -229,7 +224,7 @@ impl QueryShape {
             planned: circuits,
             ot_budget: ot.max(),
             kkrt_budget: kkrt.max(),
-            exact: Budgets { ot, kkrt },
+            ot,
             join_inputs: rec.join_inputs,
         }
     }
@@ -364,7 +359,7 @@ mod tests {
         // words (the output schema is empty).
         let reveal = &shape.planned[1].circuit;
         assert_eq!(reveal.output_count(), 4 * 32);
-        assert_eq!(shape.ot_budget, shape.exact.ot.max());
+        assert_eq!(shape.ot_budget, shape.ot.max());
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! with a pseudorandom code; what each does with the rows — hashing,
 //! masking, derandomisation — lives in [`crate::iknp`] / [`crate::kkrt`].
 //!
-//! [`Bank`] is the one container for precomputed instances of either
-//! protocol on either side.
+//! [`Bank`] holds IKNP's precomputed instances on either side; KKRT
+//! always extends inline (see [`crate::kkrt`] for why).
 
 use secyan_crypto::transpose::BitMatrix;
 use secyan_crypto::{Block, CtChoice, Prg, Secret, Zeroize};
@@ -308,9 +308,7 @@ mod tests {
 
     #[test]
     fn bank_take_zeroizes_consumed_entries() {
-        // The four element types in use: IKNP sender / receiver, KKRT
-        // sender / receiver.
-        let word = |i: u8| [i; 64];
+        // The two element types in use: IKNP sender / receiver.
         check_bank(
             (1..=8u128).map(|i| (Block(i), Block(i << 64))).collect(),
             (Block::ZERO, Block::ZERO),
@@ -318,11 +316,6 @@ mod tests {
         check_bank(
             (1..=8u128).map(|i| (true, Block(i))).collect(),
             (false, Block::ZERO),
-        );
-        check_bank((1..=8).map(word).collect(), word(0));
-        check_bank(
-            (1..=8).map(|i| (word(i), word(i + 100))).collect(),
-            (word(0), word(0)),
         );
     }
 }

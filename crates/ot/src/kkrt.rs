@@ -14,8 +14,7 @@
 //!
 //! The matrix work is the shared engine (`ext.rs`) at 64-byte rows;
 //! this module adds what is KKRT's own: the pseudorandom code `C` in place
-//! of IKNP's repetition code, the row hash keyed by the instance index,
-//! and the code-word derandomisation of banked instances.
+//! of IKNP's repetition code and the row hash keyed by the instance index.
 //!
 //! # Bootstrap
 //!
@@ -27,29 +26,26 @@
 //! bundle) and [`KkrtReceiver::setup`] only receives, and the 2κ base OTs
 //! of the two IKNP bootstraps are the only public-key work of a session.
 //!
-//! # Banks
+//! # Why there is no bank
 //!
-//! The KKRT correlation is linear in the code: the extension leaves the
-//! sender with `q_j = t_j ⊕ (C(x_j) & s)`. [`KkrtSender::bank`] /
-//! [`KkrtReceiver::bank`] run it offline against a *random* code word
-//! `c'_j`, giving `q'_j = t_j ⊕ (c'_j & s)`; when the real input arrives
-//! the receiver sends `d_j = C(x_j) ⊕ c'_j` (uniform, since `c'_j` is) and
-//! the sender folds in `d_j & s`, recovering exactly the online
-//! correlation. The online message replaces the column bundle of a fresh
-//! extension at the same per-instance width, so banking trades no extra
-//! bytes for moving the PRG expansion, the column masking, and both
-//! bit-matrix transposes off the critical path. Banked material is
-//! single-use: entries are zeroized as they are taken, and the rest on
-//! drop.
+//! Every batch extends inline. An offline phase is worth what it takes off
+//! the online wire, and a KKRT bank takes nothing: the correlation is
+//! linear in the code, so instances extended offline against random code
+//! words can be derandomized online — but only by sending the code
+//! correction `C(x_j) ⊕ c'_j`, 64 bytes per instance, the same width as
+//! the column bundle of a fresh extension (512 · ⌈m/8⌉ bytes). Banking
+//! would move a PRG expansion and two transposes offline at the price of a
+//! second bundle on the offline wire; IKNP banks because its online
+//! correction is one bit where a fresh instance costs 16 bytes.
 
-use crate::ext::{choice_bits, Bank, ExtReceiver, ExtSender};
+use crate::ext::{choice_bits, ExtReceiver, ExtSender};
 use crate::{OtReceiver, OtSender};
 use rand::Rng;
 use secyan_crypto::sha256::Sha256;
 use secyan_crypto::transpose::BitMatrix;
 use secyan_crypto::{zeroize_bytes, Secret, TweakHasher, Zeroize};
 use secyan_par as par;
-use secyan_transport::{Channel, WriteExt};
+use secyan_transport::Channel;
 
 /// Minimum batch size before the (SHA-heavy) input-encoding map uses the
 /// worker pool; each element costs two compression-function calls, so the
@@ -92,18 +88,12 @@ fn fold(row: &mut Word, word: &[u8], s: &Word) {
 pub struct KkrtSender {
     ext: ExtSender<Word>,
     ctr: u64,
-    /// Offline correlation rows `q'_j = t_j ⊕ (c'_j & s)`.
-    bank: Bank<Word>,
 }
 
 /// OPRF receiver (input holder).
 pub struct KkrtReceiver {
     ext: ExtReceiver<Word>,
     ctr: u64,
-    /// Offline random code words `c'_j` with the row preimages `t_j` they
-    /// produced (hashed only at consumption time, when the instance index
-    /// is known).
-    bank: Bank<(Word, Word)>,
 }
 
 /// A batch key: lets the sender evaluate F(j, ·) for each instance j of the
@@ -127,53 +117,16 @@ impl KkrtSender {
         KkrtSender {
             ext: ExtSender::new(COL_LABEL, s, seeds),
             ctr: 0,
-            bank: Bank::new(Vec::new()),
         }
     }
 
-    /// Offline phase: bank `m` instances extended against random receiver
-    /// code words, replacing any earlier bank; batches consume them while
-    /// enough remain. The peer must run the matching
-    /// [`KkrtReceiver::bank`] with the same `m`.
-    pub fn bank(&mut self, ch: &mut Channel, m: usize) {
-        self.bank = Bank::new(self.ext.extend(ch, m));
-    }
-
-    /// Instances still available in the bank.
-    pub fn bank_remaining(&self) -> usize {
-        self.bank.remaining()
-    }
-
-    /// Discard banked instances until at most `cap` remain (the exhaustion
-    /// fault hook).
-    pub fn shed_bank_to(&mut self, cap: usize) {
-        self.bank.shed_to(cap);
-    }
-
-    /// Run one batch of size `m`, obtaining the evaluation key:
-    /// derandomize banked instances when the bank covers the batch, else
-    /// run a fresh extension. Both parties see the same public batch sizes
-    /// and bank budgets, so the decision is always mirrored.
+    /// Run one batch of size `m`: read the receiver's column bundle and
+    /// return the evaluation key.
     pub fn key_batch(&mut self, ch: &mut Channel, m: usize) -> KkrtSenderKey {
         let base = self.ctr;
         self.ctr += m as u64;
-        let q_rows = if !self.bank.covers(m) {
-            self.ext.extend(ch, m)
-        } else {
-            // Beaver-style code correction: d_j = C(x_j) ⊕ c'_j turns the
-            // banked q'_j = t_j ⊕ (c'_j & s) into t_j ⊕ (C(x_j) & s) —
-            // the correlation a fresh extension would have produced.
-            let mut d_all = vec![0u8; m * WIDTH_BYTES];
-            ch.recv_into(&mut d_all);
-            let mut q_rows = self.bank.take(m);
-            let s = self.ext.s().expose();
-            for (row, d) in q_rows.iter_mut().zip(d_all.chunks_exact(WIDTH_BYTES)) {
-                fold(row, d, s);
-            }
-            q_rows
-        };
         KkrtSenderKey {
-            q_rows,
+            q_rows: self.ext.extend(ch, m),
             s: self.ext.s().clone(),
             base,
         }
@@ -208,37 +161,12 @@ impl KkrtReceiver {
         KkrtReceiver {
             ext: ExtReceiver::new(COL_LABEL, Secret::new(ot.random(ch, WIDTH))),
             ctr: 0,
-            bank: Bank::new(Vec::new()),
         }
-    }
-
-    /// Offline phase: bank `m` instances extended under fresh *random*
-    /// code words (no input needed yet), replacing any earlier bank. The
-    /// peer must run the matching [`KkrtSender::bank`] with the same `m`.
-    pub fn bank<R: Rng>(&mut self, ch: &mut Channel, m: usize, rng: &mut R) {
-        let mut codes = vec![[0u8; WIDTH_BYTES]; m];
-        for c in codes.iter_mut() {
-            rng.fill(&mut c[..]);
-        }
-        let t_rows = self.extend(ch, &codes);
-        self.bank = Bank::new(codes.into_iter().zip(t_rows).collect());
-    }
-
-    /// Instances still available in the bank.
-    pub fn bank_remaining(&self) -> usize {
-        self.bank.remaining()
-    }
-
-    /// Discard banked instances until at most `cap` remain (the exhaustion
-    /// fault hook).
-    pub fn shed_bank_to(&mut self, cap: usize) {
-        self.bank.shed_to(cap);
     }
 
     /// Run one batch on `inputs`, learning `F(j, inputs[j])` per instance:
-    /// derandomize banked instances when the bank covers the batch (see
-    /// the module docs), else run a fresh extension. The decision mirrors
-    /// the sender's — both sides see the same batch sizes and budgets.
+    /// encode each input, extend under the code words (sending one column
+    /// bundle) and hash the rows under this batch's instance tweaks.
     pub fn eval_batch(&mut self, ch: &mut Channel, inputs: &[&[u8]]) -> Vec<u64> {
         let m = inputs.len();
         let base = self.ctr;
@@ -250,33 +178,6 @@ impl KkrtReceiver {
             par::with_pool_if(par::threads() > 1 && m >= 2 * CODES_PER_PART, |pool| {
                 pool.map(inputs, CODES_PER_PART, |_, x| code(x))
             });
-        let mut t_rows = if !self.bank.covers(m) {
-            self.extend(ch, &codes)
-        } else {
-            // Beaver-style code correction: send d_j = C(x_j) ⊕ c'_j —
-            // uniform on the wire because c'_j is — and hash the banked
-            // row preimages under this batch's instance tweaks.
-            let mut taken = self.bank.take(m);
-            let mut d_all = vec![0u8; m * WIDTH_BYTES];
-            for ((d, cj), (cp, _)) in d_all.chunks_exact_mut(WIDTH_BYTES).zip(&codes).zip(&taken) {
-                for ((dk, &a), &b) in d.iter_mut().zip(cj).zip(cp) {
-                    *dk = a ^ b;
-                }
-            }
-            ch.send_bytes(&d_all);
-            let t_rows = taken.iter().map(|&(_, t)| t).collect();
-            taken.zeroize();
-            t_rows
-        };
-        let out = TweakHasher::Aes.hash_row_batch(base, &t_rows);
-        t_rows.zeroize();
-        out
-    }
-
-    /// One fresh extension under the given code words (one per instance),
-    /// returning the row preimages `t_j`.
-    fn extend(&mut self, ch: &mut Channel, codes: &[Word]) -> Vec<Word> {
-        let m = codes.len();
         // The engine wants the code matrix by columns. Rather than
         // extracting column i bit-by-bit inside every column's loop (w · m
         // bit ops), transpose the whole m×w code matrix ONCE through the
@@ -289,11 +190,13 @@ impl KkrtReceiver {
         }
         let mut code_cols = code_mat.transpose(); // w rows of m bits
         zeroize_bytes(code_mat.as_bytes_mut());
-        let t_rows = self.ext.extend(ch, m, |i| code_cols.row(i));
+        let mut t_rows = self.ext.extend(ch, m, |i| code_cols.row(i));
         // The code bits derive from the receiver's private inputs; scrub
         // the transposed copy once every column has folded it in.
         zeroize_bytes(code_cols.as_bytes_mut());
-        t_rows
+        let out = TweakHasher::Aes.hash_row_batch(base, &t_rows);
+        t_rows.zeroize();
+        out
     }
 }
 
@@ -302,7 +205,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use secyan_transport::{run_protocol, ReadExt};
+    use secyan_transport::{run_protocol, ReadExt, WriteExt};
 
     fn run_batch(inputs: Vec<Vec<u8>>) -> (KkrtSenderKey, Vec<u64>) {
         let (key, got, _) = run_protocol(
@@ -400,74 +303,5 @@ mod tests {
             assert_eq!(got1[j], key1.eval(j, x), "instance {j}");
             assert_eq!(got1[j], key4.eval(j, x), "instance {j} at 4 threads");
         }
-    }
-
-    #[test]
-    fn banked_batches_match_sender_eval_and_fall_back_when_short() {
-        // Bank 12 instances, then draw batches of 5, 5 and 5: the first
-        // two derandomize from the bank, the third falls back to a fresh
-        // inline extension (12 - 10 < 5), mirrored on both sides.
-        let (keys, gots, _) = run_protocol(
-            |ch| {
-                let mut rng = StdRng::seed_from_u64(5);
-                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
-                let mut s = KkrtSender::setup(ch, &mut ot, &mut rng);
-                s.bank(ch, 12);
-                assert_eq!(s.bank_remaining(), 12);
-                let keys = (s.key_batch(ch, 5), s.key_batch(ch, 5), s.key_batch(ch, 5));
-                assert_eq!(s.bank_remaining(), 2, "third batch must not drain the bank");
-                keys
-            },
-            |ch| {
-                let mut rng = StdRng::seed_from_u64(6);
-                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Aes);
-                let mut r = KkrtReceiver::setup(ch, &mut ot);
-                r.bank(ch, 12, &mut rng);
-                assert_eq!(r.bank_remaining(), 12);
-                let ins: Vec<Vec<u8>> = (0..5u64).map(|i| i.to_le_bytes().to_vec()).collect();
-                let refs: Vec<&[u8]> = ins.iter().map(|v| v.as_slice()).collect();
-                let gots = (
-                    r.eval_batch(ch, &refs),
-                    r.eval_batch(ch, &refs),
-                    r.eval_batch(ch, &refs),
-                );
-                assert_eq!(r.bank_remaining(), 2);
-                gots
-            },
-        );
-        for j in 0..5 {
-            let x = (j as u64).to_le_bytes();
-            assert_eq!(gots.0[j], keys.0.eval(j, &x), "banked batch 1");
-            assert_eq!(gots.1[j], keys.1.eval(j, &x), "banked batch 2");
-            assert_eq!(gots.2[j], keys.2.eval(j, &x), "inline fallback batch");
-            assert_ne!(
-                gots.0[j], gots.1[j],
-                "instance tweaks must separate batches"
-            );
-        }
-    }
-
-    #[test]
-    fn shed_to_caps_the_bank() {
-        let (_, _, _) = run_protocol(
-            |ch| {
-                let mut rng = StdRng::seed_from_u64(7);
-                let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
-                let mut s = KkrtSender::setup(ch, &mut ot, &mut rng);
-                s.bank(ch, 10);
-                s.shed_bank_to(3);
-                assert_eq!(s.bank_remaining(), 3);
-                s.shed_bank_to(8);
-                assert_eq!(s.bank_remaining(), 3, "shed never grows the bank");
-            },
-            |ch| {
-                let mut rng = StdRng::seed_from_u64(8);
-                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Aes);
-                let mut r = KkrtReceiver::setup(ch, &mut ot);
-                r.bank(ch, 10, &mut rng);
-                r.shed_bank_to(3);
-                assert_eq!(r.bank_remaining(), 3);
-            },
-        );
     }
 }

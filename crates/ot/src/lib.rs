@@ -7,9 +7,9 @@
 //!   session and IKNP direction to bootstrap extension.
 //! * `ext` (private) — the OT-extension engine, generic over the row width:
 //!   per-column PRGs keyed by seed OTs, column expansion and masking,
-//!   the bit-matrix transpose into per-instance rows, and the one
-//!   single-use bank type for precomputed instances. Its pool thresholds
-//!   are the only ones in this crate's extension path.
+//!   the bit-matrix transpose into per-instance rows, and the single-use
+//!   bank type for IKNP's precomputed instances. Its pool thresholds are
+//!   the only ones in this crate's extension path.
 //! * [`iknp`] — IKNP OT extension: the engine at κ = 128 columns. As
 //!   16-byte block OTs it powers garbled-circuit input transfer and every
 //!   switch of the oblivious switching network in `secyan-oep`; as
@@ -17,8 +17,9 @@
 //!   reduce-join. Either way each message is masked by its pad.
 //! * [`kkrt`] — KKRT batched oblivious PRF (BaRK-OPRF): the engine at 512
 //!   columns, seeded by 512 random OTs extended from IKNP rather than by
-//!   base OTs. This powers the OPPRF inside circuit PSI (`secyan-psi`),
-//!   which in turn implements the paper's §5.3/§5.5.
+//!   base OTs, and extended inline on every batch (never banked; the
+//!   module docs say why). This powers the OPPRF inside circuit PSI
+//!   (`secyan-psi`), which in turn implements the paper's §5.3/§5.5.
 //!
 //! IKNP and KKRT differ only in *code* and *hash*. Both leave the sender
 //! with rows `q_j = t_j ⊕ (code_j & s)` against the receiver's `t_j`. IKNP
@@ -27,7 +28,7 @@
 //! pads; KKRT encodes an arbitrary input with a pseudorandom code `C`, so
 //! the sender can recompute the receiver's row for any candidate `y` as
 //! `q_j ⊕ (C(y) & s)` and hash that — an OPRF. Everything else (seeding
-//! the column PRGs, expansion, transpose, banking) is shared.
+//! the column PRGs, expansion, transpose) is shared.
 //!
 //! All protocols speak over `secyan_transport::Channel` and are exercised
 //! end-to-end (two real threads) by this crate's tests.
@@ -40,16 +41,16 @@ pub mod kkrt;
 pub use iknp::{OtReceiver, OtSender};
 pub use kkrt::{KkrtReceiver, KkrtSender, KkrtSenderKey};
 
-/// Wire goldens: SHA-256 per direction of fixed-seed IKNP and KKRT
-/// exchanges, inline and banked. The digests were recorded at the commit
-/// before the two extensions were folded onto one engine, so they move only
-/// when what this crate puts on the wire moves — a drift shows up here
-/// rather than three layers up in the query-level transcript goldens. The
-/// correlated-word row was recorded with the kernel; the two IKNP
-/// sender-side digests when chosen messages lost their PRG expansion (one
-/// value: inline and banked send the same pads); the two KKRT rows when
-/// the KKRT seeds came from an IKNP extension instead of 512 base OTs
-/// (each row now includes the IKNP bootstrap it runs on).
+/// Wire goldens: SHA-256 per direction of fixed-seed IKNP exchanges,
+/// inline and banked, and of a KKRT exchange (always inline). The digests
+/// were recorded at the commit before the two extensions were folded onto
+/// one engine, so they move only when what this crate puts on the wire
+/// moves — a drift shows up here rather than three layers up in the
+/// query-level transcript goldens. The correlated-word row was recorded
+/// with the kernel; the two IKNP sender-side digests when chosen messages
+/// lost their PRG expansion (one value: inline and banked send the same
+/// pads); the KKRT row when the KKRT seeds came from an IKNP extension
+/// instead of 512 base OTs (it includes the IKNP bootstrap it runs on).
 #[cfg(test)]
 mod wire_goldens {
     use crate::{KkrtReceiver, KkrtSender, OtReceiver, OtSender};
@@ -150,7 +151,7 @@ mod wire_goldens {
         )
     }
 
-    fn kkrt_digests(banked: bool) -> (String, String) {
+    fn kkrt_digests() -> (String, String) {
         const M: usize = 300;
         let inputs: Vec<[u8; 8]> = (0..M as u64).map(|i| (i * 0x9E37).to_le_bytes()).collect();
         let ins = inputs.clone();
@@ -158,19 +159,12 @@ mod wire_goldens {
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(21);
                 let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::default());
-                let mut s = KkrtSender::setup(ch, &mut ot, &mut rng);
-                if banked {
-                    s.bank(ch, M);
-                }
-                s.key_batch(ch, M)
+                KkrtSender::setup(ch, &mut ot, &mut rng).key_batch(ch, M)
             },
             move |ch| {
-                let mut rng = StdRng::seed_from_u64(22);
-                let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::default());
+                let mut ot =
+                    OtSender::setup(ch, &mut StdRng::seed_from_u64(22), TweakHasher::default());
                 let mut r = KkrtReceiver::setup(ch, &mut ot);
-                if banked {
-                    r.bank(ch, M, &mut rng);
-                }
                 let refs: Vec<&[u8]> = ins.iter().map(|x| x.as_slice()).collect();
                 r.eval_batch(ch, &refs)
             },
@@ -207,15 +201,9 @@ mod wire_goldens {
             ),
             (
                 "kkrt inline",
-                kkrt_digests(false),
+                kkrt_digests(),
                 "48d86b6d8790815948c98f46e0bea8de134ec098e9f74b733ce772ca16a33551",
                 "47fc24963bdc8b63392e9d71ba08e3a3723ab9528fde993a4d49c7361eb8c14c",
-            ),
-            (
-                "kkrt banked",
-                kkrt_digests(true),
-                "48d86b6d8790815948c98f46e0bea8de134ec098e9f74b733ce772ca16a33551",
-                "994d1b675186e450b1dd479515cd0b4ab90e9e27d387366fba9204cf63ea425d",
             ),
         ];
         for (what, (alice, bob), want_alice, want_bob) in runs {

@@ -500,7 +500,7 @@ mod tests {
         let front = sent(Role::Alice)[setup_r..].to_vec();
         assert_eq!(front.len(), 3, "receiver sent {front:?} after setup");
         assert_eq!(front[0], 8, "the seed word");
-        assert_eq!(front[1], front[2], "two equal KKRT correction batches");
+        assert_eq!(front[1], front[2], "two equal KKRT column bundles");
         let answers = sent(Role::Bob)[setup_s..].to_vec();
         assert!(answers.is_empty(), "the sender answered {answers:?}");
     }

@@ -84,9 +84,9 @@ pub fn opprf_program<R: Rng + ?Sized>(
 
 /// Like [`opprf_program`], but against a [`secyan_ot::KkrtSenderKey`] the caller
 /// already obtained via [`KkrtSender::key_batch`]. This lets protocol
-/// layers pull *all* their KKRT correction reads forward (the receiver
-/// stages every batch's corrections in one super-frame) and program the
-/// hints afterwards.
+/// layers pull *all* their KKRT column-bundle reads forward (the receiver
+/// stages every batch's bundle in one super-frame) and program the hints
+/// afterwards.
 pub fn opprf_program_with_key<R: Rng + ?Sized>(
     ch: &mut Channel,
     key: secyan_ot::KkrtSenderKey,

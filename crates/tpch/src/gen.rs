@@ -16,9 +16,6 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The paper's five evaluation scales.
-    pub const PAPER_SCALES: [f64; 5] = [1.0, 3.0, 10.0, 33.0, 100.0];
-
     /// A dataset equivalent to an `mb`-megabyte dbgen dump.
     pub fn mb(mb: f64) -> Scale {
         assert!(mb > 0.0);

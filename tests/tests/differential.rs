@@ -193,29 +193,31 @@ fn single_phase_transcript_goldens() {
 
 /// The phase-split sibling of [`single_phase_transcript_goldens`]: per
 /// phase and direction, the digest of what `run_offline` then `run_online`
-/// put on the wire — so the order in which banked OTs, KKRT instances and
-/// pre-garbled circuits are drawn is pinned too. Recorded with the rows
-/// above: the offline lengths moved as theirs did, the online lengths not
-/// at all.
+/// put on the wire — so the order in which banked OTs and pre-garbled
+/// circuits are drawn is pinned too. Recorded when KKRT stopped banking:
+/// against the recording before it, each offline length sequence lost its
+/// KKRT bank bundle (a party sent none when its peer keyed no batch), and
+/// each online sequence sends a 512 · ⌈m/8⌉-byte column bundle where a
+/// 64 · m-byte code correction was; every other length is unchanged.
 #[test]
 fn phase_split_transcript_goldens() {
     let goldens = [
         (
             Instance::generate(7),
             [
-                "d7bee0dbe7a7b003a3a251d4e5f261dcbff037c405eb27bb8ac78bd7d16f946e",
-                "29ec9e2f41be0e35e2e05abf5002e854c9f9222708278ae992af58cdecba4bbe",
-                "3b3be02a409eba5598b6cf5f4729803c3c8cca361134564aa90fee2c91fb6e7c",
-                "ec0bbcf378909ef25600e18d912c9b47a4609e749ce4f3a3d5b509cdb23cb323",
+                "2efb712b2c6da117a4bfd1fd6f0fa360dee2eb67f06aab17f32910ddf44ac379",
+                "bc57527ac3590847dd9186fd7e2f85142512f6cc55f56c8102e857c3e8146aad",
+                "3ba4d9ac954729d1710ec60711b637b5113db8ee293932585cb7b8d14df4b9c3",
+                "67fcda745cb2365b635a99dc08703df8c25d466ef0344d589da27d45e98a976e",
             ],
         ),
         (
             Instance::generate_chain(1),
             [
-                "0a26f72fa723cafd0c417e1b68da90b0b39afa9d96763b640b830fc4dcaf71d6",
+                "d8a363f7153203bf4502d9ce36da7ed76612e109f115448c3a9e63b3a58e7cad",
                 "8e780b048c713b6bc5fa5097b4e33ef99da83e95814e2ae3c905cb169706b0ad",
-                "8f3942ce33d5772c5a8bc85d88786fd86dbdafae814bab047deac4df3693d736",
-                "d8c11773fd95ece6b119164eab0d1a5025ed3e8bd7fe19ccae3a5c0e4034a488",
+                "d3b1e83c0876cf6f4164f83dd2e190738b3368afe24ac7bdf6302696379670aa",
+                "43d0a085596b1b150d6d2f7eba0715135043e08003324ea287d3aa8c8cf720ee",
             ],
         ),
     ];
@@ -254,18 +256,17 @@ fn phase_split_transcript_goldens() {
 // ---------------------------------------------------------------------------
 
 /// What one party's material looked like after offline → online: the
-/// circuits, KKRT instances and OTs still banked (as sender/garbler, as
+/// circuits and OTs still banked (as sender/garbler, as
 /// receiver/evaluator), and the OTs the online run had to extend inline.
 #[derive(Debug, PartialEq, Eq)]
 struct Leftover {
     circuits: (usize, usize),
-    kkrt: (usize, usize),
     ot: (usize, usize),
     ot_inline: (u64, u64),
 }
 
 /// The plan is the schedule: after offline → online both parties hold
-/// zero pre-garbled circuits and empty KKRT and OT banks in either
+/// zero pre-garbled circuits and empty OT banks in either
 /// direction, and the only OTs extended inline are the data-dependent
 /// tail of the full join (none at all when the reduce phase leaves one
 /// survivor) — no draw the shape could foresee fell back.
@@ -288,7 +289,6 @@ fn phase_split_consumes_exactly_what_it_banks() {
                 let extended = left.ot_extended();
                 let leftover = Leftover {
                     circuits: left.circuits_banked(),
-                    kkrt: left.kkrt_banked(),
                     ot: left.ot_banked(),
                     ot_inline: (extended.0 - banked.0, extended.1 - banked.1),
                 };
@@ -301,7 +301,6 @@ fn phase_split_consumes_exactly_what_it_banks() {
         let tail = join_tail_ot_count(&shape.join_inputs, out_size, ell) as u64;
         let spent = |ot_inline| Leftover {
             circuits: (0, 0),
-            kkrt: (0, 0),
             ot: (0, 0),
             ot_inline,
         };

@@ -17,8 +17,9 @@
 mod common;
 
 use common::chain3_bench_instance;
-use secyan_core::{run_online_pooled, PreprocPool};
+use secyan_core::{run_online_pooled, PreprocPool, QueryShape};
 use secyan_crypto::TweakHasher;
+use secyan_psi::bin_count;
 use secyan_testkit::{
     canonical_result, oracle, run_secure, run_secure_on, session_seeds, Instance, Run, SecureRun,
 };
@@ -41,12 +42,16 @@ const CHAIN3_ONLINE_SUPER_ROUND_BOUND: u64 = 16;
 /// decode). Going lower requires restructuring an operator, not better
 /// batching — so the golden pins the floor exactly.
 const CHAIN3_ONLINE_SUPER_ROUNDS: u64 = 16;
-/// Bootstrap and banking, then the pre-garbled tables in plan order, one
-/// message each: Alice's (matching), then Bob's three (merge, matching,
-/// reveal) — one switch. The two reduce-join products are multiplied on
-/// the shares and pre-garble nothing, so no table of Alice's sits between
-/// Bob's.
-const CHAIN3_OFFLINE_SUPER_ROUNDS: u64 = 9;
+/// Frame by frame: (1) Bob's base-OT offer; (2) Alice's blinded points
+/// and her offer; (3) Bob's points and his KKRT seed bundle; (4) Alice's
+/// KKRT seed bundle — session setup; (5) Bob's IKNP bank bundle (he runs
+/// the receiver half first); (6) Alice's IKNP bank bundle with her
+/// pre-garbled matching tables coalesced behind it; (7) Bob's three
+/// tables (merge, matching, reveal). KKRT banks nothing, so no bundle
+/// pair sits between the IKNP bank and the tables; the two reduce-join
+/// products are multiplied on the shares and pre-garble nothing, so no
+/// table of Alice's sits between Bob's.
+const CHAIN3_OFFLINE_SUPER_ROUNDS: u64 = 7;
 
 #[test]
 fn chain3_online_super_rounds_golden() {
@@ -66,6 +71,37 @@ fn chain3_online_super_rounds_golden() {
         run.stats.offline_super_rounds, CHAIN3_OFFLINE_SUPER_ROUNDS,
         "chain3 offline super-round count drifted",
     );
+}
+
+/// KKRT extends inline in both phases. Against chain3's recording from
+/// when KKRT was banked offline and code-corrected online, the offline
+/// phase lost each direction's bank bundle (512 · ⌈K/8⌉ bytes for the K
+/// instances that direction keys), and each online batch of m instances
+/// sends its 512 · ⌈m/8⌉-byte column bundle in place of a 64 · m-byte
+/// code correction.
+#[test]
+fn kkrt_extends_inline_in_both_phases() {
+    const BANKED_OFFLINE_BYTES: u64 = 1_667_232;
+    const BANKED_ONLINE_BYTES: u64 = 1_320_384;
+    let inst = chain3_bench_instance();
+    let sizes = inst.sizes();
+    // chain3 reduces R3 into R2 (Bob's R2 receives, Alice keys), then R2
+    // into R1 (Alice's R1 receives, Bob keys); each PSI keys two batches
+    // of one instance per cuckoo bin of the receiver's rows.
+    let psis = [(sizes[1], Role::Alice), (sizes[0], Role::Bob)];
+    let bundle = |m: usize| (512 * m.div_ceil(8)) as u64;
+    let (mut keyed, mut online_growth) = ([0; 2], 0);
+    for (receiver_rows, sender) in psis {
+        let m = bin_count(receiver_rows);
+        keyed[usize::from(sender == Role::Bob)] += 2 * m;
+        online_growth += 2 * (bundle(m) - 64 * m as u64);
+    }
+    let shape = QueryShape::derive(&inst.query(), &sizes, Role::Alice, 64);
+    assert_eq!(shape.kkrt_budget, keyed[0].max(keyed[1]));
+    let banks: u64 = keyed.into_iter().map(bundle).sum();
+    let stats = run_secure_on(&inst, channel_pair(), PHASE_SPLIT).stats;
+    assert_eq!(stats.offline_bytes, BANKED_OFFLINE_BYTES - banks);
+    assert_eq!(stats.online_bytes, BANKED_ONLINE_BYTES + online_growth);
 }
 
 /// A pooled hit is `run_online` plus the one availability exchange, whose
