@@ -53,10 +53,13 @@ pub use srel::SecureRelation;
 /// Wire goldens for the garbled-circuit layer: SHA-256 per direction of
 /// fixed-seed runs of every operator circuit — each at 1, 3 and 40 rows,
 /// tables inline and banked — through `secyan-gc`'s two-party protocol.
-/// The digests were recorded at the commit before circuits became
-/// (template × count), so they move only when what garbling puts on the
-/// wire moves: a changed AND index, label draw or message boundary shows
-/// up here rather than in the query-level transcript goldens.
+/// The digests were recorded when the evaluator's labels came to ride the
+/// OT sender's own correlation (the garbler's Δ is its IKNP `s`): against
+/// the recording before, only the garbler's label-correction messages
+/// moved in length, from 32 to 16 bytes per OT. They move only when what
+/// garbling puts on the wire moves: a changed AND index, label draw or
+/// message boundary shows up here rather than in the query-level
+/// transcript goldens.
 #[cfg(test)]
 mod gc_wire_goldens {
     use crate::agg::{merge_circuit, AggKind};
@@ -99,7 +102,7 @@ mod gc_wire_goldens {
                 let mut ot = OtSender::setup(ch, &mut rng, hasher);
                 let mut bank = VecDeque::new();
                 if banked {
-                    bank.push_back(garble_offline(ch, circuit, &mut rng));
+                    bank.push_back(garble_offline(ch, circuit, &ot, &mut rng));
                 }
                 let (bank, ot, rng) = (&mut bank, &mut ot, &mut rng);
                 match spec {
@@ -170,44 +173,44 @@ mod gc_wire_goldens {
             (
                 "merge sum",
                 &|n| shared(merge_circuit(n, 32, AggKind::Sum)),
-                "75f2dda01adf03cafe398fa3eff91e7ba6ae1e23829e6871f3d72940cf11e2e5",
-                "434e466f30c938aced63e8de94b34fafcdf66517567fff57117dc93c7b60fd86",
+                "db9aa2766898d64b3aa1a6b9a1697727b0ed1a799215fac2fab6caf8190fc106",
+                "df3b7d19fd2523c92dd08faebe4c851b8849395053c5a16dfb2e602d3777e651",
             ),
             (
                 "merge support",
                 &|n| shared(merge_circuit(n, 32, AggKind::Support)),
-                "2e32ba0a9ce133684b948b4ecbfd459fb60269bdeb47583836d7a2fc0e302465",
-                "7d24ee2a39a45aa551a72900fee570f4ab4f0490773f6c379f5d8a9a1843049b",
+                "8b3865de85b659c71b365b5d1f2e456859bf21b66ab601875bcc6e891fddae31",
+                "339c1d204d899dc6ee109ccf6d6835ab2fe6cd86cd5fa080eb81bbae6afffbf6",
             ),
             (
                 "matching",
                 &|n| shared(matching_circuit(n, 32)),
-                "0f2f3e1a96b9e7564ebf453d118878c1f77ef53eb751d255aa27575659752826",
-                "ebeb3648446994db7d23505cbc1dbf8126cd82b6378be93754d53872530868b5",
+                "4db006295173259b8e66553f011d315ed9d384db95261fc6ec3d84104b9ad038",
+                "50f7f820b80c36a913c78a3325ae83c2f61c96e374878b856f9ea6c72ff0ec9a",
             ),
             (
                 "k",
                 &|n| (k_circuit(n, 32), None),
-                "866001caec4da0deebb3a500069c86d6d5c12639a00653f3c6c1a5418e407812",
-                "6fd26dfbe239cf0af80cc21fb311a8759ad51c531b87336a08779afb8aa3e75f",
+                "9cf35222d70fd1ad77a6d9a6063ab3a18739708448a3fbc95ffa304f2b828256",
+                "992f4a9fd5742035c9a9dd114795ef2ca1f9c76c66c4f4aa5a7a9d117e60a76d",
             ),
             (
                 "reveal support",
                 &|n| reveal(n, false, Role::Bob),
-                "00b02c8bfdd0443b4b090fecb4435b348289bb6b974eb6c0162ec41106ca23c5",
-                "90f8f29780d586931ef87a9e18f2929632f9d235c324259fcde6466ec5d41492",
+                "c77ec10e036965f77db00b8e4038244cff1e6d1e0e6dc10942e5611d8e07333f",
+                "907f205d5e13a6754d31b12ca92f47a68de823ff9bab9f02e0c0c90ed3a33dea",
             ),
             (
                 "reveal values",
                 &|n| reveal(n, true, Role::Bob),
-                "81020b2fb5dc76952c9d4e26e918bbb2cac1b5889e8ed5e696ba65841ab3462a",
-                "cb7e321dd423bacf1293c007567bc735858c7e995eb421412b40824636f69008",
+                "32d965ca057128ff743df10dea8403d89940a316ffed2f307c429f287024f190",
+                "e392f1d3ccabadf89e59dd1cd8cd6227567dd6f39b3c56a730492ef718d20fc7",
             ),
             (
                 "reveal own values",
                 &|n| reveal(n, true, Role::Alice),
-                "889bbd45733d8b6f88ac8419db365d1acb109203b2ecb95c90a239cd3ceb2654",
-                "e56bd4c601b1ee4615597e02bf08bf79430e657d931a7443c30e79d2d872908b",
+                "b9dc9963861e7ae931dd9f94e0a61f356e1de1ed10caf8e687059a9c5ad6e40c",
+                "d205c19a646d5c2dfa8379794be1691ace11a85b4e32e357b8b76a4d4c19387e",
             ),
             (
                 "product tree",
@@ -215,20 +218,20 @@ mod gc_wire_goldens {
                     let (c, spec) = product_tree_circuit(n, 3, 32, false);
                     (c, spec)
                 },
-                "07bf3f5c18f108ad23af5e32459d698d1784915552052a303a35af9cd819deb3",
-                "be8099f861cd07608a23c434f95058759f71b174839e203aa9ae08252910f223",
+                "dec9ab938ea3680567981c39cd4aac5ab86c8fa2c7f89c34a2e7b517c9586ee8",
+                "c8f40e56cb26937de9cfe133caf14e3b2b517c624ad0b12814f88615a733f444",
             ),
             (
                 "product tree reveal",
                 &|n| product_tree_circuit(n, 2, 32, true),
-                "09cc26703e4092e296517288378e4450d7159df12a6a73bb0340e17c2d8c3c47",
-                "91b3099f6fa0bf29e8bd8d42c73f11857048333189a4417d64e8d6239426e41a",
+                "a04e7bcb5340f132a2578526238f4d3299e992a969fc8e3ace5520fbf7c3187a",
+                "0bde92ff9695a585b3924d4f5f3f6f11e4fe86e754252272ce297d98ee8a4c1c",
             ),
             (
                 "ratio",
                 &|n| (crate::ext::ratio_circuit(n, 32, 100), None),
-                "e12ba68aa337f1156ee089c2cc700ca49424c65e426a97c9d287003119fac20f",
-                "e77df99b39d51cc26ca23e41ccb75ec608c963508c3f9b1b45779a05b295ffec",
+                "1bf5b1513a9a209a9418891b28f32aa76b0c155bb91cddcac1981cc58d396617",
+                "1413ffa4b0d18bd22bdaee5ef99a8aed34f60bca22bc57690ff427ab5f9d9e69",
             ),
         ];
         // Seeds keep the recording's row numbers: rows 0 and 1 were the

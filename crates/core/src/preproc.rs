@@ -23,7 +23,7 @@
 //!   single-use semantics: material is consumed on take and never
 //!   revisited — reusing correlated randomness across executions would
 //!   void every security argument. Banked secrets are `Secret`-wrapped
-//!   throughout (OT pads, choice bits, garbling keys) and zeroize when
+//!   throughout (OT rows, choice bits, garbling keys) and zeroize when
 //!   consumed or dropped.
 //!
 //! Offline and online traffic travel under distinct phase tags in the
@@ -180,7 +180,7 @@ pub fn run_offline(
     // so the online phase only moves input-dependent messages.
     for pc in &shape.planned {
         if me == pc.garbler {
-            let m = garble_offline(sess.ch, &pc.circuit, &mut sess.rng);
+            let m = garble_offline(sess.ch, &pc.circuit, &sess.ot_send, &mut sess.rng);
             sess.gc_garble.push_back(m);
         } else {
             sess.gc_eval
@@ -589,7 +589,7 @@ mod tests {
     }
 
     /// The zeroize-on-drop canary for pool entries. `QueryMaterial` keeps
-    /// every banked secret inside `Secret<…>` wrappers (OT pads and choice
+    /// every banked secret inside `Secret<…>` wrappers (OT rows and choice
     /// bits in the banks, wire keys in pre-garbled material), so scrubbing
     /// reduces to `Secret`'s drop guarantee — which this canary observes
     /// directly: `Secret`'s `Drop` must invoke `Zeroize::zeroize` on the

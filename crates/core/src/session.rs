@@ -248,20 +248,20 @@ impl<'a> Session<'a> {
         let terms = if i_own { [z, v] } else { [v, z] };
         let words = terms[usize::from(v_plain)..].iter().flat_map(|t| t.iter());
         let cross = if i_own {
-            let deltas = words.flat_map(|&mine| (0..ell).map(move |k| ring.reduce(mine << k)));
-            let deltas = Secret::new(deltas.collect::<Vec<u64>>());
-            self.ot_send.send_words(self.ch, ring, deltas.expose())
+            let deltas = words.flat_map(|&mine| (0..ell).map(move |k| [ring.reduce(mine << k), 0]));
+            let deltas: Vec<[u64; 2]> = deltas.collect();
+            self.ot_send
+                .send_words(self.ch, ring, deltas.len(), |_| 1, |_| deltas)
         } else {
             let bits = words.flat_map(|&share| (0..ell).map(move |k| share >> k & 1 == 1));
             let bits = Secret::new(bits.collect::<Vec<bool>>());
-            let pads = Secret::new(self.ot_recv.begin_recv(self.ch, bits.expose()));
-            self.ot_recv
-                .finish_recv_words(self.ch, ring, pads.expose(), bits.expose())
+            let drawn = self.ot_recv.begin_recv(self.ch, bits.expose());
+            self.ot_recv.finish_recv_words(self.ch, ring, drawn, |_| 1)
         };
         let per_row = |i: usize| cross.expose().chunks(ell).skip(i).step_by(n).flatten();
         let rows = v.iter().zip(z).enumerate();
         rows.map(|(i, (&v, &z))| {
-            let sum = per_row(i).fold(0u64, |acc, &x| acc.wrapping_add(x));
+            let sum = per_row(i).fold(0u64, |acc, x| acc.wrapping_add(x[0]));
             ring.add(ring.mul(v, z), if i_own { ring.neg(sum) } else { sum })
         })
         .collect()

@@ -11,8 +11,9 @@
 //!   point-and-permute), independent of any channel: garble to tables,
 //!   evaluate tables. Property-tested against the plaintext evaluator.
 //! * [`protocol`] — the two-party wrapper: table + input-label transfer,
-//!   evaluator inputs via IKNP OT, and output decoding toward either or
-//!   both parties.
+//!   evaluator inputs via label OTs on the garbler's own IKNP correlation
+//!   (its Δ is the IKNP sender's `s`), and output decoding toward either
+//!   or both parties.
 //! * [`shares`] — Yao-to-arithmetic conversion (paper §5.2): circuits whose
 //!   word outputs are masked by garbler-chosen randomness so the cleartext
 //!   never materializes; the parties end with additive shares mod 2^ℓ.

@@ -1,15 +1,16 @@
 //! The two-party garbled-circuit protocol.
 //!
-//! One invocation = one garbled circuit: the garbler garbles and ships
-//! tables + its own input labels; the evaluator obtains its input labels
-//! through IKNP OT, evaluates, and the outputs are decoded toward the
-//! party/parties the caller selects. Constant rounds per invocation, as the
-//! paper requires of every building block.
+//! One invocation = one garbled circuit: the garbler garbles under its
+//! IKNP sender's Δ and ships tables + its own input labels; the evaluator
+//! obtains its input labels through one label OT per wire, evaluates, and
+//! the outputs are decoded toward the party/parties the caller selects.
+//! Constant rounds per invocation, as the paper requires of every building
+//! block.
 
 use rand::Rng;
 use secyan_circuit::Circuit;
 use secyan_crypto::{Block, Secret};
-use secyan_ot::{OtReceiver, OtSender};
+use secyan_ot::{OtReceiver, OtSender, RecvRows};
 use secyan_transport::{Channel, ReadExt, WriteExt};
 use std::collections::VecDeque;
 
@@ -70,12 +71,14 @@ pub fn evaluator_ot_count(circuit: &Circuit) -> usize {
     circuit.bob_inputs
 }
 
-/// Offline half of [`garble_circuit`]: garble and ship the tables — the
-/// only message of the protocol that is independent of both parties'
-/// private inputs.
+/// Offline half of [`garble_circuit`]: garble under `ot`'s
+/// [`OtSender::label_delta`] and ship the tables — the only message of the
+/// protocol that is independent of both parties' private inputs. The
+/// evaluator's labels later ride the same `ot`.
 pub fn garble_offline<R: Rng + ?Sized>(
     ch: &mut Channel,
     circuit: &Circuit,
+    ot: &OtSender,
     rng: &mut R,
 ) -> GarbleMaterial {
     // Garble straight into the channel's staging buffer: the tables are
@@ -83,7 +86,13 @@ pub fn garble_offline<R: Rng + ?Sized>(
     // else on this side. A circuit without ANDs sends nothing.
     let mut garbling = None;
     let mut fill = |buf: &mut [u8]| {
-        garbling = Some(garble_into(circuit, rng, buf.as_chunks_mut::<32>().0));
+        let delta = ot.label_delta();
+        garbling = Some(garble_into(
+            circuit,
+            delta,
+            rng,
+            buf.as_chunks_mut::<32>().0,
+        ));
     };
     match 32 * circuit.and_count() as usize {
         0 => fill(&mut []),
@@ -97,7 +106,7 @@ pub fn garble_offline<R: Rng + ?Sized>(
 
 /// Online half of [`garble_banked`]: input labels, decode bits, OT and
 /// garbler-side decoding, against material produced by
-/// [`garble_offline`] for the same circuit.
+/// [`garble_offline`] for the same circuit and `ot`.
 fn garble_online(
     ch: &mut Channel,
     circuit: &Circuit,
@@ -113,19 +122,18 @@ fn garble_online(
         "pre-garbled material is for a different circuit"
     );
     let g = material.garbling;
-    // Garbler input labels. Label buffers scrub themselves on every exit
-    // path: `eval_pairs` holds both labels of a wire, whose XOR is Δ.
+    // Garbler input labels, in a buffer that scrubs itself on every exit
+    // path.
     let labels = my_inputs.iter().enumerate();
     let my_labels: Secret<Vec<u128>> =
         Secret::new(labels.map(|(i, &b)| g.input_label(i, b).0).collect());
     ch.send_u128_slice(my_labels.expose());
     // Decode bits for the evaluator.
     ch.send_bool_slice(&g.decode_bits());
-    // Evaluator input labels via OT.
+    // Evaluator input labels: one correction per wire on the OT's own
+    // correlation, whose Δ the circuit was garbled under.
     let wires = circuit.alice_inputs..circuit.alice_inputs + circuit.bob_inputs;
-    let pair = |i| (g.input_label(i, false), g.input_label(i, true));
-    let eval_pairs: Secret<Vec<(Block, Block)>> = Secret::new(wires.map(pair).collect());
-    ot.send_blocks(ch, eval_pairs.expose());
+    ot.send_labels(ch, &g.input_zero_labels.expose()[wires]);
     // Output decoding toward the garbler.
     if mode == OutputMode::RevealBoth {
         let colors = ch.recv_bool_vec(circuit.output_count());
@@ -147,21 +155,22 @@ pub fn evaluate_offline(ch: &mut Channel, circuit: &Circuit) -> EvalMaterial {
 }
 
 /// Evaluator-side in-flight state between [`evaluate_begin`] and
-/// [`evaluate_finish`]: the OT pads drawn for the evaluator's choice bits
+/// [`evaluate_finish`]: the OT rows drawn for the evaluator's choice bits
 /// and the tables (pre-received, or `None` when they travel inline and
 /// will be received at finish time).
 pub struct EvalPending {
     material: Option<EvalMaterial>,
-    pads: Vec<Block>,
+    rows: RecvRows,
 }
 
-/// First half of the evaluator protocol: stage the OT correction bits for
-/// `my_inputs` and return without blocking. Everything the evaluator must
-/// *send* for this circuit is staged here, so a caller can stage further
+/// First half of the evaluator protocol: stage the OT request for
+/// `my_inputs` (banked: correction bits; fresh: the column bundle) and
+/// return without blocking. Everything the evaluator must *send* for this
+/// circuit is staged here, so a caller can stage further
 /// dependency-free messages (e.g. the OSN corrections of a follow-up OEP
 /// whose routing is already known) into the same outbound super-frame
 /// before [`evaluate_finish`] blocks on the garbler. The garbler reads the
-/// corrections inside `ot.send_blocks` only after staging tables, labels
+/// request inside `ot.send_labels` only after staging tables, labels
 /// and decode bits, so per-direction FIFO order is unchanged.
 pub fn evaluate_begin(
     ch: &mut Channel,
@@ -178,8 +187,8 @@ pub fn evaluate_begin(
             "pre-received tables are for a different circuit"
         );
     }
-    let pads = ot.begin_recv(ch, my_inputs);
-    EvalPending { material, pads }
+    let rows = ot.begin_recv(ch, my_inputs);
+    EvalPending { material, rows }
 }
 
 /// Second half of the evaluator protocol: receive tables (when they travel
@@ -194,7 +203,7 @@ pub fn evaluate_finish(
     ot: &mut OtReceiver,
     mode: OutputMode,
 ) -> Vec<bool> {
-    let EvalPending { material, pads } = pending;
+    let EvalPending { material, rows } = pending;
     let tables = match material {
         Some(m) => m.tables,
         None => evaluate_offline(ch, circuit).tables,
@@ -208,7 +217,7 @@ pub fn evaluate_finish(
         .expose_mut()
         .extend(garbler_labels.expose().iter().map(|&l| Block(l)));
     let decode = ch.recv_bool_vec(circuit.output_count());
-    let my_labels = Secret::new(ot.finish_recv_blocks(ch, &pads, my_inputs));
+    let my_labels = ot.finish_recv_labels(ch, rows);
     labels.expose_mut().extend_from_slice(my_labels.expose());
     let out_labels = Secret::new(eval_cells(circuit, tables.as_chunks().0, labels.expose()));
     let colors: Vec<bool> = out_labels.expose().iter().map(|l| l.lsb()).collect();
@@ -236,7 +245,7 @@ pub fn garble_banked<R: Rng + ?Sized>(
     assert_eq!(my_inputs.len(), circuit.alice_inputs, "garbler input arity");
     let material = match take_garble(bank, circuit) {
         Some(m) => m,
-        None => garble_offline(ch, circuit, rng),
+        None => garble_offline(ch, circuit, ot, rng),
     };
     garble_online(ch, circuit, material, my_inputs, ot, mode)
 }

@@ -284,23 +284,27 @@ fn run_rows<T: Cell>(
 }
 
 /// Garble `circuit`, drawing labels from `rng`: Δ, then the input
-/// zero-labels in wire order.
+/// zero-labels in wire order. The protocol garbles under its OT sender's
+/// Δ instead ([`crate::protocol::garble_offline`]).
 pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, _hasher: TweakHasher, rng: &mut R) -> Garbling {
     let mut tables = vec![(Block::ZERO, Block::ZERO); circuit.and_count() as usize];
-    let mut garbling = garble_into(circuit, rng, &mut tables);
+    let delta = Secret::new(Block::random(rng).with_lsb(true));
+    let mut garbling = garble_into(circuit, delta, rng, &mut tables);
     garbling.tables = tables;
     garbling
 }
 
-/// [`garble`] writing the table of AND `i` into `cells[i]` — a channel's
-/// staging buffer, say — and leaving [`Garbling::tables`] empty.
+/// [`garble`] under the given Δ (lsb 1), writing the table of AND `i`
+/// into `cells[i]` — a channel's staging buffer, say — and leaving
+/// [`Garbling::tables`] empty.
 pub(crate) fn garble_into<T: Cell, R: Rng + ?Sized>(
     circuit: &Circuit,
+    delta: Secret<Block>,
     rng: &mut R,
     cells: &mut [T],
 ) -> Garbling {
     assert_eq!(cells.len() as u64, circuit.and_count(), "one cell per AND");
-    let delta = Block::random(rng).with_lsb(true);
+    let d = delta.expose_block();
     let n_in = circuit.alice_inputs + circuit.bob_inputs;
     // Zero-labels of the whole slot space — key material, scrubbed on drop.
     let mut zero = Secret::new(vec![Block::ZERO; circuit.num_slots()]);
@@ -308,12 +312,12 @@ pub(crate) fn garble_into<T: Cell, R: Rng + ?Sized>(
         *z = Block::random(rng);
     }
     let and_step =
-        |ands: &[AndRef], tile: &mut Tile, cells: &mut [T]| garble_level(ands, tile, cells, delta);
-    for_each_tile(circuit, zero.expose_mut(), cells, delta, &and_step);
+        |ands: &[AndRef], tile: &mut Tile, cells: &mut [T]| garble_level(ands, tile, cells, d);
+    for_each_tile(circuit, zero.expose_mut(), cells, d, &and_step);
     let zero = zero.expose();
     let output_zero_labels = circuit.output_slots().map(|s| zero[s]).collect();
     Garbling {
-        delta: Secret::new(delta),
+        delta,
         input_zero_labels: Secret::new(zero[..n_in].to_vec()),
         output_zero_labels: Secret::new(output_zero_labels),
         tables: Vec::new(),

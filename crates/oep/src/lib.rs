@@ -11,9 +11,10 @@
 //!   padding to a power of two) with the classic recursive routing
 //!   algorithm, plus the permute–duplicate–permute decomposition of an
 //!   extended permutation.
-//! * [`osn`] — the oblivious switching network: one 1-out-of-2 OT per
-//!   switch translates Bob's additively masked values through the network
-//!   while only Alice knows the switch settings. Õ(M + N) total cost.
+//! * [`osn`] — the oblivious switching network: one correlated word OT
+//!   per switch translates Bob's additively masked values through the
+//!   network while only Alice knows the switch settings. Õ(M + N) total
+//!   cost.
 //! * [`protocol`] — the user-facing OEP over a secret-shared x (the case
 //!   the paper needs for intermediate annotations); plain OEP, where Bob
 //!   knows x, is the same call with all-zero shares on Alice's side.

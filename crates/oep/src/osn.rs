@@ -1,40 +1,42 @@
 //! Oblivious switching: evaluating a routed network on masked values.
 //!
 //! Bob (the value holder) walks his values through the network under
-//! additive masks; Alice (the routing holder) obtains, via one OT per
-//! switch, exactly the mask-correction pair matching her control bit. At
-//! the end Alice holds `x_{route(i)} + m_i` and Bob holds `−m_i`: a fresh
+//! additive masks; Alice (the routing holder) obtains, via one correlated
+//! word OT per switch, exactly the mask correction matching her control
+//! bit. A switch's choice-0 pad is its straight correction, so Bob's fresh
+//! masks are that pad plus the masks the switch reads, and he sends only
+//! crossed − straight: one ⌈ℓ/8⌉-byte word per output the switch routes,
+//! two for a permutation switch and one for a duplication switch. At the
+//! end Alice holds `x_{route(i)} + m_i` and Bob holds `−m_i`: a fresh
 //! additive sharing of the routed vector. Bob learns nothing about the
 //! control bits (OT security); Alice learns nothing about the values
-//! (everything she sees is masked by fresh uniform masks).
+//! (everything she sees is masked by uniform pads).
 //!
-//! One round of OT (batched over all switches) plus one message of masked
-//! values — constant rounds, Õ(n log n) traffic for the whole network.
+//! One OT extension and one correction message for the whole network, plus
+//! one message of masked values — constant rounds, Õ(n log n) traffic.
 
 use rand::Rng;
-use secyan_crypto::{Block, RingCtx, Secret, Zeroize};
-use secyan_ot::{OtReceiver, OtSender};
+use secyan_crypto::RingCtx;
+use secyan_ot::{OtReceiver, OtSender, RecvRows};
 use secyan_par as par;
 use secyan_transport::{Channel, ReadExt, WriteExt};
 
 use crate::network::{EpNetwork, EpRouting};
 
-/// Minimum network width before the permutation stages fan their switch
-/// layers out across the worker pool. Below this the per-layer dispatch
-/// overhead dominates the ring arithmetic.
+/// Minimum network width before the routing holder's permutation stages
+/// fan their switch layers out across the worker pool. Below this the
+/// per-layer dispatch overhead dominates the ring arithmetic.
 const OSN_PAR_MIN_WIDTH: usize = 512;
 
 /// Minimum switches handed to one worker within a layer.
 const SWITCHES_PER_PART: usize = 64;
 
-/// Pack a correction pair (two ring elements) into one OT message block:
-/// `a` in the low 64 bits, `b` in the high.
-fn enc_pair(a: u64, b: u64) -> Block {
-    Block(u128::from(a) | u128::from(b) << 64)
-}
-
-fn dec_pair(m: Block) -> (u64, u64) {
-    (m.0 as u64, (m.0 >> 64) as u64)
+/// Correction words per switch, in network order: two for a permutation
+/// switch (one per output), one for a duplication switch, whose second
+/// output is its input passed through.
+fn switch_words(net: &EpNetwork) -> impl Fn(usize) -> usize {
+    let dup = net.p1.switches().len()..net.p1.switches().len() + net.width() - 1;
+    move |s| if dup.contains(&s) { 1 } else { 2 }
 }
 
 /// Bob's side: push `values` (padded internally) through the extended
@@ -62,116 +64,49 @@ pub(crate) fn osn_value_holder<R: Rng + ?Sized>(
         .collect();
     ch.send_u64_slice(&init);
 
-    // Pre-draw every switch's fresh masks *serially*, in the exact order
-    // the serial walk would draw them — the RNG stream (and hence the
-    // transcript) is independent of the thread count.
-    let mut r1: Vec<(u64, u64)> = net
-        .p1
-        .switches()
-        .iter()
-        .map(|_| (ring.random(rng), ring.random(rng)))
-        .collect();
-    let mut rdup: Vec<u64> = (1..width).map(|_| ring.random(rng)).collect();
-    let mut r2: Vec<(u64, u64)> = net
-        .p2
-        .switches()
-        .iter()
-        .map(|_| (ring.random(rng), ring.random(rng)))
-        .collect();
-
-    // Build every switch's OT message pair, updating masks as we go. The
-    // message vector is indexed by absolute switch position, so the wire
-    // layout matches the serial evaluation order exactly. A pair's XOR
-    // relates the masks of two positions; the buffer scrubs itself once sent.
-    let n_p1 = net.p1.switches().len();
-    let n_dup = width - 1;
-    let mut msgs = Secret::new(vec![(Block::ZERO, Block::ZERO); net.switch_count()]);
-    let ot_msgs = msgs.expose_mut();
-    par::with_pool_if(par::threads() > 1 && width >= OSN_PAR_MIN_WIDTH, |pool| {
-        // Stage 1: permutation switches, layer-parallel.
-        holder_stage(pool, &net.p1, &r1, ring, &mut masks, &mut ot_msgs[..n_p1]);
-        // Stage 2: duplication chain (position t either keeps its own value
-        // or copies position t−1's post-duplication value) — inherently a
-        // serial scan through the masks.
-        for t in 1..width {
-            let u = rdup[t - 1];
-            let keep = enc_pair(ring.sub(u, masks[t]), 0);
-            let copy = enc_pair(ring.sub(u, masks[t - 1]), 0);
-            ot_msgs[n_p1 + t - 1] = (keep, copy);
-            masks[t] = u;
-        }
-        // Stage 3: permutation switches, layer-parallel.
-        holder_stage(
-            pool,
-            &net.p2,
-            &r2,
-            ring,
-            &mut masks,
-            &mut ot_msgs[n_p1 + n_dup..],
-        );
+    // One word OT per switch: a switch's choice-0 pad `r` is its straight
+    // correction, so its fresh output masks are `r` plus the masks it
+    // reads, and the word sent per output is crossed − straight. Walked in
+    // network order, in which every switch reads settled masks.
+    let swap = |&(i, j): &(usize, usize)| (i, j, true);
+    let dups = (1..width).map(|t| (t - 1, t, false));
+    let (p1, p2) = (net.p1.switches().iter(), net.p2.switches().iter());
+    let switches: Vec<_> = p1.map(swap).chain(dups).chain(p2.map(swap)).collect();
+    ot.send_words(ch, ring, switches.len(), switch_words(net), |r| {
+        let steps = switches.iter().zip(r);
+        let deltas = steps.map(|(&(i, j, is_swap), r)| {
+            if is_swap {
+                // Straight: out_i = in_i, out_j = in_j; crossed swaps them.
+                let delta = [ring.sub(masks[i], masks[j]), ring.sub(masks[j], masks[i])];
+                masks[i] = ring.add(masks[i], r[0]);
+                masks[j] = ring.add(masks[j], r[1]);
+                delta
+            } else {
+                // Position j keeps its value or copies i = j − 1's.
+                let delta = [ring.sub(masks[j], masks[i]), 0];
+                masks[j] = ring.add(masks[j], r[0]);
+                delta
+            }
+        });
+        deltas.collect()
     });
-    // The pre-drawn values are mask material; scrub once consumed.
-    r1.zeroize();
-    rdup.zeroize();
-    r2.zeroize();
-    ot.send_blocks(ch, msgs.expose());
     // Bob's shares: −(final mask) on the first n_out positions.
     masks[..net.n_out].iter().map(|&m| ring.neg(m)).collect()
 }
 
-/// One permutation stage on the value holder's side: build each switch's
-/// correction pair (straight: out_i = in_i, out_j = in_j; crossed:
-/// out_i = in_j, out_j = in_i) and advance the masks.
-///
-/// Switch layers run in order; within a layer the switches touch disjoint
-/// positions ([`PermNetwork::layers`]), so each pair is computed from the
-/// pre-layer masks in parallel and the mask updates write back serially.
-/// The result is byte-identical to the serial switch walk.
-///
-/// [`PermNetwork::layers`]: crate::network::PermNetwork::layers
-fn holder_stage(
-    pool: &par::Pool<'_>,
-    net: &crate::network::PermNetwork,
-    r: &[(u64, u64)],
-    ring: RingCtx,
-    masks: &mut [u64],
-    out: &mut [(Block, Block)],
-) {
-    let switches = net.switches();
-    for layer in net.layers() {
-        let masks_ro: &[u64] = masks;
-        let pairs: Vec<(Block, Block)> = pool.map(&layer, SWITCHES_PER_PART, |_, &s| {
-            let (i, j) = switches[s];
-            let (u, v) = r[s];
-            let straight = enc_pair(ring.sub(u, masks_ro[i]), ring.sub(v, masks_ro[j]));
-            let crossed = enc_pair(ring.sub(u, masks_ro[j]), ring.sub(v, masks_ro[i]));
-            (straight, crossed)
-        });
-        for (&s, pair) in layer.iter().zip(pairs) {
-            let (i, j) = switches[s];
-            let (u, v) = r[s];
-            masks[i] = u;
-            masks[j] = v;
-            out[s] = pair;
-        }
-    }
-}
-
 /// Routing-holder state between [`osn_perm_holder_begin`] and
-/// [`osn_perm_holder_finish`]: the OT choice bits (switch controls) and
-/// their staged pads.
+/// [`osn_perm_holder_finish`]: the OT rows drawn for the switch controls.
 pub(crate) struct OsnPending {
-    choices: Vec<bool>,
-    pads: Vec<Block>,
+    rows: RecvRows,
 }
 
-/// First half of the routing-holder side: stage the OT correction bits
-/// for every switch. Send-only — the routing is known before any incoming
+/// First half of the routing-holder side: stage the OT request for every
+/// switch. Send-only — the routing is known before any incoming
 /// data, so the corrections ride the current outbound super-frame, and a
 /// caller may stage further dependency-free messages before
 /// [`osn_perm_holder_finish`] blocks on the masked values. The value
-/// holder reads the corrections inside `ot.send_blocks` only after staging
-/// init + pairs, so per-direction FIFO order is unchanged.
+/// holder reads the request inside `ot.send_words` only after staging
+/// init, so per-direction FIFO order is unchanged.
 pub(crate) fn osn_perm_holder_begin(
     ch: &mut Channel,
     routing: &EpRouting,
@@ -181,8 +116,9 @@ pub(crate) fn osn_perm_holder_begin(
     choices.extend_from_slice(&routing.p1_bits);
     choices.extend_from_slice(&routing.dup_bits[1..]);
     choices.extend_from_slice(&routing.p2_bits);
-    let pads = ot.begin_recv(ch, &choices);
-    OsnPending { choices, pads }
+    OsnPending {
+        rows: ot.begin_recv(ch, &choices),
+    }
 }
 
 /// Second half of the routing-holder side: receive the masked values and
@@ -196,9 +132,9 @@ pub(crate) fn osn_perm_holder_finish(
     ot: &mut OtReceiver,
 ) -> Vec<u64> {
     let width = net.width();
-    let OsnPending { choices, pads } = pending;
     let mut vals = ch.recv_u64_vec(width);
-    let corrections = ot.finish_recv_blocks(ch, &pads, &choices);
+    let corrections = ot.finish_recv_words(ch, ring, pending.rows, switch_words(net));
+    let corrections = corrections.expose();
     let n_p1 = net.p1.switches().len();
     let n_dup = width - 1;
     par::with_pool_if(par::threads() > 1 && width >= OSN_PAR_MIN_WIDTH, |pool| {
@@ -213,7 +149,7 @@ pub(crate) fn osn_perm_holder_finish(
         // Duplication chain: a serial scan (each position may read its
         // predecessor's fresh value).
         for t in 1..width {
-            let (c1, _) = dec_pair(corrections[n_p1 + t - 1]);
+            let [c1, _] = corrections[n_p1 + t - 1];
             let src = if routing.dup_bits[t] {
                 vals[t - 1]
             } else {
@@ -234,16 +170,18 @@ pub(crate) fn osn_perm_holder_finish(
     vals
 }
 
-/// One permutation stage on the routing holder's side, mirroring
-/// [`holder_stage`]: within a layer every switch reads the pre-layer
-/// values of its two (disjoint) positions, so the corrected values are
+/// One permutation stage on the routing holder's side: within a layer
+/// every switch reads the pre-layer values of its two (disjoint)
+/// positions ([`PermNetwork::layers`]), so the corrected values are
 /// computed in parallel and written back serially — identical to the
 /// serial walk at any thread count.
+///
+/// [`PermNetwork::layers`]: crate::network::PermNetwork::layers
 fn perm_stage(
     pool: &par::Pool<'_>,
     net: &crate::network::PermNetwork,
     bits: &[bool],
-    corrections: &[Block],
+    corrections: &[[u64; 2]],
     ring: RingCtx,
     vals: &mut [u64],
 ) {
@@ -252,7 +190,7 @@ fn perm_stage(
         let vals_ro: &[u64] = vals;
         let outs: Vec<(u64, u64)> = pool.map(&layer, SWITCHES_PER_PART, |_, &s| {
             let (i, j) = switches[s];
-            let (c1, c2) = dec_pair(corrections[s]);
+            let [c1, c2] = corrections[s];
             let (src1, src2) = if bits[s] {
                 (vals_ro[j], vals_ro[i])
             } else {
@@ -274,7 +212,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use secyan_crypto::TweakHasher;
-    use secyan_transport::run_protocol;
+    use secyan_transport::{run_protocol, run_protocol_captured, Role};
 
     /// The one hasher choice shared by every OT setup in these tests.
     const HASHER: TweakHasher = TweakHasher::Aes;
@@ -311,6 +249,42 @@ mod tests {
             },
         );
         ring.reconstruct_vec(&alice_sh, &bob_sh)
+    }
+
+    /// The value holder's switch corrections are one message of one
+    /// ⌈ℓ/8⌉-byte word per routed output — two per permutation switch, one
+    /// per duplication switch — right after its masked values, and the
+    /// routed vector still reconstructs.
+    #[test]
+    fn switch_batch_is_one_ring_width_message() {
+        let (values, xi) = (vec![3u64, 1, 4, 1, 5], vec![4usize, 4, 0, 2, 1, 3, 3]);
+        for ell in [1u32, 20, 32, 64] {
+            let ring = RingCtx::new(ell);
+            let net = EpNetwork::new(values.len(), xi.len());
+            let (net2, vals, map) = (net.clone(), values.clone(), xi.clone());
+            let (bob_sh, alice_sh, _, handle) = run_protocol_captured(
+                move |ch| {
+                    let mut rng = StdRng::seed_from_u64(7);
+                    let mut ot = OtSender::setup(ch, &mut rng, HASHER);
+                    osn_value_holder(ch, &net2, &vals, ring, &mut ot, &mut rng)
+                },
+                move |ch| {
+                    let mut rng = StdRng::seed_from_u64(8);
+                    let mut ot = OtReceiver::setup(ch, &mut rng, HASHER);
+                    let net = EpNetwork::new(5, map.len());
+                    osn_perm_holder(ch, &net, &net.route(&map), ring, &mut ot)
+                },
+            );
+            let want: Vec<u64> = xi.iter().map(|&i| ring.reduce(values[i])).collect();
+            assert_eq!(ring.reconstruct_vec(&alice_sh, &bob_sh), want, "ℓ = {ell}");
+            let messages = handle.messages();
+            let sent = messages.iter().filter(|(r, _)| *r == Role::Alice);
+            let sent: Vec<usize> = sent.map(|(_, m)| m.len()).collect();
+            let perm = net.p1.switches().len() + net.p2.switches().len();
+            let (dup, word) = (net.width() - 1, ell.div_ceil(8) as usize);
+            let want = [8 * net.width(), 2 * word * perm + word * dup];
+            assert_eq!(sent[sent.len() - 2..], want, "ℓ = {ell}");
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! with a pseudorandom code; what each does with the rows — hashing,
 //! masking, derandomisation — lives in [`crate::iknp`] / [`crate::kkrt`].
 //!
-//! [`Bank`] holds IKNP's precomputed instances on either side; KKRT
-//! always extends inline (see [`crate::kkrt`] for why).
+//! [`Bank`] holds IKNP's precomputed rows on either side; KKRT always
+//! extends inline (see [`crate::kkrt`] for why).
 
 use secyan_crypto::transpose::BitMatrix;
 use secyan_crypto::{Block, CtChoice, Prg, Secret, Zeroize};
@@ -234,13 +234,17 @@ fn gather<R: Row>(rows: &BitMatrix, m: usize) -> Vec<R> {
 /// leave, and whatever is left zeroizes on drop.
 pub(crate) struct Bank<T: Zeroize> {
     items: Secret<Vec<T>>,
+    /// Instance index of the first entry: its endpoint's extension count
+    /// when the bank was filled.
+    first: u64,
     cursor: usize,
 }
 
 impl<T: Zeroize + Copy> Bank<T> {
-    pub fn new(items: Vec<T>) -> Self {
+    pub fn new(items: Vec<T>, first: u64) -> Self {
         Bank {
             items: Secret::new(items),
+            first,
             cursor: 0,
         }
     }
@@ -258,11 +262,12 @@ impl<T: Zeroize + Copy> Bank<T> {
         m > 0 && self.remaining() >= m
     }
 
-    /// Take the next `m` entries.
-    pub fn take(&mut self, m: usize) -> Vec<T> {
+    /// Take the next `m` entries, with the instance index of the first.
+    pub fn take(&mut self, m: usize) -> (u64, Secret<Vec<T>>) {
+        let first = self.first + self.cursor as u64;
         let out = self.items.expose()[self.cursor..self.cursor + m].to_vec();
         self.discard(m);
-        out
+        (first, Secret::new(out))
     }
 
     /// Discard entries until at most `cap` remain. Exhaustion tests use
@@ -290,9 +295,10 @@ mod tests {
     fn check_bank<T: Zeroize + Copy + PartialEq + std::fmt::Debug>(items: Vec<T>, zero: T) {
         assert!(items.iter().all(|x| *x != zero));
         let n = items.len();
-        let mut bank = Bank::new(items.clone());
+        let mut bank = Bank::new(items.clone(), 100);
         assert_eq!(bank.remaining(), n);
-        assert_eq!(bank.take(3), items[..3]);
+        let (first, taken) = bank.take(3);
+        assert_eq!((first, &taken.expose()[..]), (100, &items[..3]));
         assert_eq!(bank.remaining(), n - 3);
         // Consumed-on-take: the bank's copies are gone, the rest untouched.
         assert!(bank.items.expose()[..3].iter().all(|x| *x == zero));
@@ -302,17 +308,18 @@ mod tests {
         assert!(bank.items.expose()[..n - 2].iter().all(|x| *x == zero));
         bank.shed_to(5);
         assert_eq!(bank.remaining(), 2, "shed never grows the bank");
-        assert_eq!(bank.take(2), items[n - 2..]);
+        let (first, taken) = bank.take(2);
+        assert_eq!(
+            (first, &taken.expose()[..]),
+            (100 + n as u64 - 2, &items[n - 2..])
+        );
         assert!(bank.items.expose().iter().all(|x| *x == zero));
     }
 
     #[test]
     fn bank_take_zeroizes_consumed_entries() {
         // The two element types in use: IKNP sender / receiver.
-        check_bank(
-            (1..=8u128).map(|i| (Block(i), Block(i << 64))).collect(),
-            (Block::ZERO, Block::ZERO),
-        );
+        check_bank((1..=8u128).map(Block).collect(), Block::ZERO);
         check_bank(
             (1..=8u128).map(|i| (true, Block(i))).collect(),
             (false, Block::ZERO),

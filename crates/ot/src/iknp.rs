@@ -8,32 +8,42 @@
 //! all sit on top of this module.
 //!
 //! Semi-honest IKNP as in the original paper: the receiver's choice bits
-//! are an input (chosen-choice, random-message OT); chosen messages are
-//! layered on by one-time-pad masking. The matrix work is the shared
-//! engine (`ext.rs`) at 16-byte rows under the repetition code
-//! (every column of the code matrix is the packed choice vector); this
-//! module adds what is IKNP's own: hashing the rows into pads, masking
-//! chosen messages, and the one-bit derandomisation of banked instances.
+//! are an input. The matrix work is the shared engine (`ext.rs`) at
+//! 16-byte rows under the repetition code (every column of the code matrix
+//! is the packed choice vector). It leaves the sender with rows `q_j` and
+//! the receiver with `t_j`, where `q_j ⊕ t_j = c_j·s`. Every OT then sends
+//! one message, in one of two shapes:
 //!
-//! Every chosen message has one of two shapes, and both are masked by the
-//! pad itself — a correlation-robust hash output used once, so no message
-//! is expanded through a PRG: a 16-byte block XORed with its pad
-//! ([`OtSender::send_blocks`]; garbled-circuit input labels, switching-network
-//! corrections), or a ⌈ℓ/8⌉-byte word added to it mod 2^ℓ
-//! ([`OtSender::send_words`]; share multiplication).
+//! * **Labels** ([`OtSender::send_labels`]) ride the correlation itself,
+//!   unhashed. `s` has its low bit set and is the free-XOR Δ of every
+//!   circuit this party garbles ([`OtSender::label_delta`]). One 16-byte
+//!   correction `y_j = L⁰_j ⊕ q_j` leaves the receiver with
+//!   `t_j ⊕ y_j = L⁰_j ⊕ c_j·Δ`.
+//! * **Words** ([`OtSender::send_words`]) hash the rows into pads
+//!   `x₀ = H(q_j)`, `x₁ = H(q_j ⊕ s)` under the instance's own tweak,
+//!   each read as two ring words. The choice-0 pad is the sender's output
+//!   `r_j`, and one ⌈ℓ/8⌉-byte word `r + Δ − x₁` per word leaves the
+//!   receiver with `r_j + c_j·Δ_j`: share multiplication at width 1, a
+//!   switch of the oblivious switching network at width 1 or 2.
+//!
+//! Pad tweaks carry a domain bit that no garbled-gate tweak has. DESIGN.md
+//! §3 argues why one Δ per party is safe.
 //!
 //! # Banks
 //!
 //! [`OtSender::bank`] / [`OtReceiver::bank`] run the extension offline
-//! against random choice bits `c'` and keep the pads. Online, the receiver
-//! sends correction bits `d = c ⊕ c'` (packed, m/8 bytes) and the sender's
-//! effective pair becomes `(x_d, x_{1⊕d})`, replacing the 16m-byte column
-//! bundle on the online critical path. Banked material is single-use:
-//! entries are zeroized as they are taken, and the rest on drop.
+//! against random choice bits `c'` and keep the raw rows: `q_j` for the
+//! sender, `(c'_j, t_j)` for the receiver. Online the receiver sends
+//! correction bits `d = c ⊕ c'` (packed, ⌈m/8⌉ bytes) in place of the
+//! 16m-byte column bundle, and the sender folds `d_j·s` into `q_j`, which
+//! restores `q_j ⊕ t_j = c_j·s` under the real choices. From there a
+//! banked OT is a fresh one: labels use the row, words hash it at draw
+//! time. Banked rows are single-use: entries are zeroized as they are
+//! taken, and the rest on drop.
 
 use crate::ext::{choice_bits, Bank, ExtReceiver, ExtSender};
 use rand::Rng;
-use secyan_crypto::{Block, CtChoice, CtSelect, RingCtx, Secret, TweakHasher, Zeroize};
+use secyan_crypto::{Block, CtChoice, RingCtx, Secret, TweakHasher};
 use secyan_transport::{Channel, ReadExt, WriteExt};
 
 /// Security parameter κ: number of base OTs / width of the extension
@@ -43,39 +53,77 @@ pub const KAPPA: usize = 128;
 /// Domain label of the column PRGs.
 const COL_LABEL: &[u8] = b"iknp-col";
 
-/// Extension sender: after setup, produces message pairs.
+/// Domain bit of every pad tweak. Garbled-gate tweaks (twice an AND index)
+/// never set it, so no pad shares a tweak with a gate under the same Δ.
+const PAD_DOMAIN: u64 = 1 << 63;
+
+/// Extension sender: after setup, sends one correction per OT.
 pub struct OtSender {
     ext: ExtSender<Block>,
     ctr: u64,
-    /// Precomputed random pad pairs `(x0, x1)` consumed by the online phase.
-    bank: Bank<(Block, Block)>,
+    /// Precomputed rows `q_j` consumed by the online phase.
+    bank: Bank<Block>,
 }
 
-/// Extension receiver: after setup, obtains one message per choice bit.
+/// Extension receiver: after setup, obtains one output per choice bit.
 pub struct OtReceiver {
     ext: ExtReceiver<Block>,
     ctr: u64,
-    /// Precomputed random choice bits `c'` with the pad each selected.
+    /// Precomputed random choice bits `c'` with their rows `t_j`.
     bank: Bank<(bool, Block)>,
+}
+
+/// A receiver's rows for one batch, drawn by [`OtReceiver::begin_recv`]:
+/// `t_j` with `q_j ⊕ t_j = c_j·s`, the choices, and the instance index of
+/// the first row (the pads' tweak).
+pub struct RecvRows {
+    first: u64,
+    rows: Secret<Vec<Block>>,
+    choices: Secret<Vec<bool>>,
+}
+
+/// The pads of `rows`, row `j` under the tweak of instance `first + j`.
+fn hash_rows(first: u64, rows: &[Block]) -> Vec<Block> {
+    TweakHasher::Aes.hash_batch(rows, PAD_DOMAIN | first)
+}
+
+/// A pad as two ring words: its low and high 64 bits, reduced.
+fn words(ring: RingCtx, pad: Block) -> [u64; 2] {
+    [ring.reduce(pad.0 as u64), ring.reduce((pad.0 >> 64) as u64)]
+}
+
+/// Wire bytes of one ring element: ⌈ℓ/8⌉.
+fn word_bytes(ring: RingCtx) -> usize {
+    ring.bits().div_ceil(8) as usize
 }
 
 impl OtSender {
     /// Bootstrap via κ base OTs (this side plays base-OT *receiver*).
     pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R, _hasher: TweakHasher) -> OtSender {
-        let s = Block(rng.gen());
+        // Low bit 1: `s` is also the free-XOR Δ of this party's circuits,
+        // and point-and-permute reads a label's color from that bit.
+        let s = Block(rng.gen()).with_lsb(true);
         let seeds = crate::base::receive(ch, choice_bits(&s).expose(), rng);
         OtSender {
             ext: ExtSender::new(COL_LABEL, s, seeds),
             ctr: 0,
-            bank: Bank::new(Vec::new()),
+            bank: Bank::new(Vec::new(), 0),
         }
     }
 
-    /// Offline phase: bank `m` random OT instances, replacing any earlier
-    /// bank; chosen-message calls consume them while enough remain. The
-    /// peer must run the matching [`OtReceiver::bank`] with the same `m`.
+    /// The free-XOR offset Δ of every circuit this party garbles: the
+    /// correlation `s` of its rows, low bit 1. A label OT hands the
+    /// receiver `L⁰ ⊕ c·Δ`.
+    pub fn label_delta(&self) -> Secret<Block> {
+        self.ext.s().clone()
+    }
+
+    /// Offline phase: bank `m` rows, replacing any earlier bank; online
+    /// calls consume them while enough remain. The peer must run the
+    /// matching [`OtReceiver::bank`] with the same `m`.
     pub fn bank(&mut self, ch: &mut Channel, m: usize) {
-        self.bank = Bank::new(self.random(ch, m));
+        let first = self.ctr;
+        self.bank = Bank::new(self.fresh(ch, m), first);
     }
 
     /// Instances still available in the bank.
@@ -95,115 +143,123 @@ impl OtSender {
         self.ctr
     }
 
-    /// Random pads for `m` chosen-message OTs: derandomize banked
-    /// instances when the bank covers the batch, otherwise run a fresh
-    /// extension. Both parties see the same public batch sizes and bank
-    /// budgets, so the pooled-vs-inline decision is always mirrored.
-    fn draw_pads(&mut self, ch: &mut Channel, m: usize) -> Vec<(Block, Block)> {
+    /// A fresh extension of `m` rows.
+    fn fresh(&mut self, ch: &mut Channel, m: usize) -> Vec<Block> {
+        self.ctr += m as u64;
+        self.ext.extend(ch, m)
+    }
+
+    /// Rows for `m` OTs under the receiver's real choices, with the
+    /// instance index of the first: banked rows with `d_j·s` folded in when
+    /// the bank covers the batch, otherwise a fresh extension. Both parties
+    /// see the same public batch sizes and bank budgets, so the
+    /// banked-vs-inline decision is always mirrored.
+    fn draw_rows(&mut self, ch: &mut Channel, m: usize) -> (u64, Secret<Vec<Block>>) {
         if !self.bank.covers(m) {
-            return self.random(ch, m);
+            return (self.ctr, Secret::new(self.fresh(ch, m)));
         }
-        // Beaver-style correction: receiver sends d = c ⊕ c'; the
-        // effective pair is (x_d, x_{1⊕d}), so position c selects
-        // x_{c'} — exactly the pad the receiver banked.
         let d = ch.recv_bool_vec(m);
-        self.bank
-            .take(m)
-            .iter()
-            .zip(&d)
-            .map(|(&(x0, x1), &di)| {
-                let swap = CtChoice::from_bool(di);
-                (
-                    Block::ct_select(swap, x1, x0),
-                    Block::ct_select(swap, x0, x1),
-                )
-            })
-            .collect()
+        let s = self.ext.s().expose_block();
+        let (first, mut rows) = self.bank.take(m);
+        for (q, &dj) in rows.expose_mut().iter_mut().zip(&d) {
+            *q ^= s.ct_masked(CtChoice::from_bool(dj));
+        }
+        (first, rows)
+    }
+
+    /// Both pads of each row: `(H(q_j), H(q_j ⊕ s))`.
+    fn pads(&self, first: u64, rows: &[Block]) -> Vec<(Block, Block)> {
+        let s = self.ext.s().expose_block();
+        let flipped = Secret::new(rows.iter().map(|&q| q ^ s).collect::<Vec<_>>());
+        let h1 = hash_rows(first, flipped.expose());
+        hash_rows(first, rows).into_iter().zip(h1).collect()
     }
 
     /// Produce `m` random-message OT instances. The receiver (running
     /// [`OtReceiver::random`] with its choice bits) learns exactly one
     /// message of each returned pair.
     pub fn random(&mut self, ch: &mut Channel, m: usize) -> Vec<(Block, Block)> {
-        // Rows q_j = t_j ⊕ c_j·s: the receiver's t_j is q_j or q_j ⊕ s.
-        let mut qjs = self.ext.extend(ch, m);
-        let s = self.ext.s().expose();
-        let mut qjs_s: Vec<Block> = qjs.iter().map(|&qj| qj ^ *s).collect();
-        // Both correlated branches hashed in batched kernel dispatches
-        // (internally parallel for large m).
-        let h0 = TweakHasher::Aes.hash_batch(&qjs, self.ctr);
-        let h1 = TweakHasher::Aes.hash_batch(&qjs_s, self.ctr);
-        self.ctr += m as u64;
-        // The q-rows are the pads' preimages; scrub the local copies.
-        qjs.zeroize();
-        qjs_s.zeroize();
-        h0.into_iter().zip(h1).collect()
+        let first = self.ctr;
+        let rows = Secret::new(self.fresh(ch, m));
+        self.pads(first, rows.expose())
     }
 
-    /// Chosen-message OT on 128-bit messages: each message XORed with its
-    /// pad, all `2m` masked blocks written into the staging buffer as one
-    /// message. An empty batch is communication-free on both sides: the
-    /// receiver consumes no frames for zero choices, so sending even an
-    /// empty frame here would desynchronize the wire.
-    pub fn send_blocks(&mut self, ch: &mut Channel, pairs: &[(Block, Block)]) {
-        if pairs.is_empty() {
+    /// Label OT: the receiver ends with `L⁰_j ⊕ c_j·Δ` for each zero-label
+    /// `L⁰_j`, Δ being [`OtSender::label_delta`]. One message of one 16-byte
+    /// correction per OT. An empty batch is communication-free on both
+    /// sides: the receiver consumes no frames for zero choices, so sending
+    /// even an empty frame here would desynchronize the wire.
+    pub fn send_labels(&mut self, ch: &mut Channel, zero_labels: &[Block]) {
+        if zero_labels.is_empty() {
             return;
         }
-        let pads = Secret::new(self.draw_pads(ch, pairs.len()));
-        ch.send_with(32 * pairs.len(), |buf| {
-            let slots = buf.chunks_exact_mut(32);
-            for (slot, (&(m0, m1), &(x0, x1))) in slots.zip(pairs.iter().zip(pads.expose())) {
-                slot[..16].copy_from_slice(&(m0 ^ x0).to_bytes());
-                slot[16..].copy_from_slice(&(m1 ^ x1).to_bytes());
+        let (_, rows) = self.draw_rows(ch, zero_labels.len());
+        ch.send_with(16 * zero_labels.len(), |buf| {
+            let slots = buf.chunks_exact_mut(16);
+            for (slot, (&l, &q)) in slots.zip(zero_labels.iter().zip(rows.expose())) {
+                slot.copy_from_slice(&(l ^ q).to_bytes());
             }
         });
     }
 
-    /// [`OtSender::send_blocks`] on 16-byte strings, each read as a
-    /// little-endian block: the same wire bytes. Kept for the benchmark's
-    /// OT probe; the protocol sends blocks.
-    pub fn send_bytes(&mut self, ch: &mut Channel, pairs: &[(Vec<u8>, Vec<u8>)]) {
-        let block = |m: &[u8]| Block::from_bytes(m.try_into().expect("16-byte OT message"));
-        let blocks: Vec<(Block, Block)> = pairs
-            .iter()
-            .map(|(m0, m1)| (block(m0), block(m1)))
-            .collect();
-        self.send_blocks(ch, &blocks);
-    }
-
-    /// Correlated-word OT over Z_{2^ℓ} (Gilboa / ABY share multiplication):
-    /// returns one `r_j = x0 mod 2^ℓ` per `deltas[j]`, and the receiver's
-    /// [`OtReceiver::finish_recv_words`] ends with `r_j + c_j·Δ_j`. One
-    /// ⌈ℓ/8⌉-byte word `r + Δ − x1` per OT crosses the wire, as one message;
-    /// an empty batch is communication-free like [`OtSender::send_blocks`].
+    /// Correlated-word OT over Z_{2^ℓ} on `m` OTs, `width(j)` ∈ {1, 2}
+    /// words on OT `j`. Each OT's choice-0 pad, read as two ring words, is
+    /// the sender's output `r_j`; `deltas` is handed every `r_j` and
+    /// returns the `Δ_j`, and the receiver's
+    /// [`OtReceiver::finish_recv_words`] ends with `r_j + c_j·Δ_j` on the
+    /// first `width(j)` words (Gilboa / ABY share multiplication at width
+    /// 1). One ⌈ℓ/8⌉-byte word `r + Δ − x₁` per word crosses the wire, as
+    /// one message; an empty batch is communication-free like
+    /// [`OtSender::send_labels`].
     pub fn send_words(
         &mut self,
         ch: &mut Channel,
         ring: RingCtx,
-        deltas: &[u64],
-    ) -> Secret<Vec<u64>> {
-        let mut r = Secret::new(Vec::with_capacity(deltas.len()));
-        if deltas.is_empty() {
-            return r;
+        m: usize,
+        width: impl Fn(usize) -> usize,
+        deltas: impl FnOnce(&[[u64; 2]]) -> Vec<[u64; 2]>,
+    ) -> Secret<Vec<[u64; 2]>> {
+        if m == 0 {
+            return Secret::new(Vec::new());
         }
-        let pads = Secret::new(self.draw_pads(ch, deltas.len()));
+        let (first, rows) = self.draw_rows(ch, m);
+        let pads = Secret::new(self.pads(first, rows.expose()));
+        let pairs = pads.expose().iter();
+        let (r, x1): (Vec<_>, Vec<_>) = pairs
+            .map(|&(x0, x1)| (words(ring, x0), words(ring, x1)))
+            .unzip();
+        let (r, x1) = (Secret::new(r), Secret::new(x1));
+        let deltas = Secret::new(deltas(r.expose()));
         let stride = word_bytes(ring);
-        ch.send_with(stride * deltas.len(), |buf| {
-            let words = buf.chunks_exact_mut(stride);
-            for ((word, &(x0, x1)), &delta) in words.zip(pads.expose()).zip(deltas) {
-                let r_j = ring.reduce(x0.0 as u64);
-                let masked = ring.sub(ring.add(r_j, delta), x1.0 as u64);
-                word.copy_from_slice(&masked.to_le_bytes()[..stride]);
-                r.expose_mut().push(r_j);
+        ch.send_with(stride * (0..m).map(&width).sum::<usize>(), |buf| {
+            let mut slots = buf.chunks_exact_mut(stride);
+            let per_ot = r.expose().iter().zip(x1.expose()).zip(deltas.expose());
+            for (j, ((r, x1), delta)) in per_ot.enumerate() {
+                for k in 0..width(j) {
+                    let word = ring.sub(ring.add(r[k], delta[k]), x1[k]);
+                    let slot = slots.next().expect("one slot per word");
+                    slot.copy_from_slice(&word.to_le_bytes()[..stride]);
+                }
             }
         });
         r
     }
-}
 
-/// Wire bytes of one ring element: ⌈ℓ/8⌉.
-fn word_bytes(ring: RingCtx) -> usize {
-    ring.bits().div_ceil(8) as usize
+    /// Chosen 16-byte messages, each read as two 64-bit words: a width-2
+    /// word OT at ℓ = 64 with Δ = m₁ − m₀, then one message of m₀ − r.
+    /// The receiver adds the two. 48 bytes per fresh OT, as the column
+    /// bundle, the corrections and m₀ − r are 16 each. Kept for the
+    /// benchmark's OT probe; the protocol sends labels and words.
+    pub fn send_bytes(&mut self, ch: &mut Channel, pairs: &[(Vec<u8>, Vec<u8>)]) {
+        let ring = RingCtx::new(64);
+        let word = |m: &[u8]| words(ring, Block::from_bytes(m.try_into().expect("16 bytes")));
+        let (m0, m1): (Vec<_>, Vec<_>) = pairs.iter().map(|(a, b)| (word(a), word(b))).unzip();
+        let diff = |a: &[u64; 2], b: &[u64; 2]| [a[0].wrapping_sub(b[0]), a[1].wrapping_sub(b[1])];
+        let deltas = |_: &[[u64; 2]]| m1.iter().zip(&m0).map(|(b, a)| diff(b, a)).collect();
+        let r = self.send_words(ch, ring, pairs.len(), |_| 2, deltas);
+        let base = m0.iter().zip(r.expose()).flat_map(|(a, r)| diff(a, r));
+        ch.send_u64_slice(&base.collect::<Vec<_>>());
+    }
 }
 
 impl OtReceiver {
@@ -212,18 +268,19 @@ impl OtReceiver {
         OtReceiver {
             ext: ExtReceiver::new(COL_LABEL, crate::base::send(ch, KAPPA, rng)),
             ctr: 0,
-            bank: Bank::new(Vec::new()),
+            bank: Bank::new(Vec::new(), 0),
         }
     }
 
-    /// Offline phase: bank `m` random OT instances with random choice bits
-    /// `c'`, replacing any earlier bank, to be derandomized online against
-    /// the real choices. The peer must run the matching [`OtSender::bank`]
+    /// Offline phase: bank `m` rows under random choice bits `c'`,
+    /// replacing any earlier bank, to be derandomized online against the
+    /// real choices. The peer must run the matching [`OtSender::bank`]
     /// with the same `m`.
     pub fn bank<R: Rng>(&mut self, ch: &mut Channel, m: usize, rng: &mut R) {
         let choices: Vec<bool> = (0..m).map(|_| rng.gen()).collect();
-        let blocks = self.random(ch, &choices);
-        self.bank = Bank::new(choices.into_iter().zip(blocks).collect());
+        let first = self.ctr;
+        let rows = self.fresh(ch, &choices);
+        self.bank = Bank::new(choices.into_iter().zip(rows).collect(), first);
     }
 
     /// Instances still available in the bank.
@@ -243,29 +300,9 @@ impl OtReceiver {
         self.ctr
     }
 
-    /// Pads selected by `choices`: derandomize banked instances when the
-    /// bank covers the batch (sending only packed correction bits d = c ⊕ c',
-    /// which are uniform and independent of c), else a fresh extension.
-    fn draw_pads(&mut self, ch: &mut Channel, choices: &[bool]) -> Vec<Block> {
-        let m = choices.len();
-        if !self.bank.covers(m) {
-            return self.random(ch, choices);
-        }
-        // XOR of two bools is branchless; d is sent on the wire and is
-        // uniform because c' is.
-        let (d, blocks): (Vec<bool>, Vec<Block>) = self
-            .bank
-            .take(m)
-            .iter()
-            .zip(choices)
-            .map(|(&(cp, x), &c)| (c ^ cp, x))
-            .unzip();
-        ch.send_bool_slice(&d);
-        blocks
-    }
-
-    /// Obtain the message selected by each choice bit (random-message OT).
-    pub fn random(&mut self, ch: &mut Channel, choices: &[bool]) -> Vec<Block> {
+    /// A fresh extension under `choices`: send the column bundle, return
+    /// the rows.
+    fn fresh(&mut self, ch: &mut Channel, choices: &[bool]) -> Vec<Block> {
         let m = choices.len();
         // Pack the choice bits without branching on them. Under the
         // repetition code every column of the code matrix is this vector.
@@ -273,83 +310,100 @@ impl OtReceiver {
         for (j, &c) in choices.iter().enumerate() {
             r_packed[j / 8] |= (c as u8) << (j % 8);
         }
-        let mut tjs = self.ext.extend(ch, m, |_| r_packed.as_slice());
-        let out = TweakHasher::Aes.hash_batch(&tjs, self.ctr);
         self.ctr += m as u64;
-        tjs.zeroize();
-        out
+        self.ext.extend(ch, m, |_| r_packed.as_slice())
     }
 
-    /// First half of a receive: draw the pads for `choices`. This is
-    /// *send-only* on the receiver side (banked: packed correction bits;
-    /// fresh: the masked column bundle), so it can be staged before other
-    /// incoming traffic is read — protocol layers use this to batch all
-    /// receiver-side OT corrections of a round into one super-frame before
-    /// blocking on the sender's replies. Finish with
-    /// [`OtReceiver::finish_recv_blocks`] / [`OtReceiver::finish_recv_words`]
-    /// in the same order relative to the peer's sends.
-    pub fn begin_recv(&mut self, ch: &mut Channel, choices: &[bool]) -> Vec<Block> {
-        self.draw_pads(ch, choices)
+    /// Obtain the message selected by each choice bit (random-message OT).
+    pub fn random(&mut self, ch: &mut Channel, choices: &[bool]) -> Vec<Block> {
+        let first = self.ctr;
+        let rows = Secret::new(self.fresh(ch, choices));
+        hash_rows(first, rows.expose())
     }
 
-    /// Second half of [`OtReceiver::begin_recv`] for 128-bit messages:
-    /// read the masked pairs and unmask the chosen one.
-    pub fn finish_recv_blocks(
-        &mut self,
-        ch: &mut Channel,
-        pads: &[Block],
-        choices: &[bool],
-    ) -> Vec<Block> {
-        let masked = ch.recv_u128_vec(choices.len() * 2);
-        choices
-            .iter()
-            .enumerate()
-            .map(|(j, &c)| {
-                let picked =
-                    u128::ct_select(CtChoice::from_bool(c), masked[2 * j + 1], masked[2 * j]);
-                Block(picked) ^ pads[j]
-            })
-            .collect()
+    /// First half of a receive: draw the rows for `choices`. This is
+    /// *send-only* on the receiver side (banked: packed correction bits
+    /// `d = c ⊕ c'`, uniform and independent of `c`; fresh: the column
+    /// bundle), so it can be staged before other incoming traffic is read —
+    /// protocol layers use this to batch all receiver-side OT messages of
+    /// a round into one super-frame before blocking on the sender's
+    /// corrections. Finish with [`OtReceiver::finish_recv_labels`] /
+    /// [`OtReceiver::finish_recv_words`] in the same order relative to the
+    /// peer's sends.
+    pub fn begin_recv(&mut self, ch: &mut Channel, choices: &[bool]) -> RecvRows {
+        let m = choices.len();
+        let (first, rows) = if self.bank.covers(m) {
+            let (first, taken) = self.bank.take(m);
+            // XOR of two bools is branchless; d is uniform because c' is.
+            let pairs = taken.expose().iter().zip(choices);
+            let (d, rows): (Vec<bool>, Vec<Block>) =
+                pairs.map(|(&(cp, t), &c)| (c ^ cp, t)).unzip();
+            ch.send_bool_slice(&d);
+            (first, rows)
+        } else {
+            (self.ctr, self.fresh(ch, choices))
+        };
+        RecvRows {
+            first,
+            rows: Secret::new(rows),
+            choices: Secret::new(choices.to_vec()),
+        }
     }
 
     /// Second half of [`OtReceiver::begin_recv`] against
-    /// [`OtSender::send_words`]: `pad_j + c_j·word_j mod 2^ℓ`, the word
-    /// masked in or out branchlessly. Reads `choices.len()` fixed-stride
-    /// words — nothing for an empty batch.
+    /// [`OtSender::send_labels`]: each row XOR its correction,
+    /// `L⁰_j ⊕ c_j·Δ`.
+    pub fn finish_recv_labels(&self, ch: &mut Channel, rows: RecvRows) -> Secret<Vec<Block>> {
+        let rows = rows.rows.expose();
+        let y = ch.recv_u128_vec(rows.len());
+        Secret::new(rows.iter().zip(y).map(|(&t, y)| t ^ Block(y)).collect())
+    }
+
+    /// Second half of [`OtReceiver::begin_recv`] against
+    /// [`OtSender::send_words`] with the same `width`: per OT the pad's
+    /// words, plus `c_j·word` on the first `width(j)`, masked in or out
+    /// branchlessly. Reads Σ `width(j)` fixed-stride words — nothing for an
+    /// empty batch.
     pub fn finish_recv_words(
-        &mut self,
+        &self,
         ch: &mut Channel,
         ring: RingCtx,
-        pads: &[Block],
-        choices: &[bool],
-    ) -> Secret<Vec<u64>> {
+        rows: RecvRows,
+        width: impl Fn(usize) -> usize,
+    ) -> Secret<Vec<[u64; 2]>> {
+        let pads = Secret::new(hash_rows(rows.first, rows.rows.expose()));
+        let choices = rows.choices.expose();
         let stride = word_bytes(ring);
-        let mut raw = vec![0u8; stride * choices.len()];
+        let mut raw = vec![0u8; stride * (0..choices.len()).map(&width).sum::<usize>()];
         ch.recv_into(&mut raw);
-        let words = raw.chunks_exact(stride);
-        let outs = words.zip(pads).zip(choices).map(|((word, pad), &c)| {
-            let mut le = [0u8; 8];
-            le[..stride].copy_from_slice(word);
-            let word = u64::from_le_bytes(le) & CtChoice::from_bool(c).mask_u64();
-            ring.add(pad.0 as u64, word)
+        let mut wire = raw.chunks_exact(stride);
+        let per_ot = pads.expose().iter().zip(choices);
+        let outs = per_ot.enumerate().map(|(j, (&pad, &c))| {
+            let (mut out, mask) = (words(ring, pad), CtChoice::from_bool(c).mask_u64());
+            for o in out.iter_mut().take(width(j)) {
+                let mut le = [0u8; 8];
+                le[..stride].copy_from_slice(wire.next().expect("one word per slot"));
+                *o = ring.add(*o, u64::from_le_bytes(le) & mask);
+            }
+            out
         });
         Secret::new(outs.collect())
     }
 
-    /// Receive chosen 128-bit messages. The unchosen branch is read too and
-    /// discarded via [`CtSelect`], so memory access does not index on the
-    /// choice bit.
-    pub fn recv_blocks(&mut self, ch: &mut Channel, choices: &[bool]) -> Vec<Block> {
-        let pads = self.begin_recv(ch, choices);
-        self.finish_recv_blocks(ch, &pads, choices)
-    }
-
-    /// [`OtReceiver::recv_blocks`] against [`OtSender::send_bytes`]: the
-    /// chosen blocks as 16-byte strings. `len` must be 16.
+    /// The receiving half of [`OtSender::send_bytes`]: the chosen messages
+    /// as 16-byte strings. `len` must be 16.
     pub fn recv_bytes(&mut self, ch: &mut Channel, choices: &[bool], len: usize) -> Vec<Vec<u8>> {
         assert_eq!(len, 16, "OT messages are 16-byte blocks");
-        let blocks = self.recv_blocks(ch, choices);
-        blocks.iter().map(|b| b.to_bytes().to_vec()).collect()
+        let rows = self.begin_recv(ch, choices);
+        let got = self.finish_recv_words(ch, RingCtx::new(64), rows, |_| 2);
+        let base = ch.recv_u64_vec(2 * choices.len());
+        let chosen = got.expose().iter().zip(base.chunks_exact(2)).map(|(g, b)| {
+            let (lo, hi) = (g[0].wrapping_add(b[0]), g[1].wrapping_add(b[1]));
+            Block(u128::from(lo) | u128::from(hi) << 64)
+                .to_bytes()
+                .to_vec()
+        });
+        chosen.collect()
     }
 }
 
@@ -428,13 +482,15 @@ mod tests {
         // goes for a zero-sized bank (a shape whose walk draws nothing in
         // one direction). The marker exchange after the empty batches
         // proves the streams still align.
+        let ring = RingCtx::new(32);
         let (a, b, stats) = run_protocol(
             |ch| {
                 let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(40), TweakHasher::Aes);
                 let before = ch.stats().total_bytes();
                 s.send_bytes(ch, &[]);
-                s.send_blocks(ch, &[]);
-                assert!(s.send_words(ch, RingCtx::new(32), &[]).expose().is_empty());
+                s.send_labels(ch, &[]);
+                let r = s.send_words(ch, ring, 0, |_| 1, |_| unreachable!("no OTs"));
+                assert!(r.expose().is_empty());
                 s.bank(ch, 0);
                 assert_eq!(s.bank_remaining(), 0);
                 assert_eq!(ch.stats().total_bytes(), before, "empty batch sent bytes");
@@ -445,9 +501,13 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(41);
                 let mut r = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
                 assert!(r.recv_bytes(ch, &[], 16).is_empty());
-                assert!(r.recv_blocks(ch, &[]).is_empty());
-                let words = r.finish_recv_words(ch, RingCtx::new(32), &[], &[]);
-                assert!(words.expose().is_empty());
+                let rows = r.begin_recv(ch, &[]);
+                assert!(r.finish_recv_labels(ch, rows).expose().is_empty());
+                let rows = r.begin_recv(ch, &[]);
+                assert!(r
+                    .finish_recv_words(ch, ring, rows, |_| 1)
+                    .expose()
+                    .is_empty());
                 r.bank(ch, 0, &mut rng);
                 assert_eq!(r.bank_remaining(), 0);
                 ch.send_u64(0xB0B);
@@ -459,40 +519,96 @@ mod tests {
         assert!(stats.total_bytes() > 0); // setup + markers still flowed
     }
 
+    /// Label OTs: the receiver ends with `L⁰_j ⊕ c_j·Δ` for the sender's
+    /// `label_delta()` Δ (low bit 1), fresh and banked, and each OT sends
+    /// one 16-byte correction. Online, a banked batch costs its packed
+    /// correction bits plus those corrections and nothing else.
     #[test]
-    fn chosen_blocks_transfer() {
-        let pairs: Vec<(Block, Block)> = (0..50u128).map(|i| (Block(i), Block(i + 1000))).collect();
-        let p2 = pairs.clone();
-        let choices: Vec<bool> = (0..50).map(|i| i % 3 == 0).collect();
-        let c2 = choices.clone();
-        let (_, got, _) = run_protocol(
-            move |ch| {
-                let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(40), TweakHasher::Aes);
-                s.send_blocks(ch, &p2);
-            },
-            move |ch| {
-                let mut r = OtReceiver::setup(ch, &mut StdRng::seed_from_u64(41), TweakHasher::Aes);
-                r.recv_blocks(ch, &c2)
-            },
-        );
-        for j in 0..50 {
-            let want = if choices[j] { pairs[j].1 } else { pairs[j].0 };
-            assert_eq!(got[j], want);
+    fn labels_ride_the_correlation() {
+        for m in [1usize, 7, 64, 1000] {
+            for banked in [false, true] {
+                let mut rng = StdRng::seed_from_u64(m as u64);
+                let zeros: Vec<Block> = (0..m).map(|_| Block::random(&mut rng)).collect();
+                let choices: Vec<bool> = (0..m).map(|_| rng.gen()).collect();
+                let (z2, c2) = (zeros.clone(), choices.clone());
+                let (delta, got, stats) = run_protocol(
+                    move |ch| {
+                        ch.set_phase(Phase::Offline);
+                        let mut s =
+                            OtSender::setup(ch, &mut StdRng::seed_from_u64(80), TweakHasher::Aes);
+                        s.bank(ch, if banked { m } else { 0 });
+                        ch.set_phase(Phase::Online);
+                        s.send_labels(ch, &z2);
+                        assert_eq!(s.bank_remaining(), 0);
+                        s.label_delta().expose_block()
+                    },
+                    move |ch| {
+                        ch.set_phase(Phase::Offline);
+                        let mut rng = StdRng::seed_from_u64(81);
+                        let mut r = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
+                        r.bank(ch, if banked { m } else { 0 }, &mut rng);
+                        ch.set_phase(Phase::Online);
+                        let rows = r.begin_recv(ch, &c2);
+                        r.finish_recv_labels(ch, rows).expose().clone()
+                    },
+                );
+                assert!(delta.lsb(), "Δ carries the point-and-permute bit");
+                for j in 0..m {
+                    let want = if choices[j] {
+                        zeros[j] ^ delta
+                    } else {
+                        zeros[j]
+                    };
+                    assert_eq!(got[j], want, "m = {m}, banked {banked}, instance {j}");
+                }
+                let (bits, corrections) = (m.div_ceil(8) as u64, 16 * m as u64);
+                let request = if banked { bits } else { KAPPA as u64 * bits };
+                assert_eq!(stats.online_bytes, request + corrections, "m = {m}");
+            }
         }
     }
 
-    /// The byte-string calls are the block OT under another type: on the
-    /// same seeds, 16-byte strings through `send_bytes` / `recv_bytes` and
-    /// the same messages as blocks through `send_blocks` / `recv_blocks`
-    /// put byte-identical streams on the wire in both directions, inline
-    /// and banked.
+    /// Chosen 16-byte messages, inline: the receiver gets the one it chose.
     #[test]
-    fn send_bytes_is_the_block_ot() {
+    fn chosen_blocks_transfer() {
+        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..50u128)
+            .map(|i| (Block(i).to_bytes().to_vec(), Block(!i).to_bytes().to_vec()))
+            .collect();
+        let p2 = pairs.clone();
+        let choices: Vec<bool> = (0..50).map(|i| i % 3 == 0).collect();
+        let c2 = choices.clone();
+        let (_, got, stats) = run_protocol(
+            move |ch| {
+                let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(40), TweakHasher::Aes);
+                ch.set_phase(Phase::Online);
+                s.send_bytes(ch, &p2);
+            },
+            move |ch| {
+                let mut r = OtReceiver::setup(ch, &mut StdRng::seed_from_u64(41), TweakHasher::Aes);
+                ch.set_phase(Phase::Online);
+                r.recv_bytes(ch, &c2, 16)
+            },
+        );
+        for j in 0..50 {
+            let want = if choices[j] { &pairs[j].1 } else { &pairs[j].0 };
+            assert_eq!(&got[j], want);
+        }
+        // The column bundle, the corrections and m₀ − r: 16 bytes each.
+        assert_eq!(stats.online_bytes, KAPPA as u64 * 7 + 2 * 16 * 50);
+    }
+
+    /// `send_bytes` is a width-2 word OT at ℓ = 64 followed by one message
+    /// of m₀ − r: on the same seeds, the byte calls and those two steps put
+    /// byte-identical streams on the wire in both directions, inline and
+    /// banked.
+    #[test]
+    fn send_bytes_is_a_word_ot() {
         let mut rng = StdRng::seed_from_u64(52);
         let blocks: Vec<(Block, Block)> = (0..40)
             .map(|_| (Block::random(&mut rng), Block::random(&mut rng)))
             .collect();
         let choices: Vec<bool> = (0..40).map(|_| rng.gen()).collect();
+        let ring = RingCtx::new(64);
         let capture = |bank: usize, as_bytes: bool| {
             let (pairs, c2) = (blocks.clone(), choices.clone());
             let ((), got, _, handle) = run_protocol_captured(
@@ -506,25 +622,37 @@ mod tests {
                             pairs.iter().map(|&(a, b)| (bytes(a), bytes(b))).collect();
                         s.send_bytes(ch, &pairs);
                     } else {
-                        s.send_blocks(ch, &pairs);
+                        let lanes: Vec<_> = pairs
+                            .iter()
+                            .map(|&(a, b)| (words(ring, a), words(ring, b)))
+                            .collect();
+                        let deltas = |_: &[[u64; 2]]| {
+                            let d = |(a, b): &([u64; 2], [u64; 2])| {
+                                [ring.sub(b[0], a[0]), ring.sub(b[1], a[1])]
+                            };
+                            lanes.iter().map(d).collect()
+                        };
+                        let r = s.send_words(ch, ring, lanes.len(), |_| 2, deltas);
+                        let base = lanes.iter().zip(r.expose());
+                        let base =
+                            base.flat_map(|((a, _), r)| (0..2).map(|k| ring.sub(a[k], r[k])));
+                        ch.send_u64_slice(&base.collect::<Vec<_>>());
                     }
                 },
                 move |ch| {
                     let mut rng = StdRng::seed_from_u64(54);
                     let mut r = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
                     r.bank(ch, bank, &mut rng);
-                    if as_bytes {
-                        let got = r.recv_bytes(ch, &c2, 16);
-                        got.iter()
-                            .map(|m| Block::from_bytes(m[..].try_into().unwrap()))
-                            .collect()
-                    } else {
-                        r.recv_blocks(ch, &c2)
-                    }
+                    let got = r.recv_bytes(ch, &c2, 16);
+                    got.iter()
+                        .map(|m| Block::from_bytes(m[..].try_into().unwrap()))
+                        .collect::<Vec<_>>()
                 },
             );
-            for (j, &(m0, m1)) in blocks.iter().enumerate() {
-                assert_eq!(got[j], if choices[j] { m1 } else { m0 }, "instance {j}");
+            if as_bytes {
+                for (j, &(m0, m1)) in blocks.iter().enumerate() {
+                    assert_eq!(got[j], if choices[j] { m1 } else { m0 }, "instance {j}");
+                }
             }
             let sent_by = |dir| -> Vec<Vec<u8>> {
                 let messages = handle.messages().into_iter();
@@ -576,41 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn banked_blocks_transfer_with_fewer_online_bytes() {
-        let pairs: Vec<(Block, Block)> = (0..64u128).map(|i| (Block(i), Block(i + 500))).collect();
-        let p2 = pairs.clone();
-        let choices: Vec<bool> = (0..64).map(|i| i % 5 == 0).collect();
-        let c2 = choices.clone();
-        let ((), got, stats) = run_protocol(
-            move |ch| {
-                ch.set_phase(Phase::Offline);
-                let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(80), TweakHasher::Aes);
-                s.bank(ch, 64);
-                ch.set_phase(Phase::Online);
-                s.send_blocks(ch, &p2);
-                assert_eq!(s.bank_remaining(), 0);
-            },
-            move |ch| {
-                ch.set_phase(Phase::Offline);
-                let mut r = OtReceiver::setup(ch, &mut StdRng::seed_from_u64(81), TweakHasher::Aes);
-                r.bank(ch, 64, &mut StdRng::seed_from_u64(82));
-                ch.set_phase(Phase::Online);
-                r.recv_blocks(ch, &c2)
-            },
-        );
-        for j in 0..64 {
-            let want = if choices[j] { pairs[j].1 } else { pairs[j].0 };
-            assert_eq!(got[j], want, "instance {j}");
-        }
-        // Online: 8 bytes of packed corrections + 2·64·16 masked bytes —
-        // far below the 16m-byte column bundle of an inline extension.
-        // The phase-tagged counters make this exact and race-free: each
-        // frame is attributed to the phase its sender was in.
-        assert_eq!(stats.online_bytes, 8 + 2 * 64 * 16);
-        assert!(stats.offline_bytes > 0, "bootstrap traffic must be tagged");
-    }
-
-    #[test]
     fn banked_bytes_transfer() {
         let pairs: Vec<(Vec<u8>, Vec<u8>)> =
             (0..10u8).map(|i| (vec![i; 16], vec![i + 50; 16])).collect();
@@ -637,13 +730,16 @@ mod tests {
 
     /// Correlated words: the receiver ends with `r + c·Δ mod 2^ℓ`, fresh
     /// and banked, at widths on both sides of a byte boundary and at the
-    /// full 64 bits, where neither the mask nor `Δ = x << 63` may overflow.
+    /// full 64 bits, where neither the mask nor `Δ = x << 63` may overflow;
+    /// OTs alternate between one and two words.
     #[test]
     fn correlated_words_add_delta_where_chosen() {
+        let width = |j: usize| 1 + j % 2;
         for (ell, bank) in [(1, 0), (20, 40), (32, 0), (32, 40), (64, 0), (64, 40)] {
             let ring = RingCtx::new(ell);
-            let deltas: Vec<u64> = (0..40u64)
-                .map(|j| ring.reduce(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(j + 1) << (j % 64)))
+            let deltas: Vec<[u64; 2]> = (0..40u64)
+                .map(|j| 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(j + 1) << (j % 64))
+                .map(|d| [ring.reduce(d), ring.reduce(d.rotate_left(17))])
                 .collect();
             let choices: Vec<bool> = (0..40).map(|j| j % 3 != 1).collect();
             let (want, c2) = (deltas.clone(), choices.clone());
@@ -653,7 +749,7 @@ mod tests {
                         OtSender::setup(ch, &mut StdRng::seed_from_u64(90), TweakHasher::Aes);
                     s.bank(ch, bank);
                     ch.set_phase(Phase::Online);
-                    let r = s.send_words(ch, ring, &deltas);
+                    let r = s.send_words(ch, ring, 40, width, |_| deltas);
                     assert_eq!(s.bank_remaining(), 0);
                     r.expose().clone()
                 },
@@ -662,18 +758,21 @@ mod tests {
                     let mut r = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
                     r.bank(ch, bank, &mut rng);
                     ch.set_phase(Phase::Online);
-                    let pads = r.begin_recv(ch, &c2);
-                    r.finish_recv_words(ch, ring, &pads, &c2).expose().clone()
+                    let rows = r.begin_recv(ch, &c2);
+                    r.finish_recv_words(ch, ring, rows, width).expose().clone()
                 },
             );
             for j in 0..40 {
-                let add = if choices[j] { want[j] } else { 0 };
-                assert_eq!(got[j], ring.add(r[j], add), "ℓ = {ell}, instance {j}");
-                assert_eq!(r[j], ring.reduce(r[j]));
+                for k in 0..width(j) {
+                    let add = if choices[j] { want[j][k] } else { 0 };
+                    assert_eq!(got[j][k], ring.add(r[j][k], add), "ℓ = {ell}, instance {j}");
+                    assert_eq!(r[j][k], ring.reduce(r[j][k]));
+                }
             }
-            // Banked: 5 bytes of corrections, then one ⌈ℓ/8⌉-byte word per OT.
+            // Banked: 5 bytes of corrections, then one ⌈ℓ/8⌉-byte word per
+            // word: 60 words over the 40 OTs.
             if bank > 0 {
-                assert_eq!(stats.online_bytes, 5 + 40 * u64::from(ell.div_ceil(8)));
+                assert_eq!(stats.online_bytes, 5 + 60 * u64::from(ell.div_ceil(8)));
             }
         }
     }
@@ -682,25 +781,33 @@ mod tests {
     fn exhausted_bank_falls_back_inline() {
         // Bank covers only the first batch; the second falls back to a
         // fresh extension on both sides without desynchronizing.
-        let mk = |i: u128| (Block(i), Block(i + 77));
-        let (_, (got1, got2), _) = run_protocol(
+        let zeros: Vec<Block> = (0..6u128).map(|i| Block(i << 8)).collect();
+        let z2 = zeros.clone();
+        let (delta, (got1, got2), _) = run_protocol(
             move |ch| {
                 let mut s = OtSender::setup(ch, &mut StdRng::seed_from_u64(86), TweakHasher::Aes);
                 s.bank(ch, 4);
-                s.send_blocks(ch, &[mk(0), mk(1), mk(2), mk(3)]);
+                s.send_labels(ch, &z2[..4]);
                 assert_eq!(s.bank_remaining(), 0);
-                s.send_blocks(ch, &[mk(10), mk(11)]);
+                s.send_labels(ch, &z2[4..]);
+                s.label_delta().expose_block()
             },
             move |ch| {
                 let mut r = OtReceiver::setup(ch, &mut StdRng::seed_from_u64(87), TweakHasher::Aes);
                 r.bank(ch, 4, &mut StdRng::seed_from_u64(88));
-                let a = r.recv_blocks(ch, &[true, false, true, false]);
-                let b = r.recv_blocks(ch, &[false, true]);
+                let rows = r.begin_recv(ch, &[true, false, true, false]);
+                let a = r.finish_recv_labels(ch, rows).expose().clone();
+                let rows = r.begin_recv(ch, &[false, true]);
+                let b = r.finish_recv_labels(ch, rows).expose().clone();
                 (a, b)
             },
         );
-        assert_eq!(got1, vec![Block(77), Block(1), Block(79), Block(3)]);
-        assert_eq!(got2, vec![Block(10), Block(88)]);
+        let flip = |j: usize, c: bool| if c { zeros[j] ^ delta } else { zeros[j] };
+        assert_eq!(
+            got1,
+            vec![flip(0, true), flip(1, false), flip(2, true), flip(3, false)]
+        );
+        assert_eq!(got2, vec![flip(4, false), flip(5, true)]);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! * `ext` (private) — the OT-extension engine, generic over the row width:
 //!   per-column PRGs keyed by seed OTs, column expansion and masking,
 //!   the bit-matrix transpose into per-instance rows, and the single-use
-//!   bank type for IKNP's precomputed instances. Its pool thresholds are
+//!   bank type for IKNP's precomputed rows. Its pool thresholds are
 //!   the only ones in this crate's extension path.
-//! * [`iknp`] — IKNP OT extension: the engine at κ = 128 columns. As
-//!   16-byte block OTs it powers garbled-circuit input transfer and every
-//!   switch of the oblivious switching network in `secyan-oep`; as
-//!   correlated ℓ-bit words, the share multiplication of `secyan-core`'s
-//!   reduce-join. Either way each message is masked by its pad.
+//! * [`iknp`] — IKNP OT extension: the engine at κ = 128 columns, one
+//!   message per OT. As label OTs on the rows' own correlation it powers
+//!   garbled-circuit input transfer; as correlated ℓ-bit words, every
+//!   switch of the oblivious switching network in `secyan-oep` and the
+//!   share multiplication of `secyan-core`'s reduce-join.
 //! * [`kkrt`] — KKRT batched oblivious PRF (BaRK-OPRF): the engine at 512
 //!   columns, seeded by 512 random OTs extended from IKNP rather than by
 //!   base OTs, and extended inline on every batch (never banked; the
@@ -24,8 +24,8 @@
 //! IKNP and KKRT differ only in *code* and *hash*. Both leave the sender
 //! with rows `q_j = t_j ⊕ (code_j & s)` against the receiver's `t_j`. IKNP
 //! encodes a choice bit with the repetition code (all-zeros or all-ones),
-//! so `q_j ∈ {t_j, t_j ⊕ s}` and hashing both candidates gives the two OT
-//! pads; KKRT encodes an arbitrary input with a pseudorandom code `C`, so
+//! so `q_j ∈ {t_j, t_j ⊕ s}`: the row itself carries a garbled-circuit
+//! label, and hashing both candidates gives the two pads of a word OT; KKRT encodes an arbitrary input with a pseudorandom code `C`, so
 //! the sender can recompute the receiver's row for any candidate `y` as
 //! `q_j ⊕ (C(y) & s)` and hash that — an OPRF. Everything else (seeding
 //! the column PRGs, expansion, transpose) is shared.
@@ -38,7 +38,7 @@ mod ext;
 pub mod iknp;
 pub mod kkrt;
 
-pub use iknp::{OtReceiver, OtSender};
+pub use iknp::{OtReceiver, OtSender, RecvRows};
 pub use kkrt::{KkrtReceiver, KkrtSender, KkrtSenderKey};
 
 /// Wire goldens: SHA-256 per direction of fixed-seed IKNP exchanges,
@@ -46,11 +46,15 @@ pub use kkrt::{KkrtReceiver, KkrtSender, KkrtSenderKey};
 /// were recorded at the commit before the two extensions were folded onto
 /// one engine, so they move only when what this crate puts on the wire
 /// moves — a drift shows up here rather than three layers up in the
-/// query-level transcript goldens. The correlated-word row was recorded
-/// with the kernel; the two IKNP sender-side digests when chosen messages
-/// lost their PRG expansion (one value: inline and banked send the same
-/// pads); the KKRT row when the KKRT seeds came from an IKNP extension
-/// instead of 512 base OTs (it includes the IKNP bootstrap it runs on).
+/// query-level transcript goldens. The receiver-side digests of the three
+/// IKNP rows were recorded with the kernel, and the KKRT row's with the
+/// KKRT seeds coming from an IKNP extension. Every sender-side digest was
+/// recorded when every OT came to send one message: the sender's `s` has
+/// its low bit set and pad tweaks a domain bit, so all pads moved. The
+/// chosen 16-byte messages became a width-2 word OT plus one m₀ − r
+/// message, so that row's one 32·m-byte message is two of 16·m bytes
+/// (inline and banked still send the same bytes); every other length is
+/// unchanged.
 #[cfg(test)]
 mod wire_goldens {
     use crate::{KkrtReceiver, KkrtSender, OtReceiver, OtSender};
@@ -118,32 +122,35 @@ mod wire_goldens {
         const M: usize = 1000;
         let ring = RingCtx::new(20);
         let mut rng = StdRng::seed_from_u64(8);
-        let deltas: Vec<u64> = (0..M).map(|_| ring.random(&mut rng)).collect();
+        let deltas: Vec<[u64; 2]> = (0..M).map(|_| [ring.random(&mut rng), 0]).collect();
         let choices: Vec<bool> = (0..M).map(|_| rng.gen()).collect();
         let (want, c2) = (deltas.clone(), choices.clone());
         let (r, got, _, handle) = run_protocol_captured(
             move |ch| {
                 let mut s =
                     OtSender::setup(ch, &mut StdRng::seed_from_u64(13), TweakHasher::default());
-                let mut r = s.send_words(ch, ring, &deltas).expose().clone();
+                let mut r = s
+                    .send_words(ch, ring, M, |_| 1, |_| deltas.clone())
+                    .expose()
+                    .clone();
                 s.bank(ch, M);
-                r.extend_from_slice(s.send_words(ch, ring, &deltas).expose());
+                r.extend_from_slice(s.send_words(ch, ring, M, |_| 1, |_| deltas).expose());
                 r
             },
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(14);
                 let mut r = OtReceiver::setup(ch, &mut rng, TweakHasher::default());
-                let pads = r.begin_recv(ch, &c2);
-                let mut got = r.finish_recv_words(ch, ring, &pads, &c2).expose().clone();
+                let rows = r.begin_recv(ch, &c2);
+                let mut got = r.finish_recv_words(ch, ring, rows, |_| 1).expose().clone();
                 r.bank(ch, M, &mut rng);
-                let pads = r.begin_recv(ch, &c2);
-                got.extend_from_slice(r.finish_recv_words(ch, ring, &pads, &c2).expose());
+                let rows = r.begin_recv(ch, &c2);
+                got.extend_from_slice(r.finish_recv_words(ch, ring, rows, |_| 1).expose());
                 got
             },
         );
         for j in 0..2 * M {
-            let add = if choices[j % M] { want[j % M] } else { 0 };
-            assert_eq!(got[j], ring.add(r[j], add), "instance {j}");
+            let add = if choices[j % M] { want[j % M][0] } else { 0 };
+            assert_eq!(got[j][0], ring.add(r[j][0], add), "instance {j}");
         }
         (
             direction_digest(&handle, Role::Alice),
@@ -184,26 +191,26 @@ mod wire_goldens {
             (
                 "iknp inline",
                 iknp_digests(false),
-                "c395c69a14e82092962633858c2b545f8f2b281851079fa260ae6c11e019b21c",
+                "32a7ca1b3dd0056a09e963dc0ada7058effa28b7d1659d2eed758835c4b63d03",
                 "a7636eb63906245aa2621c777bb76e776eac3d08b00acfac4aef772dc7c8fe39",
             ),
             (
                 "iknp banked",
                 iknp_digests(true),
-                "c395c69a14e82092962633858c2b545f8f2b281851079fa260ae6c11e019b21c",
+                "32a7ca1b3dd0056a09e963dc0ada7058effa28b7d1659d2eed758835c4b63d03",
                 "14b87eb54864131e4ee39ffb1c3a343567be6ad9c024b299b4be4d328bfd1232",
             ),
             (
                 "iknp words inline then banked",
                 word_digests(),
-                "368d88d04bf4c2b379306b6a525f400f8ab31b61d311acf52452388a3b99c748",
+                "340219514760a365fee26aa27e0fbd1e8254059c7ee66f856a451aea431ef3d7",
                 "c0b08d3e8861804510d8ea7fbcc91cb5a705637b525cb4b0cc46f68377704458",
             ),
             (
                 "kkrt inline",
                 kkrt_digests(),
                 "48d86b6d8790815948c98f46e0bea8de134ec098e9f74b733ce772ca16a33551",
-                "47fc24963bdc8b63392e9d71ba08e3a3723ab9528fde993a4d49c7361eb8c14c",
+                "7d21b23ca9e1f82001a74216dd0b7e74019c8826bf02afd02ba0b0c1f9fd6cf8",
             ),
         ];
         for (what, (alice, bob), want_alice, want_bob) in runs {

@@ -34,6 +34,31 @@ pub fn send_with_secret_len(ch: &mut Channel, s: Secret<usize>) {
     ch.send_with(8 * n, |buf| buf.fill(0));
 }
 
+/// A label-correction batch cut at a secret length: Δ's low byte picks
+/// how many corrections go out.
+pub fn send_labels_secret_len(ch: &mut Channel, ot: &mut OtSender, zero: &[Block]) {
+    let delta = ot.label_delta();
+    let n = delta.0 as usize & 0xff;
+    // ct-expect: COMM INDEX
+    ot.send_labels(ch, &zero[..n]);
+}
+
+/// A word-OT correction batch sized by a raw IKNP row.
+pub fn send_words_row_len(ch: &mut Channel, ot: &mut OtSender, ring: RingCtx) {
+    let (_, rows) = ot.draw_rows(ch, 4);
+    let n = rows.first().0 as usize;
+    // ct-expect: COMM
+    let deltas = vec![[0u64; 2]; n];
+    ot.send_words(ch, ring, 4, |_| 1, |_| deltas);
+}
+
+/// Clean twin: label corrections for a public count of wires.
+pub fn send_labels_public_len(ch: &mut Channel, ot: &mut OtSender, zero: &[Block], wires: usize) {
+    let delta = ot.label_delta();
+    let _ = delta;
+    ot.send_labels(ch, &zero[..wires]);
+}
+
 /// Clean twin: the length is public shape, and `fill` writes into a
 /// buffer of exactly that length — what it writes may be anything.
 pub fn send_with_public_len(ch: &mut Channel, rows: usize, s: Secret<u64>) {

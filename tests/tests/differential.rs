@@ -144,11 +144,13 @@ fn q8_transcript() -> Vec<(Role, Vec<u8>)> {
 
 /// Single-phase wire behaviour is pinned byte for byte: these digests of
 /// `run_secure`'s per-direction transcripts only move when what a
-/// bank-less run puts on the wire moves. Recorded when the KKRT seeds came
-/// from the session's IKNP extensions: against the recording before it,
-/// each direction's message lengths are the old ones except that the KKRT
-/// base-OT pair (16 B, 8 192 B) is one 8 192-byte IKNP column bundle. The
-/// bytes after setup all moved, because every pad and OPRF output did.
+/// bank-less run puts on the wire moves. Recorded when every OT came to
+/// send one message: against the recording before it, each direction's
+/// message lengths are the old ones except the OT corrections. A label
+/// batch of m OTs sends 16·m bytes where it sent 32·m; an OSN's switch
+/// batch sends 2·⌈ℓ/8⌉ bytes per permutation switch and ⌈ℓ/8⌉ per
+/// duplication switch where it sent 32 per switch. The bytes after setup
+/// all moved, because Δ, every pad and every OPRF output did.
 /// (`gc_layer_wire_goldens` in `secyan-core` pins the circuits.)
 #[test]
 fn single_phase_transcript_goldens() {
@@ -156,28 +158,28 @@ fn single_phase_transcript_goldens() {
     let goldens = [
         (
             run(Instance::generate(3)),
-            "898085d1b0d711bbf0f0ef83700a1b1c457c77a963234c279c5b3afe9d24b381",
-            "d2492177d82c8a77b5185cbad979f08a1b7ab1cbe01aca369c54fa3c4bcd4dd8",
+            "f5a2868f24e0b4dd2527ded79cc381b2c1a2c6e81e9d706c068b6290bec9a32d",
+            "b6fc1e99c72e11cfae72e12e08f6015fc32553d398b3a7fa943391cfd2e170be",
         ),
         (
             run(Instance::generate(7)),
-            "d21d823be486d2af9f8fd818857986581b99276c9d64e296e76d5449538e2506",
-            "4ab547e2a3106a8ecede9b39ee40c005a9b4b0549a69eefbb0a2dce35c1739df",
+            "51f7087627632e49b429fe6e855bc64409e58cfe16ed138ca7f4a7074cd7d750",
+            "ff8a5a2ce4b0fae5468c87e1e8ca4ed9294a3cc4d8ed820e268d28997f860355",
         ),
         (
             run(Instance::generate(18)),
-            "0669bee0ab297693984ac08c82dbb8b57b4b821b75d371a553bb45081548c85a",
-            "2b846704983e9f3edd44b90a884d3b60587e0d2e10556a1e25f8bf8471aad92d",
+            "e8df30258fd119ebc74d7e3a25f00e20c89fb7bb1b96ace519dd7ed1c7717b81",
+            "bad6400a4e6e218f70d51754218ab291ee96a4758041b9dacbb1878a37ea6001",
         ),
         (
             run(Instance::generate_chain(1)),
-            "2f836220474da03cb990fdbb0f712c47a710708c509902148b5e83dc6f5b6605",
-            "5ef4e52c84b6222997256a55f3b4e1958ddc4cd029b525d3d38cf7cd85bb2456",
+            "8d2ff8671fd8996be2392ecd4009ffcfbbe78ea72c60c7b0166a12b575958a14",
+            "fdc02dbd4cb3ec41e1a3732696e5c4364d34734d27f94f1d965895d8d19a5280",
         ),
         (
             ("TPC-H Q8 at 0.02 MB".to_string(), q8_transcript()),
-            "b064ee9e459b55023b91632d580712677da66f8788987272459e38f0b4656867",
-            "40d794c3ba65b47d87558f5df91a7b572762627c5357a1b1cf890e30e1f53821",
+            "b42f5c7ea7843345a326f23d4bf87854854785913e51a9a680ebc67cdbfab17d",
+            "2a100d512442fcce7815c4daa14ddca2069d632c7e315c1c52e5082243df643d",
         ),
     ];
     for ((what, transcript), alice, bob) in goldens {
@@ -194,30 +196,29 @@ fn single_phase_transcript_goldens() {
 /// The phase-split sibling of [`single_phase_transcript_goldens`]: per
 /// phase and direction, the digest of what `run_offline` then `run_online`
 /// put on the wire — so the order in which banked OTs and pre-garbled
-/// circuits are drawn is pinned too. Recorded when KKRT stopped banking:
-/// against the recording before it, each offline length sequence lost its
-/// KKRT bank bundle (a party sent none when its peer keyed no batch), and
-/// each online sequence sends a 512 · ⌈m/8⌉-byte column bundle where a
-/// 64 · m-byte code correction was; every other length is unchanged.
+/// circuits are drawn is pinned too. Recorded when every OT came to send
+/// one message: against the recording before it, the offline length
+/// sequences are unchanged, and each online sequence differs only at the
+/// OT corrections, shrunk as in [`single_phase_transcript_goldens`].
 #[test]
 fn phase_split_transcript_goldens() {
     let goldens = [
         (
             Instance::generate(7),
             [
-                "2efb712b2c6da117a4bfd1fd6f0fa360dee2eb67f06aab17f32910ddf44ac379",
-                "bc57527ac3590847dd9186fd7e2f85142512f6cc55f56c8102e857c3e8146aad",
-                "3ba4d9ac954729d1710ec60711b637b5113db8ee293932585cb7b8d14df4b9c3",
-                "67fcda745cb2365b635a99dc08703df8c25d466ef0344d589da27d45e98a976e",
+                "ffd6bb1fed29c0576afdc3f6e4b22ed89a4086d510ca61a7f84f5ef48c02ee24",
+                "68985bf4a19c2fd9236ec498a4b0fd5132653499841069cfbd4e88ff2d3faf16",
+                "1ca48fc524d9ff9504457d99aa034a118cb9f49b62f24c55d4e02fbe7ba57852",
+                "1af41e87df3095e5f1fe23598c2b4931c9dbfff342ff7ef5b771f0d57306ac6b",
             ],
         ),
         (
             Instance::generate_chain(1),
             [
-                "d8a363f7153203bf4502d9ce36da7ed76612e109f115448c3a9e63b3a58e7cad",
-                "8e780b048c713b6bc5fa5097b4e33ef99da83e95814e2ae3c905cb169706b0ad",
-                "d3b1e83c0876cf6f4164f83dd2e190738b3368afe24ac7bdf6302696379670aa",
-                "43d0a085596b1b150d6d2f7eba0715135043e08003324ea287d3aa8c8cf720ee",
+                "1826897a81b070b1f203efbb5f7e3d5ed3f4c1132637a4a488042dd865c80e6b",
+                "f417819a9e4f623b930f9b4e4f7b62f7c5f5cba18f96e1ad831ac893647759b5",
+                "1dbae3d344e44ba54c3cac03d8b81abf8dddeb14eb1f7c32a2e045040996b85e",
+                "e6178c498c12c6bc1e5e5f987f0da207ceb9bdd26191f4a1d501329eee73d334",
             ],
         ),
     ];

@@ -14,8 +14,12 @@
 //! surface at all. A seed-driven sweep is part of it: every outcome must
 //! be "correct result" or "typed error" — nothing else. See DESIGN.md §10.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use secyan_core::{secure_yannakakis, Session};
-use secyan_crypto::TweakHasher;
+use secyan_crypto::{Block, RingCtx, TweakHasher};
+use secyan_oep::{shared_oep_other, shared_oep_perm_holder};
+use secyan_ot::{OtReceiver, OtSender};
 use secyan_testkit::{
     oracle, run_secure, run_secure_on, try_run_secure_on, Instance, Run, SecureRun,
 };
@@ -106,6 +110,7 @@ battery!(
     seeded_fault_sweep_is_always_typed_or_correct,
     secrets_are_dropped_on_the_error_path,
     session_setup_faults_are_typed_within_the_deadline,
+    truncated_ot_corrections_are_typed_within_the_deadline,
 );
 
 /// Per-direction *wire frame* counts of a clean run, for placing faults
@@ -155,6 +160,61 @@ fn session_setup_faults_are_typed_within_the_deadline(wire: Wire) {
                 started.elapsed()
             );
         }
+    }
+}
+
+/// One OT batch over `pair`, Alice sending: 100 label corrections when
+/// `labels`, else the switch corrections of an OSN (through the shared OEP
+/// it serves). Either way the corrections are the last message of Alice's
+/// last frame; returns her frame count.
+fn ot_batch(pair: (Channel, Channel), labels: bool) -> Result<u64, ProtocolError> {
+    const M: usize = 100;
+    let ring = RingCtx::new(32);
+    let outcome = try_run_protocol_on(
+        pair,
+        |ch: &mut Channel| {
+            let mut rng = StdRng::seed_from_u64(1);
+            let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::default());
+            match labels {
+                true => ot.send_labels(ch, &[Block(7); M]),
+                false => drop(shared_oep_other(ch, &[5; M], M, ring, &mut ot, &mut rng)),
+            }
+        },
+        |ch: &mut Channel| {
+            let mut rng = StdRng::seed_from_u64(2);
+            let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::default());
+            if labels {
+                let rows = ot.begin_recv(ch, &[true; M]);
+                drop(ot.finish_recv_labels(ch, rows));
+            } else {
+                let xi: Vec<usize> = (0..M).rev().collect();
+                drop(shared_oep_perm_holder(ch, &xi, &[0; M], ring, &mut ot));
+            }
+        },
+    );
+    outcome.map(|(_, _, stats)| stats.frames_alice_to_bob)
+}
+
+/// A label-correction batch and an OSN's switch-correction batch, each
+/// cut short by its last byte, end the run typed, well inside the
+/// deadline.
+fn truncated_ot_corrections_are_typed_within_the_deadline(wire: Wire) {
+    for labels in [true, false] {
+        let frames = ot_batch(wire.pair(), labels).expect("a clean batch succeeds");
+        // Truncation keeps at most all but the frame's last byte.
+        let cut = FaultKind::Truncate { keep: usize::MAX };
+        let plan = FaultPlan::single(Role::Alice, frames - 1, cut);
+        let started = Instant::now();
+        let outcome = ot_batch(faulted(wire.pair(), &plan), labels);
+        assert!(
+            matches!(outcome, Err(ProtocolError::Transport(_))),
+            "{plan:?} (labels: {labels}) surfaced as {outcome:?}"
+        );
+        assert!(
+            started.elapsed() < TCP_FAULT_TIMEOUT,
+            "{plan:?} took {:?} to surface",
+            started.elapsed()
+        );
     }
 }
 

@@ -19,6 +19,8 @@ mod common;
 use common::chain3_bench_instance;
 use secyan_core::{run_online_pooled, PreprocPool, QueryShape};
 use secyan_crypto::TweakHasher;
+use secyan_gc::evaluator_ot_count;
+use secyan_oep::EpNetwork;
 use secyan_psi::bin_count;
 use secyan_testkit::{
     canonical_result, oracle, run_secure, run_secure_on, session_seeds, Instance, Run, SecureRun,
@@ -73,12 +75,16 @@ fn chain3_online_super_rounds_golden() {
     );
 }
 
-/// KKRT extends inline in both phases. Against chain3's recording from
-/// when KKRT was banked offline and code-corrected online, the offline
-/// phase lost each direction's bank bundle (512 · ⌈K/8⌉ bytes for the K
-/// instances that direction keys), and each online batch of m instances
-/// sends its 512 · ⌈m/8⌉-byte column bundle in place of a 64 · m-byte
-/// code correction.
+/// KKRT extends inline in both phases, and every OT sends one message.
+/// Against chain3's recording from when KKRT was banked offline and
+/// code-corrected online and every OT sent two 16-byte messages, the
+/// offline phase lost each direction's KKRT bank bundle (512 · ⌈K/8⌉ bytes
+/// for the K instances that direction keys); each online KKRT batch of m
+/// instances sends its 512 · ⌈m/8⌉-byte column bundle in place of a
+/// 64 · m-byte code correction; each (banked) label OT sends one 16-byte
+/// correction where it sent 32; and each switch sends one ⌈ℓ/8⌉-byte word
+/// per output it routes — two for a permutation switch, one for a
+/// duplication switch — where it sent 32.
 #[test]
 fn kkrt_extends_inline_in_both_phases() {
     const BANKED_OFFLINE_BYTES: u64 = 1_667_232;
@@ -99,9 +105,45 @@ fn kkrt_extends_inline_in_both_phases() {
     let shape = QueryShape::derive(&inst.query(), &sizes, Role::Alice, 64);
     assert_eq!(shape.kkrt_budget, keyed[0].max(keyed[1]));
     let banks: u64 = keyed.into_iter().map(bundle).sum();
+    // Every circuit is planned, so the label OTs are their evaluator
+    // inputs. The OEPs: the first reduce-join routes its bins to R2's
+    // rows and the aggregation onto R1's join key sorts R2; the second PSI
+    // carries shared payloads, so its circuit sits between two OEPs over
+    // R2's rows plus the bins, and its reduce-join routes the bins to R1.
+    let labels: usize = shape
+        .planned
+        .iter()
+        .map(|pc| evaluator_ot_count(&pc.circuit))
+        .sum();
+    let (bins, ext) = (
+        [bin_count(sizes[1]), bin_count(sizes[0])],
+        sizes[1] + bin_count(sizes[0]),
+    );
+    let oeps = [
+        (bins[0], sizes[1]),
+        (sizes[1], sizes[1]),
+        (ext, ext),
+        (ext, bins[1]),
+        (bins[1], sizes[0]),
+    ];
+    let (mut perm, mut dup) = (0, 0);
+    for (n_in, n_out) in oeps {
+        let net = EpNetwork::new(n_in, n_out);
+        dup += net.width() - 1;
+        perm += net.switch_count() - (net.width() - 1);
+    }
+    // What the shape banks is exactly these plus the two reduce-joins'
+    // products: one plain term per receiver row, ℓ OTs each.
+    let ot = shape.ot.from_alice + shape.ot.from_bob;
+    assert_eq!(ot, labels + perm + dup + 64 * (sizes[1] + sizes[0]));
+    let word = 64 / 8;
+    let online_shrink = (16 * labels + (32 - 2 * word) * perm + (32 - word) * dup) as u64;
     let stats = run_secure_on(&inst, channel_pair(), PHASE_SPLIT).stats;
     assert_eq!(stats.offline_bytes, BANKED_OFFLINE_BYTES - banks);
-    assert_eq!(stats.online_bytes, BANKED_ONLINE_BYTES + online_growth);
+    assert_eq!(
+        stats.online_bytes,
+        BANKED_ONLINE_BYTES + online_growth - online_shrink
+    );
 }
 
 /// A pooled hit is `run_online` plus the one availability exchange, whose

@@ -14,9 +14,10 @@
 //! **Sources** of taint, followed by an intraprocedural, flow-insensitive
 //! worklist propagation over the bindings of each function:
 //! - results of calls on the source list ([`SOURCES`]) — `expose` (the
-//!   `Secret<T>` / `SecretBlock` declassification point), `draw_pads` (IKNP
-//!   pad derivation), `derive_key` (base-OT key derivation), `input_label`
-//!   (GC label lookup);
+//!   `Secret<T>` / `SecretBlock` declassification point), `draw_rows` (the
+//!   raw IKNP rows every OT is built on), `label_delta` (the free-XOR Δ),
+//!   `derive_key` (base-OT key derivation), `input_label` (GC label
+//!   lookup);
 //! - parameters whose names carry a marker word, in the secret scope.
 //!
 //! **Propagation**: `let` bindings, assignments (plain and compound),
@@ -43,12 +44,13 @@
 //!   logs;
 //! - `COMM` — the communication-shape rule: a secret in a
 //!   *length-determining position* of data that reaches `send` /
-//!   `send_blocks` / `send_bytes` (`vec![_; n]`, `with_capacity`,
-//!   `resize`, `truncate`, `take`, `set_len`, slice bounds, and
-//!   `to_le_bytes` length-header construction) — message lengths must be a
-//!   function of the public query shape only, the static mirror of the
-//!   transcript-invariance tests — and a send in a loop that also receives
-//!   or flushes: one wire round trip per iteration;
+//!   `send_labels` / `send_words` / `send_bytes` (`vec![_; n]`,
+//!   `with_capacity`, `resize`, `truncate`, `take`, `set_len`, slice
+//!   bounds, and `to_le_bytes` length-header construction) — message
+//!   lengths must be a function of the public query shape only, the
+//!   static mirror of the transcript-invariance tests — and a send in a
+//!   loop that also receives or flushes: one wire round trip per
+//!   iteration;
 //! - `PAR` — determinism of `secyan-par` dispatch closures: no RNG, no
 //!   channel I/O, no clocks, no spawns inside `pool.map`/`chunks_mut`/
 //!   `zip_chunks_mut`/`broadcast` closures (statically enforcing the
@@ -77,12 +79,18 @@ use std::ops::Range;
 const OK_TAG: &str = "ct-ok:";
 
 /// Call names whose results are secret-tainted: the reviewed source list.
-pub const SOURCES: &[&str] = &["expose", "draw_pads", "derive_key", "input_label"];
+pub const SOURCES: &[&str] = &[
+    "expose",
+    "draw_rows",
+    "label_delta",
+    "derive_key",
+    "input_label",
+];
 
 /// Send-like calls whose payload shape is wire-visible.
 const SEND_SINKS: &[&str] = &[
     "send",
-    "send_blocks",
+    "send_labels",
     "send_bytes",
     "send_with",
     "send_words",
