@@ -12,9 +12,9 @@
 
 use rand::Rng;
 use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit, Word};
-use secyan_gc::{evaluate_circuit, garble_circuit, OutputMode};
+use secyan_gc::{evaluate_circuit, garble_circuit};
 use secyan_ot::{OtReceiver, OtSender};
-use secyan_transport::{Channel, Role};
+use secyan_transport::{Channel, ReadExt, Role, WriteExt};
 
 /// One relation's public shape and private rows for the naive protocol.
 /// `rows[i] = (left_key, right_key, annotation)`; ends of the chain ignore
@@ -135,9 +135,9 @@ pub fn naive_gc_garbler<R: Rng + ?Sized>(
 ) -> u64 {
     let circuit = build_circuit(sizes, owners, key_bits, ell);
     let bits = pack_bits(sizes, owners, Role::Alice, my_rows, key_bits, ell);
-    let out = garble_circuit(ch, &circuit, &bits, ot, rng, OutputMode::RevealBoth)
-        .expect("reveal-both returns to garbler");
-    bits_to_u64(&out)
+    garble_circuit(ch, &circuit, &bits, ot, rng);
+    // The evaluator sends the decoded aggregate back.
+    bits_to_u64(&ch.recv_bool_vec(circuit.output_count()))
 }
 
 /// Evaluator (Bob) side. Returns the aggregate.
@@ -152,7 +152,8 @@ pub fn naive_gc_evaluator(
 ) -> u64 {
     let circuit = build_circuit(sizes, owners, key_bits, ell);
     let bits = pack_bits(sizes, owners, Role::Bob, my_rows, key_bits, ell);
-    let out = evaluate_circuit(ch, &circuit, &bits, ot, OutputMode::RevealBoth);
+    let out = evaluate_circuit(ch, &circuit, &bits, ot);
+    ch.send_bool_slice(&out);
     bits_to_u64(&out)
 }
 

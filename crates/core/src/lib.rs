@@ -43,9 +43,6 @@ pub use preproc::{
 };
 pub use protocol::{secure_yannakakis, QueryResult};
 pub use query::SecureQuery;
-/// Intra-party data parallelism (deterministic worker pool); see the
-/// `secyan-par` crate and DESIGN.md §9.
-pub use secyan_par as par;
 pub use session::Session;
 pub use shape::{PlannedCircuit, QueryShape, ShapeKey};
 pub use srel::SecureRelation;
@@ -72,7 +69,7 @@ mod gc_wire_goldens {
     use secyan_crypto::TweakHasher;
     use secyan_gc::{
         evaluate_banked, evaluate_offline, evaluate_shared_banked, garble_banked, garble_offline,
-        garble_shared_banked, OutputMode, SharedOutputSpec,
+        garble_shared_banked, SharedOutputSpec,
     };
     use secyan_ot::{OtReceiver, OtSender};
     use secyan_psi::{k_circuit, matching_circuit};
@@ -95,7 +92,6 @@ mod gc_wire_goldens {
         let a_bits: Vec<bool> = (masks..circuit.alice_inputs).map(|_| rng.gen()).collect();
         let b_bits: Vec<bool> = (0..circuit.bob_inputs).map(|_| rng.gen()).collect();
         let hasher = TweakHasher::default();
-        let mode = OutputMode::RevealToEvaluator;
         let (garbled, evaluated, _, handle) = run_protocol_captured(
             |ch| {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xa11ce);
@@ -108,7 +104,7 @@ mod gc_wire_goldens {
                 match spec {
                     Some(spec) => garble_shared_banked(ch, bank, circuit, spec, &a_bits, ot, rng),
                     None => {
-                        garble_banked(ch, bank, circuit, &a_bits, ot, rng, mode);
+                        garble_banked(ch, bank, circuit, &a_bits, ot, rng);
                         Vec::new()
                     }
                 }
@@ -123,7 +119,7 @@ mod gc_wire_goldens {
                 let (bank, ot) = (&mut bank, &mut ot);
                 match spec {
                     Some(spec) => evaluate_shared_banked(ch, bank, circuit, spec, &b_bits, ot),
-                    None => evaluate_banked(ch, bank, circuit, &b_bits, ot, mode)
+                    None => evaluate_banked(ch, bank, circuit, &b_bits, ot)
                         .iter()
                         .map(|&bit| bit as u64)
                         .collect(),

@@ -21,7 +21,7 @@ use secyan_circuit::Circuit;
 use secyan_crypto::{RingCtx, Secret, TweakHasher};
 use secyan_gc::{
     evaluate_banked, evaluate_shared_banked, garble_banked, garble_shared_banked, EvalMaterial,
-    GarbleMaterial, OutputMode, SharedOutputSpec,
+    GarbleMaterial, SharedOutputSpec,
 };
 use secyan_oep::{
     shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
@@ -166,13 +166,13 @@ impl<'a> Session<'a> {
         garbler: Role,
         my_inputs: &[bool],
     ) -> Option<Vec<bool>> {
-        let mode = OutputMode::RevealToEvaluator;
         if self.role() == garbler {
             let (bank, ot) = (&mut self.gc_garble, &mut self.ot_send);
-            garble_banked(self.ch, bank, circuit, my_inputs, ot, &mut self.rng, mode)
+            garble_banked(self.ch, bank, circuit, my_inputs, ot, &mut self.rng);
+            None
         } else {
             let (bank, ot) = (&mut self.gc_eval, &mut self.ot_recv);
-            Some(evaluate_banked(self.ch, bank, circuit, my_inputs, ot, mode))
+            Some(evaluate_banked(self.ch, bank, circuit, my_inputs, ot))
         }
     }
 

@@ -18,15 +18,6 @@
 use crate::aes::{fixed_key, PIPELINE_WIDTH};
 use crate::block::Block;
 use crate::secret::Zeroize;
-use secyan_par as par;
-
-/// Below this many blocks a batch hash runs serially — the pool dispatch
-/// would cost more than the AES work it spreads.
-const PAR_MIN_BLOCKS: usize = 2048;
-
-/// Below this many wide rows `hash_row_batch` runs serially. Rows carry
-/// N/16 AES calls each, so the bar is lower than for single blocks.
-const PAR_MIN_ROWS: usize = 512;
 
 /// The hash used at each garbled gate / OT row: fixed-key AES-128 in the
 /// tweaked MMO construction. A type with one value — there is nothing to
@@ -58,23 +49,19 @@ impl TweakHasher {
 
     /// Hash a slice of blocks, block `j` under tweak `tweak_base + j` —
     /// the shape of post-transpose IKNP row hashing. One kernel dispatch
-    /// per 8 blocks; large batches additionally split across the worker
-    /// pool (each element depends only on its own block and index, so the
-    /// chunk boundaries cannot change the output).
+    /// per 8 blocks.
     pub fn hash_batch(self, xs: &[Block], tweak_base: u64) -> Vec<Block> {
-        let mut out = vec![Block(0); xs.len()];
-        par::with_pool_if(
-            par::threads() > 1 && xs.len() >= 2 * PAR_MIN_BLOCKS,
-            |pool| {
-                pool.chunks_mut(&mut out, 1, PAR_MIN_BLOCKS, |off, chunk| {
-                    hash_batch_into(
-                        &xs[off..off + chunk.len()],
-                        tweak_base.wrapping_add(off as u64),
-                        chunk,
-                    );
-                });
-            },
-        );
+        let mut sig: Vec<u128> = xs.iter().map(|x| sigma(x.0)).collect();
+        let mut buf: Vec<u128> = sig
+            .iter()
+            .enumerate()
+            .map(|(j, &s)| s ^ tweak_base.wrapping_add(j as u64) as u128)
+            .collect();
+        fixed_key().encrypt_blocks(&mut buf);
+        let out = buf.iter().zip(&sig).map(|(&c, &s)| Block(c ^ s)).collect();
+        // The scratch holds σ(label) images — label material.
+        sig.zeroize();
+        buf.zeroize();
         out
     }
 
@@ -127,76 +114,38 @@ impl TweakHasher {
     /// Batched [`TweakHasher::hash_row`]: row `j` hashes under tweak
     /// `tweak_base + j`. All chains of a chunk of [`PIPELINE_WIDTH`] rows
     /// advance together, so every kernel dispatch carries a full pipeline
-    /// of independent blocks; large batches additionally split rows across
-    /// the worker pool (each row's chain is independent of its
-    /// neighbours).
+    /// of independent blocks.
     pub fn hash_row_batch<const N: usize>(self, tweak_base: u64, rows: &[[u8; N]]) -> Vec<u64> {
         const { assert!(N.is_multiple_of(16), "row length must be a multiple of 16") };
-        let mut out = vec![0u64; rows.len()];
-        par::with_pool_if(
-            par::threads() > 1 && rows.len() >= 2 * PAR_MIN_ROWS,
-            |pool| {
-                pool.chunks_mut(&mut out, 1, PAR_MIN_ROWS, |off, chunk| {
-                    hash_row_batch_into(
-                        tweak_base.wrapping_add(off as u64),
-                        &rows[off..off + chunk.len()],
-                        chunk,
+        let mut out = Vec::with_capacity(rows.len());
+        let mut h: Vec<u128> = Vec::with_capacity(PIPELINE_WIDTH);
+        let mut t = vec![0u128; PIPELINE_WIDTH];
+        for (c, chunk) in rows.chunks(PIPELINE_WIDTH).enumerate() {
+            h.clear();
+            h.extend(
+                (0..chunk.len())
+                    .map(|j| tweak_base.wrapping_add((c * PIPELINE_WIDTH + j) as u64) as u128),
+            );
+            for k in 0..N / 16 {
+                for (j, row) in chunk.iter().enumerate() {
+                    let m = u128::from_le_bytes(
+                        row[16 * k..16 * (k + 1)].try_into().expect("16 bytes"),
                     );
-                });
-            },
-        );
+                    t[j] = h[j] ^ m;
+                }
+                h.copy_from_slice(&t[..chunk.len()]);
+                fixed_key().encrypt_blocks(&mut h);
+                for j in 0..chunk.len() {
+                    h[j] ^= t[j];
+                }
+            }
+            out.extend(h.iter().map(|&x| x as u64));
+        }
+        // Chain state mixes OPRF row material; scrub it.
+        h.zeroize();
+        t.zeroize();
         out
     }
-}
-
-/// Serial kernel behind [`TweakHasher::hash_batch`].
-fn hash_batch_into(xs: &[Block], tweak_base: u64, out: &mut [Block]) {
-    let mut sig: Vec<u128> = xs.iter().map(|x| sigma(x.0)).collect();
-    let mut buf: Vec<u128> = sig
-        .iter()
-        .enumerate()
-        .map(|(j, &s)| s ^ tweak_base.wrapping_add(j as u64) as u128)
-        .collect();
-    fixed_key().encrypt_blocks(&mut buf);
-    for (o, (&c, &s)) in out.iter_mut().zip(buf.iter().zip(&sig)) {
-        *o = Block(c ^ s);
-    }
-    // The scratch holds σ(label) images — label material.
-    sig.zeroize();
-    buf.zeroize();
-}
-
-/// Serial kernel behind [`TweakHasher::hash_row_batch`].
-fn hash_row_batch_into<const N: usize>(tweak_base: u64, rows: &[[u8; N]], out: &mut [u64]) {
-    let mut pos = 0;
-    let mut h: Vec<u128> = Vec::with_capacity(PIPELINE_WIDTH);
-    let mut t = vec![0u128; PIPELINE_WIDTH];
-    for (c, chunk) in rows.chunks(PIPELINE_WIDTH).enumerate() {
-        h.clear();
-        h.extend(
-            (0..chunk.len())
-                .map(|j| tweak_base.wrapping_add((c * PIPELINE_WIDTH + j) as u64) as u128),
-        );
-        for k in 0..N / 16 {
-            for (j, row) in chunk.iter().enumerate() {
-                let m =
-                    u128::from_le_bytes(row[16 * k..16 * (k + 1)].try_into().expect("16 bytes"));
-                t[j] = h[j] ^ m;
-            }
-            h.copy_from_slice(&t[..chunk.len()]);
-            fixed_key().encrypt_blocks(&mut h);
-            for j in 0..chunk.len() {
-                h[j] ^= t[j];
-            }
-        }
-        for (o, &x) in out[pos..].iter_mut().zip(h.iter()) {
-            *o = x as u64;
-        }
-        pos += chunk.len();
-    }
-    // Chain state mixes OPRF row material; scrub it.
-    h.zeroize();
-    t.zeroize();
 }
 
 #[cfg(test)]
@@ -265,29 +214,6 @@ mod tests {
         }
         assert_ne!(H.hash_row(1, &rows[0]), H.hash_row(2, &rows[0]));
         assert_ne!(H.hash_row(1, &rows[0]), H.hash_row(1, &rows[1]));
-    }
-
-    #[test]
-    fn batch_hashing_is_thread_count_invariant() {
-        // Batches big enough to cross the parallel thresholds must agree
-        // with the serial result exactly, at several thread counts.
-        let xs: Vec<Block> = (0..6000u128).map(|i| Block(i * 0x9e37_79b9 + 7)).collect();
-        let rows: Vec<[u8; 64]> = (0..1500u64)
-            .map(|i| {
-                let mut r = [0u8; 64];
-                r[..8].copy_from_slice(&i.to_le_bytes());
-                r
-            })
-            .collect();
-        secyan_par::set_threads(1);
-        let want_b = H.hash_batch(&xs, 9);
-        let want_r = H.hash_row_batch(9, &rows);
-        for n in [2, 4] {
-            secyan_par::set_threads(n);
-            assert_eq!(H.hash_batch(&xs, 9), want_b, "threads={n}");
-            assert_eq!(H.hash_row_batch(9, &rows), want_r, "threads={n}");
-        }
-        secyan_par::set_threads(0);
     }
 
     #[test]

@@ -6,15 +6,6 @@
 //! first, matching the wire encoding in `secyan-transport`.
 
 use crate::cpu;
-use secyan_par as par;
-
-/// Don't split a transpose into pieces smaller than this many output bytes:
-/// below it the dispatch overhead beats the win. The movemask kernels move
-/// roughly an order of magnitude more bytes per cycle than the old scalar
-/// loop did, so the break-even chunk is correspondingly larger than the
-/// scalar loop's 4 KiB. `crypto.transpose_ns_per_kbit` in `sybench/`
-/// times the kernel this threshold gates.
-const PAR_MIN_OUT_BYTES: usize = 1 << 15;
 
 /// A byte-packed bit matrix with `rows` rows and `cols` columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,8 +89,7 @@ impl BitMatrix {
     }
 
     /// Mutably borrow the flat packed data (row-major). Row `i` occupies
-    /// bytes `i * cols.div_ceil(8) ..`, which is what the parallel
-    /// column-fill paths in OT extension partition over.
+    /// bytes `i * cols.div_ceil(8) ..`.
     pub fn as_bytes_mut(&mut self) -> &mut [u8] {
         &mut self.data
     }
@@ -112,106 +102,74 @@ impl BitMatrix {
 
     /// The transposed matrix.
     ///
-    /// Work is partitioned into column bands by `secyan-par` exactly as
-    /// before; *within* a band the inner loop dispatches (via
-    /// [`crate::cpu`]) to a movemask kernel — AVX2 32×8 tiles, SSE2 16×8
-    /// tiles — with the scalar bit loop covering unaligned column
-    /// head/tail and the row remainder. The output is a pure function of
-    /// the input, so neither the band boundaries (public shape only) nor
-    /// the kernel choice can change a single output byte.
+    /// The inner loop dispatches (via [`crate::cpu`]) to a movemask kernel
+    /// — AVX2 32×8 tiles, SSE2 16×8 tiles — with the scalar bit loop
+    /// covering the column tail and the row remainder. The output is a
+    /// pure function of the input, so the kernel choice cannot change a
+    /// single output byte.
     pub fn transpose(&self) -> BitMatrix {
         let mut out = BitMatrix::zero(self.cols, self.rows);
         if self.rows == 0 || self.cols == 0 {
             return out;
         }
-        let out_rb = out.row_bytes();
-        let in_rb = self.row_bytes();
+        let (src, rows, cols) = (&self.data[..], self.rows, self.cols);
+        let (in_rb, out_rb) = (self.row_bytes(), out.row_bytes());
+        let dst = &mut out.data[..];
+        // The movemask kernels consume whole input bytes (8 columns at a
+        // time), so they cover the 8-aligned columns [0, cb); the tail
+        // columns take the scalar loop.
+        let cb = cols / 8 * 8;
+        // Rows below `r_done` for columns [0, cb) were filled by a SIMD strip.
+        let mut r_done = 0;
         let feats = cpu::features();
-        // Partition over *output rows* (input columns): each worker owns a
-        // contiguous band of the output buffer and re-reads the shared
-        // input, keeping the cache-friendly r-outer scan order within its
-        // column band. Band boundaries depend only on the (public) matrix
-        // shape, so the result is identical at any thread count.
-        let min_rows_per_part = PAR_MIN_OUT_BYTES.div_ceil(out_rb).max(1);
-        par::with_pool_if(
-            par::threads() > 1 && self.cols > min_rows_per_part,
-            |pool| {
-                pool.chunks_mut(&mut out.data, out_rb, min_rows_per_part, |c0, band| {
-                    transpose_band(&self.data, self.rows, in_rb, out_rb, c0, band, feats);
-                });
-            },
-        );
+        #[cfg(target_arch = "x86_64")]
+        if cb > 0 {
+            if feats.avx2 {
+                let n32 = rows / 32 * 32;
+                if n32 > 0 {
+                    // SAFETY: `feats.avx2` comes from the runtime CPUID probe
+                    // in `cpu::features()`, so the AVX2 kernel is supported.
+                    unsafe { simd::strips_avx2(src, in_rb, out_rb, 0..n32, cb, dst) };
+                    r_done = n32;
+                }
+            }
+            if feats.sse2 {
+                let n16 = r_done + (rows - r_done) / 16 * 16;
+                if n16 > r_done {
+                    // SAFETY: `feats.sse2` comes from the runtime CPUID probe
+                    // in `cpu::features()`, so the SSE2 kernel is supported.
+                    unsafe { simd::strips_sse2(src, in_rb, out_rb, r_done..n16, cb, dst) };
+                    r_done = n16;
+                }
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = feats;
+        // Scalar coverage of whatever the kernels did not touch. Both
+        // regions write disjoint (row, byte) slots of the zeroed output, so
+        // order is irrelevant.
+        transpose_bits_scalar(src, in_rb, out_rb, 0..rows, cb..cols, dst);
+        transpose_bits_scalar(src, in_rb, out_rb, r_done..rows, 0..cb, dst);
         out
     }
 }
 
-/// Fill one output band (input columns `c0 ..= c0 + band.len()/out_rb`)
-/// from the full input. Runs serially inside one `secyan-par` worker.
-fn transpose_band(
-    src: &[u8],
-    rows: usize,
-    in_rb: usize,
-    out_rb: usize,
-    c0: usize,
-    band: &mut [u8],
-    feats: cpu::Features,
-) {
-    let c1 = c0 + band.len() / out_rb;
-    // The movemask kernels consume whole input bytes (8 columns at a
-    // time), so carve the 8-aligned middle [ca, cb) out of [c0, c1); the
-    // unaligned head/tail columns take the scalar loop.
-    let ca = c0.next_multiple_of(8).min(c1);
-    let cb = ca + (c1 - ca) / 8 * 8;
-    // Rows below `r_done` for columns [ca, cb) were filled by a SIMD strip.
-    let mut r_done = 0;
-    #[cfg(target_arch = "x86_64")]
-    if ca < cb {
-        if feats.avx2 {
-            let n32 = rows / 32 * 32;
-            if n32 > 0 {
-                // SAFETY: `feats.avx2` comes from the runtime CPUID probe
-                // in `cpu::features()`, so the AVX2 kernel is supported.
-                unsafe { simd::strips_avx2(src, in_rb, out_rb, 0..n32, ca..cb, c0, band) };
-                r_done = n32;
-            }
-        }
-        if feats.sse2 {
-            let n16 = r_done + (rows - r_done) / 16 * 16;
-            if n16 > r_done {
-                // SAFETY: `feats.sse2` comes from the runtime CPUID probe
-                // in `cpu::features()`, so the SSE2 kernel is supported.
-                unsafe { simd::strips_sse2(src, in_rb, out_rb, r_done..n16, ca..cb, c0, band) };
-                r_done = n16;
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = feats;
-    // Scalar coverage of whatever the kernels did not touch. All three
-    // regions write disjoint (row, byte) slots of the zeroed band, so
-    // order is irrelevant.
-    transpose_bits_scalar(src, in_rb, out_rb, 0..rows, c0..ca, c0, band);
-    transpose_bits_scalar(src, in_rb, out_rb, 0..rows, cb..c1, c0, band);
-    transpose_bits_scalar(src, in_rb, out_rb, r_done..rows, ca..cb, c0, band);
-}
-
 /// Reference bit loop: transpose input bits (r, c) for r in `rows`,
-/// c in `cols` into the band starting at output row `c0`.
+/// c in `cols` into `dst`.
 fn transpose_bits_scalar(
     src: &[u8],
     in_rb: usize,
     out_rb: usize,
     rows: core::ops::Range<usize>,
     cols: core::ops::Range<usize>,
-    c0: usize,
-    band: &mut [u8],
+    dst: &mut [u8],
 ) {
     for r in rows {
         let row = &src[r * in_rb..(r + 1) * in_rb];
         let (out_byte_col, out_bit) = (r / 8, r % 8);
         for c in cols.clone() {
             if row[c / 8] >> (c % 8) & 1 == 1 {
-                band[(c - c0) * out_rb + out_byte_col] |= 1 << out_bit;
+                dst[c * out_rb + out_byte_col] |= 1 << out_bit;
             }
         }
     }
@@ -235,8 +193,8 @@ mod simd {
     use core::arch::x86_64::*;
     use core::ops::Range;
 
-    /// 16-row SSE2 strips. `rows` must be a multiple of 16 long and
-    /// 16-aligned; `cols` 8-aligned on both ends.
+    /// 16-row SSE2 strips over input columns `0..cols`. `rows` must be a
+    /// multiple of 16 long and 16-aligned; `cols` a multiple of 8.
     ///
     /// # Safety
     /// Caller must ensure the CPU supports SSE2.
@@ -246,14 +204,13 @@ mod simd {
         in_rb: usize,
         out_rb: usize,
         rows: Range<usize>,
-        cols: Range<usize>,
-        c0: usize,
-        band: &mut [u8],
+        cols: usize,
+        dst: &mut [u8],
     ) {
         debug_assert!(rows.start.is_multiple_of(16) && rows.len().is_multiple_of(16));
-        debug_assert!(cols.start.is_multiple_of(8) && cols.len().is_multiple_of(8));
+        debug_assert!(cols.is_multiple_of(8));
         for rr in rows.step_by(16) {
-            for cc in cols.clone().step_by(8) {
+            for cc in (0..cols).step_by(8) {
                 let ib = cc / 8;
                 let mut t = [0u8; 16];
                 for (i, b) in t.iter_mut().enumerate() {
@@ -264,8 +221,8 @@ mod simd {
                 let mut x = unsafe { _mm_loadu_si128(t.as_ptr().cast()) };
                 for b in (0..8).rev() {
                     let mask = _mm_movemask_epi8(x) as u16;
-                    let off = (cc + b - c0) * out_rb + rr / 8;
-                    band[off..off + 2].copy_from_slice(&mask.to_le_bytes());
+                    let off = (cc + b) * out_rb + rr / 8;
+                    dst[off..off + 2].copy_from_slice(&mask.to_le_bytes());
                     x = _mm_slli_epi64::<1>(x);
                 }
             }
@@ -283,14 +240,13 @@ mod simd {
         in_rb: usize,
         out_rb: usize,
         rows: Range<usize>,
-        cols: Range<usize>,
-        c0: usize,
-        band: &mut [u8],
+        cols: usize,
+        dst: &mut [u8],
     ) {
         debug_assert!(rows.start.is_multiple_of(32) && rows.len().is_multiple_of(32));
-        debug_assert!(cols.start.is_multiple_of(8) && cols.len().is_multiple_of(8));
+        debug_assert!(cols.is_multiple_of(8));
         for rr in rows.step_by(32) {
-            for cc in cols.clone().step_by(8) {
+            for cc in (0..cols).step_by(8) {
                 let ib = cc / 8;
                 let mut t = [0u8; 32];
                 for (i, b) in t.iter_mut().enumerate() {
@@ -301,8 +257,8 @@ mod simd {
                 let mut x = unsafe { _mm256_loadu_si256(t.as_ptr().cast()) };
                 for b in (0..8).rev() {
                     let mask = _mm256_movemask_epi8(x) as u32;
-                    let off = (cc + b - c0) * out_rb + rr / 8;
-                    band[off..off + 4].copy_from_slice(&mask.to_le_bytes());
+                    let off = (cc + b) * out_rb + rr / 8;
+                    dst[off..off + 4].copy_from_slice(&mask.to_le_bytes());
                     x = _mm256_slli_epi64::<1>(x);
                 }
             }
@@ -330,26 +286,6 @@ mod tests {
                 }
             }
             assert_eq!(t.transpose(), m);
-        }
-    }
-
-    #[test]
-    fn transpose_parallel_matches_serial() {
-        // Big enough to cross the parallel threshold; compare against the
-        // bit-by-bit definition at several thread counts.
-        let mut rng = StdRng::seed_from_u64(12);
-        let m = BitMatrix::from_fn(4096, 128, |_, _| rng.gen());
-        let want = m.transpose();
-        for n in [1, 2, 4] {
-            par::set_threads(n);
-            let t = m.transpose();
-            par::set_threads(0);
-            assert_eq!(t, want, "threads={n}");
-        }
-        for r in 0..m.rows() {
-            for c in 0..m.cols() {
-                assert_eq!(m.get(r, c), want.get(c, r));
-            }
         }
     }
 
@@ -392,25 +328,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Band-internal kernel switching must not depend on where the
-    /// parallel partitioner puts band boundaries.
-    #[test]
-    fn simd_parallel_matches_serial_scalar() {
-        let _guard = crate::cpu::override_lock();
-        let mut rng = StdRng::seed_from_u64(22);
-        let m = BitMatrix::from_fn(500, 3000, |_, _| rng.gen());
-        crate::cpu::set_force_scalar(true);
-        let want = m.transpose();
-        crate::cpu::set_force_scalar(false);
-        for n in [1, 2, 4] {
-            par::set_threads(n);
-            let t = m.transpose();
-            par::set_threads(0);
-            assert_eq!(t, want, "threads={n}");
-        }
-        crate::cpu::clear_force_scalar();
     }
 
     #[test]

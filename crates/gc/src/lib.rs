@@ -25,7 +25,7 @@ pub mod shares;
 pub use protocol::{
     evaluate_banked, evaluate_begin, evaluate_circuit, evaluate_finish, evaluate_offline,
     evaluator_ot_count, garble_banked, garble_circuit, garble_offline, take_eval, take_garble,
-    EvalMaterial, EvalPending, GarbleMaterial, OutputMode,
+    EvalMaterial, EvalPending, GarbleMaterial,
 };
 pub use scheme::{EvalTables, Garbling};
 pub use shares::{

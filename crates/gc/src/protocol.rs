@@ -3,7 +3,7 @@
 //! One invocation = one garbled circuit: the garbler garbles under its
 //! IKNP sender's Δ and ships tables + its own input labels; the evaluator
 //! obtains its input labels through one label OT per wire, evaluates, and
-//! the outputs are decoded toward the party/parties the caller selects.
+//! decodes the outputs with the decode bits the garbler ships.
 //! Constant rounds per invocation, as the paper requires of every building
 //! block.
 
@@ -15,17 +15,6 @@ use secyan_transport::{Channel, ReadExt, WriteExt};
 use std::collections::VecDeque;
 
 use crate::scheme::{eval_cells, garble_into, Garbling};
-
-/// Who learns the cleartext circuit outputs. The evaluator always decodes
-/// them (the garbler ships the decode bits).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutputMode {
-    /// Only the evaluator decodes the outputs.
-    RevealToEvaluator,
-    /// Both parties learn the outputs: the evaluator also sends back the
-    /// color bits, which the garbler decodes with its permute bits.
-    RevealBoth,
-}
 
 /// Garbler-side offline material: Δ and the input/output zero-labels of a
 /// pre-garbled circuit whose tables have already been shipped to the
@@ -104,17 +93,16 @@ pub fn garble_offline<R: Rng + ?Sized>(
     }
 }
 
-/// Online half of [`garble_banked`]: input labels, decode bits, OT and
-/// garbler-side decoding, against material produced by
-/// [`garble_offline`] for the same circuit and `ot`.
+/// Online half of [`garble_banked`]: input labels, decode bits and OT,
+/// against material produced by [`garble_offline`] for the same circuit
+/// and `ot`.
 fn garble_online(
     ch: &mut Channel,
     circuit: &Circuit,
     material: GarbleMaterial,
     my_inputs: &[bool],
     ot: &mut OtSender,
-    mode: OutputMode,
-) -> Option<Vec<bool>> {
+) {
     assert_eq!(my_inputs.len(), circuit.alice_inputs, "garbler input arity");
     assert_eq!(
         material.digest,
@@ -134,14 +122,6 @@ fn garble_online(
     // correlation, whose Δ the circuit was garbled under.
     let wires = circuit.alice_inputs..circuit.alice_inputs + circuit.bob_inputs;
     ot.send_labels(ch, &g.input_zero_labels.expose()[wires]);
-    // Output decoding toward the garbler.
-    if mode == OutputMode::RevealBoth {
-        let colors = ch.recv_bool_vec(circuit.output_count());
-        let decode = g.decode_bits();
-        Some(colors.iter().zip(&decode).map(|(&c, &d)| c ^ d).collect())
-    } else {
-        None
-    }
 }
 
 /// Offline half of [`evaluate_circuit`]: receive the tables.
@@ -193,15 +173,13 @@ pub fn evaluate_begin(
 
 /// Second half of the evaluator protocol: receive tables (when they travel
 /// inline), garbler labels, decode bits and the OT correction messages,
-/// then evaluate and decode. Receive-only until the color-bit reply of
-/// [`OutputMode::RevealBoth`].
+/// then evaluate and decode. Receive-only.
 pub fn evaluate_finish(
     ch: &mut Channel,
     circuit: &Circuit,
     pending: EvalPending,
     my_inputs: &[bool],
     ot: &mut OtReceiver,
-    mode: OutputMode,
 ) -> Vec<bool> {
     let EvalPending { material, rows } = pending;
     let tables = match material {
@@ -220,11 +198,8 @@ pub fn evaluate_finish(
     let my_labels = ot.finish_recv_labels(ch, rows);
     labels.expose_mut().extend_from_slice(my_labels.expose());
     let out_labels = Secret::new(eval_cells(circuit, tables.as_chunks().0, labels.expose()));
-    let colors: Vec<bool> = out_labels.expose().iter().map(|l| l.lsb()).collect();
-    if mode == OutputMode::RevealBoth {
-        ch.send_bool_slice(&colors);
-    }
-    colors.iter().zip(&decode).map(|(&c, &d)| c ^ d).collect()
+    let colors = out_labels.expose().iter().map(|l| l.lsb());
+    colors.zip(&decode).map(|(c, &d)| c ^ d).collect()
 }
 
 /// Garbler side through a bank of pre-garbled material in plan order:
@@ -240,14 +215,13 @@ pub fn garble_banked<R: Rng + ?Sized>(
     my_inputs: &[bool],
     ot: &mut OtSender,
     rng: &mut R,
-    mode: OutputMode,
-) -> Option<Vec<bool>> {
+) {
     assert_eq!(my_inputs.len(), circuit.alice_inputs, "garbler input arity");
     let material = match take_garble(bank, circuit) {
         Some(m) => m,
         None => garble_offline(ch, circuit, ot, rng),
     };
-    garble_online(ch, circuit, material, my_inputs, ot, mode)
+    garble_online(ch, circuit, material, my_inputs, ot)
 }
 
 /// Evaluator-side counterpart of [`garble_banked`]. Either way the OT
@@ -260,25 +234,23 @@ pub fn evaluate_banked(
     circuit: &Circuit,
     my_inputs: &[bool],
     ot: &mut OtReceiver,
-    mode: OutputMode,
 ) -> Vec<bool> {
     let pending = evaluate_begin(ch, circuit, take_eval(bank, circuit), my_inputs, ot);
-    evaluate_finish(ch, circuit, pending, my_inputs, ot, mode)
+    evaluate_finish(ch, circuit, pending, my_inputs, ot)
 }
 
 /// Garbler side. `my_inputs` are the cleartext values of the circuit's
-/// Alice (garbler) input wires. Returns the outputs if `mode` reveals them
-/// to the garbler, else `None`. [`garble_banked`] with nothing banked.
+/// Alice (garbler) input wires; only the evaluator learns the outputs.
+/// [`garble_banked`] with nothing banked.
 pub fn garble_circuit<R: Rng + ?Sized>(
     ch: &mut Channel,
     circuit: &Circuit,
     my_inputs: &[bool],
     ot: &mut OtSender,
     rng: &mut R,
-    mode: OutputMode,
-) -> Option<Vec<bool>> {
+) {
     let bank = &mut VecDeque::new();
-    garble_banked(ch, bank, circuit, my_inputs, ot, rng, mode)
+    garble_banked(ch, bank, circuit, my_inputs, ot, rng)
 }
 
 /// Evaluator side. `my_inputs` are the cleartext values of the circuit's
@@ -289,10 +261,9 @@ pub fn evaluate_circuit(
     circuit: &Circuit,
     my_inputs: &[bool],
     ot: &mut OtReceiver,
-    mode: OutputMode,
 ) -> Vec<bool> {
     let bank = &mut VecDeque::new();
-    evaluate_banked(ch, bank, circuit, my_inputs, ot, mode)
+    evaluate_banked(ch, bank, circuit, my_inputs, ot)
 }
 
 #[cfg(test)]
@@ -313,11 +284,14 @@ mod tests {
         b.finish()
     }
 
+    /// One circuit garbled by Alice and evaluated by Bob; with
+    /// `reveal_both` Bob sends the decoded outputs back, and Alice's
+    /// result is what she reads.
     fn run_gc(
         circuit: &Circuit,
         a_bits: Vec<bool>,
         b_bits: Vec<bool>,
-        mode: OutputMode,
+        reveal_both: bool,
     ) -> (Option<Vec<bool>>, Vec<bool>) {
         let ca = circuit.clone();
         let cb = circuit.clone();
@@ -325,12 +299,17 @@ mod tests {
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(100);
                 let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Aes);
-                garble_circuit(ch, &ca, &a_bits, &mut ot, &mut rng, mode)
+                garble_circuit(ch, &ca, &a_bits, &mut ot, &mut rng);
+                reveal_both.then(|| ch.recv_bool_vec(ca.output_count()))
             },
             move |ch| {
                 let mut rng = StdRng::seed_from_u64(101);
                 let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
-                evaluate_circuit(ch, &cb, &b_bits, &mut ot, mode)
+                let out = evaluate_circuit(ch, &cb, &b_bits, &mut ot);
+                if reveal_both {
+                    ch.send_bool_slice(&out);
+                }
+                out
             },
         );
         (ra, rb)
@@ -343,7 +322,7 @@ mod tests {
             &c,
             u64_to_bits(1_000_000, 32),
             u64_to_bits(2_345, 32),
-            OutputMode::RevealToEvaluator,
+            false,
         );
         assert!(ra.is_none());
         assert_eq!(bits_to_u64(&rb), 1_002_345);
@@ -352,12 +331,7 @@ mod tests {
     #[test]
     fn reveal_both() {
         let c = adder_circuit(8);
-        let (ra, rb) = run_gc(
-            &c,
-            u64_to_bits(200, 8),
-            u64_to_bits(100, 8),
-            OutputMode::RevealBoth,
-        );
+        let (ra, rb) = run_gc(&c, u64_to_bits(200, 8), u64_to_bits(100, 8), true);
         // 300 mod 256 = 44.
         assert_eq!(bits_to_u64(&ra.unwrap()), 44);
         assert_eq!(bits_to_u64(&rb), 44);
@@ -375,14 +349,7 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(5);
                 let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Aes);
                 for (c, x) in [(&c1a, 1u64), (&c2a, 2)] {
-                    garble_circuit(
-                        ch,
-                        c,
-                        &u64_to_bits(x, 16),
-                        &mut ot,
-                        &mut rng,
-                        OutputMode::RevealToEvaluator,
-                    );
+                    garble_circuit(ch, c, &u64_to_bits(x, 16), &mut ot, &mut rng);
                 }
             },
             move |ch| {
@@ -390,13 +357,7 @@ mod tests {
                 let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
                 let mut outs = Vec::new();
                 for (c, y) in [(&c1, 10u64), (&c2, 20)] {
-                    let o = evaluate_circuit(
-                        ch,
-                        c,
-                        &u64_to_bits(y, 16),
-                        &mut ot,
-                        OutputMode::RevealToEvaluator,
-                    );
+                    let o = evaluate_circuit(ch, c, &u64_to_bits(y, 16), &mut ot);
                     outs.push(bits_to_u64(&o));
                 }
                 outs
@@ -414,12 +375,7 @@ mod tests {
         let s = b.add_words(&x, &one);
         b.output_word(&s);
         let c = b.finish();
-        let (_, rb) = run_gc(
-            &c,
-            u64_to_bits(41, 8),
-            vec![],
-            OutputMode::RevealToEvaluator,
-        );
+        let (_, rb) = run_gc(&c, u64_to_bits(41, 8), vec![], false);
         assert_eq!(bits_to_u64(&rb), 42);
     }
 }

@@ -25,7 +25,7 @@ use secyan_transport::Channel;
 
 use crate::protocol::{
     evaluate_begin, evaluate_finish, garble_banked, take_eval, EvalMaterial, EvalPending,
-    GarbleMaterial, OutputMode,
+    GarbleMaterial,
 };
 use std::collections::VecDeque;
 
@@ -125,9 +125,7 @@ pub fn garble_shared_banked<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<u64> {
     let (mask_bits, shares) = draw_masks(spec, my_inputs, rng);
-    let mode = OutputMode::RevealToEvaluator;
-    let out = garble_banked(ch, bank, circuit, &mask_bits, ot, rng, mode);
-    debug_assert!(out.is_none());
+    garble_banked(ch, bank, circuit, &mask_bits, ot, rng);
     shares
 }
 
@@ -175,14 +173,7 @@ pub fn evaluate_shared_finish(
     my_inputs: &[bool],
     ot: &mut OtReceiver,
 ) -> Vec<u64> {
-    let bits = evaluate_finish(
-        ch,
-        circuit,
-        pending,
-        my_inputs,
-        ot,
-        OutputMode::RevealToEvaluator,
-    );
+    let bits = evaluate_finish(ch, circuit, pending, my_inputs, ot);
     unpack_shares(spec, &bits)
 }
 

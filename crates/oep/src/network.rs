@@ -36,33 +36,6 @@ impl PermNetwork {
         &self.switches
     }
 
-    /// Partition the switch list into *layers* of position-disjoint
-    /// switches: switch s lands in the earliest layer after every earlier
-    /// switch touching one of its positions. Two switches that share a
-    /// position keep their serial relative order across layers, and
-    /// switches within one layer touch disjoint positions, so evaluating
-    /// layers in order — switches within a layer in any order — computes
-    /// exactly what the serial switch order computes. The layering is a
-    /// pure function of the (public) topology, so both parties derive the
-    /// same schedule. Returned entries are indices into [`switches`].
-    ///
-    /// [`switches`]: PermNetwork::switches
-    pub fn layers(&self) -> Vec<Vec<usize>> {
-        // next[p] = first layer in which position p is free again.
-        let mut next = vec![0usize; self.size];
-        let mut layers: Vec<Vec<usize>> = Vec::new();
-        for (s, &(i, j)) in self.switches.iter().enumerate() {
-            let l = next[i].max(next[j]);
-            if layers.len() <= l {
-                layers.resize_with(l + 1, Vec::new);
-            }
-            layers[l].push(s);
-            next[i] = l + 1;
-            next[j] = l + 1;
-        }
-        layers
-    }
-
     /// Compute control bits realizing `perm`, where `perm[o] = i` means
     /// output position `o` receives input position `i`'s value.
     /// `perm` must be a bijection on `0..n` for some n ≤ size; missing
@@ -377,70 +350,6 @@ mod tests {
         let net = PermNetwork::new(8);
         // Beneš on 8 wires: 8/2 * (2*3 - 1) = 20 switches.
         assert_eq!(net.switches().len(), 20);
-    }
-
-    #[test]
-    fn layers_partition_switches_disjointly() {
-        for n in [2usize, 8, 13, 64, 100] {
-            let net = PermNetwork::new(n);
-            let layers = net.layers();
-            // Every switch appears exactly once.
-            let mut seen = vec![false; net.switches().len()];
-            for layer in &layers {
-                let mut touched = std::collections::HashSet::new();
-                for &s in layer {
-                    assert!(!seen[s], "switch {s} scheduled twice");
-                    seen[s] = true;
-                    let (i, j) = net.switches()[s];
-                    assert!(touched.insert(i), "position {i} reused in layer");
-                    assert!(touched.insert(j), "position {j} reused in layer");
-                }
-            }
-            assert!(seen.iter().all(|&b| b), "layering drops switches");
-            // Shared-position switches keep serial order across layers.
-            let mut layer_of = vec![0usize; net.switches().len()];
-            for (l, layer) in layers.iter().enumerate() {
-                for &s in layer {
-                    layer_of[s] = l;
-                }
-            }
-            for (s2, &(i2, j2)) in net.switches().iter().enumerate() {
-                for (s1, &(i1, j1)) in net.switches()[..s2].iter().enumerate() {
-                    if i1 == i2 || i1 == j2 || j1 == i2 || j1 == j2 {
-                        assert!(
-                            layer_of[s1] < layer_of[s2],
-                            "conflicting switches {s1},{s2} share a layer order"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn layered_evaluation_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(41);
-        for n in [8usize, 31, 64] {
-            let net = PermNetwork::new(n);
-            let mut perm: Vec<usize> = (0..n).collect();
-            perm.shuffle(&mut rng);
-            let bits = net.route(&perm);
-            let values: Vec<u64> = (0..net.size() as u64).collect();
-            let serial = net.apply(&values[..n], &bits, u64::MAX);
-            // Re-evaluate layer by layer (switch order within a layer
-            // reversed, to prove in-layer order is immaterial).
-            let mut v: Vec<u64> = values[..n].to_vec();
-            v.resize(net.size(), u64::MAX);
-            for layer in net.layers() {
-                for &s in layer.iter().rev() {
-                    if bits[s] {
-                        let (i, j) = net.switches()[s];
-                        v.swap(i, j);
-                    }
-                }
-            }
-            assert_eq!(v, serial, "n={n}");
-        }
     }
 
     #[test]

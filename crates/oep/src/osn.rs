@@ -18,18 +18,9 @@
 use rand::Rng;
 use secyan_crypto::RingCtx;
 use secyan_ot::{OtReceiver, OtSender, RecvRows};
-use secyan_par as par;
 use secyan_transport::{Channel, ReadExt, WriteExt};
 
 use crate::network::{EpNetwork, EpRouting};
-
-/// Minimum network width before the routing holder's permutation stages
-/// fan their switch layers out across the worker pool. Below this the
-/// per-layer dispatch overhead dominates the ring arithmetic.
-const OSN_PAR_MIN_WIDTH: usize = 512;
-
-/// Minimum switches handed to one worker within a layer.
-const SWITCHES_PER_PART: usize = 64;
 
 /// Correction words per switch, in network order: two for a permutation
 /// switch (one per output), one for a duplication switch, whose second
@@ -137,72 +128,42 @@ pub(crate) fn osn_perm_holder_finish(
     let corrections = corrections.expose();
     let n_p1 = net.p1.switches().len();
     let n_dup = width - 1;
-    par::with_pool_if(par::threads() > 1 && width >= OSN_PAR_MIN_WIDTH, |pool| {
-        perm_stage(
-            pool,
-            &net.p1,
-            &routing.p1_bits,
-            &corrections[..n_p1],
-            ring,
-            &mut vals,
-        );
-        // Duplication chain: a serial scan (each position may read its
-        // predecessor's fresh value).
-        for t in 1..width {
-            let [c1, _] = corrections[n_p1 + t - 1];
-            let src = if routing.dup_bits[t] {
-                vals[t - 1]
-            } else {
-                vals[t]
-            };
-            vals[t] = ring.add(src, c1);
-        }
-        perm_stage(
-            pool,
-            &net.p2,
-            &routing.p2_bits,
-            &corrections[n_p1 + n_dup..],
-            ring,
-            &mut vals,
-        );
-    });
+    let first = &corrections[..n_p1];
+    perm_stage(&net.p1, &routing.p1_bits, first, ring, &mut vals);
+    // Duplication chain: each position may read its predecessor's fresh
+    // value.
+    for t in 1..width {
+        let [c1, _] = corrections[n_p1 + t - 1];
+        let src = if routing.dup_bits[t] {
+            vals[t - 1]
+        } else {
+            vals[t]
+        };
+        vals[t] = ring.add(src, c1);
+    }
+    let last = &corrections[n_p1 + n_dup..];
+    perm_stage(&net.p2, &routing.p2_bits, last, ring, &mut vals);
     vals.truncate(net.n_out);
     vals
 }
 
-/// One permutation stage on the routing holder's side: within a layer
-/// every switch reads the pre-layer values of its two (disjoint)
-/// positions ([`PermNetwork::layers`]), so the corrected values are
-/// computed in parallel and written back serially — identical to the
-/// serial walk at any thread count.
-///
-/// [`PermNetwork::layers`]: crate::network::PermNetwork::layers
+/// One permutation stage on the routing holder's side: every switch, in
+/// network order, writes its two corrected outputs.
 fn perm_stage(
-    pool: &par::Pool<'_>,
     net: &crate::network::PermNetwork,
     bits: &[bool],
     corrections: &[[u64; 2]],
     ring: RingCtx,
     vals: &mut [u64],
 ) {
-    let switches = net.switches();
-    for layer in net.layers() {
-        let vals_ro: &[u64] = vals;
-        let outs: Vec<(u64, u64)> = pool.map(&layer, SWITCHES_PER_PART, |_, &s| {
-            let (i, j) = switches[s];
-            let [c1, c2] = corrections[s];
-            let (src1, src2) = if bits[s] {
-                (vals_ro[j], vals_ro[i])
-            } else {
-                (vals_ro[i], vals_ro[j])
-            };
-            (ring.add(src1, c1), ring.add(src2, c2))
-        });
-        for (&s, (v1, v2)) in layer.iter().zip(outs) {
-            let (i, j) = switches[s];
-            vals[i] = v1;
-            vals[j] = v2;
-        }
+    for (s, &(i, j)) in net.switches().iter().enumerate() {
+        let [c1, c2] = corrections[s];
+        let (src1, src2) = if bits[s] {
+            (vals[j], vals[i])
+        } else {
+            (vals[i], vals[j])
+        };
+        (vals[i], vals[j]) = (ring.add(src1, c1), ring.add(src2, c2));
     }
 }
 
@@ -308,46 +269,6 @@ mod tests {
     #[test]
     fn single_element() {
         assert_eq!(run_osn(vec![42], vec![0], 32), vec![42]);
-    }
-
-    #[test]
-    fn osn_is_thread_count_invariant() {
-        // Width pads to exactly OSN_PAR_MIN_WIDTH so the layered parallel
-        // path runs; fixed seeds make the whole exchange deterministic, so
-        // both parties' share vectors must match across thread counts.
-        let n_in = 500usize;
-        let n_out = 512usize;
-        let ring = RingCtx::new(32);
-        let values: Vec<u64> = (0..n_in as u64)
-            .map(|v| v.wrapping_mul(2654435761) >> 3)
-            .collect();
-        let xi: Vec<usize> = (0..n_out).map(|o| (o * 131) % n_in).collect();
-        let run_at = |t: usize| {
-            secyan_par::set_threads(t);
-            let net = EpNetwork::new(n_in, n_out);
-            let net2 = net.clone();
-            let vals = values.clone();
-            let map = xi.clone();
-            let (bob_sh, alice_sh, _) = run_protocol(
-                move |ch| {
-                    let mut rng = StdRng::seed_from_u64(7);
-                    let mut ot = OtSender::setup(ch, &mut rng, HASHER);
-                    osn_value_holder(ch, &net, &vals, ring, &mut ot, &mut rng)
-                },
-                move |ch| {
-                    let mut rng = StdRng::seed_from_u64(8);
-                    let mut ot = OtReceiver::setup(ch, &mut rng, HASHER);
-                    let routing = net2.route(&map);
-                    osn_perm_holder(ch, &net2, &routing, ring, &mut ot)
-                },
-            );
-            secyan_par::set_threads(0);
-            (bob_sh, alice_sh)
-        };
-        let serial = run_at(1);
-        assert_eq!(run_at(4), serial, "4-thread OSN diverged from serial");
-        let want: Vec<u64> = xi.iter().map(|&i| ring.reduce(values[i])).collect();
-        assert_eq!(ring.reconstruct_vec(&serial.1, &serial.0), want);
     }
 
     #[test]

@@ -16,27 +16,14 @@
 
 use secyan_crypto::transpose::BitMatrix;
 use secyan_crypto::{Block, CtChoice, Prg, Secret, Zeroize};
-use secyan_par as par;
 use secyan_transport::{Channel, WriteExt};
 use std::marker::PhantomData;
-
-/// Minimum batch size (in instances) before the column expansion uses the
-/// worker pool; below this the per-column PRG work is too small to amortize
-/// a dispatch.
-pub(crate) const OT_PAR_MIN: usize = 4096;
-
-/// Minimum columns per worker when the expansion does parallelize.
-const COLS_PER_PART: usize = 16;
-
-/// Minimum extracted rows per worker for the post-transpose row gather.
-const ROWS_PER_PART: usize = 4096;
 
 /// One row of the extension matrix: `8 * BYTES` bits, bit `i` at byte
 /// `i / 8`, position `i % 8`. Rows leave the transpose in their final type,
 /// so IKNP gets `Block`s without a conversion pass.
-pub(crate) trait Row: Copy + Send + Sync + Zeroize {
+pub(crate) trait Row: Copy + Zeroize {
     const BYTES: usize;
-    const ZERO: Self;
 
     /// Read a row from exactly `BYTES` bytes.
     fn load(bytes: &[u8]) -> Self;
@@ -48,7 +35,6 @@ pub(crate) trait Row: Copy + Send + Sync + Zeroize {
 
 impl Row for Block {
     const BYTES: usize = 16;
-    const ZERO: Self = Block::ZERO;
 
     fn load(bytes: &[u8]) -> Self {
         Block(u128::from_le_bytes(bytes.try_into().expect("16-byte row")))
@@ -61,7 +47,6 @@ impl Row for Block {
 
 impl<const N: usize> Row for [u8; N] {
     const BYTES: usize = N;
-    const ZERO: Self = [0; N];
 
     fn load(bytes: &[u8]) -> Self {
         bytes.try_into().expect("N-byte row")
@@ -119,27 +104,17 @@ impl<R: Row> ExtSender<R> {
         ch.recv_into(&mut u_all);
         // Column i of Q: G(k_{s_i}) ⊕ s_i · u_i. The s_i correlation is
         // applied branchlessly: every column does the same XOR loop against
-        // u masked by an all-ones/all-zeros byte derived from s_i. Columns
-        // are independent given the received bundle, so large batches
-        // expand across the worker pool (partitioned by column index —
-        // public — with each worker owning its columns' rows of Q).
+        // u masked by an all-ones/all-zeros byte derived from s_i.
         let mut q = BitMatrix::zero(self.prgs.len(), m);
         let s = self.s.expose();
-        par::with_pool_if(par::threads() > 1 && m >= OT_PAR_MIN, |pool| {
-            pool.zip_chunks_mut(
-                &mut self.prgs,
-                q.as_bytes_mut(),
-                row_bytes,
-                COLS_PER_PART,
-                |i, prg, row| {
-                    prg.fill(row);
-                    let s_i = CtChoice::from_lsb(s.bit(i)).mask_u8();
-                    for (c, &ub) in row.iter_mut().zip(&u_all[i * row_bytes..]) {
-                        *c ^= ub & s_i;
-                    }
-                },
-            );
-        });
+        for (i, prg) in self.prgs.iter_mut().enumerate() {
+            let row = q.row_mut(i);
+            prg.fill(row);
+            let s_i = CtChoice::from_lsb(s.bit(i)).mask_u8();
+            for (c, &ub) in row.iter_mut().zip(&u_all[i * row_bytes..]) {
+                *c ^= ub & s_i;
+            }
+        }
         gather(&q.transpose(), m)
     }
 }
@@ -170,63 +145,36 @@ impl<R: Row> ExtReceiver<R> {
         &mut self,
         ch: &mut Channel,
         m: usize,
-        code_col: impl Fn(usize) -> &'c [u8] + Sync,
+        code_col: impl Fn(usize) -> &'c [u8],
     ) -> Vec<R> {
         if m == 0 {
             return Vec::new();
         }
         let width = self.prgs.len();
         let row_bytes = m.div_ceil(8);
-        // Per column: t0 = G(k0), u = G(k1) ⊕ t0 ⊕ code column. Both
-        // streams for all columns land in one interleaved scratch (t0 then
-        // u per column) so the expansion can split across the worker pool
-        // by column index; the masked columns then go out as ONE message,
-        // which the sender reads with a single `recv_into`. The code bits
-        // are the receiver's secret, so they are folded in without
-        // branching on them.
-        let mut cols = vec![0u8; width * 2 * row_bytes];
-        par::with_pool_if(par::threads() > 1 && m >= OT_PAR_MIN, |pool| {
-            pool.zip_chunks_mut(
-                &mut self.prgs,
-                &mut cols,
-                2 * row_bytes,
-                COLS_PER_PART,
-                |i, (prg0, prg1), chunk| {
-                    let (t0, u) = chunk.split_at_mut(row_bytes);
-                    prg0.fill(t0);
-                    prg1.fill(u);
-                    for ((uk, &t0k), &ck) in u.iter_mut().zip(&*t0).zip(code_col(i)) {
-                        *uk ^= t0k ^ ck;
-                    }
-                },
-            );
-        });
+        // Per column: t0 = G(k0), u = G(k1) ⊕ t0 ⊕ code column. The masked
+        // columns go out as ONE message, which the sender reads with a
+        // single `recv_into`. The code bits are the receiver's secret, so
+        // they are folded in without branching on them.
         let mut t = BitMatrix::zero(width, m);
         let mut u_all = vec![0u8; width * row_bytes];
-        for i in 0..width {
-            let chunk = &cols[i * 2 * row_bytes..(i + 1) * 2 * row_bytes];
-            t.row_mut(i).copy_from_slice(&chunk[..row_bytes]);
-            u_all[i * row_bytes..(i + 1) * row_bytes].copy_from_slice(&chunk[row_bytes..]);
+        let us = u_all.chunks_exact_mut(row_bytes);
+        for (i, ((prg0, prg1), u)) in self.prgs.iter_mut().zip(us).enumerate() {
+            let t0 = t.row_mut(i);
+            prg0.fill(t0);
+            prg1.fill(u);
+            for ((uk, &t0k), &ck) in u.iter_mut().zip(&*t0).zip(code_col(i)) {
+                *uk ^= t0k ^ ck;
+            }
         }
-        // The t0 streams are the outputs' preimages; scrub the scratch.
-        cols.zeroize();
         ch.send_bytes(&u_all);
         gather(&t.transpose(), m)
     }
 }
 
-/// Pull the `m` rows out of a transposed matrix, across the pool for large
-/// batches.
+/// Pull the `m` rows out of a transposed matrix.
 fn gather<R: Row>(rows: &BitMatrix, m: usize) -> Vec<R> {
-    let mut out = vec![R::ZERO; m];
-    par::with_pool_if(par::threads() > 1 && m >= 2 * ROWS_PER_PART, |pool| {
-        pool.chunks_mut(&mut out, 1, ROWS_PER_PART, |off, chunk| {
-            for (k, r) in chunk.iter_mut().enumerate() {
-                *r = R::load(rows.row(off + k));
-            }
-        });
-    });
-    out
+    (0..m).map(|j| R::load(rows.row(j))).collect()
 }
 
 /// A bank of precomputed instances, filled offline and consumed online in

@@ -683,27 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn extension_is_thread_count_invariant() {
-        // Same seeds, sizes crossing every parallel threshold: outputs must
-        // be bit-identical at 1 and 4 threads.
-        let m = 2 * crate::ext::OT_PAR_MIN;
-        let run_at = |threads: usize| {
-            secyan_par::set_threads(threads);
-            let out = run_random(m, 70);
-            secyan_par::set_threads(0);
-            out
-        };
-        let (pairs1, got1, choices) = run_at(1);
-        let (pairs4, got4, _) = run_at(4);
-        assert_eq!(pairs1, pairs4);
-        assert_eq!(got1, got4);
-        for j in 0..m {
-            let (x0, x1) = pairs1[j];
-            assert_eq!(got1[j], if choices[j] { x1 } else { x0 }, "instance {j}");
-        }
-    }
-
-    #[test]
     fn banked_bytes_transfer() {
         let pairs: Vec<(Vec<u8>, Vec<u8>)> =
             (0..10u8).map(|i| (vec![i; 16], vec![i + 50; 16])).collect();

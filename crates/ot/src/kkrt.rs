@@ -44,13 +44,7 @@ use rand::Rng;
 use secyan_crypto::sha256::Sha256;
 use secyan_crypto::transpose::BitMatrix;
 use secyan_crypto::{zeroize_bytes, Secret, TweakHasher, Zeroize};
-use secyan_par as par;
 use secyan_transport::Channel;
-
-/// Minimum batch size before the (SHA-heavy) input-encoding map uses the
-/// worker pool; each element costs two compression-function calls, so the
-/// bar is far lower than for PRG column expansion.
-const CODES_PER_PART: usize = 128;
 
 /// Matrix width w: the pseudorandom-code length in bits.
 pub const WIDTH: usize = 512;
@@ -171,22 +165,14 @@ impl KkrtReceiver {
         let m = inputs.len();
         let base = self.ctr;
         self.ctr += m as u64;
-        // Code matrix: row j = C(x_j). Two SHA-256 compressions per
-        // element makes this the receiver's second-hottest loop, and each
-        // element is independent — map it over the pool.
-        let codes: Vec<Word> =
-            par::with_pool_if(par::threads() > 1 && m >= 2 * CODES_PER_PART, |pool| {
-                pool.map(inputs, CODES_PER_PART, |_, x| code(x))
-            });
-        // The engine wants the code matrix by columns. Rather than
-        // extracting column i bit-by-bit inside every column's loop (w · m
-        // bit ops), transpose the whole m×w code matrix ONCE through the
-        // SIMD kernel and hand each worker its column as a ready byte
-        // slice. The transpose runs before the engine's pool dispatch, so
-        // its own internal parallelism never nests.
+        // Code matrix: row j = C(x_j), two SHA-256 compressions per
+        // element. The engine wants it by columns: rather than extracting
+        // column i bit-by-bit inside every column's loop (w · m bit ops),
+        // transpose the whole m×w code matrix ONCE through the SIMD kernel
+        // and hand each column over as a ready byte slice.
         let mut code_mat = BitMatrix::zero(m, WIDTH);
-        for (j, cj) in codes.iter().enumerate() {
-            code_mat.row_mut(j).copy_from_slice(cj);
+        for (j, x) in inputs.iter().enumerate() {
+            code_mat.row_mut(j).copy_from_slice(&code(x));
         }
         let mut code_cols = code_mat.transpose(); // w rows of m bits
         zeroize_bytes(code_mat.as_bytes_mut());
@@ -282,26 +268,5 @@ mod tests {
         let (key, got) = run_batch(vec![]);
         assert!(key.is_empty());
         assert!(got.is_empty());
-    }
-
-    #[test]
-    fn extension_is_thread_count_invariant() {
-        // Same seeds, a batch crossing every parallel threshold: outputs
-        // must be bit-identical at 1 and 4 threads.
-        let m = 2 * crate::ext::OT_PAR_MIN;
-        let inputs: Vec<Vec<u8>> = (0..m as u64).map(|i| i.to_le_bytes().to_vec()).collect();
-        let run_at = |threads: usize| {
-            secyan_par::set_threads(threads);
-            let out = run_batch(inputs.clone());
-            secyan_par::set_threads(0);
-            out
-        };
-        let (key1, got1) = run_at(1);
-        let (key4, got4) = run_at(4);
-        assert_eq!(got1, got4);
-        for (j, x) in inputs.iter().enumerate() {
-            assert_eq!(got1[j], key1.eval(j, x), "instance {j}");
-            assert_eq!(got1[j], key4.eval(j, x), "instance {j} at 4 threads");
-        }
     }
 }

@@ -8,8 +8,8 @@
 //! * `ext` (private) — the OT-extension engine, generic over the row width:
 //!   per-column PRGs keyed by seed OTs, column expansion and masking,
 //!   the bit-matrix transpose into per-instance rows, and the single-use
-//!   bank type for IKNP's precomputed rows. Its pool thresholds are
-//!   the only ones in this crate's extension path.
+//!   bank type for IKNP's precomputed rows. It runs on the calling
+//!   thread.
 //! * [`iknp`] — IKNP OT extension: the engine at κ = 128 columns, one
 //!   message per OT. As label OTs on the rows' own correlation it powers
 //!   garbled-circuit input transfer; as correlated ℓ-bit words, every

@@ -30,9 +30,9 @@ use secyan_ot::{KkrtReceiver, KkrtSender};
 use secyan_par as par;
 use secyan_transport::{Channel, ReadExt, WriteExt};
 
-/// Minimum bins per worker for the parallel per-bin stages. A bin costs
-/// O(load·degree) GF(2^64) work (hint) or O(degree) (evaluation), so
-/// modest batches already amortize a dispatch.
+/// Minimum bins per worker for the parallel hint construction. A bin costs
+/// O(load·degree) GF(2^64) work, so modest batches already amortize a
+/// dispatch.
 const BINS_PER_PART: usize = 32;
 
 /// Encoding of a PSI element as an OPRF input. Real elements and
@@ -182,31 +182,16 @@ pub fn opprf_evaluate_finish(ch: &mut Channel, pending: OpprfEval) -> Vec<u64> {
     } = pending;
     let bins = queries.len();
     let hint_words = ch.recv_u64_vec(bins * degree);
-    let go_par = par::threads() > 1 && bins >= 2 * BINS_PER_PART;
-    // Each bin's hint evaluates independently, at the query itself: each
-    // worker runs lockstep Horner over its contiguous slab of bins via the
-    // batched GF(2^64) kernel. The wire layout is already flat
-    // `[b*degree..(b+1)*degree]`.
+    // Each bin's hint evaluates at the query itself: lockstep Horner over
+    // all bins via the batched GF(2^64) kernel. The wire layout is already
+    // flat `[b*degree..(b+1)*degree]`.
     let xs: Vec<Gf64> = queries
         .iter()
         .map(|&(PsiItem::Real(v) | PsiItem::Dummy(v))| Gf64(v))
         .collect();
     let coeffs: Vec<Gf64> = hint_words.iter().map(|&w| Gf64(w)).collect();
-    let mut out = vec![0u64; bins];
-    par::with_pool_if(go_par, |pool| {
-        pool.chunks_mut(&mut out, 1, BINS_PER_PART, |off, chunk| {
-            let n = chunk.len();
-            let evals = poly_eval_batch(
-                &coeffs[off * degree..(off + n) * degree],
-                degree,
-                &xs[off..off + n],
-            );
-            for ((o, e), &f) in chunk.iter_mut().zip(&evals).zip(&oprf_out[off..off + n]) {
-                *o = f ^ e.0;
-            }
-        });
-    });
-    out
+    let evals = poly_eval_batch(&coeffs, degree, &xs);
+    evals.iter().zip(&oprf_out).map(|(e, &f)| f ^ e.0).collect()
 }
 
 /// Receiver side: evaluate `F(b, queries[b])` for every bin.

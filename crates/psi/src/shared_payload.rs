@@ -21,7 +21,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use secyan_circuit::{bits_to_words, words_to_bits, Circuit, Rows, Word};
 use secyan_crypto::RingCtx;
-use secyan_gc::{evaluate_banked, garble_banked, EvalMaterial, GarbleMaterial, OutputMode};
+use secyan_gc::{evaluate_banked, garble_banked, EvalMaterial, GarbleMaterial};
 use secyan_oep::{shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin};
 use secyan_ot::{KkrtReceiver, KkrtSender, OtReceiver, OtSender};
 use secyan_transport::{Channel, ProtocolError};
@@ -90,8 +90,7 @@ pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
     let (cuckoo, my_bits) = receiver_opprfs(ch, elements, &params, kkrt);
     // Step 4: evaluate the k circuit.
     let circuit = k_circuit(bins, ell);
-    let mode = OutputMode::RevealToEvaluator;
-    let out_bits = evaluate_banked(ch, gc_bank, &circuit, &my_bits, ot_recv, mode);
+    let out_bits = evaluate_banked(ch, gc_bank, &circuit, &my_bits, ot_recv);
     let (ind_bits, k_bits) = out_bits.split_at(bins * ell);
     let ind_shares = bits_to_words(ind_bits, ell);
     // The garbler picks every k: an index outside ξ₁'s range is a peer
@@ -164,9 +163,7 @@ pub fn shared_payload_psi_sender<R: Rng + ?Sized>(
     let mut my_bits = words_to_bits(&masks, ell);
     my_bits.extend(words_to_bits(&swd, 64));
     let circuit = k_circuit(bins, ell);
-    let mode = OutputMode::RevealToEvaluator;
-    let out = garble_banked(ch, gc_bank, &circuit, &my_bits, ot_send, rng, mode);
-    debug_assert!(out.is_none());
+    garble_banked(ch, gc_bank, &circuit, &my_bits, ot_send, rng);
     // Step 5: second shared OEP (receiver holds ξ₂).
     let payload_shares = shared_oep_other(ch, &zprime_shares, bins, ring, ot_send, rng);
     PsiOutput {
@@ -262,9 +259,9 @@ mod tests {
                     .collect();
                 let mut bits = vec![false; params.bins * 32];
                 bits.extend(words_to_bits(&swd, 64));
-                let (circuit, mode) = (k_circuit(params.bins, 32), OutputMode::RevealToEvaluator);
+                let circuit = k_circuit(params.bins, 32);
                 let bank = &mut VecDeque::new();
-                garble_banked(ch, bank, &circuit, &bits, &mut ot_s, &mut rng, mode);
+                garble_banked(ch, bank, &circuit, &bits, &mut ot_s, &mut rng);
             },
         );
         match got {

@@ -655,13 +655,6 @@ impl Channel {
         self.net = net;
     }
 
-    /// Lower the frame payload cap below [`MAX_FRAME_SIZE`] (tests use this
-    /// to exercise super-frame splitting without gigantic payloads). Both
-    /// endpoints of a pair should agree. Clamped to `[64, MAX_FRAME_SIZE]`.
-    pub fn set_frame_cap(&mut self, cap: usize) {
-        self.frame_cap = cap.clamp(64, MAX_FRAME_SIZE);
-    }
-
     /// The party this endpoint belongs to.
     pub fn role(&self) -> Role {
         self.role
@@ -968,6 +961,15 @@ impl Drop for Channel {
 mod tests {
     use super::*;
     use std::thread;
+
+    impl Channel {
+        /// Lower the frame payload cap below [`MAX_FRAME_SIZE`], to exercise
+        /// super-frame splitting without gigantic payloads. Both endpoints
+        /// of a pair should agree. Clamped to `[64, MAX_FRAME_SIZE]`.
+        pub(crate) fn set_frame_cap(&mut self, cap: usize) {
+            self.frame_cap = cap.clamp(64, MAX_FRAME_SIZE);
+        }
+    }
 
     /// A pair with the Alice→Bob wire cut open: the frames Alice ships come
     /// out of the receiver, and what the test pushes into the sender is

@@ -6,17 +6,17 @@
 //! combination of {scalar forced, SIMD allowed} × {1 thread, 4 threads}.
 //! This is the protocol-level closure of the per-kernel equivalence
 //! tests in `secyan-crypto`: if any kernel's arms diverged — or any arm
-//! interacted with the band partitioning — the cross-arm transcript
-//! comparison here would catch it.
+//! interacted with the worker pool's partitioning — the cross-arm
+//! transcript comparison here would catch it.
 
 #[path = "common/unroll.rs"]
 mod unroll;
 
 use rand::SeedableRng;
-use secyan_core::par;
 use secyan_crypto::cpu;
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_ot::{OtReceiver, OtSender};
+use secyan_par as par;
 use secyan_relation::{JoinTree, NaturalRing, Relation};
 use secyan_transport::{run_protocol_captured, Role};
 use std::sync::Mutex;
@@ -126,10 +126,9 @@ fn full_query_transcript_is_dispatch_invariant() {
     }
 }
 
-/// IKNP extension above `OT_PAR_MIN`, so the SIMD transpose composes
-/// with the column-band partitioning in the same run: the coalesced
-/// column message and every hashed output must be identical across all
-/// four configurations.
+/// IKNP extension at a size where every transpose runs whole SIMD strips:
+/// the coalesced column message and every hashed output must be
+/// identical across all four configurations.
 fn run_iknp() -> (
     Vec<(secyan_crypto::Block, secyan_crypto::Block)>,
     Vec<secyan_crypto::Block>,

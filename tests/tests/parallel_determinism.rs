@@ -1,19 +1,19 @@
 //! Thread-count determinism: the worker pool must not change a single
-//! byte on the wire. Every parallelized hot path (IKNP extension, KKRT,
-//! OPPRF hints, tiled garbling, layered OSN) partitions work on
-//! public sizes and writes results into pre-allocated slots in canonical
-//! order, so the transcript of a full protocol run — and the outputs —
-//! are required to be identical at any `SECYAN_THREADS` setting. These
-//! tests run the same protocol at 1 and 4 threads over a recording
-//! channel and compare full payload bytes, not just lengths.
+//! byte on the wire. Both parallelized hot paths (OPPRF hint
+//! construction, tiled garbling) partition work on public sizes and
+//! write results into pre-allocated slots in canonical order, so the
+//! transcript of a full protocol run — and the outputs — are required to
+//! be identical at any `SECYAN_THREADS` setting. These tests run the
+//! same protocol at 1 and 4 threads over a recording channel and compare
+//! full payload bytes, not just lengths.
 
 #[path = "common/unroll.rs"]
 mod unroll;
 
 use rand::SeedableRng;
-use secyan_core::par;
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_ot::{OtReceiver, OtSender};
+use secyan_par as par;
 use secyan_relation::{JoinTree, NaturalRing, Relation};
 use secyan_transport::{run_protocol_captured, Role};
 use std::sync::Mutex;
@@ -115,43 +115,7 @@ fn full_query_transcript_is_thread_count_invariant() {
     }
 }
 
-/// IKNP random-OT extension at a size crossing the parallel threshold
-/// (`OT_PAR_MIN = 4096`): both the coalesced column message and every
-/// hashed output must match byte for byte.
-fn run_iknp() -> (
-    Vec<(secyan_crypto::Block, secyan_crypto::Block)>,
-    Vec<secyan_crypto::Block>,
-    Transcript,
-) {
-    const M: usize = 8192;
-    let hasher = TweakHasher::default();
-    let (pairs, got, _, handle) = run_protocol_captured(
-        move |ch| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-            let mut ot = OtSender::setup(ch, &mut rng, hasher);
-            ot.random(ch, M)
-        },
-        move |ch| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(22);
-            let mut ot = OtReceiver::setup(ch, &mut rng, hasher);
-            let choices: Vec<bool> = (0..M).map(|i| i % 3 == 0).collect();
-            ot.random(ch, &choices)
-        },
-    );
-    (pairs, got, handle.messages())
-}
-
-#[test]
-fn iknp_extension_transcript_is_thread_count_invariant() {
-    let _guard = THREAD_LOCK.lock().unwrap();
-    let (pairs_1, got_1, transcript_1) = with_threads(1, run_iknp);
-    let (pairs_4, got_4, transcript_4) = with_threads(4, run_iknp);
-    assert_eq!(pairs_1, pairs_4, "sender pairs diverged");
-    assert_eq!(got_1, got_4, "receiver outputs diverged");
-    assert_eq!(transcript_1, transcript_4, "IKNP transcript diverged");
-}
-
-/// OPPRF at a bin count crossing every KKRT/OPPRF parallel threshold:
+/// OPPRF at a bin count crossing the hint construction's parallel threshold:
 /// the hint polynomials (and therefore the wire bytes) must not depend
 /// on how bins were scheduled across workers.
 fn run_opprf() -> (Vec<u64>, Transcript) {
