@@ -229,16 +229,6 @@ pub fn oblivious_reduce_join(
     }
 }
 
-/// Oblivious annotated semijoin `R_F ⋉⊗ R_G` (paper §6.2): the support
-/// projection of `R_G` on the shared attributes, then a reduce-join.
-pub fn oblivious_semijoin(
-    sess: &mut Session,
-    rf: &SecureRelation,
-    rg: &SecureRelation,
-) -> SecureRelation {
-    crate::protocol::semijoin(sess, rf, rg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,7 +618,7 @@ mod tests {
                 let mut rg = SecureRelation::load(&mut sess, Role::Bob, strings(&["k", "y"]), None);
                 rf.ensure_shared(&mut sess);
                 rg.ensure_shared(&mut sess);
-                oblivious_semijoin(&mut sess, &rf, &rg).annot_shares
+                crate::protocol::semijoin(&mut sess, &rf, &rg).annot_shares
             },
             move |ch| {
                 let mut sess =
@@ -638,7 +628,7 @@ mod tests {
                     SecureRelation::load(&mut sess, Role::Bob, strings(&["k", "y"]), Some(&g_rel));
                 rf.ensure_shared(&mut sess);
                 rg.ensure_shared(&mut sess);
-                oblivious_semijoin(&mut sess, &rf, &rg).annot_shares
+                crate::protocol::semijoin(&mut sess, &rf, &rg).annot_shares
             },
         );
         let ring = RingCtx::new(32);

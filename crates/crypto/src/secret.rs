@@ -133,12 +133,6 @@ impl CtChoice {
         CtChoice(v & 1)
     }
 
-    /// The wrapped 0/1 value.
-    #[inline]
-    pub fn unwrap_u8(self) -> u8 {
-        self.0
-    }
-
     /// Explicit declassification to a branchable `bool`. Call sites of this
     /// are exactly the places where secret-derived data re-enters control
     /// flow, which is what `ct-lint` audits.
@@ -368,12 +362,6 @@ impl<T: Zeroize> Secret<T> {
         // field out transfers ownership exactly once.
         unsafe { core::ptr::read(&this.0) }
     }
-
-    /// Apply a function to the exposed value and wrap the result.
-    #[inline]
-    pub fn map_exposed<U: Zeroize>(&self, f: impl FnOnce(&T) -> U) -> Secret<U> {
-        Secret(f(&self.0))
-    }
 }
 
 impl<T: Zeroize + CtEq> Secret<T> {
@@ -486,8 +474,6 @@ mod tests {
         assert!(CtChoice::TRUE.or(CtChoice::FALSE).to_bool());
         assert!(!CtChoice::FALSE.or(CtChoice::FALSE).to_bool());
         assert!((!CtChoice::FALSE).to_bool());
-        assert_eq!(CtChoice::from_lsb(0b10).unwrap_u8(), 0);
-        assert_eq!(CtChoice::from_lsb(0b11).unwrap_u8(), 1);
     }
 
     #[test]
@@ -535,8 +521,6 @@ mod tests {
     #[test]
     fn secret_map_and_clone() {
         let s = Secret::new(3u64);
-        let doubled = s.map_exposed(|v| v * 2);
-        assert_eq!(*doubled.expose(), 6);
         #[allow(clippy::redundant_clone)]
         let cloned = s.clone();
         assert_eq!(*cloned.expose(), 3);

@@ -175,9 +175,7 @@ fn for_each_tile<T: Cell>(
     flip: Block,
     and_step: &(impl Fn(&[AndRef], &mut Tile, &mut [T]) + Sync),
 ) {
-    let wide = |s: &Segment| !s.carry && s.count >= 2 * tile_rows(s);
-    let parallel = par::threads() > 1 && circuit.segments().iter().any(wide);
-    par::with_pool_if(parallel, |pool| {
+    par::with_pool(|pool| {
         for seg in circuit.segments() {
             let (settled, mut exports) = slots.split_at_mut(seg.export_base);
             let n_cells = seg.ands.min(cells.len());

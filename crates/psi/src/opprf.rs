@@ -32,7 +32,7 @@ use secyan_transport::{Channel, ReadExt, WriteExt};
 
 /// Minimum bins per worker for the parallel hint construction. A bin costs
 /// O(load·degree) GF(2^64) work, so modest batches already amortize a
-/// dispatch.
+/// thread spawn.
 const BINS_PER_PART: usize = 32;
 
 /// Encoding of a PSI element as an OPRF input. Real elements and
@@ -95,12 +95,11 @@ pub fn opprf_program_with_key<R: Rng + ?Sized>(
     rng: &mut R,
 ) {
     let bins = programs.len();
-    let go_par = par::threads() > 1 && bins >= 2 * BINS_PER_PART;
     // Pre-draw one seed per bin *serially* from the caller's RNG, so the
     // random coefficients each bin draws are independent of how bins are
     // scheduled across workers.
     let mut bin_rand: Vec<u64> = programs.iter().map(|_| rng.gen()).collect();
-    let hints: Vec<Vec<u64>> = par::with_pool_if(go_par, |pool| {
+    let hints: Vec<Vec<u64>> = par::with_pool(|pool| {
         pool.map(programs, BINS_PER_PART, |b, prog| {
             let k = prog.len();
             assert!(

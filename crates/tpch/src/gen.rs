@@ -44,9 +44,6 @@ impl Scale {
         // Minimum 4 so every part can have four distinct suppliers.
         self.count(10.0).max(4)
     }
-    pub fn partsupps(&self) -> usize {
-        self.parts() * 4
-    }
 }
 
 /// Number of nations (public relation).

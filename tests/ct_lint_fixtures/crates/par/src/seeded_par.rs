@@ -22,6 +22,13 @@ pub fn par_clock(pool: &Pool, xs: &[u64]) -> Vec<u64> {
     pool.map(xs, 8, |_, x| x.wrapping_add(Instant::now().elapsed().as_nanos() as u64))
 }
 
+/// RNG inside a `ranges` closure: every dispatch method is a parallel
+/// section, not only `map`.
+pub fn par_ranges_rng(pool: &Pool, out: &AtomicU64) {
+    // ct-expect: PAR
+    pool.ranges(64, 8, |r| { out.fetch_add(r.len() as u64 ^ rng.gen::<u64>(), Relaxed); })
+}
+
 /// Clean twin: pure arithmetic on the chunk index and element — the only
 /// things a dispatch closure may depend on.
 pub fn par_clean(pool: &Pool, xs: &[u64]) -> Vec<u64> {

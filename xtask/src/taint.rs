@@ -53,8 +53,8 @@
 //!   iteration;
 //! - `PAR` — determinism of `secyan-par` dispatch closures: no RNG, no
 //!   channel I/O, no clocks, no spawns inside `pool.map`/`chunks_mut`/
-//!   `zip_chunks_mut`/`broadcast` closures (statically enforcing the
-//!   DESIGN.md §9 three-rule contract);
+//!   `ranges`/`broadcast` closures (statically enforcing the DESIGN.md §9
+//!   three-rule contract);
 //! - `UNSAFE` — `unsafe` without `SAFETY` (or a `# Safety` doc section) in
 //!   its comment block. Lexical, and the one rule that runs on every file,
 //!   tests included.
@@ -116,7 +116,7 @@ const MUTATORS: &[&str] = &[
 
 /// Pool dispatch methods whose closures are the parallel sections bound by
 /// the determinism contract.
-const POOL_DISPATCH: &[&str] = &["map", "chunks_mut", "zip_chunks_mut", "broadcast"];
+const POOL_DISPATCH: &[&str] = &["map", "chunks_mut", "ranges", "broadcast"];
 
 /// Identifiers forbidden inside pool dispatch closures: clocks, RNG entry
 /// points, channel I/O, and thread control are all schedule-visible.
