@@ -10,8 +10,8 @@
 //! * table-based rounds (four 1 KiB T-tables, generated at compile time
 //!   from the GF(2^8) algebra, so no 256-entry constants are transcribed by
 //!   hand);
-//! * a hardware AES-NI path on x86_64, selected once at runtime, which
-//!   pipelines 8 blocks per dispatch;
+//! * a hardware AES-NI path on x86_64, selected at runtime through
+//!   [`crate::cpu`], which pipelines 8 blocks at a time;
 //! * batched APIs ([`Aes128::encrypt_blocks`]) so callers amortize the
 //!   dispatch and let independent blocks overlap in the pipeline.
 //!
@@ -161,29 +161,27 @@ impl Aes128 {
         Aes128 { rk, rk_bytes }
     }
 
-    /// Encrypt one 16-byte block. Dispatch is per call (a relaxed atomic
-    /// load via [`crate::cpu::features`]), so `SECYAN_FORCE_SCALAR` and the
-    /// test override apply even to long-lived keys like [`fixed_key`].
+    /// Encrypt one 16-byte block.
     pub fn encrypt(&self, block: [u8; 16]) -> [u8; 16] {
-        #[cfg(target_arch = "x86_64")]
-        if crate::cpu::features().aes {
-            // SAFETY: gated on the runtime CPUID probe (aes+sse2).
-            return unsafe { ni::encrypt1(&self.rk_bytes, block) };
-        }
-        self.encrypt_soft(block)
+        self.encrypt_u128(u128::from_le_bytes(block)).to_le_bytes()
     }
 
     /// Encrypt a block given as a `u128` in the [`crate::Block`] convention
-    /// (little-endian byte order).
+    /// (little-endian byte order): a batch of one.
     #[inline]
     pub fn encrypt_u128(&self, x: u128) -> u128 {
-        u128::from_le_bytes(self.encrypt(x.to_le_bytes()))
+        let mut one = [x];
+        self.encrypt_blocks(&mut one);
+        one[0]
     }
 
     /// Encrypt every block of `xs` in place (the batched hot-path entry:
     /// independent blocks overlap in the pipeline; the hardware path runs
-    /// [`PIPELINE_WIDTH`]-wide software-pipelined rounds, with the
-    /// remainder still pipelined at widths 4/2/1).
+    /// [`PIPELINE_WIDTH`]-wide software-pipelined rounds, then the
+    /// remainder one block at a time). Dispatch is per call (a relaxed
+    /// atomic load via [`crate::cpu::features`]), so `SECYAN_FORCE_SCALAR`
+    /// and the test override apply even to long-lived keys like
+    /// [`fixed_key`].
     pub fn encrypt_blocks(&self, xs: &mut [u128]) {
         #[cfg(target_arch = "x86_64")]
         if crate::cpu::features().aes {
@@ -281,7 +279,7 @@ pub fn fixed_key() -> &'static Aes128 {
 /// everywhere.
 #[cfg(target_arch = "x86_64")]
 mod ni {
-    use super::ROUND_KEYS;
+    use super::{PIPELINE_WIDTH, ROUND_KEYS};
     use std::arch::x86_64::*;
 
     #[inline]
@@ -294,29 +292,6 @@ mod ni {
                 *dst = _mm_loadu_si128(src.as_ptr() as *const __m128i);
             }
             k
-        }
-    }
-
-    /// # Safety
-    ///
-    /// The caller must have verified the `aes` target feature is available
-    /// (check [`available`]).
-    #[target_feature(enable = "aes")]
-    pub unsafe fn encrypt1(rk: &[[u8; 16]; ROUND_KEYS], block: [u8; 16]) -> [u8; 16] {
-        let k = load_keys(rk);
-        // SAFETY: the enclosing fn's contract guarantees the `aes` feature;
-        // all loads/stores are 16-byte accesses into locals valid for the
-        // whole call.
-        unsafe {
-            let mut b = _mm_loadu_si128(block.as_ptr() as *const __m128i);
-            b = _mm_xor_si128(b, k[0]);
-            for key in k.iter().take(ROUND_KEYS - 1).skip(1) {
-                b = _mm_aesenc_si128(b, *key);
-            }
-            b = _mm_aesenclast_si128(b, k[ROUND_KEYS - 1]);
-            let mut out = [0u8; 16];
-            _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, b);
-            out
         }
     }
 
@@ -356,9 +331,8 @@ mod ni {
         }
     }
 
-    /// Encrypt a slice of blocks: [`super::PIPELINE_WIDTH`]-wide pipelined
-    /// groups, then a remainder that stays pipelined at widths 4/2/1
-    /// instead of serializing block-at-a-time.
+    /// Encrypt a slice of blocks: [`PIPELINE_WIDTH`]-wide pipelined groups,
+    /// then the remainder one block at a time.
     ///
     /// # Safety
     ///
@@ -367,28 +341,14 @@ mod ni {
     #[target_feature(enable = "aes")]
     pub unsafe fn encrypt_many(rk: &[[u8; 16]; ROUND_KEYS], xs: &mut [u128]) {
         let k = load_keys(rk);
-        let mut rest = xs;
-        while rest.len() >= 8 {
-            let (chunk, tail) = rest.split_at_mut(8);
+        let mut groups = xs.chunks_exact_mut(PIPELINE_WIDTH);
+        for group in &mut groups {
             // SAFETY: forwarded from this function's own contract.
-            unsafe { encrypt_w::<8>(&k, chunk) };
-            rest = tail;
+            unsafe { encrypt_w::<PIPELINE_WIDTH>(&k, group) };
         }
-        if rest.len() >= 4 {
-            let (chunk, tail) = rest.split_at_mut(4);
+        for x in groups.into_remainder() {
             // SAFETY: forwarded from this function's own contract.
-            unsafe { encrypt_w::<4>(&k, chunk) };
-            rest = tail;
-        }
-        if rest.len() >= 2 {
-            let (chunk, tail) = rest.split_at_mut(2);
-            // SAFETY: forwarded from this function's own contract.
-            unsafe { encrypt_w::<2>(&k, chunk) };
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            // SAFETY: forwarded from this function's own contract.
-            unsafe { encrypt_w::<1>(&k, rest) };
+            unsafe { encrypt_w::<1>(&k, std::slice::from_mut(x)) };
         }
     }
 }
@@ -467,7 +427,7 @@ mod tests {
     }
 
     /// The wide pipeline must equal the forced-scalar (T-table) arm on
-    /// every chunk shape, including the 4/2/1 pipelined remainders.
+    /// every chunk shape, including the one-block remainders.
     #[test]
     fn wide_pipeline_matches_forced_scalar() {
         let _guard = crate::cpu::override_lock();

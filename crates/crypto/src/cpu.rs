@@ -1,14 +1,16 @@
 //! Unified CPU feature dispatch for the SIMD kernel layer.
 //!
-//! Every accelerated kernel in this crate — the movemask bit-matrix
-//! transpose ([`crate::transpose`]), batched carry-less multiplication
-//! ([`crate::gf64`]) and AES-NI pipelining ([`crate::aes`]) — selects its
-//! implementation through this one module instead of carrying a private
-//! `available()` probe. Centralizing the probe buys three things:
+//! Every accelerated kernel in this crate — the SSE2 movemask bit-matrix
+//! transpose ([`crate::transpose`]), the `pclmulqdq` GF(2^64) multiply
+//! ([`crate::gf64`]) and the 8-wide AES-NI pipeline
+//! ([`crate::aes`]) — has one vector arm beside its scalar reference and
+//! selects between them through this one module. Centralizing the probe
+//! buys three things:
 //!
 //! 1. **One probe.** CPUID runs once (per feature set, cached in a
-//!    `OnceLock`); kernels pay a single relaxed atomic load per *batch*
-//!    call, never per element.
+//!    `OnceLock`); the transpose and AES kernels pay a single relaxed
+//!    atomic load per *batch* call, the GF(2^64) multiply one per
+//!    multiply.
 //! 2. **One override.** `SECYAN_FORCE_SCALAR=1` in the environment (read
 //!    at first use) or [`set_force_scalar`] (takes effect immediately,
 //!    for in-process differential tests) disables every SIMD path at
@@ -36,8 +38,6 @@ use std::sync::OnceLock;
 pub struct Features {
     /// SSE2 (128-bit integer ops; `movemask` transpose kernel).
     pub sse2: bool,
-    /// AVX2 (256-bit integer ops; wide transpose kernel).
-    pub avx2: bool,
     /// Carry-less multiply (`pclmulqdq`; GF(2^64) kernels).
     pub pclmulqdq: bool,
     /// AES round instructions (`aesenc`; fixed-key hashing kernels).
@@ -48,7 +48,6 @@ impl Features {
     /// No extensions: every kernel takes its portable scalar arm.
     pub const NONE: Features = Features {
         sse2: false,
-        avx2: false,
         pclmulqdq: false,
         aes: false,
     };
@@ -71,7 +70,6 @@ fn probe() -> Features {
     {
         Features {
             sse2: std::arch::is_x86_feature_detected!("sse2"),
-            avx2: std::arch::is_x86_feature_detected!("avx2"),
             pclmulqdq: std::arch::is_x86_feature_detected!("pclmulqdq")
                 && std::arch::is_x86_feature_detected!("sse2"),
             aes: std::arch::is_x86_feature_detected!("aes")

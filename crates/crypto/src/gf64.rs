@@ -32,14 +32,27 @@ impl Gf64 {
         Gf64(self.0 ^ rhs.0)
     }
 
-    /// Carry-less multiplication followed by modular reduction. `mul`,
-    /// `clmul` and `reduce` are `#[inline]` because they are the
+    /// Carry-less multiplication followed by modular reduction.
+    ///
+    /// Dispatches (via [`crate::cpu::features`]) to the hardware
+    /// `pclmulqdq` multiply, else the portable windowed product and
+    /// `reduce`. The arms are bit-exact, so the choice is purely a speed
+    /// matter. The hardware arm is the whole multiply, not one product: a
+    /// `#[target_feature]` function cannot inline into its caller, and a
+    /// call and a dispatch per carry-less product (three per multiply)
+    /// made the OPPRF hint loops 35–65 % slower.
+    /// `mul` and `reduce` are `#[inline]` because they are the
     /// interpolation inner loop: left to codegen-unit placement, whether
     /// they inline changes with unrelated edits to this crate (±10 % on
     /// `crypto.gf64_interp_us_per_bin`).
     #[inline]
     pub fn mul(self, rhs: Gf64) -> Gf64 {
-        let (lo, hi) = clmul(self.0, rhs.0);
+        #[cfg(target_arch = "x86_64")]
+        if crate::cpu::features().pclmulqdq {
+            // SAFETY: gated on the runtime CPUID probe (pclmulqdq+sse2).
+            return Gf64(unsafe { pclmul::mul(self.0, rhs.0) });
+        }
+        let (lo, hi) = clmul_scalar(self.0, rhs.0);
         Gf64(reduce(lo, hi))
     }
 
@@ -60,175 +73,29 @@ impl Gf64 {
     }
 }
 
-/// 64×64 carry-less multiply → 128-bit product `(lo, hi)`.
-///
-/// Dispatches to the hardware `pclmulqdq` instruction when
-/// [`crate::cpu::features`] reports it, else the portable windowed
-/// fallback. The two paths are bit-exact — asserted by the KATs below —
-/// so the choice is purely a speed matter: one instruction vs. ~16 table
-/// lookups per multiply, on the OPPRF interpolation hot path.
-#[inline]
-fn clmul(a: u64, b: u64) -> (u64, u64) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::cpu::features().pclmulqdq {
-            // SAFETY: gated on the runtime CPUID probe (pclmulqdq+sse2).
-            return unsafe { pclmul::clmul(a, b) };
-        }
-    }
-    clmul_scalar(a, b)
-}
-
-/// One multiply on the portable path only — the guaranteed-scalar arm the
-/// batch fallbacks use so they never re-dispatch per element.
-fn mul_scalar_one(a: u64, b: u64) -> u64 {
-    let (lo, hi) = clmul_scalar(a, b);
-    let (flo, fhi) = clmul_scalar(hi, POLY);
-    let (flo2, _) = clmul_scalar(fhi, POLY);
-    lo ^ flo ^ flo2
-}
-
-/// Hardware carry-less multiply kernels (x86_64 `pclmulqdq`). Feature
-/// gating lives in [`crate::cpu`]; everything here assumes the caller
-/// checked `cpu::features().pclmulqdq`.
+/// Hardware GF(2^64) multiply (x86_64 `pclmulqdq`). Feature gating lives
+/// in [`crate::cpu`]; the caller checks `cpu::features().pclmulqdq`.
 #[cfg(target_arch = "x86_64")]
 mod pclmul {
-    use super::{Gf64, POLY};
+    use super::POLY;
     use core::arch::x86_64::*;
 
+    /// `a · b` reduced mod x^64 + x^4 + x^3 + x + 1: one carry-less
+    /// product, then the same two folds as [`super::reduce`].
+    ///
     /// # Safety
     /// Caller must ensure `pclmulqdq` and `sse2` are supported (see
     /// [`crate::cpu::features`]).
     #[target_feature(enable = "pclmulqdq", enable = "sse2")]
-    pub unsafe fn clmul(a: u64, b: u64) -> (u64, u64) {
-        let va = _mm_set_epi64x(0, a as i64);
-        let vb = _mm_set_epi64x(0, b as i64);
-        let prod = _mm_clmulepi64_si128::<0x00>(va, vb);
-        let lo = _mm_cvtsi128_si64(prod) as u64;
-        // High half via unpack (SSE2) — avoids an SSE4.1 extract.
-        let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(prod, prod)) as u64;
-        (lo, hi)
-    }
-
-    /// Four independent field multiplies, interleaved so the three
-    /// `pclmulqdq` rounds (product, first fold, second fold) of all four
-    /// lanes overlap in the pipeline instead of serializing behind the
-    /// instruction's latency. Reduction is deferred: all four 128-bit
-    /// products are formed first, then every product is folded modulo
-    /// x^64 + x^4 + x^3 + x + 1.
-    ///
-    /// # Safety
-    /// Caller must ensure `pclmulqdq` and `sse2` are supported.
-    #[target_feature(enable = "pclmulqdq", enable = "sse2")]
-    pub unsafe fn mul4(a: &[Gf64; 4], b: &[Gf64; 4]) -> [Gf64; 4] {
-        let vpoly = _mm_set_epi64x(0, POLY as i64);
-        let mut p = [_mm_setzero_si128(); 4];
-        for (pi, (ai, bi)) in p.iter_mut().zip(a.iter().zip(b.iter())) {
-            let va = _mm_set_epi64x(0, ai.0 as i64);
-            let vb = _mm_set_epi64x(0, bi.0 as i64);
-            *pi = _mm_clmulepi64_si128::<0x00>(va, vb);
-        }
-        // First fold: f1 = hi(p) · POLY (imm 0x01 selects p's high qword).
-        let mut f1 = [_mm_setzero_si128(); 4];
-        for (fi, pi) in f1.iter_mut().zip(p.iter()) {
-            *fi = _mm_clmulepi64_si128::<0x01>(*pi, vpoly);
-        }
-        // Second fold (hi(f1) ≤ 4 bits, so hi(f2) = 0) and combine: the
-        // reduced value is lo(p) ^ lo(f1) ^ lo(f2).
-        let mut out = [Gf64::ZERO; 4];
-        for (oi, (pi, fi)) in out.iter_mut().zip(p.iter().zip(f1.iter())) {
-            let f2 = _mm_clmulepi64_si128::<0x01>(*fi, vpoly);
-            let r = _mm_xor_si128(_mm_xor_si128(*pi, *fi), f2);
-            *oi = Gf64(_mm_cvtsi128_si64(r) as u64);
-        }
-        out
-    }
-
-    /// `xs[i] <- xs[i] * ys[i]` over the hardware path, 4-wide.
-    ///
-    /// # Safety
-    /// Caller must ensure `pclmulqdq` and `sse2` are supported.
-    #[target_feature(enable = "pclmulqdq", enable = "sse2")]
-    pub unsafe fn mul_slice(xs: &mut [Gf64], ys: &[Gf64]) {
-        let n4 = xs.len() / 4 * 4;
-        for i in (0..n4).step_by(4) {
-            let a = [xs[i], xs[i + 1], xs[i + 2], xs[i + 3]];
-            let b = [ys[i], ys[i + 1], ys[i + 2], ys[i + 3]];
-            // SAFETY: same features as this function's own contract.
-            let r = unsafe { mul4(&a, &b) };
-            xs[i..i + 4].copy_from_slice(&r);
-        }
-        for i in n4..xs.len() {
-            // SAFETY: same features as this function's own contract.
-            let (lo, hi) = unsafe { clmul(xs[i].0, ys[i].0) };
-            // SAFETY: same features as this function's own contract.
-            let (flo, fhi) = unsafe { clmul(hi, POLY) };
-            // SAFETY: same features as this function's own contract.
-            let (flo2, _) = unsafe { clmul(fhi, POLY) };
-            xs[i] = Gf64(lo ^ flo ^ flo2);
-        }
-    }
-
-    /// `xs[i] <- xs[i] * k` over the hardware path, 4-wide.
-    ///
-    /// # Safety
-    /// Caller must ensure `pclmulqdq` and `sse2` are supported.
-    #[target_feature(enable = "pclmulqdq", enable = "sse2")]
-    pub unsafe fn mul_slice_by(xs: &mut [Gf64], k: Gf64) {
-        let ks = [k; 4];
-        let n4 = xs.len() / 4 * 4;
-        for i in (0..n4).step_by(4) {
-            let a = [xs[i], xs[i + 1], xs[i + 2], xs[i + 3]];
-            // SAFETY: same features as this function's own contract.
-            let r = unsafe { mul4(&a, &ks) };
-            xs[i..i + 4].copy_from_slice(&r);
-        }
-        for x in xs[n4..].iter_mut() {
-            // SAFETY: same features as this function's own contract.
-            let (lo, hi) = unsafe { clmul(x.0, k.0) };
-            // SAFETY: same features as this function's own contract.
-            let (flo, fhi) = unsafe { clmul(hi, POLY) };
-            // SAFETY: same features as this function's own contract.
-            let (flo2, _) = unsafe { clmul(fhi, POLY) };
-            *x = Gf64(lo ^ flo ^ flo2);
-        }
-    }
-}
-
-/// Elementwise field product: `xs[i] <- xs[i] * ys[i]`.
-///
-/// The hardware arm runs 4-way interleaved `pclmulqdq` with deferred
-/// reduction — one dispatch decision per *slice*, not per multiply. The
-/// portable arm uses the windowed scalar multiply directly (again no
-/// per-element dispatch). Both arms are bit-exact.
-pub fn mul_slice(xs: &mut [Gf64], ys: &[Gf64]) {
-    assert_eq!(xs.len(), ys.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::cpu::features().pclmulqdq {
-            // SAFETY: gated on the runtime CPUID probe (pclmulqdq+sse2).
-            unsafe { pclmul::mul_slice(xs, ys) };
-            return;
-        }
-    }
-    for (x, y) in xs.iter_mut().zip(ys) {
-        *x = Gf64(mul_scalar_one(x.0, y.0));
-    }
-}
-
-/// Uniform field product: `xs[i] <- xs[i] * k`. Same dispatch contract as
-/// [`mul_slice`].
-pub fn mul_slice_by(xs: &mut [Gf64], k: Gf64) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::cpu::features().pclmulqdq {
-            // SAFETY: gated on the runtime CPUID probe (pclmulqdq+sse2).
-            unsafe { pclmul::mul_slice_by(xs, k) };
-            return;
-        }
-    }
-    for x in xs.iter_mut() {
-        *x = Gf64(mul_scalar_one(x.0, k.0));
+    pub unsafe fn mul(a: u64, b: u64) -> u64 {
+        let (va, vb) = (_mm_set_epi64x(0, a as i64), _mm_set_epi64x(0, b as i64));
+        let poly = _mm_set_epi64x(0, POLY as i64);
+        let p = _mm_clmulepi64_si128::<0x00>(va, vb);
+        // First fold: hi(p) · POLY (imm 0x01 selects p's high qword).
+        let f1 = _mm_clmulepi64_si128::<0x01>(p, poly);
+        // Second fold: hi(f1) ≤ 4 bits, so hi(f2) = 0.
+        let f2 = _mm_clmulepi64_si128::<0x01>(f1, poly);
+        _mm_cvtsi128_si64(_mm_xor_si128(_mm_xor_si128(p, f1), f2)) as u64
     }
 }
 
@@ -269,10 +136,10 @@ fn clmul_scalar(a: u64, b: u64) -> (u64, u64) {
 fn reduce(lo: u64, hi: u64) -> u64 {
     // x^64 ≡ x^4 + x^3 + x + 1, so fold `hi` down twice (folding can spill
     // at most 4 bits back above position 64).
-    let (flo, fhi) = clmul(hi, POLY);
+    let (flo, fhi) = clmul_scalar(hi, POLY);
     let lo2 = lo ^ flo;
     let hi2 = fhi; // ≤ 4 bits
-    let (flo2, _) = clmul(hi2, POLY);
+    let (flo2, _) = clmul_scalar(hi2, POLY);
     lo2 ^ flo2
 }
 
@@ -286,21 +153,20 @@ pub fn poly_eval(coeffs: &[Gf64], x: Gf64) -> Gf64 {
 }
 
 /// Evaluate many same-degree polynomials, each at its own point, by
-/// running all the Horner recurrences in lockstep over [`mul_slice`].
+/// running all the Horner recurrences in lockstep, so the independent
+/// multiplies of different polynomials overlap in the pipeline.
 ///
 /// `coeffs_flat` holds `xs.len()` polynomials of `degree` coefficients
 /// each (low-degree first), polynomial `b` at
 /// `coeffs_flat[b * degree .. (b + 1) * degree]` — exactly the flat OPPRF
 /// hint layout. Returns `out[b] = p_b(xs[b])`, equal to per-polynomial
-/// [`poly_eval`] bit-for-bit; the batching only removes the per-multiply
-/// dispatch and exposes 4-way CLMUL interleaving.
+/// [`poly_eval`] bit-for-bit.
 pub fn poly_eval_batch(coeffs_flat: &[Gf64], degree: usize, xs: &[Gf64]) -> Vec<Gf64> {
     assert_eq!(coeffs_flat.len(), degree * xs.len());
     let mut acc = vec![Gf64::ZERO; xs.len()];
     for j in (0..degree).rev() {
-        mul_slice(&mut acc, xs);
-        for (b, a) in acc.iter_mut().enumerate() {
-            *a = a.add(coeffs_flat[b * degree + j]);
+        for (b, (a, &x)) in acc.iter_mut().zip(xs).enumerate() {
+            *a = a.mul(x).add(coeffs_flat[b * degree + j]);
         }
     }
     acc
@@ -353,39 +219,33 @@ pub fn poly_interpolate(points: &[(Gf64, Gf64)]) -> Vec<Gf64> {
         }
     }
     let invs = batch_invert(&dens);
-    // Newton coefficients c_k = f[x_0..x_k]. Each level's updates are
-    // independent across i, so the level is one batched elementwise
-    // multiply (subtraction == addition over GF(2)).
+    // Newton coefficients c_k = f[x_0..x_k]. Level by level, entry i
+    // reads only entries i and i + 1 of the previous level, so the table
+    // updates in place (subtraction == addition over GF(2)).
     let mut table: Vec<Gf64> = points.iter().map(|&(_, y)| y).collect();
     let mut newton = vec![table[0]];
     let mut off = 0;
     for level in 1..n {
         let w = n - level;
         for i in 0..w {
-            table[i] = table[i + 1].add(table[i]);
+            table[i] = table[i + 1].add(table[i]).mul(invs[off + i]);
         }
-        mul_slice(&mut table[..w], &invs[off..off + w]);
         off += w;
         newton.push(table[0]);
     }
     // Expand the Newton form into monomial coefficients:
     // p(x) = c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)).
-    // Per step: coeffs <- coeffs * (x - x_k) + c_k, i.e. one uniform
-    // batched multiply by x_k followed by a shifted XOR of the pre-step
-    // coefficients (saved in `scratch`; over GF(2), -x_k == x_k).
+    // Per step: coeffs <- coeffs * (x - x_k) + c_k, highest degree first
+    // so that each coefficient still reads its pre-step neighbour below
+    // (over GF(2), -x_k == x_k).
     let mut coeffs = vec![Gf64::ZERO; n];
-    let mut scratch = vec![Gf64::ZERO; n];
     coeffs[0] = newton[n - 1];
-    let mut deg = 0;
-    for k in (0..n - 1).rev() {
+    for (deg, k) in (0..n - 1).rev().enumerate() {
         let xk = points[k].0;
-        deg += 1;
-        scratch[..deg].copy_from_slice(&coeffs[..deg]);
-        mul_slice_by(&mut coeffs[..=deg], xk);
-        for i in 1..=deg {
-            coeffs[i] = coeffs[i].add(scratch[i - 1]);
+        for i in (1..=deg + 1).rev() {
+            coeffs[i] = coeffs[i].mul(xk).add(coeffs[i - 1]);
         }
-        coeffs[0] = coeffs[0].add(newton[k]);
+        coeffs[0] = coeffs[0].mul(xk).add(newton[k]);
     }
     coeffs
 }
@@ -399,15 +259,14 @@ mod tests {
     #[test]
     fn clmul_small_cases() {
         // (x+1)(x+1) = x^2 + 1 in GF(2)[x].
-        assert_eq!(clmul(0b11, 0b11), (0b101, 0));
+        assert_eq!(clmul_scalar(0b11, 0b11), (0b101, 0));
         // x^63 * x = x^64.
-        assert_eq!(clmul(1 << 63, 0b10), (0, 1));
+        assert_eq!(clmul_scalar(1 << 63, 0b10), (0, 1));
     }
 
-    /// Known-answer tests for the carry-less multiply, run against the
-    /// scalar path explicitly (the dispatching `clmul` is covered by the
-    /// agreement test below, so a CPU without `pclmulqdq` still checks
-    /// every vector).
+    /// Known-answer tests for the portable carry-less multiply, so a CPU
+    /// without `pclmulqdq` still checks every vector; the hardware
+    /// multiply is held to the portable one by the agreement test below.
     #[test]
     fn clmul_known_answers() {
         // (a, b, lo, hi) — products computed by GF(2)[x] long multiplication.
@@ -423,11 +282,10 @@ mod tests {
         ];
         for &(a, b, lo, hi) in &kats {
             assert_eq!(clmul_scalar(a, b), (lo, hi), "scalar {a:#x}·{b:#x}");
-            assert_eq!(clmul(a, b), (lo, hi), "dispatch {a:#x}·{b:#x}");
         }
     }
 
-    /// The hardware and scalar paths must agree bit-exactly on every
+    /// The hardware and scalar multiplies must agree bit-exactly on every
     /// input. Skips silently (scalar-only) on CPUs without `pclmulqdq`.
     #[cfg(target_arch = "x86_64")]
     #[test]
@@ -436,14 +294,18 @@ mod tests {
             eprintln!("pclmulqdq not available; hardware path untested here");
             return;
         }
+        let scalar = |a, b| {
+            let (lo, hi) = clmul_scalar(a, b);
+            reduce(lo, hi)
+        };
         let mut rng = StdRng::seed_from_u64(8);
         let edge = [0u64, 1, 2, u64::MAX, 1 << 63, 0x8000_0000_0000_0001];
         for &a in &edge {
             for &b in &edge {
                 assert_eq!(
-                    // SAFETY: pclmul::available() checked at function entry.
-                    unsafe { pclmul::clmul(a, b) },
-                    clmul_scalar(a, b),
+                    // SAFETY: pclmulqdq presence checked at function entry.
+                    unsafe { pclmul::mul(a, b) },
+                    scalar(a, b),
                     "edge {a:#x}·{b:#x}"
                 );
             }
@@ -453,55 +315,22 @@ mod tests {
             let b = rng.gen::<u64>();
             assert_eq!(
                 // SAFETY: pclmulqdq presence checked at function entry.
-                unsafe { pclmul::clmul(a, b) },
-                clmul_scalar(a, b),
+                unsafe { pclmul::mul(a, b) },
+                scalar(a, b),
                 "{a:#x}·{b:#x}"
             );
         }
     }
 
-    /// The batched slice primitives must match per-element `Gf64::mul` on
-    /// both arms, including the KAT vectors and ragged (non-multiple-of-4)
-    /// lengths that exercise the kernel remainders.
-    #[test]
-    fn batch_ops_match_scalar() {
-        let _guard = crate::cpu::override_lock();
-        let mut rng = StdRng::seed_from_u64(9);
-        let edge = [0u64, 1, 2, u64::MAX, 1 << 63, 0x8000_0000_0000_0001];
-        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 13, 64, 65] {
-            let xs: Vec<Gf64> = (0..len)
-                .map(|i| {
-                    if i < edge.len() {
-                        Gf64(edge[i])
-                    } else {
-                        Gf64(rng.gen())
-                    }
-                })
-                .collect();
-            let ys: Vec<Gf64> = (0..len).map(|_| Gf64(rng.gen())).collect();
-            let k = Gf64(rng.gen());
-            let want_mul: Vec<Gf64> = xs.iter().zip(&ys).map(|(x, y)| x.mul(*y)).collect();
-            let want_by: Vec<Gf64> = xs.iter().map(|x| x.mul(k)).collect();
-            for force in [false, true] {
-                crate::cpu::set_force_scalar(force);
-                let mut got = xs.clone();
-                mul_slice(&mut got, &ys);
-                assert_eq!(got, want_mul, "mul_slice len={len} force={force}");
-                let mut got = xs.clone();
-                mul_slice_by(&mut got, k);
-                assert_eq!(got, want_by, "mul_slice_by len={len} force={force}");
-            }
-            crate::cpu::clear_force_scalar();
-        }
-    }
-
     /// Lockstep Horner over many bins equals per-bin `poly_eval`, on both
-    /// dispatch arms.
+    /// dispatch arms. Degree 53 is `secyan-psi`'s `max_bin_size` for a
+    /// Q3-sized set of 2 000–3 000 elements, so the hardware multiply is
+    /// checked against the scalar one at protocol sizes.
     #[test]
     fn poly_eval_batch_matches_single() {
         let _guard = crate::cpu::override_lock();
         let mut rng = StdRng::seed_from_u64(10);
-        for (bins, degree) in [(0usize, 5usize), (1, 1), (3, 4), (7, 24), (33, 11)] {
+        for (bins, degree) in [(0usize, 5usize), (1, 1), (3, 4), (7, 24), (33, 11), (9, 53)] {
             let flat: Vec<Gf64> = (0..bins * degree).map(|_| Gf64(rng.gen())).collect();
             let xs: Vec<Gf64> = (0..bins).map(|_| Gf64(rng.gen())).collect();
             let want: Vec<Gf64> = (0..bins)
@@ -517,12 +346,13 @@ mod tests {
     }
 
     /// Interpolation output is identical on the forced-scalar and SIMD
-    /// arms (it is one deterministic function either way).
+    /// arms (it is one deterministic function either way), up to a
+    /// protocol-sized bin of 53 points.
     #[test]
     fn interpolation_arms_agree() {
         let _guard = crate::cpu::override_lock();
         let mut rng = StdRng::seed_from_u64(13);
-        for n in [1usize, 2, 3, 5, 8, 24, 40] {
+        for n in [1usize, 2, 3, 5, 8, 24, 40, 53] {
             let points: Vec<(Gf64, Gf64)> = (1..=n as u64)
                 .map(|x| (Gf64(x.wrapping_mul(0x9e37_79b9_7f4a_7c15)), Gf64(rng.gen())))
                 .collect();

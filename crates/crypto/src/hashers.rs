@@ -69,8 +69,8 @@ impl TweakHasher {
     /// `out`. This is the fully general batched shape: the garbler and the
     /// evaluator use it to hand the AES kernel one level × tile of gate
     /// hashes (4 per AND garbling, 2 evaluating) as one contiguous batch.
-    /// Serial by design — it is called from inside `secyan-par` workers,
-    /// which must never nest a pool.
+    /// Serial by design: tiled garbling already fans its tiles out across
+    /// `secyan-par` threads, and each thread makes its own calls.
     pub fn hash_each_into(self, xs: &[Block], tweaks: &[u64], out: &mut [Block]) {
         assert_eq!(xs.len(), tweaks.len(), "hash_each wants aligned slices");
         assert_eq!(xs.len(), out.len(), "hash_each wants aligned slices");

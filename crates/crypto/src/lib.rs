@@ -13,7 +13,7 @@
 //! * [`gf64`] — the binary field GF(2^64) plus polynomial interpolation,
 //!   used by the OPPRF hint encoding in circuit PSI.
 //! * [`cpu`] — the single runtime feature probe behind every SIMD kernel
-//!   (movemask transpose, batched CLMUL, AES-NI pipelining), with a
+//!   (SSE2 movemask transpose, `pclmulqdq` multiply, 8-wide AES-NI), with a
 //!   `SECYAN_FORCE_SCALAR` override for differential testing.
 //! * [`transpose`] — bit-matrix transposition for IKNP OT extension.
 //! * [`share`] — additive secret sharing over Z_{2^ℓ} (§5.1 of the paper).

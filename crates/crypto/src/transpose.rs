@@ -5,8 +5,6 @@
 //! views with a transpose. Rows are byte-packed, least-significant bit
 //! first, matching the wire encoding in `secyan-transport`.
 
-use crate::cpu;
-
 /// A byte-packed bit matrix with `rows` rows and `cols` columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitMatrix {
@@ -102,11 +100,10 @@ impl BitMatrix {
 
     /// The transposed matrix.
     ///
-    /// The inner loop dispatches (via [`crate::cpu`]) to a movemask kernel
-    /// — AVX2 32×8 tiles, SSE2 16×8 tiles — with the scalar bit loop
-    /// covering the column tail and the row remainder. The output is a
-    /// pure function of the input, so the kernel choice cannot change a
-    /// single output byte.
+    /// The inner loop dispatches (via [`crate::cpu`]) to the SSE2 movemask
+    /// kernel's 16×8 tiles, with the scalar bit loop covering the column
+    /// tail and the row remainder. The output is a pure function of the
+    /// input, so the kernel choice cannot change a single output byte.
     pub fn transpose(&self) -> BitMatrix {
         let mut out = BitMatrix::zero(self.cols, self.rows);
         if self.rows == 0 || self.cols == 0 {
@@ -115,36 +112,19 @@ impl BitMatrix {
         let (src, rows, cols) = (&self.data[..], self.rows, self.cols);
         let (in_rb, out_rb) = (self.row_bytes(), out.row_bytes());
         let dst = &mut out.data[..];
-        // The movemask kernels consume whole input bytes (8 columns at a
-        // time), so they cover the 8-aligned columns [0, cb); the tail
+        // The movemask kernel consumes whole input bytes (8 columns at a
+        // time), so it covers the 8-aligned columns [0, cb); the tail
         // columns take the scalar loop.
         let cb = cols / 8 * 8;
         // Rows below `r_done` for columns [0, cb) were filled by a SIMD strip.
         let mut r_done = 0;
-        let feats = cpu::features();
         #[cfg(target_arch = "x86_64")]
-        if cb > 0 {
-            if feats.avx2 {
-                let n32 = rows / 32 * 32;
-                if n32 > 0 {
-                    // SAFETY: `feats.avx2` comes from the runtime CPUID probe
-                    // in `cpu::features()`, so the AVX2 kernel is supported.
-                    unsafe { simd::strips_avx2(src, in_rb, out_rb, 0..n32, cb, dst) };
-                    r_done = n32;
-                }
-            }
-            if feats.sse2 {
-                let n16 = r_done + (rows - r_done) / 16 * 16;
-                if n16 > r_done {
-                    // SAFETY: `feats.sse2` comes from the runtime CPUID probe
-                    // in `cpu::features()`, so the SSE2 kernel is supported.
-                    unsafe { simd::strips_sse2(src, in_rb, out_rb, r_done..n16, cb, dst) };
-                    r_done = n16;
-                }
-            }
+        if cb > 0 && crate::cpu::features().sse2 {
+            r_done = rows / 16 * 16;
+            // SAFETY: `sse2` comes from the runtime CPUID probe in
+            // `cpu::features()`, so the SSE2 kernel is supported.
+            unsafe { simd::strips_sse2(src, in_rb, out_rb, r_done, cb, dst) };
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = feats;
         // Scalar coverage of whatever the kernels did not touch. Both
         // regions write disjoint (row, byte) slots of the zeroed output, so
         // order is irrelevant.
@@ -175,13 +155,13 @@ fn transpose_bits_scalar(
     }
 }
 
-/// Movemask transpose kernels (EMP/libOTe-style `sse_trans`).
+/// Movemask transpose kernel (EMP/libOTe-style `sse_trans`).
 ///
-/// A tile gathers the input byte holding columns `cc..cc+8` from 16 (SSE2)
-/// or 32 (AVX2) consecutive rows into one vector, one row per lane. Peeling
+/// A tile gathers the input byte holding columns `cc..cc+8` from 16
+/// consecutive rows into one SSE2 vector, one row per lane. Peeling
 /// the bit positions top-down — `movemask` reads every lane's MSB, then a
 /// left shift promotes the next bit — yields, per iteration `b`, the packed
-/// 16/32-row slice of input column `cc + b`, which is exactly a run of
+/// 16-row slice of input column `cc + b`, which is exactly a run of
 /// output-row bytes: store it little-endian at byte `rr/8` of output row
 /// `cc + b`. The per-lane shift is `slli_epi64`; its cross-byte carries
 /// enter at bit 0 of the next lane byte and never climb to the MSB within
@@ -191,10 +171,9 @@ fn transpose_bits_scalar(
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use core::arch::x86_64::*;
-    use core::ops::Range;
 
-    /// 16-row SSE2 strips over input columns `0..cols`. `rows` must be a
-    /// multiple of 16 long and 16-aligned; `cols` a multiple of 8.
+    /// 16-row SSE2 strips over input rows `0..rows` and columns `0..cols`.
+    /// `rows` must be a multiple of 16 and `cols` a multiple of 8.
     ///
     /// # Safety
     /// Caller must ensure the CPU supports SSE2.
@@ -203,13 +182,13 @@ mod simd {
         src: &[u8],
         in_rb: usize,
         out_rb: usize,
-        rows: Range<usize>,
+        rows: usize,
         cols: usize,
         dst: &mut [u8],
     ) {
-        debug_assert!(rows.start.is_multiple_of(16) && rows.len().is_multiple_of(16));
+        debug_assert!(rows.is_multiple_of(16));
         debug_assert!(cols.is_multiple_of(8));
-        for rr in rows.step_by(16) {
+        for rr in (0..rows).step_by(16) {
             for cc in (0..cols).step_by(8) {
                 let ib = cc / 8;
                 let mut t = [0u8; 16];
@@ -224,42 +203,6 @@ mod simd {
                     let off = (cc + b) * out_rb + rr / 8;
                     dst[off..off + 2].copy_from_slice(&mask.to_le_bytes());
                     x = _mm_slli_epi64::<1>(x);
-                }
-            }
-        }
-    }
-
-    /// 32-row AVX2 strips. Same contract as [`strips_sse2`] with 32-row
-    /// granularity.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn strips_avx2(
-        src: &[u8],
-        in_rb: usize,
-        out_rb: usize,
-        rows: Range<usize>,
-        cols: usize,
-        dst: &mut [u8],
-    ) {
-        debug_assert!(rows.start.is_multiple_of(32) && rows.len().is_multiple_of(32));
-        debug_assert!(cols.is_multiple_of(8));
-        for rr in rows.step_by(32) {
-            for cc in (0..cols).step_by(8) {
-                let ib = cc / 8;
-                let mut t = [0u8; 32];
-                for (i, b) in t.iter_mut().enumerate() {
-                    *b = src[(rr + i) * in_rb + ib];
-                }
-                // SAFETY: `t` is a 32-byte buffer; loadu has no alignment
-                // requirement.
-                let mut x = unsafe { _mm256_loadu_si256(t.as_ptr().cast()) };
-                for b in (0..8).rev() {
-                    let mask = _mm256_movemask_epi8(x) as u32;
-                    let off = (cc + b) * out_rb + rr / 8;
-                    dst[off..off + 4].copy_from_slice(&mask.to_le_bytes());
-                    x = _mm256_slli_epi64::<1>(x);
                 }
             }
         }
@@ -290,8 +233,8 @@ mod tests {
     }
 
     /// The SIMD arm must agree with the forced-scalar arm bit-for-bit on
-    /// ragged shapes: rows/cols off every kernel boundary (8, 16, 32,
-    /// 128), including shapes where only head/tail scalar coverage runs.
+    /// ragged shapes: rows/cols off every kernel boundary (8, 16, 128),
+    /// including shapes where only head/tail scalar coverage runs.
     #[test]
     fn simd_matches_scalar_on_ragged_shapes() {
         let _guard = crate::cpu::override_lock();

@@ -568,6 +568,48 @@ mod tests {
         }
     }
 
+    /// Labels through the correlation equal labels through chosen-message
+    /// OT: on the same choice bits, `send_labels` / `finish_recv_labels`
+    /// deliver what `send_bytes` / `recv_bytes` deliver when the sender
+    /// offers L⁰ and L⁰ ⊕ `label_delta()`, fresh and banked.
+    #[test]
+    fn labels_match_chosen_message_ot() {
+        let m = 50;
+        let mut rng = StdRng::seed_from_u64(95);
+        let zeros: Vec<Block> = (0..m).map(|_| Block::random(&mut rng)).collect();
+        let choices: Vec<bool> = (0..m).map(|_| rng.gen()).collect();
+        for bank in [0, 2 * m] {
+            let (z2, c2) = (zeros.clone(), choices.clone());
+            let ((), (labels, chosen), _) = run_protocol(
+                move |ch| {
+                    let mut s =
+                        OtSender::setup(ch, &mut StdRng::seed_from_u64(96), TweakHasher::Aes);
+                    s.bank(ch, bank);
+                    s.send_labels(ch, &z2);
+                    let delta = s.label_delta().expose_block();
+                    let bytes = |b: Block| b.to_bytes().to_vec();
+                    let pairs: Vec<_> = z2.iter().map(|&l| (bytes(l), bytes(l ^ delta))).collect();
+                    s.send_bytes(ch, &pairs);
+                    assert_eq!(s.bank_remaining(), 0);
+                },
+                move |ch| {
+                    let mut rng = StdRng::seed_from_u64(97);
+                    let mut r = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
+                    r.bank(ch, bank, &mut rng);
+                    let rows = r.begin_recv(ch, &c2);
+                    let labels = r.finish_recv_labels(ch, rows).expose().clone();
+                    let chosen = r.recv_bytes(ch, &c2, 16);
+                    let chosen: Vec<Block> = chosen
+                        .iter()
+                        .map(|b| Block::from_bytes(b[..].try_into().unwrap()))
+                        .collect();
+                    (labels, chosen)
+                },
+            );
+            assert_eq!(labels, chosen, "bank {bank}");
+        }
+    }
+
     /// Chosen 16-byte messages, inline: the receiver gets the one it chose.
     #[test]
     fn chosen_blocks_transfer() {

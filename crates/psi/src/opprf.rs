@@ -182,8 +182,7 @@ pub fn opprf_evaluate_finish(ch: &mut Channel, pending: OpprfEval) -> Vec<u64> {
     let bins = queries.len();
     let hint_words = ch.recv_u64_vec(bins * degree);
     // Each bin's hint evaluates at the query itself: lockstep Horner over
-    // all bins via the batched GF(2^64) kernel. The wire layout is already
-    // flat `[b*degree..(b+1)*degree]`.
+    // all bins. The wire layout is already flat `[b*degree..(b+1)*degree]`.
     let xs: Vec<Gf64> = queries
         .iter()
         .map(|&(PsiItem::Real(v) | PsiItem::Dummy(v))| Gf64(v))

@@ -1,12 +1,13 @@
 //! Kernel-dispatch determinism: the SIMD kernel layer must not change a
-//! single byte on the wire. Every accelerated kernel (movemask
-//! transpose, batched CLMUL GF(2^64), pipelined AES-NI) is bit-exact
-//! against its portable scalar arm, so a full protocol run must produce
-//! identical results and identical transcript bytes under every
-//! combination of {scalar forced, SIMD allowed} × {1 thread, 4 threads}.
-//! This is the protocol-level closure of the per-kernel equivalence
-//! tests in `secyan-crypto`: if any kernel's arms diverged — or any arm
-//! interacted with the worker pool's partitioning — the cross-arm
+//! single byte on the wire. Each accelerated kernel has one vector arm
+//! (SSE2 movemask transpose, `pclmulqdq` GF(2^64) multiply, 8-wide AES-NI
+//! pipeline), bit-exact against its portable scalar arm, so a full
+//! protocol run must produce identical results and identical transcript
+//! bytes under every combination of {scalar forced, SIMD allowed} ×
+//! {1 thread, 4 threads}. This is the protocol-level closure of the
+//! per-kernel equivalence tests in `secyan-crypto`: if any kernel's arms
+//! diverged — or any arm interacted with how the two parallel stages
+//! (tiled garbling, OPPRF hints) split their work — the cross-arm
 //! transcript comparison here would catch it.
 
 #[path = "common/unroll.rs"]
