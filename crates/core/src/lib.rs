@@ -56,7 +56,10 @@ pub use srel::SecureRelation;
 /// moved in length, from 32 to 16 bytes per OT. They move only when what
 /// garbling puts on the wire moves: a changed AND index, label draw or
 /// message boundary shows up here rather than in the query-level
-/// transcript goldens.
+/// transcript goldens. The byte digests were re-recorded when the OT
+/// columns moved onto the fixed-key AES stream (every label correction
+/// rides a column); the length digests, recorded before that move, pin
+/// the message sizes on their own.
 #[cfg(test)]
 mod gc_wire_goldens {
     use crate::agg::{merge_circuit, AggKind};
@@ -77,15 +80,23 @@ mod gc_wire_goldens {
     use std::collections::VecDeque;
 
     type Built = (Circuit, Option<SharedOutputSpec>);
-    /// A circuit kind: name, constructor by row count, and the recorded
-    /// digests of the garbler's and the evaluator's stream.
-    type Kind<'a> = (&'a str, &'a dyn Fn(usize) -> Built, &'a str, &'a str);
+    /// A circuit kind: name, constructor by row count, the recorded
+    /// digests of the garbler's and the evaluator's stream, then of their
+    /// message-length sequences.
+    type Kind<'a> = (
+        &'a str,
+        &'a dyn Fn(usize) -> Built,
+        &'a str,
+        &'a str,
+        &'a str,
+        &'a str,
+    );
 
     /// One run of `circuit` on seeded random inputs, folded into `sums`
-    /// (Alice's stream, Bob's stream; length-prefixed so a moved message
-    /// boundary shows as well as a moved byte) and checked against the
-    /// plaintext evaluator.
-    fn run_case(built: &Built, banked: bool, seed: u64, sums: &mut [Sha256; 2]) {
+    /// (Alice's stream, Bob's stream, length-prefixed so a moved message
+    /// boundary shows as well as a moved byte; then the two streams'
+    /// message lengths alone) and checked against the plaintext evaluator.
+    fn run_case(built: &Built, banked: bool, seed: u64, sums: &mut [Sha256; 4]) {
         let (circuit, spec) = (&built.0, built.1.as_ref());
         let mut rng = StdRng::seed_from_u64(seed);
         let masks = spec.map_or(0, |s| s.total_bits());
@@ -144,10 +155,12 @@ mod gc_wire_goldens {
                 assert_eq!(evaluated, want, "revealed bits");
             }
         }
-        for (sum, dir) in sums.iter_mut().zip([Role::Alice, Role::Bob]) {
+        let (bytes, lengths) = sums.split_at_mut(2);
+        for ((sum, len_sum), dir) in bytes.iter_mut().zip(lengths).zip([Role::Alice, Role::Bob]) {
             for (_, m) in handle.messages().iter().filter(|(r, _)| *r == dir) {
                 sum.update(&(m.len() as u64).to_le_bytes());
                 sum.update(m);
+                len_sum.update(&(m.len() as u64).to_le_bytes());
             }
         }
     }
@@ -169,44 +182,58 @@ mod gc_wire_goldens {
             (
                 "merge sum",
                 &|n| shared(merge_circuit(n, 32, AggKind::Sum)),
-                "db9aa2766898d64b3aa1a6b9a1697727b0ed1a799215fac2fab6caf8190fc106",
-                "df3b7d19fd2523c92dd08faebe4c851b8849395053c5a16dfb2e602d3777e651",
+                "1ff03ffd206c2d3ae232f4c4061c2429fc30142d907c5496bbce30eac3e8b134",
+                "fc223e16efa27cbace57801470510107fe9b5232b910876242ee7989ff526337",
+                "cd63a9fc617e63cc1705af1c71d5542c0bfe0eac4554fa39baaa141900bee8bf",
+                "b4fc0da2638faf14b5056f7758655b2abc41303513f4386489eafa70151dfc7b",
             ),
             (
                 "merge support",
                 &|n| shared(merge_circuit(n, 32, AggKind::Support)),
-                "8b3865de85b659c71b365b5d1f2e456859bf21b66ab601875bcc6e891fddae31",
-                "339c1d204d899dc6ee109ccf6d6835ab2fe6cd86cd5fa080eb81bbae6afffbf6",
+                "78541324682d1e58bb6da5a4203870f4a9e166a8a2e319df2e60b558a505e909",
+                "36ed8d24cac3cbbd7fb2815123c46b0fbd2dd09135f9d6c8a970d16ec475e668",
+                "22175dcb0e5a23c66e10b7516225830294a5d9ba2f15aa67058ac84f408325ec",
+                "b4fc0da2638faf14b5056f7758655b2abc41303513f4386489eafa70151dfc7b",
             ),
             (
                 "matching",
                 &|n| shared(matching_circuit(n, 32)),
-                "4db006295173259b8e66553f011d315ed9d384db95261fc6ec3d84104b9ad038",
-                "50f7f820b80c36a913c78a3325ae83c2f61c96e374878b856f9ea6c72ff0ec9a",
+                "dc7cc1c9d73c618a67f3a953826c3aca627c6d9173f7b7df51ae378f13ed5c4c",
+                "d8d4b5efe5d1301678739f6949743df6a498c32d0226a0f9f5fb7236dd064b32",
+                "88e3d90370d4908a732f0c7de547a2b914c670ddd1589c8f4c0134f710fc8d94",
+                "00f47dbe1b1098e17ee798d968ca31d23efd042e50bff5f12f26e24983487a8e",
             ),
             (
                 "k",
                 &|n| (k_circuit(n, 32), None),
-                "9cf35222d70fd1ad77a6d9a6063ab3a18739708448a3fbc95ffa304f2b828256",
-                "992f4a9fd5742035c9a9dd114795ef2ca1f9c76c66c4f4aa5a7a9d117e60a76d",
+                "692a0d72f7a311fe3158ebcd90a1055911a3deb67b85e6a4673dbef85fe0317f",
+                "38fceb96d15bffc25dc7e350609c94e40e4144775fb21b6a043b7c686464af42",
+                "295f9fa7325ec2f371b91c1714e1fd690e151890e6d952848779805756ef4df8",
+                "00f47dbe1b1098e17ee798d968ca31d23efd042e50bff5f12f26e24983487a8e",
             ),
             (
                 "reveal support",
                 &|n| reveal(n, false, Role::Bob),
-                "c77ec10e036965f77db00b8e4038244cff1e6d1e0e6dc10942e5611d8e07333f",
-                "907f205d5e13a6754d31b12ca92f47a68de823ff9bab9f02e0c0c90ed3a33dea",
+                "909fbf0047883e1a5590fb7cebaa5fdebbc5bce85d22efd7c328de854894c242",
+                "e9ebafe82e4e64f83732d71c048949e76112e297141937910c950105e88123f3",
+                "abf7a99abbabba3772139d52726829bb62c3b31c454f904fc4c611e7ff346ac2",
+                "b4fc0da2638faf14b5056f7758655b2abc41303513f4386489eafa70151dfc7b",
             ),
             (
                 "reveal values",
                 &|n| reveal(n, true, Role::Bob),
-                "32d965ca057128ff743df10dea8403d89940a316ffed2f307c429f287024f190",
-                "e392f1d3ccabadf89e59dd1cd8cd6227567dd6f39b3c56a730492ef718d20fc7",
+                "749eab0962032d5b83bb2451ca06add06e44070e110a31f152064febcae4cd24",
+                "b147475950587f2b98ac825c251d2beb89e9beccc75b88312c31e94bf9197468",
+                "ddc6b06bad3a864790a9d0f1d31aa493e1e18b0ec86f9595f3296f664a7a72f5",
+                "b4fc0da2638faf14b5056f7758655b2abc41303513f4386489eafa70151dfc7b",
             ),
             (
                 "reveal own values",
                 &|n| reveal(n, true, Role::Alice),
-                "b9dc9963861e7ae931dd9f94e0a61f356e1de1ed10caf8e687059a9c5ad6e40c",
-                "d205c19a646d5c2dfa8379794be1691ace11a85b4e32e357b8b76a4d4c19387e",
+                "49ebdcc338f67cb34eadfee26e45d4de0d576a4686c07d5d17d93c9c4c276c53",
+                "ca82949c81a7a4e78033bb87db14575c0fd92d3fdb9e272e14bd642bf84056d1",
+                "67a02f2021276070589b3d02e54b123f10950918b00cf5910f715b3adba24da6",
+                "b4fc0da2638faf14b5056f7758655b2abc41303513f4386489eafa70151dfc7b",
             ),
             (
                 "product tree",
@@ -214,26 +241,34 @@ mod gc_wire_goldens {
                     let (c, spec) = product_tree_circuit(n, 3, 32, false);
                     (c, spec)
                 },
-                "dec9ab938ea3680567981c39cd4aac5ab86c8fa2c7f89c34a2e7b517c9586ee8",
-                "c8f40e56cb26937de9cfe133caf14e3b2b517c624ad0b12814f88615a733f444",
+                "69359b41657e4d32354d60df61e490b7c5747a349143fb8f5beed865fdeedf5f",
+                "8c14282f672bed815d04c011af1e9c322d258cb54a9facba4a0e4fa94210033f",
+                "b5b2f331c054f8b3333a14889cb57723620bf07460aad317fa3efb74d3de73f1",
+                "3172d3810a1f445ccc22c42db0384b3bbe865e2b404a66b94ebfa1236ee11325",
             ),
             (
                 "product tree reveal",
                 &|n| product_tree_circuit(n, 2, 32, true),
-                "a04e7bcb5340f132a2578526238f4d3299e992a969fc8e3ace5520fbf7c3187a",
-                "0bde92ff9695a585b3924d4f5f3f6f11e4fe86e754252272ce297d98ee8a4c1c",
+                "d67dc587e214fe3aa53679b09d12d98fe96a621e725ba9d5fa75cefdd5beade3",
+                "d80eace3f5968ffa8a2d4f8e565070d2621e6740a2195c6d12a262813a3543fe",
+                "3c895be2fb506c71f1557f078ddb182067a9473b943ada078257c026db6cea19",
+                "9a70a551d789ce6cb6b379937dac7fef51a97bc51f0938feab4d716e20ff0eee",
             ),
             (
                 "ratio",
                 &|n| (crate::ext::ratio_circuit(n, 32, 100), None),
-                "1bf5b1513a9a209a9418891b28f32aa76b0c155bb91cddcac1981cc58d396617",
-                "1413ffa4b0d18bd22bdaee5ef99a8aed34f60bca22bc57690ff427ab5f9d9e69",
+                "b41cb120791c17f2dfc5e823a1463c8f2fa8f58f568635b2124c9d9390b19dcb",
+                "55889a8f7da560c2a49b49e9c05a336e9418c300f4e519f35afeba1a10400ad2",
+                "04bc2592912e985061949f42b778d175d7fab3c083419645afd86ab97a5c5336",
+                "9a70a551d789ce6cb6b379937dac7fef51a97bc51f0938feab4d716e20ff0eee",
             ),
         ];
         // Seeds keep the recording's row numbers: rows 0 and 1 were the
         // reduce-join product, which is no longer a circuit.
-        for (k, (what, build, want_alice, want_bob)) in (2..).zip(kinds) {
-            let mut sums = [Sha256::new(), Sha256::new()];
+        for (k, (what, build, want_alice, want_bob, want_alice_len, want_bob_len)) in
+            (2..).zip(kinds)
+        {
+            let mut sums = std::array::from_fn(|_| Sha256::new());
             for (i, n) in [1usize, 3, 40].into_iter().enumerate() {
                 let built = build(n);
                 for banked in [false, true] {
@@ -241,8 +276,16 @@ mod gc_wire_goldens {
                     run_case(&built, banked, seed, &mut sums);
                 }
             }
-            let [alice, bob] = sums
+            let [alice, bob, alice_len, bob_len] = sums
                 .map(|s| -> String { s.finalize().iter().map(|b| format!("{b:02x}")).collect() });
+            assert_eq!(
+                alice_len, want_alice_len,
+                "{what}: garbler-side lengths changed"
+            );
+            assert_eq!(
+                bob_len, want_bob_len,
+                "{what}: evaluator-side lengths changed"
+            );
             assert_eq!(alice, want_alice, "{what}: garbler-side stream changed");
             assert_eq!(bob, want_bob, "{what}: evaluator-side stream changed");
         }

@@ -1,4 +1,4 @@
-//! 128-bit blocks: the unit of wire labels, OT messages, and PRG seeds.
+//! 128-bit blocks: the unit of wire labels, OT messages, and column seeds.
 
 use rand::Rng;
 

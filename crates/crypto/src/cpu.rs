@@ -3,7 +3,8 @@
 //! Every accelerated kernel in this crate — the SSE2 movemask bit-matrix
 //! transpose ([`crate::transpose`]), the `pclmulqdq` GF(2^64) multiply
 //! ([`crate::gf64`]) and the 8-wide AES-NI pipeline
-//! ([`crate::aes`]) — has one vector arm beside its scalar reference and
+//! ([`crate::aes`], under every garbled gate, OT pad and OT-extension
+//! column) — has one vector arm beside its scalar reference and
 //! selects between them through this one module. Centralizing the probe
 //! buys three things:
 //!
@@ -21,7 +22,11 @@
 //! 3. **One determinism argument.** All kernels are bit-exact across
 //!    arms (enforced by tests), so dispatch affects speed only — wire
 //!    transcripts never depend on the CPU, the override, or the thread
-//!    count.
+//!    count. It is also a correctness requirement: both parties expand
+//!    the same OT-extension columns from the same seeds, so a kernel
+//!    whose arms computed different functions (say, an AES stream on
+//!    one CPU and another cipher on the next) would break the protocol
+//!    between two hosts with different CPUs.
 //!
 //! Dispatch state is *public* in the protocol's threat model: which CPU
 //! runs a party is not a secret input, so branching on [`Features`] is

@@ -14,6 +14,12 @@
 //! [`TweakHasher::hash_each_into`], …) hoist the key schedule and dispatch
 //! out of the per-gate loop and hand the kernel whole batches of
 //! independent blocks per call.
+//!
+//! The same construction is also the OT extension's column stream
+//! ([`TweakHasher::stream_into`]): block `c` of the column keyed by `k` is
+//! `H(k, τ + c)` under a tweak in [`STREAM_DOMAIN`], a single-key
+//! Even–Mansour cipher with feed-forward per column — a PRF in the
+//! ideal-permutation model, with no key schedule to run per column.
 
 use crate::aes::{fixed_key, PIPELINE_WIDTH};
 use crate::block::Block;
@@ -29,6 +35,16 @@ pub enum TweakHasher {
     #[default]
     Aes,
 }
+
+/// Tweak domain of the OT column stream: bits 63 and 62 set. Pad tweaks
+/// carry bit 63 alone over an instance index below 2⁶², and gate tweaks
+/// (twice an AND index) carry neither, so no stream tweak is a pad or a
+/// gate tweak.
+pub const STREAM_DOMAIN: u64 = 0b11 << 62;
+
+/// Blocks per kernel call of [`TweakHasher::stream_into`]: whole
+/// pipelines, across row boundaries.
+const STREAM_CHUNK: usize = 8 * PIPELINE_WIDTH;
 
 /// The linear orthomorphism σ(hi ‖ lo) = (hi ⊕ lo) ‖ hi. Both σ and
 /// x ↦ σ(x) ⊕ x are bijective, which is what the MMO security proof needs.
@@ -88,6 +104,34 @@ impl TweakHasher {
         buf.zeroize();
     }
 
+    /// Counter-mode stream: `rows` holds one row per key, back to back and
+    /// of equal length, and row `i` becomes the blocks
+    /// `H(keys[i], tweak + c)` for c = 0, 1, …, little-endian, the last one
+    /// cut to the row's length. Returns the blocks each row drew, so a
+    /// caller's counter can move past them. The blocks reach the kernel 64
+    /// at a time across row boundaries, so short rows still fill the
+    /// pipeline; nothing is keyed and nothing is kept per row.
+    pub fn stream_into(self, keys: &[Block], tweak: u64, rows: &mut [u8]) -> u64 {
+        // `max(1)`: with no rows there is nothing to split or to fill.
+        let row_bytes = rows.len() / keys.len().max(1);
+        assert_eq!(row_bytes * keys.len(), rows.len(), "one row per key");
+        let mut buf = [0u128; STREAM_CHUNK];
+        let mut dst = Vec::with_capacity(STREAM_CHUNK);
+        for (k, row) in keys.iter().zip(rows.chunks_exact_mut(row_bytes.max(1))) {
+            for (c, out) in row.chunks_mut(16).enumerate() {
+                buf[dst.len()] = sigma(k.0) ^ tweak.wrapping_add(c as u64) as u128;
+                dst.push((k, out));
+                if dst.len() == STREAM_CHUNK {
+                    stream_flush(&mut buf, &mut dst);
+                }
+            }
+        }
+        stream_flush(&mut buf, &mut dst);
+        // π(σ(k) ⊕ τ) and a column's block give away σ(k): scrub.
+        buf.zeroize();
+        row_bytes.div_ceil(16) as u64
+    }
+
     /// Hash a wide row (N bytes, N a multiple of 16 — checked at compile
     /// time) down to 64 bits under a tweak — the KKRT OPRF output masking.
     /// Chains the single-key Matyas–Meyer–Oseas compression
@@ -145,6 +189,15 @@ impl TweakHasher {
         h.zeroize();
         t.zeroize();
         out
+    }
+}
+
+/// Run the staged stream blocks through the kernel and write each, fed
+/// forward with its key's σ, to its row.
+fn stream_flush(buf: &mut [u128], dst: &mut Vec<(&Block, &mut [u8])>) {
+    fixed_key().encrypt_blocks(&mut buf[..dst.len()]);
+    for ((k, out), &c) in dst.drain(..).zip(&*buf) {
+        out.copy_from_slice(&(c ^ sigma(k.0)).to_le_bytes()[..out.len()]);
     }
 }
 
@@ -277,5 +330,116 @@ mod tests {
         for (j, row) in rows.iter().enumerate() {
             assert_eq!(row_batch[j], h.hash_row(500 + j as u64, row), "row {j}");
         }
+    }
+
+    /// `cols` keys spread over the block, and their stream at `tweak`.
+    fn stream(cols: usize, row_bytes: usize, tweak: u64, salt: u128) -> (Vec<Block>, Vec<u8>) {
+        let keys: Vec<Block> = (0..cols as u128)
+            .map(|i| Block((i + salt).wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835)))
+            .collect();
+        let mut rows = vec![0u8; cols * row_bytes];
+        let blocks = H.stream_into(&keys, tweak, &mut rows);
+        assert_eq!(
+            blocks,
+            row_bytes.div_ceil(16) as u64,
+            "blocks drawn per row"
+        );
+        (keys, rows)
+    }
+
+    /// The stream by its definition: block `c` of row `i` is
+    /// `H(keys[i], tweak + c)`, cut to the row.
+    fn stream_by_definition(keys: &[Block], row_bytes: usize, tweak: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(keys.len() * row_bytes);
+        for &k in keys {
+            let blocks =
+                (0..row_bytes.div_ceil(16) as u64).flat_map(|c| H.hash(k, tweak + c).to_bytes());
+            out.extend(blocks.take(row_bytes));
+        }
+        out
+    }
+
+    #[test]
+    fn stream_equals_its_definition_on_both_arms() {
+        let _guard = crate::cpu::override_lock();
+        for force in [false, true] {
+            crate::cpu::set_force_scalar(force);
+            for cols in [1, 3, 128, 512] {
+                for row_bytes in [1, 15, 16, 17, 1025] {
+                    let tweak = STREAM_DOMAIN | 77;
+                    let (keys, rows) = stream(cols, row_bytes, tweak, 5);
+                    assert!(
+                        rows == stream_by_definition(&keys, row_bytes, tweak),
+                        "{cols} columns of {row_bytes} bytes (scalar forced: {force})"
+                    );
+                }
+            }
+        }
+        crate::cpu::clear_force_scalar();
+    }
+
+    #[test]
+    fn stream_counter_continues_across_fills() {
+        // Two fills of a and b blocks, the second at tweak + a, are one
+        // fill of a + b blocks, row by row; the second may end in a tail.
+        for (a, b_bytes) in [(1, 16), (3, 17), (64, 1)] {
+            let (_, whole) = stream(9, 16 * a + b_bytes, STREAM_DOMAIN, 0);
+            let (_, first) = stream(9, 16 * a, STREAM_DOMAIN, 0);
+            let (_, second) = stream(9, b_bytes, STREAM_DOMAIN + a as u64, 0);
+            let glued: Vec<u8> = first
+                .chunks(16 * a)
+                .zip(second.chunks(b_bytes))
+                .flat_map(|(x, y)| [x, y].concat())
+                .collect();
+            assert_eq!(glued, whole, "{a} blocks then {b_bytes} bytes");
+        }
+        // Nothing to fill: nothing written, no block drawn.
+        assert_eq!(H.stream_into(&[Block(1)], STREAM_DOMAIN, &mut []), 0);
+        assert_eq!(H.stream_into(&[], STREAM_DOMAIN, &mut []), 0);
+    }
+
+    #[test]
+    fn stream_is_deterministic_per_seed() {
+        assert_eq!(
+            stream(4, 40, STREAM_DOMAIN, 42),
+            stream(4, 40, STREAM_DOMAIN, 42)
+        );
+    }
+
+    #[test]
+    fn stream_seed_separates_streams() {
+        assert_ne!(
+            stream(1, 32, STREAM_DOMAIN, 1).1,
+            stream(1, 32, STREAM_DOMAIN, 2).1
+        );
+    }
+
+    #[test]
+    fn stream_domain_separates_streams() {
+        let other = STREAM_DOMAIN | 1 << 61;
+        assert_ne!(
+            stream(1, 32, STREAM_DOMAIN, 42).1,
+            stream(1, 32, other, 42).1
+        );
+    }
+
+    #[test]
+    fn stream_known_answers() {
+        // Three columns of 33 bytes (two blocks and a one-byte tail) at
+        // block counter 5: pins σ, the feed-forward and STREAM_DOMAIN.
+        assert_eq!(STREAM_DOMAIN, 0xc000_0000_0000_0000);
+        let (_, rows) = stream(3, 33, STREAM_DOMAIN | 5, 7);
+        let hex: Vec<String> = rows
+            .chunks(33)
+            .map(|r| r.iter().map(|b| format!("{b:02x}")).collect())
+            .collect();
+        assert_eq!(
+            hex,
+            [
+                "237076884c9b619ce8890974b97d5cd68e2d46f24c6fb436792e17e4b770f8b3f9",
+                "aaa6be84dcec518b2434176ea2eb99dadf0ac72fd9aa5008da9a98531f9f8d985f",
+                "20c8dd4b5b8f8dd903427e5cc941915c09eef7fbc6c75f1e2e31eba95aa2481fea",
+            ]
+        );
     }
 }

@@ -2,11 +2,9 @@
 //!
 //! Everything here is implemented from scratch (per the reproduction brief):
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256, used for key derivation (base-OT
-//!   keys, PRG seeds), hashing elements into PSI bins and OPPRF points,
-//!   and public digests (shape keys, test transcripts).
-//! * [`prg`] — a seedable pseudorandom generator (ChaCha-based via `rand`'s
-//!   `StdRng`) that expands seed-OT keys into OT-extension columns.
+//! * [`sha256`] — FIPS 180-4 SHA-256, used for base-OT key derivation,
+//!   hashing elements into PSI bins and OPPRF points, and public digests
+//!   (shape keys, test transcripts).
 //! * [`block`] — 128-bit blocks, the unit of wire labels and OT messages.
 //! * [`mersenne`] — arithmetic in Z_p, p = 2^127 − 1, whose multiplicative
 //!   group hosts the Chou–Orlandi base OT. Simulation-grade (see DESIGN.md).
@@ -21,6 +19,8 @@
 //!   permutation behind the tweakable hash.
 //! * [`hashers`] — the tweakable correlation-robust hash of garbling, OT
 //!   extension and the KKRT OPRF: fixed-key AES in the MMO construction.
+//!   In counter mode it is also the stream that expands each seed-OT key
+//!   into an OT-extension column ([`TweakHasher::stream_into`]).
 //! * [`secret`] — typed secrets ([`Secret`], [`SecretBlock`]) with
 //!   zeroize-on-drop and no `Debug`, plus branchless [`CtEq`]/[`CtSelect`]
 //!   primitives; enforced across the workspace by `cargo xtask ct-lint`.
@@ -31,14 +31,12 @@ pub mod cpu;
 pub mod gf64;
 pub mod hashers;
 pub mod mersenne;
-pub mod prg;
 pub mod secret;
 pub mod sha256;
 pub mod share;
 pub mod transpose;
 
 pub use block::Block;
-pub use hashers::TweakHasher;
-pub use prg::Prg;
+pub use hashers::{TweakHasher, STREAM_DOMAIN};
 pub use secret::{zeroize_bytes, CtChoice, CtEq, CtSelect, Secret, SecretBlock, Zeroize};
 pub use share::RingCtx;

@@ -396,7 +396,7 @@ impl<T: Zeroize> From<T> for Secret<T> {
     }
 }
 
-/// A 128-bit secret: the type of base-OT seeds, OT pads, PRG seeds, and
+/// A 128-bit secret: the type of base-OT seeds, OT pads, and
 /// garbled-circuit key material at API boundaries.
 pub type SecretBlock = Secret<Block>;
 

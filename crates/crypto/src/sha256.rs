@@ -144,16 +144,6 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
-/// Domain-separated hash: `SHA-256(tag || data)`, with the tag
-/// length-prefixed so distinct (tag, data) pairs never collide structurally.
-pub fn tagged_hash(tag: &[u8], data: &[u8]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(&(tag.len() as u64).to_le_bytes());
-    h.update(tag);
-    h.update(data);
-    h.finalize()
-}
-
 /// Truncate a digest to a little-endian u128 (handy for 128-bit labels).
 pub fn digest_to_u128(d: &[u8; 32]) -> u128 {
     u128::from_le_bytes(d[..16].try_into().expect("16 bytes"))
@@ -217,12 +207,6 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split at {split}");
         }
-    }
-
-    #[test]
-    fn tagged_hash_separates_domains() {
-        assert_ne!(tagged_hash(b"a", b"bc"), tagged_hash(b"ab", b"c"));
-        assert_ne!(tagged_hash(b"x", b"data"), tagged_hash(b"y", b"data"));
     }
 
     #[test]

@@ -43,18 +43,20 @@
 
 use crate::ext::{choice_bits, Bank, ExtReceiver, ExtSender};
 use rand::Rng;
-use secyan_crypto::{Block, CtChoice, RingCtx, Secret, TweakHasher};
+use secyan_crypto::{Block, CtChoice, RingCtx, Secret, TweakHasher, STREAM_DOMAIN};
 use secyan_transport::{Channel, ReadExt, WriteExt};
 
 /// Security parameter κ: number of base OTs / width of the extension
 /// matrix.
 pub const KAPPA: usize = 128;
 
-/// Domain label of the column PRGs.
-const COL_LABEL: &[u8] = b"iknp-col";
+/// Tweak domain of the column streams; KKRT's sets bit 61 besides.
+const COL_DOMAIN: u64 = STREAM_DOMAIN;
 
 /// Domain bit of every pad tweak. Garbled-gate tweaks (twice an AND index)
 /// never set it, so no pad shares a tweak with a gate under the same Δ.
+/// Column-stream tweaks set it together with bit 62, which the instance
+/// index of a pad never reaches.
 const PAD_DOMAIN: u64 = 1 << 63;
 
 /// Extension sender: after setup, sends one correction per OT.
@@ -67,7 +69,7 @@ pub struct OtSender {
 
 /// Extension receiver: after setup, obtains one output per choice bit.
 pub struct OtReceiver {
-    ext: ExtReceiver<Block>,
+    ext: ExtReceiver,
     ctr: u64,
     /// Precomputed random choice bits `c'` with their rows `t_j`.
     bank: Bank<(bool, Block)>,
@@ -105,7 +107,7 @@ impl OtSender {
         let s = Block(rng.gen()).with_lsb(true);
         let seeds = crate::base::receive(ch, choice_bits(&s).expose(), rng);
         OtSender {
-            ext: ExtSender::new(COL_LABEL, s, seeds),
+            ext: ExtSender::new(COL_DOMAIN, s, seeds),
             ctr: 0,
             bank: Bank::new(Vec::new(), 0),
         }
@@ -266,7 +268,7 @@ impl OtReceiver {
     /// Bootstrap via κ base OTs (this side plays base-OT *sender*).
     pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R, _hasher: TweakHasher) -> OtReceiver {
         OtReceiver {
-            ext: ExtReceiver::new(COL_LABEL, crate::base::send(ch, KAPPA, rng)),
+            ext: ExtReceiver::new(COL_DOMAIN, crate::base::send(ch, KAPPA, rng)),
             ctr: 0,
             bank: Bank::new(Vec::new(), 0),
         }

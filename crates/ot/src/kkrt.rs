@@ -34,8 +34,8 @@
 //! words can be derandomized online — but only by sending the code
 //! correction `C(x_j) ⊕ c'_j`, 64 bytes per instance, the same width as
 //! the column bundle of a fresh extension (512 · ⌈m/8⌉ bytes). Banking
-//! would move a PRG expansion and two transposes offline at the price of a
-//! second bundle on the offline wire; IKNP banks because its online
+//! would move a stream expansion and two transposes offline at the price
+//! of a second bundle on the offline wire; IKNP banks because its online
 //! correction is one bit where a fresh instance costs 16 bytes.
 
 use crate::ext::{choice_bits, ExtReceiver, ExtSender};
@@ -43,7 +43,7 @@ use crate::{OtReceiver, OtSender};
 use rand::Rng;
 use secyan_crypto::sha256::Sha256;
 use secyan_crypto::transpose::BitMatrix;
-use secyan_crypto::{zeroize_bytes, Secret, TweakHasher, Zeroize};
+use secyan_crypto::{zeroize_bytes, Secret, TweakHasher, Zeroize, STREAM_DOMAIN};
 use secyan_transport::Channel;
 
 /// Matrix width w: the pseudorandom-code length in bits.
@@ -53,8 +53,8 @@ const WIDTH_BYTES: usize = WIDTH / 8;
 /// One code word / one row of the w-bit extension matrix.
 type Word = [u8; WIDTH_BYTES];
 
-/// Domain label of the column PRGs.
-const COL_LABEL: &[u8] = b"kkrt-col";
+/// Tweak domain of the column streams: IKNP's plus bit 61.
+const COL_DOMAIN: u64 = STREAM_DOMAIN | 1 << 61;
 
 /// The pseudorandom code C: arbitrary bytes → 512 bits.
 fn code(x: &[u8]) -> Word {
@@ -77,7 +77,7 @@ fn fold(row: &mut Word, word: &[u8], s: &Word) {
     }
 }
 
-/// OPRF sender (key holder). Holds the column PRGs; each
+/// OPRF sender (key holder). Holds the column seeds; each
 /// [`KkrtSender::key_batch`] call produces a key for one batch.
 pub struct KkrtSender {
     ext: ExtSender<Word>,
@@ -86,7 +86,7 @@ pub struct KkrtSender {
 
 /// OPRF receiver (input holder).
 pub struct KkrtReceiver {
-    ext: ExtReceiver<Word>,
+    ext: ExtReceiver,
     ctr: u64,
 }
 
@@ -109,7 +109,7 @@ impl KkrtSender {
         rng.fill(&mut s[..]);
         let seeds = Secret::new(ot.random(ch, choice_bits(&s).expose()));
         KkrtSender {
-            ext: ExtSender::new(COL_LABEL, s, seeds),
+            ext: ExtSender::new(COL_DOMAIN, s, seeds),
             ctr: 0,
         }
     }
@@ -153,7 +153,7 @@ impl KkrtReceiver {
     /// [`KkrtSender::setup`] on the matching IKNP receiver.
     pub fn setup(ch: &mut Channel, ot: &mut OtSender) -> KkrtReceiver {
         KkrtReceiver {
-            ext: ExtReceiver::new(COL_LABEL, Secret::new(ot.random(ch, WIDTH))),
+            ext: ExtReceiver::new(COL_DOMAIN, Secret::new(ot.random(ch, WIDTH))),
             ctr: 0,
         }
     }
@@ -176,7 +176,7 @@ impl KkrtReceiver {
         }
         let mut code_cols = code_mat.transpose(); // w rows of m bits
         zeroize_bytes(code_mat.as_bytes_mut());
-        let mut t_rows = self.ext.extend(ch, m, |i| code_cols.row(i));
+        let mut t_rows: Vec<Word> = self.ext.extend(ch, m, |i| code_cols.row(i));
         // The code bits derive from the receiver's private inputs; scrub
         // the transposed copy once every column has folded it in.
         zeroize_bytes(code_cols.as_bytes_mut());

@@ -6,7 +6,8 @@
 //!   the Mersenne-prime group from `secyan-crypto::mersenne`. Run once per
 //!   session and IKNP direction to bootstrap extension.
 //! * `ext` (private) — the OT-extension engine, generic over the row width:
-//!   per-column PRGs keyed by seed OTs, column expansion and masking,
+//!   seed-OT outputs expanded into columns by the counter-mode AES stream,
+//!   column masking,
 //!   the bit-matrix transpose into per-instance rows, and the single-use
 //!   bank type for IKNP's precomputed rows. It runs on the calling
 //!   thread.
@@ -28,7 +29,7 @@
 //! label, and hashing both candidates gives the two pads of a word OT; KKRT encodes an arbitrary input with a pseudorandom code `C`, so
 //! the sender can recompute the receiver's row for any candidate `y` as
 //! `q_j ⊕ (C(y) & s)` and hash that — an OPRF. Everything else (seeding
-//! the column PRGs, expansion, transpose) is shared.
+//! the column streams, expansion, transpose) is shared.
 //!
 //! All protocols speak over `secyan_transport::Channel` and are exercised
 //! end-to-end (two real threads) by this crate's tests.
@@ -54,7 +55,10 @@ pub use kkrt::{KkrtReceiver, KkrtSender, KkrtSenderKey};
 /// chosen 16-byte messages became a width-2 word OT plus one m₀ − r
 /// message, so that row's one 32·m-byte message is two of 16·m bytes
 /// (inline and banked still send the same bytes); every other length is
-/// unchanged.
+/// unchanged. All byte digests were re-recorded when the column streams
+/// moved from ChaCha20 onto the fixed-key AES hash, which moved every
+/// column and pad; the length digests beside them, recorded before that
+/// move, did not change.
 #[cfg(test)]
 mod wire_goldens {
     use crate::{KkrtReceiver, KkrtSender, OtReceiver, OtSender};
@@ -65,17 +69,32 @@ mod wire_goldens {
     use secyan_transport::{run_protocol_captured, Role, TranscriptHandle};
 
     /// Digest of every message `dir` sent, length-prefixed so a moved message
-    /// boundary shows as well as a moved byte.
-    fn direction_digest(handle: &TranscriptHandle, dir: Role) -> String {
+    /// boundary shows as well as a moved byte; with `bytes` false, of the
+    /// message-length sequence alone.
+    fn direction_digest(handle: &TranscriptHandle, dir: Role, bytes: bool) -> String {
         let mut h = Sha256::new();
         for (_, m) in handle.messages().iter().filter(|(r, _)| *r == dir) {
             h.update(&(m.len() as u64).to_le_bytes());
-            h.update(m);
+            if bytes {
+                h.update(m);
+            }
         }
         h.finalize().iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    fn iknp_digests(banked: bool) -> (String, String) {
+    /// Per direction (Alice, Bob): the byte digest, then the length digest.
+    type Digests = [String; 4];
+
+    fn digests(handle: &TranscriptHandle) -> Digests {
+        [
+            direction_digest(handle, Role::Alice, true),
+            direction_digest(handle, Role::Bob, true),
+            direction_digest(handle, Role::Alice, false),
+            direction_digest(handle, Role::Bob, false),
+        ]
+    }
+
+    fn iknp_digests(banked: bool) -> Digests {
         const M: usize = 1000;
         let mut rng = StdRng::seed_from_u64(7);
         let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..M)
@@ -110,15 +129,12 @@ mod wire_goldens {
             let (m0, m1) = &want[j];
             assert_eq!(&got[j], if choices[j] { m1 } else { m0 }, "instance {j}");
         }
-        (
-            direction_digest(&handle, Role::Alice),
-            direction_digest(&handle, Role::Bob),
-        )
+        digests(&handle)
     }
 
     /// Correlated words at ℓ = 20 (a 3-byte stride), inline then banked on
     /// one setup: both forms in one digest pair.
-    fn word_digests() -> (String, String) {
+    fn word_digests() -> Digests {
         const M: usize = 1000;
         let ring = RingCtx::new(20);
         let mut rng = StdRng::seed_from_u64(8);
@@ -152,13 +168,10 @@ mod wire_goldens {
             let add = if choices[j % M] { want[j % M][0] } else { 0 };
             assert_eq!(got[j][0], ring.add(r[j][0], add), "instance {j}");
         }
-        (
-            direction_digest(&handle, Role::Alice),
-            direction_digest(&handle, Role::Bob),
-        )
+        digests(&handle)
     }
 
-    fn kkrt_digests() -> (String, String) {
+    fn kkrt_digests() -> Digests {
         const M: usize = 300;
         let inputs: Vec<[u8; 8]> = (0..M as u64).map(|i| (i * 0x9E37).to_le_bytes()).collect();
         let ins = inputs.clone();
@@ -179,10 +192,7 @@ mod wire_goldens {
         for (j, x) in inputs.iter().enumerate() {
             assert_eq!(got[j], key.eval(j, x), "instance {j}");
         }
-        (
-            direction_digest(&handle, Role::Alice),
-            direction_digest(&handle, Role::Bob),
-        )
+        digests(&handle)
     }
 
     #[test]
@@ -191,29 +201,46 @@ mod wire_goldens {
             (
                 "iknp inline",
                 iknp_digests(false),
-                "32a7ca1b3dd0056a09e963dc0ada7058effa28b7d1659d2eed758835c4b63d03",
-                "a7636eb63906245aa2621c777bb76e776eac3d08b00acfac4aef772dc7c8fe39",
+                "7ae48230b6262a30f351b9450cd67927f7096a840f021cbf447760f6c706a113",
+                "d958f5f3163705146c311348f6ad2694e2c34794dee4ef6b473b19b518a7f1b0",
+                "8cbac3fc46c1ae6d745910ff0598a8b471cdd8e1ec1a8b0e47ec4ff1c4d547ba",
+                "fbe58ce667f8557dd9ab52453cee3c64371585f09548fdd423ec22bb934f1fc8",
             ),
             (
                 "iknp banked",
                 iknp_digests(true),
-                "32a7ca1b3dd0056a09e963dc0ada7058effa28b7d1659d2eed758835c4b63d03",
-                "14b87eb54864131e4ee39ffb1c3a343567be6ad9c024b299b4be4d328bfd1232",
+                "7ae48230b6262a30f351b9450cd67927f7096a840f021cbf447760f6c706a113",
+                "755790656d75f4badbaf3b0212268e0f9590c1f877387ba212b76be47fb58697",
+                "8cbac3fc46c1ae6d745910ff0598a8b471cdd8e1ec1a8b0e47ec4ff1c4d547ba",
+                "fbbd99562b21cda8558ea20c1b48290195ad19f557477cbc571703ebf243df55",
             ),
             (
                 "iknp words inline then banked",
                 word_digests(),
-                "340219514760a365fee26aa27e0fbd1e8254059c7ee66f856a451aea431ef3d7",
-                "c0b08d3e8861804510d8ea7fbcc91cb5a705637b525cb4b0cc46f68377704458",
+                "44cc7c95534adafb8a5dab2ed8f39de13f136c1ebb03cc199373f18c4a4f87e1",
+                "166ee85bdf7702c1ccedebcf6bb88f2c15d595ae75254918cfce740b43008969",
+                "adb3c3f188d99af8b4957c9f1a6d3279df0d8b4d4d14085634ec11512e4b58dc",
+                "4eb248e0eb3ec7a9a37531a448325c1a761f10ef2160102f29b0daa4f0b27bbb",
             ),
             (
                 "kkrt inline",
                 kkrt_digests(),
-                "48d86b6d8790815948c98f46e0bea8de134ec098e9f74b733ce772ca16a33551",
-                "7d21b23ca9e1f82001a74216dd0b7e74019c8826bf02afd02ba0b0c1f9fd6cf8",
+                "d5d3331694a5e864adc9146fcb9f0c8a63f0725d6a68e0214f35369f2fdb5081",
+                "98852bb901a4d3bb1b85a12a97c43e1308a897f5369cdb5334c0d58aacac6643",
+                "f419c62fb9aef37964ed4038bde050c93d846d14c168a48e45511afdc4a58eae",
+                "bf8633e7c72f60ac892dcf573a9d553182b4b7f0a88d889fd5ec264859f3c13b",
             ),
         ];
-        for (what, (alice, bob), want_alice, want_bob) in runs {
+        for (what, got, want_alice, want_bob, want_alice_len, want_bob_len) in runs {
+            let [alice, bob, alice_len, bob_len] = got;
+            assert_eq!(
+                alice_len, want_alice_len,
+                "{what}: sender-side lengths changed"
+            );
+            assert_eq!(
+                bob_len, want_bob_len,
+                "{what}: receiver-side lengths changed"
+            );
             assert_eq!(alice, want_alice, "{what}: sender-side stream changed");
             assert_eq!(bob, want_bob, "{what}: receiver-side stream changed");
         }

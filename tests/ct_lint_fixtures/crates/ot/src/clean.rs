@@ -86,6 +86,18 @@ impl Receiver {
     }
 }
 
+/// A streamed column's length is public shape: the twin of
+/// `seeded_violations.rs`'s `stream_column_leaks`.
+pub fn stream_column_public(col_seeds: Secret<Vec<Block>>, tweak: u64) -> usize {
+    let mut column = vec![0u8; 32];
+    TweakHasher::Aes.stream_into(col_seeds.expose(), tweak, &mut column);
+    println!("{:?}", column.len());
+    if column.len() > 16 {
+        return column.len();
+    }
+    0
+}
+
 /// Reviewed declassification: the findings are real but justified, so an
 /// inline suppression keeps them (BRANCH and EQ on one line) out of the
 /// report.

@@ -74,3 +74,18 @@ impl Receiver {
         0
     }
 }
+
+/// A column seed handed to the stream entry taints the column it fills:
+/// formatting the column or branching on it leaks the seed's stream.
+/// Twin in `clean.rs`.
+pub fn stream_column_leaks(col_seeds: Secret<Vec<Block>>, tweak: u64) -> u8 {
+    let mut column = vec![0u8; 32];
+    TweakHasher::Aes.stream_into(col_seeds.expose(), tweak, &mut column);
+    // ct-expect: DEBUG
+    println!("{:?}", column);
+    // ct-expect: BRANCH
+    if column[0] > 0 {
+        return 1;
+    }
+    0
+}

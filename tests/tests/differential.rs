@@ -110,15 +110,20 @@ fn differential_sweep_tcp() {
 }
 
 /// SHA-256 over the messages of `transcript` that `dir` sent, each
-/// prefixed with its length.
+/// prefixed with its length; with `bytes` false, over the lengths alone —
+/// the message-length sequence, which moves only when a message boundary
+/// or size does.
 fn direction_digest<'a>(
     transcript: impl Iterator<Item = &'a (Role, Vec<u8>)>,
     dir: Role,
+    bytes: bool,
 ) -> String {
     let mut h = Sha256::new();
     for (_, m) in transcript.filter(|(r, _)| *r == dir) {
         h.update(&(m.len() as u64).to_le_bytes());
-        h.update(m);
+        if bytes {
+            h.update(m);
+        }
     }
     h.finalize().iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -151,6 +156,10 @@ fn q8_transcript() -> Vec<(Role, Vec<u8>)> {
 /// batch sends 2·⌈ℓ/8⌉ bytes per permutation switch and ⌈ℓ/8⌉ per
 /// duplication switch where it sent 32 per switch. The bytes after setup
 /// all moved, because Δ, every pad and every OPRF output did.
+/// Re-recorded once more when the OT-extension columns moved onto the
+/// fixed-key AES stream: the contents of columns and pads moved, their
+/// lengths did not. The per-direction length digests, recorded before
+/// that move, pin the message-length sequences on their own.
 /// (`gc_layer_wire_goldens` in `secyan-core` pins the circuits.)
 #[test]
 fn single_phase_transcript_goldens() {
@@ -158,34 +167,62 @@ fn single_phase_transcript_goldens() {
     let goldens = [
         (
             run(Instance::generate(3)),
-            "f5a2868f24e0b4dd2527ded79cc381b2c1a2c6e81e9d706c068b6290bec9a32d",
-            "b6fc1e99c72e11cfae72e12e08f6015fc32553d398b3a7fa943391cfd2e170be",
+            "386875ad9b0536781a55fd98fa1132c43ecf97cb6f725ed2a11debe081779060",
+            "cc5eceb0dcb9b2d2af57e37b58eaf7c7de0e5754dcf3d2fceb4d7b5682e564ab",
+            [
+                "956c5d8e5f6cb0dc898be0b05bfb3df52705e7782fff24030b31d896583194fb",
+                "969b0bbce38a050721bb74231a5e182580a3beebae1c0827d9378a265fd29dec",
+            ],
         ),
         (
             run(Instance::generate(7)),
-            "51f7087627632e49b429fe6e855bc64409e58cfe16ed138ca7f4a7074cd7d750",
-            "ff8a5a2ce4b0fae5468c87e1e8ca4ed9294a3cc4d8ed820e268d28997f860355",
+            "7476671f5150786f09f0c371bd92ae5a051e47f9e545f31f080a7f9e7a151a85",
+            "4141c2755411a67bf378d425d2c870fa4a15f80c72ec3cabb87af45bc08cdc39",
+            [
+                "95fc734717ec95eedf301b35eca33bd9c919e316618aa8bd3a057057fe82ef9b",
+                "c8befb0feef3c555e1ad8d1f38382f85984a04382ac04db4cde965acf6af0b08",
+            ],
         ),
         (
             run(Instance::generate(18)),
-            "e8df30258fd119ebc74d7e3a25f00e20c89fb7bb1b96ace519dd7ed1c7717b81",
-            "bad6400a4e6e218f70d51754218ab291ee96a4758041b9dacbb1878a37ea6001",
+            "41107839db0bac6d2293ed6d6e355934948ab705862390b07c3523f07419cb7e",
+            "5a322ff0b8a57f6242855f04ebf3b3ce2c00748d8758aa4dec03328ba02e0149",
+            [
+                "c793832d95915533d33e27f7de1def141104bae42f8536205eb33ba9331a4b49",
+                "305fb6323479e6f2d4e793fbf1fa5f79f66cb03ddfc563bca1cf432570419f7d",
+            ],
         ),
         (
             run(Instance::generate_chain(1)),
-            "8d2ff8671fd8996be2392ecd4009ffcfbbe78ea72c60c7b0166a12b575958a14",
-            "fdc02dbd4cb3ec41e1a3732696e5c4364d34734d27f94f1d965895d8d19a5280",
+            "66bea0e760147589b724d6b3ed0b8d84c05dc95ef1147cb8edfa1999038b131d",
+            "fa04225d1f55038c024407a02526293570205fd68e36236eef393d68b0e0d7ac",
+            [
+                "b589e6023b89736759dbc56e841ab2f6a2a3a4185615ca1d48325f9785d98439",
+                "20af71dcbf44c4cd13ac2560d51e476d087b43c82a92a85d754f7f3e0808d3c6",
+            ],
         ),
         (
             ("TPC-H Q8 at 0.02 MB".to_string(), q8_transcript()),
-            "b42f5c7ea7843345a326f23d4bf87854854785913e51a9a680ebc67cdbfab17d",
-            "2a100d512442fcce7815c4daa14ddca2069d632c7e315c1c52e5082243df643d",
+            "955f1fcf95ddee97f38318acab09fefe352fd992ae36edc813c3a4d5a2cb7061",
+            "d7f59252d1dd5b03a9dea497cc25ed56fa4953487d6aba7e4f1d7bee75864fbf",
+            [
+                "56f1d610dea6483b20be53e933c9bae90135d957126ca3f90314302ea4715bab",
+                "931aa42fafc83ca69e52702e3245661529335018228a134ab762fcbab06ae3e4",
+            ],
         ),
     ];
-    for ((what, transcript), alice, bob) in goldens {
-        for (dir, want) in [(Role::Alice, alice), (Role::Bob, bob)] {
+    for ((what, transcript), alice, bob, lengths) in goldens {
+        for (dir, want, want_lengths) in [
+            (Role::Alice, alice, lengths[0]),
+            (Role::Bob, bob, lengths[1]),
+        ] {
             assert_eq!(
-                direction_digest(transcript.iter(), dir),
+                direction_digest(transcript.iter(), dir, false),
+                want_lengths,
+                "{dir:?}-side single-phase message lengths of {what} changed"
+            );
+            assert_eq!(
+                direction_digest(transcript.iter(), dir, true),
                 want,
                 "{dir:?}-side single-phase transcript of {what} changed"
             );
@@ -200,29 +237,44 @@ fn single_phase_transcript_goldens() {
 /// one message: against the recording before it, the offline length
 /// sequences are unchanged, and each online sequence differs only at the
 /// OT corrections, shrunk as in [`single_phase_transcript_goldens`].
+/// Re-recorded with it when the columns moved onto the AES stream; the
+/// length digests (offline A, offline B, online A, online B) predate
+/// that move.
 #[test]
 fn phase_split_transcript_goldens() {
     let goldens = [
         (
             Instance::generate(7),
             [
-                "ffd6bb1fed29c0576afdc3f6e4b22ed89a4086d510ca61a7f84f5ef48c02ee24",
-                "68985bf4a19c2fd9236ec498a4b0fd5132653499841069cfbd4e88ff2d3faf16",
-                "1ca48fc524d9ff9504457d99aa034a118cb9f49b62f24c55d4e02fbe7ba57852",
-                "1af41e87df3095e5f1fe23598c2b4931c9dbfff342ff7ef5b771f0d57306ac6b",
+                "a075d17822c137bce10289a3bb596e22df565f8d148996d5831dc42938fb8805",
+                "eef566ff055f53d0a873be22f19a58838cf1d3ab738bf05645e025d17b12c229",
+                "5dcdef0efad6d552efaa977cc6c933fa64e5a2e0737e7228bd6cc32dd0ac4db6",
+                "6c27605cbe6f7525242003e76495a63679a4c650170bdcd04eefe7d49d1674b1",
+            ],
+            [
+                "ec2d6658f2e77721d112548b993ddd0fc8ec81ee5e5ea8685ad080978c994e87",
+                "f9f2a940739694b2a648a67ab99d8c030bc17f4c666b4e12508c8bfaaa3d41bc",
+                "039b573bb0ceb5a292562dc91738fff477ee5f29d6b690a02b1ba96e361a7a55",
+                "a15b66f26f607660017dba70670317f3d4458ad8f2bd4ce93de1b8e1f5596738",
             ],
         ),
         (
             Instance::generate_chain(1),
             [
-                "1826897a81b070b1f203efbb5f7e3d5ed3f4c1132637a4a488042dd865c80e6b",
-                "f417819a9e4f623b930f9b4e4f7b62f7c5f5cba18f96e1ad831ac893647759b5",
-                "1dbae3d344e44ba54c3cac03d8b81abf8dddeb14eb1f7c32a2e045040996b85e",
-                "e6178c498c12c6bc1e5e5f987f0da207ceb9bdd26191f4a1d501329eee73d334",
+                "97312f9e9e0ed3ec74d2c2577f45dd475aac8984efa48ba4a72a5becb934c060",
+                "60f105f0b64e42b7f84914b22ea4a0a02fd5d26abf0f49b6b584ac59f31b67cd",
+                "fa8d696f8359fecfeace51afe892e6196fa4879fac08c1df0786dca584dfa083",
+                "d3e7728e6259aaf70f7ea0aee8bc3c52ed704affe7447e54ff1dea3b26b3c278",
+            ],
+            [
+                "78e7897b874f4d10316f56548e4b22d90319e1f8553f06c29ac92c279775de8e",
+                "8ef5bf48f56c3bcb91a2e2a169012af771b25cbd30be8959411227d8c746babf",
+                "1904306a8ed89a723fb0b90ee44526a0ca90eea1315bc78c57c28d97f8be2fde",
+                "9614b7c1063af42712c8e4471b0333d810db0ae932cc270ecc694b9d72547b92",
             ],
         ),
     ];
-    for (inst, want) in goldens {
+    for (inst, want, want_lengths) in goldens {
         let (ring, hasher) = (inst.ring_ctx(), TweakHasher::default());
         let party = |seed: u64| {
             let inst = &inst;
@@ -236,7 +288,7 @@ fn phase_split_transcript_goldens() {
         let ((), (), _, handle) = run_protocol_captured(party(sa), party(sb));
         let phases = handle.phased_lengths();
         let messages = handle.messages();
-        let mut got = Vec::new();
+        let (mut got, mut lengths) = (Vec::new(), Vec::new());
         for phase in [Phase::Offline, Phase::Online] {
             let of_phase = || {
                 messages
@@ -245,9 +297,18 @@ fn phase_split_transcript_goldens() {
                     .filter(move |(_, (_, p, _))| *p == phase)
                     .map(|(m, _)| m)
             };
-            got.push(direction_digest(of_phase(), Role::Alice));
-            got.push(direction_digest(of_phase(), Role::Bob));
+            got.push(direction_digest(of_phase(), Role::Alice, true));
+            got.push(direction_digest(of_phase(), Role::Bob, true));
+            for dir in [Role::Alice, Role::Bob] {
+                lengths.push(direction_digest(of_phase(), dir, false));
+            }
         }
+        assert_eq!(
+            lengths,
+            want_lengths,
+            "phase-split message lengths of {}",
+            inst.describe()
+        );
         assert_eq!(got, want, "phase-split transcript of {}", inst.describe());
     }
 }

@@ -16,7 +16,7 @@ mod unroll;
 use rand::SeedableRng;
 use secyan_crypto::cpu;
 use secyan_crypto::{RingCtx, TweakHasher};
-use secyan_ot::{OtReceiver, OtSender};
+use secyan_ot::{KkrtReceiver, KkrtSender, OtReceiver, OtSender};
 use secyan_par as par;
 use secyan_relation::{JoinTree, NaturalRing, Relation};
 use secyan_transport::{run_protocol_captured, Role};
@@ -163,6 +163,61 @@ fn iknp_extension_transcript_is_dispatch_invariant() {
         assert_eq!(
             reference.0, run.0,
             "sender pairs diverged ({arm}, {threads}t)"
+        );
+        assert_eq!(
+            reference.1, run.1,
+            "receiver outputs diverged ({arm}, {threads}t)"
+        );
+        assert_eq!(
+            reference.2, run.2,
+            "transcript diverged ({arm}, {threads}t)"
+        );
+    }
+}
+
+/// KKRT's 512-column OPRF, seeded from IKNP, then one batch of a few
+/// thousand elements: the sender's key evaluated at the receiver's inputs,
+/// the receiver's outputs and the transcript. The two output lists agree
+/// in every configuration; the test below compares configurations.
+fn run_kkrt() -> (Vec<u64>, Vec<u64>, Transcript) {
+    const M: usize = 3000;
+    let hasher = TweakHasher::default();
+    let inputs: Vec<[u8; 8]> = (0..M as u64)
+        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes())
+        .collect();
+    let ins = inputs.clone();
+    let (key, got, _, handle) = run_protocol_captured(
+        move |ch| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(131);
+            let mut ot = OtReceiver::setup(ch, &mut rng, hasher);
+            KkrtSender::setup(ch, &mut ot, &mut rng).key_batch(ch, M)
+        },
+        move |ch| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(132);
+            let mut ot = OtSender::setup(ch, &mut rng, hasher);
+            let refs: Vec<&[u8]> = ins.iter().map(|x| x.as_slice()).collect();
+            KkrtReceiver::setup(ch, &mut ot).eval_batch(ch, &refs)
+        },
+    );
+    let at_inputs: Vec<u64> = inputs
+        .iter()
+        .enumerate()
+        .map(|(j, x)| key.eval(j, x))
+        .collect();
+    assert_eq!(at_inputs, got, "OPRF outputs disagree within one run");
+    (at_inputs, got, handle.messages())
+}
+
+#[test]
+fn kkrt_oprf_transcript_is_dispatch_invariant() {
+    let _guard = CONFIG_LOCK.lock().unwrap();
+    let reference = with_config(true, 1, run_kkrt);
+    for (force, threads) in &CONFIGS[1..] {
+        let run = with_config(*force, *threads, run_kkrt);
+        let arm = if *force { "scalar" } else { "simd" };
+        assert_eq!(
+            reference.0, run.0,
+            "sender evaluations diverged ({arm}, {threads}t)"
         );
         assert_eq!(
             reference.1, run.1,

@@ -22,8 +22,9 @@
 //!
 //! **Propagation**: `let` bindings, assignments (plain and compound),
 //! `for`/`if let`/`while let` pattern bindings, `match` arm bindings,
-//! buffer-mutation methods (`push`, `extend`, …), and closure parameters
-//! fed from a tainted prefix of the same statement.
+//! buffer-mutation methods (`push`, `extend`, …), output-buffer writers
+//! ([`WRITERS`]: the column stream's `stream_into`), and closure
+//! parameters fed from a tainted prefix of the same statement.
 //!
 //! **Sinks** (the rules, catalogued in [`crate::rules::RULES`]):
 //! - `EQ` — `==` / `!=` with a secret in its statement, or a derived
@@ -113,6 +114,11 @@ const MUTATORS: &[&str] = &[
     "write",
     "write_all",
 ];
+
+/// Calls that write a function of their other arguments into their last,
+/// an output buffer: `f(.., &mut out)` makes the other arguments flow into
+/// `out`. The column stream expands secret seeds into its output.
+pub const WRITERS: &[&str] = &["stream_into"];
 
 /// Pool dispatch methods whose closures are the parallel sections bound by
 /// the determinism contract.
@@ -838,6 +844,28 @@ fn collect_events(toks: &[Tok], mask: &[bool], body: Range<usize>) -> (Vec<Event
                         lhs: vec![toks[i - 2].text.clone()],
                         rhs: i + 2..close,
                     });
+                }
+                // Output-buffer writers: `writer(args.., &mut out)`.
+                if WRITERS.contains(&t) && toks.get(i + 1).is_some_and(|n| n.text == "(") {
+                    let close = matching_close(toks, i + 1);
+                    // The last depth-0 comma opens the output argument.
+                    let mut last = i + 1;
+                    loop {
+                        let k = find_at_depth0(toks, last + 1, close, &[","]);
+                        if k >= close {
+                            break;
+                        }
+                        last = k;
+                    }
+                    let out = toks[last + 1..close]
+                        .iter()
+                        .find(|t| t.is_word() && t.text != "mut");
+                    if let Some(out) = out {
+                        events.push(Event {
+                            lhs: vec![out.text.clone()],
+                            rhs: i + 2..last,
+                        });
+                    }
                 }
                 i += 1;
             }
