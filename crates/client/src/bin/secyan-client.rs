@@ -75,12 +75,11 @@ fn main() {
         println!("  {tuple:?} -> {value}");
     }
     println!(
-        "comm: {} bytes ({} a->b, {} b->a), {} messages, {} rounds, {} super-rounds",
+        "comm: {} bytes ({} a->b, {} b->a), {} messages, {} super-rounds",
         out.stats.total_bytes(),
         out.stats.bytes_alice_to_bob,
         out.stats.bytes_bob_to_alice,
         out.stats.messages,
-        out.stats.rounds,
         out.stats.super_rounds,
     );
     if check {

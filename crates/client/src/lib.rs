@@ -6,9 +6,9 @@
 //! once accepted — runs the requested executions of the query with the
 //! client playing Alice, the designated receiver. The revealed result is
 //! returned canonicalized (sorted rows, zero rows dropped) together with
-//! the endpoint's local communication profile, which covers both
-//! directions (standalone endpoints meter incoming traffic at consume
-//! time).
+//! the endpoint's own communication profile, which covers both
+//! directions (every endpoint meters its peer's traffic as it consumes
+//! it).
 //!
 //! Every failure is typed: connection and socket setup problems as
 //! [`ClientError::Io`], a refused or malformed negotiation as

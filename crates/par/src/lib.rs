@@ -135,17 +135,6 @@ impl Pool {
         scatter((0..parts).map(|p| move || f(p)));
     }
 
-    /// Split `0..len` into at most [`Pool::workers`] contiguous ranges of
-    /// at least `min_per_part` indices each and run `f` on each range in
-    /// parallel. The partition depends only on `len` and the worker count —
-    /// never on data — and an input shorter than `2 * min_per_part` runs
-    /// as one inline call.
-    pub fn ranges(&self, len: usize, min_per_part: usize, f: impl Fn(Range<usize>) + Sync) {
-        let f = &f;
-        let jobs = self.partition(len, min_per_part).map(|r| move || f(r));
-        scatter(jobs);
-    }
-
     /// Order-preserving parallel map: `out[i] = f(i, &items[i])`, each part
     /// mapping its own range, the parts' outputs joined in input order.
     pub fn map<I: Sync, O: Send>(
@@ -243,8 +232,8 @@ mod tests {
         with_threads(4, || {
             with_pool(|pool| {
                 for _ in 0..50 {
-                    pool.ranges(64, 1, |r| {
-                        hits.fetch_add(r.len() as u64, Ordering::Relaxed);
+                    pool.chunks_mut(&mut [0u8; 64], 1, 1, |_, chunk| {
+                        hits.fetch_add(chunk.len() as u64, Ordering::Relaxed);
                     });
                 }
             });
@@ -259,12 +248,12 @@ mod tests {
         with_threads(4, || {
             with_pool(|pool| {
                 let caller = std::thread::current().id();
-                pool.ranges(10, 1000, |r| {
-                    assert_eq!(r, 0..10);
+                pool.chunks_mut(&mut [0u8; 10], 1, 1000, |first, chunk| {
+                    assert_eq!((first, chunk.len()), (0, 10));
                     assert_eq!(std::thread::current().id(), caller);
                 });
                 // An empty input runs no part at all.
-                pool.ranges(0, 1, |_| panic!("empty input ran a part"));
+                pool.chunks_mut(&mut [0u8; 0], 1, 1, |_, _| panic!("empty input ran a part"));
                 assert!(pool.map(&[0u8; 0], 1, |_, &x| x).is_empty());
             });
         });
@@ -276,8 +265,8 @@ mod tests {
         let result = with_threads(4, || {
             catch_unwind(AssertUnwindSafe(|| {
                 with_pool(|pool| {
-                    pool.ranges(100, 1, |r| {
-                        if r.contains(&99) {
+                    pool.map(&[0u8; 100], 1, |i, _| {
+                        if i == 99 {
                             assert_ne!(std::thread::current().id(), caller);
                             panic!("boom in part");
                         }
@@ -311,7 +300,6 @@ mod tests {
                 assert_eq!(pool.workers(), 1);
                 let caller = std::thread::current().id();
                 let on_caller = || assert_eq!(std::thread::current().id(), caller);
-                pool.ranges(1000, 1, |_| on_caller());
                 let got = pool.map(&[1u32, 2, 3], 1, |_, &x| {
                     on_caller();
                     x * 2

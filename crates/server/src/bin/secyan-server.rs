@@ -56,13 +56,13 @@ fn main() {
                     let stats = report.stats.unwrap_or_default();
                     println!(
                         "session {} from {peer}: completed {runs} run(s), out_size {out_size}, \
-                         shape {:#x}, pool {}h/{}m, {} bytes / {} rounds",
+                         shape {:#x}, pool {}h/{}m, {} bytes / {} super-rounds",
                         report.id,
                         report.shape_key.map_or(0, |k| k.0),
                         report.pool_hits,
                         report.pool_misses,
                         stats.total_bytes(),
-                        stats.rounds,
+                        stats.super_rounds,
                     );
                 }
                 SessionOutcome::HandshakeFailed(detail) => {

@@ -10,7 +10,7 @@
 //!    instance, and cross-checks the hello's declared ℓ and `ShapeKey`
 //!    against the instance — any disagreement is answered with a typed
 //!    rejection verdict and the connection is closed;
-//! 3. answers `ACCEPT`, wraps the socket in a standalone metered
+//! 3. answers `ACCEPT`, wraps the socket in a metered
 //!    [`Channel`] (Bob's endpoint), and runs the requested number of
 //!    query executions in the requested mode.
 //!

@@ -131,8 +131,13 @@ pub struct SecureRun {
     pub result: Rows,
     /// Public output size as revealed by the protocol.
     pub out_size: usize,
-    /// Aggregate communication counters.
+    /// Alice's communication counters: her view of the wire after her
+    /// final flush.
     pub stats: CommStats,
+    /// Bob's counters after his final flush: his own view of the same
+    /// wire. On a coalesced run every staged message is consumed, so it
+    /// equals `stats` field for field.
+    pub bob_stats: CommStats,
     /// Full payload transcript in wire order — obliviousness and
     /// thread-count-determinism tests compare these across runs.
     pub transcript: Vec<(Role, Vec<u8>)>,
@@ -152,7 +157,7 @@ impl SecureRun {
 /// How a secure run is driven: one shot, one shot with message coalescing
 /// off (every staged message ships as its own wire frame — the
 /// pre-super-round behavior; same session seeds, so the result, the
-/// logical transcript and every stage-time counter must match `Single`
+/// logical transcript and every byte and message counter must match `Single`
 /// byte for byte and only the frame/super-round counters may differ), or
 /// the offline phase (shape-keyed precomputation) then the online phase
 /// against the banked material. `shed` optionally exhausts the material in
@@ -187,7 +192,7 @@ pub fn try_run_secure_on(
         move |ch: &mut Channel| {
             ch.set_eager(matches!(run, Run::Uncoalesced));
             let rels = inst.party_relations(ch.role());
-            match run {
+            let res = match run {
                 Run::Single | Run::Uncoalesced => {
                     let mut sess = Session::new(ch, ring, hasher, seed);
                     secure_yannakakis(&mut sess, query, &rels, receiver)
@@ -199,16 +204,20 @@ pub fn try_run_secure_on(
                     }
                     run_online(ch, query, &rels, receiver, ring, hasher, m)
                 }
-            }
+            };
+            // A peer already gone is the runner's to report, not this one.
+            let _ = ch.try_flush();
+            (res, ch.stats())
         }
     };
     let (sa, sb) = session_seeds(inst);
     let (pair, transcript) = recorded(pair);
-    let (res, _, stats) = try_run_protocol_on(pair, party(sa), party(sb))?;
+    let ((res, _), (_, bob_stats), stats) = try_run_protocol_on(pair, party(sa), party(sb))?;
     Ok(SecureRun {
         result: canonical_result(ring, &res),
         out_size: res.out_size,
         stats,
+        bob_stats,
         transcript: transcript.messages(),
     })
 }

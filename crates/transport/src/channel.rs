@@ -19,11 +19,20 @@
 //! the staged messages, each prefixed by its own 4-byte little-endian
 //! length so logical message boundaries survive coalescing. The header
 //! and sub-headers are pure wire overhead: the byte meters and the
-//! recorded transcript count logical payload bytes only, at *stage* time,
-//! so communication-cost numbers and obliviousness transcripts are
+//! recorded transcript count logical payload bytes only, so
+//! communication-cost numbers and obliviousness transcripts are
 //! independent of how messages happen to share frames. Wire-level
 //! direction switches are metered separately as
 //! [`CommStats::super_rounds`].
+//!
+//! # One meter per endpoint
+//!
+//! Each endpoint owns its meter and counts only its own wire: its own
+//! messages and frames when it stages and flushes them, the peer's when it
+//! consumes and fetches them. Its [`CommStats`] are therefore exactly one
+//! party's observed trace, in that party's program order, and nothing is
+//! shared between the two endpoints of a pair but an opt-in [`recorded`]
+//! transcript.
 //!
 //! The header is validated on every receive, so a truncated, split,
 //! reordered, oversized or dropped write is *detected* and surfaced as a
@@ -33,7 +42,6 @@
 use crate::error::TransportError;
 use crate::fault::{FaultPlan, FaultyPipe};
 use crate::tcp::TcpPipe;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -253,53 +261,43 @@ impl Pipe {
     }
 }
 
-/// One scope's counters: logical messages at stage time, wire frames at
-/// flush time, each with its own direction-switch detector. Per-direction
+/// One scope's counters as this endpoint observes the wire: its own
+/// messages at stage time and frames at flush time, the peer's messages
+/// when it consumes them and frames when it fetches them. Per-direction
 /// cells are indexed by [`Role::index`] of the sender.
 #[derive(Debug, Default)]
 struct Counters {
-    bytes: [AtomicU64; 2],
-    messages: [AtomicU64; 2],
-    /// Direction switches in staged message order.
-    rounds: AtomicU64,
-    /// Sender of the previous message: 0 = none yet, else `index + 1`.
-    last_message: AtomicU64,
-    frames: [AtomicU64; 2],
-    /// Direction switches among flushed frames.
-    super_rounds: AtomicU64,
-    /// Sender of the previous frame, encoded like `last_message`.
-    last_frame: AtomicU64,
+    bytes: [u64; 2],
+    messages: [u64; 2],
+    frames: [u64; 2],
+    /// Direction switches among frames, in this endpoint's program order.
+    super_rounds: u64,
+    /// Sender of the previous frame.
+    last_frame: Option<Role>,
 }
 
 impl Counters {
     /// Count one logical message of `len` payload bytes from `sender`.
-    fn message(&self, sender: Role, len: usize) {
-        self.bytes[sender.index()].fetch_add(len as u64, Ordering::Relaxed);
-        self.messages[sender.index()].fetch_add(1, Ordering::Relaxed);
-        let dir = sender.index() as u64 + 1;
-        if self.last_message.swap(dir, Ordering::Relaxed) != dir {
-            self.rounds.fetch_add(1, Ordering::Relaxed);
-        }
+    fn message(&mut self, sender: Role, len: usize) {
+        self.bytes[sender.index()] += len as u64;
+        self.messages[sender.index()] += 1;
     }
 
     /// Count one wire frame from `sender`; true if it switched the wire
     /// direction within this scope (a super-round boundary).
-    fn frame(&self, sender: Role) -> bool {
-        self.frames[sender.index()].fetch_add(1, Ordering::Relaxed);
-        let dir = sender.index() as u64 + 1;
-        let switched = self.last_frame.swap(dir, Ordering::Relaxed) != dir;
-        if switched {
-            self.super_rounds.fetch_add(1, Ordering::Relaxed);
-        }
+    fn frame(&mut self, sender: Role) -> bool {
+        self.frames[sender.index()] += 1;
+        let switched = self.last_frame.replace(sender) != Some(sender);
+        self.super_rounds += u64::from(switched);
         switched
     }
 }
 
-/// Shared counters observed by both endpoints and the harness: one
-/// [`Counters`] over all traffic and one per split phase. An event is
-/// counted in `total` and in the scope of the phase the counting endpoint
-/// is in ([`Phase::Single`] traffic has no scope of its own), so each
-/// phase's rounds are direction switches among that phase's traffic only.
+/// One endpoint's counters: one [`Counters`] over all traffic and one per
+/// split phase. An event is counted in `total` and in the scope of the
+/// phase the endpoint is in ([`Phase::Single`] traffic has no scope of its
+/// own), so each phase's super-rounds are direction switches among that
+/// phase's frames only.
 #[derive(Debug, Default)]
 struct Meter {
     total: Counters,
@@ -308,17 +306,17 @@ struct Meter {
 }
 
 impl Meter {
-    fn phase_scope(&self, phase: Phase) -> Option<&Counters> {
+    fn phase_scope(&mut self, phase: Phase) -> Option<&mut Counters> {
         match phase {
             Phase::Single => None,
-            Phase::Offline => Some(&self.offline),
-            Phase::Online => Some(&self.online),
+            Phase::Offline => Some(&mut self.offline),
+            Phase::Online => Some(&mut self.online),
         }
     }
 
     /// Logical per-message accounting for one message sent by `sender`
-    /// while the counting endpoint is in `phase`.
-    fn message(&self, phase: Phase, sender: Role, len: usize) {
+    /// while this endpoint is in `phase`.
+    fn message(&mut self, phase: Phase, sender: Role, len: usize) {
         self.total.message(sender, len);
         if let Some(scope) = self.phase_scope(phase) {
             scope.message(sender, len);
@@ -328,7 +326,7 @@ impl Meter {
     /// Wire-level per-frame accounting for one frame sent by `sender`.
     /// Returns whether the frame switched the wire direction (a
     /// super-round boundary — the latency payment under [`NetModel`]).
-    fn frame(&self, phase: Phase, sender: Role) -> bool {
+    fn frame(&mut self, phase: Phase, sender: Role) -> bool {
         if let Some(scope) = self.phase_scope(phase) {
             scope.frame(sender);
         }
@@ -336,30 +334,28 @@ impl Meter {
     }
 
     fn stats(&self) -> CommStats {
-        let get = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
         let (a, b) = (Role::Alice.index(), Role::Bob.index());
         let (total, offline, online) = (&self.total, &self.offline, &self.online);
         CommStats {
-            bytes_alice_to_bob: get(&total.bytes[a]),
-            bytes_bob_to_alice: get(&total.bytes[b]),
-            messages_alice_to_bob: get(&total.messages[a]),
-            messages_bob_to_alice: get(&total.messages[b]),
-            messages: get(&total.messages[a]) + get(&total.messages[b]),
-            rounds: get(&total.rounds),
-            offline_bytes: get(&offline.bytes[a]) + get(&offline.bytes[b]),
-            online_bytes: get(&online.bytes[a]) + get(&online.bytes[b]),
-            offline_rounds: get(&offline.rounds),
-            online_rounds: get(&online.rounds),
-            frames_alice_to_bob: get(&total.frames[a]),
-            frames_bob_to_alice: get(&total.frames[b]),
-            super_rounds: get(&total.super_rounds),
-            offline_super_rounds: get(&offline.super_rounds),
-            online_super_rounds: get(&online.super_rounds),
+            bytes_alice_to_bob: total.bytes[a],
+            bytes_bob_to_alice: total.bytes[b],
+            messages_alice_to_bob: total.messages[a],
+            messages_bob_to_alice: total.messages[b],
+            messages: total.messages[a] + total.messages[b],
+            offline_bytes: offline.bytes[a] + offline.bytes[b],
+            online_bytes: online.bytes[a] + online.bytes[b],
+            frames_alice_to_bob: total.frames[a],
+            frames_bob_to_alice: total.frames[b],
+            super_rounds: total.super_rounds,
+            offline_super_rounds: offline.super_rounds,
+            online_super_rounds: online.super_rounds,
         }
     }
 }
 
-/// A snapshot of the communication counters after (or during) a protocol run.
+/// A snapshot of one endpoint's communication counters after (or during) a
+/// protocol run: the wire as that party observed it, its own traffic
+/// counted when staged and flushed, the peer's when consumed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommStats {
     /// Payload bytes sent from Alice to Bob.
@@ -372,29 +368,20 @@ pub struct CommStats {
     pub messages_bob_to_alice: u64,
     /// Total number of messages in both directions.
     pub messages: u64,
-    /// Number of *logical* communication rounds, counted as direction
-    /// switches in the staged message order (a "round" in the MPC sense: a
-    /// maximal run of messages flowing one way). This is the
-    /// data-independent protocol structure; see [`CommStats::super_rounds`]
-    /// for what actually hit the wire.
-    pub rounds: u64,
     /// Payload bytes (both directions) sent during [`Phase::Offline`].
     pub offline_bytes: u64,
     /// Payload bytes (both directions) sent during [`Phase::Online`].
     pub online_bytes: u64,
-    /// Rounds among offline-phase messages only.
-    pub offline_rounds: u64,
-    /// Rounds among online-phase messages only.
-    pub online_rounds: u64,
     /// Wire frames actually shipped by Alice. Fault plans
     /// ([`crate::fault::FaultSpec::message_index`]) index these, not
     /// logical messages.
     pub frames_alice_to_bob: u64,
     /// Wire frames actually shipped by Bob.
     pub frames_bob_to_alice: u64,
-    /// Wire-level rounds: direction switches among *flushed frames*. Each
-    /// super-round is one latency payment under [`NetModel`]; message
-    /// coalescing reduces this meter, never `rounds`.
+    /// Wire-level rounds: direction switches among frames, in this
+    /// endpoint's program order (its own flushes, the peer's frames as it
+    /// fetches them). Each super-round is one latency payment under
+    /// [`NetModel`]; message coalescing reduces this meter.
     pub super_rounds: u64,
     /// Super-rounds among offline-phase frames only.
     pub offline_super_rounds: u64,
@@ -416,11 +403,8 @@ impl CommStats {
             messages_alice_to_bob: self.messages_alice_to_bob - earlier.messages_alice_to_bob,
             messages_bob_to_alice: self.messages_bob_to_alice - earlier.messages_bob_to_alice,
             messages: self.messages - earlier.messages,
-            rounds: self.rounds - earlier.rounds,
             offline_bytes: self.offline_bytes - earlier.offline_bytes,
             online_bytes: self.online_bytes - earlier.online_bytes,
-            offline_rounds: self.offline_rounds - earlier.offline_rounds,
-            online_rounds: self.online_rounds - earlier.online_rounds,
             frames_alice_to_bob: self.frames_alice_to_bob - earlier.frames_alice_to_bob,
             frames_bob_to_alice: self.frames_bob_to_alice - earlier.frames_bob_to_alice,
             super_rounds: self.super_rounds - earlier.super_rounds,
@@ -495,7 +479,7 @@ impl TranscriptHandle {
 pub struct Channel {
     role: Role,
     pipe: Pipe,
-    meter: Arc<Meter>,
+    meter: Meter,
     transcript: Option<Transcript>,
     /// Staged outgoing super-frame: [`HEADER`] reserved bytes, then each
     /// staged message as `[u32 LE length | payload]`.
@@ -528,13 +512,6 @@ pub struct Channel {
     /// message ships as its own wire frame. Differential tests use this to
     /// prove coalescing changes only wire-level framing, never content.
     eager: bool,
-    /// Meter *incoming* traffic too (at consume time, against the peer's
-    /// direction). Off for paired endpoints sharing one meter — there the
-    /// sender's stage-time metering already covers both directions and
-    /// consume-time metering would double-count. On for a standalone
-    /// remote endpoint (one process per party over TCP), whose local meter
-    /// would otherwise only ever see its own sends.
-    meter_rx: bool,
 }
 
 impl std::fmt::Debug for Channel {
@@ -545,39 +522,11 @@ impl std::fmt::Debug for Channel {
 
 /// Create a connected in-process pair of endpoints: `(alice, bob)`.
 pub fn channel_pair() -> (Channel, Channel) {
-    let (a2b_tx, a2b_rx) = mpsc::channel();
-    let (b2a_tx, b2a_rx) = mpsc::channel();
-    let alice = Pipe::Mpsc {
-        tx: a2b_tx,
-        rx: b2a_rx,
-    };
-    let bob = Pipe::Mpsc {
-        tx: b2a_tx,
-        rx: a2b_rx,
-    };
-    pair_over(alice, bob)
-}
-
-/// The one place a pair is assembled: Alice's and Bob's endpoints over
-/// their pipes, sharing one meter. Sharing is what makes every counter of
-/// a socket-backed pair byte-for-byte comparable with the in-process pair:
-/// each message is metered once, by its sender at stage time, whatever
-/// carries the frames.
-pub(crate) fn pair_over(alice: Pipe, bob: Pipe) -> (Channel, Channel) {
-    let meter = Arc::new(Meter::default());
-    let a = Channel::from_parts(Role::Alice, alice, Arc::clone(&meter));
-    let b = Channel::from_parts(Role::Bob, bob, meter);
-    (a, b)
-}
-
-/// A standalone endpoint over `pipe` for the party-per-process deployment
-/// (`secyan-server` / `secyan-client`). The endpoint carries its own meter
-/// and additionally meters *incoming* traffic at consume time, so its
-/// local [`CommStats`] cover both directions without a shared-memory peer.
-pub(crate) fn endpoint_over(role: Role, pipe: Pipe) -> Channel {
-    let mut ch = Channel::from_parts(role, pipe, Arc::new(Meter::default()));
-    ch.meter_rx = true;
-    ch
+    let (tx, b_rx) = mpsc::channel();
+    let (b_tx, rx) = mpsc::channel();
+    let alice = Channel::new(Role::Alice, Pipe::Mpsc { tx, rx });
+    let bob = Channel::new(Role::Bob, Pipe::Mpsc { tx: b_tx, rx: b_rx });
+    (alice, bob)
 }
 
 /// Attach a transcript to `pair`: from here on every message either
@@ -594,11 +543,12 @@ pub fn recorded(pair: (Channel, Channel)) -> ((Channel, Channel), TranscriptHand
 }
 
 impl Channel {
-    fn from_parts(role: Role, pipe: Pipe, meter: Arc<Meter>) -> Channel {
+    /// `role`'s endpoint over `pipe`, with a meter of its own.
+    pub(crate) fn new(role: Role, pipe: Pipe) -> Channel {
         Channel {
             role,
             pipe,
-            meter,
+            meter: Meter::default(),
             transcript: None,
             out_buf: vec![0u8; HEADER],
             out_msgs: 0,
@@ -612,7 +562,6 @@ impl Channel {
             net: None,
             frame_cap: MAX_FRAME_SIZE,
             eager: false,
-            meter_rx: false,
         }
     }
 
@@ -642,7 +591,7 @@ impl Channel {
     /// Disable (or re-enable) message coalescing on this endpoint: in
     /// eager mode every staged message is flushed immediately as its own
     /// wire frame — the pre-super-round wire behavior. Logical meters and
-    /// the transcript are unaffected (they are stage-time); only the
+    /// the transcript are unaffected (they count messages); only the
     /// frame/super-round counters change. Differential tests run a
     /// protocol both ways and assert identical results and transcripts.
     pub fn set_eager(&mut self, eager: bool) {
@@ -714,7 +663,7 @@ impl Channel {
         self.out_buf.resize(start + len, 0);
         fill(&mut self.out_buf[start..]);
         self.out_msgs += 1;
-        // Logical meters and transcript are per-message and stage-time:
+        // Own messages are metered and recorded per message, at stage time:
         // coalescing must not change any reported byte count or the
         // obliviousness view.
         self.meter.message(self.phase, self.role, len);
@@ -847,9 +796,7 @@ impl Channel {
                 got,
             });
         }
-        if self.meter_rx {
-            self.meter.frame(self.phase, self.role.peer());
-        }
+        self.meter.frame(self.phase, self.role.peer());
         self.in_buf = frame;
         self.in_pos = HEADER;
         Ok(())
@@ -882,9 +829,7 @@ impl Channel {
             });
         }
         self.msg_left = len;
-        if self.meter_rx {
-            self.meter.message(self.phase, self.role.peer(), len);
-        }
+        self.meter.message(self.phase, self.role.peer(), len);
         Ok(())
     }
 
@@ -939,8 +884,8 @@ impl Channel {
         Ok(())
     }
 
-    /// Snapshot of the shared communication counters. Flush first if the
-    /// super-round meters must include messages staged by this endpoint.
+    /// Snapshot of this endpoint's communication counters. Flush first if
+    /// the frame meters must include messages staged by this endpoint.
     pub fn stats(&self) -> CommStats {
         self.meter.stats()
     }
@@ -978,10 +923,8 @@ mod tests {
         let (a_tx, from_alice) = mpsc::channel();
         let (to_bob, b_rx) = mpsc::channel();
         let (b_tx, a_rx) = mpsc::channel();
-        let (a, b) = pair_over(
-            Pipe::Mpsc { tx: a_tx, rx: a_rx },
-            Pipe::Mpsc { tx: b_tx, rx: b_rx },
-        );
+        let a = Channel::new(Role::Alice, Pipe::Mpsc { tx: a_tx, rx: a_rx });
+        let b = Channel::new(Role::Bob, Pipe::Mpsc { tx: b_tx, rx: b_rx });
         (a, b, from_alice, to_bob)
     }
 
@@ -1004,7 +947,6 @@ mod tests {
         assert_eq!(stats.messages_alice_to_bob, 1);
         assert_eq!(stats.messages_bob_to_alice, 1);
         assert_eq!(stats.messages, 2);
-        assert_eq!(stats.rounds, 2);
         assert_eq!(stats.super_rounds, 2);
     }
 
@@ -1023,8 +965,7 @@ mod tests {
         a.send(vec![0]);
         a.flush();
         h.join().unwrap();
-        assert_eq!(a.stats().rounds, 3);
-        // Same three direction switches on the wire; the two same-direction
+        // Three direction switches on the wire; the two same-direction
         // messages shared one frame.
         assert_eq!(a.stats().super_rounds, 3);
     }
@@ -1046,7 +987,6 @@ mod tests {
         assert_eq!(b.recv(), vec![4, 5, 6]);
         let stats = a.stats();
         assert_eq!(stats.messages_alice_to_bob, 3);
-        assert_eq!(stats.rounds, 1);
         assert_eq!(stats.super_rounds, 1);
     }
 
@@ -1279,10 +1219,7 @@ mod tests {
         let stats = a.stats();
         assert_eq!(stats.offline_bytes, 13);
         assert_eq!(stats.online_bytes, 5);
-        assert_eq!(stats.offline_rounds, 2);
-        assert_eq!(stats.online_rounds, 1);
         assert_eq!(stats.total_bytes(), 18);
-        assert_eq!(stats.rounds, 3);
         assert_eq!(stats.super_rounds, 3);
         assert_eq!(stats.offline_super_rounds, 2);
         assert_eq!(stats.online_super_rounds, 1);
@@ -1352,8 +1289,7 @@ mod tests {
     }
 
     /// The fixed conversation behind `comm_stats_by_phase_golden`: strict
-    /// ping-pong (so stage order is deterministic on a shared meter), both
-    /// directions, several messages per direction switch, `Single` →
+    /// ping-pong, both directions, several messages per direction switch, `Single` →
     /// `Offline` → `Online` → `Single`, one explicit flush that splits a
     /// same-direction run into two frames, and one eager stretch. Returns
     /// Alice's two mid-run snapshots and each side's final stats.
@@ -1413,6 +1349,9 @@ mod tests {
         [s1, s2, a.stats(), bob.join().unwrap()]
     }
 
+    /// The golden conversation on every pair kind. Each endpoint meters
+    /// its own wire, and the script consumes everything either side
+    /// stages, so Alice's and Bob's final views agree field for field.
     #[test]
     fn comm_stats_by_phase_golden() {
         let (sa, sb) = {
@@ -1425,9 +1364,8 @@ mod tests {
             ("mpsc", channel_pair()),
             ("tcp pair", crate::tcp_channel_pair().unwrap()),
             (
-                // Standalone endpoints: each side's *local* meter (own sends
-                // at stage time, the peer's at consume time) must read the
-                // same as the shared one.
+                // Endpoints over streams the caller connected, as
+                // `secyan-client` and `secyan-server` build theirs.
                 "tcp endpoints",
                 (
                     crate::tcp_endpoint(Role::Alice, sa, timeout).unwrap(),
@@ -1435,19 +1373,17 @@ mod tests {
                 ),
             ),
         ];
-        // Recorded on the hand-written 20-atomic meter these counters
-        // replaced: a mismatch means a meter value changed meaning.
+        // Recorded on the hand-written 20-atomic meter shared by both
+        // endpoints, which the per-endpoint counters replaced: a mismatch
+        // means a meter value changed meaning.
         let golden_final = CommStats {
             bytes_alice_to_bob: 237,
             bytes_bob_to_alice: 73,
             messages_alice_to_bob: 11,
             messages_bob_to_alice: 11,
             messages: 22,
-            rounds: 8,
             offline_bytes: 157,
             online_bytes: 89,
-            offline_rounds: 3,
-            online_rounds: 3,
             frames_alice_to_bob: 7,
             frames_bob_to_alice: 7,
             super_rounds: 8,
@@ -1460,11 +1396,8 @@ mod tests {
             messages_alice_to_bob: 4,
             messages_bob_to_alice: 4,
             messages: 8,
-            rounds: 2,
             offline_bytes: 11,
             online_bytes: 77,
-            offline_rounds: 1,
-            online_rounds: 2,
             frames_alice_to_bob: 2,
             frames_bob_to_alice: 4,
             super_rounds: 2,

@@ -10,7 +10,10 @@
 //! *communication cost* alongside running time; the benchmark harness reads
 //! the meters after each protocol run. Round counting (the number of
 //! direction switches on the wire) lets tests check the paper's claim that
-//! the number of rounds depends only on the query, not the data.
+//! the number of rounds depends only on the query, not the data. Every
+//! endpoint owns its meter and counts only its own wire — its own traffic
+//! as it sends it, the peer's as it consumes it — so [`CommStats`] are one
+//! party's observed trace; [`try_run_protocol_on`] reports Alice's.
 //!
 //! Obliviousness testing also leans on this crate: a protocol is oblivious
 //! only if its transcript (here: the sequence of message lengths in each
@@ -20,8 +23,8 @@
 //! Round compression: sends are *staged* and coalesced — every run of
 //! same-direction messages between genuine ping-pong dependencies travels
 //! as one wire frame (a *super-round*), flushed automatically the moment
-//! an endpoint would block on its peer. Logical rounds/bytes are metered
-//! at stage time (so protocol-structure numbers and obliviousness
+//! an endpoint would block on its peer. Bytes and messages are metered per
+//! logical message (so communication-cost numbers and obliviousness
 //! transcripts are unchanged by coalescing) while
 //! [`CommStats::super_rounds`] counts what actually pays latency on the
 //! wire. See [`Channel::stage`] / [`Channel::flush`].
@@ -53,5 +56,5 @@ pub use runner::{
     catch_protocol, run_protocol, run_protocol_captured, run_protocol_on, try_run_protocol,
     try_run_protocol_on,
 };
-pub use tcp::{tcp_channel_pair, tcp_endpoint, tcp_pair_from_streams, DEFAULT_IO_TIMEOUT};
+pub use tcp::{tcp_channel_pair, tcp_endpoint, DEFAULT_IO_TIMEOUT};
 pub use wire::{ReadExt, WriteExt};

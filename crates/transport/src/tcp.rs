@@ -3,7 +3,7 @@
 //!
 //! Everything above the [`crate::channel::Pipe`] seam — `send_with`
 //! staging, flush-before-block coalescing, eager mode, phase-tagged
-//! sequence words, stage-time metering, transcripts — is shared with the
+//! sequence words, per-endpoint metering, transcripts — is shared with the
 //! in-process transport, so a protocol run over TCP produces the same
 //! logical transcript and meters byte for byte. What this module adds:
 //!
@@ -14,14 +14,12 @@
 //!   both transports; only genuinely socket-specific conditions map to
 //!   new errors ([`crate::TransportError::Timeout`] for a blown deadline,
 //!   `PeerClosed` for EOF/reset).
-//! * Paired constructors ([`tcp_channel_pair`], [`tcp_pair_from_streams`])
-//!   for in-process tests that want both endpoints of a loopback socket
-//!   with one shared meter — the drop-in replacement the differential and
-//!   fault batteries run next to `channel_pair` ([`crate::recorded`] and
-//!   [`crate::faulted`] apply to it unchanged).
-//! * A standalone endpoint constructor ([`tcp_endpoint`]) for the real
-//!   party-per-process deployment (`secyan-server` / `secyan-client`),
-//!   metering both directions locally.
+//! * One endpoint constructor ([`tcp_endpoint`]) for the real
+//!   party-per-process deployment (`secyan-server` / `secyan-client`).
+//! * [`tcp_channel_pair`]: two such endpoints over a loopback socket, the
+//!   drop-in replacement the differential and fault batteries run next to
+//!   `channel_pair` ([`crate::recorded`] and [`crate::faulted`] apply to it
+//!   unchanged).
 //!
 //! An allocation-bomb note mirroring the in-process path: the pipe reads
 //! the 8-byte header first and refuses to allocate for a payload declared
@@ -29,7 +27,7 @@
 //! the channel's sequence/phase/size checks then surface the typed
 //! `FrameTooLarge` in the same validation order as the mpsc transport.
 
-use crate::channel::{endpoint_over, pair_over, Channel, Pipe, Role, HEADER, MAX_FRAME_SIZE};
+use crate::channel::{Channel, Pipe, Role, HEADER, MAX_FRAME_SIZE};
 use crate::error::TransportError;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -164,35 +162,28 @@ fn loopback_stream_pair() -> io::Result<(TcpStream, TcpStream)> {
     Ok((a, b))
 }
 
-/// [`crate::channel_pair`] over a real loopback TCP socket: both endpoints
-/// share one meter, so every counter is directly comparable with an
+/// [`crate::channel_pair`] over a real loopback TCP socket: two
+/// [`tcp_endpoint`]s, so every counter is directly comparable with an
 /// in-process run. Frames genuinely traverse the kernel's TCP stack.
 /// Endpoints start with [`DEFAULT_IO_TIMEOUT`].
 pub fn tcp_channel_pair() -> io::Result<(Channel, Channel)> {
     let (a, b) = loopback_stream_pair()?;
-    tcp_pair_from_streams(a, b)
+    let timeout = Some(DEFAULT_IO_TIMEOUT);
+    let alice = tcp_endpoint(Role::Alice, a, timeout)?;
+    Ok((alice, tcp_endpoint(Role::Bob, b, timeout)?))
 }
 
-/// Build a shared-meter channel pair over two already-connected streams
-/// the caller owns. `alice` is Alice's socket, `bob` Bob's.
-pub fn tcp_pair_from_streams(alice: TcpStream, bob: TcpStream) -> io::Result<(Channel, Channel)> {
-    let alice = TcpPipe::new(alice, Some(DEFAULT_IO_TIMEOUT))?;
-    let bob = TcpPipe::new(bob, Some(DEFAULT_IO_TIMEOUT))?;
-    Ok(pair_over(Pipe::Tcp(alice), Pipe::Tcp(bob)))
-}
-
-/// Build one standalone endpoint over a connected stream — the real
-/// party-per-process deployment. The endpoint owns a private meter and
-/// meters *both* directions locally (its own sends at stage time, the
-/// peer's messages as they are consumed), so [`Channel::stats`] reports a
-/// full communication profile without a shared-memory peer.
+/// Build `role`'s endpoint over a connected stream — the real
+/// party-per-process deployment. Like every endpoint it meters its own
+/// wire in both directions, so [`Channel::stats`] reports a full
+/// communication profile without the peer.
 pub fn tcp_endpoint(
     role: Role,
     stream: TcpStream,
     io_timeout: Option<Duration>,
 ) -> io::Result<Channel> {
     let pipe = TcpPipe::new(stream, io_timeout)?;
-    Ok(endpoint_over(role, Pipe::Tcp(pipe)))
+    Ok(Channel::new(role, Pipe::Tcp(pipe)))
 }
 
 #[cfg(test)]
@@ -202,7 +193,7 @@ mod tests {
     use std::thread;
 
     #[test]
-    fn tcp_roundtrip_and_shared_meters() {
+    fn tcp_roundtrip_and_meters() {
         let (mut a, mut b) = tcp_channel_pair().unwrap();
         let h = thread::spawn(move || {
             let m = b.recv();
@@ -218,7 +209,6 @@ mod tests {
         assert_eq!(stats.bytes_alice_to_bob, 3);
         assert_eq!(stats.bytes_bob_to_alice, 10);
         assert_eq!(stats.messages, 2);
-        assert_eq!(stats.rounds, 2);
         assert_eq!(stats.super_rounds, 2);
     }
 

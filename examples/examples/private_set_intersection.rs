@@ -85,9 +85,9 @@ fn main() {
         &bob_view[..4.min(bob_view.len())]
     );
     println!(
-        "Traffic: {:.1} KB over {} rounds.",
+        "Traffic: {:.1} KB over {} super-rounds.",
         stats.total_bytes() as f64 / 1e3,
-        stats.rounds
+        stats.super_rounds
     );
     assert_eq!(alice_total, expected_total);
     println!("\nMatches the expected {expected_total}. Neither party learned *which* customers overlap. ✓");

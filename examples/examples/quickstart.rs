@@ -100,10 +100,10 @@ fn main() {
         );
     }
     println!(
-        "\nProtocol traffic: {} bytes in {} messages over {} rounds.",
+        "\nProtocol traffic: {} bytes in {} messages over {} super-rounds.",
         stats.total_bytes(),
         stats.messages,
-        stats.rounds
+        stats.super_rounds
     );
     println!("Bob learned nothing beyond the public sizes.");
 

@@ -71,7 +71,7 @@ fn differential_sweep_chain_family_exercises_baseline() {
 /// match the plaintext oracle, and — because all staging, coalescing, and
 /// metering live above the transport seam — the per-direction transcript
 /// must be *byte-identical* to the in-process channel's, with every
-/// stage-time communication counter equal.
+/// communication counter equal.
 #[test]
 fn differential_sweep_tcp() {
     let instances = (0..8)
@@ -106,6 +106,37 @@ fn differential_sweep_tcp() {
              transports on {}",
             inst.describe()
         );
+    }
+}
+
+/// Each endpoint meters only its own wire and the harness reports Alice's,
+/// so every instance of the sweep, over both pipes and in both coalesced
+/// run modes, must leave Bob's view equal to Alice's field for field: no
+/// message or frame is staged that the peer never consumes, and reporting
+/// one party's view loses nothing. Uncoalesced runs are left out: each
+/// endpoint counts super-rounds in its own program order, and there the
+/// two orders may differ.
+#[test]
+fn both_endpoints_report_the_same_meters() {
+    let instances = (0..48)
+        .map(Instance::generate)
+        .chain((0..16).map(Instance::generate_chain));
+    for inst in instances {
+        for run in [Run::Single, Run::PhaseSplit { shed: None }] {
+            let pairs = [
+                ("mpsc", channel_pair()),
+                ("tcp", tcp_channel_pair().expect("loopback TCP pair")),
+            ];
+            for (pipe, pair) in pairs {
+                let r = run_secure_on(&inst, pair, run);
+                assert_eq!(
+                    r.bob_stats,
+                    r.stats,
+                    "Bob's meters differ from Alice's ({run:?} over {pipe}) on {}",
+                    inst.describe()
+                );
+            }
+        }
     }
 }
 

@@ -11,8 +11,8 @@
 //! * **Coalescing differential** — the same instance runs with message
 //!   coalescing on (default) and off (`Run::Uncoalesced`, one wire
 //!   frame per staged message). Coalescing must change *wire framing
-//!   only*: results, logical transcripts, and every stage-time meter are
-//!   byte-identical; only the frame counters shrink.
+//!   only*: results, logical transcripts, and every byte and message meter
+//!   are byte-identical; only the frame counters shrink.
 
 mod common;
 
@@ -239,7 +239,7 @@ fn direction_stream(run: &SecureRun, dir: Role) -> Vec<u8> {
 
 /// Coalescing is a pure wire-framing optimization: with it disabled the
 /// same seeds must produce byte-identical results and logical transcripts,
-/// one frame per logical message, the same round structure — and strictly
+/// one frame per logical message, no fewer super-rounds — and strictly
 /// more frames.
 #[test]
 fn coalescing_only_changes_wire_framing() {
@@ -251,6 +251,7 @@ fn coalescing_only_changes_wire_framing() {
     for inst in &instances {
         let c = run_secure(inst);
         let u = run_secure_on(inst, channel_pair(), Run::Uncoalesced);
+        let u_tcp = run_secure_on(inst, tcp_pair(), Run::Uncoalesced);
 
         // Same answer, same public output size.
         assert_eq!(c.result, u.result, "{}", inst.describe());
@@ -276,12 +277,7 @@ fn coalescing_only_changes_wire_framing() {
             );
         }
 
-        // Stage-time per-direction meters are identical. (The *global*
-        // `rounds`/`super_rounds` interleaving meters are not compared:
-        // eager mode ships frames mid-computation, so both parties can be
-        // staging concurrently and the cross-direction interleaving those
-        // meters observe is scheduling-dependent. Per-direction counters
-        // and streams are race-free in both modes.)
+        // Per-direction meters are identical.
         assert_eq!(c.stats.bytes_alice_to_bob, u.stats.bytes_alice_to_bob);
         assert_eq!(c.stats.bytes_bob_to_alice, u.stats.bytes_bob_to_alice);
         assert_eq!(c.stats.messages_alice_to_bob, u.stats.messages_alice_to_bob);
@@ -289,13 +285,21 @@ fn coalescing_only_changes_wire_framing() {
         assert_eq!(c.stats.online_bytes, u.stats.online_bytes);
         assert_eq!(c.stats.offline_bytes, u.stats.offline_bytes);
 
-        // Coalescing can only merge same-direction frames, so the wire
-        // round meter never exceeds the logical one.
+        // Alice counts super-rounds in her own program order, so the
+        // uncoalesced count is deterministic: the same over either pipe.
+        // Coalescing can only merge same-direction frames, so it never
+        // adds a super-round.
+        assert_eq!(
+            u.stats.super_rounds,
+            u_tcp.stats.super_rounds,
+            "uncoalesced super-rounds moved with the pipe on {}",
+            inst.describe()
+        );
         assert!(
-            c.stats.super_rounds <= c.stats.rounds,
-            "coalesced wire rounds exceed logical rounds ({} > {}) on {}",
+            c.stats.super_rounds <= u.stats.super_rounds,
+            "coalescing added super-rounds ({} > {}) on {}",
             c.stats.super_rounds,
-            c.stats.rounds,
+            u.stats.super_rounds,
             inst.describe()
         );
 
@@ -385,7 +389,7 @@ fn family_super_round_goldens_hold_over_tcp() {
 
 /// The coalesced-vs-eager differential holds over the socket exactly as
 /// it does in process: byte-identical results and logical transcripts,
-/// identical stage-time meters, strictly fewer frames when coalescing.
+/// identical byte and message meters, strictly fewer frames when coalescing.
 #[test]
 fn tcp_coalescing_only_changes_wire_framing() {
     let instances = [Instance::generate_chain(0), Instance::generate(5)];
