@@ -232,44 +232,22 @@ fn local_project_agg(
     let tuples = rel.tuples.as_ref().expect("owner side");
     let dummies = rel.dummy.as_ref().expect("owner side");
     let plain = rel.plain_annots.as_ref().expect("plain annots");
-    let mut groups: std::collections::HashMap<Vec<u64>, u64> = std::collections::HashMap::new();
-    let mut order: Vec<Vec<u64>> = Vec::new();
-    for i in 0..n {
-        if dummies[i] {
-            continue;
-        }
+    // One row per group in order of first appearance, the group's
+    // aggregate accumulating in place.
+    let mut rows: Vec<(Vec<u64>, bool, u64)> = Vec::new();
+    let mut group: std::collections::HashMap<Vec<u64>, usize> = Default::default();
+    for i in (0..n).filter(|&i| !dummies[i]) {
         let key: Vec<u64> = pos.iter().map(|&p| tuples[i][p]).collect();
-        let v = plain[i];
-        match groups.get_mut(&key) {
-            Some(acc) => {
-                *acc = match kind {
-                    AggKind::Sum => sess.ring.add(*acc, v),
-                    AggKind::Support => {
-                        if *acc == 1 || v != 0 {
-                            1
-                        } else {
-                            0
-                        }
-                    }
-                }
-            }
-            None => {
-                let init = match kind {
-                    AggKind::Sum => v,
-                    AggKind::Support => (v != 0) as u64,
-                };
-                groups.insert(key.clone(), init);
-                order.push(key);
-            }
-        }
+        let g = *group.entry(key).or_insert_with_key(|key| {
+            rows.push((key.clone(), false, 0));
+            rows.len() - 1
+        });
+        let acc = &mut rows[g].2;
+        *acc = match kind {
+            AggKind::Sum => sess.ring.add(*acc, plain[i]),
+            AggKind::Support => *acc | u64::from(plain[i] != 0),
+        };
     }
-    let mut rows: Vec<(Vec<u64>, bool, u64)> = order
-        .into_iter()
-        .map(|key| {
-            let v = groups[&key];
-            (key, false, v)
-        })
-        .collect();
     rows.resize(n, (vec![0; out.schema.len()], true, 0));
     SecureRelation::plain(out, Some(rows))
 }

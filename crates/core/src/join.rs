@@ -8,6 +8,7 @@
 //! produce J*'s annotations — in shared form, so the result can feed query
 //! composition (§7), or revealed when it *is* the final answer.
 
+use crate::protocol::QueryResult;
 use crate::session::Session;
 use crate::shape::{Draws, RelHeader};
 use crate::srel::SecureRelation;
@@ -16,21 +17,6 @@ use secyan_gc::{with_shared_rows, SharedOutputSpec};
 use secyan_oep::oep_ot_count;
 use secyan_transport::{Role, WriteExt};
 use std::collections::HashMap;
-
-/// Result of the oblivious join.
-#[derive(Debug, Clone)]
-pub struct JoinOutput {
-    /// Combined schema (fold order, duplicates removed).
-    pub schema: Vec<String>,
-    /// Receiver side: the join tuples J*. Empty on the other side.
-    pub tuples: Vec<Vec<u64>>,
-    /// Annotation shares per output row (both sides), unless revealed.
-    pub annot_shares: Vec<u64>,
-    /// Revealed annotations (receiver side, only when `reveal` was set).
-    pub values: Vec<u64>,
-    /// Public output size.
-    pub out_size: usize,
-}
 
 /// The public step of revealing a relation's rows to the receiver: per
 /// row the nonzero indicator of its annotation (`values = false`, the
@@ -203,7 +189,7 @@ pub fn oblivious_join(
     rels: &mut [SecureRelation],
     receiver: Role,
     reveal: bool,
-) -> JoinOutput {
+) -> QueryResult {
     assert!(!rels.is_empty());
     let ell = sess.ring.bits() as usize;
     let i_am_receiver = sess.role() == receiver;
@@ -212,87 +198,68 @@ pub fn oblivious_join(
         .iter_mut()
         .map(|r| reveal_rows(sess, r, receiver, false))
         .collect();
-    // Step 2: the receiver joins locally, tracking per-relation provenance.
+    // The combined schema (fold order, duplicates removed) and, per
+    // relation, the columns it shares with the join so far — (its
+    // position, the join's) — and the positions it adds.
     let mut schema: Vec<String> = Vec::new();
+    let mut columns = Vec::with_capacity(rels.len());
     for r in rels.iter() {
-        for a in &r.schema {
-            if !schema.contains(a) {
-                schema.push(a.clone());
+        let (mut shared, mut added) = (Vec::new(), Vec::new());
+        for (p, a) in r.schema.iter().enumerate() {
+            match schema.iter().position(|s| s == a) {
+                Some(q) => shared.push((p, q)),
+                None => {
+                    added.push(p);
+                    schema.push(a.clone());
+                }
             }
         }
+        columns.push((shared, added));
     }
+    // Step 2: the receiver joins locally, tracking per-relation provenance:
+    // from the single empty row, each relation in turn extends every row
+    // so far by each of its real rows that agrees on the shared columns.
     let (tuples, prov, out_size) = if i_am_receiver {
-        let mut acc: Vec<(HashMap<String, u64>, Vec<usize>)> = Vec::new();
-        for (ri, rows) in revealed.iter().enumerate() {
+        let mut acc: Vec<(Vec<u64>, Vec<usize>)> = vec![(Vec::new(), Vec::new())];
+        for (rows, (shared, added)) in revealed.iter().zip(&columns) {
             let rows = rows.as_ref().expect("receiver side");
-            let rel_schema = &rels[ri].schema;
-            if ri == 0 {
-                for (idx, row) in rows.iter().enumerate() {
-                    if let Some((t, _)) = row {
-                        let vals: HashMap<String, u64> =
-                            rel_schema.iter().cloned().zip(t.iter().copied()).collect();
-                        acc.push((vals, vec![idx]));
-                    }
-                }
-                continue;
-            }
-            // Hash the new relation on the shared attributes.
-            let common: Vec<String> = rel_schema
-                .iter()
-                .filter(|a| acc.first().is_some_and(|(m, _)| m.contains_key(*a)))
-                .cloned()
-                .collect();
-            let mut index: HashMap<Vec<u64>, Vec<usize>> = HashMap::new();
+            let mut index: HashMap<Vec<u64>, Vec<(usize, &[u64])>> = HashMap::new();
             for (idx, row) in rows.iter().enumerate() {
                 if let Some((t, _)) = row {
-                    let key: Vec<u64> = common
-                        .iter()
-                        .map(|a| {
-                            let p = rel_schema.iter().position(|s| s == a).expect("common attr");
-                            t[p]
-                        })
-                        .collect();
-                    index.entry(key).or_default().push(idx);
+                    let key = shared.iter().map(|&(p, _)| t[p]).collect();
+                    index.entry(key).or_default().push((idx, t));
                 }
             }
             let mut next = Vec::new();
-            for (vals, prov) in acc {
-                let key: Vec<u64> = common.iter().map(|a| vals[a]).collect();
-                if let Some(matches) = index.get(&key) {
-                    for &idx in matches {
-                        let (t, _) = rows[idx].as_ref().expect("indexed row is real");
-                        let mut vals2 = vals.clone();
-                        for (a, &v) in rel_schema.iter().zip(t.iter()) {
-                            vals2.insert(a.clone(), v);
-                        }
-                        let mut prov2 = prov.clone();
-                        prov2.push(idx);
-                        next.push((vals2, prov2));
-                    }
+            for (vals, prov) in &acc {
+                let key: Vec<u64> = shared.iter().map(|&(_, q)| vals[q]).collect();
+                for &(idx, t) in index.get(&key).into_iter().flatten() {
+                    let mut vals = vals.clone();
+                    vals.extend(added.iter().map(|&p| t[p]));
+                    let mut prov = prov.clone();
+                    prov.push(idx);
+                    next.push((vals, prov));
                 }
             }
             acc = next;
         }
-        let out_size = acc.len();
-        sess.ch.send_u64(out_size as u64);
-        let tuples: Vec<Vec<u64>> = acc
-            .iter()
-            .map(|(vals, _)| schema.iter().map(|a| vals[a]).collect())
-            .collect();
-        let prov: Vec<Vec<usize>> = acc.into_iter().map(|(_, p)| p).collect();
+        sess.ch.send_u64(acc.len() as u64);
+        let (tuples, prov): (Vec<_>, Vec<_>) = acc.into_iter().unzip();
+        let out_size = tuples.len();
         (tuples, prov, out_size)
     } else {
         let out_size = crate::session::recv_declared_size(sess.ch, "join output");
         (Vec::new(), Vec::new(), out_size)
     };
+    let mut res = QueryResult {
+        schema,
+        tuples,
+        values: Vec::new(),
+        annot_shares: Vec::new(),
+        out_size,
+    };
     if out_size == 0 {
-        return JoinOutput {
-            schema,
-            tuples,
-            annot_shares: Vec::new(),
-            values: Vec::new(),
-            out_size,
-        };
+        return res;
     }
     // Step 3: per-relation OEPs, routed by the receiver, align annotation
     // shares with J* rows.
@@ -312,22 +279,14 @@ pub fn oblivious_join(
         .flat_map(|i| aligned.iter().map(move |a| a[i]))
         .collect();
     let (garbler, bits) = (receiver.peer(), words_to_bits(&words, ell));
-    let (annot_shares, values) = match spec {
-        Some(spec) => (
-            sess.garble_shared(&circuit, &spec, garbler, &bits),
-            Vec::new(),
-        ),
+    match spec {
+        Some(spec) => res.annot_shares = sess.garble_shared(&circuit, &spec, garbler, &bits),
         None => {
             let out = sess.garble(&circuit, garbler, &bits);
-            let values = out.map(|bits| bits_to_words(&bits, ell));
-            (Vec::new(), values.unwrap_or_default())
+            res.values = out
+                .map(|bits| bits_to_words(&bits, ell))
+                .unwrap_or_default();
         }
-    };
-    JoinOutput {
-        schema,
-        tuples,
-        annot_shares,
-        values,
-        out_size,
     }
+    res
 }

@@ -9,8 +9,8 @@
 //! Layout (one module per §6 subsection):
 //! * [`session`] — per-party protocol state: channel, ring, and
 //!   both directions of OT/OPRF machinery, set up once and amortized —
-//!   and the three verbs (circuit, OEP, PSI) every operator below is
-//!   written in.
+//!   and the four verbs (circuit, OEP, PSI, multiply) every operator
+//!   below is written in.
 //! * [`srel`] — [`srel::SecureRelation`]: tuples held by one party,
 //!   annotations additively shared, dummies tracked owner-side.
 //! * [`agg`] — oblivious projection-aggregation π⊕ and π¹ (§6.1): local
@@ -22,7 +22,8 @@
 //!   Yannakakis join, OEP + product circuit for the annotations.
 //! * [`protocol`] — the three-phase driver (§6.4) with the §6.5
 //!   optimizations (local aggregation and plain-payload PSI while
-//!   annotations are still owner-known).
+//!   annotations are still owner-known); one walk, ending in a reveal or
+//!   in shares for composition.
 //! * [`ext`] — §7 extensions: selection handling, query composition
 //!   (avg/ratio via a final division circuit), and differentially private
 //!   noise on revealed aggregates.

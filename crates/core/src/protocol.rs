@@ -13,11 +13,14 @@
 //!    zeroing their annotation shares (nothing is physically removed —
 //!    sizes are public).
 //! 3. **Full join**: reveal supports, local join, OEP + product circuit
-//!    (§6.3). When the reduce phase leaves a single node (e.g. TPC-H Q3),
-//!    the driver skips phases 2–3 and reveals that node directly.
+//!    (§6.3). When the aggregates are revealed and the reduce phase leaves
+//!    a single node (e.g. TPC-H Q3), the driver skips phases 2–3 and
+//!    reveals that node directly. When they stay shared for composition
+//!    (§7), the walk always ends in the join, which leaves the product
+//!    tree's outputs as shares.
 
 use crate::agg::{oblivious_project_agg, AggKind};
-use crate::join::{oblivious_join, reveal_rows, JoinOutput};
+use crate::join::{oblivious_join, reveal_rows};
 use crate::query::SecureQuery;
 use crate::semijoin::oblivious_reduce_join;
 use crate::session::Session;
@@ -25,22 +28,16 @@ use crate::srel::SecureRelation;
 use secyan_relation::{NaturalRing, Relation};
 use secyan_transport::Role;
 
-/// The receiver-side result of a secure query (the other party's copy has
-/// empty tuples/values and only the public `out_size`).
+/// The result of a secure query. The receiver knows the tuples; row i's
+/// aggregate is either revealed to it (`values[i]`, with `annot_shares`
+/// empty) or left split between the parties for composition (§7:
+/// `annot_shares[i]` on both sides, with `values` empty). The other
+/// party's copy has empty tuples/values and only the public `out_size`.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
     pub schema: Vec<String>,
     pub tuples: Vec<Vec<u64>>,
     pub values: Vec<u64>,
-    pub out_size: usize,
-}
-
-/// Shared-form result used for query composition (§7): the receiver knows
-/// the tuples; the aggregate of row i stays split between the parties.
-#[derive(Debug, Clone)]
-pub struct SharedQueryResult {
-    pub schema: Vec<String>,
-    pub tuples: Vec<Vec<u64>>,
     pub annot_shares: Vec<u64>,
     pub out_size: usize,
 }
@@ -60,8 +57,9 @@ pub(crate) trait Operators {
     fn reduce_join(&mut self, rf: &Self::Rel, rg: Self::Rel) -> Self::Rel;
     /// Reveal the single surviving relation's rows and aggregates.
     fn reveal(&mut self, rel: &mut Self::Rel, receiver: Role) -> Self::Output;
-    /// The full join of several survivors (§6.3), aggregates revealed.
-    fn join(&mut self, rels: &mut [Self::Rel], receiver: Role) -> Self::Output;
+    /// The full join of the survivors (§6.3), aggregates revealed or
+    /// shared.
+    fn join(&mut self, rels: &mut [Self::Rel], receiver: Role, reveal: bool) -> Self::Output;
 }
 
 impl Operators for Session<'_> {
@@ -93,17 +91,12 @@ impl Operators for Session<'_> {
             out_size: tuples.len(),
             tuples,
             values,
+            annot_shares: Vec::new(),
         }
     }
 
-    fn join(&mut self, rels: &mut [SecureRelation], receiver: Role) -> QueryResult {
-        let out = oblivious_join(self, rels, receiver, true);
-        QueryResult {
-            schema: out.schema,
-            tuples: out.tuples,
-            values: out.values,
-            out_size: out.out_size,
-        }
+    fn join(&mut self, rels: &mut [SecureRelation], receiver: Role, reveal: bool) -> QueryResult {
+        oblivious_join(self, rels, receiver, reveal)
     }
 }
 
@@ -116,45 +109,21 @@ pub fn secure_yannakakis(
     receiver: Role,
 ) -> QueryResult {
     let rels = load(sess, query, my_relations);
-    walk(sess, query, rels, receiver)
+    walk(sess, query, rels, receiver, true)
 }
 
 /// Like [`secure_yannakakis`] but leaving the aggregates in shared form
-/// for composition (§7).
+/// for composition (§7): the receiver's `tuples[i]` pairs with
+/// `annot_shares[i]` on both sides, and a row whose shares reconstruct to
+/// zero contributes nothing, exactly as in the §7 AVG example.
 pub fn secure_yannakakis_shared(
     sess: &mut Session,
     query: &SecureQuery,
     my_relations: &[Option<Relation<NaturalRing>>],
     receiver: Role,
-) -> SharedQueryResult {
+) -> QueryResult {
     let rels = load(sess, query, my_relations);
-    let (mut rels, survivors) = reduce_and_semijoin(sess, query, rels);
-    let out = if survivors.len() == 1 {
-        let rel = &mut rels[survivors[0]];
-        rel.ensure_shared(sess);
-        // Reveal only the tuples' support — here the tuples themselves are
-        // part of the output, but the aggregates stay shared. We reveal
-        // all rows (dummies included) and keep the shares aligned; the
-        // caller's composition circuit treats zero-reconstructing rows as
-        // padding, exactly like the §7 avg example.
-        oblivious_join(sess, std::slice::from_mut(rel), receiver, false)
-    } else {
-        let mut folded = fold(query, &rels, &survivors);
-        oblivious_join(sess, &mut folded, receiver, false)
-    };
-    let JoinOutput {
-        schema,
-        tuples,
-        annot_shares,
-        out_size,
-        ..
-    } = out;
-    SharedQueryResult {
-        schema,
-        tuples,
-        annot_shares,
-        out_size,
-    }
+    walk(sess, query, rels, receiver, false)
 }
 
 /// Load: one batched declaration round for every relation in the plan.
@@ -177,18 +146,20 @@ fn load(
 }
 
 /// The whole driver over loaded relations: phases 1–2, then the reveal
-/// (one survivor, e.g. Q3) or the full join (several).
+/// (one survivor, e.g. Q3, aggregates revealed) or the full join (several
+/// survivors, or aggregates left shared).
 pub(crate) fn walk<O: Operators>(
     ops: &mut O,
     query: &SecureQuery,
     rels: Vec<O::Rel>,
     receiver: Role,
+    reveal: bool,
 ) -> O::Output {
     let (mut rels, survivors) = reduce_and_semijoin(ops, query, rels);
-    if survivors.len() == 1 {
+    if reveal && survivors.len() == 1 {
         return ops.reveal(&mut rels[survivors[0]], receiver);
     }
-    ops.join(&mut fold(query, &rels, &survivors), receiver)
+    ops.join(&mut fold(query, &rels, &survivors), receiver, reveal)
 }
 
 /// The attributes of `schema` that `keep` keeps, in schema order.

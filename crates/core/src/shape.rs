@@ -217,7 +217,7 @@ impl QueryShape {
             draws: Draws::default(),
             join_inputs: Vec::new(),
         };
-        walk(&mut rec, query, loaded, receiver);
+        walk(&mut rec, query, loaded, receiver, true);
         let Draws { circuits, ot, kkrt } = rec.draws;
         QueryShape {
             key: shape_key(query, sizes, receiver, ell),
@@ -263,7 +263,9 @@ impl Operators for Recorder {
         self.draws.absorb(step.draws());
     }
 
-    fn join(&mut self, rels: &mut [RelHeader], receiver: Role) {
+    /// The product tree runs at the data-dependent OUT whether it reveals
+    /// or shares, so `reveal` changes nothing that can be planned.
+    fn join(&mut self, rels: &mut [RelHeader], receiver: Role, _reveal: bool) {
         for rel in rels.iter() {
             let step = reveal_step(rel, receiver, self.ell, false);
             self.draws.absorb(step.draws());

@@ -44,9 +44,10 @@ pub struct Garbling {
     pub input_zero_labels: Secret<Vec<Block>>,
     /// Zero-label of every output wire, in output order.
     pub output_zero_labels: Secret<Vec<Block>>,
-    /// Two ciphertexts per AND gate, in AND-index order. Empty when the
-    /// tables were written straight into a channel's staging buffer.
-    pub tables: Vec<(Block, Block)>,
+    /// One 32-byte table per AND gate in AND-index order, t_G then t_E —
+    /// the wire layout. Empty when the tables were written straight into
+    /// a channel's staging buffer.
+    pub tables: Vec<[u8; 32]>,
 }
 
 impl Garbling {
@@ -87,35 +88,9 @@ impl Garbling {
 /// Evaluator-side view of the tables (what travels over the wire).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalTables {
-    /// Two ciphertexts per AND gate, in AND-index order.
-    pub tables: Vec<(Block, Block)>,
-}
-
-/// Storage of one AND gate's two ciphertexts: the typed pair of
-/// [`Garbling`]/[`EvalTables`], or its 32 bytes in a channel buffer.
-pub(crate) trait Cell: Send + Sync {
-    fn put(&mut self, t_g: Block, t_e: Block);
-    fn get(&self) -> (Block, Block);
-}
-
-impl Cell for (Block, Block) {
-    fn put(&mut self, t_g: Block, t_e: Block) {
-        *self = (t_g, t_e);
-    }
-    fn get(&self) -> (Block, Block) {
-        *self
-    }
-}
-
-impl Cell for [u8; 32] {
-    fn put(&mut self, t_g: Block, t_e: Block) {
-        self[..16].copy_from_slice(&t_g.to_bytes());
-        self[16..].copy_from_slice(&t_e.to_bytes());
-    }
-    fn get(&self) -> (Block, Block) {
-        let half = |h: &[u8]| Block::from_bytes(h.try_into().expect("16 bytes"));
-        (half(&self[..16]), half(&self[16..]))
-    }
+    /// One 32-byte table per AND gate in AND-index order, as in
+    /// [`Garbling::tables`].
+    pub tables: Vec<[u8; 32]>,
 }
 
 /// A tile mid-run, as one level's AND step sees it: `rows` rows of
@@ -168,12 +143,12 @@ impl Tile<'_> {
 /// one thread they fan out across the pool in contiguous row ranges.
 /// Every label and table is a pure function of the input labels and the
 /// global AND index, so the result is the same at any thread count.
-fn for_each_tile<T: Cell>(
+fn for_each_tile(
     circuit: &Circuit,
     slots: &mut [Block],
-    mut cells: &mut [T],
+    mut cells: &mut [[u8; 32]],
     flip: Block,
-    and_step: &(impl Fn(&[AndRef], &mut Tile, &mut [T]) + Sync),
+    and_step: &(impl Fn(&[AndRef], &mut Tile, &mut [[u8; 32]]) + Sync),
 ) {
     par::with_pool(|pool| {
         for seg in circuit.segments() {
@@ -206,14 +181,14 @@ fn for_each_tile<T: Cell>(
 /// Rows `rows` of `seg`, tile by tile (see [`for_each_tile`]). `settled`
 /// is the slot space below the segment's exports, `exports`/`cells` the
 /// rows' own share of the exports and table cells.
-fn run_rows<T: Cell>(
+fn run_rows(
     seg: &Segment,
     settled: &[Block],
     rows: Range<usize>,
     exports: &mut [Block],
-    cells: &mut [T],
+    cells: &mut [[u8; 32]],
     flip: Block,
-    and_step: &impl Fn(&[AndRef], &mut Tile, &mut [T]),
+    and_step: &impl Fn(&[AndRef], &mut Tile, &mut [[u8; 32]]),
 ) {
     let (stride, n_exp, tile) = (seg.num_wires.max(1), seg.exports.len(), tile_rows(seg));
     let n_cells = cells.len() / rows.len();
@@ -285,7 +260,7 @@ fn run_rows<T: Cell>(
 /// zero-labels in wire order. The protocol garbles under its OT sender's
 /// Δ instead ([`crate::protocol::garble_offline`]).
 pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, _hasher: TweakHasher, rng: &mut R) -> Garbling {
-    let mut tables = vec![(Block::ZERO, Block::ZERO); circuit.and_count() as usize];
+    let mut tables = vec![[0; 32]; circuit.and_count() as usize];
     let delta = Secret::new(Block::random(rng).with_lsb(true));
     let mut garbling = garble_into(circuit, delta, rng, &mut tables);
     garbling.tables = tables;
@@ -295,11 +270,11 @@ pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, _hasher: TweakHasher, rng: &mu
 /// [`garble`] under the given Δ (lsb 1), writing the table of AND `i`
 /// into `cells[i]` — a channel's staging buffer, say — and leaving
 /// [`Garbling::tables`] empty.
-pub(crate) fn garble_into<T: Cell, R: Rng + ?Sized>(
+pub(crate) fn garble_into<R: Rng + ?Sized>(
     circuit: &Circuit,
     delta: Secret<Block>,
     rng: &mut R,
-    cells: &mut [T],
+    cells: &mut [[u8; 32]],
 ) -> Garbling {
     assert_eq!(cells.len() as u64, circuit.and_count(), "one cell per AND");
     let d = delta.expose_block();
@@ -309,8 +284,9 @@ pub(crate) fn garble_into<T: Cell, R: Rng + ?Sized>(
     for z in zero.expose_mut().iter_mut().take(n_in) {
         *z = Block::random(rng);
     }
-    let and_step =
-        |ands: &[AndRef], tile: &mut Tile, cells: &mut [T]| garble_level(ands, tile, cells, d);
+    let and_step = |ands: &[AndRef], tile: &mut Tile, cells: &mut [[u8; 32]]| {
+        garble_level(ands, tile, cells, d)
+    };
     for_each_tile(circuit, zero.expose_mut(), cells, d, &and_step);
     let zero = zero.expose();
     let output_zero_labels = circuit.output_slots().map(|s| zero[s]).collect();
@@ -325,7 +301,7 @@ pub(crate) fn garble_into<T: Cell, R: Rng + ?Sized>(
 /// The garbling loop: one level's AND gates across a tile. All four
 /// hashes of every gate go through the AES kernel as one batch, then the
 /// half-gates algebra fills in output zero-labels and table cells.
-fn garble_level<T: Cell>(ands: &[AndRef], tile: &mut Tile, cells: &mut [T], delta: Block) {
+fn garble_level(ands: &[AndRef], tile: &mut Tile, cells: &mut [[u8; 32]], delta: Block) {
     tile.hash_level(ands, |wa0, wb0| [wa0, wa0 ^ delta, wb0, wb0 ^ delta]);
     for r in 0..tile.rows {
         let row = &mut tile.wires[r * tile.stride..][..tile.stride];
@@ -337,7 +313,9 @@ fn garble_level<T: Cell>(ands: &[AndRef], tile: &mut Tile, cells: &mut [T], delt
             let h: [Block; 4] = tile.hs[at..at + 4].try_into().expect("4 hashes");
             let (w, t_g, t_e) = garble_and_from_hashes(row[and.a], row[and.b], delta, h);
             row[and.out] = w;
-            cells[r * tile.ands_per_row + and.idx].put(t_g, t_e);
+            let cell = &mut cells[r * tile.ands_per_row + and.idx];
+            cell[..16].copy_from_slice(&t_g.to_bytes());
+            cell[16..].copy_from_slice(&t_e.to_bytes());
         }
     }
 }
@@ -379,10 +357,10 @@ pub fn eval(
     eval_cells(circuit, &tables.tables, input_labels)
 }
 
-/// [`eval`] over any table storage — the received bytes as they are.
-pub(crate) fn eval_cells<T: Cell>(
+/// [`eval`] over borrowed tables — the received bytes as they are.
+pub(crate) fn eval_cells(
     circuit: &Circuit,
-    tables: &[T],
+    tables: &[[u8; 32]],
     input_labels: &[Block],
 ) -> Vec<Block> {
     let n_in = circuit.alice_inputs + circuit.bob_inputs;
@@ -392,7 +370,8 @@ pub(crate) fn eval_cells<T: Cell>(
     // wire values, scrubbed on drop.
     let mut active = Secret::new(vec![Block::ZERO; circuit.num_slots()]);
     active.expose_mut()[..n_in].copy_from_slice(input_labels);
-    let and_step = |ands: &[AndRef], tile: &mut Tile, _: &mut [T]| eval_level(ands, tile, tables);
+    let and_step =
+        |ands: &[AndRef], tile: &mut Tile, _: &mut [[u8; 32]]| eval_level(ands, tile, tables);
     // INV is free: the garbler flipped the semantics of the labels.
     for_each_tile(
         circuit,
@@ -407,16 +386,18 @@ pub(crate) fn eval_cells<T: Cell>(
 
 /// The evaluation loop: one level's AND gates across a tile, both hashes
 /// of every gate in one batch, then the table algebra.
-fn eval_level<T: Cell>(ands: &[AndRef], tile: &mut Tile, tables: &[T]) {
+fn eval_level(ands: &[AndRef], tile: &mut Tile, tables: &[[u8; 32]]) {
     tile.hash_level(ands, |wa, wb| [wa, wb]);
     for r in 0..tile.rows {
         let row = &mut tile.wires[r * tile.stride..][..tile.stride];
         let first = tile.first_and + r * tile.ands_per_row;
         for (i, and) in ands.iter().enumerate() {
-            let (t_g, t_e) = tables[first + and.idx].get();
+            let cell = &tables[first + and.idx];
+            let half = |at: usize| Block::from_bytes(cell[at..at + 16].try_into().expect("16 B"));
             let at = 2 * (r * ands.len() + i);
             let (h_g, h_e) = (tile.hs[at], tile.hs[at + 1]);
-            row[and.out] = eval_and_from_hashes(row[and.a], row[and.b], t_g, t_e, h_g, h_e);
+            row[and.out] =
+                eval_and_from_hashes(row[and.a], row[and.b], half(0), half(16), h_g, h_e);
         }
     }
 }
@@ -607,7 +588,7 @@ mod tests {
         // Stand in for a level's AND step: on entry everything past the
         // two gathered input labels must still be zero; leave every wire,
         // hash input and hash output dirty, as a real step would.
-        let and_step = |_: &[AndRef], tile: &mut Tile, _: &mut [(Block, Block)]| {
+        let and_step = |_: &[AndRef], tile: &mut Tile, _: &mut [[u8; 32]]| {
             tiles.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             for row in tile.wires.chunks_exact(tile.stride) {
                 assert!(row[2..].iter().all(|w| *w == Block::ZERO), "dirty scratch");

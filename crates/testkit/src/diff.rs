@@ -58,11 +58,28 @@ fn sorted_columns(schema: &[String], tuples: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
 /// compared in. `secyan-client` uses this too, so a networked run prints
 /// rows directly comparable with the oracle's.
 pub fn canonical_result(ring: RingCtx, res: &QueryResult) -> Rows {
+    canonical_rows(
+        ring,
+        &res.schema,
+        res.tuples.clone(),
+        res.values.iter().copied(),
+    )
+}
+
+/// [`canonical_result`] over rows given apart: `tuples` in `schema`'s
+/// column order, row i valued `values[i]` — a shared-form result's
+/// reconstructed annotations, say.
+pub fn canonical_rows(
+    ring: RingCtx,
+    schema: &[String],
+    tuples: Vec<Vec<u64>>,
+    values: impl IntoIterator<Item = u64>,
+) -> Rows {
     canonical_nonzero(
         ring,
-        sorted_columns(&res.schema, res.tuples.clone())
+        sorted_columns(schema, tuples)
             .into_iter()
-            .zip(res.values.iter().copied())
+            .zip(values)
             .collect(),
     )
 }

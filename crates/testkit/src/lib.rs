@@ -24,7 +24,8 @@ pub mod diff;
 pub mod gen;
 
 pub use diff::{
-    canonical_result, check_instance, oracle, plaintext_yannakakis, run_baseline, run_secure,
-    run_secure_on, scalar_of, session_seeds, try_run_secure_on, Differential, Rows, Run, SecureRun,
+    canonical_result, canonical_rows, check_instance, oracle, plaintext_yannakakis, run_baseline,
+    run_secure, run_secure_on, scalar_of, session_seeds, try_run_secure_on, Differential, Rows,
+    Run, SecureRun,
 };
 pub use gen::{AggKind, Instance};

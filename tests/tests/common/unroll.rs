@@ -62,13 +62,7 @@ pub fn running_sums(n: usize) -> Circuit {
 }
 
 /// Everything one fixed-seed garbling and evaluation produce.
-pub type Garbled = (
-    Vec<(Block, Block)>,
-    Vec<Block>,
-    Vec<Block>,
-    Vec<bool>,
-    Vec<Block>,
-);
+pub type Garbled = (Vec<[u8; 32]>, Vec<Block>, Vec<Block>, Vec<bool>, Vec<Block>);
 
 /// Garble and evaluate `circuit` and its unrolling from the same seed and
 /// on the same random inputs: tables, input and output zero-labels, decode

@@ -14,13 +14,14 @@
 mod common;
 
 use secyan_core::join::join_tail_ot_count;
+use secyan_core::protocol::secure_yannakakis_shared;
 use secyan_core::{run_offline, run_online, run_online_leftover, QueryShape, Session};
 use secyan_crypto::sha256::Sha256;
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_relation::{JoinTree, NaturalRing, Relation};
 use secyan_testkit::{
-    check_instance, oracle, run_secure, run_secure_on, scalar_of, session_seeds, try_run_secure_on,
-    AggKind, Instance, Run, SecureRun,
+    canonical_rows, check_instance, oracle, run_secure, run_secure_on, scalar_of, session_seeds,
+    try_run_secure_on, AggKind, Instance, Run, SecureRun,
 };
 use secyan_tpch::queries::{canonical, run_plaintext_instance, run_secure_instance, PaperQuery};
 use secyan_tpch::{Database, Scale};
@@ -140,6 +141,43 @@ fn both_endpoints_report_the_same_meters() {
     }
 }
 
+/// The shared form — what §7's composition consumes — on the sweep: with
+/// the two parties' annotation shares added up, Alice's tuples must decode
+/// to the oracle's answer. Plans that reduce to one survivor take the full
+/// join here, a path the revealed form never runs.
+#[test]
+fn shared_form_reconstructs_to_the_oracle() {
+    let instances = (0..24)
+        .map(Instance::generate)
+        .chain((0..8).map(Instance::generate_chain));
+    for inst in instances {
+        let (query, ring) = (inst.query(), inst.ring_ctx());
+        let party = |seed: u64| {
+            let (inst, query) = (&inst, &query);
+            move |ch: &mut Channel| {
+                let rels = inst.party_relations(ch.role());
+                let mut sess = Session::new(ch, ring, TweakHasher::default(), seed);
+                secure_yannakakis_shared(&mut sess, query, &rels, Role::Alice)
+            }
+        };
+        let (sa, sb) = session_seeds(&inst);
+        let (alice, bob, _) = run_protocol(party(sa), party(sb));
+        assert_eq!(alice.out_size, bob.out_size, "{}", inst.describe());
+        assert_eq!(alice.tuples.len(), alice.out_size, "{}", inst.describe());
+        let values = alice
+            .annot_shares
+            .iter()
+            .zip(&bob.annot_shares)
+            .map(|(&a, &b)| ring.add(a, b));
+        assert_eq!(
+            canonical_rows(ring, &alice.schema, alice.tuples.clone(), values),
+            oracle(&inst),
+            "shared form disagrees with the oracle on {}",
+            inst.describe()
+        );
+    }
+}
+
 /// SHA-256 over the messages of `transcript` that `dir` sent, each
 /// prefixed with its length; with `bytes` false, over the lengths alone —
 /// the message-length sequence, which moves only when a message boundary
@@ -160,8 +198,10 @@ fn direction_digest<'a>(
 }
 
 /// TPC-H Q8 (two shared-result subqueries, `align_shared_groups`, the
-/// ratio reveal) at the scale `q8_secure_matches_plaintext` runs: the
-/// captured transcript of both parties.
+/// ratio reveal) at 0.02 MB: the captured transcript of both parties.
+/// Seed 14's answer is empty (`q8_secure_matches_plaintext` checks a
+/// non-empty one); the wire still runs every step of the composition, so
+/// the seed stays as recorded.
 fn q8_transcript() -> Vec<(Role, Vec<u8>)> {
     let db = Database::generate(Scale::mb(0.02), 14);
     let spec = PaperQuery::Q8.build(&db, NaturalRing::paper_default());

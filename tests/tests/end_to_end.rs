@@ -17,6 +17,7 @@ fn run_paper_query(q: PaperQuery, mb: f64, seed: u64) {
     let db = Database::generate(Scale::mb(mb), seed);
     let spec = q.build(&db, ring);
     let want = canonical(run_plaintext_instance(&spec, ring));
+    assert!(!want.is_empty(), "{} at {mb} MB has no rows", q.name());
     let (sa, sb) = (spec.clone(), spec.clone());
     let (got, _, _) = run_protocol(
         move |ch| {
@@ -37,17 +38,18 @@ fn run_paper_query(q: PaperQuery, mb: f64, seed: u64) {
 fn q9_full_decomposition_secure() {
     // 50 secure Yannakakis instances (25 nations × two sums) plus the
     // on-shares difference — the paper's heaviest query.
-    run_paper_query(PaperQuery::Q9, 0.01, 3);
+    run_paper_query(PaperQuery::Q9, 0.02, 5);
 }
 
 #[test]
 fn all_five_queries_at_smoke_scale() {
     for q in PaperQuery::all() {
-        let mb = match q {
-            PaperQuery::Q9 => 0.005,
-            _ => 0.03,
+        // Seeds whose databases give every query a non-empty answer.
+        let (mb, seed) = match q {
+            PaperQuery::Q9 => (0.005, 5),
+            _ => (0.03, 16),
         };
-        run_paper_query(q, mb, 17);
+        run_paper_query(q, mb, seed);
     }
 }
 
