@@ -199,17 +199,17 @@ mod gc_wire_goldens {
             (
                 "matching",
                 &|n| shared(matching_circuit(n, 32)),
-                "dc7cc1c9d73c618a67f3a953826c3aca627c6d9173f7b7df51ae378f13ed5c4c",
+                "e86982ed7f335264e76e0147c2b8abcadbd3c7dbbad3b8d26adbd3f3473d4979",
                 "d8d4b5efe5d1301678739f6949743df6a498c32d0226a0f9f5fb7236dd064b32",
-                "88e3d90370d4908a732f0c7de547a2b914c670ddd1589c8f4c0134f710fc8d94",
+                "a66a67b142a126a4ede5729e5b3b6112f86c15fe155a6dbaa9ca5fd2b9b6da8a",
                 "00f47dbe1b1098e17ee798d968ca31d23efd042e50bff5f12f26e24983487a8e",
             ),
             (
                 "k",
-                &|n| (k_circuit(n, 32), None),
-                "692a0d72f7a311fe3158ebcd90a1055911a3deb67b85e6a4673dbef85fe0317f",
-                "38fceb96d15bffc25dc7e350609c94e40e4144775fb21b6a043b7c686464af42",
-                "295f9fa7325ec2f371b91c1714e1fd690e151890e6d952848779805756ef4df8",
+                &|n| (k_circuit(n), None),
+                "e6449e22e410276aa09d1c79b6e656bde06ba4fda7a6d9184736fd2349afb9f1",
+                "e4757ed3ee30013a5f950b3381cd7def0e8fd98fb648be6c126e793ecbcf9526",
+                "e2df84193cb8fab46771a7b8bdc3dba821f7575024648b0f672084a9bb0d0e53",
                 "00f47dbe1b1098e17ee798d968ca31d23efd042e50bff5f12f26e24983487a8e",
             ),
             (

@@ -4,12 +4,12 @@
 //! being cuckoo-hashed and evaluates the garbled circuit; the **sender**
 //! holds the set Y with one payload per element and garbles. For each bin b
 //! of the receiver's cuckoo table, both parties obtain additive shares of
-//!
-//! * `Ind(x_b ∈ Y)` (as a 0/1 ring element), and
-//! * the payload of the matching y (or 0 when there is no match),
-//!
-//! and nothing else — the intersection itself stays hidden, which is what
-//! lets the paper chain PSI into semijoins (§6.2).
+//! the payload of the matching y, or of 0 when there is no match, and
+//! nothing else — the intersection itself stays hidden, which is what
+//! lets the paper chain PSI into semijoins (§6.2). The paper's circuit
+//! also shares `Ind(x_b ∈ Y)`; the reduce-join reads only the payload,
+//! whose zero already marks a dangling bin, so the circuits here leave
+//! the indicator inside.
 //!
 //! Sender elements must be distinct: the Yannakakis reduce phase guarantees
 //! this by aggregating before every semijoin.
@@ -37,7 +37,8 @@ pub struct PsiOutput {
     /// The receiver's cuckoo table (receiver side only) — needed to map
     /// bins back to elements downstream.
     pub cuckoo: Option<CuckooTable>,
-    /// Shares of Ind(x_b ∈ Y) per bin.
+    /// Always empty: the circuits share no indicator. Kept only for the
+    /// benchmark probe, which reads its length.
     pub ind_shares: Vec<u64>,
     /// Shares of the matched payload (0 on no match) per bin.
     pub payload_shares: Vec<u64>,
@@ -90,7 +91,7 @@ pub fn psi_cost(
     let ext = sender_size + bins;
     let (circuit, oep_from_sender, oep_from_receiver) = if shared_payloads {
         // ξ₁ (sender routes, receiver sends), then ξ₂ (receiver routes).
-        let circuit = crate::shared_payload::k_circuit(bins, ell);
+        let circuit = crate::shared_payload::k_circuit(bins);
         (circuit, oep_ot_count(ext, bins), oep_ot_count(ext, ext))
     } else {
         (matching_circuit(bins, ell).0, 0, 0)
@@ -104,36 +105,24 @@ pub fn psi_cost(
     }
 }
 
-/// The per-bin matching circuit: shares of indicator and payload. Its
-/// dimensions depend only on the public bin count and ring width.
+/// The per-bin matching circuit: shares of the payload, gated by the
+/// membership test. Its dimensions depend only on the public bin count
+/// and ring width.
 pub fn matching_circuit(bins: usize, ell: usize) -> (Circuit, SharedOutputSpec) {
-    with_shared_rows(bins, &[ell, ell], |c| {
+    with_shared_rows(bins, &[ell], |c| {
         // Garbler (sender): s_b then w_b per bin; evaluator: o_b then p_b.
         let (sw, op) = (c.alice(bins, 128), c.bob(bins, 128));
-        let matched = c.segment(bins, |b| {
+        let payloads = c.segment(bins, |b| {
             let [s, w] = [0, 64].map(|at| b.read(sw.slice_bits(at..at + 64)));
             let [o, p] = [0, 64].map(|at| b.read(op.slice_bits(at..at + 64)));
             let ind = b.eq_words(&o, &s);
             let z64 = b.xor_words(&p, &w);
             let z = b.resize_word(&z64, ell);
             let val = b.and_word_bit(&z, ind);
-            b.output(ind);
             b.output_word(&val);
         });
-        // The indicator leaves as the ring element 0 or 1.
-        vec![matched.slice_bits(0..1), matched.slice_bits(1..1 + ell)]
+        vec![payloads]
     })
-}
-
-/// Split the interleaved `[ind, val, ind, val, ...]` share list.
-fn split_shares(shares: Vec<u64>) -> (Vec<u64>, Vec<u64>) {
-    let mut ind = Vec::with_capacity(shares.len() / 2);
-    let mut val = Vec::with_capacity(shares.len() / 2);
-    for pair in shares.chunks_exact(2) {
-        ind.push(pair[0]);
-        val.push(pair[1]);
-    }
-    (ind, val)
 }
 
 /// Receiver side of the binning: send the cuckoo seed, then begin both
@@ -261,7 +250,6 @@ pub(crate) enum ReceiverTail {
     /// §5.5: the k circuit has run; the ξ₂-OEP's corrections are staged
     /// and its masked values outstanding.
     Routing {
-        ind_shares: Vec<u64>,
         zprime_shares: Vec<u64>,
         oep: OepPending,
     },
@@ -314,27 +302,20 @@ pub fn psi_receiver_finish(
     ring: RingCtx,
     ot: &mut OtReceiver,
 ) -> PsiOutput {
-    let (ind_shares, payload_shares) = match pending.tail {
+    let payload_shares = match pending.tail {
         ReceiverTail::Matching {
             circuit,
             spec,
             my_bits,
             gc,
-        } => split_shares(evaluate_shared_finish(
-            ch, &circuit, gc, &spec, &my_bits, ot,
-        )),
-        ReceiverTail::Routing {
-            ind_shares,
-            zprime_shares,
-            oep,
-        } => {
-            let payload = shared_oep_perm_holder_finish(ch, oep, &zprime_shares, ring, ot);
-            (ind_shares, payload)
+        } => evaluate_shared_finish(ch, &circuit, gc, &spec, &my_bits, ot),
+        ReceiverTail::Routing { zprime_shares, oep } => {
+            shared_oep_perm_holder_finish(ch, oep, &zprime_shares, ring, ot)
         }
     };
     PsiOutput {
         cuckoo: Some(pending.cuckoo),
-        ind_shares,
+        ind_shares: Vec::new(),
         payload_shares,
     }
 }
@@ -388,11 +369,10 @@ pub fn psi_sender<R: Rng + ?Sized>(
     // The matching circuit: this party garbles.
     let (circuit, spec) = matching_circuit(params.bins, ring.bits() as usize);
     let my_bits = words_to_bits(&interleave(&s, &w), 64);
-    let shares = garble_shared_banked(ch, gc_bank, &circuit, &spec, &my_bits, ot, rng);
-    let (ind_shares, payload_shares) = split_shares(shares);
+    let payload_shares = garble_shared_banked(ch, gc_bank, &circuit, &spec, &my_bits, ot, rng);
     PsiOutput {
         cuckoo: None,
-        ind_shares,
+        ind_shares: Vec::new(),
         payload_shares,
     }
 }
@@ -511,18 +491,11 @@ mod tests {
         let y = vec![(2u64, 200u64), (4, 400), (6, 600)];
         let (r, s, ring) = run_psi(x, y);
         let cuckoo = r.cuckoo.as_ref().unwrap();
-        let ind = ring.reconstruct_vec(&r.ind_shares, &s.ind_shares);
         let val = ring.reconstruct_vec(&r.payload_shares, &s.payload_shares);
         for (b, slot) in cuckoo.bins.iter().enumerate() {
             match slot {
-                Some(e) if [2, 4].contains(e) => {
-                    assert_eq!(ind[b], 1, "element {e}");
-                    assert_eq!(val[b], e * 100);
-                }
-                _ => {
-                    assert_eq!(ind[b], 0, "bin {b} slot {slot:?}");
-                    assert_eq!(val[b], 0);
-                }
+                Some(e) if [2, 4].contains(e) => assert_eq!(val[b], e * 100),
+                _ => assert_eq!(val[b], 0, "bin {b} slot {slot:?}"),
             }
         }
     }
@@ -530,9 +503,7 @@ mod tests {
     #[test]
     fn disjoint_sets_yield_all_zero() {
         let (r, s, ring) = run_psi(vec![1, 2, 3], vec![(7, 70), (8, 80)]);
-        let ind = ring.reconstruct_vec(&r.ind_shares, &s.ind_shares);
         let val = ring.reconstruct_vec(&r.payload_shares, &s.payload_shares);
-        assert!(ind.iter().all(|&v| v == 0));
         assert!(val.iter().all(|&v| v == 0));
     }
 
@@ -542,10 +513,8 @@ mod tests {
         let y: Vec<(u64, u64)> = x.iter().map(|&e| (e, e + 1000)).collect();
         let (r, s, ring) = run_psi(x.clone(), y);
         let cuckoo = r.cuckoo.as_ref().unwrap();
-        let ind = ring.reconstruct_vec(&r.ind_shares, &s.ind_shares);
         let val = ring.reconstruct_vec(&r.payload_shares, &s.payload_shares);
-        let matched: usize = ind.iter().map(|&v| v as usize).sum();
-        assert_eq!(matched, 3);
+        assert_eq!(val.iter().filter(|&&v| v != 0).count(), 3);
         for (b, slot) in cuckoo.bins.iter().enumerate() {
             if let Some(e) = slot {
                 assert_eq!(val[b], e + 1000);
@@ -555,10 +524,23 @@ mod tests {
 
     #[test]
     fn shares_alone_look_uninformative() {
-        // Neither share vector should equal the cleartext indicators.
+        // Neither share vector should equal the cleartext payloads.
         let (r, s, ring) = run_psi(vec![1, 2], vec![(1, 10), (2, 20)]);
-        let ind = ring.reconstruct_vec(&r.ind_shares, &s.ind_shares);
-        assert_ne!(r.ind_shares, ind);
-        assert_ne!(s.ind_shares, ind);
+        let val = ring.reconstruct_vec(&r.payload_shares, &s.payload_shares);
+        assert_ne!(r.payload_shares, val);
+        assert_ne!(s.payload_shares, val);
+    }
+
+    /// Both flavours' circuits output the payload side alone: the matching
+    /// circuit one ℓ-bit share word per bin, the k circuit one 64-bit
+    /// routing index per bin — no indicator word next to either.
+    #[test]
+    fn psi_circuits_output_one_word_per_bin() {
+        for ell in [32, 64] {
+            for (shared, width) in [(false, ell), (true, 64)] {
+                let cost = psi_cost(100, 300, ell, shared);
+                assert_eq!(cost.circuit.output_count(), cost.bins * width);
+            }
+        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The PSI flavour the secure Yannakakis protocol needs is unusual: the
 //! intersection must *not* be revealed. Instead, for each bin of the
-//! receiver's cuckoo table the parties end with secret shares of
-//! `Ind(x_b ∈ Y)` and of the matching payload (or 0). This follows Pinkas
+//! receiver's cuckoo table the parties end with secret shares of the
+//! matching payload (or 0). This follows Pinkas
 //! et al.'s circuit-PSI blueprint, which the paper adopted for exactly this
 //! "circuit-friendliness".
 //!
@@ -18,12 +18,11 @@
 //!   seed, sent once, then the membership OPPRF and a second OPPRF,
 //!   written once per side) and the §5.3 protocol on top of
 //!   it: the second OPPRF carries the sender's plain payloads and one
-//!   garbled circuit turns the OPPRF outputs into shares of indicator and
-//!   payload.
+//!   garbled circuit turns the OPPRF outputs into shares of the payload.
 //! * [`shared_payload`] — the §5.5 protocol for payloads that are
 //!   themselves secret-shared: the same front half with the second OPPRF
 //!   carrying a routing index, between two OEPs and a k-index-revealing
-//!   garbled circuit, exactly as the paper constructs it.
+//!   garbled circuit, as the paper constructs it less the indicator.
 //!
 //! A receiver is `psi_receiver_begin` or `shared_payload_psi_receiver_begin`
 //! — both return a [`PsiReceiverPending`] with the cuckoo table already

@@ -11,15 +11,18 @@
 //!    the *index* ξ₁⁻¹(j);
 //! 4. a garbled circuit reveals, per bin b, k_b = ξ₁⁻¹(j) on a match and
 //!    k_b = ξ₁⁻¹(N+b) otherwise — a uniformly random set of distinct
-//!    indices either way, so the receiver learns nothing — plus shares of
-//!    the indicator;
+//!    indices either way, so the receiver learns nothing;
 //! 5. the receiver uses ξ₂(b) = k_b in a second **shared OEP**, landing the
 //!    parties on fresh shares of the matched payload (or of the zero
 //!    padding).
+//!
+//! The paper's step 4 also shares the indicator; a dangling bin's payload
+//! is the zero padding already, and nothing downstream reads the
+//! indicator, so the circuit here reveals k alone.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use secyan_circuit::{bits_to_words, words_to_bits, Circuit, Rows, Word};
+use secyan_circuit::{bits_to_words, words_to_bits, Circuit, Rows};
 use secyan_crypto::RingCtx;
 use secyan_gc::{evaluate_banked, garble_banked, EvalMaterial, GarbleMaterial};
 use secyan_oep::{shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin};
@@ -31,30 +34,21 @@ use crate::circuit_psi::{
     psi_params, receiver_opprfs, sender_opprfs, PsiOutput, PsiReceiverPending, ReceiverTail,
 };
 
-/// The k-index circuit: per bin, shares of the indicator plus the routing
-/// index k_b in the clear (toward the evaluator = PSI receiver).
-pub fn k_circuit(bins: usize, ell: usize) -> Circuit {
+/// The k-index circuit: per bin, the routing index k_b in the clear
+/// (toward the evaluator = PSI receiver).
+pub fn k_circuit(bins: usize) -> Circuit {
     let mut c = Rows::new();
-    // Garbler (= PSI sender): per-bin indicator masks, then s, w, d.
-    let (masks, swd) = (c.alice(bins, ell), c.alice(bins, 192));
-    // Evaluator (= PSI receiver): per-bin o, p.
-    let op = c.bob(bins, 128);
-    let out = c.segment(bins, |b| {
-        let mask = b.read(masks);
+    // Garbler (= PSI sender): per bin s, w, d; evaluator: per bin o, p.
+    let (swd, op) = (c.alice(bins, 192), c.bob(bins, 128));
+    let ks = c.segment(bins, |b| {
         let [s, w, d] = [0, 64, 128].map(|at| b.read(swd.slice_bits(at..at + 64)));
         let [o, p] = [0, 64].map(|at| b.read(op.slice_bits(at..at + 64)));
         let ind = b.eq_words(&o, &s);
-        let mut ind_bits = vec![b.constant(false); ell];
-        ind_bits[0] = ind;
-        let masked_ind = b.add_words(&Word(ind_bits), &mask);
         let unmasked = b.xor_words(&p, &w);
         let k = b.mux_words(ind, &unmasked, &d);
-        b.output_word(&masked_ind);
         b.output_word(&k);
     });
-    // Every bin's masked indicator first, then every bin's k.
-    c.output(out.slice_bits(0..ell));
-    c.output(out.slice_bits(ell..ell + 64));
+    c.output(ks);
     c.finish()
 }
 
@@ -81,7 +75,7 @@ pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
 ) -> PsiReceiverPending {
     let n = my_payload_shares.len();
     let params = psi_params(elements.len(), n);
-    let (bins, ell) = (params.bins, ring.bits() as usize);
+    let bins = params.bins;
     // Step 1–2: extend shares with B zeros; shared OEP under the sender's ξ₁.
     let mut ext = my_payload_shares.to_vec();
     ext.resize(n + bins, 0);
@@ -89,13 +83,11 @@ pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
     // Step 3: binning + OPPRFs (corrections staged with the seed).
     let (cuckoo, my_bits) = receiver_opprfs(ch, elements, &params, kkrt);
     // Step 4: evaluate the k circuit.
-    let circuit = k_circuit(bins, ell);
-    let out_bits = evaluate_banked(ch, gc_bank, &circuit, &my_bits, ot_recv);
-    let (ind_bits, k_bits) = out_bits.split_at(bins * ell);
-    let ind_shares = bits_to_words(ind_bits, ell);
+    let circuit = k_circuit(bins);
+    let k_bits = evaluate_banked(ch, gc_bank, &circuit, &my_bits, ot_recv);
     // The garbler picks every k: an index outside ξ₁'s range is a peer
     // breaking the protocol, not a bug on this side.
-    let ks: Vec<usize> = bits_to_words(k_bits, 64)
+    let ks: Vec<usize> = bits_to_words(&k_bits, 64)
         .into_iter()
         .map(|k| {
             if k >= (n + bins) as u64 {
@@ -109,11 +101,7 @@ pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
         .collect();
     // Step 5 (send half): stage the ξ₂-OEP corrections with ξ₂ = k.
     let oep = shared_oep_perm_holder_begin(ch, &ks, n + bins, ot_recv);
-    let tail = ReceiverTail::Routing {
-        ind_shares,
-        zprime_shares,
-        oep,
-    };
+    let tail = ReceiverTail::Routing { zprime_shares, oep };
     PsiReceiverPending { cuckoo, tail }
 }
 
@@ -138,7 +126,7 @@ pub fn shared_payload_psi_sender<R: Rng + ?Sized>(
     let index_of: HashMap<u64, usize> = elements.iter().enumerate().map(|(j, &e)| (e, j)).collect();
     assert_eq!(index_of.len(), n, "sender elements must be distinct");
     let params = psi_params(receiver_size, n);
-    let (bins, ell) = (params.bins, ring.bits() as usize);
+    let bins = params.bins;
     // Steps 1–2: ξ₁ and the first shared OEP (this side holds ξ₁).
     let mut xi1: Vec<usize> = (0..n + bins).collect();
     xi1.shuffle(rng);
@@ -152,23 +140,18 @@ pub fn shared_payload_psi_sender<R: Rng + ?Sized>(
     // Step 3: binning + OPPRFs; the second one carries y_j's index ξ₁⁻¹(j).
     let index = |y| xi1_inv[index_of[&y]];
     let (s, w) = sender_opprfs(ch, elements, &params, kkrt, rng, index);
-    // Step 4: garble the k circuit; the indicator masks are this side's
-    // (negated) indicator shares. Inputs: every bin's mask, then per bin
-    // s, w and the no-match index d = ξ₁⁻¹(N + b).
-    let masks: Vec<u64> = (0..bins).map(|_| ring.random(rng)).collect();
-    let ind_shares = masks.iter().map(|&r| ring.neg(r)).collect();
+    // Step 4: garble the k circuit. Inputs per bin: s, w and the no-match
+    // index d = ξ₁⁻¹(N + b).
     let swd: Vec<u64> = (0..bins)
         .flat_map(|b| [s[b], w[b], xi1_inv[n + b]])
         .collect();
-    let mut my_bits = words_to_bits(&masks, ell);
-    my_bits.extend(words_to_bits(&swd, 64));
-    let circuit = k_circuit(bins, ell);
+    let (circuit, my_bits) = (k_circuit(bins), words_to_bits(&swd, 64));
     garble_banked(ch, gc_bank, &circuit, &my_bits, ot_send, rng);
     // Step 5: second shared OEP (receiver holds ξ₂).
     let payload_shares = shared_oep_other(ch, &zprime_shares, bins, ring, ot_send, rng);
     PsiOutput {
         cuckoo: None,
-        ind_shares,
+        ind_shares: Vec::new(),
         payload_shares,
     }
 }
@@ -257,9 +240,7 @@ mod tests {
                 let swd: Vec<u64> = (0..params.bins)
                     .flat_map(|b| [s[b], w[b], slots as u64])
                     .collect();
-                let mut bits = vec![false; params.bins * 32];
-                bits.extend(words_to_bits(&swd, 64));
-                let circuit = k_circuit(params.bins, 32);
+                let (circuit, bits) = (k_circuit(params.bins), words_to_bits(&swd, 64));
                 let bank = &mut VecDeque::new();
                 garble_banked(ch, bank, &circuit, &bits, &mut ot_s, &mut rng);
             },
@@ -279,22 +260,12 @@ mod tests {
         let payloads = vec![222u64, 444, 999];
         let (r, s, ring) = run(x, y, payloads);
         let cuckoo = r.cuckoo.as_ref().unwrap();
-        let ind = ring.reconstruct_vec(&r.ind_shares, &s.ind_shares);
         let val = ring.reconstruct_vec(&r.payload_shares, &s.payload_shares);
         for (b, slot) in cuckoo.bins.iter().enumerate() {
             match slot {
-                Some(2) => {
-                    assert_eq!(ind[b], 1);
-                    assert_eq!(val[b], 222);
-                }
-                Some(4) => {
-                    assert_eq!(ind[b], 1);
-                    assert_eq!(val[b], 444);
-                }
-                _ => {
-                    assert_eq!(ind[b], 0, "bin {b}");
-                    assert_eq!(val[b], 0, "bin {b}");
-                }
+                Some(2) => assert_eq!(val[b], 222),
+                Some(4) => assert_eq!(val[b], 444),
+                _ => assert_eq!(val[b], 0, "bin {b}"),
             }
         }
     }
@@ -302,9 +273,7 @@ mod tests {
     #[test]
     fn no_matches_all_zero() {
         let (r, s, ring) = run(vec![1, 2, 3], vec![7, 8], vec![70, 80]);
-        let ind = ring.reconstruct_vec(&r.ind_shares, &s.ind_shares);
         let val = ring.reconstruct_vec(&r.payload_shares, &s.payload_shares);
-        assert!(ind.iter().all(|&v| v == 0));
         assert!(val.iter().all(|&v| v == 0));
     }
 }

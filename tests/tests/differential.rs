@@ -247,38 +247,38 @@ fn single_phase_transcript_goldens() {
         ),
         (
             run(Instance::generate(7)),
-            "7476671f5150786f09f0c371bd92ae5a051e47f9e545f31f080a7f9e7a151a85",
-            "4141c2755411a67bf378d425d2c870fa4a15f80c72ec3cabb87af45bc08cdc39",
+            "ec2834045b0dd9c57409ef844b4133ef705d4bbf1ec5835d27b80693c9ba1f8a",
+            "9ae551dddfef2c59802c7722c440594cafe282892a9919f07f43380f2e115dab",
             [
-                "95fc734717ec95eedf301b35eca33bd9c919e316618aa8bd3a057057fe82ef9b",
-                "c8befb0feef3c555e1ad8d1f38382f85984a04382ac04db4cde965acf6af0b08",
+                "e49c7ed443040595f3d4fcf3636050388518b9d90cba94e5c42e5b7d4dfab8b6",
+                "87bed11762474134f1b428cd83d7570d0f0e3f84dcdf65e57ae738ba6141ece8",
             ],
         ),
         (
             run(Instance::generate(18)),
-            "41107839db0bac6d2293ed6d6e355934948ab705862390b07c3523f07419cb7e",
-            "5a322ff0b8a57f6242855f04ebf3b3ce2c00748d8758aa4dec03328ba02e0149",
+            "6b31af187351512d2059df0e13382be49df42e885d4f8fa7598174503b965a7d",
+            "9a248fd947c08ed7e67666e8219e4895ce70268c41519a2b05979bce4cb4f3ce",
             [
-                "c793832d95915533d33e27f7de1def141104bae42f8536205eb33ba9331a4b49",
-                "305fb6323479e6f2d4e793fbf1fa5f79f66cb03ddfc563bca1cf432570419f7d",
+                "a97f6c463b2bfaa13d0fb61d621390dddb26567dcc0251e5adf3c5a5843155db",
+                "6e34519e102844b2b3c5291a26ce5d6054a58a8cf8a35eeefc6d47a135df9638",
             ],
         ),
         (
             run(Instance::generate_chain(1)),
-            "66bea0e760147589b724d6b3ed0b8d84c05dc95ef1147cb8edfa1999038b131d",
-            "fa04225d1f55038c024407a02526293570205fd68e36236eef393d68b0e0d7ac",
+            "4508387aa7a7fd4bb4283ee7ee714bb0dc5d547b6d75f9250fb99a47f214dcf5",
+            "8632b52e5fd8a012c6e986232979daf07341c4b12483072c22f14b0d3bef8cbe",
             [
                 "b589e6023b89736759dbc56e841ab2f6a2a3a4185615ca1d48325f9785d98439",
-                "20af71dcbf44c4cd13ac2560d51e476d087b43c82a92a85d754f7f3e0808d3c6",
+                "7c838b5fbf1a4bec13a973df539d206b0708224a898e3d037b246980e78ba301",
             ],
         ),
         (
             ("TPC-H Q8 at 0.02 MB".to_string(), q8_transcript()),
-            "955f1fcf95ddee97f38318acab09fefe352fd992ae36edc813c3a4d5a2cb7061",
-            "d7f59252d1dd5b03a9dea497cc25ed56fa4953487d6aba7e4f1d7bee75864fbf",
+            "dd730598d5ef317b3c19935a62238e3e10323f0501ba5f4e2fe5315854f84773",
+            "3ba534b9e6d46a312b2411656eddbf6ef68c2dee568b3948af32c64fa6dd1589",
             [
-                "56f1d610dea6483b20be53e933c9bae90135d957126ca3f90314302ea4715bab",
-                "931aa42fafc83ca69e52702e3245661529335018228a134ab762fcbab06ae3e4",
+                "7323d97f883c46354d8b62ee9217b60599fdcb097fcd214c32f0b568fb5aaa29",
+                "f9cd1077598de15f0640b153f48f66ac60a65766180bdc5c687d095a3ecf4ed0",
             ],
         ),
     ];
@@ -317,31 +317,31 @@ fn phase_split_transcript_goldens() {
         (
             Instance::generate(7),
             [
-                "a075d17822c137bce10289a3bb596e22df565f8d148996d5831dc42938fb8805",
-                "eef566ff055f53d0a873be22f19a58838cf1d3ab738bf05645e025d17b12c229",
-                "5dcdef0efad6d552efaa977cc6c933fa64e5a2e0737e7228bd6cc32dd0ac4db6",
-                "6c27605cbe6f7525242003e76495a63679a4c650170bdcd04eefe7d49d1674b1",
+                "dba6e5ef69f69a58182dae39e79ff48511ff40cf03247df5b7df51689e4a969b",
+                "ebd4dbad5a082650bf49d889805ba5286e905a3d5fe6c597d96f7c61a174d4d8",
+                "738323c703f1ec7560b3138ec0287538e75db9f0dee22e26ae22198d77d8d9f0",
+                "636f995a052d4062f0400db993857ad5ea53cb06126dde4885096e9fbe6a1138",
             ],
             [
-                "ec2d6658f2e77721d112548b993ddd0fc8ec81ee5e5ea8685ad080978c994e87",
-                "f9f2a940739694b2a648a67ab99d8c030bc17f4c666b4e12508c8bfaaa3d41bc",
-                "039b573bb0ceb5a292562dc91738fff477ee5f29d6b690a02b1ba96e361a7a55",
-                "a15b66f26f607660017dba70670317f3d4458ad8f2bd4ce93de1b8e1f5596738",
+                "a23d912d2314190f51e26036a78c257452d12c8aa2de67b149297705a568fc5e",
+                "98ccc871a1c36e7b78965a02d2fbd6f4aa384a1b2d43e386c3d68e60d9c14071",
+                "cf12058c028543056ce9596e2336291e153d5f171ba2e1a480140b367f94c15e",
+                "bd84af570520062ece708eb01619f0080a73141f13aea26e448717af352797fa",
             ],
         ),
         (
             Instance::generate_chain(1),
             [
                 "97312f9e9e0ed3ec74d2c2577f45dd475aac8984efa48ba4a72a5becb934c060",
-                "60f105f0b64e42b7f84914b22ea4a0a02fd5d26abf0f49b6b584ac59f31b67cd",
-                "fa8d696f8359fecfeace51afe892e6196fa4879fac08c1df0786dca584dfa083",
-                "d3e7728e6259aaf70f7ea0aee8bc3c52ed704affe7447e54ff1dea3b26b3c278",
+                "253dd7593fdee89eb0321e633ac312cff85a6ff846e901b0230bb6f07feb8108",
+                "8b932d24e81e5392ffd3a26ff4eb70cb11013ff35dcf3187b6ce00c2ca740d7a",
+                "2da70f2c03ca70bffd486a3c8645251ec55e8d7012b77c52920946d61d149b7e",
             ],
             [
                 "78e7897b874f4d10316f56548e4b22d90319e1f8553f06c29ac92c279775de8e",
-                "8ef5bf48f56c3bcb91a2e2a169012af771b25cbd30be8959411227d8c746babf",
+                "35e61da0f80ae7adb6499805ebaccd15df02b0469bfcba77b3fe21f2aac48d92",
                 "1904306a8ed89a723fb0b90ee44526a0ca90eea1315bc78c57c28d97f8be2fde",
-                "9614b7c1063af42712c8e4471b0333d810db0ae932cc270ecc694b9d72547b92",
+                "665a4733527f6a9689c6c603bda9eac89529e7bc3345a00e6c43475b64c6c07f",
             ],
         ),
     ];

@@ -190,14 +190,14 @@ fn generated_instance_is_thread_count_deterministic() {
 /// Circuits as (template × count) against their flat unrolling — same
 /// seed, byte-identical tables, zero-labels, decode bits and output labels,
 /// all decoding to the plaintext result — at 1 thread and with tiles
-/// fanned across 4: a per-bin circuit, one with two output columns, and a
-/// scan whose rows hand on a carry.
+/// fanned across 4: a per-bin circuit with shared outputs, one that
+/// reveals its outputs, and a scan whose rows hand on a carry.
 #[test]
 fn segmented_circuits_garble_like_their_unrolling_at_any_thread_count() {
     let _guard = THREAD_LOCK.lock().unwrap();
     let circuits = [
         secyan_psi::matching_circuit(120, 32).0,
-        secyan_psi::k_circuit(120, 32),
+        secyan_psi::k_circuit(120),
         unroll::running_sums(600),
     ];
     for (seed, circuit) in circuits.iter().enumerate() {

@@ -84,7 +84,10 @@ fn chain3_online_super_rounds_golden() {
 /// 64 · m-byte code correction; each (banked) label OT sends one 16-byte
 /// correction where it sent 32; and each switch sends one ⌈ℓ/8⌉-byte word
 /// per output it routes — two for a permutation switch, one for a
-/// duplication switch — where it sent 32.
+/// duplication switch — where it sent 32. And each bin of either PSI's
+/// circuit no longer shares an indicator word: ℓ − 1 fewer mask-adder
+/// ANDs (32 B of table each) offline, ℓ fewer garbler mask labels (16 B
+/// each) and ℓ fewer decode bits online.
 #[test]
 fn kkrt_extends_inline_in_both_phases() {
     const BANKED_OFFLINE_BYTES: u64 = 1_667_232;
@@ -138,11 +141,18 @@ fn kkrt_extends_inline_in_both_phases() {
     assert_eq!(ot, labels + perm + dup + 64 * (sizes[1] + sizes[0]));
     let word = 64 / 8;
     let online_shrink = (16 * labels + (32 - 2 * word) * perm + (32 - word) * dup) as u64;
+    // The indicator word each PSI bin no longer shares, at ℓ = 64.
+    let psi_bins = (bins[0] + bins[1]) as u64;
+    let indicator_tables = 32 * 63 * psi_bins;
+    let indicator_online = (16 * 64 + 64 / 8) * psi_bins;
     let stats = run_secure_on(&inst, channel_pair(), PHASE_SPLIT).stats;
-    assert_eq!(stats.offline_bytes, BANKED_OFFLINE_BYTES - banks);
+    assert_eq!(
+        stats.offline_bytes,
+        BANKED_OFFLINE_BYTES - banks - indicator_tables
+    );
     assert_eq!(
         stats.online_bytes,
-        BANKED_ONLINE_BYTES + online_growth - online_shrink
+        BANKED_ONLINE_BYTES + online_growth - online_shrink - indicator_online
     );
 }
 
@@ -437,7 +447,7 @@ fn tcp_coalescing_only_changes_wire_framing() {
 
 /// Structural pin in place of a timing test: the shape of `tpch_q3_cold`
 /// (Q3 at 0.3 MB, lineitem pinned to four per order) plans four circuits
-/// — two matchings, a merge and the reveal, 364 463 ANDs — and stores
+/// — two matchings, a merge and the reveal, 328 999 ANDs — and stores
 /// their row templates, a few thousand gates, not their unrolling. The
 /// two 450-row reduce-join products (450 × 1 055 and 450 × 1 086 ANDs
 /// when they were circuits) plan no circuit: they draw the same
@@ -458,7 +468,7 @@ fn q3_shape_stores_templates_not_rows() {
     let shape = secyan_core::QueryShape::derive(&sq.to_secure_query(), &sizes, Role::Alice, 32);
     let circuits = || shape.planned.iter().map(|pc| &pc.circuit);
     let ands: Vec<u64> = circuits().map(|c| c.and_count()).collect();
-    assert_eq!(ands, [89_804, 89_804, 70_555, 114_300]);
+    assert_eq!(ands, [72_072, 72_072, 70_555, 114_300]);
     let stored: usize = circuits()
         .flat_map(|c| c.segments())
         .map(|s| s.gates.len())
