@@ -131,10 +131,10 @@ pub(crate) fn reveal_rows(
     Some(rows)
 }
 
-/// OTs the data-dependent tail of the join draws once OUT is announced,
-/// all with the non-receiver sending: one OEP per relation (of public size
-/// `sizes[i]`) aligning its shares with J*'s rows, then the product
-/// tree's evaluator labels. OUT is data, so no offline phase can bank
+/// OTs the data-dependent tail of the revealing join draws once OUT is
+/// announced, all with the non-receiver sending: one OEP per relation (of
+/// public size `sizes[i]`) aligning its shares with J*'s rows, then the
+/// product tree's evaluator labels. OUT is data, so no offline phase can bank
 /// these and they always extend inline; exported so an audit can tell the
 /// tail from a planned draw that fell back.
 pub fn join_tail_ot_count(sizes: &[usize], out_size: usize, ell: usize) -> usize {
@@ -264,7 +264,7 @@ pub fn oblivious_join(
     // Step 3: per-relation OEPs, routed by the receiver, align annotation
     // shares with J* rows.
     let k = rels.len();
-    let aligned: Vec<Vec<u64>> = rels
+    let mut aligned: Vec<Vec<u64>> = rels
         .iter()
         .enumerate()
         .map(|(ri, rel)| {
@@ -273,6 +273,12 @@ pub fn oblivious_join(
             sess.oep(receiver, xi.as_deref(), out_size, &rel.annot_shares)
         })
         .collect();
+    // One relation left shared: its OEP output is already fresh shares of
+    // the product, so no circuit re-shares it.
+    if k == 1 && !reveal {
+        res.annot_shares = aligned.pop().expect("one relation");
+        return res;
+    }
     // Step 4: product circuit, row-major inputs. Garbler = non-receiver.
     let (circuit, spec) = product_tree_circuit(out_size, k, ell, reveal);
     let words: Vec<u64> = (0..out_size)

@@ -17,7 +17,8 @@
 //!    a single node (e.g. TPC-H Q3), the driver skips phases 2–3 and
 //!    reveals that node directly. When they stay shared for composition
 //!    (§7), the walk always ends in the join, which leaves the product
-//!    tree's outputs as shares.
+//!    tree's outputs as shares — or, for a single survivor, its OEP's
+//!    aligned shares, which are fresh already.
 
 use crate::agg::{oblivious_project_agg, AggKind};
 use crate::join::{oblivious_join, reveal_rows};
