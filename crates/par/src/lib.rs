@@ -23,7 +23,9 @@
 //!
 //! Thread count: [`set_threads`] (programmatic override) takes precedence
 //! over the `SECYAN_THREADS` environment variable, which takes precedence
-//! over [`std::thread::available_parallelism`]. A section of one part —
+//! over the default of 2 — the count at which both parallel stages were
+//! measured to pay (DESIGN §9); more cores are unmeasured, so the machine's
+//! parallelism is not consulted. A section of one part —
 //! always the case at one thread — runs inline on the caller, with no
 //! spawn. A panic in any part reaches the caller with that part's own
 //! payload.
@@ -48,8 +50,8 @@ pub fn set_threads(n: usize) {
 }
 
 /// The worker count parallel sections will use: the [`set_threads`]
-/// override if set, else `SECYAN_THREADS` if set, else the machine's
-/// available parallelism.
+/// override if set, else `SECYAN_THREADS` if set, else 2: the count DESIGN
+/// §9's census measured both parallel stages at.
 pub fn threads() -> usize {
     let o = OVERRIDE.load(Ordering::Relaxed);
     if o > 0 {
@@ -64,7 +66,7 @@ pub fn threads() -> usize {
     if env > 0 {
         return env;
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    2
 }
 
 /// The worker count of a run of parallel sections, fixed by [`with_pool`].
