@@ -3,8 +3,8 @@
 //! The PSI flavour the secure Yannakakis protocol needs is unusual: the
 //! intersection must *not* be revealed. Instead, for each bin of the
 //! receiver's cuckoo table the parties end with secret shares of the
-//! matching payload (or 0). This follows Pinkas
-//! et al.'s circuit-PSI blueprint, which the paper adopted for exactly this
+//! matching payload (or 0). This follows Pinkas et al.'s circuit-PSI
+//! blueprint, which the paper adopted for exactly this
 //! "circuit-friendliness".
 //!
 //! Layers:
