@@ -198,12 +198,13 @@ fn direction_digest<'a>(
 }
 
 /// TPC-H Q8 (two shared-result subqueries, `align_shared_groups`, the
-/// ratio reveal) at 0.02 MB: the captured transcript of both parties.
-/// Seed 14's answer is empty (`q8_secure_matches_plaintext` checks a
-/// non-empty one); the wire still runs every step of the composition, so
-/// the seed stays as recorded.
-fn q8_transcript() -> Vec<(Role, Vec<u8>)> {
-    let db = Database::generate(Scale::mb(0.02), 14);
+/// ratio reveal) at `mb` megabytes: the captured transcript of both
+/// parties. At 0.02 MB, seed 14, both subqueries end with OUT = 0, so the
+/// shared form's join returns before its product; at 0.3 MB, seed 12,
+/// each subquery joins to OUT = 2 (both years) and the answer has two
+/// non-zero ratios, so that pin covers the §7 join's wire too.
+fn q8_transcript(mb: f64, seed: u64) -> Vec<(Role, Vec<u8>)> {
+    let db = Database::generate(Scale::mb(mb), seed);
     let spec = PaperQuery::Q8.build(&db, NaturalRing::paper_default());
     let party = |seed: u64| {
         let spec = &spec;
@@ -273,12 +274,21 @@ fn single_phase_transcript_goldens() {
             ],
         ),
         (
-            ("TPC-H Q8 at 0.02 MB".to_string(), q8_transcript()),
+            ("TPC-H Q8 at 0.02 MB".to_string(), q8_transcript(0.02, 14)),
             "dd730598d5ef317b3c19935a62238e3e10323f0501ba5f4e2fe5315854f84773",
             "3ba534b9e6d46a312b2411656eddbf6ef68c2dee568b3948af32c64fa6dd1589",
             [
                 "7323d97f883c46354d8b62ee9217b60599fdcb097fcd214c32f0b568fb5aaa29",
                 "f9cd1077598de15f0640b153f48f66ac60a65766180bdc5c687d095a3ecf4ed0",
+            ],
+        ),
+        (
+            ("TPC-H Q8 at 0.3 MB".to_string(), q8_transcript(0.3, 12)),
+            "19e8852a6b0157abfa7de365538ebef97a2f788f53b63861724400cd8737d3f0",
+            "2c5ebb6fd4defeda110ac4ff03e42bb17f005f42b77f99ccced1d937a66a6a19",
+            [
+                "887d41ff652be4fadefcf5d1c0f15a840209a1bf16080b9cc8c65d1530cca9dd",
+                "273be2945b187730bc602ccbf130e2d1c160f149f7f4ca1da3cd6da4ff6b5c3f",
             ],
         ),
     ];
