@@ -14,7 +14,7 @@ use rand::Rng;
 use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit, Word};
 use secyan_gc::{evaluate_circuit, garble_circuit};
 use secyan_ot::{OtReceiver, OtSender};
-use secyan_transport::{Channel, ReadExt, Role, WriteExt};
+use secyan_transport::{Channel, Role};
 
 /// One relation's public shape and private rows for the naive protocol.
 /// `rows[i] = (left_key, right_key, annotation)`; ends of the chain ignore

@@ -282,7 +282,9 @@ mod tests {
                     secyan_crypto::TweakHasher::Aes,
                     71,
                 );
-                let mut r = SecureRelation::load(&mut sess, Role::Alice, sch_a, Some(&rel));
+                let mut r =
+                    SecureRelation::load_all(&mut sess, vec![(Role::Alice, sch_a, Some(&rel))])
+                        .remove(0);
                 if force_shared {
                     r.ensure_shared(&mut sess);
                 }
@@ -301,7 +303,8 @@ mod tests {
                     secyan_crypto::TweakHasher::Aes,
                     72,
                 );
-                let mut r = SecureRelation::load(&mut sess, Role::Alice, sch_b, None);
+                let mut r =
+                    SecureRelation::load_all(&mut sess, vec![(Role::Alice, sch_b, None)]).remove(0);
                 if force_shared {
                     r.ensure_shared(&mut sess);
                 }

@@ -146,7 +146,6 @@ pub fn align_shared_groups(
 /// like Q9's per-group difference, which is computed on shares locally and
 /// only then revealed — the values are query results, so this is allowed).
 pub fn reveal_shares(sess: &mut Session, my_shares: &[u64], receiver: Role) -> Vec<u64> {
-    use secyan_transport::{ReadExt, WriteExt};
     if sess.role() == receiver {
         let theirs = sess.ch.recv_u64_vec(my_shares.len());
         my_shares

@@ -15,7 +15,7 @@ use crate::srel::SecureRelation;
 use secyan_circuit::{bits_to_u64, bits_to_words, words_to_bits, Circuit, Rows, Word};
 use secyan_gc::{with_shared_rows, SharedOutputSpec};
 use secyan_oep::oep_ot_count;
-use secyan_transport::{Role, WriteExt};
+use secyan_transport::Role;
 use std::collections::HashMap;
 
 /// The public step of revealing a relation's rows to the receiver: per

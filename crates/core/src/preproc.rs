@@ -44,7 +44,7 @@ use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_gc::{evaluate_offline, garble_offline, EvalMaterial, GarbleMaterial};
 use secyan_ot::{KkrtReceiver, KkrtSender, OtReceiver, OtSender};
 use secyan_relation::{NaturalRing, Relation};
-use secyan_transport::{Channel, Phase, ReadExt, Role, WriteExt};
+use secyan_transport::{Channel, Phase, Role};
 use std::collections::{HashMap, VecDeque};
 
 /// One shape's worth of offline material: a suspended protocol session

@@ -521,13 +521,10 @@ mod tests {
             move |ch| {
                 let mut sess =
                     crate::session::Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 81);
-                let mut rf = SecureRelation::load(&mut sess, Role::Alice, fs, Some(&f_rel));
-                let mut rg = SecureRelation::load(
-                    &mut sess,
-                    g_owner,
-                    gs,
-                    (g_owner == Role::Alice).then_some(&g_rel),
-                );
+                let g = (g_owner == Role::Alice).then_some(&g_rel);
+                let specs = vec![(Role::Alice, fs, Some(&f_rel)), (g_owner, gs, g)];
+                let mut rels = SecureRelation::load_all(&mut sess, specs);
+                let (mut rg, mut rf) = (rels.pop().unwrap(), rels.pop().unwrap());
                 if force_shared {
                     rf.ensure_shared(&mut sess);
                     rg.ensure_shared(&mut sess);
@@ -538,13 +535,10 @@ mod tests {
             move |ch| {
                 let mut sess =
                     crate::session::Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 82);
-                let mut rf = SecureRelation::load(&mut sess, Role::Alice, fs2, None);
-                let mut rg = SecureRelation::load(
-                    &mut sess,
-                    g_owner,
-                    gs2,
-                    (g_owner == Role::Bob).then_some(&g_rel2),
-                );
+                let g = (g_owner == Role::Bob).then_some(&g_rel2);
+                let specs = vec![(Role::Alice, fs2, None), (g_owner, gs2, g)];
+                let mut rels = SecureRelation::load_all(&mut sess, specs);
+                let (mut rg, mut rf) = (rels.pop().unwrap(), rels.pop().unwrap());
                 if force_shared {
                     rf.ensure_shared(&mut sess);
                     rg.ensure_shared(&mut sess);
@@ -613,9 +607,12 @@ mod tests {
             move |ch| {
                 let mut sess =
                     crate::session::Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 83);
-                let mut rf =
-                    SecureRelation::load(&mut sess, Role::Alice, strings(&["k"]), Some(&f_rel));
-                let mut rg = SecureRelation::load(&mut sess, Role::Bob, strings(&["k", "y"]), None);
+                let specs = vec![
+                    (Role::Alice, strings(&["k"]), Some(&f_rel)),
+                    (Role::Bob, strings(&["k", "y"]), None),
+                ];
+                let mut rels = SecureRelation::load_all(&mut sess, specs);
+                let (mut rg, mut rf) = (rels.pop().unwrap(), rels.pop().unwrap());
                 rf.ensure_shared(&mut sess);
                 rg.ensure_shared(&mut sess);
                 crate::protocol::semijoin(&mut sess, &rf, &rg).annot_shares
@@ -623,9 +620,12 @@ mod tests {
             move |ch| {
                 let mut sess =
                     crate::session::Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 84);
-                let mut rf = SecureRelation::load(&mut sess, Role::Alice, strings(&["k"]), None);
-                let mut rg =
-                    SecureRelation::load(&mut sess, Role::Bob, strings(&["k", "y"]), Some(&g_rel));
+                let specs = vec![
+                    (Role::Alice, strings(&["k"]), None),
+                    (Role::Bob, strings(&["k", "y"]), Some(&g_rel)),
+                ];
+                let mut rels = SecureRelation::load_all(&mut sess, specs);
+                let (mut rg, mut rf) = (rels.pop().unwrap(), rels.pop().unwrap());
                 rf.ensure_shared(&mut sess);
                 rg.ensure_shared(&mut sess);
                 crate::protocol::semijoin(&mut sess, &rf, &rg).annot_shares

@@ -32,7 +32,7 @@ use secyan_psi::{
     psi_receiver_begin, psi_receiver_finish, psi_sender, shared_payload_psi_receiver_begin,
     shared_payload_psi_sender, PsiReceiverPending,
 };
-use secyan_transport::{Channel, ProtocolError, ReadExt, Role};
+use secyan_transport::{Channel, ProtocolError, Role};
 use std::collections::VecDeque;
 
 /// Upper bound on any size a peer can declare for a relation or join

@@ -12,7 +12,7 @@ use crate::session::Session;
 use crate::shape::RelHeader;
 use secyan_crypto::sha256::{digest_to_u64, Sha256};
 use secyan_relation::{NaturalRing, Relation};
-use secyan_transport::{ReadExt, Role, WriteExt};
+use secyan_transport::Role;
 
 /// One party's view of a secure relation.
 #[derive(Debug, Clone)]
@@ -45,33 +45,14 @@ pub struct SecureRelation {
 pub type RelationSpec<'a> = (Role, Vec<String>, Option<&'a Relation<NaturalRing>>);
 
 impl SecureRelation {
-    /// Load an owner-local annotated relation into the protocol. Only the
-    /// public size travels; the annotations stay owner-known (`is_plain`)
-    /// until an operator needs them shared (§6.5 optimization). Both
-    /// parties call this with the same public `owner`; the owner passes
-    /// `Some(relation)`.
-    pub fn load(
-        sess: &mut Session,
-        owner: Role,
-        schema: Vec<String>,
-        rel: Option<&Relation<NaturalRing>>,
-    ) -> SecureRelation {
-        if sess.role() == owner {
-            let rel = rel.expect("owner must supply the relation");
-            sess.ch.send_u64(rel.len() as u64);
-            Self::from_owned(sess, owner, schema, rel)
-        } else {
-            let size = crate::session::recv_declared_size(sess.ch, "relation");
-            Self::from_declared(owner, schema, size, None)
-        }
-    }
-
     /// Load several relations in one declaration round: every size this
     /// side owns is staged before any peer declaration is received, so all
     /// size messages of one direction coalesce into a single super-frame
     /// instead of ping-ponging once per relation. Both parties call this
     /// with the same public `(owner, schema)` sequence; owners pass
-    /// `Some(relation)` at their positions.
+    /// `Some(relation)` at their positions. Only the public sizes travel;
+    /// the annotations stay owner-known (`is_plain`) until an operator
+    /// needs them shared (§6.5 optimization).
     pub fn load_all(sess: &mut Session, specs: Vec<RelationSpec<'_>>) -> Vec<SecureRelation> {
         // Both parties arrive here with dependency-free declarations — a
         // simultaneous round. If both staged eagerly, the two opening
@@ -294,14 +275,16 @@ mod tests {
         let (a, b, _) = run_protocol(
             move |ch| {
                 let mut s = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 1);
-                let mut r = SecureRelation::load(&mut s, Role::Alice, sa, Some(&rel));
+                let mut r =
+                    SecureRelation::load_all(&mut s, vec![(Role::Alice, sa, Some(&rel))]).remove(0);
                 let plain = r.plain_annots.clone();
                 r.ensure_shared(&mut s);
                 (r, plain)
             },
             move |ch| {
                 let mut s = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 2);
-                let mut r = SecureRelation::load(&mut s, Role::Alice, sb, None);
+                let mut r =
+                    SecureRelation::load_all(&mut s, vec![(Role::Alice, sb, None)]).remove(0);
                 r.ensure_shared(&mut s);
                 r
             },
@@ -339,13 +322,15 @@ mod tests {
         let (a, b, _) = run_protocol(
             move |ch| {
                 let mut s = Session::new(ch, RingCtx::new(8), TweakHasher::Aes, 3);
-                let mut r = SecureRelation::load(&mut s, Role::Alice, sa, Some(&rel));
+                let mut r =
+                    SecureRelation::load_all(&mut s, vec![(Role::Alice, sa, Some(&rel))]).remove(0);
                 r.ensure_shared(&mut s);
                 r
             },
             move |ch| {
                 let mut s = Session::new(ch, RingCtx::new(8), TweakHasher::Aes, 4);
-                let mut r = SecureRelation::load(&mut s, Role::Alice, sb, None);
+                let mut r =
+                    SecureRelation::load_all(&mut s, vec![(Role::Alice, sb, None)]).remove(0);
                 r.ensure_shared(&mut s);
                 r
             },

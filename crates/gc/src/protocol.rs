@@ -11,7 +11,7 @@ use rand::Rng;
 use secyan_circuit::Circuit;
 use secyan_crypto::{Block, Secret};
 use secyan_ot::{OtReceiver, OtSender, RecvRows};
-use secyan_transport::{Channel, ReadExt, WriteExt};
+use secyan_transport::Channel;
 use std::collections::VecDeque;
 
 use crate::scheme::{eval_cells, garble_into, Garbling};
@@ -72,9 +72,9 @@ pub fn garble_offline<R: Rng + ?Sized>(
 ) -> GarbleMaterial {
     // Garble straight into the channel's staging buffer: the tables are
     // one message, 32 bytes per AND in AND-index order, and exist nowhere
-    // else on this side. A circuit without ANDs sends nothing.
+    // else on this side.
     let mut garbling = None;
-    let mut fill = |buf: &mut [u8]| {
+    ch.send_with(32 * circuit.and_count() as usize, |buf| {
         let delta = ot.label_delta();
         garbling = Some(garble_into(
             circuit,
@@ -82,11 +82,7 @@ pub fn garble_offline<R: Rng + ?Sized>(
             rng,
             buf.as_chunks_mut::<32>().0,
         ));
-    };
-    match 32 * circuit.and_count() as usize {
-        0 => fill(&mut []),
-        len => ch.send_with(len, fill),
-    }
+    });
     GarbleMaterial {
         garbling: garbling.expect("garbled above"),
         digest: circuit.digest(),

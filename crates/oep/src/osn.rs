@@ -18,7 +18,7 @@
 use rand::Rng;
 use secyan_crypto::RingCtx;
 use secyan_ot::{OtReceiver, OtSender, RecvRows};
-use secyan_transport::{Channel, ReadExt, WriteExt};
+use secyan_transport::Channel;
 
 use crate::network::{EpNetwork, EpRouting};
 

@@ -11,7 +11,7 @@ use rand::Rng;
 use secyan_crypto::mersenne::Fp;
 use secyan_crypto::sha256::{digest_to_u128, Sha256};
 use secyan_crypto::{Block, CtChoice, CtSelect, Secret};
-use secyan_transport::{Channel, ReadExt, WriteExt};
+use secyan_transport::Channel;
 
 /// Derive a key from a group element with index domain separation. The key
 /// seeds OT extension; it goes straight into the caller's `Secret` vector.

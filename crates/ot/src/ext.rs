@@ -24,7 +24,7 @@
 
 use secyan_crypto::transpose::BitMatrix;
 use secyan_crypto::{Block, CtChoice, Secret, TweakHasher, Zeroize};
-use secyan_transport::{Channel, WriteExt};
+use secyan_transport::Channel;
 
 /// One row of the extension matrix: `8 * BYTES` bits, bit `i` at byte
 /// `i / 8`, position `i % 8`. Rows leave the transpose in their final type,
@@ -105,7 +105,7 @@ impl<R: Row> ExtSender<R> {
 
     /// Extend `m` instances: read the receiver's masked column bundle and
     /// return the correlated rows `q_j = t_j ⊕ (code_j & s)`. Empty batches
-    /// are communication-free and draw no stream.
+    /// draw no stream.
     pub fn extend(&mut self, ch: &mut Channel, m: usize) -> Vec<R> {
         if m == 0 {
             return Vec::new();
@@ -156,7 +156,7 @@ impl ExtReceiver {
     /// Extend `m` instances under the code matrix whose column `i` (packed,
     /// `⌈m/8⌉` bytes) is `code_col(i)`: send the masked column bundle and
     /// return the row preimages `t_j`, `R` being the sender's row type.
-    /// Empty batches are communication-free and draw no stream.
+    /// Empty batches draw no stream.
     pub fn extend<'c, R: Row>(
         &mut self,
         ch: &mut Channel,
@@ -181,7 +181,7 @@ impl ExtReceiver {
                 *uk ^= t0k ^ ck;
             }
         }
-        ch.send_bytes(&tu[half..]);
+        ch.stage(&tu[half..]);
         tu.truncate(half);
         gather(&BitMatrix::from_bytes(8 * R::BYTES, m, tu).transpose(), m)
     }
@@ -218,11 +218,9 @@ impl<T: Zeroize + Copy> Bank<T> {
     }
 
     /// The banked-vs-inline rule, the same public test on both parties: a
-    /// bank serves a batch only when it holds all of it. Empty batches
-    /// always go inline, where they are communication-free — a zero-length
-    /// correction message would not be.
+    /// bank serves a batch only when it holds all of it.
     pub fn covers(&self, m: usize) -> bool {
-        m > 0 && self.remaining() >= m
+        self.remaining() >= m
     }
 
     /// Take the next `m` entries, with the instance index of the first.

@@ -44,7 +44,7 @@
 use crate::ext::{choice_bits, Bank, ExtReceiver, ExtSender};
 use rand::Rng;
 use secyan_crypto::{Block, CtChoice, RingCtx, Secret, TweakHasher, STREAM_DOMAIN};
-use secyan_transport::{Channel, ReadExt, WriteExt};
+use secyan_transport::Channel;
 
 /// Security parameter κ: number of base OTs / width of the extension
 /// matrix.
@@ -188,13 +188,8 @@ impl OtSender {
 
     /// Label OT: the receiver ends with `L⁰_j ⊕ c_j·Δ` for each zero-label
     /// `L⁰_j`, Δ being [`OtSender::label_delta`]. One message of one 16-byte
-    /// correction per OT. An empty batch is communication-free on both
-    /// sides: the receiver consumes no frames for zero choices, so sending
-    /// even an empty frame here would desynchronize the wire.
+    /// correction per OT.
     pub fn send_labels(&mut self, ch: &mut Channel, zero_labels: &[Block]) {
-        if zero_labels.is_empty() {
-            return;
-        }
         let (_, rows) = self.draw_rows(ch, zero_labels.len());
         ch.send_with(16 * zero_labels.len(), |buf| {
             let slots = buf.chunks_exact_mut(16);
@@ -211,8 +206,7 @@ impl OtSender {
     /// [`OtReceiver::finish_recv_words`] ends with `r_j + c_j·Δ_j` on the
     /// first `width(j)` words (Gilboa / ABY share multiplication at width
     /// 1). One ⌈ℓ/8⌉-byte word `r + Δ − x₁` per word crosses the wire, as
-    /// one message; an empty batch is communication-free like
-    /// [`OtSender::send_labels`].
+    /// one message.
     pub fn send_words(
         &mut self,
         ch: &mut Channel,
@@ -221,9 +215,6 @@ impl OtSender {
         width: impl Fn(usize) -> usize,
         deltas: impl FnOnce(&[[u64; 2]]) -> Vec<[u64; 2]>,
     ) -> Secret<Vec<[u64; 2]>> {
-        if m == 0 {
-            return Secret::new(Vec::new());
-        }
         let (first, rows) = self.draw_rows(ch, m);
         let pads = Secret::new(self.pads(first, rows.expose()));
         let pairs = pads.expose().iter();
@@ -364,8 +355,7 @@ impl OtReceiver {
     /// Second half of [`OtReceiver::begin_recv`] against
     /// [`OtSender::send_words`] with the same `width`: per OT the pad's
     /// words, plus `c_j·word` on the first `width(j)`, masked in or out
-    /// branchlessly. Reads Σ `width(j)` fixed-stride words — nothing for an
-    /// empty batch.
+    /// branchlessly. Reads one message of Σ `width(j)` fixed-stride words.
     pub fn finish_recv_words(
         &self,
         ch: &mut Channel,
@@ -479,9 +469,8 @@ mod tests {
     #[test]
     fn empty_batch_is_communication_free() {
         // A zero-message batch (e.g. an OSN over a width-1 network has no
-        // switches) must put nothing on the wire in either direction: an
-        // orphan frame here desynchronizes every later message. The same
-        // goes for a zero-sized bank (a shape whose walk draws nothing in
+        // switches) must put nothing on the wire in either direction, and
+        // so must a zero-sized bank (a shape whose walk draws nothing in
         // one direction). The marker exchange after the empty batches
         // proves the streams still align.
         let ring = RingCtx::new(32);
@@ -491,7 +480,7 @@ mod tests {
                 let before = ch.stats().total_bytes();
                 s.send_bytes(ch, &[]);
                 s.send_labels(ch, &[]);
-                let r = s.send_words(ch, ring, 0, |_| 1, |_| unreachable!("no OTs"));
+                let r = s.send_words(ch, ring, 0, |_| 1, |r| r.to_vec());
                 assert!(r.expose().is_empty());
                 s.bank(ch, 0);
                 assert_eq!(s.bank_remaining(), 0);

@@ -191,7 +191,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use secyan_transport::{run_protocol, ReadExt, WriteExt};
+    use secyan_transport::run_protocol;
 
     fn run_batch(inputs: Vec<Vec<u8>>) -> (KkrtSenderKey, Vec<u64>) {
         let (key, got, _) = run_protocol(

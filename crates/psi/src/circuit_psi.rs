@@ -23,7 +23,7 @@ use secyan_gc::{
 };
 use secyan_oep::{oep_ot_count, shared_oep_perm_holder_finish, OepPending};
 use secyan_ot::{KkrtReceiver, KkrtSender, KkrtSenderKey, OtReceiver, OtSender};
-use secyan_transport::{Channel, ProtocolError, ReadExt, WriteExt};
+use secyan_transport::{Channel, ProtocolError};
 use std::collections::{HashMap, VecDeque};
 
 use crate::hashing::{bin_count, max_bin_size, CuckooTable, SimpleTable};

@@ -28,7 +28,7 @@ use secyan_crypto::gf64::{poly_eval_batch, poly_interpolate, Gf64};
 use secyan_crypto::Zeroize;
 use secyan_ot::{KkrtReceiver, KkrtSender};
 use secyan_par as par;
-use secyan_transport::{Channel, ReadExt, WriteExt};
+use secyan_transport::Channel;
 
 /// Minimum bins per worker for the parallel hint construction. A bin costs
 /// O(load·degree) GF(2^64) work, so modest batches already amortize a

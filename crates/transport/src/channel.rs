@@ -1,5 +1,27 @@
 //! The metered duplex channel connecting Alice and Bob.
 //!
+//! # The message contract
+//!
+//! Every message length in this workspace's protocols is a function of
+//! public sizes, so a receiver always knows the exact length of the next
+//! message. The channel makes the message the unit in both directions:
+//!
+//! - a send stages one whole message, and a zero-length send stages
+//!   nothing — no sub-header, meter tick or transcript entry — so an
+//!   empty batch costs no traffic and needs no guard at its call site;
+//! - a receive consumes one whole message: [`Channel::recv`] whatever its
+//!   length, [`Channel::recv_into`] exactly `buf.len()` bytes, any other
+//!   length being a typed [`TransportError::MessageLength`]. A
+//!   zero-length receive reads nothing, matching the send that staged
+//!   nothing. Reads never span or split messages, so a peer that frames
+//!   correctly but sends a message of the wrong length ends the session
+//!   typed instead of desynchronising it.
+//!
+//! Lengths never travel inside messages. The typed helpers
+//! ([`Channel::send_u64`], [`Channel::recv_u64_vec`], …) write integers
+//! little-endian, slices without a length prefix and booleans bit-packed,
+//! 8 to a byte.
+//!
 //! # Staged sends and super-rounds
 //!
 //! Sends are *staged*, not written: [`Channel::send`] appends the message
@@ -491,8 +513,6 @@ pub struct Channel {
     /// Read cursor into `in_buf` (always ≥ [`HEADER`] once a frame is
     /// loaded).
     in_pos: usize,
-    /// Bytes remaining in the current partially consumed logical message.
-    msg_left: usize,
     /// Recycled frame buffers: consumed incoming frames come back here and
     /// are reused for outgoing super-frames, so the steady state allocates
     /// no per-message or per-frame buffers.
@@ -554,7 +574,6 @@ impl Channel {
             out_msgs: 0,
             in_buf: Vec::new(),
             in_pos: 0,
-            msg_left: 0,
             spare: Vec::new(),
             send_seq: 0,
             recv_seq: 0,
@@ -627,7 +646,8 @@ impl Channel {
     }
 
     /// Stage one message for the peer. Alias of [`Channel::send`] taking a
-    /// slice; the message rides the next flushed super-frame.
+    /// slice; the message rides the next flushed super-frame, and an empty
+    /// slice stages nothing.
     pub fn stage(&mut self, data: &[u8]) {
         self.send_with(data.len(), |buf| buf.copy_from_slice(data));
     }
@@ -647,8 +667,12 @@ impl Channel {
 
     /// Stage a message of known length `len`, letting `fill` write the
     /// payload directly into the staging buffer — the zero-copy path for
-    /// typed writers that would otherwise build a temporary `Vec`.
+    /// typed writers that would otherwise build a temporary `Vec`. With
+    /// `len` 0, `fill` runs on an empty slice and nothing is staged.
     pub fn send_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) {
+        if len == 0 {
+            return fill(&mut []);
+        }
         assert!(
             SUB_HEADER + len <= self.frame_cap,
             "message of {len} bytes exceeds the frame cap {}",
@@ -802,11 +826,9 @@ impl Channel {
         Ok(())
     }
 
-    /// Advance to the next logical message in the incoming stream, fetching
-    /// frames as needed. On success `msg_left` holds the message's length
-    /// and `in_pos` sits on its first byte.
-    fn next_sub(&mut self) -> Result<(), TransportError> {
-        debug_assert_eq!(self.msg_left, 0);
+    /// Consume the next whole message in the incoming stream, fetching
+    /// frames as needed, and return where it sits in `in_buf`.
+    fn next_message(&mut self) -> Result<std::ops::Range<usize>, TransportError> {
         while self.in_pos >= self.in_buf.len() {
             self.fetch_frame()?;
         }
@@ -818,8 +840,8 @@ impl Channel {
         let mut word = [0u8; 4];
         word.copy_from_slice(&self.in_buf[self.in_pos..self.in_pos + SUB_HEADER]);
         let len = u32::from_le_bytes(word) as usize;
-        self.in_pos += SUB_HEADER;
-        let avail = self.in_buf.len() - self.in_pos;
+        let start = self.in_pos + SUB_HEADER;
+        let avail = self.in_buf.len() - start;
         if len > avail {
             // The sender never splits one logical message across frames, so
             // a sub-length overrunning its frame is a wire fault.
@@ -828,9 +850,9 @@ impl Channel {
                 got: avail,
             });
         }
-        self.msg_left = len;
+        self.in_pos = start + len;
         self.meter.message(self.phase, self.role.peer(), len);
-        Ok(())
+        Ok(start..self.in_pos)
     }
 
     /// Receive one whole message from the peer, blocking until it arrives
@@ -838,49 +860,39 @@ impl Channel {
     ///
     /// Raises a typed [`TransportError`] unwind (caught by
     /// [`crate::try_run_protocol`]) on peer close or a malformed frame.
-    /// Panics if a previous [`Channel::recv_into`] left a partially consumed
-    /// message; mixing the two styles on one message is a protocol bug.
     pub fn recv(&mut self) -> Vec<u8> {
         self.try_recv().unwrap_or_else(|e| e.raise())
     }
 
     /// Fallible form of [`Channel::recv`].
     pub fn try_recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        assert!(
-            self.msg_left == 0,
-            "recv() called with {} unconsumed bytes of the current message",
-            self.msg_left
-        );
-        self.next_sub()?;
-        let out = self.in_buf[self.in_pos..self.in_pos + self.msg_left].to_vec();
-        self.in_pos += self.msg_left;
-        self.msg_left = 0;
-        Ok(out)
+        let msg = self.next_message()?;
+        Ok(self.in_buf[msg].to_vec())
     }
 
-    /// Receive exactly `buf.len()` bytes, spanning message boundaries if
-    /// needed. Useful for fixed-size framed protocols.
+    /// Receive one whole message of exactly `buf.len()` bytes into `buf`;
+    /// an empty `buf` reads nothing (see the module's message contract).
     ///
     /// Raises a typed [`TransportError`] unwind (caught by
-    /// [`crate::try_run_protocol`]) on peer close or a malformed frame.
+    /// [`crate::try_run_protocol`]) on peer close, a malformed frame, or a
+    /// message of any other length ([`TransportError::MessageLength`]).
     pub fn recv_into(&mut self, buf: &mut [u8]) {
         self.try_recv_into(buf).unwrap_or_else(|e| e.raise())
     }
 
     /// Fallible form of [`Channel::recv_into`].
     pub fn try_recv_into(&mut self, buf: &mut [u8]) -> Result<(), TransportError> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            if self.msg_left == 0 {
-                self.next_sub()?;
-            }
-            let take = self.msg_left.min(buf.len() - filled);
-            buf[filled..filled + take]
-                .copy_from_slice(&self.in_buf[self.in_pos..self.in_pos + take]);
-            self.in_pos += take;
-            self.msg_left -= take;
-            filled += take;
+        if buf.is_empty() {
+            return Ok(());
         }
+        let msg = self.next_message()?;
+        if msg.len() != buf.len() {
+            return Err(TransportError::MessageLength {
+                expected: buf.len(),
+                got: msg.len(),
+            });
+        }
+        buf.copy_from_slice(&self.in_buf[msg]);
         Ok(())
     }
 
@@ -1018,21 +1030,46 @@ mod tests {
         }
     }
 
+    /// A receive consumes exactly one whole message, on both pipes: two
+    /// 4-byte messages do not make a `u64`, and one 16-byte message is not
+    /// two. Zero-length sends stage nothing and zero-length receives read
+    /// nothing, so the stream stays aligned around them.
     #[test]
-    fn recv_into_spans_messages() {
-        let (mut a, mut b) = channel_pair();
-        let h = thread::spawn(move || {
-            b.send(vec![1, 2]);
-            b.send(vec![3, 4, 5]);
-            // Drop flushes the staged frame.
-        });
-        let mut buf = [0u8; 4];
-        a.recv_into(&mut buf);
-        assert_eq!(buf, [1, 2, 3, 4]);
-        let mut rest = [0u8; 1];
-        a.recv_into(&mut rest);
-        assert_eq!(rest, [5]);
-        h.join().unwrap();
+    fn recv_into_reads_one_whole_message() {
+        let pairs = [
+            ("mpsc", channel_pair()),
+            ("tcp", crate::tcp_channel_pair().unwrap()),
+        ];
+        for (kind, (mut a, mut b)) in pairs {
+            a.send_with(0, |buf| assert!(buf.is_empty()));
+            a.send(vec![1; 4]);
+            a.send(vec![2; 4]);
+            a.stage(&[]);
+            a.send_u64_slice(&[]);
+            a.send(vec![3; 16]);
+            a.send_u64(4);
+            a.flush();
+            assert_eq!(a.stats().messages_alice_to_bob, 4, "{kind}");
+            assert_eq!(
+                b.try_recv_into(&mut [0u8; 8]),
+                Err(TransportError::MessageLength {
+                    expected: 8,
+                    got: 4
+                }),
+                "{kind}: two 4-byte messages read as one u64"
+            );
+            assert_eq!(b.recv(), vec![2; 4], "{kind}");
+            b.recv_into(&mut []);
+            assert_eq!(
+                b.try_recv_into(&mut [0u8; 8]),
+                Err(TransportError::MessageLength {
+                    expected: 8,
+                    got: 16
+                }),
+                "{kind}: one 16-byte message read as two u64s"
+            );
+            assert_eq!(b.recv_u64(), 4, "{kind}");
+        }
     }
 
     #[test]

@@ -26,6 +26,11 @@ pub enum TransportError {
     /// A frame's payload was shorter than its header declared — a
     /// truncated or split write on the wire.
     Truncated { expected: usize, got: usize },
+    /// A well-framed message had another length than the receiver's
+    /// public parameters fix for it: a receive reads exactly one whole
+    /// message, so a message that is short, long, or the first of several
+    /// the receiver expected as one never desynchronises the stream.
+    MessageLength { expected: usize, got: usize },
     /// A frame arrived out of sequence — reordered, duplicated, or
     /// dropped traffic within a round.
     OutOfOrder { expected: u64, got: u64 },
@@ -61,6 +66,9 @@ impl std::fmt::Display for TransportError {
                     f,
                     "truncated frame: declared {expected} payload bytes, got {got}"
                 )
+            }
+            TransportError::MessageLength { expected, got } => {
+                write!(f, "message of {got} bytes where {expected} were expected")
             }
             TransportError::OutOfOrder { expected, got } => {
                 write!(f, "frame out of order: expected seq {expected}, got {got}")

@@ -57,4 +57,3 @@ pub use runner::{
     try_run_protocol_on,
 };
 pub use tcp::{tcp_channel_pair, tcp_endpoint, DEFAULT_IO_TIMEOUT};
-pub use wire::{ReadExt, WriteExt};

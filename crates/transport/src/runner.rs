@@ -184,7 +184,6 @@ fn root_cause(alice: ProtocolError, bob: ProtocolError) -> ProtocolError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{ReadExt, WriteExt};
 
     #[test]
     fn two_party_sum() {

@@ -1,46 +1,20 @@
-//! Typed send/receive helpers layered over raw byte messages.
-//!
-//! All integers travel little-endian. Slices are sent *without* a length
-//! prefix: the protocols in this workspace always know the expected lengths
-//! from public parameters, which is itself part of the obliviousness story
-//! (a secret-dependent length would be a leak).
+//! Typed send/receive methods of [`Channel`], over the message contract
+//! stated in the `channel` module: every integer little-endian, every
+//! slice one message without a length prefix, booleans bit-packed.
 
 use crate::channel::Channel;
 
-/// Sending helpers for [`Channel`].
-///
-/// Zero-length payloads are silently skipped, mirroring the fact that the
-/// receiving side's fixed-length reads consume nothing for a zero-length
-/// request; this keeps empty batches from desynchronizing the stream.
-pub trait WriteExt {
-    fn send_u64(&mut self, v: u64);
-    fn send_u64_slice(&mut self, vs: &[u64]);
-    fn send_u128_slice(&mut self, vs: &[u128]);
-    fn send_bool_slice(&mut self, vs: &[bool]);
-    fn send_bytes(&mut self, vs: &[u8]);
-}
-
-/// Receiving helpers for [`Channel`]. Lengths are caller-supplied because
-/// they are public knowledge.
-pub trait ReadExt {
-    fn recv_u64(&mut self) -> u64;
-    fn recv_u64_vec(&mut self, n: usize) -> Vec<u64>;
-    fn recv_u128_vec(&mut self, n: usize) -> Vec<u128>;
-    fn recv_bool_vec(&mut self, n: usize) -> Vec<bool>;
-    fn recv_bytes(&mut self, n: usize) -> Vec<u8>;
-}
-
-impl WriteExt for Channel {
+impl Channel {
     // All writers serialize straight into the channel's staging buffer via
     // `send_with`: no intermediate `Vec` per message.
-    fn send_u64(&mut self, v: u64) {
+
+    /// Stage `v` as one 8-byte message.
+    pub fn send_u64(&mut self, v: u64) {
         self.send_with(8, |buf| buf.copy_from_slice(&v.to_le_bytes()));
     }
 
-    fn send_u64_slice(&mut self, vs: &[u64]) {
-        if vs.is_empty() {
-            return;
-        }
+    /// Stage `vs` as one message of 8 bytes per word.
+    pub fn send_u64_slice(&mut self, vs: &[u64]) {
         self.send_with(vs.len() * 8, |buf| {
             for (c, v) in buf.chunks_exact_mut(8).zip(vs) {
                 c.copy_from_slice(&v.to_le_bytes());
@@ -48,10 +22,8 @@ impl WriteExt for Channel {
         });
     }
 
-    fn send_u128_slice(&mut self, vs: &[u128]) {
-        if vs.is_empty() {
-            return;
-        }
+    /// Stage `vs` as one message of 16 bytes per word.
+    pub fn send_u128_slice(&mut self, vs: &[u128]) {
         self.send_with(vs.len() * 16, |buf| {
             for (c, v) in buf.chunks_exact_mut(16).zip(vs) {
                 c.copy_from_slice(&v.to_le_bytes());
@@ -59,13 +31,10 @@ impl WriteExt for Channel {
         });
     }
 
-    fn send_bool_slice(&mut self, vs: &[bool]) {
-        if vs.is_empty() {
-            return;
-        }
-        // Bit-packed: 8 booleans per byte, consistent with how an optimized
-        // implementation would ship selection bits. `send_with` hands out a
-        // zeroed buffer, so only the set bits need writing.
+    /// Stage `vs` as one message of ⌈n/8⌉ bytes, 8 booleans per byte.
+    pub fn send_bool_slice(&mut self, vs: &[bool]) {
+        // `send_with` hands out a zeroed buffer, so only the set bits need
+        // writing.
         self.send_with(vs.len().div_ceil(8), |buf| {
             for (i, &b) in vs.iter().enumerate() {
                 if b {
@@ -75,22 +44,15 @@ impl WriteExt for Channel {
         });
     }
 
-    fn send_bytes(&mut self, vs: &[u8]) {
-        if vs.is_empty() {
-            return;
-        }
-        self.stage(vs);
-    }
-}
-
-impl ReadExt for Channel {
-    fn recv_u64(&mut self) -> u64 {
+    /// Receive one 8-byte message as a `u64`.
+    pub fn recv_u64(&mut self) -> u64 {
         let mut buf = [0u8; 8];
         self.recv_into(&mut buf);
         u64::from_le_bytes(buf)
     }
 
-    fn recv_u64_vec(&mut self, n: usize) -> Vec<u64> {
+    /// Receive one message of `n` words from [`Channel::send_u64_slice`].
+    pub fn recv_u64_vec(&mut self, n: usize) -> Vec<u64> {
         let mut raw = vec![0u8; n * 8];
         self.recv_into(&mut raw);
         raw.chunks_exact(8)
@@ -98,7 +60,8 @@ impl ReadExt for Channel {
             .collect()
     }
 
-    fn recv_u128_vec(&mut self, n: usize) -> Vec<u128> {
+    /// Receive one message of `n` words from [`Channel::send_u128_slice`].
+    pub fn recv_u128_vec(&mut self, n: usize) -> Vec<u128> {
         let mut raw = vec![0u8; n * 16];
         self.recv_into(&mut raw);
         raw.chunks_exact(16)
@@ -106,22 +69,16 @@ impl ReadExt for Channel {
             .collect()
     }
 
-    fn recv_bool_vec(&mut self, n: usize) -> Vec<bool> {
+    /// Receive one message of `n` booleans from [`Channel::send_bool_slice`].
+    pub fn recv_bool_vec(&mut self, n: usize) -> Vec<bool> {
         let mut raw = vec![0u8; n.div_ceil(8)];
         self.recv_into(&mut raw);
         (0..n).map(|i| raw[i / 8] >> (i % 8) & 1 == 1).collect()
-    }
-
-    fn recv_bytes(&mut self, n: usize) -> Vec<u8> {
-        let mut raw = vec![0u8; n];
-        self.recv_into(&mut raw);
-        raw
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::channel::channel_pair;
     use std::thread;
 
@@ -138,7 +95,7 @@ mod tests {
                 v[9] = true;
                 v
             });
-            assert_eq!(b.recv_bytes(4), vec![9, 8, 7, 6]);
+            assert_eq!(b.recv(), vec![9, 8, 7, 6]);
         });
         a.send_u64(7);
         a.send_u64_slice(&[1, 2, 3]);
@@ -147,7 +104,7 @@ mod tests {
         bools[0] = true;
         bools[9] = true;
         a.send_bool_slice(&bools);
-        a.send_bytes(&[9, 8, 7, 6]);
+        a.stage(&[9, 8, 7, 6]);
         a.flush();
         h.join().unwrap();
     }

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_psi::{psi_receiver, psi_sender};
-use secyan_transport::{run_protocol, ReadExt, WriteExt};
+use secyan_transport::run_protocol;
 
 fn main() {
     let hasher = TweakHasher::default();

@@ -12,7 +12,9 @@
 //! what it genuinely decides: a split write is a framing error in process
 //! and benign on a socket, and a stall needs the socket's I/O deadline to
 //! surface at all. A seed-driven sweep is part of it: every outcome must
-//! be "correct result" or "typed error" — nothing else. See DESIGN.md §10.
+//! be "correct result" or "typed error" — nothing else. One case is
+//! content-level rather than injected: a peer that frames correctly but
+//! sends an OT correction message one word short. See DESIGN.md §10.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,7 +27,7 @@ use secyan_testkit::{
 };
 use secyan_transport::{
     channel_pair, faulted, tcp_channel_pair, try_run_protocol_on, Channel, FaultKind, FaultPlan,
-    ProtocolError, ReadExt, Role, TransportError, WriteExt,
+    ProtocolError, Role, TransportError,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -111,6 +113,7 @@ battery!(
     secrets_are_dropped_on_the_error_path,
     session_setup_faults_are_typed_within_the_deadline,
     truncated_ot_corrections_are_typed_within_the_deadline,
+    short_ot_word_correction_is_a_typed_length_error,
 );
 
 /// Per-direction *wire frame* counts of a clean run, for placing faults
@@ -216,6 +219,45 @@ fn truncated_ot_corrections_are_typed_within_the_deadline(wire: Wire) {
             started.elapsed()
         );
     }
+}
+
+/// A peer that frames correctly but lies in the payload: Alice's word OT
+/// sends one word per OT while Bob reads two on the first, so her
+/// correction message is one word short. Every frame is intact; the
+/// receive that reads the message must end the session in the typed
+/// length error, not a desync or an I/O deadline.
+fn short_ot_word_correction_is_a_typed_length_error(wire: Wire) {
+    const M: usize = 100;
+    let ring = RingCtx::new(32);
+    let started = Instant::now();
+    let outcome = try_run_protocol_on(
+        wire.pair(),
+        |ch: &mut Channel| {
+            let mut rng = StdRng::seed_from_u64(1);
+            let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::default());
+            drop(ot.send_words(ch, ring, M, |_| 1, |r| vec![[1, 0]; r.len()]));
+        },
+        |ch: &mut Channel| {
+            let mut rng = StdRng::seed_from_u64(2);
+            let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::default());
+            let rows = ot.begin_recv(ch, &[true; M]);
+            drop(ot.finish_recv_words(ch, ring, rows, |j| 1 + usize::from(j == 0)));
+        },
+    );
+    // ⌈32/8⌉ = 4 bytes per word.
+    let short = TransportError::MessageLength {
+        expected: 4 * (M + 1),
+        got: 4 * M,
+    };
+    assert!(
+        matches!(&outcome, Err(ProtocolError::Transport(e)) if *e == short),
+        "a short word-correction message surfaced as {outcome:?}"
+    );
+    assert!(
+        started.elapsed() < TCP_FAULT_TIMEOUT,
+        "the short message took {:?} to surface",
+        started.elapsed()
+    );
 }
 
 /// The in-process pipe hands each write over as a frame, so a split write
