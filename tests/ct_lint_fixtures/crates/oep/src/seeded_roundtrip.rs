@@ -14,6 +14,18 @@ pub fn pingpong_loop(ch: &mut Channel, xs: &[u64]) -> u64 {
     acc
 }
 
+/// `stage` is a send too: staging a slice per received reply is the same
+/// per-element round trip.
+pub fn stage_pingpong_loop(ch: &mut Channel, rows: &[Vec<u8>]) -> u64 {
+    let mut acc = 0;
+    for row in rows {
+        // ct-expect: COMM
+        ch.stage(row);
+        acc ^= ch.recv_u64();
+    }
+    acc
+}
+
 /// Forcing a frame per iteration defeats staging the same way.
 pub fn flush_per_item(ch: &mut Channel, xs: &[u64]) {
     for x in xs {
@@ -31,6 +43,18 @@ pub fn staged_batch(ch: &mut Channel, xs: &[u64]) -> u64 {
     }
     let mut acc = 0;
     for _x in xs {
+        acc ^= ch.recv_u64();
+    }
+    acc
+}
+
+/// Clean twin: staged slices, then the replies.
+pub fn staged_rows(ch: &mut Channel, rows: &[Vec<u8>]) -> u64 {
+    for row in rows {
+        ch.stage(row);
+    }
+    let mut acc = 0;
+    for _row in rows {
         acc ^= ch.recv_u64();
     }
     acc

@@ -27,6 +27,13 @@ pub fn resize_secret(ch: &mut Channel, s: Secret<usize>) {
     ch.send(buf);
 }
 
+/// A staged slice cut at a secret length.
+pub fn stage_secret_len(ch: &mut Channel, s: Secret<usize>, buf: &[u8]) {
+    let n = s.expose();
+    // ct-expect: COMM INDEX
+    ch.stage(&buf[..n]);
+}
+
 /// `send_with`'s first argument *is* the message length.
 pub fn send_with_secret_len(ch: &mut Channel, s: Secret<usize>) {
     let n = s.expose();
@@ -50,6 +57,12 @@ pub fn send_words_row_len(ch: &mut Channel, ot: &mut OtSender, ring: RingCtx) {
     // ct-expect: COMM
     let deltas = vec![[0u64; 2]; n];
     ot.send_words(ch, ring, 4, |_| 1, |_| deltas);
+}
+
+/// Clean twin: a staged slice cut at a public length.
+pub fn stage_public_len(ch: &mut Channel, rows: usize, s: Secret<Vec<u8>>) {
+    let vals = s.expose();
+    ch.stage(&vals[..rows]);
 }
 
 /// Clean twin: label corrections for a public count of wires.

@@ -44,7 +44,7 @@
 //!   derived `Debug` on a marker-named type: key material must never reach
 //!   logs;
 //! - `COMM` — the communication-shape rule: a secret in a
-//!   *length-determining position* of data that reaches `send` /
+//!   *length-determining position* of data that reaches `send` / `stage` /
 //!   `send_labels` / `send_words` / `send_bytes` (`vec![_; n]`,
 //!   `with_capacity`, `resize`, `truncate`, `take`, `set_len`, slice
 //!   bounds, and `to_le_bytes` length-header construction) — message
@@ -88,13 +88,15 @@ pub const SOURCES: &[&str] = &[
     "input_label",
 ];
 
-/// Send-like calls whose payload shape is wire-visible.
+/// Send-like calls whose payload shape is wire-visible. `stage` is the
+/// channel's slice send.
 const SEND_SINKS: &[&str] = &[
     "send",
     "send_labels",
     "send_bytes",
     "send_with",
     "send_words",
+    "stage",
 ];
 
 /// Buffer-mutation methods: `recv.meth(args)` makes `args` flow into
@@ -622,9 +624,10 @@ fn loop_roundtrips(toks: &[Tok], mask: &[bool], body: Range<usize>, keyed: &mut 
                 continue;
             }
             let name = toks[j].text.as_str();
-            // `send*` stages outbound data; `recv*` blocks on a frame and
-            // `flush` forces one — inside a loop these defeat staging.
-            if name.starts_with("send") {
+            // `send*` and `stage` stage outbound data; `recv*` blocks on a
+            // frame and `flush` forces one — inside a loop these defeat
+            // staging.
+            if name.starts_with("send") || name == "stage" {
                 send_lines.push(toks[j].line);
             } else if name.starts_with("recv") || name == "flush" {
                 blocks = true;
