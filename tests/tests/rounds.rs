@@ -476,3 +476,68 @@ fn q3_shape_stores_templates_not_rows() {
     assert!(stored < 50_000, "{stored} gates stored");
     assert_eq!(shape.ot_budget, 196_605);
 }
+
+/// The two TPC-H benchmark instances, built as `sybench` builds them:
+/// `query` at `mb`, seed 1, lineitem pinned to four lines per order by
+/// cutting the surplus or repeating lines drawn at random.
+fn tpch_bench_spec(
+    query: secyan_tpch::PaperQuery,
+    mb: f64,
+) -> (
+    secyan_tpch::queries::QuerySpec,
+    secyan_relation::NaturalRing,
+) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let ring = secyan_relation::NaturalRing::paper_default();
+    let mut db = secyan_tpch::Database::generate(secyan_tpch::Scale::mb(mb), 1);
+    let mut rng = StdRng::seed_from_u64(1);
+    let target = 4 * db.orders.len();
+    db.lineitem.rows.truncate(target);
+    while db.lineitem.rows.len() < target {
+        let again = db.lineitem.rows[rng.gen_range(0..db.lineitem.rows.len())].clone();
+        db.lineitem.rows.push(again);
+    }
+    (query.build(&db, ring), ring)
+}
+
+/// The byte and super-round totals of `tpch_q3_cold` (Q3, 0.3 MB) and
+/// `tpch_q18_tcp` (Q18, 0.1 MB), pinned in tier-1. Both follow from the
+/// public sizes alone, so they are exact, and the pipe meters the same
+/// payload bytes and super-rounds as the benchmark's loopback socket.
+/// A byte claim on either workload moves these constants by exactly its
+/// derived delta.
+#[test]
+fn tpch_bench_bytes_and_super_rounds_are_pinned() {
+    use secyan_core::Session;
+    use secyan_crypto::RingCtx;
+    use secyan_tpch::queries::{canonical, run_plaintext_instance, run_secure_instance};
+    use secyan_tpch::PaperQuery;
+    const Q3_BYTES: u64 = 24_435_276;
+    const Q18_BYTES: u64 = 7_773_260;
+    for (query, mb, bytes, super_rounds) in [
+        (PaperQuery::Q3, 0.3, Q3_BYTES, 17),
+        (PaperQuery::Q18, 0.1, Q18_BYTES, 19),
+    ] {
+        let (spec, ring) = tpch_bench_spec(query, mb);
+        let spec = &spec;
+        let party = |seed: u64| {
+            move |ch: &mut Channel| {
+                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::default(), seed);
+                run_secure_instance(&mut sess, spec)
+            }
+        };
+        let (rows, _, stats) =
+            run_protocol_on(channel_pair(), party(1 ^ 0xa11ce), party(1 ^ 0xb0b));
+        assert_eq!(
+            canonical(rows),
+            canonical(run_plaintext_instance(spec, ring))
+        );
+        assert_eq!(
+            (stats.total_bytes(), stats.super_rounds),
+            (bytes, super_rounds),
+            "{} bytes / super-rounds",
+            query.name()
+        );
+    }
+}
