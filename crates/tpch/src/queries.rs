@@ -609,8 +609,9 @@ mod tests {
         NaturalRing::paper_default()
     }
 
-    /// Secure run vs plaintext oracle on a small database.
-    fn check_query(q: PaperQuery, mb: f64, seed: u64) {
+    /// Secure run vs plaintext oracle on a small database; returns the
+    /// checked rows.
+    fn check_query(q: PaperQuery, mb: f64, seed: u64) -> Vec<ResultRow> {
         let db = Database::generate(Scale::mb(mb), seed);
         let spec = q.build(&db, ring());
         let want = canonical(run_plaintext_instance(&spec, ring()));
@@ -627,6 +628,7 @@ mod tests {
             },
         );
         assert_eq!(canonical(got), want, "{} at {mb} MB", q.name());
+        want
     }
 
     #[test]
@@ -647,6 +649,11 @@ mod tests {
     #[test]
     fn q8_secure_matches_plaintext() {
         check_query(PaperQuery::Q8, 0.02, 5);
+        // At 0.02 MB the numerator subquery (the target nation's volume)
+        // joins no rows, so every ratio is 0; here it joins some, so the
+        // numerator's join runs on rows and a ratio is non-zero.
+        let rows = check_query(PaperQuery::Q8, 0.2, 31);
+        assert!(rows.iter().any(|&(_, v)| v != 0), "every Q8 ratio is 0");
     }
 
     #[test]
