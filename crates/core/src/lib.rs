@@ -60,7 +60,11 @@ pub use srel::SecureRelation;
 /// transcript goldens. The byte digests were re-recorded when the OT
 /// columns moved onto the fixed-key AES stream (every label correction
 /// rides a column); the length digests, recorded before that move, pin
-/// the message sizes on their own.
+/// the message sizes on their own. The matching and k kinds were
+/// re-recorded when the OPPRF masks left their garbler inputs: the
+/// garbler's label message lost 2 048 B per row, and the matching
+/// circuit's evaluator feeds 32 bits fewer per row at ℓ = 32 (512 B of
+/// correction and 512 B of column bundle); no message count moved.
 #[cfg(test)]
 mod gc_wire_goldens {
     use crate::agg::{merge_circuit, AggKind};
@@ -114,9 +118,11 @@ mod gc_wire_goldens {
                 }
                 let (bank, ot, rng) = (&mut bank, &mut ot, &mut rng);
                 match spec {
-                    Some(spec) => garble_shared_banked(ch, bank, circuit, spec, &a_bits, ot, rng),
+                    Some(spec) => {
+                        garble_shared_banked(ch, bank, circuit, spec, &a_bits, &[], ot, rng)
+                    }
                     None => {
-                        garble_banked(ch, bank, circuit, &a_bits, ot, rng);
+                        garble_banked(ch, bank, circuit, &a_bits, &[], ot, rng);
                         Vec::new()
                     }
                 }
@@ -199,17 +205,17 @@ mod gc_wire_goldens {
             (
                 "matching",
                 &|n| shared(matching_circuit(n, 32)),
-                "e86982ed7f335264e76e0147c2b8abcadbd3c7dbbad3b8d26adbd3f3473d4979",
-                "d8d4b5efe5d1301678739f6949743df6a498c32d0226a0f9f5fb7236dd064b32",
-                "a66a67b142a126a4ede5729e5b3b6112f86c15fe155a6dbaa9ca5fd2b9b6da8a",
-                "00f47dbe1b1098e17ee798d968ca31d23efd042e50bff5f12f26e24983487a8e",
+                "340dbe49ebb3b83bd680814ee85549e2c60aa142989aaa95ac230b8faf75b4e9",
+                "4cb5e68c8fdfa9af137701a8acfcdf27f4ba6951cfe24db8c7f54324cd548301",
+                "e8257c09eccea025a246f64860aa9ce87870727218983ead09ef4dc8c812f34a",
+                "3172d3810a1f445ccc22c42db0384b3bbe865e2b404a66b94ebfa1236ee11325",
             ),
             (
                 "k",
                 &|n| (k_circuit(n), None),
-                "e6449e22e410276aa09d1c79b6e656bde06ba4fda7a6d9184736fd2349afb9f1",
-                "e4757ed3ee30013a5f950b3381cd7def0e8fd98fb648be6c126e793ecbcf9526",
-                "e2df84193cb8fab46771a7b8bdc3dba821f7575024648b0f672084a9bb0d0e53",
+                "434dce19b3106ec14dae7f15c4db359330ad310f86036b712b04c16751a84744",
+                "b810ed8bdc7c40a077464c95c2e5abe6ea6f296062651b2de6150109f11892d1",
+                "88bec61a0dea9e765922c9e5d3aff203804c6d9a50b6ea08260f94dd531bec27",
                 "00f47dbe1b1098e17ee798d968ca31d23efd042e50bff5f12f26e24983487a8e",
             ),
             (

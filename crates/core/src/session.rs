@@ -168,7 +168,7 @@ impl<'a> Session<'a> {
     ) -> Option<Vec<bool>> {
         if self.role() == garbler {
             let (bank, ot) = (&mut self.gc_garble, &mut self.ot_send);
-            garble_banked(self.ch, bank, circuit, my_inputs, ot, &mut self.rng);
+            garble_banked(self.ch, bank, circuit, my_inputs, &[], ot, &mut self.rng);
             None
         } else {
             let (bank, ot) = (&mut self.gc_eval, &mut self.ot_recv);
@@ -189,7 +189,7 @@ impl<'a> Session<'a> {
         if self.role() == garbler {
             let (bank, ot) = (&mut self.gc_garble, &mut self.ot_send);
             let rng = &mut self.rng;
-            garble_shared_banked(self.ch, bank, circuit, spec, my_inputs, ot, rng)
+            garble_shared_banked(self.ch, bank, circuit, spec, my_inputs, &[], ot, rng)
         } else {
             let (bank, ot) = (&mut self.gc_eval, &mut self.ot_recv);
             evaluate_shared_banked(self.ch, bank, circuit, spec, my_inputs, ot)

@@ -3,7 +3,10 @@
 //! One invocation = one garbled circuit: the garbler garbles under its
 //! IKNP sender's Δ and ships tables + its own input labels; the evaluator
 //! obtains its input labels through one label OT per wire, evaluates, and
-//! decodes the outputs with the decode bits the garbler ships.
+//! decodes the outputs with the decode bits the garbler ships. A garbler
+//! bit that the circuit reads only XORed into an evaluator wire needs no
+//! wire of its own: it shifts that wire's label correction by k·Δ, so the
+//! evaluator's label encodes c ⊕ k (free-XOR folded into the OT).
 //! Constant rounds per invocation, as the paper requires of every building
 //! block.
 
@@ -91,20 +94,18 @@ pub fn garble_offline<R: Rng + ?Sized>(
 
 /// Online half of [`garble_banked`]: input labels, decode bits and OT,
 /// against material produced by [`garble_offline`] for the same circuit
-/// and `ot`.
+/// (freshly, or matched by digest in [`take_garble`]) and `ot`.
 fn garble_online(
     ch: &mut Channel,
     circuit: &Circuit,
     material: GarbleMaterial,
     my_inputs: &[bool],
+    shift: &[bool],
     ot: &mut OtSender,
 ) {
     assert_eq!(my_inputs.len(), circuit.alice_inputs, "garbler input arity");
-    assert_eq!(
-        material.digest,
-        circuit.digest(),
-        "pre-garbled material is for a different circuit"
-    );
+    let one_per_wire = shift.is_empty() || shift.len() == circuit.bob_inputs;
+    assert!(one_per_wire, "shift arity");
     let g = material.garbling;
     // Garbler input labels, in a buffer that scrubs itself on every exit
     // path.
@@ -115,9 +116,13 @@ fn garble_online(
     // Decode bits for the evaluator.
     ch.send_bool_slice(&g.decode_bits());
     // Evaluator input labels: one correction per wire on the OT's own
-    // correlation, whose Δ the circuit was garbled under.
+    // correlation, whose Δ the circuit was garbled under, each wire's
+    // zero-label shifted by its k·Δ.
     let wires = circuit.alice_inputs..circuit.alice_inputs + circuit.bob_inputs;
-    ot.send_labels(ch, &g.input_zero_labels.expose()[wires]);
+    let shift = shift.iter().copied().chain(std::iter::repeat(false));
+    let shifted: Secret<Vec<Block>> =
+        Secret::new(wires.zip(shift).map(|(j, k)| g.input_label(j, k)).collect());
+    ot.send_labels(ch, shifted.expose());
 }
 
 /// Offline half of [`evaluate_circuit`]: receive the tables.
@@ -174,7 +179,6 @@ pub fn evaluate_finish(
     ch: &mut Channel,
     circuit: &Circuit,
     pending: EvalPending,
-    my_inputs: &[bool],
     ot: &mut OtReceiver,
 ) -> Vec<bool> {
     let EvalPending { material, rows } = pending;
@@ -185,7 +189,9 @@ pub fn evaluate_finish(
     // Active labels correlate with cleartext wires: one buffer sized up
     // front (so it never reallocates) and the evaluation's outputs, both
     // scrubbed on every exit path.
-    let mut labels = Secret::new(Vec::with_capacity(circuit.alice_inputs + my_inputs.len()));
+    let mut labels = Secret::new(Vec::with_capacity(
+        circuit.alice_inputs + circuit.bob_inputs,
+    ));
     let garbler_labels = Secret::new(ch.recv_u128_vec(circuit.alice_inputs));
     labels
         .expose_mut()
@@ -204,20 +210,22 @@ pub fn evaluate_finish(
 /// (empty bank, unforeseen circuit) garbles and ships inline first. Both
 /// parties derive the digest from the same public circuit, so the
 /// banked-vs-inline decision mirrors on the evaluator's side.
+///
+/// `shift` is empty, or one garbler bit k_j per evaluator input wire: the
+/// evaluator's label on wire j then encodes c_j ⊕ k_j, as if the circuit
+/// XORed a garbler wire into it — without that wire's label.
 pub fn garble_banked<R: Rng + ?Sized>(
     ch: &mut Channel,
     bank: &mut VecDeque<GarbleMaterial>,
     circuit: &Circuit,
     my_inputs: &[bool],
+    shift: &[bool],
     ot: &mut OtSender,
     rng: &mut R,
 ) {
-    assert_eq!(my_inputs.len(), circuit.alice_inputs, "garbler input arity");
-    let material = match take_garble(bank, circuit) {
-        Some(m) => m,
-        None => garble_offline(ch, circuit, ot, rng),
-    };
-    garble_online(ch, circuit, material, my_inputs, ot)
+    let material =
+        take_garble(bank, circuit).unwrap_or_else(|| garble_offline(ch, circuit, ot, rng));
+    garble_online(ch, circuit, material, my_inputs, shift, ot)
 }
 
 /// Evaluator-side counterpart of [`garble_banked`]. Either way the OT
@@ -232,12 +240,12 @@ pub fn evaluate_banked(
     ot: &mut OtReceiver,
 ) -> Vec<bool> {
     let pending = evaluate_begin(ch, circuit, take_eval(bank, circuit), my_inputs, ot);
-    evaluate_finish(ch, circuit, pending, my_inputs, ot)
+    evaluate_finish(ch, circuit, pending, ot)
 }
 
 /// Garbler side. `my_inputs` are the cleartext values of the circuit's
 /// Alice (garbler) input wires; only the evaluator learns the outputs.
-/// [`garble_banked`] with nothing banked.
+/// [`garble_banked`] with nothing banked and nothing shifted.
 pub fn garble_circuit<R: Rng + ?Sized>(
     ch: &mut Channel,
     circuit: &Circuit,
@@ -246,7 +254,7 @@ pub fn garble_circuit<R: Rng + ?Sized>(
     rng: &mut R,
 ) {
     let bank = &mut VecDeque::new();
-    garble_banked(ch, bank, circuit, my_inputs, ot, rng)
+    garble_banked(ch, bank, circuit, my_inputs, &[], ot, rng)
 }
 
 /// Evaluator side. `my_inputs` are the cleartext values of the circuit's

@@ -111,25 +111,28 @@ pub fn with_shared_rows(
 }
 
 /// Garbler side of a shared-output circuit through a bank of pre-garbled
-/// material (see [`garble_banked`]). `my_inputs` are the bits of the
-/// circuit's own garbler inputs (excluding masks, which this function draws
-/// from `rng` — they are garbler inputs, so banking them was never
-/// needed). Returns the garbler's arithmetic shares, one per output word.
+/// material (see [`garble_banked`], which takes `shift`). `my_inputs` are
+/// the bits of the circuit's own garbler inputs (excluding masks, which
+/// this function draws from `rng` — they are garbler inputs, so banking
+/// them was never needed). Returns the garbler's arithmetic shares, one
+/// per output word.
+#[expect(clippy::too_many_arguments)]
 pub fn garble_shared_banked<R: Rng + ?Sized>(
     ch: &mut Channel,
     bank: &mut VecDeque<GarbleMaterial>,
     circuit: &Circuit,
     spec: &SharedOutputSpec,
     my_inputs: &[bool],
+    shift: &[bool],
     ot: &mut OtSender,
     rng: &mut R,
 ) -> Vec<u64> {
     let (mask_bits, shares) = draw_masks(spec, my_inputs, rng);
-    garble_banked(ch, bank, circuit, &mask_bits, ot, rng);
+    garble_banked(ch, bank, circuit, &mask_bits, shift, ot, rng);
     shares
 }
 
-/// [`garble_shared_banked`] with nothing banked.
+/// [`garble_shared_banked`] with nothing banked and nothing shifted.
 pub fn garble_shared<R: Rng + ?Sized>(
     ch: &mut Channel,
     circuit: &Circuit,
@@ -140,7 +143,7 @@ pub fn garble_shared<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<u64> {
     let bank = &mut VecDeque::new();
-    garble_shared_banked(ch, bank, circuit, spec, my_inputs, ot, rng)
+    garble_shared_banked(ch, bank, circuit, spec, my_inputs, &[], ot, rng)
 }
 
 /// Prepend the fresh random mask words to the garbler's own inputs; the
@@ -170,11 +173,9 @@ pub fn evaluate_shared_finish(
     circuit: &Circuit,
     pending: EvalPending,
     spec: &SharedOutputSpec,
-    my_inputs: &[bool],
     ot: &mut OtReceiver,
 ) -> Vec<u64> {
-    let bits = evaluate_finish(ch, circuit, pending, my_inputs, ot);
-    unpack_shares(spec, &bits)
+    unpack_shares(spec, &evaluate_finish(ch, circuit, pending, ot))
 }
 
 /// Evaluator side of a shared-output circuit through a bank of
@@ -190,7 +191,7 @@ pub fn evaluate_shared_banked(
 ) -> Vec<u64> {
     let material = take_eval(bank, circuit);
     let pending = evaluate_begin(ch, circuit, material, my_inputs, ot);
-    evaluate_shared_finish(ch, circuit, pending, spec, my_inputs, ot)
+    evaluate_shared_finish(ch, circuit, pending, spec, ot)
 }
 
 /// [`evaluate_shared_banked`] with nothing banked.

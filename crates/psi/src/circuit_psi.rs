@@ -11,11 +11,18 @@
 //! whose zero already marks a dangling bin, so the circuits here leave
 //! the indicator inside.
 //!
+//! The sender's OPPRF masks s_b, w_b enter the circuits only XORed into
+//! the receiver's outputs o_b, p_b, so they are no garbler wires: they
+//! shift the receiver's label corrections ([`secyan_gc::garble_banked`]),
+//! and the circuits read o′ = o ⊕ s and p′ = p ⊕ w directly. The
+//! matching circuit keeps only the low ℓ bits of p′, so the receiver
+//! feeds only those.
+//!
 //! Sender elements must be distinct: the Yannakakis reduce phase guarantees
 //! this by aggregating before every semijoin.
 
 use rand::Rng;
-use secyan_circuit::{words_to_bits, Circuit};
+use secyan_circuit::{u64_to_bits, Circuit};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_gc::{
     evaluate_begin, evaluate_shared_finish, evaluator_ot_count, garble_shared_banked, take_eval,
@@ -107,18 +114,16 @@ pub fn psi_cost(
 
 /// The per-bin matching circuit: shares of the payload, gated by the
 /// membership test. Its dimensions depend only on the public bin count
-/// and ring width.
+/// and ring width. Its only garbler inputs are the output masks.
 pub fn matching_circuit(bins: usize, ell: usize) -> (Circuit, SharedOutputSpec) {
     with_shared_rows(bins, &[ell], |c| {
-        // Garbler (sender): s_b then w_b per bin; evaluator: o_b then p_b.
-        let (sw, op) = (c.alice(bins, 128), c.bob(bins, 128));
+        // Evaluator (receiver), per bin: o′ then the low ℓ bits of p′.
+        let op = c.bob(bins, 64 + ell);
         let payloads = c.segment(bins, |b| {
-            let [s, w] = [0, 64].map(|at| b.read(sw.slice_bits(at..at + 64)));
-            let [o, p] = [0, 64].map(|at| b.read(op.slice_bits(at..at + 64)));
-            let ind = b.eq_words(&o, &s);
-            let z64 = b.xor_words(&p, &w);
-            let z = b.resize_word(&z64, ell);
-            let val = b.and_word_bit(&z, ind);
+            let o = b.read(op.slice_bits(0..64));
+            let p = b.read(op.slice_bits(64..64 + ell));
+            let ind = b.is_zero_word(&o);
+            let val = b.and_word_bit(&p, ind);
             b.output_word(&val);
         });
         vec![payloads]
@@ -176,27 +181,29 @@ fn negotiate_simple(
     (table, k1, k2)
 }
 
-/// `[a_0, b_0, a_1, b_1, …]`: two per-bin word vectors in the order the
-/// flavours' circuits read them.
-fn interleave(a: &[u64], b: &[u64]) -> Vec<u64> {
-    a.iter().zip(b).flat_map(|(&a, &b)| [a, b]).collect()
+/// Per bin the 64 bits of `a_b`, then the low `width` bits of `b_b`: the
+/// evaluator's column of a flavour's circuit from (o, p), and the
+/// garbler's shift over it from (s, w).
+pub(crate) fn bin_bits(a: &[u64], b: &[u64], width: usize) -> Vec<bool> {
+    let per_bin = a.iter().zip(b);
+    let bits = per_bin.flat_map(|(&a, &b)| [u64_to_bits(a, 64), u64_to_bits(b, width)]);
+    bits.flatten().collect()
 }
 
 /// The receiver's front half of both PSI flavours (§5.3, and step 3 of
 /// §5.5): agree on the binning and finish the two OPPRF evaluations.
-/// Returns the cuckoo table and the evaluator's input bits of the
-/// flavour's circuit — per bin the membership word o_b, then the second
-/// OPPRF's word p_b.
+/// Returns the cuckoo table, the membership words o and the second
+/// OPPRF's words p, one per bin.
 pub(crate) fn receiver_opprfs(
     ch: &mut Channel,
     elements: &[u64],
     params: &PsiParams,
     kkrt: &mut KkrtReceiver,
-) -> (CuckooTable, Vec<bool>) {
+) -> (CuckooTable, Vec<u64>, Vec<u64>) {
     let (cuckoo, e1, e2) = negotiate_cuckoo(ch, elements, params, kkrt);
     let o = opprf_evaluate_finish(ch, e1);
     let p = opprf_evaluate_finish(ch, e2);
-    (cuckoo, words_to_bits(&interleave(&o, &p), 64))
+    (cuckoo, o, p)
 }
 
 /// The sender's front half of both PSI flavours: agree on the binning,
@@ -244,7 +251,6 @@ pub(crate) enum ReceiverTail {
     Matching {
         circuit: Circuit,
         spec: SharedOutputSpec,
-        my_bits: Vec<bool>,
         gc: EvalPending,
     },
     /// §5.5: the k circuit has run; the ξ₂-OEP's corrections are staged
@@ -280,17 +286,14 @@ pub fn psi_receiver_begin(
     gc_bank: &mut VecDeque<EvalMaterial>,
 ) -> PsiReceiverPending {
     let params = psi_params(elements.len(), sender_size);
-    let (cuckoo, my_bits) = receiver_opprfs(ch, elements, &params, kkrt);
+    let (cuckoo, o, p) = receiver_opprfs(ch, elements, &params, kkrt);
     // The matching circuit: this party evaluates.
-    let (circuit, spec) = matching_circuit(params.bins, ring.bits() as usize);
+    let ell = ring.bits() as usize;
+    let (circuit, spec) = matching_circuit(params.bins, ell);
+    let my_bits = bin_bits(&o, &p, ell);
     let material = take_eval(gc_bank, &circuit);
     let gc = evaluate_begin(ch, &circuit, material, &my_bits, ot);
-    let tail = ReceiverTail::Matching {
-        circuit,
-        spec,
-        my_bits,
-        gc,
-    };
+    let tail = ReceiverTail::Matching { circuit, spec, gc };
     PsiReceiverPending { cuckoo, tail }
 }
 
@@ -303,12 +306,9 @@ pub fn psi_receiver_finish(
     ot: &mut OtReceiver,
 ) -> PsiOutput {
     let payload_shares = match pending.tail {
-        ReceiverTail::Matching {
-            circuit,
-            spec,
-            my_bits,
-            gc,
-        } => evaluate_shared_finish(ch, &circuit, gc, &spec, &my_bits, ot),
+        ReceiverTail::Matching { circuit, spec, gc } => {
+            evaluate_shared_finish(ch, &circuit, gc, &spec, ot)
+        }
         ReceiverTail::Routing { zprime_shares, oep } => {
             shared_oep_perm_holder_finish(ch, oep, &zprime_shares, ring, ot)
         }
@@ -366,10 +366,12 @@ pub fn psi_sender<R: Rng + ?Sized>(
     );
     let elements: Vec<u64> = items.iter().map(|&(e, _)| e).collect();
     let (s, w) = sender_opprfs(ch, &elements, &params, kkrt, rng, |y| payload_of[&y]);
-    // The matching circuit: this party garbles.
-    let (circuit, spec) = matching_circuit(params.bins, ring.bits() as usize);
-    let my_bits = words_to_bits(&interleave(&s, &w), 64);
-    let payload_shares = garble_shared_banked(ch, gc_bank, &circuit, &spec, &my_bits, ot, rng);
+    // The matching circuit: this party garbles, s and w folded into the
+    // receiver's labels.
+    let ell = ring.bits() as usize;
+    let (circuit, spec) = matching_circuit(params.bins, ell);
+    let shift = bin_bits(&s, &w, ell);
+    let payload_shares = garble_shared_banked(ch, gc_bank, &circuit, &spec, &[], &shift, ot, rng);
     PsiOutput {
         cuckoo: None,
         ind_shares: Vec::new(),
@@ -540,6 +542,292 @@ mod tests {
             for (shared, width) in [(false, ell), (true, 64)] {
                 let cost = psi_cost(100, 300, ell, shared);
                 assert_eq!(cost.circuit.output_count(), cost.bins * width);
+            }
+        }
+    }
+
+    /// Total bytes of one PSI between 40 receiver and 60 sender elements
+    /// at ring width `ell`, shared payloads or plain, and its bin count.
+    fn psi_bytes(shared: bool, ell: u32) -> (usize, u64) {
+        use crate::shared_payload::{shared_payload_psi_receiver_begin, shared_payload_psi_sender};
+        let (hasher, ring) = (TweakHasher::Aes, RingCtx::new(ell));
+        let x: Vec<u64> = (0..40).collect();
+        let y: Vec<u64> = (20..80).collect();
+        let (_, _, stats) = run_protocol(
+            |ch| {
+                let mut rng = StdRng::seed_from_u64(41);
+                let mut ot_r = OtReceiver::setup(ch, &mut rng, hasher);
+                let mut ot_s = OtSender::setup(ch, &mut rng, hasher);
+                let mut kkrt = KkrtReceiver::setup(ch, &mut ot_s);
+                let (kkrt, ot_r, bank) = (&mut kkrt, &mut ot_r, &mut VecDeque::new());
+                let pending = match shared {
+                    true => shared_payload_psi_receiver_begin(
+                        ch, &x, &[0; 60], ring, kkrt, ot_r, &mut ot_s, &mut rng, bank,
+                    ),
+                    false => psi_receiver_begin(ch, &x, y.len(), ring, kkrt, ot_r, bank),
+                };
+                psi_receiver_finish(ch, pending, ring, ot_r);
+            },
+            |ch| {
+                let mut rng = StdRng::seed_from_u64(42);
+                let mut ot_s = OtSender::setup(ch, &mut rng, hasher);
+                let mut ot_r = OtReceiver::setup(ch, &mut rng, hasher);
+                let mut kkrt = KkrtSender::setup(ch, &mut ot_r, &mut rng);
+                let (kkrt, ot_s, bank) = (&mut kkrt, &mut ot_s, &mut VecDeque::new());
+                match shared {
+                    true => shared_payload_psi_sender(
+                        ch,
+                        &y,
+                        x.len(),
+                        &[0; 60],
+                        ring,
+                        kkrt,
+                        ot_s,
+                        &mut ot_r,
+                        &mut rng,
+                        bank,
+                    ),
+                    false => {
+                        let items: Vec<(u64, u64)> = y.iter().map(|&e| (e, e)).collect();
+                        psi_sender(
+                            ch,
+                            &items,
+                            x.len(),
+                            ring,
+                            kkrt,
+                            ot_s,
+                            hasher,
+                            &mut rng,
+                            bank,
+                        )
+                    }
+                };
+            },
+        );
+        (psi_params(x.len(), y.len()).bins, stats.total_bytes())
+    }
+
+    /// What a PSI bin no longer ships: the garbler's 128 labels of s_b and
+    /// w_b (16 B each), and for the matching circuit at ℓ < 64 a 16 B
+    /// column and a 16 B correction per payload bit it drops. The totals
+    /// were recorded with the unfolded, full-width circuits.
+    #[test]
+    fn psi_ships_no_mask_labels_and_no_dropped_bits() {
+        for (shared, ell, unfolded) in [
+            (false, 32, 605_588),
+            (false, 64, 736_352),
+            (true, 32, 720_568),
+            (true, 64, 748_208),
+        ] {
+            let (bins, bytes) = psi_bytes(shared, ell);
+            let dropped = if shared { 0 } else { 64 - ell as usize };
+            let saved = (16 * 128 + 32 * dropped) * bins;
+            assert_eq!(unfolded - bytes, saved as u64, "shared {shared}, ℓ = {ell}");
+        }
+    }
+
+    /// Both flavours' circuits take exactly the bits they read: the
+    /// matching circuit the output masks from the garbler and o′ plus ℓ
+    /// bits of p′ from the evaluator, the k circuit the no-match index d
+    /// from the garbler and all of o′, p′ from the evaluator.
+    #[test]
+    fn psi_circuits_read_their_information_size() {
+        for ell in [32, 64] {
+            let cost = psi_cost(100, 300, ell, false);
+            let c = &cost.circuit;
+            assert_eq!(c.alice_inputs, cost.bins * ell);
+            assert_eq!(c.bob_inputs, cost.bins * (64 + ell));
+            let cost = psi_cost(100, 300, ell, true);
+            let c = &cost.circuit;
+            assert_eq!(c.alice_inputs, cost.bins * 64);
+            assert_eq!(c.bob_inputs, cost.bins * 128);
+        }
+    }
+
+    /// The matching circuit before the fold: s, w as garbler wires XORed
+    /// into the evaluator's full 64-bit o, p.
+    fn unfolded_matching_circuit(bins: usize, ell: usize) -> (Circuit, SharedOutputSpec) {
+        with_shared_rows(bins, &[ell], |c| {
+            let (sw, op) = (c.alice(bins, 128), c.bob(bins, 128));
+            let payloads = c.segment(bins, |b| {
+                let [s, w] = [0, 64].map(|at| b.read(sw.slice_bits(at..at + 64)));
+                let [o, p] = [0, 64].map(|at| b.read(op.slice_bits(at..at + 64)));
+                let ind = b.eq_words(&o, &s);
+                let z64 = b.xor_words(&p, &w);
+                let z = b.resize_word(&z64, ell);
+                let val = b.and_word_bit(&z, ind);
+                b.output_word(&val);
+            });
+            vec![payloads]
+        })
+    }
+
+    /// The k circuit before the fold: s, w, d garbler wires per bin.
+    fn unfolded_k_circuit(bins: usize) -> Circuit {
+        let mut c = secyan_circuit::Rows::new();
+        let (swd, op) = (c.alice(bins, 192), c.bob(bins, 128));
+        let ks = c.segment(bins, |b| {
+            let [s, w, d] = [0, 64, 128].map(|at| b.read(swd.slice_bits(at..at + 64)));
+            let [o, p] = [0, 64].map(|at| b.read(op.slice_bits(at..at + 64)));
+            let ind = b.eq_words(&o, &s);
+            let unmasked = b.xor_words(&p, &w);
+            let k = b.mux_words(ind, &unmasked, &d);
+            b.output_word(&k);
+        });
+        c.output(ks);
+        c.finish()
+    }
+
+    /// One garbled run per circuit of `runs` in one session, over fresh
+    /// or banked tables: `(circuit, spec, garbler bits after the masks,
+    /// shift, evaluator bits)`. Returns each run's output words: shares
+    /// reconstructed when `spec` is given, else the revealed bits as
+    /// 64-bit words.
+    type GcRun = (
+        Circuit,
+        Option<SharedOutputSpec>,
+        Vec<bool>,
+        Vec<bool>,
+        Vec<bool>,
+    );
+    fn run_gcs(runs: &[GcRun], banked: bool) -> Vec<Vec<u64>> {
+        use secyan_circuit::bits_to_words;
+        use secyan_gc::{
+            evaluate_banked, evaluate_offline, evaluate_shared_banked, garble_banked,
+            garble_offline,
+        };
+        let hasher = TweakHasher::Aes;
+        let (ga, gb, _) = run_protocol(
+            |ch| {
+                let mut rng = StdRng::seed_from_u64(43);
+                let mut ot = OtSender::setup(ch, &mut rng, hasher);
+                let mut bank = VecDeque::new();
+                for (c, _, _, _, _) in runs.iter().filter(|_| banked) {
+                    bank.push_back(garble_offline(ch, c, &ot, &mut rng));
+                }
+                let (bank, ot, rng) = (&mut bank, &mut ot, &mut rng);
+                let mut garble = |ch: &mut Channel, (c, spec, a, shift, _): &GcRun| match spec {
+                    Some(spec) => garble_shared_banked(ch, bank, c, spec, a, shift, ot, rng),
+                    None => {
+                        garble_banked(ch, bank, c, a, shift, ot, rng);
+                        Vec::new()
+                    }
+                };
+                runs.iter().map(|r| garble(ch, r)).collect::<Vec<_>>()
+            },
+            |ch| {
+                let mut rng = StdRng::seed_from_u64(44);
+                let mut ot = OtReceiver::setup(ch, &mut rng, hasher);
+                let mut bank = VecDeque::new();
+                for (c, _, _, _, _) in runs.iter().filter(|_| banked) {
+                    bank.push_back(evaluate_offline(ch, c));
+                }
+                let (bank, ot) = (&mut bank, &mut ot);
+                let mut eval = |ch: &mut Channel, (c, spec, _, _, b): &GcRun| match spec {
+                    Some(spec) => evaluate_shared_banked(ch, bank, c, spec, b, ot),
+                    None => bits_to_words(&evaluate_banked(ch, bank, c, b, ot), 64),
+                };
+                runs.iter().map(|r| eval(ch, r)).collect::<Vec<_>>()
+            },
+        );
+        let words = runs.iter().zip(ga.iter().zip(gb));
+        let words = words.map(|((_, spec, ..), (a, b))| match spec {
+            Some(spec) => {
+                let ring = RingCtx::new(spec.widths[0] as u32);
+                ring.reconstruct_vec(a, &b)
+            }
+            None => b,
+        });
+        words.collect()
+    }
+
+    /// The folded, narrowed circuits against the unfolded, full-width
+    /// ones on the same random OPPRF words, every other bin a match: both
+    /// flavours, ℓ ∈ {32, 64}, fresh and banked tables, each equal to the
+    /// plaintext evaluator on the unfolded circuit and to the closed form.
+    #[test]
+    fn folded_circuits_match_the_unfolded_ones() {
+        use secyan_circuit::{bits_to_words, evaluate, words_to_bits};
+        let bins = 5;
+        let mut rng = StdRng::seed_from_u64(45);
+        let mut words = || -> Vec<u64> { (0..bins).map(|_| rng.gen()).collect() };
+        let (s, w, p, d) = (words(), words(), words(), words());
+        let mut o = words();
+        for b in (0..bins).step_by(2) {
+            o[b] = s[b];
+        }
+        let xor =
+            |a: &[u64], b: &[u64]| -> Vec<u64> { a.iter().zip(b).map(|(a, b)| a ^ b).collect() };
+        let (o_prime, p_prime) = (xor(&o, &s), xor(&p, &w));
+        let sw = words_to_bits(
+            &s.iter()
+                .zip(&w)
+                .flat_map(|(&s, &w)| [s, w])
+                .collect::<Vec<_>>(),
+            64,
+        );
+        let swd = (0..bins)
+            .flat_map(|b| [s[b], w[b], d[b]])
+            .collect::<Vec<_>>();
+        let op = bin_bits(&o, &p, 64);
+        for ell in [32, 64] {
+            let mask = u64::MAX >> (64 - ell);
+            let matched = |b: usize| o[b] == s[b];
+            let want_matching: Vec<u64> = (0..bins)
+                .map(|b| if matched(b) { p_prime[b] & mask } else { 0 })
+                .collect();
+            let want_k: Vec<u64> = (0..bins)
+                .map(|b| if matched(b) { p_prime[b] } else { d[b] })
+                .collect();
+            let (old_m, old_spec) = unfolded_matching_circuit(bins, ell);
+            let (new_m, new_spec) = matching_circuit(bins, ell);
+            let (old_k, new_k) = (
+                unfolded_k_circuit(bins),
+                crate::shared_payload::k_circuit(bins),
+            );
+            // The plaintext evaluator on the unfolded circuits, masks zero.
+            let mut alice = vec![false; bins * ell];
+            alice.extend_from_slice(&sw);
+            assert_eq!(
+                bits_to_words(&evaluate(&old_m, &alice, &op), ell),
+                want_matching
+            );
+            let alice = words_to_bits(&swd, 64);
+            assert_eq!(bits_to_words(&evaluate(&old_k, &alice, &op), 64), want_k);
+            let runs: [GcRun; 4] = [
+                (old_m, Some(old_spec), sw.clone(), vec![], op.clone()),
+                (
+                    new_m,
+                    Some(new_spec),
+                    vec![],
+                    bin_bits(&s, &w, ell),
+                    bin_bits(&o, &p, ell),
+                ),
+                (old_k, None, words_to_bits(&swd, 64), vec![], op.clone()),
+                (
+                    new_k,
+                    None,
+                    words_to_bits(&d, 64),
+                    bin_bits(&s, &w, 64),
+                    op.clone(),
+                ),
+            ];
+            // The folded circuits on o′, p′ in the clear, without a shift.
+            let folded = |(c, spec, a, _, _): &GcRun, o: &[u64], p: &[u64], width| {
+                let mut alice = vec![false; spec.as_ref().map_or(0, |s| s.total_bits())];
+                alice.extend_from_slice(a);
+                evaluate(c, &alice, &bin_bits(o, p, width))
+            };
+            let got = folded(&runs[1], &o_prime, &p_prime, ell);
+            assert_eq!(bits_to_words(&got, ell), want_matching);
+            let got = folded(&runs[3], &o_prime, &p_prime, 64);
+            assert_eq!(bits_to_words(&got, 64), want_k);
+            for banked in [false, true] {
+                let got = run_gcs(&runs, banked);
+                let want = [&want_matching, &want_matching, &want_k, &want_k];
+                for (k, (got, want)) in got.iter().zip(want).enumerate() {
+                    assert_eq!(got, want, "run {k}, ℓ = {ell}, banked {banked}");
+                }
             }
         }
     }

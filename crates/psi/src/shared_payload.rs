@@ -18,7 +18,10 @@
 //!
 //! The paper's step 4 also shares the indicator; a dangling bin's payload
 //! is the zero padding already, and nothing downstream reads the
-//! indicator, so the circuit here reveals k alone.
+//! indicator, so the circuit here reveals k alone. As in
+//! [`crate::circuit_psi`], the OPPRF masks s, w shift the receiver's
+//! labels instead of entering as garbler wires; the k circuit reads all
+//! 64 bits of p′ = p ⊕ w, so the receiver feeds them all.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -31,21 +34,22 @@ use secyan_transport::{Channel, ProtocolError};
 use std::collections::{HashMap, VecDeque};
 
 use crate::circuit_psi::{
-    psi_params, receiver_opprfs, sender_opprfs, PsiOutput, PsiReceiverPending, ReceiverTail,
+    bin_bits, psi_params, receiver_opprfs, sender_opprfs, PsiOutput, PsiReceiverPending,
+    ReceiverTail,
 };
 
 /// The k-index circuit: per bin, the routing index k_b in the clear
 /// (toward the evaluator = PSI receiver).
 pub fn k_circuit(bins: usize) -> Circuit {
     let mut c = Rows::new();
-    // Garbler (= PSI sender): per bin s, w, d; evaluator: per bin o, p.
-    let (swd, op) = (c.alice(bins, 192), c.bob(bins, 128));
+    // Garbler (= PSI sender): per bin the no-match index d; evaluator: per
+    // bin o′ = o ⊕ s, p′ = p ⊕ w, the masks folded into its labels.
+    let (d, op) = (c.alice(bins, 64), c.bob(bins, 128));
     let ks = c.segment(bins, |b| {
-        let [s, w, d] = [0, 64, 128].map(|at| b.read(swd.slice_bits(at..at + 64)));
+        let d = b.read(d);
         let [o, p] = [0, 64].map(|at| b.read(op.slice_bits(at..at + 64)));
-        let ind = b.eq_words(&o, &s);
-        let unmasked = b.xor_words(&p, &w);
-        let k = b.mux_words(ind, &unmasked, &d);
+        let ind = b.is_zero_word(&o);
+        let k = b.mux_words(ind, &p, &d);
         b.output_word(&k);
     });
     c.output(ks);
@@ -81,9 +85,9 @@ pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
     ext.resize(n + bins, 0);
     let zprime_shares = shared_oep_other(ch, &ext, n + bins, ring, ot_send, rng);
     // Step 3: binning + OPPRFs (corrections staged with the seed).
-    let (cuckoo, my_bits) = receiver_opprfs(ch, elements, &params, kkrt);
+    let (cuckoo, o, p) = receiver_opprfs(ch, elements, &params, kkrt);
     // Step 4: evaluate the k circuit.
-    let circuit = k_circuit(bins);
+    let (circuit, my_bits) = (k_circuit(bins), bin_bits(&o, &p, 64));
     let k_bits = evaluate_banked(ch, gc_bank, &circuit, &my_bits, ot_recv);
     // The garbler picks every k: an index outside ξ₁'s range is a peer
     // breaking the protocol, not a bug on this side.
@@ -140,13 +144,11 @@ pub fn shared_payload_psi_sender<R: Rng + ?Sized>(
     // Step 3: binning + OPPRFs; the second one carries y_j's index ξ₁⁻¹(j).
     let index = |y| xi1_inv[index_of[&y]];
     let (s, w) = sender_opprfs(ch, elements, &params, kkrt, rng, index);
-    // Step 4: garble the k circuit. Inputs per bin: s, w and the no-match
-    // index d = ξ₁⁻¹(N + b).
-    let swd: Vec<u64> = (0..bins)
-        .flat_map(|b| [s[b], w[b], xi1_inv[n + b]])
-        .collect();
-    let (circuit, my_bits) = (k_circuit(bins), words_to_bits(&swd, 64));
-    garble_banked(ch, gc_bank, &circuit, &my_bits, ot_send, rng);
+    // Step 4: garble the k circuit. Input per bin: the no-match index
+    // d = ξ₁⁻¹(N + b); s and w shift the receiver's labels.
+    let (circuit, my_bits) = (k_circuit(bins), words_to_bits(&xi1_inv[n..], 64));
+    let shift = bin_bits(&s, &w, 64);
+    garble_banked(ch, gc_bank, &circuit, &my_bits, &shift, ot_send, rng);
     // Step 5: second shared OEP (receiver holds ξ₂).
     let payload_shares = shared_oep_other(ch, &zprime_shares, bins, ring, ot_send, rng);
     PsiOutput {
@@ -237,12 +239,10 @@ mod tests {
                 let xi1: Vec<usize> = (0..slots).collect();
                 shared_oep_perm_holder(ch, &xi1, &vec![0; slots], ring, &mut ot_r);
                 let (s, w) = sender_opprfs(ch, &y, &params, &mut kkrt, &mut rng, |_| 0);
-                let swd: Vec<u64> = (0..params.bins)
-                    .flat_map(|b| [s[b], w[b], slots as u64])
-                    .collect();
-                let (circuit, bits) = (k_circuit(params.bins), words_to_bits(&swd, 64));
-                let bank = &mut VecDeque::new();
-                garble_banked(ch, bank, &circuit, &bits, &mut ot_s, &mut rng);
+                let d = vec![slots as u64; params.bins];
+                let (circuit, bits) = (k_circuit(params.bins), words_to_bits(&d, 64));
+                let (bank, shift) = (&mut VecDeque::new(), bin_bits(&s, &w, 64));
+                garble_banked(ch, bank, &circuit, &bits, &shift, &mut ot_s, &mut rng);
             },
         );
         match got {

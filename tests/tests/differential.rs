@@ -232,6 +232,11 @@ fn q8_transcript(mb: f64, seed: u64) -> Vec<(Role, Vec<u8>)> {
 /// fixed-key AES stream: the contents of columns and pads moved, their
 /// lengths did not. The per-direction length digests, recorded before
 /// that move, pin the message-length sequences on their own.
+/// Re-recorded when the PSI senders' OPPRF masks came to shift the label
+/// corrections: per bin the garbler-label message lost 2 048 B, and at
+/// ℓ = 32 the matching circuit's label correction and column bundle lost
+/// 512 B each; no message count and no other length moved. generate(3)
+/// runs no PSI and is unchanged.
 /// (`gc_layer_wire_goldens` in `secyan-core` pins the circuits.)
 #[test]
 fn single_phase_transcript_goldens() {
@@ -248,47 +253,47 @@ fn single_phase_transcript_goldens() {
         ),
         (
             run(Instance::generate(7)),
-            "ec2834045b0dd9c57409ef844b4133ef705d4bbf1ec5835d27b80693c9ba1f8a",
-            "9ae551dddfef2c59802c7722c440594cafe282892a9919f07f43380f2e115dab",
+            "0d830e89b16a351c30e26f30efff1aeffea473c0a8813385904ff35943cdb26c",
+            "462b52b145cad47240f07ac229b8c9cae4f7c2c4ab96873da106d3ff886c8b5c",
             [
-                "e49c7ed443040595f3d4fcf3636050388518b9d90cba94e5c42e5b7d4dfab8b6",
-                "87bed11762474134f1b428cd83d7570d0f0e3f84dcdf65e57ae738ba6141ece8",
+                "72b9a74ac9503edb9bd119f46b25585402154784b0d6a1daef615c9ba38cf8c3",
+                "a361bc586d669392c8b7c57b01a7501650bb530bf6154354d37d35c9ecda2a7d",
             ],
         ),
         (
             run(Instance::generate(18)),
-            "6b31af187351512d2059df0e13382be49df42e885d4f8fa7598174503b965a7d",
-            "9a248fd947c08ed7e67666e8219e4895ce70268c41519a2b05979bce4cb4f3ce",
+            "8fb8b25ceaf5d663227974e9525e33896967db3b2490f3b6df99b247c9daf368",
+            "b1470ae4dca0dd7148fd65eefc7b4f2eaf3f09f8f22cabf453580ced0d6f5fca",
             [
-                "a97f6c463b2bfaa13d0fb61d621390dddb26567dcc0251e5adf3c5a5843155db",
-                "6e34519e102844b2b3c5291a26ce5d6054a58a8cf8a35eeefc6d47a135df9638",
+                "93a764f2697811cc31d1e0919cfb88624f50db1e0840021b3e6ebfb9c434e28c",
+                "3a43fa389a8143a829a2fedf442286d0dac4b7224c7b56203607a32a1bae2ded",
             ],
         ),
         (
             run(Instance::generate_chain(1)),
-            "4508387aa7a7fd4bb4283ee7ee714bb0dc5d547b6d75f9250fb99a47f214dcf5",
-            "8632b52e5fd8a012c6e986232979daf07341c4b12483072c22f14b0d3bef8cbe",
+            "39a57677b474b03e9618a38842621b70389b9b71d9cb67832e10385150d76cd0",
+            "7f721966a7e42a2bfd94e1b687349eb2250b5f0ae4adc5b8def086d3f10e7553",
             [
                 "b589e6023b89736759dbc56e841ab2f6a2a3a4185615ca1d48325f9785d98439",
-                "7c838b5fbf1a4bec13a973df539d206b0708224a898e3d037b246980e78ba301",
+                "803a8817bb955b57405210e6d48f625890e308aae52a1a9708ba9b57b172c574",
             ],
         ),
         (
             ("TPC-H Q8 at 0.02 MB".to_string(), q8_transcript(0.02, 14)),
-            "dd730598d5ef317b3c19935a62238e3e10323f0501ba5f4e2fe5315854f84773",
-            "3ba534b9e6d46a312b2411656eddbf6ef68c2dee568b3948af32c64fa6dd1589",
+            "7d268f32059e813e861d5f8f0fcf2685603378cd2ea7f165c9fb4f96a7281eb9",
+            "ea24de1c240fccb716583c52eb5a8b5baeb5aad714085d77f03025476a189d55",
             [
-                "7323d97f883c46354d8b62ee9217b60599fdcb097fcd214c32f0b568fb5aaa29",
-                "f9cd1077598de15f0640b153f48f66ac60a65766180bdc5c687d095a3ecf4ed0",
+                "b469ac73ea000106625ca7c239f698fa5f37802f4e4401af4a866fee0ce44f8a",
+                "59b928014818158d17bf7f24f1823358a29085a215e7d89e5edf93e14a53c0b7",
             ],
         ),
         (
             ("TPC-H Q8 at 0.3 MB".to_string(), q8_transcript(0.3, 12)),
-            "19e8852a6b0157abfa7de365538ebef97a2f788f53b63861724400cd8737d3f0",
-            "2c5ebb6fd4defeda110ac4ff03e42bb17f005f42b77f99ccced1d937a66a6a19",
+            "a1c3009d077ca5aebf19141095f6c103e13a246cc205073c5ea2ef01f6ea6201",
+            "9f40f97f27b2d63c2248611b1a66cf11dbddcaf94735f415dee6f5f8e9461dfc",
             [
-                "887d41ff652be4fadefcf5d1c0f15a840209a1bf16080b9cc8c65d1530cca9dd",
-                "273be2945b187730bc602ccbf130e2d1c160f149f7f4ca1da3cd6da4ff6b5c3f",
+                "fd2d7a6c33df01dfe1be5fb00451c47f937f7a09d4ea72334f82844a3f506981",
+                "1e3555e7ad825684944080ceb2b2e1ea12c005897a0dd80fed5da67c963f0edf",
             ],
         ),
     ];
@@ -320,38 +325,39 @@ fn single_phase_transcript_goldens() {
 /// OT corrections, shrunk as in [`single_phase_transcript_goldens`].
 /// Re-recorded with it when the columns moved onto the AES stream; the
 /// length digests (offline A, offline B, online A, online B) predate
-/// that move.
+/// that move. Re-recorded with it for the folded OPPRF masks: the offline
+/// lengths did not move, the online ones only at the PSI messages.
 #[test]
 fn phase_split_transcript_goldens() {
     let goldens = [
         (
             Instance::generate(7),
             [
-                "dba6e5ef69f69a58182dae39e79ff48511ff40cf03247df5b7df51689e4a969b",
-                "ebd4dbad5a082650bf49d889805ba5286e905a3d5fe6c597d96f7c61a174d4d8",
-                "738323c703f1ec7560b3138ec0287538e75db9f0dee22e26ae22198d77d8d9f0",
-                "636f995a052d4062f0400db993857ad5ea53cb06126dde4885096e9fbe6a1138",
+                "b543dd81adbdcd586f365db759afe5b963ae6d5396aa1ff09908ba84217bebe9",
+                "c057c904964cdf4fbc053a4ac5d34e8413f589ce6faff5fe521d3d470782bb21",
+                "5dfdb1781cde229a094fd3e8ebba6d95fbbfe39cd23e2cdca2080a96f11a3a00",
+                "68dd3f5ede60ec37cf9b5a8f496417f7b5d45c8cbfd225f31d6092053cd0f160",
             ],
             [
                 "a23d912d2314190f51e26036a78c257452d12c8aa2de67b149297705a568fc5e",
                 "98ccc871a1c36e7b78965a02d2fbd6f4aa384a1b2d43e386c3d68e60d9c14071",
-                "cf12058c028543056ce9596e2336291e153d5f171ba2e1a480140b367f94c15e",
-                "bd84af570520062ece708eb01619f0080a73141f13aea26e448717af352797fa",
+                "c37a9a6b311aab1148fe7edd93fc6e9077cfa59e7299b10869b74c47a5ecec6a",
+                "8004b81d4a6b1c36cb5d9c39c6f3c36475900b15e719690d49aee555da6ae57a",
             ],
         ),
         (
             Instance::generate_chain(1),
             [
                 "97312f9e9e0ed3ec74d2c2577f45dd475aac8984efa48ba4a72a5becb934c060",
-                "253dd7593fdee89eb0321e633ac312cff85a6ff846e901b0230bb6f07feb8108",
-                "8b932d24e81e5392ffd3a26ff4eb70cb11013ff35dcf3187b6ce00c2ca740d7a",
-                "2da70f2c03ca70bffd486a3c8645251ec55e8d7012b77c52920946d61d149b7e",
+                "6b2e51ce46d95dcddca69e869207004a070ca90e3ede18ae959cf57330caf373",
+                "29ea3405679c499adb2cfc4e0547d964742cadb83c4898ab2cd104d18cae25a1",
+                "4a8be3e8c52fb787263b0cc69c5d57d5671fb3f43d70f1c0db0c3890eae8b155",
             ],
             [
                 "78e7897b874f4d10316f56548e4b22d90319e1f8553f06c29ac92c279775de8e",
                 "35e61da0f80ae7adb6499805ebaccd15df02b0469bfcba77b3fe21f2aac48d92",
                 "1904306a8ed89a723fb0b90ee44526a0ca90eea1315bc78c57c28d97f8be2fde",
-                "665a4733527f6a9689c6c603bda9eac89529e7bc3345a00e6c43475b64c6c07f",
+                "87a69c1663c1d0a41b6711907e295e5de84b5fcc400ae19240f44d86b07ffd75",
             ],
         ),
     ];

@@ -87,7 +87,10 @@ fn chain3_online_super_rounds_golden() {
 /// duplication switch — where it sent 32. And each bin of either PSI's
 /// circuit no longer shares an indicator word: ℓ − 1 fewer mask-adder
 /// ANDs (32 B of table each) offline, ℓ fewer garbler mask labels (16 B
-/// each) and ℓ fewer decode bits online.
+/// each) and ℓ fewer decode bits online. Nor does it carry the garbler's
+/// 128 labels of the OPPRF masks s, w, which shift the evaluator's label
+/// corrections instead (16 B each online; chain3 runs at ℓ = 64, so the
+/// evaluator still feeds all 128 bits of o, p).
 #[test]
 fn kkrt_extends_inline_in_both_phases() {
     const BANKED_OFFLINE_BYTES: u64 = 1_667_232;
@@ -145,6 +148,7 @@ fn kkrt_extends_inline_in_both_phases() {
     let psi_bins = (bins[0] + bins[1]) as u64;
     let indicator_tables = 32 * 63 * psi_bins;
     let indicator_online = (16 * 64 + 64 / 8) * psi_bins;
+    let folded_masks = 16 * 128 * psi_bins;
     let stats = run_secure_on(&inst, channel_pair(), PHASE_SPLIT).stats;
     assert_eq!(
         stats.offline_bytes,
@@ -152,7 +156,7 @@ fn kkrt_extends_inline_in_both_phases() {
     );
     assert_eq!(
         stats.online_bytes,
-        BANKED_ONLINE_BYTES + online_growth - online_shrink - indicator_online
+        BANKED_ONLINE_BYTES + online_growth - online_shrink - indicator_online - folded_masks
     );
 }
 
@@ -451,8 +455,10 @@ fn tcp_coalescing_only_changes_wire_framing() {
 /// their row templates, a few thousand gates, not their unrolling. The
 /// two 450-row reduce-join products (450 × 1 055 and 450 × 1 086 ANDs
 /// when they were circuits) plan no circuit: they draw the same
-/// 450 · 32 and 450 · 64 OTs as their label transfers did, so the OT
-/// budget is what it was.
+/// 450 · 32 and 450 · 64 OTs as their label transfers did. Each
+/// matching circuit's 572 bins feed 32 payload bits fewer than the 64 the
+/// OPPRF outputs, so the budget is 2 · 572 · 32 OTs below the 196 605 it
+/// was when they fed all 64.
 #[test]
 fn q3_shape_stores_templates_not_rows() {
     use secyan_relation::NaturalRing;
@@ -474,7 +480,7 @@ fn q3_shape_stores_templates_not_rows() {
         .map(|s| s.gates.len())
         .sum();
     assert!(stored < 50_000, "{stored} gates stored");
-    assert_eq!(shape.ot_budget, 196_605);
+    assert_eq!(shape.ot_budget, 196_605 - 2 * 572 * 32);
 }
 
 /// The two TPC-H benchmark instances, built as `sybench` builds them:
@@ -513,8 +519,12 @@ fn tpch_bench_bytes_and_super_rounds_are_pinned() {
     use secyan_crypto::RingCtx;
     use secyan_tpch::queries::{canonical, run_plaintext_instance, run_secure_instance};
     use secyan_tpch::PaperQuery;
-    const Q3_BYTES: u64 = 24_435_276;
-    const Q18_BYTES: u64 = 7_773_260;
+    // Per ℓ = 32 bin of a matching circuit, the garbler's 128 labels of
+    // the folded OPPRF masks (2 048 B) and the column and correction of
+    // the 32 payload bits the circuit drops (1 024 B) no longer travel:
+    // Q3 runs 1 144 such bins, Q18 382.
+    const Q3_BYTES: u64 = 24_435_276 - 1_144 * (2_048 + 1_024);
+    const Q18_BYTES: u64 = 7_773_260 - 382 * (2_048 + 1_024);
     for (query, mb, bytes, super_rounds) in [
         (PaperQuery::Q3, 0.3, Q3_BYTES, 17),
         (PaperQuery::Q18, 0.1, Q18_BYTES, 19),
