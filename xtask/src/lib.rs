@@ -237,10 +237,11 @@ pub mod rules {
     ///
     /// Deliberately conservative: single-letter secrets (`s`, `c`) evade the
     /// heuristic — naming secrets descriptively is part of the discipline
-    /// this lint enforces (see DESIGN.md).
+    /// this lint enforces (see DESIGN.md). `shift` is the garbler's per-wire
+    /// label shift, whose bits are its private OPPRF masks.
     pub const SECRET_MARKERS: &[&str] = &[
         "label", "labels", "seed", "seeds", "delta", "pad", "pads", "share", "shares", "choice",
-        "choices", "secret", "secrets", "key", "keys",
+        "choices", "secret", "secrets", "key", "keys", "shift",
     ];
 
     /// Crates where marker identifiers are secret (and marker-named
