@@ -759,13 +759,7 @@ mod tests {
         let xor =
             |a: &[u64], b: &[u64]| -> Vec<u64> { a.iter().zip(b).map(|(a, b)| a ^ b).collect() };
         let (o_prime, p_prime) = (xor(&o, &s), xor(&p, &w));
-        let sw = words_to_bits(
-            &s.iter()
-                .zip(&w)
-                .flat_map(|(&s, &w)| [s, w])
-                .collect::<Vec<_>>(),
-            64,
-        );
+        let sw = bin_bits(&s, &w, 64);
         let swd = (0..bins)
             .flat_map(|b| [s[b], w[b], d[b]])
             .collect::<Vec<_>>();
