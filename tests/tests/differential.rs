@@ -18,7 +18,7 @@ use secyan_core::protocol::secure_yannakakis_shared;
 use secyan_core::{run_offline, run_online, run_online_leftover, QueryShape, Session};
 use secyan_crypto::sha256::Sha256;
 use secyan_crypto::{RingCtx, TweakHasher};
-use secyan_relation::{JoinTree, NaturalRing, Relation};
+use secyan_relation::{find_free_connex_tree, Hypergraph, JoinTree, NaturalRing, Relation};
 use secyan_testkit::{
     canonical_rows, check_instance, oracle, run_secure, run_secure_on, scalar_of, session_seeds,
     try_run_secure_on, AggKind, Instance, Run, SecureRun,
@@ -219,6 +219,70 @@ fn q8_transcript(mb: f64, seed: u64) -> Vec<(Role, Vec<u8>)> {
     handle.messages()
 }
 
+/// The shared form of `inst` (what §7's composition consumes): the
+/// captured transcript of both parties, checked against the oracle.
+fn shared_transcript(inst: &Instance) -> Vec<(Role, Vec<u8>)> {
+    let (query, ring) = (inst.query(), inst.ring_ctx());
+    let party = |seed: u64| {
+        let query = &query;
+        move |ch: &mut Channel| {
+            let rels = inst.party_relations(ch.role());
+            let mut sess = Session::new(ch, ring, TweakHasher::default(), seed);
+            secure_yannakakis_shared(&mut sess, query, &rels, Role::Alice)
+        }
+    };
+    let (sa, sb) = session_seeds(inst);
+    let (alice, bob, _, handle) = run_protocol_captured(party(sa), party(sb));
+    let values = alice
+        .annot_shares
+        .iter()
+        .zip(&bob.annot_shares)
+        .map(|(&a, &b)| ring.add(a, b));
+    let rows = canonical_rows(ring, &alice.schema, alice.tuples.clone(), values);
+    assert_eq!(rows, oracle(inst), "shared form of {}", inst.describe());
+    handle.messages()
+}
+
+/// A three-relation chain a–b, b–c, c–d with every attribute in the output:
+/// no node folds into its parent, so all three survive the reduce phase
+/// and the revealed join runs its product tree at k = 3 (OUT = 8). No seed
+/// of `Instance::generate` below 3 000 reaches k ≥ 3, and the chain family
+/// is scalar, so this instance is built by hand.
+fn three_way_join() -> Instance {
+    let attrs = |names: &[&str]| -> Vec<String> { names.iter().map(|a| a.to_string()).collect() };
+    let schemas = vec![attrs(&["a", "b"]), attrs(&["b", "c"]), attrs(&["c", "d"])];
+    let output = attrs(&["a", "b", "c", "d"]);
+    let tree = find_free_connex_tree(&Hypergraph::new(schemas.clone()), &output)
+        .expect("every attribute in the output is free-connex");
+    let ring = RingCtx::new(32);
+    let rows: [&[(u64, u64, u64)]; 3] = [
+        &[(1, 1, 3), (2, 1, 5), (3, 2, 7)],
+        &[(1, 5, 2), (2, 5, 11), (1, 6, 4)],
+        &[(5, 7, 9), (6, 8, 1), (5, 9, 6), (4, 9, 8)],
+    ];
+    let relations = schemas
+        .iter()
+        .zip(rows)
+        .map(|(schema, rows)| {
+            let mut rel = Relation::new(NaturalRing(ring), schema.clone());
+            for &(x, y, v) in rows {
+                rel.push(vec![x, y], v);
+            }
+            rel
+        })
+        .collect();
+    Instance {
+        seed: 9001,
+        ell: 32,
+        agg: AggKind::Sum,
+        schemas,
+        owners: vec![Role::Alice, Role::Bob, Role::Alice],
+        tree,
+        output,
+        relations,
+    }
+}
+
 /// Single-phase wire behaviour is pinned byte for byte: these digests of
 /// `run_secure`'s per-direction transcripts only move when what a
 /// bank-less run puts on the wire moves. Recorded when every OT came to
@@ -237,10 +301,29 @@ fn q8_transcript(mb: f64, seed: u64) -> Vec<(Role, Vec<u8>)> {
 /// ℓ = 32 the matching circuit's label correction and column bundle lost
 /// 512 B each; no message count and no other length moved. generate(3)
 /// runs no PSI and is unchanged.
+///
+/// The shared form of generate(7) (its join at k = 2, OUT = 5, so
+/// `garble_shared` runs on the product tree) and [`three_way_join`]
+/// (revealed, k = 3) pin the join paths no other golden reaches.
 /// (`gc_layer_wire_goldens` in `secyan-core` pins the circuits.)
 #[test]
 fn single_phase_transcript_goldens() {
     let run = |inst: Instance| (inst.describe(), run_secure(&inst).transcript);
+    let shared = |inst: Instance| {
+        let what = format!("the shared form of {}", inst.describe());
+        (what, shared_transcript(&inst))
+    };
+    let three_way = || {
+        let inst = three_way_join();
+        let run = run_secure(&inst);
+        assert_eq!(run.out_size, 8, "the three-way join's OUT");
+        assert_eq!(
+            run.result,
+            oracle(&inst),
+            "three-way join against its oracle"
+        );
+        ("the three-way join".to_string(), run.transcript)
+    };
     let goldens = [
         (
             run(Instance::generate(3)),
@@ -294,6 +377,24 @@ fn single_phase_transcript_goldens() {
             [
                 "fd2d7a6c33df01dfe1be5fb00451c47f937f7a09d4ea72334f82844a3f506981",
                 "1e3555e7ad825684944080ceb2b2e1ea12c005897a0dd80fed5da67c963f0edf",
+            ],
+        ),
+        (
+            shared(Instance::generate(7)),
+            "0d830e89b16a351c30e26f30efff1aeffea473c0a8813385904ff35943cdb26c",
+            "e7460d5b146958425abb85f519863b7363d3679eb92fe1b0ec97fea0905294b6",
+            [
+                "72b9a74ac9503edb9bd119f46b25585402154784b0d6a1daef615c9ba38cf8c3",
+                "e41b67c12dcb5a08bd0585742a7ca632bed5bb85b622c6fd5243b434a24f49d4",
+            ],
+        ),
+        (
+            three_way(),
+            "836e78119dba43197ddac66a0753e056c5e787c4ba16796a2dc09f714ae9e6d5",
+            "0bb55d0022fff2d30c461fcd339516e9075441c4d72c3740b03adb580754aec6",
+            [
+                "7093052594a75b9d33f40a1490693fd3923de8980ddda9d434151d8148cb9e08",
+                "f7f329bc53f5555b67211dd2f8661cbd34fcc1a898c2521a9cd2856f41451453",
             ],
         ),
     ];
