@@ -27,7 +27,8 @@
 //! parameters fed from a tainted prefix of the same statement.
 //!
 //! **Sinks** (the rules, catalogued in [`crate::rules::RULES`]):
-//! - `EQ` — `==` / `!=` with a secret in its statement, or a derived
+//! - `EQ` — `==` / `!=` with a secret in its statement (a `let`'s own
+//!   pattern names the result and does not count), or a derived
 //!   `PartialEq` on a marker-named type: variable-time comparison. Use
 //!   `CtEq::ct_eq`;
 //! - `BRANCH` — an `if`/`while`/`match` condition (all of it, however many
@@ -474,10 +475,14 @@ fn analyze_fn(f: &FnItem, file: &FileCtx, mask: &[bool], keyed: &mut Keyed) {
     for j in body.clone() {
         if !mask[j] && matches!(toks[j].text.as_str(), "==" | "!=") {
             // The operator's statement: bounded by `;` / `{` / `}`.
-            let start = (body.start..j)
+            let mut start = (body.start..j)
                 .rev()
                 .find(stmt_end)
                 .map_or(body.start, |k| k + 1);
+            // A `let` pattern names the result, it is no operand.
+            if toks[start].text == "let" {
+                start = find_at_depth0(toks, start, j, &["="]).min(j);
+            }
             let end = (j..body.end).find(stmt_end).unwrap_or(body.end);
             if secret.any(start..end) {
                 keyed.insert((toks[j].line, "EQ"));
