@@ -64,7 +64,12 @@ pub use srel::SecureRelation;
 /// re-recorded when the OPPRF masks left their garbler inputs: the
 /// garbler's label message lost 2 048 B per row, and the matching
 /// circuit's evaluator feeds 32 bits fewer per row at ℓ = 32 (512 B of
-/// correction and 512 B of column bundle); no message count moved.
+/// correction and 512 B of column bundle); no message count moved. The
+/// garbler-side digests of every kind were re-recorded when inline
+/// circuits came to garble on the evaluator's OT rows: each fresh run
+/// lost its one label-correction message (16 B per evaluator bit) and
+/// every byte after setup moved, the banked runs and the whole evaluator
+/// side did not.
 #[cfg(test)]
 mod gc_wire_goldens {
     use crate::agg::{merge_circuit, AggKind};
@@ -189,57 +194,57 @@ mod gc_wire_goldens {
             (
                 "merge sum",
                 &|n| shared(merge_circuit(n, 32, AggKind::Sum)),
-                "1ff03ffd206c2d3ae232f4c4061c2429fc30142d907c5496bbce30eac3e8b134",
+                "b1ae2de2fd95dac423eaf0c05fe694f7c141b4abe6489b66e01986b645baa5af",
                 "fc223e16efa27cbace57801470510107fe9b5232b910876242ee7989ff526337",
-                "cd63a9fc617e63cc1705af1c71d5542c0bfe0eac4554fa39baaa141900bee8bf",
+                "046517ceeb4950e13c07e50a2c4995b47a95096adafc4b96c53a5de6f54e87d5",
                 "b4fc0da2638faf14b5056f7758655b2abc41303513f4386489eafa70151dfc7b",
             ),
             (
                 "merge support",
                 &|n| shared(merge_circuit(n, 32, AggKind::Support)),
-                "78541324682d1e58bb6da5a4203870f4a9e166a8a2e319df2e60b558a505e909",
+                "5f4956a2815b8bba50728069d0e6417e1de2eebc15c296e27e0baf08e8666519",
                 "36ed8d24cac3cbbd7fb2815123c46b0fbd2dd09135f9d6c8a970d16ec475e668",
-                "22175dcb0e5a23c66e10b7516225830294a5d9ba2f15aa67058ac84f408325ec",
+                "67749768c86c127e87f81236771b538c6167a5c63dc91035c151ec1895e64ea7",
                 "b4fc0da2638faf14b5056f7758655b2abc41303513f4386489eafa70151dfc7b",
             ),
             (
                 "matching",
                 &|n| shared(matching_circuit(n, 32)),
-                "340dbe49ebb3b83bd680814ee85549e2c60aa142989aaa95ac230b8faf75b4e9",
+                "90247d45c306c70db4772d09c877ad6227093fbe26fecda1bfcec56d02ecf6e6",
                 "4cb5e68c8fdfa9af137701a8acfcdf27f4ba6951cfe24db8c7f54324cd548301",
-                "e8257c09eccea025a246f64860aa9ce87870727218983ead09ef4dc8c812f34a",
+                "4f1d01254dd0c1b388640836d5a7e6b175a8cf13b25b7f27f990845a03623bd5",
                 "3172d3810a1f445ccc22c42db0384b3bbe865e2b404a66b94ebfa1236ee11325",
             ),
             (
                 "k",
                 &|n| (k_circuit(n), None),
-                "434dce19b3106ec14dae7f15c4db359330ad310f86036b712b04c16751a84744",
+                "5d0e3ccb93593fb6722507c2ed0fde1c7d7dbc30f4615815c2f6a079f0d1d909",
                 "b810ed8bdc7c40a077464c95c2e5abe6ea6f296062651b2de6150109f11892d1",
-                "88bec61a0dea9e765922c9e5d3aff203804c6d9a50b6ea08260f94dd531bec27",
+                "45a58b50e0bfa51fd8969708ecafeaa7e4a3ac163ffee476e0900000854bf39c",
                 "00f47dbe1b1098e17ee798d968ca31d23efd042e50bff5f12f26e24983487a8e",
             ),
             (
                 "reveal support",
                 &|n| reveal(n, false, Role::Bob),
-                "909fbf0047883e1a5590fb7cebaa5fdebbc5bce85d22efd7c328de854894c242",
+                "051d281adbca9fa58aac24fe40ced83a10b696376b89b7f5e82e129dd1cd8f9d",
                 "e9ebafe82e4e64f83732d71c048949e76112e297141937910c950105e88123f3",
-                "abf7a99abbabba3772139d52726829bb62c3b31c454f904fc4c611e7ff346ac2",
+                "1bdc31315e9ec73934694316c3b7a934dde3223c415e48771c22ca238ae1504a",
                 "b4fc0da2638faf14b5056f7758655b2abc41303513f4386489eafa70151dfc7b",
             ),
             (
                 "reveal values",
                 &|n| reveal(n, true, Role::Bob),
-                "749eab0962032d5b83bb2451ca06add06e44070e110a31f152064febcae4cd24",
+                "f43acda0ec2e5e6f2c179f66adfc5356b3b74440b5af3d763f2ae8662c29f6d3",
                 "b147475950587f2b98ac825c251d2beb89e9beccc75b88312c31e94bf9197468",
-                "ddc6b06bad3a864790a9d0f1d31aa493e1e18b0ec86f9595f3296f664a7a72f5",
+                "45f863cd4029079ad9cf0facaba57cb91692bb2c6bc33ce0ed05916751c47be6",
                 "b4fc0da2638faf14b5056f7758655b2abc41303513f4386489eafa70151dfc7b",
             ),
             (
                 "reveal own values",
                 &|n| reveal(n, true, Role::Alice),
-                "49ebdcc338f67cb34eadfee26e45d4de0d576a4686c07d5d17d93c9c4c276c53",
+                "ebaaf09be929a82b43b1eaae330537cf3e284a86bf1d3600101e678daae60440",
                 "ca82949c81a7a4e78033bb87db14575c0fd92d3fdb9e272e14bd642bf84056d1",
-                "67a02f2021276070589b3d02e54b123f10950918b00cf5910f715b3adba24da6",
+                "079f033127dcca8004ccda923a9e5656dd553e0f36f9bb3765a0316e8d5c5cf8",
                 "b4fc0da2638faf14b5056f7758655b2abc41303513f4386489eafa70151dfc7b",
             ),
             (
@@ -248,25 +253,25 @@ mod gc_wire_goldens {
                     let (c, spec) = product_tree_circuit(n, 3, 32, false);
                     (c, spec)
                 },
-                "69359b41657e4d32354d60df61e490b7c5747a349143fb8f5beed865fdeedf5f",
+                "c394ecc1e8c06dd4309b401117e27f13a386e1fc459658f70ee8635fd64443e1",
                 "8c14282f672bed815d04c011af1e9c322d258cb54a9facba4a0e4fa94210033f",
-                "b5b2f331c054f8b3333a14889cb57723620bf07460aad317fa3efb74d3de73f1",
+                "64e838615ad2e8e0b6be25a95d1139740df1608199b9e7ea3687f78af7864294",
                 "3172d3810a1f445ccc22c42db0384b3bbe865e2b404a66b94ebfa1236ee11325",
             ),
             (
                 "product tree reveal",
                 &|n| product_tree_circuit(n, 2, 32, true),
-                "d67dc587e214fe3aa53679b09d12d98fe96a621e725ba9d5fa75cefdd5beade3",
+                "86302b1a392bbc9dcbacd46ad09c294e577bc52c3da35f9371548deae34101da",
                 "d80eace3f5968ffa8a2d4f8e565070d2621e6740a2195c6d12a262813a3543fe",
-                "3c895be2fb506c71f1557f078ddb182067a9473b943ada078257c026db6cea19",
+                "1f9ac0840e80b1e22e05ffe19ce4881005561f332be6a41a52d4d4f1d5de2753",
                 "9a70a551d789ce6cb6b379937dac7fef51a97bc51f0938feab4d716e20ff0eee",
             ),
             (
                 "ratio",
                 &|n| (crate::ext::ratio_circuit(n, 32, 100), None),
-                "b41cb120791c17f2dfc5e823a1463c8f2fa8f58f568635b2124c9d9390b19dcb",
+                "98360d9bebc5b52cb285a1bf527e674ed94f82514767de047db5bfbcdd4c4517",
                 "55889a8f7da560c2a49b49e9c05a336e9418c300f4e519f35afeba1a10400ad2",
-                "04bc2592912e985061949f42b778d175d7fab3c083419645afd86ab97a5c5336",
+                "0536167d425b6a7b9246dffec1f3a29e20693049f7f136636203dba2fa7de66d",
                 "9a70a551d789ce6cb6b379937dac7fef51a97bc51f0938feab4d716e20ff0eee",
             ),
         ];

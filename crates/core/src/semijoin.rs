@@ -406,9 +406,9 @@ mod tests {
     }
 
     /// What a product step no longer ships: the tables, the garbler's
-    /// labels, the decode bits, and a 16-byte label correction per OT where
-    /// one ring element now travels. The choice corrections are the same
-    /// message.
+    /// labels and the decode bits; it ships one ring element per OT where
+    /// the inline circuit's evaluator labels were the OT rows themselves.
+    /// The choice corrections are the same message.
     #[test]
     fn multiply_ships_one_word_per_ot_and_nothing_else() {
         let n = 7;
@@ -436,7 +436,7 @@ mod tests {
             let saved = 32 * ands_per_row * n
                 + 16 * circuit.alice_inputs
                 + circuit.output_count().div_ceil(8)
-                + (16 - ell / 8) * ots;
+                - ell / 8 * ots;
             assert_eq!(bytes(garbled_product) - bytes(MULTIPLY), saved);
         }
     }

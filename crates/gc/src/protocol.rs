@@ -3,21 +3,26 @@
 //! One invocation = one garbled circuit: the garbler garbles under its
 //! IKNP sender's Δ and ships tables + its own input labels; the evaluator
 //! obtains its input labels through one label OT per wire, evaluates, and
-//! decodes the outputs with the decode bits the garbler ships. A garbler
-//! bit that the circuit reads only XORed into an evaluator wire needs no
-//! wire of its own: it shifts that wire's label correction by k·Δ, so the
-//! evaluator's label encodes c ⊕ k (free-XOR folded into the OT).
-//! Constant rounds per invocation, as the paper requires of every building
-//! block.
+//! decodes the outputs with the decode bits the garbler ships.
+//!
+//! A circuit garbled inline waits for the evaluator's OT request and takes
+//! the IKNP rows q_j as the evaluator wires' zero-labels: the evaluator's
+//! rows t_j = q_j ⊕ c_j·Δ are its labels, and nothing more crosses for
+//! them. Only tables banked before the rows existed need a 16-byte label
+//! correction per evaluator wire. A garbler bit that the circuit reads
+//! only XORed into an evaluator wire needs no wire of its own: it shifts
+//! that wire's zero-label by k·Δ, so the evaluator's label encodes c ⊕ k
+//! (free-XOR folded into the OT). Constant rounds per invocation, as the
+//! paper requires of every building block.
 
 use rand::Rng;
 use secyan_circuit::Circuit;
-use secyan_crypto::{Block, Secret};
+use secyan_crypto::{Block, CtChoice, Secret};
 use secyan_ot::{OtReceiver, OtSender, RecvRows};
 use secyan_transport::Channel;
 use std::collections::VecDeque;
 
-use crate::scheme::{eval_cells, garble_into, Garbling};
+use crate::scheme::{eval_cells, garble_into, random_labels, Garbling};
 
 /// Garbler-side offline material: Δ and the input/output zero-labels of a
 /// pre-garbled circuit whose tables have already been shipped to the
@@ -66,63 +71,45 @@ pub fn evaluator_ot_count(circuit: &Circuit) -> usize {
 /// Offline half of [`garble_circuit`]: garble under `ot`'s
 /// [`OtSender::label_delta`] and ship the tables — the only message of the
 /// protocol that is independent of both parties' private inputs. The
-/// evaluator's labels later ride the same `ot`.
+/// evaluator's labels later ride the same `ot`, one correction per wire.
 pub fn garble_offline<R: Rng + ?Sized>(
     ch: &mut Channel,
     circuit: &Circuit,
     ot: &OtSender,
     rng: &mut R,
 ) -> GarbleMaterial {
-    // Garble straight into the channel's staging buffer: the tables are
-    // one message, 32 bytes per AND in AND-index order, and exist nowhere
-    // else on this side.
-    let mut garbling = None;
-    ch.send_with(32 * circuit.and_count() as usize, |buf| {
-        let delta = ot.label_delta();
-        garbling = Some(garble_into(
-            circuit,
-            delta,
-            rng,
-            buf.as_chunks_mut::<32>().0,
-        ));
-    });
+    let inputs = random_labels(circuit.alice_inputs + circuit.bob_inputs, rng);
     GarbleMaterial {
-        garbling: garbling.expect("garbled above"),
+        garbling: send_tables(ch, circuit, ot, Secret::new(inputs.collect())),
         digest: circuit.digest(),
     }
 }
 
-/// Online half of [`garble_banked`]: input labels, decode bits and OT,
-/// against material produced by [`garble_offline`] for the same circuit
-/// (freshly, or matched by digest in [`take_garble`]) and `ot`.
-fn garble_online(
+/// Garble under `ot`'s Δ with the input zero-labels `inputs` straight into
+/// the channel's staging buffer: the tables are one message, 32 bytes per
+/// AND in AND-index order, and exist nowhere else on this side.
+fn send_tables(
     ch: &mut Channel,
     circuit: &Circuit,
-    material: GarbleMaterial,
-    my_inputs: &[bool],
-    shift: &[bool],
-    ot: &mut OtSender,
-) {
-    assert_eq!(my_inputs.len(), circuit.alice_inputs, "garbler input arity");
-    let one_per_wire = shift.is_empty() || shift.len() == circuit.bob_inputs;
-    assert!(one_per_wire, "shift arity");
-    let g = material.garbling;
-    // Garbler input labels, in a buffer that scrubs itself on every exit
-    // path.
+    ot: &OtSender,
+    inputs: Secret<Vec<Block>>,
+) -> Garbling {
+    let mut garbling = None;
+    ch.send_with(32 * circuit.and_count() as usize, |buf| {
+        let cells = buf.as_chunks_mut::<32>().0;
+        garbling = Some(garble_into(circuit, ot.label_delta(), inputs, cells));
+    });
+    garbling.expect("garbled above")
+}
+
+/// The garbler's input labels for `my_inputs`, then the decode bits.
+fn send_garbler_labels(ch: &mut Channel, g: &Garbling, my_inputs: &[bool]) {
+    // In a buffer that scrubs itself on every exit path.
     let labels = my_inputs.iter().enumerate();
     let my_labels: Secret<Vec<u128>> =
         Secret::new(labels.map(|(i, &b)| g.input_label(i, b).0).collect());
     ch.send_u128_slice(my_labels.expose());
-    // Decode bits for the evaluator.
     ch.send_bool_slice(&g.decode_bits());
-    // Evaluator input labels: one correction per wire on the OT's own
-    // correlation, whose Δ the circuit was garbled under, each wire's
-    // zero-label shifted by its k·Δ.
-    let wires = circuit.alice_inputs..circuit.alice_inputs + circuit.bob_inputs;
-    let shift = shift.iter().copied().chain(std::iter::repeat(false));
-    let shifted: Secret<Vec<Block>> =
-        Secret::new(wires.zip(shift).map(|(j, k)| g.input_label(j, k)).collect());
-    ot.send_labels(ch, shifted.expose());
 }
 
 /// Offline half of [`evaluate_circuit`]: receive the tables.
@@ -151,8 +138,8 @@ pub struct EvalPending {
 /// dependency-free messages (e.g. the OSN corrections of a follow-up OEP
 /// whose routing is already known) into the same outbound super-frame
 /// before [`evaluate_finish`] blocks on the garbler. The garbler reads the
-/// request inside `ot.send_labels` only after staging tables, labels
-/// and decode bits, so per-direction FIFO order is unchanged.
+/// request before garbling inline, or after staging its labels and decode
+/// bits against banked tables; per-direction FIFO order holds either way.
 pub fn evaluate_begin(
     ch: &mut Channel,
     circuit: &Circuit,
@@ -173,8 +160,9 @@ pub fn evaluate_begin(
 }
 
 /// Second half of the evaluator protocol: receive tables (when they travel
-/// inline), garbler labels, decode bits and the OT correction messages,
-/// then evaluate and decode. Receive-only.
+/// inline), garbler labels, decode bits and, for banked tables, the label
+/// corrections, then evaluate and decode. Receive-only. Inline tables
+/// were garbled on this side's OT rows, which are then its labels.
 pub fn evaluate_finish(
     ch: &mut Channel,
     circuit: &Circuit,
@@ -182,6 +170,7 @@ pub fn evaluate_finish(
     ot: &mut OtReceiver,
 ) -> Vec<bool> {
     let EvalPending { material, rows } = pending;
+    let inline = material.is_none();
     let tables = match material {
         Some(m) => m.tables,
         None => evaluate_offline(ch, circuit).tables,
@@ -197,7 +186,10 @@ pub fn evaluate_finish(
         .expose_mut()
         .extend(garbler_labels.expose().iter().map(|&l| Block(l)));
     let decode = ch.recv_bool_vec(circuit.output_count());
-    let my_labels = ot.finish_recv_labels(ch, rows);
+    let my_labels = match inline {
+        true => ot.finish_recv_rows(rows),
+        false => ot.finish_recv_labels(ch, rows),
+    };
     labels.expose_mut().extend_from_slice(my_labels.expose());
     let out_labels = Secret::new(eval_cells(circuit, tables.as_chunks().0, labels.expose()));
     let colors = out_labels.expose().iter().map(|l| l.lsb());
@@ -206,10 +198,12 @@ pub fn evaluate_finish(
 
 /// Garbler side through a bank of pre-garbled material in plan order:
 /// when the front of `bank` was garbled for exactly `circuit` its tables
-/// already crossed the wire and only the online half runs; anything else
-/// (empty bank, unforeseen circuit) garbles and ships inline first. Both
-/// parties derive the digest from the same public circuit, so the
-/// banked-vs-inline decision mirrors on the evaluator's side.
+/// already crossed the wire, and the evaluator's labels ride one
+/// correction per wire on the OT's own correlation. Anything else (empty
+/// bank, unforeseen circuit) draws the evaluator's rows first and garbles
+/// inline on them as zero-labels, so no correction follows. Both parties
+/// derive the digest from the same public circuit, so the banked-vs-inline
+/// decision mirrors on the evaluator's side.
 ///
 /// `shift` is empty, or one garbler bit k_j per evaluator input wire: the
 /// evaluator's label on wire j then encodes c_j ⊕ k_j, as if the circuit
@@ -223,9 +217,31 @@ pub fn garble_banked<R: Rng + ?Sized>(
     ot: &mut OtSender,
     rng: &mut R,
 ) {
-    let material =
-        take_garble(bank, circuit).unwrap_or_else(|| garble_offline(ch, circuit, ot, rng));
-    garble_online(ch, circuit, material, my_inputs, shift, ot)
+    assert_eq!(my_inputs.len(), circuit.alice_inputs, "garbler input arity");
+    let one_per_wire = shift.is_empty() || shift.len() == circuit.bob_inputs;
+    assert!(one_per_wire, "shift arity");
+    let shift = shift.iter().copied().chain(std::iter::repeat(false));
+    match take_garble(bank, circuit) {
+        Some(material) => {
+            let g = material.garbling;
+            send_garbler_labels(ch, &g, my_inputs);
+            let wires = circuit.alice_inputs..circuit.alice_inputs + circuit.bob_inputs;
+            let shifted: Secret<Vec<Block>> =
+                Secret::new(wires.zip(shift).map(|(j, k)| g.input_label(j, k)).collect());
+            ot.send_labels(ch, shifted.expose());
+        }
+        None => {
+            // L⁰_j = q_j ⊕ k_j·Δ, so the evaluator's t_j = q_j ⊕ c_j·Δ
+            // encodes c_j ⊕ k_j.
+            let rows = ot.label_rows(ch, circuit.bob_inputs);
+            let delta = ot.label_delta().expose_block();
+            let shifted = rows.expose().iter().zip(shift);
+            let evaluator = shifted.map(|(&q, k)| q ^ delta.ct_masked(CtChoice::from_bool(k)));
+            let inputs = random_labels(circuit.alice_inputs, rng).chain(evaluator);
+            let g = send_tables(ch, circuit, ot, Secret::new(inputs.collect()));
+            send_garbler_labels(ch, &g, my_inputs);
+        }
+    }
 }
 
 /// Evaluator-side counterpart of [`garble_banked`]. Either way the OT
@@ -274,7 +290,7 @@ pub fn evaluate_circuit(
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use secyan_circuit::{bits_to_u64, u64_to_bits, Builder};
     use secyan_crypto::TweakHasher;
     use secyan_transport::run_protocol;
@@ -368,6 +384,78 @@ mod tests {
             },
         );
         assert_eq!(rb, vec![11, 22]);
+    }
+
+    /// Inline tables garble on the evaluator's OT rows, banked ones take a
+    /// correction per evaluator wire; fresh or banked rows, shifted or not.
+    /// The evaluator decodes f(a, b ⊕ k) either way, and during the run
+    /// the garbler sends the inline tables, its labels and the packed
+    /// decode bits, plus 16 bytes per evaluator wire only behind banked
+    /// tables.
+    #[test]
+    fn inline_labels_ride_the_rows() {
+        use secyan_circuit::evaluate;
+        use secyan_transport::Phase;
+        let c = adder_circuit(16);
+        let (ands, outputs) = (c.and_count(), c.output_count() as u64);
+        for tables_banked in [false, true] {
+            for rows_banked in [false, true] {
+                for shifted in [false, true] {
+                    let case = format!(
+                        "tables banked {tables_banked}, rows banked {rows_banked}, \
+                         shifted {shifted}"
+                    );
+                    let mut rng = StdRng::seed_from_u64(7);
+                    let a_bits: Vec<bool> = (0..c.alice_inputs).map(|_| rng.gen()).collect();
+                    let b_bits: Vec<bool> = (0..c.bob_inputs).map(|_| rng.gen()).collect();
+                    let shift: Vec<bool> = match shifted {
+                        true => (0..c.bob_inputs).map(|_| rng.gen()).collect(),
+                        false => Vec::new(),
+                    };
+                    let (ca, cb) = (c.clone(), c.clone());
+                    let (a2, b2, s2) = (a_bits.clone(), b_bits.clone(), shift.clone());
+                    let m = c.bob_inputs;
+                    let (sent, got, _) = run_protocol(
+                        move |ch| {
+                            let mut rng = StdRng::seed_from_u64(8);
+                            ch.set_phase(Phase::Offline);
+                            let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Aes);
+                            ot.bank(ch, if rows_banked { m } else { 0 });
+                            let mut bank = VecDeque::new();
+                            if tables_banked {
+                                bank.push_back(garble_offline(ch, &ca, &ot, &mut rng));
+                            }
+                            ch.set_phase(Phase::Online);
+                            let before = ch.stats().bytes_alice_to_bob;
+                            garble_banked(ch, &mut bank, &ca, &a2, &s2, &mut ot, &mut rng);
+                            assert_eq!(ot.bank_remaining(), 0);
+                            ch.stats().bytes_alice_to_bob - before
+                        },
+                        move |ch| {
+                            let mut rng = StdRng::seed_from_u64(9);
+                            ch.set_phase(Phase::Offline);
+                            let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Aes);
+                            ot.bank(ch, if rows_banked { m } else { 0 }, &mut rng);
+                            let mut bank = VecDeque::new();
+                            if tables_banked {
+                                bank.push_back(evaluate_offline(ch, &cb));
+                            }
+                            ch.set_phase(Phase::Online);
+                            evaluate_banked(ch, &mut bank, &cb, &b2, &mut ot)
+                        },
+                    );
+                    let shift = shift.iter().copied().chain(std::iter::repeat(false));
+                    let moved: Vec<bool> = b_bits.iter().zip(shift).map(|(&b, k)| b ^ k).collect();
+                    assert_eq!(got, evaluate(&c, &a_bits, &moved), "{case}");
+                    let labels = 16 * c.alice_inputs as u64 + outputs.div_ceil(8);
+                    let want = match tables_banked {
+                        true => labels + 16 * m as u64,
+                        false => 32 * ands + labels,
+                    };
+                    assert_eq!(sent, want, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

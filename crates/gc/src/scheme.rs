@@ -262,28 +262,37 @@ fn run_rows(
 pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, _hasher: TweakHasher, rng: &mut R) -> Garbling {
     let mut tables = vec![[0; 32]; circuit.and_count() as usize];
     let delta = Secret::new(Block::random(rng).with_lsb(true));
-    let mut garbling = garble_into(circuit, delta, rng, &mut tables);
+    let inputs = random_labels(circuit.alice_inputs + circuit.bob_inputs, rng);
+    let mut garbling = garble_into(circuit, delta, Secret::new(inputs.collect()), &mut tables);
     garbling.tables = tables;
     garbling
 }
 
-/// [`garble`] under the given Δ (lsb 1), writing the table of AND `i`
-/// into `cells[i]` — a channel's staging buffer, say — and leaving
+/// `n` fresh zero-labels from `rng`.
+pub(crate) fn random_labels<R: Rng + ?Sized>(
+    n: usize,
+    rng: &mut R,
+) -> impl Iterator<Item = Block> + '_ {
+    (0..n).map(|_| Block::random(rng))
+}
+
+/// [`garble`] under the given Δ (lsb 1) and input zero-labels, in wire
+/// order (the evaluator's may be its IKNP rows), writing the table of AND
+/// `i` into `cells[i]` — a channel's staging buffer, say — and leaving
 /// [`Garbling::tables`] empty.
-pub(crate) fn garble_into<R: Rng + ?Sized>(
+pub(crate) fn garble_into(
     circuit: &Circuit,
     delta: Secret<Block>,
-    rng: &mut R,
+    inputs: Secret<Vec<Block>>,
     cells: &mut [[u8; 32]],
 ) -> Garbling {
     assert_eq!(cells.len() as u64, circuit.and_count(), "one cell per AND");
-    let d = delta.expose_block();
     let n_in = circuit.alice_inputs + circuit.bob_inputs;
+    assert_eq!(inputs.expose().len(), n_in, "one zero-label per input wire");
+    let d = delta.expose_block();
     // Zero-labels of the whole slot space — key material, scrubbed on drop.
     let mut zero = Secret::new(vec![Block::ZERO; circuit.num_slots()]);
-    for z in zero.expose_mut().iter_mut().take(n_in) {
-        *z = Block::random(rng);
-    }
+    zero.expose_mut()[..n_in].copy_from_slice(inputs.expose());
     let and_step = |ands: &[AndRef], tile: &mut Tile, cells: &mut [[u8; 32]]| {
         garble_level(ands, tile, cells, d)
     };
@@ -292,7 +301,7 @@ pub(crate) fn garble_into<R: Rng + ?Sized>(
     let output_zero_labels = circuit.output_slots().map(|s| zero[s]).collect();
     Garbling {
         delta,
-        input_zero_labels: Secret::new(zero[..n_in].to_vec()),
+        input_zero_labels: inputs,
         output_zero_labels: Secret::new(output_zero_labels),
         tables: Vec::new(),
     }

@@ -186,11 +186,21 @@ impl OtSender {
         self.pads(first, rows.expose())
     }
 
+    /// Label OT on the rows themselves: `q_j` for `m` OTs, to serve as
+    /// zero-labels under [`OtSender::label_delta`] (shifted by `k_j·Δ` if
+    /// need be). The receiver's [`OtReceiver::finish_recv_rows`] holds
+    /// `t_j = q_j ⊕ c_j·Δ`, the label of its choice, and nothing crosses
+    /// the wire after its request. Each row is used once: as a label here
+    /// or in [`OtSender::send_labels`], or hashed into a pad.
+    pub fn label_rows(&mut self, ch: &mut Channel, m: usize) -> Secret<Vec<Block>> {
+        self.draw_rows(ch, m).1
+    }
+
     /// Label OT: the receiver ends with `L⁰_j ⊕ c_j·Δ` for each zero-label
     /// `L⁰_j`, Δ being [`OtSender::label_delta`]. One message of one 16-byte
-    /// correction per OT.
+    /// correction per OT, for labels fixed before the rows exist.
     pub fn send_labels(&mut self, ch: &mut Channel, zero_labels: &[Block]) {
-        let (_, rows) = self.draw_rows(ch, zero_labels.len());
+        let rows = self.label_rows(ch, zero_labels.len());
         ch.send_with(16 * zero_labels.len(), |buf| {
             let slots = buf.chunks_exact_mut(16);
             for (slot, (&l, &q)) in slots.zip(zero_labels.iter().zip(rows.expose())) {
@@ -341,6 +351,14 @@ impl OtReceiver {
             rows: Secret::new(rows),
             choices: Secret::new(choices.to_vec()),
         }
+    }
+
+    /// Second half of [`OtReceiver::begin_recv`] against
+    /// [`OtSender::label_rows`]: the rows `t_j = q_j ⊕ c_j·Δ` themselves,
+    /// the labels of the choices on wires whose zero-labels are the
+    /// sender's `q_j`. Reads nothing.
+    pub fn finish_recv_rows(&self, rows: RecvRows) -> Secret<Vec<Block>> {
+        rows.rows
     }
 
     /// Second half of [`OtReceiver::begin_recv`] against

@@ -608,9 +608,12 @@ mod tests {
     }
 
     /// What a PSI bin no longer ships: the garbler's 128 labels of s_b and
-    /// w_b (16 B each), and for the matching circuit at ℓ < 64 a 16 B
-    /// column and a 16 B correction per payload bit it drops. The totals
-    /// were recorded with the unfolded, full-width circuits.
+    /// w_b (16 B each), for the matching circuit at ℓ < 64 a 16 B column
+    /// per payload bit it drops, and a 16 B label correction for each of
+    /// the unfolded circuit's 128 evaluator bits: the circuits are garbled
+    /// inline, on the evaluator's OT rows as its zero-labels. The totals
+    /// were recorded with the unfolded, full-width circuits and their
+    /// corrections.
     #[test]
     fn psi_ships_no_mask_labels_and_no_dropped_bits() {
         for (shared, ell, unfolded) in [
@@ -621,7 +624,7 @@ mod tests {
         ] {
             let (bins, bytes) = psi_bytes(shared, ell);
             let dropped = if shared { 0 } else { 64 - ell as usize };
-            let saved = (16 * 128 + 32 * dropped) * bins;
+            let saved = (16 * 128 + 16 * dropped + 16 * 128) * bins;
             assert_eq!(unfolded - bytes, saved as u64, "shared {shared}, ℓ = {ell}");
         }
     }

@@ -300,7 +300,11 @@ fn three_way_join() -> Instance {
 /// corrections: per bin the garbler-label message lost 2 048 B, and at
 /// ℓ = 32 the matching circuit's label correction and column bundle lost
 /// 512 B each; no message count and no other length moved. generate(3)
-/// runs no PSI and is unchanged.
+/// runs no PSI and is unchanged. Re-recorded, all but chain(1)'s Alice
+/// lengths, when inline circuits came to garble on the evaluator's OT
+/// rows: each garbler direction lost one 16·m-byte label-correction
+/// message per inline circuit with m > 0 evaluator bits, and no other
+/// length moved.
 ///
 /// The shared form of generate(7) (its join at k = 2, OUT = 5, so
 /// `garble_shared` runs on the product tree) and [`three_way_join`]
@@ -327,74 +331,74 @@ fn single_phase_transcript_goldens() {
     let goldens = [
         (
             run(Instance::generate(3)),
-            "386875ad9b0536781a55fd98fa1132c43ecf97cb6f725ed2a11debe081779060",
-            "cc5eceb0dcb9b2d2af57e37b58eaf7c7de0e5754dcf3d2fceb4d7b5682e564ab",
+            "de290a89219643d38027c1aa124907e8755a95f209469088a8f771000c61c3f4",
+            "e48a2e62067e10910552037c0d78c8d44154a97f72231c22795e50d3c36c9073",
             [
-                "956c5d8e5f6cb0dc898be0b05bfb3df52705e7782fff24030b31d896583194fb",
-                "969b0bbce38a050721bb74231a5e182580a3beebae1c0827d9378a265fd29dec",
+                "f52a3f52226363bd307115f19a5465fd67563ca137bafa7e092d8b59fb046f34",
+                "29b82f25175aeda1e4f448b5204c3f55e091c54c4df5459f4a4c80d3c0f889be",
             ],
         ),
         (
             run(Instance::generate(7)),
-            "0d830e89b16a351c30e26f30efff1aeffea473c0a8813385904ff35943cdb26c",
-            "462b52b145cad47240f07ac229b8c9cae4f7c2c4ab96873da106d3ff886c8b5c",
+            "983864cbc72e1f5330706514340048619a727612715b483cad7074086fad2903",
+            "ac42845e5dd1450f32b70d06e460c072eee9c21f28fb525bd5a577d469370920",
             [
-                "72b9a74ac9503edb9bd119f46b25585402154784b0d6a1daef615c9ba38cf8c3",
-                "a361bc586d669392c8b7c57b01a7501650bb530bf6154354d37d35c9ecda2a7d",
+                "914c051e504eb25195424a1d510354013eee6aeea87ab768b8877ff89371e034",
+                "04405f98108b0b9f465f18875a98ccddc41dc657d96f3a17a9ae86ed66cc025b",
             ],
         ),
         (
             run(Instance::generate(18)),
-            "8fb8b25ceaf5d663227974e9525e33896967db3b2490f3b6df99b247c9daf368",
-            "b1470ae4dca0dd7148fd65eefc7b4f2eaf3f09f8f22cabf453580ced0d6f5fca",
+            "c4f5f54736399450d9509316f077c8ecf1a7c4c91069cc31b78d1f63f36717b4",
+            "3a3105d9a99d54b9db8adc9da9b7f2d96a9e343cf176305ce911785f13ffe974",
             [
-                "93a764f2697811cc31d1e0919cfb88624f50db1e0840021b3e6ebfb9c434e28c",
-                "3a43fa389a8143a829a2fedf442286d0dac4b7224c7b56203607a32a1bae2ded",
+                "d849922cf3d0a7061380726c545d1f099f9144fabf991bfec417c54c6d1b2905",
+                "0be24c0b1bce1c0c491ae68c511a89c0b688e4be598300798ba346f33576dd25",
             ],
         ),
         (
             run(Instance::generate_chain(1)),
-            "39a57677b474b03e9618a38842621b70389b9b71d9cb67832e10385150d76cd0",
-            "7f721966a7e42a2bfd94e1b687349eb2250b5f0ae4adc5b8def086d3f10e7553",
+            "70e67a7b96ea77dd256740b3c6943104a1c3ccdeccc7ef19be5aff011e78b41f",
+            "811e3c8d196e6a05b2748160739ac1150023678c0e29d7d342aab69063f5169d",
             [
                 "b589e6023b89736759dbc56e841ab2f6a2a3a4185615ca1d48325f9785d98439",
-                "803a8817bb955b57405210e6d48f625890e308aae52a1a9708ba9b57b172c574",
+                "a3bb4187b61f1bb3ced72e544a7db63c5721274e9191e31711596c36a8eddf4c",
             ],
         ),
         (
             ("TPC-H Q8 at 0.02 MB".to_string(), q8_transcript(0.02, 14)),
-            "7d268f32059e813e861d5f8f0fcf2685603378cd2ea7f165c9fb4f96a7281eb9",
-            "ea24de1c240fccb716583c52eb5a8b5baeb5aad714085d77f03025476a189d55",
+            "e52ad5b547bce8413680bc49a68ae37987a58a9f2d7dfdf770d58b8f617de07c",
+            "aa18238dd75a2c3fb5188ea4f773637084d6ebf761bcd47c5bf063157c938ff9",
             [
-                "b469ac73ea000106625ca7c239f698fa5f37802f4e4401af4a866fee0ce44f8a",
-                "59b928014818158d17bf7f24f1823358a29085a215e7d89e5edf93e14a53c0b7",
+                "f0d2c52dd3faf3fb501690087fa6ba363be1b749c7ba12ca7c307f56eed94017",
+                "23a5438280d85c7de41d0a7b2e74ab46ad23b08a49470376409aaa93ac101110",
             ],
         ),
         (
             ("TPC-H Q8 at 0.3 MB".to_string(), q8_transcript(0.3, 12)),
-            "a1c3009d077ca5aebf19141095f6c103e13a246cc205073c5ea2ef01f6ea6201",
-            "9f40f97f27b2d63c2248611b1a66cf11dbddcaf94735f415dee6f5f8e9461dfc",
+            "d1596233f1917494bbb91efc422c2d158f6cfd7a9d2333feeb57239ceb4809af",
+            "ddc2207dc4412c85651de2652cfe0de209d41cb4ab7661929bf867710d2cf26b",
             [
-                "fd2d7a6c33df01dfe1be5fb00451c47f937f7a09d4ea72334f82844a3f506981",
-                "1e3555e7ad825684944080ceb2b2e1ea12c005897a0dd80fed5da67c963f0edf",
+                "285fabac520b45f2b561b39ef21d9299f279de2617723ba1419e5c96e6149753",
+                "911db034747e08aeea9ad3539ac3e032d583187fd1d5dda27d9a5d3593dc9497",
             ],
         ),
         (
             shared(Instance::generate(7)),
-            "0d830e89b16a351c30e26f30efff1aeffea473c0a8813385904ff35943cdb26c",
-            "e7460d5b146958425abb85f519863b7363d3679eb92fe1b0ec97fea0905294b6",
+            "983864cbc72e1f5330706514340048619a727612715b483cad7074086fad2903",
+            "7b5b53cf2175103dbb030179353acf0701375a1074bea7182cadcd34d131ad7c",
             [
-                "72b9a74ac9503edb9bd119f46b25585402154784b0d6a1daef615c9ba38cf8c3",
-                "e41b67c12dcb5a08bd0585742a7ca632bed5bb85b622c6fd5243b434a24f49d4",
+                "914c051e504eb25195424a1d510354013eee6aeea87ab768b8877ff89371e034",
+                "566010a575ca4ad7c7821e6c13621849b92da8ef6d0a6377afecfdbc90fdf17b",
             ],
         ),
         (
             three_way(),
-            "836e78119dba43197ddac66a0753e056c5e787c4ba16796a2dc09f714ae9e6d5",
-            "0bb55d0022fff2d30c461fcd339516e9075441c4d72c3740b03adb580754aec6",
+            "87a5e1899e4909d14abd0dc2ad4d0d6ade4a0e3bf117be71afc90ebcd5505501",
+            "b771e911dd47afe104444555f98dc91e5831d33f5cd478accd309eb820145e81",
             [
-                "7093052594a75b9d33f40a1490693fd3923de8980ddda9d434151d8148cb9e08",
-                "f7f329bc53f5555b67211dd2f8661cbd34fcc1a898c2521a9cd2856f41451453",
+                "89264373ad3b04827958b4c2ce98d2b2f79969adc7e67fc1d0a05852a8a13f3e",
+                "c7a86f66cc4d87d9cc538f6b7175861896923f3a89cec91cc7fd4443420ed524",
             ],
         ),
     ];
@@ -427,7 +431,10 @@ fn single_phase_transcript_goldens() {
 /// Re-recorded with it when the columns moved onto the AES stream; the
 /// length digests (offline A, offline B, online A, online B) predate
 /// that move. Re-recorded with it for the folded OPPRF masks: the offline
-/// lengths did not move, the online ones only at the PSI messages.
+/// lengths did not move, the online ones only at the PSI messages. When
+/// inline circuits came to garble on the OT rows only generate(7)'s
+/// online Bob side moved: the one circuit its plan could not bank (the
+/// join's product tree) lost its label-correction message.
 #[test]
 fn phase_split_transcript_goldens() {
     let goldens = [
@@ -437,13 +444,13 @@ fn phase_split_transcript_goldens() {
                 "b543dd81adbdcd586f365db759afe5b963ae6d5396aa1ff09908ba84217bebe9",
                 "c057c904964cdf4fbc053a4ac5d34e8413f589ce6faff5fe521d3d470782bb21",
                 "5dfdb1781cde229a094fd3e8ebba6d95fbbfe39cd23e2cdca2080a96f11a3a00",
-                "68dd3f5ede60ec37cf9b5a8f496417f7b5d45c8cbfd225f31d6092053cd0f160",
+                "358d1f564fafe3642db6a2ec1b5aa153d54f33e43af031bbb4a15c3ddede599e",
             ],
             [
                 "a23d912d2314190f51e26036a78c257452d12c8aa2de67b149297705a568fc5e",
                 "98ccc871a1c36e7b78965a02d2fbd6f4aa384a1b2d43e386c3d68e60d9c14071",
                 "c37a9a6b311aab1148fe7edd93fc6e9077cfa59e7299b10869b74c47a5ecec6a",
-                "8004b81d4a6b1c36cb5d9c39c6f3c36475900b15e719690d49aee555da6ae57a",
+                "9fe0129750192f3efd1a07f8a87bc83a2637a2f474804e7d38aac69209ca4f0d",
             ],
         ),
         (
