@@ -102,16 +102,6 @@ fn send_tables(
     garbling.expect("garbled above")
 }
 
-/// The garbler's input labels for `my_inputs`, then the decode bits.
-fn send_garbler_labels(ch: &mut Channel, g: &Garbling, my_inputs: &[bool]) {
-    // In a buffer that scrubs itself on every exit path.
-    let labels = my_inputs.iter().enumerate();
-    let my_labels: Secret<Vec<u128>> =
-        Secret::new(labels.map(|(i, &b)| g.input_label(i, b).0).collect());
-    ch.send_u128_slice(my_labels.expose());
-    ch.send_bool_slice(&g.decode_bits());
-}
-
 /// Offline half of [`evaluate_circuit`]: receive the tables.
 pub fn evaluate_offline(ch: &mut Channel, circuit: &Circuit) -> EvalMaterial {
     let mut tables = vec![0u8; 32 * circuit.and_count() as usize];
@@ -170,6 +160,7 @@ pub fn evaluate_finish(
     ot: &mut OtReceiver,
 ) -> Vec<bool> {
     let EvalPending { material, rows } = pending;
+    // The garbler's `banked` test, mirrored: both follow the digest match.
     let inline = material.is_none();
     let tables = match material {
         Some(m) => m.tables,
@@ -221,26 +212,33 @@ pub fn garble_banked<R: Rng + ?Sized>(
     let one_per_wire = shift.is_empty() || shift.len() == circuit.bob_inputs;
     assert!(one_per_wire, "shift arity");
     let shift = shift.iter().copied().chain(std::iter::repeat(false));
-    match take_garble(bank, circuit) {
-        Some(material) => {
-            let g = material.garbling;
-            send_garbler_labels(ch, &g, my_inputs);
-            let wires = circuit.alice_inputs..circuit.alice_inputs + circuit.bob_inputs;
-            let shifted: Secret<Vec<Block>> =
-                Secret::new(wires.zip(shift).map(|(j, k)| g.input_label(j, k)).collect());
-            ot.send_labels(ch, shifted.expose());
-        }
+    let material = take_garble(bank, circuit);
+    let banked = material.is_some();
+    let g = match material {
+        Some(m) => m.garbling,
         None => {
             // L⁰_j = q_j ⊕ k_j·Δ, so the evaluator's t_j = q_j ⊕ c_j·Δ
             // encodes c_j ⊕ k_j.
             let rows = ot.label_rows(ch, circuit.bob_inputs);
             let delta = ot.label_delta().expose_block();
-            let shifted = rows.expose().iter().zip(shift);
+            let shifted = rows.expose().iter().zip(shift.clone());
             let evaluator = shifted.map(|(&q, k)| q ^ delta.ct_masked(CtChoice::from_bool(k)));
             let inputs = random_labels(circuit.alice_inputs, rng).chain(evaluator);
-            let g = send_tables(ch, circuit, ot, Secret::new(inputs.collect()));
-            send_garbler_labels(ch, &g, my_inputs);
+            send_tables(ch, circuit, ot, Secret::new(inputs.collect()))
         }
+    };
+    // Garbler input labels, in a buffer that scrubs itself on every exit
+    // path, then the decode bits.
+    let labels = my_inputs.iter().enumerate();
+    let my_labels: Secret<Vec<u128>> =
+        Secret::new(labels.map(|(i, &b)| g.input_label(i, b).0).collect());
+    ch.send_u128_slice(my_labels.expose());
+    ch.send_bool_slice(&g.decode_bits());
+    if banked {
+        let wires = circuit.alice_inputs..circuit.alice_inputs + circuit.bob_inputs;
+        let shifted: Secret<Vec<Block>> =
+            Secret::new(wires.zip(shift).map(|(j, k)| g.input_label(j, k)).collect());
+        ot.send_labels(ch, shifted.expose());
     }
 }
 
