@@ -12,13 +12,16 @@
 //! 16-byte rows under the repetition code (every column of the code matrix
 //! is the packed choice vector). It leaves the sender with rows `q_j` and
 //! the receiver with `t_j`, where `q_j ⊕ t_j = c_j·s`. Every OT then sends
-//! one message, in one of two shapes:
+//! at most one message, in one of two shapes:
 //!
-//! * **Labels** ([`OtSender::send_labels`]) ride the correlation itself,
-//!   unhashed. `s` has its low bit set and is the free-XOR Δ of every
-//!   circuit this party garbles ([`OtSender::label_delta`]). One 16-byte
-//!   correction `y_j = L⁰_j ⊕ q_j` leaves the receiver with
-//!   `t_j ⊕ y_j = L⁰_j ⊕ c_j·Δ`.
+//! * **Labels** ride the correlation itself, unhashed. `s` has its low bit
+//!   set and is the free-XOR Δ of every circuit this party garbles
+//!   ([`OtSender::label_delta`]). A circuit garbled after the rows exist
+//!   takes them as its zero-labels ([`OtSender::label_rows`]): the
+//!   receiver's `t_j = q_j ⊕ c_j·Δ` is its label and nothing more is
+//!   sent. Tables banked before the rows exist take one 16-byte
+//!   correction `y_j = L⁰_j ⊕ q_j` per OT ([`OtSender::send_labels`]),
+//!   which leaves the receiver with `t_j ⊕ y_j = L⁰_j ⊕ c_j·Δ`.
 //! * **Words** ([`OtSender::send_words`]) hash the rows into pads
 //!   `x₀ = H(q_j)`, `x₁ = H(q_j ⊕ s)` under the instance's own tweak,
 //!   each read as two ring words. The choice-0 pad is the sender's output
@@ -37,8 +40,8 @@
 //! correction bits `d = c ⊕ c'` (packed, ⌈m/8⌉ bytes) in place of the
 //! 16m-byte column bundle, and the sender folds `d_j·s` into `q_j`, which
 //! restores `q_j ⊕ t_j = c_j·s` under the real choices. From there a
-//! banked OT is a fresh one: labels use the row, words hash it at draw
-//! time. Banked rows are single-use: entries are zeroized as they are
+//! banked OT is a fresh one: labels are or use the row, words hash it at
+//! draw time. Banked rows are single-use: entries are zeroized as they are
 //! taken, and the rest on drop.
 
 use crate::ext::{choice_bits, Bank, ExtReceiver, ExtSender};
@@ -59,7 +62,7 @@ const COL_DOMAIN: u64 = STREAM_DOMAIN;
 /// index of a pad never reaches.
 const PAD_DOMAIN: u64 = 1 << 63;
 
-/// Extension sender: after setup, sends one correction per OT.
+/// Extension sender: after setup, sends at most one correction per OT.
 pub struct OtSender {
     ext: ExtSender<Block>,
     ctr: u64,

@@ -13,7 +13,8 @@
 //!
 //! The sender's OPPRF masks s_b, w_b enter the circuits only XORed into
 //! the receiver's outputs o_b, p_b, so they are no garbler wires: they
-//! shift the receiver's label corrections ([`secyan_gc::garble_banked`]),
+//! shift the receiver's zero-labels ([`secyan_gc::garble_banked`]: its
+//! OT rows inline, its label corrections behind banked tables),
 //! and the circuits read o′ = o ⊕ s and p′ = p ⊕ w directly. The
 //! matching circuit keeps only the low ℓ bits of p′, so the receiver
 //! feeds only those.
