@@ -161,7 +161,7 @@ pub fn evaluate_finish(
 ) -> Vec<bool> {
     let EvalPending { material, rows } = pending;
     // The garbler's `banked` test, mirrored: both follow the digest match.
-    let inline = material.is_none();
+    let banked = material.is_some();
     let tables = match material {
         Some(m) => m.tables,
         None => evaluate_offline(ch, circuit).tables,
@@ -177,9 +177,9 @@ pub fn evaluate_finish(
         .expose_mut()
         .extend(garbler_labels.expose().iter().map(|&l| Block(l)));
     let decode = ch.recv_bool_vec(circuit.output_count());
-    let my_labels = match inline {
-        true => ot.finish_recv_rows(rows),
-        false => ot.finish_recv_labels(ch, rows),
+    let my_labels = match banked {
+        true => ot.finish_recv_labels(ch, rows),
+        false => ot.finish_recv_rows(rows),
     };
     labels.expose_mut().extend_from_slice(my_labels.expose());
     let out_labels = Secret::new(eval_cells(circuit, tables.as_chunks().0, labels.expose()));
