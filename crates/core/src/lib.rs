@@ -69,7 +69,12 @@ pub use srel::SecureRelation;
 /// circuits came to garble on the evaluator's OT rows: each fresh run
 /// lost its one label-correction message (16 B per evaluator bit) and
 /// every byte after setup moved, the banked runs and the whole evaluator
-/// side did not.
+/// side did not. The matching and k kinds were re-recorded again when the
+/// PSI circuits came to read their statistical widths
+/// (`secyan_psi::params`): σ + ⌈log₂ rows⌉ bits of the membership word,
+/// and for k, here over 3 · rows slots, ⌈log₂ slots⌉ bits of index;
+/// tables, columns, garbler labels and decode bits shrank, no message
+/// count moved.
 #[cfg(test)]
 mod gc_wire_goldens {
     use crate::agg::{merge_circuit, AggKind};
@@ -210,18 +215,18 @@ mod gc_wire_goldens {
             (
                 "matching",
                 &|n| shared(matching_circuit(n, 32)),
-                "90247d45c306c70db4772d09c877ad6227093fbe26fecda1bfcec56d02ecf6e6",
-                "4cb5e68c8fdfa9af137701a8acfcdf27f4ba6951cfe24db8c7f54324cd548301",
-                "4f1d01254dd0c1b388640836d5a7e6b175a8cf13b25b7f27f990845a03623bd5",
-                "3172d3810a1f445ccc22c42db0384b3bbe865e2b404a66b94ebfa1236ee11325",
+                "bb1c4d2fa2f2ac73c7dd04783eae55ca1ff18dc96d5164d9640726b8e2dab948",
+                "d61f89d60f663b08755c5599fe77b2ce2dc9e65b93004aefdb0fde037cc81c20",
+                "e9c9b4f1c5bc63aabaaaf7fcf30b2611be5988f89d49d1a5dc684668887d63ad",
+                "735bbbe1d6dbe6f0fb29f6a434b5242896264b51a3ae85815556eb4706a73c31",
             ),
             (
                 "k",
-                &|n| (k_circuit(n), None),
-                "5d0e3ccb93593fb6722507c2ed0fde1c7d7dbc30f4615815c2f6a079f0d1d909",
-                "b810ed8bdc7c40a077464c95c2e5abe6ea6f296062651b2de6150109f11892d1",
-                "45a58b50e0bfa51fd8969708ecafeaa7e4a3ac163ffee476e0900000854bf39c",
-                "00f47dbe1b1098e17ee798d968ca31d23efd042e50bff5f12f26e24983487a8e",
+                &|n| (k_circuit(n, 3 * n), None),
+                "e925b0e73e747005e844d2d9d6f6fdf40d01b79f30ab47738ad3bf6748439f6c",
+                "b58b7fa8c8867ff792bb5eacbe330dc8cf284e67d63f2294142a7efc9ef870f9",
+                "3e3509fa1075f0df4cde65dbc45a4708d31c89c1b8175c5701b353ad6a71d3a1",
+                "25b05843115180f59500e2d4a13f4570bf75b1b8a25e5d8e1f7d94ab252f8030",
             ),
             (
                 "reveal support",

@@ -323,9 +323,10 @@ mod tests {
     }
 
     /// Lockstep Horner over many bins equals per-bin `poly_eval`, on both
-    /// dispatch arms. Degree 53 is `secyan-psi`'s `max_bin_size` for a
-    /// Q3-sized set of 2 000–3 000 elements, so the hardware multiply is
-    /// checked against the scalar one at protocol sizes.
+    /// dispatch arms. Degrees up to 53 cover `secyan-psi`'s `max_bin_size`
+    /// on every benchmark workload (at most 42, Q3's larger PSI), so the
+    /// hardware multiply is checked against the scalar one at protocol
+    /// sizes.
     #[test]
     fn poly_eval_batch_matches_single() {
         let _guard = crate::cpu::override_lock();

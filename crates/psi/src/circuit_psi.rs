@@ -15,9 +15,10 @@
 //! the receiver's outputs o_b, p_b, so they are no garbler wires: they
 //! shift the receiver's zero-labels ([`secyan_gc::garble_banked`]: its
 //! OT rows inline, its label corrections behind banked tables),
-//! and the circuits read o′ = o ⊕ s and p′ = p ⊕ w directly. The
-//! matching circuit keeps only the low ℓ bits of p′, so the receiver
-//! feeds only those.
+//! and the circuits read o′ = o ⊕ s and p′ = p ⊕ w directly. Each reads
+//! only the bits it needs, and the receiver feeds only those: the low
+//! [`membership_bits`] of o′, and of p′ the low ℓ bits (the matching
+//! circuit) or the low [`crate::params::index_bits`] (the k circuit).
 //!
 //! Sender elements must be distinct: the Yannakakis reduce phase guarantees
 //! this by aggregating before every semijoin.
@@ -34,10 +35,11 @@ use secyan_ot::{KkrtReceiver, KkrtSender, KkrtSenderKey, OtReceiver, OtSender};
 use secyan_transport::{Channel, ProtocolError};
 use std::collections::{HashMap, VecDeque};
 
-use crate::hashing::{bin_count, max_bin_size, CuckooTable, SimpleTable};
+use crate::hashing::{CuckooTable, SimpleTable};
 use crate::opprf::{
     opprf_evaluate_begin, opprf_evaluate_finish, opprf_program_with_key, OpprfEval, PsiItem,
 };
+use crate::params::{bin_count, max_bin_size, membership_bits};
 
 /// Per-party result of a circuit PSI: one entry per cuckoo bin.
 #[derive(Debug, Clone)]
@@ -99,7 +101,7 @@ pub fn psi_cost(
     let ext = sender_size + bins;
     let (circuit, oep_from_sender, oep_from_receiver) = if shared_payloads {
         // ξ₁ (sender routes, receiver sends), then ξ₂ (receiver routes).
-        let circuit = crate::shared_payload::k_circuit(bins);
+        let circuit = crate::shared_payload::k_circuit(bins, ext);
         (circuit, oep_ot_count(ext, bins), oep_ot_count(ext, ext))
     } else {
         (matching_circuit(bins, ell).0, 0, 0)
@@ -117,12 +119,14 @@ pub fn psi_cost(
 /// membership test. Its dimensions depend only on the public bin count
 /// and ring width. Its only garbler inputs are the output masks.
 pub fn matching_circuit(bins: usize, ell: usize) -> (Circuit, SharedOutputSpec) {
+    let m = membership_bits(bins);
     with_shared_rows(bins, &[ell], |c| {
-        // Evaluator (receiver), per bin: o′ then the low ℓ bits of p′.
-        let op = c.bob(bins, 64 + ell);
+        // Evaluator (receiver), per bin: the low m bits of o′, then the
+        // low ℓ bits of p′.
+        let op = c.bob(bins, m + ell);
         let payloads = c.segment(bins, |b| {
-            let o = b.read(op.slice_bits(0..64));
-            let p = b.read(op.slice_bits(64..64 + ell));
+            let o = b.read(op.slice_bits(0..m));
+            let p = b.read(op.slice_bits(m..m + ell));
             let ind = b.is_zero_word(&o);
             let val = b.and_word_bit(&p, ind);
             b.output_word(&val);
@@ -182,12 +186,13 @@ fn negotiate_simple(
     (table, k1, k2)
 }
 
-/// Per bin the 64 bits of `a_b`, then the low `width` bits of `b_b`: the
-/// evaluator's column of a flavour's circuit from (o, p), and the
-/// garbler's shift over it from (s, w).
+/// Per bin the low [`membership_bits`]`(a.len())` bits of `a_b`, then the
+/// low `width` bits of `b_b`: the evaluator's column of a flavour's
+/// circuit from (o, p), and the garbler's shift over it from (s, w).
 pub(crate) fn bin_bits(a: &[u64], b: &[u64], width: usize) -> Vec<bool> {
+    let m = membership_bits(a.len());
     let per_bin = a.iter().zip(b);
-    let bits = per_bin.flat_map(|(&a, &b)| [u64_to_bits(a, 64), u64_to_bits(b, width)]);
+    let bits = per_bin.flat_map(|(&a, &b)| [u64_to_bits(a, m), u64_to_bits(b, width)]);
     bits.flatten().collect()
 }
 
@@ -535,12 +540,15 @@ mod tests {
     }
 
     /// Both flavours' circuits output the payload side alone: the matching
-    /// circuit one ℓ-bit share word per bin, the k circuit one 64-bit
-    /// routing index per bin — no indicator word next to either.
+    /// circuit one ℓ-bit share word per bin, the k circuit one
+    /// `index_bits(N + B)`-bit routing index per bin — no indicator word
+    /// next to either.
     #[test]
     fn psi_circuits_output_one_word_per_bin() {
+        use crate::params::index_bits;
         for ell in [32, 64] {
-            for (shared, width) in [(false, ell), (true, 64)] {
+            let bins = psi_params(100, 300).bins;
+            for (shared, width) in [(false, ell), (true, index_bits(300 + bins))] {
                 let cost = psi_cost(100, 300, ell, shared);
                 assert_eq!(cost.circuit.output_count(), cost.bins * width);
             }
@@ -608,15 +616,22 @@ mod tests {
         (psi_params(x.len(), y.len()).bins, stats.total_bytes())
     }
 
-    /// What a PSI bin no longer ships: the garbler's 128 labels of s_b and
-    /// w_b (16 B each), for the matching circuit at ℓ < 64 a 16 B column
-    /// per payload bit it drops, and a 16 B label correction for each of
-    /// the unfolded circuit's 128 evaluator bits: the circuits are garbled
-    /// inline, on the evaluator's OT rows as its zero-labels. The totals
-    /// were recorded with the unfolded, full-width circuits and their
-    /// corrections.
+    /// What a PSI no longer ships against the unfolded, full-width
+    /// circuits, from the two circuits' dimensions: a 16 B label per
+    /// garbler input dropped (the OPPRF masks s, w, the index bits of d
+    /// past `index_bits(N + B)`); no 16 B label correction for any of the
+    /// unfolded circuit's evaluator bits, the circuits being garbled
+    /// inline, on the evaluator's OT rows as its zero-labels; the IKNP
+    /// column bits (16 B per eight OTs, rounded up) of the evaluator bits
+    /// past [`membership_bits`], past ℓ or past the index width; a 32 B
+    /// table per AND dropped with them; and a decode bit per output
+    /// dropped. Each OPPRF's hints shrink from the Chernoff form's D = 50
+    /// at these sizes to [`max_bin_size`]'s, 8 B a coefficient. The totals
+    /// were recorded with the unfolded circuits, their corrections and
+    /// the Chernoff D.
     #[test]
     fn psi_ships_no_mask_labels_and_no_dropped_bits() {
+        const CHERNOFF_D: usize = 50;
         for (shared, ell, unfolded) in [
             (false, 32, 605_588),
             (false, 64, 736_352),
@@ -624,28 +639,69 @@ mod tests {
             (true, 64, 748_208),
         ] {
             let (bins, bytes) = psi_bytes(shared, ell);
-            let dropped = if shared { 0 } else { 64 - ell as usize };
-            let saved = (16 * 128 + 16 * dropped + 16 * 128) * bins;
-            assert_eq!(unfolded - bytes, saved as u64, "shared {shared}, ℓ = {ell}");
+            let new = psi_cost(40, 60, ell as usize, shared).circuit;
+            let old = match shared {
+                false => unfolded_matching_circuit(bins, ell as usize).0,
+                true => unfolded_k_circuit(bins),
+            };
+            let (octets, ands) = (|n: usize| n.div_ceil(8), |c: &Circuit| c.and_count());
+            let gc = 16 * (old.alice_inputs - new.alice_inputs)
+                + 16 * old.bob_inputs
+                + 128 * (octets(old.bob_inputs) - octets(new.bob_inputs))
+                + 32 * (ands(&old) - ands(&new)) as usize
+                + octets(old.output_count())
+                - octets(new.output_count());
+            let hints = 2 * 8 * bins * (CHERNOFF_D - max_bin_size(60, bins));
+            assert_eq!(
+                unfolded - bytes,
+                (gc + hints) as u64,
+                "shared {shared}, ℓ = {ell}"
+            );
         }
     }
 
-    /// Both flavours' circuits take exactly the bits they read: the
-    /// matching circuit the output masks from the garbler and o′ plus ℓ
-    /// bits of p′ from the evaluator, the k circuit the no-match index d
-    /// from the garbler and all of o′, p′ from the evaluator.
+    /// Both flavours' circuits take exactly the bits they read, w =
+    /// [`membership_bits`] of o′ and of p′ what they output: the matching
+    /// circuit the output masks from the garbler and w + ℓ bits from the
+    /// evaluator, the k circuit the i = `index_bits(N + B)` bits of the
+    /// no-match index d from the garbler and w + i from the evaluator.
     #[test]
     fn psi_circuits_read_their_information_size() {
+        use crate::params::index_bits;
         for ell in [32, 64] {
             let cost = psi_cost(100, 300, ell, false);
-            let c = &cost.circuit;
+            let (c, w) = (&cost.circuit, membership_bits(cost.bins));
             assert_eq!(c.alice_inputs, cost.bins * ell);
-            assert_eq!(c.bob_inputs, cost.bins * (64 + ell));
+            assert_eq!(c.bob_inputs, cost.bins * (w + ell));
             let cost = psi_cost(100, 300, ell, true);
-            let c = &cost.circuit;
-            assert_eq!(c.alice_inputs, cost.bins * 64);
-            assert_eq!(c.bob_inputs, cost.bins * 128);
+            let (c, i) = (&cost.circuit, index_bits(300 + cost.bins));
+            assert_eq!(c.alice_inputs, cost.bins * i);
+            assert_eq!(c.bob_inputs, cost.bins * (w + i));
         }
+    }
+
+    /// The membership test reads w = [`membership_bits`] bits of o′ and
+    /// no more: a bin whose o′ is zero in its low w bits and nonzero above
+    /// decodes as a match in both circuits. That is the 2^-w event the
+    /// width budgets for, pinned so a change of width shows here.
+    #[test]
+    fn membership_reads_only_its_width() {
+        use crate::params::index_bits;
+        use secyan_circuit::{bits_to_words, evaluate, words_to_bits};
+        let (bins, slots) = (4, 9);
+        let (w, i) = (membership_bits(bins), index_bits(slots));
+        // o′ per bin: zero, zero below w, nonzero below w, nonzero at 0.
+        let o_prime = [0, 1 << w, 1 << (w - 1), 1];
+        let (p_prime, d) = ([3u64, 5, 6, 7], [8u64, 1, 2, 4]);
+        let (m, spec) = matching_circuit(bins, 32);
+        let masks = vec![false; spec.total_bits()];
+        let evaluator = bin_bits(&o_prime, &p_prime, 32);
+        let got = bits_to_words(&evaluate(&m, &masks, &evaluator), 32);
+        assert_eq!(got, [3, 5, 0, 0]);
+        let k = crate::shared_payload::k_circuit(bins, slots);
+        let evaluator = bin_bits(&o_prime, &p_prime, i);
+        let got = evaluate(&k, &words_to_bits(&d, i), &evaluator);
+        assert_eq!(bits_to_words(&got, i), [3, 5, 2, 4]);
     }
 
     /// The matching circuit before the fold: s, w as garbler wires XORed
@@ -685,8 +741,8 @@ mod tests {
     /// One garbled run per circuit of `runs` in one session, over fresh
     /// or banked tables: `(circuit, spec, garbler bits after the masks,
     /// shift, evaluator bits)`. Returns each run's output words: shares
-    /// reconstructed when `spec` is given, else the revealed bits as
-    /// 64-bit words.
+    /// reconstructed when `spec` is given, else the revealed bits as one
+    /// word per each of `bins` bins.
     type GcRun = (
         Circuit,
         Option<SharedOutputSpec>,
@@ -694,7 +750,7 @@ mod tests {
         Vec<bool>,
         Vec<bool>,
     );
-    fn run_gcs(runs: &[GcRun], banked: bool) -> Vec<Vec<u64>> {
+    fn run_gcs(runs: &[GcRun], bins: usize, banked: bool) -> Vec<Vec<u64>> {
         use secyan_circuit::bits_to_words;
         use secyan_gc::{
             evaluate_banked, evaluate_offline, evaluate_shared_banked, garble_banked,
@@ -729,7 +785,10 @@ mod tests {
                 let (bank, ot) = (&mut bank, &mut ot);
                 let mut eval = |ch: &mut Channel, (c, spec, _, _, b): &GcRun| match spec {
                     Some(spec) => evaluate_shared_banked(ch, bank, c, spec, b, ot),
-                    None => bits_to_words(&evaluate_banked(ch, bank, c, b, ot), 64),
+                    None => {
+                        let width = c.output_count() / bins;
+                        bits_to_words(&evaluate_banked(ch, bank, c, b, ot), width)
+                    }
                 };
                 runs.iter().map(|r| eval(ch, r)).collect::<Vec<_>>()
             },
@@ -749,39 +808,54 @@ mod tests {
     /// ones on the same random OPPRF words, every other bin a match: both
     /// flavours, ℓ ∈ {32, 64}, fresh and banked tables, each equal to the
     /// plaintext evaluator on the unfolded circuit and to the closed form.
+    /// Every non-matching o′ is nonzero in its low [`membership_bits`], and
+    /// the k circuit's p′ on a match and d are routing indices below
+    /// `slots`, as the protocol makes them.
     #[test]
     fn folded_circuits_match_the_unfolded_ones() {
+        use crate::params::index_bits;
         use secyan_circuit::{bits_to_words, evaluate, words_to_bits};
-        let bins = 5;
+        let (bins, slots) = (5, 23);
+        let i = index_bits(slots);
         let mut rng = StdRng::seed_from_u64(45);
         let mut words = || -> Vec<u64> { (0..bins).map(|_| rng.gen()).collect() };
-        let (s, w, p, d) = (words(), words(), words(), words());
+        let (s, w, p) = (words(), words(), words());
         let mut o = words();
         for b in (0..bins).step_by(2) {
             o[b] = s[b];
         }
+        let index = |b: usize| (7 * b as u64 + 3) % slots as u64;
+        let d: Vec<u64> = (0..bins).map(|b| index(b + bins)).collect();
+        let p_k: Vec<u64> = (0..bins).map(|b| w[b] ^ index(b)).collect();
         let xor =
             |a: &[u64], b: &[u64]| -> Vec<u64> { a.iter().zip(b).map(|(a, b)| a ^ b).collect() };
-        let (o_prime, p_prime) = (xor(&o, &s), xor(&p, &w));
-        let sw = bin_bits(&s, &w, 64);
+        let (o_prime, p_prime, k_prime) = (xor(&o, &s), xor(&p, &w), xor(&p_k, &w));
+        let low = u64::MAX >> (64 - membership_bits(bins));
+        let matched = |b: usize| o[b] == s[b];
+        assert!((0..bins).all(|b| matched(b) || o_prime[b] & low != 0));
+        // The unfolded circuits take 64 bits of each word.
+        let wide = |a: &[u64], b: &[u64]| words_to_bits(&[a, b].concat(), 64);
+        let wide = |a: &[u64], b: &[u64]| -> Vec<bool> {
+            (0..bins).flat_map(|k| wide(&[a[k]], &[b[k]])).collect()
+        };
+        let sw = wide(&s, &w);
         let swd = (0..bins)
             .flat_map(|b| [s[b], w[b], d[b]])
             .collect::<Vec<_>>();
-        let op = bin_bits(&o, &p, 64);
+        let (op, opk) = (wide(&o, &p), wide(&o, &p_k));
         for ell in [32, 64] {
             let mask = u64::MAX >> (64 - ell);
-            let matched = |b: usize| o[b] == s[b];
             let want_matching: Vec<u64> = (0..bins)
                 .map(|b| if matched(b) { p_prime[b] & mask } else { 0 })
                 .collect();
             let want_k: Vec<u64> = (0..bins)
-                .map(|b| if matched(b) { p_prime[b] } else { d[b] })
+                .map(|b| if matched(b) { index(b) } else { d[b] })
                 .collect();
             let (old_m, old_spec) = unfolded_matching_circuit(bins, ell);
             let (new_m, new_spec) = matching_circuit(bins, ell);
             let (old_k, new_k) = (
                 unfolded_k_circuit(bins),
-                crate::shared_payload::k_circuit(bins),
+                crate::shared_payload::k_circuit(bins, slots),
             );
             // The plaintext evaluator on the unfolded circuits, masks zero.
             let mut alice = vec![false; bins * ell];
@@ -791,7 +865,7 @@ mod tests {
                 want_matching
             );
             let alice = words_to_bits(&swd, 64);
-            assert_eq!(bits_to_words(&evaluate(&old_k, &alice, &op), 64), want_k);
+            assert_eq!(bits_to_words(&evaluate(&old_k, &alice, &opk), 64), want_k);
             let runs: [GcRun; 4] = [
                 (old_m, Some(old_spec), sw.clone(), vec![], op.clone()),
                 (
@@ -801,13 +875,13 @@ mod tests {
                     bin_bits(&s, &w, ell),
                     bin_bits(&o, &p, ell),
                 ),
-                (old_k, None, words_to_bits(&swd, 64), vec![], op.clone()),
+                (old_k, None, words_to_bits(&swd, 64), vec![], opk.clone()),
                 (
                     new_k,
                     None,
-                    words_to_bits(&d, 64),
-                    bin_bits(&s, &w, 64),
-                    op.clone(),
+                    words_to_bits(&d, i),
+                    bin_bits(&s, &w, i),
+                    bin_bits(&o, &p_k, i),
                 ),
             ];
             // The folded circuits on o′, p′ in the clear, without a shift.
@@ -818,10 +892,10 @@ mod tests {
             };
             let got = folded(&runs[1], &o_prime, &p_prime, ell);
             assert_eq!(bits_to_words(&got, ell), want_matching);
-            let got = folded(&runs[3], &o_prime, &p_prime, 64);
-            assert_eq!(bits_to_words(&got, 64), want_k);
+            let got = folded(&runs[3], &o_prime, &k_prime, i);
+            assert_eq!(bits_to_words(&got, i), want_k);
             for banked in [false, true] {
-                let got = run_gcs(&runs, banked);
+                let got = run_gcs(&runs, bins, banked);
                 let want = [&want_matching, &want_matching, &want_k, &want_k];
                 for (k, (got, want)) in got.iter().zip(want).enumerate() {
                     assert_eq!(got, want, "run {k}, ℓ = {ell}, banked {banked}");

@@ -6,39 +6,18 @@
 //! bin holding x on the receiver side contains x on the sender side —
 //! turning set intersection into B independent small-set membership tests.
 //!
-//! Every sender-side bin's hint has the size of a public load bound, so
-//! nothing about the data leaks through hint sizes; if a load ever exceeds
-//! the bound (probability < 2^{-σ}), the run ends in a typed error rather
-//! than retrying, since a fresh seed would tell the receiver that the old
-//! one overloaded the sender's set.
+//! Every sender-side bin's hint has the size of a public load bound,
+//! [`crate::params::max_bin_size`], so nothing about the data leaks
+//! through hint sizes.
+//! The bound is the exact union bound over the bins of the binomial load
+//! tail at σ = 40; if a load ever exceeds it (probability ≤ 2^{-σ}), the
+//! run ends in a typed error rather than retrying, since a fresh seed
+//! would tell the receiver that the old one overloaded the sender's set.
 
 use secyan_crypto::sha256::{digest_to_u64, Sha256};
 
 /// Number of cuckoo hash functions.
 pub const NUM_HASHES: usize = 3;
-
-/// Cuckoo expansion factor from the paper's footnote 3: B = 1.27·M bins.
-pub fn bin_count(m: usize) -> usize {
-    ((m as f64 * 1.27).ceil() as usize).max(1)
-}
-
-/// Public upper bound on a simple-hashing bin load when `balls` elements
-/// are each thrown into one of `bins` bins by `NUM_HASHES` functions.
-///
-/// Mean load is μ = 3·balls/bins; a Chernoff tail at e^{-Ω(t²/μ)} makes
-/// μ + 6·√(μ·ln bins) + 24 exceed the max load except with probability far
-/// below 2^{-40} for every size this workspace touches. Verified
-/// empirically in tests; a violation ends the run in a typed error.
-pub fn max_bin_size(balls: usize, bins: usize) -> usize {
-    if bins <= 1 {
-        return balls.max(1);
-    }
-    let mu = (NUM_HASHES * balls) as f64 / bins as f64;
-    let slack = 6.0 * (mu * (bins as f64).ln()).sqrt() + 24.0;
-    ((mu + slack).ceil() as usize)
-        .min(balls * NUM_HASHES)
-        .max(1)
-}
 
 /// Hash an element to its `idx`-th candidate bin under `seed`.
 pub fn bin_of(element: u64, idx: usize, seed: u64, bins: usize) -> usize {
@@ -160,6 +139,7 @@ impl SimpleTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::{bin_count, max_bin_size};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashSet;
@@ -248,6 +228,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::params::bin_count;
     use proptest::prelude::*;
     use std::collections::HashSet;
 

@@ -8,10 +8,12 @@
 //! "circuit-friendliness".
 //!
 //! Layers:
-//! * [`hashing`] — cuckoo hashing on the receiver side (3 hash functions,
-//!   B = ⌈1.27·M⌉ bins, per the paper's footnote), simple hashing on the
-//!   sender side, and the public bin-size bound that keeps padding
-//!   oblivious.
+//! * [`params`] — every public width and bound the PSI uses (bins, the
+//!   load bound D, the membership and routing-index widths), each a
+//!   function of public sizes and σ = 40 with its bound stated.
+//! * [`hashing`] — cuckoo hashing on the receiver side (3 hash functions
+//!   into B bins), and simple hashing on the sender side, whose bin loads
+//!   the public load bound caps so that padding stays oblivious.
 //! * [`opprf`] — oblivious *programmable* PRF: KKRT OPRF plus per-bin
 //!   polynomial hints over GF(2^64).
 //! * [`circuit_psi`] — the front half both flavours share (the cuckoo
@@ -33,15 +35,17 @@
 pub mod circuit_psi;
 pub mod hashing;
 pub mod opprf;
+pub mod params;
 pub mod shared_payload;
 
 pub use circuit_psi::{
     matching_circuit, psi_cost, psi_params, psi_receiver, psi_receiver_begin, psi_receiver_finish,
     psi_sender, PsiCost, PsiOutput, PsiParams, PsiReceiverPending,
 };
-pub use hashing::{bin_count, max_bin_size, CuckooTable, SimpleTable};
+pub use hashing::{CuckooTable, SimpleTable};
 pub use opprf::{
     opprf_evaluate, opprf_evaluate_begin, opprf_evaluate_finish, opprf_program,
     opprf_program_with_key, OpprfEval, PsiItem,
 };
+pub use params::{bin_count, index_bits, max_bin_size, membership_bits};
 pub use shared_payload::{k_circuit, shared_payload_psi_receiver_begin, shared_payload_psi_sender};

@@ -21,6 +21,11 @@
 //! uniform over that space — the distribution that padding the bin with
 //! D − k random points gives. Every bin sends D words whatever its load,
 //! and costs O(k·D) field work instead of O(D²).
+//!
+//! The PSI sets D to [`crate::params::max_bin_size`], the exact union
+//! bound over the bins of the binomial load tail: some bin holds more
+//! than D elements with probability at most 2^-σ, σ = 40, and then the
+//! sender aborts with a typed error.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

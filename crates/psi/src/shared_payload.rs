@@ -20,8 +20,9 @@
 //! is the zero padding already, and nothing downstream reads the
 //! indicator, so the circuit here reveals k alone. As in
 //! [`crate::circuit_psi`], the OPPRF masks s, w shift the receiver's
-//! labels instead of entering as garbler wires; the k circuit reads all
-//! 64 bits of p′ = p ⊕ w, so the receiver feeds them all.
+//! labels instead of entering as garbler wires. Every index is below
+//! N + B, so the k circuit carries [`index_bits`]`(N + B)` bits of
+//! p′ = p ⊕ w, of d and of k, and the receiver feeds only those.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -37,17 +38,22 @@ use crate::circuit_psi::{
     bin_bits, psi_params, receiver_opprfs, sender_opprfs, PsiOutput, PsiReceiverPending,
     ReceiverTail,
 };
+use crate::params::{index_bits, membership_bits};
 
-/// The k-index circuit: per bin, the routing index k_b in the clear
-/// (toward the evaluator = PSI receiver).
-pub fn k_circuit(bins: usize) -> Circuit {
+/// The k-index circuit: per bin, the routing index k_b into `slots`
+/// = N + B extended payload slots, in the clear (toward the evaluator =
+/// PSI receiver).
+pub fn k_circuit(bins: usize, slots: usize) -> Circuit {
+    let (m, i) = (membership_bits(bins), index_bits(slots));
     let mut c = Rows::new();
     // Garbler (= PSI sender): per bin the no-match index d; evaluator: per
-    // bin o′ = o ⊕ s, p′ = p ⊕ w, the masks folded into its labels.
-    let (d, op) = (c.alice(bins, 64), c.bob(bins, 128));
+    // bin the low m bits of o′ = o ⊕ s and the low i of p′ = p ⊕ w, the
+    // masks folded into its labels.
+    let (d, op) = (c.alice(bins, i), c.bob(bins, m + i));
     let ks = c.segment(bins, |b| {
         let d = b.read(d);
-        let [o, p] = [0, 64].map(|at| b.read(op.slice_bits(at..at + 64)));
+        let o = b.read(op.slice_bits(0..m));
+        let p = b.read(op.slice_bits(m..m + i));
         let ind = b.is_zero_word(&o);
         let k = b.mux_words(ind, &p, &d);
         b.output_word(&k);
@@ -87,11 +93,12 @@ pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
     // Step 3: binning + OPPRFs (corrections staged with the seed).
     let (cuckoo, o, p) = receiver_opprfs(ch, elements, &params, kkrt);
     // Step 4: evaluate the k circuit.
-    let (circuit, my_bits) = (k_circuit(bins), bin_bits(&o, &p, 64));
+    let i = index_bits(n + bins);
+    let (circuit, my_bits) = (k_circuit(bins, n + bins), bin_bits(&o, &p, i));
     let k_bits = evaluate_banked(ch, gc_bank, &circuit, &my_bits, ot_recv);
     // The garbler picks every k: an index outside ξ₁'s range is a peer
     // breaking the protocol, not a bug on this side.
-    let ks: Vec<usize> = bits_to_words(&k_bits, 64)
+    let ks: Vec<usize> = bits_to_words(&k_bits, i)
         .into_iter()
         .map(|k| {
             if k >= (n + bins) as u64 {
@@ -146,8 +153,9 @@ pub fn shared_payload_psi_sender<R: Rng + ?Sized>(
     let (s, w) = sender_opprfs(ch, elements, &params, kkrt, rng, index);
     // Step 4: garble the k circuit. Input per bin: the no-match index
     // d = ξ₁⁻¹(N + b); s and w shift the receiver's labels.
-    let (circuit, my_bits) = (k_circuit(bins), words_to_bits(&xi1_inv[n..], 64));
-    let shift = bin_bits(&s, &w, 64);
+    let i = index_bits(n + bins);
+    let (circuit, my_bits) = (k_circuit(bins, n + bins), words_to_bits(&xi1_inv[n..], i));
+    let shift = bin_bits(&s, &w, i);
     garble_banked(ch, gc_bank, &circuit, &my_bits, &shift, ot_send, rng);
     // Step 5: second shared OEP (receiver holds ξ₂).
     let payload_shares = shared_oep_other(ch, &zprime_shares, bins, ring, ot_send, rng);
@@ -223,8 +231,9 @@ mod tests {
     /// The garbler picks the routing indices the k circuit reveals, so an
     /// index outside ξ₁'s range is hostile input: the receiver must end in
     /// a typed error, not in a foreign panic. The sender here follows the
-    /// protocol up to the k circuit and feeds it an out-of-range no-match
-    /// index d for every bin.
+    /// protocol up to the k circuit and feeds it, for every bin, the
+    /// largest no-match index d the narrowed circuit can carry,
+    /// 2^`index_bits(slots)` − 1, which is past the slots at these sizes.
     #[test]
     fn out_of_range_routing_index_is_a_typed_error() {
         let ring = RingCtx::new(32);
@@ -239,9 +248,12 @@ mod tests {
                 let xi1: Vec<usize> = (0..slots).collect();
                 shared_oep_perm_holder(ch, &xi1, &vec![0; slots], ring, &mut ot_r);
                 let (s, w) = sender_opprfs(ch, &y, &params, &mut kkrt, &mut rng, |_| 0);
-                let d = vec![slots as u64; params.bins];
-                let (circuit, bits) = (k_circuit(params.bins), words_to_bits(&d, 64));
-                let (bank, shift) = (&mut VecDeque::new(), bin_bits(&s, &w, 64));
+                let i = index_bits(slots);
+                let hostile = (1u64 << i) - 1;
+                assert!(hostile >= slots as u64, "{hostile} is a valid index");
+                let d = vec![hostile; params.bins];
+                let (circuit, bits) = (k_circuit(params.bins, slots), words_to_bits(&d, i));
+                let (bank, shift) = (&mut VecDeque::new(), bin_bits(&s, &w, i));
                 garble_banked(ch, bank, &circuit, &bits, &shift, &mut ot_s, &mut rng);
             },
         );

@@ -304,7 +304,12 @@ fn three_way_join() -> Instance {
 /// lengths, when inline circuits came to garble on the evaluator's OT
 /// rows: each garbler direction lost one 16·m-byte label-correction
 /// message per inline circuit with m > 0 evaluator bits, and no other
-/// length moved.
+/// length moved. Re-recorded, all but generate(3) (no PSI), when the PSI
+/// came to its statistical widths (`secyan_psi::params`): no message
+/// count moved, and the only lengths that did are the OPPRF hints
+/// (bins · D · 8 B at the exact load bound), the PSI circuits' tables,
+/// IKNP column bundles and derandomization bits (fewer membership and
+/// index bits), and the k circuit's garbler labels and decode bits.
 ///
 /// The shared form of generate(7) (its join at k = 2, OUT = 5, so
 /// `garble_shared` runs on the product tree) and [`three_way_join`]
@@ -340,65 +345,65 @@ fn single_phase_transcript_goldens() {
         ),
         (
             run(Instance::generate(7)),
-            "983864cbc72e1f5330706514340048619a727612715b483cad7074086fad2903",
-            "ac42845e5dd1450f32b70d06e460c072eee9c21f28fb525bd5a577d469370920",
+            "0ccf6fa8e00b29a51e76d31c36e7936d427a092eb5dd082d1913bafac04a32ff",
+            "789be14edad9113504e6807f57c662997113383276492ce5a4392c663fd41c3b",
             [
-                "914c051e504eb25195424a1d510354013eee6aeea87ab768b8877ff89371e034",
-                "04405f98108b0b9f465f18875a98ccddc41dc657d96f3a17a9ae86ed66cc025b",
+                "db4cd42a46ad0d1a0c9863d1ef70e8ecedfc11a5fd1a223967b0a00b77a4eb05",
+                "d98bd48c833ac4c232ee0eaee4f40d14e3612eefd4cd269edd3475d00cf72abb",
             ],
         ),
         (
             run(Instance::generate(18)),
-            "c4f5f54736399450d9509316f077c8ecf1a7c4c91069cc31b78d1f63f36717b4",
-            "3a3105d9a99d54b9db8adc9da9b7f2d96a9e343cf176305ce911785f13ffe974",
+            "56db65c377ebf7232a477a53c9ff74915b4fba220b3d494bf42925283648ef11",
+            "63eec6c7de0aee0b0d7fbfdefea88ded4a108b777a00efb23679da7a7f518117",
             [
-                "d849922cf3d0a7061380726c545d1f099f9144fabf991bfec417c54c6d1b2905",
-                "0be24c0b1bce1c0c491ae68c511a89c0b688e4be598300798ba346f33576dd25",
+                "3239847166b27944797a989c5903d59503f15475c46849285fd90237b5dd158e",
+                "c1625c49ac9be61eeee02a1b77e63d8e6da1716c701f3b1cf3be1d27beff43a0",
             ],
         ),
         (
             run(Instance::generate_chain(1)),
-            "70e67a7b96ea77dd256740b3c6943104a1c3ccdeccc7ef19be5aff011e78b41f",
-            "811e3c8d196e6a05b2748160739ac1150023678c0e29d7d342aab69063f5169d",
+            "1733dc18312f7603369c1ba7842bcb805e4337ce24d90486d664a330b293a500",
+            "77d1538b0f2e70d28a4718fa0fca8b2a7843748ac0128ab6903d5ba643f8a013",
             [
-                "b589e6023b89736759dbc56e841ab2f6a2a3a4185615ca1d48325f9785d98439",
-                "a3bb4187b61f1bb3ced72e544a7db63c5721274e9191e31711596c36a8eddf4c",
+                "b4b233b37493287b24aa8d4e2b5d7368256d60e6ba369229560ac872644a0511",
+                "4c5a855227acfd91b30f08b661b857ec533f9725bc6c04e99e8c7811a07e1338",
             ],
         ),
         (
             ("TPC-H Q8 at 0.02 MB".to_string(), q8_transcript(0.02, 14)),
-            "e52ad5b547bce8413680bc49a68ae37987a58a9f2d7dfdf770d58b8f617de07c",
-            "aa18238dd75a2c3fb5188ea4f773637084d6ebf761bcd47c5bf063157c938ff9",
+            "03c7654660e50c75cd57d083b0a9948660d7947c794f382269fc3e8ae029718c",
+            "2c470d66c8cb0825cfd927f3314b7c952b1dcdca3a0109062822a83ba5c72b59",
             [
-                "f0d2c52dd3faf3fb501690087fa6ba363be1b749c7ba12ca7c307f56eed94017",
-                "23a5438280d85c7de41d0a7b2e74ab46ad23b08a49470376409aaa93ac101110",
+                "fbc4e503a024976b492f76a1ffb2342aa4aa2356eb41ed4822e19b6b470d628a",
+                "62bfbf6144d9c76c62b30c384d432c9ce1956cff713edcc1231e5242b87e4493",
             ],
         ),
         (
             ("TPC-H Q8 at 0.3 MB".to_string(), q8_transcript(0.3, 12)),
-            "d1596233f1917494bbb91efc422c2d158f6cfd7a9d2333feeb57239ceb4809af",
-            "ddc2207dc4412c85651de2652cfe0de209d41cb4ab7661929bf867710d2cf26b",
+            "b3efbb4b1eb1f8d20341d3b8e1a21ec37c4e149ed182fe143f1d120c9af3835c",
+            "5b579eb0ed3ccf73e90f16d081c63a6c688fd6cc1f46ea9e76fae8722f050c68",
             [
-                "285fabac520b45f2b561b39ef21d9299f279de2617723ba1419e5c96e6149753",
-                "911db034747e08aeea9ad3539ac3e032d583187fd1d5dda27d9a5d3593dc9497",
+                "f2211b066f83c2fbe379f659e53828daaddcda6c3c0bdef6db4e0e8604242c72",
+                "7655c6e36b62f258c77f865370d9332892328370387a73b0ab4cbe791a171cfb",
             ],
         ),
         (
             shared(Instance::generate(7)),
-            "983864cbc72e1f5330706514340048619a727612715b483cad7074086fad2903",
-            "7b5b53cf2175103dbb030179353acf0701375a1074bea7182cadcd34d131ad7c",
+            "0ccf6fa8e00b29a51e76d31c36e7936d427a092eb5dd082d1913bafac04a32ff",
+            "d1f09dadba2659fe69ec3f0868fc0cdb8bbaf081570f30d204f2c604cbfdf066",
             [
-                "914c051e504eb25195424a1d510354013eee6aeea87ab768b8877ff89371e034",
-                "566010a575ca4ad7c7821e6c13621849b92da8ef6d0a6377afecfdbc90fdf17b",
+                "db4cd42a46ad0d1a0c9863d1ef70e8ecedfc11a5fd1a223967b0a00b77a4eb05",
+                "c039d8d1a89af7fe0a76e84227178c06da50b50f82b1562eef26abc6ecc38039",
             ],
         ),
         (
             three_way(),
-            "87a5e1899e4909d14abd0dc2ad4d0d6ade4a0e3bf117be71afc90ebcd5505501",
-            "b771e911dd47afe104444555f98dc91e5831d33f5cd478accd309eb820145e81",
+            "7e52643bd27dc49b6ee4f2355fa6536b515d6bb6f2d731b12d9ef6fb4ceb663d",
+            "ef35f2dbe758e1a02b3ee8cc18cb62d9d5ac8f9d1bf6fd0c9e23a494abdcdc97",
             [
-                "89264373ad3b04827958b4c2ce98d2b2f79969adc7e67fc1d0a05852a8a13f3e",
-                "c7a86f66cc4d87d9cc538f6b7175861896923f3a89cec91cc7fd4443420ed524",
+                "42beafdeec5ca2345afce8b45d33ddb39bad591f890a16ce7df1f280550c1c5d",
+                "1e2a78d48ff21ee8a9a210b7996f261162dfb9846632c6554c046319a6bfbd64",
             ],
         ),
     ];
@@ -434,38 +439,43 @@ fn single_phase_transcript_goldens() {
 /// lengths did not move, the online ones only at the PSI messages. When
 /// inline circuits came to garble on the OT rows only generate(7)'s
 /// online Bob side moved: the one circuit its plan could not bank (the
-/// join's product tree) lost its label-correction message.
+/// join's product tree) lost its label-correction message. Re-recorded
+/// with it for the PSI's statistical widths: the same message counts,
+/// lengths moved offline at the IKNP banks and the PSI circuits' tables,
+/// online at the hints, the label corrections behind the banked PSI
+/// tables, the derandomization bits and the k circuit's garbler labels
+/// and decode bits.
 #[test]
 fn phase_split_transcript_goldens() {
     let goldens = [
         (
             Instance::generate(7),
             [
-                "b543dd81adbdcd586f365db759afe5b963ae6d5396aa1ff09908ba84217bebe9",
-                "c057c904964cdf4fbc053a4ac5d34e8413f589ce6faff5fe521d3d470782bb21",
-                "5dfdb1781cde229a094fd3e8ebba6d95fbbfe39cd23e2cdca2080a96f11a3a00",
-                "358d1f564fafe3642db6a2ec1b5aa153d54f33e43af031bbb4a15c3ddede599e",
+                "6871e041fb94b1d476e510516e994450bdb1aa9adad561f6c36a70aa5e42397b",
+                "a8557900ade8a5b09bc3af7da51a921bf35ab12468e83363a7dcf90bffa68a77",
+                "8a69fe74167b1149fe0b7aa58f66650916a185a0edf6aae3343126943a70e65e",
+                "0f5e30f2821841efa17752f6096ad0eb650c9dbf22b85c254d32f1271725c197",
             ],
             [
-                "a23d912d2314190f51e26036a78c257452d12c8aa2de67b149297705a568fc5e",
-                "98ccc871a1c36e7b78965a02d2fbd6f4aa384a1b2d43e386c3d68e60d9c14071",
-                "c37a9a6b311aab1148fe7edd93fc6e9077cfa59e7299b10869b74c47a5ecec6a",
-                "9fe0129750192f3efd1a07f8a87bc83a2637a2f474804e7d38aac69209ca4f0d",
+                "2d6d220e12404c46900a52de5231623d2456dd98d5885b9ff5ea5b367d99d983",
+                "e211d868b1a1168edf22d0fd458cd9a4f57a196e23ae2e579e9a6193124f0be4",
+                "25feaf02b542a6a43017236cef991475d7667808291deba05ff695a5532c2f8f",
+                "d84142a7fd63837d392df7b85b3a6b25b853020ed68cef621ae37a242af7695f",
             ],
         ),
         (
             Instance::generate_chain(1),
             [
-                "97312f9e9e0ed3ec74d2c2577f45dd475aac8984efa48ba4a72a5becb934c060",
-                "6b2e51ce46d95dcddca69e869207004a070ca90e3ede18ae959cf57330caf373",
-                "29ea3405679c499adb2cfc4e0547d964742cadb83c4898ab2cd104d18cae25a1",
-                "4a8be3e8c52fb787263b0cc69c5d57d5671fb3f43d70f1c0db0c3890eae8b155",
+                "a840dcea5285408b240e1151fc978afaf191bee99efd1b58fd3c2737a00b1d53",
+                "c9024201283e1f364c2c7438db27f8155f53a6e502835e0864767d0dc64434aa",
+                "45efea199b1abb0c03dd297c22c2825e2a3834d7030aee159201077640c1d0f4",
+                "ee55e52a5dda2f5c20bea3b28f37ebfe58aba3b6cc406e59e89d3cc5adc15753",
             ],
             [
-                "78e7897b874f4d10316f56548e4b22d90319e1f8553f06c29ac92c279775de8e",
-                "35e61da0f80ae7adb6499805ebaccd15df02b0469bfcba77b3fe21f2aac48d92",
-                "1904306a8ed89a723fb0b90ee44526a0ca90eea1315bc78c57c28d97f8be2fde",
-                "87a69c1663c1d0a41b6711907e295e5de84b5fcc400ae19240f44d86b07ffd75",
+                "01d1433f1835df35ec2aa8fcb0e8099431fdcd3f6c0de9290ab55259c382eaf4",
+                "4ac3b80b47908ac56019220d511b83b769a51e725944822440f0fd35b435f69b",
+                "9d574d1d4824b0429ea80c1fa293dcda9387530b50dac58a6a8c703c041d4689",
+                "86f7049036d0855bcad2c17ae77b42338726c9305ee6aaf8502cb413021d18ef",
             ],
         ),
     ];

@@ -197,7 +197,7 @@ fn segmented_circuits_garble_like_their_unrolling_at_any_thread_count() {
     let _guard = THREAD_LOCK.lock().unwrap();
     let circuits = [
         secyan_psi::matching_circuit(120, 32).0,
-        secyan_psi::k_circuit(120),
+        secyan_psi::k_circuit(120, 300),
         unroll::running_sums(600),
     ];
     for (seed, circuit) in circuits.iter().enumerate() {

@@ -21,7 +21,7 @@ use secyan_core::{run_online_pooled, PreprocPool, QueryShape};
 use secyan_crypto::TweakHasher;
 use secyan_gc::evaluator_ot_count;
 use secyan_oep::EpNetwork;
-use secyan_psi::bin_count;
+use secyan_psi::{bin_count, index_bits, max_bin_size, membership_bits};
 use secyan_testkit::{
     canonical_result, oracle, run_secure, run_secure_on, session_seeds, Instance, Run, SecureRun,
 };
@@ -89,8 +89,9 @@ fn chain3_online_super_rounds_golden() {
 /// ANDs (32 B of table each) offline, ℓ fewer garbler mask labels (16 B
 /// each) and ℓ fewer decode bits online. Nor does it carry the garbler's
 /// 128 labels of the OPPRF masks s, w, which shift the evaluator's label
-/// corrections instead (16 B each online; chain3 runs at ℓ = 64, so the
-/// evaluator still feeds all 128 bits of o, p).
+/// corrections instead (16 B each online). Last, the PSI circuits read
+/// their statistical widths (`secyan_psi::params`) where the recording
+/// read 64-bit words, and the hints have the exact load bound's degree.
 #[test]
 fn kkrt_extends_inline_in_both_phases() {
     const BANKED_OFFLINE_BYTES: u64 = 1_667_232;
@@ -142,6 +143,31 @@ fn kkrt_extends_inline_in_both_phases() {
     // products: one plain term per receiver row, ℓ OTs each.
     let ot = shape.ot.from_alice + shape.ot.from_bob;
     assert_eq!(ot, labels + perm + dup + 64 * (sizes[1] + sizes[0]));
+    // The matching circuit (Alice garbles) reads w of o′'s 64 bits, the k
+    // circuit (Bob garbles) as many and i of p′'s. Each evaluator bit
+    // dropped takes an AND table (32 B) and its bit of the IKNP bank's
+    // columns (16 B per eight OTs of a direction, rounded up) offline,
+    // and its label OT's 32 B (`online_shrink` halves only the bits still
+    // fed) and derandomization bit online; each index bit the garbler's
+    // label of d (16 B) and a decode bit. Each OPPRF's hints shrink from
+    // the Chernoff form's D.
+    let (w, i) = (bins.map(membership_bits), index_bits(ext));
+    let dropped = [bins[0] * (64 - w[0]), bins[1] * (64 - w[1] + 64 - i)];
+    let fed = [bins[0] * (w[0] + 64), bins[1] * (w[1] + i)];
+    let octets = |n: usize| n.div_ceil(8) as u64;
+    let sent = [shape.ot.from_alice, shape.ot.from_bob];
+    let columns: u64 = (0..2)
+        .map(|k| 128 * (octets(sent[k] + dropped[k]) - octets(sent[k])))
+        .sum();
+    let widths_offline = 32 * (dropped[0] + dropped[1]) as u64 + columns;
+    let (chernoff_d, senders) = ([39, 53], [sizes[2], sizes[1]]);
+    let hints = (0..2).map(|k| 16 * bins[k] * (chernoff_d[k] - max_bin_size(senders[k], bins[k])));
+    let derandomization: u64 = (0..2).map(|k| octets(128 * bins[k]) - octets(fed[k])).sum();
+    let widths_online = (32 * (dropped[0] + dropped[1]) + 16 * bins[1] * (64 - i)) as u64
+        + derandomization
+        + octets(64 * bins[1])
+        - octets(i * bins[1])
+        + hints.sum::<usize>() as u64;
     let word = 64 / 8;
     let online_shrink = (16 * labels + (32 - 2 * word) * perm + (32 - word) * dup) as u64;
     // The indicator word each PSI bin no longer shares, at ℓ = 64.
@@ -152,11 +178,15 @@ fn kkrt_extends_inline_in_both_phases() {
     let stats = run_secure_on(&inst, channel_pair(), PHASE_SPLIT).stats;
     assert_eq!(
         stats.offline_bytes,
-        BANKED_OFFLINE_BYTES - banks - indicator_tables
+        BANKED_OFFLINE_BYTES - banks - indicator_tables - widths_offline
     );
     assert_eq!(
         stats.online_bytes,
-        BANKED_ONLINE_BYTES + online_growth - online_shrink - indicator_online - folded_masks
+        BANKED_ONLINE_BYTES + online_growth
+            - online_shrink
+            - indicator_online
+            - folded_masks
+            - widths_online
     );
 }
 
@@ -451,14 +481,15 @@ fn tcp_coalescing_only_changes_wire_framing() {
 
 /// Structural pin in place of a timing test: the shape of `tpch_q3_cold`
 /// (Q3 at 0.3 MB, lineitem pinned to four per order) plans four circuits
-/// — two matchings, a merge and the reveal, 328 999 ANDs — and stores
+/// — two matchings, a merge and the reveal, 312 983 ANDs — and stores
 /// their row templates, a few thousand gates, not their unrolling. The
 /// two 450-row reduce-join products (450 × 1 055 and 450 × 1 086 ANDs
 /// when they were circuits) plan no circuit: they draw the same
 /// 450 · 32 and 450 · 64 OTs as their label transfers did. Each
 /// matching circuit's 572 bins feed 32 payload bits fewer than the 64 the
-/// OPPRF outputs, so the budget is 2 · 572 · 32 OTs below the 196 605 it
-/// was when they fed all 64.
+/// OPPRF outputs, and 14 membership bits fewer (σ + ⌈log₂ 572⌉ = 50 of
+/// 64, one `is_zero_word` AND each), so the budget is 2 · 572 · (32 + 14)
+/// OTs below the 196 605 it was when they fed all 64 of both words.
 #[test]
 fn q3_shape_stores_templates_not_rows() {
     use secyan_relation::NaturalRing;
@@ -473,14 +504,17 @@ fn q3_shape_stores_templates_not_rows() {
     assert_eq!(sizes, [45, 450, 1800]);
     let shape = secyan_core::QueryShape::derive(&sq.to_secure_query(), &sizes, Role::Alice, 32);
     let circuits = || shape.planned.iter().map(|pc| &pc.circuit);
+    // Each matching circuit's 572 bins read w = 50 of o′'s 64 bits.
+    let w = membership_bits(572);
+    assert_eq!(w, 50);
     let ands: Vec<u64> = circuits().map(|c| c.and_count()).collect();
-    assert_eq!(ands, [72_072, 72_072, 70_555, 114_300]);
+    assert_eq!(ands, [64_064, 64_064, 70_555, 114_300]);
     let stored: usize = circuits()
         .flat_map(|c| c.segments())
         .map(|s| s.gates.len())
         .sum();
     assert!(stored < 50_000, "{stored} gates stored");
-    assert_eq!(shape.ot_budget, 196_605 - 2 * 572 * 32);
+    assert_eq!(shape.ot_budget, 196_605 - 2 * 572 * (32 + 64 - w));
 }
 
 /// The two TPC-H benchmark instances, built as `sybench` builds them:
@@ -526,8 +560,17 @@ fn tpch_bench_bytes_and_super_rounds_are_pinned() {
     // garbled inline, on the evaluator's OT rows as its zero-labels, so
     // no evaluator bit takes a 16-byte label correction: 138 624 bits on
     // Q3, 41 472 on Q18.
-    const Q3_BYTES: u64 = 24_435_276 - 1_144 * (2_048 + 1_024) - 138_624 * 16;
-    const Q18_BYTES: u64 = 7_773_260 - 382 * (2_048 + 1_024) - 41_472 * 16;
+    const FOLDED_Q3: u64 = 24_435_276 - 1_144 * (2_048 + 1_024) - 138_624 * 16;
+    const FOLDED_Q18: u64 = 7_773_260 - 382 * (2_048 + 1_024) - 41_472 * 16;
+    // Then the statistical widths (`secyan_psi::params`). The hints of
+    // each OPPRF pair, 16 B per bin and degree, shrink to the exact load
+    // bound: Q3's two PSIs of 572 bins from D = 80 to 42 and from 32 to
+    // 10, Q18's two of 191 from 76 to 41. Each matching bin reads
+    // σ + ⌈log₂ bins⌉ of o′'s 64 bits, 50 on Q3 and 48 on Q18; each bit
+    // dropped takes its IKNP column (16 B) and its `is_zero_word` AND
+    // (32 B).
+    const Q3_BYTES: u64 = FOLDED_Q3 - 572 * (38 + 22) * 16 - 1_144 * 14 * 48;
+    const Q18_BYTES: u64 = FOLDED_Q18 - 382 * 35 * 16 - 382 * 16 * 48;
     for (query, mb, bytes, super_rounds) in [
         (PaperQuery::Q3, 0.3, Q3_BYTES, 17),
         (PaperQuery::Q18, 0.1, Q18_BYTES, 19),
