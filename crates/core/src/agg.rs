@@ -144,12 +144,15 @@ pub fn oblivious_project_agg(
     kind: AggKind,
 ) -> SecureRelation {
     let ell = sess.ring.bits() as usize;
-    let step = agg_step(&rel.header(), attrs, kind, ell);
-    let mine = rel.is_mine(sess);
-    let n = rel.size;
+    let step = agg_step(&rel.header, attrs, kind, ell);
+    let n = rel.header.size;
     match step.path {
         AggPath::Local => local_project_agg(sess, rel, step.out, kind),
-        AggPath::Empty => SecureRelation::shared(step.out, mine.then(Vec::new), Vec::new()),
+        AggPath::Empty => SecureRelation {
+            header: step.out,
+            rows: rel.rows.as_ref().map(|_| Vec::new()),
+            annot_shares: Vec::new(),
+        },
         AggPath::LinearTotal => {
             // Dummy annotations are shares of 0, so folding them in is
             // harmless. The single real output row sits at the public last
@@ -161,12 +164,16 @@ pub fn oblivious_project_agg(
                 .fold(0u64, |acc, &v| sess.ring.add(acc, v));
             let mut shares = vec![0u64; n];
             shares[n - 1] = total;
-            let rows = mine.then(|| {
+            let rows = rel.rows.as_ref().map(|_| {
                 let mut rows = vec![(Vec::new(), true); n];
                 rows[n - 1].1 = false;
                 rows
             });
-            SecureRelation::shared(step.out, rows, shares)
+            SecureRelation {
+                header: step.out,
+                rows,
+                annot_shares: shares,
+            }
         }
         AggPath::Merge => merge_project_agg(sess, rel, attrs, step),
     }
@@ -181,28 +188,27 @@ fn merge_project_agg(
     attrs: &[String],
     step: AggStep,
 ) -> SecureRelation {
-    let (n, owner) = (rel.size, rel.owner);
+    let (n, owner) = (rel.header.size, rel.header.owner);
     let (circuit, spec) = step.circuit();
     // Owner side: real rows sorted by the projected key, dummies last and
     // each its own singleton group; the equality chain over that order;
     // and the output rows — group ends are real, all others dummy.
-    let mine = rel.is_mine(sess).then(|| {
+    let mine = rel.rows.as_ref().map(|rows| {
         let pos = rel.positions(attrs);
-        let tuples = rel.tuples.as_ref().expect("owner side");
-        let dummies = rel.dummy.as_ref().expect("owner side");
-        let proj = |i: usize| -> Vec<u64> { pos.iter().map(|&p| tuples[i][p]).collect() };
+        let proj = |i: usize| -> Vec<u64> { pos.iter().map(|&p| rows[i].0[p]).collect() };
+        let dummy = |i: usize| rows[i].1;
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&i, &j| (dummies[i], proj(i)).cmp(&(dummies[j], proj(j))));
+        order.sort_by_key(|&i| (dummy(i), proj(i)));
         let eq: Vec<bool> = (0..n - 1)
             .map(|i| {
                 let (a, b) = (order[i], order[i + 1]);
-                !dummies[a] && !dummies[b] && proj(a) == proj(b)
+                !dummy(a) && !dummy(b) && proj(a) == proj(b)
             })
             .collect();
         let rows = (0..n)
             .map(|i| {
                 let is_end = i == n - 1 || !eq[i];
-                (proj(order[i]), dummies[order[i]] || !is_end)
+                (proj(order[i]), dummy(order[i]) || !is_end)
             })
             .collect();
         ((order, eq), rows)
@@ -212,8 +218,12 @@ fn merge_project_agg(
     let my_sorted = sess.oep(owner, order.as_deref(), n, &rel.annot_shares);
     let mut my_bits = eq.unwrap_or_default();
     my_bits.extend(words_to_bits(&my_sorted, step.ell));
-    let out_shares = sess.garble_shared(&circuit, &spec, owner, &my_bits);
-    SecureRelation::shared(step.out, rows, out_shares)
+    let annot_shares = sess.garble_shared(&circuit, &spec, owner, &my_bits);
+    SecureRelation {
+        header: step.out,
+        rows,
+        annot_shares,
+    }
 }
 
 /// §6.5: the owner aggregates locally, padding the result back to the
@@ -221,35 +231,46 @@ fn merge_project_agg(
 fn local_project_agg(
     sess: &mut Session,
     rel: &SecureRelation,
-    out: RelHeader,
+    header: RelHeader,
     kind: AggKind,
 ) -> SecureRelation {
-    let n = rel.size;
-    if !rel.is_mine(sess) {
-        return SecureRelation::plain(out, None);
-    }
-    let pos = rel.positions(&out.schema);
-    let tuples = rel.tuples.as_ref().expect("owner side");
-    let dummies = rel.dummy.as_ref().expect("owner side");
-    let plain = rel.plain_annots.as_ref().expect("plain annots");
+    let n = rel.header.size;
+    let Some(in_rows) = &rel.rows else {
+        return SecureRelation {
+            header,
+            rows: None,
+            annot_shares: vec![0; n],
+        };
+    };
+    let pos = rel.positions(&header.schema);
     // One row per group in order of first appearance, the group's
     // aggregate accumulating in place.
-    let mut rows: Vec<(Vec<u64>, bool, u64)> = Vec::new();
+    let mut rows: Vec<(Vec<u64>, bool)> = Vec::new();
+    let mut annots: Vec<u64> = Vec::new();
     let mut group: std::collections::HashMap<Vec<u64>, usize> = Default::default();
-    for i in (0..n).filter(|&i| !dummies[i]) {
-        let key: Vec<u64> = pos.iter().map(|&p| tuples[i][p]).collect();
+    for ((t, _), &v) in in_rows
+        .iter()
+        .zip(&rel.annot_shares)
+        .filter(|((_, d), _)| !d)
+    {
+        let key: Vec<u64> = pos.iter().map(|&p| t[p]).collect();
         let g = *group.entry(key).or_insert_with_key(|key| {
-            rows.push((key.clone(), false, 0));
+            rows.push((key.clone(), false));
+            annots.push(0);
             rows.len() - 1
         });
-        let acc = &mut rows[g].2;
-        *acc = match kind {
-            AggKind::Sum => sess.ring.add(*acc, plain[i]),
-            AggKind::Support => *acc | u64::from(plain[i] != 0),
+        annots[g] = match kind {
+            AggKind::Sum => sess.ring.add(annots[g], v),
+            AggKind::Support => annots[g] | u64::from(v != 0),
         };
     }
-    rows.resize(n, (vec![0; out.schema.len()], true, 0));
-    SecureRelation::plain(out, Some(rows))
+    rows.resize(n, (vec![0; header.schema.len()], true));
+    annots.resize(n, 0);
+    SecureRelation {
+        header,
+        rows: Some(rows),
+        annot_shares: annots,
+    }
 }
 
 #[cfg(test)]
@@ -274,7 +295,7 @@ mod tests {
         let rel = Relation::from_rows(NaturalRing::paper_default(), schema.clone(), rows);
         let (sch_a, sch_b) = (schema.clone(), schema);
         let (at_a, at_b) = (attrs.clone(), attrs);
-        let ((out_a, tuples, dummy), out_b, stats) = run_protocol(
+        let ((out_a, rows), out_b, stats) = run_protocol(
             move |ch| {
                 let mut sess = crate::session::Session::new(
                     ch,
@@ -290,11 +311,7 @@ mod tests {
                 }
                 let mut out = oblivious_project_agg(&mut sess, &r, &at_a, kind);
                 out.ensure_shared(&mut sess);
-                (
-                    out.annot_shares.clone(),
-                    out.tuples.clone().unwrap(),
-                    out.dummy.clone().unwrap(),
-                )
+                (out.annot_shares, out.rows.unwrap())
             },
             move |ch| {
                 let mut sess = crate::session::Session::new(
@@ -310,17 +327,17 @@ mod tests {
                 }
                 let mut out = oblivious_project_agg(&mut sess, &r, &at_b, kind);
                 out.ensure_shared(&mut sess);
-                out.annot_shares.clone()
+                out.annot_shares
             },
         );
         let ring = RingCtx::new(32);
         let mut result = HashMap::new();
-        for i in 0..tuples.len() {
+        for (i, (tuple, dummy)) in rows.into_iter().enumerate() {
             let v = ring.reconstruct(out_a[i], out_b[i]);
-            if dummy[i] {
+            if dummy {
                 assert_eq!(v, 0, "dummy row {i} must carry a zero annotation");
             } else {
-                assert!(result.insert(tuples[i].clone(), v).is_none());
+                assert!(result.insert(tuple, v).is_none());
             }
         }
         (result, stats)

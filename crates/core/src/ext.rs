@@ -39,36 +39,20 @@ pub fn apply_selection(
     policy: SelectionPolicy,
 ) -> Relation<NaturalRing> {
     let mut out = Relation::new(rel.semiring, rel.schema.clone());
-    match policy {
-        SelectionPolicy::Public => {
-            for (t, a) in rel.tuples.iter().zip(&rel.annots) {
-                if pred(t) {
-                    out.push(t.clone(), *a);
-                }
-            }
+    for (t, a) in rel.tuples.iter().zip(&rel.annots) {
+        if pred(t) {
+            out.push(t.clone(), *a);
+        } else if policy == SelectionPolicy::Private {
+            // Dummy: zero annotation. The tuple values stay — revealing
+            // them to nobody, since only the owner sees its own relation —
+            // but contribute nothing.
+            out.push(t.clone(), rel.semiring.zero());
         }
-        SelectionPolicy::Private => {
-            for (t, a) in rel.tuples.iter().zip(&rel.annots) {
-                if pred(t) {
-                    out.push(t.clone(), *a);
-                } else {
-                    // Dummy: zero annotation. The tuple values stay —
-                    // revealing them to nobody, since only the owner sees
-                    // its own relation — but contribute nothing.
-                    out.push(t.clone(), rel.semiring.zero());
-                }
-            }
-        }
-        SelectionPolicy::UpperBound(bound) => {
-            for (t, a) in rel.tuples.iter().zip(&rel.annots) {
-                if pred(t) {
-                    out.push(t.clone(), *a);
-                }
-            }
-            assert!(out.len() <= bound, "selection exceeded its public bound");
-            while out.len() < bound {
-                out.push(vec![u64::MAX; rel.schema.len()], rel.semiring.zero());
-            }
+    }
+    if let SelectionPolicy::UpperBound(bound) = policy {
+        assert!(out.len() <= bound, "selection exceeded its public bound");
+        while out.len() < bound {
+            out.push(vec![u64::MAX; rel.schema.len()], rel.semiring.zero());
         }
     }
     out

@@ -101,11 +101,10 @@ pub(crate) fn reveal_rows(
 ) -> Option<RevealedRows> {
     rel.ensure_shared(sess);
     let ell = sess.ring.bits() as usize;
-    let step = reveal_step(&rel.header(), receiver, ell, values);
+    let step = reveal_step(&rel.header, receiver, ell, values);
     let mut bits = words_to_bits(&rel.annot_shares, ell);
-    if step.owner_is_garbler && rel.is_mine(sess) {
-        let tuples = rel.tuples.as_ref().expect("owner side");
-        let flat: Vec<u64> = tuples.iter().flatten().copied().collect();
+    if let Some(rows) = rel.rows.as_ref().filter(|_| step.owner_is_garbler) {
+        let flat: Vec<u64> = rows.iter().flat_map(|(t, _)| t).copied().collect();
         bits.extend(words_to_bits(&flat, 64));
     }
     let out = sess.garble(&step.circuit(), step.garbler, &bits)?;
@@ -122,7 +121,9 @@ pub(crate) fn reveal_rows(
                 let tuple = if step.owner_is_garbler {
                     bits_to_words(&row[head..], 64)
                 } else {
-                    rel.tuples.as_ref().expect("receiver owns the tuples")[i].clone()
+                    rel.rows.as_ref().expect("receiver owns the tuples")[i]
+                        .0
+                        .clone()
                 };
                 (tuple, v)
             })
@@ -205,7 +206,7 @@ pub fn oblivious_join(
     let mut columns = Vec::with_capacity(rels.len());
     for r in rels.iter() {
         let (mut shared, mut added) = (Vec::new(), Vec::new());
-        for (p, a) in r.schema.iter().enumerate() {
+        for (p, a) in r.header.schema.iter().enumerate() {
             match schema.iter().position(|s| s == a) {
                 Some(q) => shared.push((p, q)),
                 None => {

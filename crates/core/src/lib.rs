@@ -11,8 +11,9 @@
 //!   both directions of OT/OPRF machinery, set up once and amortized —
 //!   and the four verbs (circuit, OEP, PSI, multiply) every operator
 //!   below is written in.
-//! * [`srel`] — [`srel::SecureRelation`]: tuples held by one party,
-//!   annotations additively shared, dummies tracked owner-side.
+//! * [`srel`] — [`srel::SecureRelation`]: a public header, tuples and
+//!   dummy flags held by one party, annotations additively shared —
+//!   (v, 0) while still owner-known.
 //! * [`agg`] — oblivious projection-aggregation π⊕ and π¹ (§6.1): local
 //!   sort + shared OEP + a merge-gate garbled circuit.
 //! * [`semijoin`] — the reduce-join R_F ⋈⊗ R_{F'} (F′ ⊆ F) and the

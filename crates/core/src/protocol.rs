@@ -25,6 +25,7 @@ use crate::join::{oblivious_join, reveal_rows};
 use crate::query::SecureQuery;
 use crate::semijoin::oblivious_reduce_join;
 use crate::session::Session;
+use crate::shape::RelHeader;
 use crate::srel::SecureRelation;
 use secyan_relation::{NaturalRing, Relation};
 use secyan_transport::Role;
@@ -49,13 +50,13 @@ pub struct QueryResult {
 /// written against this seam once, so the schedule a shape is planned
 /// from *is* the schedule that executes.
 pub(crate) trait Operators {
-    type Rel: Clone;
+    type Rel;
     type Output;
-    fn schema(rel: &Self::Rel) -> &[String];
+    fn header(rel: &Self::Rel) -> &RelHeader;
     /// π⊕ / π¹ of `rel` onto `attrs` (§6.1).
     fn project_agg(&mut self, rel: &Self::Rel, attrs: &[String], kind: AggKind) -> Self::Rel;
-    /// `rf ⋈⊗ rg` keeping `rf`'s tuples (§6.2).
-    fn reduce_join(&mut self, rf: &Self::Rel, rg: Self::Rel) -> Self::Rel;
+    /// `rf ← rf ⋈⊗ rg` in place: `rf` keeps its tuples (§6.2).
+    fn reduce_join(&mut self, rf: &mut Self::Rel, rg: Self::Rel);
     /// Reveal the single surviving relation's rows and aggregates.
     fn reveal(&mut self, rel: &mut Self::Rel, receiver: Role) -> Self::Output;
     /// The full join of the survivors (§6.3), aggregates revealed or
@@ -67,8 +68,8 @@ impl Operators for Session<'_> {
     type Rel = SecureRelation;
     type Output = QueryResult;
 
-    fn schema(rel: &SecureRelation) -> &[String] {
-        &rel.schema
+    fn header(rel: &SecureRelation) -> &RelHeader {
+        &rel.header
     }
 
     fn project_agg(
@@ -80,7 +81,7 @@ impl Operators for Session<'_> {
         oblivious_project_agg(self, rel, attrs, kind)
     }
 
-    fn reduce_join(&mut self, rf: &SecureRelation, rg: SecureRelation) -> SecureRelation {
+    fn reduce_join(&mut self, rf: &mut SecureRelation, rg: SecureRelation) {
         oblivious_reduce_join(self, rf, rg)
     }
 
@@ -88,7 +89,7 @@ impl Operators for Session<'_> {
         let rows = reveal_rows(self, rel, receiver, true).unwrap_or_default();
         let (tuples, values): (Vec<_>, Vec<_>) = rows.into_iter().flatten().unzip();
         QueryResult {
-            schema: rel.schema.clone(),
+            schema: rel.header.schema.clone(),
             out_size: tuples.len(),
             tuples,
             values,
@@ -156,11 +157,11 @@ pub(crate) fn walk<O: Operators>(
     receiver: Role,
     reveal: bool,
 ) -> O::Output {
-    let (mut rels, survivors) = reduce_and_semijoin(ops, query, rels);
+    let mut survivors = reduce_and_semijoin(ops, query, rels);
     if reveal && survivors.len() == 1 {
-        return ops.reveal(&mut rels[survivors[0]], receiver);
+        return ops.reveal(&mut survivors[0], receiver);
     }
-    ops.join(&mut fold(query, &rels, &survivors), receiver, reveal)
+    ops.join(&mut survivors, receiver, reveal)
 }
 
 /// The attributes of `schema` that `keep` keeps, in schema order.
@@ -168,22 +169,24 @@ fn filter_attrs(schema: &[String], keep: impl Fn(&String) -> bool) -> Vec<String
     schema.iter().filter(|a| keep(a)).cloned().collect()
 }
 
-/// `rf ⋉⊗ rg` (§6.2): the support projection of `rg` on the shared
-/// attributes, then a reduce-join.
-pub(crate) fn semijoin<O: Operators>(ops: &mut O, rf: &O::Rel, rg: &O::Rel) -> O::Rel {
-    let join_attrs = filter_attrs(O::schema(rf), |a| O::schema(rg).contains(a));
-    let support = ops.project_agg(rg, &join_attrs, AggKind::Support);
-    ops.reduce_join(rf, support)
+/// `rels[f] ← rels[f] ⋉⊗ rels[g]` (§6.2): the support projection of
+/// `rels[g]` on the shared attributes, then a reduce-join into `rels[f]`.
+pub(crate) fn semijoin<O: Operators>(ops: &mut O, rels: &mut [O::Rel], f: usize, g: usize) {
+    let schema_g = &O::header(&rels[g]).schema;
+    let join_attrs = filter_attrs(&O::header(&rels[f]).schema, |a| schema_g.contains(a));
+    let support = ops.project_agg(&rels[g], &join_attrs, AggKind::Support);
+    ops.reduce_join(&mut rels[f], support);
 }
 
-/// Phases 1 and 2 (public control flow — schemas only). Returns the
-/// per-node relations (folded nodes left in place but dead) and the
-/// surviving node indices.
+/// Phases 1 and 2 (public control flow — headers only). Returns the
+/// surviving relations in fold order: top-down from the root, so every
+/// prefix of the fold is connected in the tree (the join is commutative,
+/// so this is as good as bottom-up and simpler to compute).
 fn reduce_and_semijoin<O: Operators>(
     ops: &mut O,
     query: &SecureQuery,
     mut rels: Vec<O::Rel>,
-) -> (Vec<O::Rel>, Vec<usize>) {
+) -> Vec<O::Rel> {
     let tree = &query.tree;
     let root = tree.root();
     let mut removed = vec![false; query.len()];
@@ -192,17 +195,18 @@ fn reduce_and_semijoin<O: Operators>(
     // Phase 1: reduce.
     for i in tree.bottom_up() {
         let parent = tree.parent(i);
-        let f_prime = filter_attrs(O::schema(&rels[i]), |a| {
-            query.output.contains(a) || parent.is_some_and(|p| O::schema(&rels[p]).contains(a))
+        let schema_of = |j: usize| &O::header(&rels[j]).schema;
+        let f_prime = filter_attrs(schema_of(i), |a| {
+            query.output.contains(a) || parent.is_some_and(|p| schema_of(p).contains(a))
         });
-        let mergeable = parent
-            .filter(|&p| !kept_below[i] && f_prime.iter().all(|a| O::schema(&rels[p]).contains(a)));
+        let mergeable =
+            parent.filter(|&p| !kept_below[i] && f_prime.iter().all(|a| schema_of(p).contains(a)));
         if let Some(p) = mergeable {
             let folded = ops.project_agg(&rels[i], &f_prime, AggKind::Sum);
-            rels[p] = ops.reduce_join(&rels[p], folded);
+            ops.reduce_join(&mut rels[p], folded);
             removed[i] = true;
         } else {
-            if f_prime.len() != O::schema(&rels[i]).len() {
+            if f_prime.len() != schema_of(i).len() {
                 rels[i] = ops.project_agg(&rels[i], &f_prime, AggKind::Sum);
             }
             if let Some(p) = parent {
@@ -210,34 +214,25 @@ fn reduce_and_semijoin<O: Operators>(
             }
         }
     }
-    let survivors: Vec<usize> = (0..query.len()).filter(|&i| !removed[i]).collect();
 
     // Phase 2: semijoins over survivors (skipped when only the root is
     // left).
-    if survivors.len() > 1 {
+    if removed.iter().filter(|&&gone| !gone).count() > 1 {
         let non_root = |order: Vec<usize>| order.into_iter().filter(|&i| !removed[i] && i != root);
         for i in non_root(tree.bottom_up()) {
-            let p = tree.parent(i).expect("non-root");
-            rels[p] = semijoin(ops, &rels[p], &rels[i]);
+            semijoin(ops, &mut rels, tree.parent(i).expect("non-root"), i);
         }
         for i in non_root(tree.top_down()) {
-            let p = tree.parent(i).expect("non-root");
-            rels[i] = semijoin(ops, &rels[i], &rels[p]);
+            semijoin(ops, &mut rels, i, tree.parent(i).expect("non-root"));
         }
     }
-    (rels, survivors)
-}
-
-/// The survivors in fold order: top-down from the root, so every prefix of
-/// the fold is connected in the tree (the join is commutative, so this is
-/// as good as bottom-up and simpler to compute).
-fn fold<R: Clone>(query: &SecureQuery, rels: &[R], survivors: &[usize]) -> Vec<R> {
-    query
-        .tree
-        .top_down()
+    // The survivors move out of their slots; nothing is copied.
+    let mut slots: Vec<Option<O::Rel>> = (rels.into_iter().zip(removed))
+        .map(|(rel, gone)| (!gone).then_some(rel))
+        .collect();
+    tree.top_down()
         .into_iter()
-        .filter(|i| survivors.contains(i))
-        .map(|i| rels[i].clone())
+        .filter_map(|i| slots[i].take())
         .collect()
 }
 

@@ -23,7 +23,7 @@ use crate::session::Session;
 use crate::shape::{Draws, RelHeader};
 use crate::srel::{dummy_key, SecureRelation};
 use secyan_psi::CuckooTable;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Map each R_F row to the cuckoo bin holding its join key (bin 0 for
 /// dummy rows — their annotation is 0, so the product kills the payload).
@@ -110,57 +110,48 @@ impl ReduceJoinStep {
     }
 }
 
-/// Oblivious reduce-join `R_F ⋈⊗ R_G` (see module docs). The real tuples
-/// of `R_G` must be distinct on the shared attributes — guaranteed when
-/// `R_G` is a projection-aggregation output, which is the only way the
-/// Yannakakis driver calls this.
-pub fn oblivious_reduce_join(
-    sess: &mut Session,
-    rf: &SecureRelation,
-    mut rg: SecureRelation,
-) -> SecureRelation {
+/// Oblivious reduce-join `R_F ← R_F ⋈⊗ R_G` (see module docs), in place:
+/// `rf` keeps its tuples and takes the products as its annotations. The
+/// real tuples of `R_G` must be distinct on the shared attributes —
+/// guaranteed when `R_G` is a projection-aggregation output, which is the
+/// only way the Yannakakis driver calls this.
+pub fn oblivious_reduce_join(sess: &mut Session, rf: &mut SecureRelation, mut rg: SecureRelation) {
     let ell = sess.ring.bits() as usize;
-    let step = reduce_join_step(&rf.header(), &rg.header(), ell);
+    let step = reduce_join_step(&rf.header, &rg.header, ell);
     let join_attrs: Vec<String> = rf
+        .header
         .schema
         .iter()
-        .filter(|a| rg.schema.contains(a))
+        .filter(|a| rg.header.schema.contains(a))
         .cloned()
         .collect();
-    let n = rf.size;
-    let (f, i_own_f) = (rf.owner, rf.is_mine(sess));
+    let (f, n, g_size) = (rf.header.owner, rf.header.size, rg.header.size);
 
     // Obtain my z-shares aligned with R_F's rows.
     let my_z: Vec<u64> = if step.path == JoinPath::SameOwner {
         rg.ensure_shared(sess);
         // Owner matches locally; one extra dummy slot catches non-matches.
-        let mut g_shares = rg.annot_shares.clone();
+        let mut g_shares = std::mem::take(&mut rg.annot_shares);
         g_shares.push(0);
-        let xi: Option<Vec<usize>> = i_own_f.then(|| {
-            let pos_g = rg.positions(&join_attrs);
-            let g_dummy = rg.dummy.as_ref().expect("owner side");
+        let xi: Option<Vec<usize>> = rf.join_keys(&join_attrs).map(|f_keys| {
+            // Only dummy keys take a nonce, and none is built here; the
+            // draw stays so the owner's RNG stream, and every share drawn
+            // after it, is unchanged.
+            let _nonce = sess.random_u64();
+            let g_keys = rg.join_keys(&join_attrs).expect("owner side");
             let mut index: HashMap<u64, usize> = HashMap::new();
-            let nonce = sess.random_u64();
-            for (j, dummy) in g_dummy.iter().enumerate().take(rg.size) {
-                if !dummy {
-                    let k = rg.join_key(j, &pos_g, nonce);
+            for (j, k) in g_keys.into_iter().enumerate() {
+                if let Some(k) = k {
                     assert!(
                         index.insert(k, j).is_none(),
                         "reduce-join requires distinct join keys in R_G"
                     );
                 }
             }
-            let pos_f = rf.positions(&join_attrs);
-            let f_dummy = rf.dummy.as_ref().expect("owner side");
-            (0..n)
-                .map(|i| {
-                    if f_dummy[i] {
-                        rg.size // dummy slot
-                    } else {
-                        let k = rf.join_key(i, &pos_f, nonce);
-                        index.get(&k).copied().unwrap_or(rg.size)
-                    }
-                })
+            // Dummy and unmatched rows take the dummy slot.
+            f_keys
+                .into_iter()
+                .map(|k| k.and_then(|k| index.get(&k).copied()).unwrap_or(g_size))
                 .collect()
         });
         sess.oep(f, xi.as_deref(), n, &g_shares)
@@ -169,23 +160,11 @@ pub fn oblivious_reduce_join(
         // with plain payloads while they are still owner-known (§6.5).
         let shared = step.path == JoinPath::SharedPsi;
         let nonce = sess.random_u64();
-        if i_own_f {
+        if let Some(key_of_row) = rf.join_keys(&join_attrs) {
             // Build X: distinct join keys of real R_F rows, padded to n.
-            let pos_f = rf.positions(&join_attrs);
-            let f_dummy = rf.dummy.as_ref().expect("owner side");
-            let mut seen: HashMap<u64, ()> = HashMap::new();
+            let mut seen: HashSet<u64> = HashSet::new();
             let mut x: Vec<u64> = Vec::with_capacity(n);
-            let mut key_of_row: Vec<Option<u64>> = vec![None; n];
-            for i in 0..n {
-                if f_dummy[i] {
-                    continue;
-                }
-                let k = rf.join_key(i, &pos_f, nonce);
-                key_of_row[i] = Some(k);
-                if seen.insert(k, ()).is_none() {
-                    x.push(k);
-                }
-            }
+            x.extend(key_of_row.iter().flatten().filter(|&&k| seen.insert(k)));
             let mut pad = 0u64;
             while x.len() < n {
                 x.push(dummy_key(nonce ^ 0x5eed, pad));
@@ -196,37 +175,25 @@ pub fn oblivious_reduce_join(
             // corrections ride the same outbound super-frame as the PSI's.
             // The sender consumes them in this order: PSI first, outer
             // OEP last — matching the staging order here.
-            let psi = sess.psi_receiver_begin(&x, rg.my_annots(), shared);
+            let psi = sess.psi_receiver_begin(&x, &rg.annot_shares, shared);
             let xi = route_rows(psi.cuckoo(), &key_of_row);
             let oep = sess.oep_begin(&xi, psi.cuckoo().bins.len());
             let payload_shares = sess.psi_receiver_finish(psi);
             sess.oep_finish(oep, &payload_shares)
         } else {
             // R_G owner: PSI sender.
-            debug_assert!(rg.is_mine(sess));
-            let pos_g = rg.positions(&join_attrs);
-            let g_dummy = rg.dummy.as_ref().expect("owner side");
-            let keys: Vec<u64> = (0..rg.size)
-                .map(|j| {
-                    if g_dummy[j] {
-                        dummy_key(nonce ^ 0x60, j as u64)
-                    } else {
-                        rg.join_key(j, &pos_g, nonce)
-                    }
-                })
+            let g_keys = rg.join_keys(&join_attrs).expect("owner side");
+            let keys: Vec<u64> = (g_keys.into_iter().enumerate())
+                .map(|(j, k)| k.unwrap_or_else(|| dummy_key(nonce ^ 0x60, j as u64)))
                 .collect();
-            let payload_shares = sess.psi_sender(&keys, n, rg.my_annots(), shared);
+            let payload_shares = sess.psi_sender(&keys, n, &rg.annot_shares, shared);
             sess.oep(f, None, n, &payload_shares)
         }
     };
 
     // New annotations [v ⊗ z], multiplied on the shares.
-    let out_shares = sess.multiply(f, rf.my_annots(), &my_z, step.v_plain);
-    SecureRelation {
-        tuples: rf.tuples.clone(),
-        dummy: rf.dummy.clone(),
-        ..SecureRelation::shared(step.out, None, out_shares)
-    }
+    rf.annot_shares = sess.multiply(f, &rf.annot_shares, &my_z, step.v_plain);
+    rf.header = step.out;
 }
 
 #[cfg(test)]
@@ -529,8 +496,8 @@ mod tests {
                     rf.ensure_shared(&mut sess);
                     rg.ensure_shared(&mut sess);
                 }
-                let out = oblivious_reduce_join(&mut sess, &rf, rg);
-                out.annot_shares
+                oblivious_reduce_join(&mut sess, &mut rf, rg);
+                rf.annot_shares
             },
             move |ch| {
                 let mut sess =
@@ -543,8 +510,8 @@ mod tests {
                     rf.ensure_shared(&mut sess);
                     rg.ensure_shared(&mut sess);
                 }
-                let out = oblivious_reduce_join(&mut sess, &rf, rg);
-                out.annot_shares
+                oblivious_reduce_join(&mut sess, &mut rf, rg);
+                rf.annot_shares
             },
         );
         let ring = RingCtx::new(32);
@@ -612,10 +579,11 @@ mod tests {
                     (Role::Bob, strings(&["k", "y"]), None),
                 ];
                 let mut rels = SecureRelation::load_all(&mut sess, specs);
-                let (mut rg, mut rf) = (rels.pop().unwrap(), rels.pop().unwrap());
-                rf.ensure_shared(&mut sess);
-                rg.ensure_shared(&mut sess);
-                crate::protocol::semijoin(&mut sess, &rf, &rg).annot_shares
+                for r in &mut rels {
+                    r.ensure_shared(&mut sess);
+                }
+                crate::protocol::semijoin(&mut sess, &mut rels, 0, 1);
+                rels.swap_remove(0).annot_shares
             },
             move |ch| {
                 let mut sess =
@@ -625,10 +593,11 @@ mod tests {
                     (Role::Bob, strings(&["k", "y"]), Some(&g_rel)),
                 ];
                 let mut rels = SecureRelation::load_all(&mut sess, specs);
-                let (mut rg, mut rf) = (rels.pop().unwrap(), rels.pop().unwrap());
-                rf.ensure_shared(&mut sess);
-                rg.ensure_shared(&mut sess);
-                crate::protocol::semijoin(&mut sess, &rf, &rg).annot_shares
+                for r in &mut rels {
+                    r.ensure_shared(&mut sess);
+                }
+                crate::protocol::semijoin(&mut sess, &mut rels, 0, 1);
+                rels.swap_remove(0).annot_shares
             },
         );
         let ring = RingCtx::new(32);

@@ -64,6 +64,18 @@ pub(crate) struct RelHeader {
     pub is_plain: bool,
 }
 
+impl RelHeader {
+    /// A freshly loaded relation: its annotations are still owner-known.
+    pub(crate) fn loaded(schema: Vec<String>, owner: Role, size: usize) -> RelHeader {
+        RelHeader {
+            schema,
+            owner,
+            size,
+            is_plain: true,
+        }
+    }
+}
+
 /// One count per direction, indexed by the *sending* role: the OT sender
 /// of an IKNP batch, the OPRF key holder of a KKRT batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -205,12 +217,7 @@ impl QueryShape {
     pub fn derive(query: &SecureQuery, sizes: &[usize], receiver: Role, ell: usize) -> QueryShape {
         assert_eq!(sizes.len(), query.len(), "one size per relation");
         let loaded = (0..query.len())
-            .map(|i| RelHeader {
-                schema: query.schemas[i].clone(),
-                owner: query.owners[i],
-                size: sizes[i],
-                is_plain: true,
-            })
+            .map(|i| RelHeader::loaded(query.schemas[i].clone(), query.owners[i], sizes[i]))
             .collect();
         let mut rec = Recorder {
             ell,
@@ -242,8 +249,8 @@ impl Operators for Recorder {
     type Rel = RelHeader;
     type Output = ();
 
-    fn schema(rel: &RelHeader) -> &[String] {
-        &rel.schema
+    fn header(rel: &RelHeader) -> &RelHeader {
+        rel
     }
 
     fn project_agg(&mut self, rel: &RelHeader, attrs: &[String], kind: AggKind) -> RelHeader {
@@ -252,10 +259,10 @@ impl Operators for Recorder {
         step.out
     }
 
-    fn reduce_join(&mut self, rf: &RelHeader, rg: RelHeader) -> RelHeader {
+    fn reduce_join(&mut self, rf: &mut RelHeader, rg: RelHeader) {
         let step = reduce_join_step(rf, &rg, self.ell);
         self.draws.absorb(step.draws());
-        step.out
+        *rf = step.out;
     }
 
     fn reveal(&mut self, rel: &mut RelHeader, receiver: Role) {

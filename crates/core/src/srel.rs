@@ -1,12 +1,15 @@
 //! Secure (shared-annotation) relations.
 //!
 //! A [`SecureRelation`] is the protocol-time form of an annotated relation
-//! (paper §6 requirements (1)–(3)): the tuples are held in the clear by
-//! exactly one party (the *owner*), the size and schema are public, and
-//! the annotations exist only as additive shares split between the two
-//! parties, aligned by tuple index. Dummy tuples — padding whose
-//! annotation shares reconstruct to 0 — are tracked on the owner side
-//! only; the other party cannot tell them apart from real rows.
+//! (paper §6 requirements (1)–(3)): its public `RelHeader` (schema,
+//! owner, size, and whether the annotations are still owner-known), the
+//! tuples held in the clear by exactly one party (the *owner*), and the
+//! annotations as additive shares split between the two parties, aligned
+//! by tuple index. While the annotations are owner-known (§6.5) that
+//! sharing is the trivial one: the owner holds `v`, the peer 0. Dummy
+//! tuples — padding whose annotation shares reconstruct to 0 — are flagged
+//! on the owner side only; the other party cannot tell them apart from
+//! real rows.
 
 use crate::session::Session;
 use crate::shape::RelHeader;
@@ -15,29 +18,18 @@ use secyan_relation::{NaturalRing, Relation};
 use secyan_transport::Role;
 
 /// One party's view of a secure relation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SecureRelation {
-    /// Public: attribute names.
-    pub schema: Vec<String>,
-    /// Public: which party holds the tuples.
-    pub owner: Role,
-    /// Owner side: the tuple values (row-major, one `u64` per attribute).
-    /// `None` on the non-owner side; the public length is `size`.
-    pub tuples: Option<Vec<Vec<u64>>>,
-    /// Owner side: dummy flags (same length as `tuples`).
-    pub dummy: Option<Vec<bool>>,
-    /// Public: number of rows.
-    pub size: usize,
-    /// My additive shares of the annotations (`size` entries; meaningful
-    /// only once `is_plain` is false).
+    /// Public: what the driver's control flow and every operator's step
+    /// read.
+    pub(crate) header: RelHeader,
+    /// Owner side: one `(tuple, dummy)` row per public position, each
+    /// tuple one `u64` per attribute. `None` on the other side.
+    pub(crate) rows: Option<Vec<(Vec<u64>, bool)>>,
+    /// My additive shares of the annotations, one per row. While
+    /// `header.is_plain` the owner's are the clear annotations and the
+    /// peer's are zeros: `(v, 0)` is a sharing of `v`.
     pub annot_shares: Vec<u64>,
-    /// Public plan-level flag (§6.5 optimization): true while the
-    /// annotations are still fully known to the owner, letting
-    /// aggregations run locally and PSI use plain payloads. Flips to
-    /// false after [`SecureRelation::ensure_shared`].
-    pub is_plain: bool,
-    /// Owner side, valid while `is_plain`: the cleartext annotations.
-    pub plain_annots: Option<Vec<u64>>,
 }
 
 /// One batched-load entry: public owner and schema, plus the relation
@@ -79,161 +71,71 @@ impl SecureRelation {
         specs
             .into_iter()
             .map(|(owner, schema, rel)| {
-                if sess.role() == owner {
-                    let rel = rel.expect("owner must supply the relation");
-                    if !i_go_first {
-                        sess.ch.send_u64(rel.len() as u64);
-                    }
-                    Self::from_owned(sess, owner, schema, rel)
-                } else {
+                if sess.role() != owner {
                     let size = crate::session::recv_declared_size(sess.ch, "relation");
-                    Self::from_declared(owner, schema, size, None)
+                    return SecureRelation {
+                        header: RelHeader::loaded(schema, owner, size),
+                        rows: None,
+                        annot_shares: vec![0; size],
+                    };
+                }
+                let rel = rel.expect("owner must supply the relation");
+                if !i_go_first {
+                    sess.ch.send_u64(rel.len() as u64);
+                }
+                assert_eq!(rel.schema, schema);
+                SecureRelation {
+                    header: RelHeader::loaded(schema, owner, rel.len()),
+                    rows: Some(rel.tuples.iter().map(|t| (t.clone(), false)).collect()),
+                    annot_shares: rel.annots.iter().map(|&v| sess.ring.reduce(v)).collect(),
                 }
             })
             .collect()
-    }
-
-    /// Owner-side constructor (size already declared on the wire).
-    fn from_owned(
-        sess: &mut Session,
-        owner: Role,
-        schema: Vec<String>,
-        rel: &Relation<NaturalRing>,
-    ) -> SecureRelation {
-        assert_eq!(rel.schema, schema);
-        let rows = rel
-            .tuples
-            .iter()
-            .zip(&rel.annots)
-            .map(|(t, &v)| (t.clone(), false, sess.ring.reduce(v)))
-            .collect();
-        Self::from_declared(owner, schema, rel.len(), Some(rows))
-    }
-
-    /// A freshly loaded relation of the declared public size.
-    fn from_declared(
-        owner: Role,
-        schema: Vec<String>,
-        size: usize,
-        rows: Option<Vec<(Vec<u64>, bool, u64)>>,
-    ) -> SecureRelation {
-        let header = RelHeader {
-            schema,
-            owner,
-            size,
-            is_plain: true,
-        };
-        Self::plain(header, rows)
-    }
-
-    /// The public part: what the driver's control flow and every
-    /// operator's step read.
-    pub(crate) fn header(&self) -> RelHeader {
-        RelHeader {
-            schema: self.schema.clone(),
-            owner: self.owner,
-            size: self.size,
-            is_plain: self.is_plain,
-        }
-    }
-
-    /// A relation with owner-known annotations (`header.is_plain`), built
-    /// from its public header plus, on the owner side, one
-    /// `(tuple, dummy, annotation)` row per public position.
-    pub(crate) fn plain(
-        header: RelHeader,
-        rows: Option<Vec<(Vec<u64>, bool, u64)>>,
-    ) -> SecureRelation {
-        debug_assert!(header.is_plain);
-        let n = header.size;
-        let (rows, plain_annots): (Option<Vec<_>>, Option<Vec<_>>) = rows
-            .map(|r| r.into_iter().map(|(t, d, v)| ((t, d), v)).unzip())
-            .unzip();
-        SecureRelation {
-            plain_annots,
-            ..Self::shared(header, rows, vec![0; n])
-        }
-    }
-
-    /// A relation built from its public header, this party's annotation
-    /// shares and, on the owner side, one `(tuple, dummy)` row per public
-    /// position.
-    pub(crate) fn shared(
-        header: RelHeader,
-        rows: Option<Vec<(Vec<u64>, bool)>>,
-        annot_shares: Vec<u64>,
-    ) -> SecureRelation {
-        let (tuples, dummy) = rows.map(|r| r.into_iter().unzip()).unzip();
-        SecureRelation {
-            schema: header.schema,
-            owner: header.owner,
-            tuples,
-            dummy,
-            size: header.size,
-            annot_shares,
-            is_plain: header.is_plain,
-            plain_annots: None,
-        }
     }
 
     /// Convert owner-known annotations into additive shares (no-op when
     /// already shared). The transition is part of the public plan, so both
     /// parties always agree on whether this communicates.
     pub fn ensure_shared(&mut self, sess: &mut Session) {
-        if !self.is_plain {
+        if !self.header.is_plain {
             return;
         }
-        if sess.role() == self.owner {
-            let plain = self.plain_annots.take().expect("owner holds plain annots");
-            let mut mine = Vec::with_capacity(self.size);
-            let mut theirs = Vec::with_capacity(self.size);
-            for &v in &plain {
-                let (a, b) = sess.ring.share(v, &mut sess.rng);
-                mine.push(a);
+        if sess.role() == self.header.owner {
+            let mut theirs = Vec::with_capacity(self.header.size);
+            for v in &mut self.annot_shares {
+                let (a, b) = sess.ring.share(*v, &mut sess.rng);
+                *v = a;
                 theirs.push(b);
             }
             sess.ch.send_u64_slice(&theirs);
-            self.annot_shares = mine;
         } else {
-            self.annot_shares = sess.ch.recv_u64_vec(self.size);
+            self.annot_shares = sess.ch.recv_u64_vec(self.header.size);
         }
-        self.is_plain = false;
-    }
-
-    /// This party's view of the annotations: the clear values on the
-    /// owner's side while they are still owner-known, else my additive
-    /// shares — all zero on the other side of a plain relation, `(v, 0)`
-    /// being a sharing of `v`.
-    pub(crate) fn my_annots(&self) -> &[u64] {
-        self.plain_annots.as_deref().unwrap_or(&self.annot_shares)
-    }
-
-    /// Am I the owner?
-    pub fn is_mine(&self, sess: &Session) -> bool {
-        sess.role() == self.owner
+        self.header.is_plain = false;
     }
 
     /// The column positions of `attrs`.
     pub fn positions(&self, attrs: &[String]) -> Vec<usize> {
+        let schema = &self.header.schema;
         attrs
             .iter()
             .map(|a| {
-                self.schema
+                schema
                     .iter()
                     .position(|s| s == a)
-                    .unwrap_or_else(|| panic!("attribute {a} not in {:?}", self.schema))
+                    .unwrap_or_else(|| panic!("attribute {a} not in {schema:?}"))
             })
             .collect()
     }
 
-    /// Owner-side: the 64-bit join key of row `i` on column positions
-    /// `pos`. Dummy rows draw a fresh never-matching key from `nonce`.
-    pub fn join_key(&self, i: usize, pos: &[usize], nonce: u64) -> u64 {
-        let tuples = self.tuples.as_ref().expect("owner side");
-        if self.dummy.as_ref().expect("owner side")[i] {
-            return dummy_key(nonce, i as u64);
-        }
-        key64(pos.iter().map(|&p| tuples[i][p]))
+    /// Owner side: per row, the 64-bit join key on `attrs`, or `None` for
+    /// a dummy row. `None` on the other side.
+    pub(crate) fn join_keys(&self, attrs: &[String]) -> Option<Vec<Option<u64>>> {
+        let rows = self.rows.as_ref()?;
+        let pos = self.positions(attrs);
+        let key =
+            |(t, dummy): &(Vec<u64>, bool)| (!dummy).then(|| key64(pos.iter().map(|&p| t[p])));
+        Some(rows.iter().map(key).collect())
     }
 }
 
@@ -260,7 +162,16 @@ pub fn dummy_key(nonce: u64, index: u64) -> u64 {
 mod tests {
     use super::*;
     use secyan_crypto::{RingCtx, TweakHasher};
-    use secyan_transport::run_protocol;
+    use secyan_transport::{run_protocol, CommStats};
+
+    /// `ensure_shared` twice, with what each call moved on this endpoint.
+    fn share_twice(s: &mut Session, r: &mut SecureRelation) -> [CommStats; 2] {
+        [(); 2].map(|()| {
+            let before = s.ch.stats();
+            r.ensure_shared(s);
+            s.ch.stats().since(&before)
+        })
+    }
 
     #[test]
     fn load_shares_annotations() {
@@ -277,25 +188,37 @@ mod tests {
                 let mut s = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 1);
                 let mut r =
                     SecureRelation::load_all(&mut s, vec![(Role::Alice, sa, Some(&rel))]).remove(0);
-                let plain = r.plain_annots.clone();
-                r.ensure_shared(&mut s);
-                (r, plain)
+                let plain = r.annot_shares.clone();
+                let moved = share_twice(&mut s, &mut r);
+                (r, plain, moved)
             },
             move |ch| {
                 let mut s = Session::new(ch, RingCtx::new(32), TweakHasher::Aes, 2);
                 let mut r =
                     SecureRelation::load_all(&mut s, vec![(Role::Alice, sb, None)]).remove(0);
-                r.ensure_shared(&mut s);
-                r
+                let plain = r.annot_shares.clone();
+                let moved = share_twice(&mut s, &mut r);
+                (r, plain, moved)
             },
         );
-        let (a, plain) = a;
-        assert_eq!(a.size, 3);
-        assert_eq!(b.size, 3);
-        assert!(a.tuples.is_some());
-        assert!(b.tuples.is_none());
-        assert!(!a.is_plain && !b.is_plain);
-        assert_eq!(plain.as_deref(), Some(&[10u64, 20, 30][..]));
+        let ((a, a_plain, a_moved), (b, b_plain, b_moved)) = (a, b);
+        assert_eq!(a.header.size, 3);
+        assert_eq!(b.header.size, 3);
+        assert!(a.rows.is_some());
+        assert!(b.rows.is_none());
+        assert!(!a.header.is_plain && !b.header.is_plain);
+        // Owner-known annotations are the trivial sharing (v, 0).
+        assert_eq!(a_plain, vec![10, 20, 30]);
+        assert_eq!(b_plain, vec![0, 0, 0]);
+        // The first call sends the peer's 3 shares as one 24-byte message;
+        // the second is a no-op. Both endpoints count the same.
+        for [first, second] in [a_moved, b_moved] {
+            assert_eq!(first.messages, 1);
+            assert_eq!(first.messages_alice_to_bob, 1);
+            assert_eq!(first.bytes_alice_to_bob, 24);
+            assert_eq!(first.bytes_bob_to_alice, 0);
+            assert_eq!(second, CommStats::default());
+        }
         let ring = RingCtx::new(32);
         let got = ring.reconstruct_vec(&a.annot_shares, &b.annot_shares);
         assert_eq!(got, vec![10, 20, 30]);
