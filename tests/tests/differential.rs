@@ -313,7 +313,10 @@ fn three_way_join() -> Instance {
 ///
 /// The shared form of generate(7) (its join at k = 2, OUT = 5, so
 /// `garble_shared` runs on the product tree) and [`three_way_join`]
-/// (revealed, k = 3) pin the join paths no other golden reaches.
+/// (revealed, k = 3) pin the join paths no other golden reaches; the
+/// shared form of generate(17) (ℓ = 64, six relations over both owners,
+/// one survivor, so its join runs at k = 1 with OUT = 3) pins a shared
+/// matching circuit and two shared merge chains at ℓ = 64.
 /// (`gc_layer_wire_goldens` in `secyan-core` pins the circuits.)
 #[test]
 fn single_phase_transcript_goldens() {
@@ -395,6 +398,15 @@ fn single_phase_transcript_goldens() {
             [
                 "db4cd42a46ad0d1a0c9863d1ef70e8ecedfc11a5fd1a223967b0a00b77a4eb05",
                 "c039d8d1a89af7fe0a76e84227178c06da50b50f82b1562eef26abc6ecc38039",
+            ],
+        ),
+        (
+            shared(Instance::generate(17)),
+            "5b5e7f5ebec282f506cc7e96fce983f2d0839c6891e52d8c9765dcda2e7adc85",
+            "cfda826fc80e1a506003fa07d6291bbe90bd89cb2e38d556092b9f70762d2f90",
+            [
+                "0f4572c9568ed2b7c572c941e35c544a4e6b9f94e6bd591953da1574e57e6112",
+                "e033b5f1336bba3ea0475474064a3ecd69b800b57ce58b96af54386e708c16c8",
             ],
         ),
         (
