@@ -15,7 +15,7 @@ use crate::session::Session;
 use crate::shape::{Draws, RelHeader};
 use crate::srel::SecureRelation;
 use secyan_circuit::{words_to_bits, Circuit, Word};
-use secyan_gc::{with_shared_rows, SharedOutputSpec};
+use secyan_gc::with_shared_rows;
 
 /// Which projection-aggregation to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +31,8 @@ pub enum AggKind {
 /// Inputs (after the shared-output masks): garbler's N−1 equality bits and
 /// N share words, then the evaluator's N share words. Outputs: N shared
 /// words in sorted order, nonzero only at group ends.
-pub(crate) fn merge_circuit(n: usize, ell: usize, kind: AggKind) -> (Circuit, SharedOutputSpec) {
-    with_shared_rows(n, &[ell], |c| {
+pub(crate) fn merge_circuit(n: usize, ell: usize, kind: AggKind) -> Circuit {
+    with_shared_rows(n, ell, |c| {
         let eq = c.alice(n - 1, 1);
         let (a, bs) = (c.alice(n, ell), c.bob(n, ell));
         let mut xs = c.segment(n, |b| {
@@ -53,7 +53,7 @@ pub(crate) fn merge_circuit(n: usize, ell: usize, kind: AggKind) -> (Circuit, Sh
         // hands on the next group's start or the extended aggregate; the
         // last row's word is the aggregate leaving the chain. A support
         // bit leaves as the ring element 0 or 1.
-        let merged = c.scan(n - 1, xs.slice_rows(0..1), |b, z| {
+        c.scan(n - 1, xs.slice_rows(0..1), |b, z| {
             let eq = b.read(eq).0[0];
             let next = b.read(xs.slice_rows(1..n));
             let neq = b.not(eq);
@@ -64,8 +64,7 @@ pub(crate) fn merge_circuit(n: usize, ell: usize, kind: AggKind) -> (Circuit, Sh
                 AggKind::Sum => b.add_words(&keep, &next),
                 AggKind::Support => Word(vec![b.or(keep.0[0], next.0[0])]),
             }
-        });
-        vec![merged]
+        })
     })
 }
 
@@ -119,7 +118,7 @@ pub(crate) fn agg_step(rel: &RelHeader, attrs: &[String], kind: AggKind, ell: us
 }
 
 impl AggStep {
-    fn circuit(&self) -> (Circuit, SharedOutputSpec) {
+    fn circuit(&self) -> Circuit {
         merge_circuit(self.out.size, self.ell, self.kind)
     }
 
@@ -128,7 +127,7 @@ impl AggStep {
         if self.path == AggPath::Merge {
             let (n, owner) = (self.out.size, self.out.owner);
             d.oep(owner, n, n);
-            d.garble(self.circuit().0, owner);
+            d.garble(self.circuit(), owner);
         }
         d
     }
@@ -189,7 +188,7 @@ fn merge_project_agg(
     step: AggStep,
 ) -> SecureRelation {
     let (n, owner) = (rel.header.size, rel.header.owner);
-    let (circuit, spec) = step.circuit();
+    let circuit = step.circuit();
     // Owner side: real rows sorted by the projected key, dummies last and
     // each its own singleton group; the equality chain over that order;
     // and the output rows — group ends are real, all others dummy.
@@ -218,7 +217,7 @@ fn merge_project_agg(
     let my_sorted = sess.oep(owner, order.as_deref(), n, &rel.annot_shares);
     let mut my_bits = eq.unwrap_or_default();
     my_bits.extend(words_to_bits(&my_sorted, step.ell));
-    let annot_shares = sess.garble_shared(&circuit, &spec, owner, &my_bits);
+    let annot_shares = sess.garble_shared(&circuit, owner, &my_bits);
     SecureRelation {
         header: step.out,
         rows,

@@ -13,7 +13,7 @@ use crate::session::Session;
 use crate::shape::{Draws, RelHeader};
 use crate::srel::SecureRelation;
 use secyan_circuit::{bits_to_u64, bits_to_words, words_to_bits, Circuit, Rows, Word};
-use secyan_gc::{with_shared_rows, SharedOutputSpec};
+use secyan_gc::with_shared_rows;
 use secyan_oep::oep_ot_count;
 use secyan_transport::Role;
 use std::collections::HashMap;
@@ -149,12 +149,7 @@ pub fn join_tail_ot_count(sizes: &[usize], out_size: usize, ell: usize) -> usize
 /// The k-way annotation product circuit over `out_size` rows. Garbler =
 /// non-receiver. When `reveal`, outputs go to the receiver in the clear;
 /// otherwise they leave as fresh shares.
-pub(crate) fn product_tree_circuit(
-    n: usize,
-    k: usize,
-    ell: usize,
-    reveal: bool,
-) -> (Circuit, Option<SharedOutputSpec>) {
+pub(crate) fn product_tree_circuit(n: usize, k: usize, ell: usize, reveal: bool) -> Circuit {
     let product = |c: &mut Rows| {
         let (ga, gb) = (c.alice(n, k * ell), c.bob(n, k * ell));
         c.segment(n, |b| {
@@ -174,10 +169,9 @@ pub(crate) fn product_tree_circuit(
         let mut c = Rows::new();
         let products = product(&mut c);
         c.output(products);
-        (c.finish(), None)
+        c.finish()
     } else {
-        let (circuit, spec) = with_shared_rows(n, &[ell], |c| vec![product(c)]);
-        (circuit, Some(spec))
+        with_shared_rows(n, ell, product)
     }
 }
 
@@ -281,19 +275,18 @@ pub fn oblivious_join(
         return res;
     }
     // Step 4: product circuit, row-major inputs. Garbler = non-receiver.
-    let (circuit, spec) = product_tree_circuit(out_size, k, ell, reveal);
+    let circuit = product_tree_circuit(out_size, k, ell, reveal);
     let words: Vec<u64> = (0..out_size)
         .flat_map(|i| aligned.iter().map(move |a| a[i]))
         .collect();
     let (garbler, bits) = (receiver.peer(), words_to_bits(&words, ell));
-    match spec {
-        Some(spec) => res.annot_shares = sess.garble_shared(&circuit, &spec, garbler, &bits),
-        None => {
-            let out = sess.garble(&circuit, garbler, &bits);
-            res.values = out
-                .map(|bits| bits_to_words(&bits, ell))
-                .unwrap_or_default();
-        }
+    if reveal {
+        let out = sess.garble(&circuit, garbler, &bits);
+        res.values = out
+            .map(|bits| bits_to_words(&bits, ell))
+            .unwrap_or_default();
+    } else {
+        res.annot_shares = sess.garble_shared(&circuit, garbler, &bits);
     }
     res
 }

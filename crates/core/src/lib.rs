@@ -83,19 +83,19 @@ mod gc_wire_goldens {
     use crate::shape::RelHeader;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use secyan_circuit::{bits_to_u64, evaluate, Circuit};
+    use secyan_circuit::{bits_to_words, evaluate, Circuit};
     use secyan_crypto::sha256::Sha256;
-    use secyan_crypto::TweakHasher;
+    use secyan_crypto::{RingCtx, TweakHasher};
     use secyan_gc::{
-        evaluate_banked, evaluate_offline, evaluate_shared_banked, garble_banked, garble_offline,
-        garble_shared_banked, SharedOutputSpec,
+        evaluate_banked, evaluate_offline, garble_banked, garble_offline, garble_shared_banked,
     };
     use secyan_ot::{OtReceiver, OtSender};
     use secyan_psi::{k_circuit, matching_circuit};
     use secyan_transport::{run_protocol_captured, Role};
     use std::collections::VecDeque;
 
-    type Built = (Circuit, Option<SharedOutputSpec>);
+    /// A circuit, and whether its outputs leave as shared 32-bit words.
+    type Built = (Circuit, bool);
     /// A circuit kind: name, constructor by row count, the recorded
     /// digests of the garbler's and the evaluator's stream, then of their
     /// message-length sequences.
@@ -113,9 +113,9 @@ mod gc_wire_goldens {
     /// boundary shows as well as a moved byte; then the two streams'
     /// message lengths alone) and checked against the plaintext evaluator.
     fn run_case(built: &Built, banked: bool, seed: u64, sums: &mut [Sha256; 4]) {
-        let (circuit, spec) = (&built.0, built.1.as_ref());
+        let (circuit, shared, ring) = (&built.0, built.1, RingCtx::new(32));
         let mut rng = StdRng::seed_from_u64(seed);
-        let masks = spec.map_or(0, |s| s.total_bits());
+        let masks = if shared { circuit.output_count() } else { 0 };
         let a_bits: Vec<bool> = (masks..circuit.alice_inputs).map(|_| rng.gen()).collect();
         let b_bits: Vec<bool> = (0..circuit.bob_inputs).map(|_| rng.gen()).collect();
         let hasher = TweakHasher::default();
@@ -128,14 +128,11 @@ mod gc_wire_goldens {
                     bank.push_back(garble_offline(ch, circuit, &ot, &mut rng));
                 }
                 let (bank, ot, rng) = (&mut bank, &mut ot, &mut rng);
-                match spec {
-                    Some(spec) => {
-                        garble_shared_banked(ch, bank, circuit, spec, &a_bits, &[], ot, rng)
-                    }
-                    None => {
-                        garble_banked(ch, bank, circuit, &a_bits, &[], ot, rng);
-                        Vec::new()
-                    }
+                if shared {
+                    garble_shared_banked(ch, bank, circuit, ring, &a_bits, &[], ot, rng)
+                } else {
+                    garble_banked(ch, bank, circuit, &a_bits, &[], ot, rng);
+                    Vec::new()
                 }
             },
             |ch| {
@@ -145,33 +142,18 @@ mod gc_wire_goldens {
                 if banked {
                     bank.push_back(evaluate_offline(ch, circuit));
                 }
-                let (bank, ot) = (&mut bank, &mut ot);
-                match spec {
-                    Some(spec) => evaluate_shared_banked(ch, bank, circuit, spec, &b_bits, ot),
-                    None => evaluate_banked(ch, bank, circuit, &b_bits, ot)
-                        .iter()
-                        .map(|&bit| bit as u64)
-                        .collect(),
-                }
+                evaluate_banked(ch, &mut bank, circuit, &b_bits, &mut ot)
             },
         );
         // Plaintext oracle: with zero masks the shared words come out bare.
         let mut alice = vec![false; masks];
         alice.extend_from_slice(&a_bits);
         let want = evaluate(circuit, &alice, &b_bits);
-        match spec {
-            Some(spec) => {
-                let mut pos = 0;
-                for (k, &w) in spec.widths.iter().enumerate() {
-                    let got = garbled[k].wrapping_add(evaluated[k]) & (u64::MAX >> (64 - w));
-                    assert_eq!(got, bits_to_u64(&want[pos..pos + w]), "shared word {k}");
-                    pos += w;
-                }
-            }
-            None => {
-                let want: Vec<u64> = want.iter().map(|&bit| bit as u64).collect();
-                assert_eq!(evaluated, want, "revealed bits");
-            }
+        if shared {
+            let got = ring.reconstruct_vec(&garbled, &bits_to_words(&evaluated, 32));
+            assert_eq!(got, bits_to_words(&want, 32), "shared words");
+        } else {
+            assert_eq!(evaluated, want, "revealed bits");
         }
         let (bytes, lengths) = sums.split_at_mut(2);
         for ((sum, len_sum), dir) in bytes.iter_mut().zip(lengths).zip([Role::Alice, Role::Bob]) {
@@ -190,12 +172,12 @@ mod gc_wire_goldens {
             size: n,
             is_plain: false,
         };
-        (reveal_step(&rel, Role::Alice, 32, values).circuit(), None)
+        (reveal_step(&rel, Role::Alice, 32, values).circuit(), false)
     }
 
     #[test]
     fn gc_layer_wire_goldens() {
-        let shared = |(c, spec): (Circuit, SharedOutputSpec)| (c, Some(spec));
+        let shared = |c: Circuit| (c, true);
         let kinds: [Kind; 10] = [
             (
                 "merge sum",
@@ -223,7 +205,7 @@ mod gc_wire_goldens {
             ),
             (
                 "k",
-                &|n| (k_circuit(n, 3 * n), None),
+                &|n| (k_circuit(n, 3 * n), false),
                 "e925b0e73e747005e844d2d9d6f6fdf40d01b79f30ab47738ad3bf6748439f6c",
                 "b58b7fa8c8867ff792bb5eacbe330dc8cf284e67d63f2294142a7efc9ef870f9",
                 "3e3509fa1075f0df4cde65dbc45a4708d31c89c1b8175c5701b353ad6a71d3a1",
@@ -255,10 +237,7 @@ mod gc_wire_goldens {
             ),
             (
                 "product tree",
-                &|n| {
-                    let (c, spec) = product_tree_circuit(n, 3, 32, false);
-                    (c, spec)
-                },
+                &|n| shared(product_tree_circuit(n, 3, 32, false)),
                 "c394ecc1e8c06dd4309b401117e27f13a386e1fc459658f70ee8635fd64443e1",
                 "8c14282f672bed815d04c011af1e9c322d258cb54a9facba4a0e4fa94210033f",
                 "64e838615ad2e8e0b6be25a95d1139740df1608199b9e7ea3687f78af7864294",
@@ -266,7 +245,7 @@ mod gc_wire_goldens {
             ),
             (
                 "product tree reveal",
-                &|n| product_tree_circuit(n, 2, 32, true),
+                &|n| (product_tree_circuit(n, 2, 32, true), false),
                 "86302b1a392bbc9dcbacd46ad09c294e577bc52c3da35f9371548deae34101da",
                 "d80eace3f5968ffa8a2d4f8e565070d2621e6740a2195c6d12a262813a3543fe",
                 "1f9ac0840e80b1e22e05ffe19ce4881005561f332be6a41a52d4d4f1d5de2753",
@@ -274,7 +253,7 @@ mod gc_wire_goldens {
             ),
             (
                 "ratio",
-                &|n| (crate::ext::ratio_circuit(n, 32, 100), None),
+                &|n| (crate::ext::ratio_circuit(n, 32, 100), false),
                 "98360d9bebc5b52cb285a1bf527e674ed94f82514767de047db5bfbcdd4c4517",
                 "55889a8f7da560c2a49b49e9c05a336e9418c300f4e519f35afeba1a10400ad2",
                 "0536167d425b6a7b9246dffec1f3a29e20693049f7f136636203dba2fa7de66d",

@@ -204,7 +204,7 @@ mod tests {
     use rand::SeedableRng;
     use secyan_circuit::{words_to_bits, Circuit};
     use secyan_crypto::{RingCtx, TweakHasher};
-    use secyan_gc::{with_shared_rows, SharedOutputSpec};
+    use secyan_gc::with_shared_rows;
     use secyan_relation::{NaturalRing, Relation};
     use secyan_transport::{run_protocol, Channel, Role};
 
@@ -215,12 +215,12 @@ mod tests {
     /// The garbled multiplier [`Session::multiply`] replaced, kept as its
     /// reference: out_i = v_i ⊗ z_i as fresh shares, the garbler feeding
     /// v_i in the clear when `v_plain`.
-    fn product_circuit(n: usize, ell: usize, v_plain: bool) -> (Circuit, SharedOutputSpec) {
-        with_shared_rows(n, &[ell], |c| {
+    fn product_circuit(n: usize, ell: usize, v_plain: bool) -> Circuit {
+        with_shared_rows(n, ell, |c| {
             let (va, za) = (c.alice(n, ell), c.alice(n, ell));
             let vb = (!v_plain).then(|| c.bob(n, ell));
             let zb = c.bob(n, ell);
-            let product = c.segment(n, |b| {
+            c.segment(n, |b| {
                 let (va, za) = (b.read(va), b.read(za));
                 let vb = vb.map(|vb| b.read(vb));
                 let zb = b.read(zb);
@@ -231,8 +231,7 @@ mod tests {
                 let z = b.add_words(&za, &zb);
                 let vz = b.mul_words(&v, &z);
                 b.output_word(&vz);
-            });
-            vec![product]
+            })
         })
     }
 
@@ -274,14 +273,14 @@ mod tests {
         v_plain: bool,
     ) -> Vec<u64> {
         let ell = sess.ring.bits() as usize;
-        let (circuit, spec) = product_circuit(v.len(), ell, v_plain);
+        let circuit = product_circuit(v.len(), ell, v_plain);
         let v = if v_plain && sess.role() != owner {
             &[]
         } else {
             v
         };
         let bits = words_to_bits(&[v, z].concat(), ell);
-        sess.garble_shared(&circuit, &spec, owner, &bits)
+        sess.garble_shared(&circuit, owner, &bits)
     }
 
     /// `Session::multiply` from a bank of exactly what `Draws::multiply`
@@ -397,7 +396,7 @@ mod tests {
                 };
                 run_protocol(party(73), party(74)).2.total_bytes() as usize
             };
-            let (circuit, _) = product_circuit(n, ell, v_plain);
+            let circuit = product_circuit(n, ell, v_plain);
             assert_eq!(circuit.and_count() as usize, ands_per_row * n);
             let ots = circuit.bob_inputs;
             let saved = 32 * ands_per_row * n

@@ -17,11 +17,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use secyan_circuit::Circuit;
+use secyan_circuit::{bits_to_words, Circuit};
 use secyan_crypto::{RingCtx, Secret, TweakHasher};
 use secyan_gc::{
-    evaluate_banked, evaluate_shared_banked, garble_banked, garble_shared_banked, EvalMaterial,
-    GarbleMaterial, SharedOutputSpec,
+    evaluate_banked, garble_banked, garble_shared_banked, EvalMaterial, GarbleMaterial,
 };
 use secyan_oep::{
     shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
@@ -178,21 +177,23 @@ impl<'a> Session<'a> {
 
     /// **Circuit**, outputs leaving as fresh additive shares (§5.2's
     /// Yao-to-arithmetic conversion): returns this party's share of every
-    /// output word of `spec`. Banking as in [`Session::garble`].
+    /// ℓ-bit output word, ℓ the session ring's. Banking as in
+    /// [`Session::garble`].
     pub fn garble_shared(
         &mut self,
         circuit: &Circuit,
-        spec: &SharedOutputSpec,
         garbler: Role,
         my_inputs: &[bool],
     ) -> Vec<u64> {
+        let ring = self.ring;
         if self.role() == garbler {
             let (bank, ot) = (&mut self.gc_garble, &mut self.ot_send);
             let rng = &mut self.rng;
-            garble_shared_banked(self.ch, bank, circuit, spec, my_inputs, &[], ot, rng)
+            garble_shared_banked(self.ch, bank, circuit, ring, my_inputs, &[], ot, rng)
         } else {
             let (bank, ot) = (&mut self.gc_eval, &mut self.ot_recv);
-            evaluate_shared_banked(self.ch, bank, circuit, spec, my_inputs, ot)
+            let bits = evaluate_banked(self.ch, bank, circuit, my_inputs, ot);
+            bits_to_words(&bits, ring.bits() as usize)
         }
     }
 

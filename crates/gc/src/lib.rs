@@ -15,8 +15,11 @@
 //!   (its Δ is the IKNP sender's `s`), and output decoding toward either
 //!   or both parties.
 //! * [`shares`] — Yao-to-arithmetic conversion (paper §5.2): circuits whose
-//!   word outputs are masked by garbler-chosen randomness so the cleartext
-//!   never materializes; the parties end with additive shares mod 2^ℓ.
+//!   outputs are ℓ-bit ring words masked by garbler-chosen randomness so
+//!   the cleartext never materializes; the parties end with additive
+//!   shares mod 2^ℓ. Only the garbler has a shared-output path of its own
+//!   (it draws the masks); the evaluator runs the plain evaluator and
+//!   reads its output bits as ℓ-bit words.
 
 pub mod protocol;
 pub mod scheme;
@@ -24,11 +27,11 @@ pub mod shares;
 
 pub use protocol::{
     evaluate_banked, evaluate_begin, evaluate_circuit, evaluate_finish, evaluate_offline,
-    evaluator_ot_count, garble_banked, garble_circuit, garble_offline, take_eval, take_garble,
-    EvalMaterial, EvalPending, GarbleMaterial,
+    evaluator_ot_count, garble_banked, garble_circuit, garble_offline, EvalMaterial, EvalPending,
+    GarbleMaterial,
 };
 pub use scheme::{EvalTables, Garbling};
 pub use shares::{
-    evaluate_shared, evaluate_shared_banked, evaluate_shared_finish, garble_shared,
-    garble_shared_banked, with_shared_outputs, with_shared_rows, SharedOutputSpec,
+    evaluate_shared, garble_shared, garble_shared_banked, with_shared_outputs, with_shared_rows,
+    SharedOutputSpec,
 };

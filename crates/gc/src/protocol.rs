@@ -43,22 +43,14 @@ pub struct EvalMaterial {
     digest: u64,
 }
 
-/// Pop the front of a garbler-side material queue iff it was pre-garbled
-/// for exactly `circuit` (by [`Circuit::digest`], fixed when the circuit
-/// was built). Anything else — empty queue, or a schedule the offline
-/// planner did not foresee — returns `None`, routing the caller to the
-/// inline fallback. Both parties derive the digest from
-/// the same public circuit, so their pop-vs-fallback decisions mirror.
-pub fn take_garble(
-    queue: &mut VecDeque<GarbleMaterial>,
-    circuit: &Circuit,
-) -> Option<GarbleMaterial> {
-    queue.pop_front_if(|m| m.digest == circuit.digest())
-}
-
-/// Evaluator-side counterpart of [`take_garble`].
-pub fn take_eval(queue: &mut VecDeque<EvalMaterial>, circuit: &Circuit) -> Option<EvalMaterial> {
-    queue.pop_front_if(|m| m.digest == circuit.digest())
+/// Pop the front of a material queue iff it was pre-garbled for exactly
+/// `circuit` (by [`Circuit::digest`], fixed when the circuit was built).
+/// Anything else — empty queue, or a schedule the offline planner did not
+/// foresee — returns `None`, routing the caller to the inline fallback.
+/// Both parties derive the digest from the same public circuit, so their
+/// pop-vs-fallback decisions mirror.
+fn take<M>(queue: &mut VecDeque<M>, circuit: &Circuit, digest: impl Fn(&M) -> u64) -> Option<M> {
+    queue.pop_front_if(|m| digest(m) == circuit.digest())
 }
 
 /// OTs one run of `circuit` draws, garbler sending: one per evaluator
@@ -121,30 +113,26 @@ pub struct EvalPending {
     rows: RecvRows,
 }
 
-/// First half of the evaluator protocol: stage the OT request for
-/// `my_inputs` (banked: correction bits; fresh: the column bundle) and
-/// return without blocking. Everything the evaluator must *send* for this
-/// circuit is staged here, so a caller can stage further
-/// dependency-free messages (e.g. the OSN corrections of a follow-up OEP
-/// whose routing is already known) into the same outbound super-frame
-/// before [`evaluate_finish`] blocks on the garbler. The garbler reads the
-/// request before garbling inline, or after staging its labels and decode
-/// bits against banked tables; per-direction FIFO order holds either way.
+/// First half of the evaluator protocol: take the front of `bank` when it
+/// was received for exactly `circuit` (the garbler's banked-vs-inline
+/// test, mirrored), stage the OT request for `my_inputs` (banked:
+/// correction bits; fresh: the column bundle) and return without
+/// blocking. Everything the evaluator must *send* for this circuit is
+/// staged here, so a caller can stage further dependency-free messages
+/// (e.g. the OSN corrections of a follow-up OEP whose routing is already
+/// known) into the same outbound super-frame before [`evaluate_finish`]
+/// blocks on the garbler. The garbler reads the request before garbling
+/// inline, or after staging its labels and decode bits against banked
+/// tables; per-direction FIFO order holds either way.
 pub fn evaluate_begin(
     ch: &mut Channel,
+    bank: &mut VecDeque<EvalMaterial>,
     circuit: &Circuit,
-    material: Option<EvalMaterial>,
     my_inputs: &[bool],
     ot: &mut OtReceiver,
 ) -> EvalPending {
     assert_eq!(my_inputs.len(), circuit.bob_inputs, "evaluator input arity");
-    if let Some(m) = &material {
-        assert_eq!(
-            m.digest,
-            circuit.digest(),
-            "pre-received tables are for a different circuit"
-        );
-    }
+    let material = take(bank, circuit, |m| m.digest);
     let rows = ot.begin_recv(ch, my_inputs);
     EvalPending { material, rows }
 }
@@ -212,7 +200,7 @@ pub fn garble_banked<R: Rng + ?Sized>(
     let one_per_wire = shift.is_empty() || shift.len() == circuit.bob_inputs;
     assert!(one_per_wire, "shift arity");
     let shift = shift.iter().copied().chain(std::iter::repeat(false));
-    let material = take_garble(bank, circuit);
+    let material = take(bank, circuit, |m| m.digest);
     let banked = material.is_some();
     let g = match material {
         Some(m) => m.garbling,
@@ -253,7 +241,7 @@ pub fn evaluate_banked(
     my_inputs: &[bool],
     ot: &mut OtReceiver,
 ) -> Vec<bool> {
-    let pending = evaluate_begin(ch, circuit, take_eval(bank, circuit), my_inputs, ot);
+    let pending = evaluate_begin(ch, bank, circuit, my_inputs, ot);
     evaluate_finish(ch, circuit, pending, ot)
 }
 

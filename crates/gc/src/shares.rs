@@ -9,68 +9,67 @@
 //!   `add_words` reconstructs it — the paper's "(⟦v⟧₁ + ⟦v⟧₂) computed
 //!   inside the circuit" pattern (Example 5.1).
 //!
-//! * **Shared outputs** ([`with_shared_rows`], [`with_shared_outputs`] and
-//!   the run helpers): for each output word W the garbler feeds a fresh
+//! * **Shared outputs** ([`with_shared_rows`]): every output word is an
+//!   ℓ-bit ring word. For each output word W the garbler feeds a fresh
 //!   random mask r as an extra input; the circuit reveals W + r (mod 2^ℓ)
 //!   to the evaluator only. The evaluator's share is W + r, the garbler's
 //!   is −r: a fresh additive sharing of W, with neither party learning W.
 //!   This is the standard Yao-share → arithmetic-share conversion the
-//!   paper cites from ABY.
+//!   paper cites from ABY. The garbler runs [`garble_shared_banked`]; the
+//!   evaluator runs the plain evaluator and reads its output bits as
+//!   ℓ-bit words ([`secyan_circuit::bits_to_words`]).
+//!
+//! The flat forms [`with_shared_outputs`], [`garble_shared`] and
+//! [`evaluate_shared`], sized by a [`SharedOutputSpec`], serve the
+//! benchmark's garbling probe.
 
 use rand::Rng;
-use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit, Col, Rows, Word};
+use secyan_circuit::{bits_to_words, words_to_bits, Builder, Circuit, Col, Rows, Word};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_ot::{OtReceiver, OtSender};
 use secyan_transport::Channel;
 
-use crate::protocol::{
-    evaluate_begin, evaluate_finish, garble_banked, take_eval, EvalMaterial, EvalPending,
-    GarbleMaterial,
-};
+use crate::protocol::{evaluate_circuit, garble_banked, GarbleMaterial};
 use std::collections::VecDeque;
 
-/// Widths of the output words that must leave the circuit as arithmetic
-/// shares.
+/// The flat form's shared outputs: `words` words of `bits` bits each.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedOutputSpec {
-    pub widths: Vec<usize>,
+    pub words: usize,
+    pub bits: usize,
 }
 
 impl SharedOutputSpec {
     /// Spec for `n` words of `bits` bits each.
     pub fn uniform(n: usize, bits: usize) -> SharedOutputSpec {
-        SharedOutputSpec {
-            widths: vec![bits; n],
-        }
+        SharedOutputSpec { words: n, bits }
     }
 
     /// Total output bits.
     pub fn total_bits(&self) -> usize {
-        self.widths.iter().sum()
+        self.words * self.bits
     }
 }
 
-/// Add each word (zero-extended to its width) to its slice of the garbler's
-/// `mask` and output the sums: the one mask adder of both circuit forms.
-fn output_masked(b: &mut Builder, words: &[Word], mask: Word, widths: &[usize]) {
-    assert_eq!(words.len(), widths.len(), "output word count");
-    let mut mask = mask.0;
-    for (word, &w) in words.iter().zip(widths) {
-        assert!(word.bits() <= w, "output word width");
-        let rest = mask.split_off(w);
-        let word = b.resize_word(word, w);
-        let sum = b.add_words(&word, &Word(mask));
+/// Add each word (zero-extended to `bits`) to its `bits`-wide slice of the
+/// garbler's `mask` and output the sums: the one mask adder of both
+/// circuit forms.
+fn output_masked(b: &mut Builder, words: &[Word], mask: Word, bits: usize) {
+    assert_eq!(words.len() * bits, mask.bits(), "output word count");
+    for (word, mask) in words.iter().zip(mask.0.chunks(bits)) {
+        assert!(word.bits() <= bits, "output word width");
+        let word = b.resize_word(word, bits);
+        let sum = b.add_words(&word, &Word(mask.to_vec()));
         b.output_word(&sum);
-        mask = rest;
     }
 }
 
 /// Build a circuit whose result words leave as arithmetic shares.
 ///
-/// `f` declares the circuit's own inputs and computes the result words
-/// (no wider than `spec` says). This helper prepends one garbler mask word
-/// per output and appends the mask adders, so the *same* function produces
-/// the identical circuit on both sides.
+/// `f` declares the circuit's own inputs and computes the `spec.words`
+/// result words (no wider than `spec.bits`). This helper prepends one
+/// garbler mask word per output and appends the mask adders, so the
+/// *same* function produces the identical circuit on both sides.
 pub fn with_shared_outputs(
     spec: &SharedOutputSpec,
     f: impl FnOnce(&mut Builder) -> Vec<Word>,
@@ -78,61 +77,57 @@ pub fn with_shared_outputs(
     let mut b = Builder::new();
     let mask = b.alice_word(spec.total_bits());
     let words = f(&mut b);
-    output_masked(&mut b, &words, mask, &spec.widths);
+    output_masked(&mut b, &words, mask, spec.bits);
     b.finish()
 }
 
-/// Row form of [`with_shared_outputs`]: `n` rows, each leaving words of
-/// `widths` as arithmetic shares. `body` declares the circuit's own input
-/// columns and segments and returns the result words as `n`-row columns,
-/// one per width. The mask column comes first in wire order and the mask
-/// adders are one trailing segment reading those columns: the flat form's
-/// AND order exactly.
-pub fn with_shared_rows(
-    n: usize,
-    widths: &[usize],
-    body: impl FnOnce(&mut Rows) -> Vec<Col>,
-) -> (Circuit, SharedOutputSpec) {
+/// `n` rows, each leaving one `bits`-bit ring word as arithmetic shares.
+/// `body` declares the circuit's own input columns and segments and
+/// returns the result word as an `n`-row column. The mask column comes
+/// first in wire order and the mask adders are one trailing segment
+/// reading both columns: the flat form's AND order exactly.
+pub fn with_shared_rows(n: usize, bits: usize, body: impl FnOnce(&mut Rows) -> Col) -> Circuit {
     let mut rows = Rows::new();
-    let masks = rows.alice(n, widths.iter().sum());
-    let cols = body(&mut rows);
-    assert!(cols.iter().all(|col| col.rows == n), "output row count");
+    let masks = rows.alice(n, bits);
+    let col = body(&mut rows);
+    assert_eq!(col.rows, n, "output row count");
     let masked = rows.segment(n, |b| {
-        let mask = b.read(masks);
-        let words: Vec<Word> = cols.iter().map(|&col| b.read(col)).collect();
-        output_masked(b, &words, mask, widths);
+        let (mask, word) = (b.read(masks), b.read(col));
+        output_masked(b, &[word], mask, bits);
     });
     rows.output(masked);
-    let widths = widths.iter().copied().cycle().take(n * widths.len());
-    let spec = SharedOutputSpec {
-        widths: widths.collect(),
-    };
-    (rows.finish(), spec)
+    rows.finish()
 }
 
 /// Garbler side of a shared-output circuit through a bank of pre-garbled
 /// material (see [`garble_banked`], which takes `shift`). `my_inputs` are
-/// the bits of the circuit's own garbler inputs (excluding masks, which
-/// this function draws from `rng` — they are garbler inputs, so banking
-/// them was never needed). Returns the garbler's arithmetic shares, one
-/// per output word.
+/// the bits of the circuit's own garbler inputs: this function draws one
+/// mask per output word from `rng` and feeds them first (they are garbler
+/// inputs, so banking them was never needed). Returns the garbler's
+/// arithmetic shares in `ring`, the mask negations, one per output word.
 #[expect(clippy::too_many_arguments)]
 pub fn garble_shared_banked<R: Rng + ?Sized>(
     ch: &mut Channel,
     bank: &mut VecDeque<GarbleMaterial>,
     circuit: &Circuit,
-    spec: &SharedOutputSpec,
+    ring: RingCtx,
     my_inputs: &[bool],
     shift: &[bool],
     ot: &mut OtSender,
     rng: &mut R,
 ) -> Vec<u64> {
-    let (mask_bits, shares) = draw_masks(spec, my_inputs, rng);
-    garble_banked(ch, bank, circuit, &mask_bits, shift, ot, rng);
-    shares
+    let bits = ring.bits() as usize;
+    let masks: Vec<u64> = (0..circuit.output_count() / bits)
+        .map(|_| ring.random(rng))
+        .collect();
+    let mut inputs = words_to_bits(&masks, bits);
+    inputs.extend_from_slice(my_inputs);
+    garble_banked(ch, bank, circuit, &inputs, shift, ot, rng);
+    masks.iter().map(|&r| ring.neg(r)).collect()
 }
 
-/// [`garble_shared_banked`] with nothing banked and nothing shifted.
+/// Flat form of [`garble_shared_banked`]: nothing banked, nothing
+/// shifted, the ring of `spec.bits`.
 pub fn garble_shared<R: Rng + ?Sized>(
     ch: &mut Channel,
     circuit: &Circuit,
@@ -142,59 +137,13 @@ pub fn garble_shared<R: Rng + ?Sized>(
     _hasher: TweakHasher,
     rng: &mut R,
 ) -> Vec<u64> {
+    let ring = RingCtx::new(spec.bits as u32);
     let bank = &mut VecDeque::new();
-    garble_shared_banked(ch, bank, circuit, spec, my_inputs, &[], ot, rng)
+    garble_shared_banked(ch, bank, circuit, ring, my_inputs, &[], ot, rng)
 }
 
-/// Prepend the fresh random mask words to the garbler's own inputs; the
-/// garbler's shares are the mask negations.
-fn draw_masks<R: Rng + ?Sized>(
-    spec: &SharedOutputSpec,
-    my_inputs: &[bool],
-    rng: &mut R,
-) -> (Vec<bool>, Vec<u64>) {
-    let mut mask_bits = Vec::new();
-    let mut shares = Vec::with_capacity(spec.widths.len());
-    for &w in &spec.widths {
-        let ring = RingCtx::new(w as u32);
-        let r = ring.random(rng);
-        mask_bits.extend(u64_to_bits(r, w));
-        shares.push(ring.neg(r));
-    }
-    mask_bits.extend_from_slice(my_inputs);
-    (mask_bits, shares)
-}
-
-/// Second half of the shared-output evaluator, after [`evaluate_begin`]
-/// staged the OT corrections for `my_inputs`: receive and evaluate,
-/// returning the evaluator's arithmetic shares, one per output word.
-pub fn evaluate_shared_finish(
-    ch: &mut Channel,
-    circuit: &Circuit,
-    pending: EvalPending,
-    spec: &SharedOutputSpec,
-    ot: &mut OtReceiver,
-) -> Vec<u64> {
-    unpack_shares(spec, &evaluate_finish(ch, circuit, pending, ot))
-}
-
-/// Evaluator side of a shared-output circuit through a bank of
-/// pre-received tables (see [`crate::protocol::evaluate_banked`]). Returns
-/// the evaluator's arithmetic shares, one per output word.
-pub fn evaluate_shared_banked(
-    ch: &mut Channel,
-    bank: &mut VecDeque<EvalMaterial>,
-    circuit: &Circuit,
-    spec: &SharedOutputSpec,
-    my_inputs: &[bool],
-    ot: &mut OtReceiver,
-) -> Vec<u64> {
-    let material = take_eval(bank, circuit);
-    let pending = evaluate_begin(ch, circuit, material, my_inputs, ot);
-    evaluate_shared_finish(ch, circuit, pending, spec, ot)
-}
-
-/// [`evaluate_shared_banked`] with nothing banked.
+/// Flat evaluator of a shared-output circuit: its output bits read as
+/// `spec.bits`-bit words, the evaluator's arithmetic shares.
 pub fn evaluate_shared(
     ch: &mut Channel,
     circuit: &Circuit,
@@ -203,20 +152,7 @@ pub fn evaluate_shared(
     ot: &mut OtReceiver,
     _hasher: TweakHasher,
 ) -> Vec<u64> {
-    let bank = &mut VecDeque::new();
-    evaluate_shared_banked(ch, bank, circuit, spec, my_inputs, ot)
-}
-
-/// Split the revealed masked-output bits back into per-word shares.
-fn unpack_shares(spec: &SharedOutputSpec, bits: &[bool]) -> Vec<u64> {
-    let mut shares = Vec::with_capacity(spec.widths.len());
-    let mut pos = 0;
-    for &w in &spec.widths {
-        shares.push(bits_to_u64(&bits[pos..pos + w]));
-        pos += w;
-    }
-    debug_assert_eq!(pos, bits.len());
-    shares
+    bits_to_words(&evaluate_circuit(ch, circuit, my_inputs, ot), spec.bits)
 }
 
 #[cfg(test)]
@@ -224,6 +160,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use secyan_circuit::u64_to_bits;
     use secyan_transport::run_protocol;
 
     /// Circuit: multiply a shared input by a garbler-private factor,
@@ -277,10 +214,9 @@ mod tests {
 
     #[test]
     fn multiple_output_words() {
-        // Two shared outputs of different widths in one circuit.
-        let spec = SharedOutputSpec {
-            widths: vec![16, 8],
-        };
+        // Two shared 16-bit outputs in one circuit, one computed 8 bits
+        // wide and zero-extended.
+        let spec = SharedOutputSpec::uniform(2, 16);
         let c = with_shared_outputs(&spec, |b| {
             let x = b.alice_word(16);
             let y = b.bob_word(8);
@@ -319,8 +255,7 @@ mod tests {
             },
         );
         let r16 = RingCtx::new(16);
-        let r8 = RingCtx::new(8);
         assert_eq!(r16.reconstruct(ga[0], gb[0]), 1077);
-        assert_eq!(r8.reconstruct(ga[1], gb[1]), 154);
+        assert_eq!(r16.reconstruct(ga[1], gb[1]), 154);
     }
 }

@@ -24,11 +24,11 @@
 //! this by aggregating before every semijoin.
 
 use rand::Rng;
-use secyan_circuit::{u64_to_bits, Circuit};
+use secyan_circuit::{bits_to_words, u64_to_bits, Circuit};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_gc::{
-    evaluate_begin, evaluate_shared_finish, evaluator_ot_count, garble_shared_banked, take_eval,
-    with_shared_rows, EvalMaterial, EvalPending, GarbleMaterial, SharedOutputSpec,
+    evaluate_begin, evaluate_finish, evaluator_ot_count, garble_shared_banked, with_shared_rows,
+    EvalMaterial, EvalPending, GarbleMaterial,
 };
 use secyan_oep::{oep_ot_count, shared_oep_perm_holder_finish, OepPending};
 use secyan_ot::{KkrtReceiver, KkrtSender, KkrtSenderKey, OtReceiver, OtSender};
@@ -77,7 +77,8 @@ pub fn psi_params(receiver_size: usize, sender_size: usize) -> PsiParams {
 /// it: the circuit the sender garbles, the KKRT instances (PSI sender =
 /// KKRT sender), and the OTs drawn in
 /// each direction (GC evaluator labels plus, for shared payloads, the
-/// three OEPs).
+/// two OEPs ξ₁, routed by the sender, and ξ₂, routed by the receiver;
+/// the bins→rows OEP after them is the reduce-join's own).
 pub struct PsiCost {
     pub bins: usize,
     pub circuit: Circuit,
@@ -104,7 +105,7 @@ pub fn psi_cost(
         let circuit = crate::shared_payload::k_circuit(bins, ext);
         (circuit, oep_ot_count(ext, bins), oep_ot_count(ext, ext))
     } else {
-        (matching_circuit(bins, ell).0, 0, 0)
+        (matching_circuit(bins, ell), 0, 0)
     };
     PsiCost {
         bins,
@@ -118,20 +119,19 @@ pub fn psi_cost(
 /// The per-bin matching circuit: shares of the payload, gated by the
 /// membership test. Its dimensions depend only on the public bin count
 /// and ring width. Its only garbler inputs are the output masks.
-pub fn matching_circuit(bins: usize, ell: usize) -> (Circuit, SharedOutputSpec) {
+pub fn matching_circuit(bins: usize, ell: usize) -> Circuit {
     let m = membership_bits(bins);
-    with_shared_rows(bins, &[ell], |c| {
+    with_shared_rows(bins, ell, |c| {
         // Evaluator (receiver), per bin: the low m bits of o′, then the
         // low ℓ bits of p′.
         let op = c.bob(bins, m + ell);
-        let payloads = c.segment(bins, |b| {
+        c.segment(bins, |b| {
             let o = b.read(op.slice_bits(0..m));
             let p = b.read(op.slice_bits(m..m + ell));
             let ind = b.is_zero_word(&o);
             let val = b.and_word_bit(&p, ind);
             b.output_word(&val);
-        });
-        vec![payloads]
+        })
     })
 }
 
@@ -254,11 +254,7 @@ pub struct PsiReceiverPending {
 /// What a flavour's receiver still has to receive.
 pub(crate) enum ReceiverTail {
     /// §5.3: the matching circuit, whose OT corrections are staged.
-    Matching {
-        circuit: Circuit,
-        spec: SharedOutputSpec,
-        gc: EvalPending,
-    },
+    Matching { circuit: Circuit, gc: EvalPending },
     /// §5.5: the k circuit has run; the ξ₂-OEP's corrections are staged
     /// and its masked values outstanding.
     Routing {
@@ -295,11 +291,10 @@ pub fn psi_receiver_begin(
     let (cuckoo, o, p) = receiver_opprfs(ch, elements, &params, kkrt);
     // The matching circuit: this party evaluates.
     let ell = ring.bits() as usize;
-    let (circuit, spec) = matching_circuit(params.bins, ell);
+    let circuit = matching_circuit(params.bins, ell);
     let my_bits = bin_bits(&o, &p, ell);
-    let material = take_eval(gc_bank, &circuit);
-    let gc = evaluate_begin(ch, &circuit, material, &my_bits, ot);
-    let tail = ReceiverTail::Matching { circuit, spec, gc };
+    let gc = evaluate_begin(ch, gc_bank, &circuit, &my_bits, ot);
+    let tail = ReceiverTail::Matching { circuit, gc };
     PsiReceiverPending { cuckoo, tail }
 }
 
@@ -312,8 +307,9 @@ pub fn psi_receiver_finish(
     ot: &mut OtReceiver,
 ) -> PsiOutput {
     let payload_shares = match pending.tail {
-        ReceiverTail::Matching { circuit, spec, gc } => {
-            evaluate_shared_finish(ch, &circuit, gc, &spec, ot)
+        ReceiverTail::Matching { circuit, gc } => {
+            let bits = evaluate_finish(ch, &circuit, gc, ot);
+            bits_to_words(&bits, ring.bits() as usize)
         }
         ReceiverTail::Routing { zprime_shares, oep } => {
             shared_oep_perm_holder_finish(ch, oep, &zprime_shares, ring, ot)
@@ -375,9 +371,9 @@ pub fn psi_sender<R: Rng + ?Sized>(
     // The matching circuit: this party garbles, s and w folded into the
     // receiver's labels.
     let ell = ring.bits() as usize;
-    let (circuit, spec) = matching_circuit(params.bins, ell);
+    let circuit = matching_circuit(params.bins, ell);
     let shift = bin_bits(&s, &w, ell);
-    let payload_shares = garble_shared_banked(ch, gc_bank, &circuit, &spec, &[], &shift, ot, rng);
+    let payload_shares = garble_shared_banked(ch, gc_bank, &circuit, ring, &[], &shift, ot, rng);
     PsiOutput {
         cuckoo: None,
         ind_shares: Vec::new(),
@@ -641,7 +637,7 @@ mod tests {
             let (bins, bytes) = psi_bytes(shared, ell);
             let new = psi_cost(40, 60, ell as usize, shared).circuit;
             let old = match shared {
-                false => unfolded_matching_circuit(bins, ell as usize).0,
+                false => unfolded_matching_circuit(bins, ell as usize),
                 true => unfolded_k_circuit(bins),
             };
             let (octets, ands) = (|n: usize| n.div_ceil(8), |c: &Circuit| c.and_count());
@@ -687,14 +683,14 @@ mod tests {
     #[test]
     fn membership_reads_only_its_width() {
         use crate::params::index_bits;
-        use secyan_circuit::{bits_to_words, evaluate, words_to_bits};
+        use secyan_circuit::{evaluate, words_to_bits};
         let (bins, slots) = (4, 9);
         let (w, i) = (membership_bits(bins), index_bits(slots));
         // o′ per bin: zero, zero below w, nonzero below w, nonzero at 0.
         let o_prime = [0, 1 << w, 1 << (w - 1), 1];
         let (p_prime, d) = ([3u64, 5, 6, 7], [8u64, 1, 2, 4]);
-        let (m, spec) = matching_circuit(bins, 32);
-        let masks = vec![false; spec.total_bits()];
+        let m = matching_circuit(bins, 32);
+        let masks = vec![false; m.output_count()];
         let evaluator = bin_bits(&o_prime, &p_prime, 32);
         let got = bits_to_words(&evaluate(&m, &masks, &evaluator), 32);
         assert_eq!(got, [3, 5, 0, 0]);
@@ -706,10 +702,10 @@ mod tests {
 
     /// The matching circuit before the fold: s, w as garbler wires XORed
     /// into the evaluator's full 64-bit o, p.
-    fn unfolded_matching_circuit(bins: usize, ell: usize) -> (Circuit, SharedOutputSpec) {
-        with_shared_rows(bins, &[ell], |c| {
+    fn unfolded_matching_circuit(bins: usize, ell: usize) -> Circuit {
+        with_shared_rows(bins, ell, |c| {
             let (sw, op) = (c.alice(bins, 128), c.bob(bins, 128));
-            let payloads = c.segment(bins, |b| {
+            c.segment(bins, |b| {
                 let [s, w] = [0, 64].map(|at| b.read(sw.slice_bits(at..at + 64)));
                 let [o, p] = [0, 64].map(|at| b.read(op.slice_bits(at..at + 64)));
                 let ind = b.eq_words(&o, &s);
@@ -717,8 +713,7 @@ mod tests {
                 let z = b.resize_word(&z64, ell);
                 let val = b.and_word_bit(&z, ind);
                 b.output_word(&val);
-            });
-            vec![payloads]
+            })
         })
     }
 
@@ -739,23 +734,14 @@ mod tests {
     }
 
     /// One garbled run per circuit of `runs` in one session, over fresh
-    /// or banked tables: `(circuit, spec, garbler bits after the masks,
-    /// shift, evaluator bits)`. Returns each run's output words: shares
-    /// reconstructed when `spec` is given, else the revealed bits as one
-    /// word per each of `bins` bins.
-    type GcRun = (
-        Circuit,
-        Option<SharedOutputSpec>,
-        Vec<bool>,
-        Vec<bool>,
-        Vec<bool>,
-    );
+    /// or banked tables: `(circuit, shared, garbler bits after the masks,
+    /// shift, evaluator bits)`. Each circuit outputs one word per each of
+    /// `bins` bins. Returns each run's output words: shares reconstructed
+    /// when `shared`, else the revealed words.
+    type GcRun = (Circuit, bool, Vec<bool>, Vec<bool>, Vec<bool>);
     fn run_gcs(runs: &[GcRun], bins: usize, banked: bool) -> Vec<Vec<u64>> {
-        use secyan_circuit::bits_to_words;
-        use secyan_gc::{
-            evaluate_banked, evaluate_offline, evaluate_shared_banked, garble_banked,
-            garble_offline,
-        };
+        use secyan_gc::{evaluate_banked, evaluate_offline, garble_banked, garble_offline};
+        let ring = |c: &Circuit| RingCtx::new((c.output_count() / bins) as u32);
         let hasher = TweakHasher::Aes;
         let (ga, gb, _) = run_protocol(
             |ch| {
@@ -766,9 +752,9 @@ mod tests {
                     bank.push_back(garble_offline(ch, c, &ot, &mut rng));
                 }
                 let (bank, ot, rng) = (&mut bank, &mut ot, &mut rng);
-                let mut garble = |ch: &mut Channel, (c, spec, a, shift, _): &GcRun| match spec {
-                    Some(spec) => garble_shared_banked(ch, bank, c, spec, a, shift, ot, rng),
-                    None => {
+                let mut garble = |ch: &mut Channel, (c, shared, a, shift, _): &GcRun| match shared {
+                    true => garble_shared_banked(ch, bank, c, ring(c), a, shift, ot, rng),
+                    false => {
                         garble_banked(ch, bank, c, a, shift, ot, rng);
                         Vec::new()
                     }
@@ -783,23 +769,17 @@ mod tests {
                     bank.push_back(evaluate_offline(ch, c));
                 }
                 let (bank, ot) = (&mut bank, &mut ot);
-                let mut eval = |ch: &mut Channel, (c, spec, _, _, b): &GcRun| match spec {
-                    Some(spec) => evaluate_shared_banked(ch, bank, c, spec, b, ot),
-                    None => {
-                        let width = c.output_count() / bins;
-                        bits_to_words(&evaluate_banked(ch, bank, c, b, ot), width)
-                    }
+                let mut eval = |ch: &mut Channel, (c, _, _, _, b): &GcRun| {
+                    let width = c.output_count() / bins;
+                    bits_to_words(&evaluate_banked(ch, bank, c, b, ot), width)
                 };
                 runs.iter().map(|r| eval(ch, r)).collect::<Vec<_>>()
             },
         );
         let words = runs.iter().zip(ga.iter().zip(gb));
-        let words = words.map(|((_, spec, ..), (a, b))| match spec {
-            Some(spec) => {
-                let ring = RingCtx::new(spec.widths[0] as u32);
-                ring.reconstruct_vec(a, &b)
-            }
-            None => b,
+        let words = words.map(|((c, shared, ..), (a, b))| match shared {
+            true => ring(c).reconstruct_vec(a, &b),
+            false => b,
         });
         words.collect()
     }
@@ -814,7 +794,7 @@ mod tests {
     #[test]
     fn folded_circuits_match_the_unfolded_ones() {
         use crate::params::index_bits;
-        use secyan_circuit::{bits_to_words, evaluate, words_to_bits};
+        use secyan_circuit::{evaluate, words_to_bits};
         let (bins, slots) = (5, 23);
         let i = index_bits(slots);
         let mut rng = StdRng::seed_from_u64(45);
@@ -851,8 +831,10 @@ mod tests {
             let want_k: Vec<u64> = (0..bins)
                 .map(|b| if matched(b) { index(b) } else { d[b] })
                 .collect();
-            let (old_m, old_spec) = unfolded_matching_circuit(bins, ell);
-            let (new_m, new_spec) = matching_circuit(bins, ell);
+            let (old_m, new_m) = (
+                unfolded_matching_circuit(bins, ell),
+                matching_circuit(bins, ell),
+            );
             let (old_k, new_k) = (
                 unfolded_k_circuit(bins),
                 crate::shared_payload::k_circuit(bins, slots),
@@ -867,26 +849,26 @@ mod tests {
             let alice = words_to_bits(&swd, 64);
             assert_eq!(bits_to_words(&evaluate(&old_k, &alice, &opk), 64), want_k);
             let runs: [GcRun; 4] = [
-                (old_m, Some(old_spec), sw.clone(), vec![], op.clone()),
+                (old_m, true, sw.clone(), vec![], op.clone()),
                 (
                     new_m,
-                    Some(new_spec),
+                    true,
                     vec![],
                     bin_bits(&s, &w, ell),
                     bin_bits(&o, &p, ell),
                 ),
-                (old_k, None, words_to_bits(&swd, 64), vec![], opk.clone()),
+                (old_k, false, words_to_bits(&swd, 64), vec![], opk.clone()),
                 (
                     new_k,
-                    None,
+                    false,
                     words_to_bits(&d, i),
                     bin_bits(&s, &w, i),
                     bin_bits(&o, &p_k, i),
                 ),
             ];
             // The folded circuits on o′, p′ in the clear, without a shift.
-            let folded = |(c, spec, a, _, _): &GcRun, o: &[u64], p: &[u64], width| {
-                let mut alice = vec![false; spec.as_ref().map_or(0, |s| s.total_bits())];
+            let folded = |(c, shared, a, _, _): &GcRun, o: &[u64], p: &[u64], width| {
+                let mut alice = vec![false; if *shared { c.output_count() } else { 0 }];
                 alice.extend_from_slice(a);
                 evaluate(c, &alice, &bin_bits(o, p, width))
             };

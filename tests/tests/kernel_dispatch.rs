@@ -238,7 +238,7 @@ fn kkrt_oprf_transcript_is_dispatch_invariant() {
 fn segmented_circuits_garble_like_their_unrolling_under_every_dispatch() {
     let _guard = CONFIG_LOCK.lock().unwrap();
     let circuits = [
-        secyan_psi::matching_circuit(120, 32).0,
+        secyan_psi::matching_circuit(120, 32),
         unroll::running_sums(600),
     ];
     for (seed, circuit) in circuits.iter().enumerate() {

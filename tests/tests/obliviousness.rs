@@ -5,7 +5,8 @@
 //! structure — a direct, mechanical check of the property the paper's
 //! security argument rests on.
 
-use secyan_core::{run_offline, run_online};
+use secyan_core::protocol::secure_yannakakis_shared;
+use secyan_core::{run_offline, run_online, secure_yannakakis, QueryResult, SecureQuery, Session};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_relation::{JoinTree, NaturalRing, Relation};
 use secyan_transport::{
@@ -28,28 +29,33 @@ fn strings(v: &[&str]) -> Vec<String> {
     v.iter().map(|s| s.to_string()).collect()
 }
 
-/// [`transcript_on`] a fresh in-process pair, lengths only.
+/// [`transcript_on`] a fresh in-process pair, revealed, lengths only.
 fn transcript_of(
     r1_rows: Vec<(Vec<u64>, u64)>,
     r2_rows: Vec<(Vec<u64>, u64)>,
     r3_rows: Vec<(Vec<u64>, u64)>,
 ) -> Vec<(Role, usize)> {
-    transcript_on(channel_pair(), r1_rows, r2_rows, r3_rows).0
+    transcript_on(channel_pair(), secure_yannakakis, r1_rows, r2_rows, r3_rows).0
 }
 
-/// Run Example-1.1-shaped query on given data over `pair`; return the
-/// transcript length sequence and the communication stats.
+/// The revealed or the shared form of the driver.
+type Driver = fn(&mut Session, &SecureQuery, &[Option<Relation<NaturalRing>>], Role) -> QueryResult;
+
+/// Run Example-1.1-shaped query on given data over `pair` through
+/// `driver`; return the transcript length sequence, the communication
+/// stats and the receiver's OUT.
 fn transcript_on(
     pair: (Channel, Channel),
+    driver: Driver,
     r1_rows: Vec<(Vec<u64>, u64)>,
     r2_rows: Vec<(Vec<u64>, u64)>,
     r3_rows: Vec<(Vec<u64>, u64)>,
-) -> (Vec<(Role, usize)>, CommStats) {
+) -> (Vec<(Role, usize)>, CommStats, usize) {
     let ring = NaturalRing::paper_default();
     let r1 = Relation::from_rows(ring, strings(&["person"]), r1_rows);
     let r2 = Relation::from_rows(ring, strings(&["person", "disease"]), r2_rows);
     let r3 = Relation::from_rows(ring, strings(&["disease", "class"]), r3_rows);
-    let query = secyan_core::SecureQuery::new(
+    let query = SecureQuery::new(
         vec![
             strings(&["person"]),
             strings(&["person", "disease"]),
@@ -62,25 +68,18 @@ fn transcript_on(
     let q2 = query.clone();
     // Transcript recording is opt-in; a plain pair doesn't have it.
     let (pair, transcript) = recorded(pair);
-    let ((), (), stats) = run_protocol_on(
+    let (result, (), stats) = run_protocol_on(
         pair,
         move |ch| {
-            let mut sess =
-                secyan_core::Session::new(ch, RingCtx::new(32), TweakHasher::default(), 1);
-            secyan_core::secure_yannakakis(
-                &mut sess,
-                &query,
-                &[Some(r1), None, Some(r3)],
-                Role::Alice,
-            );
+            let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::default(), 1);
+            driver(&mut sess, &query, &[Some(r1), None, Some(r3)], Role::Alice)
         },
         move |ch| {
-            let mut sess =
-                secyan_core::Session::new(ch, RingCtx::new(32), TweakHasher::default(), 2);
-            secyan_core::secure_yannakakis(&mut sess, &q2, &[None, Some(r2), None], Role::Alice);
+            let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::default(), 2);
+            driver(&mut sess, &q2, &[None, Some(r2), None], Role::Alice);
         },
     );
-    (transcript.lengths(), stats)
+    (transcript.lengths(), stats, result.out_size)
 }
 
 /// The wire-level meters that must be as data-independent as the lengths:
@@ -100,8 +99,9 @@ fn frame_shape(stats: &CommStats) -> (u64, u64, u64) {
 fn transcript_depends_only_on_public_sizes() {
     for (pipe, pair) in pipes() {
         // Database A: everything joins, 2 classes.
-        let (t_a, stats_a) = transcript_on(
+        let (t_a, stats_a, _) = transcript_on(
             pair(),
+            secure_yannakakis,
             vec![(vec![1], 10), (vec![2], 20), (vec![3], 30)],
             vec![
                 (vec![1, 1], 5),
@@ -112,8 +112,9 @@ fn transcript_depends_only_on_public_sizes() {
             vec![(vec![1, 100], 1), (vec![2, 200], 1)],
         );
         // Database B: same sizes; nothing joins at all, different values.
-        let (t_b, stats_b) = transcript_on(
+        let (t_b, stats_b, _) = transcript_on(
             pair(),
+            secure_yannakakis,
             vec![(vec![91], 1), (vec![92], 1), (vec![93], 1)],
             vec![
                 (vec![77, 5], 50),
@@ -139,6 +140,49 @@ fn transcript_depends_only_on_public_sizes() {
             );
         }
         // Frame boundaries are as data-independent as the messages in them.
+        assert_eq!(frame_shape(&stats_a), frame_shape(&stats_b), "{pipe}");
+    }
+}
+
+/// The shared form (§7's input), whose join reveals OUT to both parties:
+/// two databases of equal relation sizes and equal OUT, with different
+/// join partners, dangling tuples, groups and annotations, give equal
+/// message lengths in each direction and equal frame shapes.
+#[test]
+fn shared_form_transcript_depends_only_on_sizes_and_out() {
+    for (pipe, pair) in pipes() {
+        // Database A: everything joins, 2 classes.
+        let (t_a, stats_a, out_a) = transcript_on(
+            pair(),
+            secure_yannakakis_shared,
+            vec![(vec![1], 10), (vec![2], 20), (vec![3], 30)],
+            vec![
+                (vec![1, 1], 5),
+                (vec![2, 1], 6),
+                (vec![3, 2], 7),
+                (vec![1, 2], 8),
+            ],
+            vec![(vec![1, 100], 1), (vec![2, 200], 1)],
+        );
+        // Database B: same sizes, a dangling person and disease, the two
+        // classes reached through other partners, other annotations.
+        let (t_b, stats_b, out_b) = transcript_on(
+            pair(),
+            secure_yannakakis_shared,
+            vec![(vec![4], 3), (vec![5], 9), (vec![6], 4)],
+            vec![
+                (vec![4, 7], 2),
+                (vec![5, 8], 11),
+                (vec![9, 7], 13),
+                (vec![6, 9], 1),
+            ],
+            vec![(vec![7, 300], 2), (vec![8, 400], 5)],
+        );
+        assert_eq!((out_a, out_b), (2, 2), "{pipe}: OUT");
+        for dir in [Role::Alice, Role::Bob] {
+            let (a, b) = (lengths_from(&t_a, dir), lengths_from(&t_b, dir));
+            assert_eq!(a, b, "{pipe}: {dir:?}-side message lengths differ");
+        }
         assert_eq!(frame_shape(&stats_a), frame_shape(&stats_b), "{pipe}");
     }
 }

@@ -196,7 +196,7 @@ fn generated_instance_is_thread_count_deterministic() {
 fn segmented_circuits_garble_like_their_unrolling_at_any_thread_count() {
     let _guard = THREAD_LOCK.lock().unwrap();
     let circuits = [
-        secyan_psi::matching_circuit(120, 32).0,
+        secyan_psi::matching_circuit(120, 32),
         secyan_psi::k_circuit(120, 300),
         unroll::running_sums(600),
     ];
