@@ -134,10 +134,6 @@ pub fn oblivious_reduce_join(sess: &mut Session, rf: &mut SecureRelation, mut rg
         let mut g_shares = std::mem::take(&mut rg.annot_shares);
         g_shares.push(0);
         let xi: Option<Vec<usize>> = rf.join_keys(&join_attrs).map(|f_keys| {
-            // Only dummy keys take a nonce, and none is built here; the
-            // draw stays so the owner's RNG stream, and every share drawn
-            // after it, is unchanged.
-            let _nonce = sess.random_u64();
             let g_keys = rg.join_keys(&join_attrs).expect("owner side");
             let mut index: HashMap<u64, usize> = HashMap::new();
             for (j, k) in g_keys.into_iter().enumerate() {
