@@ -38,6 +38,11 @@ impl RingCtx {
         self.ell
     }
 
+    /// Wire bytes of one ring element: ⌈ℓ/8⌉.
+    pub fn word_bytes(&self) -> usize {
+        self.ell.div_ceil(8) as usize
+    }
+
     /// Reduce an arbitrary u64 into the ring.
     pub fn reduce(&self, v: u64) -> u64 {
         v & self.mask

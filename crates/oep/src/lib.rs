@@ -7,10 +7,10 @@
 //! revealing ξ to Bob or x to Alice.
 //!
 //! Construction, bottom-up:
-//! * [`network`] — Beneš permutation networks (arbitrary sizes handled by
-//!   padding to a power of two) with the classic recursive routing
-//!   algorithm, plus the permute–duplicate–permute decomposition of an
-//!   extended permutation.
+//! * [`network`] — arbitrary-size Waksman permutation networks, on exactly
+//!   the wires a stage needs, with the looping routing algorithm, plus the
+//!   permute–duplicate–permute decomposition of an extended permutation,
+//!   each stage at its own size.
 //! * [`osn`] — the oblivious switching network: one correlated word OT
 //!   per switch translates Bob's additively masked values through the
 //!   network while only Alice knows the switch settings. Õ(M + N) total

@@ -1,11 +1,11 @@
 //! Permutation networks and the extended-permutation decomposition.
 //!
-//! A Beneš network on n = 2^k wires realizes any permutation with
-//! n·(log₂ n − ½) binary switches. Arbitrary sizes are padded up to the
-//! next power of two — the topology depends only on the (public) size, as
-//! obliviousness requires. An *extended* permutation (duplicates allowed)
-//! decomposes as permute → duplicate-chain → permute, following
-//! Mohassel–Sadeghian.
+//! An arbitrary-size (AS-)Waksman network (Beauquier–Darrot) on n wires
+//! realizes any permutation with Σᵢ₌₁ⁿ ⌈log₂ i⌉ = n⌈log₂ n⌉ − 2^⌈log₂ n⌉ + 1
+//! binary switches, on exactly n wires: the topology depends only on the
+//! (public) size, as obliviousness requires. An *extended* permutation
+//! (duplicates allowed) decomposes as permute → duplicate-chain → permute,
+//! following Mohassel–Sadeghian, each stage at its own size.
 
 /// A switching network: an ordered list of conditional swaps over an array
 /// of `size` positions. Control bit `true` = swap.
@@ -17,16 +17,14 @@ pub struct PermNetwork {
 }
 
 impl PermNetwork {
-    /// Build the Beneš network topology for `n` logical wires (padded to a
-    /// power of two internally).
+    /// The AS-Waksman network on exactly `n` wires.
     pub fn new(n: usize) -> PermNetwork {
-        let size = n.next_power_of_two().max(1);
         let mut switches = Vec::new();
-        build_benes(0, 1, size, &mut switches);
-        PermNetwork { size, switches }
+        build_waksman(0, 1, n, &mut switches);
+        PermNetwork { size: n, switches }
     }
 
-    /// Padded size (power of two).
+    /// Wire count.
     pub fn size(&self) -> usize {
         self.size
     }
@@ -36,41 +34,26 @@ impl PermNetwork {
         &self.switches
     }
 
-    /// Compute control bits realizing `perm`, where `perm[o] = i` means
-    /// output position `o` receives input position `i`'s value.
-    /// `perm` must be a bijection on `0..n` for some n ≤ size; missing
-    /// positions are routed identically.
+    /// Compute control bits realizing `perm`, a bijection on `0..size`,
+    /// where `perm[o] = i` means output position `o` receives input
+    /// position `i`'s value.
     pub fn route(&self, perm: &[usize]) -> Vec<bool> {
-        assert!(perm.len() <= self.size);
-        // Extend to a bijection on the padded size: unused inputs map to
-        // the unused output positions in order.
-        let mut full = vec![usize::MAX; self.size];
-        let mut used = vec![false; self.size];
-        for (o, &i) in perm.iter().enumerate() {
-            assert!(i < perm.len(), "perm entry out of range");
-            assert!(!used[i], "perm is not a bijection");
-            used[i] = true;
-            full[o] = i;
-        }
-        let mut free_inputs = (0..self.size).filter(|&i| !used[i]);
-        for slot in full.iter_mut() {
-            if *slot == usize::MAX {
-                *slot = free_inputs.next().expect("padding input available");
-            }
-        }
+        assert_eq!(perm.len(), self.size, "perm length");
+        let mut seen = vec![false; self.size];
+        let bijective = perm.iter().all(|&i| !std::mem::replace(&mut seen[i], true));
+        assert!(bijective, "perm is not a bijection");
         let mut bits = Vec::with_capacity(self.switches.len());
-        route_benes(&full, &mut bits);
+        route_waksman(perm, &mut bits);
         debug_assert_eq!(bits.len(), self.switches.len());
         bits
     }
 
     /// Apply the network to `values` under `bits` (plaintext reference
     /// semantics; the oblivious evaluation lives in [`crate::osn`]).
-    pub fn apply<T: Clone>(&self, values: &[T], bits: &[bool], pad: T) -> Vec<T> {
-        assert!(values.len() <= self.size);
+    pub fn apply<T: Clone>(&self, values: &[T], bits: &[bool]) -> Vec<T> {
+        assert_eq!(values.len(), self.size);
         assert_eq!(bits.len(), self.switches.len());
-        let mut v: Vec<T> = values.to_vec();
-        v.resize(self.size, pad);
+        let mut v = values.to_vec();
         for (&(i, j), &b) in self.switches.iter().zip(bits) {
             if b {
                 v.swap(i, j);
@@ -80,108 +63,94 @@ impl PermNetwork {
     }
 }
 
-/// Recursive Beneš topology over positions `offset + k·stride`,
-/// `k = 0..n`. Input layer, two half-size subnetworks (even/odd legs),
-/// output layer.
-fn build_benes(offset: usize, stride: usize, n: usize, out: &mut Vec<(usize, usize)>) {
+/// Recursive AS-Waksman topology over positions `offset + k·stride`,
+/// `k = 0..n`: ⌊n/2⌋ input switches on the pairs (2k, 2k+1); the even leg
+/// (⌈n/2⌉ wires, an odd n's unpaired last wire passing straight into it)
+/// and the odd leg (⌊n/2⌋) as subnetworks; then the output switches on
+/// the same pairs, all but the last pair (or an odd n's lone last output),
+/// which is fixed straight. S(n) = S(⌊n/2⌋) + S(⌈n/2⌉) + n − 1.
+fn build_waksman(offset: usize, stride: usize, n: usize, out: &mut Vec<(usize, usize)>) {
     if n < 2 {
         return;
     }
-    if n == 2 {
-        out.push((offset, offset + stride));
-        return;
-    }
-    for k in 0..n / 2 {
-        out.push((offset + 2 * k * stride, offset + (2 * k + 1) * stride));
-    }
-    build_benes(offset, 2 * stride, n / 2, out);
-    build_benes(offset + stride, 2 * stride, n / 2, out);
-    for k in 0..n / 2 {
-        out.push((offset + 2 * k * stride, offset + (2 * k + 1) * stride));
-    }
+    let pair = |k: usize| (offset + 2 * k * stride, offset + (2 * k + 1) * stride);
+    out.extend((0..n / 2).map(pair));
+    build_waksman(offset, 2 * stride, n.div_ceil(2), out);
+    build_waksman(offset + stride, 2 * stride, n / 2, out);
+    out.extend((0..n.div_ceil(2) - 1).map(pair));
 }
 
-/// Recursive Beneš routing. `perm[o] = i` (bijection on 0..n, n a power of
-/// two). Emits bits in the same order `build_benes` emits switches.
-fn route_benes(perm: &[usize], bits: &mut Vec<bool>) {
+/// Looping-algorithm routing of [`build_waksman`]'s topology. `perm[o] = i`
+/// (bijection on 0..n). Emits bits in the order the switches were built.
+fn route_waksman(perm: &[usize], bits: &mut Vec<bool>) {
     let n = perm.len();
     if n < 2 {
         return;
     }
-    if n == 2 {
-        bits.push(perm[0] == 1);
-        return;
-    }
-    let half = n / 2;
+    let (half, even) = (n / 2, n.div_ceil(2));
     // inv[i] = o with perm[o] = i.
     let mut inv = vec![0usize; n];
     for (o, &i) in perm.iter().enumerate() {
         inv[i] = o;
     }
     let mut in_bits: Vec<Option<bool>> = vec![None; half];
-    let mut out_bits: Vec<Option<bool>> = vec![None; half];
-    // Standard looping algorithm: fix an undecided output switch, chase the
-    // induced constraints through input switches until the cycle closes.
-    for start in 0..half {
+    let mut out_bits: Vec<Option<bool>> = vec![None; even];
+    // Fix an undecided output switch, chase the induced constraints through
+    // input switches until the cycle closes. The fixed last output pair
+    // goes first; for odd n its chain ends at the unpaired input, which
+    // also enters the even leg.
+    for start in (0..even).rev() {
         if out_bits[start].is_some() {
             continue;
         }
         out_bits[start] = Some(false);
-        // Output 2·start is served by the upper subnetwork; follow the
-        // constraint chain.
-        let mut o = 2 * start; // this output must come via UPPER
+        // Output 2·start is served by the even leg; follow the chain.
+        let mut o = 2 * start;
         loop {
             let i = perm[o];
-            // Input i must be routed to the upper subnetwork:
-            // straight sends even leg up, so cross iff i is odd.
-            let k = i / 2;
-            in_bits[k] = Some(i % 2 == 1);
-            // The partner input goes to the lower subnetwork.
-            let partner = i ^ 1;
-            let o2 = inv[partner]; // this output comes via LOWER
-            let j = o2 / 2;
-            // Lower reaches output 2j+1 when straight; cross iff o2 even.
-            let need = o2.is_multiple_of(2);
+            if i / 2 == half {
+                break;
+            }
+            // Input i must enter the even leg: cross iff i is odd.
+            in_bits[i / 2] = Some(i % 2 == 1);
+            // Its partner enters the odd leg, which reaches output 2j+1
+            // when straight: cross iff o2 is even.
+            let o2 = inv[i ^ 1];
+            let (j, need) = (o2 / 2, o2.is_multiple_of(2));
             if let Some(existing) = out_bits[j] {
                 debug_assert_eq!(existing, need, "routing conflict");
                 break;
             }
             out_bits[j] = Some(need);
-            // The other output of switch j is served by the upper subnet.
+            // The other output of switch j is served by the even leg.
             o = o2 ^ 1;
         }
     }
-    let in_bits: Vec<bool> = in_bits.into_iter().map(|b| b.unwrap_or(false)).collect();
     let out_bits: Vec<bool> = out_bits.into_iter().map(|b| b.unwrap_or(false)).collect();
-    // Subnetwork permutations. Upper subnet output position j carries the
-    // final output 2j (straight) or 2j+1 (crossed); its value originates at
-    // input perm[o], which sits at upper-subnet input position perm[o]/2.
-    let mut upper = vec![0usize; half];
-    let mut lower = vec![0usize; half];
-    for j in 0..half {
-        let o_up = 2 * j + out_bits[j] as usize;
-        let o_lo = 2 * j + 1 - out_bits[j] as usize;
-        upper[j] = perm[o_up] / 2;
-        lower[j] = perm[o_lo] / 2;
-    }
-    bits.extend_from_slice(&in_bits);
-    route_benes(&upper, bits);
-    route_benes(&lower, bits);
-    bits.extend_from_slice(&out_bits);
+    // Leg position j carries the final output 2j + (crossed ⊕ leg); its
+    // value originates at input perm[o], which enters at leg position
+    // perm[o]/2.
+    let leg = |side: usize, len: usize| -> Vec<usize> {
+        let o = |j: usize| 2 * j + (usize::from(out_bits[j]) ^ side);
+        (0..len).map(|j| perm[o(j)] / 2).collect()
+    };
+    bits.extend(in_bits.into_iter().map(|b| b.unwrap_or(false)));
+    route_waksman(&leg(0, even), bits);
+    route_waksman(&leg(1, half), bits);
+    bits.extend_from_slice(&out_bits[..even - 1]);
 }
 
 /// The permute–duplicate–permute decomposition of an extended permutation
-/// ξ : \[n_out\] → \[n_in\].
-///
-/// All three stages operate on `k = max(n_in, n_out)` logical wires:
-/// 1. `p1` routes the first occurrence of every needed input to the start
-///    of its duplication run,
-/// 2. the duplication chain copies position k−1 into position k wherever
-///    `dup_bits[k]` is set,
-/// 3. `p2` routes run positions to their final output positions.
+/// ξ : \[n_out\] → \[n_in\], each stage at its own size:
+/// 1. `p1` routes `k = max(n_in, n_out)` wires (the inputs, then filler
+///    up to k): the first occurrence of every needed input goes to the
+///    start of its duplication run, every run below n_out,
+/// 2. the duplication chain over positions 0..n_out copies position t−1
+///    into position t wherever `dup_bits[t − 1]` is set,
+/// 3. `p2` routes the n_out run positions to their output positions.
 #[derive(Debug, Clone)]
 pub struct EpNetwork {
-    /// Logical wire count of every stage.
+    /// Wire count of the first permutation stage.
     pub k: usize,
     pub n_in: usize,
     pub n_out: usize,
@@ -201,76 +170,57 @@ impl EpNetwork {
     /// Topology for maps \[n_out\] → \[n_in\]; depends only on the public
     /// sizes.
     pub fn new(n_in: usize, n_out: usize) -> EpNetwork {
-        let k = n_in.max(n_out).max(1);
+        let k = n_in.max(n_out);
         EpNetwork {
             k,
             n_in,
             n_out,
             p1: PermNetwork::new(k),
-            p2: PermNetwork::new(k),
+            p2: PermNetwork::new(n_out),
         }
     }
 
-    /// Padded stage width.
-    pub fn width(&self) -> usize {
-        self.p1.size()
+    /// Switches of the duplication chain: one per position 1..n_out.
+    pub fn dup_count(&self) -> usize {
+        self.n_out.saturating_sub(1)
     }
 
     /// Binary switches across all three stages: one OT each in the
     /// oblivious evaluation ([`crate::osn`]), with the value holder as OT
     /// sender. A function of the public sizes only — this is the exact
-    /// per-OEP figure offline planners bank.
+    /// per-OEP figure offline planners bank: S(k) + (n_out − 1) + S(n_out).
     pub fn switch_count(&self) -> usize {
-        self.p1.switches().len() + (self.width() - 1) + self.p2.switches().len()
+        self.p1.switches().len() + self.dup_count() + self.p2.switches().len()
     }
 
     /// Compute the routing for a concrete map `xi` (`xi[o] < n_in`).
     pub fn route(&self, xi: &[usize]) -> EpRouting {
         assert_eq!(xi.len(), self.n_out);
-        let k = self.k;
         // Sort output positions by source input (stable), grouping
         // duplicates into runs.
         let mut order: Vec<usize> = (0..self.n_out).collect();
         order.sort_by_key(|&o| xi[o]);
-        // Stage 1 permutation: position t takes input xi[order[t]] if t is
-        // first-of-run; remaining inputs fill the other positions.
-        let mut p1_perm = vec![usize::MAX; k];
-        let mut dup_bits = vec![false; self.width()];
+        let src = |t: usize| xi[order[t]];
+        let dup_bits: Vec<bool> = (1..self.n_out).map(|t| src(t - 1) == src(t)).collect();
+        // Stage 1: run position t takes input src(t) if it starts its run;
+        // the other inputs fill the remaining positions in order.
+        let mut p1_perm = vec![usize::MAX; self.k];
+        let mut used = vec![false; self.k];
         for t in 0..self.n_out {
-            let src = xi[order[t]];
-            assert!(src < self.n_in, "xi entry out of range");
-            let first = t == 0 || xi[order[t - 1]] != src;
-            if first {
-                p1_perm[t] = src;
-            } else {
-                dup_bits[t] = true;
+            assert!(src(t) < self.n_in, "xi entry out of range");
+            if t == 0 || !dup_bits[t - 1] {
+                p1_perm[t] = src(t);
+                used[src(t)] = true;
             }
         }
-        // Mark used inputs.
-        let mut used = vec![false; k];
-        for &src in p1_perm.iter().filter(|&&s| s != usize::MAX) {
-            used[src] = true;
-        }
-        let mut free = (0..k).filter(|&i| !used[i]);
-        for slot in p1_perm.iter_mut() {
-            if *slot == usize::MAX {
-                *slot = free.next().expect("free input");
-            }
+        let mut free = (0..self.k).filter(|&i| !used[i]);
+        for slot in p1_perm.iter_mut().filter(|s| **s == usize::MAX) {
+            *slot = free.next().expect("free input");
         }
         // Stage 2: output position order[t] receives run position t.
-        let mut p2_perm = vec![usize::MAX; k];
+        let mut p2_perm = vec![0; self.n_out];
         for (t, &o) in order.iter().enumerate() {
             p2_perm[o] = t;
-        }
-        let mut taken = vec![false; k];
-        for &t in p2_perm.iter().filter(|&&t| t != usize::MAX) {
-            taken[t] = true;
-        }
-        let mut free = (0..k).filter(|&t| !taken[t]);
-        for slot in p2_perm.iter_mut() {
-            if *slot == usize::MAX {
-                *slot = free.next().expect("free run position");
-            }
         }
         EpRouting {
             p1_bits: self.p1.route(&p1_perm),
@@ -282,14 +232,16 @@ impl EpNetwork {
     /// Plaintext reference semantics: apply the routed network to values.
     pub fn apply<T: Clone + Default>(&self, values: &[T], routing: &EpRouting) -> Vec<T> {
         assert_eq!(values.len(), self.n_in);
-        let mut v = self.p1.apply(values, &routing.p1_bits, T::default());
-        for t in 1..v.len() {
-            if routing.dup_bits[t] {
+        let mut v = values.to_vec();
+        v.resize(self.k, T::default());
+        let mut v = self.p1.apply(&v, &routing.p1_bits);
+        v.truncate(self.n_out);
+        for t in 1..self.n_out {
+            if routing.dup_bits[t - 1] {
                 v[t] = v[t - 1].clone();
             }
         }
-        let v = self.p2.apply(&v, &routing.p2_bits, T::default());
-        v[..self.n_out].to_vec()
+        self.p2.apply(&v, &routing.p2_bits)
     }
 }
 
@@ -299,9 +251,38 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{seq::SliceRandom, Rng, SeedableRng};
 
+    /// Σᵢ₌₁ⁿ ⌈log₂ i⌉, the AS-Waksman switch count.
+    fn waksman_count(n: usize) -> usize {
+        (1..=n)
+            .map(|i| i.next_power_of_two().trailing_zeros() as usize)
+            .sum()
+    }
+
+    /// Route `perm` through a fresh network and check every output.
+    fn check_perm(perm: &[usize]) {
+        let n = perm.len();
+        let net = PermNetwork::new(n);
+        let values: Vec<u64> = (0..n as u64).map(|v| v * 7 + 1).collect();
+        let got = net.apply(&values, &net.route(perm));
+        for (o, &i) in perm.iter().enumerate() {
+            assert_eq!(got[o], values[i], "n={n} perm={perm:?}");
+        }
+    }
+
+    /// A random map \[n_out\] → \[n_in\] through the EP network.
+    fn check_ep(n_in: usize, n_out: usize, rng: &mut StdRng) {
+        let net = EpNetwork::new(n_in, n_out);
+        let xi: Vec<usize> = (0..n_out).map(|_| rng.gen_range(0..n_in)).collect();
+        let values: Vec<u64> = (0..n_in as u64).map(|v| v + 1000).collect();
+        let got = net.apply(&values, &net.route(&xi));
+        let want: Vec<u64> = xi.iter().map(|&src| values[src]).collect();
+        assert_eq!(got, want, "n_in={n_in} n_out={n_out} xi={xi:?}");
+    }
+
     #[test]
-    fn benes_routes_every_small_permutation() {
-        // Exhaustive over all permutations of sizes 1..=5 (covers padding).
+    fn waksman_routes_every_small_permutation() {
+        // Exhaustive over all permutations of sizes 0..=7: both parities,
+        // both leg splits.
         fn perms(n: usize) -> Vec<Vec<usize>> {
             if n == 0 {
                 return vec![vec![]];
@@ -316,40 +297,53 @@ mod tests {
             }
             out
         }
-        for n in 1..=5 {
-            let net = PermNetwork::new(n);
-            for perm in perms(n) {
-                let bits = net.route(&perm);
-                let values: Vec<u64> = (0..n as u64).collect();
-                let got = net.apply(&values, &bits, u64::MAX);
-                for (o, &i) in perm.iter().enumerate() {
-                    assert_eq!(got[o], i as u64, "n={n} perm={perm:?}");
-                }
-            }
+        for n in 0..=7 {
+            perms(n).iter().for_each(|perm| check_perm(perm));
         }
     }
 
     #[test]
-    fn benes_routes_random_large_permutations() {
+    fn waksman_routes_random_permutations() {
         let mut rng = StdRng::seed_from_u64(17);
-        for n in [8usize, 13, 64, 100, 257] {
-            let net = PermNetwork::new(n);
+        for n in (1..=300).chain([572, 1_000, 4_097]) {
             let mut perm: Vec<usize> = (0..n).collect();
             perm.shuffle(&mut rng);
-            let bits = net.route(&perm);
-            let values: Vec<u64> = (0..n as u64).map(|v| v * 7 + 1).collect();
-            let got = net.apply(&values, &bits, 0);
-            for (o, &i) in perm.iter().enumerate() {
-                assert_eq!(got[o], values[i], "n={n}");
-            }
+            check_perm(&perm);
         }
     }
 
     #[test]
     fn switch_count_is_n_log_n() {
-        let net = PermNetwork::new(8);
-        // Beneš on 8 wires: 8/2 * (2*3 - 1) = 20 switches.
-        assert_eq!(net.switches().len(), 20);
+        // AS-Waksman on 8 wires: 8·3 − 8 + 1 = 17 switches.
+        assert_eq!(PermNetwork::new(8).switches().len(), 17);
+        for n in 0..=4_096 {
+            let (got, want) = (PermNetwork::new(n).switches().len(), waksman_count(n));
+            assert_eq!(got, want, "n = {n}");
+            if n > 0 {
+                let lg = n.next_power_of_two().trailing_zeros() as usize;
+                assert_eq!(want, n * lg + 1 - n.next_power_of_two(), "n = {n}");
+            }
+        }
+    }
+
+    /// Each stage at its own size: S(max(n_in, n_out)) + (n_out − 1) +
+    /// S(n_out).
+    #[test]
+    fn ep_network_stages_have_their_logical_sizes() {
+        for (n_in, n_out) in [
+            (572, 450),
+            (450, 450),
+            (16, 150),
+            (191, 150),
+            (1, 1),
+            (5, 0),
+        ] {
+            let net = EpNetwork::new(n_in, n_out);
+            assert_eq!(net.k, n_in.max(n_out));
+            assert_eq!(net.p2.size(), n_out);
+            let want = waksman_count(net.k) + n_out.saturating_sub(1) + waksman_count(n_out);
+            assert_eq!(net.switch_count(), want, "{n_in} → {n_out}");
+        }
     }
 
     #[test]
@@ -372,28 +366,45 @@ mod tests {
         assert_eq!(net.apply(&values, &routing), vec![700, 700, 100]);
     }
 
+    /// Shrinking, expanding and size-keeping maps at both parities.
     #[test]
     fn ep_network_random_maps() {
         let mut rng = StdRng::seed_from_u64(23);
         for _ in 0..50 {
             let n_in = rng.gen_range(1..40);
             let n_out = rng.gen_range(1..40);
-            let net = EpNetwork::new(n_in, n_out);
-            let xi: Vec<usize> = (0..n_out).map(|_| rng.gen_range(0..n_in)).collect();
-            let routing = net.route(&xi);
-            let values: Vec<u64> = (0..n_in as u64).map(|v| v + 1000).collect();
-            let got = net.apply(&values, &routing);
-            for (o, &src) in xi.iter().enumerate() {
-                assert_eq!(got[o], values[src], "n_in={n_in} n_out={n_out} xi={xi:?}");
-            }
+            check_ep(n_in, n_out, &mut rng);
+        }
+        for n in 1..=33 {
+            check_ep(n, n, &mut rng);
+            check_ep(n, 2 * n + 1, &mut rng);
+            check_ep(2 * n + 1, n, &mut rng);
         }
     }
 
     #[test]
     fn singleton_sizes() {
         let net = EpNetwork::new(1, 1);
+        assert_eq!(net.switch_count(), 0);
         let routing = net.route(&[0]);
         assert_eq!(net.apply(&[42u64], &routing), vec![42]);
+    }
+
+    /// Random permutations and EP maps at every size up to 4 096, in
+    /// release: `cargo test --release -p secyan-oep -- --ignored
+    /// waksman_routes_every_size_deep`.
+    #[test]
+    #[ignore]
+    fn waksman_routes_every_size_deep() {
+        let mut rng = StdRng::seed_from_u64(4_096);
+        for n in 1..=4_096 {
+            let mut perm: Vec<usize> = (0..n).collect();
+            perm.shuffle(&mut rng);
+            check_perm(&perm);
+            let other = rng.gen_range(1..=4_096);
+            check_ep(n, other, &mut rng);
+            check_ep(other, n, &mut rng);
+        }
     }
 }
 
@@ -407,7 +418,7 @@ mod proptests {
 
         /// Any permutation of any size up to 64 routes correctly.
         #[test]
-        fn prop_benes_routes_any_permutation(perm in proptest::collection::vec(0usize..64, 1..64)
+        fn prop_waksman_routes_any_permutation(perm in proptest::collection::vec(0usize..64, 1..64)
             .prop_map(|v| {
                 // Turn an arbitrary vector into a permutation by sorting
                 // indices by value (stable, hence bijective).
@@ -420,7 +431,7 @@ mod proptests {
             let net = PermNetwork::new(n);
             let bits = net.route(&perm);
             let values: Vec<u64> = (0..n as u64).map(|x| x * 31 + 5).collect();
-            let got = net.apply(&values, &bits, u64::MAX);
+            let got = net.apply(&values, &bits);
             for (o, &i) in perm.iter().enumerate() {
                 prop_assert_eq!(got[o], values[i]);
             }

@@ -19,7 +19,8 @@ use crate::network::{EpNetwork, EpRouting};
 use crate::osn::{osn_perm_holder_begin, osn_perm_holder_finish, osn_value_holder, OsnPending};
 
 /// OTs one OEP over maps \[n_out\] → \[n_in\] draws, value holder sending:
-/// the switch count of the network both sides derive from those sizes.
+/// the switch count of the network both sides derive from those sizes,
+/// S(max(n_in, n_out)) + (n_out − 1) + S(n_out) with S(n) = Σᵢ₌₁ⁿ ⌈log₂ i⌉.
 pub fn oep_ot_count(n_in: usize, n_out: usize) -> usize {
     EpNetwork::new(n_in, n_out).switch_count()
 }
@@ -122,6 +123,17 @@ mod tests {
 
     /// The one hasher choice shared by every OT setup in these tests.
     const HASHER: TweakHasher = TweakHasher::Aes;
+
+    /// The benchmark's OEP shapes at their logical sizes: TPC-H Q3's
+    /// 572 → 450 is S(572) + 449 + S(450) = 4 697 + 449 + 3 539, its
+    /// 450 → 450 is 3 539 + 449 + 3 539.
+    #[test]
+    fn oep_ot_count_at_logical_sizes() {
+        assert_eq!(oep_ot_count(572, 450), 8_685);
+        assert_eq!(oep_ot_count(450, 450), 7_527);
+        assert_eq!(oep_ot_count(16, 150), 2_039);
+        assert_eq!(oep_ot_count(191, 150), 2_367);
+    }
 
     #[test]
     fn shared_oep_permutes_the_secret() {

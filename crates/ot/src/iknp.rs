@@ -97,11 +97,6 @@ fn words(ring: RingCtx, pad: Block) -> [u64; 2] {
     [ring.reduce(pad.0 as u64), ring.reduce((pad.0 >> 64) as u64)]
 }
 
-/// Wire bytes of one ring element: ⌈ℓ/8⌉.
-fn word_bytes(ring: RingCtx) -> usize {
-    ring.bits().div_ceil(8) as usize
-}
-
 impl OtSender {
     /// Bootstrap via κ base OTs (this side plays base-OT *receiver*).
     pub fn setup<R: Rng>(ch: &mut Channel, rng: &mut R, _hasher: TweakHasher) -> OtSender {
@@ -236,7 +231,7 @@ impl OtSender {
             .unzip();
         let (r, x1) = (Secret::new(r), Secret::new(x1));
         let deltas = Secret::new(deltas(r.expose()));
-        let stride = word_bytes(ring);
+        let stride = ring.word_bytes();
         ch.send_with(stride * (0..m).map(&width).sum::<usize>(), |buf| {
             let mut slots = buf.chunks_exact_mut(stride);
             let per_ot = r.expose().iter().zip(x1.expose()).zip(deltas.expose());
@@ -386,7 +381,7 @@ impl OtReceiver {
     ) -> Secret<Vec<[u64; 2]>> {
         let pads = Secret::new(hash_rows(rows.first, rows.rows.expose()));
         let choices = rows.choices.expose();
-        let stride = word_bytes(ring);
+        let stride = ring.word_bytes();
         let mut raw = vec![0u8; stride * (0..choices.len()).map(&width).sum::<usize>()];
         ch.recv_into(&mut raw);
         let mut wire = raw.chunks_exact(stride);

@@ -622,9 +622,10 @@ mod tests {
     /// past [`membership_bits`], past ℓ or past the index width; a 32 B
     /// table per AND dropped with them; and a decode bit per output
     /// dropped. Each OPPRF's hints shrink from the Chernoff form's D = 50
-    /// at these sizes to [`max_bin_size`]'s, 8 B a coefficient. The totals
-    /// were recorded with the unfolded circuits, their corrections and
-    /// the Chernoff D.
+    /// at these sizes to [`max_bin_size`]'s, 8 B a coefficient. With
+    /// shared payloads, each of the two OEPs sheds what padding its stages
+    /// cost ([`oep_padding`]). The totals were recorded with the unfolded
+    /// circuits, their corrections, the Chernoff D and the padded OEPs.
     #[test]
     fn psi_ships_no_mask_labels_and_no_dropped_bits() {
         const CHERNOFF_D: usize = 50;
@@ -648,12 +649,38 @@ mod tests {
                 + octets(old.output_count())
                 - octets(new.output_count());
             let hints = 2 * 8 * bins * (CHERNOFF_D - max_bin_size(60, bins));
+            let ext = 60 + bins;
+            let oeps = match shared {
+                false => 0,
+                true => oep_padding(ext, bins, ell) + oep_padding(ext, ext, ell),
+            };
             assert_eq!(
                 unfolded - bytes,
-                (gc + hints) as u64,
+                (gc + hints + oeps) as u64,
                 "shared {shared}, ℓ = {ell}"
             );
         }
+    }
+
+    /// Bytes an OEP over \[n_out\] → \[n_in\] at `ell` sheds by running
+    /// each stage at its logical size, where all three ran at
+    /// w = 2^⌈log₂ k⌉ wires (two Beneš networks of w/2 · (2 log₂ w − 1)
+    /// switches, w − 1 duplication switches): the router's IKNP column
+    /// bits (16 B per eight switches), the value holder's ⌈ℓ/8⌉-byte
+    /// corrections (two per permutation switch, one per duplication
+    /// switch) and its masked values (k of ⌈ℓ/8⌉ bytes, where it sent w of
+    /// 8).
+    fn oep_padding(n_in: usize, n_out: usize, ell: u32) -> usize {
+        let net = secyan_oep::EpNetwork::new(n_in, n_out);
+        let w = net.k.next_power_of_two();
+        let (perm, dup) = (w * (2 * w.trailing_zeros() as usize - 1), w - 1);
+        let (m, d, word) = (
+            net.switch_count(),
+            net.dup_count(),
+            ell.div_ceil(8) as usize,
+        );
+        let padded = 128 * (perm + dup).div_ceil(8) + word * (2 * perm + dup) + 8 * w;
+        padded - 128 * m.div_ceil(8) - word * (2 * (m - d) + d + net.k)
     }
 
     /// Both flavours' circuits take exactly the bits they read, w =

@@ -22,6 +22,16 @@ impl Channel {
         });
     }
 
+    /// Stage `vs` as one message of `bytes` ≤ 8 bytes per word: each
+    /// word's low `bytes` bytes (a ring element at ⌈ℓ/8⌉).
+    pub fn send_word_slice(&mut self, vs: &[u64], bytes: usize) {
+        self.send_with(vs.len() * bytes, |buf| {
+            for (c, v) in buf.chunks_exact_mut(bytes).zip(vs) {
+                c.copy_from_slice(&v.to_le_bytes()[..bytes]);
+            }
+        });
+    }
+
     /// Stage `vs` as one message of 16 bytes per word.
     pub fn send_u128_slice(&mut self, vs: &[u128]) {
         self.send_with(vs.len() * 16, |buf| {
@@ -60,6 +70,19 @@ impl Channel {
             .collect()
     }
 
+    /// Receive one message of `n` words from [`Channel::send_word_slice`]
+    /// at the same `bytes`.
+    pub fn recv_word_vec(&mut self, n: usize, bytes: usize) -> Vec<u64> {
+        let mut raw = vec![0u8; n * bytes];
+        self.recv_into(&mut raw);
+        let word = |c: &[u8]| {
+            let mut le = [0u8; 8];
+            le[..bytes].copy_from_slice(c);
+            u64::from_le_bytes(le)
+        };
+        raw.chunks_exact(bytes).map(word).collect()
+    }
+
     /// Receive one message of `n` words from [`Channel::send_u128_slice`].
     pub fn recv_u128_vec(&mut self, n: usize) -> Vec<u128> {
         let mut raw = vec![0u8; n * 16];
@@ -88,6 +111,7 @@ mod tests {
         let h = thread::spawn(move || {
             assert_eq!(b.recv_u64(), 7);
             assert_eq!(b.recv_u64_vec(3), vec![1, 2, 3]);
+            assert_eq!(b.recv_word_vec(2, 3), vec![0x0a_0b0c, 7]);
             assert_eq!(b.recv_u128_vec(2), vec![u128::MAX, 5]);
             assert_eq!(b.recv_bool_vec(10), {
                 let mut v = vec![false; 10];
@@ -99,6 +123,7 @@ mod tests {
         });
         a.send_u64(7);
         a.send_u64_slice(&[1, 2, 3]);
+        a.send_word_slice(&[0x0a_0b0c, 7], 3);
         a.send_u128_slice(&[u128::MAX, 5]);
         let mut bools = vec![false; 10];
         bools[0] = true;

@@ -310,6 +310,12 @@ fn three_way_join() -> Instance {
 /// (bins · D · 8 B at the exact load bound), the PSI circuits' tables,
 /// IKNP column bundles and derandomization bits (fewer membership and
 /// index bits), and the k circuit's garbler labels and decode bits.
+/// Re-recorded, every digest, when each OEP stage came to its logical
+/// size (arbitrary-size Waksman networks, `secyan_oep::network`) and the
+/// same-owner reduce-join stopped drawing a nonce it never read: no
+/// message count moved, and the only lengths that did are the OEPs' IKNP
+/// column bundles, switch corrections and masked values (k words of
+/// ⌈ℓ/8⌉ bytes, where 2^⌈log₂ k⌉ of 8 travelled).
 ///
 /// The shared form of generate(7) (its join at k = 2, OUT = 5, so
 /// `garble_shared` runs on the product tree) and [`three_way_join`]
@@ -339,83 +345,83 @@ fn single_phase_transcript_goldens() {
     let goldens = [
         (
             run(Instance::generate(3)),
-            "de290a89219643d38027c1aa124907e8755a95f209469088a8f771000c61c3f4",
-            "e48a2e62067e10910552037c0d78c8d44154a97f72231c22795e50d3c36c9073",
+            "2ae971ce081ef4e49ecb945aea7b1f113ae7a90fe2170b90fee7db34184c975e",
+            "a30ffa6ae9c66df61c733dcc762ee17334e365cb2824e4e734bb6df7d2e23857",
             [
-                "f52a3f52226363bd307115f19a5465fd67563ca137bafa7e092d8b59fb046f34",
-                "29b82f25175aeda1e4f448b5204c3f55e091c54c4df5459f4a4c80d3c0f889be",
+                "50245771218abc1cc406aa3363fe2923199a26df8d789774b658fc330104a361",
+                "de96c4e192674eabafeec4c5e7fb07997728ad9af63b30d9304705414164a76e",
             ],
         ),
         (
             run(Instance::generate(7)),
-            "0ccf6fa8e00b29a51e76d31c36e7936d427a092eb5dd082d1913bafac04a32ff",
-            "789be14edad9113504e6807f57c662997113383276492ce5a4392c663fd41c3b",
+            "c0f67d091de47a23196384c6c44f7d099e0687b6c501cf0e2bda0ad42e92d459",
+            "0028ed5aad2b1f788a9b997008e043f1deed0a364f037c589aa0194aec2f80ce",
             [
-                "db4cd42a46ad0d1a0c9863d1ef70e8ecedfc11a5fd1a223967b0a00b77a4eb05",
-                "d98bd48c833ac4c232ee0eaee4f40d14e3612eefd4cd269edd3475d00cf72abb",
+                "986d776e77eeefff81877ae543d7beaea2be892c373901e377d4c162d909dc3e",
+                "2e04f075d24d74b01700d6b30813964cc7093662c7bc8d876090da1656aed9e6",
             ],
         ),
         (
             run(Instance::generate(18)),
-            "56db65c377ebf7232a477a53c9ff74915b4fba220b3d494bf42925283648ef11",
-            "63eec6c7de0aee0b0d7fbfdefea88ded4a108b777a00efb23679da7a7f518117",
+            "d0087a5de367dbfa79ac9f04c7bbc2df62943ad7e09aa89a0f80d7dfac864dc5",
+            "e9a0c38c294df99c0733bb16db7b438bc6c95ea842ff3e77fbad4c38609649e2",
             [
-                "3239847166b27944797a989c5903d59503f15475c46849285fd90237b5dd158e",
-                "c1625c49ac9be61eeee02a1b77e63d8e6da1716c701f3b1cf3be1d27beff43a0",
+                "f5d8b7606cc9ed30276fe9d8e50ddfb62e765d746f7af5e9c958b275465231f7",
+                "8983fd1eee7e46cdb56569802b208e399e4fa908526ab6c5dec800a0b4e64597",
             ],
         ),
         (
             run(Instance::generate_chain(1)),
-            "1733dc18312f7603369c1ba7842bcb805e4337ce24d90486d664a330b293a500",
-            "77d1538b0f2e70d28a4718fa0fca8b2a7843748ac0128ab6903d5ba643f8a013",
+            "b8073a50d15745c1982e952603ad544712c2473dcdc79a220a846724d8f98c69",
+            "05083c7602d0b0eee68569043c0177769434fbfd48254cb26bde538679ce090b",
             [
-                "b4b233b37493287b24aa8d4e2b5d7368256d60e6ba369229560ac872644a0511",
-                "4c5a855227acfd91b30f08b661b857ec533f9725bc6c04e99e8c7811a07e1338",
+                "d680497441db7541999d73211a66f0dbcd67c1da93025b718182e1ea1bac018f",
+                "b7cbe6b3b206290c18ff2b396fbe4969339c1d4dc18833fd5874b8416fa34c0d",
             ],
         ),
         (
             ("TPC-H Q8 at 0.02 MB".to_string(), q8_transcript(0.02, 14)),
-            "03c7654660e50c75cd57d083b0a9948660d7947c794f382269fc3e8ae029718c",
-            "2c470d66c8cb0825cfd927f3314b7c952b1dcdca3a0109062822a83ba5c72b59",
+            "7612c7fbbb2f5fa5a0b84305987bd13fef810bdc16767f8a2f30d3ee42a02b2c",
+            "56d76d4a4e9ecf1704d0782dff1340387ec17cbcf2fbf317ed022372b0eb9a87",
             [
-                "fbc4e503a024976b492f76a1ffb2342aa4aa2356eb41ed4822e19b6b470d628a",
-                "62bfbf6144d9c76c62b30c384d432c9ce1956cff713edcc1231e5242b87e4493",
+                "ca795fd1e0a6f72c4dc19367df0a1b03f7355d3995c687bd5143428531fb6e4c",
+                "afdfee797133dafa740d30ae4283b681aec443f3d826bad9fad34eb7aedc4efa",
             ],
         ),
         (
             ("TPC-H Q8 at 0.3 MB".to_string(), q8_transcript(0.3, 12)),
-            "b3efbb4b1eb1f8d20341d3b8e1a21ec37c4e149ed182fe143f1d120c9af3835c",
-            "5b579eb0ed3ccf73e90f16d081c63a6c688fd6cc1f46ea9e76fae8722f050c68",
+            "c162cb1960e93c5fb83b407e41bf753de7c1a4058aa58c38326a7a5a4e177824",
+            "8c029141644d75f86ec6d380222d56b05b4deb05f32d440fd70c51b3ec1ce42a",
             [
-                "f2211b066f83c2fbe379f659e53828daaddcda6c3c0bdef6db4e0e8604242c72",
-                "7655c6e36b62f258c77f865370d9332892328370387a73b0ab4cbe791a171cfb",
+                "8f81303c40ebff5b8cb006574cfa1144c1c932d52218b93c796e786c77a3e83a",
+                "87e59cffbc627d84363f69721492760ff77f8ff9efb55c838727542dc3fffec5",
             ],
         ),
         (
             shared(Instance::generate(7)),
-            "0ccf6fa8e00b29a51e76d31c36e7936d427a092eb5dd082d1913bafac04a32ff",
-            "d1f09dadba2659fe69ec3f0868fc0cdb8bbaf081570f30d204f2c604cbfdf066",
+            "c0f67d091de47a23196384c6c44f7d099e0687b6c501cf0e2bda0ad42e92d459",
+            "3f1af39f47a3d4d961df0f0796337fea9df3f85e8888c84da603e3e696adf4a8",
             [
-                "db4cd42a46ad0d1a0c9863d1ef70e8ecedfc11a5fd1a223967b0a00b77a4eb05",
-                "c039d8d1a89af7fe0a76e84227178c06da50b50f82b1562eef26abc6ecc38039",
+                "986d776e77eeefff81877ae543d7beaea2be892c373901e377d4c162d909dc3e",
+                "d49da202efc8ab28b1a14ab6b775729e1af489ed445cd4d3bcd659f39a9d9a28",
             ],
         ),
         (
             shared(Instance::generate(17)),
-            "5b5e7f5ebec282f506cc7e96fce983f2d0839c6891e52d8c9765dcda2e7adc85",
-            "cfda826fc80e1a506003fa07d6291bbe90bd89cb2e38d556092b9f70762d2f90",
+            "69848b432eb486b3a8018d8a82cf29cd71c3defb7f4e3dcf7c4ca21270176fc3",
+            "02b178a2085d2bd816c39108388d62bb9fe7bf83433af06d1072e44a2451a69e",
             [
-                "0f4572c9568ed2b7c572c941e35c544a4e6b9f94e6bd591953da1574e57e6112",
-                "e033b5f1336bba3ea0475474064a3ecd69b800b57ce58b96af54386e708c16c8",
+                "4fe8f43f6414da8eda0b7aaa4ab2327e992aa5f260cc62166bf9e0e2d5675857",
+                "139961441424ca9c55afc7b73a3cb7fe2dfeafc5e73760a6e6419caab0d1cdb4",
             ],
         ),
         (
             three_way(),
-            "7e52643bd27dc49b6ee4f2355fa6536b515d6bb6f2d731b12d9ef6fb4ceb663d",
-            "ef35f2dbe758e1a02b3ee8cc18cb62d9d5ac8f9d1bf6fd0c9e23a494abdcdc97",
+            "71361fa0cfd1016a6d6c499758ac6c089dcce0738257ae90f710553748f758fc",
+            "f4faec69d7252ee1c5cdc8c2b54a046f8e6c721c802f816977d93054d01205d3",
             [
-                "42beafdeec5ca2345afce8b45d33ddb39bad591f890a16ce7df1f280550c1c5d",
-                "1e2a78d48ff21ee8a9a210b7996f261162dfb9846632c6554c046319a6bfbd64",
+                "89630189c1f66c6b87f85cddce2e1b333613d83092183b2b6fda0c4afbc528f0",
+                "1ac2a239331088882cbb2d7aadc28974e7f9dc6ac281c68332a00605768b81f9",
             ],
         ),
     ];
@@ -456,38 +462,42 @@ fn single_phase_transcript_goldens() {
 /// lengths moved offline at the IKNP banks and the PSI circuits' tables,
 /// online at the hints, the label corrections behind the banked PSI
 /// tables, the derandomization bits and the k circuit's garbler labels
-/// and decode bits.
+/// and decode bits. Re-recorded with it when each OEP stage came to its
+/// logical size: the same message counts, and every digest but chain(1)'s
+/// offline Bob lengths moved; lengths moved offline at the IKNP banks
+/// (fewer switch OTs), online at the masked values, the switch
+/// corrections and the derandomization bits.
 #[test]
 fn phase_split_transcript_goldens() {
     let goldens = [
         (
             Instance::generate(7),
             [
-                "6871e041fb94b1d476e510516e994450bdb1aa9adad561f6c36a70aa5e42397b",
-                "a8557900ade8a5b09bc3af7da51a921bf35ab12468e83363a7dcf90bffa68a77",
-                "8a69fe74167b1149fe0b7aa58f66650916a185a0edf6aae3343126943a70e65e",
-                "0f5e30f2821841efa17752f6096ad0eb650c9dbf22b85c254d32f1271725c197",
+                "fcf2bc5f959503514b691bd91830d2fd6b6bb6c6b237b760b8f2d2b38cd5ddea",
+                "3e9282b6367038e8a6ed6f7bcb9fbf28f8381c9c0a230f90a72aabbd641876cb",
+                "e02ca782462b1819a2d7b6bb7794dddfbf4f41172c2dc89c3f8e237cf013b41f",
+                "5a33e444e348b7c0be15125b13d49fbb1afa69a5349e426bf0aa25f7ba8d5c1d",
             ],
             [
-                "2d6d220e12404c46900a52de5231623d2456dd98d5885b9ff5ea5b367d99d983",
-                "e211d868b1a1168edf22d0fd458cd9a4f57a196e23ae2e579e9a6193124f0be4",
-                "25feaf02b542a6a43017236cef991475d7667808291deba05ff695a5532c2f8f",
-                "d84142a7fd63837d392df7b85b3a6b25b853020ed68cef621ae37a242af7695f",
+                "4a73e9c0a22cb3f1fc047564505ff8ab5f1d14c6071710f449e30179afa859f3",
+                "f0f9135d5d7367af3d2f215b6abbd04665c6e95c466f2c2153a351d3e94976ea",
+                "3122f04d83ef413f623870063a49f764e60fc2b82bbb20c2d53cf0c568c03f7a",
+                "d0ad71278dbee83bd7d7df4bd77fc3a42c1a2faf2e29e05141fb92836df5117d",
             ],
         ),
         (
             Instance::generate_chain(1),
             [
-                "a840dcea5285408b240e1151fc978afaf191bee99efd1b58fd3c2737a00b1d53",
-                "c9024201283e1f364c2c7438db27f8155f53a6e502835e0864767d0dc64434aa",
-                "45efea199b1abb0c03dd297c22c2825e2a3834d7030aee159201077640c1d0f4",
-                "ee55e52a5dda2f5c20bea3b28f37ebfe58aba3b6cc406e59e89d3cc5adc15753",
+                "516d55a107df4da13fe0c01297f15a32e0df233b5e7d4ae3e2ccc7b885cb76e8",
+                "e482913a656f1255dffcd5bbf12586c024979295d402229c8114a31acfb5fcbe",
+                "54edeb6ccc13a6ad039b828dea24af3708b728b93dc386e87ccbf0b4a25787ee",
+                "fea44669211ae95aad9ba6e58a207a87cd91186a3d6eab331502d19828cec09b",
             ],
             [
-                "01d1433f1835df35ec2aa8fcb0e8099431fdcd3f6c0de9290ab55259c382eaf4",
+                "44dd579d8529de429219c0911e62841fb30dbd0fec0002026847dc57f376641c",
                 "4ac3b80b47908ac56019220d511b83b769a51e725944822440f0fd35b435f69b",
-                "9d574d1d4824b0429ea80c1fa293dcda9387530b50dac58a6a8c703c041d4689",
-                "86f7049036d0855bcad2c17ae77b42338726c9305ee6aaf8502cb413021d18ef",
+                "5831c944a9110eab7e85bd7feab092572f7c24c5dc245a8a189a76a3ca40b8c8",
+                "350b297d1283cd9d0e71461a05b29da65303e5294524717242d85c783a8d3383",
             ],
         ),
     ];

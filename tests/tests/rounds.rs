@@ -75,6 +75,15 @@ fn chain3_online_super_rounds_golden() {
     );
 }
 
+/// The permutation switches, duplication switches and wires of `net`'s
+/// shape when all three stages ran at w = 2^⌈log₂ k⌉ wires: two Beneš
+/// networks of w/2 · (2 log₂ w − 1) switches and w − 1 duplication
+/// switches, the value holder sending w 8-byte masked values.
+fn padded_oep(net: &EpNetwork) -> (usize, usize, usize) {
+    let w = net.k.next_power_of_two();
+    (w * (2 * w.trailing_zeros() as usize - 1), w - 1, w)
+}
+
 /// KKRT extends inline in both phases, and every OT sends one message.
 /// Against chain3's recording from when KKRT was banked offline and
 /// code-corrected online and every OT sent two 16-byte messages, the
@@ -92,6 +101,8 @@ fn chain3_online_super_rounds_golden() {
 /// corrections instead (16 B each online). Last, the PSI circuits read
 /// their statistical widths (`secyan_psi::params`) where the recording
 /// read 64-bit words, and the hints have the exact load bound's degree.
+/// And every OEP stage runs at its logical size, where the recording
+/// padded all three to the next power of two.
 #[test]
 fn kkrt_extends_inline_in_both_phases() {
     const BANKED_OFFLINE_BYTES: u64 = 1_667_232;
@@ -113,10 +124,12 @@ fn kkrt_extends_inline_in_both_phases() {
     assert_eq!(shape.kkrt_budget, keyed[0].max(keyed[1]));
     let banks: u64 = keyed.into_iter().map(bundle).sum();
     // Every circuit is planned, so the label OTs are their evaluator
-    // inputs. The OEPs: the first reduce-join routes its bins to R2's
-    // rows and the aggregation onto R1's join key sorts R2; the second PSI
+    // inputs. The OEPs, each with its router, whose peer sends the OTs:
+    // the first reduce-join routes its bins to R2's rows and the
+    // aggregation onto R1's join key sorts R2 (Bob); the second PSI
     // carries shared payloads, so its circuit sits between two OEPs over
-    // R2's rows plus the bins, and its reduce-join routes the bins to R1.
+    // R2's rows plus the bins (Bob, then Alice), and its reduce-join
+    // routes the bins to R1 (Alice).
     let labels: usize = shape
         .planned
         .iter()
@@ -127,17 +140,30 @@ fn kkrt_extends_inline_in_both_phases() {
         sizes[1] + bin_count(sizes[0]),
     );
     let oeps = [
-        (bins[0], sizes[1]),
-        (sizes[1], sizes[1]),
-        (ext, ext),
-        (ext, bins[1]),
-        (bins[1], sizes[0]),
+        (bins[0], sizes[1], Role::Bob),
+        (sizes[1], sizes[1], Role::Bob),
+        (ext, ext, Role::Bob),
+        (ext, bins[1], Role::Alice),
+        (bins[1], sizes[0], Role::Alice),
     ];
-    let (mut perm, mut dup) = (0, 0);
-    for (n_in, n_out) in oeps {
+    // Per OEP, the switches that padding added ([`padded_oep`]) left the
+    // value holder's bank (by sender), and online their 8-byte
+    // corrections, the padded masked values and their derandomization
+    // bits.
+    let word = 64 / 8;
+    let octets = |n: usize| n.div_ceil(8) as u64;
+    let (mut perm, mut dup, mut padded_perm, mut padded_dup) = (0, 0, 0, 0);
+    let (mut padded_ots, mut padding_online) = ([0; 2], 0);
+    for (n_in, n_out, router) in oeps {
         let net = EpNetwork::new(n_in, n_out);
-        dup += net.width() - 1;
-        perm += net.switch_count() - (net.width() - 1);
+        let (p, d, w) = padded_oep(&net);
+        dup += net.dup_count();
+        perm += net.switch_count() - net.dup_count();
+        (padded_perm, padded_dup) = (padded_perm + p, padded_dup + d);
+        padded_ots[usize::from(router == Role::Alice)] += p + d - net.switch_count();
+        let words = 2 * (p - (net.switch_count() - net.dup_count())) + d - net.dup_count();
+        padding_online +=
+            (word * (words + w - net.k)) as u64 + octets(p + d) - octets(net.switch_count());
     }
     // What the shape banks is exactly these plus the two reduce-joins'
     // products: one plain term per receiver row, ℓ OTs each.
@@ -154,10 +180,13 @@ fn kkrt_extends_inline_in_both_phases() {
     let (w, i) = (bins.map(membership_bits), index_bits(ext));
     let dropped = [bins[0] * (64 - w[0]), bins[1] * (64 - w[1] + 64 - i)];
     let fed = [bins[0] * (w[0] + 64), bins[1] * (w[1] + i)];
-    let octets = |n: usize| n.div_ceil(8) as u64;
     let sent = [shape.ot.from_alice, shape.ot.from_bob];
+    let padded_sent = [sent[0] + padded_ots[0], sent[1] + padded_ots[1]];
     let columns: u64 = (0..2)
-        .map(|k| 128 * (octets(sent[k] + dropped[k]) - octets(sent[k])))
+        .map(|k| 128 * (octets(padded_sent[k] + dropped[k]) - octets(padded_sent[k])))
+        .sum();
+    let padding_offline: u64 = (0..2)
+        .map(|k| 128 * (octets(padded_sent[k]) - octets(sent[k])))
         .sum();
     let widths_offline = 32 * (dropped[0] + dropped[1]) as u64 + columns;
     let (chernoff_d, senders) = ([39, 53], [sizes[2], sizes[1]]);
@@ -168,8 +197,8 @@ fn kkrt_extends_inline_in_both_phases() {
         + octets(64 * bins[1])
         - octets(i * bins[1])
         + hints.sum::<usize>() as u64;
-    let word = 64 / 8;
-    let online_shrink = (16 * labels + (32 - 2 * word) * perm + (32 - word) * dup) as u64;
+    let online_shrink =
+        (16 * labels + (32 - 2 * word) * padded_perm + (32 - word) * padded_dup) as u64;
     // The indicator word each PSI bin no longer shares, at ℓ = 64.
     let psi_bins = (bins[0] + bins[1]) as u64;
     let indicator_tables = 32 * 63 * psi_bins;
@@ -178,7 +207,7 @@ fn kkrt_extends_inline_in_both_phases() {
     let stats = run_secure_on(&inst, channel_pair(), PHASE_SPLIT).stats;
     assert_eq!(
         stats.offline_bytes,
-        BANKED_OFFLINE_BYTES - banks - indicator_tables - widths_offline
+        BANKED_OFFLINE_BYTES - banks - indicator_tables - widths_offline - padding_offline
     );
     assert_eq!(
         stats.online_bytes,
@@ -187,6 +216,7 @@ fn kkrt_extends_inline_in_both_phases() {
             - indicator_online
             - folded_masks
             - widths_online
+            - padding_online
     );
 }
 
@@ -489,7 +519,11 @@ fn tcp_coalescing_only_changes_wire_framing() {
 /// matching circuit's 572 bins feed 32 payload bits fewer than the 64 the
 /// OPPRF outputs, and 14 membership bits fewer (σ + ⌈log₂ 572⌉ = 50 of
 /// 64, one `is_zero_word` AND each), so the budget is 2 · 572 · (32 + 14)
-/// OTs below the 196 605 it was when they fed all 64 of both words.
+/// OTs below the 196 605 it was when they fed all 64 of both words. And
+/// its three OEPs, 572 → 450 twice and 450 → 450, run each stage at its
+/// logical size: S(k) + (n_out − 1) + S(n_out) switches with
+/// S(n) = Σᵢ₌₁ⁿ ⌈log₂ i⌉, 8 685 and 7 527, where padding every stage to
+/// 1 024 and 512 wires took 20 479 and 9 215. Budget: 118 705.
 #[test]
 fn q3_shape_stores_templates_not_rows() {
     use secyan_relation::NaturalRing;
@@ -514,7 +548,15 @@ fn q3_shape_stores_templates_not_rows() {
         .map(|s| s.gates.len())
         .sum();
     assert!(stored < 50_000, "{stored} gates stored");
-    assert_eq!(shape.ot_budget, 196_605 - 2 * 572 * (32 + 64 - w));
+    let padding = |n_in: usize, n_out: usize| {
+        let net = EpNetwork::new(n_in, n_out);
+        let (perm, dup, _) = padded_oep(&net);
+        perm + dup - net.switch_count()
+    };
+    let oeps = 2 * padding(572, 450) + padding(450, 450);
+    assert_eq!(oeps, 2 * (20_479 - 8_685) + (9_215 - 7_527));
+    assert_eq!(shape.ot_budget, 196_605 - 2 * 572 * (32 + 64 - w) - oeps);
+    assert_eq!(shape.ot_budget, 118_705);
 }
 
 /// The two TPC-H benchmark instances, built as `sybench` builds them:
@@ -571,9 +613,29 @@ fn tpch_bench_bytes_and_super_rounds_are_pinned() {
     // (32 B).
     const Q3_BYTES: u64 = FOLDED_Q3 - 572 * (38 + 22) * 16 - 1_144 * 14 * 48;
     const Q18_BYTES: u64 = FOLDED_Q18 - 382 * 35 * 16 - 382 * 16 * 48;
+    // Then every OEP stage at its logical size: S(k) + (n_out − 1) +
+    // S(n_out) switches, S(n) = Σᵢ₌₁ⁿ ⌈log₂ i⌉, for k = max(n_in, n_out),
+    // where all three stages ran at w = 2^⌈log₂ k⌉ wires ([`padded_oep`]).
+    // Per OEP of m switches, d of them duplications, the router's IKNP
+    // column bundle is 128 · ⌈m/8⌉ B, and the value holder sends 4 B
+    // (ℓ = 32) per correction word (2 · (m − d) + d) and per masked value
+    // (k, where it sent w of 8 B). Q3's 572 → 450 (twice) drops from
+    // 20 479 OTs to 8 685 and its 450 → 450 from 9 215 to 7 527: 615 824 B,
+    // to 16 769 212. Q18's 16 → 150 drops from 4 095 to 2 039 and its
+    // 191 → 150 (twice) from 4 095 to 2 367: 135 032 B, to 5 293 876.
+    let shed = |n_in: usize, n_out: usize| {
+        let net = EpNetwork::new(n_in, n_out);
+        let (m, d) = (net.switch_count(), net.dup_count());
+        let (perm, dup, w) = padded_oep(&net);
+        let padded = 128 * (perm + dup).div_ceil(8) + 4 * (2 * perm + dup) + 8 * w;
+        (padded - 128 * m.div_ceil(8) - 4 * (2 * (m - d) + d + net.k)) as u64
+    };
+    let q3_bytes = Q3_BYTES - 2 * shed(572, 450) - shed(450, 450);
+    let q18_bytes = Q18_BYTES - shed(16, 150) - 2 * shed(191, 150);
+    assert_eq!((q3_bytes, q18_bytes), (16_769_212, 5_293_876));
     for (query, mb, bytes, super_rounds) in [
-        (PaperQuery::Q3, 0.3, Q3_BYTES, 17),
-        (PaperQuery::Q18, 0.1, Q18_BYTES, 19),
+        (PaperQuery::Q3, 0.3, q3_bytes, 17),
+        (PaperQuery::Q18, 0.1, q18_bytes, 19),
     ] {
         let (spec, ring) = tpch_bench_spec(query, mb);
         let spec = &spec;
