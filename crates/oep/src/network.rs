@@ -108,6 +108,7 @@ fn route_waksman(perm: &[usize], bits: &mut Vec<bool>) {
         let mut o = 2 * start;
         loop {
             let i = perm[o];
+            // An odd n's unpaired input enters the even leg straight.
             if i / 2 == half {
                 break;
             }

@@ -15,11 +15,7 @@ impl Channel {
 
     /// Stage `vs` as one message of 8 bytes per word.
     pub fn send_u64_slice(&mut self, vs: &[u64]) {
-        self.send_with(vs.len() * 8, |buf| {
-            for (c, v) in buf.chunks_exact_mut(8).zip(vs) {
-                c.copy_from_slice(&v.to_le_bytes());
-            }
-        });
+        self.send_word_slice(vs, 8);
     }
 
     /// Stage `vs` as one message of `bytes` ≤ 8 bytes per word: each
@@ -63,11 +59,7 @@ impl Channel {
 
     /// Receive one message of `n` words from [`Channel::send_u64_slice`].
     pub fn recv_u64_vec(&mut self, n: usize) -> Vec<u64> {
-        let mut raw = vec![0u8; n * 8];
-        self.recv_into(&mut raw);
-        raw.chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
-            .collect()
+        self.recv_word_vec(n, 8)
     }
 
     /// Receive one message of `n` words from [`Channel::send_word_slice`]
